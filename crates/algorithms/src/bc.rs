@@ -3,10 +3,10 @@
 use gbtl_algebra::{PlusTimes, Second};
 use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
-    Matrix, Result, Vector,
+    LevelWork, Matrix, Result, Vector,
 };
 
-use crate::util::pattern_matrix;
+use crate::util::{check_source, pattern_matrix};
 
 /// Betweenness-centrality contribution of shortest paths from the given
 /// sources (batch Brandes; pass all vertices for exact BC).
@@ -38,6 +38,9 @@ pub fn betweenness_centrality<B: Backend>(
 /// never resident on entry; unless push is forced, one O(nnz) prewarm here
 /// amortises over `sources × levels` and makes pull eligible. The backward
 /// sweep is a dense `mxv` on the untransposed matrix in every mode.
+///
+/// A source out of range is an `IndexOutOfBounds` error, raised before any
+/// source is processed.
 pub fn betweenness_centrality_with_direction<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
@@ -46,6 +49,9 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
 ) -> Result<Vector<f64>> {
     assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
     let n = a.nrows();
+    for &src in sources {
+        check_source("betweenness_centrality", src, n)?;
+    }
     let a_f = pattern_matrix(ctx, a, 1.0f64);
     let resolved = match dir {
         Direction::Auto => Direction::from_env(),
@@ -59,10 +65,10 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
     let desc_fwd_pull = Descriptor::new().transpose_a().complement_mask().replace();
     let desc_pull = Descriptor::new();
 
+    let degrees = a_f.csr();
     let mut delta_total = vec![0.0f64; n];
 
     for &src in sources {
-        assert!(src < n, "source {src} out of range");
         // ---- forward sweep: shortest-path counts sigma, per-level fronts
         let mut sigma: Vector<f64> = Vector::new_dense(n);
         sigma.set(src, 1.0);
@@ -71,12 +77,22 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
         let mut frontier: Vector<f64> = Vector::new(n);
         frontier.set(src, 1.0);
         let mut fronts: Vec<Vector<f64>> = vec![frontier.clone()];
+        let mut push_edges = degrees.row_nnz(src);
+        let mut pull_edges = a_f.nnz() - push_edges;
 
         let mut level = 0u64;
         while frontier.nnz() > 0 {
             level += 1;
             let frontier_nnz = frontier.nnz();
-            let decision = policy.decide(frontier_nnz, n - visited.nnz());
+            let decision = policy.decide_on(
+                ctx.backend(),
+                LevelWork {
+                    frontier_nnz,
+                    unvisited: n - visited.nnz(),
+                    push_edges,
+                    pull_edges,
+                },
+            );
             let t0 = ctx.level_start();
             match decision.rep {
                 FrontierRep::Bitmap => frontier.densify(),
@@ -105,10 +121,13 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
                     &desc_push,
                 )?,
             }
+            push_edges = 0;
             for (i, c) in q.iter() {
                 visited.set(i, true);
                 sigma.set(i, c);
+                push_edges += degrees.row_nnz(i);
             }
+            pull_edges -= push_edges;
             ctx.level_end(
                 t0,
                 "bc",
@@ -297,6 +316,23 @@ mod tests {
         // ascending input index, so the sums are bit-identical
         assert_eq!(push, pull);
         assert_eq!(push, auto);
+    }
+
+    #[test]
+    fn bad_source_is_an_error() {
+        let a = undirected(&[(0, 1), (1, 2)], 3);
+        let got = betweenness_centrality(&Context::sequential(), &a, &[0, 3]);
+        assert!(
+            matches!(
+                got,
+                Err(gbtl_core::GblasError::IndexOutOfBounds {
+                    index: 3,
+                    bound: 3,
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -2,9 +2,11 @@
 
 use gbtl_algebra::{LorLand, MinFirst};
 use gbtl_core::{
-    no_accum, Backend, ChosenDir, Context, Descriptor, DirectionPolicy, FrontierRep, Matrix,
-    Result, Vector,
+    no_accum, Backend, ChosenDir, Context, Descriptor, DirectionPolicy, FrontierRep, LevelWork,
+    Matrix, Result, Vector,
 };
+
+use crate::util::check_source;
 
 pub use gbtl_core::Direction;
 
@@ -16,9 +18,14 @@ pub use gbtl_core::Direction;
 /// vertices. The direction (push `vxm` vs pull `mxv` over cached `Aᵀ`) and
 /// the frontier representation (index list vs bitmap) are chosen per level
 /// by [`DirectionPolicy`] — forced by `dir`, `GBTL_DIRECTION`, or adaptive
-/// under [`Direction::Auto`]. Every choice produces the identical level
-/// sets (the masked products compute the same entries either way), so all
-/// modes are bit-identical; only the work per level changes.
+/// under [`Direction::Auto`], from the edges each side would touch: the
+/// frontier's out-edges against the unvisited rows' edges, both kept in the
+/// epilogue loop that marks the new vertices. Every choice produces the
+/// identical level sets (the masked products compute the same entries
+/// either way), so all modes are bit-identical; only the work per level
+/// changes.
+///
+/// `src` out of range is an `IndexOutOfBounds` error.
 pub fn bfs_levels<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
@@ -26,8 +33,8 @@ pub fn bfs_levels<B: Backend>(
     dir: Direction,
 ) -> Result<Vector<u64>> {
     assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    assert!(src < a.nrows(), "source out of range");
     let n = a.nrows();
+    check_source("bfs_levels", src, n)?;
     let policy = DirectionPolicy::for_matrix(dir, ctx, a);
     let desc_push = Descriptor::new().complement_mask().replace();
     let desc_pull = Descriptor::new().transpose_a().complement_mask().replace();
@@ -38,12 +45,23 @@ pub fn bfs_levels<B: Backend>(
     frontier.set(src, true);
     visited.set(src, true);
     levels.set(src, 0);
+    let degrees = a.csr();
+    let mut push_edges = degrees.row_nnz(src);
+    let mut pull_edges = a.nnz() - push_edges;
 
     let mut depth = 0u64;
     while frontier.nnz() > 0 {
         depth += 1;
         let frontier_nnz = frontier.nnz();
-        let decision = policy.decide(frontier_nnz, n - visited.nnz());
+        let decision = policy.decide_on(
+            ctx.backend(),
+            LevelWork {
+                frontier_nnz,
+                unvisited: n - visited.nnz(),
+                push_edges,
+                pull_edges,
+            },
+        );
         let t0 = ctx.level_start();
         match decision.rep {
             FrontierRep::Bitmap => frontier.densify(),
@@ -70,10 +88,13 @@ pub fn bfs_levels<B: Backend>(
                 &desc_push,
             )?,
         }
+        push_edges = 0;
         for (i, _) in next.iter() {
             visited.set(i, true);
             levels.set(i, depth);
+            push_edges += degrees.row_nnz(i);
         }
+        pull_edges -= push_edges;
         ctx.level_end(
             t0,
             "bfs",
@@ -94,14 +115,16 @@ pub fn bfs_levels<B: Backend>(
 /// Runs on the `MinFirst` semiring over `u64` vertex ids: each frontier
 /// vertex pushes *its own id* along out-edges, and `min` picks the smallest
 /// candidate parent deterministically.
+///
+/// `src` out of range is an `IndexOutOfBounds` error.
 pub fn bfs_parents<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     src: usize,
 ) -> Result<Vector<u64>> {
     assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    assert!(src < a.nrows(), "source out of range");
     let n = a.nrows();
+    check_source("bfs_parents", src, n)?;
     let a_ids = crate::util::pattern_matrix(ctx, a, 1u64);
     let desc = Descriptor::new().complement_mask().replace();
 
@@ -213,8 +236,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "source out of range")]
-    fn bad_source_panics() {
-        let _ = bfs_levels(&Context::sequential(), &path_graph(), 99, Direction::Push);
+    fn bad_source_is_an_error() {
+        let ctx = Context::sequential();
+        let err = bfs_levels(&ctx, &path_graph(), 99, Direction::Push).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                gbtl_core::GblasError::IndexOutOfBounds {
+                    index: 99,
+                    bound: 6,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(bfs_parents(&ctx, &path_graph(), 6).is_err());
     }
 }

@@ -93,30 +93,18 @@ pub fn maximal_independent_set<B: Backend>(
 }
 
 /// Verify the MIS invariants: no two set members adjacent (independence)
-/// and every non-member has a member neighbour (maximality).
+/// and every non-member has a member neighbour (maximality). One walk over
+/// each vertex's own row: O(nnz) in all.
 pub fn verify_mis(a: &Matrix<bool>, set: &Vector<bool>) -> bool {
-    let n = a.nrows();
-    for (i, j, _) in a.iter() {
-        if i != j && set.contains(i) && set.contains(j) {
-            return false; // not independent
-        }
-    }
-    for v in 0..n {
+    let csr = a.csr();
+    (0..a.nrows()).all(|v| {
+        let mut member_neighbours = csr.row(v).0.iter().filter(|&&j| j != v && set.contains(j));
         if set.contains(v) {
-            continue;
+            member_neighbours.next().is_none() // independent
+        } else {
+            member_neighbours.next().is_some() // maximal
         }
-        let mut has_member_neighbor = false;
-        for (i, j, _) in a.iter() {
-            if i == v && set.contains(j) {
-                has_member_neighbor = true;
-                break;
-            }
-        }
-        if !has_member_neighbor {
-            return false; // not maximal
-        }
-    }
-    true
+    })
 }
 
 mod rand_shim {
@@ -174,6 +162,36 @@ mod tests {
         let set = maximal_independent_set(&Context::sequential(), &a, 7).unwrap();
         assert_eq!(set.nnz(), 1);
         assert!(verify_mis(&a, &set));
+    }
+
+    #[test]
+    fn verify_rejects_dependent_and_non_maximal_sets() {
+        // path 0-1-2-3-4 with a self-loop on 2 (a loop is no neighbour)
+        let mut triples = vec![(2usize, 2usize, true)];
+        for v in 0..4usize {
+            triples.push((v, v + 1, true));
+            triples.push((v + 1, v, true));
+        }
+        let a = Matrix::build(5, 5, triples, Second::new()).unwrap();
+        let set_of = |members: &[usize]| {
+            let mut s: Vector<bool> = Vector::new(5);
+            for &v in members {
+                s.set(v, true);
+            }
+            s
+        };
+        assert!(verify_mis(&a, &set_of(&[0, 2, 4])));
+        assert!(verify_mis(&a, &set_of(&[1, 3])));
+        assert!(!verify_mis(&a, &set_of(&[0, 1, 3])), "0 and 1 are adjacent");
+        assert!(verify_mis(&a, &set_of(&[0, 3])));
+        assert!(
+            !verify_mis(&a, &set_of(&[0, 4])),
+            "vertex 2 has no member neighbour"
+        );
+        assert!(
+            !verify_mis(&a, &set_of(&[])),
+            "the empty set is not maximal"
+        );
     }
 
     #[test]

@@ -31,10 +31,11 @@
 use gbtl_algebra::{Bounded, LorLand, MinPlus, Scalar, Semiring};
 use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, LevelDecision,
-    Matrix, Result, Vector,
+    LevelWork, Matrix, Result, Vector,
 };
 
 use crate::sssp::DefaultZero;
+use crate::util::check_source;
 
 /// One fused level in either direction, from the batch's fresh triples.
 ///
@@ -101,8 +102,8 @@ fn fused_level<B: Backend, T: Scalar, S: Semiring<T>>(
 /// source.
 ///
 /// One `mxm` over the boolean semiring per level on the row-stacked
-/// frontier, with the direction chosen per level by the batch-scaled
-/// policy (see [`bfs_levels_multi_with_direction`]).
+/// frontier, with the direction chosen per level from the batch's
+/// aggregate work (see [`bfs_levels_multi_with_direction`]).
 pub fn bfs_levels_multi<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
@@ -113,13 +114,17 @@ pub fn bfs_levels_multi<B: Backend>(
 
 /// [`bfs_levels_multi`] with an explicit direction.
 ///
-/// The fused k×n frontier reports its **aggregate** nnz to a
-/// [`DirectionPolicy`] whose threshold is scaled by `k`
-/// ([`DirectionPolicy::batched`]), so the batch crosses over exactly when
-/// the average member frontier would. For the fused path the decision's
-/// `rep` attribute describes the frontier *orientation*: push consumes
-/// the row-stacked `F` (one sparse index list per member), pull consumes
-/// the column-stacked `Fᵀ` against cached `Aᵀ`.
+/// The fused k×n frontier reports its **aggregate** work to a
+/// [`DirectionPolicy::batched`] policy: `push_edges` is the out-degree sum
+/// over every member's frontier, and pull — `Aᵀ·Fᵀ` — does those same
+/// multiplications *plus* a walk over every row of `Aᵀ`, so its
+/// `pull_edges` is `push_edges + nnz(A)` and on the CPU backends `Auto`
+/// never prefers it (cuda-sim keeps its own rule). For the fused path the
+/// decision's `rep` attribute describes the frontier *orientation*: push
+/// consumes the row-stacked `F` (one sparse index list per member), pull
+/// consumes the column-stacked `Fᵀ` against cached `Aᵀ`.
+///
+/// A source out of range is an `IndexOutOfBounds` error.
 pub fn bfs_levels_multi_with_direction<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
@@ -130,12 +135,14 @@ pub fn bfs_levels_multi_with_direction<B: Backend>(
     let n = a.nrows();
     let k = sources.len();
     for &src in sources {
-        assert!(src < n, "source out of range");
+        check_source("bfs_levels_multi", src, n)?;
     }
     if k == 0 {
         return Ok(Vec::new());
     }
     let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
+    let degrees = a.csr();
+    let mut push_edges = 0;
 
     let mut levels: Vec<Vector<u64>> = (0..k).map(|_| Vector::new_dense(n)).collect();
     // flat k×n visited bitmap, indexed [r * n + j]
@@ -146,13 +153,22 @@ pub fn bfs_levels_multi_with_direction<B: Backend>(
         levels[r].set(src, 0);
         visited[r * n + src] = true;
         fresh.push((r, src, true));
+        push_edges += degrees.row_nnz(src);
     }
 
     let mut depth = 0u64;
     while !fresh.is_empty() {
         depth += 1;
         let frontier_nnz = fresh.len();
-        let decision = policy.decide(frontier_nnz, k * n - visited_count);
+        let decision = policy.decide_on(
+            ctx.backend(),
+            LevelWork {
+                frontier_nnz,
+                unvisited: k * n - visited_count,
+                push_edges,
+                pull_edges: push_edges + a.nnz(),
+            },
+        );
         let t0 = ctx.level_start();
         let next = fused_level(ctx, a, &fresh, k, LorLand::new(), decision)?;
         // host-side visited filter (the solo kernel's complemented mask,
@@ -160,12 +176,14 @@ pub fn bfs_levels_multi_with_direction<B: Backend>(
         // triples stay in row-major order, so the next frontier assembles
         // without a sort
         fresh.clear();
+        push_edges = 0;
         for (r, j, _) in next {
             if !visited[r * n + j] {
                 visited[r * n + j] = true;
                 visited_count += 1;
                 levels[r].set(j, depth);
                 fresh.push((r, j, true));
+                push_edges += degrees.row_nnz(j);
             }
         }
         ctx.level_end(
@@ -202,7 +220,7 @@ where
 }
 
 /// [`sssp_multi`] with an explicit direction; see
-/// [`bfs_levels_multi_with_direction`] for the batch-scaled policy and
+/// [`bfs_levels_multi_with_direction`] for the batch's aggregate work and
 /// the fused-pull orientation.
 pub fn sssp_multi_with_direction<B, T>(
     ctx: &Context<B>,
@@ -218,13 +236,15 @@ where
     let n = a.nrows();
     let k = sources.len();
     for &src in sources {
-        assert!(src < n, "source out of range");
+        check_source("sssp_multi", src, n)?;
     }
     if k == 0 {
         return Ok(Vec::new());
     }
     let zero = T::default_zero();
     let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
+    let degrees = a.csr();
+    let mut push_edges = 0;
 
     let mut dist: Vec<Vector<T>> = (0..k).map(|_| Vector::new_dense(n)).collect();
     let mut settled = k;
@@ -232,6 +252,7 @@ where
     for (r, &src) in sources.iter().enumerate() {
         dist[r].set(src, zero);
         fresh.push((r, src, zero));
+        push_edges += degrees.row_nnz(src);
     }
 
     let mut round = 0u64;
@@ -241,10 +262,19 @@ where
         }
         round += 1;
         let frontier_nnz = fresh.len();
-        let decision = policy.decide(frontier_nnz, k * n - settled);
+        let decision = policy.decide_on(
+            ctx.backend(),
+            LevelWork {
+                frontier_nnz,
+                unvisited: k * n - settled,
+                push_edges,
+                pull_edges: push_edges + a.nnz(),
+            },
+        );
         let t0 = ctx.level_start();
         let relax = fused_level(ctx, a, &fresh, k, MinPlus::<T>::new(), decision)?;
         fresh.clear();
+        push_edges = 0;
         for (r, j, cand) in relax {
             let improved = match dist[r].get(j) {
                 Some(old) => cand < old,
@@ -256,6 +286,7 @@ where
             if improved {
                 dist[r].set(j, cand);
                 fresh.push((r, j, cand));
+                push_edges += degrees.row_nnz(j);
             }
         }
         ctx.level_end(
@@ -368,9 +399,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "source out of range")]
-    fn bad_source_panics() {
-        let _ = bfs_levels_multi(&Context::sequential(), &path_graph(), &[0, 99]);
+    fn bad_source_is_an_error() {
+        let ctx = Context::sequential();
+        assert!(bfs_levels_multi(&ctx, &path_graph(), &[0, 99]).is_err());
+        assert!(sssp_multi(&ctx, &weighted(), &[5]).is_err());
     }
 
     #[test]

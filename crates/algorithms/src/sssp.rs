@@ -3,8 +3,12 @@
 use gbtl_algebra::{Bounded, MinPlus, Scalar};
 use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
-    Matrix, Result, Vector,
+    LevelWork, Matrix, Result, Vector,
 };
+
+use gbtl_sparse::SparseVector;
+
+use crate::util::check_source;
 
 /// Weight-domain additive identity, needed to seed the source distance
 /// (`x + zero == x`).
@@ -50,7 +54,11 @@ where
 /// with a bitmap frontier. `⊗ = +` is commutative and `⊕ = min` is
 /// order-independent over the same candidate multiset, so every direction
 /// yields bit-identical distances — [`Direction::Auto`] only changes how
-/// much work each round does.
+/// much work each round does. Unmasked, pull scans all of `nnz(A)` however
+/// few vertices improved, so `Auto` pulls only a round whose frontier
+/// carries more edges than that scan costs.
+///
+/// `src` out of range is an `IndexOutOfBounds` error.
 pub fn sssp_with_direction<B, T>(
     ctx: &Context<B>,
     a: &Matrix<T>,
@@ -62,10 +70,12 @@ where
     T: Scalar + PartialOrd + Bounded + DefaultZero + std::ops::Add<Output = T>,
 {
     assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    assert!(src < a.nrows(), "source out of range");
     let n = a.nrows();
+    check_source("sssp", src, n)?;
     let zero = T::default_zero();
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a);
+    let policy = DirectionPolicy::for_matrix(dir, ctx, a).unmasked();
+    let degrees = a.csr();
+    let mut push_edges = degrees.row_nnz(src);
 
     let mut dist: Vector<T> = Vector::new_dense(n);
     dist.set(src, zero);
@@ -81,7 +91,15 @@ where
         }
         round += 1;
         let frontier_nnz = frontier.nnz();
-        let decision = policy.decide(frontier_nnz, n - dist.nnz());
+        let decision = policy.decide_on(
+            ctx.backend(),
+            LevelWork {
+                frontier_nnz,
+                unvisited: n - dist.nnz(),
+                push_edges,
+                pull_edges: a.nnz(),
+            },
+        );
         let t0 = ctx.level_start();
         match decision.rep {
             FrontierRep::Bitmap => frontier.densify(),
@@ -113,7 +131,10 @@ where
         // dist = eWiseAdd(dist, relax, Min), keeping the improved set as
         // the next frontier. The improvement test needs old-vs-new
         // comparison, so it runs host-side (identically for both backends).
-        let mut next: Vector<T> = Vector::new(n);
+        // `relax` iterates in index order, so the improved set assembles
+        // as a sorted list: no per-entry search-and-insert.
+        let (mut next_idx, mut next_vals) = (Vec::new(), Vec::new());
+        push_edges = 0;
         for (i, cand) in relax.iter() {
             let improved = match dist.get(i) {
                 Some(old) => cand < old,
@@ -121,9 +142,12 @@ where
             };
             if improved {
                 dist.set(i, cand);
-                next.set(i, cand);
+                next_idx.push(i);
+                next_vals.push(cand);
+                push_edges += degrees.row_nnz(i);
             }
         }
+        let next = Vector::from(SparseVector::from_sorted(n, next_idx, next_vals)?);
         ctx.level_end(
             t0,
             "sssp",
@@ -211,6 +235,22 @@ mod tests {
         assert_eq!(push, pull);
         assert_eq!(push, auto);
         assert_eq!(push.get(3), Some(6));
+    }
+
+    #[test]
+    fn bad_source_is_an_error() {
+        let err = sssp(&Context::sequential(), &graph(), 5).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                gbtl_core::GblasError::IndexOutOfBounds {
+                    index: 5,
+                    bound: 5,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

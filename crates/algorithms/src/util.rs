@@ -1,7 +1,7 @@
 //! Shared helpers: typed pattern matrices and triangular extraction.
 
 use gbtl_algebra::{Scalar, Second, UnaryOp};
-use gbtl_core::{Backend, Context, Matrix};
+use gbtl_core::{Backend, Context, GblasError, Matrix, Result};
 
 /// Unary op returning a constant, used to retype structure matrices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,6 +19,20 @@ impl<A: Scalar, T: Scalar> UnaryOp<A> for Const<A, T> {
     #[inline(always)]
     fn apply(&self, _a: A) -> T {
         self.0
+    }
+}
+
+/// A traversal source must name a vertex: `Err(IndexOutOfBounds)` — never a
+/// panic — when `src` is not below `n`.
+pub(crate) fn check_source(op: &'static str, src: usize, n: usize) -> Result<()> {
+    if src < n {
+        Ok(())
+    } else {
+        Err(GblasError::IndexOutOfBounds {
+            op,
+            index: src,
+            bound: n,
+        })
     }
 }
 

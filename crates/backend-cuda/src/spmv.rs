@@ -17,7 +17,7 @@
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
-use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
+use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use rayon::prelude::*;
 
 /// Rows (threads) per block for the SpMV launches.
@@ -59,7 +59,7 @@ pub fn mxv<T, S>(
     a: &CsrMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
     kernel: SpmvKernel,
 ) -> DenseVector<T>
 where
@@ -84,7 +84,7 @@ fn spmv_scalar<T, S>(
     a: &CsrMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
     out: &mut [Option<T>],
 ) where
     T: Scalar,
@@ -106,7 +106,7 @@ fn spmv_scalar<T, S>(
         for warp_start in (0..slice.len()).step_by(ws) {
             let rows: Vec<usize> = (warp_start..(warp_start + ws).min(slice.len()))
                 .map(|k| row0 + k)
-                .filter(|&r| mask.is_none_or(|keep| keep[r]))
+                .filter(|&r| mask.is_none_or(|keep| keep.keeps(r)))
                 .collect();
             if rows.is_empty() {
                 continue;
@@ -161,7 +161,7 @@ fn spmv_vector<T, S>(
     a: &CsrMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
     out: &mut [Option<T>],
 ) where
     T: Scalar,
@@ -180,10 +180,8 @@ fn spmv_vector<T, S>(
         let ws = ctx.warp_size();
         for (k, slot) in slice.iter_mut().enumerate() {
             let r = row0 + k;
-            if let Some(keep) = mask {
-                if !keep[r] {
-                    continue;
-                }
+            if mask.is_some_and(|keep| !keep.keeps(r)) {
+                continue;
             }
             let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
             if lo == hi {
@@ -229,7 +227,7 @@ pub fn vxm<T, S>(
     u: &SparseVector<T>,
     a: &CsrMatrix<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> SparseVector<T>
 where
     T: Scalar,
@@ -294,7 +292,7 @@ where
                 .zip(&cand_vals)
                 .map(|(&c, &v)| (c, v))
                 .collect();
-            prim::copy_if(gpu, &pairs, |&(c, _)| keep[c])
+            prim::copy_if(gpu, &pairs, |&(c, _)| keep.keeps(c))
         };
         (
             kept.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
@@ -380,7 +378,7 @@ mod tests {
             &a,
             &u,
             PlusTimes::<i64>::new(),
-            Some(&keep),
+            Some(VecMask::from(&keep[..])),
             SpmvKernel::Scalar,
         );
         assert!(w.get(0).is_some());
@@ -408,7 +406,13 @@ mod tests {
         let mut u = SparseVector::new(4);
         u.set(3, 1i64);
         let keep = [false, true, false, false];
-        let got = vxm(&gpu, &u, &a, PlusTimes::<i64>::new(), Some(&keep));
+        let got = vxm(
+            &gpu,
+            &u,
+            &a,
+            PlusTimes::<i64>::new(),
+            Some(VecMask::from(&keep[..])),
+        );
         assert_eq!(got.iter().collect::<Vec<_>>(), vec![(1, 1)]);
     }
 
@@ -487,7 +491,7 @@ pub fn mxv_ell<T, S>(
     a: &gbtl_sparse::EllMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> DenseVector<T>
 where
     T: Scalar,
@@ -511,7 +515,7 @@ where
         for warp_start in (0..slice.len()).step_by(ws) {
             let rows: Vec<usize> = (warp_start..(warp_start + ws).min(slice.len()))
                 .map(|k| row0 + k)
-                .filter(|&r| mask.is_none_or(|keep| keep[r]))
+                .filter(|&r| mask.is_none_or(|keep| keep.keeps(r)))
                 .collect();
             if rows.is_empty() {
                 continue;
@@ -600,7 +604,13 @@ mod ell_tests {
         let ell = EllMatrix::from_csr(&graph(), 0);
         let u = dense(&[1, 1, 1, 1]);
         let keep = [false, true, false, true];
-        let got = mxv_ell(&gpu, &ell, &u, PlusTimes::<i64>::new(), Some(&keep));
+        let got = mxv_ell(
+            &gpu,
+            &ell,
+            &u,
+            PlusTimes::<i64>::new(),
+            Some(VecMask::from(&keep[..])),
+        );
         assert_eq!(got.get(0), None);
         assert!(got.get(1).is_some());
         assert_eq!(got.get(2), None);
@@ -649,7 +659,7 @@ pub fn mxv_hyb<T, S>(
     a: &gbtl_sparse::HybMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> DenseVector<T>
 where
     T: Scalar,
@@ -663,10 +673,8 @@ where
     let (rows, cols, vals) = a.coo();
     let uvals = u.options();
     for ((&i, &j), &v) in rows.iter().zip(cols).zip(vals) {
-        if let Some(keep) = mask {
-            if !keep[i] {
-                continue;
-            }
+        if mask.is_some_and(|keep| !keep.keeps(i)) {
+            continue;
         }
         if let Some(uj) = uvals[j] {
             let term = mul.apply(v, uj);
@@ -741,8 +749,19 @@ mod hyb_tests {
         let u = DenseVector::filled(4, 1i64);
         let keep = [false, true, true, true];
         let gpu = Gpu::default();
-        let got = mxv_hyb(&gpu, &hyb, &u, PlusTimes::<i64>::new(), Some(&keep));
-        let expected = gbtl_backend_seq::mxv(&csr, &u, PlusTimes::<i64>::new(), Some(&keep));
+        let got = mxv_hyb(
+            &gpu,
+            &hyb,
+            &u,
+            PlusTimes::<i64>::new(),
+            Some(VecMask::from(&keep[..])),
+        );
+        let expected = gbtl_backend_seq::mxv(
+            &csr,
+            &u,
+            PlusTimes::<i64>::new(),
+            Some(VecMask::from(&keep[..])),
+        );
         assert_eq!(got, expected);
     }
 }

@@ -14,7 +14,9 @@
 //!   algorithm verbatim — same accumulator, same visit order.
 //! * [`vxm`] partitions output **columns**: each task scans the whole
 //!   frontier in order, narrowing adjacency rows to its column range, so
-//!   per column the terms combine in frontier order, exactly as seq.
+//!   per column the terms combine in frontier order, exactly as seq. The
+//!   number of ranges follows the frontier's edge work
+//!   ([`vxm_range_count`]); one range is the sequential kernel, inline.
 //! * [`mxm`] assembles CSR with a two-pass count-then-fill: a symbolic
 //!   pass counts per-row output nnz, a serial prefix sum fixes `row_ptr`,
 //!   and the numeric pass writes into pre-carved disjoint slices. No
@@ -44,7 +46,7 @@ mod unary;
 
 pub use ewise::{ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec};
 pub use mxm::{mxm, mxm_masked};
-pub use mxv::{mxv, vxm};
+pub use mxv::{mxv, vxm, vxm_range_count};
 pub use pool::{PoolStats, ThreadPool};
 pub use reduce::{reduce_mat, reduce_rows, reduce_sparse_vec, reduce_vec, REDUCE_BLOCK};
 pub use transpose::transpose;

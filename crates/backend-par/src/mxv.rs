@@ -10,21 +10,25 @@
 //!   output column the terms still arrive in frontier order (`k`
 //!   ascending) — exactly the sequential order — and no two tasks ever
 //!   write the same column, so the merge is an atomic-free concatenation.
+//!   Every range pays one row walk per frontier entry whatever it finds
+//!   there, so the number of ranges comes from the work
+//!   ([`vxm_range_count`]): a small or low-degree frontier gets one range,
+//!   which *is* the sequential kernel, run inline on the caller.
 
 use crate::partition::{even_ranges, nnz_balanced_rows, OVERSPLIT};
 use crate::pool::ThreadPool;
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
-use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
+use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 
-/// Pull-direction product `w = A ⊕.⊗ u`; `mask` is a keep-bitmap over
+/// Pull-direction product `w = A ⊕.⊗ u`; `mask` is a keep test over
 /// output rows. Bit-identical to `gbtl_backend_seq::mxv`.
 pub fn mxv<T, S>(
     pool: &ThreadPool,
     a: &CsrMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> DenseVector<T>
 where
     T: Scalar,
@@ -49,10 +53,8 @@ where
         let rows = chunks[t].clone();
         let mut seg: Vec<Option<T>> = vec![None; rows.len()];
         for i in rows.clone() {
-            if let Some(keep) = mask {
-                if !keep[i] {
-                    continue;
-                }
+            if mask.is_some_and(|keep| !keep.keeps(i)) {
+                continue;
             }
             let (cols, vals) = a.row(i);
             let mut acc: Option<T> = None;
@@ -77,15 +79,39 @@ where
     DenseVector::from_options(out)
 }
 
+/// Edge work one extra column range must bring to pay for its walk over
+/// the frontier: a range binary-searches every frontier row down to its own
+/// columns, ≈ 12–15 ns a row against ≈ 3 ns an edge (seq, rmat14 SSSP
+/// rounds), so at 16 edges per row walk all the ranges' walks together stay
+/// under a quarter of the edge work.
+const EDGES_PER_ROW_WALK: usize = 16;
+
+/// Edge work below which a range is not worth a worker: the scoped fan-out
+/// of one dispatch costs ≈ 40 µs (see `pool`), about this many edges of
+/// the sequential kernel.
+const MIN_EDGES_PER_RANGE: usize = 16 * 1024;
+
+/// How many column ranges [`vxm`] cuts for a frontier of `frontier_nnz`
+/// entries carrying `push_edges` out-edges on `threads` workers: as many as
+/// the edge work pays for, at most `threads × OVERSPLIT`, at least one.
+/// One range means the dispatch runs inline as the sequential kernel.
+pub fn vxm_range_count(threads: usize, frontier_nnz: usize, push_edges: usize) -> usize {
+    if threads <= 1 {
+        return 1;
+    }
+    let per_range = (frontier_nnz * EDGES_PER_ROW_WALK).max(MIN_EDGES_PER_RANGE);
+    (push_edges / per_range).clamp(1, threads * OVERSPLIT)
+}
+
 /// Push-direction product `w = uᵀ ⊕.⊗ A` over a sparse frontier `u`;
-/// `mask` is a keep-bitmap over output columns. Bit-identical to
+/// `mask` is a keep test over output columns. Bit-identical to
 /// `gbtl_backend_seq::vxm`.
 pub fn vxm<T, S>(
     pool: &ThreadPool,
     u: &SparseVector<T>,
     a: &CsrMatrix<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> SparseVector<T>
 where
     T: Scalar,
@@ -102,9 +128,19 @@ where
     if let Some(keep) = mask {
         assert_eq!(keep.len(), a.ncols(), "mask length must equal output size");
     }
+    let push_edges: usize = u.indices().iter().map(|&k| a.row_nnz(k)).sum();
+    let nranges = vxm_range_count(pool.threads(), u.nnz(), push_edges);
+    if nranges == 1 {
+        // One range is the sequential kernel; through the pool so the
+        // dispatch is counted (inline, on the caller).
+        return pool
+            .run_tasks(1, |_| gbtl_backend_seq::vxm(u, a, sr, mask))
+            .pop()
+            .expect("one task, one result");
+    }
     let (add, mul) = (sr.add(), sr.mul());
     let n = a.ncols();
-    let ranges = even_ranges(n, pool.threads() * OVERSPLIT);
+    let ranges = even_ranges(n, nranges);
 
     let mut parts = pool.run_tasks(ranges.len(), |t| {
         let cols = ranges[t].clone();
@@ -120,10 +156,8 @@ where
                         if j >= cols.end {
                             break;
                         }
-                        if let Some(keep) = mask {
-                            if !keep[j] {
-                                continue;
-                            }
+                        if mask.is_some_and(|keep| !keep.keeps(j)) {
+                            continue;
                         }
                         let term = mul.apply(uk, rvals[idx]);
                         match &mut acc[j - cols.start] {
@@ -191,10 +225,89 @@ mod tests {
         u.set(0, 0i64);
         u.set(2, 5);
         let keep = [true, false, true];
-        let want = gbtl_backend_seq::vxm(&u, &a, MinPlus::<i64>::new(), Some(&keep));
+        let mask = Some(VecMask::from(&keep[..]));
+        let want = gbtl_backend_seq::vxm(&u, &a, MinPlus::<i64>::new(), mask);
         for threads in [1, 2, 4, 8] {
             let pool = ThreadPool::with_threads(threads);
-            assert_eq!(vxm(&pool, &u, &a, MinPlus::<i64>::new(), Some(&keep)), want);
+            assert_eq!(vxm(&pool, &u, &a, MinPlus::<i64>::new(), mask), want);
+        }
+    }
+
+    /// `n` vertices; vertex `v < hubs` reaches every other vertex with a
+    /// distinct weight, every vertex also has its 4 ring neighbours.
+    fn hubs_on_a_ring(n: usize, hubs: usize) -> CsrMatrix<i64> {
+        let mut coo = CooMatrix::new(n, n);
+        for v in 0..n {
+            for d in [1, 2, n - 2, n - 1] {
+                coo.push(v, (v + d) % n, (v % 7 + d % 5) as i64 + 1);
+            }
+        }
+        for h in 0..hubs {
+            for j in (0..n).step_by(2) {
+                coo.push(h, j, (h * 31 + j) as i64 % 97 + 1);
+            }
+        }
+        CsrMatrix::from_coo(coo, |a, b| a.min(b))
+    }
+
+    #[test]
+    fn range_count_follows_the_work() {
+        // no workers to fan out to, or too little work: one range
+        assert_eq!(vxm_range_count(1, 10, 10_000_000), 1);
+        assert_eq!(vxm_range_count(4, 0, 0), 1);
+        assert_eq!(vxm_range_count(4, 1000, 4000), 1, "degree-4 frontier");
+        assert_eq!(
+            vxm_range_count(4, 1, 2 * MIN_EDGES_PER_RANGE - 1),
+            1,
+            "one hub under two ranges' worth of edges"
+        );
+        // enough edges per frontier row: one range per MIN_EDGES_PER_RANGE…
+        assert_eq!(vxm_range_count(4, 40, 5 * MIN_EDGES_PER_RANGE), 5);
+        // …or per EDGES_PER_ROW_WALK × |frontier|, whichever is larger…
+        assert_eq!(vxm_range_count(4, 4096, 3 * 4096 * EDGES_PER_ROW_WALK), 3);
+        // …capped at threads × OVERSPLIT
+        assert_eq!(vxm_range_count(2, 1, usize::MAX / 2), 2 * OVERSPLIT);
+    }
+
+    #[test]
+    fn vxm_is_bit_identical_and_one_range_runs_inline() {
+        let n = 4096;
+        let a = hubs_on_a_ring(n, 48);
+        let mut hub_frontier = SparseVector::new(n);
+        for h in 0..48 {
+            hub_frontier.set(h, h as i64);
+        }
+        let mut ring_frontier = SparseVector::new(n);
+        for v in (64..n).step_by(3) {
+            ring_frontier.set(v, (v % 11) as i64);
+        }
+        let visited =
+            DenseVector::from_options((0..n).map(|j| (j % 5 != 0).then_some(true)).collect());
+        for (label, u, fans_out) in [
+            ("hub-heavy", &hub_frontier, true),
+            ("degree-4", &ring_frontier, false),
+        ] {
+            for mask in [
+                None,
+                Some(VecMask::new(&visited, false)),
+                Some(VecMask::new(&visited, true)),
+            ] {
+                let want = gbtl_backend_seq::vxm(u, &a, MinPlus::<i64>::new(), mask);
+                for threads in [1, 2, 4, 8] {
+                    let pool = ThreadPool::with_threads(threads);
+                    let got = vxm(&pool, u, &a, MinPlus::<i64>::new(), mask);
+                    assert_eq!(got, want, "{label} at {threads} threads");
+                    // one dispatch: fanned out when the work buys more
+                    // than one range, else inline as the sequential kernel
+                    let s = pool.stats();
+                    let fanned = u64::from(fans_out && threads > 1);
+                    assert_eq!(
+                        (s.parallel_dispatches, s.inline_dispatches),
+                        (fanned, 1 - fanned),
+                        "{label} at {threads} threads"
+                    );
+                }
+            }
         }
     }
 }

@@ -7,18 +7,18 @@
 //!   stored entries of `u`. Efficient when `u` is a sparse frontier.
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
-use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
+use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 
 /// Pull-direction product `w = A ⊕.⊗ u`.
 ///
-/// `mask`, when present, is a keep-bitmap over output positions: rows with
-/// `keep[i] == false` are not even visited.
+/// `mask`, when present, is a keep test over output positions: rows it does
+/// not keep are not even visited, so the result holds kept positions only.
 pub fn mxv<T, S>(
     a: &CsrMatrix<T>,
     u: &DenseVector<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> DenseVector<T>
 where
     T: Scalar,
@@ -39,10 +39,8 @@ where
     let uvals = u.options();
     let mut w = DenseVector::new(a.nrows());
     for i in 0..a.nrows() {
-        if let Some(keep) = mask {
-            if !keep[i] {
-                continue;
-            }
+        if mask.is_some_and(|keep| !keep.keeps(i)) {
+            continue;
         }
         let (cols, vals) = a.row(i);
         let mut acc: Option<T> = None;
@@ -66,12 +64,12 @@ where
 ///
 /// Only rows of `A` selected by stored entries of `u` are touched — the
 /// frontier-expansion step of push BFS/SSSP. `mask` filters output
-/// positions.
+/// positions: the result holds kept positions only.
 pub fn vxm<T, S>(
     u: &SparseVector<T>,
     a: &CsrMatrix<T>,
     sr: S,
-    mask: Option<&[bool]>,
+    mask: Option<VecMask<'_>>,
 ) -> SparseVector<T>
 where
     T: Scalar,
@@ -97,10 +95,8 @@ where
             for (k, uk) in u.iter() {
                 let (cols, vals) = a.row(k);
                 for (&j, &akj) in cols.iter().zip(vals) {
-                    if let Some(keep) = mask {
-                        if !keep[j] {
-                            continue;
-                        }
+                    if mask.is_some_and(|keep| !keep.keeps(j)) {
+                        continue;
                     }
                     let term = mul.apply(uk, akj);
                     match &mut acc[j] {
@@ -169,7 +165,7 @@ mod tests {
         let a = adj();
         let u = DenseVector::filled(3, 1i64);
         let keep = [true, false, true];
-        let w = mxv(&a, &u, PlusTimes::<i64>::new(), Some(&keep));
+        let w = mxv(&a, &u, PlusTimes::<i64>::new(), Some(keep[..].into()));
         assert!(w.get(0).is_some());
         assert_eq!(w.get(1), None);
         assert!(w.get(2).is_some());
@@ -207,9 +203,16 @@ mod tests {
         let mut u = SparseVector::new(3);
         u.set(0, 1i64);
         let keep = [false, false, true];
-        let w = vxm(&u, &a, PlusTimes::<i64>::new(), Some(&keep));
+        let w = vxm(&u, &a, PlusTimes::<i64>::new(), Some(keep[..].into()));
         assert_eq!(w.nnz(), 1);
         assert_eq!(w.get(2), Some(1));
+        // the same positions as a mask vector, plain and complemented
+        let visited = DenseVector::from_options(vec![None, None, Some(true)]);
+        for (complement, want) in [(false, vec![(2, 1)]), (true, vec![(1, 3)])] {
+            let mask = VecMask::new(&visited, complement);
+            let w = vxm(&u, &a, PlusTimes::<i64>::new(), Some(mask));
+            assert_eq!(w.iter().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 use std::time::Duration;
 
 use gbtl_algebra::{PlusMonoid, PlusTimes};
-use gbtl_algorithms::{bfs_levels, pagerank::PageRankOptions, sssp, triangle_count, Direction};
+use gbtl_algorithms::{
+    bfs_levels, pagerank::PageRankOptions, sssp, sssp_with_direction, triangle_count, Direction,
+};
 use gbtl_bench::{
     cuda_ctx, er_graph, grid_graph, host_threads, par_ctx, print_header, print_row, print_title,
     rmat_graph, seq_ctx, time_best, time_cuda, typed, weighted, Row,
@@ -1523,48 +1525,51 @@ fn a2_mask_direction() {
 }
 
 /// R-D10: adaptive push/pull direction optimization — the per-iteration
-/// direction trace on rmat14 (the push→pull crossover the density
-/// heuristic takes by itself), whole-traversal time of auto vs both
-/// forced modes on all three backends, and bit-identity of the three
-/// modes' level vectors (EXPERIMENTS.md).
+/// decision records on rmat14 (the push→pull→push crossover the edge-cost
+/// rule takes by itself), whole-traversal time of auto against both forced
+/// modes — and against the **best** of them — for BFS and SSSP on all
+/// three backends, and bit-identity of the three modes' results
+/// (EXPERIMENTS.md).
 fn d10_direction() {
     print_title(
-        "R-D10: adaptive push/pull direction (dual sparse/bitmap frontiers)",
-        "auto pushes a sparse frontier, flips to pull (bitmap frontier against \
-         the cached Aᵀ) once nnz crosses |E|/alpha and the unvisited set has \
-         shrunk, and beats both forced modes end to end; levels bit-identical",
+        "R-D10: adaptive push/pull direction (edge-cost rule, dual frontiers)",
+        "auto pushes a sparse frontier, pulls the level whose frontier carries \
+         more edges than the unvisited rows hold (bitmap frontier against the \
+         cached Aᵀ), never pulls SSSP's unmasked rounds on the CPU backends, \
+         and is no slower than the best forced mode; results bit-identical",
     );
     let a = rmat_graph(14, 16, 7);
+    let w = weighted(&a, 13);
     let n = a.nrows();
     println!("graph rmat14: {n} vertices, {} edges", a.nnz());
 
     // Per-iteration trace: one context with op tracing on and Aᵀ prewarmed
     // (so the pull gate is open), then a single auto BFS — the level spans
-    // record the decision each iteration actually took.
+    // are the decision records: what each level chose and from what.
     let ctx = par_ctx(host_threads()).with_trace_mode(TraceMode::Summary);
     ctx.prewarm_transpose(&a);
     let _ = bfs_levels(&ctx, &a, 0, Direction::Auto).unwrap();
     println!("\nper-iteration decisions (par backend, auto):");
     println!(
-        "{:<8} {:>14} {:>6} {:>8} {:>12}",
-        "level", "frontier_nnz", "dir", "rep", "time"
+        "{:<8} {:>14} {:>12} {:>12} {:>6} {:>8} {:>12}",
+        "level", "frontier_nnz", "push_edges", "pull_edges", "dir", "rep", "time"
     );
     let mut dirs: Vec<String> = Vec::new();
     for span in ctx.trace().spans.iter().filter(|s| s.fields.op == "level") {
-        let label = &span.fields.op_label; // "bfs dir=push rep=sparse"
-        let dir = label
-            .split("dir=")
-            .nth(1)
-            .and_then(|s| s.split(' ').next())
-            .unwrap_or("?");
-        let rep = label.split("rep=").nth(1).unwrap_or("?");
-        dirs.push(dir.to_string());
+        // "bfs dir=push rep=sparse push_edges=.. pull_edges=.. pull_ready=.."
+        let field = |key: &str| -> &str {
+            let rest = span.fields.op_label.split(key).nth(1).unwrap_or("?");
+            rest.split(' ').next().unwrap_or("?")
+        };
+        dirs.push(field("dir=").to_string());
         println!(
-            "{:<8} {:>14} {:>6} {:>8} {:>9.1} us",
+            "{:<8} {:>14} {:>12} {:>12} {:>6} {:>8} {:>9.1} us",
             span.fields.dims.trim_start_matches("level="),
             span.fields.nnz_in,
-            dir,
-            rep,
+            field("push_edges="),
+            field("pull_edges="),
+            field("dir="),
+            field("rep="),
             span.duration_ns as f64 / 1000.0
         );
     }
@@ -1581,65 +1586,81 @@ fn d10_direction() {
     // Whole-traversal comparison. One context per backend, Aᵀ prewarmed
     // once, so every mode sees the same warm cache; cuda reports the
     // cost-model's device time (wall time measures the simulator).
-    fn wall<B: Backend>(a: &Matrix<bool>, ctx: &Context<B>, d: Direction) -> Duration {
-        time_best(5, || {
-            let _ = bfs_levels(ctx, a, 0, d).unwrap();
-        })
-    }
-    let report = |label: &str, push: Duration, pull: Duration, auto: Duration| -> f64 {
-        let worse = push.max(pull).as_secs_f64() / auto.as_secs_f64().max(1e-12);
+    let report = |label: &str, push: Duration, pull: Duration, auto: Duration| {
+        let secs = |d: Duration| d.as_secs_f64().max(1e-12);
         println!(
-            "{label:<10} {push:>12.3?} {pull:>12.3?} {auto:>12.3?} {worse:>14.2}x {:>10}",
-            if auto <= push && auto <= pull {
-                "yes"
-            } else {
-                "no"
-            }
+            "{label:<10} {push:>12.3?} {pull:>12.3?} {auto:>12.3?} {:>13.2}x {:>12.2}x",
+            secs(push.max(pull)) / secs(auto),
+            secs(push.min(pull)) / secs(auto),
         );
-        worse
     };
-    println!("\nwhole-traversal BFS, auto vs forced (best of 5; cuda = modeled):");
+    fn modes(mut run: impl FnMut(Direction) -> Duration) -> (Duration, Duration, Duration) {
+        (
+            run(Direction::Push),
+            run(Direction::Pull),
+            run(Direction::Auto),
+        )
+    }
+    fn wall<B: Backend>(
+        ctx: &Context<B>,
+        a: &Matrix<bool>,
+        w: &Matrix<u32>,
+    ) -> [(Duration, Duration, Duration); 2] {
+        ctx.prewarm_transpose(a);
+        ctx.prewarm_transpose(w);
+        [
+            modes(|d| {
+                time_best(5, || {
+                    let _ = bfs_levels(ctx, a, 0, d).unwrap();
+                })
+            }),
+            modes(|d| {
+                time_best(5, || {
+                    let _ = sssp_with_direction(ctx, w, 0, d).unwrap();
+                })
+            }),
+        ]
+    }
+    let cuda = cuda_ctx();
+    cuda.prewarm_transpose(&a);
+    cuda.prewarm_transpose(&w);
+    let modeled = |run: &dyn Fn()| {
+        let t0 = cuda.gpu_stats().modeled_time_s;
+        run();
+        Duration::from_secs_f64(cuda.gpu_stats().modeled_time_s - t0)
+    };
+    let cuda_times = [
+        modes(|d| {
+            modeled(&|| {
+                let _ = bfs_levels(&cuda, &a, 0, d).unwrap();
+            })
+        }),
+        modes(|d| {
+            modeled(&|| {
+                let _ = sssp_with_direction(&cuda, &w, 0, d).unwrap();
+            })
+        }),
+    ];
+    let seq_times = wall(&seq_ctx(), &a, &w);
+    let par_times = wall(&par_ctx(host_threads()), &a, &w);
+    for (k, algo) in ["BFS", "SSSP"].iter().enumerate() {
+        println!("\nwhole-traversal {algo}, auto vs forced (best of 5; cuda = modeled):");
+        println!(
+            "{:<10} {:>12} {:>12} {:>12} {:>14} {:>13}",
+            "backend", "push", "pull", "auto", "worse / auto", "best / auto"
+        );
+        for (label, t) in [
+            ("seq", seq_times[k]),
+            ("par", par_times[k]),
+            ("cuda", cuda_times[k]),
+        ] {
+            report(label, t.0, t.1, t.2);
+        }
+    }
     println!(
-        "{:<10} {:>12} {:>12} {:>12} {:>15} {:>10}",
-        "backend", "push", "pull", "auto", "auto vs worse", "auto best"
+        "gate: best / auto >= 0.9 on seq and par for both algorithms \
+         (cuda-sim keeps its vertex-count rule)"
     );
-    let mut best_ratio = 0.0f64;
-    {
-        let ctx = seq_ctx();
-        ctx.prewarm_transpose(&a);
-        best_ratio = best_ratio.max(report(
-            "seq",
-            wall(&a, &ctx, Direction::Push),
-            wall(&a, &ctx, Direction::Pull),
-            wall(&a, &ctx, Direction::Auto),
-        ));
-    }
-    {
-        let ctx = par_ctx(host_threads());
-        ctx.prewarm_transpose(&a);
-        best_ratio = best_ratio.max(report(
-            "par",
-            wall(&a, &ctx, Direction::Push),
-            wall(&a, &ctx, Direction::Pull),
-            wall(&a, &ctx, Direction::Auto),
-        ));
-    }
-    {
-        let ctx = cuda_ctx();
-        ctx.prewarm_transpose(&a);
-        let modeled = |d: Direction| {
-            let t0 = ctx.gpu_stats().modeled_time_s;
-            let _ = bfs_levels(&ctx, &a, 0, d).unwrap();
-            Duration::from_secs_f64(ctx.gpu_stats().modeled_time_s - t0)
-        };
-        best_ratio = best_ratio.max(report(
-            "cuda",
-            modeled(Direction::Push),
-            modeled(Direction::Pull),
-            modeled(Direction::Auto),
-        ));
-    }
-    println!("best auto-vs-worse-forced speedup: {best_ratio:.2}x (gate: >= 1.30x)");
 
     // Bit-identity: the direction is a schedule, never a semantic — the
     // three modes must produce the same level vector on every backend.

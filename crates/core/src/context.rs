@@ -243,6 +243,12 @@ impl<B: Backend> Context<B> {
         self.tracer.report(sections)
     }
 
+    /// Total spans recorded so far — a counter read, where
+    /// [`Context::trace`] clones the whole span ring.
+    pub fn total_spans(&self) -> u64 {
+        self.tracer.total_spans()
+    }
+
     /// Drop all recorded spans and aggregates (mode is unchanged).
     pub fn clear_trace(&self) {
         self.tracer.clear();
@@ -281,9 +287,10 @@ impl<B: Backend> Context<B> {
     }
 
     /// Close a traversal-level span, recording the algorithm, the level
-    /// index, and the direction decision that level ran with — a `level`
-    /// record in the trace ring and a `level.<algo>` x-ray span carrying
-    /// `dir=`/`rep=` attributes.
+    /// index, and the direction decision that level ran with together with
+    /// its inputs — a `level` record in the trace ring and a `level.<algo>`
+    /// x-ray span carrying `dir=`/`rep=` and `push_edges=`/`pull_edges=`/
+    /// `pull_ready=`.
     pub fn level_end(
         &self,
         start: SpanStart,
@@ -295,12 +302,17 @@ impl<B: Backend> Context<B> {
     ) {
         self.tracer.finish_level(
             start,
-            algo,
-            level,
-            decision.dir.as_str(),
-            decision.rep.as_str(),
-            frontier_nnz,
-            nnz_out,
+            gbtl_trace::LevelFields {
+                algo,
+                level,
+                dir: decision.dir.as_str(),
+                rep: decision.rep.as_str(),
+                frontier_nnz,
+                nnz_out,
+                push_edges: decision.push_edges as u64,
+                pull_edges: decision.pull_edges as u64,
+                pull_ready: decision.pull_ready,
+            },
         );
     }
 

@@ -58,7 +58,7 @@ pub use descriptor::Descriptor;
 pub use error::{GblasError, Result};
 pub use policy::{
     direction_counters, ChosenDir, Direction, DirectionCounters, DirectionPolicy, FrontierRep,
-    LevelDecision,
+    LevelDecision, LevelWork, Product,
 };
 pub use resolve::OperandRef;
 pub use types::{Matrix, Vector};

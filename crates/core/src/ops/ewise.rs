@@ -152,7 +152,7 @@ impl<B: Backend> Context<B> {
         *w = Vector::from(stitch_sparse_vec(
             w,
             t,
-            keep.as_deref(),
+            keep.as_ref().map(|k| k.view()),
             accum,
             desc.replace,
         ));
@@ -194,7 +194,13 @@ impl<B: Backend> Context<B> {
             .backend()
             .ewise_mult_vec(&u.to_dense_repr(), &v.to_dense_repr(), op);
         let keep = resolve_vec_mask(mask, desc.complement_mask, w.len());
-        *w = Vector::from(stitch_dense_vec(w, t, keep.as_deref(), accum, desc.replace));
+        *w = Vector::from(stitch_dense_vec(
+            w,
+            t,
+            keep.as_ref().map(|k| k.view()),
+            accum,
+            desc.replace,
+        ));
         let (len, nnz_out) = (w.len(), w.nnz() as u64);
         self.span_end(t0, || SpanFields {
             op: "ewise_mult_vec",

@@ -5,6 +5,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_sparse::VecMask;
 use gbtl_trace::SpanFields;
 
 use crate::backend::Backend;
@@ -14,12 +15,23 @@ use crate::stitch::{resolve_vec_mask, stitch_dense_vec, stitch_sparse_vec};
 use crate::types::{Matrix, Vector};
 use crate::Context;
 
+/// Whether a backend product is the operation's output as it stands. With
+/// no accumulator the output takes `t` at kept positions; the backends
+/// produce nothing elsewhere ([`Backend::mxv`]), and what the old output
+/// held elsewhere survives only without `replace` — so an unmasked product,
+/// or a masked one under `replace`, needs no stitching.
+fn is_output<Acc>(keep: Option<VecMask<'_>>, accum: &Option<Acc>, replace: bool) -> bool {
+    accum.is_none() && (keep.is_none() || replace)
+}
+
 impl<B: Backend> Context<B> {
     /// `w<m, accum> = A ⊕.⊗ u` — pull direction (rows of `A` walk `u`).
     ///
-    /// The (possibly complemented) mask is resolved to a keep-bitmap and
-    /// pushed into the backend so masked-out rows are skipped, which is the
-    /// optimisation experiment R-A2 quantifies.
+    /// The (possibly complemented) mask is pushed into the backend as a keep
+    /// test over the mask vector's own storage, so masked-out rows are
+    /// skipped — the optimisation experiment R-A2 quantifies — and nothing
+    /// is built per call. With a mask, `replace` and no accumulator the
+    /// backend's result already is the output and passes straight through.
     pub fn mxv<T, S, Acc>(
         &self,
         w: &mut Vector<T>,
@@ -71,9 +83,14 @@ impl<B: Backend> Context<B> {
                 &u_conv
             }
         };
-        let t = self.backend().mxv(&a_csr, u_dense, sr, keep.as_deref());
-        let out = stitch_dense_vec(w, t, keep.as_deref(), accum, desc.replace);
-        *w = Vector::from(out);
+        let keep = keep.as_ref().map(|k| k.view());
+        let t = self.backend().mxv(&a_csr, u_dense, sr, keep);
+        *w = Vector::from(if is_output(keep, &accum, desc.replace) {
+            debug_assert!(t.iter().all(|(i, _)| keep.is_none_or(|k| k.keeps(i))));
+            t
+        } else {
+            stitch_dense_vec(w, t, keep, accum, desc.replace)
+        });
         let nnz_out = w.nnz() as u64;
         let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
         self.span_end(t0, || SpanFields {
@@ -91,6 +108,11 @@ impl<B: Backend> Context<B> {
 
     /// `w<m, accum> = uᵀ ⊕.⊗ A` — push direction (stored entries of `u`
     /// select rows of `A`).
+    ///
+    /// A masked level of a traversal (`visited` as a bitmap vector,
+    /// complemented, `replace`, no accumulator, sparse frontier) does no
+    /// O(n) work here: the mask is handed to the backend as it is stored and
+    /// the backend's result is the output.
     pub fn vxm<T, S, Acc>(
         &self,
         w: &mut Vector<T>,
@@ -143,9 +165,14 @@ impl<B: Backend> Context<B> {
                 &u_conv
             }
         };
-        let t = self.backend().vxm(u_sparse, &a_csr, sr, keep.as_deref());
-        let out = stitch_sparse_vec(w, t, keep.as_deref(), accum, desc.replace);
-        *w = Vector::from(out);
+        let keep = keep.as_ref().map(|k| k.view());
+        let t = self.backend().vxm(u_sparse, &a_csr, sr, keep);
+        *w = Vector::from(if is_output(keep, &accum, desc.replace) {
+            debug_assert!(t.indices().iter().all(|&j| keep.is_none_or(|k| k.keeps(j))));
+            t
+        } else {
+            stitch_sparse_vec(w, t, keep, accum, desc.replace)
+        });
         let nnz_out = w.nnz() as u64;
         let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
         self.span_end(t0, || SpanFields {
@@ -364,5 +391,112 @@ mod tests {
             )
             .unwrap();
         assert_eq!(pull, push);
+    }
+
+    /// A random n×n matrix, frontier, old output and mask from one seed.
+    #[allow(clippy::type_complexity)]
+    fn random_operands(
+        n: usize,
+        seed: u64,
+    ) -> (Matrix<i64>, Vector<i64>, Vector<i64>, Vector<bool>) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut triples = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                if rng.gen_range(0..4) == 0 {
+                    triples.push((i, j, rng.gen_range(1..50i64)));
+                }
+            }
+        }
+        let a = Matrix::build(n, n, triples, Second::new()).unwrap();
+        let (mut u, mut old, mut mask) = (Vector::new(n), Vector::new(n), Vector::new(n));
+        for i in 0..n {
+            if rng.gen_range(0..3) == 0 {
+                u.set(i, rng.gen_range(1..50i64));
+            }
+            if rng.gen_range(0..3) == 0 {
+                old.set(i, rng.gen_range(100..150i64));
+            }
+            if rng.gen_range(0..2) == 0 {
+                // structural: a stored `false` masks like a stored `true`
+                mask.set(i, rng.gen_range(0..2) == 0);
+            }
+        }
+        (a, u, old, mask)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Mask + `replace` + no accumulator hands the backend's product
+        /// through unstitched. It must equal what the general stitcher makes
+        /// of the *unmasked* product — for every mask, both complement
+        /// settings, a sparse and a bitmap mask vector, a sparse and a
+        /// bitmap frontier, on all three backends, push and pull.
+        #[test]
+        fn masked_replace_pass_through_equals_the_general_stitcher(
+            seed in 0u64..10_000,
+            n in 1usize..24,
+            complement in proptest::prelude::any::<bool>(),
+            bitmap_mask in proptest::prelude::any::<bool>(),
+            bitmap_frontier in proptest::prelude::any::<bool>(),
+        ) {
+            let (a, mut u, old, mut mask) = random_operands(n, seed);
+            if bitmap_mask {
+                mask.densify();
+            }
+            if bitmap_frontier {
+                u.densify();
+            }
+            let mut desc = Descriptor::new().replace();
+            if complement {
+                desc = desc.complement_mask();
+            }
+            let resolved = resolve_vec_mask(Some(&mask), complement, n).unwrap();
+            let sr = MinPlus::<i64>::new();
+
+            fn check<B: Backend>(
+                ctx: Context<B>,
+                a: &Matrix<i64>,
+                u: &Vector<i64>,
+                old: &Vector<i64>,
+                mask: &Vector<bool>,
+                desc: &Descriptor,
+                want_push: &Vector<i64>,
+                want_pull: &Vector<i64>,
+            ) {
+                let sr = MinPlus::<i64>::new();
+                let mut w = old.clone();
+                ctx.vxm(&mut w, Some(mask), no_accum(), sr, u, a, desc).unwrap();
+                assert_eq!(&w, want_push, "vxm on {}", ctx.backend_name());
+                let mut w = old.clone();
+                ctx.mxv(&mut w, Some(mask), no_accum(), sr, a, u, desc).unwrap();
+                assert_eq!(&w, want_pull, "mxv on {}", ctx.backend_name());
+            }
+
+            let push = gbtl_backend_seq::vxm(&u.to_sparse_repr(), a.csr(), sr, None);
+            let want_push = Vector::from(stitch_sparse_vec(
+                &old,
+                push,
+                Some(resolved.view()),
+                no_accum(),
+                true,
+            ));
+            let pull = gbtl_backend_seq::mxv(a.csr(), &u.to_dense_repr(), sr, None);
+            let want_pull = Vector::from(stitch_dense_vec(
+                &old,
+                pull,
+                Some(resolved.view()),
+                no_accum(),
+                true,
+            ));
+            check(Context::sequential(), &a, &u, &old, &mask, &desc, &want_push, &want_pull);
+            check(
+                Context::parallel_with_threads(3),
+                &a, &u, &old, &mask, &desc, &want_push, &want_pull,
+            );
+            check(Context::cuda_default(), &a, &u, &old, &mask, &desc, &want_push, &want_pull);
+        }
     }
 }

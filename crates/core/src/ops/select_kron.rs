@@ -115,7 +115,7 @@ impl<B: Backend> Context<B> {
         *w = Vector::from(stitch_sparse_vec(
             w,
             t,
-            keep.as_deref(),
+            keep.as_ref().map(|k| k.view()),
             accum,
             desc.replace,
         ));

@@ -1,51 +1,59 @@
 //! Per-level direction policy: push vs pull, sparse vs bitmap.
 //!
-//! The best-known GraphBLAS traversal lever (GraphBLAST, Beamer's
-//! direction-optimizing BFS): early and late levels have tiny frontiers
-//! and want **push** (`vxm` over a sparse index-list frontier — work
-//! proportional to the frontier's out-edges), while the middle levels of a
-//! small-world traversal saturate and want **pull** (`mxv` over `Aᵀ` with
-//! the complemented visited mask and a dense bitmap frontier — work
-//! proportional to the unvisited rows, with O(1) frontier membership
-//! tests). This module centralizes that choice so `bfs`, `sssp`, `bc`,
-//! and the fused multi-source variants all take it per level from one
-//! heuristic instead of hardcoding a direction.
+//! The best-known GraphBLAS traversal lever (GraphBLAST, Gunrock, Beamer's
+//! direction-optimizing BFS): a level can run **push** (`vxm` over a sparse
+//! index-list frontier — work proportional to the frontier's out-edges) or
+//! **pull** (`mxv` over `Aᵀ` with a dense bitmap frontier — work
+//! proportional to the edges of the rows it may still write). This module
+//! centralizes that choice so `bfs`, `sssp`, `bc`, and the fused
+//! multi-source variants all take it per level from one rule instead of
+//! hardcoding a direction.
 //!
-//! ## The heuristic
+//! ## The rule: compare the edges each side must touch
 //!
-//! One threshold drives both switches, GraphBLAST-style: a frontier with
-//! more than `threshold` entries is "saturated". The default is the
-//! `|E| / α` edge budget (α = 32) converted to entries by the average
-//! degree — `(|E|/α) / (|E|/n) ≈ n/α`, clamped to `[1, n]` — the point
-//! where the push cost model (frontier out-edges ≈ `nnz_f · |E|/n`)
-//! crosses the pull cost model (`|E|/α` edges scanned with mask
-//! skipping) — and can be pinned with `GBTL_FRONTIER_SWITCH=<entries>`.
-//! A level goes **pull** only when all three gates pass:
+//! Beamer's crossover is `m_f` (edges out of the frontier) against `m_u`
+//! (edges of the unexplored rows), not a vertex count: on a scale-free
+//! graph a hub level's few hundred entries can carry most of the edges.
+//! Each traversal therefore keeps, exactly and at O(1) per newly reached
+//! vertex inside the epilogue loop it already runs, the two totals one
+//! level's kernels would walk ([`LevelWork`]):
 //!
-//! 1. the frontier is saturated (`nnz > threshold`),
-//! 2. the unvisited remainder is not much larger than the frontier
-//!    (`unvisited < 4·nnz` — pull scans unvisited rows, so a huge
-//!    unvisited set makes pull a full-matrix sweep), and
-//! 3. `Aᵀ` is already resident in the transpose cache (built by a prior
-//!    pull, prewarmed, or seeded from a symmetric matrix) — the
-//!    cache-residency gate, checked once per traversal via
-//!    [`crate::TransposeCache::contains`]. Without it, "pull" would pay
-//!    an O(nnz) transpose before the first saved edge.
+//! * `push_edges` — Σ out-degree of the frontier;
+//! * `pull_edges` — what pull would scan: Σ degree of the still-unvisited
+//!   rows for a masked product (BFS, BC), all of `nnz(A)` for an unmasked
+//!   relaxation (SSSP — any vertex may still improve), and
+//!   `push_edges + nnz(A)` for the fused `mxm` forms (`Aᵀ·Fᵀ` does push's
+//!   multiplications *and* walks every row of `Aᵀ`). Degrees are `A`'s own
+//!   `row_ptr` differences; on a symmetric graph — every catalog graph —
+//!   that is the in-degree pull really reads.
+//!
+//! `Auto` runs a level pull only when `Aᵀ` is resident (built by a prior
+//! pull, prewarmed, or seeded from a symmetric matrix — without it "pull"
+//! would pay an O(nnz) transpose before the first saved edge) **and**
+//!
+//! ```text
+//! pull_edges · C_PULL + n · C_PULL_ROW + pull_overhead
+//!     <  push_edges · C_PUSH + push_overhead
+//! ```
+//!
+//! with costs measured once on the perfbench graphs ([`KernelCosts`]; the
+//! row term is why the last levels of a BFS, a dozen edges on either side,
+//! go back to push). The backend owns the comparison through
+//! [`Backend::prefers_pull`]: seq uses the rule as is, par adds its fan-out
+//! cost to whichever side fans out, and cuda-sim keeps the vertex-count
+//! rule it had (see `CudaBackend`) — so the frontend stays backend-blind.
 //!
 //! The frontier *representation* follows the direction the level runs in
 //! (push kernels consume the index list, pull kernels the bitmap), so a
 //! switch converts the frontier exactly once, at the crossover.
 //!
-//! ## Knobs
+//! ## Knob
 //!
-//! * `GBTL_DIRECTION=push|pull|auto` — process-wide default when a caller
-//!   asks for [`Direction::Auto`] (e.g. every serve query that doesn't
-//!   carry a `"direction"` override). Default `auto`.
-//! * `GBTL_FRONTIER_SWITCH=<entries>` — absolute saturation threshold,
-//!   overriding the `|E|/α` default.
-//!
-//! Both follow the [`gbtl_util::env`] contract: unset → silent default,
-//! set-but-invalid → one warning, then the default.
+//! `GBTL_DIRECTION=push|pull|auto` — process-wide default when a caller
+//! asks for [`Direction::Auto`] (e.g. every serve query that doesn't carry a
+//! `"direction"` override). Default `auto`. Follows the [`gbtl_util::env`]
+//! contract: unset → silent default, set-but-invalid → one warning, then
+//! the default.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -144,30 +152,119 @@ impl FrontierRep {
     }
 }
 
-/// One level's resolved decision.
+/// One level's resolved decision, with the inputs it was taken from — the
+/// decision record [`Context::level_end`] writes next to `dir=`/`rep=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelDecision {
     /// Which kernel family runs this level.
     pub dir: ChosenDir,
     /// Which frontier layout it consumes.
     pub rep: FrontierRep,
+    /// Edges push would walk ([`LevelWork::push_edges`]).
+    pub push_edges: usize,
+    /// Edges pull would scan ([`LevelWork::pull_edges`]).
+    pub pull_edges: usize,
+    /// Whether `Aᵀ` was resident, i.e. whether `Auto` could pull at all.
+    pub pull_ready: bool,
 }
 
-/// GraphBLAST-style α: the default saturation threshold is `|E| / α`.
-pub const DEFAULT_ALPHA: usize = 32;
+/// Which product a traversal runs per level — what the per-edge costs
+/// depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Product {
+    /// `vxm`/`mxv` under the complemented `visited` mask (BFS, BC).
+    Masked,
+    /// Unmasked `vxm`/`mxv` (SSSP's relaxation).
+    Unmasked,
+    /// One `mxm` over a row-stacked batch of frontiers (`F·A` / `Aᵀ·Fᵀ`).
+    Fused,
+}
 
-/// Pull is only considered while `unvisited < PULL_UNVISITED_FACTOR · nnz`
-/// (gate 2 above): pull scans unvisited rows, so the frontier must be
-/// within striking distance of the remainder for the scan to pay off.
-pub const PULL_UNVISITED_FACTOR: usize = 4;
+/// What one level's kernels cost per unit of work, in picoseconds — the
+/// constants of the direction rule, one set per [`Product`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCosts {
+    /// Push, per edge out of the frontier.
+    pub push_edge_ps: u64,
+    /// Pull, per edge of the rows it scans.
+    pub pull_edge_ps: u64,
+    /// Pull, per row of `Aᵀ`: the mask test, the `row_ptr` loads, the
+    /// bitmap output and its O(n) epilogue, whatever the rows hold.
+    pub pull_row_ps: u64,
+}
+
+// Measured once on the sequential backend, one pinned CPU, on the perfbench
+// graphs (`rmat14` ef 16, `rmat12`/`rmat10` ef 8, `torus96`; hub sources):
+// level wall time of traced forced-push and forced-pull runs, best of 9,
+// against the level's `push_edges` / `pull_edges` from its decision record.
+// Re-measure when a kernel changes — pull early-exit and persistent par
+// workers are the next two; these constants are where they plug in.
+
+/// Masked `vxm`/`mxv` (BFS, BC). Push 3.9–5.7 ns an edge on levels over
+/// 10 K edges (mask test, accumulator scatter, sort of the touched list).
+/// Pull 1.5–1.7 ns a scanned edge while the frontier bitmap misses (a
+/// level-1 frontier) but 3.6–7.3 once hits and misses mix — with no early
+/// exit a row is scanned to its end — on top of ≈ 3 ns a row: the last
+/// levels of a BFS pull 12–57 µs (n = 4 096–16 384) for a dozen edges that
+/// push walks in 1–5 µs.
+pub const MASKED_COSTS: KernelCosts = KernelCosts {
+    push_edge_ps: 5_000,
+    pull_edge_ps: 4_000,
+    pull_row_ps: 3_000,
+};
+
+/// Unmasked `vxm`/`mxv` (SSSP). Push 3.7–4.4 ns an edge on rounds over
+/// 100 K edges; pull 3.0–7.6 ns per scanned edge, rows included — no
+/// cheaper than push per edge while scanning all of `nnz(A)`, so a solo
+/// round (`push_edges ≤ nnz(A)`) never pulls.
+pub const UNMASKED_COSTS: KernelCosts = KernelCosts {
+    push_edge_ps: 4_000,
+    pull_edge_ps: 4_000,
+    pull_row_ps: 3_000,
+};
+
+/// Fused `mxm` (16 sources on `rmat13`): `F·A` 4.7–7.5 ns per frontier
+/// edge, `Aᵀ·Fᵀ` 9.4–19.6 ns per `push_edges + nnz(A)` (rows included) plus
+/// two sorts of the triples — pull is the same kernel over more edges and
+/// never wins.
+pub const FUSED_COSTS: KernelCosts = KernelCosts {
+    push_edge_ps: 6_000,
+    pull_edge_ps: 10_000,
+    pull_row_ps: 0,
+};
+
+impl Product {
+    /// The measured kernel costs of this product.
+    pub const fn costs(self) -> KernelCosts {
+        match self {
+            Product::Masked => MASKED_COSTS,
+            Product::Unmasked => UNMASKED_COSTS,
+            Product::Fused => FUSED_COSTS,
+        }
+    }
+}
+
+/// What one level's kernels would have to touch — the inputs of the
+/// direction decision, kept by the traversal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LevelWork {
+    /// Frontier entries (the aggregate over a fused batch).
+    pub frontier_nnz: usize,
+    /// Positions not yet visited / settled (aggregate over a batch).
+    pub unvisited: usize,
+    /// Σ out-degree of the frontier: the edges push walks.
+    pub push_edges: usize,
+    /// The edges pull scans (see the module docs for the three forms).
+    pub pull_edges: usize,
+}
 
 static PUSH_LEVELS: AtomicU64 = AtomicU64::new(0);
 static PULL_LEVELS: AtomicU64 = AtomicU64::new(0);
 static REP_SWITCHES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide tallies of every [`DirectionPolicy::decide`] outcome —
-/// surfaced by the serve stats/metrics expositions so operators can see
-/// the crossover actually being taken under load.
+/// Process-wide tallies of every [`DirectionPolicy`] decision — surfaced
+/// by the serve stats/metrics expositions so operators can see the
+/// crossover actually being taken under load.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectionCounters {
     /// Levels that ran push.
@@ -191,35 +288,24 @@ pub(crate) fn count_rep_switch() {
     REP_SWITCHES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The saturation threshold in frontier entries: `GBTL_FRONTIER_SWITCH`
-/// when set, else the `|E| / α` edge budget expressed in entries.
-///
-/// GraphBLAST switches when the frontier's *out-edge* count exceeds
-/// `|E| / α`; this policy counts frontier *entries*, so the edge budget
-/// is divided by the average degree (`|E| / n`) — which reduces to
-/// `≈ n / α` — and clamped to `[1, n]`.
-pub fn frontier_switch_threshold(n: usize, num_edges: usize) -> usize {
-    if let Some(t) = gbtl_util::env::usize_var("GBTL_FRONTIER_SWITCH", 1) {
-        return t;
-    }
-    let avg_deg = (num_edges / n.max(1)).max(1);
-    ((num_edges / DEFAULT_ALPHA) / avg_deg).clamp(1, n.max(1))
-}
-
 /// The per-traversal direction chooser: resolved once per call (mode,
-/// threshold, residency gate), consulted once per level.
+/// residency gate, product shape), consulted once per level.
 #[derive(Debug, Clone, Copy)]
 pub struct DirectionPolicy {
     mode: Direction,
-    threshold: usize,
     pull_ready: bool,
+    product: Product,
+    batch: usize,
+    n: usize,
+    num_edges: usize,
 }
 
 impl DirectionPolicy {
-    /// Build a policy from an explicit environment. `requested == Auto`
-    /// defers to `GBTL_DIRECTION`; `pull_ready` is the residency gate
-    /// (pull is never *chosen automatically* while it is false — forced
-    /// `Pull` still runs, building and caching `Aᵀ` on its first level).
+    /// Build a policy for a masked solo traversal from an explicit
+    /// environment. `requested == Auto` defers to `GBTL_DIRECTION`;
+    /// `pull_ready` is the residency gate (pull is never *chosen
+    /// automatically* while it is false — forced `Pull` still runs,
+    /// building and caching `Aᵀ` on its first level).
     pub fn new(requested: Direction, n: usize, num_edges: usize, pull_ready: bool) -> Self {
         let mode = match requested {
             Direction::Auto => Direction::from_env(),
@@ -227,8 +313,11 @@ impl DirectionPolicy {
         };
         DirectionPolicy {
             mode,
-            threshold: frontier_switch_threshold(n, num_edges),
             pull_ready,
+            product: Product::Masked,
+            batch: 1,
+            n,
+            num_edges,
         }
     }
 
@@ -245,19 +334,19 @@ impl DirectionPolicy {
         Self::new(requested, a.nrows(), a.nnz(), pull_ready)
     }
 
-    /// Scale the saturation threshold for a fused `k`-member batch: the
-    /// aggregate k×n frontier reports its total nnz, so it crosses over
-    /// exactly when the *average* member frontier would. The unvisited
-    /// gate needs no adjustment — callers pass the aggregate unvisited
-    /// count, which scales by the same factor.
-    pub fn batched(mut self, k: usize) -> Self {
-        self.threshold = self.threshold.saturating_mul(k.max(1));
+    /// The traversal's per-level product is unmasked ([`Product::Unmasked`]).
+    pub fn unmasked(mut self) -> Self {
+        self.product = Product::Unmasked;
         self
     }
 
-    /// The saturation threshold this policy switches at, in entries.
-    pub fn threshold(&self) -> usize {
-        self.threshold
+    /// The traversal runs a fused `k`-member batch, one `mxm` per level
+    /// ([`Product::Fused`]); [`LevelWork`] then carries aggregates over
+    /// the batch.
+    pub fn batched(mut self, k: usize) -> Self {
+        self.product = Product::Fused;
+        self.batch = k.max(1);
+        self
     }
 
     /// The resolved mode (forced `Push`/`Pull`, or `Auto` for per-level
@@ -271,42 +360,107 @@ impl DirectionPolicy {
         self.pull_ready
     }
 
-    /// Decide one level from the frontier population and the unvisited
-    /// remainder. Counts the outcome in the process-wide tallies.
-    ///
-    /// For workloads with no visited set (e.g. SSSP's unmasked
-    /// relaxation, where any vertex may still improve), pass
-    /// `unvisited = n - settled` or simply `n`; the factor gate then
-    /// requires a proportionally larger frontier before pulling.
-    pub fn decide(&self, frontier_nnz: usize, unvisited: usize) -> LevelDecision {
+    /// The per-level product this traversal runs.
+    pub fn product(&self) -> Product {
+        self.product
+    }
+
+    /// Members of the fused batch (1 for a solo traversal).
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Vertices of the graph.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Stored edges of the graph, `nnz(A)`.
+    pub fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+
+    /// The edge-cost rule: pull's scan (its edges and its `n` rows) costs
+    /// less than push's walk, each side's per-dispatch overhead
+    /// (nanoseconds) included.
+    pub fn edge_cost_prefers_pull(
+        &self,
+        level: &LevelWork,
+        push_overhead_ns: u64,
+        pull_overhead_ns: u64,
+    ) -> bool {
+        let c = self.product.costs();
+        let ps = |count: usize, each: u64| (count as u64).saturating_mul(each);
+        let push = ps(level.push_edges, c.push_edge_ps)
+            .saturating_add(push_overhead_ns.saturating_mul(1000));
+        let pull = ps(level.pull_edges, c.pull_edge_ps)
+            .saturating_add(ps(self.n, c.pull_row_ps))
+            .saturating_add(pull_overhead_ns.saturating_mul(1000));
+        pull < push
+    }
+
+    /// Decide one level from its edge totals alone: what the sequential
+    /// backend decides. Traversals call [`DirectionPolicy::decide_on`] with
+    /// the backend they run on and the level's vertex counts as well.
+    pub fn decide(&self, push_edges: usize, pull_edges: usize) -> LevelDecision {
+        let level = LevelWork {
+            push_edges,
+            pull_edges,
+            ..LevelWork::default()
+        };
+        self.decide_on(&crate::backend::SeqBackend, level)
+    }
+
+    /// Decide one level on `backend`: forced modes run as forced; `Auto`
+    /// pulls when `Aᵀ` is resident and [`Backend::prefers_pull`] says so.
+    /// Counts the outcome in the process-wide tallies.
+    pub fn decide_on<B: Backend>(&self, backend: &B, level: LevelWork) -> LevelDecision {
+        self.resolve(&level, |level| backend.prefers_pull(self, level))
+    }
+
+    fn resolve(
+        &self,
+        level: &LevelWork,
+        prefers_pull: impl FnOnce(&LevelWork) -> bool,
+    ) -> LevelDecision {
         let dir = match self.mode {
             Direction::Push => ChosenDir::Push,
             Direction::Pull => ChosenDir::Pull,
-            Direction::Auto => {
-                let saturated = frontier_nnz > self.threshold;
-                let remainder_ok = unvisited < frontier_nnz.saturating_mul(PULL_UNVISITED_FACTOR);
-                if self.pull_ready && saturated && remainder_ok {
-                    ChosenDir::Pull
-                } else {
-                    ChosenDir::Push
-                }
-            }
-        };
-        match dir {
-            ChosenDir::Push => PUSH_LEVELS.fetch_add(1, Ordering::Relaxed),
-            ChosenDir::Pull => PULL_LEVELS.fetch_add(1, Ordering::Relaxed),
+            Direction::Auto if self.pull_ready && prefers_pull(level) => ChosenDir::Pull,
+            Direction::Auto => ChosenDir::Push,
         };
         let rep = match dir {
-            ChosenDir::Push => FrontierRep::Sparse,
-            ChosenDir::Pull => FrontierRep::Bitmap,
+            ChosenDir::Push => {
+                PUSH_LEVELS.fetch_add(1, Ordering::Relaxed);
+                FrontierRep::Sparse
+            }
+            ChosenDir::Pull => {
+                PULL_LEVELS.fetch_add(1, Ordering::Relaxed);
+                FrontierRep::Bitmap
+            }
         };
-        LevelDecision { dir, rep }
+        LevelDecision {
+            dir,
+            rep,
+            push_edges: level.push_edges,
+            pull_edges: level.pull_edges,
+            pull_ready: self.pull_ready,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{CudaBackend, ParBackend, SeqBackend};
+
+    fn edges(push_edges: usize, pull_edges: usize) -> LevelWork {
+        LevelWork {
+            push_edges,
+            pull_edges,
+            ..LevelWork::default()
+        }
+    }
 
     #[test]
     fn direction_spellings_round_trip() {
@@ -318,61 +472,185 @@ mod tests {
     }
 
     #[test]
-    fn forced_modes_never_consult_the_heuristic() {
+    fn forced_modes_never_consult_the_rule() {
+        let never = |_: &LevelWork| -> bool { panic!("a forced mode consulted the rule") };
         let push = DirectionPolicy::new(Direction::Push, 100, 1000, true);
+        // forced pull runs even without residency (it builds Aᵀ once)
         let pull = DirectionPolicy::new(Direction::Pull, 100, 1000, false);
-        for nnz in [0usize, 1, 50, 100] {
-            assert_eq!(push.decide(nnz, 100).dir, ChosenDir::Push);
-            assert_eq!(push.decide(nnz, 100).rep, FrontierRep::Sparse);
-            // forced pull runs even without residency (it builds Aᵀ once)
-            assert_eq!(pull.decide(nnz, 100).dir, ChosenDir::Pull);
-            assert_eq!(pull.decide(nnz, 100).rep, FrontierRep::Bitmap);
+        for (p, q) in [(0usize, 1000usize), (1000, 0), (500, 500)] {
+            let d = push.resolve(&edges(p, q), never);
+            assert_eq!((d.dir, d.rep), (ChosenDir::Push, FrontierRep::Sparse));
+            let d = pull.resolve(&edges(p, q), never);
+            assert_eq!((d.dir, d.rep), (ChosenDir::Pull, FrontierRep::Bitmap));
         }
     }
 
     #[test]
-    fn auto_crosses_over_at_the_threshold() {
-        // |E|=1024, α=32 → edge budget 32; avg degree 1024/320 = 3 →
-        // threshold 10 entries
-        let p = DirectionPolicy::new(Direction::Auto, 320, 1024, true);
-        assert_eq!(p.threshold(), 10);
-        // small frontier: push, regardless of remainder
-        assert_eq!(p.decide(10, 5).dir, ChosenDir::Push, "at threshold");
-        // saturated frontier with a comparable remainder: pull
-        assert_eq!(p.decide(11, 40).dir, ChosenDir::Pull, "just past threshold");
-        // saturated but the unvisited remainder dwarfs the frontier: push
-        assert_eq!(p.decide(11, 44).dir, ChosenDir::Push, "remainder gate");
+    fn masked_auto_crosses_over_at_the_cost_ratio() {
+        let n = 1usize << 14;
+        let p = DirectionPolicy::new(Direction::Auto, n, 400_000, true);
+        let c = MASKED_COSTS;
+        // `even`: the most edges push walks for no more than pull's scan of
+        // `pull_edges` and its n rows costs — one edge more and pull wins
+        let pull_edges = 150_000usize;
+        let pull_ps = pull_edges as u64 * c.pull_edge_ps + n as u64 * c.pull_row_ps;
+        let even = (pull_ps / c.push_edge_ps) as usize;
+        assert_eq!(p.decide(even, pull_edges).dir, ChosenDir::Push);
+        assert_eq!(p.decide(even + 1, pull_edges).dir, ChosenDir::Pull);
+        // the rmat14 hub level: 1 796 entries carrying 270 K edges against
+        // 155 K unvisited edges — pull, whatever the vertex counts say
+        let d = p.decide(270_000, 155_000);
+        assert_eq!((d.dir, d.rep), (ChosenDir::Pull, FrontierRep::Bitmap));
+        assert_eq!(
+            (d.push_edges, d.pull_edges, d.pull_ready),
+            (270_000, 155_000, true)
+        );
+        // a first level: one hub against the whole graph
+        assert_eq!(p.decide(3_500, 396_500).dir, ChosenDir::Push);
+        // a last level: a dozen edges either way, but pull still tests
+        // every row's mask
+        assert_eq!(p.decide(332, 14).dir, ChosenDir::Push);
+    }
+
+    #[test]
+    fn unmasked_auto_pulls_only_a_frontier_heavier_than_the_scan() {
+        let (n, nnz) = (1usize << 14, 400_000usize);
+        let c = UNMASKED_COSTS;
+        assert!(
+            2 * c.pull_edge_ps >= c.push_edge_ps,
+            "a round carrying half of nnz(A) must never pull"
+        );
+        // the least frontier weight at which the scan of nnz(A) pays
+        let needed = (nnz as u64 * c.pull_edge_ps + n as u64 * c.pull_row_ps) / c.push_edge_ps;
+        let needed = needed as usize;
+        let seq = SeqBackend;
+        let (par1, par4) = (ParBackend::with_threads(1), ParBackend::with_threads(4));
+        let p = DirectionPolicy::new(Direction::Auto, n, nnz, true).unmasked();
+        let dirs = |w: LevelWork| {
+            [
+                p.decide_on(&seq, w).dir,
+                p.decide_on(&par1, w).dir,
+                p.decide_on(&par4, w).dir,
+            ]
+        };
+        // pull scans all of nnz(A) however small the frontier is — and a
+        // solo round never carries more than nnz(A)
+        for push_edges in [1usize, 1_000, nnz / 16, nnz / 2, nnz, needed] {
+            let w = LevelWork {
+                frontier_nnz: push_edges / 25 + 1,
+                ..edges(push_edges, nnz)
+            };
+            assert_eq!(dirs(w), [ChosenDir::Push; 3], "{push_edges} edges");
+        }
+        // only an aggregate frontier can outweigh the scan
+        let heavy = LevelWork {
+            frontier_nnz: n,
+            ..edges(needed + nnz / 4, nnz)
+        };
+        assert_eq!(dirs(heavy), [ChosenDir::Pull; 3]);
+    }
+
+    #[test]
+    fn fused_auto_never_pulls_on_the_cpu_backends() {
+        // pull_edges = push_edges + nnz(A): the same kernel, more edges
+        let nnz = 100_000usize;
+        let p = DirectionPolicy::new(Direction::Auto, 4096, nnz, true).batched(16);
+        assert_eq!((p.product(), p.batch()), (Product::Fused, 16));
+        for push_edges in [16usize, 50_000, 16 * nnz] {
+            let w = LevelWork {
+                frontier_nnz: push_edges / 20 + 1,
+                unvisited: 0,
+                ..edges(push_edges, push_edges + nnz)
+            };
+            assert_eq!(p.decide_on(&SeqBackend, w).dir, ChosenDir::Push);
+            assert_eq!(
+                p.decide_on(&ParBackend::with_threads(4), w).dir,
+                ChosenDir::Push
+            );
+        }
+        // k = 0 degenerates to a batch of one
+        assert_eq!(p.batched(0).batch(), 1);
     }
 
     #[test]
     fn residency_gate_blocks_auto_pull() {
         let p = DirectionPolicy::new(Direction::Auto, 320, 1024, false);
-        assert_eq!(p.decide(50, 10).dir, ChosenDir::Push);
-        assert!(!p.pull_ready());
+        let d = p.decide(1000, 10);
+        assert_eq!(d.dir, ChosenDir::Push);
+        assert!(!d.pull_ready && !p.pull_ready());
+        let cuda = p.decide_on(
+            &CudaBackend::default(),
+            LevelWork {
+                frontier_nnz: 300,
+                unvisited: 10,
+                ..edges(1000, 10)
+            },
+        );
+        assert_eq!(cuda.dir, ChosenDir::Push);
     }
 
     #[test]
-    fn threshold_defaults_clamp_to_dimension() {
-        // tiny edge count: floor at 1
-        assert_eq!(frontier_switch_threshold(100, 0), 1);
-        // extreme density (avg degree 10k on 10 vertices): any populated
-        // frontier saturates, so the threshold floors at 1 entry
-        assert_eq!(frontier_switch_threshold(10, 100_000), 1);
-        // the vertex-unit default: n/α entries
-        assert_eq!(frontier_switch_threshold(3200, 102_400), 100);
+    fn par_charges_its_fan_out_to_the_side_that_fans_out() {
+        let p = DirectionPolicy::new(Direction::Auto, 1024, 14_000, true);
+        // a small graph's hub level: pull's 2 K-edge scan of 1 024 rows
+        // (11 µs) beats push's 9.7 K-edge walk (49 µs) on seq and on one
+        // worker, but not once the pull dispatch costs a 40 µs fan-out and
+        // push runs inline
+        let w = LevelWork {
+            frontier_nnz: 347,
+            unvisited: 676,
+            ..edges(9_718, 2_095)
+        };
+        assert_eq!(p.decide_on(&SeqBackend, w).dir, ChosenDir::Pull);
+        assert_eq!(
+            p.decide_on(&ParBackend::with_threads(1), w).dir,
+            ChosenDir::Pull
+        );
+        assert_eq!(
+            p.decide_on(&ParBackend::with_threads(2), w).dir,
+            ChosenDir::Push
+        );
+        // with enough work on both sides the fan-outs cancel
+        let big = LevelWork {
+            frontier_nnz: 1_800,
+            unvisited: 14_000,
+            ..edges(270_000, 155_000)
+        };
+        let par2 = ParBackend::with_threads(2);
+        assert_eq!(p.decide_on(&par2, big).dir, ChosenDir::Pull);
     }
 
     #[test]
-    fn batched_scales_the_threshold_by_k() {
+    fn cuda_keeps_the_vertex_count_rule() {
+        let cuda = CudaBackend::default();
+        let level = |frontier_nnz, unvisited| LevelWork {
+            frontier_nnz,
+            unvisited,
+            // edge totals that say the opposite must not matter here
+            ..edges(1, 1_000_000)
+        };
+        // |E| = 1024, α = 32 → edge budget 32; average degree 1024/320 = 3
+        // → saturated above 10 entries
         let p = DirectionPolicy::new(Direction::Auto, 320, 1024, true);
+        let dir = |p: &DirectionPolicy, f, u| p.decide_on(&cuda, level(f, u)).dir;
+        assert_eq!(dir(&p, 10, 5), ChosenDir::Push, "at the threshold");
+        assert_eq!(dir(&p, 11, 40), ChosenDir::Pull, "just past it");
+        assert_eq!(
+            dir(&p, 11, 44),
+            ChosenDir::Push,
+            "remainder gate: 4 x frontier"
+        );
+        // a fused batch of 4 saturates at 4 x the entries
         let b = p.batched(4);
-        assert_eq!(b.threshold(), 40);
-        // aggregate nnz 4×11 with aggregate unvisited 4×40: same verdict
-        // as the solo policy at (11, 40)
-        assert_eq!(b.decide(44, 160).dir, ChosenDir::Pull);
-        assert_eq!(b.decide(40, 160).dir, ChosenDir::Push);
-        // k = 0 degenerates to the solo threshold rather than zero
-        assert_eq!(p.batched(0).threshold(), 10);
+        assert_eq!(dir(&b, 44, 160), ChosenDir::Pull);
+        assert_eq!(dir(&b, 40, 160), ChosenDir::Push);
+        // the threshold clamps to [1, n]
+        let tiny = DirectionPolicy::new(Direction::Auto, 100, 0, true);
+        assert_eq!(dir(&tiny, 2, 3), ChosenDir::Pull);
+        assert_eq!(dir(&tiny, 1, 3), ChosenDir::Push);
+        let wide = DirectionPolicy::new(Direction::Auto, 3200, 102_400, true);
+        assert_eq!(dir(&wide, 101, 100), ChosenDir::Pull);
+        assert_eq!(dir(&wide, 100, 100), ChosenDir::Push);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! the backends separately.
 
 use gbtl_algebra::{BinaryOp, Scalar};
-use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
+use std::borrow::Cow;
 
-use crate::types::{Matrix, Vector};
+use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
+
+use crate::types::{Matrix, Vector, VectorRepr};
 
 /// Resolved matrix-mask view: answers "is position (i, j) writable?".
 pub(crate) struct MatMask<'a> {
@@ -93,26 +95,43 @@ where
     CsrMatrix::from_parts_unchecked(m, c.ncols(), row_ptr, col_idx, vals)
 }
 
-/// Resolve a vector mask + complement flag into a keep-bitmap.
+/// A vector mask resolved for one operation: the mask vector's bitmap
+/// storage — borrowed as is when the vector already holds it, which is how
+/// every traversal keeps its `visited` set; densified once otherwise — and
+/// the descriptor's complement flag.
+pub(crate) struct ResolvedVecMask<'a> {
+    bitmap: Cow<'a, DenseVector<bool>>,
+    complement: bool,
+}
+
+impl ResolvedVecMask<'_> {
+    /// The keep test kernels and stitchers read.
+    #[inline]
+    pub(crate) fn view(&self) -> VecMask<'_> {
+        VecMask::new(&self.bitmap, self.complement)
+    }
+}
+
+/// Resolve a vector mask + complement flag. O(1) for a bitmap-stored mask.
 pub(crate) fn resolve_vec_mask(
     mask: Option<&Vector<bool>>,
     complement: bool,
     n: usize,
-) -> Option<Vec<bool>> {
+) -> Option<ResolvedVecMask<'_>> {
     let mask = mask?;
     debug_assert_eq!(mask.len(), n);
-    let mut keep = vec![complement; n];
-    for (i, _) in mask.iter() {
-        keep[i] = !complement;
-    }
-    Some(keep)
+    let bitmap = match mask.repr() {
+        VectorRepr::Dense(d) => Cow::Borrowed(d),
+        VectorRepr::Sparse(s) => Cow::Owned(s.to_dense()),
+    };
+    Some(ResolvedVecMask { bitmap, complement })
 }
 
 /// Stitch a computed dense vector into the old output.
 pub(crate) fn stitch_dense_vec<T, Acc>(
     old: &Vector<T>,
     t: DenseVector<T>,
-    keep: Option<&[bool]>,
+    keep: Option<VecMask<'_>>,
     accum: Option<Acc>,
     replace: bool,
 ) -> DenseVector<T>
@@ -123,7 +142,7 @@ where
     let n = t.len();
     let mut out = DenseVector::new(n);
     for i in 0..n {
-        let allowed = keep.is_none_or(|k| k[i]);
+        let allowed = keep.is_none_or(|k| k.keeps(i));
         if allowed {
             let old_v = old.get(i);
             let new_v = t.get(i);
@@ -148,7 +167,7 @@ where
 pub(crate) fn stitch_sparse_vec<T, Acc>(
     old: &Vector<T>,
     t: SparseVector<T>,
-    keep: Option<&[bool]>,
+    keep: Option<VecMask<'_>>,
     accum: Option<Acc>,
     replace: bool,
 ) -> SparseVector<T>
@@ -243,14 +262,18 @@ mod tests {
         let mut m = Vector::new(4);
         m.set(1, true);
         m.set(3, true);
-        assert_eq!(
-            resolve_vec_mask(Some(&m), false, 4).unwrap(),
-            vec![false, true, false, true]
-        );
-        assert_eq!(
-            resolve_vec_mask(Some(&m), true, 4).unwrap(),
-            vec![true, false, true, false]
-        );
+        let kept = |m: &Vector<bool>, complement: bool| -> Vec<bool> {
+            let resolved = resolve_vec_mask(Some(m), complement, 4).unwrap();
+            (0..4).map(|i| resolved.view().keeps(i)).collect()
+        };
+        // the sparse and the bitmap representation resolve alike
+        for rep in 0..2 {
+            if rep == 1 {
+                m.densify();
+            }
+            assert_eq!(kept(&m, false), vec![false, true, false, true]);
+            assert_eq!(kept(&m, true), vec![true, false, true, false]);
+        }
         assert!(resolve_vec_mask(None, false, 4).is_none());
     }
 
@@ -262,22 +285,20 @@ mod tests {
         let mut t = DenseVector::new(3);
         t.set(0, 10i64);
         t.set(1, 20);
-        let keep = [true, true, false];
+        let mut mask = Vector::new(3);
+        mask.set(0, true);
+        mask.set(1, true);
+        let resolved = resolve_vec_mask(Some(&mask), false, 3).unwrap();
+        let keep = resolved.view();
 
         // accum + mask + no-replace
-        let out = stitch_dense_vec(
-            &old,
-            t.clone(),
-            Some(&keep),
-            Some(Plus::<i64>::new()),
-            false,
-        );
+        let out = stitch_dense_vec(&old, t.clone(), Some(keep), Some(Plus::<i64>::new()), false);
         assert_eq!(out.get(0), Some(11)); // accum(1, 10)
         assert_eq!(out.get(1), Some(20)); // new only
         assert_eq!(out.get(2), Some(3)); // masked out, kept
 
         // replace clears masked-out
-        let out = stitch_dense_vec(&old, t, Some(&keep), no_accum(), true);
+        let out = stitch_dense_vec(&old, t, Some(keep), no_accum(), true);
         assert_eq!(out.get(0), Some(10));
         assert_eq!(out.get(2), None);
     }

@@ -506,9 +506,8 @@ impl<T: Scalar> Vector<T> {
     }
 
     /// Density-based auto-switch: bitmap when `nnz > threshold`, sparse
-    /// otherwise (the `GBTL_FRONTIER_SWITCH` heuristic — callers get the
-    /// threshold from [`crate::policy::DirectionPolicy::threshold`]).
-    /// Returns the representation chosen.
+    /// otherwise. Returns the representation chosen. (Traversals do not
+    /// use it: their frontier follows the direction the level runs in.)
     pub fn adapt_repr(&mut self, threshold: usize) -> crate::policy::FrontierRep {
         if self.nnz() > threshold {
             self.densify();

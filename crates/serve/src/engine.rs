@@ -106,7 +106,7 @@ impl Engine {
 
     /// Total GraphBLAS ops this engine has dispatched, across backends.
     pub fn total_ops(&self) -> u64 {
-        self.seq.trace().total_spans + self.par.trace().total_spans + self.cuda.trace().total_spans
+        self.seq.total_spans() + self.par.total_spans() + self.cuda.total_spans()
     }
 
     /// Counter snapshot for the stats endpoint.
@@ -114,9 +114,9 @@ impl Engine {
         let pool = self.par.pool_stats();
         let gpu = self.cuda.gpu_stats();
         EngineSnapshot {
-            seq_ops: self.seq.trace().total_spans,
-            par_ops: self.par.trace().total_spans,
-            cuda_ops: self.cuda.trace().total_spans,
+            seq_ops: self.seq.total_spans(),
+            par_ops: self.par.total_spans(),
+            cuda_ops: self.cuda.total_spans(),
             pool_tasks: pool.tasks_executed,
             pool_steals: pool.steals,
             gpu_kernels: gpu.kernels_launched,
@@ -330,7 +330,7 @@ fn run_on<B: Backend>(
         return Err(source_range_error(q.source, g));
     }
 
-    let spans_before = ctx.trace().total_spans;
+    let spans_before = ctx.total_spans();
     // stamp every span this query dispatches; cleared below even on error
     // so a failed query can't tag a later request's spans (the worker
     // thread owns this context exclusively, so no other request interleaves)
@@ -341,9 +341,9 @@ fn run_on<B: Backend>(
     ctx.set_request_id(None);
     let result_json = result?;
 
-    let report = ctx.trace();
-    let ops = report.total_spans - spans_before;
-    let trace_json = q.trace.then(|| render_trace(&report, spans_before));
+    let ops = ctx.total_spans() - spans_before;
+    // the full report clones the span ring: only a request that asked for it
+    let trace_json = q.trace.then(|| render_trace(&ctx.trace(), spans_before));
 
     Ok(QueryOutcome {
         result_json,

@@ -36,7 +36,7 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, ELL_PAD};
 pub use hyb::HybMatrix;
-pub use vector::{DenseVector, SparseVector};
+pub use vector::{DenseVector, SparseVector, VecMask};
 
 /// Index type used across GBTL-RS. `usize` keeps slice indexing natural; the
 /// GraphBLAS spec's `GrB_Index` (u64) round-trips losslessly on 64-bit

@@ -293,6 +293,76 @@ impl<T: Scalar> DenseVector<T> {
     }
 }
 
+/// A vector mask as the kernels read it: "may position `i` be written?".
+///
+/// GraphBLAS vector masks here are structural — a position is *in* the mask
+/// when it holds an entry, whatever the value — so the usual form
+/// ([`VecMask::new`]) is the mask vector's own presence array plus the
+/// descriptor's complement flag: one load and one compare against storage
+/// that already exists. Nothing is built per call: a traversal that masks
+/// every level with its `visited` vector pays O(1) to hand that vector to
+/// the kernel, not an O(n) keep-bitmap. A caller that does hold a
+/// keep-bitmap passes it as it is (`From<&[bool]>`).
+#[derive(Debug, Clone, Copy)]
+pub struct VecMask<'a>(MaskBits<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum MaskBits<'a> {
+    /// Kept where an entry is present, or — complemented — where none is.
+    Presence {
+        present: &'a [Option<bool>],
+        complement: bool,
+    },
+    /// Kept where `true`.
+    Keep(&'a [bool]),
+}
+
+impl<'a> VecMask<'a> {
+    /// View `mask` (complemented when `complement` is set) as a keep test.
+    #[inline]
+    pub fn new(mask: &'a DenseVector<bool>, complement: bool) -> Self {
+        VecMask(MaskBits::Presence {
+            present: mask.options(),
+            complement,
+        })
+    }
+
+    /// Number of positions the mask covers.
+    #[inline]
+    pub fn len(&self) -> Index {
+        match self.0 {
+            MaskBits::Presence { present, .. } => present.len(),
+            MaskBits::Keep(keep) => keep.len(),
+        }
+    }
+
+    /// True when the mask covers no positions.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether position `i` may be written.
+    #[inline(always)]
+    pub fn keeps(&self, i: Index) -> bool {
+        match self.0 {
+            MaskBits::Presence {
+                present,
+                complement,
+            } => present[i].is_some() != complement,
+            MaskBits::Keep(keep) => keep[i],
+        }
+    }
+}
+
+impl<'a> From<&'a [bool]> for VecMask<'a> {
+    /// A ready-made keep-bitmap: position `i` is kept where `keep[i]`.
+    #[inline]
+    fn from(keep: &'a [bool]) -> Self {
+        VecMask(MaskBits::Keep(keep))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,5 +435,24 @@ mod tests {
         assert_eq!(d.unset(1), Some(1.0));
         assert_eq!(d.nnz(), 2);
         assert!(!d.contains(1));
+    }
+
+    #[test]
+    fn vec_mask_reads_presence_and_complement() {
+        let mut m = DenseVector::<bool>::new(4);
+        m.set(1, true);
+        m.set(3, false); // structural: a stored `false` is still in the mask
+        let plain = VecMask::new(&m, false);
+        let comp = VecMask::new(&m, true);
+        assert_eq!(plain.len(), 4);
+        for i in 0..4 {
+            assert_eq!(plain.keeps(i), i == 1 || i == 3, "position {i}");
+            assert_eq!(comp.keeps(i), !plain.keeps(i), "position {i}");
+        }
+        // a ready-made keep-bitmap is read as it is
+        let keep = [true, false, false, true];
+        let bitmap = VecMask::from(&keep[..]);
+        assert_eq!(bitmap.len(), 4);
+        assert!((0..4).all(|i| bitmap.keeps(i) == keep[i]));
     }
 }

@@ -130,6 +130,30 @@ pub struct SpanFields {
     pub accum: bool,
 }
 
+/// What a traversal records about one level ([`Tracer::finish_level`]):
+/// the decision (`dir`, `rep`) and the inputs it was taken from.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelFields {
+    /// Algorithm name (`"bfs"`, `"sssp_multi"`, …).
+    pub algo: &'static str,
+    /// Level / round index, from 1.
+    pub level: u64,
+    /// `push` or `pull`.
+    pub dir: &'static str,
+    /// `sparse` or `bitmap`.
+    pub rep: &'static str,
+    /// Frontier entries going in.
+    pub frontier_nnz: u64,
+    /// Entries of the next frontier.
+    pub nnz_out: u64,
+    /// Edges push would walk.
+    pub push_edges: u64,
+    /// Edges pull would scan.
+    pub pull_edges: u64,
+    /// Whether `Aᵀ` was resident (pull was available to `Auto`).
+    pub pull_ready: bool,
+}
+
 /// One completed operation span.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -408,25 +432,27 @@ impl Tracer {
     }
 
     /// Close a *traversal level* span: one `level` op record in the ring
-    /// (op_label carries the algorithm and the direction decision) plus,
-    /// when an x-ray context is set, a `level.<algo>` span with explicit
-    /// `dir=push|pull` / `rep=sparse|bitmap` attributes — the per-iteration
-    /// direction trace the direction-optimization experiments read back.
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish_level(
-        &self,
-        start: SpanStart,
-        algo: &'static str,
-        level: u64,
-        dir: &'static str,
-        rep: &'static str,
-        frontier_nnz: u64,
-        nnz_out: u64,
-    ) {
+    /// (op_label carries the algorithm, the direction decision and the
+    /// inputs it was taken from) plus, when an x-ray context is set, a
+    /// `level.<algo>` span with the same facts as attributes — the
+    /// per-iteration decision record: "why did this level pull" is
+    /// answerable from the one span.
+    pub fn finish_level(&self, start: SpanStart, level: LevelFields) {
         let Some(t0) = start.0 else { return };
         let duration_ns = t0.elapsed().as_nanos() as u64;
         let end_ns = gbtl_util::time::now_ns();
         let start_ns = end_ns.saturating_sub(duration_ns);
+        let LevelFields {
+            algo,
+            level: index,
+            dir,
+            rep,
+            frontier_nnz,
+            nnz_out,
+            push_edges,
+            pull_edges,
+            pull_ready,
+        } = level;
         if let Some(ctx) = self.xray() {
             gbtl_xray::store().add_span(
                 ctx,
@@ -435,10 +461,13 @@ impl Tracer {
                 end_ns,
                 &[
                     ("backend", self.backend.to_string()),
-                    ("level", level.to_string()),
+                    ("level", index.to_string()),
                     ("dir", dir.to_string()),
                     ("rep", rep.to_string()),
                     ("frontier_nnz", frontier_nnz.to_string()),
+                    ("push_edges", push_edges.to_string()),
+                    ("pull_edges", pull_edges.to_string()),
+                    ("pull_ready", pull_ready.to_string()),
                 ],
             );
         }
@@ -448,8 +477,11 @@ impl Tracer {
                 duration_ns,
                 SpanFields {
                     op: "level",
-                    op_label: format!("{algo} dir={dir} rep={rep}"),
-                    dims: format!("level={level}"),
+                    op_label: format!(
+                        "{algo} dir={dir} rep={rep} push_edges={push_edges} \
+                         pull_edges={pull_edges} pull_ready={pull_ready}"
+                    ),
+                    dims: format!("level={index}"),
                     nnz_in: frontier_nnz,
                     nnz_out,
                     masked: false,
@@ -718,7 +750,20 @@ mod tests {
         let ctx = store.begin_root("lvl-test");
         t.set_xray(Some(ctx));
         let s = t.start();
-        t.finish_level(s, "bfs", 3, "pull", "bitmap", 120, 80);
+        t.finish_level(
+            s,
+            LevelFields {
+                algo: "bfs",
+                level: 3,
+                dir: "pull",
+                rep: "bitmap",
+                frontier_nnz: 120,
+                nnz_out: 80,
+                push_edges: 4000,
+                pull_edges: 900,
+                pull_ready: true,
+            },
+        );
         t.set_xray(None);
         gbtl_xray::finish_request(ctx);
         let trace = store.get(ctx.trace_id).expect("trace completed");
@@ -730,9 +775,24 @@ mod tests {
         assert!(sp.attrs.iter().any(|(k, v)| k == "dir" && v == "pull"));
         assert!(sp.attrs.iter().any(|(k, v)| k == "rep" && v == "bitmap"));
         assert!(sp.attrs.iter().any(|(k, v)| k == "level" && v == "3"));
+        assert!(sp
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "push_edges" && v == "4000"));
+        assert!(sp
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "pull_edges" && v == "900"));
+        assert!(sp
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "pull_ready" && v == "true"));
         let rep = t.report(Vec::new());
         assert_eq!(rep.op("level").unwrap().calls, 1);
-        assert_eq!(rep.spans[0].fields.op_label, "bfs dir=pull rep=bitmap");
+        assert_eq!(
+            rep.spans[0].fields.op_label,
+            "bfs dir=pull rep=bitmap push_edges=4000 pull_edges=900 pull_ready=true"
+        );
         assert_eq!(rep.spans[0].fields.dims, "level=3");
     }
 

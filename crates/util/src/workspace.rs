@@ -8,10 +8,15 @@
 //! iterative algorithm that is an `O(ncols)` allocation + memset per
 //! operation, paid thousands of times per BFS/PageRank run.
 //!
-//! The pools here are **thread-local**, so they need no locks and work
-//! unchanged from the work-stealing pool's persistent worker threads (each
-//! worker warms its own set). Buffers are handed out in a *known-clean*
-//! state and must be returned clean:
+//! The pools here are **thread-local**, so they need no locks, and a
+//! long-lived thread — a serve worker, or any caller of the sequential
+//! kernels, which is also where the parallel backend's inline dispatches
+//! run — warms its own set once. The parallel backend's *own* workers are
+//! not such threads: `gbtl-backend-par` spawns scoped threads per
+//! `run_tasks` dispatch, so a fanned-out task always starts with empty
+//! pools and allocates its buffers afresh (nothing there is reused until
+//! that pool keeps its workers alive). Buffers are handed out in a
+//! *known-clean* state and must be returned clean:
 //!
 //! * accumulator — every slot `None`, `len >= n`;
 //! * flags — every slot `false`, `len >= n`;

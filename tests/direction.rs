@@ -7,14 +7,21 @@
 //! output slot in ascending input index.
 //!
 //! `Aᵀ` is prewarmed on every context so auto's cache-residency gate is
-//! open and the heuristic genuinely mixes directions (the rmat-7 graphs
-//! sit well above the ≈ n/α saturation threshold on their middle levels).
+//! open and the rule genuinely mixes directions (on the rmat-7 graphs the
+//! middle levels' frontiers carry several times the unvisited rows' edges).
+//!
+//! The decision-record tests below read the level spans back: on the CPU
+//! backends `Auto` follows the edge work (BFS takes both directions, SSSP's
+//! unmasked rounds never pull a light frontier), and cuda-sim's decisions
+//! are the ones the vertex-count rule took before the edge-cost rule
+//! existed, level by level.
 
 use gbtl::algorithms::{
     betweenness_centrality_with_direction, bfs_levels, sssp_with_direction, Direction,
 };
-use gbtl::graphgen::{symmetrize, weights, Rmat};
+use gbtl::graphgen::{symmetrize, torus_2d, weights, Rmat};
 use gbtl::prelude::*;
+use gbtl::sparse::CooMatrix;
 use proptest::prelude::*;
 
 const FORCED: [Direction; 2] = [Direction::Pull, Direction::Auto];
@@ -109,4 +116,115 @@ proptest! {
         bc_modes_agree(&Context::parallel(), &a, &sources);
         bc_modes_agree(&Context::cuda_default(), &a, &sources);
     }
+}
+
+/// A symmetric structure as the boolean adjacency and `u32` weights the
+/// traversals run on, plus its highest-degree vertex (lowest index on ties).
+fn traversal_graph(structure: &CooMatrix<bool>) -> (Matrix<bool>, Matrix<u32>, usize) {
+    let adj = gbtl::algorithms::adjacency(structure.clone());
+    let w = Matrix::from_coo(
+        weights::uniform_u32_symmetric(structure, 1, 255, 1),
+        gbtl::algebra::Min::new(),
+    );
+    let hub = (0..adj.nrows())
+        .max_by_key(|&v| (adj.csr().row_nnz(v), std::cmp::Reverse(v)))
+        .unwrap();
+    (adj, w, hub)
+}
+
+/// The decision records of the traversal `run` performs on `ctx`:
+/// `(pulled, push_edges)` per level, read back from the level spans.
+fn level_records<B: Backend>(ctx: &Context<B>, run: impl FnOnce()) -> Vec<(bool, usize)> {
+    ctx.clear_trace();
+    run();
+    let field = |label: &str, key: &str| -> String {
+        let rest = label.split(key).nth(1).expect("decision record field");
+        rest.split(' ').next().unwrap().to_string()
+    };
+    ctx.trace()
+        .spans
+        .iter()
+        .filter(|sp| sp.fields.op == "level")
+        .map(|sp| {
+            let label = &sp.fields.op_label;
+            assert_eq!(field(label, "pull_ready="), "true", "{label}");
+            (
+                field(label, "dir=") == "pull",
+                field(label, "push_edges=").parse().unwrap(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn cpu_auto_follows_the_edge_work() {
+    fn check<B: Backend>(ctx: Context<B>) {
+        let ctx = ctx.with_trace_mode(TraceMode::Summary);
+        let (adj, w, hub) = traversal_graph(&symmetrize(&Rmat::new(12, 8).seed(1).generate()));
+        ctx.seed_symmetric_transpose(&adj);
+        ctx.seed_symmetric_transpose(&w);
+        let name = ctx.backend_name();
+
+        // BFS from a hub: the hub's level carries most of the edges, so it
+        // pulls; the first and the last level, a handful of edges, push
+        let bfs = level_records(&ctx, || {
+            bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
+        });
+        assert!(bfs.iter().any(|&(pulled, _)| pulled), "{name}: {bfs:?}");
+        assert!(bfs.iter().any(|&(pulled, _)| !pulled), "{name}: {bfs:?}");
+
+        // SSSP: an unmasked pull scans all of nnz(A) however few vertices
+        // improved, so no round whose frontier holds under half of it pulls
+        let sssp = level_records(&ctx, || {
+            sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
+        });
+        assert!(sssp.len() > 4, "{name}: {sssp:?}");
+        for (round, &(pulled, push_edges)) in sssp.iter().enumerate() {
+            assert!(
+                !pulled || 2 * push_edges >= w.nnz(),
+                "{name}: round {} pulled a frontier of {push_edges} edges, nnz(A) = {}",
+                round + 1,
+                w.nnz()
+            );
+        }
+    }
+    check(Context::sequential());
+    check(Context::parallel_with_threads(1));
+    check(Context::parallel_with_threads(2));
+}
+
+#[test]
+fn cuda_decisions_are_the_vertex_count_rules() {
+    // push = S, pull = L, per level; recorded at the commit before the
+    // edge-cost rule (PR 13) with the same graphs and sources
+    let golden = |structure: &CooMatrix<bool>, want_bfs: &str, want_sssp: &str| {
+        let ctx = Context::cuda_default().with_trace_mode(TraceMode::Summary);
+        let (adj, w, hub) = traversal_graph(structure);
+        ctx.seed_symmetric_transpose(&adj);
+        ctx.seed_symmetric_transpose(&w);
+        let spell = |records: Vec<(bool, usize)>| -> String {
+            let letters = records
+                .iter()
+                .map(|&(pulled, _)| if pulled { 'L' } else { 'S' });
+            letters.collect()
+        };
+        let bfs = level_records(&ctx, || {
+            bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
+        });
+        assert_eq!(spell(bfs), want_bfs);
+        let sssp = level_records(&ctx, || {
+            sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
+        });
+        assert_eq!(spell(sssp), want_sssp);
+    };
+    golden(
+        &symmetrize(&Rmat::new(12, 8).seed(1).generate()),
+        "SLLS",
+        "SLLLLLLSSSS",
+    );
+    golden(
+        &torus_2d(48, 48),
+        &"S".repeat(49),
+        &format!("{}{}{}", "S".repeat(28), "L".repeat(12), "S".repeat(10)),
+    );
 }
