@@ -16,12 +16,15 @@
 //!
 //! # Design notes
 //!
-//! GBTL's C++ semirings may mix input/output domains. This port restricts a
-//! [`Semiring`] to a single domain `T` (the common case for every algorithm
-//! in the suite); type-changing transformations are still available through
-//! [`UnaryOp`], whose output type is free. This keeps backend kernels — which
-//! must be written once per *operation*, not once per *type combination* —
-//! tractable without losing any of the paper's algorithms.
+//! GBTL's C++ semirings map `D1 × D2 → D3`. Here a [`Semiring<T, D1, D2>`]
+//! does the same with the output domain written first and both operand
+//! domains defaulting to it, so `Semiring<T>` is the single-domain case.
+//! Mixed domains exist exactly where the multiply ignores an operand
+//! ([`First`], [`Second`], [`Pair`] and the semirings built on them): that
+//! is the *structure-only* case — a boolean adjacency multiplied against
+//! `u64` labels or `f64` ranks as it stands, no typed copy of the graph.
+//! Arithmetic multiplies stay single-domain; converting values is
+//! [`UnaryOp`]'s job, whose output type is free.
 //!
 //! # Example
 //!

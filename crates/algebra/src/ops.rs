@@ -7,15 +7,20 @@ use std::marker::PhantomData;
 
 use crate::Scalar;
 
-/// A binary function over a single scalar domain.
+/// A binary function `D1 × D2 → T` (GBTL's `BinaryOp<D1, D2, D3>` with the
+/// output domain first, so that `BinaryOp<T>` stays the single-domain op).
 ///
 /// GraphBLAS binary ops are used as eWise operators, accumulators, and the
 /// "multiply" half of a semiring. They are required to be pure; they are
 /// *not* required to be associative or commutative (that is what
-/// [`Monoid`](crate::Monoid) adds).
-pub trait BinaryOp<T: Scalar>: Copy + Send + Sync + 'static {
+/// [`Monoid`](crate::Monoid) adds). Only the operators that ignore an
+/// argument are defined on mixed domains: [`First`] takes any `D2`,
+/// [`Second`] any `D1`, [`Pair`] any of both.
+pub trait BinaryOp<T: Scalar, D1: Scalar = T, D2: Scalar = T>:
+    Copy + Send + Sync + 'static
+{
     /// Apply the operator.
-    fn apply(&self, a: T, b: T) -> T;
+    fn apply(&self, a: D1, b: D2) -> T;
 }
 
 macro_rules! declare_binary_op {
@@ -171,26 +176,26 @@ where
     }
 }
 
-impl<T: Scalar> BinaryOp<T> for First<T> {
+impl<T: Scalar, D2: Scalar> BinaryOp<T, T, D2> for First<T> {
     #[inline(always)]
-    fn apply(&self, a: T, _b: T) -> T {
+    fn apply(&self, a: T, _b: D2) -> T {
         a
     }
 }
 
-impl<T: Scalar> BinaryOp<T> for Second<T> {
+impl<T: Scalar, D1: Scalar> BinaryOp<T, D1, T> for Second<T> {
     #[inline(always)]
-    fn apply(&self, _a: T, b: T) -> T {
+    fn apply(&self, _a: D1, b: T) -> T {
         b
     }
 }
 
-impl<T> BinaryOp<T> for Pair<T>
+impl<T, D1: Scalar, D2: Scalar> BinaryOp<T, D1, D2> for Pair<T>
 where
     T: Scalar + crate::One,
 {
     #[inline(always)]
-    fn apply(&self, _a: T, _b: T) -> T {
+    fn apply(&self, _a: D1, _b: D2) -> T {
         T::one()
     }
 }
@@ -247,6 +252,13 @@ mod tests {
         assert_eq!(First::<u8>::new().apply(7, 9), 7);
         assert_eq!(Second::<u8>::new().apply(7, 9), 9);
         assert_eq!(Pair::<u8>::new().apply(7, 9), 1);
+    }
+
+    #[test]
+    fn argument_ignoring_ops_take_any_domain_there() {
+        assert_eq!(First::<u64>::new().apply(7, true), 7);
+        assert_eq!(Second::<f64>::new().apply(true, 2.5), 2.5);
+        assert_eq!(Pair::<u64>::new().apply(true, false), 1);
     }
 
     #[test]

@@ -12,16 +12,28 @@ use crate::monoid::{LorMonoid, MaxMonoid, MinMonoid, Monoid, PlusMonoid};
 use crate::ops::{First, Land, Max, Min, Pair, Plus, Second, Times};
 use crate::{BinaryOp, Scalar};
 
-/// An algebraic semiring over a single scalar domain `T`.
+/// An algebraic semiring `D1 × D2 → T`: the multiply maps the two operands'
+/// domains into `T`, where the add monoid lives — GBTL's
+/// `Semiring<D1, D2, D3>` with the output domain first, so that
+/// `Semiring<T>` stays the single-domain semiring.
 ///
 /// `add()` must be a commutative monoid; `mul()` is any binary op. The usual
 /// annihilator law (`mul(x, 0) == 0`) is *not* required because GraphBLAS
 /// operates on stored entries only — absent entries never reach `mul`.
-pub trait Semiring<T: Scalar>: Copy + Send + Sync + 'static {
+///
+/// The semirings whose multiply ignores an operand are defined for every
+/// domain of that operand (`MinSecond<u64>: Semiring<u64, bool, u64>`),
+/// which is what lets a boolean adjacency be multiplied against typed
+/// vectors as it stands. Called on such a semiring outside a generic
+/// context, `add()`/`mul()` need the domains spelled out:
+/// `Semiring::<u64, bool, u64>::mul(&sr)`.
+pub trait Semiring<T: Scalar, D1: Scalar = T, D2: Scalar = T>:
+    Copy + Send + Sync + 'static
+{
     /// The additive monoid type.
     type Add: Monoid<T>;
     /// The multiplicative binary-op type.
-    type Mul: BinaryOp<T>;
+    type Mul: BinaryOp<T, D1, D2>;
 
     /// The additive ("reduce") monoid.
     fn add(&self) -> Self::Add;
@@ -61,11 +73,13 @@ impl<A, M> CustomSemiring<A, M> {
     }
 }
 
-impl<T, A, M> Semiring<T> for CustomSemiring<A, M>
+impl<T, D1, D2, A, M> Semiring<T, D1, D2> for CustomSemiring<A, M>
 where
     T: Scalar,
+    D1: Scalar,
+    D2: Scalar,
     A: Monoid<T> + 'static,
-    M: BinaryOp<T> + 'static,
+    M: BinaryOp<T, D1, D2> + 'static,
 {
     type Add = A;
     type Mul = M;
@@ -83,6 +97,12 @@ where
 
 macro_rules! declare_semiring {
     ($(#[$doc:meta])* $name:ident, $addm:ident, $mulop:ident, [$($bound:tt)*]) => {
+        declare_semiring!($(#[$doc])* $name, $addm, $mulop, [$($bound)*], [], [T, T]);
+    };
+    // `[$free]` are the operand domains the multiply ignores, `[$d1, $d2]`
+    // the semiring's two operand domains in terms of `T` and those.
+    ($(#[$doc:meta])* $name:ident, $addm:ident, $mulop:ident, [$($bound:tt)*],
+     [$($free:ident),*], [$d1:ty, $d2:ty]) => {
         $(#[$doc])*
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct $name<T>(PhantomData<fn() -> T>);
@@ -95,7 +115,7 @@ macro_rules! declare_semiring {
             }
         }
 
-        impl<T> Semiring<T> for $name<T>
+        impl<T, $($free: Scalar),*> Semiring<T, $d1, $d2> for $name<T>
         where
             T: Scalar + $($bound)*,
         {
@@ -155,24 +175,24 @@ declare_semiring!(
     /// `(min, first, ∞)` — propagate the *source* value along edges, keeping
     /// the minimum. Used for parent selection when the vector carries ids.
     MinFirst, MinMonoid, First,
-    [PartialOrd + Bounded]
+    [PartialOrd + Bounded], [D2], [T, D2]
 );
 declare_semiring!(
     /// `(min, second, ∞)` — propagate the *edge/vector* value, keeping the
     /// minimum. The label-propagation workhorse (connected components, BFS
     /// parents).
     MinSecond, MinMonoid, Second,
-    [PartialOrd + Bounded]
+    [PartialOrd + Bounded], [D1], [D1, T]
 );
 declare_semiring!(
     /// `(+, first, 0)` — sum source values across edges.
     PlusFirst, PlusMonoid, First,
-    [Zero + std::ops::Add<Output = T>]
+    [Zero + std::ops::Add<Output = T>], [D2], [T, D2]
 );
 declare_semiring!(
     /// `(+, second, 0)` — sum propagated values across edges (path counting).
     PlusSecond, PlusMonoid, Second,
-    [Zero + std::ops::Add<Output = T>]
+    [Zero + std::ops::Add<Output = T>], [D1], [D1, T]
 );
 declare_semiring!(
     /// `(+, min, 0)` — sum of edge-wise minima.
@@ -183,7 +203,7 @@ declare_semiring!(
     /// `(+, pair, 0)` — counts structural intersections; the triangle-count
     /// semiring (`mul` is the constant `1`).
     PlusPair, PlusMonoid, Pair,
-    [Zero + One + std::ops::Add<Output = T>]
+    [Zero + One + std::ops::Add<Output = T>], [D1, D2], [D1, D2]
 );
 
 /// The boolean semiring `(∨, ∧, false)` — reachability / BFS frontiers.
@@ -243,23 +263,45 @@ mod tests {
         assert!(!sr.zero());
     }
 
+    /// `a₁ ⊗ b₁ ⊕ a₂ ⊗ b₂` — the domains come from the arguments, as they
+    /// do in a kernel.
+    fn dot2<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
+        sr: S,
+        (a1, b1): (D1, D2),
+        (a2, b2): (D1, D2),
+    ) -> T {
+        sr.add()
+            .apply(sr.mul().apply(a1, b1), sr.mul().apply(a2, b2))
+    }
+
     #[test]
     fn min_second_propagates_labels() {
-        let sr = MinSecond::<u64>::new();
         // two in-edges carrying labels 9 and 4 -> keep 4
-        let l = sr
-            .add()
-            .apply(sr.mul().apply(100, 9), sr.mul().apply(200, 4));
-        assert_eq!(l, 4);
+        let sr = MinSecond::<u64>::new();
+        assert_eq!(dot2(sr, (100u64, 9), (200, 4)), 4);
+        // the edge values are never read: a boolean adjacency does as well
+        assert_eq!(dot2(sr, (true, 9), (true, 4)), 4);
     }
 
     #[test]
     fn plus_pair_counts() {
         let sr = PlusPair::<u64>::new();
-        let c = sr
-            .add()
-            .apply(sr.mul().apply(123, 456), sr.mul().apply(7, 8));
-        assert_eq!(c, 2);
+        assert_eq!(dot2(sr, (123u64, 456u64), (7, 8)), 2);
+        assert_eq!(dot2(sr, (true, true), (true, true)), 2);
+    }
+
+    #[test]
+    fn first_semirings_take_any_second_domain() {
+        // vxm over a boolean matrix: the vector value is the first operand
+        assert_eq!(dot2(MinFirst::<u64>::new(), (7, true), (3, true)), 3);
+        assert_eq!(
+            dot2(PlusFirst::<f64>::new(), (0.5, true), (0.25, true)),
+            0.75
+        );
+        assert_eq!(
+            dot2(PlusSecond::<f64>::new(), (true, 0.5), (true, 0.25)),
+            0.75
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use gbtl_algebra::{
     BinaryOp, LandMonoid, LorLand, LorMonoid, LxorMonoid, MaxMonoid, MaxPlus, MinMonoid, MinPlus,
-    MinSecond, Monoid, PlusMonoid, PlusPair, PlusTimes, Semiring, TimesMonoid,
+    MinSecond, Monoid, PlusMonoid, PlusPair, PlusTimes, Scalar, Semiring, TimesMonoid,
 };
 use proptest::prelude::*;
 
@@ -96,24 +96,42 @@ proptest! {
         prop_assert_eq!(lhs, rhs);
     }
 
-    /// MinSecond: result only depends on the second operands and the min.
+    /// MinSecond: result only depends on the second operands and the min —
+    /// whatever domain the first operands come from.
     #[test]
-    fn min_second_ignores_first(a1: u64, a2: u64, b in any::<u64>(), c in any::<u64>()) {
+    fn min_second_ignores_first(a1: u64, a2: bool, b in any::<u64>(), c in any::<u64>()) {
         let sr = MinSecond::<u64>::new();
-        let r1 = sr.add().apply(sr.mul().apply(a1, b), sr.mul().apply(a1, c));
-        let r2 = sr.add().apply(sr.mul().apply(a2, b), sr.mul().apply(a2, c));
+        let r1 = dot2(sr, (a1, b), (a1, c));
+        let r2 = dot2(sr, (a2, b), (a2, c));
         prop_assert_eq!(r1, r2);
         prop_assert_eq!(r1, b.min(c));
     }
 
-    /// PlusPair over n terms counts n.
+    /// PlusPair over n terms counts n, over any operand domains.
     #[test]
     fn plus_pair_counts_terms(xs in proptest::collection::vec(any::<u64>(), 0..64)) {
         let sr = PlusPair::<u64>::new();
-        let mut acc = sr.zero();
-        for &x in &xs {
-            acc = sr.add().apply(acc, sr.mul().apply(x, x));
-        }
-        prop_assert_eq!(acc, xs.len() as u64);
+        prop_assert_eq!(fold(sr, xs.iter().map(|&x| (x, x))), xs.len() as u64);
+        prop_assert_eq!(fold(sr, xs.iter().map(|&x| (x % 2 == 0, x))), xs.len() as u64);
     }
+}
+
+/// `⊕ᵢ aᵢ ⊗ bᵢ` from the semiring's zero — the operand domains come from
+/// the arguments, as they do in a kernel.
+fn fold<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
+    sr: S,
+    terms: impl Iterator<Item = (D1, D2)>,
+) -> T {
+    terms.fold(sr.zero(), |acc, (a, b)| {
+        sr.add().apply(acc, sr.mul().apply(a, b))
+    })
+}
+
+fn dot2<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
+    sr: S,
+    x: (D1, D2),
+    y: (D1, D2),
+) -> T {
+    sr.add()
+        .apply(sr.mul().apply(x.0, x.1), sr.mul().apply(y.0, y.1))
 }

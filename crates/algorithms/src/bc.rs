@@ -1,21 +1,22 @@
 //! Betweenness centrality — Brandes' algorithm in GraphBLAS form.
 
-use gbtl_algebra::{PlusTimes, Second};
+use gbtl_algebra::{PlusFirst, PlusSecond};
 use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
     LevelWork, Matrix, Result, Vector,
 };
 
-use crate::util::{check_source, pattern_matrix};
+use crate::util::{check_source, check_square};
 
 /// Betweenness-centrality contribution of shortest paths from the given
 /// sources (batch Brandes; pass all vertices for exact BC).
 ///
 /// Per source: a forward BFS sweep counts shortest paths per vertex with
-/// `vxm` on `(+, ×)` (keeping per-level frontiers), then a backward sweep
-/// accumulates dependencies level by level with `mxv`. All products run on
-/// the backend; the level bookkeeping is host-side, mirroring GBTL's
-/// `bc_update`.
+/// `vxm` on `(+, first)` (keeping per-level frontiers), then a backward
+/// sweep accumulates dependencies level by level with `mxv` on
+/// `(+, second)` — the `(+, ×)` products over a matrix of ones, read off
+/// the boolean adjacency itself. All products run on the backend; the level
+/// bookkeeping is host-side, mirroring GBTL's `bc_update`.
 ///
 /// Returns the (unnormalised) centrality score per vertex. For undirected
 /// graphs the conventional score is half the returned value.
@@ -31,12 +32,11 @@ pub fn betweenness_centrality<B: Backend>(
 /// sweep.
 ///
 /// Push runs the masked `vxm` over the sparse frontier; pull runs the same
-/// masked product as `mxv` over `Aᵀ` with a bitmap frontier. `⊗ = ×` is
-/// commutative and both kernels accumulate each output in ascending input
-/// index, so the floating-point path counts are bit-identical either way.
-/// The `f64` pattern matrix is derived fresh per call, so its transpose is
-/// never resident on entry; unless push is forced, one O(nnz) prewarm here
-/// amortises over `sources × levels` and makes pull eligible. The backward
+/// masked product as `mxv` over `Aᵀ` with a bitmap frontier. Either way a
+/// term is the frontier's path count and both kernels accumulate each
+/// output in ascending input index, so the floating-point path counts are
+/// bit-identical. `Auto` pulls only where `a`'s own `Aᵀ` is resident (a
+/// served graph's is, pinned at load); nothing is built here. The backward
 /// sweep is a dense `mxv` on the untransposed matrix in every mode.
 ///
 /// A source out of range is an `IndexOutOfBounds` error, raised before any
@@ -47,25 +47,21 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
     sources: &[usize],
     dir: Direction,
 ) -> Result<Vector<f64>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("betweenness_centrality", a)?;
     let n = a.nrows();
     for &src in sources {
         check_source("betweenness_centrality", src, n)?;
     }
-    let a_f = pattern_matrix(ctx, a, 1.0f64);
     let resolved = match dir {
         Direction::Auto => Direction::from_env(),
         d => d,
     };
-    if resolved != Direction::Push {
-        ctx.prewarm_transpose(&a_f);
-    }
-    let policy = DirectionPolicy::for_matrix(resolved, ctx, &a_f);
+    let policy = DirectionPolicy::for_matrix(resolved, ctx, a);
     let desc_push = Descriptor::new().complement_mask().replace();
     let desc_fwd_pull = Descriptor::new().transpose_a().complement_mask().replace();
     let desc_pull = Descriptor::new();
 
-    let degrees = a_f.csr();
+    let degrees = a.csr();
     let mut delta_total = vec![0.0f64; n];
 
     for &src in sources {
@@ -78,7 +74,7 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
         frontier.set(src, 1.0);
         let mut fronts: Vec<Vector<f64>> = vec![frontier.clone()];
         let mut push_edges = degrees.row_nnz(src);
-        let mut pull_edges = a_f.nnz() - push_edges;
+        let mut pull_edges = a.nnz() - push_edges;
 
         let mut level = 0u64;
         while frontier.nnz() > 0 {
@@ -106,8 +102,8 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
                     &mut q,
                     Some(&visited),
                     no_accum(),
-                    PlusTimes::<f64>::new(),
-                    &a_f,
+                    PlusSecond::<f64>::new(),
+                    a,
                     &frontier,
                     &desc_fwd_pull,
                 )?,
@@ -115,9 +111,9 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
                     &mut q,
                     Some(&visited),
                     no_accum(),
-                    PlusTimes::<f64>::new(),
+                    PlusFirst::<f64>::new(),
                     &frontier,
-                    &a_f,
+                    a,
                     &desc_push,
                 )?,
             }
@@ -159,8 +155,8 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
                 &mut s,
                 None,
                 no_accum(),
-                PlusTimes::<f64>::new(),
-                &a_f,
+                PlusSecond::<f64>::new(),
+                a,
                 &t,
                 &desc_pull,
             )?;
@@ -193,14 +189,10 @@ pub fn betweenness_centrality_exact<B: Backend>(
     betweenness_centrality(ctx, a, &sources)
 }
 
-#[allow(dead_code)]
-fn _ops_used() {
-    let _ = Second::<f64>::new();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbtl_algebra::Second;
 
     fn undirected(edges: &[(usize, usize)], n: usize) -> Matrix<bool> {
         let mut triples = Vec::new();

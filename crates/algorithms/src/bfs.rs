@@ -6,7 +6,7 @@ use gbtl_core::{
     Matrix, Result, Vector,
 };
 
-use crate::util::check_source;
+use crate::util::{check_source, check_square};
 
 pub use gbtl_core::Direction;
 
@@ -32,7 +32,7 @@ pub fn bfs_levels<B: Backend>(
     src: usize,
     dir: Direction,
 ) -> Result<Vector<u64>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("bfs_levels", a)?;
     let n = a.nrows();
     check_source("bfs_levels", src, n)?;
     let policy = DirectionPolicy::for_matrix(dir, ctx, a);
@@ -112,9 +112,10 @@ pub fn bfs_levels<B: Backend>(
 /// some shortest (hop-count) path; `parents[src] = src`. Absent for
 /// unreachable vertices.
 ///
-/// Runs on the `MinFirst` semiring over `u64` vertex ids: each frontier
-/// vertex pushes *its own id* along out-edges, and `min` picks the smallest
-/// candidate parent deterministically.
+/// Runs on the `MinFirst` semiring over `u64` vertex ids, the boolean
+/// adjacency as its second operand: each frontier vertex pushes *its own
+/// id* along out-edges, and `min` picks the smallest candidate parent
+/// deterministically.
 ///
 /// `src` out of range is an `IndexOutOfBounds` error.
 pub fn bfs_parents<B: Backend>(
@@ -122,10 +123,9 @@ pub fn bfs_parents<B: Backend>(
     a: &Matrix<bool>,
     src: usize,
 ) -> Result<Vector<u64>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("bfs_parents", a)?;
     let n = a.nrows();
     check_source("bfs_parents", src, n)?;
-    let a_ids = crate::util::pattern_matrix(ctx, a, 1u64);
     let desc = Descriptor::new().complement_mask().replace();
 
     let mut parents: Vector<u64> = Vector::new_dense(n);
@@ -144,7 +144,7 @@ pub fn bfs_parents<B: Backend>(
             no_accum(),
             MinFirst::<u64>::new(),
             &frontier,
-            &a_ids,
+            a,
             &desc,
         )?;
         let mut new_frontier: Vector<u64> = Vector::new(n);

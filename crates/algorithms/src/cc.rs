@@ -3,52 +3,37 @@
 use gbtl_algebra::MinSecond;
 use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
 
-use crate::util::pattern_matrix;
+use crate::util::check_square;
 
 /// Label the connected components of an *undirected* graph: every vertex
 /// receives the smallest vertex id reachable from it.
 ///
 /// Iterative min-label propagation: each round every vertex pulls the
-/// minimum label of its neighbourhood with one `mxv` on `(min, second)` and
+/// minimum label of its neighbourhood with one `mxv` on `(min, second)`
+/// over the boolean adjacency itself (the edge values are never read) and
 /// keeps the smaller of that and its own. Converges in at most the graph
 /// diameter rounds.
 pub fn connected_components<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> Result<Vector<u64>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("connected_components", a)?;
     let n = a.nrows();
-    let a_ids = pattern_matrix(ctx, a, 1u64);
-
-    let mut labels: Vector<u64> = Vector::new_dense(n);
-    for i in 0..n {
-        labels.set(i, i as u64);
-    }
-    let desc = Descriptor::new();
+    let mut labels: Vec<u64> = (0..n as u64).collect();
+    let dense = |l: &[u64]| Vector::from_options(l.iter().copied().map(Some).collect());
+    let (sr, desc) = (MinSecond::<u64>::new(), Descriptor::new());
     loop {
         // neighbourhood minimum: w_i = min over j in N(i) of labels_j
-        let mut nbr_min: Vector<u64> = Vector::new_dense(n);
-        ctx.mxv(
-            &mut nbr_min,
-            None,
-            no_accum(),
-            MinSecond::<u64>::new(),
-            &a_ids,
-            &labels,
-            &desc,
-        )?;
+        let (mut nbr_min, current) = (Vector::new(n), dense(&labels));
+        ctx.mxv(&mut nbr_min, None, no_accum(), sr, a, &current, &desc)?;
         let mut changed = false;
-        for i in 0..n {
-            if let Some(m) = nbr_min.get(i) {
-                let cur = labels.get(i).expect("labels are dense");
-                if m < cur {
-                    labels.set(i, m);
-                    changed = true;
-                }
+        for (cur, m) in labels.iter_mut().zip(nbr_min.options().iter()) {
+            if let Some(m) = m.filter(|m| m < cur) {
+                *cur = m;
+                changed = true;
             }
         }
         if !changed {
-            break;
+            return Ok(dense(&labels));
         }
     }
-    Ok(labels)
 }
 
 /// Number of distinct components in a label vector.
@@ -103,6 +88,14 @@ mod tests {
         let cuda = connected_components(&Context::cuda_default(), &a).unwrap();
         assert_eq!(seq, cuda);
         assert_eq!(component_count(&seq), 3);
+    }
+
+    #[test]
+    fn non_square_is_an_error() {
+        let a = Matrix::<bool>::new(2, 3);
+        assert!(connected_components(&Context::sequential(), &a).is_err());
+        let mis = crate::maximal_independent_set(&Context::sequential(), &a, 1);
+        assert!(mis.is_err());
     }
 
     #[test]

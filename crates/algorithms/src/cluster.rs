@@ -1,25 +1,25 @@
 //! Peer-pressure clustering (Kepner & Gilbert ch. 6; shipped with GBTL).
 
-use gbtl_algebra::{PlusTimes, Second};
+use gbtl_algebra::{PlusSecond, Second};
 use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
 
-use crate::util::pattern_matrix;
+use crate::util::check_square;
 
 /// Peer-pressure clustering: every vertex repeatedly adopts the most
 /// common cluster label among its neighbours (ties to the smallest label).
 ///
 /// Per round: with `P` the vertex→label indicator matrix, `T = A · P` on
-/// `(+, ×)` tallies neighbour votes per label; the per-row arg-max is the
-/// new assignment. Converges (or cycles) quickly; capped at `max_iters`.
+/// `(+, second)` — `A` the boolean adjacency itself — tallies neighbour
+/// votes per label; the per-row arg-max is the new assignment. Converges
+/// (or cycles) quickly; capped at `max_iters`.
 /// Returns the final label vector.
 pub fn peer_pressure<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     max_iters: usize,
 ) -> Result<Vector<u64>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("peer_pressure", a)?;
     let n = a.nrows();
-    let a_cnt = pattern_matrix(ctx, a, 1u64);
 
     let mut labels: Vec<usize> = (0..n).collect();
     for _ in 0..max_iters {
@@ -35,8 +35,8 @@ pub fn peer_pressure<B: Backend>(
             &mut tally,
             None,
             no_accum(),
-            PlusTimes::<u64>::new(),
-            &a_cnt,
+            PlusSecond::<u64>::new(),
+            a,
             &p,
             &Descriptor::new(),
         )?;
@@ -70,13 +70,7 @@ pub fn peer_pressure<B: Backend>(
 }
 
 /// Number of distinct clusters in a label vector.
-pub fn cluster_count(labels: &Vector<u64>) -> usize {
-    let mut set = std::collections::HashSet::new();
-    for (_, l) in labels.iter() {
-        set.insert(l);
-    }
-    set.len()
-}
+pub use crate::cc::component_count as cluster_count;
 
 #[cfg(test)]
 mod tests {

@@ -1,38 +1,34 @@
 //! Graph metrics: degrees, density, degree centrality.
 
-use gbtl_algebra::PlusMonoid;
+use gbtl_algebra::PlusSecond;
 use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
 
-use crate::util::pattern_matrix;
+/// Row sums of the structure, `A·1` on `(+, second)` over the boolean
+/// matrix itself (`Aᵀ·1` with the transpose descriptor).
+fn degrees<B: Backend>(
+    ctx: &Context<B>,
+    a: &Matrix<bool>,
+    desc: Descriptor,
+) -> Result<Vector<u64>> {
+    let (n_out, n_in) = if desc.transpose_a {
+        (a.ncols(), a.nrows())
+    } else {
+        (a.nrows(), a.ncols())
+    };
+    let (mut deg, ones) = (Vector::new(n_out), Vector::filled(n_in, 1));
+    let sr = PlusSecond::<u64>::new();
+    ctx.mxv(&mut deg, None, no_accum(), sr, a, &ones, &desc)?;
+    Ok(deg)
+}
 
 /// Out-degree of every vertex (absent = degree 0).
 pub fn out_degrees<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> Result<Vector<u64>> {
-    let ones = pattern_matrix(ctx, a, 1u64);
-    let mut deg = Vector::new(a.nrows());
-    ctx.reduce_rows(
-        &mut deg,
-        None,
-        no_accum(),
-        PlusMonoid::<u64>::new(),
-        &ones,
-        &Descriptor::new(),
-    )?;
-    Ok(deg)
+    degrees(ctx, a, Descriptor::new())
 }
 
 /// In-degree of every vertex (absent = degree 0).
 pub fn in_degrees<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> Result<Vector<u64>> {
-    let ones = pattern_matrix(ctx, a, 1u64);
-    let mut deg = Vector::new(a.ncols());
-    ctx.reduce_rows(
-        &mut deg,
-        None,
-        no_accum(),
-        PlusMonoid::<u64>::new(),
-        &ones,
-        &Descriptor::new().transpose_a(),
-    )?;
-    Ok(deg)
+    degrees(ctx, a, Descriptor::new().transpose_a())
 }
 
 /// Edge density of a directed graph: `nnz / (n·(n-1))`.

@@ -1,95 +1,71 @@
 //! Maximal independent set — Luby's randomized algorithm.
 
-use gbtl_algebra::MinSecond;
-use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
+use gbtl_algebra::{MinFirst, MinSecond, Second};
+use gbtl_core::{no_accum, Backend, Context, Descriptor, GblasError, Matrix, Result, Vector};
 use rand_shim::SplitMix64;
 
-use crate::util::pattern_matrix;
+use crate::util::check_square;
 
 /// Luby's MIS on an *undirected* graph.
 ///
 /// Each round every candidate vertex draws a random priority; vertices
 /// whose priority beats every candidate neighbour's (one `mxv` on
 /// `(min, second)` over the candidate-masked graph) join the set, and they
-/// and their neighbours leave the candidate pool. Expected `O(log n)`
-/// rounds. Deterministic per seed.
+/// and their neighbours (one `vxm` on `(min, first)`) leave the candidate
+/// pool. Both products read the boolean adjacency as it stands. Expected
+/// `O(log n)` rounds. Deterministic per seed.
+///
+/// The smallest priority always wins its round, so every round retires a
+/// candidate — unless priorities tie, which takes `n > 2²⁰` (the id no
+/// longer fits under the random bits); that is an `InvalidValue` error.
 pub fn maximal_independent_set<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     seed: u64,
 ) -> Result<Vector<bool>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("maximal_independent_set", a)?;
     let n = a.nrows();
-    let a_ids = pattern_matrix(ctx, a, 1u64);
+    let (pull, push) = (MinSecond::<u64>::new(), MinFirst::<u64>::new());
     let desc = Descriptor::new();
 
-    let mut in_set: Vector<bool> = Vector::new_dense(n);
+    let mut in_set: Vec<Option<bool>> = vec![None; n];
     let mut candidate = vec![true; n];
     let mut rng = SplitMix64::new(seed);
-    let mut round = 0u64;
 
     while candidate.iter().any(|&c| c) {
-        round += 1;
         // Draw priorities for candidates (ties broken by vertex id by
         // packing the id into the low bits).
-        let mut prio: Vector<u64> = Vector::new_dense(n);
-        for (i, &is_cand) in candidate.iter().enumerate() {
-            if is_cand {
-                let r = rng.next() >> 32;
-                prio.set(i, (r << 20) | i as u64);
-            }
-        }
+        let draw =
+            |(i, &is_cand): (usize, &bool)| is_cand.then(|| ((rng.next() >> 32) << 20) | i as u64);
+        let prio = Vector::from_options(candidate.iter().enumerate().map(draw).collect());
         // Minimum candidate-neighbour priority per vertex.
-        let mut nbr_min: Vector<u64> = Vector::new_dense(n);
-        ctx.mxv(
-            &mut nbr_min,
-            None,
-            no_accum(),
-            MinSecond::<u64>::new(),
-            &a_ids,
-            &prio,
-            &desc,
-        )?;
-        // Winners: candidates whose priority beats all candidate neighbours.
-        let mut winners = Vec::new();
-        for (i, &is_cand) in candidate.iter().enumerate() {
-            if !is_cand {
-                continue;
-            }
-            let mine = prio.get(i).expect("candidates have priorities");
-            let wins = match nbr_min.get(i) {
-                Some(m) => mine < m,
-                None => true, // no candidate neighbours
-            };
-            if wins {
-                winners.push(i);
-            }
+        let mut nbr_min: Vector<u64> = Vector::new(n);
+        ctx.mxv(&mut nbr_min, None, no_accum(), pull, a, &prio, &desc)?;
+        // Winners: candidates whose priority beats all candidate
+        // neighbours' (or that have none).
+        let (mine, least) = (prio.options(), nbr_min.options());
+        let winners: Vec<usize> = (0..n)
+            .filter(|&i| mine[i].is_some_and(|p| least[i].is_none_or(|m| p < m)))
+            .collect();
+        if winners.is_empty() {
+            return Err(GblasError::InvalidValue {
+                op: "maximal_independent_set",
+                detail: "a round retired no candidate (tied priorities)".into(),
+            });
         }
         for &w in &winners {
-            in_set.set(w, true);
+            in_set[w] = Some(true);
             candidate[w] = false;
         }
         // Knock out winners' neighbours.
-        let mut win_vec: Vector<u64> = Vector::new(n);
-        for &w in &winners {
-            win_vec.set(w, 1u64);
-        }
+        let win_vec = Vector::build(n, winners.iter().map(|&w| (w, 1u64)), Second::new())?;
         let mut knocked: Vector<u64> = Vector::new(n);
-        ctx.vxm(
-            &mut knocked,
-            None,
-            no_accum(),
-            MinSecond::<u64>::new(),
-            &win_vec,
-            &a_ids,
-            &desc,
-        )?;
+        ctx.vxm(&mut knocked, None, no_accum(), push, &win_vec, a, &desc)?;
         for (i, _) in knocked.iter() {
             candidate[i] = false;
         }
-        assert!(round <= n as u64 + 1, "MIS failed to converge");
     }
-    Ok(in_set)
+    Ok(Vector::from_options(in_set))
 }
 
 /// Verify the MIS invariants: no two set members adjacent (independence)

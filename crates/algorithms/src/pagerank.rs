@@ -1,7 +1,9 @@
 //! PageRank with damping and dangling-vertex correction.
 
-use gbtl_algebra::{PlusMonoid, PlusTimes};
-use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
+use gbtl_algebra::PlusSecond;
+use gbtl_core::{no_accum, Backend, Context, Descriptor, GblasError, Matrix, Result, Vector};
+
+use crate::util::check_square;
 
 /// Options for [`pagerank`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,81 +29,74 @@ impl Default for PageRankOptions {
 /// Damped PageRank on a directed graph.
 ///
 /// Per iteration: `r' = (1-d)/n + d·(Aᵀ (r ⊘ outdeg) + dangling_mass/n)`,
-/// where the matrix product is one `mxv` on `(+, ×)` with the transpose
-/// descriptor. Dangling vertices (no out-edges) spread their rank
-/// uniformly. Returns `(ranks, iterations)`; ranks sum to 1.
+/// where the matrix product is one `mxv` on `(+, second)` over the boolean
+/// adjacency itself, with the transpose descriptor (`second(1, x) = 1·x`,
+/// so it is the `(+, ×)` product over a matrix of ones, with no such matrix
+/// built and `a`'s own cached `Aᵀ` used). Dangling vertices (no out-edges)
+/// spread their rank uniformly. Returns `(ranks, iterations)`; ranks sum
+/// to 1.
+///
+/// A non-square `a` is a `DimensionMismatch` error, a damping outside
+/// `[0, 1)` an `InvalidValue` one.
 pub fn pagerank<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     opts: PageRankOptions,
 ) -> Result<(Vector<f64>, usize)> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    assert!(
-        (0.0..1.0).contains(&opts.damping),
-        "damping must be in [0, 1)"
-    );
+    check_square("pagerank", a)?;
+    if !(0.0..1.0).contains(&opts.damping) {
+        return Err(GblasError::InvalidValue {
+            op: "pagerank",
+            detail: format!("damping {} is not in [0, 1)", opts.damping),
+        });
+    }
     let n = a.nrows();
     if n == 0 {
         return Ok((Vector::new(0), 0));
     }
     let nf = n as f64;
-    let a_f = crate::util::pattern_matrix(ctx, a, 1.0f64);
+    let sr = PlusSecond::<f64>::new();
 
-    // out-degrees (as f64); absent = dangling
+    // out-degrees (as f64), the row sums of the structure A·1; absent =
+    // dangling. Read once into a slice: the loop below indexes it n times
+    // an iteration.
+    let (desc, desc_t) = (Descriptor::new(), Descriptor::new().transpose_a());
     let mut outdeg: Vector<f64> = Vector::new(n);
-    ctx.reduce_rows(
-        &mut outdeg,
-        None,
-        no_accum(),
-        PlusMonoid::<f64>::new(),
-        &a_f,
-        &Descriptor::new(),
-    )?;
-    let dangling: Vec<usize> = (0..n).filter(|&i| !outdeg.contains(i)).collect();
+    let ones = Vector::filled(n, 1.0);
+    ctx.mxv(&mut outdeg, None, no_accum(), sr, a, &ones, &desc)?;
+    let outdeg = outdeg.options();
 
     let mut rank = vec![1.0 / nf; n];
-    let desc_t = Descriptor::new().transpose_a();
     let mut iters = 0usize;
     while iters < opts.max_iters {
         iters += 1;
         // scaled = r / outdeg (only where out-edges exist)
-        let mut scaled: Vector<f64> = Vector::new_dense(n);
-        for (i, &r) in rank.iter().enumerate() {
-            if let Some(d) = outdeg.get(i) {
-                scaled.set(i, r / d);
-            }
-        }
-        let mut contrib: Vector<f64> = Vector::new_dense(n);
-        ctx.mxv(
-            &mut contrib,
-            None,
-            no_accum(),
-            PlusTimes::<f64>::new(),
-            &a_f,
-            &scaled,
-            &desc_t,
-        )?;
-        let dangling_mass: f64 = dangling.iter().map(|&i| rank[i]).sum();
+        let scaled = Vector::from_options(
+            rank.iter()
+                .zip(outdeg.iter())
+                .map(|(&r, d)| d.map(|d| r / d))
+                .collect(),
+        );
+        let mut contrib: Vector<f64> = Vector::new(n);
+        ctx.mxv(&mut contrib, None, no_accum(), sr, a, &scaled, &desc_t)?;
+        let dangling = rank.iter().zip(outdeg.iter()).filter(|(_, d)| d.is_none());
+        let dangling_mass: f64 = dangling.map(|(&r, _)| r).sum();
         let base = (1.0 - opts.damping) / nf + opts.damping * dangling_mass / nf;
 
         let mut delta = 0.0f64;
-        let mut next = vec![0.0f64; n];
-        for (i, slot) in next.iter_mut().enumerate() {
-            let c = contrib.get(i).unwrap_or(0.0);
-            *slot = base + opts.damping * c;
-            delta += (*slot - rank[i]).abs();
+        for (r, c) in rank.iter_mut().zip(contrib.options().iter()) {
+            let next = base + opts.damping * c.unwrap_or(0.0);
+            delta += (next - *r).abs();
+            *r = next;
         }
-        rank = next;
         if delta < opts.tolerance {
             break;
         }
     }
-
-    let mut out = Vector::new_dense(n);
-    for (i, &r) in rank.iter().enumerate() {
-        out.set(i, r);
-    }
-    Ok((out, iters))
+    Ok((
+        Vector::from_options(rank.into_iter().map(Some).collect()),
+        iters,
+    ))
 }
 
 #[cfg(test)]
@@ -165,6 +160,21 @@ mod tests {
         let (r, _) = pagerank(&Context::sequential(), &a, PageRankOptions::default()).unwrap();
         for i in 0..3 {
             assert!((r.get(i).unwrap() - 1.0 / 3.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_not_panics() {
+        let ctx = Context::sequential();
+        let wide = Matrix::build(2, 3, [(0usize, 2usize, true)], Second::new()).unwrap();
+        assert!(pagerank(&ctx, &wide, PageRankOptions::default()).is_err());
+        for damping in [1.0, -0.1, f64::NAN] {
+            let opts = PageRankOptions {
+                damping,
+                ..PageRankOptions::default()
+            };
+            let err = pagerank(&ctx, &build(&[(0, 1)], 2), opts).unwrap_err();
+            assert!(matches!(err, GblasError::InvalidValue { .. }), "{err}");
         }
     }
 

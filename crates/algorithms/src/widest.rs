@@ -8,20 +8,23 @@
 use gbtl_algebra::{Bounded, MaxMin, Scalar};
 use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
 
+use crate::util::{check_source, check_square};
+
 /// Maximum-bottleneck capacity from `src` to every reachable vertex over a
 /// non-negative capacity matrix.
 ///
 /// `widest[v]` is the largest `c` such that some path from `src` to `v`
 /// uses only edges of capacity ≥ `c`; `widest[src]` is the domain maximum
-/// (an empty path has unbounded bottleneck). Absent = unreachable.
+/// (an empty path has unbounded bottleneck). Absent = unreachable. `src`
+/// out of range is an `IndexOutOfBounds` error.
 pub fn widest_path<B, T>(ctx: &Context<B>, a: &Matrix<T>, src: usize) -> Result<Vector<T>>
 where
     B: Backend,
     T: Scalar + PartialOrd + Bounded,
 {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    assert!(src < a.nrows(), "source out of range");
+    check_square("widest_path", a)?;
     let n = a.nrows();
+    check_source("widest_path", src, n)?;
 
     let mut width: Vector<T> = Vector::new_dense(n);
     width.set(src, T::max_bound());
@@ -153,6 +156,13 @@ mod tests {
         let seq = widest_path(&Context::sequential(), &a, 0).unwrap();
         let cuda = widest_path(&Context::cuda_default(), &a, 0).unwrap();
         assert_eq!(seq, cuda);
+    }
+
+    #[test]
+    fn bad_source_or_shape_is_an_error() {
+        let ctx = Context::sequential();
+        assert!(widest_path(&ctx, &network(), 5).is_err());
+        assert!(widest_path(&ctx, &Matrix::<u32>::new(2, 3), 0).is_err());
     }
 
     #[test]

@@ -21,10 +21,12 @@ use crate::util::{
 };
 
 /// `C = A ⊕.⊗ B` by expand–sort–compress.
-pub fn mxm<T, S>(gpu: &Gpu, a: &CsrMatrix<T>, b: &CsrMatrix<T>, sr: S) -> CsrMatrix<T>
+pub fn mxm<T, D1, D2, S>(gpu: &Gpu, a: &CsrMatrix<D1>, b: &CsrMatrix<D2>, sr: S) -> CsrMatrix<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
 {
     assert_eq!(a.ncols(), b.nrows(), "mxm inner dimension mismatch");
     assert_key_encodable(a.nrows(), b.ncols());
@@ -66,6 +68,7 @@ where
                         .collect();
                     debug_assert_eq!(candidates.len(), total);
                     let txn = gpu.config().mem_transaction_bytes as u64;
+                    let b_sz = std::mem::size_of::<D2>() as u64;
                     let val_sz = std::mem::size_of::<T>() as u64;
                     gpu.charge_kernel(
                         "spgemm_expand",
@@ -74,7 +77,7 @@ where
                             warp_instructions: 6
                                 * (total as u64).div_ceil(gpu.config().warp_size as u64),
                             mem_transactions: prim::gather_cost(gpu, starts, 8)
-                                + (total as u64 * (8 + val_sz)).div_ceil(txn)   // B-row payload reads
+                                + (total as u64 * (8 + b_sz)).div_ceil(txn)   // B-row payload reads
                                 + (total as u64 * (8 + val_sz)).div_ceil(txn), // candidate writes
                             atomic_ops: 0,
                         },
@@ -99,16 +102,18 @@ where
 
 /// `C<M> = A ⊕.⊗ B` computed per mask entry by merging `A(i,:)` against
 /// `B(:,j)` (the latter supplied as CSC so column access is contiguous).
-pub fn mxm_masked<T, S>(
+pub fn mxm_masked<T, D1, D2, S>(
     gpu: &Gpu,
     mask: &CsrMatrix<bool>,
-    a: &CsrMatrix<T>,
-    b_csc: &CscMatrix<T>,
+    a: &CsrMatrix<D1>,
+    b_csc: &CscMatrix<D2>,
     sr: S,
 ) -> CsrMatrix<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
 {
     assert_eq!(a.ncols(), b_csc.nrows(), "mxm inner dimension mismatch");
     assert_eq!(
@@ -150,23 +155,27 @@ where
 
     // Cost: each entry streams both lists once (contiguous runs).
     let txn = gpu.config().mem_transaction_bytes as u64;
+    let (a_sz, b_sz) = (
+        std::mem::size_of::<D1>() as u64,
+        std::mem::size_of::<D2>() as u64,
+    );
     let val_sz = std::mem::size_of::<T>() as u64;
-    let merged_elems: u64 = (0..mask.nnz())
+    let a_elems: u64 = (0..mask.nnz())
         .into_par_iter()
-        .map(|e| {
-            (a.row_nnz(m_rows[e]) + {
-                let j = m_cols[e];
-                b_csc.col_ptr()[j + 1] - b_csc.col_ptr()[j]
-            }) as u64
-        })
+        .map(|e| a.row_nnz(m_rows[e]) as u64)
         .sum();
+    let b_elems: u64 = (0..mask.nnz())
+        .into_par_iter()
+        .map(|e| (b_csc.col_ptr()[m_cols[e] + 1] - b_csc.col_ptr()[m_cols[e]]) as u64)
+        .sum();
+    let merged_elems = a_elems + b_elems;
     gpu.charge_kernel(
         "spgemm_masked_dot",
         mask.nnz().div_ceil(256).max(1),
         KernelTally {
             warp_instructions: 2 * merged_elems.div_ceil(gpu.config().warp_size as u64)
                 + mask.nnz() as u64,
-            mem_transactions: (merged_elems * (8 + val_sz)).div_ceil(txn)
+            mem_transactions: (a_elems * (8 + a_sz) + b_elems * (8 + b_sz)).div_ceil(txn)
                 + merged_elems / 8 // per-row/col start overhead, amortised
                 + ((mask.nnz() * (8 + val_sz as usize)) as u64).div_ceil(txn),
             atomic_ops: 0,

@@ -36,7 +36,7 @@ pub enum SpmvKernel {
 }
 
 impl SpmvKernel {
-    fn resolve<T: Scalar>(self, a: &CsrMatrix<T>) -> SpmvKernel {
+    fn resolve<D1: Scalar>(self, a: &CsrMatrix<D1>) -> SpmvKernel {
         match self {
             SpmvKernel::Auto => {
                 if a.nrows() > 0 && a.nnz() / a.nrows() >= 6 {
@@ -54,9 +54,9 @@ impl SpmvKernel {
 ///
 /// Semantically identical to the sequential backend's `mxv`; the kernel
 /// choice changes only the modeled cost profile.
-pub fn mxv<T, S>(
+pub fn mxv<T, D1, S>(
     gpu: &Gpu,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D1>,
     u: &DenseVector<T>,
     sr: S,
     mask: Option<VecMask<'_>>,
@@ -64,7 +64,8 @@ pub fn mxv<T, S>(
 ) -> DenseVector<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
 {
     assert_eq!(a.ncols(), u.len(), "mxv dimension mismatch");
     if let Some(keep) = mask {
@@ -79,23 +80,24 @@ where
     DenseVector::from_options(out)
 }
 
-fn spmv_scalar<T, S>(
+fn spmv_scalar<T, D1, S>(
     gpu: &Gpu,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D1>,
     u: &DenseVector<T>,
     sr: S,
     mask: Option<VecMask<'_>>,
     out: &mut [Option<T>],
 ) where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
 {
     let (add, mul) = (sr.add(), sr.mul());
     let row_ptr = a.row_ptr();
     let col_idx = a.col_idx();
     let vals = a.vals();
     let uvals = u.options();
-    let val_sz = std::mem::size_of::<T>();
+    let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
 
     gpu.launch_chunks("spmv_csr_scalar", out, BLOCK_DIM, |b, slice, ctx| {
@@ -156,23 +158,24 @@ fn spmv_scalar<T, S>(
     });
 }
 
-fn spmv_vector<T, S>(
+fn spmv_vector<T, D1, S>(
     gpu: &Gpu,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D1>,
     u: &DenseVector<T>,
     sr: S,
     mask: Option<VecMask<'_>>,
     out: &mut [Option<T>],
 ) where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
 {
     let (add, mul) = (sr.add(), sr.mul());
     let row_ptr = a.row_ptr();
     let col_idx = a.col_idx();
     let vals = a.vals();
     let uvals = u.options();
-    let val_sz = std::mem::size_of::<T>();
+    let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
 
     gpu.launch_chunks("spmv_csr_vector", out, BLOCK_DIM, |b, slice, ctx| {
@@ -222,16 +225,17 @@ fn spmv_vector<T, S>(
 
 /// Push-direction product `w = uᵀ ⊕.⊗ A` for a sparse frontier `u` — the
 /// CUSP-style gather → sort → reduce-by-key pipeline.
-pub fn vxm<T, S>(
+pub fn vxm<T, D2, S>(
     gpu: &Gpu,
     u: &SparseVector<T>,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D2>,
     sr: S,
     mask: Option<VecMask<'_>>,
 ) -> SparseVector<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D2: Scalar,
+    S: Semiring<T, T, D2>,
 {
     assert_eq!(u.len(), a.nrows(), "vxm dimension mismatch");
     if let Some(keep) = mask {
@@ -271,6 +275,7 @@ where
     // Cost of the expansion: row starts gather + mostly-coalesced streams of
     // the rows' columns/values + coalesced candidate writes.
     let txn = gpu.config().mem_transaction_bytes as u64;
+    let edge_sz = std::mem::size_of::<D2>() as u64;
     let val_sz = std::mem::size_of::<T>() as u64;
     gpu.charge_kernel(
         "vxm_expand",
@@ -278,7 +283,7 @@ where
         KernelTally {
             warp_instructions: 4 * (total as u64).div_ceil(gpu.config().warp_size as u64),
             mem_transactions: gbtl_gpu_sim::primitives::gather_cost(gpu, &starts, 8)
-                + (total as u64 * (8 + val_sz)).div_ceil(txn) // row payload reads
+                + (total as u64 * (8 + edge_sz)).div_ceil(txn) // row payload reads
                 + (total as u64 * (8 + val_sz)).div_ceil(txn), // candidate writes
             atomic_ops: 0,
         },

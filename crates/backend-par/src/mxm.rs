@@ -58,10 +58,17 @@ fn assemble_row_ptr(m: usize, counts_per_chunk: &[Vec<usize>]) -> Vec<usize> {
 
 /// `C = A ⊕.⊗ B` over the semiring. Bit-identical to
 /// `gbtl_backend_seq::mxm` at every thread count.
-pub fn mxm<T, S>(pool: &ThreadPool, a: &CsrMatrix<T>, b: &CsrMatrix<T>, sr: S) -> CsrMatrix<T>
+pub fn mxm<T, D1, D2, S>(
+    pool: &ThreadPool,
+    a: &CsrMatrix<D1>,
+    b: &CsrMatrix<D2>,
+    sr: S,
+) -> CsrMatrix<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
 {
     assert_eq!(
         a.ncols(),
@@ -168,16 +175,18 @@ where
 
 /// Masked multiply `C<M> = A ⊕.⊗ B`, computing only positions present in
 /// the structural mask. Bit-identical to `gbtl_backend_seq::mxm_masked`.
-pub fn mxm_masked<T, S>(
+pub fn mxm_masked<T, D1, D2, S>(
     pool: &ThreadPool,
     mask: &CsrMatrix<bool>,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
+    a: &CsrMatrix<D1>,
+    b: &CsrMatrix<D2>,
     sr: S,
 ) -> CsrMatrix<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
 {
     assert_eq!(a.ncols(), b.nrows(), "mxm inner dimension mismatch");
     assert_eq!(

@@ -23,16 +23,17 @@ use gbtl_util::workspace;
 
 /// Pull-direction product `w = A ⊕.⊗ u`; `mask` is a keep test over
 /// output rows. Bit-identical to `gbtl_backend_seq::mxv`.
-pub fn mxv<T, S>(
+pub fn mxv<T, D1, S>(
     pool: &ThreadPool,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D1>,
     u: &DenseVector<T>,
     sr: S,
     mask: Option<VecMask<'_>>,
 ) -> DenseVector<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
 {
     assert_eq!(
         a.ncols(),
@@ -106,16 +107,17 @@ pub fn vxm_range_count(threads: usize, frontier_nnz: usize, push_edges: usize) -
 /// Push-direction product `w = uᵀ ⊕.⊗ A` over a sparse frontier `u`;
 /// `mask` is a keep test over output columns. Bit-identical to
 /// `gbtl_backend_seq::vxm`.
-pub fn vxm<T, S>(
+pub fn vxm<T, D2, S>(
     pool: &ThreadPool,
     u: &SparseVector<T>,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D2>,
     sr: S,
     mask: Option<VecMask<'_>>,
 ) -> SparseVector<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D2: Scalar,
+    S: Semiring<T, T, D2>,
 {
     assert_eq!(
         u.len(),

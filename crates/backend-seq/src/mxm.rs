@@ -10,10 +10,12 @@ use gbtl_util::workspace;
 /// # Panics
 /// When the inner dimensions disagree (`a.ncols() != b.nrows()`); the
 /// frontend validates shapes before dispatch.
-pub fn mxm<T, S>(a: &CsrMatrix<T>, b: &CsrMatrix<T>, sr: S) -> CsrMatrix<T>
+pub fn mxm<T, D1, D2, S>(a: &CsrMatrix<D1>, b: &CsrMatrix<D2>, sr: S) -> CsrMatrix<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
 {
     assert_eq!(
         a.ncols(),
@@ -71,15 +73,17 @@ where
 /// Same Gustavson traversal, but terms accumulate only into positions the
 /// mask row marks, so the output (and workspace writes) never exceed
 /// `nnz(M)`.
-pub fn mxm_masked<T, S>(
+pub fn mxm_masked<T, D1, D2, S>(
     mask: &CsrMatrix<bool>,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
+    a: &CsrMatrix<D1>,
+    b: &CsrMatrix<D2>,
     sr: S,
 ) -> CsrMatrix<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
 {
     assert_eq!(a.ncols(), b.nrows(), "mxm inner dimension mismatch");
     assert_eq!(

@@ -14,15 +14,19 @@ use gbtl_util::workspace;
 ///
 /// `mask`, when present, is a keep test over output positions: rows it does
 /// not keep are not even visited, so the result holds kept positions only.
-pub fn mxv<T, S>(
-    a: &CsrMatrix<T>,
+///
+/// The matrix's value domain `D1` is the semiring's first operand domain; it
+/// need not be `T` (a boolean adjacency under `MinSecond<u64>`).
+pub fn mxv<T, D1, S>(
+    a: &CsrMatrix<D1>,
     u: &DenseVector<T>,
     sr: S,
     mask: Option<VecMask<'_>>,
 ) -> DenseVector<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
 {
     assert_eq!(
         a.ncols(),
@@ -65,15 +69,18 @@ where
 /// Only rows of `A` selected by stored entries of `u` are touched — the
 /// frontier-expansion step of push BFS/SSSP. `mask` filters output
 /// positions: the result holds kept positions only.
-pub fn vxm<T, S>(
+/// Here the matrix's value domain `D2` is the semiring's *second* operand
+/// domain (`MinFirst<u64>` over a boolean adjacency).
+pub fn vxm<T, D2, S>(
     u: &SparseVector<T>,
-    a: &CsrMatrix<T>,
+    a: &CsrMatrix<D2>,
     sr: S,
     mask: Option<VecMask<'_>>,
 ) -> SparseVector<T>
 where
     T: Scalar,
-    S: Semiring<T>,
+    D2: Scalar,
+    S: Semiring<T, T, D2>,
 {
     assert_eq!(
         u.len(),

@@ -1289,8 +1289,9 @@ fn f2_sssp() {
 fn f3_pr_tc() {
     print_header(
         "R-F3: PageRank (20 iters) and triangle counting",
-        "PageRank: dense mxv iterations, device wins at scale. Triangles: masked \
-         dot-product mxm; RMAT's wedge explosion makes it far heavier than the ER \
+        "PageRank: dense mxv iterations, device wins at scale. Triangles: the \
+         cheapest of three masked products by multiply-add count (printed: chosen \
+         vs rejected); RMAT's wedge explosion makes it far heavier than the ER \
          graph of equal size on both backends",
     );
     let opts = PageRankOptions {
@@ -1326,6 +1327,16 @@ fn f3_pr_tc() {
                 wall,
                 model,
             ));
+            // the decision record the mxm span carries: form=… flops=… of …
+            let traced = seq_ctx().with_trace_mode(TraceMode::Summary);
+            let _ = triangle_count(&traced, &a).unwrap();
+            let report = traced.trace();
+            let decided = report.spans.iter().find(|s| s.fields.op == "mxm");
+            let label = decided.map_or("", |s| s.fields.op_label.as_str());
+            println!(
+                "    {}",
+                label.split_once(' ').map_or(label, |(_, rest)| rest)
+            );
         }
     }
 }

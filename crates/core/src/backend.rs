@@ -20,6 +20,10 @@ use crate::policy::{DirectionPolicy, LevelWork, Product};
 /// frontend passes the mask vector's own storage with the complement flag,
 /// a caller holding a keep-bitmap passes the `&[bool]`), a matrix mask is a
 /// structural boolean CSR. Shapes are already validated.
+///
+/// The products are generic over their operands' value domains: a matrix
+/// is read in whatever type it is stored (`D1`/`D2`), the semiring maps it
+/// into the output domain `T`. There is no pattern-only twin of any kernel.
 pub trait Backend: Send + Sync {
     /// Human-readable backend name (for reports).
     fn name(&self) -> &'static str;
@@ -41,19 +45,19 @@ pub trait Backend: Send + Sync {
     }
 
     /// `C = A ⊕.⊗ B`.
-    fn mxm<T: Scalar, S: Semiring<T>>(
+    fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T>;
 
     /// `C<M> = A ⊕.⊗ B` over a structural mask.
-    fn mxm_masked<T: Scalar, S: Semiring<T>>(
+    fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
         mask: &CsrMatrix<bool>,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T>;
 
@@ -61,9 +65,9 @@ pub trait Backend: Send + Sync {
     /// skipped: the result holds kept positions only (the frontend relies
     /// on it — under `replace` with no accumulator the result *is* the
     /// output).
-    fn mxv<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
         &self,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
         u: &DenseVector<T>,
         sr: S,
         mask: Option<M>,
@@ -71,10 +75,10 @@ pub trait Backend: Send + Sync {
 
     /// Push-direction `w = uᵀ ⊕.⊗ A`. Like [`Backend::mxv`], the result
     /// holds kept positions only.
-    fn vxm<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
         &self,
         u: &SparseVector<T>,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D2>,
         sr: S,
         mask: Option<M>,
     ) -> SparseVector<T>;
@@ -198,28 +202,28 @@ impl Backend for SeqBackend {
         "sequential"
     }
 
-    fn mxm<T: Scalar, S: Semiring<T>>(
+    fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
         gbtl_backend_seq::mxm(a, b, sr)
     }
 
-    fn mxm_masked<T: Scalar, S: Semiring<T>>(
+    fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
         mask: &CsrMatrix<bool>,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
         gbtl_backend_seq::mxm_masked(mask, a, b, sr)
     }
 
-    fn mxv<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
         &self,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
         u: &DenseVector<T>,
         sr: S,
         mask: Option<M>,
@@ -227,10 +231,10 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::mxv(a, u, sr, mask.map(Into::into))
     }
 
-    fn vxm<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
         &self,
         u: &SparseVector<T>,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D2>,
         sr: S,
         mask: Option<M>,
     ) -> SparseVector<T> {
@@ -462,28 +466,28 @@ impl Backend for ParBackend {
         policy.edge_cost_prefers_pull(level, push_fanout, PAR_FANOUT_NS)
     }
 
-    fn mxm<T: Scalar, S: Semiring<T>>(
+    fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
         gbtl_backend_par::mxm(&self.pool, a, b, sr)
     }
 
-    fn mxm_masked<T: Scalar, S: Semiring<T>>(
+    fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
         mask: &CsrMatrix<bool>,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
         gbtl_backend_par::mxm_masked(&self.pool, mask, a, b, sr)
     }
 
-    fn mxv<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
         &self,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
         u: &DenseVector<T>,
         sr: S,
         mask: Option<M>,
@@ -491,10 +495,10 @@ impl Backend for ParBackend {
         gbtl_backend_par::mxv(&self.pool, a, u, sr, mask.map(Into::into))
     }
 
-    fn vxm<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
         &self,
         u: &SparseVector<T>,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D2>,
         sr: S,
         mask: Option<M>,
     ) -> SparseVector<T> {
@@ -745,20 +749,20 @@ impl Backend for CudaBackend {
             && level.unvisited < level.frontier_nnz.saturating_mul(PULL_UNVISITED_FACTOR)
     }
 
-    fn mxm<T: Scalar, S: Semiring<T>>(
+    fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
         gbtl_backend_cuda::mxm(&self.gpu, a, b, sr)
     }
 
-    fn mxm_masked<T: Scalar, S: Semiring<T>>(
+    fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
         mask: &CsrMatrix<bool>,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
+        b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
         // Column view of B via the device transpose kernel: the CSR of Bᵀ
@@ -768,9 +772,9 @@ impl Backend for CudaBackend {
         gbtl_backend_cuda::mxm_masked(&self.gpu, mask, a, &b_csc, sr)
     }
 
-    fn mxv<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
         &self,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D1>,
         u: &DenseVector<T>,
         sr: S,
         mask: Option<M>,
@@ -781,10 +785,10 @@ impl Backend for CudaBackend {
         gbtl_backend_cuda::mxv(&self.gpu, a, u, sr, mask.map(Into::into), self.spmv_kernel)
     }
 
-    fn vxm<'m, T: Scalar, S: Semiring<T>, M: Into<VecMask<'m>>>(
+    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
         &self,
         u: &SparseVector<T>,
-        a: &CsrMatrix<T>,
+        a: &CsrMatrix<D2>,
         sr: S,
         mask: Option<M>,
     ) -> SparseVector<T> {

@@ -16,6 +16,17 @@
 //! consumer (no copies on hit). The store is a small LRU guarded by a
 //! mutex; the `O(nnz)` transpose build happens **outside** the lock.
 //!
+//! Entries come in two classes. *Computed* entries — a query needed `Aᵀ`
+//! and built it — are the LRU, bounded by the capacity. *Pinned* entries —
+//! placed by [`TransposeCache::seed`] or [`TransposeCache::get_or_build_pinned`]
+//! when a catalog loads or restores a graph — stand outside both the bound
+//! and the LRU order: no number of computed entries evicts them, so a served
+//! graph stays pull-eligible whatever else the server computes. A pinned
+//! entry lives exactly as long as the matrix buffer it transposes (it holds
+//! a `Weak` to it): when the graph is unloaded or replaced by a reload and
+//! its last handle drops, the entry — unreachable from then on — is swept at
+//! the next insert. [`TransposeCache::clear`] drops everything.
+//!
 //! The cache is internally shared: cloning a `TransposeCache` yields a
 //! handle to the same store, which is how `gbtl-serve` gives all worker
 //! engines (and all three backends) one pre-warmed cache. Cross-backend
@@ -28,7 +39,7 @@
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use gbtl_algebra::Scalar;
 use gbtl_sparse::CsrMatrix;
@@ -43,6 +54,25 @@ struct Entry {
     version: u64,
     ty: TypeId,
     value: Arc<dyn Any + Send + Sync>,
+    /// Set by a seed/prewarm: the entry is exempt from the capacity bound
+    /// for as long as the source matrix's buffer is alive.
+    pin: Option<Pin>,
+}
+
+/// The source buffer of a pinned entry, and how many strong references to
+/// it the entry itself holds (1 when a symmetric matrix was seeded as its
+/// own transpose, else 0) — the buffer is alive while anyone else holds it.
+struct Pin {
+    source: Weak<dyn Any + Send + Sync>,
+    own_refs: usize,
+}
+
+impl Entry {
+    fn unreachable(&self) -> bool {
+        self.pin
+            .as_ref()
+            .is_some_and(|p| p.source.strong_count() <= p.own_refs)
+    }
 }
 
 #[derive(Default)]
@@ -89,17 +119,20 @@ impl std::fmt::Debug for TransposeCache {
 pub struct TransposeCacheStats {
     /// Whether lookups consult the store at all.
     pub enabled: bool,
-    /// Maximum resident entries.
+    /// Maximum resident computed (not pinned) entries.
     pub capacity: usize,
-    /// Currently resident entries.
+    /// Currently resident entries, pinned ones included.
     pub entries: usize,
+    /// Resident entries placed by a seed/prewarm (outside the capacity
+    /// bound while their matrix is alive).
+    pub pinned: usize,
     /// Lookups served from the store (no transpose built).
     pub hits: u64,
     /// Lookups that had to build the transpose.
     pub misses: u64,
-    /// Entries dropped by the LRU capacity bound.
+    /// Computed entries dropped by the LRU capacity bound.
     pub evictions: u64,
-    /// Stale generations dropped because their matrix changed.
+    /// Entries dropped because their matrix changed or is gone.
     pub invalidations: u64,
     /// Entries installed via [`TransposeCache::seed`] (prewarms; counted
     /// as neither hit nor miss, but visible so operators can confirm a
@@ -165,12 +198,41 @@ impl TransposeCache {
 
     /// The transpose of the matrix identified by `(id, version)`, served
     /// shared from the store when present, else built with `build` (outside
-    /// the store lock) and inserted.
+    /// the store lock) and inserted as a computed entry.
     pub fn get_or_build<T: Scalar>(
         &self,
         id: u64,
         version: u64,
         build: impl FnOnce() -> CsrMatrix<T>,
+    ) -> Arc<CsrMatrix<T>> {
+        self.lookup(id, version, build, None)
+    }
+
+    /// [`TransposeCache::get_or_build`] that leaves the entry pinned for as
+    /// long as `source` — the matrix's own buffer — is alive: the prewarm
+    /// path for a matrix whose transpose must be built. Counts a hit or a
+    /// miss like any lookup.
+    pub fn get_or_build_pinned<T: Scalar>(
+        &self,
+        id: u64,
+        version: u64,
+        source: &Arc<CsrMatrix<T>>,
+        build: impl FnOnce() -> CsrMatrix<T>,
+    ) -> Arc<CsrMatrix<T>> {
+        let source = Arc::downgrade(source) as Weak<dyn Any + Send + Sync>;
+        let pin = Pin {
+            source,
+            own_refs: 0,
+        };
+        self.lookup(id, version, build, Some(pin))
+    }
+
+    fn lookup<T: Scalar>(
+        &self,
+        id: u64,
+        version: u64,
+        build: impl FnOnce() -> CsrMatrix<T>,
+        pin: Option<Pin>,
     ) -> Arc<CsrMatrix<T>> {
         let c = &self.inner.counters;
         if !self.inner.enabled {
@@ -184,7 +246,8 @@ impl TransposeCache {
                 .iter()
                 .position(|e| e.id == id && e.version == version && e.ty == ty)
             {
-                let entry = entries.remove(pos);
+                let mut entry = entries.remove(pos);
+                entry.pin = entry.pin.or(pin);
                 let value = Arc::clone(&entry.value);
                 entries.push(entry); // most-recently-used at the back
                 c.hits.fetch_add(1, Ordering::Relaxed);
@@ -195,55 +258,63 @@ impl TransposeCache {
         }
         c.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build());
-        let mut entries = self.inner.entries.lock().unwrap();
-        // Any resident generation of this matrix is now stale (or, if a
-        // racing thread inserted this same version, redundant) — drop it.
-        let before = entries.len();
-        entries.retain(|e| !(e.id == id && e.ty == ty));
-        c.invalidations
-            .fetch_add((before - entries.len()) as u64, Ordering::Relaxed);
-        entries.push(Entry {
+        self.insert(Entry {
             id,
             version,
             ty,
             value: Arc::clone(&built) as Arc<dyn Any + Send + Sync>,
+            pin,
         });
-        while entries.len() > self.inner.capacity {
-            entries.remove(0);
-            c.evictions.fetch_add(1, Ordering::Relaxed);
-        }
         built
     }
 
-    /// Install `value` as the transpose of the matrix identified by
-    /// `(id, version)` without building anything — the zero-cost prewarm
-    /// path for matrices whose transpose is already at hand (e.g. a
-    /// symmetric matrix is its own transpose, so its buffer can be shared
-    /// straight into the store). Counts as neither hit nor miss; stale
-    /// generations of the same matrix are invalidated exactly as on a
-    /// built insert. No-op when the cache is disabled.
+    /// Insert `entry`, dropping any resident generation of its matrix (now
+    /// stale, or — if a racing thread inserted this same version —
+    /// redundant) and every pinned entry whose matrix is gone, then evict
+    /// least-recently-used *computed* entries down to the capacity.
+    fn insert(&self, entry: Entry) {
+        let c = &self.inner.counters;
+        let mut entries = self.inner.entries.lock().unwrap();
+        let before = entries.len();
+        let same_matrix = |e: &Entry| e.id == entry.id && e.ty == entry.ty;
+        entries.retain(|e| !(same_matrix(e) || e.unreachable()));
+        c.invalidations
+            .fetch_add((before - entries.len()) as u64, Ordering::Relaxed);
+        entries.push(entry);
+        let mut computed = entries.iter().filter(|e| e.pin.is_none()).count();
+        while computed > self.inner.capacity {
+            let lru = entries
+                .iter()
+                .position(|e| e.pin.is_none())
+                .expect("a computed entry is resident");
+            entries.remove(lru);
+            computed -= 1;
+            c.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Install `value` — a symmetric matrix's own buffer — as that matrix's
+    /// transpose without building anything: the zero-cost prewarm. The
+    /// entry is pinned for as long as anyone but the cache holds the
+    /// buffer. Counts as neither hit nor miss; stale generations of the
+    /// same matrix are invalidated exactly as on a built insert. No-op when
+    /// the cache is disabled.
     pub fn seed<T: Scalar>(&self, id: u64, version: u64, value: Arc<CsrMatrix<T>>) {
         if !self.inner.enabled {
             return;
         }
-        let ty = TypeId::of::<T>();
-        let c = &self.inner.counters;
-        c.seeds.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.inner.entries.lock().unwrap();
-        let before = entries.len();
-        entries.retain(|e| !(e.id == id && e.ty == ty));
-        c.invalidations
-            .fetch_add((before - entries.len()) as u64, Ordering::Relaxed);
-        entries.push(Entry {
+        self.inner.counters.seeds.fetch_add(1, Ordering::Relaxed);
+        let source = Arc::downgrade(&value) as Weak<dyn Any + Send + Sync>;
+        self.insert(Entry {
             id,
             version,
-            ty,
+            ty: TypeId::of::<T>(),
             value: value as Arc<dyn Any + Send + Sync>,
+            pin: Some(Pin {
+                source,
+                own_refs: 1,
+            }),
         });
-        while entries.len() > self.inner.capacity {
-            entries.remove(0);
-            c.evictions.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Whether the transpose of the matrix identified by `(id, version)`
@@ -265,7 +336,8 @@ impl TransposeCache {
             .any(|e| e.id == id && e.version == version && e.ty == ty)
     }
 
-    /// Drop every resident entry (counters are preserved).
+    /// Drop every resident entry, pinned ones included (counters are
+    /// preserved).
     pub fn clear(&self) {
         self.inner.entries.lock().unwrap().clear();
     }
@@ -273,10 +345,18 @@ impl TransposeCache {
     /// Snapshot the cache counters.
     pub fn stats(&self) -> TransposeCacheStats {
         let c = &self.inner.counters;
+        let (entries, pinned) = {
+            let entries = self.inner.entries.lock().unwrap();
+            (
+                entries.len(),
+                entries.iter().filter(|e| e.pin.is_some()).count(),
+            )
+        };
         TransposeCacheStats {
             enabled: self.inner.enabled,
             capacity: self.inner.capacity,
-            entries: self.inner.entries.lock().unwrap().len(),
+            entries,
+            pinned,
             hits: c.hits.load(Ordering::Relaxed),
             misses: c.misses.load(Ordering::Relaxed),
             evictions: c.evictions.load(Ordering::Relaxed),
@@ -399,6 +479,34 @@ mod tests {
         off.seed(9, 1, Arc::new(csr(2, &[])));
         assert_eq!(off.stats().seeds, 0);
         assert!(!off.contains::<i64>(9, 1));
+    }
+
+    #[test]
+    fn pinned_entries_outlive_computed_ones_and_die_with_their_matrix() {
+        let cache = TransposeCache::with_capacity(2);
+        let symmetric = Arc::new(csr(2, &[(0, 1, 1), (1, 0, 1)]));
+        cache.seed(1, 1, Arc::clone(&symmetric));
+        let built_from = Arc::new(csr(2, &[(0, 1, 1)]));
+        cache.get_or_build_pinned(2, 1, &built_from, || built_from.transpose());
+        for id in 10..20 {
+            cache.get_or_build(id, 1, || csr(2, &[]));
+        }
+        let s = cache.stats();
+        assert_eq!((s.entries, s.pinned, s.evictions), (4, 2, 8));
+        assert!(cache.contains::<i64>(1, 1) && cache.contains::<i64>(2, 1));
+        // a hit through the pinning lookup pins a computed entry in place
+        let late = Arc::new(csr(2, &[]));
+        cache.get_or_build_pinned::<i64>(19, 1, &late, || panic!("resident"));
+        assert_eq!(cache.stats().pinned, 3);
+        // the matrices go away (a reload dropped the graph): the next
+        // insert sweeps their entries, nobody had to say so
+        drop((symmetric, built_from));
+        cache.get_or_build(20, 1, || csr(2, &[]));
+        let s = cache.stats();
+        assert_eq!((s.pinned, s.invalidations), (1, 2));
+        assert!(!cache.contains::<i64>(1, 1) && !cache.contains::<i64>(2, 1));
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -156,22 +156,25 @@ impl<B: Backend> Context<B> {
     }
 
     /// Build (or refresh) `a`'s transpose in the cache so the first pull
-    /// query pays nothing. No-op when the cache is disabled.
-    ///
-    /// `gbtl-serve` calls this from the catalog on graph load/reload.
+    /// query pays nothing, and pin it there: computed transposes never
+    /// evict it, it goes when `a`'s buffer does (the last handle dropped,
+    /// or `a` mutated). No-op when the cache is disabled.
     pub fn prewarm_transpose<T: Scalar>(&self, a: &Matrix<T>) {
         if !self.transpose_cache.enabled() {
             return;
         }
-        let _ = self
-            .transpose_cache
-            .get_or_build(a.id(), a.version(), || self.backend.transpose(a.csr()));
+        let _ =
+            self.transpose_cache
+                .get_or_build_pinned(a.id(), a.version(), &a.shared_csr(), || {
+                    self.backend.transpose(a.csr())
+                });
     }
 
     /// Prewarm the transpose cache for a matrix the *caller asserts* is
     /// symmetric (`a == aᵀ`): the matrix's own buffer is shared into the
     /// cache as its transpose, so the warm is O(1) — no counting pass, no
-    /// copy. Callers must hold a real symmetry guarantee (e.g. the serve
+    /// copy — and the entry is pinned like [`Context::prewarm_transpose`]'s.
+    /// Callers must hold a real symmetry guarantee (e.g. the serve
     /// catalog validates it on every install path); seeding an asymmetric
     /// matrix would silently corrupt pull-direction results. No-op when
     /// the cache is disabled.
@@ -218,7 +221,15 @@ impl<B: Backend> Context<B> {
             title: "transpose cache".into(),
             entries: vec![
                 ("enabled".into(), cs.enabled.to_string()),
-                ("entries".into(), format!("{}/{}", cs.entries, cs.capacity)),
+                (
+                    "entries".into(),
+                    format!(
+                        "{}/{} computed, {} pinned",
+                        cs.entries - cs.pinned,
+                        cs.capacity,
+                        cs.pinned
+                    ),
+                ),
                 ("hits".into(), cs.hits.to_string()),
                 ("misses".into(), cs.misses.to_string()),
                 ("evictions".into(), cs.evictions.to_string()),
@@ -314,6 +325,13 @@ impl<B: Backend> Context<B> {
                 pull_ready: decision.pull_ready,
             },
         );
+    }
+
+    /// Attach a decision record to the next op dispatched on this context
+    /// ([`gbtl_trace::Tracer::note_next_op`]); free when nothing is traced.
+    #[inline]
+    pub fn note_next_op(&self, note: impl FnOnce() -> String) {
+        self.tracer.note_next_op(note);
     }
 
     /// Open an op span (one branch, nothing else, when tracing is off).

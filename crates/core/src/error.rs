@@ -22,6 +22,14 @@ pub enum GblasError {
         /// The bound it violated.
         bound: usize,
     },
+    /// A scalar argument is outside the range the operation is defined on
+    /// (GraphBLAS `GrB_INVALID_VALUE`).
+    InvalidValue {
+        /// Which operation raised the error.
+        op: &'static str,
+        /// What was wrong with which argument.
+        detail: String,
+    },
     /// A container-level error (construction, I/O) bubbled up.
     Container(SparseError),
 }
@@ -35,6 +43,7 @@ impl std::fmt::Display for GblasError {
             GblasError::IndexOutOfBounds { op, index, bound } => {
                 write!(f, "{op}: index {index} out of bounds ({bound})")
             }
+            GblasError::InvalidValue { op, detail } => write!(f, "{op}: invalid value ({detail})"),
             GblasError::Container(e) => write!(f, "container error: {e}"),
         }
     }

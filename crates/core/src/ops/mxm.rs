@@ -25,19 +25,26 @@ impl<B: Backend> Context<B> {
     /// masked-multiply kernel so masked-out entries are never computed (the
     /// triangle-counting path); complemented masks compute fully and filter
     /// during the stitch.
-    pub fn mxm<T, S, Acc>(
+    ///
+    /// The operands are read in the domains they are stored in (`D1`, `D2`);
+    /// the semiring maps them into the output's. `PlusPair<u64>` over two
+    /// boolean matrices counts structural intersections with no typed copy
+    /// of either.
+    pub fn mxm<T, D1, D2, S, Acc>(
         &self,
         c: &mut Matrix<T>,
         mask: Option<&Matrix<bool>>,
         accum: Option<Acc>,
         sr: S,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
+        a: &Matrix<D1>,
+        b: &Matrix<D2>,
         desc: &Descriptor,
     ) -> Result<()>
     where
         T: Scalar,
-        S: Semiring<T>,
+        D1: Scalar,
+        D2: Scalar,
+        S: Semiring<T, D1, D2>,
         Acc: BinaryOp<T>,
     {
         let t0 = self.span();

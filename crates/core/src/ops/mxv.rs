@@ -32,19 +32,25 @@ impl<B: Backend> Context<B> {
     /// skipped — the optimisation experiment R-A2 quantifies — and nothing
     /// is built per call. With a mask, `replace` and no accumulator the
     /// backend's result already is the output and passes straight through.
-    pub fn mxv<T, S, Acc>(
+    ///
+    /// The matrix is the semiring's first operand and is read in the domain
+    /// it is stored in: `MinSecond<u64>` pulls `u64` labels over a boolean
+    /// adjacency as it stands — and its own `(id, version)` is what the
+    /// transpose cache is asked for.
+    pub fn mxv<T, D1, S, Acc>(
         &self,
         w: &mut Vector<T>,
         mask: Option<&Vector<bool>>,
         accum: Option<Acc>,
         sr: S,
-        a: &Matrix<T>,
+        a: &Matrix<D1>,
         u: &Vector<T>,
         desc: &Descriptor,
     ) -> Result<()>
     where
         T: Scalar,
-        S: Semiring<T>,
+        D1: Scalar,
+        S: Semiring<T, D1, T>,
         Acc: BinaryOp<T>,
     {
         let t0 = self.span();
@@ -113,19 +119,23 @@ impl<B: Backend> Context<B> {
     /// complemented, `replace`, no accumulator, sparse frontier) does no
     /// O(n) work here: the mask is handed to the backend as it is stored and
     /// the backend's result is the output.
-    pub fn vxm<T, S, Acc>(
+    ///
+    /// Here the matrix is the semiring's *second* operand (`MinFirst<u64>`
+    /// pushes vertex ids over a boolean adjacency).
+    pub fn vxm<T, D2, S, Acc>(
         &self,
         w: &mut Vector<T>,
         mask: Option<&Vector<bool>>,
         accum: Option<Acc>,
         sr: S,
         u: &Vector<T>,
-        a: &Matrix<T>,
+        a: &Matrix<D2>,
         desc: &Descriptor,
     ) -> Result<()>
     where
         T: Scalar,
-        S: Semiring<T>,
+        D2: Scalar,
+        S: Semiring<T, T, D2>,
         Acc: BinaryOp<T>,
     {
         // For vxm the descriptor's transpose_a transposes the matrix, i.e.

@@ -357,6 +357,13 @@ impl<T: Scalar> Vector<T> {
         Self::from_repr(VectorRepr::Dense(DenseVector::filled(n, fill)))
     }
 
+    /// A bitmap-stored vector from one `Option` per position — the bulk
+    /// constructor for a dense per-iteration vector: one pass and one
+    /// version stamp, where `n` calls of [`Vector::set`] draw `n` stamps.
+    pub fn from_options(vals: Vec<Option<T>>) -> Self {
+        Self::from_repr(VectorRepr::Dense(DenseVector::from_options(vals)))
+    }
+
     /// Build from `(index, value)` pairs, merging duplicates with `dup`.
     pub fn build<D: BinaryOp<T>>(
         n: Index,
@@ -423,6 +430,23 @@ impl<T: Scalar> Vector<T> {
         match &self.repr {
             VectorRepr::Sparse(v) => v.get(i),
             VectorRepr::Dense(v) => v.get(i),
+        }
+    }
+
+    /// One `Option` per position — the bulk read of a dense result:
+    /// borrowed from a bitmap-stored vector (what `mxv` returns), built in
+    /// O(n) from a sparse one. Indexing it is a load; [`Vector::get`] on a
+    /// sparse vector is a binary search.
+    pub fn options(&self) -> std::borrow::Cow<'_, [Option<T>]> {
+        match &self.repr {
+            VectorRepr::Dense(d) => d.options().into(),
+            VectorRepr::Sparse(s) => {
+                let mut opts = vec![None; s.len()];
+                for (i, v) in s.iter() {
+                    opts[i] = Some(v);
+                }
+                opts.into()
+            }
         }
     }
 
@@ -655,6 +679,20 @@ mod tests {
             assert_eq!(v.extract_tuples(), original.extract_tuples());
             assert_eq!((v.id(), v.version()), (original.id(), original.version()));
         }
+    }
+
+    #[test]
+    fn bulk_constructor_and_bulk_read_round_trip() {
+        let opts = vec![None, Some(10i64), None, Some(30)];
+        let d = Vector::from_options(opts.clone());
+        assert!(!d.is_sparse());
+        assert_eq!(d.nnz(), 2);
+        assert!(matches!(d.options(), std::borrow::Cow::Borrowed(_)));
+        let mut s = Vector::new(4);
+        s.set(1, 10i64);
+        s.set(3, 30);
+        assert_eq!(s, d);
+        assert_eq!(&s.options()[..], &opts[..]);
     }
 
     #[test]

@@ -159,9 +159,11 @@ fn algorithms_record_spans() {
     let _ = connected_components(&ctx, &a).unwrap();
     let _ = gbtl::algorithms::pagerank(&ctx, &a, PageRankOptions::default()).unwrap();
     let r = ctx.trace();
-    for op in ["vxm", "mxv", "mxm", "select_mat", "reduce_mat", "apply_mat"] {
+    for op in ["vxm", "mxv", "mxm", "select_mat", "reduce_mat"] {
         assert!(r.op(op).is_some(), "algorithm suite never dispatched {op}");
     }
+    // structure-only operands: no algorithm retypes the graph into a copy
+    assert!(r.op("apply_mat").is_none(), "a typed copy of the graph");
     assert!(r.total_spans > 10);
 }
 
