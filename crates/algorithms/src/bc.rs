@@ -1,6 +1,6 @@
 //! Betweenness centrality — Brandes' algorithm in GraphBLAS form.
 
-use gbtl_algebra::{PlusFirst, PlusSecond};
+use gbtl_algebra::{PlusFirst, PlusSecond, Second};
 use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
     LevelWork, Matrix, Result, Vector,
@@ -189,10 +189,14 @@ pub fn betweenness_centrality_exact<B: Backend>(
     betweenness_centrality(ctx, a, &sources)
 }
 
+#[allow(dead_code)]
+fn _ops_used() {
+    let _ = Second::<f64>::new();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbtl_algebra::Second;
 
     fn undirected(edges: &[(usize, usize)], n: usize) -> Matrix<bool> {
         let mut triples = Vec::new();

@@ -70,7 +70,13 @@ pub fn peer_pressure<B: Backend>(
 }
 
 /// Number of distinct clusters in a label vector.
-pub use crate::cc::component_count as cluster_count;
+pub fn cluster_count(labels: &Vector<u64>) -> usize {
+    let mut set = std::collections::HashSet::new();
+    for (_, l) in labels.iter() {
+        set.insert(l);
+    }
+    set.len()
+}
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //! * [`bfs`] — breadth-first search (levels and parents; push/pull/auto)
 //! * [`sssp`] — single-source shortest paths (Bellman–Ford on min-plus)
 //! * [`pagerank`] — damped PageRank with dangling-mass correction
-//! * [`triangle`] — triangle counting (the cheapest of three masked products)
+//! * [`triangle`] — triangle counting (the masked product `C<L> = L·L`)
 //! * [`widest`] — widest (maximum-bottleneck) paths on `(max, min)`
 //! * [`cc`] — connected components (min-label propagation)
 //! * [`coloring`] — greedy graph coloring (Luby MIS rounds)
@@ -77,6 +77,6 @@ pub use multi::{
 };
 pub use pagerank::pagerank;
 pub use sssp::{sssp, sssp_with_direction};
-pub use triangle::{formulation_flops, triangle_count, triangle_count_as, Formulation};
-pub use util::{adjacency, pattern_matrix};
+pub use triangle::triangle_count;
+pub use util::{adjacency, pattern_matrix, tril, triu};
 pub use widest::widest_path;

@@ -1,7 +1,7 @@
-//! Shared helpers: argument checks, typed pattern matrices, adjacency
-//! construction.
+//! Shared helpers: argument checks, typed pattern matrices and triangular
+//! extraction.
 
-use gbtl_algebra::{Scalar, UnaryOp};
+use gbtl_algebra::{Scalar, Second, UnaryOp};
 use gbtl_core::{Backend, Context, GblasError, Matrix, Result};
 
 /// Unary op returning a constant, used to retype structure matrices.
@@ -65,6 +65,31 @@ pub fn pattern_matrix<B: Backend, A: Scalar, T: Scalar>(
     ctx.apply_mat_new(Const::<A, T>::new(one), a)
 }
 
+/// Strictly-lower-triangular part of `A` (host-side structural filter — a
+/// preprocessing step identical for both backends).
+pub fn tril<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
+    let (rows, cols, vals) = a.extract_tuples();
+    let triples = rows
+        .into_iter()
+        .zip(cols)
+        .zip(vals)
+        .filter(|&((i, j), _)| j < i)
+        .map(|((i, j), v)| (i, j, v));
+    Matrix::build(a.nrows(), a.ncols(), triples, Second::new()).expect("indices from valid matrix")
+}
+
+/// Strictly-upper-triangular part of `A`.
+pub fn triu<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
+    let (rows, cols, vals) = a.extract_tuples();
+    let triples = rows
+        .into_iter()
+        .zip(cols)
+        .zip(vals)
+        .filter(|&((i, j), _)| j > i)
+        .map(|((i, j), v)| (i, j, v));
+    Matrix::build(a.nrows(), a.ncols(), triples, Second::new()).expect("indices from valid matrix")
+}
+
 /// Build a boolean adjacency [`Matrix`] from an edge-list COO: duplicates
 /// and self-loops dropped. The usual bridge from a generator or Matrix
 /// Market file to the algorithm suite.
@@ -82,7 +107,6 @@ pub fn adjacency(coo: gbtl_sparse::CooMatrix<bool>) -> Matrix<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbtl_algebra::Second;
 
     #[test]
     fn pattern_matrix_retypes() {
@@ -91,5 +115,29 @@ mod tests {
         let p = pattern_matrix(&ctx, &a, 1u64);
         assert_eq!(p.get(0, 1), Some(1));
         assert_eq!(p.nnz(), 1);
+    }
+
+    #[test]
+    fn tril_triu_partition_off_diagonals() {
+        let a = Matrix::build(
+            3,
+            3,
+            [
+                (0usize, 1usize, 1i64),
+                (1, 0, 2),
+                (1, 1, 3),
+                (2, 0, 4),
+                (0, 2, 5),
+            ],
+            Second::new(),
+        )
+        .unwrap();
+        let l = tril(&a);
+        let u = triu(&a);
+        assert_eq!(l.nnz(), 2); // (1,0), (2,0)
+        assert_eq!(u.nnz(), 2); // (0,1), (0,2)
+        assert_eq!(l.get(1, 0), Some(2));
+        assert_eq!(u.get(0, 2), Some(5));
+        assert_eq!(l.get(1, 1), None); // diagonal excluded
     }
 }

@@ -25,7 +25,10 @@
 //! entry lives exactly as long as the matrix buffer it transposes (it holds
 //! a `Weak` to it): when the graph is unloaded or replaced by a reload and
 //! its last handle drops, the entry — unreachable from then on — is swept at
-//! the next insert. [`TransposeCache::clear`] drops everything.
+//! the next insert. A symmetric matrix seeded as its own transpose is held
+//! by that `Weak` alone, so the cache never keeps a graph's buffer alive,
+//! in however many stores or under however many ids it was seeded.
+//! [`TransposeCache::clear`] drops everything.
 //!
 //! The cache is internally shared: cloning a `TransposeCache` yields a
 //! handle to the same store, which is how `gbtl-serve` gives all worker
@@ -53,25 +56,22 @@ struct Entry {
     id: u64,
     version: u64,
     ty: TypeId,
-    value: Arc<dyn Any + Send + Sync>,
-    /// Set by a seed/prewarm: the entry is exempt from the capacity bound
-    /// for as long as the source matrix's buffer is alive.
-    pin: Option<Pin>,
-}
-
-/// The source buffer of a pinned entry, and how many strong references to
-/// it the entry itself holds (1 when a symmetric matrix was seeded as its
-/// own transpose, else 0) — the buffer is alive while anyone else holds it.
-struct Pin {
-    source: Weak<dyn Any + Send + Sync>,
-    own_refs: usize,
+    /// The transpose, owned — `None` when a symmetric matrix was seeded as
+    /// its own transpose: that one is `pin` upgraded, so the cache never
+    /// keeps a graph's buffer alive.
+    value: Option<Arc<dyn Any + Send + Sync>>,
+    /// Set by a seed/prewarm — the source matrix's buffer: the entry is
+    /// exempt from the capacity bound for as long as that is alive.
+    pin: Option<Weak<dyn Any + Send + Sync>>,
 }
 
 impl Entry {
     fn unreachable(&self) -> bool {
-        self.pin
-            .as_ref()
-            .is_some_and(|p| p.source.strong_count() <= p.own_refs)
+        self.pin.as_ref().is_some_and(|p| p.strong_count() == 0)
+    }
+
+    fn transpose(&self) -> Option<Arc<dyn Any + Send + Sync>> {
+        self.value.clone().or_else(|| self.pin.as_ref()?.upgrade())
     }
 }
 
@@ -220,11 +220,7 @@ impl TransposeCache {
         build: impl FnOnce() -> CsrMatrix<T>,
     ) -> Arc<CsrMatrix<T>> {
         let source = Arc::downgrade(source) as Weak<dyn Any + Send + Sync>;
-        let pin = Pin {
-            source,
-            own_refs: 0,
-        };
-        self.lookup(id, version, build, Some(pin))
+        self.lookup(id, version, build, Some(source))
     }
 
     fn lookup<T: Scalar>(
@@ -232,7 +228,7 @@ impl TransposeCache {
         id: u64,
         version: u64,
         build: impl FnOnce() -> CsrMatrix<T>,
-        pin: Option<Pin>,
+        pin: Option<Weak<dyn Any + Send + Sync>>,
     ) -> Arc<CsrMatrix<T>> {
         let c = &self.inner.counters;
         if !self.inner.enabled {
@@ -247,13 +243,16 @@ impl TransposeCache {
                 .position(|e| e.id == id && e.version == version && e.ty == ty)
             {
                 let mut entry = entries.remove(pos);
-                entry.pin = entry.pin.or(pin);
-                let value = Arc::clone(&entry.value);
-                entries.push(entry); // most-recently-used at the back
-                c.hits.fetch_add(1, Ordering::Relaxed);
-                return value
-                    .downcast::<CsrMatrix<T>>()
-                    .expect("entry type matches its TypeId key");
+                if let Some(value) = entry.transpose() {
+                    entry.pin = entry.pin.or(pin);
+                    entries.push(entry); // most-recently-used at the back
+                    c.hits.fetch_add(1, Ordering::Relaxed);
+                    return value
+                        .downcast::<CsrMatrix<T>>()
+                        .expect("entry type matches its TypeId key");
+                }
+                // seeded from a buffer that is gone: a miss like any other
+                c.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         }
         c.misses.fetch_add(1, Ordering::Relaxed);
@@ -262,7 +261,7 @@ impl TransposeCache {
             id,
             version,
             ty,
-            value: Arc::clone(&built) as Arc<dyn Any + Send + Sync>,
+            value: Some(Arc::clone(&built) as Arc<dyn Any + Send + Sync>),
             pin,
         });
         built
@@ -295,25 +294,21 @@ impl TransposeCache {
 
     /// Install `value` — a symmetric matrix's own buffer — as that matrix's
     /// transpose without building anything: the zero-cost prewarm. The
-    /// entry is pinned for as long as anyone but the cache holds the
-    /// buffer. Counts as neither hit nor miss; stale generations of the
-    /// same matrix are invalidated exactly as on a built insert. No-op when
-    /// the cache is disabled.
-    pub fn seed<T: Scalar>(&self, id: u64, version: u64, value: Arc<CsrMatrix<T>>) {
+    /// cache keeps only a `Weak` to it, and the entry is pinned for as long
+    /// as the buffer is alive. Counts as neither hit nor miss; stale
+    /// generations of the same matrix are invalidated exactly as on a built
+    /// insert. No-op when the cache is disabled.
+    pub fn seed<T: Scalar>(&self, id: u64, version: u64, value: &Arc<CsrMatrix<T>>) {
         if !self.inner.enabled {
             return;
         }
         self.inner.counters.seeds.fetch_add(1, Ordering::Relaxed);
-        let source = Arc::downgrade(&value) as Weak<dyn Any + Send + Sync>;
         self.insert(Entry {
             id,
             version,
             ty: TypeId::of::<T>(),
-            value: value as Arc<dyn Any + Send + Sync>,
-            pin: Some(Pin {
-                source,
-                own_refs: 1,
-            }),
+            value: None,
+            pin: Some(Arc::downgrade(value) as Weak<dyn Any + Send + Sync>),
         });
     }
 
@@ -333,7 +328,7 @@ impl TransposeCache {
             .lock()
             .unwrap()
             .iter()
-            .any(|e| e.id == id && e.version == version && e.ty == ty)
+            .any(|e| e.id == id && e.version == version && e.ty == ty && !e.unreachable())
     }
 
     /// Drop every resident entry, pinned ones included (counters are
@@ -470,13 +465,14 @@ mod tests {
     #[test]
     fn seed_counts_as_seed_not_hit_or_miss() {
         let cache = TransposeCache::with_capacity(4);
-        cache.seed(9, 1, Arc::new(csr(2, &[(0, 1, 1)])));
+        let symmetric = Arc::new(csr(2, &[(0, 1, 1), (1, 0, 1)]));
+        cache.seed(9, 1, &symmetric);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.seeds, s.entries), (0, 0, 1, 1));
         assert!(cache.contains::<i64>(9, 1));
         // disabled cache ignores seeds entirely
         let off = TransposeCache::disabled();
-        off.seed(9, 1, Arc::new(csr(2, &[])));
+        off.seed(9, 1, &symmetric);
         assert_eq!(off.stats().seeds, 0);
         assert!(!off.contains::<i64>(9, 1));
     }
@@ -485,7 +481,7 @@ mod tests {
     fn pinned_entries_outlive_computed_ones_and_die_with_their_matrix() {
         let cache = TransposeCache::with_capacity(2);
         let symmetric = Arc::new(csr(2, &[(0, 1, 1), (1, 0, 1)]));
-        cache.seed(1, 1, Arc::clone(&symmetric));
+        cache.seed(1, 1, &symmetric);
         let built_from = Arc::new(csr(2, &[(0, 1, 1)]));
         cache.get_or_build_pinned(2, 1, &built_from, || built_from.transpose());
         for id in 10..20 {
@@ -507,6 +503,37 @@ mod tests {
         assert!(!cache.contains::<i64>(1, 1) && !cache.contains::<i64>(2, 1));
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn a_seeded_buffer_is_never_kept_alive_by_the_caches_it_is_in() {
+        // one graph seeded into two stores (two contexts) and under two ids
+        let (one, other) = (
+            TransposeCache::with_capacity(2),
+            TransposeCache::with_capacity(2),
+        );
+        let symmetric = Arc::new(csr(2, &[(0, 1, 1), (1, 0, 1)]));
+        one.seed(1, 1, &symmetric);
+        one.seed(2, 1, &symmetric);
+        other.seed(1, 1, &symmetric);
+        let served = one.get_or_build::<i64>(1, 1, || panic!("seeded"));
+        assert!(Arc::ptr_eq(&served, &symmetric));
+        drop(served);
+        let buffer = Arc::downgrade(&symmetric);
+        drop(symmetric);
+        assert_eq!(buffer.strong_count(), 0, "freed with its last handle");
+        assert!(!one.contains::<i64>(1, 1) && !one.contains::<i64>(2, 1));
+        assert!(!other.contains::<i64>(1, 1));
+        // the dead entries go at the next insert; a lookup that finds one
+        // first rebuilds
+        let mut rebuilt = false;
+        other.get_or_build(1, 1, || {
+            rebuilt = true;
+            csr(2, &[])
+        });
+        assert!(rebuilt);
+        one.get_or_build(3, 1, || csr(2, &[]));
+        assert_eq!((one.stats().entries, one.stats().pinned), (1, 0));
     }
 
     #[test]

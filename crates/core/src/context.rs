@@ -180,7 +180,7 @@ impl<B: Backend> Context<B> {
     /// the cache is disabled.
     pub fn seed_symmetric_transpose<T: Scalar>(&self, a: &Matrix<T>) {
         self.transpose_cache
-            .seed(a.id(), a.version(), a.shared_csr());
+            .seed(a.id(), a.version(), &a.shared_csr());
     }
 
     /// The backend.
@@ -325,13 +325,6 @@ impl<B: Backend> Context<B> {
                 pull_ready: decision.pull_ready,
             },
         );
-    }
-
-    /// Attach a decision record to the next op dispatched on this context
-    /// ([`gbtl_trace::Tracer::note_next_op`]); free when nothing is traced.
-    #[inline]
-    pub fn note_next_op(&self, note: impl FnOnce() -> String) {
-        self.tracer.note_next_op(note);
     }
 
     /// Open an op span (one branch, nothing else, when tracing is off).

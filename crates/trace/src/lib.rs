@@ -258,9 +258,6 @@ struct TracerInner {
     dropped: u64,
     ring: VecDeque<SpanRecord>,
     agg: BTreeMap<&'static str, OpSummary>,
-    /// A decision record waiting for the op it explains
-    /// ([`Tracer::note_next_op`]).
-    pending_note: Option<String>,
 }
 
 /// The per-context span recorder.
@@ -406,17 +403,6 @@ impl Tracer {
         }
     }
 
-    /// Attach a decision record to the next op this tracer finishes: why
-    /// the caller is about to dispatch the op it dispatches (the triangle
-    /// formulation and the flop counts it was chosen on). The note joins
-    /// that op's `op_label` and its x-ray span as a `decision` attribute.
-    /// `note` runs only when a span would be recorded.
-    pub fn note_next_op(&self, note: impl FnOnce() -> String) {
-        if self.mode.enabled() || self.xray_trace.load(Ordering::Relaxed) != 0 {
-            self.inner.lock().unwrap().pending_note = Some(note());
-        }
-    }
-
     /// Close a span. `fields` only runs when the span was actually opened,
     /// so sites can defer all string building into it.
     #[inline]
@@ -425,26 +411,20 @@ impl Tracer {
         let duration_ns = t0.elapsed().as_nanos() as u64;
         let end_ns = gbtl_util::time::now_ns();
         let start_ns = end_ns.saturating_sub(duration_ns);
-        let mut fields = fields();
-        let note = self.inner.lock().unwrap().pending_note.take();
+        let fields = fields();
         if let Some(ctx) = self.xray() {
-            let mut attrs = vec![
-                ("backend", self.backend.to_string()),
-                ("dims", fields.dims.clone()),
-                ("nnz_in", fields.nnz_in.to_string()),
-                ("nnz_out", fields.nnz_out.to_string()),
-            ];
-            attrs.extend(note.clone().map(|n| ("decision", n)));
             gbtl_xray::store().add_span(
                 ctx,
                 &format!("op.{}", fields.op),
                 start_ns,
                 end_ns,
-                &attrs,
+                &[
+                    ("backend", self.backend.to_string()),
+                    ("dims", fields.dims.clone()),
+                    ("nnz_in", fields.nnz_in.to_string()),
+                    ("nnz_out", fields.nnz_out.to_string()),
+                ],
             );
-        }
-        if let Some(note) = note {
-            fields.op_label = format!("{} {note}", fields.op_label);
         }
         if self.mode.enabled() {
             self.record(start_ns, duration_ns, fields);

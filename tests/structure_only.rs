@@ -3,24 +3,23 @@
 //! product gives over the materialized typed copy (`pattern_matrix`) — for
 //! every mask / complement / accumulator / replace setting, on every
 //! backend, `f64` included (`second(1, x) ≡ 1.0·x`). On top of the ops: the
-//! three triangle formulations count the same triangles and the cheapest
-//! one is the one run; PageRank, CC, MIS, `bfs_parents`, BC and the
+//! triangle count's `L·L` counts what the parent's `L·Lᵀ` over typed copies
+//! counted, under any labelling; PageRank, CC, MIS, `bfs_parents`, BC and the
 //! triangle count return what they returned before the typed copies were
 //! removed (checksums recorded at the parent commit); and a served graph
 //! stays pull-eligible whatever else the server computes and loads.
 
 use gbtl::algebra::{
-    MinFirst, MinSecond, Plus, PlusFirst, PlusPair, PlusSecond, PlusTimes, Scalar, Second,
+    MinFirst, MinSecond, Plus, PlusFirst, PlusMonoid, PlusPair, PlusSecond, PlusTimes, Scalar,
+    Second, TriL,
 };
 use gbtl::algorithms::pagerank::PageRankOptions;
 use gbtl::algorithms::{
-    adjacency, betweenness_centrality, bfs_parents, connected_components, formulation_flops,
-    maximal_independent_set, pagerank, pattern_matrix, triangle_count, triangle_count_as,
-    Formulation,
+    adjacency, betweenness_centrality, bfs_parents, connected_components, maximal_independent_set,
+    pagerank, pattern_matrix, triangle_count,
 };
 use gbtl::graphgen::{erdos_renyi, karate_club, symmetrize, Rmat};
 use gbtl::prelude::*;
-use gbtl::trace::TraceMode;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -291,17 +290,35 @@ proptest! {
     }
 
     #[test]
-    fn every_triangle_formulation_counts_the_same(seed in 0u64..1_000) {
+    fn triangles_are_cohens_on_every_backend(seed in 0u64..1_000) {
         let a = adjacency(symmetrize(&Rmat::new(6, 5).seed(seed).generate()));
-        let want = triangle_count(&Context::sequential(), &a).unwrap();
-        for form in [Formulation::LL, Formulation::LLt, Formulation::UUt] {
-            let form = Some(form);
-            prop_assert_eq!(triangle_count_as(&Context::sequential(), &a, form).unwrap(), want);
-            let par = Context::parallel_with_threads(3);
-            prop_assert_eq!(triangle_count_as(&par, &a, form).unwrap(), want);
-            prop_assert_eq!(triangle_count_as(&Context::cuda_default(), &a, form).unwrap(), want);
-        }
+        let want = cohen_triangles(&a);
+        prop_assert_eq!(triangle_count(&Context::sequential(), &a).unwrap(), want);
+        let par = Context::parallel_with_threads(3);
+        prop_assert_eq!(triangle_count(&par, &a).unwrap(), want);
+        prop_assert_eq!(triangle_count(&Context::cuda_default(), &a).unwrap(), want);
     }
+}
+
+/// The parent commit's triangle count: Cohen's `C<L> = L·Lᵀ` on `(+, pair)`
+/// over a typed copy of `L`.
+fn cohen_triangles(a: &Matrix<bool>) -> u64 {
+    let ctx = Context::sequential();
+    let l_bool = ctx.select_mat_new(TriL, a);
+    let l = pattern_matrix(&ctx, &l_bool, 1u64);
+    let mut c = Matrix::new(a.nrows(), a.ncols());
+    ctx.mxm(
+        &mut c,
+        Some(&l_bool),
+        no_accum(),
+        PlusPair::<u64>::new(),
+        &l,
+        &l,
+        &Descriptor::new().transpose_b(),
+    )
+    .unwrap();
+    ctx.reduce_mat_scalar(PlusMonoid::<u64>::new(), &c)
+        .unwrap_or(0)
 }
 
 /// `a` with its vertices renamed so that ids follow `order` (`order[new] =
@@ -315,60 +332,28 @@ fn relabel(a: &Matrix<bool>, order: &[usize]) -> Matrix<bool> {
     Matrix::build(a.nrows(), a.ncols(), triples, Second::new()).unwrap()
 }
 
-/// The formulation the `mxm` span says it ran.
-fn form_run<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> (u64, String) {
-    ctx.clear_trace();
-    let count = triangle_count(ctx, a).unwrap();
-    let report = ctx.trace();
-    let span = report.spans.iter().find(|s| s.fields.op == "mxm").unwrap();
-    let label = &span.fields.op_label;
-    let form = label.split("form=").nth(1).expect("decision record");
-    (count, form.split(' ').next().unwrap().to_string())
-}
-
-/// Two adjacent roots, `k` middle vertices under both, `c` private leaves
-/// under each middle vertex: every middle vertex has 2 neighbours below it
-/// and `c` above, so the wedges are cheapest counted from the top
-/// (`Σ down² = ck + 4k + 1` against `Σ up·down = 2ck + k`), and — with
-/// the ids reversed — from the bottom. `k` triangles.
-fn two_parents_many_children(k: usize, c: usize) -> Matrix<bool> {
-    let n = 2 + k + k * c;
-    let mut edges = vec![(0, 1)];
-    for m in 0..k {
-        edges.extend([(0, 2 + m), (1, 2 + m)]);
-        edges.extend((0..c).map(|leaf| (2 + m, 2 + k + m * c + leaf)));
-    }
-    let both = edges
-        .iter()
-        .flat_map(|&(i, j)| [(i, j, true), (j, i, true)]);
-    Matrix::build(n, n, both, Second::new()).unwrap()
-}
-
 #[test]
-fn the_cheapest_formulation_is_the_one_run_on_every_backend() {
-    // On RMAT the middle-vertex product wins under its own ids and under
-    // either degree ordering (LL 81 562 / UUt 82 310 / LLt 570 864
-    // multiply-adds on rmat10 sorted by descending degree), so the graphs
-    // where an outer-vertex product wins are built for it.
+fn the_triangle_count_does_not_depend_on_the_labelling() {
+    // `L·L` counts a triangle at its middle vertex, so which wedges it
+    // walks follows the ids: hubs first, hubs last and the generator's own
+    // order are three different products with one answer.
     let rmat = adjacency(symmetrize(&Rmat::new(10, 8).seed(1).generate()));
-    let top_down = two_parents_many_children(20, 10);
-    let reversed: Vec<usize> = (0..top_down.nrows()).rev().collect();
-    let bottom_up = relabel(&top_down, &reversed);
-    assert_eq!(formulation_flops(&top_down), [420, 2841, 281]);
-    assert_eq!(formulation_flops(&bottom_up), [420, 281, 2841]);
-    for (g, form) in [(&rmat, "LL"), (&top_down, "UUt"), (&bottom_up, "LLt")] {
-        let want = triangle_count_as(&Context::sequential(), g, Some(Formulation::LLt)).unwrap();
-        let seq = Context::sequential().with_trace_mode(TraceMode::Summary);
-        let par = Context::parallel_with_threads(2).with_trace_mode(TraceMode::Summary);
-        let cuda = Context::cuda_default().with_trace_mode(TraceMode::Summary);
-        for got in [form_run(&seq, g), form_run(&par, g), form_run(&cuda, g)] {
-            assert_eq!(got, (want, form.to_string()));
-        }
+    let mut hubs_last: Vec<usize> = (0..rmat.nrows()).collect();
+    hubs_last.sort_by_key(|&v| rmat.csr().row_nnz(v));
+    let hubs_first: Vec<usize> = hubs_last.iter().rev().copied().collect();
+    let want = cohen_triangles(&rmat);
+    assert!(want > 0);
+    for g in [
+        &rmat,
+        &relabel(&rmat, &hubs_last),
+        &relabel(&rmat, &hubs_first),
+    ] {
+        assert_eq!(cohen_triangles(g), want);
+        assert_eq!(triangle_count(&Context::sequential(), g).unwrap(), want);
+        let par = Context::parallel_with_threads(2);
+        assert_eq!(triangle_count(&par, g).unwrap(), want);
+        assert_eq!(triangle_count(&Context::cuda_default(), g).unwrap(), want);
     }
-    assert_eq!(
-        triangle_count(&Context::sequential(), &top_down).unwrap(),
-        20
-    );
 }
 
 /// FNV-1a 64 over `(len, (index, bits)…)` — gbtl-serve's response checksum.
