@@ -1,9 +1,9 @@
-//! The backend trait and its two implementations.
+//! The backend trait and its three implementations.
 //!
 //! This is GBTL's separation of concerns: the frontend validates shapes,
 //! resolves masks/descriptors and stitches accumulators; a `Backend` only
 //! ever sees clean, pre-validated container-level operations. Algorithms
-//! written against [`Context`](crate::Context) run unchanged on either
+//! written against [`Context`](crate::Context) run unchanged on every
 //! backend.
 
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, SelectOp, Semiring, UnaryOp};
@@ -24,6 +24,11 @@ use crate::policy::{DirectionPolicy, LevelWork, Product};
 /// The products are generic over their operands' value domains: a matrix
 /// is read in whatever type it is stored (`D1`/`D2`), the semiring maps it
 /// into the output domain `T`. There is no pattern-only twin of any kernel.
+///
+/// Only [`Backend::name`] is required. Every op's default body is the
+/// sequential reference kernel, so the defaults *are* the contract: a
+/// backend overrides the ops it has a faster (or a charged) kernel for and
+/// must return what the default would, bit for bit.
 pub trait Backend: Send + Sync {
     /// Human-readable backend name (for reports).
     fn name(&self) -> &'static str;
@@ -50,7 +55,9 @@ pub trait Backend: Send + Sync {
         a: &CsrMatrix<D1>,
         b: &CsrMatrix<D2>,
         sr: S,
-    ) -> CsrMatrix<T>;
+    ) -> CsrMatrix<T> {
+        gbtl_backend_seq::mxm(a, b, sr)
+    }
 
     /// `C<M> = A ⊕.⊗ B` over a structural mask.
     fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
@@ -59,7 +66,9 @@ pub trait Backend: Send + Sync {
         a: &CsrMatrix<D1>,
         b: &CsrMatrix<D2>,
         sr: S,
-    ) -> CsrMatrix<T>;
+    ) -> CsrMatrix<T> {
+        gbtl_backend_seq::mxm_masked(mask, a, b, sr)
+    }
 
     /// Pull-direction `w = A ⊕.⊗ u`. Rows the mask does not keep are
     /// skipped: the result holds kept positions only (the frontend relies
@@ -71,166 +80,12 @@ pub trait Backend: Send + Sync {
         u: &DenseVector<T>,
         sr: S,
         mask: Option<M>,
-    ) -> DenseVector<T>;
-
-    /// Push-direction `w = uᵀ ⊕.⊗ A`. Like [`Backend::mxv`], the result
-    /// holds kept positions only.
-    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
-        &self,
-        u: &SparseVector<T>,
-        a: &CsrMatrix<D2>,
-        sr: S,
-        mask: Option<M>,
-    ) -> SparseVector<T>;
-
-    /// Union merge `C = A ⊕ B`.
-    fn ewise_add_mat<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        op: Op,
-    ) -> CsrMatrix<T>;
-
-    /// Intersection merge `C = A ⊗ B`.
-    fn ewise_mult_mat<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        op: Op,
-    ) -> CsrMatrix<T>;
-
-    /// Union merge on sparse vectors.
-    fn ewise_add_vec<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        u: &SparseVector<T>,
-        v: &SparseVector<T>,
-        op: Op,
-    ) -> SparseVector<T>;
-
-    /// Intersection merge on dense vectors.
-    fn ewise_mult_vec<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        u: &DenseVector<T>,
-        v: &DenseVector<T>,
-        op: Op,
-    ) -> DenseVector<T>;
-
-    /// `C = f(A)` on stored values.
-    fn apply_mat<A: Scalar, U: UnaryOp<A>>(&self, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output>;
-
-    /// `w = f(u)` on a sparse vector.
-    fn apply_sparse_vec<A: Scalar, U: UnaryOp<A>>(
-        &self,
-        u: &SparseVector<A>,
-        f: U,
-    ) -> SparseVector<U::Output>;
-
-    /// `w = f(u)` on a dense vector.
-    fn apply_dense_vec<A: Scalar, U: UnaryOp<A>>(
-        &self,
-        u: &DenseVector<A>,
-        f: U,
-    ) -> DenseVector<U::Output>;
-
-    /// Reduce all stored entries of a matrix; `None` when empty.
-    fn reduce_mat<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> Option<T>;
-
-    /// Row-wise reduce `w_i = ⊕ A(i,:)`.
-    fn reduce_rows<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> SparseVector<T>;
-
-    /// Reduce a dense vector's present entries; `None` when empty.
-    fn reduce_dense_vec<T: Scalar, M: Monoid<T>>(&self, u: &DenseVector<T>, m: M) -> Option<T>;
-
-    /// Reduce a sparse vector's stored entries; `None` when empty.
-    fn reduce_sparse_vec<T: Scalar, M: Monoid<T>>(&self, u: &SparseVector<T>, m: M) -> Option<T>;
-
-    /// `C = Aᵀ`.
-    fn transpose<T: Scalar>(&self, a: &CsrMatrix<T>) -> CsrMatrix<T>;
-
-    /// Keep entries passing the predicate — GraphBLAS `select`.
-    fn select_mat<T: Scalar, P: SelectOp<T>>(&self, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T>;
-
-    /// Keep vector entries passing the predicate (column fixed at 0).
-    fn select_vec<T: Scalar, P: SelectOp<T>>(&self, u: &SparseVector<T>, op: P) -> SparseVector<T>;
-
-    /// Kronecker product with an elementwise combine.
-    fn kronecker<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        mul: Op,
-    ) -> CsrMatrix<T>;
-
-    /// Build CSR from COO triples, merging duplicates with `dup`.
-    fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T>;
-
-    /// `C = A(rows, cols)`.
-    fn extract_mat<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        rows: &[Index],
-        cols: &[Index],
-    ) -> CsrMatrix<T>;
-
-    /// `C(rows, cols) = A`.
-    fn assign_mat<T: Scalar>(
-        &self,
-        c: &CsrMatrix<T>,
-        a: &CsrMatrix<T>,
-        rows: &[Index],
-        cols: &[Index],
-    ) -> CsrMatrix<T>;
-
-    /// `w = u(indices)`.
-    fn extract_vec<T: Scalar>(&self, u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T>;
-
-    /// `w(indices) = u`.
-    fn assign_vec<T: Scalar>(
-        &self,
-        w: &DenseVector<T>,
-        u: &DenseVector<T>,
-        indices: &[Index],
-    ) -> DenseVector<T>;
-}
-
-/// The sequential CPU backend.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SeqBackend;
-
-impl Backend for SeqBackend {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
-        &self,
-        a: &CsrMatrix<D1>,
-        b: &CsrMatrix<D2>,
-        sr: S,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_seq::mxm(a, b, sr)
-    }
-
-    fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
-        &self,
-        mask: &CsrMatrix<bool>,
-        a: &CsrMatrix<D1>,
-        b: &CsrMatrix<D2>,
-        sr: S,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_seq::mxm_masked(mask, a, b, sr)
-    }
-
-    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
-        &self,
-        a: &CsrMatrix<D1>,
-        u: &DenseVector<T>,
-        sr: S,
-        mask: Option<M>,
     ) -> DenseVector<T> {
         gbtl_backend_seq::mxv(a, u, sr, mask.map(Into::into))
     }
 
+    /// Push-direction `w = uᵀ ⊕.⊗ A`. Like [`Backend::mxv`], the result
+    /// holds kept positions only.
     fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
         &self,
         u: &SparseVector<T>,
@@ -241,6 +96,7 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::vxm(u, a, sr, mask.map(Into::into))
     }
 
+    /// Union merge `C = A ⊕ B`.
     fn ewise_add_mat<T: Scalar, Op: BinaryOp<T>>(
         &self,
         a: &CsrMatrix<T>,
@@ -250,6 +106,7 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::ewise_add_mat(a, b, op)
     }
 
+    /// Intersection merge `C = A ⊗ B`.
     fn ewise_mult_mat<T: Scalar, Op: BinaryOp<T>>(
         &self,
         a: &CsrMatrix<T>,
@@ -259,6 +116,7 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::ewise_mult_mat(a, b, op)
     }
 
+    /// Union merge on sparse vectors.
     fn ewise_add_vec<T: Scalar, Op: BinaryOp<T>>(
         &self,
         u: &SparseVector<T>,
@@ -268,6 +126,7 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::ewise_add_vec(u, v, op)
     }
 
+    /// Intersection merge on dense vectors.
     fn ewise_mult_vec<T: Scalar, Op: BinaryOp<T>>(
         &self,
         u: &DenseVector<T>,
@@ -277,10 +136,12 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::ewise_mult_vec(u, v, op)
     }
 
+    /// `C = f(A)` on stored values.
     fn apply_mat<A: Scalar, U: UnaryOp<A>>(&self, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output> {
         gbtl_backend_seq::apply_mat(a, f)
     }
 
+    /// `w = f(u)` on a sparse vector.
     fn apply_sparse_vec<A: Scalar, U: UnaryOp<A>>(
         &self,
         u: &SparseVector<A>,
@@ -289,6 +150,7 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::apply_vec(u, f)
     }
 
+    /// `w = f(u)` on a dense vector.
     fn apply_dense_vec<A: Scalar, U: UnaryOp<A>>(
         &self,
         u: &DenseVector<A>,
@@ -297,34 +159,42 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::apply_dense_vec(u, f)
     }
 
+    /// Reduce all stored entries of a matrix; `None` when empty.
     fn reduce_mat<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> Option<T> {
         gbtl_backend_seq::reduce_mat(a, m)
     }
 
+    /// Row-wise reduce `w_i = ⊕ A(i,:)`.
     fn reduce_rows<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> SparseVector<T> {
         gbtl_backend_seq::reduce_rows(a, m)
     }
 
+    /// Reduce a dense vector's present entries; `None` when empty.
     fn reduce_dense_vec<T: Scalar, M: Monoid<T>>(&self, u: &DenseVector<T>, m: M) -> Option<T> {
         gbtl_backend_seq::reduce_vec(u, m)
     }
 
+    /// Reduce a sparse vector's stored entries; `None` when empty.
     fn reduce_sparse_vec<T: Scalar, M: Monoid<T>>(&self, u: &SparseVector<T>, m: M) -> Option<T> {
         gbtl_backend_seq::reduce_sparse_vec(u, m)
     }
 
+    /// `C = Aᵀ`.
     fn transpose<T: Scalar>(&self, a: &CsrMatrix<T>) -> CsrMatrix<T> {
         a.transpose()
     }
 
+    /// Keep entries passing the predicate — GraphBLAS `select`.
     fn select_mat<T: Scalar, P: SelectOp<T>>(&self, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T> {
         gbtl_backend_seq::select_mat_op(a, op)
     }
 
+    /// Keep vector entries passing the predicate (column fixed at 0).
     fn select_vec<T: Scalar, P: SelectOp<T>>(&self, u: &SparseVector<T>, op: P) -> SparseVector<T> {
         gbtl_backend_seq::select_vec_op(u, op)
     }
 
+    /// Kronecker product with an elementwise combine.
     fn kronecker<T: Scalar, Op: BinaryOp<T>>(
         &self,
         a: &CsrMatrix<T>,
@@ -334,10 +204,12 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::kronecker(a, b, mul)
     }
 
+    /// Build CSR from COO triples, merging duplicates with `dup`.
     fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T> {
         CsrMatrix::from_coo(coo.clone(), |a, b| dup.apply(a, b))
     }
 
+    /// `C = A(rows, cols)`.
     fn extract_mat<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
@@ -347,6 +219,7 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::extract_mat(a, rows, cols)
     }
 
+    /// `C(rows, cols) = A`.
     fn assign_mat<T: Scalar>(
         &self,
         c: &CsrMatrix<T>,
@@ -357,10 +230,12 @@ impl Backend for SeqBackend {
         gbtl_backend_seq::assign_mat(c, a, rows, cols)
     }
 
+    /// `w = u(indices)`.
     fn extract_vec<T: Scalar>(&self, u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T> {
         gbtl_backend_seq::extract_vec(u, indices)
     }
 
+    /// `w(indices) = u`.
     fn assign_vec<T: Scalar>(
         &self,
         w: &DenseVector<T>,
@@ -368,6 +243,16 @@ impl Backend for SeqBackend {
         indices: &[Index],
     ) -> DenseVector<T> {
         gbtl_backend_seq::assign_vec(w, u, indices)
+    }
+}
+
+/// The sequential CPU backend.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SeqBackend;
+
+impl Backend for SeqBackend {
+    fn name(&self) -> &'static str {
+        "sequential"
     }
 }
 
@@ -382,8 +267,8 @@ const PAR_FANOUT_NS: u64 = 40_000;
 /// output **bit-identical to [`SeqBackend`]** at every thread count (see
 /// that crate's docs for the fixed-block floating-point-reduce caveat).
 /// Index-space ops whose cost is dominated by the frontend's copying
-/// (`build`, extract/assign, `kronecker`, vector `select`) delegate to the
-/// sequential kernels unchanged.
+/// (`build`, extract/assign, `kronecker`, vector `select`) are not
+/// overridden: they inherit the trait's sequential defaults.
 #[derive(Debug, Default, Clone)]
 pub struct ParBackend {
     pool: gbtl_backend_par::ThreadPool,
@@ -583,55 +468,6 @@ impl Backend for ParBackend {
 
     fn select_mat<T: Scalar, P: SelectOp<T>>(&self, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T> {
         gbtl_backend_par::select_mat_op(&self.pool, a, op)
-    }
-
-    fn select_vec<T: Scalar, P: SelectOp<T>>(&self, u: &SparseVector<T>, op: P) -> SparseVector<T> {
-        gbtl_backend_seq::select_vec_op(u, op)
-    }
-
-    fn kronecker<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        mul: Op,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_seq::kronecker(a, b, mul)
-    }
-
-    fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T> {
-        CsrMatrix::from_coo(coo.clone(), |a, b| dup.apply(a, b))
-    }
-
-    fn extract_mat<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        rows: &[Index],
-        cols: &[Index],
-    ) -> CsrMatrix<T> {
-        gbtl_backend_seq::extract_mat(a, rows, cols)
-    }
-
-    fn assign_mat<T: Scalar>(
-        &self,
-        c: &CsrMatrix<T>,
-        a: &CsrMatrix<T>,
-        rows: &[Index],
-        cols: &[Index],
-    ) -> CsrMatrix<T> {
-        gbtl_backend_seq::assign_mat(c, a, rows, cols)
-    }
-
-    fn extract_vec<T: Scalar>(&self, u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T> {
-        gbtl_backend_seq::extract_vec(u, indices)
-    }
-
-    fn assign_vec<T: Scalar>(
-        &self,
-        w: &DenseVector<T>,
-        u: &DenseVector<T>,
-        indices: &[Index],
-    ) -> DenseVector<T> {
-        gbtl_backend_seq::assign_vec(w, u, indices)
     }
 }
 

@@ -14,7 +14,7 @@ use crate::types::Matrix;
 ///
 /// All operations are methods on the context (see the [`crate::ops`]
 /// modules), so an algorithm written as `fn f<B: Backend>(ctx: &Context<B>,
-/// …)` runs unchanged on either backend — the paper's headline property.
+/// …)` runs unchanged on every backend — the paper's headline property.
 ///
 /// Every dispatched operation is bracketed by the context's
 /// [`gbtl_trace::Tracer`]: with `GBTL_TRACE=summary|json` (or

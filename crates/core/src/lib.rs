@@ -4,9 +4,10 @@
 //!
 //! This crate is the reproduction of GBTL's user-facing layer — the
 //! "separation of concerns" the GBTL-CUDA paper is about. A
-//! [`Context`] wraps one [`Backend`] (the sequential CPU reference or the
-//! simulated-CUDA device); graph algorithms call GraphBLAS operations on
-//! the context and run unchanged on either.
+//! [`Context`] wraps one [`Backend`] (the sequential CPU reference, the
+//! work-stealing parallel CPU or the simulated-CUDA device); graph
+//! algorithms call GraphBLAS operations on the context and run unchanged
+//! on each.
 //!
 //! ```
 //! use gbtl_core::{Context, Descriptor, Matrix, Vector, no_accum};

@@ -66,6 +66,20 @@ pub struct EngineSnapshot {
     pub gpu_modeled_s: f64,
 }
 
+impl std::iter::Sum for EngineSnapshot {
+    fn sum<I: Iterator<Item = EngineSnapshot>>(iter: I) -> EngineSnapshot {
+        iter.fold(EngineSnapshot::default(), |a, s| EngineSnapshot {
+            seq_ops: a.seq_ops + s.seq_ops,
+            par_ops: a.par_ops + s.par_ops,
+            cuda_ops: a.cuda_ops + s.cuda_ops,
+            pool_tasks: a.pool_tasks + s.pool_tasks,
+            pool_steals: a.pool_steals + s.pool_steals,
+            gpu_kernels: a.gpu_kernels + s.gpu_kernels,
+            gpu_modeled_s: a.gpu_modeled_s + s.gpu_modeled_s,
+        })
+    }
+}
+
 impl Engine {
     /// An engine whose parallel context uses `par_threads` workers, with a
     /// per-engine transpose cache configured from the environment.

@@ -1,0 +1,171 @@
+//! What waits between admission and a worker: the one struct that carries
+//! a query, the job enum, and the bounded queue.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
+
+use gbtl_net::Reply;
+
+use crate::catalog::GraphEntry;
+use crate::protocol::QueryParams;
+
+/// One admitted query, from admission to reply — straight onto the job
+/// queue or through the fusion window first, executed alone or as one
+/// column of a multi-source kernel. It carries everything tracked per
+/// request (id, cache key, deadline, admission time, x-ray context, reply),
+/// so de-multiplexing a batch preserves per-request identity exactly.
+#[derive(Debug)]
+pub(super) struct Member {
+    pub(super) params: QueryParams,
+    pub(super) graph: Arc<GraphEntry>,
+    /// Result-cache key; results are cached per member, so a repeat of any
+    /// member is a cache hit regardless of how it was first computed.
+    pub(super) key: String,
+    pub(super) request_id: u64,
+    pub(super) deadline: Instant,
+    /// Microseconds spent waiting in the batching window (stamped when the
+    /// group is released; the `stage="window"` histogram sample). Zero for
+    /// a query that never entered the window.
+    pub(super) window_us: u64,
+    /// Admission time on the shared x-ray clock (`now_ns`): queue and
+    /// window waits are measured from it, and the queue span's start lines
+    /// up with the rest of the trace's timestamps.
+    pub(super) enqueued_ns: u64,
+    /// X-ray context when the request is sampled; the worker hangs
+    /// window/queue/execute/serialize spans under it. Fusion is never
+    /// bypassed for sampled requests — each sampled member gets its own
+    /// spans, and a batch's shared kernel op spans attach to the first
+    /// sampled member's tree.
+    pub(super) xray: Option<gbtl_xray::TraceContext>,
+    /// The front-end's reply, *already wrapped* with the completed counter
+    /// (once, at admission) — every downstream path sends through it raw.
+    pub(super) reply: Reply,
+}
+
+/// One queued compute job.
+#[derive(Debug)]
+pub(super) enum Job {
+    /// Queries that execute together. One member is the ordinary case — a
+    /// request that bypassed the window, or a window group nobody joined.
+    /// More than one were released together by the batching window: they
+    /// share one graph epoch, algorithm, backend and direction (the
+    /// compatibility key guarantees it). Deadlines are enforced per member
+    /// by the worker, so one stale member never poisons the rest.
+    Queries(Vec<Member>),
+    /// The `sleep` diagnostic: occupies a worker for `ms` milliseconds.
+    Sleep {
+        ms: u64,
+        id: Option<u64>,
+        deadline: Instant,
+        /// See [`Member::enqueued_ns`].
+        enqueued_ns: u64,
+        xray: Option<gbtl_xray::TraceContext>,
+        /// Wrapped like [`Member::reply`].
+        reply: Reply,
+    },
+}
+
+/// Why a request was refused admission.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum PushError {
+    Full,
+    ShuttingDown,
+}
+
+/// The bounded job queue (Mutex + Condvar; `pop` blocks, `push` never does).
+#[derive(Debug)]
+pub(super) struct JobQueue {
+    capacity: usize,
+    inner: Mutex<QueueInner>,
+    cond: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct QueueInner {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+}
+
+impl JobQueue {
+    pub(super) fn new(capacity: usize) -> Self {
+        JobQueue {
+            capacity: capacity.max(1),
+            inner: Mutex::new(QueueInner::default()),
+            cond: Condvar::new(),
+        }
+    }
+
+    /// Admit a job, or hand it back with the rejection reason — returning
+    /// the job lets callers answer each request's reply instead of
+    /// stranding them.
+    // The Err variant carries the whole Job back by design; it travels one
+    // stack frame on the rejection path only, so boxing would buy nothing.
+    #[allow(clippy::result_large_err)]
+    pub(super) fn push(&self, job: Job) -> Result<(), (PushError, Job)> {
+        let mut inner = self.inner.lock().unwrap();
+        if inner.shutdown {
+            return Err((PushError::ShuttingDown, job));
+        }
+        if inner.jobs.len() >= self.capacity {
+            return Err((PushError::Full, job));
+        }
+        inner.jobs.push_back(job);
+        drop(inner);
+        self.cond.notify_one();
+        Ok(())
+    }
+
+    /// Blocks for the next job; `None` once the queue is shut down *and*
+    /// drained (so admitted work always completes).
+    pub(super) fn pop(&self) -> Option<Job> {
+        let mut inner = self.inner.lock().unwrap();
+        loop {
+            if let Some(job) = inner.jobs.pop_front() {
+                return Some(job);
+            }
+            if inner.shutdown {
+                return None;
+            }
+            inner = self.cond.wait(inner).unwrap();
+        }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.inner.lock().unwrap().jobs.len()
+    }
+
+    pub(super) fn shutdown(&self) {
+        self.inner.lock().unwrap().shutdown = true;
+        self.cond.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn queue_caps_and_drains_on_shutdown() {
+        let q = JobQueue::new(2);
+        let mk = || Job::Sleep {
+            ms: 0,
+            id: None,
+            deadline: Instant::now() + Duration::from_secs(1),
+            enqueued_ns: gbtl_util::time::now_ns(),
+            xray: None,
+            reply: Reply::new(|_| {}),
+        };
+        q.push(mk()).unwrap();
+        q.push(mk()).unwrap();
+        assert!(matches!(q.push(mk()), Err((PushError::Full, _))));
+        assert_eq!(q.len(), 2);
+        q.shutdown();
+        assert!(matches!(q.push(mk()), Err((PushError::ShuttingDown, _))));
+        // admitted jobs still drain after shutdown
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_none());
+    }
+}

@@ -33,7 +33,9 @@ use std::time::Instant;
 use gbtl_metrics::expose::{histogram_json, render_json, render_prometheus};
 use gbtl_metrics::{Counter, HistogramSnapshot, Registry, RegistrySnapshot};
 use gbtl_net::{Engine, NetStats, Reply, Submission};
-use gbtl_serve::pool::render_graph_item;
+use gbtl_serve::pool::{
+    mirror_net_gauges, net_stats_json, persistence_response, render_graph_item,
+};
 use gbtl_serve::protocol::{
     error_response, oversized_response, parse_request, xray_response, Request,
 };
@@ -204,24 +206,6 @@ impl Router {
         all
     }
 
-    /// Mirror the evented front-end's counters into router gauges (same
-    /// names as the single-pool exposition; the `shard="router"` label
-    /// keeps them distinct in the merge).
-    fn refresh_net_gauges(&self) {
-        if let Some(net) = self.net.get() {
-            let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
-            let g = |name, v: u64| self.registry.gauge(name, &[]).set(v as i64);
-            g("gbtl_net_open_connections", net.open());
-            g("gbtl_net_backpressure_events", r(&net.backpressure_events));
-            g("gbtl_net_idle_timeouts", r(&net.idle_timeouts));
-            g("gbtl_net_oversized_lines", r(&net.oversized_lines));
-            g("gbtl_net_pipelined_depth_hwm", r(&net.pipelined_depth_hwm));
-            g("gbtl_net_completions", r(&net.completions));
-            g("gbtl_net_bytes_in", r(&net.bytes_in));
-            g("gbtl_net_bytes_out", r(&net.bytes_out));
-        }
-    }
-
     fn render_list(&self) -> String {
         let mut items: Vec<String> = Vec::new();
         for pool in &self.shards {
@@ -271,28 +255,7 @@ impl Router {
         let queue_depth: usize = snaps.iter().map(|s| s.queue_depth).sum();
         let partial = snaps.iter().any(|s| s.draining);
         let st = &self.stats;
-        let net = match self.net.get() {
-            None => "null".to_string(),
-            Some(n) => {
-                let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
-                format!(
-                    "{{\"open_connections\":{},\"accepted\":{},\"closed\":{},\
-                     \"backpressure_events\":{},\"idle_timeouts\":{},\
-                     \"oversized_lines\":{},\"pipelined_depth_hwm\":{},\
-                     \"completions\":{},\"bytes_in\":{},\"bytes_out\":{}}}",
-                    n.open(),
-                    r(&n.accepted),
-                    r(&n.closed),
-                    r(&n.backpressure_events),
-                    r(&n.idle_timeouts),
-                    r(&n.oversized_lines),
-                    r(&n.pipelined_depth_hwm),
-                    r(&n.completions),
-                    r(&n.bytes_in),
-                    r(&n.bytes_out),
-                )
-            }
-        };
+        let net = net_stats_json(self.net.get().map(|n| n.as_ref()));
         format!(
             "{{\"ok\":true,\"stats\":{{\
              \"uptime_ms\":{},\"frontend\":\"{}\",\"shards\":{},\"graphs\":{graphs},\
@@ -341,7 +304,11 @@ impl Router {
                 Some(m) => m.merge(&snap),
             }
         }
-        self.refresh_net_gauges();
+        // same gauge names as the single-pool exposition; the
+        // `shard="router"` label keeps them distinct in the merge
+        if let Some(net) = self.net.get() {
+            mirror_net_gauges(&self.registry, net);
+        }
         let router_snap = self.registry.snapshot().with_label("shard", "router");
         let merged = match merged {
             None => router_snap,
@@ -398,18 +365,9 @@ impl Router {
             }
         }
         items.sort();
-        let id_part = id.map(|i| format!("\"id\":{i},")).unwrap_or_default();
-        let dir = self.config.snapshot_dir.clone().unwrap_or_default();
+        let dir = self.config.snapshot_dir.as_deref();
         let field = if restore { "restored" } else { "snapshots" };
-        format!(
-            "{{\"ok\":true,{id_part}\"snapshot_dir\":\"{}\",\"{field}\":[{}],\
-             \"partial\":{},\"errors\":[{}],\"micros\":{}}}",
-            escape(&dir),
-            items.join(","),
-            !errors.is_empty(),
-            errors.join(","),
-            t0.elapsed().as_micros()
-        )
+        persistence_response(id, dir, field, &items, Some(&errors), t0)
     }
 }
 

@@ -2,7 +2,8 @@
 //! fusion-on server come back byte-identical to the fusion-off path (the
 //! bit-identity bar of the batching subsystem), the batch-size metric
 //! proves real coalescing happened, one expired member of a batch is
-//! rejected without poisoning its groupmates, and differential proptests
+//! rejected without poisoning its groupmates, a refused query gets the same
+//! rejection however it was admitted, and differential proptests
 //! pin `bfs_levels_multi`/`sssp_multi` columns to the single-source
 //! kernels across all three backends — duplicate roots and k=1 included.
 
@@ -261,6 +262,101 @@ fn drain_flushes_the_open_window() {
     );
     for w in workers {
         w.join().unwrap();
+    }
+}
+
+/// Rejection parity: however a query reached the job queue — never fused,
+/// a window group of one, one member of a k = 3 group — a refusal is the
+/// same error object (modulo `id`) and bumps its counter exactly once.
+/// No workers run, so a capacity-1 queue filled by one `sleep` stays full
+/// and every outcome below is decided inside `submit`: the solo is refused
+/// inline, a group that reaches `max_batch` is released — and refused
+/// through each member's reply — by the push that filled it, and after
+/// `drain()` the closed window and the closed queue refuse alike.
+#[test]
+fn rejections_are_identical_however_a_query_was_admitted() {
+    let bfs = |id: u64, source: usize| {
+        format!(
+            "{{\"op\":\"query\",\"id\":{id},\"graph\":\"karate\",\"algo\":\"bfs\",\
+             \"source\":{source}}}"
+        )
+    };
+    // (shape, max_batch that releases the group at its last push, requests)
+    let shapes: [(&str, usize, Vec<String>); 3] = [
+        (
+            "never-fused solo",
+            64,
+            vec!["{\"op\":\"query\",\"id\":10,\"graph\":\"karate\",\"algo\":\"cc\"}".to_string()],
+        ),
+        ("window group of one", 1, vec![bfs(20, 0)]),
+        (
+            "member of a k=3 group",
+            3,
+            vec![bfs(30, 0), bfs(31, 1), bfs(32, 2)],
+        ),
+    ];
+    type Refuse = fn(&EnginePool);
+    type Count = fn(&EnginePool) -> u64;
+    let cases: [(&str, Refuse, Count); 2] = [
+        (
+            "overloaded",
+            |pool| {
+                let filler = pool.submit("{\"op\":\"sleep\",\"ms\":0}", Reply::new(|_| {}), None);
+                assert!(matches!(filler, Submission::Accepted { .. }));
+            },
+            |pool| pool.shard_snapshot().rejected_overloaded,
+        ),
+        (
+            "shutting_down",
+            |pool| pool.drain(),
+            |pool| pool.shard_snapshot().rejected_shutdown,
+        ),
+    ];
+
+    for (code, refuse, count) in cases {
+        let mut seen: Vec<(&str, String)> = Vec::new();
+        for (shape, max_batch, lines) in &shapes {
+            let mut config = test_config(true);
+            config.queue_capacity = 1;
+            config.fuse.max_batch = *max_batch;
+            let pool = EnginePool::new(config).unwrap();
+            refuse(&pool);
+
+            let mut answers = Vec::new();
+            for line in lines {
+                let (tx, rx) = mpsc::channel();
+                let reply = Reply::new(move |response: String| {
+                    let _ = tx.send(response);
+                });
+                answers.push(match pool.submit(line, reply, None) {
+                    Submission::Inline(raw) => Ok(raw),
+                    Submission::Accepted { .. } => Err(rx),
+                });
+            }
+            for (line, answer) in lines.iter().zip(answers) {
+                let raw = answer.unwrap_or_else(|rx| {
+                    rx.recv_timeout(Duration::from_secs(10))
+                        .unwrap_or_else(|_| panic!("{code} / {shape}: {line} was stranded"))
+                });
+                let v = gbtl::util::json::parse(&raw).unwrap();
+                assert_eq!(v.str_field("code"), Some(code), "{shape}: {raw}");
+                let id = v.u64_field("id").expect("rejections echo the id");
+                assert!(line.contains(&format!("\"id\":{id},")), "{shape}: {raw}");
+                seen.push((shape, raw.replace(&format!("\"id\":{id},"), "")));
+            }
+            assert_eq!(
+                count(&pool),
+                lines.len() as u64,
+                "{code} / {shape}: one count per refused request"
+            );
+        }
+        for (shape, error) in &seen {
+            assert_eq!(
+                error, &seen[0].1,
+                "{code}: {shape} differs from {}",
+                seen[0].0
+            );
+        }
     }
 }
 
