@@ -71,9 +71,10 @@ pub use unary::{
 /// Scalar element types storable in GBTL-RS containers.
 ///
 /// Deliberately minimal: backends move values around, compare them for tests,
-/// and ship them across rayon worker threads, so `Copy + Send + Sync` plus
-/// debuggability is all that is required. Algebraic capability is supplied by
-/// the op/monoid/semiring *structures*, not by the scalar type itself.
+/// and ship them across the parallel backend's worker threads, so
+/// `Copy + Send + Sync` plus debuggability is all that is required. Algebraic
+/// capability is supplied by the op/monoid/semiring *structures*, not by the
+/// scalar type itself.
 pub trait Scalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
 
 impl<T> Scalar for T where T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}

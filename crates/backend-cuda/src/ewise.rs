@@ -9,20 +9,43 @@
 use gbtl_algebra::{BinaryOp, Scalar};
 use gbtl_gpu_sim::{primitives as prim, Gpu};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
-use rayon::prelude::*;
 
-use crate::util::{assert_key_encodable, compress_sorted_keys, expand_row_ids};
+use crate::util::{assert_key_encodable, compress_sorted_keys, entry_keys};
 
-fn tagged_triples<T: Scalar>(gpu: &Gpu, m: &CsrMatrix<T>, tag: u64) -> (Vec<u64>, Vec<T>) {
-    let rows = expand_row_ids(gpu, m.row_ptr(), m.nnz());
+/// `m`'s entries as tagged keys: `(i,j)` in the high bits, `tag` in the low.
+fn tagged_keys<T: Scalar>(gpu: &Gpu, m: &CsrMatrix<T>, tag: u64) -> Vec<u64> {
     let n = m.ncols() as u64;
-    let keys: Vec<u64> = rows
-        .par_iter()
-        .zip(m.col_idx().par_iter())
-        .map(|(&i, &j)| (i as u64 * n + j as u64) * 2 + tag)
-        .collect();
+    let keys = entry_keys(gpu, m, |i, j| (i as u64 * n + j as u64) * 2 + tag);
     super::charge_stream_kernel(gpu, "tag_keys", m.nnz(), 16, 8);
-    (keys, m.vals().to_vec())
+    keys
+}
+
+/// Combine runs of equal *untagged* keys in tag-sorted `(keys, vals)`. Runs
+/// have length 1 (one operand; kept only by a union merge) or 2 (both, A
+/// first because of the tag bit) — the operands hold no duplicates.
+fn combine_tagged_runs<T: Scalar, Op: BinaryOp<T>>(
+    keys: &[u64],
+    vals: &[T],
+    op: Op,
+    union: bool,
+) -> (Vec<u64>, Vec<T>) {
+    let (mut out_keys, mut out_vals) = (Vec::new(), Vec::new());
+    let mut i = 0;
+    while i < keys.len() {
+        let key = keys[i] >> 1;
+        if keys.get(i + 1).is_some_and(|&next| next >> 1 == key) {
+            out_keys.push(key);
+            out_vals.push(op.apply(vals[i], vals[i + 1]));
+            i += 2;
+        } else {
+            if union {
+                out_keys.push(key);
+                out_vals.push(vals[i]);
+            }
+            i += 1;
+        }
+    }
+    (out_keys, out_vals)
 }
 
 /// `C = A ⊕ B` — union merge (op applied where both present).
@@ -60,40 +83,16 @@ where
         "eWise shape mismatch"
     );
     assert_key_encodable(a.nrows(), a.ncols());
-    let (ka, va) = tagged_triples(gpu, a, 0);
-    let (kb, vb) = tagged_triples(gpu, b, 1);
-    let keys: Vec<u64> = ka.into_iter().chain(kb).collect();
-    let vals: Vec<T> = va.into_iter().chain(vb).collect();
+    let mut keys = tagged_keys(gpu, a, 0);
+    keys.extend(tagged_keys(gpu, b, 1));
+    let vals = [a.vals(), b.vals()].concat();
+    let n_in = keys.len();
     let (skeys, svals) = prim::sort_pairs(gpu, &keys, &vals);
 
-    // Combine runs of equal *untagged* keys. Runs have length 1 (one
-    // operand) or 2 (both, A first because of the tag bit).
-    let n_in = skeys.len();
-    let starts: Vec<usize> = (0..n_in)
-        .into_par_iter()
-        .filter(|&i| i == 0 || skeys[i - 1] >> 1 != skeys[i] >> 1)
-        .collect();
+    // The device finds the run boundaries, then combines each run.
     super::charge_stream_kernel(gpu, "ewise_boundaries", n_in, 8, 8);
-    let nseg = starts.len();
-    let merged: Vec<(u64, Option<T>)> = (0..nseg)
-        .into_par_iter()
-        .map(|s| {
-            let lo = starts[s];
-            let hi = if s + 1 < nseg { starts[s + 1] } else { n_in };
-            let key = skeys[lo] >> 1;
-            let v = match hi - lo {
-                1 if union => Some(svals[lo]),
-                1 => None,
-                2 => Some(op.apply(svals[lo], svals[lo + 1])),
-                len => unreachable!("run of {len} equal (i,j) keys; inputs had duplicates"),
-            };
-            (key, v)
-        })
-        .collect();
+    let (out_keys, out_vals) = combine_tagged_runs(&skeys, &svals, op, union);
     super::charge_stream_kernel(gpu, "ewise_combine", n_in, 16, 16);
-
-    let out_keys: Vec<u64> = merged.iter().filter_map(|&(k, v)| v.map(|_| k)).collect();
-    let out_vals: Vec<T> = merged.into_iter().filter_map(|(_, v)| v).collect();
     compress_sorted_keys(gpu, a.nrows(), a.ncols(), &out_keys, out_vals)
 }
 
@@ -117,27 +116,9 @@ where
         .collect();
     let vals: Vec<T> = u.values().iter().chain(v.values()).copied().collect();
     let (skeys, svals) = prim::sort_pairs(gpu, &keys, &vals);
-    let n_in = skeys.len();
-    let starts: Vec<usize> = (0..n_in)
-        .into_par_iter()
-        .filter(|&i| i == 0 || skeys[i - 1] >> 1 != skeys[i] >> 1)
-        .collect();
-    super::charge_stream_kernel(gpu, "ewise_vec_combine", n_in, 16, 16);
-    let mut idx = Vec::with_capacity(starts.len());
-    let mut out = Vec::with_capacity(starts.len());
-    for (s, &lo) in starts.iter().enumerate() {
-        let hi = if s + 1 < starts.len() {
-            starts[s + 1]
-        } else {
-            n_in
-        };
-        idx.push((skeys[lo] >> 1) as usize);
-        out.push(match hi - lo {
-            1 => svals[lo],
-            2 => op.apply(svals[lo], svals[lo + 1]),
-            len => unreachable!("run of {len} equal keys"),
-        });
-    }
+    let (idx, out) = combine_tagged_runs(&skeys, &svals, op, true);
+    super::charge_stream_kernel(gpu, "ewise_vec_combine", skeys.len(), 16, 16);
+    let idx = idx.into_iter().map(|k| k as usize).collect();
     SparseVector::from_sorted(u.len(), idx, out).expect("merge preserves order")
 }
 

@@ -3,9 +3,8 @@
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, UnaryOp};
 use gbtl_gpu_sim::{primitives as prim, Gpu};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector};
-use rayon::prelude::*;
 
-use crate::util::{assert_key_encodable, compress_sorted_keys, encode_key};
+use crate::util::{assert_key_encodable, compress_sorted_keys, encode_key, entry_keys};
 
 /// `C = f(A)` — one `transform` over the value array; structure copied.
 pub fn apply_mat<A, U>(gpu: &Gpu, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output>
@@ -111,12 +110,7 @@ where
     T: Scalar,
 {
     assert_key_encodable(a.ncols(), a.nrows());
-    let rows = crate::util::expand_row_ids(gpu, a.row_ptr(), a.nnz());
-    let keys: Vec<u64> = rows
-        .par_iter()
-        .zip(a.col_idx().par_iter())
-        .map(|(&i, &j)| encode_key(j, i, a.nrows()))
-        .collect();
+    let keys = entry_keys(gpu, a, |i, j| encode_key(j, i, a.nrows()));
     super::charge_stream_kernel(gpu, "transpose_keys", a.nnz(), 16, 8);
     let (skeys, svals) = prim::sort_pairs(gpu, &keys, a.vals());
     compress_sorted_keys(gpu, a.ncols(), a.nrows(), &skeys, svals)
@@ -132,8 +126,8 @@ where
     assert_key_encodable(coo.nrows(), coo.ncols());
     let (rows, cols, vals) = coo.triples();
     let keys: Vec<u64> = rows
-        .par_iter()
-        .zip(cols.par_iter())
+        .iter()
+        .zip(cols)
         .map(|(&i, &j)| encode_key(i, j, coo.ncols()))
         .collect();
     super::charge_stream_kernel(gpu, "build_keys", coo.nnz(), 16, 8);

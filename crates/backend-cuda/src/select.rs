@@ -3,46 +3,44 @@
 use gbtl_algebra::{BinaryOp, Scalar, SelectOp};
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
 use gbtl_sparse::{CsrMatrix, SparseVector};
-use rayon::prelude::*;
 
-use crate::util::{assert_key_encodable, compress_sorted_keys, encode_key, expand_row_ids};
+use crate::util::{assert_key_encodable, charge_expand_row_ids, compress_sorted_keys, encode_key};
 
-/// Keep matrix entries passing the predicate — a flags → compact pipeline
-/// over the triples, then a recompression.
+/// Keep matrix entries passing the predicate — the device keys the
+/// triples, runs a flags → compact pipeline over the `(key, value)` pairs
+/// and recompresses; the host keeps the survivors' keys and values in one
+/// pass over the rows.
 pub fn select_mat<T, P>(gpu: &Gpu, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T>
 where
     T: Scalar,
     P: SelectOp<T>,
 {
     assert_key_encodable(a.nrows(), a.ncols());
-    let rows = expand_row_ids(gpu, a.row_ptr(), a.nnz());
-    let keyed: Vec<(u64, T)> = rows
-        .par_iter()
-        .zip(a.col_idx().par_iter())
-        .zip(a.vals().par_iter())
-        .map(|((&i, &j), &v)| (encode_key(i, j, a.ncols()), v))
-        .collect();
+    charge_expand_row_ids(gpu, a.row_ptr(), a.nnz());
     super::charge_stream_kernel(gpu, "select_key", a.nnz(), 24, 24);
-    let ncols = a.ncols();
-    let kept = prim::copy_if(gpu, &keyed, |&(key, v)| {
-        let (i, j) = crate::util::decode_key(key, ncols);
-        op.keep(i, j, v)
-    });
-    let keys: Vec<u64> = kept.iter().map(|&(k, _)| k).collect();
-    let vals: Vec<T> = kept.into_iter().map(|(_, v)| v).collect();
+    let (mut keys, mut vals) = (Vec::new(), Vec::new());
+    for i in 0..a.nrows() {
+        let (cols, row_vals) = a.row(i);
+        for (&j, &v) in cols.iter().zip(row_vals) {
+            if op.keep(i, j, v) {
+                keys.push(encode_key(i, j, a.ncols()));
+                vals.push(v);
+            }
+        }
+    }
+    prim::compact::charge_compaction::<(u64, T)>(gpu, a.nnz(), keys.len());
     compress_sorted_keys(gpu, a.nrows(), a.ncols(), &keys, vals)
 }
 
-/// Keep vector entries passing the predicate (column fixed at 0).
+/// Keep vector entries passing the predicate (column fixed at 0): a
+/// `copy_if` over the `(index, value)` pairs.
 pub fn select_vec<T, P>(gpu: &Gpu, u: &SparseVector<T>, op: P) -> SparseVector<T>
 where
     T: Scalar,
     P: SelectOp<T>,
 {
-    let pairs: Vec<(usize, T)> = u.iter().collect();
-    let kept = prim::copy_if(gpu, &pairs, |&(i, v)| op.keep(i, 0, v));
-    let idx: Vec<usize> = kept.iter().map(|&(i, _)| i).collect();
-    let vals: Vec<T> = kept.into_iter().map(|(_, v)| v).collect();
+    let (idx, vals): (Vec<usize>, Vec<T>) = u.iter().filter(|&(i, v)| op.keep(i, 0, v)).unzip();
+    prim::compact::charge_compaction::<(usize, T)>(gpu, u.nnz(), idx.len());
     SparseVector::from_sorted(u.len(), idx, vals).expect("filter preserves order")
 }
 

@@ -18,7 +18,6 @@
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
-use rayon::prelude::*;
 
 /// Rows (threads) per block for the SpMV launches.
 const BLOCK_DIM: usize = 256;
@@ -80,6 +79,36 @@ where
     DenseVector::from_options(out)
 }
 
+/// `⊕`-fold of `vals[q] ⊗ u[cols[q]]` over one row's entries, in entry
+/// order — the functional result of every SpMV kernel below, which differ
+/// only in how the device would schedule (and so be charged for) it.
+#[inline]
+fn row_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> Option<T>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let mut acc: Option<T> = None;
+    for (&j, &aij) in cols.iter().zip(vals) {
+        if let Some(uj) = u[j] {
+            let term = mul.apply(aij, uj);
+            acc = Some(match acc {
+                Some(v) => add.apply(v, term),
+                None => term,
+            });
+        }
+    }
+    acc
+}
+
+/// The rows of one warp, `first..end`, that the mask keeps.
+fn kept_rows(rows: &mut Vec<usize>, first: usize, end: usize, mask: Option<VecMask<'_>>) {
+    rows.clear();
+    rows.extend((first..end).filter(|&r| mask.is_none_or(|keep| keep.keeps(r))));
+}
+
 fn spmv_scalar<T, D1, S>(
     gpu: &Gpu,
     a: &CsrMatrix<D1>,
@@ -92,68 +121,62 @@ fn spmv_scalar<T, D1, S>(
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let (add, mul) = (sr.add(), sr.mul());
     let row_ptr = a.row_ptr();
     let col_idx = a.col_idx();
-    let vals = a.vals();
     let uvals = u.options();
     let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
+    // Lane scratch, reused from warp to warp: the kept rows, and per step
+    // the entry position and column of every lane whose row is not done.
+    let (mut rows, mut pos_buf, mut end_buf, mut col_buf) = (vec![], vec![], vec![], vec![]);
 
     gpu.launch_chunks("spmv_csr_scalar", out, BLOCK_DIM, |b, slice, ctx| {
         let row0 = b * BLOCK_DIM;
         let ws = ctx.warp_size();
-        let mut pos_buf = vec![0usize; ws];
-        let mut col_buf = vec![0usize; ws];
         for warp_start in (0..slice.len()).step_by(ws) {
-            let rows: Vec<usize> = (warp_start..(warp_start + ws).min(slice.len()))
-                .map(|k| row0 + k)
-                .filter(|&r| mask.is_none_or(|keep| keep.keeps(r)))
-                .collect();
+            let warp_end = (warp_start + ws).min(slice.len());
+            kept_rows(&mut rows, row0 + warp_start, row0 + warp_end, mask);
             if rows.is_empty() {
                 continue;
             }
             // Row-pointer loads (coalesced: consecutive rows).
             ctx.warp_read(8, &rows);
             ctx.warp_read(8, &rows);
-            let trips = rows
-                .iter()
-                .map(|&r| row_ptr[r + 1] - row_ptr[r])
-                .max()
-                .unwrap_or(0);
-            let mut acc: Vec<Option<T>> = vec![None; rows.len()];
-            for step in 0..trips {
-                pos_buf.clear();
-                col_buf.clear();
-                // Lanes whose row still has entries at this step.
-                for (lane, &r) in rows.iter().enumerate() {
-                    let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-                    if lo + step < hi {
-                        let p = lo + step;
-                        pos_buf.push(p);
-                        col_buf.push(col_idx[p]);
-                        // functional update
-                        if let Some(uj) = uvals[col_idx[p]] {
-                            let term = mul.apply(vals[p], uj);
-                            acc[lane] = Some(match acc[lane] {
-                                Some(v) => add.apply(v, term),
-                                None => term,
-                            });
-                        }
-                    }
+            pos_buf.clear();
+            end_buf.clear();
+            for &r in &rows {
+                slice[r - row0] = {
+                    let (cols, vals) = a.row(r);
+                    row_dot(sr, cols, vals, uvals)
+                };
+                if row_ptr[r] < row_ptr[r + 1] {
+                    pos_buf.push(row_ptr[r]);
+                    end_buf.push(row_ptr[r + 1]);
                 }
-                // One warp-step: load columns, values, and x — charged at
-                // the lanes' actual addresses (uncoalesced across rows).
+            }
+            // One warp-step per entry of the longest row; a lane drops out
+            // when its row ends. Columns, values and x are loaded at the
+            // lanes' actual addresses (uncoalesced across rows).
+            while !pos_buf.is_empty() {
+                col_buf.clear();
+                col_buf.extend(pos_buf.iter().map(|&p| col_idx[p]));
                 ctx.warp_read(8, &pos_buf);
                 ctx.warp_read(val_sz, &pos_buf);
                 ctx.warp_read(u_sz, &col_buf);
                 ctx.instr(2);
+                let mut live = 0;
+                for lane in 0..pos_buf.len() {
+                    let next = pos_buf[lane] + 1;
+                    if next < end_buf[lane] {
+                        (pos_buf[live], end_buf[live]) = (next, end_buf[lane]);
+                        live += 1;
+                    }
+                }
+                pos_buf.truncate(live);
+                end_buf.truncate(live);
             }
             // Store results (coalesced over consecutive rows).
             ctx.warp_write(u_sz, &rows);
-            for (lane, &r) in rows.iter().enumerate() {
-                slice[r - row0] = acc[lane];
-            }
         }
     });
 }
@@ -170,10 +193,8 @@ fn spmv_vector<T, D1, S>(
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let (add, mul) = (sr.add(), sr.mul());
     let row_ptr = a.row_ptr();
     let col_idx = a.col_idx();
-    let vals = a.vals();
     let uvals = u.options();
     let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
@@ -191,34 +212,21 @@ fn spmv_vector<T, D1, S>(
                 continue;
             }
             // Row pointer loads by lane 0.
-            ctx.warp_read(8, &[r, r + 1]);
-            let mut acc: Option<T> = None;
-            let mut p = lo;
-            while p < hi {
+            ctx.warp_read_run(8, r, r + 2);
+            for p in (lo..hi).step_by(ws) {
                 let end = (p + ws).min(hi);
-                let positions: Vec<usize> = (p..end).collect();
                 // Consecutive positions: coalesced loads.
-                ctx.warp_read(8, &positions);
-                ctx.warp_read(val_sz, &positions);
-                let cols: Vec<usize> = positions.iter().map(|&q| col_idx[q]).collect();
+                ctx.warp_read_run(8, p, end);
+                ctx.warp_read_run(val_sz, p, end);
                 // x gather at the row's column pattern.
-                ctx.warp_read(u_sz, &cols);
+                ctx.warp_read(u_sz, &col_idx[p..end]);
                 ctx.instr(2);
-                for &q in &positions {
-                    if let Some(uj) = uvals[col_idx[q]] {
-                        let term = mul.apply(vals[q], uj);
-                        acc = Some(match acc {
-                            Some(v) => add.apply(v, term),
-                            None => term,
-                        });
-                    }
-                }
-                p = end;
             }
             // Warp shuffle reduction of the lanes' partials.
             ctx.block_reduce(ws.min(hi - lo));
             ctx.warp_write(u_sz, &[r]);
-            *slot = acc;
+            let (cols, vals) = a.row(r);
+            *slot = row_dot(sr, cols, vals, uvals);
         }
     });
 }
@@ -243,35 +251,35 @@ where
     }
     let (add, mul) = (sr.add(), sr.mul());
     let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let vals = a.vals();
+    let frontier = u.indices();
 
-    // 1. Per-frontier-vertex expansion sizes.
-    let starts = prim::gather(gpu, u.indices(), row_ptr);
-    let ends = prim::gather(
-        gpu,
-        &u.indices().iter().map(|&i| i + 1).collect::<Vec<_>>(),
-        row_ptr,
-    );
-    let sizes: Vec<usize> = prim::zip_transform(gpu, &ends, &starts, |e, s| e - s);
-    // 2. Output offsets.
-    let (offsets, total) = prim::scan::exclusive_scan_total(gpu, &sizes, |a, b| a + b);
-    // 3. Expansion kernel: copy each selected row's columns, combining the
-    //    frontier value with the edge value. Rayon's ordered collect plays
-    //    the role of the offset-directed scatter (offsets[] drives the cost
-    //    model below).
-    let _ = &offsets;
-    let candidates: Vec<(usize, T)> = (0..u.nnz())
-        .into_par_iter()
-        .flat_map_iter(|k| {
-            let uk = u.values()[k];
-            let lo = starts[k];
-            (0..sizes[k]).map(move |t| (col_idx[lo + t], mul.apply(uk, vals[lo + t])))
-        })
-        .collect();
-    debug_assert_eq!(candidates.len(), total);
-    let cand_cols: Vec<usize> = candidates.iter().map(|&(c, _)| c).collect();
-    let cand_vals: Vec<T> = candidates.into_iter().map(|(_, v)| v).collect();
+    // 1–2. The device stages each frontier vertex's row start and end (two
+    //    gathers of the row pointer, the second one entry on), their
+    //    difference, and its scan into output offsets. The expansion below
+    //    reads the same numbers off the row pointer as it goes, so the
+    //    staging is charged and not built.
+    prim::gather::charge_gather::<usize>(gpu, frontier);
+    prim::gather::charge_gather::<usize>(gpu, frontier.iter().map(|&i| i + 1));
+    prim::map::charge_zip_transform::<usize, usize, usize>(gpu, frontier.len());
+    prim::scan::charge_scan::<usize>(gpu, frontier.len());
+
+    // 3–4. Expansion kernel: copy each selected row's columns, combining
+    //    the frontier value with the edge value — straight into the key and
+    //    value buffers the sort takes, dropping masked-out positions on the
+    //    way. The device runs the filter as a `copy_if` over the candidate
+    //    pairs, which is what it is charged.
+    let total: usize = frontier.iter().map(|&i| a.row_nnz(i)).sum();
+    let mut cand_cols: Vec<usize> = Vec::with_capacity(total);
+    let mut cand_vals: Vec<T> = Vec::with_capacity(total);
+    for (&i, &ui) in frontier.iter().zip(u.values()) {
+        let (cols, vals) = a.row(i);
+        for (&c, &aic) in cols.iter().zip(vals) {
+            if mask.is_none_or(|keep| keep.keeps(c)) {
+                cand_cols.push(c);
+                cand_vals.push(mul.apply(ui, aic));
+            }
+        }
+    }
     // Cost of the expansion: row starts gather + mostly-coalesced streams of
     // the rows' columns/values + coalesced candidate writes.
     let txn = gpu.config().mem_transaction_bytes as u64;
@@ -282,30 +290,15 @@ where
         u.nnz().div_ceil(BLOCK_DIM).max(1),
         KernelTally {
             warp_instructions: 4 * (total as u64).div_ceil(gpu.config().warp_size as u64),
-            mem_transactions: gbtl_gpu_sim::primitives::gather_cost(gpu, &starts, 8)
+            mem_transactions: prim::gather_cost(gpu, frontier.iter().map(|&i| row_ptr[i]), 8)
                 + (total as u64 * (8 + edge_sz)).div_ceil(txn) // row payload reads
                 + (total as u64 * (8 + val_sz)).div_ceil(txn), // candidate writes
             atomic_ops: 0,
         },
     );
-
-    // 4. Optional mask filter on candidate output positions.
-    let (cand_cols, cand_vals) = if let Some(keep) = mask {
-        let kept: Vec<(usize, T)> = {
-            let pairs: Vec<(usize, T)> = cand_cols
-                .iter()
-                .zip(&cand_vals)
-                .map(|(&c, &v)| (c, v))
-                .collect();
-            prim::copy_if(gpu, &pairs, |&(c, _)| keep.keeps(c))
-        };
-        (
-            kept.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
-            kept.into_iter().map(|(_, v)| v).collect::<Vec<_>>(),
-        )
-    } else {
-        (cand_cols, cand_vals)
-    };
+    if mask.is_some() {
+        prim::compact::charge_compaction::<(usize, T)>(gpu, total, cand_cols.len());
+    }
 
     // 5. Sort by destination and combine duplicates with the add monoid.
     let (sorted_cols, sorted_vals) = prim::sort_pairs(gpu, &cand_cols, &cand_vals);
@@ -512,35 +505,36 @@ where
     let u_sz = std::mem::size_of::<Option<T>>();
     let nrows = a.nrows();
     let width = a.width();
+    // Lane scratch, reused from warp to warp.
+    let (mut rows, mut positions, mut xcols) = (vec![], vec![], vec![]);
 
     let mut out: Vec<Option<T>> = vec![None; nrows];
     gpu.launch_chunks("spmv_ell", &mut out, BLOCK_DIM, |b, slice, ctx| {
         let row0 = b * BLOCK_DIM;
         let ws = ctx.warp_size();
         for warp_start in (0..slice.len()).step_by(ws) {
-            let rows: Vec<usize> = (warp_start..(warp_start + ws).min(slice.len()))
-                .map(|k| row0 + k)
-                .filter(|&r| mask.is_none_or(|keep| keep.keeps(r)))
-                .collect();
+            let warp_end = (warp_start + ws).min(slice.len());
+            kept_rows(&mut rows, row0 + warp_start, row0 + warp_end, mask);
             if rows.is_empty() {
                 continue;
             }
-            let mut acc: Vec<Option<T>> = vec![None; rows.len()];
             for k in 0..width {
                 // Column-major slot addresses: k*nrows + r for consecutive
                 // r — contiguous, so the estimator sees full coalescing.
-                let positions: Vec<usize> = rows.iter().map(|&r| k * nrows + r).collect();
+                positions.clear();
+                positions.extend(rows.iter().map(|&r| k * nrows + r));
                 ctx.warp_read(8, &positions);
                 ctx.warp_read(val_sz, &positions);
                 // x gather at the active lanes' (non-pad) columns
-                let mut xcols: Vec<usize> = Vec::with_capacity(rows.len());
-                for (lane, &r) in rows.iter().enumerate() {
+                xcols.clear();
+                for &r in &rows {
                     let j = a.col_at(r, k);
                     if j != gbtl_sparse::ELL_PAD {
                         xcols.push(j);
                         if let Some(uj) = uvals[j] {
                             let term = mul.apply(a.val_at(r, k), uj);
-                            acc[lane] = Some(match acc[lane] {
+                            let acc = &mut slice[r - row0];
+                            *acc = Some(match *acc {
                                 Some(v) => add.apply(v, term),
                                 None => term,
                             });
@@ -553,9 +547,6 @@ where
                 ctx.instr(2);
             }
             ctx.warp_write(u_sz, &rows);
-            for (lane, &r) in rows.iter().enumerate() {
-                slice[r - row0] = acc[lane];
-            }
         }
     });
     DenseVector::from_options(out)

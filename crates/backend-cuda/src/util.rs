@@ -2,58 +2,43 @@
 //! (re)compression — the glue steps of every ESC-style pipeline.
 
 use gbtl_algebra::Scalar;
-use gbtl_gpu_sim::{primitives as prim, Gpu};
+use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
 use gbtl_sparse::CsrMatrix;
-use rayon::prelude::*;
 
-/// Expand a CSR row-pointer into one row id per stored entry (the
-/// "expand" half of CUSP's offsets↔indices conversion).
-///
-/// Charged as a bandwidth-shaped kernel: read `row_ptr`, write `nnz` ids.
-pub fn expand_row_ids(gpu: &Gpu, row_ptr: &[usize], nnz: usize) -> Vec<usize> {
+/// Charge the expansion of a CSR row-pointer into one row id per stored
+/// entry (the "expand" half of CUSP's offsets↔indices conversion): a
+/// bandwidth-shaped kernel that reads `row_ptr` and writes `nnz` ids. The
+/// host passes below walk the rows themselves, so no id array is built.
+pub fn charge_expand_row_ids(gpu: &Gpu, row_ptr: &[usize], nnz: usize) {
     let nrows = row_ptr.len() - 1;
-    let out: Vec<usize> = (0..nrows)
-        .into_par_iter()
-        .flat_map_iter(|i| std::iter::repeat_n(i, row_ptr[i + 1] - row_ptr[i]))
-        .collect();
-    debug_assert_eq!(out.len(), nnz);
     let txn = gpu.config().mem_transaction_bytes as u64;
+    let warp = gpu.config().warp_size as u64;
     gpu.charge_kernel(
         "expand_row_ids",
         nrows.div_ceil(4096).max(1),
-        gbtl_gpu_sim::KernelTally {
-            warp_instructions: (nnz as u64).div_ceil(gpu.config().warp_size as u64)
-                + (nrows as u64).div_ceil(gpu.config().warp_size as u64),
+        KernelTally {
+            warp_instructions: (nnz as u64).div_ceil(warp) + (nrows as u64).div_ceil(warp),
             mem_transactions: ((row_ptr.len() * 8) as u64).div_ceil(txn)
                 + ((nnz * 8) as u64).div_ceil(txn),
             atomic_ops: 0,
         },
     );
-    out
 }
 
-/// [`expand_row_ids`] into a caller-provided buffer — same kernel charge,
-/// reusing `out`'s allocation across ESC invocations.
-pub fn expand_row_ids_into(gpu: &Gpu, row_ptr: &[usize], nnz: usize, out: &mut Vec<usize>) {
-    let nrows = row_ptr.len() - 1;
-    out.clear();
-    out.reserve(nnz);
-    for i in 0..nrows {
-        out.extend(std::iter::repeat_n(i, row_ptr[i + 1] - row_ptr[i]));
+/// One key per stored entry of `m`, in storage order: `key(row, col)`.
+/// Charges the row-id expansion the device needs first; the keying kernel
+/// itself is the caller's to charge.
+pub fn entry_keys<T: Scalar>(
+    gpu: &Gpu,
+    m: &CsrMatrix<T>,
+    key: impl Fn(usize, usize) -> u64,
+) -> Vec<u64> {
+    charge_expand_row_ids(gpu, m.row_ptr(), m.nnz());
+    let mut keys = Vec::with_capacity(m.nnz());
+    for i in 0..m.nrows() {
+        keys.extend(m.row(i).0.iter().map(|&j| key(i, j)));
     }
-    debug_assert_eq!(out.len(), nnz);
-    let txn = gpu.config().mem_transaction_bytes as u64;
-    gpu.charge_kernel(
-        "expand_row_ids",
-        nrows.div_ceil(4096).max(1),
-        gbtl_gpu_sim::KernelTally {
-            warp_instructions: (nnz as u64).div_ceil(gpu.config().warp_size as u64)
-                + (nrows as u64).div_ceil(gpu.config().warp_size as u64),
-            mem_transactions: ((row_ptr.len() * 8) as u64).div_ceil(txn)
-                + ((nnz * 8) as u64).div_ceil(txn),
-            atomic_ops: 0,
-        },
-    );
+    keys
 }
 
 /// Encode `(row, col)` as a sortable 64-bit key, row-major.
@@ -70,7 +55,9 @@ pub fn decode_key(key: u64, ncols: usize) -> (usize, usize) {
 }
 
 /// Assemble a CSR matrix from row-major-sorted, duplicate-free
-/// `(key, value)` pairs: histogram the rows, scan into a row pointer.
+/// `(key, value)` pairs. Charged as the device does it — two `transform`s
+/// splitting the keys, a histogram of the rows, a scan into the row
+/// pointer — and computed in one pass over the keys.
 pub fn compress_sorted_keys<T: Scalar>(
     gpu: &Gpu,
     nrows: usize,
@@ -79,12 +66,23 @@ pub fn compress_sorted_keys<T: Scalar>(
     vals: Vec<T>,
 ) -> CsrMatrix<T> {
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys sorted unique");
-    let rows: Vec<usize> = prim::transform(gpu, keys, |&k| (k / ncols as u64) as usize);
-    let cols: Vec<usize> = prim::transform(gpu, keys, |&k| (k % ncols as u64) as usize);
-    let counts = prim::histogram(gpu, nrows, &rows);
-    let (mut row_ptr, total) = prim::scan::exclusive_scan_total(gpu, &counts, |a, b| a + b);
-    row_ptr.push(total);
-    debug_assert_eq!(total, keys.len());
+    // Sorted keys visit the rows in order, so the row of each key is found
+    // by stepping forward, with no division per entry.
+    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    let mut cols = Vec::with_capacity(keys.len());
+    let mut row_end = 0u64; // first key past the rows closed so far
+    for (e, &k) in keys.iter().enumerate() {
+        while k >= row_end {
+            row_ptr.push(e);
+            row_end += ncols as u64;
+        }
+        cols.push((k - (row_end - ncols as u64)) as usize);
+    }
+    row_ptr.resize(nrows + 1, keys.len());
+    prim::map::charge_transform::<u64, usize>(gpu, keys.len());
+    prim::map::charge_transform::<u64, usize>(gpu, keys.len());
+    prim::histogram::charge_histogram(gpu, nrows, keys.len());
+    prim::scan::charge_scan::<usize>(gpu, nrows);
     CsrMatrix::from_parts_unchecked(nrows, ncols, row_ptr, cols, vals)
 }
 
@@ -103,12 +101,19 @@ mod tests {
     use gbtl_gpu_sim::GpuConfig;
 
     #[test]
-    fn expand_row_ids_matches_csr() {
+    fn entry_keys_walk_rows_in_storage_order() {
         let gpu = Gpu::new(GpuConfig::k40());
         // rows with 2, 0, 3 entries
-        let row_ptr = [0usize, 2, 2, 5];
-        let ids = expand_row_ids(&gpu, &row_ptr, 5);
-        assert_eq!(ids, vec![0, 0, 2, 2, 2]);
+        let m = CsrMatrix::from_parts_unchecked(
+            3,
+            4,
+            vec![0, 2, 2, 5],
+            vec![1, 3, 0, 1, 2],
+            vec![1i64; 5],
+        );
+        let keys = entry_keys(&gpu, &m, |i, j| encode_key(i, j, 4));
+        assert_eq!(keys, vec![1, 3, 8, 9, 10]);
+        assert_eq!(gpu.stats().kernels_launched, 1);
     }
 
     #[test]

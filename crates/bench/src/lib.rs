@@ -82,7 +82,8 @@ pub struct Row {
     pub nnz: usize,
     /// Sequential-backend wall time.
     pub seq: Duration,
-    /// CUDA-sim functional wall time (host, rayon-parallel).
+    /// CUDA-sim functional wall time (host: kernels execute natively on
+    /// the calling thread, charges are analytic).
     pub cuda_wall: Duration,
     /// CUDA-sim modeled device time.
     pub cuda_modeled: Duration,

@@ -573,7 +573,8 @@ impl Backend for CudaBackend {
     /// The two clocks this backend is measured by disagree: the modeled
     /// device prefers pull at every level (rmat12 SSSP: pull 0.32 / auto
     /// 0.47 / push 0.70 modeled ms) while the host simulation of those
-    /// kernels prefers push (12.1 / 9.8 / 8.6 ms wall), so no per-edge
+    /// kernels prefers push (12.1 / 9.8 / 8.6 ms wall; 2.1 / 1.6 / 1.5 ms
+    /// since the simulator executes natively — DESIGN.md), so no per-edge
     /// cost serves both and the rule it was tuned with stays. Remove this
     /// override — and the two items below — once the simulator's host cost
     /// tracks its model; the edge-cost rule with device constants then

@@ -7,8 +7,9 @@ use crate::{DeviceBuffer, GpuConfig, GpuStats, KernelRecord, KernelTally};
 /// A simulated CUDA-like device.
 ///
 /// All state updates go through an internal lock, so a `&Gpu` can be shared
-/// freely across rayon workers; kernels accumulate per-block tallies locally
-/// and merge once per launch, so the lock is not contended on hot paths.
+/// freely across threads (the serving pool's workers share one); a launch
+/// accumulates its tally locally and charges once, so the lock is not
+/// contended on hot paths.
 #[derive(Debug)]
 pub struct Gpu {
     config: GpuConfig,

@@ -1,36 +1,114 @@
 //! Kernel launches and the per-block SIMT accounting context.
 //!
-//! A "kernel" here is a closure executed once per thread block; rayon plays
-//! the role of the SM scheduler. Inside the closure, the kernel narrates its
-//! memory behaviour to a [`BlockCtx`] at *warp-step* granularity: each
+//! A "kernel" here is a closure executed once per thread block. The
+//! simulator follows one rule: **execute natively, charge analytically** —
+//! the closure computes its block's result as plain host code, and narrates
+//! its memory behaviour to a [`BlockCtx`] at *warp-step* granularity: each
 //! [`BlockCtx::warp_read`] call is one lockstep memory instruction by up to
 //! `warp_size` lanes, and the context counts how many 128-byte transactions
 //! the lane addresses coalesce into. This is exactly the quantity the
 //! hardware's memory controller sees, and it is what separates the scalar
 //! (thread-per-row) and vector (warp-per-row) SpMV kernels in experiment
-//! R-A1.
+//! R-A1. The count is arithmetic over borrowed index slices — nothing is
+//! allocated per step, and blocks run as a plain loop in block order.
 
-use rayon::prelude::*;
+use crate::{Gpu, GpuConfig, KernelTally};
 
-use crate::{Gpu, KernelTally};
+/// Maps byte addresses to transaction segments and counts the distinct
+/// segments one warp-step touches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Coalescer {
+    txn_bytes: u64,
+    /// `log2(txn_bytes)` when the transaction size is a power of two.
+    shift: Option<u32>,
+}
+
+impl Coalescer {
+    pub(crate) fn new(config: &GpuConfig) -> Self {
+        let txn_bytes = config.mem_transaction_bytes as u64;
+        Self {
+            txn_bytes,
+            shift: txn_bytes
+                .is_power_of_two()
+                .then(|| txn_bytes.trailing_zeros()),
+        }
+    }
+
+    #[inline(always)]
+    fn segment(&self, byte: u64) -> u64 {
+        match self.shift {
+            Some(s) => byte >> s,
+            None => byte / self.txn_bytes,
+        }
+    }
+
+    /// Distinct segments among the lanes of one warp-step. Non-decreasing
+    /// lane indices (a sorted CSR row) have non-decreasing segments, so the
+    /// count is the number of changes; any other order is searched, with
+    /// `seen` as the scratch. The count is the same either way.
+    #[inline]
+    pub(crate) fn distinct_segments(
+        &self,
+        elem_bytes: usize,
+        lanes: &[usize],
+        seen: &mut Vec<u64>,
+    ) -> u64 {
+        let segment_of = |i: usize| self.segment(i as u64 * elem_bytes as u64);
+        let (mut count, mut last, mut prev) = (0u64, None, 0usize);
+        for &i in lanes {
+            if i < prev {
+                return Self::search_distinct(lanes.iter().map(|&i| segment_of(i)), seen);
+            }
+            let seg = Some(segment_of(i));
+            count += u64::from(seg != last);
+            (last, prev) = (seg, i);
+        }
+        count
+    }
+
+    fn search_distinct(segments: impl Iterator<Item = u64>, seen: &mut Vec<u64>) -> u64 {
+        seen.clear();
+        for seg in segments {
+            if !seen.contains(&seg) {
+                seen.push(seg);
+            }
+        }
+        seen.len() as u64
+    }
+
+    /// Distinct segments touched by the consecutive elements `lo..hi`:
+    /// every segment between the first and the last start address when
+    /// elements are no wider than a transaction, one per element otherwise.
+    #[inline]
+    fn run_segments(&self, elem_bytes: usize, lo: usize, hi: usize) -> u64 {
+        if hi <= lo {
+            return 0;
+        }
+        let e = elem_bytes as u64;
+        if e > self.txn_bytes {
+            return (hi - lo) as u64;
+        }
+        self.segment((hi as u64 - 1) * e) - self.segment(lo as u64 * e) + 1
+    }
+}
 
 /// Per-block accounting context handed to kernel closures.
 #[derive(Debug)]
 pub struct BlockCtx {
     warp_size: usize,
-    txn_bytes: usize,
+    coalescer: Coalescer,
     tally: KernelTally,
     /// Scratch for segment dedup (bounded by `warp_size`).
-    segs: Vec<u64>,
+    seen: Vec<u64>,
 }
 
 impl BlockCtx {
-    fn new(warp_size: usize, txn_bytes: usize) -> Self {
+    fn new(config: &GpuConfig) -> Self {
         Self {
-            warp_size,
-            txn_bytes,
+            warp_size: config.warp_size,
+            coalescer: Coalescer::new(config),
             tally: KernelTally::default(),
-            segs: Vec::with_capacity(warp_size),
+            seen: Vec::with_capacity(config.warp_size),
         }
     }
 
@@ -53,40 +131,41 @@ impl BlockCtx {
         self.tally.warp_instructions += n.div_ceil(self.warp_size as u64);
     }
 
-    fn warp_access(&mut self, elem_bytes: usize, lane_elem_idx: &[usize]) {
-        debug_assert!(lane_elem_idx.len() <= self.warp_size);
-        self.tally.warp_instructions += 1;
-        self.segs.clear();
-        for &i in lane_elem_idx {
-            let seg = (i as u64 * elem_bytes as u64) / self.txn_bytes as u64;
-            if !self.segs.contains(&seg) {
-                self.segs.push(seg);
-            }
-        }
-        self.tally.mem_transactions += self.segs.len() as u64;
-    }
-
     /// One warp-step global *load*: each active lane reads element
-    /// `lane_elem_idx[lane]` (element size `elem_bytes`) from one buffer.
+    /// `lane_elem_idx[lane]` (element size `elem_bytes`) from one buffer —
+    /// pass the index array itself (a slice of a CSR row's columns, say).
     /// Transactions charged = distinct 128-byte segments among the lanes.
     /// Fewer active lanes than `warp_size` models divergence: the
     /// instruction still issues once.
     #[inline]
     pub fn warp_read(&mut self, elem_bytes: usize, lane_elem_idx: &[usize]) {
-        self.warp_access(elem_bytes, lane_elem_idx);
+        debug_assert!(lane_elem_idx.len() <= self.warp_size);
+        self.tally.warp_instructions += 1;
+        self.tally.mem_transactions +=
+            self.coalescer
+                .distinct_segments(elem_bytes, lane_elem_idx, &mut self.seen);
     }
 
     /// One warp-step global *store*; same accounting as [`BlockCtx::warp_read`].
     #[inline]
     pub fn warp_write(&mut self, elem_bytes: usize, lane_elem_idx: &[usize]) {
-        self.warp_access(elem_bytes, lane_elem_idx);
+        self.warp_read(elem_bytes, lane_elem_idx);
+    }
+
+    /// [`BlockCtx::warp_read`] of the consecutive elements `lo..hi`, in
+    /// closed form: what a warp streaming one CSR row's entries issues.
+    #[inline]
+    pub fn warp_read_run(&mut self, elem_bytes: usize, lo: usize, hi: usize) {
+        debug_assert!(hi.saturating_sub(lo) <= self.warp_size);
+        self.tally.warp_instructions += 1;
+        self.tally.mem_transactions += self.coalescer.run_segments(elem_bytes, lo, hi);
     }
 
     /// Bulk perfectly-coalesced stream of `elems` elements of `elem_bytes`
     /// each, read or written: the cost of a `memcpy`-shaped access pattern.
     pub fn stream(&mut self, elems: usize, elem_bytes: usize) {
         let bytes = (elems * elem_bytes) as u64;
-        self.tally.mem_transactions += bytes.div_ceil(self.txn_bytes as u64);
+        self.tally.mem_transactions += bytes.div_ceil(self.coalescer.txn_bytes);
         self.tally.warp_instructions += (elems as u64).div_ceil(self.warp_size as u64);
     }
 
@@ -114,68 +193,33 @@ impl Gpu {
     /// Launch `blocks` thread blocks of kernel `f`; block `b` returns a
     /// value, and the per-block results come back in block order.
     ///
-    /// Blocks execute concurrently on the rayon pool (the SM scheduler
-    /// analogue); each gets its own [`BlockCtx`], merged and charged once at
-    /// the end of the launch.
-    pub fn launch<R, F>(&self, name: &'static str, blocks: usize, f: F) -> Vec<R>
+    /// Blocks run one after another on the calling thread and narrate to
+    /// one [`BlockCtx`], charged once at the end of the launch; a kernel
+    /// may keep scratch in its closure and reuse it from block to block.
+    pub fn launch<R, F>(&self, name: &'static str, blocks: usize, mut f: F) -> Vec<R>
     where
-        R: Send,
-        F: Fn(usize, &mut BlockCtx) -> R + Sync,
+        F: FnMut(usize, &mut BlockCtx) -> R,
     {
-        let ws = self.config().warp_size;
-        let tb = self.config().mem_transaction_bytes;
-        let (results, tally) = (0..blocks)
-            .into_par_iter()
-            .map(|b| {
-                let mut ctx = BlockCtx::new(ws, tb);
-                let r = f(b, &mut ctx);
-                (r, ctx.tally)
-            })
-            .fold(
-                || (Vec::new(), KernelTally::default()),
-                |(mut rs, mut t), (r, bt)| {
-                    rs.push(r);
-                    t.merge(&bt);
-                    (rs, t)
-                },
-            )
-            .reduce(
-                || (Vec::new(), KernelTally::default()),
-                |(mut ra, mut ta), (rb, tb)| {
-                    ra.extend(rb);
-                    ta.merge(&tb);
-                    (ra, ta)
-                },
-            );
-        self.charge_kernel(name, blocks, tally);
+        let mut ctx = BlockCtx::new(self.config());
+        let results = (0..blocks).map(|b| f(b, &mut ctx)).collect();
+        self.charge_kernel(name, blocks, ctx.tally);
         results
     }
 
     /// Launch one block per `chunk`-sized slice of `out`; block `b` owns
     /// `out[b*chunk .. (b+1)*chunk]` exclusively (the standard
     /// output-partitioned CUDA kernel shape).
-    pub fn launch_chunks<T, F>(&self, name: &'static str, out: &mut [T], chunk: usize, f: F)
+    pub fn launch_chunks<T, F>(&self, name: &'static str, out: &mut [T], chunk: usize, mut f: F)
     where
-        T: Send,
-        F: Fn(usize, &mut [T], &mut BlockCtx) + Sync,
+        F: FnMut(usize, &mut [T], &mut BlockCtx),
     {
         assert!(chunk > 0, "chunk size must be positive");
-        let ws = self.config().warp_size;
-        let tb = self.config().mem_transaction_bytes;
         let blocks = out.len().div_ceil(chunk).max(1);
-        let tally = out
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .map(|(b, slice)| {
-                let mut ctx = BlockCtx::new(ws, tb);
-                f(b, slice, &mut ctx);
-                ctx.tally
-            })
-            .reduce(KernelTally::default, |mut a, b| {
-                a.merge(&b);
-                a
-            });
-        self.charge_kernel(name, blocks, tally);
+        let mut ctx = BlockCtx::new(self.config());
+        for (b, slice) in out.chunks_mut(chunk).enumerate() {
+            f(b, slice, &mut ctx);
+        }
+        self.charge_kernel(name, blocks, ctx.tally);
     }
 }
 
@@ -217,6 +261,33 @@ mod tests {
         let s = gpu.stats();
         assert_eq!(s.warp_instructions, 1);
         assert_eq!(s.mem_transactions, 1);
+    }
+
+    #[test]
+    fn run_read_equals_the_lane_by_lane_read() {
+        let gpu = Gpu::new(GpuConfig::k40());
+        gpu.launch("run", 1, |_, ctx| ctx.warp_read_run(8, 10, 42));
+        let run = gpu.stats();
+        gpu.reset_stats();
+        gpu.launch("lanes", 1, |_, ctx| {
+            let idxs: Vec<usize> = (10..42).collect();
+            ctx.warp_read(8, &idxs);
+        });
+        assert_eq!(run.mem_transactions, 3); // bytes 80..336 span segments 0, 1, 2
+        assert_eq!(run, gpu.stats());
+    }
+
+    #[test]
+    fn unsorted_lanes_count_each_segment_once() {
+        let gpu = Gpu::new(GpuConfig {
+            mem_transaction_bytes: 96,
+            ..GpuConfig::k40()
+        });
+        gpu.launch("unsorted", 1, |_, ctx| {
+            // 8-byte elements, 12 per 96-byte segment: segments 2, 0, 2, 1, 0
+            ctx.warp_read(8, &[24, 0, 35, 12, 11]);
+        });
+        assert_eq!(gpu.stats().mem_transactions, 3);
     }
 
     #[test]

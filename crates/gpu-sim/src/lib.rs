@@ -23,8 +23,13 @@
 //! * **PCIe transfers** — `h2d`/`d2h` charge latency + bandwidth, so
 //!   transfer-avoiding designs measurably win.
 //!
-//! Thread blocks of a launch execute concurrently on the rayon pool, so
-//! wall-clock speedups are real as well as modeled.
+//! The simulator keeps two clocks apart by one rule — **execute natively,
+//! charge analytically**: the functional result of a kernel or primitive is
+//! one plain host pass at sequential-backend cost, and its `KernelTally` is
+//! arithmetic over sizes and borrowed index slices, with nothing allocated
+//! per warp-step. Only the modeled clock is a result of the reproduction;
+//! host time is what computing it costs, and `tests/model_identity.rs`
+//! holds the modeled numbers fixed while the host cost is worked on.
 //!
 //! ```
 //! use gbtl_gpu_sim::{Gpu, GpuConfig, primitives};

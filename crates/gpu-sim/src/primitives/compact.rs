@@ -1,20 +1,18 @@
 //! Stream compaction: `copy_if` and friends.
 
-use rayon::prelude::*;
-
 use super::{charge_streaming, stream_instrs, CHUNK};
 use crate::Gpu;
 
 /// Keep elements satisfying `pred`, preserving order — Thrust `copy_if`.
 ///
-/// Charged as the canonical flags → scan → scatter pipeline (three
-/// bandwidth-shaped kernels).
+/// Charged as the canonical flags → scan → scatter pipeline
+/// ([`charge_compaction`]).
 pub fn copy_if<T, F>(gpu: &Gpu, input: &[T], pred: F) -> Vec<T>
 where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> bool + Sync,
+    T: Copy,
+    F: Fn(&T) -> bool,
 {
-    let out: Vec<T> = input.par_iter().copied().filter(|v| pred(v)).collect();
+    let out: Vec<T> = input.iter().copied().filter(|v| pred(v)).collect();
     charge_compaction::<T>(gpu, input.len(), out.len());
     out
 }
@@ -23,18 +21,16 @@ where
 /// *indices* are returned alongside the values.
 pub fn copy_if_indexed<T, F>(gpu: &Gpu, input: &[T], pred: F) -> (Vec<usize>, Vec<T>)
 where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &T) -> bool + Sync,
+    T: Copy,
+    F: Fn(usize, &T) -> bool,
 {
-    let kept: Vec<(usize, T)> = input
-        .par_iter()
+    let (idx, vals): (Vec<usize>, Vec<T>) = input
+        .iter()
         .enumerate()
         .filter(|(i, v)| pred(*i, v))
         .map(|(i, &v)| (i, v))
-        .collect();
-    charge_compaction::<T>(gpu, input.len(), kept.len());
-    let idx: Vec<usize> = kept.iter().map(|&(i, _)| i).collect();
-    let vals: Vec<T> = kept.into_iter().map(|(_, v)| v).collect();
+        .unzip();
+    charge_compaction::<T>(gpu, input.len(), idx.len());
     (idx, vals)
 }
 
@@ -42,11 +38,10 @@ where
 /// kernel).
 pub fn count_if<T, F>(gpu: &Gpu, input: &[T], pred: F) -> usize
 where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
+    F: Fn(&T) -> bool,
 {
     let n = input.len();
-    let count = input.par_iter().filter(|v| pred(v)).count();
+    let count = input.iter().filter(|v| pred(v)).count();
     charge_streaming(
         gpu,
         "count_if",
@@ -58,7 +53,9 @@ where
     count
 }
 
-fn charge_compaction<T>(gpu: &Gpu, n: usize, kept: usize) {
+/// Charge the compaction of `n` elements of `T` down to `kept`: flags, scan
+/// of flags, scatter of survivors — three bandwidth-shaped kernels.
+pub fn charge_compaction<T>(gpu: &Gpu, n: usize, kept: usize) {
     let blocks = n.div_ceil(CHUNK).max(1);
     let eb = std::mem::size_of::<T>();
     // flags kernel: read input, write one flag byte each

@@ -1,52 +1,33 @@
 //! Gather, scatter, and vectorised binary search.
 
-use rayon::prelude::*;
+use std::borrow::Borrow;
 
 use super::{gather_transactions, stream_instrs, CHUNK};
 use crate::{Gpu, KernelTally};
 
 /// `out[i] = src[idx[i]]` — Thrust `gather`.
 ///
-/// Cost is *data-dependent*: the index stream is read coalesced and the
-/// output written coalesced, but the loads from `src` are charged by the
-/// actual coalescing of the index pattern (see
-/// [`gather_transactions`](super::gather_transactions)). Sequential indices
-/// cost `n·size/128` transactions; random indices cost ~`n`.
-pub fn gather<T>(gpu: &Gpu, idx: &[usize], src: &[T]) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-{
-    let out: Vec<T> = idx.par_iter().map(|&i| src[i]).collect();
-    let n = idx.len();
-    let elem = std::mem::size_of::<T>();
-    let txn = gpu.config().mem_transaction_bytes as u64;
-    let tally = KernelTally {
-        warp_instructions: 3 * stream_instrs(gpu, n),
-        mem_transactions: ((n * std::mem::size_of::<usize>()) as u64).div_ceil(txn)
-            + gather_transactions(gpu, idx, elem)
-            + ((n * elem) as u64).div_ceil(txn),
-        atomic_ops: 0,
-    };
-    gpu.charge_kernel("gather", n.div_ceil(CHUNK).max(1), tally);
+/// Cost is *data-dependent* ([`charge_gather`]): the index stream is read
+/// coalesced and the output written coalesced, but the loads from `src` are
+/// charged by the actual coalescing of the index pattern. Sequential
+/// indices cost `n·size/128` transactions; random indices cost ~`n`.
+pub fn gather<T: Copy>(gpu: &Gpu, idx: &[usize], src: &[T]) -> Vec<T> {
+    let out: Vec<T> = idx.iter().map(|&i| src[i]).collect();
+    charge_gather::<T>(gpu, idx);
     out
 }
 
-/// [`gather`] into a caller-provided buffer — same cost model, but the
-/// output allocation is reused when `out` already has the capacity (the
-/// ESC pipeline's per-call staging buffers).
-pub fn gather_into<T>(gpu: &Gpu, idx: &[usize], src: &[T], out: &mut Vec<T>)
-where
-    T: Copy + Send + Sync,
-{
-    out.clear();
-    out.extend(idx.iter().map(|&i| src[i]));
-    let n = idx.len();
+/// Charge a `gather` of `T` elements at the index stream `idx` — for a
+/// backend that reads the gathered values inside a fused pass instead of
+/// materialising them (`idx` may be any iterator; it is walked once).
+pub fn charge_gather<T>(gpu: &Gpu, idx: impl IntoIterator<Item = impl Borrow<usize>>) {
     let elem = std::mem::size_of::<T>();
+    let (src_txns, n) = gather_transactions(gpu, idx, elem);
     let txn = gpu.config().mem_transaction_bytes as u64;
     let tally = KernelTally {
         warp_instructions: 3 * stream_instrs(gpu, n),
         mem_transactions: ((n * std::mem::size_of::<usize>()) as u64).div_ceil(txn)
-            + gather_transactions(gpu, idx, elem)
+            + src_txns
             + ((n * elem) as u64).div_ceil(txn),
         atomic_ops: 0,
     };
@@ -58,10 +39,7 @@ where
 /// Indices must be unique (the CUDA kernel would otherwise be racy); this is
 /// checked in debug builds. The stores are charged by index coalescing,
 /// mirroring [`gather`].
-pub fn scatter<T>(gpu: &Gpu, idx: &[usize], src: &[T], dst: &mut [T])
-where
-    T: Copy + Send + Sync,
-{
+pub fn scatter<T: Copy>(gpu: &Gpu, idx: &[usize], src: &[T], dst: &mut [T]) {
     assert_eq!(idx.len(), src.len(), "idx/src length mismatch");
     #[cfg(debug_assertions)]
     {
@@ -82,7 +60,7 @@ where
     let tally = KernelTally {
         warp_instructions: 3 * stream_instrs(gpu, n),
         mem_transactions: ((n * (std::mem::size_of::<usize>() + elem)) as u64).div_ceil(txn)
-            + gather_transactions(gpu, idx, elem),
+            + gather_transactions(gpu, idx, elem).0,
         atomic_ops: 0,
     };
     gpu.charge_kernel("scatter", n.div_ceil(CHUNK).max(1), tally);
@@ -92,12 +70,9 @@ where
 /// it — Thrust `lower_bound` (vectorised binary search).
 ///
 /// Cost: each needle walks `log2(h)` uncoalesced probes.
-pub fn lower_bound<K>(gpu: &Gpu, haystack: &[K], needles: &[K]) -> Vec<usize>
-where
-    K: Ord + Send + Sync,
-{
+pub fn lower_bound<K: Ord>(gpu: &Gpu, haystack: &[K], needles: &[K]) -> Vec<usize> {
     let out: Vec<usize> = needles
-        .par_iter()
+        .iter()
         .map(|k| haystack.partition_point(|h| h < k))
         .collect();
     let n = needles.len();
@@ -120,7 +95,7 @@ where
 /// `dst[idx[i]] = op(dst[idx[i]], src[i])` with unique indices.
 pub fn scatter_combine<T, F>(gpu: &Gpu, idx: &[usize], src: &[T], dst: &mut [T], op: F)
 where
-    T: Copy + Send + Sync,
+    T: Copy,
     F: Fn(T, T) -> T,
 {
     assert_eq!(idx.len(), src.len(), "idx/src length mismatch");
@@ -142,7 +117,7 @@ where
         warp_instructions: 4 * stream_instrs(gpu, n),
         // read-modify-write: gather pattern charged twice
         mem_transactions: ((n * (std::mem::size_of::<usize>() + elem)) as u64).div_ceil(txn)
-            + 2 * gather_transactions(gpu, idx, elem),
+            + 2 * gather_transactions(gpu, idx, elem).0,
         atomic_ops: 0,
     };
     gpu.charge_kernel("scatter_combine", n.div_ceil(CHUNK).max(1), tally);

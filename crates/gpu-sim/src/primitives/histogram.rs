@@ -1,35 +1,22 @@
 //! Histogram — the atomic-heavy primitive (COO→CSR row counting).
 
-use rayon::prelude::*;
-
 use super::CHUNK;
 use crate::{Gpu, KernelTally};
 
-/// Count occurrences of each bin index — the `atomicAdd` histogram kernel.
-///
-/// Functionally computed with per-chunk private histograms merged in bin
-/// order (deterministic); the charged cost is the atomic kernel's: one
-/// atomic per element plus coalesced reads.
+/// Count occurrences of each bin index — the `atomicAdd` histogram kernel
+/// ([`charge_histogram`]).
 pub fn histogram(gpu: &Gpu, nbins: usize, idx: &[usize]) -> Vec<usize> {
-    let out = idx
-        .par_chunks(CHUNK)
-        .map(|chunk| {
-            let mut local = vec![0usize; nbins];
-            for &i in chunk {
-                local[i] += 1;
-            }
-            local
-        })
-        .reduce(
-            || vec![0usize; nbins],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-    let n = idx.len();
+    let mut out = vec![0usize; nbins];
+    for &i in idx {
+        out[i] += 1;
+    }
+    charge_histogram(gpu, nbins, idx.len());
+    out
+}
+
+/// Charge the atomic histogram kernel over `n` indices into `nbins` bins:
+/// one atomic per element plus coalesced reads.
+pub fn charge_histogram(gpu: &Gpu, nbins: usize, n: usize) {
     let txn = gpu.config().mem_transaction_bytes as u64;
     let tally = KernelTally {
         warp_instructions: 2 * (n as u64).div_ceil(gpu.config().warp_size as u64),
@@ -38,7 +25,6 @@ pub fn histogram(gpu: &Gpu, nbins: usize, idx: &[usize]) -> Vec<usize> {
         atomic_ops: n as u64,
     };
     gpu.charge_kernel("histogram", n.div_ceil(CHUNK).max(1), tally);
-    out
 }
 
 #[cfg(test)]

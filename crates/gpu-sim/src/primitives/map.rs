@@ -1,95 +1,68 @@
 //! Elementwise primitives: `transform`, `zip_transform`, `sequence`, `fill`.
 
-use rayon::prelude::*;
-
-use super::{charge_streaming, stream_instrs};
+use super::{charge_streaming, stream_instrs, CHUNK};
 use crate::Gpu;
 
-/// `out[i] = f(input[i])` — Thrust `transform`.
-///
-/// Cost: one kernel streaming `n·size(A)` in and `n·size(B)` out, plus one
-/// ALU instruction per warp-step.
+/// `out[i] = f(input[i])` — Thrust `transform` ([`charge_transform`]).
 pub fn transform<A, B, F>(gpu: &Gpu, input: &[A], f: F) -> Vec<B>
 where
-    A: Sync,
-    B: Send,
-    F: Fn(&A) -> B + Sync,
+    F: Fn(&A) -> B,
 {
-    let out: Vec<B> = input.par_iter().map(&f).collect();
-    let n = input.len();
+    let out: Vec<B> = input.iter().map(f).collect();
+    charge_transform::<A, B>(gpu, input.len());
+    out
+}
+
+/// Charge a `transform` of `n` elements: one kernel streaming `n·size(A)`
+/// in and `n·size(B)` out, plus one ALU instruction per warp-step.
+pub fn charge_transform<A, B>(gpu: &Gpu, n: usize) {
     charge_streaming(
         gpu,
         "transform",
-        n.div_ceil(super::CHUNK).max(1),
+        n.div_ceil(CHUNK).max(1),
         (n * std::mem::size_of::<A>()) as u64,
         (n * std::mem::size_of::<B>()) as u64,
         2 * stream_instrs(gpu, n),
     );
-    out
 }
 
 /// In-place `transform`: `data[i] = f(data[i])`.
 pub fn transform_inplace<T, F>(gpu: &Gpu, data: &mut [T], f: F)
 where
-    T: Send + Sync + Copy,
-    F: Fn(T) -> T + Sync,
+    T: Copy,
+    F: Fn(T) -> T,
 {
-    data.par_iter_mut().for_each(|v| *v = f(*v));
+    data.iter_mut().for_each(|v| *v = f(*v));
     let n = data.len();
     let bytes = (n * std::mem::size_of::<T>()) as u64;
     charge_streaming(
         gpu,
         "transform_inplace",
-        n.div_ceil(super::CHUNK).max(1),
+        n.div_ceil(CHUNK).max(1),
         bytes,
         bytes,
         2 * stream_instrs(gpu, n),
     );
 }
 
-/// `out[i] = f(a[i], b[i])` — binary Thrust `transform`.
+/// `out[i] = f(a[i], b[i])` — binary Thrust `transform`
+/// ([`charge_zip_transform`]).
 pub fn zip_transform<A, B, C, F>(gpu: &Gpu, a: &[A], b: &[B], f: F) -> Vec<C>
 where
-    A: Sync,
-    B: Sync,
-    C: Send,
-    F: Fn(&A, &B) -> C + Sync,
+    F: Fn(&A, &B) -> C,
 {
     assert_eq!(a.len(), b.len(), "zip_transform requires equal lengths");
-    let out: Vec<C> = a
-        .par_iter()
-        .zip(b.par_iter())
-        .map(|(x, y)| f(x, y))
-        .collect();
-    let n = a.len();
-    charge_streaming(
-        gpu,
-        "zip_transform",
-        n.div_ceil(super::CHUNK).max(1),
-        (n * (std::mem::size_of::<A>() + std::mem::size_of::<B>())) as u64,
-        (n * std::mem::size_of::<C>()) as u64,
-        3 * stream_instrs(gpu, n),
-    );
+    let out: Vec<C> = a.iter().zip(b).map(|(x, y)| f(x, y)).collect();
+    charge_zip_transform::<A, B, C>(gpu, a.len());
     out
 }
 
-/// [`zip_transform`] into a caller-provided buffer — same cost model,
-/// reusing `out`'s allocation when its capacity suffices.
-pub fn zip_transform_into<A, B, C, F>(gpu: &Gpu, a: &[A], b: &[B], f: F, out: &mut Vec<C>)
-where
-    A: Sync,
-    B: Sync,
-    C: Send,
-    F: Fn(&A, &B) -> C + Sync,
-{
-    assert_eq!(a.len(), b.len(), "zip_transform requires equal lengths");
-    out.clear();
-    out.extend(a.iter().zip(b.iter()).map(|(x, y)| f(x, y)));
-    let n = a.len();
+/// Charge a binary `transform` of `n` element pairs.
+pub fn charge_zip_transform<A, B, C>(gpu: &Gpu, n: usize) {
     charge_streaming(
         gpu,
         "zip_transform",
-        n.div_ceil(super::CHUNK).max(1),
+        n.div_ceil(CHUNK).max(1),
         (n * (std::mem::size_of::<A>() + std::mem::size_of::<B>())) as u64,
         (n * std::mem::size_of::<C>()) as u64,
         3 * stream_instrs(gpu, n),
@@ -98,11 +71,11 @@ where
 
 /// `out[i] = start + i` — Thrust `sequence`/counting iterator materialised.
 pub fn sequence(gpu: &Gpu, start: usize, n: usize) -> Vec<usize> {
-    let out: Vec<usize> = (start..start + n).into_par_iter().collect();
+    let out: Vec<usize> = (start..start + n).collect();
     charge_streaming(
         gpu,
         "sequence",
-        n.div_ceil(super::CHUNK).max(1),
+        n.div_ceil(CHUNK).max(1),
         0,
         (n * std::mem::size_of::<usize>()) as u64,
         stream_instrs(gpu, n),
@@ -111,12 +84,12 @@ pub fn sequence(gpu: &Gpu, start: usize, n: usize) -> Vec<usize> {
 }
 
 /// `out[i] = value` — Thrust `fill`.
-pub fn fill<T: Copy + Send + Sync>(gpu: &Gpu, value: T, n: usize) -> Vec<T> {
+pub fn fill<T: Copy>(gpu: &Gpu, value: T, n: usize) -> Vec<T> {
     let out = vec![value; n];
     charge_streaming(
         gpu,
         "fill",
-        n.div_ceil(super::CHUNK).max(1),
+        n.div_ceil(CHUNK).max(1),
         0,
         (n * std::mem::size_of::<T>()) as u64,
         stream_instrs(gpu, n),

@@ -14,9 +14,13 @@
 //!
 //! Each call behaves like the corresponding Thrust algorithm *and* charges
 //! the device the traffic/instruction budget its CUDA implementation would
-//! consume (documented per function). Results are deterministic: parallel
-//! reductions use a fixed chunk tree, so float results do not vary from run
-//! to run.
+//! consume (documented per function). The simulator's rule is *execute
+//! natively, charge analytically*: each primitive is one plain host pass
+//! plus a `charge_*` function — arithmetic over sizes (and, for gathers,
+//! over the index stream) — that a backend fusing several primitives into
+//! one pass calls directly, so the device is charged the same pipeline.
+//! Results are deterministic: reductions fold a fixed chunk tree, the float
+//! result a blocked device reduction of that tile size would give.
 
 pub mod compact;
 pub mod gather;
@@ -27,13 +31,16 @@ pub mod scan;
 pub mod sort;
 
 pub use compact::{copy_if, copy_if_indexed, count_if};
-pub use gather::{gather, gather_into, lower_bound, scatter};
+pub use gather::{gather, lower_bound, scatter};
 pub use histogram::histogram;
-pub use map::{fill, sequence, transform, transform_inplace, zip_transform, zip_transform_into};
+pub use map::{fill, sequence, transform, transform_inplace, zip_transform};
 pub use reduce::{reduce, reduce_by_key, segmented_reduce};
 pub use scan::{exclusive_scan, inclusive_scan};
 pub use sort::{sort_keys, sort_pairs};
 
+use std::borrow::Borrow;
+
+use crate::launch::Coalescer;
 use crate::{Gpu, KernelTally};
 
 /// Fixed work-chunk used by blocked primitives. One chunk plays the role of
@@ -67,32 +74,39 @@ pub(crate) fn stream_instrs(gpu: &Gpu, elems: usize) -> u64 {
 
 /// Estimate the global-memory transactions of a data-dependent gather with
 /// the given index pattern — exposed so backends can charge custom kernels
-/// whose loads follow an index array they computed themselves.
-pub fn gather_cost(gpu: &Gpu, idx: &[usize], elem_bytes: usize) -> u64 {
-    gather_transactions(gpu, idx, elem_bytes)
+/// whose loads follow an index stream they compute on the fly (any
+/// iterator of indices; nothing is materialised).
+pub fn gather_cost(
+    gpu: &Gpu,
+    idx: impl IntoIterator<Item = impl Borrow<usize>>,
+    elem_bytes: usize,
+) -> u64 {
+    gather_transactions(gpu, idx, elem_bytes).0
 }
 
 /// Estimate the global-memory transactions of a data-dependent gather: group
 /// indices into warp-sized runs (the lanes of one memory instruction) and
-/// count distinct transaction segments per run.
-pub(crate) fn gather_transactions(gpu: &Gpu, idx: &[usize], elem_bytes: usize) -> u64 {
-    use rayon::prelude::*;
+/// count distinct transaction segments per run. Returns the transactions
+/// and the number of indices seen.
+pub(crate) fn gather_transactions(
+    gpu: &Gpu,
+    idx: impl IntoIterator<Item = impl Borrow<usize>>,
+    elem_bytes: usize,
+) -> (u64, usize) {
     let warp = gpu.config().warp_size;
-    let txn = gpu.config().mem_transaction_bytes as u64;
-    idx.par_chunks(warp)
-        .map(|lanes| {
-            let mut segs = [u64::MAX; 64];
-            let mut n = 0usize;
-            for &i in lanes {
-                let seg = (i as u64 * elem_bytes as u64) / txn;
-                if !segs[..n].contains(&seg) {
-                    segs[n] = seg;
-                    n += 1;
-                }
-            }
-            n as u64
-        })
-        .sum()
+    let coalescer = Coalescer::new(gpu.config());
+    let (mut lanes, mut seen) = (Vec::with_capacity(warp), Vec::new());
+    let mut idx = idx.into_iter().map(|i| *i.borrow());
+    let (mut txns, mut n) = (0u64, 0usize);
+    loop {
+        lanes.clear();
+        lanes.extend(idx.by_ref().take(warp));
+        txns += coalescer.distinct_segments(elem_bytes, &lanes, &mut seen);
+        n += lanes.len();
+        if lanes.len() < warp {
+            return (txns, n);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -105,8 +119,9 @@ mod tests {
         let gpu = Gpu::new(GpuConfig::k40());
         let seq: Vec<usize> = (0..1024).collect();
         let strided: Vec<usize> = (0..1024).map(|i| i * 64).collect();
-        let coalesced = gather_transactions(&gpu, &seq, 8);
-        let scattered = gather_transactions(&gpu, &strided, 8);
+        let (coalesced, n) = gather_transactions(&gpu, &seq, 8);
+        let scattered = gather_cost(&gpu, strided.iter().copied(), 8);
+        assert_eq!(n, 1024);
         // sequential f64: 2 segments per warp of 32 -> 64 total
         assert_eq!(coalesced, 64);
         // 512-byte stride: every lane its own segment -> 1024 total

@@ -1,28 +1,26 @@
 //! Reductions: full, segmented, and by-key.
 
-use rayon::prelude::*;
-
 use super::{charge_streaming, stream_instrs, CHUNK};
 use crate::Gpu;
 
 /// Tree-reduce `input` with the monoid `(identity, op)` — Thrust `reduce`.
 ///
 /// Deterministic: values are folded sequentially within fixed-size chunks
-/// and chunk partials are folded sequentially in chunk order, so float
-/// results are identical run to run regardless of the rayon pool size.
+/// (one thread block's tile each) and the chunk partials are folded
+/// sequentially in chunk order, so a float result is the blocked device
+/// reduction's, identical run to run.
 ///
 /// Cost: reads `n` elements once, `log`-depth combine charged as one extra
 /// instruction per warp.
 pub fn reduce<T, F>(gpu: &Gpu, input: &[T], identity: T, op: F) -> T
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
-    let partials: Vec<T> = input
-        .par_chunks(CHUNK)
+    let result = input
+        .chunks(CHUNK)
         .map(|chunk| chunk.iter().copied().fold(identity, &op))
-        .collect();
-    let result = partials.into_iter().fold(identity, &op);
+        .fold(identity, &op);
     let n = input.len();
     charge_streaming(
         gpu,
@@ -47,19 +45,14 @@ pub fn segmented_reduce<T, F>(
     op: F,
 ) -> Vec<T>
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
     assert!(!offsets.is_empty(), "offsets must have at least one entry");
     let nseg = offsets.len() - 1;
-    let out: Vec<T> = (0..nseg)
-        .into_par_iter()
-        .map(|s| {
-            vals[offsets[s]..offsets[s + 1]]
-                .iter()
-                .copied()
-                .fold(identity, &op)
-        })
+    let out: Vec<T> = offsets
+        .windows(2)
+        .map(|w| vals[w[0]..w[1]].iter().copied().fold(identity, &op))
         .collect();
     let n = vals.len();
     charge_streaming(
@@ -79,44 +72,29 @@ where
 /// with `op` in run order. Returns `(unique_keys, reduced_vals)`.
 pub fn reduce_by_key<K, V, F>(gpu: &Gpu, keys: &[K], vals: &[V], op: F) -> (Vec<K>, Vec<V>)
 where
-    K: Copy + Eq + Send + Sync,
-    V: Copy + Send + Sync,
-    F: Fn(V, V) -> V + Sync,
+    K: Copy + Eq,
+    V: Copy,
+    F: Fn(V, V) -> V,
 {
     assert_eq!(keys.len(), vals.len(), "keys/vals length mismatch");
-    let n = keys.len();
-    if n == 0 {
-        charge_streaming(gpu, "reduce_by_key", 1, 0, 0, 0);
-        return (Vec::new(), Vec::new());
-    }
-    // Pass 1: segment boundaries (head flags + compaction).
-    let starts: Vec<usize> = (0..n)
-        .into_par_iter()
-        .filter(|&i| i == 0 || keys[i - 1] != keys[i])
-        .collect();
-    // Pass 2: per-segment sequential fold.
-    let nseg = starts.len();
-    let out_keys: Vec<K> = starts.par_iter().map(|&s| keys[s]).collect();
-    let out_vals: Vec<V> = (0..nseg)
-        .into_par_iter()
-        .map(|s| {
-            let lo = starts[s];
-            let hi = if s + 1 < nseg { starts[s + 1] } else { n };
-            let mut acc = vals[lo];
-            for v in &vals[lo + 1..hi] {
-                acc = op(acc, *v);
+    let (mut out_keys, mut out_vals): (Vec<K>, Vec<V>) = (Vec::new(), Vec::new());
+    for (&k, &v) in keys.iter().zip(vals) {
+        match out_vals.last_mut() {
+            Some(acc) if out_keys.last() == Some(&k) => *acc = op(*acc, v),
+            _ => {
+                out_keys.push(k);
+                out_vals.push(v);
             }
-            acc
-        })
-        .collect();
-    let kb = std::mem::size_of::<K>();
-    let vb = std::mem::size_of::<V>();
+        }
+    }
+    let (n, nseg) = (keys.len(), out_keys.len());
+    let pair = std::mem::size_of::<K>() + std::mem::size_of::<V>();
     charge_streaming(
         gpu,
         "reduce_by_key",
         n.div_ceil(CHUNK).max(1),
-        (n * (kb + vb)) as u64,
-        (nseg * (kb + vb)) as u64,
+        (n * pair) as u64,
+        (nseg * pair) as u64,
         3 * stream_instrs(gpu, n),
     );
     (out_keys, out_vals)

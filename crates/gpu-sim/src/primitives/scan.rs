@@ -1,7 +1,5 @@
 //! Prefix sums — the load-bearing primitive of every compaction and build.
 
-use rayon::prelude::*;
-
 use super::{charge_streaming, stream_instrs, CHUNK};
 use crate::Gpu;
 
@@ -9,65 +7,53 @@ use crate::Gpu;
 /// `exclusive_scan`. `out[i] = op(input[0], …, input[i-1])`, `out[0] =
 /// identity`.
 ///
-/// Implemented as the classic two-phase blocked scan (per-tile scan,
-/// sequential scan of tile totals, tile offset fix-up), charged as two
-/// bandwidth-shaped kernels — the Thrust/CUB cost shape.
+/// Charged as the classic two-phase blocked scan ([`charge_scan`]). The
+/// device combines tile by tile where this pass folds left to right, so
+/// `op` must be associative — a monoid, as every Thrust scan requires.
 pub fn exclusive_scan<T, F>(gpu: &Gpu, input: &[T], identity: T, op: F) -> Vec<T>
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
-    scan_impl(gpu, input, identity, op, false)
+    let mut acc = identity;
+    let out = input
+        .iter()
+        .map(|&x| {
+            let before = acc;
+            acc = op(acc, x);
+            before
+        })
+        .collect();
+    charge_scan::<T>(gpu, input.len());
+    out
 }
 
 /// Inclusive prefix "sum": `out[i] = op(input[0], …, input[i])`.
 pub fn inclusive_scan<T, F>(gpu: &Gpu, input: &[T], identity: T, op: F) -> Vec<T>
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
-    scan_impl(gpu, input, identity, op, true)
+    let mut acc = identity;
+    let out = input
+        .iter()
+        .map(|&x| {
+            acc = op(acc, x);
+            acc
+        })
+        .collect();
+    charge_scan::<T>(gpu, input.len());
+    out
 }
 
-fn scan_impl<T, F>(gpu: &Gpu, input: &[T], identity: T, op: F, inclusive: bool) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    let n = input.len();
+/// Charge a scan over `n` elements of `T`: per-tile totals (upsweep), then
+/// the per-tile rescan with offsets (downsweep) — two bandwidth-shaped
+/// kernels, the Thrust/CUB cost shape. The single-block scan of the tile
+/// totals between them is negligible and rides in the downsweep.
+pub fn charge_scan<T>(gpu: &Gpu, n: usize) {
     let bytes = (n * std::mem::size_of::<T>()) as u64;
     let blocks = n.div_ceil(CHUNK).max(1);
-    // Kernel 1: per-tile totals (upsweep).
-    let totals: Vec<T> = input
-        .par_chunks(CHUNK)
-        .map(|c| c.iter().copied().fold(identity, &op))
-        .collect();
     charge_streaming(gpu, "scan_upsweep", blocks, bytes, 0, stream_instrs(gpu, n));
-    // Host-side tiny scan of tile totals (mirrors the single-block middle
-    // kernel; its cost is negligible and charged inside the downsweep).
-    let mut offsets = Vec::with_capacity(totals.len());
-    let mut acc = identity;
-    for t in totals {
-        offsets.push(acc);
-        acc = op(acc, t);
-    }
-    // Kernel 2: per-tile rescan with offset (downsweep).
-    let mut out = vec![identity; n];
-    out.par_chunks_mut(CHUNK)
-        .zip(input.par_chunks(CHUNK))
-        .zip(offsets.par_iter())
-        .for_each(|((o, i), &off)| {
-            let mut acc = off;
-            for (dst, &src) in o.iter_mut().zip(i) {
-                if inclusive {
-                    acc = op(acc, src);
-                    *dst = acc;
-                } else {
-                    *dst = acc;
-                    acc = op(acc, src);
-                }
-            }
-        });
     charge_streaming(
         gpu,
         "scan_downsweep",
@@ -76,14 +62,13 @@ where
         bytes,
         2 * stream_instrs(gpu, n),
     );
-    out
 }
 
 /// Total of an exclusive scan plus the last element: the "size" that
 /// compactions need. Returns `(scan, total)`.
 pub fn exclusive_scan_total<F>(gpu: &Gpu, input: &[usize], op: F) -> (Vec<usize>, usize)
 where
-    F: Fn(usize, usize) -> usize + Sync,
+    F: Fn(usize, usize) -> usize,
 {
     let scan = exclusive_scan(gpu, input, 0, &op);
     let total = match (scan.last(), input.last()) {

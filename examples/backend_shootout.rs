@@ -150,6 +150,6 @@ fn main() {
 
     println!("\nNote: `par wall` is the work-stealing CPU backend at host");
     println!("parallelism; `cuda-sim wall` is host wall-clock of the functional");
-    println!("simulation (thread blocks run on the rayon pool); `modeled us` is");
+    println!("simulation (kernels execute natively, charges are analytic); `modeled us` is");
     println!("the SIMT cost model's kernel-time estimate for a K40-class device.");
 }

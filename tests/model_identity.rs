@@ -1,0 +1,410 @@
+//! Model-identity golden test: the simulated device's **modeled** statistics
+//! for a fixed device suite, recorded once and compared exactly.
+//!
+//! The simulator has two clocks. The modeled one (`GpuStats`, `kernel_log`)
+//! is the reproduction's result; the host one is only what computing it
+//! costs. A change meant to make the simulator cheaper to run must leave
+//! every modeled number where it was, so the numbers below are constants:
+//! per step the full `GpuStats` (kernels, warp instructions, memory
+//! transactions, atomics, PCIe bytes and counts, modeled time rounded to
+//! ns), and over the whole suite the per-kernel-name `kernel_log` totals.
+//!
+//! When a PR changes the *model* on purpose, the failing assertion prints
+//! the new report; paste it over the constant and say so in the PR.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use gbtl::algebra::{Min, MinPlus, Plus, PlusMonoid, PlusTimes, Times, TriL, ValueGe};
+use gbtl::algorithms::pagerank::PageRankOptions;
+use gbtl::algorithms::{
+    adjacency, bfs_levels, connected_components, maximal_independent_set, pagerank, sssp,
+    triangle_count, tril, triu,
+};
+use gbtl::backend_cuda as cuda;
+use gbtl::gpu_sim::{GpuStats, KernelRecord};
+use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
+use gbtl::prelude::*;
+use gbtl::sparse::{CooMatrix, DenseVector, EllMatrix, HybMatrix, SparseVector, VecMask};
+
+fn ns(seconds: f64) -> u64 {
+    (seconds * 1e9).round() as u64
+}
+
+fn stats_line(s: &GpuStats) -> String {
+    format!(
+        "kernels={} warp={} txn={} atomics={} h2d={}B/{} d2h={}B/{} ns={}",
+        s.kernels_launched,
+        s.warp_instructions,
+        s.mem_transactions,
+        s.atomic_ops,
+        s.bytes_h2d,
+        s.h2d_transfers,
+        s.bytes_d2h,
+        s.d2h_transfers,
+        ns(s.modeled_time_s)
+    )
+}
+
+/// Per-kernel-name totals: launches, blocks, warp instructions, memory
+/// transactions, atomics, modeled seconds.
+#[derive(Default)]
+struct KernelTotals {
+    counts: [u64; 5],
+    seconds: f64,
+}
+
+struct Suite {
+    ctx: Context<CudaBackend>,
+    report: String,
+    kernels: BTreeMap<&'static str, KernelTotals>,
+}
+
+impl Suite {
+    fn new() -> Self {
+        Suite {
+            ctx: Context::with_backend(CudaBackend::with_trace(GpuConfig::k40())),
+            report: String::new(),
+            kernels: BTreeMap::new(),
+        }
+    }
+
+    /// Run one step on a zeroed device and record what it was charged.
+    fn step(&mut self, name: &str, f: impl FnOnce(&Context<CudaBackend>)) {
+        self.ctx.reset_gpu_stats();
+        f(&self.ctx);
+        let s = self.ctx.gpu_stats();
+        writeln!(self.report, "{name}: {}", stats_line(&s)).unwrap();
+        for KernelRecord {
+            name,
+            blocks,
+            tally,
+            modeled_time_s,
+        } in &s.kernel_log
+        {
+            let t = self.kernels.entry(name).or_default();
+            let add = [
+                1,
+                *blocks as u64,
+                tally.warp_instructions,
+                tally.mem_transactions,
+                tally.atomic_ops,
+            ];
+            for (dst, src) in t.counts.iter_mut().zip(add) {
+                *dst += src;
+            }
+            t.seconds += modeled_time_s;
+        }
+    }
+
+    fn finish(mut self) -> String {
+        for (name, t) in &self.kernels {
+            let [n, blocks, warp, txn, atomics] = t.counts;
+            writeln!(
+                self.report,
+                "  {name}: n={n} blocks={blocks} warp={warp} txn={txn} atomics={atomics} ns={}",
+                ns(t.seconds)
+            )
+            .unwrap();
+        }
+        self.report
+    }
+}
+
+/// The fixed device suite over one undirected structure and one directed
+/// one (for the transposes that are not the identity).
+fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u64) -> String {
+    let n = structure.nrows();
+    let a = adjacency(structure.clone());
+    let d = adjacency(directed.clone());
+    let weighted = weights::uniform_u32_symmetric(structure, 1, 100, seed);
+    let w: Matrix<u32> = Matrix::build(
+        n,
+        n,
+        weighted.iter().filter(|&(i, j, _)| i != j),
+        Min::new(),
+    )
+    .unwrap();
+    let src = (0..n)
+        .max_by_key(|&i| (a.csr().row_nnz(i), std::cmp::Reverse(i)))
+        .unwrap();
+    let desc = Descriptor::new();
+
+    let mut suite = Suite::new();
+    suite.step("upload", |ctx| {
+        ctx.upload_matrix(&a);
+        ctx.upload_matrix(&w);
+    });
+    suite.step("prewarm_transpose", |ctx| {
+        ctx.prewarm_transpose(&a);
+        ctx.prewarm_transpose(&w);
+    });
+    for dir in [Direction::Auto, Direction::Push, Direction::Pull] {
+        suite.step(&format!("bfs_levels/{dir:?}"), |ctx| {
+            let levels = bfs_levels(ctx, &a, src, dir).unwrap();
+            ctx.download_vector(&levels);
+        });
+    }
+    suite.step("sssp", |ctx| {
+        let dist = sssp(ctx, &w, src).unwrap();
+        ctx.download_vector(&dist);
+    });
+    suite.step("pagerank/5", |ctx| {
+        let opts = PageRankOptions {
+            damping: 0.85,
+            tolerance: 0.0,
+            max_iters: 5,
+        };
+        let (ranks, iters) = pagerank(ctx, &d, opts).unwrap();
+        assert_eq!(iters, 5);
+        ctx.download_vector(&ranks);
+    });
+    suite.step("triangle_count", |ctx| {
+        triangle_count(ctx, &a).unwrap();
+    });
+    suite.step("connected_components", |ctx| {
+        connected_components(ctx, &a).unwrap();
+    });
+    suite.step("mis", |ctx| {
+        maximal_independent_set(ctx, &a, seed).unwrap();
+    });
+    let (lower, upper) = (tril(&w), triu(&w));
+    suite.step("ewise_add_mat", |ctx| {
+        let mut c = Matrix::new(n, n);
+        ctx.ewise_add_mat(&mut c, None, no_accum(), Plus::new(), &lower, &w, &desc)
+            .unwrap();
+    });
+    suite.step("ewise_mult_mat", |ctx| {
+        let mut c = Matrix::new(n, n);
+        ctx.ewise_mult_mat(&mut c, None, no_accum(), Times::new(), &w, &upper, &desc)
+            .unwrap();
+    });
+    suite.step("select_mat", |ctx| {
+        ctx.select_mat_new(TriL, &w);
+    });
+    suite.step("mxm", |ctx| {
+        let mut c = Matrix::new(n, n);
+        ctx.mxm(&mut c, None, no_accum(), MinPlus::new(), &lower, &w, &desc)
+            .unwrap();
+    });
+    // called on the device directly: the context would answer from the
+    // transpose cache PageRank filled
+    suite.step("transpose", |ctx| {
+        cuda::transpose(ctx.backend().gpu(), d.csr());
+    });
+    suite.step("build_csr", |ctx| {
+        cuda::build_csr(ctx.backend().gpu(), &weighted, Min::<u32>::new());
+    });
+    suite.step("reduce_rows", |ctx| {
+        cuda::reduce_rows(ctx.backend().gpu(), w.csr(), PlusMonoid::<u32>::new());
+    });
+    let (sparse_lo, sparse_hi) = (sparse_stride(n, 3), sparse_stride(n, 5));
+    suite.step("ewise_add_vec", |ctx| {
+        cuda::ewise_add_vec(ctx.backend().gpu(), &sparse_lo, &sparse_hi, Plus::new());
+    });
+    suite.step("select_vec", |ctx| {
+        cuda::select_vec(ctx.backend().gpu(), &sparse_lo, ValueGe(n as i64 / 2));
+    });
+
+    // the SpMV kernels, called as the backend calls them
+    let wi: Matrix<i64> = as_i64(&w);
+    let csr = wi.csr();
+    let u = DenseVector::filled(n, 1i64);
+    let keep: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+    let sr = PlusTimes::<i64>::new();
+    for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+        suite.step(&format!("mxv/{kernel:?}"), |ctx| {
+            cuda::mxv(ctx.backend().gpu(), csr, &u, sr, None, kernel);
+        });
+        suite.step(&format!("mxv/{kernel:?}/masked"), |ctx| {
+            let mask = Some(VecMask::from(&keep[..]));
+            cuda::mxv(ctx.backend().gpu(), csr, &u, sr, mask, kernel);
+        });
+    }
+    let ell = EllMatrix::from_csr(csr, 0i64);
+    let hyb = HybMatrix::from_csr(csr, 0i64);
+    suite.step("mxv_ell", |ctx| {
+        cuda::mxv_ell(ctx.backend().gpu(), &ell, &u, sr, None);
+    });
+    suite.step("mxv_ell/masked", |ctx| {
+        let mask = Some(VecMask::from(&keep[..]));
+        cuda::mxv_ell(ctx.backend().gpu(), &ell, &u, sr, mask);
+    });
+    suite.step("mxv_hyb", |ctx| {
+        cuda::mxv_hyb(ctx.backend().gpu(), &hyb, &u, sr, None);
+    });
+    suite.step("mxv_hyb/masked", |ctx| {
+        let mask = Some(VecMask::from(&keep[..]));
+        cuda::mxv_hyb(ctx.backend().gpu(), &hyb, &u, sr, mask);
+    });
+    suite.finish()
+}
+
+/// Every `stride`-th index present, valued by its index.
+fn sparse_stride(n: usize, stride: usize) -> SparseVector<i64> {
+    let idx: Vec<usize> = (0..n).step_by(stride).collect();
+    let vals = idx.iter().map(|&i| i as i64).collect();
+    SparseVector::from_sorted(n, idx, vals).unwrap()
+}
+
+/// `u32` weights as `i64` (ELL/HYB kernels take one scalar type throughout).
+fn as_i64(w: &Matrix<u32>) -> Matrix<i64> {
+    Matrix::build(
+        w.nrows(),
+        w.ncols(),
+        w.iter().map(|(i, j, v)| (i, j, v as i64)),
+        Min::new(),
+    )
+    .unwrap()
+}
+
+fn assert_golden(name: &str, actual: &str, golden: &str) {
+    let golden = golden.trim_start_matches('\n');
+    for (line, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(
+            got, want,
+            "{name}: modeled statistics moved at line {line}; full report:\n{actual}"
+        );
+    }
+    assert_eq!(
+        actual.lines().count(),
+        golden.lines().count(),
+        "{name}: report length changed; full report:\n{actual}"
+    );
+}
+
+#[test]
+fn rmat10_device_suite_is_bit_identical() {
+    let directed = Rmat::new(10, 8).seed(7).generate();
+    let report = device_suite(&symmetrize(&directed), &directed, 7);
+    assert_golden("rmat10", &report, RMAT10);
+}
+
+#[test]
+fn grid16_device_suite_is_bit_identical() {
+    let grid = grid_2d(16, 16);
+    // the grid stores both directions; keep the forward edges as the
+    // directed operand
+    let mut forward = CooMatrix::new(256, 256);
+    for (i, j, v) in grid.iter().filter(|&(i, j, _)| i < j) {
+        forward.push(i, j, v);
+    }
+    let report = device_suite(&grid, &forward, 11);
+    assert_golden("grid16", &report, GRID16);
+}
+
+const RMAT10: &str = "
+upload: kernels=0 warp=0 txn=0 atomics=0 h2d=275540B/2 d2h=0B/0 ns=42962
+prewarm_transpose: kernels=22 warp=19556 txn=30736 atomics=24680 h2d=0B/0 d2h=0B/0 ns=167536
+bfs_levels/Auto: kernels=34 warp=6847 txn=4013 atomics=0 h2d=0B/0 d2h=16384B/1 ns=183149
+bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 ns=315417
+bfs_levels/Pull: kernels=8 warp=17822 txn=10990 atomics=0 h2d=0B/0 d2h=16384B/1 ns=56250
+sssp: kernels=50 warp=68762 txn=70916 atomics=0 h2d=0B/0 d2h=8192B/1 ns=292201
+pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ns=134668
+triangle_count: kernels=24 warp=55328 txn=143088 atomics=12340 h2d=0B/0 d2h=0B/0 ns=205532
+connected_components: kernels=4 warp=45564 txn=51532 atomics=0 h2d=0B/0 d2h=0B/0 ns=42903
+mis: kernels=48 warp=47289 txn=55395 atomics=0 h2d=0B/0 d2h=0B/0 ns=264620
+ewise_add_mat: kernels=15 warp=15793 txn=29707 atomics=12340 h2d=0B/0 d2h=0B/0 ns=110141
+ewise_mult_mat: kernels=15 warp=14635 txn=27777 atomics=6170 h2d=0B/0 d2h=0B/0 ns=98314
+select_mat: kernels=10 warp=4760 txn=12571 atomics=6170 h2d=0B/0 d2h=0B/0 ns=66556
+mxm: kernels=17 warp=497200 txn=706044 atomics=243120 h2d=0B/0 d2h=0B/0 ns=831011
+transpose: kernels=11 warp=5453 txn=7986 atomics=6804 h2d=0B/0 d2h=0B/0 ns=70645
+build_csr: kernels=11 warp=13149 txn=22121 atomics=12361 h2d=0B/0 d2h=0B/0 ns=86807
+reduce_rows: kernels=4 warp=996 txn=660 atomics=0 h2d=0B/0 d2h=0B/0 ns=20293
+ewise_add_vec: kernels=5 warp=324 txn=690 atomics=0 h2d=0B/0 d2h=0B/0 ns=25307
+select_vec: kernels=3 warp=66 txn=139 atomics=0 h2d=0B/0 d2h=0B/0 ns=15062
+mxv/Scalar: kernels=1 warp=11671 txn=31952 atomics=0 h2d=0B/0 d2h=0B/0 ns=19201
+mxv/Scalar/masked: kernels=1 warp=9551 txn=22318 atomics=0 h2d=0B/0 d2h=0B/0 ns=14919
+mxv/Vector: kernels=1 warp=11391 txn=13499 atomics=0 h2d=0B/0 d2h=0B/0 ns=11000
+mxv/Vector/masked: kernels=1 warp=7629 txn=9105 atomics=0 h2d=0B/0 d2h=0B/0 ns=9047
+mxv_ell: kernels=1 warp=45995 txn=53138 atomics=0 h2d=0B/0 d2h=0B/0 ns=28617
+mxv_ell/masked: kernels=1 warp=45571 txn=50374 atomics=0 h2d=0B/0 d2h=0B/0 ns=27388
+mxv_hyb: kernels=2 warp=2075 txn=10230 atomics=8208 h2d=0B/0 d2h=0B/0 ns=29139
+mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=28864
+  build_keys: n=1 blocks=64 warp=1022 txn=3062 atomics=0 ns=6361
+  compact_flags: n=10 blocks=18 warp=2428 txn=5059 atomics=0 ns=52248
+  compact_scan: n=10 blocks=18 warp=2428 txn=3037 atomics=0 ns=51350
+  compact_scatter: n=10 blocks=18 warp=2428 txn=6671 atomics=0 ns=52965
+  ewise_boundaries: n=2 blocks=146 warp=2316 txn=4628 atomics=0 ns=12057
+  ewise_combine: n=2 blocks=146 warp=2316 txn=9256 atomics=0 ns=14114
+  ewise_vec_combine: n=1 blocks=3 warp=36 txn=138 atomics=0 ns=5061
+  expand_row_ids: n=13 blocks=13 warp=4123 txn=8259 atomics=0 ns=68671
+  gather: n=30 blocks=32 warp=1494 txn=7441 atomics=0 ns=153307
+  histogram: n=11 blocks=88 warp=20682 txn=21384 atomics=330789 ns=652573
+  mask_resolve: n=12 blocks=12 warp=384 txn=192 atomics=0 ns=60085
+  radix_sort_pass: n=96 blocks=736 warp=339184 txn=502728 atomics=0 ns=703435
+  reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ns=5112
+  reduce_by_key: n=16 blocks=159 warp=55896 txn=80049 atomics=0 ns=115577
+  scan_downsweep: n=26 blocks=27 warp=1202 txn=2388 atomics=0 ns=131061
+  scan_upsweep: n=26 blocks=27 warp=601 txn=1194 atomics=0 ns=130531
+  segmented_reduce: n=1 blocks=1 warp=804 txn=482 atomics=0 ns=5214
+  select_key: n=2 blocks=98 warp=1544 txn=9256 atomics=0 ns=14114
+  spgemm_expand: n=1 blocks=25 warp=107754 txn=113097 atomics=0 ns=55265
+  spgemm_masked_dot: n=1 blocks=25 warp=45138 txn=122546 atomics=0 ns=59465
+  spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
+  spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
+  spmv_csr_vector: n=28 blocks=112 warp=259253 txn=261303 atomics=0 ns=256135
+  spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
+  tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
+  transform: n=22 blocks=176 warp=41364 txn=82720 atomics=0 ns=146764
+  transpose_keys: n=5 blocks=177 warp=2782 txn=8342 atomics=0 ns=28708
+  vxm_expand: n=14 blocks=17 warp=1912 txn=3162 atomics=0 ns=71405
+  zip_transform: n=15 blocks=16 warp=747 txn=1458 atomics=0 ns=75648
+";
+
+const GRID16: &str = "
+upload: kernels=0 warp=0 txn=0 atomics=0 h2d=24272B/2 d2h=0B/0 ns=22023
+prewarm_transpose: kernels=22 warp=1564 txn=2506 atomics=1920 h2d=0B/0 d2h=0B/0 ns=114527
+bfs_levels/Auto: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
+bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
+bfs_levels/Pull: kernels=58 warp=4059 txn=6553 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303254
+sssp: kernels=279 warp=2048 txn=4181 atomics=0 h2d=0B/0 d2h=2048B/1 ns=1407029
+pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ns=97057
+triangle_count: kernels=23 warp=1420 txn=2127 atomics=960 h2d=0B/0 d2h=0B/0 ns=117652
+connected_components: kernels=31 warp=5704 txn=15934 atomics=0 h2d=0B/0 d2h=0B/0 ns=162082
+mis: kernels=36 warp=888 txn=2278 atomics=0 h2d=0B/0 d2h=0B/0 ns=181012
+ewise_add_mat: kernels=15 warp=1255 txn=2378 atomics=960 h2d=0B/0 d2h=0B/0 ns=77764
+ewise_mult_mat: kernels=15 warp=1165 txn=2228 atomics=480 h2d=0B/0 d2h=0B/0 ns=76844
+select_mat: kernels=10 warp=392 txn=1034 atomics=480 h2d=0B/0 d2h=0B/0 ns=51313
+mxm: kernels=17 warp=1941 txn=3070 atomics=1378 h2d=0B/0 d2h=0B/0 ns=88814
+transpose: kernels=11 warp=407 txn=623 atomics=480 h2d=0B/0 d2h=0B/0 ns=56130
+build_csr: kernels=11 warp=834 txn=1444 atomics=960 h2d=0B/0 d2h=0B/0 ns=57348
+reduce_rows: kernels=4 warp=116 txn=101 atomics=0 h2d=0B/0 d2h=0B/0 ns=20045
+ewise_add_vec: kernels=5 warp=90 txn=180 atomics=0 h2d=0B/0 d2h=0B/0 ns=25080
+select_vec: kernels=3 warp=18 txn=37 atomics=0 h2d=0B/0 d2h=0B/0 ns=15016
+mxv/Scalar: kernels=1 warp=184 txn=710 atomics=0 h2d=0B/0 d2h=0B/0 ns=5316
+mxv/Scalar/masked: kernels=1 warp=184 txn=702 atomics=0 h2d=0B/0 d2h=0B/0 ns=5312
+mxv/Vector: kernels=1 warp=3328 txn=1920 atomics=0 h2d=0B/0 d2h=0B/0 ns=5853
+mxv/Vector/masked: kernels=1 warp=2210 txn=1274 atomics=0 h2d=0B/0 d2h=0B/0 ns=5566
+mxv_ell: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ns=5131
+mxv_ell/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
+mxv_hyb: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ns=5131
+mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
+  build_keys: n=1 blocks=4 warp=60 txn=180 atomics=0 ns=5080
+  compact_flags: n=62 blocks=62 warp=318 txn=604 atomics=0 ns=310268
+  compact_scan: n=62 blocks=62 warp=318 txn=384 atomics=0 ns=310171
+  compact_scatter: n=62 blocks=62 warp=318 txn=803 atomics=0 ns=310357
+  ewise_boundaries: n=2 blocks=12 warp=180 txn=360 atomics=0 ns=10160
+  ewise_combine: n=2 blocks=12 warp=180 txn=720 atomics=0 ns=10320
+  ewise_vec_combine: n=1 blocks=1 warp=10 txn=36 atomics=0 ns=5016
+  expand_row_ids: n=13 blocks=13 warp=389 txn=791 atomics=0 ns=65352
+  gather: n=174 blocks=174 warp=618 txn=2015 atomics=0 ns=870896
+  histogram: n=11 blocks=11 warp=508 txn=683 atomics=8098 ns=69700
+  mask_resolve: n=87 blocks=87 warp=696 txn=348 atomics=0 ns=435155
+  radix_sort_pass: n=384 blocks=384 warp=6400 txn=8424 atomics=0 ns=1923744
+  reduce_by_key: n=88 blocks=88 warp=600 txn=883 atomics=0 ns=440392
+  scan_downsweep: n=98 blocks=98 warp=382 txn=608 atomics=0 ns=490270
+  scan_upsweep: n=98 blocks=98 warp=191 txn=304 atomics=0 ns=490135
+  segmented_reduce: n=1 blocks=1 warp=68 txn=55 atomics=0 ns=5024
+  select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
+  spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
+  spgemm_masked_dot: n=1 blocks=2 warp=598 txn=423 atomics=0 ns=5188
+  spmv_csr_scalar: n=75 blocks=75 warp=11811 txn=28691 atomics=0 ns=387752
+  spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
+  spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
+  tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
+  transform: n=22 blocks=22 warp=1016 txn=2028 atomics=0 ns=110901
+  transpose_keys: n=5 blocks=14 warp=210 txn=630 atomics=0 ns=25280
+  vxm_expand: n=86 blocks=86 warp=576 txn=1407 atomics=0 ns=430625
+  zip_transform: n=87 blocks=87 warp=309 txn=336 atomics=0 ns=435149
+";
