@@ -16,6 +16,10 @@
 //! reduce-by-key, the CUSP formulation of the BFS/SSSP step.
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+// The functional result of every SpMV kernel below is the sequential row
+// fold; the kernels differ only in how the device would schedule (and so be
+// charged for) it.
+use gbtl_backend_seq::row_dot;
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 
@@ -77,30 +81,6 @@ where
         SpmvKernel::Auto => unreachable!("resolved above"),
     }
     DenseVector::from_options(out)
-}
-
-/// `⊕`-fold of `vals[q] ⊗ u[cols[q]]` over one row's entries, in entry
-/// order — the functional result of every SpMV kernel below, which differ
-/// only in how the device would schedule (and so be charged for) it.
-#[inline]
-fn row_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> Option<T>
-where
-    T: Scalar,
-    D1: Scalar,
-    S: Semiring<T, D1, T>,
-{
-    let (add, mul) = (sr.add(), sr.mul());
-    let mut acc: Option<T> = None;
-    for (&j, &aij) in cols.iter().zip(vals) {
-        if let Some(uj) = u[j] {
-            let term = mul.apply(aij, uj);
-            acc = Some(match acc {
-                Some(v) => add.apply(v, term),
-                None => term,
-            });
-        }
-    }
-    acc
 }
 
 /// The rows of one warp, `first..end`, that the mask keeps.

@@ -1,17 +1,18 @@
 //! Parallel elementwise union (`eWiseAdd`) and intersection (`eWiseMult`).
 //!
-//! Matrix variants chunk rows balanced on the *combined* nnz of both
-//! operands and run the sequential two-pointer merge per row; chunks
-//! stitch back in row order. Vector variants split the index domain into
-//! even contiguous ranges — `partition_point` locates each operand's
-//! sub-slice, so tasks never overlap and concatenation preserves order.
-//! Merge order per row/index is the sequential backend's, hence
-//! bit-identical output.
+//! Matrix variants cut rows balanced on the *combined* nnz of both
+//! operands and run the sequential row-range merge on each cut. Vector
+//! variants split the index domain into even contiguous ranges —
+//! `partition_point` locates each operand's sub-slice, so tasks never
+//! overlap and concatenation preserves order. The merges themselves are
+//! `gbtl-backend-seq`'s, hence bit-identical output.
 
-use crate::partition::{even_ranges, nnz_balanced_rows, OVERSPLIT};
 use crate::pool::ThreadPool;
-use crate::stitch::{stitch_rows, RowChunk};
+use crate::schedule::{join_dense, join_entries, over_range, over_rows};
 use gbtl_algebra::{BinaryOp, Scalar};
+use gbtl_backend_seq::{
+    ewise_add_mat_rows, ewise_mult_mat_rows, ewise_mult_vec_rows, merge_union, stitch_rows,
+};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
 
 /// Cumulative combined nnz of both operands, for balance-aware chunking.
@@ -21,51 +22,6 @@ fn combined_ptr<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Vec<usize> {
         .zip(b.row_ptr())
         .map(|(&x, &y)| x + y)
         .collect()
-}
-
-/// Union merge of one row pair, appending to the chunk-local buffers.
-/// Identical control flow to `gbtl_backend_seq::ewise_add_mat`'s inner loop.
-fn merge_union<T: Scalar, Op: BinaryOp<T>>(
-    ac: &[usize],
-    av: &[T],
-    bc: &[usize],
-    bv: &[T],
-    op: Op,
-    col_idx: &mut Vec<usize>,
-    vals: &mut Vec<T>,
-) {
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < ac.len() || q < bc.len() {
-        match (ac.get(p), bc.get(q)) {
-            (Some(&ja), Some(&jb)) if ja == jb => {
-                col_idx.push(ja);
-                vals.push(op.apply(av[p], bv[q]));
-                p += 1;
-                q += 1;
-            }
-            (Some(&ja), Some(&jb)) if ja < jb => {
-                col_idx.push(ja);
-                vals.push(av[p]);
-                p += 1;
-            }
-            (Some(_), Some(&jb)) => {
-                col_idx.push(jb);
-                vals.push(bv[q]);
-                q += 1;
-            }
-            (Some(&ja), None) => {
-                col_idx.push(ja);
-                vals.push(av[p]);
-                p += 1;
-            }
-            (None, Some(&jb)) => {
-                col_idx.push(jb);
-                vals.push(bv[q]);
-                q += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
 }
 
 /// `C = A ⊕ B` — union merge per row, rows in parallel.
@@ -79,28 +35,8 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    assert_eq!(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-        "eWiseAdd shape mismatch"
-    );
-    let comb = combined_ptr(a, b);
-    let chunks = nnz_balanced_rows(&comb, pool.threads() * OVERSPLIT);
-    let parts = pool.run_tasks(chunks.len(), |t| {
-        let rows = chunks[t].clone();
-        let mut chunk = RowChunk {
-            counts: Vec::with_capacity(rows.len()),
-            col_idx: Vec::new(),
-            vals: Vec::new(),
-        };
-        for i in rows {
-            let before = chunk.col_idx.len();
-            let (ac, av) = a.row(i);
-            let (bc, bv) = b.row(i);
-            merge_union(ac, av, bc, bv, op, &mut chunk.col_idx, &mut chunk.vals);
-            chunk.counts.push(chunk.col_idx.len() - before);
-        }
-        chunk
+    let parts = over_rows(pool, &combined_ptr(a, b), |rows| {
+        ewise_add_mat_rows(a, b, op, rows)
     });
     stitch_rows(a.nrows(), a.ncols(), parts)
 }
@@ -116,40 +52,8 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    assert_eq!(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-        "eWiseMult shape mismatch"
-    );
-    let comb = combined_ptr(a, b);
-    let chunks = nnz_balanced_rows(&comb, pool.threads() * OVERSPLIT);
-    let parts = pool.run_tasks(chunks.len(), |t| {
-        let rows = chunks[t].clone();
-        let mut chunk = RowChunk {
-            counts: Vec::with_capacity(rows.len()),
-            col_idx: Vec::new(),
-            vals: Vec::new(),
-        };
-        for i in rows {
-            let before = chunk.col_idx.len();
-            let (ac, av) = a.row(i);
-            let (bc, bv) = b.row(i);
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < ac.len() && q < bc.len() {
-                match ac[p].cmp(&bc[q]) {
-                    std::cmp::Ordering::Equal => {
-                        chunk.col_idx.push(ac[p]);
-                        chunk.vals.push(op.apply(av[p], bv[q]));
-                        p += 1;
-                        q += 1;
-                    }
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                }
-            }
-            chunk.counts.push(chunk.col_idx.len() - before);
-        }
-        chunk
+    let parts = over_rows(pool, &combined_ptr(a, b), |rows| {
+        ewise_mult_mat_rows(a, b, op, rows)
     });
     stitch_rows(a.nrows(), a.ncols(), parts)
 }
@@ -167,39 +71,20 @@ where
 {
     assert_eq!(u.len(), v.len(), "eWiseAdd vector length mismatch");
     let n = u.len();
-    let ranges = even_ranges(n, pool.threads() * OVERSPLIT);
-    let mut parts = pool.run_tasks(ranges.len(), |t| {
-        let r = ranges[t].clone();
-        let (ui, uv) = (u.indices(), u.values());
-        let (vi, vv) = (v.indices(), v.values());
-        let (ulo, uhi) = (
-            ui.partition_point(|&i| i < r.start),
-            ui.partition_point(|&i| i < r.end),
-        );
-        let (vlo, vhi) = (
-            vi.partition_point(|&i| i < r.start),
-            vi.partition_point(|&i| i < r.end),
-        );
-        let mut idx = Vec::with_capacity((uhi - ulo) + (vhi - vlo));
+    let parts = over_range(pool, n, |r| {
+        // each operand's entries with an index in `r`
+        let within = |idx: &[usize]| {
+            idx.partition_point(|&i| i < r.start)..idx.partition_point(|&i| i < r.end)
+        };
+        let (ur, vr) = (within(u.indices()), within(v.indices()));
+        let mut idx = Vec::with_capacity(ur.len() + vr.len());
         let mut vals = Vec::with_capacity(idx.capacity());
-        merge_union(
-            &ui[ulo..uhi],
-            &uv[ulo..uhi],
-            &vi[vlo..vhi],
-            &vv[vlo..vhi],
-            op,
-            &mut idx,
-            &mut vals,
-        );
+        let (ui, uv) = (&u.indices()[ur.clone()], &u.values()[ur]);
+        let (vi, vv) = (&v.indices()[vr.clone()], &v.values()[vr]);
+        merge_union(ui, uv, vi, vv, op, &mut idx, &mut vals);
         (idx, vals)
     });
-    let total: usize = parts.iter().map(|(idx, _)| idx.len()).sum();
-    let mut idx = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for (pidx, pvals) in parts.iter_mut() {
-        idx.append(pidx);
-        vals.append(pvals);
-    }
+    let (idx, vals) = join_entries(parts);
     SparseVector::from_sorted(n, idx, vals).expect("disjoint ascending ranges merge sorted")
 }
 
@@ -214,23 +99,8 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    assert_eq!(u.len(), v.len(), "eWiseMult vector length mismatch");
-    let ranges = even_ranges(u.len(), pool.threads() * OVERSPLIT);
-    let (uo, vo) = (u.options(), v.options());
-    let segments = pool.run_tasks(ranges.len(), |t| {
-        ranges[t]
-            .clone()
-            .map(|i| match (uo[i], vo[i]) {
-                (Some(a), Some(b)) => Some(op.apply(a, b)),
-                _ => None,
-            })
-            .collect::<Vec<Option<T>>>()
-    });
-    let mut out = Vec::with_capacity(u.len());
-    for seg in segments {
-        out.extend(seg);
-    }
-    DenseVector::from_options(out)
+    let segments = over_range(pool, u.len(), |r| ewise_mult_vec_rows(u, v, op, r));
+    join_dense(u.len(), segments)
 }
 
 #[cfg(test)]

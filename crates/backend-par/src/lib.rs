@@ -1,26 +1,31 @@
-//! # gbtl-backend-par — work-stealing parallel CPU backend
+//! # gbtl-backend-par — a scheduler over the sequential row kernels
 //!
-//! Multi-threaded GraphBLAS kernels on `std::thread::scope`, with a hard
-//! guarantee the sequential backend makes easy and parallel runtimes
-//! usually give up: **output is bit-identical to `gbtl-backend-seq` at
-//! every thread count** (see the one documented caveat below).
+//! Multi-threaded GraphBLAS ops on `std::thread::scope`, with a hard
+//! guarantee parallel runtimes usually give up: **output is bit-identical
+//! to `gbtl-backend-seq` at every thread count** (see the one documented
+//! caveat below). It holds because this crate computes almost nothing
+//! itself.
 //!
-//! ## How determinism survives parallelism
+//! ## One CPU kernel source
 //!
-//! Every kernel partitions *output* positions, never input contributions:
+//! Every row-oriented kernel of `gbtl-backend-seq` has a row-range form
+//! (`mxm_rows`, `mxm_masked_rows`, `mxv_rows`, `ewise_add_mat_rows`, …).
+//! Behind each of [`mxm`], [`mxm_masked`], [`mxv`], [`ewise_add_mat`],
+//! [`ewise_mult_mat`], [`select_mat`] and [`reduce_rows`] is one path: cut
+//! the rows nnz-balanced, run the *sequential* kernel on each cut, stitch
+//! the fragments in row order (`schedule`). Each output row is computed by
+//! the sequential kernel itself — same accumulator, same visit order — and
+//! a row never straddles two cuts, so no schedule can change a bit.
 //!
-//! * Row-parallel ops ([`mxv`], [`mxm`], [`ewise_add_mat`], …) give each
-//!   output row whole to one task, which runs the sequential per-row
-//!   algorithm verbatim — same accumulator, same visit order.
+//! Three kernels are this crate's own, because they are different
+//! algorithms with no row-range form:
+//!
 //! * [`vxm`] partitions output **columns**: each task scans the whole
 //!   frontier in order, narrowing adjacency rows to its column range, so
 //!   per column the terms combine in frontier order, exactly as seq. The
 //!   number of ranges follows the frontier's edge work
 //!   ([`vxm_range_count`]); one range is the sequential kernel, inline.
-//! * [`mxm`] assembles CSR with a two-pass count-then-fill: a symbolic
-//!   pass counts per-row output nnz, a serial prefix sum fixes `row_ptr`,
-//!   and the numeric pass writes into pre-carved disjoint slices. No
-//!   atomics, no locks on the hot path, no `unsafe`.
+//! * [`transpose`] is a counting sort per range of output rows.
 //! * Scalar [`reduce_mat`]-style folds use **fixed 4096-element blocks**
 //!   (never sized by thread count), so the combining tree is identical on
 //!   any machine. For exactly associative monoids (integers, booleans,
@@ -40,7 +45,7 @@ mod mxv;
 pub mod partition;
 mod pool;
 mod reduce;
-mod stitch;
+mod schedule;
 mod transpose;
 mod unary;
 

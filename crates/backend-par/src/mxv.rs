@@ -1,10 +1,11 @@
 //! Parallel matrix–vector products, both directions.
 //!
 //! * [`mxv`] (pull): rows are split into nnz-balanced contiguous chunks
-//!   (binary search over `row_ptr`, merge-path style); each task computes
-//!   its output segment independently. Per-row accumulation order is the
-//!   sequential backend's, so results are bit-identical to it.
-//! * [`vxm`] (push): output **columns** are split into contiguous ranges;
+//!   (binary search over `row_ptr`, merge-path style) and each chunk is
+//!   `gbtl_backend_seq::mxv_rows`, so results are bit-identical to it.
+//! * [`vxm`] (push) is a different algorithm from the sequential one, and
+//!   the one product kernel this crate owns: a row split would have tasks
+//!   collide on output columns, so output **columns** are split instead;
 //!   each task walks the whole frontier but binary-searches every adjacency
 //!   row down to its own column range and accumulates only there. For each
 //!   output column the terms still arrive in frontier order (`k`
@@ -15,14 +16,16 @@
 //!   ([`vxm_range_count`]): a small or low-degree frontier gets one range,
 //!   which *is* the sequential kernel, run inline on the caller.
 
-use crate::partition::{even_ranges, nnz_balanced_rows, OVERSPLIT};
+use crate::partition::{even_ranges, OVERSPLIT};
 use crate::pool::ThreadPool;
+use crate::schedule::{join_dense, join_entries, over_rows};
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_backend_seq::mxv_rows;
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 
 /// Pull-direction product `w = A ⊕.⊗ u`; `mask` is a keep test over
-/// output rows. Bit-identical to `gbtl_backend_seq::mxv`.
+/// output rows.
 pub fn mxv<T, D1, S>(
     pool: &ThreadPool,
     a: &CsrMatrix<D1>,
@@ -35,49 +38,8 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    assert_eq!(
-        a.ncols(),
-        u.len(),
-        "mxv dimension mismatch: {}x{} * len {}",
-        a.nrows(),
-        a.ncols(),
-        u.len()
-    );
-    if let Some(keep) = mask {
-        assert_eq!(keep.len(), a.nrows(), "mask length must equal output size");
-    }
-    let (add, mul) = (sr.add(), sr.mul());
-    let uvals = u.options();
-    let chunks = nnz_balanced_rows(a.row_ptr(), pool.threads() * OVERSPLIT);
-
-    let segments = pool.run_tasks(chunks.len(), |t| {
-        let rows = chunks[t].clone();
-        let mut seg: Vec<Option<T>> = vec![None; rows.len()];
-        for i in rows.clone() {
-            if mask.is_some_and(|keep| !keep.keeps(i)) {
-                continue;
-            }
-            let (cols, vals) = a.row(i);
-            let mut acc: Option<T> = None;
-            for (&j, &aij) in cols.iter().zip(vals) {
-                if let Some(uj) = uvals[j] {
-                    let term = mul.apply(aij, uj);
-                    acc = Some(match acc {
-                        Some(v) => add.apply(v, term),
-                        None => term,
-                    });
-                }
-            }
-            seg[i - rows.start] = acc;
-        }
-        seg
-    });
-
-    let mut out: Vec<Option<T>> = Vec::with_capacity(a.nrows());
-    for seg in segments {
-        out.extend(seg);
-    }
-    DenseVector::from_options(out)
+    let segments = over_rows(pool, a.row_ptr(), |rows| mxv_rows(a, u, sr, mask, rows));
+    join_dense(a.nrows(), segments)
 }
 
 /// Edge work one extra column range must bring to pay for its walk over
@@ -144,7 +106,7 @@ where
     let n = a.ncols();
     let ranges = even_ranges(n, nranges);
 
-    let mut parts = pool.run_tasks(ranges.len(), |t| {
+    let parts = pool.run_tasks(ranges.len(), |t| {
         let cols = ranges[t].clone();
         let width = cols.len();
         workspace::with_accumulator(width, |acc: &mut Vec<Option<T>>| {
@@ -181,13 +143,7 @@ where
         })
     });
 
-    let total: usize = parts.iter().map(|(idx, _)| idx.len()).sum();
-    let mut idx = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for (pidx, pvals) in parts.iter_mut() {
-        idx.append(pidx);
-        vals.append(pvals);
-    }
+    let (idx, vals) = join_entries(parts);
     SparseVector::from_sorted(n, idx, vals).expect("column ranges ascend and are disjoint")
 }
 

@@ -1,4 +1,5 @@
-//! Parallel reductions with a *fixed-block* tree.
+//! Parallel reductions with a *fixed-block* tree — a different algorithm
+//! from the sequential single left fold, and so this crate's own.
 //!
 //! Scalar reductions fold fixed 4096-element blocks independently, then
 //! fold the per-block partials left-to-right. The block size never depends
@@ -11,12 +12,13 @@
 //! documented reassociation (the same caveat every parallel BLAS carries).
 //!
 //! Row reductions (`reduce_rows`) have no such caveat: each row is folded
-//! whole by one task in sequential order, so all monoids, including
-//! floating-point ones, reduce bit-identically to the seq backend.
+//! whole by `gbtl_backend_seq::reduce_rows_range`, so all monoids,
+//! including floating-point ones, reduce bit-identically to the seq backend.
 
-use crate::partition::{nnz_balanced_rows, OVERSPLIT};
 use crate::pool::ThreadPool;
+use crate::schedule::{join_entries, over_rows};
 use gbtl_algebra::{Monoid, Scalar};
+use gbtl_backend_seq::reduce_rows_range;
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
 
 /// Elements per reduction block. Fixed (never derived from the thread
@@ -91,33 +93,15 @@ where
 }
 
 /// Row-wise reduction `w_i = ⊕ A(i, :)`; empty rows stay absent. Each row
-/// folds whole on one task — bit-identical to seq for *every* monoid.
+/// folds whole in the sequential kernel — bit-identical to seq for *every*
+/// monoid.
 pub fn reduce_rows<T, M>(pool: &ThreadPool, a: &CsrMatrix<T>, monoid: M) -> SparseVector<T>
 where
     T: Scalar,
     M: Monoid<T>,
 {
-    let chunks = nnz_balanced_rows(a.row_ptr(), pool.threads() * OVERSPLIT);
-    let mut parts = pool.run_tasks(chunks.len(), |t| {
-        let rows = chunks[t].clone();
-        let mut idx = Vec::new();
-        let mut vals = Vec::new();
-        for i in rows {
-            let (_, vs) = a.row(i);
-            if let Some((&first, rest)) = vs.split_first() {
-                idx.push(i);
-                vals.push(rest.iter().fold(first, |acc, &v| monoid.apply(acc, v)));
-            }
-        }
-        (idx, vals)
-    });
-    let total: usize = parts.iter().map(|(idx, _)| idx.len()).sum();
-    let mut idx = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for (pidx, pvals) in parts.iter_mut() {
-        idx.append(pidx);
-        vals.append(pvals);
-    }
+    let parts = over_rows(pool, a.row_ptr(), |rows| reduce_rows_range(a, monoid, rows));
+    let (idx, vals) = join_entries(parts);
     SparseVector::from_sorted(a.nrows(), idx, vals).expect("row chunks ascend")
 }
 

@@ -1,0 +1,52 @@
+//! The whole of this backend's part in a row-oriented op: cut the rows,
+//! run the *sequential* kernel's row-range form on each cut, join the
+//! fragments in order. The arithmetic lives in `gbtl-backend-seq` alone.
+
+use crate::partition::{even_ranges, nnz_balanced_rows, OVERSPLIT};
+use crate::pool::ThreadPool;
+use gbtl_algebra::Scalar;
+use gbtl_sparse::DenseVector;
+use std::ops::Range;
+
+/// `kernel` over nnz-balanced ranges of the rows `row_ptr` delimits,
+/// results in row order.
+pub(crate) fn over_rows<R, K>(pool: &ThreadPool, row_ptr: &[usize], kernel: K) -> Vec<R>
+where
+    R: Send,
+    K: Fn(Range<usize>) -> R + Sync,
+{
+    let chunks = nnz_balanced_rows(row_ptr, pool.threads() * OVERSPLIT);
+    pool.run_tasks(chunks.len(), |t| kernel(chunks[t].clone()))
+}
+
+/// `kernel` over even ranges of `0..n` (index-space work with no nnz
+/// structure to balance on), results in index order.
+pub(crate) fn over_range<R, K>(pool: &ThreadPool, n: usize, kernel: K) -> Vec<R>
+where
+    R: Send,
+    K: Fn(Range<usize>) -> R + Sync,
+{
+    let ranges = even_ranges(n, pool.threads() * OVERSPLIT);
+    pool.run_tasks(ranges.len(), |t| kernel(ranges[t].clone()))
+}
+
+/// Concatenate `(indices, values)` fragments of ascending disjoint ranges.
+pub(crate) fn join_entries<T>(mut parts: Vec<(Vec<usize>, Vec<T>)>) -> (Vec<usize>, Vec<T>) {
+    let total: usize = parts.iter().map(|(idx, _)| idx.len()).sum();
+    let mut idx = Vec::with_capacity(total);
+    let mut vals = Vec::with_capacity(total);
+    for (pidx, pvals) in parts.iter_mut() {
+        idx.append(pidx);
+        vals.append(pvals);
+    }
+    (idx, vals)
+}
+
+/// Concatenate dense segments of consecutive ranges into one vector.
+pub(crate) fn join_dense<T: Scalar>(n: usize, segments: Vec<DenseVector<T>>) -> DenseVector<T> {
+    let mut out = Vec::with_capacity(n);
+    for seg in &segments {
+        out.extend_from_slice(seg.options());
+    }
+    DenseVector::from_options(out)
+}

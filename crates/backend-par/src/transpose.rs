@@ -1,5 +1,7 @@
 //! Parallel transpose: each task owns a contiguous range of *output* rows
-//! (= input columns) and runs a private counting sort over them.
+//! (= input columns) and runs a private counting sort over them — a
+//! different algorithm from `CsrMatrix::transpose`'s single scatter, which
+//! has no row-range form (every input row feeds every output range).
 //!
 //! Both sweeps walk the input rows in ascending order and narrow each
 //! row's sorted column slice to the owned range with `partition_point`,
@@ -7,21 +9,20 @@
 //! order `CsrMatrix::transpose` produces. Tasks write only their own
 //! buffers; chunks stitch back in column order.
 
-use crate::partition::{even_ranges, OVERSPLIT};
 use crate::pool::ThreadPool;
-use crate::stitch::{stitch_rows, RowChunk};
+use crate::schedule::over_range;
 use gbtl_algebra::Scalar;
+use gbtl_backend_seq::{stitch_rows, RowChunk};
 use gbtl_sparse::CsrMatrix;
 
 /// `C = Aᵀ`. Bit-identical to `CsrMatrix::transpose` at any thread count.
 pub fn transpose<T: Scalar>(pool: &ThreadPool, a: &CsrMatrix<T>) -> CsrMatrix<T> {
     let (m, n) = (a.nrows(), a.ncols());
-    let ranges = even_ranges(n, pool.threads() * OVERSPLIT);
-    let parts = pool.run_tasks(ranges.len(), |t| {
-        let cols = ranges[t].clone();
+    let parts = over_range(pool, n, |cols| {
         let width = cols.len();
-        // Sweep 1: entries per owned column.
-        let mut counts = vec![0usize; width];
+        // Sweep 1: entries per owned column, prefix-summed into the
+        // chunk's local row offsets.
+        let mut row_ptr = vec![0usize; width + 1];
         for i in 0..m {
             let (rc, _) = a.row(i);
             let lo = rc.partition_point(|&j| j < cols.start);
@@ -29,17 +30,15 @@ pub fn transpose<T: Scalar>(pool: &ThreadPool, a: &CsrMatrix<T>) -> CsrMatrix<T>
                 if j >= cols.end {
                     break;
                 }
-                counts[j - cols.start] += 1;
+                row_ptr[j - cols.start + 1] += 1;
             }
         }
-        // Sweep 2: place entries at per-column cursors.
-        let total: usize = counts.iter().sum();
-        let mut cursors = Vec::with_capacity(width);
-        let mut run = 0usize;
-        for &c in &counts {
-            cursors.push(run);
-            run += c;
+        for k in 0..width {
+            row_ptr[k + 1] += row_ptr[k];
         }
+        // Sweep 2: place entries at per-column cursors.
+        let total = row_ptr[width];
+        let mut cursors = row_ptr[..width].to_vec();
         let mut col_idx = vec![0usize; total];
         let mut vals: Vec<T> = Vec::new();
         if total > 0 {
@@ -60,11 +59,7 @@ pub fn transpose<T: Scalar>(pool: &ThreadPool, a: &CsrMatrix<T>) -> CsrMatrix<T>
                 }
             }
         }
-        RowChunk {
-            counts,
-            col_idx,
-            vals,
-        }
+        RowChunk::from_parts(row_ptr, col_idx, vals)
     });
     stitch_rows(n, m, parts)
 }

@@ -2,26 +2,24 @@
 //!
 //! `apply` is embarrassingly parallel over the value array — structure is
 //! copied untouched, value chunks map independently and concatenate in
-//! order. `select` chunks rows and stitches, like the eWise merges.
+//! order. `select` runs the sequential row-range filter on nnz-balanced row
+//! chunks and stitches, like the eWise merges.
 
-use crate::partition::{even_ranges, nnz_balanced_rows, OVERSPLIT};
 use crate::pool::ThreadPool;
-use crate::stitch::{stitch_rows, RowChunk};
+use crate::schedule::{over_range, over_rows};
 use gbtl_algebra::{Scalar, SelectOp, UnaryOp};
+use gbtl_backend_seq::{select_mat_rows, stitch_rows};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
 
 /// Map `f` across a value slice in even parallel chunks, preserving order.
-fn map_vals<A, U>(pool: &ThreadPool, vals: &[A], f: U) -> Vec<U::Output>
+fn map_vals<A, B, F>(pool: &ThreadPool, vals: &[A], f: F) -> Vec<B>
 where
-    A: Scalar,
-    U: UnaryOp<A>,
+    A: Sync,
+    B: Send,
+    F: Fn(&A) -> B + Sync,
 {
-    let ranges = even_ranges(vals.len(), pool.threads() * OVERSPLIT);
-    let segments = pool.run_tasks(ranges.len(), |t| {
-        vals[ranges[t].clone()]
-            .iter()
-            .map(|&v| f.apply(v))
-            .collect::<Vec<U::Output>>()
+    let segments = over_range(pool, vals.len(), |r| {
+        vals[r].iter().map(&f).collect::<Vec<B>>()
     });
     let mut out = Vec::with_capacity(vals.len());
     for seg in segments {
@@ -41,7 +39,7 @@ where
         a.ncols(),
         a.row_ptr().to_vec(),
         a.col_idx().to_vec(),
-        map_vals(pool, a.vals(), f),
+        map_vals(pool, a.vals(), |&v| f.apply(v)),
     )
 }
 
@@ -51,7 +49,8 @@ where
     A: Scalar,
     U: UnaryOp<A>,
 {
-    SparseVector::from_sorted(u.len(), u.indices().to_vec(), map_vals(pool, u.values(), f))
+    let vals = map_vals(pool, u.values(), |&v| f.apply(v));
+    SparseVector::from_sorted(u.len(), u.indices().to_vec(), vals)
         .expect("structure copied from valid vector")
 }
 
@@ -61,19 +60,7 @@ where
     A: Scalar,
     U: UnaryOp<A>,
 {
-    let opts = u.options();
-    let ranges = even_ranges(opts.len(), pool.threads() * OVERSPLIT);
-    let segments = pool.run_tasks(ranges.len(), |t| {
-        opts[ranges[t].clone()]
-            .iter()
-            .map(|o| o.map(|v| f.apply(v)))
-            .collect::<Vec<Option<U::Output>>>()
-    });
-    let mut out = Vec::with_capacity(opts.len());
-    for seg in segments {
-        out.extend(seg);
-    }
-    DenseVector::from_options(out)
+    DenseVector::from_options(map_vals(pool, u.options(), |o| o.map(|v| f.apply(v))))
 }
 
 /// Keep entries where `pred(i, j, v)` holds; rows filter in parallel.
@@ -82,27 +69,7 @@ where
     T: Scalar,
     P: Fn(usize, usize, T) -> bool + Sync,
 {
-    let chunks = nnz_balanced_rows(a.row_ptr(), pool.threads() * OVERSPLIT);
-    let parts = pool.run_tasks(chunks.len(), |t| {
-        let rows = chunks[t].clone();
-        let mut chunk = RowChunk {
-            counts: Vec::with_capacity(rows.len()),
-            col_idx: Vec::new(),
-            vals: Vec::new(),
-        };
-        for i in rows {
-            let before = chunk.col_idx.len();
-            let (cols, vs) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vs) {
-                if pred(i, j, v) {
-                    chunk.col_idx.push(j);
-                    chunk.vals.push(v);
-                }
-            }
-            chunk.counts.push(chunk.col_idx.len() - before);
-        }
-        chunk
-    });
+    let parts = over_rows(pool, a.row_ptr(), |rows| select_mat_rows(a, &pred, rows));
     stitch_rows(a.nrows(), a.ncols(), parts)
 }
 

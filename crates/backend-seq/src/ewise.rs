@@ -4,11 +4,34 @@
 //! the op only where *both* operands hold a value; `eWiseMult` keeps the
 //! intersection.
 
+use crate::rows::RowChunk;
 use gbtl_algebra::{BinaryOp, Scalar};
 use gbtl_sparse::{CsrMatrix, DenseVector, Index, SparseVector};
+use std::ops::Range;
+
+/// Both operands' entry count over rows `rows` — the most a merge of those
+/// rows can emit.
+fn nnz_in<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>, rows: &Range<usize>) -> usize {
+    let span = |p: &[usize]| p[rows.end] - p[rows.start];
+    span(a.row_ptr()) + span(b.row_ptr())
+}
 
 /// `C = A ⊕ B` — union merge per row (two-pointer walk of sorted rows).
 pub fn ewise_add_mat<T, Op>(a: &CsrMatrix<T>, b: &CsrMatrix<T>, op: Op) -> CsrMatrix<T>
+where
+    T: Scalar,
+    Op: BinaryOp<T>,
+{
+    ewise_add_mat_rows(a, b, op, 0..a.nrows()).into_matrix(a.ncols())
+}
+
+/// Rows `rows` of [`ewise_add_mat`]'s result.
+pub fn ewise_add_mat_rows<T, Op>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    op: Op,
+    rows: Range<usize>,
+) -> RowChunk<T>
 where
     T: Scalar,
     Op: BinaryOp<T>,
@@ -18,53 +41,35 @@ where
         (b.nrows(), b.ncols()),
         "eWiseAdd shape mismatch"
     );
-    let m = a.nrows();
-    let mut row_ptr = Vec::with_capacity(m + 1);
+    let mut row_ptr = Vec::with_capacity(rows.len() + 1);
     row_ptr.push(0usize);
-    let mut col_idx = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut vals = Vec::with_capacity(a.nnz() + b.nnz());
-    for i in 0..m {
+    let mut col_idx = Vec::with_capacity(nnz_in(a, b, &rows));
+    let mut vals = Vec::with_capacity(col_idx.capacity());
+    for i in rows {
         let (ac, av) = a.row(i);
         let (bc, bv) = b.row(i);
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ac.len() || q < bc.len() {
-            match (ac.get(p), bc.get(q)) {
-                (Some(&ja), Some(&jb)) if ja == jb => {
-                    col_idx.push(ja);
-                    vals.push(op.apply(av[p], bv[q]));
-                    p += 1;
-                    q += 1;
-                }
-                (Some(&ja), Some(&jb)) if ja < jb => {
-                    col_idx.push(ja);
-                    vals.push(av[p]);
-                    p += 1;
-                }
-                (Some(_), Some(&jb)) => {
-                    col_idx.push(jb);
-                    vals.push(bv[q]);
-                    q += 1;
-                }
-                (Some(&ja), None) => {
-                    col_idx.push(ja);
-                    vals.push(av[p]);
-                    p += 1;
-                }
-                (None, Some(&jb)) => {
-                    col_idx.push(jb);
-                    vals.push(bv[q]);
-                    q += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
+        merge_union(ac, av, bc, bv, op, &mut col_idx, &mut vals);
         row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_parts_unchecked(m, a.ncols(), row_ptr, col_idx, vals)
+    RowChunk::from_parts(row_ptr, col_idx, vals)
 }
 
 /// `C = A ⊗ B` — intersection merge per row.
 pub fn ewise_mult_mat<T, Op>(a: &CsrMatrix<T>, b: &CsrMatrix<T>, op: Op) -> CsrMatrix<T>
+where
+    T: Scalar,
+    Op: BinaryOp<T>,
+{
+    ewise_mult_mat_rows(a, b, op, 0..a.nrows()).into_matrix(a.ncols())
+}
+
+/// Rows `rows` of [`ewise_mult_mat`]'s result.
+pub fn ewise_mult_mat_rows<T, Op>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    op: Op,
+    rows: Range<usize>,
+) -> RowChunk<T>
 where
     T: Scalar,
     Op: BinaryOp<T>,
@@ -74,12 +79,11 @@ where
         (b.nrows(), b.ncols()),
         "eWiseMult shape mismatch"
     );
-    let m = a.nrows();
-    let mut row_ptr = Vec::with_capacity(m + 1);
+    let mut row_ptr = Vec::with_capacity(rows.len() + 1);
     row_ptr.push(0usize);
     let mut col_idx = Vec::new();
     let mut vals = Vec::new();
-    for i in 0..m {
+    for i in rows {
         let (ac, av) = a.row(i);
         let (bc, bv) = b.row(i);
         let (mut p, mut q) = (0usize, 0usize);
@@ -97,7 +101,54 @@ where
         }
         row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_parts_unchecked(m, a.ncols(), row_ptr, col_idx, vals)
+    RowChunk::from_parts(row_ptr, col_idx, vals)
+}
+
+/// Union merge of two ascending `(index, value)` runs, appended to
+/// `idx`/`vals`: `op` where both hold an index, the lone value elsewhere.
+/// One matrix row pair, or (a range of) two sparse vectors.
+#[inline]
+pub fn merge_union<T: Scalar, Op: BinaryOp<T>>(
+    ai: &[Index],
+    av: &[T],
+    bi: &[Index],
+    bv: &[T],
+    op: Op,
+    idx: &mut Vec<Index>,
+    vals: &mut Vec<T>,
+) {
+    let (mut p, mut q) = (0usize, 0usize);
+    while p < ai.len() || q < bi.len() {
+        match (ai.get(p), bi.get(q)) {
+            (Some(&ja), Some(&jb)) if ja == jb => {
+                idx.push(ja);
+                vals.push(op.apply(av[p], bv[q]));
+                p += 1;
+                q += 1;
+            }
+            (Some(&ja), Some(&jb)) if ja < jb => {
+                idx.push(ja);
+                vals.push(av[p]);
+                p += 1;
+            }
+            (Some(_), Some(&jb)) => {
+                idx.push(jb);
+                vals.push(bv[q]);
+                q += 1;
+            }
+            (Some(&ja), None) => {
+                idx.push(ja);
+                vals.push(av[p]);
+                p += 1;
+            }
+            (None, Some(&jb)) => {
+                idx.push(jb);
+                vals.push(bv[q]);
+                q += 1;
+            }
+            (None, None) => unreachable!("loop condition"),
+        }
+    }
 }
 
 /// `w = u ⊕ v` on sparse vectors — union merge.
@@ -107,42 +158,10 @@ where
     Op: BinaryOp<T>,
 {
     assert_eq!(u.len(), v.len(), "eWiseAdd vector length mismatch");
-    let (ui, uv) = (u.indices(), u.values());
-    let (vi, vv) = (v.indices(), v.values());
+    let (ui, vi) = (u.indices(), v.indices());
     let mut idx: Vec<Index> = Vec::with_capacity(ui.len() + vi.len());
     let mut vals: Vec<T> = Vec::with_capacity(ui.len() + vi.len());
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < ui.len() || q < vi.len() {
-        match (ui.get(p), vi.get(q)) {
-            (Some(&a), Some(&b)) if a == b => {
-                idx.push(a);
-                vals.push(op.apply(uv[p], vv[q]));
-                p += 1;
-                q += 1;
-            }
-            (Some(&a), Some(&b)) if a < b => {
-                idx.push(a);
-                vals.push(uv[p]);
-                p += 1;
-            }
-            (Some(_), Some(&b)) => {
-                idx.push(b);
-                vals.push(vv[q]);
-                q += 1;
-            }
-            (Some(&a), None) => {
-                idx.push(a);
-                vals.push(uv[p]);
-                p += 1;
-            }
-            (None, Some(&b)) => {
-                idx.push(b);
-                vals.push(vv[q]);
-                q += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
+    merge_union(ui, u.values(), vi, v.values(), op, &mut idx, &mut vals);
     SparseVector::from_sorted(u.len(), idx, vals).expect("merge preserves sortedness")
 }
 
@@ -152,11 +171,26 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
+    ewise_mult_vec_rows(u, v, op, 0..u.len())
+}
+
+/// Positions `rows` of [`ewise_mult_vec`]'s result, as a vector of
+/// `rows.len()` entries.
+pub fn ewise_mult_vec_rows<T, Op>(
+    u: &DenseVector<T>,
+    v: &DenseVector<T>,
+    op: Op,
+    rows: Range<usize>,
+) -> DenseVector<T>
+where
+    T: Scalar,
+    Op: BinaryOp<T>,
+{
     assert_eq!(u.len(), v.len(), "eWiseMult vector length mismatch");
-    let mut w = DenseVector::new(u.len());
-    for i in 0..u.len() {
+    let mut w = DenseVector::new(rows.len());
+    for i in rows.clone() {
         if let (Some(a), Some(b)) = (u.get(i), v.get(i)) {
-            w.set(i, op.apply(a, b));
+            w.set(i - rows.start, op.apply(a, b));
         }
     }
     w

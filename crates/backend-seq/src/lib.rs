@@ -11,6 +11,12 @@
 //! 2. the *oracle* for differential tests of the CUDA backend;
 //! 3. a perfectly usable backend in its own right for small graphs.
 //!
+//! Every row-oriented kernel (`mxm`, `mxm_masked`, `mxv`, the matrix eWise
+//! merges, `select_mat`, `reduce_rows`) is written once, in a `*_rows` form
+//! that computes a range of output rows (see [`RowChunk`]); the
+//! whole-matrix function is that form over `0..m`, and `gbtl-backend-par`
+//! schedules the same form over many ranges. There is one CPU kernel source.
+//!
 //! All functions are pure: inputs by reference, outputs returned. Masks
 //! arrive pre-resolved by the frontend — a vector mask is a `&[bool]` keep
 //! bitmap, a matrix mask is a structural `CsrMatrix<bool>` — so backends
@@ -21,11 +27,19 @@ mod extract;
 mod mxm;
 mod mxv;
 mod reduce;
+mod rows;
 mod unary;
 
-pub use ewise::{ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec};
+pub use ewise::{
+    ewise_add_mat, ewise_add_mat_rows, ewise_add_vec, ewise_mult_mat, ewise_mult_mat_rows,
+    ewise_mult_vec, ewise_mult_vec_rows, merge_union,
+};
 pub use extract::{assign_mat, assign_vec, extract_mat, extract_vec};
-pub use mxm::{kronecker, mxm, mxm_masked};
-pub use mxv::{mxv, vxm};
-pub use reduce::{reduce_mat, reduce_rows, reduce_sparse_vec, reduce_vec};
-pub use unary::{apply_dense_vec, apply_mat, apply_vec, select_mat, select_mat_op, select_vec_op};
+pub use mxm::{kronecker, mxm, mxm_masked, mxm_masked_rows, mxm_rows};
+pub use mxv::{mxv, mxv_rows, row_dot, vxm};
+pub use reduce::{reduce_mat, reduce_rows, reduce_rows_range, reduce_sparse_vec, reduce_vec};
+pub use rows::{stitch_rows, RowChunk};
+pub use unary::{
+    apply_dense_vec, apply_mat, apply_vec, select_mat, select_mat_op, select_mat_rows,
+    select_vec_op,
+};

@@ -1,8 +1,10 @@
 //! Sparse matrix–matrix multiply: Gustavson's row-wise algorithm.
 
+use crate::rows::RowChunk;
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
 use gbtl_sparse::CsrMatrix;
 use gbtl_util::workspace;
+use std::ops::Range;
 
 /// `C = A ⊕.⊗ B` over the semiring — Gustavson's algorithm with a dense
 /// per-row accumulator (`O(flops + nrows·reset)` time, `O(ncols)` workspace).
@@ -11,6 +13,22 @@ use gbtl_util::workspace;
 /// When the inner dimensions disagree (`a.ncols() != b.nrows()`); the
 /// frontend validates shapes before dispatch.
 pub fn mxm<T, D1, D2, S>(a: &CsrMatrix<D1>, b: &CsrMatrix<D2>, sr: S) -> CsrMatrix<T>
+where
+    T: Scalar,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
+{
+    mxm_rows(a, b, sr, 0..a.nrows()).into_matrix(b.ncols())
+}
+
+/// Rows `rows` of [`mxm`]'s product.
+pub fn mxm_rows<T, D1, D2, S>(
+    a: &CsrMatrix<D1>,
+    b: &CsrMatrix<D2>,
+    sr: S,
+    rows: Range<usize>,
+) -> RowChunk<T>
 where
     T: Scalar,
     D1: Scalar,
@@ -27,19 +45,17 @@ where
         b.ncols()
     );
     let (add, mul) = (sr.add(), sr.mul());
-    let (m, n) = (a.nrows(), b.ncols());
 
     // The accumulator and touched list come from the thread-local
     // workspace pool: per-row `take()` drains leave the accumulator
     // all-None, which is the pool's return invariant.
-    workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
+    workspace::with_accumulator(b.ncols(), |acc: &mut Vec<Option<T>>| {
         workspace::with_index_buffer(|touched| {
-            let mut row_ptr = Vec::with_capacity(m + 1);
+            let mut row_ptr = Vec::with_capacity(rows.len() + 1);
             row_ptr.push(0usize);
             let mut col_idx = Vec::new();
             let mut vals = Vec::new();
-
-            for i in 0..m {
+            for i in rows {
                 touched.clear();
                 let (a_cols, a_vals) = a.row(i);
                 for (&k, &aik) in a_cols.iter().zip(a_vals) {
@@ -62,7 +78,7 @@ where
                 }
                 row_ptr.push(col_idx.len());
             }
-            CsrMatrix::from_parts_unchecked(m, n, row_ptr, col_idx, vals)
+            RowChunk::from_parts(row_ptr, col_idx, vals)
         })
     })
 }
@@ -85,6 +101,23 @@ where
     D2: Scalar,
     S: Semiring<T, D1, D2>,
 {
+    mxm_masked_rows(mask, a, b, sr, 0..a.nrows()).into_matrix(b.ncols())
+}
+
+/// Rows `rows` of [`mxm_masked`]'s product.
+pub fn mxm_masked_rows<T, D1, D2, S>(
+    mask: &CsrMatrix<bool>,
+    a: &CsrMatrix<D1>,
+    b: &CsrMatrix<D2>,
+    sr: S,
+    rows: Range<usize>,
+) -> RowChunk<T>
+where
+    T: Scalar,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
+{
     assert_eq!(a.ncols(), b.nrows(), "mxm inner dimension mismatch");
     assert_eq!(
         (mask.nrows(), mask.ncols()),
@@ -92,19 +125,18 @@ where
         "mask shape must equal output shape"
     );
     let (add, mul) = (sr.add(), sr.mul());
-    let (m, n) = (a.nrows(), b.ncols());
+    let n = b.ncols();
 
     // allowed[j] marks mask presence for the current row; both scratch
     // buffers come from the workspace pool (the per-mask-row drain
     // restores their all-false / all-None return invariants).
     workspace::with_flags(n, |allowed| {
         workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
-            let mut row_ptr = Vec::with_capacity(m + 1);
+            let mut row_ptr = Vec::with_capacity(rows.len() + 1);
             row_ptr.push(0usize);
             let mut col_idx = Vec::new();
             let mut vals = Vec::new();
-
-            for i in 0..m {
+            for i in rows {
                 let (m_cols, _) = mask.row(i);
                 if !m_cols.is_empty() {
                     for &j in m_cols {
@@ -134,7 +166,7 @@ where
                 }
                 row_ptr.push(col_idx.len());
             }
-            CsrMatrix::from_parts_unchecked(m, n, row_ptr, col_idx, vals)
+            RowChunk::from_parts(row_ptr, col_idx, vals)
         })
     })
 }

@@ -9,6 +9,33 @@
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
+use std::ops::Range;
+
+/// `⊕`-fold of `vals[q] ⊗ u[cols[q]]` over one row's entries, in entry
+/// order, skipping absent `u` positions; `None` when every one is absent.
+/// The one row kernel of pull `mxv` on every backend: the sequential and
+/// parallel backends run it per row, cuda-sim's SpMV kernels differ only in
+/// how the device would schedule (and so be charged for) it.
+#[inline]
+pub fn row_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> Option<T>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let mut acc: Option<T> = None;
+    for (&j, &aij) in cols.iter().zip(vals) {
+        if let Some(uj) = u[j] {
+            let term = mul.apply(aij, uj);
+            acc = Some(match acc {
+                Some(v) => add.apply(v, term),
+                None => term,
+            });
+        }
+    }
+    acc
+}
 
 /// Pull-direction product `w = A ⊕.⊗ u`.
 ///
@@ -28,6 +55,23 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
+    mxv_rows(a, u, sr, mask, 0..a.nrows())
+}
+
+/// Positions `rows` of [`mxv`]'s result, as a vector of `rows.len()`
+/// entries (position `i` of the product at `i - rows.start`).
+pub fn mxv_rows<T, D1, S>(
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+    rows: Range<usize>,
+) -> DenseVector<T>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
     assert_eq!(
         a.ncols(),
         u.len(),
@@ -39,26 +83,15 @@ where
     if let Some(keep) = mask {
         assert_eq!(keep.len(), a.nrows(), "mask length must equal output size");
     }
-    let (add, mul) = (sr.add(), sr.mul());
     let uvals = u.options();
-    let mut w = DenseVector::new(a.nrows());
-    for i in 0..a.nrows() {
+    let mut w = DenseVector::new(rows.len());
+    for i in rows.clone() {
         if mask.is_some_and(|keep| !keep.keeps(i)) {
             continue;
         }
         let (cols, vals) = a.row(i);
-        let mut acc: Option<T> = None;
-        for (&j, &aij) in cols.iter().zip(vals) {
-            if let Some(uj) = uvals[j] {
-                let term = mul.apply(aij, uj);
-                acc = Some(match acc {
-                    Some(v) => add.apply(v, term),
-                    None => term,
-                });
-            }
-        }
-        if let Some(v) = acc {
-            w.set(i, v);
+        if let Some(v) = row_dot(sr, cols, vals, uvals) {
+            w.set(i - rows.start, v);
         }
     }
     w

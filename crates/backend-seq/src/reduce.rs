@@ -2,6 +2,7 @@
 
 use gbtl_algebra::{Monoid, Scalar};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
+use std::ops::Range;
 
 /// Reduce all stored entries of `A` with the monoid. Returns `None` for a
 /// matrix with no stored entries (GraphBLAS: absence, not identity).
@@ -22,16 +23,31 @@ where
     T: Scalar,
     M: Monoid<T>,
 {
+    let (idx, vals) = reduce_rows_range(a, monoid, 0..a.nrows());
+    SparseVector::from_sorted(a.nrows(), idx, vals).expect("rows visited in order")
+}
+
+/// The entries of [`reduce_rows`]'s result at positions `rows`, as
+/// ascending indices and their values.
+pub fn reduce_rows_range<T, M>(
+    a: &CsrMatrix<T>,
+    monoid: M,
+    rows: Range<usize>,
+) -> (Vec<usize>, Vec<T>)
+where
+    T: Scalar,
+    M: Monoid<T>,
+{
     let mut idx = Vec::new();
     let mut vals = Vec::new();
-    for i in 0..a.nrows() {
+    for i in rows {
         let (_, vs) = a.row(i);
         if let Some((&first, rest)) = vs.split_first() {
             idx.push(i);
             vals.push(rest.iter().fold(first, |acc, &v| monoid.apply(acc, v)));
         }
     }
-    SparseVector::from_sorted(a.nrows(), idx, vals).expect("rows visited in order")
+    (idx, vals)
 }
 
 /// Reduce all present entries of a dense vector; `None` when none present.

@@ -1,8 +1,10 @@
 //! `apply` (unary transform of stored values) and `select` (structural
 //! filtering).
 
+use crate::rows::RowChunk;
 use gbtl_algebra::{Scalar, UnaryOp};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
+use std::ops::Range;
 
 /// `C = f(A)` applied to stored values only (structure unchanged). The
 /// unary op may change the scalar domain.
@@ -48,12 +50,20 @@ where
     T: Scalar,
     P: Fn(usize, usize, T) -> bool,
 {
-    let m = a.nrows();
-    let mut row_ptr = Vec::with_capacity(m + 1);
+    select_mat_rows(a, pred, 0..a.nrows()).into_matrix(a.ncols())
+}
+
+/// Rows `rows` of [`select_mat`]'s result.
+pub fn select_mat_rows<T, P>(a: &CsrMatrix<T>, pred: P, rows: Range<usize>) -> RowChunk<T>
+where
+    T: Scalar,
+    P: Fn(usize, usize, T) -> bool,
+{
+    let mut row_ptr = Vec::with_capacity(rows.len() + 1);
     row_ptr.push(0usize);
     let mut col_idx = Vec::new();
     let mut vals = Vec::new();
-    for i in 0..m {
+    for i in rows {
         let (cols, vs) = a.row(i);
         for (&j, &v) in cols.iter().zip(vs) {
             if pred(i, j, v) {
@@ -63,7 +73,7 @@ where
         }
         row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_parts_unchecked(m, a.ncols(), row_ptr, col_idx, vals)
+    RowChunk::from_parts(row_ptr, col_idx, vals)
 }
 
 #[cfg(test)]

@@ -36,9 +36,10 @@
 //! sharing is sound because `transpose` is bit-identical across backends
 //! (the backend-equivalence suite asserts it).
 //!
-//! Knobs: `GBTL_TRANSPOSE_CACHE` (`on`/`off`, default on) and
-//! `GBTL_TRANSPOSE_CACHE_CAP` (entries, default 8) — both following the
-//! [`gbtl_util::env`] warn-once fallback contract.
+//! One knob: `GBTL_TRANSPOSE_CACHE` (`on`/`off`, default on), following the
+//! [`gbtl_util::env`] warn-once fallback contract. The LRU bound is the
+//! constant [`DEFAULT_CAPACITY`]: it governs computed transposes only, and
+//! no workload was ever found to want another.
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +48,8 @@ use std::sync::{Arc, Mutex, Weak};
 use gbtl_algebra::Scalar;
 use gbtl_sparse::CsrMatrix;
 
-/// Default maximum number of cached transposes.
+/// Maximum number of computed transposes a store keeps (entries pinned by a
+/// graph load are outside the bound).
 pub const DEFAULT_CAPACITY: usize = 8;
 
 /// One cached transpose: the source matrix's `(id, version)`, the element
@@ -159,13 +161,11 @@ impl Default for TransposeCache {
 }
 
 impl TransposeCache {
-    /// A cache configured from `GBTL_TRANSPOSE_CACHE` /
-    /// `GBTL_TRANSPOSE_CACHE_CAP` (defaults: enabled, capacity 8).
+    /// A cache switched by `GBTL_TRANSPOSE_CACHE` (default: enabled), holding
+    /// at most [`DEFAULT_CAPACITY`] computed transposes.
     pub fn from_env() -> Self {
         let enabled = gbtl_util::env::bool_var("GBTL_TRANSPOSE_CACHE").unwrap_or(true);
-        let capacity =
-            gbtl_util::env::usize_var("GBTL_TRANSPOSE_CACHE_CAP", 1).unwrap_or(DEFAULT_CAPACITY);
-        Self::new(enabled, capacity)
+        Self::new(enabled, DEFAULT_CAPACITY)
     }
 
     /// An enabled cache holding at most `capacity` transposes.

@@ -123,8 +123,8 @@ impl Context<CudaBackend> {
 
 impl<B: Backend> Context<B> {
     /// Wrap an arbitrary backend. Trace mode comes from `GBTL_TRACE`
-    /// (default off); the transpose cache from `GBTL_TRANSPOSE_CACHE` /
-    /// `GBTL_TRANSPOSE_CACHE_CAP` (default on, capacity 8).
+    /// (default off); the transpose cache from `GBTL_TRANSPOSE_CACHE`
+    /// (default on).
     pub fn with_backend(backend: B) -> Self {
         let tracer = Tracer::from_env(backend.name());
         Context {
@@ -288,6 +288,12 @@ impl<B: Backend> Context<B> {
     #[inline]
     pub fn set_xray(&self, ctx: Option<gbtl_xray::TraceContext>) {
         self.tracer.set_xray(ctx);
+    }
+
+    /// The x-ray context subsequent ops will be recorded under, if one is set.
+    #[inline]
+    pub fn xray(&self) -> Option<gbtl_xray::TraceContext> {
+        self.tracer.xray()
     }
 
     /// Open a traversal-level span (the same zero-cost-when-off contract

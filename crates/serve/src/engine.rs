@@ -279,6 +279,32 @@ fn source_range_error(source: usize, g: &GraphEntry) -> String {
     )
 }
 
+/// The request-id and x-ray stamps every span a query dispatches carries,
+/// cleared when this drops — on return, on error and on *unwind* alike, so a
+/// query that failed or panicked can't tag a later request's spans with its
+/// ids (the worker thread owns the context exclusively, so no other request
+/// interleaves).
+struct Stamps<'a, B: Backend>(&'a Context<B>);
+
+impl<'a, B: Backend> Stamps<'a, B> {
+    fn set(
+        ctx: &'a Context<B>,
+        request_id: Option<u64>,
+        xray: Option<gbtl_xray::TraceContext>,
+    ) -> Self {
+        ctx.set_request_id(request_id);
+        ctx.set_xray(xray);
+        Stamps(ctx)
+    }
+}
+
+impl<B: Backend> Drop for Stamps<'_, B> {
+    fn drop(&mut self) {
+        self.0.set_xray(None);
+        self.0.set_request_id(None);
+    }
+}
+
 fn run_multi_on<B: Backend>(
     ctx: &Context<B>,
     g: &GraphEntry,
@@ -293,7 +319,7 @@ fn run_multi_on<B: Backend>(
         .map(|&(src, _)| src)
         .filter(|&src| src < g.n())
         .collect();
-    ctx.set_xray(xray);
+    let stamps = Stamps::set(ctx, None, xray);
     let answers = match algo {
         Algo::Bfs => bfs_levels_multi_with_direction(ctx, &g.adj, &valid, direction)
             .map(|vs| {
@@ -313,7 +339,7 @@ fn run_multi_on<B: Backend>(
             .map_err(|e| e.to_string()),
         other => Err(format!("algo {:?} is not fusable", other)),
     };
-    ctx.set_xray(None);
+    drop(stamps);
     match answers {
         Ok(fragments) => {
             let mut it = fragments.into_iter();
@@ -345,14 +371,9 @@ fn run_on<B: Backend>(
     }
 
     let spans_before = ctx.total_spans();
-    // stamp every span this query dispatches; cleared below even on error
-    // so a failed query can't tag a later request's spans (the worker
-    // thread owns this context exclusively, so no other request interleaves)
-    ctx.set_request_id(request_id);
-    ctx.set_xray(xray);
+    let stamps = Stamps::set(ctx, request_id, xray);
     let result = execute(ctx, g, q);
-    ctx.set_xray(None);
-    ctx.set_request_id(None);
+    drop(stamps);
     let result_json = result?;
 
     let ops = ctx.total_spans() - spans_before;
@@ -484,6 +505,9 @@ fn render_trace(report: &TraceReport, spans_before: u64) -> String {
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, GraphSpec};
+    use gbtl_algebra::{Scalar, Semiring};
+    use gbtl_sparse::{CsrMatrix, SparseVector, VecMask};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn params(algo: Algo, backend: BackendChoice) -> QueryParams {
         QueryParams {
@@ -607,6 +631,72 @@ mod tests {
                 p.direction = Direction::Auto;
             }
         }
+    }
+
+    /// A backend that names itself and whose products panic (`vxm` under a
+    /// solo push traversal, `mxm` under a fused one) — the stand-in for a
+    /// kernel bug, with no injector in the product code.
+    struct PanickingProducts;
+
+    impl Backend for PanickingProducts {
+        fn name(&self) -> &'static str {
+            "panicking-products"
+        }
+
+        fn vxm<'m, T, D2, S, M>(
+            &self,
+            _u: &SparseVector<T>,
+            _a: &CsrMatrix<D2>,
+            _sr: S,
+            _mask: Option<M>,
+        ) -> SparseVector<T>
+        where
+            T: Scalar,
+            D2: Scalar,
+            S: Semiring<T, T, D2>,
+            M: Into<VecMask<'m>>,
+        {
+            panic!("kernel bug")
+        }
+
+        fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
+            &self,
+            _a: &CsrMatrix<D1>,
+            _b: &CsrMatrix<D2>,
+            _sr: S,
+        ) -> CsrMatrix<T> {
+            panic!("kernel bug")
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_leaves_no_stamps_behind() {
+        let cat = Catalog::new();
+        let g = cat.load("k", &GraphSpec::Karate).unwrap();
+        let ctx = Context::with_backend(PanickingProducts);
+        let mut p = params(Algo::Bfs, BackendChoice::Seq);
+        p.direction = Direction::Push;
+        let xray = gbtl_xray::TraceContext {
+            trace_id: 7,
+            parent_span: 3,
+        };
+        let solo = catch_unwind(AssertUnwindSafe(|| {
+            run_on(&ctx, &g, &p, Some(41), Some(xray))
+        }));
+        assert!(solo.is_err(), "the kernel's panic unwinds through run_on");
+        assert_eq!((ctx.request_id(), ctx.xray()), (None, None));
+        let fused = catch_unwind(AssertUnwindSafe(|| {
+            run_multi_on(
+                &ctx,
+                &g,
+                Algo::Bfs,
+                p.direction,
+                &[(0, false), (1, false)],
+                Some(xray),
+            )
+        }));
+        assert!(fused.is_err(), "and through run_multi_on");
+        assert_eq!((ctx.request_id(), ctx.xray()), (None, None));
     }
 
     #[test]

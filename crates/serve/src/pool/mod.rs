@@ -90,6 +90,8 @@ pub(crate) struct ServerStats {
     pub(crate) rejected_overloaded: Arc<Counter>,
     pub(crate) rejected_shutdown: Arc<Counter>,
     pub(crate) deadline_expired: Arc<Counter>,
+    /// Execute steps that panicked and were contained (`pool::worker`).
+    pub(crate) worker_panics: Arc<Counter>,
 }
 
 impl ServerStats {
@@ -104,6 +106,7 @@ impl ServerStats {
             rejected_overloaded: c("gbtl_rejected_overloaded_total"),
             rejected_shutdown: c("gbtl_rejected_shutdown_total"),
             deadline_expired: c("gbtl_deadline_expired_total"),
+            worker_panics: c("gbtl_worker_panics_total"),
         }
     }
 }

@@ -9,7 +9,12 @@
 //! Either way each member is then completed by the same function — cached
 //! under its own key, rendered by the same code (so fused answers are
 //! byte-identical to solo ones) and answered with its own request id.
+//!
+//! The execute step is the one place a query's own code runs, so it is the
+//! one place a panic is contained ([`contained`]): a kernel `assert!` costs
+//! its job an `internal` answer per member, never the worker.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,7 +50,9 @@ pub(super) fn worker_loop(pool: &Arc<EnginePool>, index: usize) {
     while let Some(job) = pool.queue.pop() {
         let picked_up = Instant::now();
         match job {
-            Job::Queries(members) => run_queries(pool, engine, index, members, picked_up),
+            Job::Queries(members) => run_queries(pool, index, members, picked_up, |live, xray| {
+                execute(engine, live, xray)
+            }),
             Job::Sleep {
                 ms,
                 id,
@@ -89,18 +96,70 @@ fn queue_span(xray: Option<gbtl_xray::TraceContext>, start_ns: u64, worker: usiz
     }
 }
 
-/// Run one job's queries on a worker's engine and answer each.
+/// Each member's (result fragment, rendered `"trace"` spans) or error text.
+type MemberResults = Vec<Result<(String, Option<String>), String>>;
+
+/// The execute step: run the live members of one job on a worker's engine,
+/// as one kernel picked from the batch size (see the module docs).
+fn execute(
+    engine: &QueryEngine,
+    live: &[Member],
+    xray: Option<gbtl_xray::TraceContext>,
+) -> MemberResults {
+    let first = &live[0];
+    if live.len() > 1 {
+        // homogeneous by fuse-key construction: every member asked for
+        // this graph epoch, algorithm, backend and direction
+        let sources: Vec<(usize, bool)> = live
+            .iter()
+            .map(|m| (m.params.source, m.params.full))
+            .collect();
+        let p = &first.params;
+        engine
+            .run_multi(&first.graph, p.algo, p.backend, p.direction, &sources, xray)
+            .into_iter()
+            .map(|r| r.map(|result_json| (result_json, None)))
+            .collect()
+    } else {
+        let run = engine.run(&first.graph, &first.params, Some(first.request_id), xray);
+        vec![run.map(|o| (o.result_json, o.trace_json))]
+    }
+}
+
+/// Run an execute step with a panic contained: the unwind stops here, is
+/// counted in `gbtl_worker_panics_total`, and comes back as the text the
+/// job's members are answered with, so the worker goes on to its next job.
+///
+/// Nothing the step shares outlives it in a broken state: the engine's
+/// contexts clear their stamps on unwind (`engine::Stamps`), pooled kernel
+/// workspaces drop a buffer whose borrower unwound, and no lock is held
+/// across a kernel (the transpose cache builds outside its mutex; the
+/// trace ring and the par pool's deques lock around a push or pop only).
+fn contained<R>(pool: &EnginePool, step: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(step)).map_err(|payload| {
+        pool.stats.worker_panics.inc();
+        let what = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("(non-string panic payload)");
+        format!("query panicked: {what}")
+    })
+}
+
+/// Run one job's queries through `execute` and answer each.
 ///
 /// Per-member deadline check first: an expired member gets the `deadline`
 /// rejection and the survivors run unaffected — the one-expired-of-k
-/// regression case. What survives executes once (see the module docs for
-/// how the kernel is chosen) and is completed member by member.
+/// regression case. What survives executes once, [`contained`], and is
+/// completed member by member; if the step panicked, each live member gets
+/// an `internal` error under its own id instead.
 fn run_queries(
     pool: &EnginePool,
-    engine: &QueryEngine,
     worker: usize,
     members: Vec<Member>,
     picked_up: Instant,
+    execute: impl FnOnce(&[Member], Option<gbtl_xray::TraceContext>) -> MemberResults,
 ) {
     let mut live: Vec<Member> = Vec::with_capacity(members.len());
     for m in members {
@@ -145,36 +204,7 @@ fn run_queries(
     let exec_child = exec_span.map(|(ctx, span_id, _)| ctx.child_of(span_id));
 
     let t0 = Instant::now();
-    // each member's (result fragment, rendered "trace" spans) or error text
-    let results: Vec<Result<(String, Option<String>), String>> = if fused {
-        // homogeneous by fuse-key construction: every member asked for
-        // this graph epoch, algorithm, backend and direction
-        let sources: Vec<(usize, bool)> = live
-            .iter()
-            .map(|m| (m.params.source, m.params.full))
-            .collect();
-        let p = &first.params;
-        engine
-            .run_multi(
-                &first.graph,
-                p.algo,
-                p.backend,
-                p.direction,
-                &sources,
-                exec_child,
-            )
-            .into_iter()
-            .map(|r| r.map(|result_json| (result_json, None)))
-            .collect()
-    } else {
-        let run = engine.run(
-            &first.graph,
-            &first.params,
-            Some(first.request_id),
-            exec_child,
-        );
-        vec![run.map(|o| (o.result_json, o.trace_json))]
-    };
+    let outcome = contained(pool, || execute(&live, exec_child));
     let execute_us = t0.elapsed().as_micros() as u64;
 
     if let Some((first_ctx, span_id, start_ns)) = exec_span {
@@ -184,6 +214,9 @@ fn run_queries(
             ("backend", first.params.backend.as_str().to_string()),
             ("graph", first.graph.name.clone()),
         ];
+        if outcome.is_err() {
+            attrs.push(("panicked", "true".to_string()));
+        }
         let name = if fused {
             // every sampled member's batch span cross-links the others
             let traces: Vec<String> = live
@@ -207,8 +240,17 @@ fn run_queries(
         }
     }
 
-    for (m, result) in live.into_iter().zip(results) {
-        complete_member(pool, m, result, picked_up_ns, execute_us, batch);
+    match outcome {
+        Ok(results) => {
+            for (m, result) in live.into_iter().zip(results) {
+                complete_member(pool, m, result, picked_up_ns, execute_us, batch);
+            }
+        }
+        Err(what) => {
+            for m in live {
+                m.reply.send(error_response("internal", &what, m.params.id));
+            }
+        }
     }
 }
 
@@ -357,5 +399,83 @@ fn observe_stage(pool: &EnginePool, labels: [(&str, &str); 3], stage: &str, micr
                 &[algo, backend, cache, ("stage", stage)],
             )
             .observe(micros);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::GraphSpec;
+    use crate::protocol::{parse_request, Request};
+    use crate::ServerConfig;
+    use gbtl_net::Reply;
+    use std::sync::mpsc;
+
+    /// An admitted bfs over `graph` from `source` under client id `id`,
+    /// whose answer lands on `tx`.
+    fn member(
+        graph: &Arc<GraphEntry>,
+        source: usize,
+        id: u64,
+        tx: &mpsc::Sender<String>,
+    ) -> Member {
+        let line = format!(
+            "{{\"op\":\"query\",\"graph\":\"k\",\"algo\":\"bfs\",\"source\":{source},\"id\":{id}}}"
+        );
+        let Ok(Request::Query(params)) = parse_request(&line) else {
+            panic!("a query line parses to a query");
+        };
+        let tx = tx.clone();
+        Member {
+            key: crate::cache::cache_key(&graph.name, graph.epoch, &params.cache_params()),
+            params,
+            graph: Arc::clone(graph),
+            request_id: id,
+            deadline: Instant::now() + Duration::from_secs(60),
+            window_us: 0,
+            enqueued_ns: now_ns(),
+            xray: None,
+            reply: Reply::new(move |r| tx.send(r).unwrap()),
+        }
+    }
+
+    #[test]
+    fn a_panicking_execute_step_costs_the_job_not_the_worker() {
+        let pool = EnginePool::new(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let graph = pool.catalog.load("k", &GraphSpec::Karate).unwrap();
+        let (tx, rx) = mpsc::channel();
+
+        // the helper alone: a panic is an `Err` and a count, a return is itself
+        assert_eq!(contained(&pool, || 7), Ok(7));
+        let caught = contained(&pool, || -> u32 { panic!("kernel bug {}", 1) });
+        assert_eq!(caught, Err("query panicked: kernel bug 1".to_string()));
+        assert_eq!(pool.stats.worker_panics.get(), 1);
+
+        // a batch whose execute step panics: every member is answered
+        // `internal`, each under its own id
+        let batch = vec![member(&graph, 0, 11, &tx), member(&graph, 1, 12, &tx)];
+        run_queries(&pool, 0, batch, Instant::now(), |_, _| panic!("kernel bug"));
+        for id in [11, 12] {
+            let v = gbtl_util::json::parse(&rx.recv().unwrap()).unwrap();
+            assert_eq!(v.bool_field("ok"), Some(false));
+            assert_eq!(v.str_field("code"), Some("internal"));
+            assert_eq!(v.str_field("error"), Some("query panicked: kernel bug"));
+            assert_eq!(v.u64_field("id"), Some(id));
+        }
+        assert_eq!(pool.stats.worker_panics.get(), 2);
+
+        // the same worker (this thread, engine 0) takes its next job
+        let engine = &pool.engines[0];
+        let next = vec![member(&graph, 0, 13, &tx)];
+        run_queries(&pool, 0, next, Instant::now(), |live, xray| {
+            execute(engine, live, xray)
+        });
+        let v = gbtl_util::json::parse(&rx.recv().unwrap()).unwrap();
+        assert_eq!(v.bool_field("ok"), Some(true));
+        assert_eq!(v.u64_field("id"), Some(13));
     }
 }

@@ -4,9 +4,15 @@
 //! interchangeable — and for `ParBackend` the stronger contract that the
 //! output is bit-identical to `SeqBackend` at *every* thread count.
 
-use gbtl::algebra::{Min, MinPlus, MinSecond, Plus, PlusMonoid, PlusTimes, Second, Times};
+use gbtl::algebra::{
+    CustomSemiring, First, Min, MinMonoid, MinPlus, MinSecond, Minus, Plus, PlusMonoid, PlusTimes,
+    Scalar, Second, Times,
+};
+use gbtl::backend_seq as seq;
 use gbtl::prelude::*;
+use gbtl::sparse::{CooMatrix, CsrMatrix, DenseVector, VecMask};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Structural retype: any stored entry becomes `true`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -538,5 +544,171 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(e1, e2);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One CPU kernel source. Every row-oriented kernel of the sequential backend
+// has a `*_rows` form, the whole-matrix function is that form over `0..m`,
+// and `ParBackend` schedules the same form over nnz-balanced ranges. The
+// contract that makes any schedule safe: for ANY partition of `0..m` — empty
+// chunks, one-row chunks, cuts on empty rows, `m = 0` — the stitched
+// fragments are the whole-matrix result, bit for bit.
+// ---------------------------------------------------------------------------
+
+type Triples = Vec<(usize, usize, i64)>;
+
+fn arb_triples() -> impl Strategy<Value = Triples> {
+    proptest::collection::vec((0..N, 0..N, -20i64..20), 0..60)
+}
+
+/// A row count `m ≤ N` and a partition of `0..m` at arbitrary cut points
+/// (repeated cuts and cuts at `0`/`m` give empty chunks).
+fn arb_partition() -> impl Strategy<Value = (usize, Vec<Range<usize>>)> {
+    (0..=N)
+        .prop_flat_map(|m| (Just(m), proptest::collection::vec(0..=m, 0..6)))
+        .prop_map(|(m, mut cuts)| {
+            cuts.sort_unstable();
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([m]).collect();
+            (m, bounds.windows(2).map(|w| w[0]..w[1]).collect())
+        })
+}
+
+/// The triples with row `< m`, as an `m × N` CSR of `f(value)`.
+fn csr_of<T: Scalar>(m: usize, triples: &Triples, f: impl Fn(i64) -> T) -> CsrMatrix<T> {
+    let mut coo = CooMatrix::new(m, N);
+    for &(i, j, v) in triples.iter().filter(|t| t.0 < m) {
+        coo.push(i, j, f(v));
+    }
+    CsrMatrix::from_coo(coo, |_, later| later)
+}
+
+/// Sevenths: sums of them round, so a changed fold order changes bits.
+fn seventh(v: i64) -> f64 {
+    v as f64 / 7.0
+}
+
+fn stitched<T: Scalar>(
+    m: usize,
+    parts: &[Range<usize>],
+    kernel: impl Fn(Range<usize>) -> seq::RowChunk<T>,
+) -> CsrMatrix<T> {
+    seq::stitch_rows(m, N, parts.iter().cloned().map(kernel).collect())
+}
+
+fn joined<T: Scalar>(
+    parts: &[Range<usize>],
+    kernel: impl Fn(Range<usize>) -> DenseVector<T>,
+) -> Vec<Option<T>> {
+    let segments = parts.iter().cloned().map(kernel);
+    segments.flat_map(|seg| seg.options().to_vec()).collect()
+}
+
+/// A float matrix down to the bits of its values.
+fn bits(c: &CsrMatrix<f64>) -> (&[usize], &[usize], Vec<u64>) {
+    let vals = c.vals().iter().map(|v| v.to_bits()).collect();
+    (c.row_ptr(), c.col_idx(), vals)
+}
+
+fn opt_bits(w: &[Option<f64>]) -> Vec<Option<u64>> {
+    w.iter().map(|o| o.map(f64::to_bits)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_row_partition_stitches_to_the_whole_kernel(
+        (m, parts) in arb_partition(),
+        ta in arb_triples(), tb in arb_triples(), tk in arb_triples(), tm in arb_triples(),
+        u in proptest::collection::vec(proptest::option::of(-20i64..20), N),
+        keep in proptest::collection::vec(any::<bool>(), N),
+    ) {
+        let parts = &parts[..];
+        // `a`, `b`, the mask: m × N; `k`, the right operand of a product: N × N.
+        let (a, b, k) = (csr_of(m, &ta, |v| v), csr_of(m, &tb, |v| v), csr_of(N, &tk, |v| v));
+        let (af, bf, kf) = (csr_of(m, &ta, seventh), csr_of(m, &tb, seventh), csr_of(N, &tk, seventh));
+        let mask = csr_of(m, &tm, |_| true);
+        let ud = DenseVector::from_options(u.clone());
+        let uf = DenseVector::from_options(u.iter().map(|o| o.map(seventh)).collect());
+        // a non-commutative multiply: swapped operands or a reordered fold show
+        let min_minus = CustomSemiring::new(MinMonoid::<i64>::new(), Minus::<i64>::new());
+        let plus_first = CustomSemiring::new(PlusMonoid::<i64>::new(), First::<i64>::new());
+        let fsr = PlusTimes::<f64>::new();
+
+        // mxm, plain and masked
+        prop_assert_eq!(
+            stitched(m, parts, |r| seq::mxm_rows(&a, &k, min_minus, r)),
+            seq::mxm(&a, &k, min_minus)
+        );
+        prop_assert_eq!(
+            bits(&stitched(m, parts, |r| seq::mxm_rows(&af, &kf, fsr, r))),
+            bits(&seq::mxm(&af, &kf, fsr))
+        );
+        prop_assert_eq!(
+            stitched(m, parts, |r| seq::mxm_masked_rows(&mask, &a, &k, plus_first, r)),
+            seq::mxm_masked(&mask, &a, &k, plus_first)
+        );
+        prop_assert_eq!(
+            bits(&stitched(m, parts, |r| seq::mxm_masked_rows(&mask, &af, &kf, fsr, r))),
+            bits(&seq::mxm_masked(&mask, &af, &kf, fsr))
+        );
+
+        // mxv, unmasked and under a keep mask over the m output rows
+        for mask in [None, Some(VecMask::from(&keep[..m]))] {
+            prop_assert_eq!(
+                joined(parts, |r| seq::mxv_rows(&a, &ud, min_minus, mask, r)),
+                seq::mxv(&a, &ud, min_minus, mask).options()
+            );
+            prop_assert_eq!(
+                opt_bits(&joined(parts, |r| seq::mxv_rows(&af, &uf, fsr, mask, r))),
+                opt_bits(seq::mxv(&af, &uf, fsr, mask).options())
+            );
+        }
+
+        // eWise merges
+        prop_assert_eq!(
+            stitched(m, parts, |r| seq::ewise_add_mat_rows(&a, &b, Minus::<i64>::new(), r)),
+            seq::ewise_add_mat(&a, &b, Minus::<i64>::new())
+        );
+        prop_assert_eq!(
+            stitched(m, parts, |r| seq::ewise_mult_mat_rows(&a, &b, First::<i64>::new(), r)),
+            seq::ewise_mult_mat(&a, &b, First::<i64>::new())
+        );
+        prop_assert_eq!(
+            bits(&stitched(m, parts, |r| seq::ewise_add_mat_rows(&af, &bf, Plus::<f64>::new(), r))),
+            bits(&seq::ewise_add_mat(&af, &bf, Plus::<f64>::new()))
+        );
+        prop_assert_eq!(
+            bits(&stitched(m, parts, |r| seq::ewise_mult_mat_rows(&af, &bf, Times::<f64>::new(), r))),
+            bits(&seq::ewise_mult_mat(&af, &bf, Times::<f64>::new()))
+        );
+        // dense vectors of length m (the first m positions of `u` and its reverse)
+        let (x, y) = (
+            DenseVector::from_options(u[..m].to_vec()),
+            DenseVector::from_options(u.iter().rev().take(m).copied().collect()),
+        );
+        prop_assert_eq!(
+            joined(parts, |r| seq::ewise_mult_vec_rows(&x, &y, Minus::<i64>::new(), r)),
+            seq::ewise_mult_vec(&x, &y, Minus::<i64>::new()).options()
+        );
+
+        // select: the predicate reads the absolute row index
+        let pred = |i: usize, j: usize, v: i64| i >= j || v > 3;
+        prop_assert_eq!(
+            stitched(m, parts, |r| seq::select_mat_rows(&a, pred, r)),
+            seq::select_mat(&a, pred)
+        );
+
+        // reduce_rows: fragments of (index, value) pairs, concatenated
+        let whole = seq::reduce_rows(&af, PlusMonoid::<f64>::new());
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        for r in parts.iter().cloned() {
+            let (pidx, pvals) = seq::reduce_rows_range(&af, PlusMonoid::<f64>::new(), r);
+            idx.extend(pidx);
+            vals.extend(pvals.iter().map(|v| v.to_bits()));
+        }
+        prop_assert_eq!(&idx[..], whole.indices());
+        prop_assert_eq!(vals, whole.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 }
