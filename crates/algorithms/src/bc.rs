@@ -52,11 +52,7 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
     for &src in sources {
         check_source("betweenness_centrality", src, n)?;
     }
-    let resolved = match dir {
-        Direction::Auto => Direction::from_env(),
-        d => d,
-    };
-    let policy = DirectionPolicy::for_matrix(resolved, ctx, a);
+    let policy = DirectionPolicy::for_matrix(dir, ctx, a);
     let desc_push = Descriptor::new().complement_mask().replace();
     let desc_fwd_pull = Descriptor::new().transpose_a().complement_mask().replace();
     let desc_pull = Descriptor::new();

@@ -17,8 +17,8 @@ pub use gbtl_core::Direction;
 /// complemented `visited` mask keeps the frontier from re-entering settled
 /// vertices. The direction (push `vxm` vs pull `mxv` over cached `Aᵀ`) and
 /// the frontier representation (index list vs bitmap) are chosen per level
-/// by [`DirectionPolicy`] — forced by `dir`, `GBTL_DIRECTION`, or adaptive
-/// under [`Direction::Auto`], from the edges each side would touch: the
+/// by [`DirectionPolicy`] — forced by `dir`, or adaptive under
+/// [`Direction::Auto`], from the edges each side would touch: the
 /// frontier's out-edges against the unvisited rows' edges, both kept in the
 /// epilogue loop that marks the new vertices. Every choice produces the
 /// identical level sets (the masked products compute the same entries

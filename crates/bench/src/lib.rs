@@ -3,9 +3,8 @@
 //! Shared harness for the reconstructed GBTL-CUDA experiments.
 //!
 //! Workload builders (one per graph family the evaluation sweeps), timing
-//! helpers, and the row format every experiment table prints. The
-//! `experiments` binary drives full paper-style sweeps; the Criterion
-//! benches reuse the same builders at bench-friendly sizes.
+//! helpers, and the row format every experiment table prints, for the
+//! `experiments` binary's paper-style sweeps.
 
 use std::time::{Duration, Instant};
 

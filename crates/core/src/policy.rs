@@ -46,14 +46,6 @@
 //! The frontier *representation* follows the direction the level runs in
 //! (push kernels consume the index list, pull kernels the bitmap), so a
 //! switch converts the frontier exactly once, at the crossover.
-//!
-//! ## Knob
-//!
-//! `GBTL_DIRECTION=push|pull|auto` — process-wide default when a caller
-//! asks for [`Direction::Auto`] (e.g. every serve query that doesn't carry a
-//! `"direction"` override). Default `auto`. Follows the [`gbtl_util::env`]
-//! contract: unset → silent default, set-but-invalid → one warning, then
-//! the default.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,8 +56,8 @@ use crate::context::Context;
 use crate::types::Matrix;
 
 /// Requested traversal direction — what callers (and the serve protocol's
-/// `"direction"` field) ask for. [`Direction::Auto`] defers to
-/// `GBTL_DIRECTION`, then to the per-level heuristic.
+/// `"direction"` field) ask for. [`Direction::Auto`] is the per-level
+/// rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Direction {
     /// Frontier pushes along out-edges (`vxm` on a sparse frontier).
@@ -97,20 +89,6 @@ impl Direction {
             "auto" => Some(Direction::Auto),
             _ => None,
         }
-    }
-
-    /// The process-wide default from `GBTL_DIRECTION` (unset → `Auto`;
-    /// invalid → one warning, then `Auto`).
-    pub fn from_env() -> Direction {
-        gbtl_util::env::parsed_var("GBTL_DIRECTION", |_| true).unwrap_or_default()
-    }
-}
-
-impl std::str::FromStr for Direction {
-    type Err = ();
-
-    fn from_str(s: &str) -> std::result::Result<Direction, ()> {
-        Direction::parse(s).ok_or(())
     }
 }
 
@@ -301,16 +279,11 @@ pub struct DirectionPolicy {
 }
 
 impl DirectionPolicy {
-    /// Build a policy for a masked solo traversal from an explicit
-    /// environment. `requested == Auto` defers to `GBTL_DIRECTION`;
+    /// Build a policy for a masked solo traversal from explicit inputs.
     /// `pull_ready` is the residency gate (pull is never *chosen
     /// automatically* while it is false — forced `Pull` still runs,
     /// building and caching `Aᵀ` on its first level).
-    pub fn new(requested: Direction, n: usize, num_edges: usize, pull_ready: bool) -> Self {
-        let mode = match requested {
-            Direction::Auto => Direction::from_env(),
-            forced => forced,
-        };
+    pub fn new(mode: Direction, n: usize, num_edges: usize, pull_ready: bool) -> Self {
         DirectionPolicy {
             mode,
             pull_ready,
@@ -349,8 +322,8 @@ impl DirectionPolicy {
         self
     }
 
-    /// The resolved mode (forced `Push`/`Pull`, or `Auto` for per-level
-    /// choice) after the `GBTL_DIRECTION` default was applied.
+    /// The requested mode (forced `Push`/`Pull`, or `Auto` for per-level
+    /// choice).
     pub fn mode(&self) -> Direction {
         self.mode
     }

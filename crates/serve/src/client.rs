@@ -335,7 +335,7 @@ fn zipf_pick(n: usize, s: f64, c: usize, r: usize) -> usize {
     let mut key = [0u8; 16];
     key[..8].copy_from_slice(&(c as u64).to_le_bytes());
     key[8..].copy_from_slice(&(r as u64).to_le_bytes());
-    let u = gbtl_sparse::snapshot::fnv1a(&key) as f64 / (u64::MAX as f64 + 1.0);
+    let u = gbtl_util::hash::fnv1a(&key) as f64 / (u64::MAX as f64 + 1.0);
     let mut acc = 0.0;
     for k in 0..n {
         acc += 1.0 / ((k + 1) as f64).powf(s) / total;

@@ -23,6 +23,7 @@ use gbtl_core::{
     Backend, Context, CudaBackend, ParBackend, SeqBackend, TraceMode, TraceReport, TransposeCache,
     Vector,
 };
+use gbtl_util::hash::{fnv1a_fold, FNV_OFFSET};
 
 use crate::catalog::GraphEntry;
 use crate::protocol::{Algo, BackendChoice, QueryParams};
@@ -188,37 +189,15 @@ impl Engine {
     }
 }
 
-/// FNV-1a 64 over a byte stream.
-#[derive(Debug)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Checksum a vector's stored `(index, value)` pairs; `to_bits` maps each
 /// value to a canonical `u64` (identity for integers, IEEE bits for f64).
 fn checksum_vector<T: gbtl_algebra::Scalar>(v: &Vector<T>, to_bits: impl Fn(T) -> u64) -> u64 {
-    let mut h = Fnv::new();
-    h.update(&(v.len() as u64).to_le_bytes());
+    let mut h = fnv1a_fold(FNV_OFFSET, &(v.len() as u64).to_le_bytes());
     for (i, x) in v.iter() {
-        h.update(&(i as u64).to_le_bytes());
-        h.update(&to_bits(x).to_le_bytes());
+        h = fnv1a_fold(h, &(i as u64).to_le_bytes());
+        h = fnv1a_fold(h, &to_bits(x).to_le_bytes());
     }
-    h.finish()
+    h
 }
 
 /// Render the stored pairs as a JSON `[[index, value], ...]` array.

@@ -59,7 +59,9 @@ pub use client::{
     fetch_server_latency, run_loadgen, Client, LoadgenOptions, LoadgenReport, ServerLatencySummary,
 };
 pub use pool::{EnginePool, ShardSnapshot};
-pub use server::{serve_threaded, start, FrontendMode, ServerConfig, ServerHandle};
+pub use server::{
+    serve_threaded, start, start_frontend, Frontend, FrontendMode, ServerConfig, ServerHandle,
+};
 
 // Re-exported so tools driving many connections (loadgen, the experiment
 // harness) can lift `RLIMIT_NOFILE` without depending on gbtl-net directly.

@@ -145,8 +145,8 @@ pub struct QueryParams {
     /// MIS seed.
     pub seed: u64,
     /// Traversal direction override for bfs/sssp (solo and fused); `Auto`
-    /// (the default when the request omits `"direction"`) defers to
-    /// `GBTL_DIRECTION` and then the per-level heuristic.
+    /// (the default when the request omits `"direction"`) is the
+    /// per-level rule.
     pub direction: Direction,
     /// Include the full per-vertex result, not just aggregates + checksum.
     pub full: bool,

@@ -32,7 +32,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gbtl_net::{Engine as _, EventedConfig, EventedHandle, Reply, Submission};
+use gbtl_net::{EventedConfig, EventedHandle, Reply, Submission};
 
 use crate::pool::EnginePool;
 
@@ -186,28 +186,42 @@ impl ServerConfig {
     }
 }
 
-/// A running server. Dropping the handle does **not** stop the server;
-/// call [`ServerHandle::shutdown_and_join`] (or send a `shutdown` request).
+/// A running front-end over `engine` plus the worker threads behind it.
+/// Dropping the value does **not** stop the server; call
+/// [`Frontend::shutdown_and_join`] (or send a `shutdown` request).
 #[derive(Debug)]
-pub struct ServerHandle {
-    pool: Arc<EnginePool>,
+pub struct Frontend<E: gbtl_net::Engine> {
+    engine: Arc<E>,
     addr: SocketAddr,
     listener_thread: Option<std::thread::JoinHandle<()>>,
     evented: Option<EventedHandle>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl ServerHandle {
+/// A running single-pool server.
+pub type ServerHandle = Frontend<EnginePool>;
+
+impl<E: gbtl_net::Engine> Frontend<E> {
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The engine the front-end submits to.
+    pub fn engine(&self) -> &Arc<E> {
+        &self.engine
+    }
+
+    /// The evented loop's connection-layer counters (`None` when threaded).
+    pub fn net_stats(&self) -> Option<Arc<gbtl_net::NetStats>> {
+        self.evented.as_ref().map(EventedHandle::stats)
     }
 
     /// Begin a graceful shutdown: drain the engine (reject new compute
     /// work, finish admitted work) and stop the front-end accepting.
     /// Idempotent; returns immediately.
     pub fn begin_shutdown(&self) {
-        self.pool.drain();
+        self.engine.drain();
         if let Some(ev) = &self.evented {
             ev.begin_shutdown();
         }
@@ -216,8 +230,8 @@ impl ServerHandle {
     /// Wait for the front-end and every worker to exit (workers drain all
     /// admitted jobs first; the evented loop flushes every pending
     /// response). Blocks until something initiates shutdown — a
-    /// `{"op":"shutdown"}` request or [`ServerHandle::begin_shutdown`] —
-    /// which is how the binary serves until told to stop.
+    /// `{"op":"shutdown"}` request or [`Frontend::begin_shutdown`] —
+    /// which is how the binaries serve until told to stop.
     pub fn join(mut self) {
         if let Some(t) = self.listener_thread.take() {
             let _ = t.join();
@@ -230,55 +244,67 @@ impl ServerHandle {
         }
     }
 
-    /// [`ServerHandle::begin_shutdown`] + [`ServerHandle::join`].
+    /// [`Frontend::begin_shutdown`] + [`Frontend::join`].
     pub fn shutdown_and_join(self) {
         self.begin_shutdown();
         self.join();
     }
 }
 
-/// Bind, preload, spawn the worker pool, and start the configured
-/// front-end.
-pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
+/// Start the front-end `config.mode` selects on `listener`, submitting to
+/// `engine`; `workers` are the engine's already-spawned worker threads,
+/// joined with the front-end.
+pub fn start_frontend<E: gbtl_net::Engine>(
+    listener: TcpListener,
+    engine: Arc<E>,
+    config: &ServerConfig,
+    workers: Vec<std::thread::JoinHandle<()>>,
+) -> std::io::Result<Frontend<E>> {
     let addr = listener.local_addr()?;
-    let mode = config.mode;
-    let pool = EnginePool::new(config)?;
-    pool.set_listen_addr(addr);
-    let workers = pool.spawn_workers();
-
-    let (listener_thread, evented) = match mode {
+    let (listener_thread, evented) = match config.mode {
         FrontendMode::Threaded => {
             let thread = serve_threaded(
                 listener,
-                pool.clone(),
-                pool.config.max_line,
-                pool.config.idle_timeout(),
+                engine.clone(),
+                config.max_line,
+                config.idle_timeout(),
             );
             (Some(thread), None)
         }
         FrontendMode::Evented => {
             let evented = gbtl_net::serve(
                 listener,
-                pool.clone(),
+                engine.clone(),
                 EventedConfig {
-                    max_line: pool.config.max_line,
-                    idle_timeout: pool.config.idle_timeout(),
+                    max_line: config.max_line,
+                    idle_timeout: config.idle_timeout(),
                     ..EventedConfig::default()
                 },
             )?;
-            pool.set_net_stats(evented.stats());
             (None, Some(evented))
         }
     };
-
-    Ok(ServerHandle {
-        pool,
+    Ok(Frontend {
+        engine,
         addr,
         listener_thread,
         evented,
         workers,
     })
+}
+
+/// Bind, preload, spawn the worker pool, and start the configured
+/// front-end.
+pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
+    let listener = TcpListener::bind(&config.addr)?;
+    let pool = EnginePool::new(config)?;
+    pool.set_listen_addr(listener.local_addr()?);
+    let workers = pool.spawn_workers();
+    let frontend = start_frontend(listener, pool.clone(), &pool.config, workers)?;
+    if let Some(stats) = frontend.net_stats() {
+        pool.set_net_stats(stats);
+    }
+    Ok(frontend)
 }
 
 /// Start the thread-per-connection front-end over any [`gbtl_net::Engine`]

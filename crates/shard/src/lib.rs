@@ -34,8 +34,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
-use gbtl_net::{Engine as _, EventedConfig, EventedHandle};
-use gbtl_serve::{serve_threaded, EnginePool, FrontendMode, ServerConfig};
+use gbtl_serve::{start_frontend, EnginePool, Frontend, ServerConfig};
 
 pub use placement::Placement;
 pub use router::Router;
@@ -76,54 +75,35 @@ impl ShardConfig {
 }
 
 /// A running sharded server; the multi-pool counterpart of
-/// [`gbtl_serve::ServerHandle`].
+/// [`gbtl_serve::ServerHandle`] — the same [`Frontend`] lifecycle over the
+/// router, whose drain fans out to every shard.
 #[derive(Debug)]
-pub struct ShardHandle {
-    router: Arc<Router>,
-    addr: SocketAddr,
-    listener_thread: Option<std::thread::JoinHandle<()>>,
-    evented: Option<EventedHandle>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
+pub struct ShardHandle(Frontend<Router>);
 
 impl ShardHandle {
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// The router (for in-process inspection: placement, member pools).
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
+        self.0.engine()
     }
 
-    /// Begin a graceful shutdown: drain the router (which fans out to
-    /// every shard) and stop the front-end accepting. Idempotent.
+    /// [`Frontend::begin_shutdown`].
     pub fn begin_shutdown(&self) {
-        self.router.drain();
-        if let Some(ev) = &self.evented {
-            ev.begin_shutdown();
-        }
+        self.0.begin_shutdown();
     }
 
-    /// Wait for the front-end and every shard's workers to exit (each
-    /// shard drains its admitted jobs first).
-    pub fn join(mut self) {
-        if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(ev) = self.evented.take() {
-            ev.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// [`Frontend::join`]: the front-end, then every shard's workers.
+    pub fn join(self) {
+        self.0.join();
     }
 
-    /// [`ShardHandle::begin_shutdown`] + [`ShardHandle::join`].
+    /// [`Frontend::shutdown_and_join`].
     pub fn shutdown_and_join(self) {
-        self.begin_shutdown();
-        self.join();
+        self.0.shutdown_and_join();
     }
 }
 
@@ -157,36 +137,9 @@ pub fn start_sharded(config: ShardConfig) -> std::io::Result<ShardHandle> {
     let router = Arc::new(Router::new(pools, placement, config.base.clone()));
     router.set_listen_addr(addr);
 
-    let (listener_thread, evented) = match config.base.mode {
-        FrontendMode::Threaded => {
-            let thread = serve_threaded(
-                listener,
-                router.clone(),
-                config.base.max_line,
-                config.base.idle_timeout(),
-            );
-            (Some(thread), None)
-        }
-        FrontendMode::Evented => {
-            let evented = gbtl_net::serve(
-                listener,
-                router.clone(),
-                EventedConfig {
-                    max_line: config.base.max_line,
-                    idle_timeout: config.base.idle_timeout(),
-                    ..EventedConfig::default()
-                },
-            )?;
-            router.set_net_stats(evented.stats());
-            (None, Some(evented))
-        }
-    };
-
-    Ok(ShardHandle {
-        router,
-        addr,
-        listener_thread,
-        evented,
-        workers,
-    })
+    let frontend = start_frontend(listener, router.clone(), &config.base, workers)?;
+    if let Some(stats) = frontend.net_stats() {
+        router.set_net_stats(stats);
+    }
+    Ok(ShardHandle(frontend))
 }

@@ -24,17 +24,6 @@ use std::collections::HashMap;
 /// 1/vnodes) while the ring stays tiny — N×256 entries, binary-searched.
 pub const VNODES: usize = 256;
 
-/// FNV-1a 64 — the same hash primitive the `.gbsnap` codec uses for
-/// checksums; here it digests names and virtual-node labels.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Murmur3's 64-bit finalizer. Ring position is decided by the full u64
 /// ordering — dominated by the *high* bits — and raw FNV-1a of short
 /// sequential labels has poor high-bit avalanche (measured: a 2-shard ring
@@ -48,9 +37,10 @@ fn mix(mut h: u64) -> u64 {
     h
 }
 
-/// The ring-point hash: FNV-1a digest, then the finalizer.
+/// The ring-point hash: FNV-1a digest (of a name or a virtual-node
+/// label), then the finalizer.
 fn point(bytes: &[u8]) -> u64 {
-    mix(fnv1a(bytes))
+    mix(gbtl_util::hash::fnv1a(bytes))
 }
 
 /// The placement function: hash ring + pin table.

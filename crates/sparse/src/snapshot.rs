@@ -107,21 +107,10 @@ impl SnapshotScalar for f64 {
     }
 }
 
-/// FNV-1a 64 — the same hash the serve layer uses for result checksums,
-/// reimplemented here so gbtl-sparse stays dependency-free.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Word-folded FNV-1a: folds `bytes` into `h` 8 little-endian bytes per
 /// multiply instead of 1, preceded by the byte length (so a zero-padded
 /// tail cannot collide with explicit trailing zeros). Roughly 8x the
-/// throughput of [`fnv1a`] on the multi-megabyte array sections a snapshot
+/// throughput of byte-wise FNV-1a on the multi-megabyte array sections a snapshot
 /// holds — this is the checksum the `.gbsnap` format uses for bulk data.
 /// Each call folds one logical chunk; chain calls to cover several.
 pub fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {

@@ -24,9 +24,9 @@
 //! ## Activation
 //!
 //! `GBTL_TRACE=off|summary|json` selects the mode contexts pick up at
-//! construction ([`TraceMode::from_env`]); `GBTL_TRACE_BUF=<n>` sizes the
-//! ring (default 8192 spans). Programmatic control goes through the owning
-//! context (`ctx.set_trace_mode(..)` / `ctx.trace()` in `gbtl-core`).
+//! construction ([`TraceMode::from_env`]); the ring holds
+//! [`DEFAULT_RING_CAPACITY`] spans. Programmatic control goes through the
+//! owning context (`ctx.set_trace_mode(..)` / `ctx.trace()` in `gbtl-core`).
 //!
 //! Backend-specific detail — work-stealing pool counters, simulated-device
 //! kernel stats — attaches to a [`TraceReport`] as generic [`Section`]s, so
@@ -284,27 +284,22 @@ pub struct Tracer {
     inner: Mutex<TracerInner>,
 }
 
-/// Default span-ring capacity (overridable via `GBTL_TRACE_BUF`).
+/// Span-ring capacity of every tracer not built by [`Tracer::with_capacity`].
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
-fn ring_capacity_from_env() -> usize {
-    gbtl_util::env::usize_var("GBTL_TRACE_BUF", 1).unwrap_or(DEFAULT_RING_CAPACITY)
-}
-
 impl Tracer {
-    /// A tracer in the mode selected by `GBTL_TRACE` (ring sized by
-    /// `GBTL_TRACE_BUF`).
+    /// A tracer in the mode selected by `GBTL_TRACE`.
     pub fn from_env(backend: &'static str) -> Self {
         Self::with_mode(backend, TraceMode::from_env())
     }
 
-    /// A tracer pinned to an explicit mode (ring sized by
-    /// `GBTL_TRACE_BUF`, default [`DEFAULT_RING_CAPACITY`]).
+    /// A tracer pinned to an explicit mode, with a
+    /// [`DEFAULT_RING_CAPACITY`]-span ring.
     pub fn with_mode(backend: &'static str, mode: TraceMode) -> Self {
-        Self::with_capacity(backend, mode, ring_capacity_from_env())
+        Self::with_capacity(backend, mode, DEFAULT_RING_CAPACITY)
     }
 
-    /// A tracer with an explicit ring capacity (bypasses `GBTL_TRACE_BUF`).
+    /// A tracer with an explicit ring capacity.
     pub fn with_capacity(backend: &'static str, mode: TraceMode, capacity: usize) -> Self {
         Tracer {
             backend,
@@ -651,43 +646,6 @@ mod tests {
         assert_eq!(rep.total_spans, 10);
         assert_eq!(rep.op("apply_mat").unwrap().calls, 10);
         assert_eq!(rep.spans[0].seq, 6, "oldest retained span is #6");
-    }
-
-    #[test]
-    fn ring_capacity_env_knob_follows_the_shared_contract() {
-        // Serialized via the same pattern as gbtl_util's env tests: env
-        // mutation is process-global. The values used are large enough
-        // that a concurrently-constructed tracer in another test is
-        // unaffected.
-        use std::sync::{Mutex, OnceLock};
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let _g = LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
-
-        // unset → the documented default, silently
-        std::env::remove_var("GBTL_TRACE_BUF");
-        let t = Tracer::with_mode("test", TraceMode::Summary);
-        assert_eq!(t.capacity(), DEFAULT_RING_CAPACITY);
-
-        // valid → applied, and the ring really wraps at that size
-        std::env::set_var("GBTL_TRACE_BUF", "16");
-        let t = Tracer::with_mode("test", TraceMode::Summary);
-        assert_eq!(t.capacity(), 16);
-        for _ in 0..20 {
-            let s = t.start();
-            t.finish(s, || fields("mxv", 1, 1));
-        }
-        let rep = t.report(Vec::new());
-        assert_eq!(rep.spans.len(), 16);
-        assert_eq!(rep.dropped_spans, 4);
-        assert_eq!(rep.op("mxv").unwrap().calls, 20, "aggregates stay exact");
-
-        // invalid → warn (on stderr) + default; zero violates the min bound
-        for bad in ["not-a-number", "0", "-5"] {
-            std::env::set_var("GBTL_TRACE_BUF", bad);
-            let t = Tracer::with_mode("test", TraceMode::Summary);
-            assert_eq!(t.capacity(), DEFAULT_RING_CAPACITY, "input {bad:?}");
-        }
-        std::env::remove_var("GBTL_TRACE_BUF");
     }
 
     #[test]

@@ -1,0 +1,39 @@
+//! Byte-wise FNV-1a 64 — the workspace's one definition. It digests the
+//! result vectors `gbtl-serve` checksums on the wire, the graph names and
+//! virtual-node labels `gbtl-shard` places on its ring, and the loadgen's
+//! skew keys, so a change here changes wire bytes and placement.
+
+/// The FNV-1a 64 offset basis: the state before any byte.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold `bytes` into the running state `h`. Chained calls over the pieces
+/// of a stream equal one call over their concatenation.
+#[inline]
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// FNV-1a 64 of `bytes`.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matches_the_published_vectors_and_chains() {
+        // test vectors from the FNV reference distribution
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_fold(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
+}

@@ -2,7 +2,7 @@
 
 //! Shared dependency-free utilities for GBTL-RS.
 //!
-//! Three small pieces every layer of the workspace needs but none should
+//! Small pieces every layer of the workspace needs but none should
 //! own:
 //!
 //! * [`json`] — the minimal JSON reader (plus string escaping for writers).
@@ -12,8 +12,10 @@
 //! * [`env`] — environment-variable parsing with the workspace-wide
 //!   contract: an unset knob silently takes its default, a *set but
 //!   invalid* knob warns once on stderr and then takes its default
-//!   (`GBTL_NUM_THREADS`, `GBTL_TRACE_BUF`, the `GBTL_SERVE_*` and
+//!   (`GBTL_NUM_THREADS`, `GBTL_TRACE`, the `GBTL_SERVE_*` and
 //!   `GBTL_METRICS*` families).
+//! * [`hash`] — byte-wise FNV-1a 64, the one definition behind wire
+//!   result checksums, shard ring placement and the loadgen's skew keys.
 //! * [`stats`] — the nearest-rank percentile definition shared by the
 //!   loadgen latency report and the `gbtl-metrics` histogram snapshots, so
 //!   client-side and server-side percentiles are comparable by
@@ -29,6 +31,7 @@
 //! policy (DESIGN.md).
 
 pub mod env;
+pub mod hash;
 pub mod json;
 pub mod stats;
 pub mod time;

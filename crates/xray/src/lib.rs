@@ -76,8 +76,8 @@ impl TraceContext {
 
 static STORE: OnceLock<XrayStore> = OnceLock::new();
 
-/// The process-global span store, configured from `GBTL_XRAY`,
-/// `GBTL_XRAY_SAMPLE`, and `GBTL_XRAY_STORE_CAP` on first use. One store
+/// The process-global span store, configured from `GBTL_XRAY` and
+/// `GBTL_XRAY_SAMPLE` on first use. One store
 /// per process by design: a sharded deployment's router and member pools
 /// all feed the same trees, and the `{"op":"xray"}` verb can answer from
 /// any layer.

@@ -10,7 +10,7 @@ use gbtl_util::time::now_ns;
 
 use crate::TraceContext;
 
-/// Default bound on completed traces retained (`GBTL_XRAY_STORE_CAP`).
+/// Completed traces the process-global store retains.
 pub const DEFAULT_STORE_CAP: usize = 256;
 
 /// Bound on the pinned-trace set: pinning protects slow-log entrants from
@@ -257,14 +257,14 @@ impl XrayStore {
     }
 
     /// A store configured from the environment: `GBTL_XRAY` (on/off,
-    /// default on), `GBTL_XRAY_SAMPLE` (trace 1 in N; 0 — the default —
-    /// restricts sampling to explicit `"xray":true` requests), and
-    /// `GBTL_XRAY_STORE_CAP` (completed trees retained, default 256).
+    /// default on) and `GBTL_XRAY_SAMPLE` (trace 1 in N; 0 — the default —
+    /// restricts sampling to explicit `"xray":true` requests); it retains
+    /// [`DEFAULT_STORE_CAP`] completed trees.
     pub fn from_env() -> XrayStore {
         XrayStore::new(
             gbtl_util::env::bool_var("GBTL_XRAY").unwrap_or(true),
             gbtl_util::env::u64_var("GBTL_XRAY_SAMPLE", 0).unwrap_or(0),
-            gbtl_util::env::usize_var("GBTL_XRAY_STORE_CAP", 1).unwrap_or(DEFAULT_STORE_CAP),
+            DEFAULT_STORE_CAP,
         )
     }
 

@@ -157,6 +157,15 @@ fn level_records<B: Backend>(ctx: &Context<B>, run: impl FnOnce()) -> Vec<(bool,
 }
 
 #[test]
+fn auto_is_the_per_level_rule_whatever_the_environment_says() {
+    // no traversal reads the environment: the retired process-wide default
+    // must not turn a caller's `Auto` into a forced direction
+    std::env::set_var("GBTL_DIRECTION", "pull");
+    let policy = gbtl::core::DirectionPolicy::new(Direction::Auto, 100, 1000, true);
+    assert_eq!(policy.mode(), Direction::Auto);
+}
+
+#[test]
 fn cpu_auto_follows_the_edge_work() {
     fn check<B: Backend>(ctx: Context<B>) {
         let ctx = ctx.with_trace_mode(TraceMode::Summary);

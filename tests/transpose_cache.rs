@@ -3,8 +3,10 @@
 //! memoization-free context, on all three backends — and a mutated matrix
 //! must never be served a stale transpose.
 
-use gbtl::algebra::{PlusTimes, Second};
+use gbtl::algebra::{Min, PlusTimes, Second};
+use gbtl::algorithms::{adjacency, bfs_levels, sssp_with_direction, Direction};
 use gbtl::core::TransposeCache;
+use gbtl::graphgen::{symmetrize, weights, Rmat};
 use gbtl::prelude::*;
 use proptest::prelude::*;
 
@@ -196,4 +198,63 @@ fn one_cache_serves_every_backend() {
         cs.hits, 2,
         "the other two were served from the shared store"
     );
+}
+
+/// Whole forced-pull traversals — every level resolves `Aᵀ` — through
+/// `cached` against a memoization-free `uncached` twin of the same backend.
+fn pull_traversals_on_off<B: Backend>(
+    cached: Context<B>,
+    uncached: Context<B>,
+    a: &Matrix<bool>,
+    w: &Matrix<u32>,
+) {
+    let uncached = uncached.with_transpose_cache(TransposeCache::disabled());
+    let levels = bfs_levels(&uncached, a, 0, Direction::Pull).unwrap();
+    let dist = sssp_with_direction(&uncached, w, 0, Direction::Pull).unwrap();
+    // twice: the second traversal finds every transpose already built
+    for _ in 0..2 {
+        assert_eq!(bfs_levels(&cached, a, 0, Direction::Pull).unwrap(), levels);
+        assert_eq!(
+            sssp_with_direction(&cached, w, 0, Direction::Pull).unwrap(),
+            dist
+        );
+    }
+}
+
+#[test]
+fn pull_traversals_match_the_uncached_run_on_every_backend() {
+    let structure = symmetrize(&Rmat::new(8, 8).seed(7).generate());
+    let a = adjacency(structure.clone());
+    let weighted = weights::uniform_u32_symmetric(&structure, 1, 100, 7);
+    let w: Matrix<u32> = Matrix::build(
+        a.nrows(),
+        a.ncols(),
+        weighted.iter().filter(|&(i, j, _)| i != j),
+        Min::new(),
+    )
+    .unwrap();
+
+    // one store behind all three backends, as in gbtl-serve
+    let cache = TransposeCache::with_capacity(4);
+    pull_traversals_on_off(
+        Context::sequential().with_transpose_cache(cache.clone()),
+        Context::sequential(),
+        &a,
+        &w,
+    );
+    let misses = cache.stats().misses;
+    assert_eq!(misses, 2, "seq built Aᵀ once per graph, not once per level");
+    pull_traversals_on_off(
+        Context::parallel_with_threads(3).with_transpose_cache(cache.clone()),
+        Context::parallel_with_threads(3),
+        &a,
+        &w,
+    );
+    pull_traversals_on_off(
+        Context::cuda_default().with_transpose_cache(cache.clone()),
+        Context::cuda_default(),
+        &a,
+        &w,
+    );
+    assert_eq!(cache.stats().misses, misses, "par and cuda-sim only hit");
 }
