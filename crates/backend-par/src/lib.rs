@@ -1,8 +1,9 @@
 //! # gbtl-backend-par — a scheduler over the sequential row kernels
 //!
-//! Multi-threaded GraphBLAS ops on `std::thread::scope`, with a hard
-//! guarantee parallel runtimes usually give up: **output is bit-identical
-//! to `gbtl-backend-seq` at every thread count** (see the one documented
+//! Multi-threaded GraphBLAS ops on a pool of persistent parked helper
+//! threads plus the calling thread ([`ThreadPool`]), with a hard guarantee
+//! parallel runtimes usually give up: **output is bit-identical to
+//! `gbtl-backend-seq` at every thread count** (see the one documented
 //! caveat below). It holds because this crate computes almost nothing
 //! itself.
 //!
@@ -17,14 +18,9 @@
 //! the sequential kernel itself — same accumulator, same visit order — and
 //! a row never straddles two cuts, so no schedule can change a bit.
 //!
-//! Three kernels are this crate's own, because they are different
+//! Two kernels are this crate's own, because they are different
 //! algorithms with no row-range form:
 //!
-//! * [`vxm`] partitions output **columns**: each task scans the whole
-//!   frontier in order, narrowing adjacency rows to its column range, so
-//!   per column the terms combine in frontier order, exactly as seq. The
-//!   number of ranges follows the frontier's edge work
-//!   ([`vxm_range_count`]); one range is the sequential kernel, inline.
 //! * [`transpose`] is a counting sort per range of output rows.
 //! * Scalar [`reduce_mat`]-style folds use **fixed 4096-element blocks**
 //!   (never sized by thread count), so the combining tree is identical on
@@ -32,12 +28,19 @@
 //!   min/max) this equals the seq fold bit-for-bit; floating-point `+`/`×`
 //!   reassociate deterministically (the standard parallel-BLAS caveat).
 //!
+//! Push-direction `vxm` is not here: it has no row-range form either, and
+//! the column-range kernel that stood in for one cost more than it spread
+//! (see `mxv`'s module doc). A parallel context runs the sequential `vxm`.
+//!
 //! Work is split nnz-balanced (binary search over `row_ptr`, the CPU
 //! analogue of merge-path) and oversplit 4× per worker so the
-//! work-stealing deques in [`ThreadPool`] can rebalance power-law rows.
+//! work-sharing blocks in [`ThreadPool`] can rebalance power-law rows.
 //!
 //! Thread count comes from `GBTL_NUM_THREADS`, else
 //! `available_parallelism`; `ThreadPool::with_threads` pins it explicitly.
+
+// the one lifetime erasure in `pool` is this crate's only such block
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod ewise;
 mod mxm;
@@ -51,7 +54,7 @@ mod unary;
 
 pub use ewise::{ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec};
 pub use mxm::{mxm, mxm_masked};
-pub use mxv::{mxv, vxm, vxm_range_count};
+pub use mxv::mxv;
 pub use pool::{PoolStats, ThreadPool};
 pub use reduce::{reduce_mat, reduce_rows, reduce_sparse_vec, reduce_vec, REDUCE_BLOCK};
 pub use transpose::transpose;

@@ -43,7 +43,7 @@ pub fn transpose<T: Scalar>(pool: &ThreadPool, a: &CsrMatrix<T>) -> CsrMatrix<T>
         let mut vals: Vec<T> = Vec::new();
         if total > 0 {
             // total > 0 implies the matrix has at least one entry to use as
-            // a fill value (initialised buffer without `unsafe`).
+            // a fill value (so the buffer is never uninitialised).
             vals = vec![a.vals()[0]; total];
             for i in 0..m {
                 let (rc, rv) = a.row(i);

@@ -256,10 +256,12 @@ impl Backend for SeqBackend {
     }
 }
 
-/// What one fanned-out `run_tasks` dispatch costs before any task runs:
-/// the pool's workers are scoped threads spawned and joined per dispatch,
-/// ≈ 40 µs at 2 workers (torus96 SSSP, par vs seq per level, one CPU).
-const PAR_FANOUT_NS: u64 = 40_000;
+/// What one fanned-out `run_tasks` dispatch costs beyond its tasks: publish
+/// the job, wake the parked helpers, wait for the last of them to leave.
+/// A dispatch of eight empty tasks is 1.0–1.5 µs at 2 workers sharing one
+/// CPU and 2.5–3.8 µs on two (the wake crosses CPUs); 6–17 µs at 4 or 8
+/// workers on those two CPUs (EXPERIMENTS.md R-P20).
+const PAR_FANOUT_NS: u64 = 5_000;
 
 /// The work-stealing parallel CPU backend.
 ///
@@ -268,7 +270,8 @@ const PAR_FANOUT_NS: u64 = 40_000;
 /// that crate's docs for the fixed-block floating-point-reduce caveat).
 /// Index-space ops whose cost is dominated by the frontend's copying
 /// (`build`, extract/assign, `kronecker`, vector `select`) are not
-/// overridden: they inherit the trait's sequential defaults.
+/// overridden: they inherit the trait's sequential defaults. So does
+/// push-direction `vxm`, which no bit-identical split speeds up.
 #[derive(Debug, Default, Clone)]
 pub struct ParBackend {
     pool: gbtl_backend_par::ThreadPool,
@@ -336,19 +339,17 @@ impl Backend for ParBackend {
         })
     }
 
-    /// The edge-cost rule plus [`PAR_FANOUT_NS`] on each side that fans
-    /// out: `mxv` on every call with more than one worker, `vxm` only when
-    /// the level's work buys more than one column range. Both orientations
-    /// of a fused level are the same `mxm`, so there the fan-outs cancel.
+    /// The edge-cost rule plus [`PAR_FANOUT_NS`] on the side that fans out:
+    /// `mxv`, on every call with more than one worker. Push is the
+    /// sequential `vxm` and never does. Both orientations of a fused level
+    /// are the same `mxm`, so there the fan-outs cancel.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
-        let threads = self.threads();
-        if threads == 1 || policy.product() == Product::Fused {
-            return policy.edge_cost_prefers_pull(level, 0, 0);
-        }
-        let push_ranges =
-            gbtl_backend_par::vxm_range_count(threads, level.frontier_nnz, level.push_edges);
-        let push_fanout = if push_ranges > 1 { PAR_FANOUT_NS } else { 0 };
-        policy.edge_cost_prefers_pull(level, push_fanout, PAR_FANOUT_NS)
+        let pull_fanout = if self.threads() == 1 || policy.product() == Product::Fused {
+            0
+        } else {
+            PAR_FANOUT_NS
+        };
+        policy.edge_cost_prefers_pull(level, 0, pull_fanout)
     }
 
     fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
@@ -378,16 +379,6 @@ impl Backend for ParBackend {
         mask: Option<M>,
     ) -> DenseVector<T> {
         gbtl_backend_par::mxv(&self.pool, a, u, sr, mask.map(Into::into))
-    }
-
-    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
-        &self,
-        u: &SparseVector<T>,
-        a: &CsrMatrix<D2>,
-        sr: S,
-        mask: Option<M>,
-    ) -> SparseVector<T> {
-        gbtl_backend_par::vxm(&self.pool, u, a, sr, mask.map(Into::into))
     }
 
     fn ewise_add_mat<T: Scalar, Op: BinaryOp<T>>(
@@ -793,6 +784,53 @@ mod tests {
             let par = ParBackend::with_threads(threads);
             assert_eq!(par.mxm(&a, &a, PlusTimes::<i64>::new()), seq);
             assert_eq!(par.transpose(&a), SeqBackend.transpose(&a));
+        }
+    }
+
+    #[test]
+    fn par_push_never_fans_out_and_its_direction_rule_charges_only_pull() {
+        // 48 hubs reaching half of 4 096 vertices: ~100 K edges out of a
+        // 48-entry frontier, the shape a column-split push would fan out on
+        let n = 4096;
+        let mut coo = CooMatrix::new(n, n);
+        for h in 0..48 {
+            for j in (0..n).step_by(2) {
+                coo.push(h, j, (h * 31 + j) as i64 % 97 + 1);
+            }
+        }
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let mut u = SparseVector::new(n);
+        for h in 0..48 {
+            u.set(h, h as i64);
+        }
+        let sr = gbtl_algebra::MinPlus::<i64>::new();
+        let want = SeqBackend.vxm(&u, &a, sr, None::<VecMask<'_>>);
+        let policy = DirectionPolicy::new(crate::policy::Direction::Auto, n, a.nnz(), true);
+        for threads in [1, 2, 4, 8] {
+            let par = ParBackend::with_threads(threads);
+            assert_eq!(par.vxm(&u, &a, sr, None::<VecMask<'_>>), want);
+            let s = par.pool_stats();
+            assert_eq!((s.parallel_dispatches, s.inline_dispatches), (0, 0));
+            // so the rule may charge a fan-out to pull alone: one worker
+            // decides as seq does, more never pull a level seq would push
+            for push_edges in [16, 2_200, 98_304, 269_813, 391_959] {
+                for pull_edges in [12, 1_000, 155_000, 426_186] {
+                    let level = LevelWork {
+                        push_edges,
+                        pull_edges,
+                        ..LevelWork::default()
+                    };
+                    let (seq, par) = (
+                        SeqBackend.prefers_pull(&policy, &level),
+                        par.prefers_pull(&policy, &level),
+                    );
+                    assert!(if threads == 1 {
+                        par == seq
+                    } else {
+                        seq || !par
+                    });
+                }
+            }
         }
     }
 

@@ -40,8 +40,9 @@
 //! row term is why the last levels of a BFS, a dozen edges on either side,
 //! go back to push). The backend owns the comparison through
 //! [`Backend::prefers_pull`]: seq uses the rule as is, par adds its fan-out
-//! cost to whichever side fans out, and cuda-sim keeps the vertex-count
-//! rule it had (see `CudaBackend`) — so the frontend stays backend-blind.
+//! cost to the side that fans out (pull), and cuda-sim keeps the
+//! vertex-count rule it had (see `CudaBackend`) — so the frontend stays
+//! backend-blind.
 //!
 //! The frontier *representation* follows the direction the level runs in
 //! (push kernels consume the index list, pull kernels the bitmap), so a
@@ -175,8 +176,8 @@ pub struct KernelCosts {
 // graphs (`rmat14` ef 16, `rmat12`/`rmat10` ef 8, `torus96`; hub sources):
 // level wall time of traced forced-push and forced-pull runs, best of 9,
 // against the level's `push_edges` / `pull_edges` from its decision record.
-// Re-measure when a kernel changes — pull early-exit and persistent par
-// workers are the next two; these constants are where they plug in.
+// Re-measure when a kernel changes — pull early-exit is the next; these
+// constants are where it plugs in.
 
 /// Masked `vxm`/`mxv` (BFS, BC). Push 3.9–5.7 ns an edge on levels over
 /// 10 K edges (mask test, accumulator scatter, sort of the touched list).
@@ -565,14 +566,14 @@ mod tests {
     #[test]
     fn par_charges_its_fan_out_to_the_side_that_fans_out() {
         let p = DirectionPolicy::new(Direction::Auto, 1024, 14_000, true);
-        // a small graph's hub level: pull's 2 K-edge scan of 1 024 rows
-        // (11 µs) beats push's 9.7 K-edge walk (49 µs) on seq and on one
-        // worker, but not once the pull dispatch costs a 40 µs fan-out and
-        // push runs inline
+        // a small graph's late level: pull's 1 K-edge scan of 1 024 rows
+        // (7 µs) beats push's 2.2 K-edge walk (11 µs) on seq and on one
+        // worker, but not once the pull dispatch wakes a helper (5 µs) and
+        // push, the sequential kernel on every backend, does not
         let w = LevelWork {
-            frontier_nnz: 347,
-            unvisited: 676,
-            ..edges(9_718, 2_095)
+            frontier_nnz: 80,
+            unvisited: 300,
+            ..edges(2_200, 1_000)
         };
         assert_eq!(p.decide_on(&SeqBackend, w).dir, ChosenDir::Pull);
         assert_eq!(
@@ -583,7 +584,7 @@ mod tests {
             p.decide_on(&ParBackend::with_threads(2), w).dir,
             ChosenDir::Push
         );
-        // with enough work on both sides the fan-outs cancel
+        // against a level of real work the wake-up is nothing
         let big = LevelWork {
             frontier_nnz: 1_800,
             unvisited: 14_000,

@@ -9,13 +9,11 @@
 //! operation, paid thousands of times per BFS/PageRank run.
 //!
 //! The pools here are **thread-local**, so they need no locks, and a
-//! long-lived thread — a serve worker, or any caller of the sequential
-//! kernels, which is also where the parallel backend's inline dispatches
-//! run — warms its own set once. The parallel backend's *own* workers are
-//! not such threads: `gbtl-backend-par` spawns scoped threads per
-//! `run_tasks` dispatch, so a fanned-out task always starts with empty
-//! pools and allocates its buffers afresh (nothing there is reused until
-//! that pool keeps its workers alive). Buffers are handed out in a
+//! long-lived thread warms its own set once: a serve worker, any caller of
+//! the sequential kernels (which is also where the parallel backend's
+//! inline dispatches run), and the parallel backend's helper threads,
+//! which live as long as their `ThreadPool` and so reuse their buffers
+//! from one fanned-out dispatch to the next. Buffers are handed out in a
 //! *known-clean* state and must be returned clean:
 //!
 //! * accumulator — every slot `None`, `len >= n`;
