@@ -17,6 +17,22 @@ use crate::{BinaryOp, Scalar};
 pub trait Monoid<T: Scalar>: BinaryOp<T> {
     /// The identity element: `combine(identity, x) == x` for all `x`.
     fn identity(&self) -> T;
+
+    /// A value the fold cannot leave: `combine(terminal, x) == terminal` for
+    /// every `x`, so a left fold that has reached it may stop (pull `mxv`
+    /// does, per row). `None` — the default — when the monoid has no such
+    /// value (`Plus`, `Times`, `Lxor`). Implementations must be a constant
+    /// the optimiser can fold: a kernel over a monoid without one pays
+    /// nothing for the test.
+    ///
+    /// The law is stated for the terminal on the *left*, where a fold keeps
+    /// its accumulator. On the right it also holds for every `x` but a float
+    /// `NaN`: [`Min`]/[`Max`] keep their left operand unless the right one
+    /// compares strictly better, and nothing compares to `NaN`.
+    #[inline(always)]
+    fn terminal(&self) -> Option<T> {
+        None
+    }
 }
 
 /// Addition monoid (identity `0`).
@@ -134,6 +150,11 @@ where
     fn identity(&self) -> T {
         T::max_bound()
     }
+
+    #[inline(always)]
+    fn terminal(&self) -> Option<T> {
+        Some(T::min_bound())
+    }
 }
 
 impl<T> BinaryOp<T> for MaxMonoid<T>
@@ -154,6 +175,11 @@ where
     fn identity(&self) -> T {
         T::min_bound()
     }
+
+    #[inline(always)]
+    fn terminal(&self) -> Option<T> {
+        Some(T::max_bound())
+    }
 }
 
 impl BinaryOp<bool> for LorMonoid {
@@ -168,6 +194,11 @@ impl Monoid<bool> for LorMonoid {
     fn identity(&self) -> bool {
         false
     }
+
+    #[inline(always)]
+    fn terminal(&self) -> Option<bool> {
+        Some(true)
+    }
 }
 
 impl BinaryOp<bool> for LandMonoid {
@@ -181,6 +212,11 @@ impl Monoid<bool> for LandMonoid {
     #[inline(always)]
     fn identity(&self) -> bool {
         true
+    }
+
+    #[inline(always)]
+    fn terminal(&self) -> Option<bool> {
+        Some(false)
     }
 }
 

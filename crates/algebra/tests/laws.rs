@@ -135,3 +135,63 @@ fn dot2<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
     sr.add()
         .apply(sr.mul().apply(x.0, x.1), sr.mul().apply(y.0, y.1))
 }
+
+/// `terminal()` absorbs from the left — the side a left fold keeps its
+/// accumulator on — for every `x`, and from the right for every `x` that
+/// equals itself. A float `NaN` on the left survives `Min`/`Max` (they keep
+/// the left operand unless the right compares strictly better): that is why
+/// the law `row_dot`'s early exit rests on is the left one.
+fn assert_terminal_absorbs<T: Scalar, M: Monoid<T>>(m: M, edge_values: &[T]) {
+    let t = m.terminal().expect("monoid declares a terminal value");
+    for &x in edge_values {
+        assert_eq!(m.apply(t, x), t, "combine(terminal, {x:?})");
+        #[allow(clippy::eq_op)]
+        if x == x {
+            assert_eq!(m.apply(x, t), t, "combine({x:?}, terminal)");
+        } else {
+            let kept = m.apply(x, t);
+            assert!(kept != kept, "combine(NaN, terminal) keeps the NaN");
+        }
+    }
+}
+
+#[test]
+fn terminal_values_absorb_over_the_domain_edges() {
+    assert_terminal_absorbs(LorMonoid::new(), &[false, true]);
+    assert_terminal_absorbs(LandMonoid::new(), &[false, true]);
+    assert_terminal_absorbs(MinMonoid::<u32>::new(), &[0, 1, u32::MAX - 1, u32::MAX]);
+    assert_terminal_absorbs(MaxMonoid::<u32>::new(), &[0, 1, u32::MAX - 1, u32::MAX]);
+    let signed = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    assert_terminal_absorbs(MinMonoid::<i64>::new(), &signed);
+    assert_terminal_absorbs(MaxMonoid::<i64>::new(), &signed);
+    let floats = [
+        f64::NEG_INFINITY,
+        f64::MIN,
+        -1.0,
+        -0.0,
+        0.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    assert_terminal_absorbs(MinMonoid::<f64>::new(), &floats);
+    assert_terminal_absorbs(MaxMonoid::<f64>::new(), &floats);
+    let singles = floats.map(|x| x as f32);
+    assert_terminal_absorbs(MinMonoid::<f32>::new(), &singles);
+    assert_terminal_absorbs(MaxMonoid::<f32>::new(), &singles);
+
+    assert_eq!(MinMonoid::<f64>::new().terminal(), Some(f64::NEG_INFINITY));
+    assert_eq!(MaxMonoid::<f64>::new().terminal(), Some(f64::INFINITY));
+    assert_eq!(MinMonoid::<u32>::new().terminal(), Some(0));
+    assert_eq!(MaxMonoid::<i64>::new().terminal(), Some(i64::MAX));
+}
+
+#[test]
+fn monoids_without_an_absorbing_value_declare_none() {
+    assert_eq!(PlusMonoid::<i64>::new().terminal(), None);
+    assert_eq!(PlusMonoid::<f64>::new().terminal(), None);
+    assert_eq!(TimesMonoid::<i64>::new().terminal(), None);
+    assert_eq!(TimesMonoid::<f64>::new().terminal(), None);
+    assert_eq!(LxorMonoid::new().terminal(), None);
+}

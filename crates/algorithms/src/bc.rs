@@ -52,7 +52,9 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
     for &src in sources {
         check_source("betweenness_centrality", src, n)?;
     }
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a);
+    // path counts add up under `Plus`, which has no terminal value: a pull
+    // row is never cut short, and the policy must not price it as if it were
+    let policy = DirectionPolicy::for_matrix(dir, ctx, a).masked_sum();
     let desc_push = Descriptor::new().complement_mask().replace();
     let desc_fwd_pull = Descriptor::new().transpose_a().complement_mask().replace();
     let desc_pull = Descriptor::new();

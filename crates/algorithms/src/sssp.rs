@@ -8,7 +8,7 @@ use gbtl_core::{
 
 use gbtl_sparse::SparseVector;
 
-use crate::util::check_source;
+use crate::util::{check_source, check_square};
 
 /// Weight-domain additive identity, needed to seed the source distance
 /// (`x + zero == x`).
@@ -58,7 +58,8 @@ where
 /// few vertices improved, so `Auto` pulls only a round whose frontier
 /// carries more edges than that scan costs.
 ///
-/// `src` out of range is an `IndexOutOfBounds` error.
+/// A non-square `a` is a `DimensionMismatch` error, `src` out of range an
+/// `IndexOutOfBounds` error.
 pub fn sssp_with_direction<B, T>(
     ctx: &Context<B>,
     a: &Matrix<T>,
@@ -69,7 +70,7 @@ where
     B: Backend,
     T: Scalar + PartialOrd + Bounded + DefaultZero + std::ops::Add<Output = T>,
 {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("sssp", a)?;
     let n = a.nrows();
     check_source("sssp", src, n)?;
     let zero = T::default_zero();
@@ -251,6 +252,20 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn non_square_is_an_error_on_every_backend() {
+        let a = Matrix::<u32>::new(2, 3);
+        let is_mismatch = |r: Result<Vector<u32>>| {
+            matches!(
+                r,
+                Err(gbtl_core::GblasError::DimensionMismatch { op: "sssp", .. })
+            )
+        };
+        assert!(is_mismatch(sssp(&Context::sequential(), &a, 0)));
+        assert!(is_mismatch(sssp(&Context::parallel_with_threads(2), &a, 0)));
+        assert!(is_mismatch(sssp(&Context::cuda_default(), &a, 0)));
     }
 
     #[test]

@@ -125,18 +125,18 @@ fn spmv_scalar<T, D1, S>(
             pos_buf.clear();
             end_buf.clear();
             for &r in &rows {
-                slice[r - row0] = {
-                    let (cols, vals) = a.row(r);
-                    row_dot(sr, cols, vals, uvals)
-                };
-                if row_ptr[r] < row_ptr[r + 1] {
+                let (cols, vals) = a.row(r);
+                let (dot, consumed) = row_dot(sr, cols, vals, uvals);
+                slice[r - row0] = dot;
+                if consumed > 0 {
                     pos_buf.push(row_ptr[r]);
-                    end_buf.push(row_ptr[r + 1]);
+                    end_buf.push(row_ptr[r] + consumed);
                 }
             }
-            // One warp-step per entry of the longest row; a lane drops out
-            // when its row ends. Columns, values and x are loaded at the
-            // lanes' actual addresses (uncoalesced across rows).
+            // One warp-step per entry of the longest walk; a lane drops out
+            // when its row ends or its fold reaches the monoid's terminal
+            // value. Columns, values and x are loaded at the lanes' actual
+            // addresses (uncoalesced across rows).
             while !pos_buf.is_empty() {
                 col_buf.clear();
                 col_buf.extend(pos_buf.iter().map(|&p| col_idx[p]));
@@ -187,10 +187,16 @@ fn spmv_vector<T, D1, S>(
             if mask.is_some_and(|keep| !keep.keeps(r)) {
                 continue;
             }
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-            if lo == hi {
+            let (lo, row_end) = (row_ptr[r], row_ptr[r + 1]);
+            if lo == row_end {
                 continue;
             }
+            let (cols, vals) = a.row(r);
+            let (dot, consumed) = row_dot(sr, cols, vals, uvals);
+            *slot = dot;
+            // The warp takes the row a stride at a time and stops after the
+            // stride in which the fold reached the monoid's terminal value.
+            let hi = row_end.min(lo + consumed.next_multiple_of(ws));
             // Row pointer loads by lane 0.
             ctx.warp_read_run(8, r, r + 2);
             for p in (lo..hi).step_by(ws) {
@@ -205,8 +211,6 @@ fn spmv_vector<T, D1, S>(
             // Warp shuffle reduction of the lanes' partials.
             ctx.block_reduce(ws.min(hi - lo));
             ctx.warp_write(u_sz, &[r]);
-            let (cols, vals) = a.row(r);
-            *slot = row_dot(sr, cols, vals, uvals);
         }
     });
 }

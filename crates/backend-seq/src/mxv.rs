@@ -6,7 +6,7 @@
 //! * [`vxm`] — *push*: `w = uᵀA`, walking only the rows of `A` selected by
 //!   stored entries of `u`. Efficient when `u` is a sparse frontier.
 
-use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_algebra::{BinaryOp, Monoid, Scalar, Semiring};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 use std::ops::Range;
@@ -16,25 +16,35 @@ use std::ops::Range;
 /// The one row kernel of pull `mxv` on every backend: the sequential and
 /// parallel backends run it per row, cuda-sim's SpMV kernels differ only in
 /// how the device would schedule (and so be charged for) it.
+///
+/// The fold stops once it equals the add monoid's [`Monoid::terminal`] —
+/// no later entry can change it (a BFS pull row is done at its first
+/// frontier neighbour). The second value is how many of the row's entries
+/// were consumed: `cols.len()` unless it stopped early, always that for a
+/// monoid without a terminal (whose test folds away at compile time).
 #[inline]
-pub fn row_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> Option<T>
+pub fn row_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> (Option<T>, usize)
 where
     T: Scalar,
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
     let (add, mul) = (sr.add(), sr.mul());
+    let terminal = add.terminal();
     let mut acc: Option<T> = None;
-    for (&j, &aij) in cols.iter().zip(vals) {
+    for (q, (&j, &aij)) in cols.iter().zip(vals).enumerate() {
         if let Some(uj) = u[j] {
             let term = mul.apply(aij, uj);
             acc = Some(match acc {
                 Some(v) => add.apply(v, term),
                 None => term,
             });
+            if acc == terminal {
+                return (acc, q + 1);
+            }
         }
     }
-    acc
+    (acc, cols.len())
 }
 
 /// Pull-direction product `w = A ⊕.⊗ u`.
@@ -90,11 +100,58 @@ where
             continue;
         }
         let (cols, vals) = a.row(i);
-        if let Some(v) = row_dot(sr, cols, vals, uvals) {
+        if let (Some(v), _) = row_dot(sr, cols, vals, uvals) {
             w.set(i - rows.start, v);
         }
     }
     w
+}
+
+/// The accumulate loop of push [`vxm`]: folds `uᵀA` into `acc` over the
+/// positions `mask` keeps, calling `first(j)` when position `j` receives its
+/// first term. The mask test is hoisted out of the edge loop, and a `first`
+/// that does nothing leaves a loop with no first-touch branch at all.
+#[inline(always)]
+fn scatter<T, D2, S>(
+    u: &SparseVector<T>,
+    a: &CsrMatrix<D2>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+    acc: &mut [Option<T>],
+    mut first: impl FnMut(usize),
+) where
+    T: Scalar,
+    D2: Scalar,
+    S: Semiring<T, T, D2>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    for (k, uk) in u.iter() {
+        let (cols, vals) = a.row(k);
+        let mut fold = |j: usize, akj: D2| {
+            let term = mul.apply(uk, akj);
+            match &mut acc[j] {
+                Some(v) => *v = add.apply(*v, term),
+                slot @ None => {
+                    *slot = Some(term);
+                    first(j);
+                }
+            }
+        };
+        match mask {
+            None => {
+                for (&j, &akj) in cols.iter().zip(vals) {
+                    fold(j, akj);
+                }
+            }
+            Some(keep) => {
+                for (&j, &akj) in cols.iter().zip(vals) {
+                    if keep.keeps(j) {
+                        fold(j, akj);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Push-direction product `w = uᵀ ⊕.⊗ A` over a sparse `u`.
@@ -126,28 +183,28 @@ where
     if let Some(keep) = mask {
         assert_eq!(keep.len(), a.ncols(), "mask length must equal output size");
     }
-    let (add, mul) = (sr.add(), sr.mul());
     let n = a.ncols();
+    // A frontier carrying at least `n` out-edges has already done the work
+    // of one pass over the accumulator, so such a round lists nothing and
+    // emits by that pass — in index order, no sort. A sparser round must
+    // not pay O(n): it lists first touches and sorts them.
+    let edges: usize = u.indices().iter().map(|&k| a.row_nnz(k)).sum();
     // Pooled scratch: draining with `take()` restores the accumulator's
     // all-None return invariant.
     workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
-        workspace::with_index_buffer(|touched| {
-            for (k, uk) in u.iter() {
-                let (cols, vals) = a.row(k);
-                for (&j, &akj) in cols.iter().zip(vals) {
-                    if mask.is_some_and(|keep| !keep.keeps(j)) {
-                        continue;
-                    }
-                    let term = mul.apply(uk, akj);
-                    match &mut acc[j] {
-                        Some(v) => *v = add.apply(*v, term),
-                        slot @ None => {
-                            *slot = Some(term);
-                            touched.push(j);
-                        }
-                    }
+        if edges >= n {
+            scatter(u, a, sr, mask, acc, |_| {});
+            let (mut idx, mut vals) = (Vec::new(), Vec::new());
+            for (j, slot) in acc[..n].iter_mut().enumerate() {
+                if let Some(v) = slot.take() {
+                    idx.push(j);
+                    vals.push(v);
                 }
             }
+            return SparseVector::from_sorted(n, idx, vals).expect("ascending sweep");
+        }
+        workspace::with_index_buffer(|touched| {
+            scatter(u, a, sr, mask, acc, |j| touched.push(j));
             touched.sort_unstable();
             let vals: Vec<T> = touched
                 .iter()

@@ -1,0 +1,234 @@
+//! Property tests of the two traversal kernels' shortcuts: `row_dot` may
+//! stop a row early and `vxm` may emit by a sweep, and neither may change a
+//! result.
+
+use gbtl_algebra::{BinaryOp, LorLand, MaxMin, MinPlus, Monoid, PlusTimes, Scalar, Semiring};
+use gbtl_backend_seq::{mxv, row_dot, vxm};
+use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
+use gbtl_util::workspace;
+use proptest::prelude::*;
+
+/// The fold `row_dot` must equal: every entry, no exit.
+fn full_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
+    sr: S,
+    cols: &[usize],
+    vals: &[D1],
+    u: &[Option<T>],
+) -> Option<T> {
+    let mut acc = None;
+    for (&j, &aij) in cols.iter().zip(vals) {
+        if let Some(uj) = u[j] {
+            let term = sr.mul().apply(aij, uj);
+            acc = Some(acc.map_or(term, |v| sr.add().apply(v, term)));
+        }
+    }
+    acc
+}
+
+/// `row_dot` over `entries` (column, value) against the full fold, compared
+/// through `bits` so that `-0.0` and `0.0` differ.
+fn check_row<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
+    sr: S,
+    entries: &[(usize, D1)],
+    u: &[Option<T>],
+    bits: impl Fn(T) -> u64,
+) {
+    let (cols, vals): (Vec<usize>, Vec<D1>) = entries.iter().copied().unzip();
+    let (got, consumed) = row_dot(sr, &cols, &vals, u);
+    let want = full_fold(sr, &cols, &vals, u);
+    assert_eq!(got.map(&bits), want.map(&bits));
+    assert!(consumed <= cols.len());
+    match sr.add().terminal() {
+        None => assert_eq!(consumed, cols.len(), "no terminal, no early exit"),
+        Some(t) => {
+            if consumed < cols.len() {
+                assert_eq!(got, Some(t), "stopped short of the row's end");
+            }
+        }
+    }
+    // the count is the prefix that produced the result
+    let prefix = full_fold(sr, &cols[..consumed], &vals[..consumed], u);
+    assert_eq!(prefix.map(&bits), got.map(&bits));
+}
+
+const WIDTH: usize = 24;
+
+/// A row of up to 40 entries over `WIDTH` columns.
+fn row<V: Strategy>(value: V) -> impl Strategy<Value = Vec<(usize, V::Value)>> {
+    proptest::collection::vec((0..WIDTH, value), 0..40)
+}
+
+/// An operand with absent positions.
+fn operand<V: Strategy>(value: V) -> impl Strategy<Value = Vec<Option<V::Value>>> {
+    proptest::collection::vec(proptest::option::of(value), WIDTH)
+}
+
+/// `u32`s that meet both of the domain's bounds often.
+fn edgy_u32() -> impl Strategy<Value = u32> {
+    (0usize..5).prop_map(|k| [0, 1, 7, u32::MAX - 1, u32::MAX][k])
+}
+
+/// Floats at the domain's edges: both infinities (whose sum is a `NaN`
+/// term), `NaN` itself and both zeros. An accumulator that went `NaN` never
+/// equals `Min`'s terminal and stays `NaN`; one already at `-inf` must stay
+/// `-inf` through a later `NaN` term — with or without the early exit.
+fn edgy_f64() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 8] = [
+        f64::NEG_INFINITY,
+        -2.5,
+        -0.0,
+        0.0,
+        1.5,
+        1e300,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    (0..EDGES.len()).prop_map(|k| EDGES[k])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn row_dot_lor_land(entries in row(any::<bool>()), u in operand(any::<bool>())) {
+        check_row(LorLand::new(), &entries, &u, u64::from);
+    }
+
+    #[test]
+    fn row_dot_min_plus_u32(entries in row(0u32..3), u in operand(0u32..3)) {
+        check_row(MinPlus::<u32>::new(), &entries, &u, u64::from);
+    }
+
+    #[test]
+    fn row_dot_min_plus_f64(entries in row(edgy_f64()), u in operand(edgy_f64())) {
+        check_row(MinPlus::<f64>::new(), &entries, &u, f64::to_bits);
+    }
+
+    #[test]
+    fn row_dot_max_min_u32(entries in row(edgy_u32()), u in operand(edgy_u32())) {
+        check_row(MaxMin::<u32>::new(), &entries, &u, u64::from);
+    }
+
+    #[test]
+    fn row_dot_plus_times(entries in row(-9i64..9), u in operand(-9i64..9)) {
+        check_row(PlusTimes::<i64>::new(), &entries, &u, |v| v as u64);
+    }
+}
+
+/// Largest graph the `vxm` properties draw.
+const MAX_N: usize = 40;
+
+/// `vxm` against push computed the other way round — `mxv` over `Aᵀ` on the
+/// densified frontier — for three frontiers cut from `order` (the longest
+/// prefix carrying fewer than `n` out-edges, that prefix and one vertex more,
+/// and every vertex: both sides of the rule that picks the emission) under
+/// no mask, `visited` as the mask, and its complement. After every call the
+/// pooled accumulator must be back to all-`None`.
+fn check_vxm<T: Scalar, S: Semiring<T>>(
+    sr: S,
+    a: &CsrMatrix<T>,
+    order: &[usize],
+    frontier_vals: &[T],
+    visited: &DenseVector<bool>,
+) {
+    let n = a.nrows();
+    let at = a.transpose();
+    let out_edges = |f: &[usize]| f.iter().map(|&k| a.row_nnz(k)).sum::<usize>();
+    let cut = (0..=n)
+        .take_while(|&p| out_edges(&order[..p]) < n)
+        .last()
+        .expect("the empty prefix carries no edge");
+    assert!(
+        cut < n,
+        "every row holds an entry, so all of them carry n edges"
+    );
+    let frontiers = [&order[..cut], &order[..cut + 1], order];
+    assert!(out_edges(frontiers[0]) < n && out_edges(frontiers[1]) >= n);
+    for frontier in frontiers {
+        let mut u = SparseVector::new(n);
+        for &k in frontier {
+            u.set(k, frontier_vals[k]);
+        }
+        let masks = [
+            None,
+            Some(VecMask::new(visited, false)),
+            Some(VecMask::new(visited, true)),
+        ];
+        for mask in masks {
+            let got = vxm(&u, a, sr, mask);
+            assert_eq!(got.to_dense(), mxv(&at, &u.to_dense(), sr, mask));
+            workspace::with_accumulator::<T, _>(n, |acc| {
+                assert!(acc.iter().all(Option::is_none), "accumulator left dirty");
+            });
+        }
+    }
+}
+
+/// An `n × n` matrix with one to five entries in every row: row `i` takes
+/// its `degrees[i]` next draws of `picks` (column seed, value).
+fn matrix<T: Scalar>(n: usize, degrees: &[usize], picks: &[(usize, T)]) -> CsrMatrix<T> {
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        for &(seed, v) in &picks[5 * i..5 * i + degrees[i]] {
+            coo.push(i, seed % n, v);
+        }
+    }
+    CsrMatrix::from_coo(coo, |_, later| later)
+}
+
+/// The vertices `0..n` in the order of their `keys`.
+fn shuffled(n: usize, keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (keys[i], i));
+    order
+}
+
+fn draws<V: Strategy>(value: V, per_vertex: usize) -> impl Strategy<Value = Vec<V::Value>> {
+    proptest::collection::vec(value, per_vertex * MAX_N)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn vxm_min_plus_matches_pull_over_the_transpose(
+        n in 8..MAX_N,
+        degrees in draws(1usize..6, 1),
+        picks in draws((0..MAX_N, 0u32..4), 5),
+        keys in draws(any::<u64>(), 1),
+        frontier_vals in draws(0u32..4, 1),
+        visited in draws(proptest::option::of(any::<bool>()), 1),
+    ) {
+        let a = matrix(n, &degrees, &picks);
+        let visited = DenseVector::from_options(visited[..n].to_vec());
+        check_vxm(MinPlus::<u32>::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
+    }
+
+    #[test]
+    fn vxm_lor_land_matches_pull_over_the_transpose(
+        n in 8..MAX_N,
+        degrees in draws(1usize..6, 1),
+        picks in draws((0..MAX_N, any::<bool>()), 5),
+        keys in draws(any::<u64>(), 1),
+        frontier_vals in draws(any::<bool>(), 1),
+        visited in draws(proptest::option::of(any::<bool>()), 1),
+    ) {
+        let a = matrix(n, &degrees, &picks);
+        let visited = DenseVector::from_options(visited[..n].to_vec());
+        check_vxm(LorLand::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
+    }
+
+    #[test]
+    fn vxm_plus_times_matches_pull_over_the_transpose(
+        n in 8..MAX_N,
+        degrees in draws(1usize..6, 1),
+        picks in draws((0..MAX_N, -9i64..9), 5),
+        keys in draws(any::<u64>(), 1),
+        frontier_vals in draws(-9i64..9, 1),
+        visited in draws(proptest::option::of(any::<bool>()), 1),
+    ) {
+        let a = matrix(n, &degrees, &picks);
+        let visited = DenseVector::from_options(visited[..n].to_vec());
+        check_vxm(PlusTimes::<i64>::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
+    }
+}

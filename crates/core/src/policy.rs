@@ -36,13 +36,17 @@
 //!     <  push_edges · C_PUSH + push_overhead
 //! ```
 //!
-//! with costs measured once on the perfbench graphs ([`KernelCosts`]; the
-//! row term is why the last levels of a BFS, a dozen edges on either side,
-//! go back to push). The backend owns the comparison through
-//! [`Backend::prefers_pull`]: seq uses the rule as is, par adds its fan-out
-//! cost to the side that fans out (pull), and cuda-sim keeps the
-//! vertex-count rule it had (see `CudaBackend`) — so the frontend stays
-//! backend-blind.
+//! with costs measured on the perfbench graphs ([`KernelCosts`], one set per
+//! [`Product`]: a BFS pull row stops at its first frontier neighbour —
+//! `Lor`'s terminal value — so a scanned edge costs pull a quarter of what
+//! a walked edge costs push, while BC's path counts add up under `Plus`,
+//! which has none, and a scanned edge costs what a walked one does; the row
+//! term is why the last levels of a BFS, a dozen edges on either side, go
+//! back to push).
+//! The backend owns the comparison through [`Backend::prefers_pull`]: seq
+//! uses the rule as is, par adds its fan-out cost to the side that fans out
+//! (pull), and cuda-sim keeps the vertex-count rule it had (see
+//! `CudaBackend`) — so the frontend stays backend-blind.
 //!
 //! The frontier *representation* follows the direction the level runs in
 //! (push kernels consume the index list, pull kernels the bitmap), so a
@@ -151,8 +155,12 @@ pub struct LevelDecision {
 /// depend on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Product {
-    /// `vxm`/`mxv` under the complemented `visited` mask (BFS, BC).
+    /// `vxm`/`mxv` under the complemented `visited` mask, over an add
+    /// monoid with a terminal value (BFS's `Lor`): a pull row stops early.
     Masked,
+    /// The same masked product over an add monoid without one (BC's path
+    /// counts under `Plus`): a pull row is folded to its end.
+    MaskedSum,
     /// Unmasked `vxm`/`mxv` (SSSP's relaxation).
     Unmasked,
     /// One `mxm` over a row-stacked batch of frontiers (`F·A` / `Aᵀ·Fᵀ`).
@@ -172,32 +180,55 @@ pub struct KernelCosts {
     pub pull_row_ps: u64,
 }
 
-// Measured once on the sequential backend, one pinned CPU, on the perfbench
+// Measured on the sequential backend, one pinned CPU, on the perfbench
 // graphs (`rmat14` ef 16, `rmat12`/`rmat10` ef 8, `torus96`; hub sources):
-// level wall time of traced forced-push and forced-pull runs, best of 9,
-// against the level's `push_edges` / `pull_edges` from its decision record.
-// Re-measure when a kernel changes — pull early-exit is the next; these
-// constants are where it plugs in.
+// level and kernel wall time of traced forced-push and forced-pull runs,
+// best of 9, against the level's `push_edges` / `pull_edges` from its
+// decision record (the per-level table is EXPERIMENTS.md R-E21), with pull
+// rows stopping at the monoid's terminal value and dense push rounds
+// emitting by a sweep. Re-measure when a kernel changes.
 
-/// Masked `vxm`/`mxv` (BFS, BC). Push 3.9–5.7 ns an edge on levels over
-/// 10 K edges (mask test, accumulator scatter, sort of the touched list).
-/// Pull 1.5–1.7 ns a scanned edge while the frontier bitmap misses (a
-/// level-1 frontier) but 3.6–7.3 once hits and misses mix — with no early
-/// exit a row is scanned to its end — on top of ≈ 3 ns a row: the last
-/// levels of a BFS pull 12–57 µs (n = 4 096–16 384) for a dozen edges that
-/// push walks in 1–5 µs.
+/// Masked `vxm`/`mxv` that can stop early (BFS). Push 1.9–7.3 ns an edge on levels over
+/// 10 K edges (the mask test mispredicts where visited and unvisited mix;
+/// such a level emits by an index-order sweep, a smaller one by sorting its
+/// touched list), 4.5–5.4 on a hub's first level. Pull 0.5–1.1 ns a scanned
+/// edge on `rmat14`, 0.9–2.5 on `rmat12`: a row stops at its first frontier
+/// neighbour (`Lor`'s terminal value), so a saturated level reads a
+/// fraction of `pull_edges`, and a level-1 frontier, which almost no row
+/// meets, scans them all at 0.5–0.6 ns. On top of that 1.4–4.5 ns a row:
+/// the last levels of a BFS pull 14–70 µs (n = 4 096–16 384) for a dozen
+/// edges that push walks in 1–5 µs.
 pub const MASKED_COSTS: KernelCosts = KernelCosts {
-    push_edge_ps: 5_000,
-    pull_edge_ps: 4_000,
+    push_edge_ps: 4_000,
+    pull_edge_ps: 1_000,
     pull_row_ps: 3_000,
 };
 
-/// Unmasked `vxm`/`mxv` (SSSP). Push 3.7–4.4 ns an edge on rounds over
-/// 100 K edges; pull 3.0–7.6 ns per scanned edge, rows included — no
-/// cheaper than push per edge while scanning all of `nnz(A)`, so a solo
-/// round (`push_edges ≤ nnz(A)`) never pulls.
+/// Masked `vxm`/`mxv` over a monoid with no terminal value (BC's forward
+/// sweep, `f64` path counts under `Plus`). Push 4.0–9.1 ns an edge where
+/// visited and unvisited mix (a hub's level 2), 1.9–4.5 on the level after;
+/// pull 1.2–2.3 ns a scanned edge while the frontier bitmap misses (level 1)
+/// and 4.8–8.1 once hits and misses mix, net of ≈ 3 ns a row — every row is
+/// folded to its end, so an edge costs pull what it costs push and only the
+/// edge counts decide (`rmat14`: a hub's level 2 pulls 80 K edges in 693 µs
+/// against 1 647 µs pushing 343 K; a median-degree source's level 3 pushes
+/// 194 K in 1 487 µs against 1 772 µs pulling 231 K).
+pub const MASKED_SUM_COSTS: KernelCosts = KernelCosts {
+    push_edge_ps: 6_000,
+    pull_edge_ps: 6_000,
+    pull_row_ps: 3_000,
+};
+
+/// Unmasked `vxm`/`mxv` (SSSP). Push 1.8–2.7 ns an edge on rounds over
+/// 100 K edges, which emit by a sweep (2.1–4.2 on the smaller graphs'
+/// dense rounds; a round under `n` edges sorts and pays 8–16). Pull
+/// 0.9–6.0 ns per scanned edge, rows included, and 2.3–6.0 in the heavy
+/// rounds: `(min, +)` over positive weights never reaches `Min`'s terminal
+/// value, so every row is folded to its end — no cheaper than push per edge
+/// while scanning all of `nnz(A)`, so a solo round (`push_edges ≤ nnz(A)`)
+/// never pulls.
 pub const UNMASKED_COSTS: KernelCosts = KernelCosts {
-    push_edge_ps: 4_000,
+    push_edge_ps: 2_500,
     pull_edge_ps: 4_000,
     pull_row_ps: 3_000,
 };
@@ -217,6 +248,7 @@ impl Product {
     pub const fn costs(self) -> KernelCosts {
         match self {
             Product::Masked => MASKED_COSTS,
+            Product::MaskedSum => MASKED_SUM_COSTS,
             Product::Unmasked => UNMASKED_COSTS,
             Product::Fused => FUSED_COSTS,
         }
@@ -306,6 +338,13 @@ impl DirectionPolicy {
     ) -> Self {
         let pull_ready = ctx.transpose_cache().contains::<T>(a.id(), a.version());
         Self::new(requested, a.nrows(), a.nnz(), pull_ready)
+    }
+
+    /// The traversal's masked product adds with a monoid that has no
+    /// terminal value ([`Product::MaskedSum`]).
+    pub fn masked_sum(mut self) -> Self {
+        self.product = Product::MaskedSum;
+        self
     }
 
     /// The traversal's per-level product is unmasked ([`Product::Unmasked`]).
@@ -487,6 +526,30 @@ mod tests {
     }
 
     #[test]
+    fn masked_sum_auto_pulls_only_where_pull_scans_fewer_edges() {
+        // BC's rows are folded to their end: a scanned edge costs what a
+        // walked one does, so the early-exit discount must not apply
+        let n = 1usize << 14;
+        let bfs = DirectionPolicy::new(Direction::Auto, n, 426_000, true);
+        let bc = bfs.masked_sum();
+        assert_eq!(bc.product(), Product::MaskedSum);
+        let c = MASKED_SUM_COSTS;
+        assert!(c.pull_edge_ps >= c.push_edge_ps);
+        // a median-degree source's level 3 on rmat14 (measured: push
+        // 1.49 ms, pull 1.77): pull would scan more than push walks — BFS
+        // stops each row early and pulls, BC pushes
+        assert_eq!(bfs.decide(194_289, 230_853).dir, ChosenDir::Pull);
+        assert_eq!(bc.decide(194_289, 230_853).dir, ChosenDir::Push);
+        // the hubs' level 2 (measured: pull 2.4× and 1.8× faster) pulls
+        for (push_edges, pull_edges) in [(342_899, 79_731), (266_431, 157_958)] {
+            assert_eq!(bc.decide(push_edges, pull_edges).dir, ChosenDir::Pull);
+        }
+        // ... and push the first and the last
+        assert_eq!(bc.decide(3_556, 422_630).dir, ChosenDir::Push);
+        assert_eq!(bc.decide(332, 14).dir, ChosenDir::Push);
+    }
+
+    #[test]
     fn unmasked_auto_pulls_only_a_frontier_heavier_than_the_scan() {
         let (n, nnz) = (1usize << 14, 400_000usize);
         let c = UNMASKED_COSTS;
@@ -567,7 +630,7 @@ mod tests {
     fn par_charges_its_fan_out_to_the_side_that_fans_out() {
         let p = DirectionPolicy::new(Direction::Auto, 1024, 14_000, true);
         // a small graph's late level: pull's 1 K-edge scan of 1 024 rows
-        // (7 µs) beats push's 2.2 K-edge walk (11 µs) on seq and on one
+        // (4 µs) beats push's 2.2 K-edge walk (9 µs) on seq and on one
         // worker, but not once the pull dispatch wakes a helper (5 µs) and
         // push, the sequential kernel on every backend, does not
         let w = LevelWork {

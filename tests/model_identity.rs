@@ -296,13 +296,13 @@ fn grid16_device_suite_is_bit_identical() {
 const RMAT10: &str = "
 upload: kernels=0 warp=0 txn=0 atomics=0 h2d=275540B/2 d2h=0B/0 ns=42962
 prewarm_transpose: kernels=22 warp=19556 txn=30736 atomics=24680 h2d=0B/0 d2h=0B/0 ns=167536
-bfs_levels/Auto: kernels=34 warp=6847 txn=4013 atomics=0 h2d=0B/0 d2h=16384B/1 ns=183149
+bfs_levels/Auto: kernels=34 warp=6812 txn=3980 atomics=0 h2d=0B/0 d2h=16384B/1 ns=183134
 bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 ns=315417
-bfs_levels/Pull: kernels=8 warp=17822 txn=10990 atomics=0 h2d=0B/0 d2h=16384B/1 ns=56250
+bfs_levels/Pull: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
 sssp: kernels=50 warp=68762 txn=70916 atomics=0 h2d=0B/0 d2h=8192B/1 ns=292201
 pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ns=134668
 triangle_count: kernels=24 warp=55328 txn=143088 atomics=12340 h2d=0B/0 d2h=0B/0 ns=205532
-connected_components: kernels=4 warp=45564 txn=51532 atomics=0 h2d=0B/0 d2h=0B/0 ns=42903
+connected_components: kernels=4 warp=42049 txn=40131 atomics=0 h2d=0B/0 d2h=0B/0 ns=37836
 mis: kernels=48 warp=47289 txn=55395 atomics=0 h2d=0B/0 d2h=0B/0 ns=264620
 ewise_add_mat: kernels=15 warp=15793 txn=29707 atomics=12340 h2d=0B/0 d2h=0B/0 ns=110141
 ewise_mult_mat: kernels=15 warp=14635 txn=27777 atomics=6170 h2d=0B/0 d2h=0B/0 ns=98314
@@ -343,7 +343,7 @@ mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=2
   spgemm_masked_dot: n=1 blocks=25 warp=45138 txn=122546 atomics=0 ns=59465
   spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
   spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
-  spmv_csr_vector: n=28 blocks=112 warp=259253 txn=261303 atomics=0 ns=256135
+  spmv_csr_vector: n=28 blocks=112 warp=254853 txn=248764 atomics=0 ns=250562
   spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
   tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
   transform: n=22 blocks=176 warp=41364 txn=82720 atomics=0 ns=146764
@@ -357,11 +357,11 @@ upload: kernels=0 warp=0 txn=0 atomics=0 h2d=24272B/2 d2h=0B/0 ns=22023
 prewarm_transpose: kernels=22 warp=1564 txn=2506 atomics=1920 h2d=0B/0 d2h=0B/0 ns=114527
 bfs_levels/Auto: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
 bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
-bfs_levels/Pull: kernels=58 warp=4059 txn=6553 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303254
+bfs_levels/Pull: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
 sssp: kernels=279 warp=2048 txn=4181 atomics=0 h2d=0B/0 d2h=2048B/1 ns=1407029
 pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ns=97057
 triangle_count: kernels=23 warp=1420 txn=2127 atomics=960 h2d=0B/0 d2h=0B/0 ns=117652
-connected_components: kernels=31 warp=5704 txn=15934 atomics=0 h2d=0B/0 d2h=0B/0 ns=162082
+connected_components: kernels=31 warp=4574 txn=10995 atomics=0 h2d=0B/0 d2h=0B/0 ns=159887
 mis: kernels=36 warp=888 txn=2278 atomics=0 h2d=0B/0 d2h=0B/0 ns=181012
 ewise_add_mat: kernels=15 warp=1255 txn=2378 atomics=960 h2d=0B/0 d2h=0B/0 ns=77764
 ewise_mult_mat: kernels=15 warp=1165 txn=2228 atomics=480 h2d=0B/0 d2h=0B/0 ns=76844
@@ -399,7 +399,7 @@ mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
   select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
   spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
   spgemm_masked_dot: n=1 blocks=2 warp=598 txn=423 atomics=0 ns=5188
-  spmv_csr_scalar: n=75 blocks=75 warp=11811 txn=28691 atomics=0 ns=387752
+  spmv_csr_scalar: n=75 blocks=75 warp=10561 txn=23495 atomics=0 ns=385442
   spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
   spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
   tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
