@@ -42,9 +42,11 @@ use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+use gbtl_util::sync::lock;
 
 /// Snapshot of a pool's cumulative execution counters (see
 /// [`ThreadPool::stats`]).
@@ -92,13 +94,6 @@ impl Counters {
             busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
-}
-
-/// Lock a mutex whether or not a thread panicked while holding it. Every
-/// critical section in this module is a handful of field assignments that
-/// cannot unwind half-done, so the data behind a poisoned lock is valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One dispatch's share of work for worker `w`: run tasks until none is

@@ -4,7 +4,7 @@
 use gbtl_algebra::Scalar;
 use gbtl_gpu_sim::{GpuConfig, GpuStats};
 use gbtl_sparse::CooMatrix;
-use gbtl_trace::{SpanFields, SpanStart, TraceMode, TraceReport, Tracer};
+use gbtl_trace::{Kind, SpanFields, SpanStart, TraceContext, TraceMode, TraceReport, Tracer};
 
 use crate::backend::{Backend, CudaBackend, ParBackend, SeqBackend, SpmvKernel};
 use crate::cache::{TransposeCache, TransposeCacheStats};
@@ -254,8 +254,8 @@ impl<B: Backend> Context<B> {
         self.tracer.report(sections)
     }
 
-    /// Total spans recorded so far — a counter read, where
-    /// [`Context::trace`] clones the whole span ring.
+    /// Total spans recorded so far — one atomic load, where
+    /// [`Context::trace`] locks and clones the whole span ring.
     pub fn total_spans(&self) -> u64 {
         self.tracer.total_spans()
     }
@@ -265,35 +265,21 @@ impl<B: Backend> Context<B> {
         self.tracer.clear();
     }
 
-    /// Stamp (or clear, with `None`) the serving-layer request id recorded
-    /// on subsequent trace spans. gbtl-serve sets this around each query
-    /// so a JSON trace can be grouped per request
-    /// ([`gbtl_trace::report::group_by_request`]).
+    /// Stamp the serving-layer request subsequent spans run on behalf of
+    /// (clear it with `(None, None)`). gbtl-serve sets this around each
+    /// query: ring spans carry the request id, so a JSON trace groups per
+    /// request ([`gbtl_trace::report::group_by_request`]), and a sampled
+    /// request's ops also land in its span tree under the `xray` parent —
+    /// how that tree reaches kernel depth.
     #[inline]
-    pub fn set_request_id(&self, id: Option<u64>) {
-        self.tracer.set_request_id(id);
+    pub fn set_request(&self, request_id: Option<u64>, xray: Option<TraceContext>) {
+        self.tracer.set_request(request_id, xray);
     }
 
-    /// The request id subsequent spans will carry, if one is set.
+    /// The `(request id, tree position)` subsequent spans will carry.
     #[inline]
-    pub fn request_id(&self) -> Option<u64> {
-        self.tracer.request_id()
-    }
-
-    /// Stamp (or clear, with `None`) the x-ray trace context recorded on
-    /// subsequent ops. While set, every op also lands as an `op.*` child
-    /// span in the process-global `gbtl_xray` store under the given
-    /// parent — how a sampled serving request's span tree reaches kernel
-    /// depth ([`gbtl_trace::Tracer::set_xray`]).
-    #[inline]
-    pub fn set_xray(&self, ctx: Option<gbtl_xray::TraceContext>) {
-        self.tracer.set_xray(ctx);
-    }
-
-    /// The x-ray context subsequent ops will be recorded under, if one is set.
-    #[inline]
-    pub fn xray(&self) -> Option<gbtl_xray::TraceContext> {
-        self.tracer.xray()
+    pub fn request(&self) -> (Option<u64>, Option<TraceContext>) {
+        self.tracer.request()
     }
 
     /// Open a traversal-level span (the same zero-cost-when-off contract
@@ -306,8 +292,8 @@ impl<B: Backend> Context<B> {
     /// Close a traversal-level span, recording the algorithm, the level
     /// index, and the direction decision that level ran with together with
     /// its inputs — a `level` record in the trace ring and a `level.<algo>`
-    /// x-ray span carrying `dir=`/`rep=` and `push_edges=`/`pull_edges=`/
-    /// `pull_ready=`.
+    /// span-tree span carrying `dir=`/`rep=` and `push_edges=`/
+    /// `pull_edges=`/`pull_ready=`.
     pub fn level_end(
         &self,
         start: SpanStart,
@@ -317,9 +303,8 @@ impl<B: Backend> Context<B> {
         frontier_nnz: u64,
         nnz_out: u64,
     ) {
-        self.tracer.finish_level(
-            start,
-            gbtl_trace::LevelFields {
+        self.tracer.finish(start, || {
+            Kind::Level(gbtl_trace::LevelFields {
                 algo,
                 level,
                 dir: decision.dir.as_str(),
@@ -329,8 +314,8 @@ impl<B: Backend> Context<B> {
                 push_edges: decision.push_edges as u64,
                 pull_edges: decision.pull_edges as u64,
                 pull_ready: decision.pull_ready,
-            },
-        );
+            })
+        });
     }
 
     /// Open an op span (one branch, nothing else, when tracing is off).
@@ -342,7 +327,7 @@ impl<B: Backend> Context<B> {
     /// Close an op span; `fields` runs only when the span is live.
     #[inline]
     pub(crate) fn span_end(&self, start: SpanStart, fields: impl FnOnce() -> SpanFields) {
-        self.tracer.finish(start, fields)
+        self.tracer.finish(start, || Kind::Op(fields()))
     }
 
     /// Build a matrix through the backend's `build` kernel (duplicates

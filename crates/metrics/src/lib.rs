@@ -1,47 +1,6 @@
-#![warn(missing_docs)]
+//! Temporary re-export shim: the metrics registry lives in
+//! [`gbtl_trace::metrics`] now. `perfbench/` still names `gbtl_metrics`,
+//! and only a `benchmark` PR may edit it; that PR repoints it and deletes
+//! this crate.
 
-//! # gbtl-metrics — the metrics core for GBTL-RS serving
-//!
-//! Dependency-free (std + `gbtl-util` only) metric primitives behind a
-//! shared, labeled [`Registry`]:
-//!
-//! * [`Counter`] — a monotonic `u64` (relaxed atomic add);
-//! * [`Gauge`] — a settable `i64` point-in-time value;
-//! * [`Histogram`] — fixed-bucket, log₂-scaled latency histogram with an
-//!   exact count/sum/max and mergeable [`HistogramSnapshot`]s that derive
-//!   nearest-rank p50/p95/p99 from the bucket counts (the same nearest-rank
-//!   definition as [`gbtl_util::stats`], which client-side latency reports
-//!   use — so server and client percentiles are comparable by
-//!   construction);
-//! * [`SlowLog`] — a bounded top-K-by-latency log of arbitrary payloads
-//!   (gbtl-serve stores per-request stage breakdowns in it).
-//!
-//! Rendering lives in [`expose`]: one snapshot renders as both a JSON
-//! object and Prometheus-style text exposition (`*_bucket{le="…"}` /
-//! `*_sum` / `*_count`).
-//!
-//! ## Overhead contract
-//!
-//! The same contract as `gbtl_trace::TraceMode::Off`:
-//!
-//! * a **disabled** registry ([`Registry::new(false)`](Registry::new))
-//!   hands out histograms whose `observe` is a single branch — no atomics,
-//!   no locks — and callers can check [`Registry::enabled`] once to skip
-//!   the clock reads that would feed them;
-//! * counters and gauges are always live: a single relaxed atomic op is
-//!   already the cost floor of the hand-rolled `AtomicU64` statistics they
-//!   replace, so there is nothing to gate;
-//! * an **enabled** histogram `observe` is three relaxed atomic adds and
-//!   one atomic max — no locks, no allocation. Registry lookups
-//!   (`counter`/`gauge`/`histogram`) take a mutex and may allocate, so
-//!   callers hold the returned `Arc` handles and keep lookups off the hot
-//!   path.
-
-pub mod expose;
-mod histogram;
-mod registry;
-mod slowlog;
-
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{Counter, Gauge, MetricKey, Registry, RegistrySnapshot};
-pub use slowlog::SlowLog;
+pub use gbtl_trace::metrics::*;

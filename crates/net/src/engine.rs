@@ -9,7 +9,7 @@
 //!   non-empty request line per [`Engine::submit`] call, plus a [`Reply`]
 //!   the engine may keep for asynchronous completion, plus the request's
 //!   **x-ray context** — `Some` iff the front-end sampled this request for
-//!   causal tracing ([`gbtl_xray::begin_request`]). The context's
+//!   causal tracing ([`gbtl_trace::begin_request`]). The context's
 //!   `parent_span` is the front-end's root `net.connection` span; every
 //!   span the engine (or anything below it) records for this request must
 //!   descend from it. Engines must treat the context as pass-through
@@ -140,8 +140,12 @@ pub trait Engine: Send + Sync + 'static {
     /// `xray` is the request's sampled trace context (`None` for the
     /// common unsampled case); see the module docs for its pass-through
     /// contract.
-    fn submit(&self, line: &str, reply: Reply, xray: Option<gbtl_xray::TraceContext>)
-        -> Submission;
+    fn submit(
+        &self,
+        line: &str,
+        reply: Reply,
+        xray: Option<gbtl_trace::TraceContext>,
+    ) -> Submission;
 
     /// A connection was accepted (any front-end).
     fn connection_opened(&self) {}

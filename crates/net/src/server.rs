@@ -534,18 +534,18 @@ fn read_ready(
                             Some(engine.oversized_line_response(config.max_line))
                         }
                         Some(line) => {
-                            // Head-sampling decision: one relaxed load when
-                            // x-ray is off. A sampled request's root span
+                            // Head-sampling decision: a substring scan and
+                            // a load when unsampled. A sampled request's root span
                             // closes when its response is handed to the
                             // completion queue (finish is idempotent, so
                             // the Inline arm closing it again is harmless).
-                            let xray = gbtl_xray::begin_request(&line, "evented");
+                            let xray = gbtl_trace::begin_request(&line, "evented");
                             let reply = {
                                 let completions = completions.clone();
                                 let waker_tx = waker_tx.clone();
                                 Reply::new(move |response| {
                                     if let Some(ctx) = xray {
-                                        gbtl_xray::finish_request(ctx);
+                                        gbtl_trace::finish_request(ctx);
                                     }
                                     completions.queue.lock().unwrap().push(Completion {
                                         conn: conn_id,
@@ -558,7 +558,7 @@ fn read_ready(
                             match engine.submit(&line, reply, xray) {
                                 Submission::Inline(r) => {
                                     if let Some(ctx) = xray {
-                                        gbtl_xray::finish_request(ctx);
+                                        gbtl_trace::finish_request(ctx);
                                     }
                                     Some(r)
                                 }

@@ -45,7 +45,7 @@ impl Engine for EchoEngine {
         &self,
         line: &str,
         reply: Reply,
-        _xray: Option<gbtl_xray::TraceContext>,
+        _xray: Option<gbtl_trace::TraceContext>,
     ) -> Submission {
         if self.draining.load(Ordering::SeqCst) {
             return Submission::Inline("draining".into());

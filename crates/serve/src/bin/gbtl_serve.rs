@@ -3,12 +3,12 @@
 //! ```text
 //! gbtl-serve [--addr HOST:PORT] [--mode threaded|evented] [--workers N]
 //!            [--queue N] [--cache N] [--deadline-ms N] [--max-line BYTES]
-//!            [--idle-timeout-ms N] [--par-threads N] [--metrics on|off]
-//!            [--slowlog N] [--snapshot-dir PATH] [--load NAME=SPEC]...
+//!            [--idle-timeout-ms N] [--par-threads N]
+//!            [--snapshot-dir PATH] [--load NAME=SPEC]...
 //!            [--fuse on|off] [--fuse-window-us N] [--fuse-max-batch N]
 //! ```
 //!
-//! Flags override the `GBTL_SERVE_*` / `GBTL_METRICS*` environment knobs,
+//! Flags override the `GBTL_SERVE_*` environment knobs,
 //! which override the built-in defaults. `--load` may repeat; specs use the
 //! compact grammar (`karate`, `rmat:12:8:7`, `er:1000:8000:1`, `grid:32`,
 //! `mtx:PATH`).
@@ -21,8 +21,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: gbtl-serve [--addr HOST:PORT] [--mode threaded|evented] [--workers N]\n\
          \x20                 [--queue N] [--cache N] [--deadline-ms N] [--max-line BYTES]\n\
-         \x20                 [--idle-timeout-ms N] [--par-threads N] [--metrics on|off]\n\
-         \x20                 [--slowlog N] [--snapshot-dir PATH] [--load NAME=SPEC]...\n\
+         \x20                 [--idle-timeout-ms N] [--par-threads N]\n\
+         \x20                 [--snapshot-dir PATH] [--load NAME=SPEC]...\n\
          \x20                 [--fuse on|off] [--fuse-window-us N] [--fuse-max-batch N]"
     );
     std::process::exit(2);
@@ -54,17 +54,6 @@ fn main() {
             "--max-line" => config.max_line = parse_num(&value("bytes")),
             "--idle-timeout-ms" => config.idle_timeout_ms = parse_num::<u64>(&value("ms")),
             "--par-threads" => config.par_threads = parse_num(&value("count")),
-            "--metrics" => {
-                config.metrics = match value("on|off").as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => {
-                        eprintln!("gbtl-serve: --metrics wants on|off, got {other:?}");
-                        usage()
-                    }
-                }
-            }
-            "--slowlog" => config.slow_log_capacity = parse_num(&value("count")),
             "--fuse" => {
                 config.fuse.enabled = match value("on|off").as_str() {
                     "on" | "true" | "1" => true,

@@ -446,7 +446,7 @@ fn main() {
                 // it must have recorded at least every query we got an
                 // ok for (it may hold more from earlier traffic)
                 match fetch_server_latency(&mut control) {
-                    Ok(s) if s.enabled => {
+                    Ok(s) => {
                         println!(
                             "  server-side: count {}  p50 {}us  p95 {}us  p99 {}us  max {}us",
                             s.count, s.p50, s.p95, s.p99, s.max_us
@@ -459,7 +459,6 @@ fn main() {
                             failed = true;
                         }
                     }
-                    Ok(_) => println!("  server-side: metrics disabled (GBTL_METRICS=off)"),
                     Err(e) => {
                         eprintln!("loadgen: metrics fetch failed: {e}");
                         failed = true;
@@ -480,8 +479,7 @@ fn main() {
                         }
                         None => {
                             eprintln!(
-                                "loadgen: --xray {} but no response carried a trace id \
-                                 (server running with GBTL_XRAY=off?)",
+                                "loadgen: --xray {} but no response carried a trace id",
                                 cli.opts.xray
                             );
                             failed = true;

@@ -231,8 +231,6 @@ impl LoadgenReport {
 /// can exceed the true value by at most 2x.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerLatencySummary {
-    /// Whether the server records histograms at all (`GBTL_METRICS`).
-    pub enabled: bool,
     /// Requests in the histogram (all labels merged, since server start).
     pub count: u64,
     /// Nearest-rank p50, microseconds.
@@ -257,7 +255,6 @@ pub fn fetch_server_latency(client: &mut Client) -> std::io::Result<ServerLatenc
     let m = v.get("metrics").ok_or_else(|| bad("metrics"))?;
     let overall = m.get("overall").ok_or_else(|| bad("metrics.overall"))?;
     Ok(ServerLatencySummary {
-        enabled: m.bool_field("enabled").unwrap_or(false),
         count: overall.u64_field("count").unwrap_or(0),
         p50: overall.u64_field("p50").unwrap_or(0),
         p95: overall.u64_field("p95").unwrap_or(0),

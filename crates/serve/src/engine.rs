@@ -143,13 +143,13 @@ impl Engine {
     /// (when the server assigned one) is stamped onto every trace span the
     /// query dispatches, so traces group per request; `xray` (when the
     /// request was sampled) makes each dispatched op also land as an
-    /// `op.*` child span under the given parent in the gbtl-xray store.
+    /// `op.*` child span under the given parent in the span-tree store.
     pub fn run(
         &self,
         g: &GraphEntry,
         q: &QueryParams,
         request_id: Option<u64>,
-        xray: Option<gbtl_xray::TraceContext>,
+        xray: Option<gbtl_trace::TraceContext>,
     ) -> Result<QueryOutcome, String> {
         match q.backend {
             BackendChoice::Seq => run_on(&self.seq, g, q, request_id, xray),
@@ -179,7 +179,7 @@ impl Engine {
         backend: BackendChoice,
         direction: Direction,
         members: &[(usize, bool)],
-        xray: Option<gbtl_xray::TraceContext>,
+        xray: Option<gbtl_trace::TraceContext>,
     ) -> Vec<Result<String, String>> {
         match backend {
             BackendChoice::Seq => run_multi_on(&self.seq, g, algo, direction, members, xray),
@@ -258,29 +258,15 @@ fn source_range_error(source: usize, g: &GraphEntry) -> String {
     )
 }
 
-/// The request-id and x-ray stamps every span a query dispatches carries,
-/// cleared when this drops — on return, on error and on *unwind* alike, so a
-/// query that failed or panicked can't tag a later request's spans with its
-/// ids (the worker thread owns the context exclusively, so no other request
-/// interleaves).
+/// Clears the request stamp a query set on its context when this drops —
+/// on return, on error and on *unwind* alike, so a query that failed or
+/// panicked can't tag a later request's spans with its ids (the worker
+/// thread owns the context exclusively, so no other request interleaves).
 struct Stamps<'a, B: Backend>(&'a Context<B>);
-
-impl<'a, B: Backend> Stamps<'a, B> {
-    fn set(
-        ctx: &'a Context<B>,
-        request_id: Option<u64>,
-        xray: Option<gbtl_xray::TraceContext>,
-    ) -> Self {
-        ctx.set_request_id(request_id);
-        ctx.set_xray(xray);
-        Stamps(ctx)
-    }
-}
 
 impl<B: Backend> Drop for Stamps<'_, B> {
     fn drop(&mut self) {
-        self.0.set_xray(None);
-        self.0.set_request_id(None);
+        self.0.set_request(None, None);
     }
 }
 
@@ -290,7 +276,7 @@ fn run_multi_on<B: Backend>(
     algo: Algo,
     direction: Direction,
     members: &[(usize, bool)],
-    xray: Option<gbtl_xray::TraceContext>,
+    xray: Option<gbtl_trace::TraceContext>,
 ) -> Vec<Result<String, String>> {
     // out-of-range members get their solo-path error; the rest still fuse
     let valid: Vec<usize> = members
@@ -298,7 +284,8 @@ fn run_multi_on<B: Backend>(
         .map(|&(src, _)| src)
         .filter(|&src| src < g.n())
         .collect();
-    let stamps = Stamps::set(ctx, None, xray);
+    ctx.set_request(None, xray);
+    let stamps = Stamps(ctx);
     let answers = match algo {
         Algo::Bfs => bfs_levels_multi_with_direction(ctx, &g.adj, &valid, direction)
             .map(|vs| {
@@ -342,7 +329,7 @@ fn run_on<B: Backend>(
     g: &GraphEntry,
     q: &QueryParams,
     request_id: Option<u64>,
-    xray: Option<gbtl_xray::TraceContext>,
+    xray: Option<gbtl_trace::TraceContext>,
 ) -> Result<QueryOutcome, String> {
     let needs_source = matches!(q.algo, Algo::Bfs | Algo::Sssp);
     if needs_source && q.source >= g.n() {
@@ -350,7 +337,8 @@ fn run_on<B: Backend>(
     }
 
     let spans_before = ctx.total_spans();
-    let stamps = Stamps::set(ctx, request_id, xray);
+    ctx.set_request(request_id, xray);
+    let stamps = Stamps(ctx);
     let result = execute(ctx, g, q);
     drop(stamps);
     let result_json = result?;
@@ -578,6 +566,10 @@ mod tests {
         let spans = gbtl_util::json::parse(&out.trace_json.unwrap()).unwrap();
         let spans = spans.as_arr().unwrap();
         assert_eq!(spans.len() as u64, out.ops);
+        // the lock-free count is the ring's own: this fresh engine's
+        // sequential context has recorded exactly this query's ops
+        assert_eq!(engine.seq.trace().total_spans, out.ops);
+        assert_eq!(engine.snapshot().seq_ops, out.ops);
         // every span the query dispatched carries the request id it ran under
         for sp in spans {
             assert_eq!(sp.u64_field("request_id"), Some(41));
@@ -655,7 +647,7 @@ mod tests {
         let ctx = Context::with_backend(PanickingProducts);
         let mut p = params(Algo::Bfs, BackendChoice::Seq);
         p.direction = Direction::Push;
-        let xray = gbtl_xray::TraceContext {
+        let xray = gbtl_trace::TraceContext {
             trace_id: 7,
             parent_span: 3,
         };
@@ -663,7 +655,7 @@ mod tests {
             run_on(&ctx, &g, &p, Some(41), Some(xray))
         }));
         assert!(solo.is_err(), "the kernel's panic unwinds through run_on");
-        assert_eq!((ctx.request_id(), ctx.xray()), (None, None));
+        assert_eq!(ctx.request(), (None, None));
         let fused = catch_unwind(AssertUnwindSafe(|| {
             run_multi_on(
                 &ctx,
@@ -675,7 +667,7 @@ mod tests {
             )
         }));
         assert!(fused.is_err(), "and through run_multi_on");
-        assert_eq!((ctx.request_id(), ctx.xray()), (None, None));
+        assert_eq!(ctx.request(), (None, None));
     }
 
     #[test]

@@ -45,8 +45,8 @@ use std::time::{Duration, Instant};
 
 use gbtl_core::TransposeCache;
 use gbtl_fuse::{FuseQueue, PushOutcome};
-use gbtl_metrics::{Counter, Registry, SlowLog};
 use gbtl_net::{Engine as _, NetStats, Reply, Submission};
+use gbtl_trace::metrics::{Counter, Registry, SlowLog};
 use gbtl_util::json::escape;
 
 pub use render::{
@@ -65,6 +65,9 @@ use crate::snapshot as snapfile;
 use queue::{Job, JobQueue, Member, PushError};
 use render::{render_list, render_metrics, render_stats};
 use worker::{render_and_record, worker_loop, SlowQuery};
+
+/// Slow-query log retention, in entries.
+const SLOW_LOG_CAPACITY: usize = 16;
 
 /// The `ok:true` prefix every successful response starts with.
 const OK_PREFIX: &str = "{\"ok\":true";
@@ -160,7 +163,7 @@ impl EnginePool {
             engines[0].prewarm(&entry);
         }
 
-        let registry = Registry::new(config.metrics);
+        let registry = Registry::new(true);
         let stats = ServerStats::new(&registry);
         Ok(Arc::new(EnginePool {
             cache: ResultCache::new(config.cache_capacity),
@@ -170,7 +173,7 @@ impl EnginePool {
                 .fuse
                 .enabled
                 .then(|| FuseQueue::from_config(&config.fuse)),
-            slow_log: SlowLog::new(config.slow_log_capacity),
+            slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             next_request_id: AtomicU64::new(1),
             registry,
             stats,
@@ -414,14 +417,14 @@ impl EnginePool {
                 &[("algo", algo), ("path", path)],
             )
             .add(k);
-        if k > 1 && self.registry.enabled() {
+        if k > 1 {
             self.registry
                 .histogram("gbtl_fuse_batch_size", &[("algo", algo)])
                 .observe(k);
         }
-        let now_ns = gbtl_util::time::now_ns();
+        let released_ns = gbtl_util::time::now_ns();
         for m in &mut members {
-            m.window_us = now_ns.saturating_sub(m.enqueued_ns) / 1_000;
+            m.released_ns = released_ns;
         }
         if let Err((why, Job::Queries(members))) = self.queue.push(Job::Queries(members)) {
             for m in members {
@@ -461,7 +464,7 @@ impl gbtl_net::Engine for EnginePool {
         &self,
         line: &str,
         reply: Reply,
-        xray: Option<gbtl_xray::TraceContext>,
+        xray: Option<gbtl_trace::TraceContext>,
     ) -> Submission {
         self.stats.received.inc();
         let request = match parse_request(line) {
@@ -575,8 +578,8 @@ impl gbtl_net::Engine for EnginePool {
                     key,
                     request_id,
                     deadline,
-                    window_us: 0,
                     enqueued_ns: gbtl_util::time::now_ns(),
+                    released_ns: 0,
                     xray,
                     reply: self.counted(reply),
                 };

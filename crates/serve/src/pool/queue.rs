@@ -13,7 +13,7 @@ use crate::protocol::QueryParams;
 /// One admitted query, from admission to reply — straight onto the job
 /// queue or through the fusion window first, executed alone or as one
 /// column of a multi-source kernel. It carries everything tracked per
-/// request (id, cache key, deadline, admission time, x-ray context, reply),
+/// request (id, cache key, deadline, admission time, trace context, reply),
 /// so de-multiplexing a batch preserves per-request identity exactly.
 #[derive(Debug)]
 pub(super) struct Member {
@@ -24,20 +24,20 @@ pub(super) struct Member {
     pub(super) key: String,
     pub(super) request_id: u64,
     pub(super) deadline: Instant,
-    /// Microseconds spent waiting in the batching window (stamped when the
-    /// group is released; the `stage="window"` histogram sample). Zero for
-    /// a query that never entered the window.
-    pub(super) window_us: u64,
-    /// Admission time on the shared x-ray clock (`now_ns`): queue and
-    /// window waits are measured from it, and the queue span's start lines
-    /// up with the rest of the trace's timestamps.
+    /// Admission time on the shared clock (`now_ns`): where the window (or,
+    /// for a query that never fused, the queue) stage starts, so the
+    /// stage's span lines up with the rest of the trace's timestamps.
     pub(super) enqueued_ns: u64,
-    /// X-ray context when the request is sampled; the worker hangs
+    /// When the batching window released the group, same clock: the end of
+    /// a batch member's window stage and the start of its queue stage.
+    /// Unused (0) for a query that never entered the window.
+    pub(super) released_ns: u64,
+    /// Trace context when the request is sampled; the worker hangs
     /// window/queue/execute/serialize spans under it. Fusion is never
     /// bypassed for sampled requests — each sampled member gets its own
     /// spans, and a batch's shared kernel op spans attach to the first
     /// sampled member's tree.
-    pub(super) xray: Option<gbtl_xray::TraceContext>,
+    pub(super) xray: Option<gbtl_trace::TraceContext>,
     /// The front-end's reply, *already wrapped* with the completed counter
     /// (once, at admission) — every downstream path sends through it raw.
     pub(super) reply: Reply,
@@ -60,7 +60,7 @@ pub(super) enum Job {
         deadline: Instant,
         /// See [`Member::enqueued_ns`].
         enqueued_ns: u64,
-        xray: Option<gbtl_xray::TraceContext>,
+        xray: Option<gbtl_trace::TraceContext>,
         /// Wrapped like [`Member::reply`].
         reply: Reply,
     },

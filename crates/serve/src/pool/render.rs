@@ -9,9 +9,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gbtl_metrics::expose::{histogram_json, render_json, render_prometheus};
-use gbtl_metrics::{HistogramSnapshot, Registry};
 use gbtl_net::NetStats;
+use gbtl_trace::metrics::expose::{histogram_json, render_json, render_prometheus};
+use gbtl_trace::metrics::{HistogramSnapshot, Registry, RegistrySnapshot};
 use gbtl_util::json::escape;
 
 use super::EnginePool;
@@ -19,7 +19,7 @@ use crate::catalog::GraphEntry;
 use crate::engine::EngineSnapshot;
 use crate::protocol::QueryParams;
 
-// The xray trace id rides in its own field so a client that asked for
+// The span-tree trace id rides in its own field so a client that asked for
 // sampling can fetch the trace afterwards; the `result` bytes are identical
 // traced or not (the differential property the xray tests pin down).
 #[allow(clippy::too_many_arguments)]
@@ -31,7 +31,7 @@ pub(super) fn query_response(
     micros: u64,
     result_json: &str,
     trace_json: Option<&str>,
-    xray: Option<gbtl_xray::TraceContext>,
+    xray: Option<gbtl_trace::TraceContext>,
 ) -> String {
     let id_part = params
         .id
@@ -191,7 +191,6 @@ pub(super) fn refresh_gauges(pool: &EnginePool) {
 
 /// Per-algorithm execute-latency aggregates, merged across backends (and
 /// the sleep diagnostic), from the registry's `stage="execute"` histograms.
-/// Empty when metrics are disabled — the stats endpoint documents this.
 fn algo_aggregates(pool: &EnginePool) -> Vec<(String, HistogramSnapshot)> {
     let mut aggs: Vec<(String, HistogramSnapshot)> = Vec::new();
     for (key, h) in pool.registry.snapshot().histograms {
@@ -341,9 +340,8 @@ pub(super) fn render_metrics(pool: &EnginePool) -> String {
         .map(|(_, e)| e)
         .collect();
     format!(
-        "{{\"ok\":true,\"metrics\":{{\"enabled\":{},\"overall\":{},\"registry\":{},\
+        "{{\"ok\":true,\"metrics\":{{\"enabled\":true,\"overall\":{},\"registry\":{},\
          \"slow_queries\":[{}]}},\"exposition\":\"{}\"}}",
-        pool.registry.enabled(),
         histogram_json(&overall),
         render_json(&snap),
         slow.join(","),
@@ -418,7 +416,7 @@ impl EnginePool {
     /// Refresh point-in-time gauges and snapshot the registry — the input
     /// to a sharded deployment's merged exposition (each shard's snapshot
     /// is relabeled `shard="i"` and merged).
-    pub fn registry_snapshot(&self) -> gbtl_metrics::RegistrySnapshot {
+    pub fn registry_snapshot(&self) -> RegistrySnapshot {
         refresh_gauges(self);
         self.registry.snapshot()
     }
@@ -427,11 +425,6 @@ impl EnginePool {
     /// metrics response).
     pub fn merged_request_latency(&self) -> HistogramSnapshot {
         self.registry.merged_histogram("gbtl_request_latency_us")
-    }
-
-    /// Whether metrics recording is enabled on this pool.
-    pub fn metrics_enabled(&self) -> bool {
-        self.registry.enabled()
     }
 
     /// The slow-query log as `(total_us, rendered JSON object)` pairs,
@@ -450,7 +443,7 @@ impl EnginePool {
                     format!(
                         "\"trace_id\":{},\"depth\":{},",
                         q.trace_id,
-                        gbtl_xray::store().depth(q.trace_id)
+                        gbtl_trace::tree::store().depth(q.trace_id)
                     )
                 } else {
                     String::new()

@@ -18,6 +18,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gbtl_trace::Attr::{Bool, Str, U64};
+use gbtl_trace::{emit, tree, Kind, Scope, Stage, TraceContext};
 use gbtl_util::time::now_ns;
 
 use super::queue::{Job, Member};
@@ -32,9 +34,10 @@ use crate::protocol::{error_response, QueryParams};
 #[derive(Debug, Clone)]
 pub(super) struct SlowQuery {
     pub(super) request_id: u64,
-    /// X-ray trace id when the request was sampled (0 = untraced). Traced
-    /// slow-log entrants are pinned in the xray store so the trace behind
-    /// a slow entry stays fetchable after the ring would have evicted it.
+    /// Span-tree trace id when the request was sampled (0 = untraced).
+    /// Traced slow-log entrants are pinned in the tree store so the trace
+    /// behind a slow entry stays fetchable after the store would have
+    /// evicted it.
     pub(super) trace_id: u64,
     /// Fused-batch size the request executed in (0 = ran solo).
     pub(super) batch: u64,
@@ -65,10 +68,28 @@ pub(super) fn worker_loop(pool: &Arc<EnginePool>, index: usize) {
                     reply.send(expired(pool, id));
                     continue;
                 }
-                queue_span(xray, enqueued_ns, index);
+                let t0_ns = now_ns();
+                let queued = Scope {
+                    tree: xray,
+                    ..Scope::default()
+                };
+                let worker = [("worker", U64(index as u64))];
+                emit(
+                    queued,
+                    enqueued_ns,
+                    t0_ns,
+                    Kind::Stage("pool.queue", &worker),
+                );
                 std::thread::sleep(Duration::from_millis(ms));
-                let labels = [("algo", "sleep"), ("backend", "none"), ("cache", "miss")];
-                observe_stage(pool, labels, "execute", ms * 1000);
+                let slept = Scope {
+                    stage: Some(Stage {
+                        registry: &pool.registry,
+                        labels: [("algo", "sleep"), ("backend", "none"), ("cache", "miss")],
+                        stage: "execute",
+                    }),
+                    ..Scope::default()
+                };
+                emit(slept, t0_ns, now_ns(), Kind::Stage("pool.execute", &[]));
                 let id_part = id.map(|i| format!("\"id\":{i},")).unwrap_or_default();
                 reply.send(format!("{{\"ok\":true,{id_part}\"slept_ms\":{ms}}}"));
             }
@@ -83,29 +104,12 @@ fn expired(pool: &EnginePool, id: Option<u64>) -> String {
     error_response("deadline", "deadline expired while queued", id)
 }
 
-/// A sampled request's `pool.queue` span: from `start_ns` to now.
-fn queue_span(xray: Option<gbtl_xray::TraceContext>, start_ns: u64, worker: usize) {
-    if let Some(ctx) = xray {
-        gbtl_xray::store().add_span(
-            ctx,
-            "pool.queue",
-            start_ns,
-            now_ns(),
-            &[("worker", worker.to_string())],
-        );
-    }
-}
-
-/// Each member's (result fragment, rendered `"trace"` spans) or error text.
-type MemberResults = Vec<Result<(String, Option<String>), String>>;
+/// One member's (result fragment, rendered `"trace"` spans) or error text.
+type MemberResult = Result<(String, Option<String>), String>;
 
 /// The execute step: run the live members of one job on a worker's engine,
 /// as one kernel picked from the batch size (see the module docs).
-fn execute(
-    engine: &QueryEngine,
-    live: &[Member],
-    xray: Option<gbtl_xray::TraceContext>,
-) -> MemberResults {
+fn execute(engine: &QueryEngine, live: &[Member], xray: Option<TraceContext>) -> Vec<MemberResult> {
     let first = &live[0];
     if live.len() > 1 {
         // homogeneous by fuse-key construction: every member asked for
@@ -131,7 +135,7 @@ fn execute(
 /// job's members are answered with, so the worker goes on to its next job.
 ///
 /// Nothing the step shares outlives it in a broken state: the engine's
-/// contexts clear their stamps on unwind (`engine::Stamps`), pooled kernel
+/// contexts clear their stamp on unwind (`engine::Stamps`), pooled kernel
 /// workspaces drop a buffer whose borrower unwound, and no lock is held
 /// across a kernel (the transpose cache builds outside its mutex; the
 /// trace ring and the par pool's deques lock around a push or pop only).
@@ -151,15 +155,16 @@ fn contained<R>(pool: &EnginePool, step: impl FnOnce() -> R) -> Result<R, String
 ///
 /// Per-member deadline check first: an expired member gets the `deadline`
 /// rejection and the survivors run unaffected — the one-expired-of-k
-/// regression case. What survives executes once, [`contained`], and is
-/// completed member by member; if the step panicked, each live member gets
-/// an `internal` error under its own id instead.
+/// regression case. What survives executes once, [`contained`]; then each
+/// member's window / queue / execute stages are emitted from the job's
+/// stamps and the member is completed. If the step panicked, each live
+/// member gets an `internal` error under its own id instead.
 fn run_queries(
     pool: &EnginePool,
     worker: usize,
     members: Vec<Member>,
     picked_up: Instant,
-    execute: impl FnOnce(&[Member], Option<gbtl_xray::TraceContext>) -> MemberResults,
+    execute: impl FnOnce(&[Member], Option<TraceContext>) -> Vec<MemberResult>,
 ) {
     let mut live: Vec<Member> = Vec::with_capacity(members.len());
     for m in members {
@@ -171,104 +176,108 @@ fn run_queries(
     }
     let Some(first) = live.first() else { return };
     let picked_up_ns = now_ns();
-    let fused = live.len() > 1;
     // the fused-batch size each member reports (0 = ran solo)
-    let batch = if fused { live.len() as u64 } else { 0 };
+    let batch = if live.len() > 1 { live.len() as u64 } else { 0 };
 
-    for m in &live {
-        // a lone member's window wait (if it had one) folds into its queue
-        // span; a batch member's is its own span, ending when the group
-        // was released (enqueue + the stamped window_us)
-        let mut queued_ns = m.enqueued_ns;
-        if let (true, Some(ctx)) = (fused, m.xray) {
-            queued_ns += m.window_us * 1_000;
-            gbtl_xray::store().add_span(
-                ctx,
-                "fuse.window",
-                m.enqueued_ns,
-                queued_ns,
-                &[("algo", m.params.algo.as_str().to_string())],
-            );
-        }
-        queue_span(m.xray, queued_ns, worker);
-    }
+    // allocate the execute span's id before the run so the kernel's op
+    // spans (emitted by the context *during* it) can parent under it. A
+    // batch runs once, so its op spans can only hang in one tree: the
+    // first sampled member's.
+    let first_sampled = live.iter().position(|m| m.xray.is_some());
+    let exec_id = first_sampled.map_or(0, |_| tree::store().next_span_id());
+    let exec_child = first_sampled.and_then(|i| live[i].xray.map(|c| c.child_of(exec_id)));
 
-    // pre-allocate the execute span's id so the kernel's op spans (recorded
-    // by the tracer *during* the run) can be parented under it; the span
-    // itself is stamped after. A batch runs once, so its op spans can only
-    // hang in one tree: the first sampled member's.
-    let exec_span = live
-        .iter()
-        .find_map(|m| m.xray)
-        .map(|ctx| (ctx, gbtl_xray::store().next_span_id(), now_ns()));
-    let exec_child = exec_span.map(|(ctx, span_id, _)| ctx.child_of(span_id));
-
-    let t0 = Instant::now();
+    let t0_ns = now_ns();
     let outcome = contained(pool, || execute(&live, exec_child));
-    let execute_us = t0.elapsed().as_micros() as u64;
+    let t1_ns = now_ns();
 
-    if let Some((first_ctx, span_id, start_ns)) = exec_span {
-        let end_ns = now_ns();
-        let mut attrs = vec![
-            ("algo", first.params.algo.as_str().to_string()),
-            ("backend", first.params.backend.as_str().to_string()),
-            ("graph", first.graph.name.clone()),
-        ];
-        if outcome.is_err() {
-            attrs.push(("panicked", "true".to_string()));
-        }
-        let name = if fused {
-            // every sampled member's batch span cross-links the others
-            let traces: Vec<String> = live
-                .iter()
-                .filter_map(|m| m.xray.map(|c| c.trace_id.to_string()))
-                .collect();
-            attrs.push(("batch_size", batch.to_string()));
-            attrs.push(("members", traces.join(",")));
-            "fuse.batch"
-        } else {
-            "pool.execute"
-        };
-        let store = gbtl_xray::store();
-        store.add_span_with_id(span_id, first_ctx, name, start_ns, end_ns, &attrs);
-        // one span per *sampled* member (each in its own trace), all
-        // covering the same shared kernel run
-        for ctx in live.iter().filter_map(|m| m.xray) {
-            if ctx.trace_id != first_ctx.trace_id {
-                store.add_span(ctx, name, start_ns, end_ns, &attrs);
-            }
-        }
+    let graph = Arc::clone(&first.graph);
+    let mut attrs = vec![
+        ("algo", Str(first.params.algo.as_str())),
+        ("backend", Str(first.params.backend.as_str())),
+        ("graph", Str(&graph.name)),
+    ];
+    if outcome.is_err() {
+        attrs.push(("panicked", Bool(true)));
     }
+    // every sampled member's batch span cross-links the others
+    let sampled = live.iter().filter_map(|m| m.xray);
+    let traces: Vec<String> = sampled.map(|c| c.trace_id.to_string()).collect();
+    let traces = traces.join(",");
+    if batch > 0 {
+        attrs.push(("batch_size", U64(batch)));
+        attrs.push(("members", Str(&traces)));
+    }
+    let executed = if batch > 0 {
+        "fuse.batch"
+    } else {
+        "pool.execute"
+    };
 
-    match outcome {
-        Ok(results) => {
-            for (m, result) in live.into_iter().zip(results) {
-                complete_member(pool, m, result, picked_up_ns, execute_us, batch);
-            }
+    let first_trace = exec_child.map(|c| c.trace_id);
+    let mut results = outcome.map(Vec::into_iter);
+    for (i, m) in live.into_iter().enumerate() {
+        let (result, code) = match &mut results {
+            Ok(each) => (each.next().expect("one result per member"), "bad_request"),
+            Err(what) => (Err(what.clone()), "internal"),
+        };
+        // only a member that got a result feeds the stage histograms; a
+        // sampled one keeps its spans either way
+        let labels = query_labels(&m.params, "miss");
+        let scope = |tree, span_id, stage| Scope {
+            tree,
+            span_id,
+            stage: result.is_ok().then_some(Stage {
+                registry: &pool.registry,
+                labels,
+                stage,
+            }),
+            tracer: None,
+        };
+        // a lone member's window wait (if it had one) folds into its queue
+        // stage; a batch member's is its own, ending at the group's release
+        let mut queued_ns = m.enqueued_ns;
+        if batch > 0 {
+            queued_ns = m.released_ns;
+            let algo = [("algo", Str(m.params.algo.as_str()))];
+            let window = Kind::Stage("fuse.window", &algo);
+            emit(scope(m.xray, 0, "window"), m.enqueued_ns, queued_ns, window);
         }
-        Err(what) => {
-            for m in live {
-                m.reply.send(error_response("internal", &what, m.params.id));
-            }
-        }
+        let on = [("worker", U64(worker as u64))];
+        let queue = Kind::Stage("pool.queue", &on);
+        emit(scope(m.xray, 0, "queue"), queued_ns, picked_up_ns, queue);
+        // one execute span per *sampled* member, each in its own trace and
+        // all covering the same shared run; the first carries the id the
+        // op spans were parented under
+        let span_id = if Some(i) == first_sampled { exec_id } else { 0 };
+        let tree = m
+            .xray
+            .filter(|c| span_id != 0 || Some(c.trace_id) != first_trace);
+        let run = Kind::Stage(executed, &attrs);
+        emit(scope(tree, span_id, "execute"), t0_ns, t1_ns, run);
+
+        let stage_us = ((picked_up_ns - queued_ns) / 1_000, (t1_ns - t0_ns) / 1_000);
+        complete_member(pool, m, result, code, stage_us, batch);
     }
 }
 
 /// Finish one executed member: cache its result under its own key, render
-/// and record the response, reply.
+/// and record the response, reply — or answer `code` with the error text.
 fn complete_member(
     pool: &EnginePool,
     m: Member,
-    result: Result<(String, Option<String>), String>,
-    picked_up_ns: u64,
-    execute_us: u64,
+    result: MemberResult,
+    code: &str,
+    (queue_us, execute_us): (u64, u64),
     batch: u64,
 ) {
     let (result_json, trace_json) = match result {
         Ok(r) => r,
         Err(e) => {
-            pool.stats.bad_requests.inc();
-            m.reply.send(error_response("bad_request", &e, m.params.id));
+            if code == "bad_request" {
+                pool.stats.bad_requests.inc();
+            }
+            m.reply.send(error_response(code, &e, m.params.id));
             return;
         }
     };
@@ -276,7 +285,6 @@ fn complete_member(
         result_json,
         compute_micros: execute_us,
     };
-    let queue_us = picked_up_ns.saturating_sub(m.enqueued_ns) / 1_000;
     let response = render_and_record(
         pool,
         &m.params,
@@ -288,36 +296,30 @@ fn complete_member(
         Some((queue_us, batch)),
     );
     pool.cache.put(m.key, entry);
-    if batch > 0 {
-        observe_stage(pool, query_labels(&m.params, "miss"), "window", m.window_us);
-    }
     m.reply.send(response);
 }
 
 /// The half of a completion that a computed result and a cache hit share:
-/// render the query response, stamp the sampled request's serialize span,
-/// count the served query and — when metrics are on — record its total and
-/// per-stage latency histograms and offer it to the slow-query log.
+/// render the query response, emit the serialize stage, count the served
+/// query, record its total latency and offer it to the slow-query log.
 ///
 /// `ran` is `Some((queue_us, batch))` for a result a worker just computed
 /// (`batch` is the fused group size it executed in, 0 = solo) and `None`
 /// for a cache hit, which `submit` serves through here inline — no
-/// [`Member`], no queue. Hits skip the queue/execute stage histograms
-/// (they never queue) and the slow log (serving a cached line is never
-/// the slow path).
+/// [`Member`], no queue. Hits skip the slow log (serving a cached line is
+/// never the slow path).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn render_and_record(
     pool: &EnginePool,
     params: &QueryParams,
     graph: &GraphEntry,
     request_id: u64,
-    xray: Option<gbtl_xray::TraceContext>,
+    xray: Option<TraceContext>,
     result: &CachedResult,
     trace_json: Option<&str>,
     ran: Option<(u64, u64)>,
 ) -> String {
-    let t0 = pool.registry.enabled().then(Instant::now);
-    let span_start = xray.map(|_| now_ns());
+    let t0_ns = now_ns();
     let response = query_response(
         params,
         graph,
@@ -328,37 +330,36 @@ pub(super) fn render_and_record(
         trace_json,
         xray,
     );
-    if let (Some(ctx), Some(start_ns)) = (xray, span_start) {
-        let (name, attr) = match ran {
-            Some(_) => ("pool.serialize", ("bytes", response.len().to_string())),
-            None => ("pool.cache", ("graph", graph.name.clone())),
-        };
-        gbtl_xray::store().add_span(ctx, name, start_ns, now_ns(), &[attr]);
-    }
-
-    // `Some` iff metrics are on; stamped before any of the recording below
-    let serialize_us = t0.map(|t| t.elapsed().as_micros() as u64);
-
+    let t1_ns = now_ns();
     let labels = query_labels(params, if ran.is_some() { "miss" } else { "hit" });
-    pool.registry.counter("gbtl_requests_total", &labels).inc();
-    let Some(serialize_us) = serialize_us else {
-        return response;
+    let (name, attr) = match ran {
+        Some(_) => ("pool.serialize", ("bytes", U64(response.len() as u64))),
+        None => ("pool.cache", ("graph", Str(&graph.name))),
     };
+    let scope = Scope {
+        tree: xray,
+        stage: Some(Stage {
+            registry: &pool.registry,
+            labels,
+            stage: "serialize",
+        }),
+        ..Scope::default()
+    };
+    emit(scope, t0_ns, t1_ns, Kind::Stage(name, &[attr]));
+    let serialize_us = (t1_ns - t0_ns) / 1_000;
+
+    pool.registry.counter("gbtl_requests_total", &labels).inc();
     // the trace id (0 = untraced) is the latency bucket's exemplar and the
-    // slow-log entry's x-ray pointer
+    // slow-log entry's span-tree pointer
     let trace_id = xray.map_or(0, |c| c.trace_id);
     let latency = pool.registry.histogram("gbtl_request_latency_us", &labels);
     let Some((queue_us, batch)) = ran else {
         latency.observe_with_exemplar(serialize_us, trace_id);
-        observe_stage(pool, labels, "serialize", serialize_us);
         return response;
     };
     let execute_us = result.compute_micros;
     let total_us = queue_us + execute_us + serialize_us;
     latency.observe_with_exemplar(total_us, trace_id);
-    observe_stage(pool, labels, "queue", queue_us);
-    observe_stage(pool, labels, "execute", execute_us);
-    observe_stage(pool, labels, "serialize", serialize_us);
     let admitted = pool.slow_log.offer(
         total_us,
         SlowQuery {
@@ -373,9 +374,9 @@ pub(super) fn render_and_record(
         },
     );
     // a slow-log entrant's trace is the one an operator will want to open
-    // later — pin it against ring eviction
+    // later — pin it against store eviction
     if admitted && trace_id != 0 {
-        gbtl_xray::store().pin(trace_id);
+        tree::store().pin(trace_id);
     }
     response
 }
@@ -387,19 +388,6 @@ fn query_labels(params: &QueryParams, cache: &'static str) -> [(&'static str, &'
         ("backend", params.backend.as_str()),
         ("cache", cache),
     ]
-}
-
-/// One `gbtl_stage_latency_us{…,stage}` sample, when metrics are on.
-fn observe_stage(pool: &EnginePool, labels: [(&str, &str); 3], stage: &str, micros: u64) {
-    if pool.registry.enabled() {
-        let [algo, backend, cache] = labels;
-        pool.registry
-            .histogram(
-                "gbtl_stage_latency_us",
-                &[algo, backend, cache, ("stage", stage)],
-            )
-            .observe(micros);
-    }
 }
 
 #[cfg(test)]
@@ -432,8 +420,8 @@ mod tests {
             graph: Arc::clone(graph),
             request_id: id,
             deadline: Instant::now() + Duration::from_secs(60),
-            window_us: 0,
             enqueued_ns: now_ns(),
+            released_ns: 0,
             xray: None,
             reply: Reply::new(move |r| tx.send(r).unwrap()),
         }

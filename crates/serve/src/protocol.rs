@@ -25,7 +25,7 @@
 //! ```
 //!
 //! Any request line may additionally carry `"xray":true` to force-sample it
-//! for causal tracing (see gbtl-xray). The marker is read by the connection
+//! for causal tracing (see `gbtl_trace::tree`). The marker is read by the connection
 //! front-ends before parsing and ignored here — it never changes what a
 //! request computes, only whether a span tree is recorded for it.
 //!
@@ -386,17 +386,17 @@ pub fn error_response(code: &str, msg: &str, id: Option<u64>) -> String {
 }
 
 /// Render the inline response for [`Request::Xray`], answered from the
-/// process-global gbtl-xray store. Shared by the worker pool and the shard
+/// process-global span-tree store. Shared by the worker pool and the shard
 /// router so both answer the verb with identical wire shapes.
 pub fn xray_response(trace_id: Option<u64>, id: Option<u64>) -> String {
     let id_part = id.map(|i| format!("\"id\":{i},")).unwrap_or_default();
-    let store = gbtl_xray::store();
+    let store = gbtl_trace::tree::store();
     match trace_id {
         Some(t) => match store.get(t) {
             Some(trace) => format!(
                 "{{\"ok\":true,{id_part}\"trace\":{},\"chrome\":{}}}",
                 trace.to_json(),
-                gbtl_xray::chrome::trace_to_chrome(&trace)
+                gbtl_trace::chrome::trace_to_chrome(&trace)
             ),
             None => error_response(
                 "not_found",
@@ -645,10 +645,13 @@ mod tests {
         assert_eq!(miss.str_field("code"), Some("not_found"));
 
         // complete a real trace through the global store, then fetch it
-        let store = gbtl_xray::store();
-        let ctx = store.begin_root("test");
-        store.add_span(ctx, "pool.execute", 1, 2, &[]);
-        gbtl_xray::finish_request(ctx);
+        let ctx = gbtl_trace::tree::store().begin_root("test");
+        let scope = gbtl_trace::Scope {
+            tree: Some(ctx),
+            ..Default::default()
+        };
+        gbtl_trace::emit(scope, 1, 2, gbtl_trace::Kind::Stage("pool.execute", &[]));
+        gbtl_trace::finish_request(ctx);
         let hit = gbtl_util::json::parse(&xray_response(Some(ctx.trace_id), None)).unwrap();
         assert_eq!(hit.bool_field("ok"), Some(true));
         let trace = hit.get("trace").unwrap();

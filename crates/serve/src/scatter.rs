@@ -15,7 +15,10 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use gbtl_net::{Reply, Submission};
+use gbtl_trace::Attr::{Str, U64};
+use gbtl_trace::{emit, Kind, Scope};
 use gbtl_util::json::escape;
+use gbtl_util::time::now_ns;
 
 use crate::protocol::QueryParams;
 
@@ -76,8 +79,8 @@ pub fn scatter_query_all(
     targets: Vec<ScatterTarget>,
     params: &QueryParams,
     deadline_ms: u64,
-    xray: Option<gbtl_xray::TraceContext>,
-    mut submit_one: impl FnMut(usize, &str, Reply, Option<gbtl_xray::TraceContext>) -> Submission,
+    xray: Option<gbtl_trace::TraceContext>,
+    mut submit_one: impl FnMut(usize, &str, Reply, Option<gbtl_trace::TraceContext>) -> Submission,
     reply: Reply,
 ) -> Submission {
     let id_part = params
@@ -105,26 +108,25 @@ pub fn scatter_query_all(
         // pre-allocate the scatter span id so the sub-query can be parented
         // under it; the span itself is recorded when the answer lands
         let scatter_span = xray.map(|ctx| {
-            (
-                ctx,
-                gbtl_xray::store().next_span_id(),
-                gbtl_util::time::now_ns(),
-                target.shard,
-                target.graph.clone(),
-            )
+            let span_id = gbtl_trace::tree::store().next_span_id();
+            (ctx, span_id, now_ns(), target.shard, target.graph.clone())
         });
         let child = scatter_span
             .as_ref()
             .map(|(ctx, span_id, ..)| ctx.child_of(*span_id));
         let record = move || {
             if let Some((ctx, span_id, start_ns, shard, graph)) = &scatter_span {
-                gbtl_xray::store().add_span_with_id(
-                    *span_id,
-                    *ctx,
-                    "router.scatter",
+                let scope = Scope {
+                    tree: Some(*ctx),
+                    span_id: *span_id,
+                    ..Scope::default()
+                };
+                let attrs = [("shard", U64(*shard as u64)), ("graph", Str(graph))];
+                emit(
+                    scope,
                     *start_ns,
-                    gbtl_util::time::now_ns(),
-                    &[("shard", shard.to_string()), ("graph", graph.clone())],
+                    now_ns(),
+                    Kind::Stage("router.scatter", &attrs),
                 );
             }
         };

@@ -98,14 +98,6 @@ pub struct ServerConfig {
     /// Threads inside each worker's parallel-backend context
     /// (`GBTL_SERVE_PAR_THREADS`).
     pub par_threads: usize,
-    /// Record latency histograms and the slow-query log (`GBTL_METRICS`,
-    /// on/off). Counters — and therefore the stats endpoint — stay live
-    /// either way; off means histogram observes are a single branch and no
-    /// stage clocks are read.
-    pub metrics: bool,
-    /// Slow-query log retention in entries (`GBTL_METRICS_SLOWLOG`);
-    /// 0 disables the log.
-    pub slow_log_capacity: usize,
     /// Directory for `.gbsnap` snapshot files (`GBTL_SNAPSHOT_DIR`);
     /// `None` disables the `snapshot`/`restore` ops with a `bad_request`
     /// that names the knob.
@@ -133,8 +125,6 @@ impl Default for ServerConfig {
             max_line: 65_536,
             idle_timeout_ms: 60_000,
             par_threads: host,
-            metrics: true,
-            slow_log_capacity: 16,
             snapshot_dir: None,
             preload: Vec::new(),
             fuse: gbtl_fuse::FuseConfig::default(),
@@ -171,9 +161,6 @@ impl ServerConfig {
                 .map(|t| t.map_or(0, |t| t.as_millis() as u64))
                 .unwrap_or(d.idle_timeout_ms),
             par_threads: env::usize_var("GBTL_SERVE_PAR_THREADS", 1).unwrap_or(d.par_threads),
-            metrics: env::bool_var("GBTL_METRICS").unwrap_or(d.metrics),
-            slow_log_capacity: env::usize_var("GBTL_METRICS_SLOWLOG", 0)
-                .unwrap_or(d.slow_log_capacity),
             snapshot_dir: env::path_var("GBTL_SNAPSHOT_DIR").map(|p| p.display().to_string()),
             preload: Vec::new(),
             fuse: gbtl_fuse::FuseConfig::from_env(),
@@ -479,10 +466,10 @@ fn handle_connection<E: gbtl_net::Engine + ?Sized>(
                 // sampled) and close it when the reply lands — including
                 // the synthesized-timeout path, where the root must still
                 // complete for the trace to become fetchable
-                let xray = gbtl_xray::begin_request(l.trim(), "threaded");
+                let xray = gbtl_trace::begin_request(l.trim(), "threaded");
                 let reply = Reply::new(move |response: String| {
                     if let Some(ctx) = xray {
-                        gbtl_xray::finish_request(ctx);
+                        gbtl_trace::finish_request(ctx);
                     }
                     let _ = tx.send(response);
                 });
@@ -491,7 +478,7 @@ fn handle_connection<E: gbtl_net::Engine + ?Sized>(
                         // inline answers bypass the reply (finish_root is
                         // idempotent, so a both-paths race stays safe)
                         if let Some(ctx) = xray {
-                            gbtl_xray::finish_request(ctx);
+                            gbtl_trace::finish_request(ctx);
                         }
                         response
                     }
@@ -549,8 +536,6 @@ mod tests {
             "GBTL_SERVE_MAX_LINE",
             "GBTL_SERVE_IDLE_TIMEOUT",
             "GBTL_SERVE_PAR_THREADS",
-            "GBTL_METRICS",
-            "GBTL_METRICS_SLOWLOG",
             "GBTL_SNAPSHOT_DIR",
         ] {
             std::env::remove_var(k);
@@ -563,8 +548,6 @@ mod tests {
         assert_eq!(e.cache_capacity, c.cache_capacity);
         assert_eq!(e.max_line, c.max_line);
         assert_eq!(e.idle_timeout_ms, c.idle_timeout_ms);
-        assert!(e.metrics, "metrics default on");
-        assert_eq!(e.slow_log_capacity, c.slow_log_capacity);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! gbtl-shard [--addr HOST:PORT] [--shards N] [--pin GRAPH=SHARD]...
 //!            [--mode threaded|evented] [--workers N] [--queue N] [--cache N]
 //!            [--deadline-ms N] [--max-line BYTES] [--idle-timeout-ms N]
-//!            [--par-threads N] [--metrics on|off] [--slowlog N]
+//!            [--par-threads N]
 //!            [--snapshot-dir PATH] [--load NAME=SPEC]...
 //! ```
 //!
@@ -24,7 +24,7 @@ fn usage() -> ! {
         "usage: gbtl-shard [--addr HOST:PORT] [--shards N] [--pin GRAPH=SHARD]...\n\
          \x20                 [--mode threaded|evented] [--workers N] [--queue N] [--cache N]\n\
          \x20                 [--deadline-ms N] [--max-line BYTES] [--idle-timeout-ms N]\n\
-         \x20                 [--par-threads N] [--metrics on|off] [--slowlog N]\n\
+         \x20                 [--par-threads N]\n\
          \x20                 [--snapshot-dir PATH] [--load NAME=SPEC]..."
     );
     std::process::exit(2);
@@ -65,17 +65,6 @@ fn main() {
             "--max-line" => config.base.max_line = parse_num(&value("bytes")),
             "--idle-timeout-ms" => config.base.idle_timeout_ms = parse_num::<u64>(&value("ms")),
             "--par-threads" => config.base.par_threads = parse_num(&value("count")),
-            "--metrics" => {
-                config.base.metrics = match value("on|off").as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => {
-                        eprintln!("gbtl-shard: --metrics wants on|off, got {other:?}");
-                        usage()
-                    }
-                }
-            }
-            "--slowlog" => config.base.slow_log_capacity = parse_num(&value("count")),
             "--snapshot-dir" => config.base.snapshot_dir = Some(value("PATH")),
             "--load" => {
                 let spec = value("NAME=SPEC");

@@ -30,8 +30,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use gbtl_metrics::expose::{histogram_json, render_json, render_prometheus};
-use gbtl_metrics::{Counter, HistogramSnapshot, Registry, RegistrySnapshot};
 use gbtl_net::{Engine, NetStats, Reply, Submission};
 use gbtl_serve::pool::{
     mirror_net_gauges, net_stats_json, persistence_response, render_graph_item,
@@ -41,6 +39,9 @@ use gbtl_serve::protocol::{
 };
 use gbtl_serve::scatter::{scatter_query_all, ScatterTarget};
 use gbtl_serve::{EnginePool, ServerConfig};
+use gbtl_trace::metrics::expose::{histogram_json, render_json, render_prometheus};
+use gbtl_trace::metrics::{Counter, HistogramSnapshot, Registry, RegistrySnapshot};
+use gbtl_trace::{emit, Attr, Kind, Scope, TraceContext};
 use gbtl_util::json::escape;
 
 use crate::placement::Placement;
@@ -103,7 +104,7 @@ impl Router {
             placement.shards(),
             "pool count must match the placement's shard count"
         );
-        let registry = Registry::new(config.metrics);
+        let registry = Registry::new(true);
         let stats = RouterStats::new(&registry);
         Router {
             shards,
@@ -150,28 +151,24 @@ impl Router {
         shard: usize,
         line: &str,
         reply: Reply,
-        xray: Option<gbtl_xray::TraceContext>,
+        xray: Option<TraceContext>,
     ) -> Submission {
         self.stats.forwarded.inc();
         let span = xray.map(|ctx| {
-            (
-                ctx,
-                gbtl_xray::store().next_span_id(),
-                gbtl_util::time::now_ns(),
-                shard,
-            )
+            let span_id = gbtl_trace::tree::store().next_span_id();
+            (ctx, span_id, gbtl_util::time::now_ns())
         });
-        let child = span.map(|(ctx, span_id, ..)| ctx.child_of(span_id));
+        let child = span.map(|(ctx, span_id, _)| ctx.child_of(span_id));
         let record = move || {
-            if let Some((ctx, span_id, start_ns, shard)) = span {
-                gbtl_xray::store().add_span_with_id(
+            if let Some((ctx, span_id, start_ns)) = span {
+                let scope = Scope {
+                    tree: Some(ctx),
                     span_id,
-                    ctx,
-                    "router.forward",
-                    start_ns,
-                    gbtl_util::time::now_ns(),
-                    &[("shard", shard.to_string())],
-                );
+                    ..Scope::default()
+                };
+                let attrs = [("shard", Attr::U64(shard as u64))];
+                let hop = Kind::Stage("router.forward", &attrs);
+                emit(scope, start_ns, gbtl_util::time::now_ns(), hop);
             }
         };
         let reply = Reply::new(move |response: String| {
@@ -294,9 +291,7 @@ impl Router {
         // shard="router"
         let mut merged: Option<RegistrySnapshot> = None;
         let mut overall = HistogramSnapshot::default();
-        let mut enabled = false;
         for (i, pool) in self.shards.iter().enumerate() {
-            enabled |= pool.metrics_enabled();
             overall.merge(&pool.merged_request_latency());
             let snap = pool.registry_snapshot().with_label("shard", &i.to_string());
             match &mut merged {
@@ -333,7 +328,7 @@ impl Router {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"ok\":true,\"metrics\":{{\"enabled\":{enabled},\"overall\":{},\
+            "{{\"ok\":true,\"metrics\":{{\"enabled\":true,\"overall\":{},\
              \"registry\":{},\"slow_queries\":[{slow}]}},\"exposition\":\"{}\"}}",
             histogram_json(&overall),
             render_json(&merged),
@@ -372,12 +367,7 @@ impl Router {
 }
 
 impl Engine for Router {
-    fn submit(
-        &self,
-        line: &str,
-        reply: Reply,
-        xray: Option<gbtl_xray::TraceContext>,
-    ) -> Submission {
+    fn submit(&self, line: &str, reply: Reply, xray: Option<TraceContext>) -> Submission {
         self.stats.received.inc();
         let request = match parse_request(line) {
             Ok(r) => r,
@@ -391,7 +381,7 @@ impl Engine for Router {
             Request::List => Submission::Inline(self.render_list()),
             Request::Stats => Submission::Inline(self.render_stats()),
             Request::Metrics => Submission::Inline(self.render_metrics()),
-            // the x-ray store is process-global and the shards are
+            // the span-tree store is process-global and the shards are
             // in-process pools, so the router answers directly — same
             // bytes as asking any single pool
             Request::Xray { trace_id, id } => Submission::Inline(xray_response(trace_id, id)),

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use gbtl_util::json::escape;
 
-use crate::store::Trace;
+use crate::tree::Trace;
 
 /// Microseconds with three decimals (Trace Event Format `ts`/`dur` unit).
 fn us(ns: u64) -> String {
@@ -57,7 +57,7 @@ pub fn trace_to_chrome(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Span;
+    use crate::tree::Span;
 
     fn span(id: u64, parent: u64, start: u64, end: u64, name: &str) -> Span {
         Span {

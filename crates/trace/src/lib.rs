@@ -1,46 +1,50 @@
 #![warn(missing_docs)]
 
-//! # gbtl-trace — cross-backend operation tracing for GBTL-RS
+//! # gbtl-trace — the one observability crate of GBTL-RS
 //!
-//! A lightweight, always-compiled instrumentation subsystem. The GraphBLAS
-//! frontend (`gbtl-core`) owns one [`Tracer`] per `Context`; every operation
-//! it dispatches (`mxm`, `mxv`, `vxm`, `eWise*`, `apply`, `reduce`,
-//! `transpose`, `build`, `extract`, `assign`, `select`, `kronecker`) emits a
-//! [`SpanRecord`] — op name, backend, operand dims, nnz in/out, operator
-//! label, mask/accum flags, wall duration — into a bounded per-context ring
-//! buffer, with running per-op aggregates kept alongside so call counts stay
-//! exact even after the ring wraps.
+//! "Where did this request's time go" has one answer here: every layer
+//! that times something — a `Context` dispatching a GraphBLAS op, a
+//! traversal finishing a level, the serving pool's window / queue / execute
+//! / serialize stages, the shard router's forward and scatter hops — hands
+//! one finished interval to **one emit point**, [`emit`]:
+//! `(scope, t0_ns, t1_ns, kind)`, both ends read once from the one
+//! process clock ([`gbtl_util::time::now_ns`]). Everything else is a sink
+//! the emit point calls, and a sink renders an attribute to a string only
+//! if it keeps the span:
 //!
-//! ## Overhead contract
+//! * **the op ring** ([`Tracer`], one per `Context`) — the most recent
+//!   [`DEFAULT_RING_CAPACITY`] op and level spans plus exact per-op
+//!   aggregates, snapshot as a [`TraceReport`] and rendered as a table or
+//!   JSON lines by [`report`]. Records when the context's [`TraceMode`]
+//!   (`GBTL_TRACE=off|summary|json`, default off) is on.
+//! * **the span tree** ([`tree`]) — the intervals of a *sampled* request
+//!   (`GBTL_XRAY_SAMPLE=N`, or `"xray":true` on the request line), parented
+//!   from the front-end's root down to kernel ops, kept per trace id in a
+//!   bounded process-global store and exported as Chrome trace-event JSON
+//!   ([`chrome`]). Keeps whatever is emitted under a [`TraceContext`].
+//! * **the metrics registry** ([`metrics`]) — the
+//!   `gbtl_stage_latency_us` histograms, fed the same two stamps as the
+//!   stage's span; beside them the counters, gauges, slow-query log and
+//!   both expositions the serving layer reads out.
 //!
-//! * **Disabled** ([`TraceMode::Off`], the default): every hook is one
-//!   branch on a cached enum field plus one relaxed atomic load (the x-ray
-//!   context check). No allocation, no clock reads, no lock.
-//! * **Enabled**: two `Instant` reads, one short mutex hold, and a handful of
-//!   small allocations (label/dims strings) per op — amortised against
-//!   kernels that touch thousands-to-millions of entries (<5% target,
-//!   measured in EXPERIMENTS.md).
-//!
-//! ## Activation
-//!
-//! `GBTL_TRACE=off|summary|json` selects the mode contexts pick up at
-//! construction ([`TraceMode::from_env`]); the ring holds
-//! [`DEFAULT_RING_CAPACITY`] spans. Programmatic control goes through the
-//! owning context (`ctx.set_trace_mode(..)` / `ctx.trace()` in `gbtl-core`).
-//!
-//! Backend-specific detail — work-stealing pool counters, simulated-device
-//! kernel stats — attaches to a [`TraceReport`] as generic [`Section`]s, so
-//! this crate stays dependency-free and every backend shares one report
-//! shape. Reporters live in [`report`]; a minimal JSON reader for verifying
-//! the JSON-lines output lives in [`json`].
+//! With tracing off and the request unsampled an op hook is one branch and
+//! one relaxed load: no clock read, no allocation, no lock.
 
+pub mod chrome;
 pub mod json;
+pub mod metrics;
 pub mod report;
+mod ring;
+pub mod tree;
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::fmt;
+
+pub use metrics::Stage;
+pub use ring::{
+    short_type_name, LevelFields, OpSummary, Section, SpanFields, SpanRecord, SpanStart,
+    TraceReport, Tracer, DEFAULT_RING_CAPACITY,
+};
+pub use tree::{begin_request, finish_request, TraceContext};
 
 /// What the tracer records and how reporters should render it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,690 +103,98 @@ impl TraceMode {
     }
 }
 
-/// Opaque span handle returned by [`Tracer::start`]. Holds the start clock
-/// reading when tracing is on, nothing when it is off.
-#[derive(Debug)]
-#[must_use]
-pub struct SpanStart(Option<Instant>);
+/// A typed span attribute value. Call sites pass these by value or borrow;
+/// only a sink that keeps the span turns one into a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attr<'a> {
+    /// A count, size, index or id.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// A name or label.
+    Str(&'a str),
+}
 
-/// The per-span payload an instrumentation site supplies to
-/// [`Tracer::finish`]. Built inside a closure so nothing here is computed
-/// when tracing is off.
+impl fmt::Display for Attr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Attr::U64(v) => v.fmt(f),
+            Attr::Bool(v) => v.fmt(f),
+            Attr::Str(v) => f.write_str(v),
+        }
+    }
+}
+
+/// What a finished interval was, with its typed attributes.
 #[derive(Debug, Clone)]
-pub struct SpanFields {
-    /// Operation name (`"mxm"`, `"vxm"`, `"ewise_add_mat"`, …).
-    pub op: &'static str,
-    /// Short operator/semiring label (e.g. `"PlusTimes<i64>"`); empty for
-    /// index-space ops with no operator.
-    pub op_label: String,
-    /// Compact operand-dimension string (e.g. `"512x512*512x512"`).
-    pub dims: String,
-    /// Stored entries across all inputs.
-    pub nnz_in: u64,
-    /// Stored entries in the output (0 for scalar reductions that found
-    /// nothing).
-    pub nnz_out: u64,
-    /// Whether a mask was supplied.
-    pub masked: bool,
-    /// Whether the mask was complemented via the descriptor.
-    pub complemented: bool,
-    /// Whether an accumulator was supplied.
-    pub accum: bool,
+pub enum Kind<'a> {
+    /// A dispatched GraphBLAS op (`op.<name>` in a span tree).
+    Op(SpanFields),
+    /// One traversal level with the direction decision it ran under and
+    /// the inputs of that decision (`level.<algo>` in a span tree).
+    Level(LevelFields),
+    /// A serving-layer stage: its layer-qualified name (`pool.queue`,
+    /// `router.forward`, …) and attributes.
+    Stage(&'a str, &'a [(&'a str, Attr<'a>)]),
 }
 
-/// What a traversal records about one level ([`Tracer::finish_level`]):
-/// the decision (`dir`, `rep`) and the inputs it was taken from.
-#[derive(Debug, Clone, Copy)]
-pub struct LevelFields {
-    /// Algorithm name (`"bfs"`, `"sssp_multi"`, …).
-    pub algo: &'static str,
-    /// Level / round index, from 1.
-    pub level: u64,
-    /// `push` or `pull`.
-    pub dir: &'static str,
-    /// `sparse` or `bitmap`.
-    pub rep: &'static str,
-    /// Frontier entries going in.
-    pub frontier_nnz: u64,
-    /// Entries of the next frontier.
-    pub nnz_out: u64,
-    /// Edges push would walk.
-    pub push_edges: u64,
-    /// Edges pull would scan.
-    pub pull_edges: u64,
-    /// Whether `Aᵀ` was resident (pull was available to `Auto`).
-    pub pull_ready: bool,
+/// Which sinks a finished interval reaches. The default reaches none.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scope<'a> {
+    /// Span-tree sink: the sampled request's trace and the parent to hang
+    /// the span from (`None`: the request was not sampled).
+    pub tree: Option<TraceContext>,
+    /// The span id to record under, when children recorded *during* the
+    /// interval already named it as their parent
+    /// ([`tree::XrayStore::next_span_id`]); 0 allocates one.
+    pub span_id: u64,
+    /// Histogram sink: the stage-latency series the duration lands in.
+    pub stage: Option<Stage<'a>>,
+    /// Op-ring sink: the dispatching `Context`'s tracer (its ring keeps
+    /// ops and levels while its mode records).
+    pub tracer: Option<&'a Tracer>,
 }
 
-/// One completed operation span.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Monotonic per-context sequence number (0-based).
-    pub seq: u64,
-    /// Backend the context dispatched to.
-    pub backend: &'static str,
-    /// The serving-layer request this span ran on behalf of, if the
-    /// context had one set ([`Tracer::set_request_id`]) — how a JSON trace
-    /// taken during a serve run is grouped back per request.
-    pub request_id: Option<u64>,
-    /// Span start on the shared process clock
-    /// ([`gbtl_util::time::now_ns`]) — comparable across contexts, and the
-    /// ordering key [`report::group_by_request`] sorts by.
-    pub start_ns: u64,
-    /// Wall duration of the whole frontend op (validation + kernel +
-    /// mask/accumulator stitch), in nanoseconds.
-    pub duration_ns: u64,
-    /// The site-supplied payload.
-    pub fields: SpanFields,
-}
-
-/// Aggregated statistics for one operation name.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OpSummary {
-    /// Operation name.
-    pub op: &'static str,
-    /// Number of completed calls.
-    pub calls: u64,
-    /// Total wall time across calls, nanoseconds.
-    pub total_ns: u64,
-    /// Slowest single call, nanoseconds.
-    pub max_ns: u64,
-    /// Total input nnz across calls.
-    pub nnz_in: u64,
-    /// Total output nnz across calls.
-    pub nnz_out: u64,
-}
-
-impl OpSummary {
-    /// Mean wall time per call, nanoseconds.
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.calls).unwrap_or(0)
-    }
-
-    /// Input-nnz throughput in million entries per second of op wall time.
-    pub fn mnnz_per_s(&self) -> f64 {
-        if self.total_ns == 0 {
-            0.0
-        } else {
-            self.nnz_in as f64 / (self.total_ns as f64 / 1e9) / 1e6
-        }
-    }
-}
-
-/// A backend-specific key/value block attached to a [`TraceReport`]
-/// (work-stealing pool counters, simulated-device kernel stats, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Section {
-    /// Section heading.
-    pub title: String,
-    /// Ordered key/value rows.
-    pub entries: Vec<(String, String)>,
-}
-
-/// Everything one context observed: per-op aggregates, the retained span
-/// ring, and any backend sections.
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    /// Backend name the spans ran on.
-    pub backend: &'static str,
-    /// Mode the tracer was in when the report was taken.
-    pub mode: TraceMode,
-    /// Per-op aggregates (exact even when the ring wrapped), sorted by
-    /// total time descending.
-    pub ops: Vec<OpSummary>,
-    /// The retained (most recent) spans, oldest first.
-    pub spans: Vec<SpanRecord>,
-    /// Total spans ever recorded (may exceed `spans.len()`).
-    pub total_spans: u64,
-    /// Spans evicted from the ring to make room.
-    pub dropped_spans: u64,
-    /// Backend-specific sections.
-    pub sections: Vec<Section>,
-}
-
-impl TraceReport {
-    /// Total op wall time across all aggregates, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.ops.iter().map(|o| o.total_ns).sum()
-    }
-
-    /// The aggregate for one op name, if it was ever called.
-    pub fn op(&self, name: &str) -> Option<&OpSummary> {
-        self.ops.iter().find(|o| o.op == name)
-    }
-}
-
-#[derive(Debug, Default)]
-struct TracerInner {
-    seq: u64,
-    dropped: u64,
-    ring: VecDeque<SpanRecord>,
-    agg: BTreeMap<&'static str, OpSummary>,
-}
-
-/// The per-context span recorder.
-///
-/// `start`/`finish` bracket each operation; when the cached [`TraceMode`] is
-/// `Off` both are a single branch (no clock reads, no allocation, no lock).
-#[derive(Debug)]
-pub struct Tracer {
-    backend: &'static str,
-    mode: TraceMode,
-    capacity: usize,
-    /// Current request id + 1 (0 = no request). Atomic so the serving
-    /// layer can stamp/unstamp through a shared `&Context`.
-    current_request: AtomicU64,
-    /// X-ray trace id the current request was sampled into (0 = none).
-    /// While set, every finished op also lands as an `op.*` span in the
-    /// process-global [`gbtl_xray`] store — even in [`TraceMode::Off`],
-    /// because the sampling decision belongs to the request, not to this
-    /// tracer's mode.
-    xray_trace: AtomicU64,
-    /// Parent span id for recorded x-ray op spans (the serving layer's
-    /// execute span).
-    xray_parent: AtomicU64,
-    inner: Mutex<TracerInner>,
-}
-
-/// Span-ring capacity of every tracer not built by [`Tracer::with_capacity`].
-pub const DEFAULT_RING_CAPACITY: usize = 8192;
-
-impl Tracer {
-    /// A tracer in the mode selected by `GBTL_TRACE`.
-    pub fn from_env(backend: &'static str) -> Self {
-        Self::with_mode(backend, TraceMode::from_env())
-    }
-
-    /// A tracer pinned to an explicit mode, with a
-    /// [`DEFAULT_RING_CAPACITY`]-span ring.
-    pub fn with_mode(backend: &'static str, mode: TraceMode) -> Self {
-        Self::with_capacity(backend, mode, DEFAULT_RING_CAPACITY)
-    }
-
-    /// A tracer with an explicit ring capacity.
-    pub fn with_capacity(backend: &'static str, mode: TraceMode, capacity: usize) -> Self {
-        Tracer {
-            backend,
-            mode,
-            capacity: capacity.max(1),
-            current_request: AtomicU64::new(0),
-            xray_trace: AtomicU64::new(0),
-            xray_parent: AtomicU64::new(0),
-            inner: Mutex::new(TracerInner::default()),
-        }
-    }
-
-    /// The span-ring capacity this tracer was built with.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The current mode.
-    #[inline]
-    pub fn mode(&self) -> TraceMode {
-        self.mode
-    }
-
-    /// Switch modes. Already-recorded spans are kept; turning tracing off
-    /// stops recording without clearing.
-    pub fn set_mode(&mut self, mode: TraceMode) {
-        self.mode = mode;
-    }
-
-    /// The backend name stamped onto every span.
-    #[inline]
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    /// Stamp (or clear, with `None`) the request id recorded on subsequent
-    /// spans. The serving layer sets this around each query so backend
-    /// spans can be attributed to the request that caused them. Ids of
-    /// `u64::MAX` are reserved (stored internally as id + 1).
-    #[inline]
-    pub fn set_request_id(&self, id: Option<u64>) {
-        self.current_request
-            .store(id.map_or(0, |i| i.wrapping_add(1)), Ordering::Relaxed);
-    }
-
-    /// The request id subsequent spans will carry, if one is set.
-    #[inline]
-    pub fn request_id(&self) -> Option<u64> {
-        match self.current_request.load(Ordering::Relaxed) {
-            0 => None,
-            stamped => Some(stamped - 1),
-        }
-    }
-
-    /// Stamp (or clear, with `None`) the x-ray context recorded on
-    /// subsequent spans. While set, each finished op is *also* recorded as
-    /// an `op.<name>` child span in the process-global [`gbtl_xray`] store
-    /// under the given parent — regardless of [`TraceMode`], so a sampled
-    /// request's tree reaches kernel depth even when op tracing is off.
-    #[inline]
-    pub fn set_xray(&self, ctx: Option<gbtl_xray::TraceContext>) {
-        match ctx {
-            Some(c) => {
-                self.xray_parent.store(c.parent_span, Ordering::Relaxed);
-                self.xray_trace.store(c.trace_id, Ordering::Relaxed);
-            }
-            None => {
-                self.xray_trace.store(0, Ordering::Relaxed);
-                self.xray_parent.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The x-ray context subsequent spans will record under, if set.
-    #[inline]
-    pub fn xray(&self) -> Option<gbtl_xray::TraceContext> {
-        match self.xray_trace.load(Ordering::Relaxed) {
-            0 => None,
-            trace_id => Some(gbtl_xray::TraceContext {
-                trace_id,
-                parent_span: self.xray_parent.load(Ordering::Relaxed),
-            }),
-        }
-    }
-
-    /// Open a span. When tracing is off and no x-ray context is set this
-    /// is one branch plus one relaxed load, and returns an empty handle
-    /// without touching the clock.
-    #[inline]
-    pub fn start(&self) -> SpanStart {
-        if self.mode.enabled() || self.xray_trace.load(Ordering::Relaxed) != 0 {
-            SpanStart(Some(Instant::now()))
-        } else {
-            SpanStart(None)
-        }
-    }
-
-    /// Close a span. `fields` only runs when the span was actually opened,
-    /// so sites can defer all string building into it.
-    #[inline]
-    pub fn finish(&self, start: SpanStart, fields: impl FnOnce() -> SpanFields) {
-        let Some(t0) = start.0 else { return };
-        let duration_ns = t0.elapsed().as_nanos() as u64;
-        let end_ns = gbtl_util::time::now_ns();
-        let start_ns = end_ns.saturating_sub(duration_ns);
-        let fields = fields();
-        if let Some(ctx) = self.xray() {
-            gbtl_xray::store().add_span(
-                ctx,
-                &format!("op.{}", fields.op),
-                start_ns,
-                end_ns,
+/// **The emit point**: one finished interval `[t0_ns, t1_ns]` on the
+/// [`gbtl_util::time::now_ns`] clock, offered to each sink `scope` names.
+pub fn emit(scope: Scope<'_>, t0_ns: u64, t1_ns: u64, kind: Kind<'_>) {
+    use Attr::{Bool, Str, U64};
+    if let Some(ctx) = scope.tree {
+        let keep = |name: &str, attrs: &[(&str, Attr<'_>)]| {
+            tree::store().add_span_with_id(scope.span_id, ctx, name, t0_ns, t1_ns, attrs);
+        };
+        let backend = scope.tracer.map_or("", Tracer::backend);
+        match &kind {
+            Kind::Op(f) => keep(
+                &format!("op.{}", f.op),
                 &[
-                    ("backend", self.backend.to_string()),
-                    ("dims", fields.dims.clone()),
-                    ("nnz_in", fields.nnz_in.to_string()),
-                    ("nnz_out", fields.nnz_out.to_string()),
+                    ("backend", Str(backend)),
+                    ("dims", Str(&f.dims)),
+                    ("nnz_in", U64(f.nnz_in)),
+                    ("nnz_out", U64(f.nnz_out)),
                 ],
-            );
-        }
-        if self.mode.enabled() {
-            self.record(start_ns, duration_ns, fields);
-        }
-    }
-
-    /// Close a *traversal level* span: one `level` op record in the ring
-    /// (op_label carries the algorithm, the direction decision and the
-    /// inputs it was taken from) plus, when an x-ray context is set, a
-    /// `level.<algo>` span with the same facts as attributes — the
-    /// per-iteration decision record: "why did this level pull" is
-    /// answerable from the one span.
-    pub fn finish_level(&self, start: SpanStart, level: LevelFields) {
-        let Some(t0) = start.0 else { return };
-        let duration_ns = t0.elapsed().as_nanos() as u64;
-        let end_ns = gbtl_util::time::now_ns();
-        let start_ns = end_ns.saturating_sub(duration_ns);
-        let LevelFields {
-            algo,
-            level: index,
-            dir,
-            rep,
-            frontier_nnz,
-            nnz_out,
-            push_edges,
-            pull_edges,
-            pull_ready,
-        } = level;
-        if let Some(ctx) = self.xray() {
-            gbtl_xray::store().add_span(
-                ctx,
-                &format!("level.{algo}"),
-                start_ns,
-                end_ns,
+            ),
+            Kind::Level(l) => keep(
+                &format!("level.{}", l.algo),
                 &[
-                    ("backend", self.backend.to_string()),
-                    ("level", index.to_string()),
-                    ("dir", dir.to_string()),
-                    ("rep", rep.to_string()),
-                    ("frontier_nnz", frontier_nnz.to_string()),
-                    ("push_edges", push_edges.to_string()),
-                    ("pull_edges", pull_edges.to_string()),
-                    ("pull_ready", pull_ready.to_string()),
+                    ("backend", Str(backend)),
+                    ("level", U64(l.level)),
+                    ("dir", Str(l.dir)),
+                    ("rep", Str(l.rep)),
+                    ("frontier_nnz", U64(l.frontier_nnz)),
+                    ("push_edges", U64(l.push_edges)),
+                    ("pull_edges", U64(l.pull_edges)),
+                    ("pull_ready", Bool(l.pull_ready)),
                 ],
-            );
-        }
-        if self.mode.enabled() {
-            self.record(
-                start_ns,
-                duration_ns,
-                SpanFields {
-                    op: "level",
-                    op_label: format!(
-                        "{algo} dir={dir} rep={rep} push_edges={push_edges} \
-                         pull_edges={pull_edges} pull_ready={pull_ready}"
-                    ),
-                    dims: format!("level={index}"),
-                    nnz_in: frontier_nnz,
-                    nnz_out,
-                    masked: false,
-                    complemented: false,
-                    accum: false,
-                },
-            );
+            ),
+            Kind::Stage(name, attrs) => keep(name, attrs),
         }
     }
-
-    fn record(&self, start_ns: u64, duration_ns: u64, fields: SpanFields) {
-        let request_id = self.request_id();
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.seq;
-        inner.seq += 1;
-
-        let agg = inner.agg.entry(fields.op).or_default();
-        agg.op = fields.op;
-        agg.calls += 1;
-        agg.total_ns += duration_ns;
-        agg.max_ns = agg.max_ns.max(duration_ns);
-        agg.nnz_in += fields.nnz_in;
-        agg.nnz_out += fields.nnz_out;
-
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(SpanRecord {
-            seq,
-            backend: self.backend,
-            request_id,
-            start_ns,
-            duration_ns,
-            fields,
-        });
+    let duration_ns = t1_ns.saturating_sub(t0_ns);
+    if let Some(stage) = scope.stage {
+        stage.observe(duration_ns / 1_000);
     }
-
-    /// Total spans recorded so far.
-    pub fn total_spans(&self) -> u64 {
-        self.inner.lock().unwrap().seq
-    }
-
-    /// Drop all recorded spans and aggregates (mode is unchanged).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner = TracerInner::default();
-    }
-
-    /// Snapshot everything recorded, attaching the given backend sections.
-    pub fn report(&self, sections: Vec<Section>) -> TraceReport {
-        let inner = self.inner.lock().unwrap();
-        let mut ops: Vec<OpSummary> = inner.agg.values().cloned().collect();
-        ops.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.op.cmp(b.op)));
-        TraceReport {
-            backend: self.backend,
-            mode: self.mode,
-            ops,
-            spans: inner.ring.iter().cloned().collect(),
-            total_spans: inner.seq,
-            dropped_spans: inner.dropped,
-            sections,
-        }
-    }
-}
-
-/// `std::any::type_name` with every module path stripped, including inside
-/// generic arguments: `gbtl_algebra::semiring::PlusTimes<i64>` →
-/// `PlusTimes<i64>`. Used for operator/semiring span labels.
-pub fn short_type_name<T: ?Sized>() -> String {
-    let full = std::any::type_name::<T>();
-    let mut out = String::with_capacity(full.len());
-    let mut ident = String::new();
-    for ch in full.chars() {
-        if ch.is_alphanumeric() || ch == '_' {
-            ident.push(ch);
-        } else if ch == ':' {
-            // path separator: the segment collected so far was a module
-            ident.clear();
-        } else {
-            out.push_str(&ident);
-            ident.clear();
-            out.push(ch);
-        }
-    }
-    out.push_str(&ident);
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fields(op: &'static str, nnz_in: u64, nnz_out: u64) -> SpanFields {
-        SpanFields {
-            op,
-            op_label: "PlusTimes<i64>".into(),
-            dims: "4x4*4x4".into(),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
-        }
-    }
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(TraceMode::parse("summary"), TraceMode::Summary);
-        assert_eq!(TraceMode::parse("JSON"), TraceMode::Json);
-        assert_eq!(TraceMode::parse("jsonl"), TraceMode::Json);
-        assert_eq!(TraceMode::parse("on"), TraceMode::Summary);
-        assert_eq!(TraceMode::parse("off"), TraceMode::Off);
-        assert_eq!(TraceMode::parse("nonsense"), TraceMode::Off);
-        assert_eq!(TraceMode::Json.as_str(), "json");
-        assert!(!TraceMode::Off.enabled());
-        assert!(TraceMode::Summary.enabled());
-    }
-
-    #[test]
-    fn off_records_nothing_and_skips_field_building() {
-        let t = Tracer::with_mode("test", TraceMode::Off);
-        let s = t.start();
-        t.finish(s, || panic!("fields closure must not run when off"));
-        assert_eq!(t.total_spans(), 0);
-        let rep = t.report(Vec::new());
-        assert!(rep.spans.is_empty() && rep.ops.is_empty());
-        assert_eq!(rep.total_spans, 0);
-    }
-
-    #[test]
-    fn spans_aggregate_per_op() {
-        let t = Tracer::with_mode("test", TraceMode::Summary);
-        for i in 0..3 {
-            let s = t.start();
-            t.finish(s, || fields("mxm", 10 + i, 5));
-        }
-        let s = t.start();
-        t.finish(s, || fields("mxv", 7, 4));
-        let rep = t.report(Vec::new());
-        assert_eq!(rep.total_spans, 4);
-        assert_eq!(rep.spans.len(), 4);
-        let mxm = rep.op("mxm").unwrap();
-        assert_eq!(mxm.calls, 3);
-        assert_eq!(mxm.nnz_in, 33);
-        assert_eq!(mxm.nnz_out, 15);
-        assert!(mxm.mean_ns() <= mxm.max_ns);
-        assert_eq!(rep.op("mxv").unwrap().calls, 1);
-        assert!(rep.op("transpose").is_none());
-        // spans keep order and sequence numbers
-        assert_eq!(rep.spans[0].seq, 0);
-        assert_eq!(rep.spans[3].seq, 3);
-        assert_eq!(rep.spans[3].fields.op, "mxv");
-    }
-
-    #[test]
-    fn ring_wraps_but_aggregates_stay_exact() {
-        let t = Tracer::with_capacity("test", TraceMode::Summary, 4);
-        assert_eq!(t.capacity(), 4);
-        for _ in 0..10 {
-            let s = t.start();
-            t.finish(s, || fields("apply_mat", 1, 1));
-        }
-        let rep = t.report(Vec::new());
-        assert_eq!(rep.spans.len(), 4);
-        assert_eq!(rep.dropped_spans, 6);
-        assert_eq!(rep.total_spans, 10);
-        assert_eq!(rep.op("apply_mat").unwrap().calls, 10);
-        assert_eq!(rep.spans[0].seq, 6, "oldest retained span is #6");
-    }
-
-    #[test]
-    fn request_ids_stamp_spans_while_set() {
-        let t = Tracer::with_mode("test", TraceMode::Summary);
-        assert_eq!(t.request_id(), None);
-        let s = t.start();
-        t.finish(s, || fields("mxm", 1, 1));
-
-        t.set_request_id(Some(42));
-        assert_eq!(t.request_id(), Some(42));
-        for _ in 0..2 {
-            let s = t.start();
-            t.finish(s, || fields("mxv", 1, 1));
-        }
-        t.set_request_id(Some(0)); // id 0 is a real id, distinct from "none"
-        let s = t.start();
-        t.finish(s, || fields("vxm", 1, 1));
-        t.set_request_id(None);
-        assert_eq!(t.request_id(), None);
-        let s = t.start();
-        t.finish(s, || fields("mxm", 1, 1));
-
-        let ids: Vec<Option<u64>> = t
-            .report(Vec::new())
-            .spans
-            .iter()
-            .map(|sp| sp.request_id)
-            .collect();
-        assert_eq!(ids, vec![None, Some(42), Some(42), Some(0), None]);
-    }
-
-    #[test]
-    fn xray_context_records_op_spans_even_when_off() {
-        let t = Tracer::with_mode("test", TraceMode::Off);
-        assert_eq!(t.xray(), None);
-        let store = gbtl_xray::store();
-        let ctx = store.begin_root("test");
-        t.set_xray(Some(ctx));
-        assert_eq!(t.xray(), Some(ctx));
-        let s = t.start();
-        t.finish(s, || fields("mxv", 3, 2));
-        t.set_xray(None);
-        gbtl_xray::finish_request(ctx);
-        let trace = store.get(ctx.trace_id).expect("trace completed");
-        let op = trace
-            .spans
-            .iter()
-            .find(|sp| sp.name == "op.mxv")
-            .expect("op span recorded despite TraceMode::Off");
-        assert_eq!(op.parent, ctx.parent_span);
-        assert!(op.attrs.iter().any(|(k, v)| k == "nnz_in" && v == "3"));
-        assert_eq!(t.total_spans(), 0, "the span ring stays untouched when off");
-    }
-
-    #[test]
-    fn level_spans_carry_direction_attributes() {
-        let t = Tracer::with_mode("test", TraceMode::Summary);
-        let store = gbtl_xray::store();
-        let ctx = store.begin_root("lvl-test");
-        t.set_xray(Some(ctx));
-        let s = t.start();
-        t.finish_level(
-            s,
-            LevelFields {
-                algo: "bfs",
-                level: 3,
-                dir: "pull",
-                rep: "bitmap",
-                frontier_nnz: 120,
-                nnz_out: 80,
-                push_edges: 4000,
-                pull_edges: 900,
-                pull_ready: true,
-            },
-        );
-        t.set_xray(None);
-        gbtl_xray::finish_request(ctx);
-        let trace = store.get(ctx.trace_id).expect("trace completed");
-        let sp = trace
-            .spans
-            .iter()
-            .find(|sp| sp.name == "level.bfs")
-            .expect("level span recorded");
-        assert!(sp.attrs.iter().any(|(k, v)| k == "dir" && v == "pull"));
-        assert!(sp.attrs.iter().any(|(k, v)| k == "rep" && v == "bitmap"));
-        assert!(sp.attrs.iter().any(|(k, v)| k == "level" && v == "3"));
-        assert!(sp
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "push_edges" && v == "4000"));
-        assert!(sp
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "pull_edges" && v == "900"));
-        assert!(sp
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "pull_ready" && v == "true"));
-        let rep = t.report(Vec::new());
-        assert_eq!(rep.op("level").unwrap().calls, 1);
-        assert_eq!(
-            rep.spans[0].fields.op_label,
-            "bfs dir=pull rep=bitmap push_edges=4000 pull_edges=900 pull_ready=true"
-        );
-        assert_eq!(rep.spans[0].fields.dims, "level=3");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let t = Tracer::with_mode("test", TraceMode::Summary);
-        let s = t.start();
-        t.finish(s, || fields("build", 3, 3));
-        assert_eq!(t.total_spans(), 1);
-        t.clear();
-        assert_eq!(t.total_spans(), 0);
-        assert!(t.report(Vec::new()).ops.is_empty());
-    }
-
-    #[test]
-    fn set_mode_toggles_recording() {
-        let mut t = Tracer::with_mode("test", TraceMode::Off);
-        let s = t.start();
-        t.finish(s, || fields("mxm", 1, 1));
-        assert_eq!(t.total_spans(), 0);
-        t.set_mode(TraceMode::Summary);
-        let s = t.start();
-        t.finish(s, || fields("mxm", 1, 1));
-        assert_eq!(t.total_spans(), 1);
-    }
-
-    #[test]
-    fn short_names() {
-        assert_eq!(short_type_name::<u64>(), "u64");
-        assert_eq!(
-            short_type_name::<std::collections::HashMap<String, Vec<u8>>>(),
-            "HashMap<String, Vec<u8>>"
-        );
+    if let Some(tracer) = scope.tracer {
+        tracer.keep(t0_ns, duration_ns, kind);
     }
 }

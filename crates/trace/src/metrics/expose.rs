@@ -6,10 +6,10 @@
 
 use std::fmt::Write;
 
-use gbtl_util::json::escape;
+use gbtl_util::json::{escape, string_map};
 
-use crate::histogram::HistogramSnapshot;
-use crate::registry::{MetricKey, RegistrySnapshot};
+use super::histogram::HistogramSnapshot;
+use super::registry::{MetricKey, RegistrySnapshot};
 
 /// Escape a label value for Prometheus text exposition (`\\`, `\"`, `\n`).
 fn label_escape(v: &str) -> String {
@@ -104,18 +104,6 @@ pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
     out
 }
 
-fn json_labels(key: &MetricKey) -> String {
-    let mut s = String::from("{");
-    for (i, (k, v)) in key.labels.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":\"{}\"", escape(k), escape(v));
-    }
-    s.push('}');
-    s
-}
-
 /// Render one histogram snapshot as a JSON object body (no surrounding
 /// name/labels — the callers add their own framing).
 pub fn histogram_json(h: &HistogramSnapshot) -> String {
@@ -160,7 +148,7 @@ pub fn render_json(snap: &RegistrySnapshot) -> String {
             s,
             "{{\"name\":\"{}\",\"labels\":{},\"value\":{value}}}",
             escape(&key.name),
-            json_labels(key)
+            string_map(&key.labels)
         );
     }
     s.push_str("],\"gauges\":[");
@@ -172,7 +160,7 @@ pub fn render_json(snap: &RegistrySnapshot) -> String {
             s,
             "{{\"name\":\"{}\",\"labels\":{},\"value\":{value}}}",
             escape(&key.name),
-            json_labels(key)
+            string_map(&key.labels)
         );
     }
     s.push_str("],\"histograms\":[");
@@ -185,7 +173,7 @@ pub fn render_json(snap: &RegistrySnapshot) -> String {
             s,
             "{{\"name\":\"{}\",\"labels\":{},{}",
             escape(&key.name),
-            json_labels(key),
+            string_map(&key.labels),
             &body[1..] // splice the histogram fields into this object
         );
     }
@@ -196,7 +184,7 @@ pub fn render_json(snap: &RegistrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use crate::metrics::Registry;
 
     fn sample() -> RegistrySnapshot {
         let r = Registry::new(true);

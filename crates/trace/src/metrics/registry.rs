@@ -4,7 +4,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::histogram::{Histogram, HistogramSnapshot};
+use gbtl_util::sync::lock;
+
+use super::histogram::{Histogram, HistogramSnapshot};
 
 /// A monotonic counter. Always live (a relaxed atomic add is the cost
 /// floor of any counter, so there is nothing to gate).
@@ -109,14 +111,14 @@ impl Registry {
     /// The counter named `name` with `labels`, created on first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let key = MetricKey::new(name, labels);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.counters.entry(key).or_default().clone()
     }
 
     /// The gauge named `name` with `labels`, created on first use.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let key = MetricKey::new(name, labels);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.gauges.entry(key).or_default().clone()
     }
 
@@ -124,7 +126,7 @@ impl Registry {
     /// (disabled when the registry is).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let key = MetricKey::new(name, labels);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner
             .histograms
             .entry(key)
@@ -135,7 +137,7 @@ impl Registry {
     /// A point-in-time copy of every registered metric, sorted by
     /// (name, labels). This is what the exposition renderers consume.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         RegistrySnapshot {
             counters: inner
                 .counters
@@ -158,7 +160,7 @@ impl Registry {
     /// Merge every histogram snapshot whose key name is `name` into one
     /// (the all-labels aggregate).
     pub fn merged_histogram(&self, name: &str) -> HistogramSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         let mut merged = HistogramSnapshot::default();
         for (k, h) in &inner.histograms {
             if k.name == name {
@@ -166,6 +168,32 @@ impl Registry {
             }
         }
         merged
+    }
+}
+
+/// The histogram sink's address: which `gbtl_stage_latency_us{algo,
+/// backend, cache, stage}` series an interval's duration lands in. Built by
+/// the layer that owns the registry, observed by [`crate::emit`] alone — so
+/// a stage's histogram sample and its span are the same two stamps.
+#[derive(Debug, Clone, Copy)]
+pub struct Stage<'a> {
+    /// The registry holding the series.
+    pub registry: &'a Registry,
+    /// The `algo` / `backend` / `cache` label pairs.
+    pub labels: [(&'a str, &'a str); 3],
+    /// The `stage` label value (`window`, `queue`, `execute`, `serialize`).
+    pub stage: &'a str,
+}
+
+impl Stage<'_> {
+    pub(crate) fn observe(&self, micros: u64) {
+        let [algo, backend, cache] = self.labels;
+        self.registry
+            .histogram(
+                "gbtl_stage_latency_us",
+                &[algo, backend, cache, ("stage", self.stage)],
+            )
+            .observe(micros);
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::sync::Mutex;
 
+use gbtl_util::sync::lock;
+
 /// One retained entry: the ranking key plus an admission sequence number
 /// (for stable tie ordering).
 #[derive(Debug, Clone)]
@@ -46,7 +48,7 @@ impl<T: Clone> SlowLog<T> {
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        lock(&self.inner).entries.len()
     }
 
     /// No entries retained?
@@ -63,7 +65,7 @@ impl<T: Clone> SlowLog<T> {
         if self.capacity == 0 {
             return false;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let seq = inner.seq;
         inner.seq += 1;
         if inner.entries.len() < self.capacity {
@@ -88,7 +90,7 @@ impl<T: Clone> SlowLog<T> {
     /// The retained entries as `(key, payload)` pairs, largest key first
     /// (oldest first on ties).
     pub fn entries(&self) -> Vec<(u64, T)> {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         let mut sorted: Vec<Entry<T>> = inner.entries.clone();
         drop(inner);
         sorted.sort_by_key(|e| (std::cmp::Reverse(e.key), e.seq));
@@ -97,7 +99,7 @@ impl<T: Clone> SlowLog<T> {
 
     /// Drop every retained entry (the admission sequence keeps counting).
     pub fn clear(&self) {
-        self.inner.lock().unwrap().entries.clear();
+        lock(&self.inner).entries.clear();
     }
 }
 

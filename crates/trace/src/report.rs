@@ -90,7 +90,7 @@ fn span_line(r: &SpanRecord) -> String {
 
 /// Group a report's retained spans by the request id they were stamped
 /// with. Spans recorded with no request active group under `None`. This is
-/// the read-side companion of `Tracer::set_request_id`: a JSON trace
+/// the read-side companion of `Tracer::set_request`: a JSON trace
 /// captured during a serve run comes back as one bucket per request.
 ///
 /// **Ordering guarantee:** spans within each group are sorted by
@@ -117,19 +117,12 @@ pub fn group_by_request(report: &TraceReport) -> Vec<(Option<u64>, Vec<&SpanReco
 }
 
 fn section_line(backend: &str, sec: &Section) -> String {
-    let mut s = format!(
-        "{{\"type\":\"section\",\"backend\":\"{}\",\"title\":\"{}\",\"entries\":{{",
+    format!(
+        "{{\"type\":\"section\",\"backend\":\"{}\",\"title\":\"{}\",\"entries\":{}}}",
         esc(backend),
-        esc(&sec.title)
-    );
-    for (i, (k, v)) in sec.entries.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":\"{}\"", esc(k), esc(v));
-    }
-    s.push_str("}}");
-    s
+        esc(&sec.title),
+        gbtl_util::json::string_map(&sec.entries)
+    )
 }
 
 /// Render as JSON lines: one `op_summary` object per aggregate, one `span`
@@ -164,21 +157,23 @@ pub fn format_jsonl(report: &TraceReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{json, SpanFields, TraceMode, Tracer};
+    use crate::{json, Kind, SpanFields, TraceMode, Tracer};
 
     fn sample_report() -> TraceReport {
         let t = Tracer::with_mode("sequential", TraceMode::Summary);
         for op in ["mxm", "mxm", "vxm"] {
             let s = t.start();
-            t.finish(s, || SpanFields {
-                op,
-                op_label: "PlusTimes<f64>".into(),
-                dims: "8x8*8x8".into(),
-                nnz_in: 12,
-                nnz_out: 20,
-                masked: op == "vxm",
-                complemented: false,
-                accum: false,
+            t.finish(s, || {
+                Kind::Op(SpanFields {
+                    op,
+                    op_label: "PlusTimes<f64>".into(),
+                    dims: "8x8*8x8".into(),
+                    nnz_in: 12,
+                    nnz_out: 20,
+                    masked: op == "vxm",
+                    complemented: false,
+                    accum: false,
+                })
             });
         }
         t.report(vec![Section {
@@ -232,17 +227,19 @@ mod tests {
     fn spans_group_by_request_id() {
         let t = Tracer::with_mode("sequential", TraceMode::Summary);
         let emit = |rid: Option<u64>, op: &'static str| {
-            t.set_request_id(rid);
+            t.set_request(rid, None);
             let s = t.start();
-            t.finish(s, || SpanFields {
-                op,
-                op_label: String::new(),
-                dims: "4x4".into(),
-                nnz_in: 1,
-                nnz_out: 1,
-                masked: false,
-                complemented: false,
-                accum: false,
+            t.finish(s, || {
+                Kind::Op(SpanFields {
+                    op,
+                    op_label: String::new(),
+                    dims: "4x4".into(),
+                    nnz_in: 1,
+                    nnz_out: 1,
+                    masked: false,
+                    complemented: false,
+                    accum: false,
+                })
             });
         };
         emit(None, "build");
@@ -332,15 +329,17 @@ mod tests {
     fn escaping_survives_round_trip() {
         let t = Tracer::with_mode("q\"b\\c", TraceMode::Summary);
         let s = t.start();
-        t.finish(s, || SpanFields {
-            op: "mxm",
-            op_label: "weird \"label\"\nnewline".into(),
-            dims: "1x1".into(),
-            nnz_in: 0,
-            nnz_out: 0,
-            masked: false,
-            complemented: false,
-            accum: false,
+        t.finish(s, || {
+            Kind::Op(SpanFields {
+                op: "mxm",
+                op_label: "weird \"label\"\nnewline".into(),
+                dims: "1x1".into(),
+                nnz_in: 0,
+                nnz_out: 0,
+                masked: false,
+                complemented: false,
+                accum: false,
+            })
         });
         let out = format_jsonl(&t.report(Vec::new()));
         for line in out.lines() {

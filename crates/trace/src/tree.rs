@@ -1,20 +1,94 @@
-//! The bounded span-tree store: open traces, completed trees, pinning.
+//! The span-tree sink: head sampling, open traces, completed trees, pinning.
+//!
+//! A request sampled at the front-end ([`begin_request`]) gets a
+//! [`TraceContext`] — trace id + parent span id — that rides the
+//! `gbtl_net::Engine::submit` contract down through router, fusion window,
+//! pool and `Context`; every interval [`crate::emit`] sees under it lands
+//! in that request's tree. The tree completes when its root
+//! `net.connection` span finishes ([`finish_request`]); spans arriving
+//! after that are dropped (a late reply past a synthesized deadline answer
+//! has no tree to join). Completed trees live in one bounded
+//! process-global [`XrayStore`], fetched by trace id and exported as
+//! Chrome trace-event JSON ([`crate::chrome`]).
+//!
+//! Sampling is decided once per request: `GBTL_XRAY_SAMPLE=N` traces one
+//! request in `N` (default `0`: none), and a request line carrying
+//! `"xray":true` is always traced (a substring check, no parse). An
+//! unsampled request has no context, so everything downstream is a
+//! `None` test. A tail decision cannot trace a request after the fact;
+//! the closest honest thing is *pinning* — the serving layer pins the
+//! traces its slow-query log admits ([`XrayStore::pin`]), which keeps them
+//! from store eviction.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-use gbtl_util::json::escape;
+use gbtl_util::json::{escape, string_map};
+use gbtl_util::sync::lock;
 use gbtl_util::time::now_ns;
 
-use crate::TraceContext;
+use crate::Attr;
+
+/// The propagated sampling decision: which trace a request belongs to and
+/// which span is the parent of whatever the current layer records. `Copy`
+/// on purpose — both ids are process-global and never reused, so it
+/// crosses thread and closure boundaries freely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceContext {
+    /// The trace this request belongs to (never 0).
+    pub trace_id: u64,
+    /// The span id new child spans should name as their parent.
+    pub parent_span: u64,
+}
+
+impl TraceContext {
+    /// A context for children of `span_id` within the same trace.
+    #[inline]
+    pub fn child_of(&self, span_id: u64) -> TraceContext {
+        TraceContext {
+            trace_id: self.trace_id,
+            parent_span: span_id,
+        }
+    }
+}
+
+static STORE: OnceLock<XrayStore> = OnceLock::new();
+
+/// The process-global span store, its sampling cadence read from
+/// `GBTL_XRAY_SAMPLE` on first use. One per process by design: a sharded
+/// deployment's router and member pools all feed the same trees, and the
+/// `{"op":"xray"}` verb can answer from any layer.
+pub fn store() -> &'static XrayStore {
+    STORE.get_or_init(XrayStore::from_env)
+}
+
+/// Front-end entry point: decide sampling for one request line and, when
+/// sampled, open its root `net.connection` span. Returns the context to
+/// pass into `Engine::submit` (the root span is the parent).
+pub fn begin_request(line: &str, frontend: &'static str) -> Option<TraceContext> {
+    let s = store();
+    s.should_sample(line.contains("\"xray\":true"))
+        .then(|| s.begin_root(frontend))
+}
+
+/// Front-end exit point: close the root span and assemble the finished
+/// trace into the store. Idempotent — a response delivered through both
+/// an inline path and a late completion finishes the root exactly once.
+pub fn finish_request(ctx: TraceContext) {
+    store().finish_root(ctx);
+}
 
 /// Completed traces the process-global store retains.
 pub const DEFAULT_STORE_CAP: usize = 256;
 
+/// Spans one open trace accepts before it starts counting drops instead:
+/// a sampled request's loop length comes off the wire (`max_iters`), so the
+/// list it grows must not.
+pub const MAX_SPANS_PER_TRACE: usize = 1024;
+
 /// Bound on the pinned-trace set: pinning protects slow-log entrants from
-/// eviction, and the slow log itself is tiny (default 16), so a small FIFO
+/// eviction, and the slow log itself is tiny (16), so a small FIFO
 /// window of pins is enough — the oldest pin lapses when the window fills.
 const PIN_CAP: usize = 64;
 
@@ -48,23 +122,16 @@ impl Span {
     }
 
     fn to_json(&self) -> String {
-        let mut s = format!(
+        format!(
             "{{\"span_id\":{},\"parent\":{},\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{},\
-             \"attrs\":{{",
+             \"attrs\":{}}}",
             self.span_id,
             self.parent,
             escape(&self.name),
             self.start_ns,
-            self.end_ns
-        );
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":\"{}\"", escape(k), escape(v));
-        }
-        s.push_str("}}");
-        s
+            self.end_ns,
+            string_map(&self.attrs)
+        )
     }
 }
 
@@ -213,6 +280,8 @@ struct OpenTrace {
     root_start_ns: u64,
     frontend: &'static str,
     spans: Vec<Span>,
+    /// Spans refused once `spans` held [`MAX_SPANS_PER_TRACE`].
+    dropped: u64,
 }
 
 #[derive(Debug, Default)]
@@ -225,16 +294,12 @@ struct Inner {
     pinned: VecDeque<u64>,
 }
 
-/// The bounded trace store. One instance is process-global
-/// ([`crate::store`]); tests construct private ones with [`XrayStore::new`].
-///
-/// Sampling state is runtime-mutable (atomics) so an experiment harness can
-/// compare off/on within one process — the env knobs only set the initial
-/// values.
+/// The bounded trace store. One instance is process-global ([`store`]);
+/// tests construct private ones with [`XrayStore::new`].
 #[derive(Debug)]
 pub struct XrayStore {
-    enabled: AtomicBool,
-    sample_every: AtomicU64,
+    enabled: bool,
+    sample_every: u64,
     sample_counter: AtomicU64,
     next_trace: AtomicU64,
     next_span: AtomicU64,
@@ -246,8 +311,8 @@ impl XrayStore {
     /// A store with explicit settings (tests and embedding).
     pub fn new(enabled: bool, sample_every: u64, cap: usize) -> XrayStore {
         XrayStore {
-            enabled: AtomicBool::new(enabled),
-            sample_every: AtomicU64::new(sample_every),
+            enabled,
+            sample_every,
             sample_counter: AtomicU64::new(0),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
@@ -256,50 +321,36 @@ impl XrayStore {
         }
     }
 
-    /// A store configured from the environment: `GBTL_XRAY` (on/off,
-    /// default on) and `GBTL_XRAY_SAMPLE` (trace 1 in N; 0 — the default —
-    /// restricts sampling to explicit `"xray":true` requests); it retains
-    /// [`DEFAULT_STORE_CAP`] completed trees.
+    /// A live store sampling 1 request in `GBTL_XRAY_SAMPLE` (0 — the
+    /// default — restricts sampling to explicit `"xray":true` requests),
+    /// retaining [`DEFAULT_STORE_CAP`] completed trees.
     pub fn from_env() -> XrayStore {
         XrayStore::new(
-            gbtl_util::env::bool_var("GBTL_XRAY").unwrap_or(true),
+            true,
             gbtl_util::env::u64_var("GBTL_XRAY_SAMPLE", 0).unwrap_or(0),
             DEFAULT_STORE_CAP,
         )
     }
 
-    /// Whether tracing is live at all.
+    /// Whether the store samples at all (a store built disabled never does).
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flip the master switch at runtime (experiments, tests).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// The current 1-in-N sampling cadence (0 = explicit-only).
     pub fn sample_every(&self) -> u64 {
-        self.sample_every.load(Ordering::Relaxed)
-    }
-
-    /// Change the sampling cadence at runtime.
-    pub fn set_sample_every(&self, n: u64) {
-        self.sample_every.store(n, Ordering::Relaxed);
+        self.sample_every
     }
 
     /// The head-sampling decision: `force` (the `"xray":true` marker)
     /// always samples; otherwise one request in `sample_every` does.
     /// Disabled stores never sample.
     pub fn should_sample(&self, force: bool) -> bool {
-        if !self.enabled() {
-            return false;
+        if force || !self.enabled {
+            return self.enabled;
         }
-        if force {
-            return true;
-        }
-        let every = self.sample_every.load(Ordering::Relaxed);
+        let every = self.sample_every;
         every != 0
             && self
                 .sample_counter
@@ -321,7 +372,7 @@ impl XrayStore {
     pub fn begin_root(&self, frontend: &'static str) -> TraceContext {
         let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed);
         let root_span = self.next_span_id();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.open.insert(
             trace_id,
             OpenTrace {
@@ -329,6 +380,7 @@ impl XrayStore {
                 root_start_ns: now_ns(),
                 frontend,
                 spans: Vec::new(),
+                dropped: 0,
             },
         );
         inner.open_order.push_back(trace_id);
@@ -351,12 +403,16 @@ impl XrayStore {
     /// open trace and does nothing.
     pub fn finish_root(&self, ctx: TraceContext) {
         let end_ns = now_ns();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let Some(open) = inner.open.remove(&ctx.trace_id) else {
             return;
         };
         inner.open_order.retain(|&t| t != ctx.trace_id);
         let mut spans = open.spans;
+        let mut attrs = vec![("frontend".into(), open.frontend.into())];
+        if open.dropped > 0 {
+            attrs.push(("dropped_spans".into(), open.dropped.to_string()));
+        }
         spans.push(Span {
             trace_id: ctx.trace_id,
             span_id: open.root_span,
@@ -364,7 +420,7 @@ impl XrayStore {
             name: ROOT_SPAN.into(),
             start_ns: open.root_start_ns,
             end_ns,
-            attrs: vec![("frontend".into(), open.frontend.into())],
+            attrs,
         });
         spans.sort_by_key(|s| (s.start_ns, s.span_id));
         inner.done.push_back(Trace {
@@ -383,29 +439,25 @@ impl XrayStore {
         }
     }
 
-    /// Record a finished interval as a child within `ctx`'s trace. Returns
-    /// the span id (0 if the trace is unknown — already finished, evicted,
-    /// or never sampled — in which case nothing was recorded).
+    /// Keep a finished interval as a child within `ctx`'s trace, rendering
+    /// its attributes. Returns the span id (0 if nothing was kept: the
+    /// trace is unknown — already finished, evicted, never sampled — or
+    /// already holds [`MAX_SPANS_PER_TRACE`] spans).
     pub fn add_span(
         &self,
         ctx: TraceContext,
         name: &str,
         start_ns: u64,
         end_ns: u64,
-        attrs: &[(&str, String)],
+        attrs: &[(&str, Attr<'_>)],
     ) -> u64 {
-        let span_id = self.next_span_id();
-        if self.add_span_with_id(span_id, ctx, name, start_ns, end_ns, attrs) {
-            span_id
-        } else {
-            0
-        }
+        self.add_span_with_id(0, ctx, name, start_ns, end_ns, attrs)
     }
 
-    /// [`add_span`](Self::add_span) with a caller-allocated id (from
-    /// [`next_span_id`](Self::next_span_id)) — used when children recorded
-    /// *during* the interval already named this id as their parent.
-    /// Returns whether the span was recorded.
+    /// [`add_span`](Self::add_span) under a caller-allocated id (from
+    /// [`next_span_id`](Self::next_span_id); 0 allocates one here) — used
+    /// when children recorded *during* the interval already named this id
+    /// as their parent.
     pub fn add_span_with_id(
         &self,
         span_id: u64,
@@ -413,11 +465,22 @@ impl XrayStore {
         name: &str,
         start_ns: u64,
         end_ns: u64,
-        attrs: &[(&str, String)],
-    ) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        attrs: &[(&str, Attr<'_>)],
+    ) -> u64 {
+        let mut inner = lock(&self.inner);
         let Some(open) = inner.open.get_mut(&ctx.trace_id) else {
-            return false;
+            return 0;
+        };
+        let span_id = match span_id {
+            // an id handed out ahead of time is already some kept span's
+            // parent (an execute span closes after the ops under it), so it
+            // is kept whatever the count: one per hop, not one per iteration
+            0 if open.spans.len() >= MAX_SPANS_PER_TRACE => {
+                open.dropped += 1;
+                return 0;
+            }
+            0 => self.next_span_id(),
+            id => id,
         };
         open.spans.push(Span {
             trace_id: ctx.trace_id,
@@ -428,15 +491,15 @@ impl XrayStore {
             end_ns,
             attrs: attrs
                 .iter()
-                .map(|(k, v)| ((*k).into(), v.clone()))
+                .map(|(k, v)| ((*k).into(), v.to_string()))
                 .collect(),
         });
-        true
+        span_id
     }
 
     /// Fetch a completed trace by id.
     pub fn get(&self, trace_id: u64) -> Option<Trace> {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         inner
             .done
             .iter()
@@ -457,7 +520,7 @@ impl XrayStore {
         if trace_id == 0 {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.pinned.contains(&trace_id) {
             return;
         }
@@ -469,7 +532,7 @@ impl XrayStore {
 
     /// Summaries of the most recently completed traces, newest first.
     pub fn recent(&self, limit: usize) -> Vec<TraceSummary> {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         inner
             .done
             .iter()
@@ -487,7 +550,7 @@ impl XrayStore {
 
     /// Completed traces currently retained.
     pub fn completed(&self) -> usize {
-        self.inner.lock().unwrap().done.len()
+        lock(&self.inner).done.len()
     }
 }
 
@@ -505,7 +568,7 @@ mod tests {
             "op.mxv",
             t0 + 1,
             t0 + 5,
-            &[("nnz", "42".to_string())],
+            &[("nnz", Attr::U64(42))],
         );
         store.finish_root(ctx);
         ctx.trace_id
@@ -517,11 +580,65 @@ mod tests {
         let sampled = (0..8).filter(|_| s.should_sample(false)).count();
         assert_eq!(sampled, 2, "1 in 4 of 8 requests");
         assert!(s.should_sample(true), "force always samples");
-        s.set_enabled(false);
-        assert!(!s.should_sample(true), "disabled store never samples");
+        let off = XrayStore::new(false, 4, 8);
+        assert!(!off.should_sample(true), "disabled store never samples");
         let t = XrayStore::new(true, 0, 8);
         assert!(!t.should_sample(false), "cadence 0 is explicit-only");
         assert!(t.should_sample(true));
+    }
+
+    #[test]
+    fn context_children_share_the_trace() {
+        let ctx = TraceContext {
+            trace_id: 7,
+            parent_span: 3,
+        };
+        assert_eq!(
+            ctx.child_of(9),
+            TraceContext {
+                trace_id: 7,
+                parent_span: 9
+            }
+        );
+    }
+
+    #[test]
+    fn begin_request_samples_only_the_explicit_marker_by_default() {
+        // the global store's cadence defaults to 0: explicit-only
+        assert!(begin_request("{\"op\":\"query\"}", "test").is_none());
+        let ctx = begin_request("{\"op\":\"query\",\"xray\":true}", "test")
+            .expect("explicit marker always samples");
+        finish_request(ctx);
+        assert!(store().get(ctx.trace_id).is_some());
+    }
+
+    #[test]
+    fn an_open_trace_stops_growing_at_the_cap_and_says_so() {
+        let s = XrayStore::new(true, 0, 8);
+        let ctx = s.begin_root("test");
+        let t0 = now_ns();
+        // the execute span closes after the ops under it, as in the pool
+        let exec = s.next_span_id();
+        for _ in 0..MAX_SPANS_PER_TRACE + 10 {
+            s.add_span(ctx.child_of(exec), "op.mxv", t0, t0, &[]);
+        }
+        assert_eq!(s.add_span(ctx, "pool.serialize", t0, t0, &[]), 0);
+        assert_eq!(
+            s.add_span_with_id(exec, ctx, "pool.execute", t0, t0, &[]),
+            exec,
+            "the parent the kept ops name is kept"
+        );
+        s.finish_root(ctx);
+        let t = s.get(ctx.trace_id).unwrap();
+        assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE + 2);
+        let root = t.root().unwrap();
+        let dropped = root.attrs.iter().find(|(k, _)| k == "dropped_spans");
+        assert_eq!(dropped.map(|(_, v)| v.as_str()), Some("11"));
+        t.validate().expect("every kept span's parent was kept");
+        // a trace that fits says nothing
+        let fits = s.get(traced_request(&s)).unwrap();
+        let root = fits.root().unwrap();
+        assert!(root.attrs.iter().all(|(k, _)| k != "dropped_spans"));
     }
 
     #[test]

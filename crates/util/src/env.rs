@@ -36,7 +36,7 @@ pub fn u64_var(name: &str, min: u64) -> Option<u64> {
     parsed_var(name, |&v: &u64| v >= min)
 }
 
-/// [`parsed_var`] for on/off knobs (`GBTL_METRICS`): accepts
+/// [`parsed_var`] for on/off knobs (`GBTL_FUSE`): accepts
 /// `on`/`off`, `true`/`false`, `1`/`0`, `yes`/`no` (case-insensitive);
 /// anything else warns and falls back.
 pub fn bool_var(name: &str) -> Option<bool> {

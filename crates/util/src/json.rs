@@ -122,6 +122,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Render `pairs` as one JSON object of strings, `{"k":"v",…}`, keys and
+/// values escaped — span attributes, section entries and metric labels.
+pub fn string_map(pairs: &[(String, String)]) -> String {
+    let body: Vec<String> = pairs
+        .iter()
+        .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
 /// Parse one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();

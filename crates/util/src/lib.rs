@@ -12,14 +12,14 @@
 //! * [`env`] — environment-variable parsing with the workspace-wide
 //!   contract: an unset knob silently takes its default, a *set but
 //!   invalid* knob warns once on stderr and then takes its default
-//!   (`GBTL_NUM_THREADS`, `GBTL_TRACE`, the `GBTL_SERVE_*` and
-//!   `GBTL_METRICS*` families).
+//!   (`GBTL_NUM_THREADS`, `GBTL_TRACE`, the `GBTL_SERVE_*` family).
 //! * [`hash`] — byte-wise FNV-1a 64, the one definition behind wire
 //!   result checksums, shard ring placement and the loadgen's skew keys.
 //! * [`stats`] — the nearest-rank percentile definition shared by the
-//!   loadgen latency report and the `gbtl-metrics` histogram snapshots, so
+//!   loadgen latency report and the `gbtl-trace` histogram snapshots, so
 //!   client-side and server-side percentiles are comparable by
 //!   construction.
+//! * [`sync`] — the one poison-tolerant mutex [`sync::lock`].
 //! * [`workspace`] — thread-local reusable kernel scratch (dense
 //!   accumulators, touched lists, flag arrays) shared by all three
 //!   backends, with process-wide reuse counters.
@@ -34,5 +34,6 @@ pub mod env;
 pub mod hash;
 pub mod json;
 pub mod stats;
+pub mod sync;
 pub mod time;
 pub mod workspace;

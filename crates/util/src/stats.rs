@@ -3,7 +3,7 @@
 //!
 //! One definition, three consumers: the loadgen report
 //! (`gbtl_serve::LoadgenReport::percentile_us`) applies it to a sorted
-//! sample vector, the metrics histograms (`gbtl_metrics`) apply it to
+//! sample vector, the metrics histograms (`gbtl_trace::metrics`) apply it to
 //! bucket counts, and the experiment harness prints whichever of the two
 //! it is summarising — so a "p99" printed anywhere in the workspace means
 //! the same thing.

@@ -17,9 +17,10 @@
 //! * [`graphgen`] — RMAT, Erdős–Rényi, meshes, small-world generators
 //! * [`sparse`] — COO/CSR/CSC containers and Matrix Market I/O
 //! * [`gpu_sim`] — the simulated CUDA device and its primitives
-//! * [`trace`] — cross-backend op tracing and profiling reports
-//! * [`metrics`] — counters, gauges, latency histograms, slow-query log,
-//!   and JSON/Prometheus exposition (the serving observability core)
+//! * [`trace`] — the one observability crate: the span emit point and its
+//!   sinks (per-context op ring and reports, sampled span trees with
+//!   Chrome export, and the metrics registry — also re-exported as
+//!   [`metrics`])
 //! * [`util`] — shared JSON parsing/emission, env-knob helpers, and the
 //!   nearest-rank percentile definition
 //! * [`backend_seq`] / [`backend_par`] / [`backend_cuda`] — the three
@@ -45,9 +46,9 @@ pub use gbtl_backend_seq as backend_seq;
 pub use gbtl_core as core;
 pub use gbtl_gpu_sim as gpu_sim;
 pub use gbtl_graphgen as graphgen;
-pub use gbtl_metrics as metrics;
 pub use gbtl_sparse as sparse;
 pub use gbtl_trace as trace;
+pub use gbtl_trace::metrics;
 pub use gbtl_util as util;
 
 /// The names most programs need.

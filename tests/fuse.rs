@@ -27,8 +27,6 @@ fn test_config(fuse_on: bool) -> ServerConfig {
         cache_capacity: 64,
         default_deadline_ms: 30_000,
         par_threads: 2,
-        metrics: true,
-        slow_log_capacity: 8,
         preload: vec![("karate".into(), "karate".into())],
         ..ServerConfig::default()
     };

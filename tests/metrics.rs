@@ -1,8 +1,8 @@
-//! gbtl-metrics through gbtl-serve: request histograms whose counts match
-//! the requests actually served (in both the JSON and Prometheus
+//! The metrics sink through gbtl-serve: request histograms whose counts
+//! match the requests actually served (in both the JSON and Prometheus
 //! expositions), request ids stamped onto backend trace spans, the
-//! stats endpoint's cumulative/point-in-time contract, the slow-query
-//! log's top-K retention with stage breakdowns, and the metrics-off mode.
+//! stats endpoint's cumulative/point-in-time contract, and the slow-query
+//! log's top-K retention with stage breakdowns.
 
 use gbtl_serve::{start, Client, ServerConfig, ServerHandle};
 
@@ -17,8 +17,6 @@ fn test_config() -> ServerConfig {
         cache_capacity: 64,
         default_deadline_ms: 30_000,
         par_threads: 2,
-        metrics: true,
-        slow_log_capacity: 8,
         preload: vec![("karate".into(), "karate".into())],
         ..ServerConfig::default()
     }
@@ -293,38 +291,4 @@ fn slow_log_eviction_keeps_exactly_the_top_k_payloads() {
             }
         );
     }
-}
-
-#[test]
-fn metrics_off_gates_histograms_but_not_stats() {
-    let mut config = test_config();
-    config.metrics = false;
-    let handle = start(config).unwrap();
-    let mut c = connect(&handle);
-
-    let q = "\"graph\":\"karate\",\"algo\":\"bfs\",\"backend\":\"seq\"";
-    assert_eq!(query(&mut c, q).bool_field("ok"), Some(true));
-
-    let m = metrics(&mut c);
-    let inner = m.get("metrics").expect("metrics object");
-    assert_eq!(inner.bool_field("enabled"), Some(false));
-    assert_eq!(
-        inner.get("overall").and_then(|o| o.u64_field("count")),
-        Some(0),
-        "histograms record nothing when metrics are off"
-    );
-    // counters stay live: the stats endpoint still works
-    assert_eq!(
-        sum_over_labels(&m, "counters", "gbtl_requests_total", "value"),
-        1
-    );
-    let v = c.request_json("{\"op\":\"stats\"}").unwrap();
-    let requests = v.get("stats").and_then(|s| s.get("requests")).unwrap();
-    assert_eq!(
-        requests.u64_field("completed"),
-        Some(2),
-        "query + metrics op"
-    );
-
-    handle.shutdown_and_join();
 }

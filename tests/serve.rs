@@ -17,8 +17,6 @@ fn test_config() -> ServerConfig {
         cache_capacity: 64,
         default_deadline_ms: 30_000,
         par_threads: 2,
-        metrics: true,
-        slow_log_capacity: 16,
         preload: vec![
             ("karate".into(), "karate".into()),
             ("rmat".into(), "rmat:7:6:42".into()),

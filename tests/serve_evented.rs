@@ -20,8 +20,6 @@ fn config(mode: FrontendMode) -> ServerConfig {
         cache_capacity: 64,
         default_deadline_ms: 30_000,
         par_threads: 1,
-        metrics: true,
-        slow_log_capacity: 4,
         idle_timeout_ms: 0, // tests opt in explicitly
         preload: vec![("karate".into(), "karate".into())],
         ..ServerConfig::default()

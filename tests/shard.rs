@@ -24,8 +24,6 @@ fn base_config(mode: FrontendMode, preload: Vec<(String, String)>) -> ServerConf
         cache_capacity: 16,
         default_deadline_ms: 30_000,
         par_threads: 2,
-        metrics: true,
-        slow_log_capacity: 8,
         preload,
         ..ServerConfig::default()
     }

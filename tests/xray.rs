@@ -1,4 +1,4 @@
-//! gbtl-xray integration (ISSUE 9 tentpole): end-to-end causal tracing.
+//! The span-tree sink end to end (`gbtl_trace::tree`): causal tracing.
 //!
 //! A query marked `"xray":true` must come back with a trace id whose
 //! stored span tree roots at the front-end's `net.connection` span and
@@ -29,8 +29,6 @@ fn test_config(mode: FrontendMode, fuse_on: bool) -> ServerConfig {
         cache_capacity: 64,
         default_deadline_ms: 30_000,
         par_threads: 2,
-        metrics: true,
-        slow_log_capacity: 8,
         preload: vec![("karate".into(), "karate".into())],
         ..ServerConfig::default()
     };
@@ -120,6 +118,37 @@ fn assert_well_formed_tree(spans: &[Value]) {
     }
 }
 
+/// A stage's span and its histogram sample are the same two stamps: the
+/// slow-log entry of a sampled, executed query repeats the durations of its
+/// `pool.queue`, `pool.execute` (`fuse.batch` for a batch member) and
+/// `pool.serialize` spans to the microsecond.
+fn assert_slow_log_repeats_the_spans(client: &mut Client, trace_id: u64, spans: &[Value]) {
+    let metrics = client.request_json("{\"op\":\"metrics\"}").unwrap();
+    let slow = metrics
+        .get("metrics")
+        .and_then(|m| m.get("slow_queries"))
+        .and_then(|s| s.as_arr())
+        .expect("slow_queries array");
+    let entry = slow
+        .iter()
+        .find(|e| e.u64_field("trace_id") == Some(trace_id))
+        .expect("a sampled query that executed is in the slow log");
+    let span_us = |names: &[&str]| {
+        let span = spans
+            .iter()
+            .find(|s| names.contains(&s.str_field("name").unwrap()))
+            .unwrap_or_else(|| panic!("a {names:?} span"));
+        (span.u64_field("end_ns").unwrap() - span.u64_field("start_ns").unwrap()) / 1_000
+    };
+    for (field, names) in [
+        ("queue_us", &["pool.queue"][..]),
+        ("execute_us", &["pool.execute", "fuse.batch"]),
+        ("serialize_us", &["pool.serialize"]),
+    ] {
+        assert_eq!(entry.u64_field(field), Some(span_us(names)), "{field}");
+    }
+}
+
 /// The raw `{...}` bytes of the response's `result` field (the last field
 /// of a query response, traced or not — the x-ray trace id rides *before*
 /// it, so byte-comparing this fragment is the bit-identity check).
@@ -166,6 +195,7 @@ fn evented_fused_query_yields_full_causal_tree() {
         names.iter().any(|n| n.starts_with("op.")),
         "kernel op spans must nest under the execute span: {names:?}"
     );
+    assert_slow_log_repeats_the_spans(&mut c, trace_id, spans);
     let root = &spans[0];
     assert_eq!(attr(root, "frontend"), Some("evented"));
     assert!(
@@ -311,6 +341,7 @@ fn fused_batch_spans_link_every_sampled_member() {
             .find(|s| s.str_field("name") == Some("fuse.batch"))
             .expect("every sampled member records a fuse.batch span");
         assert_eq!(attr(batch, "batch_size"), Some("2"), "the pair fused");
+        assert_slow_log_repeats_the_spans(&mut c, trace_id, spans);
         let members = attr(batch, "members").unwrap();
         for &other in &trace_ids {
             assert!(
