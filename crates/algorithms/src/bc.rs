@@ -1,12 +1,12 @@
 //! Betweenness centrality — Brandes' algorithm in GraphBLAS form.
 
-use gbtl_algebra::{PlusFirst, PlusSecond, Second};
+use gbtl_algebra::{PlusFirst, PlusSecond};
 use gbtl_core::{
-    no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
-    LevelWork, Matrix, Result, Vector,
+    no_accum, Backend, Context, Descriptor, Direction, DirectionPolicy, Matrix, Result, Vector,
 };
 
-use crate::util::{check_source, check_square};
+use crate::traverse::Traversal;
+use crate::util::check_traversal;
 
 /// Betweenness-centrality contribution of shortest paths from the given
 /// sources (batch Brandes; pass all vertices for exact BC).
@@ -47,94 +47,39 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
     sources: &[usize],
     dir: Direction,
 ) -> Result<Vector<f64>> {
-    check_square("betweenness_centrality", a)?;
-    let n = a.nrows();
-    for &src in sources {
-        check_source("betweenness_centrality", src, n)?;
-    }
+    let n = check_traversal("betweenness_centrality", a, sources)?;
     // path counts add up under `Plus`, which has no terminal value: a pull
     // row is never cut short, and the policy must not price it as if it were
     let policy = DirectionPolicy::for_matrix(dir, ctx, a).masked_sum();
-    let desc_push = Descriptor::new().complement_mask().replace();
-    let desc_fwd_pull = Descriptor::new().transpose_a().complement_mask().replace();
+    let forward = Traversal::new(ctx, a, policy, "bc");
     let desc_pull = Descriptor::new();
 
-    let degrees = a.csr();
     let mut delta_total = vec![0.0f64; n];
 
     for &src in sources {
-        // ---- forward sweep: shortest-path counts sigma, per-level fronts
+        // ---- forward sweep: shortest-path counts sigma, per-level fronts.
+        // Paths reaching the next level are q = frontierᵀ · A, masked off
+        // visited vertices; `First` pushing and `Second` pulling both read
+        // the frontier's count.
         let mut sigma: Vector<f64> = Vector::new_dense(n);
         sigma.set(src, 1.0);
-        let mut visited: Vector<bool> = Vector::new_dense(n);
-        visited.set(src, true);
-        let mut frontier: Vector<f64> = Vector::new(n);
-        frontier.set(src, 1.0);
-        let mut fronts: Vec<Vector<f64>> = vec![frontier.clone()];
-        let mut push_edges = degrees.row_nnz(src);
-        let mut pull_edges = a.nnz() - push_edges;
-
-        let mut level = 0u64;
-        while frontier.nnz() > 0 {
-            level += 1;
-            let frontier_nnz = frontier.nnz();
-            let decision = policy.decide_on(
-                ctx.backend(),
-                LevelWork {
-                    frontier_nnz,
-                    unvisited: n - visited.nnz(),
-                    push_edges,
-                    pull_edges,
-                },
-            );
-            let t0 = ctx.level_start();
-            match decision.rep {
-                FrontierRep::Bitmap => frontier.densify(),
-                FrontierRep::Sparse => frontier.sparsify(),
-            }
-            // paths reaching the next level: q = frontier^T * A, masked off
-            // visited vertices
-            let mut q: Vector<f64> = Vector::new(n);
-            match decision.dir {
-                ChosenDir::Pull => ctx.mxv(
-                    &mut q,
-                    Some(&visited),
-                    no_accum(),
-                    PlusSecond::<f64>::new(),
-                    a,
-                    &frontier,
-                    &desc_fwd_pull,
-                )?,
-                ChosenDir::Push => ctx.vxm(
-                    &mut q,
-                    Some(&visited),
-                    no_accum(),
-                    PlusFirst::<f64>::new(),
-                    &frontier,
-                    a,
-                    &desc_push,
-                )?,
-            }
-            push_edges = 0;
-            for (i, c) in q.iter() {
-                visited.set(i, true);
-                sigma.set(i, c);
-                push_edges += degrees.row_nnz(i);
-            }
-            pull_edges -= push_edges;
-            ctx.level_end(
-                t0,
-                "bc",
-                level,
-                decision,
-                frontier_nnz as u64,
-                q.nnz() as u64,
-            );
-            frontier = q;
-            if frontier.nnz() > 0 {
-                fronts.push(frontier.clone());
-            }
-        }
+        let mut fronts: Vec<Vector<f64>> = vec![Vector::new(n)];
+        fronts[0].set(src, 1.0);
+        forward.vector(
+            (PlusFirst::<f64>::new(), PlusSecond::<f64>::new()),
+            src,
+            1.0,
+            |tally, _, q| {
+                for (i, c) in q.iter() {
+                    sigma.set(i, c);
+                    tally.enter(i, true);
+                }
+                if q.nnz() > 0 {
+                    fronts.push(q.clone());
+                }
+                Ok(q)
+            },
+        )?;
 
         // ---- backward sweep: dependency accumulation
         // delta_v = sum over successors w on next level of
@@ -187,14 +132,10 @@ pub fn betweenness_centrality_exact<B: Backend>(
     betweenness_centrality(ctx, a, &sources)
 }
 
-#[allow(dead_code)]
-fn _ops_used() {
-    let _ = Second::<f64>::new();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbtl_algebra::Second;
 
     fn undirected(edges: &[(usize, usize)], n: usize) -> Matrix<bool> {
         let mut triples = Vec::new();

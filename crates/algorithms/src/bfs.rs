@@ -1,12 +1,10 @@
 //! Breadth-first search: levels and parents, push/pull/auto direction.
 
 use gbtl_algebra::{LorLand, MinFirst};
-use gbtl_core::{
-    no_accum, Backend, ChosenDir, Context, Descriptor, DirectionPolicy, FrontierRep, LevelWork,
-    Matrix, Result, Vector,
-};
+use gbtl_core::{no_accum, Backend, Context, Descriptor, DirectionPolicy, Matrix, Result, Vector};
 
-use crate::util::{check_source, check_square};
+use crate::traverse::Traversal;
+use crate::util::check_traversal;
 
 pub use gbtl_core::Direction;
 
@@ -17,13 +15,11 @@ pub use gbtl_core::Direction;
 /// complemented `visited` mask keeps the frontier from re-entering settled
 /// vertices. The direction (push `vxm` vs pull `mxv` over cached `Aᵀ`) and
 /// the frontier representation (index list vs bitmap) are chosen per level
-/// by [`DirectionPolicy`] — forced by `dir`, or adaptive under
-/// [`Direction::Auto`], from the edges each side would touch: the
-/// frontier's out-edges against the unvisited rows' edges, both kept in the
-/// epilogue loop that marks the new vertices. Every choice produces the
-/// identical level sets (the masked products compute the same entries
-/// either way), so all modes are bit-identical; only the work per level
-/// changes.
+/// by the traversal driver's [`DirectionPolicy`] — forced by `dir`, or
+/// adaptive under [`Direction::Auto`], from the edges each side would
+/// touch. Every choice produces the identical level sets (the masked
+/// products compute the same entries either way), so all modes are
+/// bit-identical; only the work per level changes.
 ///
 /// `src` out of range is an `IndexOutOfBounds` error.
 pub fn bfs_levels<B: Backend>(
@@ -32,79 +28,23 @@ pub fn bfs_levels<B: Backend>(
     src: usize,
     dir: Direction,
 ) -> Result<Vector<u64>> {
-    check_square("bfs_levels", a)?;
-    let n = a.nrows();
-    check_source("bfs_levels", src, n)?;
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a);
-    let desc_push = Descriptor::new().complement_mask().replace();
-    let desc_pull = Descriptor::new().transpose_a().complement_mask().replace();
-
+    let n = check_traversal("bfs_levels", a, &[src])?;
     let mut levels: Vector<u64> = Vector::new_dense(n);
-    let mut visited: Vector<bool> = Vector::new_dense(n);
-    let mut frontier: Vector<bool> = Vector::new(n);
-    frontier.set(src, true);
-    visited.set(src, true);
     levels.set(src, 0);
-    let degrees = a.csr();
-    let mut push_edges = degrees.row_nnz(src);
-    let mut pull_edges = a.nnz() - push_edges;
 
-    let mut depth = 0u64;
-    while frontier.nnz() > 0 {
-        depth += 1;
-        let frontier_nnz = frontier.nnz();
-        let decision = policy.decide_on(
-            ctx.backend(),
-            LevelWork {
-                frontier_nnz,
-                unvisited: n - visited.nnz(),
-                push_edges,
-                pull_edges,
-            },
-        );
-        let t0 = ctx.level_start();
-        match decision.rep {
-            FrontierRep::Bitmap => frontier.densify(),
-            FrontierRep::Sparse => frontier.sparsify(),
-        }
-        let mut next: Vector<bool> = Vector::new(n);
-        match decision.dir {
-            ChosenDir::Pull => ctx.mxv(
-                &mut next,
-                Some(&visited),
-                no_accum(),
-                LorLand::new(),
-                a,
-                &frontier,
-                &desc_pull,
-            )?,
-            ChosenDir::Push => ctx.vxm(
-                &mut next,
-                Some(&visited),
-                no_accum(),
-                LorLand::new(),
-                &frontier,
-                a,
-                &desc_push,
-            )?,
-        }
-        push_edges = 0;
-        for (i, _) in next.iter() {
-            visited.set(i, true);
-            levels.set(i, depth);
-            push_edges += degrees.row_nnz(i);
-        }
-        pull_edges -= push_edges;
-        ctx.level_end(
-            t0,
-            "bfs",
-            depth,
-            decision,
-            frontier_nnz as u64,
-            next.nnz() as u64,
-        );
-        frontier = next;
-    }
+    let policy = DirectionPolicy::for_matrix(dir, ctx, a);
+    Traversal::new(ctx, a, policy, "bfs").vector(
+        (LorLand::new(), LorLand::new()),
+        src,
+        true,
+        |tally, depth, next| {
+            for (i, _) in next.iter() {
+                levels.set(i, depth);
+                tally.enter(i, true);
+            }
+            Ok(next)
+        },
+    )?;
     Ok(levels)
 }
 
@@ -123,9 +63,7 @@ pub fn bfs_parents<B: Backend>(
     a: &Matrix<bool>,
     src: usize,
 ) -> Result<Vector<u64>> {
-    check_square("bfs_parents", a)?;
-    let n = a.nrows();
-    check_source("bfs_parents", src, n)?;
+    let n = check_traversal("bfs_parents", a, &[src])?;
     let desc = Descriptor::new().complement_mask().replace();
 
     let mut parents: Vector<u64> = Vector::new_dense(n);

@@ -4,6 +4,7 @@
 use gbtl_core::{Backend, Context, Matrix, Result, Vector};
 
 use crate::mis::maximal_independent_set;
+use crate::util::check_square;
 
 /// Color an *undirected* graph: every vertex gets a color such that no
 /// edge connects two vertices of the same color.
@@ -11,13 +12,14 @@ use crate::mis::maximal_independent_set;
 /// Rounds of Luby MIS on the shrinking uncolored subgraph: each round's
 /// independent set takes the next color and leaves the graph. The number
 /// of colors is at most Δ+1-ish in practice (not guaranteed minimal).
-/// Deterministic per seed. Returns the color (0-based) per vertex.
+/// Deterministic per seed. Returns the color (0-based) per vertex; a
+/// non-square `a` is a `DimensionMismatch` error.
 pub fn greedy_color<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     seed: u64,
 ) -> Result<Vector<u64>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    check_square("greedy_color", a)?;
     let n = a.nrows();
     let mut colors: Vector<u64> = Vector::new_dense(n);
     let mut remaining = a.clone();

@@ -1,9 +1,9 @@
 //! k-truss decomposition — iterated support filtering.
 
 use gbtl_algebra::{PlusPair, ValueGe};
-use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result};
+use gbtl_core::{no_accum, Backend, Context, Descriptor, GblasError, Matrix, Result};
 
-use crate::util::pattern_matrix;
+use crate::util::{check_square, pattern_matrix};
 
 /// The k-truss of an *undirected* graph: the maximal subgraph where every
 /// edge participates in at least `k - 2` triangles (its *support*).
@@ -11,10 +11,16 @@ use crate::util::pattern_matrix;
 /// Iterates the classic GraphBLAS formulation: the masked product
 /// `S<A> = A ·(+, pair) A` counts each edge's triangles; a `select` drops
 /// edges with support `< k - 2`; repeat until no edge is dropped. Returns
-/// the boolean adjacency of the k-truss (possibly empty).
+/// the boolean adjacency of the k-truss (possibly empty). A non-square `a`
+/// is a `DimensionMismatch` error, `k < 3` an `InvalidValue` one.
 pub fn k_truss<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>, k: u64) -> Result<Matrix<bool>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    assert!(k >= 3, "k-truss defined for k >= 3");
+    check_square("k_truss", a)?;
+    if k < 3 {
+        return Err(GblasError::InvalidValue {
+            op: "k_truss",
+            detail: format!("k-truss is defined for k >= 3, got {k}"),
+        });
+    }
     let n = a.nrows();
     let min_support = k - 2;
 

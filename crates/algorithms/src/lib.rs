@@ -57,6 +57,7 @@ pub mod mst;
 pub mod multi;
 pub mod pagerank;
 pub mod sssp;
+mod traverse;
 pub mod triangle;
 mod util;
 pub mod widest;

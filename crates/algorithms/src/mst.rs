@@ -11,13 +11,13 @@ use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
 /// subgraph), all such edges join the forest, and components merge.
 /// `O(log n)` rounds. The cross-component edge filter is rebuilt per round
 /// host-side (as GBTL's own MST does); the min-reductions run through the
-/// backend.
+/// backend. A non-square `a` is a `DimensionMismatch` error.
 pub fn mst_weight<B, T>(ctx: &Context<B>, a: &Matrix<T>) -> Result<T>
 where
     B: Backend,
     T: Scalar + PartialOrd + Bounded + crate::sssp::DefaultZero + std::ops::Add<Output = T>,
 {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
+    crate::util::check_square("mst_weight", a)?;
     let n = a.nrows();
     let mut comp: Vec<usize> = (0..n).collect();
     fn find(comp: &mut [usize], v: usize) -> usize {

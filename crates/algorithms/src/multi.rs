@@ -28,14 +28,15 @@
 //! the set of discovered vertices — and therefore every level and distance
 //! value — identical by construction.
 
-use gbtl_algebra::{Bounded, LorLand, MinPlus, Scalar, Semiring};
+use gbtl_algebra::{Bounded, LorLand, Scalar, Semiring};
 use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, LevelDecision,
-    LevelWork, Matrix, Result, Vector,
+    Matrix, Result, Vector,
 };
 
-use crate::sssp::DefaultZero;
-use crate::util::check_source;
+use crate::sssp::{shortest_paths, DefaultZero};
+use crate::traverse::{Traversal, Triples};
+use crate::util::check_traversal;
 
 /// One fused level in either direction, from the batch's fresh triples.
 ///
@@ -49,14 +50,14 @@ use crate::util::check_source;
 /// the host-side filter below is direction-oblivious. For a commutative
 /// `⊗` both orientations produce identical values
 /// (`Nᵀ[j, r] = ⊕_i A[i, j] ⊗ F[r, i] = N[r, j]`).
-fn fused_level<B: Backend, T: Scalar, S: Semiring<T>>(
+pub(crate) fn fused_level<B: Backend, T: Scalar, S: Semiring<T>>(
     ctx: &Context<B>,
     a: &Matrix<T>,
     fresh: &[(usize, usize, T)],
     k: usize,
     sr: S,
     decision: LevelDecision,
-) -> Result<Vec<(usize, usize, T)>> {
+) -> Result<Triples<T>> {
     let n = a.nrows();
     match decision.dir {
         ChosenDir::Push => {
@@ -74,8 +75,7 @@ fn fused_level<B: Backend, T: Scalar, S: Semiring<T>>(
             Ok(next.iter().collect())
         }
         ChosenDir::Pull => {
-            let mut swapped: Vec<(usize, usize, T)> =
-                fresh.iter().map(|&(r, j, v)| (j, r, v)).collect();
+            let mut swapped: Triples<T> = fresh.iter().map(|&(r, j, v)| (j, r, v)).collect();
             swapped.sort_unstable_by_key(|&(j, r, _)| (j, r));
             let f_t = Matrix::from_row_major_triples(n, k, &swapped)?;
             let mut next_t: Matrix<T> = Matrix::new(n, k);
@@ -88,8 +88,7 @@ fn fused_level<B: Backend, T: Scalar, S: Semiring<T>>(
                 &f_t,
                 &Descriptor::new().transpose_a(),
             )?;
-            let mut out: Vec<(usize, usize, T)> =
-                next_t.iter().map(|(j, r, v)| (r, j, v)).collect();
+            let mut out: Triples<T> = next_t.iter().map(|(j, r, v)| (r, j, v)).collect();
             out.sort_unstable_by_key(|&(r, j, _)| (r, j));
             Ok(out)
         }
@@ -116,85 +115,47 @@ pub fn bfs_levels_multi<B: Backend>(
 ///
 /// The fused k×n frontier reports its **aggregate** work to a
 /// [`DirectionPolicy::batched`] policy: `push_edges` is the out-degree sum
-/// over every member's frontier, and pull — `Aᵀ·Fᵀ` — does those same
-/// multiplications *plus* a walk over every row of `Aᵀ`, so its
-/// `pull_edges` is `push_edges + nnz(A)` and on the CPU backends `Auto`
-/// never prefers it (cuda-sim keeps its own rule). For the fused path the
-/// decision's `rep` attribute describes the frontier *orientation*: push
-/// consumes the row-stacked `F` (one sparse index list per member), pull
-/// consumes the column-stacked `Fᵀ` against cached `Aᵀ`.
+/// over every member's frontier, and on the CPU backends `Auto` never
+/// prefers the fused pull (cuda-sim keeps its own rule). For the fused
+/// path the decision's `rep` attribute describes the frontier
+/// *orientation*: push consumes the row-stacked `F` (one sparse index list
+/// per member), pull consumes the column-stacked `Fᵀ` against cached `Aᵀ`.
 ///
-/// A source out of range is an `IndexOutOfBounds` error.
+/// A non-square `a` is a `DimensionMismatch` error, a source out of range
+/// an `IndexOutOfBounds` error.
 pub fn bfs_levels_multi_with_direction<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     sources: &[usize],
     dir: Direction,
 ) -> Result<Vec<Vector<u64>>> {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    let n = a.nrows();
+    let n = check_traversal("bfs_levels_multi", a, sources)?;
     let k = sources.len();
-    for &src in sources {
-        check_source("bfs_levels_multi", src, n)?;
-    }
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
-    let degrees = a.csr();
-    let mut push_edges = 0;
-
     let mut levels: Vec<Vector<u64>> = (0..k).map(|_| Vector::new_dense(n)).collect();
     // flat k×n visited bitmap, indexed [r * n + j]
     let mut visited = vec![false; k * n];
-    let mut visited_count = k;
-    let mut fresh: Vec<(usize, usize, bool)> = Vec::with_capacity(k);
     for (r, &src) in sources.iter().enumerate() {
         levels[r].set(src, 0);
         visited[r * n + src] = true;
-        fresh.push((r, src, true));
-        push_edges += degrees.row_nnz(src);
     }
 
-    let mut depth = 0u64;
-    while !fresh.is_empty() {
-        depth += 1;
-        let frontier_nnz = fresh.len();
-        let decision = policy.decide_on(
-            ctx.backend(),
-            LevelWork {
-                frontier_nnz,
-                unvisited: k * n - visited_count,
-                push_edges,
-                pull_edges: push_edges + a.nnz(),
-            },
-        );
-        let t0 = ctx.level_start();
-        let next = fused_level(ctx, a, &fresh, k, LorLand::new(), decision)?;
-        // host-side visited filter (the solo kernel's complemented mask,
-        // applied across all k rows in one row-major pass); the surviving
-        // triples stay in row-major order, so the next frontier assembles
-        // without a sort
-        fresh.clear();
-        push_edges = 0;
-        for (r, j, _) in next {
-            if !visited[r * n + j] {
+    let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
+    Traversal::new(ctx, a, policy, "bfs_multi").fused(
+        LorLand::new(),
+        sources,
+        true,
+        // host-side visited filter: the solo kernel's complemented mask,
+        // applied across all k rows in one row-major pass
+        |tally, depth, r, j, _| {
+            let fresh = !visited[r * n + j];
+            if fresh {
                 visited[r * n + j] = true;
-                visited_count += 1;
                 levels[r].set(j, depth);
-                fresh.push((r, j, true));
-                push_edges += degrees.row_nnz(j);
+                tally.enter(j, true);
             }
-        }
-        ctx.level_end(
-            t0,
-            "bfs_multi",
-            depth,
-            decision,
-            frontier_nnz as u64,
-            fresh.len() as u64,
-        );
-    }
+            fresh
+        },
+    )?;
     Ok(levels)
 }
 
@@ -232,72 +193,22 @@ where
     B: Backend,
     T: Scalar + PartialOrd + Bounded + DefaultZero + std::ops::Add<Output = T>,
 {
-    assert_eq!(a.nrows(), a.ncols(), "adjacency must be square");
-    let n = a.nrows();
+    let relaxation = shortest_paths::<T>("sssp_multi");
+    let (name, seed) = (relaxation.name, relaxation.seed);
+    let n = check_traversal(name, a, sources)?;
     let k = sources.len();
-    for &src in sources {
-        check_source("sssp_multi", src, n)?;
-    }
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let zero = T::default_zero();
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
-    let degrees = a.csr();
-    let mut push_edges = 0;
-
     let mut dist: Vec<Vector<T>> = (0..k).map(|_| Vector::new_dense(n)).collect();
-    let mut settled = k;
-    let mut fresh: Vec<(usize, usize, T)> = Vec::with_capacity(k);
     for (r, &src) in sources.iter().enumerate() {
-        dist[r].set(src, zero);
-        fresh.push((r, src, zero));
-        push_edges += degrees.row_nnz(src);
+        dist[r].set(src, seed);
     }
 
-    let mut round = 0u64;
-    for _round in 0..n {
-        if fresh.is_empty() {
-            break;
-        }
-        round += 1;
-        let frontier_nnz = fresh.len();
-        let decision = policy.decide_on(
-            ctx.backend(),
-            LevelWork {
-                frontier_nnz,
-                unvisited: k * n - settled,
-                push_edges,
-                pull_edges: push_edges + a.nnz(),
-            },
-        );
-        let t0 = ctx.level_start();
-        let relax = fused_level(ctx, a, &fresh, k, MinPlus::<T>::new(), decision)?;
-        fresh.clear();
-        push_edges = 0;
-        for (r, j, cand) in relax {
-            let improved = match dist[r].get(j) {
-                Some(old) => cand < old,
-                None => {
-                    settled += 1;
-                    true
-                }
-            };
-            if improved {
-                dist[r].set(j, cand);
-                fresh.push((r, j, cand));
-                push_edges += degrees.row_nnz(j);
-            }
-        }
-        ctx.level_end(
-            t0,
-            "sssp_multi",
-            round,
-            decision,
-            frontier_nnz as u64,
-            fresh.len() as u64,
-        );
-    }
+    let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
+    Traversal::new(ctx, a, policy, name).fused(
+        relaxation.semiring,
+        sources,
+        seed,
+        |tally, _, r, j, cand| relaxation.merge(tally, &mut dist[r], j, cand),
+    )?;
     Ok(dist)
 }
 

@@ -1,14 +1,12 @@
 //! Single-source shortest paths: Bellman–Ford over the tropical semiring.
 
-use gbtl_algebra::{Bounded, MinPlus, Scalar};
-use gbtl_core::{
-    no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
-    LevelWork, Matrix, Result, Vector,
-};
+use gbtl_algebra::{Bounded, MinPlus, Scalar, Semiring};
+use gbtl_core::{Backend, Context, Direction, DirectionPolicy, Matrix, Result, Vector};
 
 use gbtl_sparse::SparseVector;
 
-use crate::util::{check_source, check_square};
+use crate::traverse::{Tally, Traversal};
+use crate::util::check_traversal;
 
 /// Weight-domain additive identity, needed to seed the source distance
 /// (`x + zero == x`).
@@ -54,9 +52,7 @@ where
 /// with a bitmap frontier. `⊗ = +` is commutative and `⊕ = min` is
 /// order-independent over the same candidate multiset, so every direction
 /// yields bit-identical distances — [`Direction::Auto`] only changes how
-/// much work each round does. Unmasked, pull scans all of `nnz(A)` however
-/// few vertices improved, so `Auto` pulls only a round whose frontier
-/// carries more edges than that scan costs.
+/// much work each round does.
 ///
 /// A non-square `a` is a `DimensionMismatch` error, `src` out of range an
 /// `IndexOutOfBounds` error.
@@ -70,96 +66,83 @@ where
     B: Backend,
     T: Scalar + PartialOrd + Bounded + DefaultZero + std::ops::Add<Output = T>,
 {
-    check_square("sssp", a)?;
-    let n = a.nrows();
-    check_source("sssp", src, n)?;
-    let zero = T::default_zero();
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a).unmasked();
-    let degrees = a.csr();
-    let mut push_edges = degrees.row_nnz(src);
+    shortest_paths("sssp").run(ctx, a, src, dir)
+}
 
-    let mut dist: Vector<T> = Vector::new_dense(n);
-    dist.set(src, zero);
-    let mut frontier: Vector<T> = Vector::new(n);
-    frontier.set(src, zero);
+/// Delta relaxation from one source over any path algebra — the loop
+/// [`sssp_with_direction`] and [`crate::widest_path`] both are. A path's
+/// value is the `⊗` of its edges from `seed` (the empty path); each round
+/// is one unmasked product of the *changed* frontier, and a candidate
+/// replaces a vertex's value when it is `better`. Vertices that changed
+/// form the next frontier.
+pub(crate) struct Relaxation<T, S, C> {
+    /// The entry point's name: error `op` and level-span label.
+    pub name: &'static str,
+    pub semiring: S,
+    pub seed: T,
+    pub better: C,
+}
 
-    let desc_push = Descriptor::new();
-    let desc_pull = Descriptor::new().transpose_a();
-    let mut round = 0u64;
-    for _round in 0..n {
-        if frontier.nnz() == 0 {
-            break;
-        }
-        round += 1;
-        let frontier_nnz = frontier.nnz();
-        let decision = policy.decide_on(
-            ctx.backend(),
-            LevelWork {
-                frontier_nnz,
-                unvisited: n - dist.nnz(),
-                push_edges,
-                pull_edges: a.nnz(),
-            },
-        );
-        let t0 = ctx.level_start();
-        match decision.rep {
-            FrontierRep::Bitmap => frontier.densify(),
-            FrontierRep::Sparse => frontier.sparsify(),
-        }
-        // Candidate distances through the frontier: one product on
-        // (min, +) — `vxm` on `A` pushing, `mxv` on `Aᵀ` pulling.
-        let mut relax: Vector<T> = Vector::new(n);
-        match decision.dir {
-            ChosenDir::Pull => ctx.mxv(
-                &mut relax,
-                None,
-                no_accum(),
-                MinPlus::<T>::new(),
-                a,
-                &frontier,
-                &desc_pull,
-            )?,
-            ChosenDir::Push => ctx.vxm(
-                &mut relax,
-                None,
-                no_accum(),
-                MinPlus::<T>::new(),
-                &frontier,
-                a,
-                &desc_push,
-            )?,
-        }
-        // dist = eWiseAdd(dist, relax, Min), keeping the improved set as
-        // the next frontier. The improvement test needs old-vs-new
-        // comparison, so it runs host-side (identically for both backends).
-        // `relax` iterates in index order, so the improved set assembles
-        // as a sorted list: no per-entry search-and-insert.
-        let (mut next_idx, mut next_vals) = (Vec::new(), Vec::new());
-        push_edges = 0;
-        for (i, cand) in relax.iter() {
-            let improved = match dist.get(i) {
-                Some(old) => cand < old,
-                None => true,
-            };
-            if improved {
-                dist.set(i, cand);
-                next_idx.push(i);
-                next_vals.push(cand);
-                push_edges += degrees.row_nnz(i);
-            }
-        }
-        let next = Vector::from(SparseVector::from_sorted(n, next_idx, next_vals)?);
-        ctx.level_end(
-            t0,
-            "sssp",
-            round,
-            decision,
-            frontier_nnz as u64,
-            next.nnz() as u64,
-        );
-        frontier = next;
+/// The `(min, +)` relaxation [`sssp`] and [`crate::sssp_multi`] share.
+pub(crate) fn shortest_paths<T>(
+    name: &'static str,
+) -> Relaxation<T, MinPlus<T>, impl Fn(T, T) -> bool>
+where
+    T: Scalar + PartialOrd + Bounded + DefaultZero + std::ops::Add<Output = T>,
+{
+    Relaxation {
+        name,
+        semiring: MinPlus::new(),
+        seed: T::default_zero(),
+        better: |cand, old| cand < old,
     }
-    Ok(dist)
+}
+
+impl<T: Scalar, S: Semiring<T>, C: Fn(T, T) -> bool> Relaxation<T, S, C> {
+    /// Merge `cand` into `best[i]`: true when it took the slot, and `i`
+    /// enters the next frontier.
+    #[inline]
+    pub(crate) fn merge(&self, tally: &mut Tally, best: &mut Vector<T>, i: usize, cand: T) -> bool {
+        let old = best.get(i);
+        let improved = old.is_none_or(|old| (self.better)(cand, old));
+        if improved {
+            best.set(i, cand);
+            tally.enter(i, old.is_none());
+        }
+        improved
+    }
+
+    pub(crate) fn run<B: Backend>(
+        &self,
+        ctx: &Context<B>,
+        a: &Matrix<T>,
+        src: usize,
+        dir: Direction,
+    ) -> Result<Vector<T>> {
+        let n = check_traversal(self.name, a, &[src])?;
+        let mut best: Vector<T> = Vector::new_dense(n);
+        best.set(src, self.seed);
+
+        let policy = DirectionPolicy::for_matrix(dir, ctx, a).unmasked();
+        let traversal = Traversal::new(ctx, a, policy, self.name);
+        let semirings = (self.semiring, self.semiring);
+        traversal.vector(semirings, src, self.seed, |tally, _, relax| {
+            // best = eWiseAdd(best, relax, ⊕), keeping the changed set as
+            // the next frontier. The test needs old-vs-new, so it runs
+            // host-side (identically for every backend). `relax` iterates
+            // in index order, so the changed set assembles as a sorted
+            // list: no per-entry search-and-insert.
+            let (mut idx, mut vals) = (Vec::new(), Vec::new());
+            for (i, cand) in relax.iter() {
+                if self.merge(tally, &mut best, i, cand) {
+                    idx.push(i);
+                    vals.push(cand);
+                }
+            }
+            Ok(SparseVector::from_sorted(n, idx, vals)?.into())
+        })?;
+        Ok(best)
+    }
 }
 
 #[cfg(test)]

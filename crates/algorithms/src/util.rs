@@ -23,20 +23,6 @@ impl<A: Scalar, T: Scalar> UnaryOp<A> for Const<A, T> {
     }
 }
 
-/// A traversal source must name a vertex: `Err(IndexOutOfBounds)` — never a
-/// panic — when `src` is not below `n`.
-pub(crate) fn check_source(op: &'static str, src: usize, n: usize) -> Result<()> {
-    if src < n {
-        Ok(())
-    } else {
-        Err(GblasError::IndexOutOfBounds {
-            op,
-            index: src,
-            bound: n,
-        })
-    }
-}
-
 /// An adjacency must be square: `Err(DimensionMismatch)` — never a panic —
 /// when it is not.
 pub(crate) fn check_square<T: Scalar>(op: &'static str, a: &Matrix<T>) -> Result<()> {
@@ -47,6 +33,22 @@ pub(crate) fn check_square<T: Scalar>(op: &'static str, a: &Matrix<T>) -> Result
             op,
             detail: format!("adjacency must be square, got {}x{}", a.nrows(), a.ncols()),
         })
+    }
+}
+
+/// A traversal's arguments: a square adjacency ([`check_square`]) and
+/// sources that each name a vertex — `Err(IndexOutOfBounds)`, never a
+/// panic, for one that does not. Returns the vertex count.
+pub(crate) fn check_traversal<T: Scalar>(
+    op: &'static str,
+    a: &Matrix<T>,
+    sources: &[usize],
+) -> Result<usize> {
+    check_square(op, a)?;
+    let bound = a.nrows();
+    match sources.iter().find(|&&src| src >= bound) {
+        Some(&index) => Err(GblasError::IndexOutOfBounds { op, index, bound }),
+        None => Ok(bound),
     }
 }
 

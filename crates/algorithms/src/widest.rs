@@ -1,14 +1,15 @@
 //! Widest (maximum-bottleneck) paths — the `(max, min)` semiring at work.
 //!
-//! The same delta-relaxation loop as [`crate::sssp`], run on a different
-//! algebra: path "length" is the *minimum* capacity along the path, and we
-//! keep the *maximum* over paths. Swapping the semiring is the whole
-//! change — the GraphBLAS selling point the paper leads with.
+//! Literally the delta-relaxation loop of [`crate::sssp`]
+//! ([`Relaxation`]), run on a different algebra: path "length" is the
+//! *minimum* capacity along the path, and we keep the *maximum* over
+//! paths. Swapping the semiring is the whole change — the GraphBLAS
+//! selling point the paper leads with.
 
 use gbtl_algebra::{Bounded, MaxMin, Scalar};
-use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
+use gbtl_core::{Backend, Context, Direction, Matrix, Result, Vector};
 
-use crate::util::{check_source, check_square};
+use crate::sssp::Relaxation;
 
 /// Maximum-bottleneck capacity from `src` to every reachable vertex over a
 /// non-negative capacity matrix.
@@ -16,52 +17,19 @@ use crate::util::{check_source, check_square};
 /// `widest[v]` is the largest `c` such that some path from `src` to `v`
 /// uses only edges of capacity ≥ `c`; `widest[src]` is the domain maximum
 /// (an empty path has unbounded bottleneck). Absent = unreachable. `src`
-/// out of range is an `IndexOutOfBounds` error.
+/// out of range is an `IndexOutOfBounds` error. Every round pushes.
 pub fn widest_path<B, T>(ctx: &Context<B>, a: &Matrix<T>, src: usize) -> Result<Vector<T>>
 where
     B: Backend,
     T: Scalar + PartialOrd + Bounded,
 {
-    check_square("widest_path", a)?;
-    let n = a.nrows();
-    check_source("widest_path", src, n)?;
-
-    let mut width: Vector<T> = Vector::new_dense(n);
-    width.set(src, T::max_bound());
-    let mut frontier: Vector<T> = Vector::new(n);
-    frontier.set(src, T::max_bound());
-
-    let desc = Descriptor::new();
-    for _round in 0..n {
-        if frontier.nnz() == 0 {
-            break;
-        }
-        // candidate widths through the frontier: max over edges of
-        // min(frontier width, edge capacity)
-        let mut relax: Vector<T> = Vector::new(n);
-        ctx.vxm(
-            &mut relax,
-            None,
-            no_accum(),
-            MaxMin::<T>::new(),
-            &frontier,
-            a,
-            &desc,
-        )?;
-        let mut next: Vector<T> = Vector::new(n);
-        for (i, cand) in relax.iter() {
-            let improved = match width.get(i) {
-                Some(old) => cand > old,
-                None => true,
-            };
-            if improved {
-                width.set(i, cand);
-                next.set(i, cand);
-            }
-        }
-        frontier = next;
-    }
-    Ok(width)
+    let relaxation = Relaxation {
+        name: "widest_path",
+        semiring: MaxMin::<T>::new(),
+        seed: T::max_bound(),
+        better: |cand, old| cand > old,
+    };
+    relaxation.run(ctx, a, src, Direction::Push)
 }
 
 #[cfg(test)]

@@ -14,18 +14,14 @@
 //! Beamer's crossover is `m_f` (edges out of the frontier) against `m_u`
 //! (edges of the unexplored rows), not a vertex count: on a scale-free
 //! graph a hub level's few hundred entries can carry most of the edges.
-//! Each traversal therefore keeps, exactly and at O(1) per newly reached
-//! vertex inside the epilogue loop it already runs, the two totals one
-//! level's kernels would walk ([`LevelWork`]):
+//! The traversal driver therefore keeps, exactly and at O(1) per newly
+//! reached vertex inside the epilogue loop an algorithm already runs, the
+//! two totals one level's kernels would walk ([`LevelWork`]):
 //!
 //! * `push_edges` — Σ out-degree of the frontier;
-//! * `pull_edges` — what pull would scan: Σ degree of the still-unvisited
-//!   rows for a masked product (BFS, BC), all of `nnz(A)` for an unmasked
-//!   relaxation (SSSP — any vertex may still improve), and
-//!   `push_edges + nnz(A)` for the fused `mxm` forms (`Aᵀ·Fᵀ` does push's
-//!   multiplications *and* walks every row of `Aᵀ`). Degrees are `A`'s own
-//!   `row_ptr` differences; on a symmetric graph — every catalog graph —
-//!   that is the in-degree pull really reads.
+//! * `pull_edges` — what pull would scan, by [`Product::pull_edges`].
+//!   Degrees are `A`'s own `row_ptr` differences; on a symmetric graph —
+//!   every catalog graph — that is the in-degree pull really reads.
 //!
 //! `Auto` runs a level pull only when `Aᵀ` is resident (built by a prior
 //! pull, prewarmed, or seeded from a symmetric matrix — without it "pull"
@@ -253,6 +249,21 @@ impl Product {
             Product::Fused => FUSED_COSTS,
         }
     }
+
+    /// The edges a pull level of this product scans, for a frontier that
+    /// carries `push_edges` on a graph of `nnz_a` stored edges: a masked
+    /// product reads the still-unvisited rows — the previous level's
+    /// remainder `prev` (`nnz_a` before the first) minus the edges just
+    /// settled; an unmasked relaxation all of `nnz_a` (any vertex may still
+    /// improve); the fused `Aᵀ·Fᵀ` does push's multiplications *and* walks
+    /// every row of `Aᵀ`.
+    pub const fn pull_edges(self, prev: usize, push_edges: usize, nnz_a: usize) -> usize {
+        match self {
+            Product::Masked | Product::MaskedSum => prev - push_edges,
+            Product::Unmasked => nnz_a,
+            Product::Fused => push_edges + nnz_a,
+        }
+    }
 }
 
 /// What one level's kernels would have to touch — the inputs of the
@@ -265,7 +276,7 @@ pub struct LevelWork {
     pub unvisited: usize,
     /// Σ out-degree of the frontier: the edges push walks.
     pub push_edges: usize,
-    /// The edges pull scans (see the module docs for the three forms).
+    /// The edges pull scans ([`Product::pull_edges`]).
     pub pull_edges: usize,
 }
 
