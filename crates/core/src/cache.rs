@@ -47,6 +47,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 use gbtl_algebra::Scalar;
 use gbtl_sparse::CsrMatrix;
+use gbtl_util::sync::lock;
 
 /// Maximum number of computed transposes a store keeps (entries pinned by a
 /// graph load are outside the bound).
@@ -89,7 +90,11 @@ struct Counters {
 struct Inner {
     enabled: bool,
     capacity: usize,
-    /// LRU order: least-recently-used first, most-recent last.
+    /// LRU order: least-recently-used first, most-recent last. Taken with
+    /// the poison-tolerant [`lock`]: every critical section is whole-entry
+    /// `Vec` moves (builds run outside it), so the store is a valid cache
+    /// wherever a holder unwinds, and one worker's panic must not turn
+    /// every other engine's next transposed operand into a second panic.
     entries: Mutex<Vec<Entry>>,
     counters: Counters,
 }
@@ -237,7 +242,7 @@ impl TransposeCache {
         }
         let ty = TypeId::of::<T>();
         {
-            let mut entries = self.inner.entries.lock().unwrap();
+            let mut entries = lock(&self.inner.entries);
             if let Some(pos) = entries
                 .iter()
                 .position(|e| e.id == id && e.version == version && e.ty == ty)
@@ -273,7 +278,7 @@ impl TransposeCache {
     /// least-recently-used *computed* entries down to the capacity.
     fn insert(&self, entry: Entry) {
         let c = &self.inner.counters;
-        let mut entries = self.inner.entries.lock().unwrap();
+        let mut entries = lock(&self.inner.entries);
         let before = entries.len();
         let same_matrix = |e: &Entry| e.id == entry.id && e.ty == entry.ty;
         entries.retain(|e| !(same_matrix(e) || e.unreachable()));
@@ -323,10 +328,7 @@ impl TransposeCache {
             return false;
         }
         let ty = TypeId::of::<T>();
-        self.inner
-            .entries
-            .lock()
-            .unwrap()
+        lock(&self.inner.entries)
             .iter()
             .any(|e| e.id == id && e.version == version && e.ty == ty && !e.unreachable())
     }
@@ -334,14 +336,14 @@ impl TransposeCache {
     /// Drop every resident entry, pinned ones included (counters are
     /// preserved).
     pub fn clear(&self) {
-        self.inner.entries.lock().unwrap().clear();
+        lock(&self.inner.entries).clear();
     }
 
     /// Snapshot the cache counters.
     pub fn stats(&self) -> TransposeCacheStats {
         let c = &self.inner.counters;
         let (entries, pinned) = {
-            let entries = self.inner.entries.lock().unwrap();
+            let entries = lock(&self.inner.entries);
             (
                 entries.len(),
                 entries.iter().filter(|e| e.pin.is_some()).count(),
@@ -383,6 +385,29 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_poisoned_store_still_serves_hits_and_misses() {
+        let cache = TransposeCache::with_capacity(4);
+        let built = cache.get_or_build(1, 1, || csr(3, &[(0, 1, 5)]).transpose());
+        let shared = cache.clone();
+        let worker = std::thread::spawn(move || {
+            let _held = lock(&shared.inner.entries);
+            panic!("a worker engine dies holding the store");
+        });
+        assert!(worker.join().is_err());
+        assert!(cache.inner.entries.is_poisoned());
+
+        let hit = cache.get_or_build::<i64>(1, 1, || panic!("must not rebuild on hit"));
+        assert!(Arc::ptr_eq(&built, &hit));
+        let miss = cache.get_or_build(2, 1, || csr(2, &[(1, 0, 9)]));
+        assert_eq!(miss.get(1, 0), Some(9));
+        assert!(cache.contains::<i64>(2, 1));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -337,19 +337,11 @@ impl<B: Backend> Context<B> {
         coo: &CooMatrix<T>,
         dup: D,
     ) -> Matrix<T> {
-        let t0 = self.span();
+        let span = self.op_span("build", gbtl_trace::short_type_name::<D>);
         let out = Matrix::from_csr(self.backend.build(coo, dup));
-        let (nnz_in, nnz_out) = (coo.nnz() as u64, out.nnz() as u64);
         let (nr, nc) = (out.nrows(), out.ncols());
-        self.span_end(t0, || SpanFields {
-            op: "build",
-            op_label: gbtl_trace::short_type_name::<D>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
+        self.record(span, coo.nnz(), out.nnz(), None, false, || {
+            format!("{nr}x{nc}")
         });
         out
     }

@@ -1,12 +1,12 @@
 //! `apply` and the `reduce` family.
 
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, UnaryOp};
-use gbtl_trace::SpanFields;
+use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
-use crate::error::{dim_err, Result};
-use crate::stitch::{resolve_vec_mask, stitch_mat, stitch_sparse_vec, MatMask};
+use crate::error::Result;
+use crate::stitch::{ensure, mat_out, vec_out};
 use crate::types::{Matrix, Vector, VectorRepr};
 use crate::Context;
 
@@ -26,36 +26,15 @@ impl<B: Backend> Context<B> {
         U: UnaryOp<T, Output = T>,
         Acc: BinaryOp<T>,
     {
+        let span = self.op_span("apply_mat", short_type_name::<U>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
-        if (c.nrows(), c.ncols()) != (a_csr.nrows(), a_csr.ncols()) {
-            return Err(dim_err(
-                "apply",
-                format!(
-                    "output {}x{} vs input {}x{}",
-                    c.nrows(),
-                    c.ncols(),
-                    a_csr.nrows(),
-                    a_csr.ncols()
-                ),
-            ));
-        }
-        let t0 = self.span();
-        let nnz_in = a_csr.nnz() as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
+        let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
+        ensure("apply", (c.nrows(), c.ncols()) == (nr, nc), || {
+            format!("output {}x{} vs input {nr}x{nc}", c.nrows(), c.ncols())
+        })?;
+        let out = mat_out("apply", mask, accum, desc, (nr, nc))?;
         let t = self.backend().apply_mat(&a_csr, f);
-        let mat_mask = mask.map(|mk| MatMask::new(mk, desc.complement_mask));
-        *c = Matrix::from_csr(stitch_mat(c.csr(), t, mat_mask, accum, desc.replace));
-        let (nr, nc, nnz_out) = (c.nrows(), c.ncols(), c.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "apply_mat",
-            op_label: gbtl_trace::short_type_name::<U>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
-        });
+        self.write_mat(c, t, out, span, a_csr.nnz(), || format!("{nr}x{nc}"));
         Ok(())
     }
 
@@ -65,19 +44,10 @@ impl<B: Backend> Context<B> {
         A: Scalar,
         U: UnaryOp<A>,
     {
-        let t0 = self.span();
+        let span = self.op_span("apply_mat", short_type_name::<U>);
         let out = Matrix::from_csr(self.backend().apply_mat(a.csr(), f));
-        let (nr, nc, nnz) = (out.nrows(), out.ncols(), out.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "apply_mat",
-            op_label: gbtl_trace::short_type_name::<U>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in: nnz,
-            nnz_out: nnz,
-            masked: false,
-            complemented: false,
-            accum: false,
-        });
+        let (nr, nc, nnz) = (out.nrows(), out.ncols(), out.nnz());
+        self.record(span, nnz, nnz, None, false, || format!("{nr}x{nc}"));
         out
     }
 
@@ -96,35 +66,14 @@ impl<B: Backend> Context<B> {
         U: UnaryOp<T, Output = T>,
         Acc: BinaryOp<T>,
     {
-        if w.len() != u.len() {
-            return Err(dim_err(
-                "apply",
-                format!("output len {} vs input len {}", w.len(), u.len()),
-            ));
-        }
-        let t0 = self.span();
-        let nnz_in = u.nnz() as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let t = self.backend().apply_sparse_vec(&u.to_sparse_repr(), f);
-        let keep = resolve_vec_mask(mask, desc.complement_mask, w.len());
-        *w = Vector::from(stitch_sparse_vec(
-            w,
-            t,
-            keep.as_ref().map(|k| k.view()),
-            accum,
-            desc.replace,
-        ));
-        let (len, nnz_out) = (w.len(), w.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "apply_vec",
-            op_label: gbtl_trace::short_type_name::<U>(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
-        });
+        let span = self.op_span("apply_vec", short_type_name::<U>);
+        let len = u.len();
+        ensure("apply", w.len() == len, || {
+            format!("output len {} vs input len {len}", w.len())
+        })?;
+        let out = vec_out("apply", mask, accum, desc, len)?;
+        let t = self.backend().apply_sparse_vec(&u.sparse_view(), f);
+        self.write_vec(w, t, out, span, u.nnz(), || format!("{len}"));
         Ok(())
     }
 
@@ -134,22 +83,13 @@ impl<B: Backend> Context<B> {
         A: Scalar,
         U: UnaryOp<A>,
     {
-        let t0 = self.span();
+        let span = self.op_span("apply_vec", short_type_name::<U>);
         let out = match u.repr() {
             VectorRepr::Sparse(s) => Vector::from(self.backend().apply_sparse_vec(s, f)),
             VectorRepr::Dense(d) => Vector::from(self.backend().apply_dense_vec(d, f)),
         };
-        let (len, nnz_in, nnz_out) = (out.len(), u.nnz() as u64, out.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "apply_vec",
-            op_label: gbtl_trace::short_type_name::<U>(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
-        });
+        let len = out.len();
+        self.record(span, u.nnz(), out.nnz(), None, false, || format!("{len}"));
         out
     }
 
@@ -160,19 +100,11 @@ impl<B: Backend> Context<B> {
         T: Scalar,
         M: Monoid<T>,
     {
-        let t0 = self.span();
+        let span = self.op_span("reduce_mat", short_type_name::<M>);
         let out = self.backend().reduce_mat(a.csr(), monoid);
-        let (nr, nc, nnz_in) = (a.nrows(), a.ncols(), a.nnz() as u64);
-        let nnz_out = out.is_some() as u64;
-        self.span_end(t0, || SpanFields {
-            op: "reduce_mat",
-            op_label: gbtl_trace::short_type_name::<M>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
+        let (nr, nc) = (a.nrows(), a.ncols());
+        self.record(span, a.nnz(), out.is_some() as usize, None, false, || {
+            format!("{nr}x{nc}")
         });
         out
     }
@@ -183,22 +115,14 @@ impl<B: Backend> Context<B> {
         T: Scalar,
         M: Monoid<T>,
     {
-        let t0 = self.span();
+        let span = self.op_span("reduce_vec", short_type_name::<M>);
         let out = match u.repr() {
             VectorRepr::Sparse(s) => self.backend().reduce_sparse_vec(s, monoid),
             VectorRepr::Dense(d) => self.backend().reduce_dense_vec(d, monoid),
         };
-        let (len, nnz_in) = (u.len(), u.nnz() as u64);
-        let nnz_out = out.is_some() as u64;
-        self.span_end(t0, || SpanFields {
-            op: "reduce_vec",
-            op_label: gbtl_trace::short_type_name::<M>(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
+        let len = u.len();
+        self.record(span, u.nnz(), out.is_some() as usize, None, false, || {
+            format!("{len}")
         });
         out
     }
@@ -219,37 +143,15 @@ impl<B: Backend> Context<B> {
         M: Monoid<T>,
         Acc: BinaryOp<T>,
     {
+        let span = self.op_span("reduce_rows", short_type_name::<M>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
-        if w.len() != a_csr.nrows() {
-            return Err(dim_err(
-                "reduce_rows",
-                format!("output len {} vs nrows {}", w.len(), a_csr.nrows()),
-            ));
-        }
-        let t0 = self.span();
-        let nnz_in = a_csr.nnz() as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let t = self.backend().reduce_rows(&a_csr, monoid);
-        let keep = resolve_vec_mask(mask, desc.complement_mask, w.len());
-        *w = Vector::from(stitch_sparse_vec(
-            w,
-            t,
-            keep.as_ref().map(|k| k.view()),
-            accum,
-            desc.replace,
-        ));
         let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
-        let nnz_out = w.nnz() as u64;
-        self.span_end(t0, || SpanFields {
-            op: "reduce_rows",
-            op_label: gbtl_trace::short_type_name::<M>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
-        });
+        ensure("reduce_rows", w.len() == nr, || {
+            format!("output len {} vs nrows {nr}", w.len())
+        })?;
+        let out = vec_out("reduce_rows", mask, accum, desc, nr)?;
+        let t = self.backend().reduce_rows(&a_csr, monoid);
+        self.write_vec(w, t, out, span, a_csr.nnz(), || format!("{nr}x{nc}"));
         Ok(())
     }
 }

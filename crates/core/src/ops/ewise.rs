@@ -5,12 +5,12 @@
 #![allow(clippy::too_many_arguments)]
 
 use gbtl_algebra::{BinaryOp, Scalar};
-use gbtl_trace::SpanFields;
+use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_err, Result};
-use crate::stitch::{resolve_vec_mask, stitch_dense_vec, stitch_mat, stitch_sparse_vec, MatMask};
+use crate::stitch::{ensure, mat_out, vec_out, VecOut};
 use crate::types::{Matrix, Vector};
 use crate::Context;
 
@@ -70,57 +70,32 @@ impl<B: Backend> Context<B> {
         Op: BinaryOp<T>,
         Acc: BinaryOp<T>,
     {
-        let which = if union { "eWiseAdd" } else { "eWiseMult" };
-        let t0 = self.span();
+        let (which, name) = if union {
+            ("eWiseAdd", "ewise_add_mat")
+        } else {
+            ("eWiseMult", "ewise_mult_mat")
+        };
+        let span = self.op_span(name, short_type_name::<Op>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
         let b_csr = self.resolve_operand(b, desc.transpose_b);
-        if (a_csr.nrows(), a_csr.ncols()) != (b_csr.nrows(), b_csr.ncols()) {
-            return Err(dim_err(
-                "ewise",
-                format!(
-                    "{which}: {}x{} vs {}x{}",
-                    a_csr.nrows(),
-                    a_csr.ncols(),
-                    b_csr.nrows(),
-                    b_csr.ncols()
-                ),
-            ));
-        }
-        if (c.nrows(), c.ncols()) != (a_csr.nrows(), a_csr.ncols()) {
-            return Err(dim_err(
-                "ewise",
-                format!("{which}: output {}x{}", c.nrows(), c.ncols()),
-            ));
-        }
-        if let Some(mk) = mask {
-            if (mk.nrows(), mk.ncols()) != (c.nrows(), c.ncols()) {
-                return Err(dim_err("ewise", format!("{which}: mask shape")));
-            }
-        }
+        let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
+        ensure("ewise", (nr, nc) == (b_csr.nrows(), b_csr.ncols()), || {
+            format!("{which}: {nr}x{nc} vs {}x{}", b_csr.nrows(), b_csr.ncols())
+        })?;
+        ensure("ewise", (c.nrows(), c.ncols()) == (nr, nc), || {
+            format!("{which}: output {}x{}", c.nrows(), c.ncols())
+        })?;
+        // the mask rule's one error, in the wording eWise errors have always
+        // had (they name the variant)
+        let out = mat_out("ewise", mask, accum, desc, (nr, nc))
+            .map_err(|_| dim_err("ewise", format!("{which}: mask shape")))?;
         let t = if union {
             self.backend().ewise_add_mat(&a_csr, &b_csr, op)
         } else {
             self.backend().ewise_mult_mat(&a_csr, &b_csr, op)
         };
-        let nnz_in = (a_csr.nnz() + b_csr.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let mat_mask = mask.map(|mk| MatMask::new(mk, desc.complement_mask));
-        *c = Matrix::from_csr(stitch_mat(c.csr(), t, mat_mask, accum, desc.replace));
-        let nnz_out = c.nnz() as u64;
-        let (nr, nc) = (c.nrows(), c.ncols());
-        self.span_end(t0, || SpanFields {
-            op: if union {
-                "ewise_add_mat"
-            } else {
-                "ewise_mult_mat"
-            },
-            op_label: gbtl_trace::short_type_name::<Op>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+        self.write_mat(c, t, out, span, a_csr.nnz() + b_csr.nnz(), || {
+            format!("{nr}x{nc}")
         });
         Ok(())
     }
@@ -141,31 +116,13 @@ impl<B: Backend> Context<B> {
         Op: BinaryOp<T>,
         Acc: BinaryOp<T>,
     {
-        self.check_vec_dims("eWiseAdd", w, mask, u, v)?;
-        let t0 = self.span();
-        let nnz_in = (u.nnz() + v.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
+        let span = self.op_span("ewise_add_vec", short_type_name::<Op>);
+        let out = ewise_vec_out("eWiseAdd", w, mask, accum, u, v, desc)?;
         let t = self
             .backend()
-            .ewise_add_vec(&u.to_sparse_repr(), &v.to_sparse_repr(), op);
-        let keep = resolve_vec_mask(mask, desc.complement_mask, w.len());
-        *w = Vector::from(stitch_sparse_vec(
-            w,
-            t,
-            keep.as_ref().map(|k| k.view()),
-            accum,
-            desc.replace,
-        ));
-        let (len, nnz_out) = (w.len(), w.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "ewise_add_vec",
-            op_label: gbtl_trace::short_type_name::<Op>(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+            .ewise_add_vec(&u.sparse_view(), &v.sparse_view(), op);
+        self.write_vec(w, t, out, span, u.nnz() + v.nnz(), || {
+            format!("{}", u.len())
         });
         Ok(())
     }
@@ -186,56 +143,37 @@ impl<B: Backend> Context<B> {
         Op: BinaryOp<T>,
         Acc: BinaryOp<T>,
     {
-        self.check_vec_dims("eWiseMult", w, mask, u, v)?;
-        let t0 = self.span();
-        let nnz_in = (u.nnz() + v.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
+        let span = self.op_span("ewise_mult_vec", short_type_name::<Op>);
+        let out = ewise_vec_out("eWiseMult", w, mask, accum, u, v, desc)?;
         let t = self
             .backend()
-            .ewise_mult_vec(&u.to_dense_repr(), &v.to_dense_repr(), op);
-        let keep = resolve_vec_mask(mask, desc.complement_mask, w.len());
-        *w = Vector::from(stitch_dense_vec(
-            w,
-            t,
-            keep.as_ref().map(|k| k.view()),
-            accum,
-            desc.replace,
-        ));
-        let (len, nnz_out) = (w.len(), w.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "ewise_mult_vec",
-            op_label: gbtl_trace::short_type_name::<Op>(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+            .ewise_mult_vec(&u.dense_view(), &v.dense_view(), op);
+        self.write_vec(w, t, out, span, u.nnz() + v.nnz(), || {
+            format!("{}", u.len())
         });
         Ok(())
     }
+}
 
-    fn check_vec_dims<T: Scalar>(
-        &self,
-        which: &'static str,
-        w: &Vector<T>,
-        mask: Option<&Vector<bool>>,
-        u: &Vector<T>,
-        v: &Vector<T>,
-    ) -> Result<()> {
-        if u.len() != v.len() || w.len() != u.len() {
-            return Err(dim_err(
-                "ewise",
-                format!("{which}: w={} u={} v={}", w.len(), u.len(), v.len()),
-            ));
-        }
-        if let Some(mk) = mask {
-            if mk.len() != w.len() {
-                return Err(dim_err("ewise", format!("{which}: mask len {}", mk.len())));
-            }
-        }
-        Ok(())
-    }
+/// The check half of both vector merges: `u`, `v` and `w` are one length,
+/// and the mask is too.
+fn ewise_vec_out<'m, T: Scalar, Acc>(
+    which: &'static str,
+    w: &Vector<T>,
+    mask: Option<&'m Vector<bool>>,
+    accum: Option<Acc>,
+    u: &Vector<T>,
+    v: &Vector<T>,
+    desc: &Descriptor,
+) -> Result<VecOut<'m, Acc>> {
+    ensure("ewise", u.len() == v.len() && w.len() == u.len(), || {
+        format!("{which}: w={} u={} v={}", w.len(), u.len(), v.len())
+    })?;
+    // as in `ewise_mat_impl`: the mask rule's error, in eWise's wording
+    vec_out("ewise", mask, accum, desc, w.len()).map_err(|_| {
+        let len = mask.map_or(0, Vector::len);
+        dim_err("ewise", format!("{which}: mask len {len}"))
+    })
 }
 
 #[cfg(test)]

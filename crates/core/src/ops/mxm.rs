@@ -8,13 +8,13 @@ use std::sync::Arc;
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
 use gbtl_sparse::CsrMatrix;
-use gbtl_trace::SpanFields;
+use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
-use crate::error::{dim_err, Result};
+use crate::error::Result;
 use crate::resolve::OperandRef;
-use crate::stitch::{stitch_mat, MatMask};
+use crate::stitch::{ensure, mat_out};
 use crate::types::Matrix;
 use crate::Context;
 
@@ -47,50 +47,22 @@ impl<B: Backend> Context<B> {
         S: Semiring<T, D1, D2>,
         Acc: BinaryOp<T>,
     {
-        let t0 = self.span();
+        let span = self.op_span("mxm", short_type_name::<S>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
         let b_csr = self.resolve_operand(b, desc.transpose_b);
         let (m, k1) = (a_csr.nrows(), a_csr.ncols());
         let (k2, n) = (b_csr.nrows(), b_csr.ncols());
-        if k1 != k2 {
-            return Err(dim_err("mxm", format!("{m}x{k1} * {k2}x{n}")));
-        }
-        if (c.nrows(), c.ncols()) != (m, n) {
-            return Err(dim_err(
-                "mxm",
-                format!("output is {}x{}, product is {m}x{n}", c.nrows(), c.ncols()),
-            ));
-        }
-        if let Some(mk) = mask {
-            if (mk.nrows(), mk.ncols()) != (m, n) {
-                return Err(dim_err(
-                    "mxm",
-                    format!("mask is {}x{}, output is {m}x{n}", mk.nrows(), mk.ncols()),
-                ));
-            }
-        }
-
-        let t = match mask {
-            Some(mk) if !desc.complement_mask => {
-                self.backend().mxm_masked(mk.csr(), &a_csr, &b_csr, sr)
-            }
-            _ => self.backend().mxm(&a_csr, &b_csr, sr),
+        ensure("mxm", k1 == k2, || format!("{m}x{k1} * {k2}x{n}"))?;
+        ensure("mxm", (c.nrows(), c.ncols()) == (m, n), || {
+            format!("output is {}x{}, product is {m}x{n}", c.nrows(), c.ncols())
+        })?;
+        let mut out = mat_out("mxm", mask, accum, desc, (m, n))?;
+        let t = match out.push_down() {
+            Some(mk) => self.backend().mxm_masked(mk, &a_csr, &b_csr, sr),
+            None => self.backend().mxm(&a_csr, &b_csr, sr),
         };
-        let nnz_in = (a_csr.nnz() + b_csr.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let mat_mask = mask.map(|mk| MatMask::new(mk, desc.complement_mask));
-        let out = stitch_mat(c.csr(), t, mat_mask, accum, desc.replace);
-        *c = Matrix::from_csr(out);
-        let nnz_out = c.nnz() as u64;
-        self.span_end(t0, || SpanFields {
-            op: "mxm",
-            op_label: gbtl_trace::short_type_name::<S>(),
-            dims: format!("{m}x{k1}*{k2}x{n}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+        self.write_mat(c, t, out, span, a_csr.nnz() + b_csr.nnz(), || {
+            format!("{m}x{k1}*{k2}x{n}")
         });
         Ok(())
     }

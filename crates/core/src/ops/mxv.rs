@@ -5,24 +5,14 @@
 #![allow(clippy::too_many_arguments)]
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
-use gbtl_sparse::VecMask;
-use gbtl_trace::SpanFields;
+use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
-use crate::error::{dim_err, Result};
-use crate::stitch::{resolve_vec_mask, stitch_dense_vec, stitch_sparse_vec};
+use crate::error::Result;
+use crate::stitch::{ensure, vec_out};
 use crate::types::{Matrix, Vector};
 use crate::Context;
-
-/// Whether a backend product is the operation's output as it stands. With
-/// no accumulator the output takes `t` at kept positions; the backends
-/// produce nothing elsewhere ([`Backend::mxv`]), and what the old output
-/// held elsewhere survives only without `replace` — so an unmasked product,
-/// or a masked one under `replace`, needs no stitching.
-fn is_output<Acc>(keep: Option<VecMask<'_>>, accum: &Option<Acc>, replace: bool) -> bool {
-    accum.is_none() && (keep.is_none() || replace)
-}
 
 impl<B: Backend> Context<B> {
     /// `w<m, accum> = A ⊕.⊗ u` — pull direction (rows of `A` walk `u`).
@@ -53,61 +43,24 @@ impl<B: Backend> Context<B> {
         S: Semiring<T, D1, T>,
         Acc: BinaryOp<T>,
     {
-        let t0 = self.span();
+        let span = self.op_span("mxv", short_type_name::<S>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
-        if a_csr.ncols() != u.len() {
-            return Err(dim_err(
-                "mxv",
-                format!("{}x{} * len {}", a_csr.nrows(), a_csr.ncols(), u.len()),
-            ));
-        }
-        if w.len() != a_csr.nrows() {
-            return Err(dim_err(
-                "mxv",
-                format!("output len {} != {}", w.len(), a_csr.nrows()),
-            ));
-        }
-        if let Some(mk) = mask {
-            if mk.len() != w.len() {
-                return Err(dim_err(
-                    "mxv",
-                    format!("mask len {} != output len {}", mk.len(), w.len()),
-                ));
-            }
-        }
-        let nnz_in = (a_csr.nnz() + u.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let keep = resolve_vec_mask(mask, desc.complement_mask, a_csr.nrows());
-        // Borrow the bitmap representation when the operand already holds
-        // it (a direction-optimized frontier after `adapt_repr`); convert
-        // only when it doesn't — the pull hot path must not copy per level.
-        let u_conv;
-        let u_dense = match u.repr() {
-            crate::types::VectorRepr::Dense(d) => d,
-            crate::types::VectorRepr::Sparse(s) => {
-                u_conv = s.to_dense();
-                &u_conv
-            }
-        };
-        let keep = keep.as_ref().map(|k| k.view());
-        let t = self.backend().mxv(&a_csr, u_dense, sr, keep);
-        *w = Vector::from(if is_output(keep, &accum, desc.replace) {
-            debug_assert!(t.iter().all(|(i, _)| keep.is_none_or(|k| k.keeps(i))));
-            t
-        } else {
-            stitch_dense_vec(w, t, keep, accum, desc.replace)
-        });
-        let nnz_out = w.nnz() as u64;
         let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
-        self.span_end(t0, || SpanFields {
-            op: "mxv",
-            op_label: gbtl_trace::short_type_name::<S>(),
-            dims: format!("{nr}x{nc}*{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+        ensure("mxv", nc == u.len(), || {
+            format!("{nr}x{nc} * len {}", u.len())
+        })?;
+        ensure("mxv", w.len() == nr, || {
+            format!("output len {} != {nr}", w.len())
+        })?;
+        let mut out = vec_out("mxv", mask, accum, desc, nr)?;
+        // The bitmap view borrows a frontier that already holds it (a
+        // direction-optimized one does): the pull hot path copies nothing
+        // per level.
+        let t = self
+            .backend()
+            .mxv(&a_csr, &u.dense_view(), sr, out.push_down());
+        self.write_vec(w, t, out, span, a_csr.nnz() + u.nnz(), || {
+            format!("{nr}x{nc}*{nc}")
         });
         Ok(())
     }
@@ -140,60 +93,22 @@ impl<B: Backend> Context<B> {
     {
         // For vxm the descriptor's transpose_a transposes the matrix, i.e.
         // `w = uᵀAᵀ`, which is the pull form of `A u`.
-        let t0 = self.span();
+        let span = self.op_span("vxm", short_type_name::<S>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
-        if u.len() != a_csr.nrows() {
-            return Err(dim_err(
-                "vxm",
-                format!("len {} * {}x{}", u.len(), a_csr.nrows(), a_csr.ncols()),
-            ));
-        }
-        if w.len() != a_csr.ncols() {
-            return Err(dim_err(
-                "vxm",
-                format!("output len {} != {}", w.len(), a_csr.ncols()),
-            ));
-        }
-        if let Some(mk) = mask {
-            if mk.len() != w.len() {
-                return Err(dim_err(
-                    "vxm",
-                    format!("mask len {} != output len {}", mk.len(), w.len()),
-                ));
-            }
-        }
-        let nnz_in = (a_csr.nnz() + u.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let keep = resolve_vec_mask(mask, desc.complement_mask, a_csr.ncols());
-        // Mirror of `mxv`: borrow the index-list representation when the
-        // frontier already carries it, convert otherwise.
-        let u_conv;
-        let u_sparse = match u.repr() {
-            crate::types::VectorRepr::Sparse(s) => s,
-            crate::types::VectorRepr::Dense(d) => {
-                u_conv = d.to_sparse();
-                &u_conv
-            }
-        };
-        let keep = keep.as_ref().map(|k| k.view());
-        let t = self.backend().vxm(u_sparse, &a_csr, sr, keep);
-        *w = Vector::from(if is_output(keep, &accum, desc.replace) {
-            debug_assert!(t.indices().iter().all(|&j| keep.is_none_or(|k| k.keeps(j))));
-            t
-        } else {
-            stitch_sparse_vec(w, t, keep, accum, desc.replace)
-        });
-        let nnz_out = w.nnz() as u64;
         let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
-        self.span_end(t0, || SpanFields {
-            op: "vxm",
-            op_label: gbtl_trace::short_type_name::<S>(),
-            dims: format!("{nr}*{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+        ensure("vxm", u.len() == nr, || {
+            format!("len {} * {nr}x{nc}", u.len())
+        })?;
+        ensure("vxm", w.len() == nc, || {
+            format!("output len {} != {nc}", w.len())
+        })?;
+        let mut out = vec_out("vxm", mask, accum, desc, nc)?;
+        // Mirror of `mxv`: the index-list view borrows a sparse frontier.
+        let t = self
+            .backend()
+            .vxm(&u.sparse_view(), &a_csr, sr, out.push_down());
+        self.write_vec(w, t, out, span, a_csr.nnz() + u.nnz(), || {
+            format!("{nr}*{nr}x{nc}")
         });
         Ok(())
     }
@@ -203,6 +118,7 @@ impl<B: Backend> Context<B> {
 mod tests {
     use super::*;
     use crate::no_accum;
+    use crate::stitch::{resolve_vec_mask, stitch_dense_vec, stitch_sparse_vec};
     use gbtl_algebra::{LorLand, MinPlus, Plus, PlusTimes, Second};
 
     fn graph() -> Matrix<i64> {

@@ -5,12 +5,12 @@
 #![allow(clippy::too_many_arguments)]
 
 use gbtl_algebra::{BinaryOp, Scalar, SelectOp};
-use gbtl_trace::SpanFields;
+use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
-use crate::error::{dim_err, Result};
-use crate::stitch::{resolve_vec_mask, stitch_mat, stitch_sparse_vec, MatMask};
+use crate::error::Result;
+use crate::stitch::{ensure, mat_out, vec_out};
 use crate::types::{Matrix, Vector};
 use crate::Context;
 
@@ -30,36 +30,15 @@ impl<B: Backend> Context<B> {
         P: SelectOp<T>,
         Acc: BinaryOp<T>,
     {
-        let t0 = self.span();
+        let span = self.op_span("select_mat", short_type_name::<P>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
-        if (c.nrows(), c.ncols()) != (a_csr.nrows(), a_csr.ncols()) {
-            return Err(dim_err(
-                "select",
-                format!(
-                    "output {}x{} vs input {}x{}",
-                    c.nrows(),
-                    c.ncols(),
-                    a_csr.nrows(),
-                    a_csr.ncols()
-                ),
-            ));
-        }
-        let nnz_in = a_csr.nnz() as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
+        let (nr, nc) = (a_csr.nrows(), a_csr.ncols());
+        ensure("select", (c.nrows(), c.ncols()) == (nr, nc), || {
+            format!("output {}x{} vs input {nr}x{nc}", c.nrows(), c.ncols())
+        })?;
+        let out = mat_out("select", mask, accum, desc, (nr, nc))?;
         let t = self.backend().select_mat(&a_csr, op);
-        let mat_mask = mask.map(|mk| MatMask::new(mk, desc.complement_mask));
-        *c = Matrix::from_csr(stitch_mat(c.csr(), t, mat_mask, accum, desc.replace));
-        let (nr, nc, nnz_out) = (c.nrows(), c.ncols(), c.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "select_mat",
-            op_label: gbtl_trace::short_type_name::<P>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
-        });
+        self.write_mat(c, t, out, span, a_csr.nnz(), || format!("{nr}x{nc}"));
         Ok(())
     }
 
@@ -69,19 +48,11 @@ impl<B: Backend> Context<B> {
         T: Scalar,
         P: SelectOp<T>,
     {
-        let t0 = self.span();
-        let nnz_in = a.nnz() as u64;
+        let span = self.op_span("select_mat", short_type_name::<P>);
         let out = Matrix::from_csr(self.backend().select_mat(a.csr(), op));
-        let (nr, nc, nnz_out) = (out.nrows(), out.ncols(), out.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "select_mat",
-            op_label: gbtl_trace::short_type_name::<P>(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
+        let (nr, nc) = (out.nrows(), out.ncols());
+        self.record(span, a.nnz(), out.nnz(), None, false, || {
+            format!("{nr}x{nc}")
         });
         out
     }
@@ -101,35 +72,14 @@ impl<B: Backend> Context<B> {
         P: SelectOp<T>,
         Acc: BinaryOp<T>,
     {
-        if w.len() != u.len() {
-            return Err(dim_err(
-                "select",
-                format!("output len {} vs input len {}", w.len(), u.len()),
-            ));
-        }
-        let t0 = self.span();
-        let nnz_in = u.nnz() as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        let t = self.backend().select_vec(&u.to_sparse_repr(), op);
-        let keep = resolve_vec_mask(mask, desc.complement_mask, w.len());
-        *w = Vector::from(stitch_sparse_vec(
-            w,
-            t,
-            keep.as_ref().map(|k| k.view()),
-            accum,
-            desc.replace,
-        ));
-        let (len, nnz_out) = (w.len(), w.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "select_vec",
-            op_label: gbtl_trace::short_type_name::<P>(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
-        });
+        let span = self.op_span("select_vec", short_type_name::<P>);
+        let len = u.len();
+        ensure("select", w.len() == len, || {
+            format!("output len {} vs input len {len}", w.len())
+        })?;
+        let out = vec_out("select", mask, accum, desc, len)?;
+        let t = self.backend().select_vec(&u.sparse_view(), op);
+        self.write_vec(w, t, out, span, u.nnz(), || format!("{len}"));
         Ok(())
     }
 
@@ -151,31 +101,17 @@ impl<B: Backend> Context<B> {
         Op: BinaryOp<T>,
         Acc: BinaryOp<T>,
     {
-        let t0 = self.span();
+        let span = self.op_span("kronecker", short_type_name::<Op>);
         let a_csr = self.resolve_operand(a, desc.transpose_a);
         let b_csr = self.resolve_operand(b, desc.transpose_b);
         let (m, n) = (a_csr.nrows() * b_csr.nrows(), a_csr.ncols() * b_csr.ncols());
-        if (c.nrows(), c.ncols()) != (m, n) {
-            return Err(dim_err(
-                "kronecker",
-                format!("output {}x{} vs product {m}x{n}", c.nrows(), c.ncols()),
-            ));
-        }
-        let nnz_in = (a_csr.nnz() + b_csr.nnz()) as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
+        ensure("kronecker", (c.nrows(), c.ncols()) == (m, n), || {
+            format!("output {}x{} vs product {m}x{n}", c.nrows(), c.ncols())
+        })?;
+        let out = mat_out("kronecker", mask, accum, desc, (m, n))?;
         let t = self.backend().kronecker(&a_csr, &b_csr, mul);
-        let mat_mask = mask.map(|mk| MatMask::new(mk, desc.complement_mask));
-        *c = Matrix::from_csr(stitch_mat(c.csr(), t, mat_mask, accum, desc.replace));
-        let nnz_out = c.nnz() as u64;
-        self.span_end(t0, || SpanFields {
-            op: "kronecker",
-            op_label: gbtl_trace::short_type_name::<Op>(),
-            dims: format!("{m}x{n}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
+        self.write_mat(c, t, out, span, a_csr.nnz() + b_csr.nnz(), || {
+            format!("{m}x{n}")
         });
         Ok(())
     }

@@ -4,12 +4,11 @@ use std::sync::Arc;
 
 use gbtl_algebra::{BinaryOp, Scalar};
 use gbtl_sparse::{CsrMatrix, Index};
-use gbtl_trace::SpanFields;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
-use crate::error::{dim_err, GblasError, Result};
-use crate::stitch::{stitch_mat, MatMask};
+use crate::error::Result;
+use crate::stitch::{check_indices, ensure, mat_out};
 use crate::types::{Matrix, Vector};
 use crate::Context;
 
@@ -29,46 +28,20 @@ impl<B: Backend> Context<B> {
     {
         // transpose_a on a transpose op yields A back (GraphBLAS quirk) —
         // share the caller's buffer instead of copying it. The real
-        // transpose is served shared out of the context's transpose cache.
-        let t0 = self.span();
+        // transpose is served shared out of the context's transpose cache;
+        // either way a pure overwrite adopts the shared buffer, zero copies.
+        let span = self.op_span("transpose", String::new);
         let t: Arc<CsrMatrix<T>> = if desc.transpose_a {
             a.shared_csr()
         } else {
             self.resolve_transposed_shared(a)
         };
-        if (c.nrows(), c.ncols()) != (t.nrows(), t.ncols()) {
-            return Err(dim_err(
-                "transpose",
-                format!(
-                    "output {}x{} vs result {}x{}",
-                    c.nrows(),
-                    c.ncols(),
-                    t.nrows(),
-                    t.ncols()
-                ),
-            ));
-        }
-        let nnz_in = a.nnz() as u64;
-        let (masked, has_accum) = (mask.is_some(), accum.is_some());
-        *c = if mask.is_none() && !has_accum {
-            // Pure overwrite: adopt the shared buffer, zero copies.
-            Matrix::from_shared(t)
-        } else {
-            let mat_mask = mask.map(|mk| MatMask::new(mk, desc.complement_mask));
-            let t = Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone());
-            Matrix::from_csr(stitch_mat(c.csr(), t, mat_mask, accum, desc.replace))
-        };
-        let (nr, nc, nnz_out) = (c.nrows(), c.ncols(), c.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "transpose",
-            op_label: String::new(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked,
-            complemented: masked && desc.complement_mask,
-            accum: has_accum,
-        });
+        let (nr, nc) = (t.nrows(), t.ncols());
+        ensure("transpose", (c.nrows(), c.ncols()) == (nr, nc), || {
+            format!("output {}x{} vs result {nr}x{nc}", c.nrows(), c.ncols())
+        })?;
+        let out = mat_out("transpose", mask, accum, desc, (nr, nc))?;
+        self.write_mat(c, t, out, span, a.nnz(), || format!("{nr}x{nc}"));
         Ok(())
     }
 
@@ -78,37 +51,13 @@ impl<B: Backend> Context<B> {
     where
         T: Scalar,
     {
-        for &r in rows {
-            if r >= a.nrows() {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: "extract",
-                    index: r,
-                    bound: a.nrows(),
-                });
-            }
-        }
-        for &c in cols {
-            if c >= a.ncols() {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: "extract",
-                    index: c,
-                    bound: a.ncols(),
-                });
-            }
-        }
-        let t0 = self.span();
+        let span = self.op_span("extract_mat", String::new);
+        check_indices("extract", rows, a.nrows())?;
+        check_indices("extract", cols, a.ncols())?;
         let out = Matrix::from_csr(self.backend().extract_mat(a.csr(), rows, cols));
-        let nnz_in = a.nnz() as u64;
-        let (nr, nc, nnz_out) = (out.nrows(), out.ncols(), out.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "extract_mat",
-            op_label: String::new(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
+        let (nr, nc) = (out.nrows(), out.ncols());
+        self.record(span, a.nnz(), out.nnz(), None, false, || {
+            format!("{nr}x{nc}")
         });
         Ok(out)
     }
@@ -125,50 +74,17 @@ impl<B: Backend> Context<B> {
     where
         T: Scalar,
     {
-        if a.nrows() != rows.len() || a.ncols() != cols.len() {
-            return Err(dim_err(
-                "assign",
-                format!(
-                    "value is {}x{}, region is {}x{}",
-                    a.nrows(),
-                    a.ncols(),
-                    rows.len(),
-                    cols.len()
-                ),
-            ));
-        }
-        for &r in rows {
-            if r >= c.nrows() {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: "assign",
-                    index: r,
-                    bound: c.nrows(),
-                });
-            }
-        }
-        for &cc in cols {
-            if cc >= c.ncols() {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: "assign",
-                    index: cc,
-                    bound: c.ncols(),
-                });
-            }
-        }
-        let t0 = self.span();
-        let nnz_in = (c.nnz() + a.nnz()) as u64;
+        let span = self.op_span("assign_mat", String::new);
+        let (ar, ac, rr, rc) = (a.nrows(), a.ncols(), rows.len(), cols.len());
+        ensure("assign", (ar, ac) == (rr, rc), || {
+            format!("value is {ar}x{ac}, region is {rr}x{rc}")
+        })?;
+        check_indices("assign", rows, c.nrows())?;
+        check_indices("assign", cols, c.ncols())?;
+        let nnz_in = c.nnz() + a.nnz();
         *c = Matrix::from_csr(self.backend().assign_mat(c.csr(), a.csr(), rows, cols));
-        let (nr, nc, nnz_out) = (c.nrows(), c.ncols(), c.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "assign_mat",
-            op_label: String::new(),
-            dims: format!("{nr}x{nc}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
-        });
+        let (nr, nc) = (c.nrows(), c.ncols());
+        self.record(span, nnz_in, c.nnz(), None, false, || format!("{nr}x{nc}"));
         Ok(())
     }
 
@@ -177,28 +93,11 @@ impl<B: Backend> Context<B> {
     where
         T: Scalar,
     {
-        for &i in indices {
-            if i >= u.len() {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: "extract",
-                    index: i,
-                    bound: u.len(),
-                });
-            }
-        }
-        let t0 = self.span();
-        let out = Vector::from(self.backend().extract_vec(&u.to_dense_repr(), indices));
-        let (len, nnz_in, nnz_out) = (out.len(), u.nnz() as u64, out.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "extract_vec",
-            op_label: String::new(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
-        });
+        let span = self.op_span("extract_vec", String::new);
+        check_indices("extract", indices, u.len())?;
+        let out = Vector::from(self.backend().extract_vec(&u.dense_view(), indices));
+        let len = out.len();
+        self.record(span, u.nnz(), out.nnz(), None, false, || format!("{len}"));
         Ok(out)
     }
 
@@ -207,39 +106,18 @@ impl<B: Backend> Context<B> {
     where
         T: Scalar,
     {
-        if u.len() != indices.len() {
-            return Err(dim_err(
-                "assign",
-                format!("value len {}, region len {}", u.len(), indices.len()),
-            ));
-        }
-        for &i in indices {
-            if i >= w.len() {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: "assign",
-                    index: i,
-                    bound: w.len(),
-                });
-            }
-        }
-        let t0 = self.span();
-        let nnz_in = (w.nnz() + u.nnz()) as u64;
-        *w = Vector::from(self.backend().assign_vec(
-            &w.to_dense_repr(),
-            &u.to_dense_repr(),
-            indices,
-        ));
-        let (len, nnz_out) = (w.len(), w.nnz() as u64);
-        self.span_end(t0, || SpanFields {
-            op: "assign_vec",
-            op_label: String::new(),
-            dims: format!("{len}"),
-            nnz_in,
-            nnz_out,
-            masked: false,
-            complemented: false,
-            accum: false,
-        });
+        let span = self.op_span("assign_vec", String::new);
+        ensure("assign", u.len() == indices.len(), || {
+            format!("value len {}, region len {}", u.len(), indices.len())
+        })?;
+        check_indices("assign", indices, w.len())?;
+        let nnz_in = w.nnz() + u.nnz();
+        let t = self
+            .backend()
+            .assign_vec(&w.dense_view(), &u.dense_view(), indices);
+        *w = Vector::from(t);
+        let len = w.len();
+        self.record(span, nnz_in, w.nnz(), None, false, || format!("{len}"));
         Ok(())
     }
 }
@@ -247,7 +125,7 @@ impl<B: Backend> Context<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::no_accum;
+    use crate::{no_accum, GblasError};
     use gbtl_algebra::Second;
 
     fn m(entries: &[(usize, usize, i64)], r: usize, c: usize) -> Matrix<i64> {

@@ -1,7 +1,24 @@
-//! Mask/accumulator stitching — the output-merge semantics of every
-//! GraphBLAS operation.
+//! The output step: `C<M, accum, replace> = T`, written once.
 //!
-//! For an operation `C<M, accum, replace> = T`:
+//! Every `Context` operation is three moves, and this module owns the first
+//! and the last of them for all of the operations:
+//!
+//! * **check** — [`ensure`] for an operand or output shape, [`check_indices`]
+//!   for an index list, and the mask rule (a mask has the output's shape)
+//!   inside [`mat_out`] / [`vec_out`], which also resolve the mask. All of it
+//!   runs before the backend is called, so a bad call costs an `Err` and
+//!   leaves the output untouched;
+//! * **compute** — the operation's one backend call, handed
+//!   [`Out::push_down`]'s mask where the backend can skip masked-out work
+//!   (`mxv`, `vxm`, and `mxm` under a mask that is not complemented);
+//! * **write** — [`Context::write_mat`] / [`Context::write_vec`]: adopt `T`
+//!   under the one pass-through rule ([`Out::adopts_t`]) or stitch it into
+//!   the old output, assign, and close the operation's span from the very
+//!   mask, accumulator and output that were used. Forms with no mask and no
+//!   accumulator (`*_new`, `extract_*`, …) close theirs with
+//!   [`Context::record`].
+//!
+//! The stitch itself, for `C<M, accum, replace> = T`:
 //!
 //! 1. `Z = accum.is_some() ? (C ∪ T combined with accum where both) : T`
 //! 2. at positions the (possibly complemented) mask *allows*: result takes
@@ -9,17 +26,237 @@
 //!    at positions the mask *disallows*: result keeps `C`'s old entry
 //!    unless `replace` is set.
 //!
-//! Stitching runs on the host for both backends (as GBTL-CUDA did for
-//! everything but the hot masked products); the performance-relevant
-//! masking — skipping work *inside* `mxv`/`vxm`/`mxm` — is pushed down to
-//! the backends separately.
+//! Stitching runs on the host for every backend (as GBTL-CUDA did for
+//! everything but the hot masked products).
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use gbtl_algebra::{BinaryOp, Scalar};
-use std::borrow::Cow;
+use gbtl_sparse::{CsrMatrix, DenseVector, Index, SparseVector, VecMask};
+use gbtl_trace::{SpanFields, SpanStart};
 
-use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
-
+use crate::backend::Backend;
+use crate::descriptor::Descriptor;
+use crate::error::{dim_err, GblasError, Result};
 use crate::types::{Matrix, Vector, VectorRepr};
+use crate::Context;
+
+/// A shape rule: `ok`, or `DimensionMismatch` with `detail` built on failure.
+#[inline]
+pub(crate) fn ensure(op: &'static str, ok: bool, detail: impl FnOnce() -> String) -> Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(dim_err(op, detail()))
+    }
+}
+
+/// Every index of an extract / assign list is below `bound`.
+pub(crate) fn check_indices(op: &'static str, indices: &[Index], bound: usize) -> Result<()> {
+    match indices.iter().find(|&&i| i >= bound) {
+        Some(&index) => Err(GblasError::IndexOutOfBounds { op, index, bound }),
+        None => Ok(()),
+    }
+}
+
+/// `<M, accum, replace>` of one operation, checked and resolved: everything
+/// the write step needs besides `T`. Built by [`mat_out`] / [`vec_out`] only,
+/// so no operation reaches its write without the mask rule having run.
+pub(crate) struct Out<M, Acc> {
+    mask: Option<M>,
+    /// The backend was handed the mask: `T` holds nothing outside it.
+    pushed: bool,
+    accum: Option<Acc>,
+    replace: bool,
+}
+
+/// A matrix operation's [`Out`].
+pub(crate) type MatOut<'m, Acc> = Out<MatMask<'m>, Acc>;
+/// A vector operation's [`Out`].
+pub(crate) type VecOut<'m, Acc> = Out<ResolvedVecMask<'m>, Acc>;
+
+impl<M, Acc> Out<M, Acc> {
+    /// The one pass-through rule: whether `T` is the output as it stands.
+    /// With no accumulator the output takes `T` at kept positions, and what
+    /// the old output held elsewhere survives only without `replace` — so an
+    /// unmasked `T`, or under `replace` one the backend already confined to
+    /// the mask, needs no stitching.
+    #[inline]
+    fn adopts_t(&self) -> bool {
+        self.accum.is_none() && (self.mask.is_none() || (self.pushed && self.replace))
+    }
+}
+
+/// Check a matrix operation's mask against its `shape` output and resolve
+/// `<M, accum, replace>`.
+#[inline]
+pub(crate) fn mat_out<'m, Acc>(
+    op: &'static str,
+    mask: Option<&'m Matrix<bool>>,
+    accum: Option<Acc>,
+    desc: &Descriptor,
+    (m, n): (usize, usize),
+) -> Result<MatOut<'m, Acc>> {
+    if let Some(mk) = mask {
+        ensure(op, (mk.nrows(), mk.ncols()) == (m, n), || {
+            format!("mask is {}x{}, output is {m}x{n}", mk.nrows(), mk.ncols())
+        })?;
+    }
+    Ok(Out {
+        mask: mask.map(|mk| MatMask::new(mk, desc.complement_mask)),
+        pushed: false,
+        accum,
+        replace: desc.replace,
+    })
+}
+
+/// Check a vector operation's mask against its `len` output and resolve
+/// `<m, accum, replace>`.
+#[inline]
+pub(crate) fn vec_out<'m, Acc>(
+    op: &'static str,
+    mask: Option<&'m Vector<bool>>,
+    accum: Option<Acc>,
+    desc: &Descriptor,
+    len: usize,
+) -> Result<VecOut<'m, Acc>> {
+    if let Some(mk) = mask {
+        ensure(op, mk.len() == len, || {
+            format!("mask len {} != output len {len}", mk.len())
+        })?;
+    }
+    Ok(Out {
+        mask: resolve_vec_mask(mask, desc.complement_mask, len),
+        pushed: false,
+        accum,
+        replace: desc.replace,
+    })
+}
+
+impl<'m, Acc> MatOut<'m, Acc> {
+    /// The mask for a backend's masked kernel — one that is not complemented
+    /// is handed down as it is stored; a complemented one filters during the
+    /// stitch. Taking it is what tells the write step `T` is confined to it.
+    #[inline]
+    pub(crate) fn push_down(&mut self) -> Option<&'m CsrMatrix<bool>> {
+        let mask = self.mask.as_ref().filter(|m| !m.complement)?.mask;
+        self.pushed = true;
+        Some(mask)
+    }
+}
+
+impl<Acc> VecOut<'_, Acc> {
+    /// The keep test for a backend that skips masked-out positions (see
+    /// [`MatOut::push_down`]; a vector mask is pushed down complemented or
+    /// not).
+    #[inline]
+    pub(crate) fn push_down(&mut self) -> Option<VecMask<'_>> {
+        self.pushed = self.mask.is_some();
+        self.mask.as_ref().map(|k| k.view())
+    }
+}
+
+/// An operation's span, opened before it resolves its operands: where it
+/// started, its name and its operator's label (built only when the span is
+/// live). The write step closes it.
+pub(crate) struct OpSpan {
+    t0: SpanStart,
+    op: &'static str,
+    label: fn() -> String,
+}
+
+impl<B: Backend> Context<B> {
+    /// Open an operation's span (`String::new` labels one with no operator).
+    #[inline]
+    pub(crate) fn op_span(&self, op: &'static str, label: fn() -> String) -> OpSpan {
+        let t0 = self.span();
+        OpSpan { t0, op, label }
+    }
+
+    /// Close an operation's span — the record half of the write step, and
+    /// all of it for a form with no mask and no accumulator. `mask` is the
+    /// complement flag of the mask the output was written under; `dims`
+    /// runs only when the span is live.
+    #[inline]
+    pub(crate) fn record(
+        &self,
+        span: OpSpan,
+        nnz_in: usize,
+        nnz_out: usize,
+        mask: Option<bool>,
+        accum: bool,
+        dims: impl FnOnce() -> String,
+    ) {
+        self.span_end(span.t0, || SpanFields {
+            op: span.op,
+            op_label: (span.label)(),
+            dims: dims(),
+            nnz_in: nnz_in as u64,
+            nnz_out: nnz_out as u64,
+            masked: mask.is_some(),
+            complemented: mask == Some(true),
+            accum,
+        });
+    }
+
+    /// **write**, matrix form: `c<M, accum, replace> = t`, then close the
+    /// span. A shared `t` (`transpose`'s, out of the cache) is adopted as it
+    /// is when it passes through and copied only to be stitched.
+    #[inline]
+    pub(crate) fn write_mat<T: Scalar, Acc: BinaryOp<T>>(
+        &self,
+        c: &mut Matrix<T>,
+        t: impl Into<Arc<CsrMatrix<T>>>,
+        out: MatOut<'_, Acc>,
+        span: OpSpan,
+        nnz_in: usize,
+        dims: impl FnOnce() -> String,
+    ) {
+        let t = t.into();
+        let (mask, accum) = (out.mask.as_ref().map(|m| m.complement), out.accum.is_some());
+        *c = if out.adopts_t() {
+            debug_assert!(t
+                .iter()
+                .all(|(i, j, _)| out.mask.as_ref().is_none_or(|m| m.allows(i, j))));
+            Matrix::from_shared(t)
+        } else {
+            let t = Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone());
+            Matrix::from_csr(stitch_mat(c.csr(), t, out.mask, out.accum, out.replace))
+        };
+        self.record(span, nnz_in, c.nnz(), mask, accum, dims);
+    }
+
+    /// **write**, vector form: `w<m, accum, replace> = t`, then close the
+    /// span. A masked level of a traversal (mask pushed down, `replace`, no
+    /// accumulator) passes through: no O(n) work, nothing allocated.
+    #[inline]
+    pub(crate) fn write_vec<T: Scalar, Acc: BinaryOp<T>>(
+        &self,
+        w: &mut Vector<T>,
+        t: impl Into<Vector<T>>,
+        out: VecOut<'_, Acc>,
+        span: OpSpan,
+        nnz_in: usize,
+        dims: impl FnOnce() -> String,
+    ) {
+        let t = t.into();
+        let (mask, accum) = (out.mask.as_ref().map(|k| k.complement), out.accum.is_some());
+        let keep = out.mask.as_ref().map(|k| k.view());
+        *w = if out.adopts_t() {
+            debug_assert!(t.iter().all(|(i, _)| keep.is_none_or(|k| k.keeps(i))));
+            t
+        } else {
+            match t.into_repr() {
+                VectorRepr::Dense(t) => stitch_dense_vec(w, t, keep, out.accum, out.replace).into(),
+                VectorRepr::Sparse(t) => {
+                    stitch_sparse_vec(w, t, keep, out.accum, out.replace).into()
+                }
+            }
+        };
+        self.record(span, nnz_in, w.nnz(), mask, accum, dims);
+    }
+}
 
 /// Resolved matrix-mask view: answers "is position (i, j) writable?".
 pub(crate) struct MatMask<'a> {
@@ -175,14 +412,9 @@ where
     T: Scalar,
     Acc: BinaryOp<T>,
 {
-    // Small vectors and frontiers: go through the dense stitcher when a
-    // mask or accumulator forces a positional merge; pure results pass
-    // through untouched.
-    if keep.is_none() && accum.is_none() {
-        return t;
-    }
-    let dense = stitch_dense_vec(old, t.to_dense(), keep, accum, replace);
-    dense.to_sparse()
+    // Small vectors and frontiers: a positional merge through the dense
+    // stitcher.
+    stitch_dense_vec(old, t.to_dense(), keep, accum, replace).to_sparse()
 }
 
 #[cfg(test)]

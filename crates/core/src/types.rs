@@ -8,6 +8,7 @@
 //! diverge in content can never share a `(id, version)` pair — so a cache
 //! keyed on the pair can never serve stale data.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -392,6 +393,11 @@ impl<T: Scalar> Vector<T> {
         &self.repr
     }
 
+    /// Take the physical representation (the output step stitches by it).
+    pub(crate) fn into_repr(self) -> VectorRepr<T> {
+        self.repr
+    }
+
     fn touch(&mut self) {
         self.version = fresh_stamp();
     }
@@ -551,20 +557,34 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
+    /// The bitmap form of this vector as a kernel operand: borrowed when the
+    /// vector is stored that way (a pull frontier, every `mxv` result),
+    /// converted once otherwise — an operation never deep-copies an operand
+    /// that already has the layout its kernel reads.
+    pub(crate) fn dense_view(&self) -> Cow<'_, DenseVector<T>> {
+        match &self.repr {
+            VectorRepr::Sparse(v) => Cow::Owned(v.to_dense()),
+            VectorRepr::Dense(v) => Cow::Borrowed(v),
+        }
+    }
+
+    /// The index-list form of this vector as a kernel operand (see
+    /// [`Vector::dense_view`]).
+    pub(crate) fn sparse_view(&self) -> Cow<'_, SparseVector<T>> {
+        match &self.repr {
+            VectorRepr::Sparse(v) => Cow::Borrowed(v),
+            VectorRepr::Dense(v) => Cow::Owned(v.to_sparse()),
+        }
+    }
+
     /// Materialise a dense-representation copy.
     pub fn to_dense_repr(&self) -> DenseVector<T> {
-        match &self.repr {
-            VectorRepr::Sparse(v) => v.to_dense(),
-            VectorRepr::Dense(v) => v.clone(),
-        }
+        self.dense_view().into_owned()
     }
 
     /// Materialise a coordinate-list copy.
     pub fn to_sparse_repr(&self) -> SparseVector<T> {
-        match &self.repr {
-            VectorRepr::Sparse(v) => v.clone(),
-            VectorRepr::Dense(v) => v.to_sparse(),
-        }
+        self.sparse_view().into_owned()
     }
 
     /// Change the dimension (`GrB_Vector_resize`): entries at or beyond

@@ -6,7 +6,11 @@
 //! possible way — dense `Option<T>` grids, straight out of the GraphBLAS
 //! math spec — and property-tests the real operations against it.
 
-use gbtl::algebra::{BinaryOp, Monoid, Plus, PlusTimes, Second, Semiring};
+use gbtl::algebra::{
+    AdditiveInverse, BinaryOp, Monoid, Plus, PlusMonoid, PlusTimes, Second, Semiring, Times,
+    ValueGt,
+};
+use gbtl::core::Result;
 use gbtl::prelude::*;
 use proptest::prelude::*;
 
@@ -108,8 +112,215 @@ fn arb_mask() -> impl Strategy<Value = Option<Matrix<bool>>> {
     )
 }
 
+/// Each position of `a` and `b` combined: `Some` where `f` says so.
+fn zip_grid(a: &Grid, b: &Grid, f: impl Fn(Option<i64>, Option<i64>) -> Option<i64>) -> Grid {
+    (0..N)
+        .map(|i| (0..N).map(|j| f(a[i][j], b[i][j])).collect())
+        .collect()
+}
+
+/// A vector as the first row of an otherwise empty grid, so the vector
+/// operations are held to the same [`dense_stitch`] as the matrix ones.
+fn row_grid<T: Clone + Default>(v: &[T]) -> Vec<Vec<T>> {
+    let mut g = vec![vec![T::default(); N]; N];
+    g[0] = v.to_vec();
+    g
+}
+
+/// The stored entries of `m` that lie in its top-left `r x c` corner.
+fn corner(m: &Matrix<i64>, r: usize, c: usize) -> Matrix<i64> {
+    let inside = m.iter().filter(|&(i, j, _)| i < r && j < c);
+    Matrix::build(r, c, inside, Second::new()).expect("in bounds")
+}
+
+fn vector(vals: &[Option<i64>], bitmap: bool) -> Vector<i64> {
+    let mut v = if bitmap {
+        Vector::new_dense(N)
+    } else {
+        Vector::new(N)
+    };
+    for (i, x) in vals.iter().enumerate() {
+        if let Some(x) = x {
+            v.set(i, *x);
+        }
+    }
+    v
+}
+
+fn descriptor(complement: bool, replace: bool) -> Descriptor {
+    let mut desc = Descriptor::new();
+    if complement {
+        desc = desc.complement_mask();
+    }
+    if replace {
+        desc = desc.replace();
+    }
+    desc
+}
+
+/// The matrix operations the three properties below do not already cover,
+/// as `(op, dense T, the call)` rows: each runs on a fresh copy of `old`
+/// and must land on `dense_stitch(old, T, ..)`.
+fn check_matrix_ops<B: Backend>(
+    ctx: &Context<B>,
+    (a, b): (&Matrix<i64>, &Matrix<i64>),
+    old: &Matrix<i64>,
+    mask: Option<&Matrix<bool>>,
+    (complement, accum, replace): (bool, bool, bool),
+) {
+    let (ga, gb) = (to_grid(a), to_grid(b));
+    let (k1, k2) = (corner(a, 2, 2), corner(b, N / 2, N / 2));
+    let (g1, g2) = (to_grid(&k1), to_grid(&k2));
+    let desc = &descriptor(complement, replace);
+    let acc = || accum.then(Plus::<i64>::new);
+    let both = |f: fn(i64, i64) -> i64| move |x: Option<i64>, y: Option<i64>| Some(f(x?, y?));
+    type Call<'a> = &'a dyn Fn(&mut Matrix<i64>) -> Result<()>;
+    #[rustfmt::skip] // one operation a line
+    let rows: [(&str, Grid, Call); 5] = [
+        ("ewise_mult_mat", zip_grid(&ga, &gb, both(|x, y| x * y)),
+            &|c| ctx.ewise_mult_mat(c, mask, acc(), Times::new(), a, b, desc)),
+        ("apply_mat", zip_grid(&ga, &ga, |x, _| x.map(|x| -x)),
+            &|c| ctx.apply_mat(c, mask, acc(), AdditiveInverse::new(), a, desc)),
+        ("select_mat", zip_grid(&ga, &ga, |x, _| x.filter(|&x| x > 0)),
+            &|c| ctx.select_mat(c, mask, acc(), ValueGt(0i64), a, desc)),
+        ("kronecker", (0..N).map(|i| (0..N).map(|j| {
+                Some(g1[i / (N / 2)][j / (N / 2)]? * g2[i % (N / 2)][j % (N / 2)]?)
+            }).collect()).collect(),
+            &|c| ctx.kronecker(c, mask, acc(), Times::new(), &k1, &k2, desc)),
+        ("transpose", (0..N).map(|i| (0..N).map(|j| ga[j][i]).collect()).collect(),
+            &|c| ctx.transpose(c, mask, acc(), a, desc)),
+    ];
+    let mg = to_mask_grid(mask, complement);
+    for (op, t, call) in rows {
+        let mut c = old.clone();
+        call(&mut c).unwrap();
+        assert_eq!(
+            to_grid(&c),
+            dense_stitch(&to_grid(old), &t, &mg, accum, replace),
+            "{} on {}: mask={} comp={} accum={} replace={}",
+            op,
+            ctx.backend_name(),
+            mask.is_some(),
+            complement,
+            accum,
+            replace
+        );
+    }
+}
+
+/// The vector operations besides `mxv`, the same way; `old` and `mask`
+/// arrive in the storage (index list or bitmap) the property chose.
+fn check_vector_ops<B: Backend>(
+    ctx: &Context<B>,
+    a: &Matrix<i64>,
+    (u, v): (&[Option<i64>], &[Option<i64>]),
+    old: &Vector<i64>,
+    mask: Option<&Vector<bool>>,
+    (complement, accum, replace): (bool, bool, bool),
+) {
+    let ga = to_grid(a);
+    let (uv, vv) = (&vector(u, false), &vector(v, true));
+    let desc = &descriptor(complement, replace);
+    let acc = || accum.then(Plus::<i64>::new);
+    let sum = |terms: &mut dyn Iterator<Item = Option<i64>>| terms.flatten().reduce(|x, y| x + y);
+    let each = |f: &dyn Fn(usize) -> Option<i64>| (0..N).map(f).collect::<Vec<_>>();
+    type Call<'a> = &'a dyn Fn(&mut Vector<i64>) -> Result<()>;
+    #[rustfmt::skip] // one operation a line
+    let rows: [(&str, Vec<Option<i64>>, Call); 6] = [
+        ("vxm", each(&|j| sum(&mut (0..N).map(|i| Some(u[i]? * ga[i][j]?)))),
+            &|w| ctx.vxm(w, mask, acc(), PlusTimes::new(), uv, a, desc)),
+        ("ewise_add_vec", each(&|i| sum(&mut [u[i], v[i]].into_iter())),
+            &|w| ctx.ewise_add_vec(w, mask, acc(), Plus::new(), uv, vv, desc)),
+        ("ewise_mult_vec", each(&|i| Some(u[i]? * v[i]?)),
+            &|w| ctx.ewise_mult_vec(w, mask, acc(), Times::new(), uv, vv, desc)),
+        ("apply_vec", each(&|i| u[i].map(|x| -x)),
+            &|w| ctx.apply_vec(w, mask, acc(), AdditiveInverse::new(), uv, desc)),
+        ("reduce_rows", each(&|i| sum(&mut ga[i].iter().copied())),
+            &|w| ctx.reduce_rows(w, mask, acc(), PlusMonoid::new(), a, desc)),
+        ("select_vec", each(&|i| v[i].filter(|&x| x > 0)),
+            &|w| ctx.select_vec(w, mask, acc(), ValueGt(0i64), vv, desc)),
+    ];
+    let keep: Vec<bool> = (0..N)
+        .map(|i| mask.is_none_or(|m| m.contains(i) != complement))
+        .collect();
+    let old_row: Vec<Option<i64>> = (0..N).map(|i| old.get(i)).collect();
+    for (op, t, call) in rows {
+        let mut w = old.clone();
+        call(&mut w).unwrap();
+        let expect = dense_stitch(
+            &row_grid(&old_row),
+            &row_grid(&t),
+            &row_grid(&keep),
+            accum,
+            replace,
+        );
+        assert_eq!(
+            (0..N).map(|i| w.get(i)).collect::<Vec<_>>(),
+            expect[0].clone(),
+            "{} on {}: mask={} comp={} accum={} replace={} bitmap out={}",
+            op,
+            ctx.backend_name(),
+            mask.is_some(),
+            complement,
+            accum,
+            replace,
+            !old.is_sparse()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The remaining matrix operations — `ewise_mult_mat`, `apply_mat`,
+    /// `select_mat`, `kronecker`, `transpose` — under the same factorial, on
+    /// all three backends.
+    #[test]
+    fn every_matrix_op_matches_oracle(
+        a in arb_matrix(),
+        b in arb_matrix(),
+        old in arb_matrix(),
+        mask in arb_mask(),
+        complement: bool,
+        accum: bool,
+        replace: bool,
+    ) {
+        let (ab, mask, flags) = ((&a, &b), mask.as_ref(), (complement, accum, replace));
+        check_matrix_ops(&Context::sequential(), ab, &old, mask, flags);
+        check_matrix_ops(&Context::parallel_with_threads(4), ab, &old, mask, flags);
+        check_matrix_ops(&Context::cuda_default(), ab, &old, mask, flags);
+    }
+
+    /// The remaining vector operations — `vxm`, `ewise_{add,mult}_vec`,
+    /// `apply_vec`, `reduce_rows`, `select_vec` — likewise, with the old
+    /// output and the mask each stored as an index list or as a bitmap.
+    #[test]
+    fn every_vector_op_matches_oracle(
+        a in arb_matrix(),
+        u in proptest::collection::vec(proptest::option::of(-9i64..9), N),
+        v in proptest::collection::vec(proptest::option::of(-9i64..9), N),
+        old in proptest::collection::vec(proptest::option::of(-9i64..9), N),
+        midx in proptest::option::of(proptest::collection::vec(0..N, 0..N)),
+        complement: bool,
+        accum: bool,
+        replace: bool,
+        bitmap_out: bool,
+        bitmap_mask: bool,
+    ) {
+        let old = vector(&old, bitmap_out);
+        let mask = midx.map(|idx| {
+            let mut m = Vector::build(N, idx.into_iter().map(|i| (i, true)), Second::new())
+                .expect("in bounds");
+            if bitmap_mask {
+                m.densify();
+            }
+            m
+        });
+        let (uv, mask, flags) = ((&u[..], &v[..]), mask.as_ref(), (complement, accum, replace));
+        check_vector_ops(&Context::sequential(), &a, uv, &old, mask, flags);
+        check_vector_ops(&Context::parallel_with_threads(4), &a, uv, &old, mask, flags);
+        check_vector_ops(&Context::cuda_default(), &a, uv, &old, mask, flags);
+    }
 
     /// Full factorial over {mask, complement, accum, replace} for mxm on
     /// all three backends, versus the dense oracle.
