@@ -8,9 +8,9 @@ use crate::util::check_square;
 
 /// Luby's MIS on an *undirected* graph.
 ///
-/// Each round every candidate vertex draws a random priority; vertices
+/// Each round every candidate vertex draws a random priority; candidates
 /// whose priority beats every candidate neighbour's (one `mxv` on
-/// `(min, second)` over the candidate-masked graph) join the set, and they
+/// `(min, second)`, masked to the candidates' rows) join the set, and they
 /// and their neighbours (one `vxm` on `(min, first)`) leave the candidate
 /// pool. Both products read the boolean adjacency as it stands. Expected
 /// `O(log n)` rounds. Deterministic per seed.
@@ -26,11 +26,12 @@ pub fn maximal_independent_set<B: Backend>(
     check_square("maximal_independent_set", a)?;
     let n = a.nrows();
     let (pull, push) = (MinSecond::<u64>::new(), MinFirst::<u64>::new());
-    let desc = Descriptor::new();
+    let (desc, only_cands) = (Descriptor::new(), Descriptor::new().replace());
 
     let mut in_set: Vec<Option<bool>> = vec![None; n];
     let mut candidate = vec![true; n];
     let mut rng = SplitMix64::new(seed);
+    let mut first_round = true;
 
     while candidate.iter().any(|&c| c) {
         // Draw priorities for candidates (ties broken by vertex id by
@@ -38,9 +39,22 @@ pub fn maximal_independent_set<B: Backend>(
         let draw =
             |(i, &is_cand): (usize, &bool)| is_cand.then(|| ((rng.next() >> 32) << 20) | i as u64);
         let prio = Vector::from_options(candidate.iter().enumerate().map(draw).collect());
-        // Minimum candidate-neighbour priority per vertex.
+        // Minimum candidate-neighbour priority per candidate: only a
+        // candidate's row can produce a winner, so the pull reads no other
+        // — once there are others: the first round's mask keeps every row.
+        let cands = (!first_round)
+            .then(|| Vector::from_options(candidate.iter().map(|&c| c.then_some(true)).collect()));
+        first_round = false;
         let mut nbr_min: Vector<u64> = Vector::new(n);
-        ctx.mxv(&mut nbr_min, None, no_accum(), pull, a, &prio, &desc)?;
+        ctx.mxv(
+            &mut nbr_min,
+            cands.as_ref(),
+            no_accum(),
+            pull,
+            a,
+            &prio,
+            &only_cands,
+        )?;
         // Winners: candidates whose priority beats all candidate
         // neighbours' (or that have none).
         let (mine, least) = (prio.options(), nbr_min.options());

@@ -23,9 +23,10 @@ fn chorded_ring(n: usize) -> CsrMatrix<i64> {
 fn fanned_out_kernels_allocate_workspaces_per_thread_not_per_dispatch() {
     const THREADS: usize = 4;
     const DISPATCHES: u64 = 200;
-    // accumulator, index list, flag array: what `mxm_rows` and
-    // `mxm_masked_rows` take, one of each per thread that ever runs a chunk
-    const KINDS: u64 = 3;
+    // accumulator and index list (`mxm_rows`), flag array and value
+    // accumulator (`mxm_masked_rows`): one of each per thread that ever
+    // runs a chunk
+    const KINDS: u64 = 4;
 
     let a = chorded_ring(512);
     let mask = a

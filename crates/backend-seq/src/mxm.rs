@@ -1,7 +1,7 @@
 //! Sparse matrix–matrix multiply: Gustavson's row-wise algorithm.
 
 use crate::rows::RowChunk;
-use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_algebra::{BinaryOp, Monoid, Scalar, Semiring};
 use gbtl_sparse::CsrMatrix;
 use gbtl_util::workspace;
 use std::ops::Range;
@@ -87,8 +87,7 @@ where
 /// in the structural mask `M` (the triangle-counting kernel shape).
 ///
 /// Same Gustavson traversal, but terms accumulate only into positions the
-/// mask row marks, so the output (and workspace writes) never exceed
-/// `nnz(M)`.
+/// mask row marks, so the output never exceeds `nnz(M)` and needs no sort.
 pub fn mxm_masked<T, D1, D2, S>(
     mask: &CsrMatrix<bool>,
     a: &CsrMatrix<D1>,
@@ -105,6 +104,27 @@ where
 }
 
 /// Rows `rows` of [`mxm_masked`]'s product.
+///
+/// The accumulator holds a `T` per column at the add monoid's identity and
+/// two flags: the mask row allows the column, the column has had its first
+/// term. Rows are folded in blocks of [`ROW_BLOCK`], each block by one of
+/// two loops over that scratch, chosen by the share of scanned entries that
+/// landed in the mask over the sampled blocks already done
+/// ([`SELECT_HIT_SHARE`], [`SAMPLE_EVERY`]):
+///
+/// * **branch** — `if allowed[j]` around the update, reading a compact
+///   flag array: cheapest where hits are rare and the branch predicts (the
+///   triangle product on ER graphs: ≈ 0.2 % of entries);
+/// * **select** — every scanned entry runs the update, and the mask test and
+///   the first touch are selects: `acc = allowed ? (hit ? acc ⊕ t : t) :
+///   acc`. Nothing to mispredict where hits and misses mix (RMAT: ≈ 14 %).
+///
+/// Both produce the same bits. A position's first term seeds it as it is
+/// (`hit` picks `t`, not `identity ⊕ t`, which differs for `-0.0` and `NaN`),
+/// and the fold runs in scan order either way. The only `⊕` the select loop
+/// computes outside the mask is `identity ⊕ t`, discarded: it cannot
+/// overflow and is never kept. Like the unmasked product, the select loop
+/// evaluates `⊗` on every pair it scans.
 pub fn mxm_masked_rows<T, D1, D2, S>(
     mask: &CsrMatrix<bool>,
     a: &CsrMatrix<D1>,
@@ -124,51 +144,170 @@ where
         (a.nrows(), b.ncols()),
         "mask shape must equal output shape"
     );
-    let (add, mul) = (sr.add(), sr.mul());
+    let clear = Slot {
+        acc: sr.add().identity(),
+        state: 0,
+    };
     let n = b.ncols();
 
-    // allowed[j] marks mask presence for the current row; both scratch
-    // buffers come from the workspace pool (the per-mask-row drain
-    // restores their all-false / all-None return invariants).
+    // Both scratch arrays come from the workspace pool; the drain over each
+    // mask row restores their all-false / all-clear return invariants.
     workspace::with_flags(n, |allowed| {
-        workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
-            let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-            row_ptr.push(0usize);
-            let mut col_idx = Vec::new();
-            let mut vals = Vec::new();
-            for i in rows {
-                let (m_cols, _) = mask.row(i);
-                if !m_cols.is_empty() {
-                    for &j in m_cols {
-                        allowed[j] = true;
-                    }
-                    let (a_cols, a_vals) = a.row(i);
-                    for (&k, &aik) in a_cols.iter().zip(a_vals) {
-                        let (b_cols, b_vals) = b.row(k);
-                        for (&j, &bkj) in b_cols.iter().zip(b_vals) {
-                            if allowed[j] {
-                                let term = mul.apply(aik, bkj);
-                                match &mut acc[j] {
-                                    Some(v) => *v = add.apply(*v, term),
-                                    slot @ None => *slot = Some(term),
-                                }
-                            }
-                        }
-                    }
-                    // mask rows are sorted, so output stays sorted
-                    for &j in m_cols {
-                        if let Some(v) = acc[j].take() {
-                            col_idx.push(j);
-                            vals.push(v);
-                        }
-                        allowed[j] = false;
-                    }
+        workspace::with_values(n, clear, |slots| {
+            let mut kernel = MaskedKernel {
+                mask,
+                a,
+                b,
+                sr,
+                allowed,
+                slots,
+                row_ptr: Vec::with_capacity(rows.len() + 1),
+                col_idx: Vec::new(),
+                vals: Vec::new(),
+            };
+            kernel.row_ptr.push(0usize);
+            let (mut scanned, mut hits) = (0usize, 0usize);
+            for (nth, start) in rows.clone().step_by(ROW_BLOCK).enumerate() {
+                let block = start..(start + ROW_BLOCK).min(rows.end);
+                let block_hits = if hits * SELECT_HIT_SHARE > scanned {
+                    kernel.fold::<true>(block.clone())
+                } else {
+                    kernel.fold::<false>(block.clone())
+                };
+                if nth % SAMPLE_EVERY == 0 {
+                    hits += block_hits;
+                    scanned += block
+                        .filter(|&i| !mask.row(i).0.is_empty())
+                        .flat_map(|i| a.row(i).0)
+                        .map(|&k| b.row_nnz(k))
+                        .sum::<usize>();
                 }
-                row_ptr.push(col_idx.len());
             }
-            RowChunk::from_parts(row_ptr, col_idx, vals)
+            RowChunk::from_parts(kernel.row_ptr, kernel.col_idx, kernel.vals)
         })
     })
+}
+
+/// Rows per block of the masked kernel: each block runs the loop the rows
+/// before it chose, so the choice follows the input, and its cost — one
+/// call and one comparison — is spread over the block's rows.
+const ROW_BLOCK: usize = 64;
+
+/// Every this-many-th block also counts its scanned entries, in a walk over
+/// its `A` rows after the fold, and adds them and its hits to the share the
+/// next blocks choose by; the first block of a call always counts. Counting
+/// inside the fold cost the branch loop 2–7 % (EXPERIMENTS.md R-M25).
+const SAMPLE_EVERY: usize = 16;
+
+/// A block runs the select loop once more than one sampled scanned entry
+/// in this many has landed in the mask (the first block, with no sample
+/// yet, runs the branch loop). Measured (R-M25, `C<L> = L·L`):
+/// the branch loop wins at 0.2 % (er13) and 3.1 % (er11, 32 edges a
+/// vertex), the select loop at 14 % (rmat13, 1.5–1.6×) and above.
+const SELECT_HIT_SHARE: usize = 16;
+
+/// One accumulator column of the masked product: its running value, whether
+/// it has had its first term ([`HIT`]) and — in a block the select loop
+/// folds — whether the mask row allows it ([`ALLOWED`]), read in the same
+/// cache line as the value. Clear is the add monoid's identity, no flag.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slot<T> {
+    acc: T,
+    state: u8,
+}
+
+const ALLOWED: u8 = 1;
+const HIT: u8 = 2;
+
+/// [`mxm_masked_rows`]'s operands, scratch and output so far.
+struct MaskedKernel<'a, T, D1, D2, S> {
+    mask: &'a CsrMatrix<bool>,
+    a: &'a CsrMatrix<D1>,
+    b: &'a CsrMatrix<D2>,
+    sr: S,
+    /// The current mask row's columns, for the branch loop.
+    allowed: &'a mut [bool],
+    slots: &'a mut [Slot<T>],
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    vals: Vec<T>,
+}
+
+impl<T, D1, D2, S> MaskedKernel<'_, T, D1, D2, S>
+where
+    T: Scalar,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
+{
+    /// Fold and emit the rows `block`, with selects (`SELECT`) or behind a
+    /// branch; the number of scanned entries that landed in the mask. Not
+    /// inlined: each loop gets the registers to itself.
+    #[inline(never)]
+    fn fold<const SELECT: bool>(&mut self, block: Range<usize>) -> usize {
+        let (add, mul) = (self.sr.add(), self.sr.mul());
+        let clear = Slot {
+            acc: add.identity(),
+            state: 0,
+        };
+        let (allowed, slots) = (&mut *self.allowed, &mut *self.slots);
+        let mut hits = 0usize;
+        for i in block {
+            let m_cols = self.mask.row(i).0;
+            if m_cols.is_empty() {
+                self.row_ptr.push(self.col_idx.len());
+                continue;
+            }
+            for &j in m_cols {
+                if SELECT {
+                    slots[j].state = ALLOWED;
+                } else {
+                    allowed[j] = true;
+                }
+            }
+            let (a_cols, a_vals) = self.a.row(i);
+            for (&k, &aik) in a_cols.iter().zip(a_vals) {
+                let (b_cols, b_vals) = self.b.row(k);
+                for (&j, &bkj) in b_cols.iter().zip(b_vals) {
+                    if SELECT {
+                        let slot = &mut slots[j];
+                        let Slot { acc, state } = *slot;
+                        let term = mul.apply(aik, bkj);
+                        let sum = add.apply(acc, term);
+                        let next = if state & HIT != 0 { sum } else { term };
+                        let in_mask = state & ALLOWED;
+                        slot.acc = if in_mask != 0 { next } else { acc };
+                        slot.state = state | (in_mask * HIT);
+                        hits += in_mask as usize;
+                    } else if allowed[j] {
+                        let slot = &mut slots[j];
+                        let term = mul.apply(aik, bkj);
+                        slot.acc = if slot.state & HIT != 0 {
+                            add.apply(slot.acc, term)
+                        } else {
+                            term
+                        };
+                        slot.state = HIT;
+                        hits += 1;
+                    }
+                }
+            }
+            // mask rows are sorted, so output stays sorted
+            for &j in m_cols {
+                allowed[j] = false;
+                let slot = &mut slots[j];
+                if slot.state != 0 {
+                    if slot.state & HIT != 0 {
+                        self.col_idx.push(j);
+                        self.vals.push(slot.acc);
+                    }
+                    *slot = clear;
+                }
+            }
+            self.row_ptr.push(self.col_idx.len());
+        }
+        hits
+    }
 }
 
 #[cfg(test)]

@@ -80,11 +80,13 @@ impl<M, Acc> Out<M, Acc> {
     /// The one pass-through rule: whether `T` is the output as it stands.
     /// With no accumulator the output takes `T` at kept positions, and what
     /// the old output held elsewhere survives only without `replace` — so an
-    /// unmasked `T`, or under `replace` one the backend already confined to
-    /// the mask, needs no stitching.
+    /// unmasked `T` needs no stitching, nor does one the backend already
+    /// confined to the mask when nothing old can survive: under `replace`,
+    /// or because the old output (`old_nnz` entries) holds nothing.
     #[inline]
-    fn adopts_t(&self) -> bool {
-        self.accum.is_none() && (self.mask.is_none() || (self.pushed && self.replace))
+    fn adopts_t(&self, old_nnz: usize) -> bool {
+        self.accum.is_none()
+            && (self.mask.is_none() || (self.pushed && (self.replace || old_nnz == 0)))
     }
 }
 
@@ -202,7 +204,9 @@ impl<B: Backend> Context<B> {
 
     /// **write**, matrix form: `c<M, accum, replace> = t`, then close the
     /// span. A shared `t` (`transpose`'s, out of the cache) is adopted as it
-    /// is when it passes through and copied only to be stitched.
+    /// is when it passes through and copied only to be stitched; a masked
+    /// product into a fresh matrix (triangle counting's `C<L>`) passes
+    /// through with no per-entry mask lookup and no per-row sort.
     #[inline]
     pub(crate) fn write_mat<T: Scalar, Acc: BinaryOp<T>>(
         &self,
@@ -215,7 +219,7 @@ impl<B: Backend> Context<B> {
     ) {
         let t = t.into();
         let (mask, accum) = (out.mask.as_ref().map(|m| m.complement), out.accum.is_some());
-        *c = if out.adopts_t() {
+        *c = if out.adopts_t(c.nnz()) {
             debug_assert!(t
                 .iter()
                 .all(|(i, j, _)| out.mask.as_ref().is_none_or(|m| m.allows(i, j))));
@@ -229,7 +233,8 @@ impl<B: Backend> Context<B> {
 
     /// **write**, vector form: `w<m, accum, replace> = t`, then close the
     /// span. A masked level of a traversal (mask pushed down, `replace`, no
-    /// accumulator) passes through: no O(n) work, nothing allocated.
+    /// accumulator) passes through: no O(n) work, nothing allocated; so does
+    /// a masked product into a fresh vector.
     #[inline]
     pub(crate) fn write_vec<T: Scalar, Acc: BinaryOp<T>>(
         &self,
@@ -243,7 +248,7 @@ impl<B: Backend> Context<B> {
         let t = t.into();
         let (mask, accum) = (out.mask.as_ref().map(|k| k.complement), out.accum.is_some());
         let keep = out.mask.as_ref().map(|k| k.view());
-        *w = if out.adopts_t() {
+        *w = if out.adopts_t(w.nnz()) {
             debug_assert!(t.iter().all(|(i, _)| keep.is_none_or(|k| k.keeps(i))));
             t
         } else {

@@ -15,6 +15,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use gbtl_util::sync::lock;
+
 /// One cached query outcome.
 #[derive(Debug)]
 pub struct CachedResult {
@@ -42,6 +44,10 @@ pub struct ResultCache {
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Locked with the poison-tolerant [`lock`]: a critical section is a
+    /// tick bump and at most one whole-entry remove and insert, so the map
+    /// is valid wherever a holder unwinds, and one request's panic must not
+    /// fail every later request's lookup.
     inner: Mutex<Inner>,
 }
 
@@ -63,7 +69,7 @@ impl ResultCache {
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// True when nothing is cached.
@@ -87,7 +93,7 @@ impl ResultCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
@@ -111,7 +117,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
@@ -170,6 +176,26 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get("a").unwrap().result_json, "r2");
         assert!(c.get("b").is_some());
+    }
+
+    #[test]
+    fn a_poisoned_cache_still_hits_misses_and_evicts() {
+        let c = Arc::new(ResultCache::new(2));
+        c.put("a".into(), result("ra"));
+        let shared = c.clone();
+        let worker = std::thread::spawn(move || {
+            let _held = lock(&shared.inner);
+            panic!("a request dies holding the cache");
+        });
+        assert!(worker.join().is_err());
+        assert!(c.inner.is_poisoned());
+
+        assert_eq!(c.get("a").unwrap().result_json, "ra");
+        assert!(c.get("b").is_none());
+        c.put("b".into(), result("rb"));
+        c.put("c".into(), result("rc")); // evicts a, the least recent
+        assert!(c.get("a").is_none());
+        assert_eq!((c.len(), c.hits(), c.misses()), (2, 1, 2));
     }
 
     #[test]

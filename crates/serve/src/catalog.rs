@@ -19,6 +19,7 @@ use gbtl_algebra::Min;
 use gbtl_core::Matrix;
 use gbtl_graphgen::{erdos_renyi, grid_2d, karate_club, symmetrize, weights, Rmat};
 use gbtl_sparse::CooMatrix;
+use gbtl_util::sync::lock;
 
 /// Weight seed used when a spec has no seed of its own (karate, grid, mtx).
 const DEFAULT_WEIGHT_SEED: u64 = 0x5eed;
@@ -187,6 +188,10 @@ fn derive_weights(adj: &Matrix<bool>, seed: u64) -> Matrix<u32> {
 /// The named-graph catalog.
 #[derive(Debug, Default)]
 pub struct Catalog {
+    /// Locked with the poison-tolerant [`lock`]: every critical section is
+    /// one lookup or one whole-`Arc` insert (graphs are built outside it),
+    /// so the map is valid wherever a holder unwinds, and one worker's
+    /// panic must not fail every later query's lookup.
     inner: Mutex<HashMap<String, Arc<GraphEntry>>>,
 }
 
@@ -205,7 +210,7 @@ impl Catalog {
         }
         let adj = spec.build_adjacency()?;
         let weights = derive_weights(&adj, spec.weight_seed());
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let epoch = inner.get(name).map(|e| e.epoch + 1).unwrap_or(1);
         let entry = Arc::new(GraphEntry {
             name: name.to_string(),
@@ -274,7 +279,7 @@ impl Catalog {
         if !weights.csr().is_symmetric() {
             return Err("graph is not symmetric".into());
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let epoch = inner.get(name).map(|e| e.epoch + 1).unwrap_or(1);
         let entry = Arc::new(GraphEntry {
             name: name.to_string(),
@@ -289,19 +294,19 @@ impl Catalog {
 
     /// The current entry for `name`.
     pub fn get(&self, name: &str) -> Option<Arc<GraphEntry>> {
-        self.inner.lock().unwrap().get(name).cloned()
+        lock(&self.inner).get(name).cloned()
     }
 
     /// All resident entries, sorted by name.
     pub fn list(&self) -> Vec<Arc<GraphEntry>> {
-        let mut v: Vec<_> = self.inner.lock().unwrap().values().cloned().collect();
+        let mut v: Vec<_> = lock(&self.inner).values().cloned().collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
     }
 
     /// Number of resident graphs.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        lock(&self.inner).len()
     }
 
     /// True when no graph is loaded.
@@ -345,6 +350,26 @@ mod tests {
             assert_eq!(e.weights.get(j, i), Some(w));
         }
         assert_eq!(e.epoch, 1);
+    }
+
+    #[test]
+    fn a_poisoned_catalog_still_loads_and_serves() {
+        let cat = Arc::new(Catalog::new());
+        let karate = cat.load("k", &GraphSpec::Karate).unwrap();
+        let shared = cat.clone();
+        let worker = std::thread::spawn(move || {
+            let _held = lock(&shared.inner);
+            panic!("a worker dies holding the catalog");
+        });
+        assert!(worker.join().is_err());
+        assert!(cat.inner.is_poisoned());
+
+        assert!(Arc::ptr_eq(&cat.get("k").unwrap(), &karate));
+        let grid = cat.load("g", &GraphSpec::Grid { side: 4 }).unwrap();
+        assert_eq!((grid.n(), grid.epoch), (16, 1));
+        assert_eq!(cat.load("k", &GraphSpec::Karate).unwrap().epoch, 2);
+        let names: Vec<_> = cat.list().iter().map(|e| e.name.clone()).collect();
+        assert_eq!((names, cat.len()), (vec!["g".to_string(), "k".into()], 2));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Reusable per-thread kernel workspaces.
 //!
-//! The Gustavson SpGEMM/SpMV kernels in every backend need the same three
-//! scratch shapes per call: a dense `Vec<Option<T>>` accumulator, a
+//! The Gustavson SpGEMM/SpMV kernels in every backend need the same few
+//! scratch shapes per call: a dense `Vec<Option<T>>` accumulator (or, for
+//! the masked product, a value array held at the add monoid's identity), a
 //! `Vec<usize>` index list (`touched` columns, gather offsets), and a
 //! `Vec<bool>` flag array (mask membership, symbolic `seen` marks). Before
 //! this module each call allocated and zeroed them from scratch — for an
@@ -17,6 +18,8 @@
 //! *known-clean* state and must be returned clean:
 //!
 //! * accumulator — every slot `None`, `len >= n`;
+//! * value accumulator — every slot equal to the `fill` it was asked for,
+//!   `len >= n`;
 //! * flags — every slot `false`, `len >= n`;
 //! * index buffer — empty.
 //!
@@ -84,6 +87,9 @@ thread_local! {
     // single slot) so nested takes of the same type still reuse.
     static ACC_POOL: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
         RefCell::new(HashMap::new());
+    // Value accumulators, per element type, each with the fill it holds.
+    static VAL_POOL: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
+        RefCell::new(HashMap::new());
     static IDX_POOL: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
     static FLAG_POOL: RefCell<Vec<Vec<bool>>> = const { RefCell::new(Vec::new()) };
 }
@@ -123,6 +129,60 @@ pub fn with_accumulator<T: 'static, R>(n: usize, f: impl FnOnce(&mut Vec<Option<
             .entry(TypeId::of::<T>())
             .or_default()
             .push(Box::new(acc));
+    });
+    out
+}
+
+/// A pooled value accumulator and the one value all its slots hold.
+struct Filled<T> {
+    fill: T,
+    buf: Vec<T>,
+}
+
+/// Run `f` with a dense accumulator of at least `n` slots, every one equal
+/// to `fill` — the add monoid's identity, for the masked product.
+///
+/// `f` must leave every slot it wrote back at `fill` (reset via the mask
+/// row, as the masked Gustavson kernel does per row); debug builds assert
+/// this when the buffer is returned to the pool. Buffers are pooled per
+/// element type *and* fill, so kernels over two monoids of one domain
+/// (`+` at 0, `min` at `MAX`) each find theirs ready. A `fill` that does
+/// not equal itself (a NaN) is not a valid identity.
+pub fn with_values<T: Copy + PartialEq + 'static, R>(
+    n: usize,
+    fill: T,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    let taken = VAL_POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let stack = pool.get_mut(&TypeId::of::<T>())?;
+        let at = stack.iter().rposition(|b| {
+            b.downcast_ref::<Filled<T>>()
+                .is_some_and(|v| v.fill == fill)
+        })?;
+        Some(stack.swap_remove(at))
+    });
+    count_take(taken.is_some());
+    let mut vals = match taken {
+        Some(boxed) => *boxed.downcast().expect("pool entry keyed by TypeId"),
+        None => Filled {
+            fill,
+            buf: Vec::new(),
+        },
+    };
+    if vals.buf.len() < n {
+        vals.buf.resize(n, fill);
+    }
+    let out = f(&mut vals.buf);
+    debug_assert!(
+        vals.buf.iter().all(|v| *v == fill),
+        "value accumulator returned to the workspace pool off its fill"
+    );
+    VAL_POOL.with(|pool| {
+        pool.borrow_mut()
+            .entry(TypeId::of::<T>())
+            .or_default()
+            .push(Box::new(vals));
     });
     out
 }
@@ -206,6 +266,26 @@ mod tests {
                 assert!(b.iter().all(Option::is_none));
             });
             a[0] = None;
+        });
+    }
+
+    #[test]
+    fn value_buffers_are_pooled_per_fill() {
+        let (zeros_at, maxes_at) = with_values(4, 0u64, |zeros| {
+            zeros[1] = 7;
+            // a nested take of another fill gets its own buffer
+            let maxes_at = with_values(4, u64::MAX, |maxes| {
+                assert!(maxes.len() >= 4 && maxes.iter().all(|&v| v == u64::MAX));
+                maxes.as_ptr()
+            });
+            zeros[1] = 0; // restore the invariant
+            (zeros.as_ptr(), maxes_at)
+        });
+        // the pools are this thread's own: each fill finds its buffer again
+        with_values(4, u64::MAX, |maxes| assert_eq!(maxes.as_ptr(), maxes_at));
+        with_values(4, 0u64, |zeros| {
+            assert_eq!(zeros.as_ptr(), zeros_at);
+            assert!(zeros.iter().all(|&v| v == 0));
         });
     }
 

@@ -346,3 +346,50 @@ fn bc_mass_conservation_on_connected_graph() {
         }
     }
 }
+
+/// Luby's MIS with its neighbour-min pull masked to the candidates (PR 25)
+/// returns the sets the unmasked pull did: per graph, the FNV-1a fold of
+/// the sizes and members of the sets for 16 seeds, recorded from the
+/// parent build, on all three backends.
+#[test]
+fn masked_mis_returns_the_unmasked_sets() {
+    use gbtl::algorithms::mis::verify_mis;
+    use gbtl::algorithms::{adjacency, maximal_independent_set};
+    use gbtl::graphgen::karate_club;
+    use gbtl::util::hash::fnv1a_fold;
+
+    fn fold<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> u64 {
+        (0..16u64).fold(0, |h, seed| {
+            let set = maximal_independent_set(ctx, a, seed * 7919 + 1).unwrap();
+            assert!(verify_mis(a, &set), "seed {seed} on {}", ctx.backend_name());
+            let h = fnv1a_fold(h, &(set.nnz() as u64).to_le_bytes());
+            set.iter()
+                .fold(h, |h, (v, _)| fnv1a_fold(h, &(v as u64).to_le_bytes()))
+        })
+    }
+    let graphs = [
+        (
+            "karate",
+            adjacency(karate_club()),
+            0x0586_1985_a0c0_26bf_u64,
+        ),
+        (
+            "rmat10",
+            adjacency(symmetrize(&Rmat::new(10, 8).seed(7).generate())),
+            0xaf0d_7656_bd38_ecb0,
+        ),
+        (
+            "er10",
+            adjacency(symmetrize(&erdos_renyi(1024, 8192, 7))),
+            0xe7f5_4882_0054_24ca,
+        ),
+    ];
+    for (name, a, want) in &graphs {
+        let got = [
+            fold(&Context::sequential(), a),
+            fold(&Context::parallel_with_threads(3), a),
+            fold(&Context::cuda_default(), a),
+        ];
+        assert_eq!(got, [*want; 3], "{name}: seq / par / cuda");
+    }
+}

@@ -303,7 +303,7 @@ sssp: kernels=50 warp=68762 txn=70916 atomics=0 h2d=0B/0 d2h=8192B/1 ns=292201
 pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ns=134668
 triangle_count: kernels=24 warp=55328 txn=143088 atomics=12340 h2d=0B/0 d2h=0B/0 ns=205532
 connected_components: kernels=4 warp=42049 txn=40131 atomics=0 h2d=0B/0 d2h=0B/0 ns=37836
-mis: kernels=48 warp=47289 txn=55395 atomics=0 h2d=0B/0 d2h=0B/0 ns=264620
+mis: kernels=51 warp=20859 txn=23449 atomics=0 h2d=0B/0 d2h=0B/0 ns=265422
 ewise_add_mat: kernels=15 warp=15793 txn=29707 atomics=12340 h2d=0B/0 d2h=0B/0 ns=110141
 ewise_mult_mat: kernels=15 warp=14635 txn=27777 atomics=6170 h2d=0B/0 d2h=0B/0 ns=98314
 select_mat: kernels=10 warp=4760 txn=12571 atomics=6170 h2d=0B/0 d2h=0B/0 ns=66556
@@ -331,7 +331,7 @@ mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=2
   expand_row_ids: n=13 blocks=13 warp=4123 txn=8259 atomics=0 ns=68671
   gather: n=30 blocks=32 warp=1494 txn=7441 atomics=0 ns=153307
   histogram: n=11 blocks=88 warp=20682 txn=21384 atomics=330789 ns=652573
-  mask_resolve: n=12 blocks=12 warp=384 txn=192 atomics=0 ns=60085
+  mask_resolve: n=15 blocks=15 warp=480 txn=240 atomics=0 ns=75107
   radix_sort_pass: n=96 blocks=736 warp=339184 txn=502728 atomics=0 ns=703435
   reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ns=5112
   reduce_by_key: n=16 blocks=159 warp=55896 txn=80049 atomics=0 ns=115577
@@ -343,7 +343,7 @@ mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=2
   spgemm_masked_dot: n=1 blocks=25 warp=45138 txn=122546 atomics=0 ns=59465
   spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
   spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
-  spmv_csr_vector: n=28 blocks=112 warp=254853 txn=248764 atomics=0 ns=250562
+  spmv_csr_vector: n=28 blocks=112 warp=228327 txn=216770 atomics=0 ns=236342
   spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
   tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
   transform: n=22 blocks=176 warp=41364 txn=82720 atomics=0 ns=146764
@@ -362,7 +362,7 @@ sssp: kernels=279 warp=2048 txn=4181 atomics=0 h2d=0B/0 d2h=2048B/1 ns=1407029
 pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ns=97057
 triangle_count: kernels=23 warp=1420 txn=2127 atomics=960 h2d=0B/0 d2h=0B/0 ns=117652
 connected_components: kernels=31 warp=4574 txn=10995 atomics=0 h2d=0B/0 d2h=0B/0 ns=159887
-mis: kernels=36 warp=888 txn=2278 atomics=0 h2d=0B/0 d2h=0B/0 ns=181012
+mis: kernels=38 warp=830 txn=1779 atomics=0 h2d=0B/0 d2h=0B/0 ns=190791
 ewise_add_mat: kernels=15 warp=1255 txn=2378 atomics=960 h2d=0B/0 d2h=0B/0 ns=77764
 ewise_mult_mat: kernels=15 warp=1165 txn=2228 atomics=480 h2d=0B/0 d2h=0B/0 ns=76844
 select_mat: kernels=10 warp=392 txn=1034 atomics=480 h2d=0B/0 d2h=0B/0 ns=51313
@@ -390,7 +390,7 @@ mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
   expand_row_ids: n=13 blocks=13 warp=389 txn=791 atomics=0 ns=65352
   gather: n=174 blocks=174 warp=618 txn=2015 atomics=0 ns=870896
   histogram: n=11 blocks=11 warp=508 txn=683 atomics=8098 ns=69700
-  mask_resolve: n=87 blocks=87 warp=696 txn=348 atomics=0 ns=435155
+  mask_resolve: n=89 blocks=89 warp=712 txn=356 atomics=0 ns=445158
   radix_sort_pass: n=384 blocks=384 warp=6400 txn=8424 atomics=0 ns=1923744
   reduce_by_key: n=88 blocks=88 warp=600 txn=883 atomics=0 ns=440392
   scan_downsweep: n=98 blocks=98 warp=382 txn=608 atomics=0 ns=490270
@@ -399,7 +399,7 @@ mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
   select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
   spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
   spgemm_masked_dot: n=1 blocks=2 warp=598 txn=423 atomics=0 ns=5188
-  spmv_csr_scalar: n=75 blocks=75 warp=10561 txn=23495 atomics=0 ns=385442
+  spmv_csr_scalar: n=75 blocks=75 warp=10487 txn=22988 atomics=0 ns=385217
   spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
   spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
   tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240

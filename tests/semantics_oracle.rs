@@ -269,8 +269,113 @@ fn check_vector_ops<B: Backend>(
     }
 }
 
+/// The three masked products under a mask with no accumulator, into an
+/// empty output and into a full one — the cases the pass-through rule
+/// splits: a non-complemented mask into an empty output adopts `T` (with or
+/// without `replace`), into a full one without `replace` it stitches and
+/// the old entries outside the mask survive, and a complemented mask into
+/// an empty output is still filtered.
+fn check_masked_products<B: Backend>(
+    ctx: &Context<B>,
+    (a, b, u): (&Matrix<i64>, &Matrix<i64>, &[Option<i64>]),
+    (mask, vmask): (&Matrix<bool>, &Vector<bool>),
+    (complement, replace, fresh): (bool, bool, bool),
+) {
+    let desc = &descriptor(complement, replace);
+    let full = |i: usize, j: usize| Some(100 + (i * N + j) as i64);
+    let old_grid: Grid = (0..N)
+        .map(|i| (0..N).map(|j| full(i, j).filter(|_| !fresh)).collect())
+        .collect();
+    let ga = to_grid(a);
+    let sum = |terms: &mut dyn Iterator<Item = Option<i64>>| terms.flatten().reduce(|x, y| x + y);
+    let how = format!(
+        "on {}: comp={complement} replace={replace} fresh={fresh}",
+        ctx.backend_name()
+    );
+
+    let mut c = Matrix::build(
+        N,
+        N,
+        (0..N)
+            .flat_map(|i| (0..N).map(move |j| (i, j)))
+            .filter_map(|(i, j)| Some((i, j, old_grid[i][j]?))),
+        Second::new(),
+    )
+    .unwrap();
+    ctx.mxm(
+        &mut c,
+        Some(mask),
+        None::<Plus<i64>>,
+        PlusTimes::new(),
+        a,
+        b,
+        desc,
+    )
+    .unwrap();
+    let mg = to_mask_grid(Some(mask), complement);
+    let t = dense_mxm(&ga, &to_grid(b));
+    assert_eq!(
+        to_grid(&c),
+        dense_stitch(&old_grid, &t, &mg, false, replace),
+        "mxm {how}"
+    );
+
+    let keep: Vec<bool> = (0..N).map(|i| vmask.contains(i) != complement).collect();
+    let uv = vector(u, false);
+    let pull: Vec<_> = (0..N)
+        .map(|i| sum(&mut (0..N).map(|j| Some(ga[i][j]? * u[j]?))))
+        .collect();
+    let push: Vec<_> = (0..N)
+        .map(|j| sum(&mut (0..N).map(|i| Some(u[i]? * ga[i][j]?))))
+        .collect();
+    for (op, t) in [("mxv", pull), ("vxm", push)] {
+        let mut w = vector(&old_grid[0], false);
+        let sr = PlusTimes::<i64>::new();
+        match op {
+            "mxv" => ctx.mxv(&mut w, Some(vmask), None::<Plus<i64>>, sr, a, &uv, desc),
+            _ => ctx.vxm(&mut w, Some(vmask), None::<Plus<i64>>, sr, &uv, a, desc),
+        }
+        .unwrap();
+        let expect = dense_stitch(
+            &row_grid(&old_grid[0]),
+            &row_grid(&t),
+            &row_grid(&keep),
+            false,
+            replace,
+        );
+        assert_eq!(
+            (0..N).map(|i| w.get(i)).collect::<Vec<_>>(),
+            expect[0],
+            "{op} {how}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`check_masked_products`] on all three backends.
+    #[test]
+    fn masked_products_adopt_into_empty_outputs_and_stitch_into_full_ones(
+        a in arb_matrix(),
+        b in arb_matrix(),
+        u in proptest::collection::vec(proptest::option::of(-9i64..9), N),
+        midx in proptest::collection::vec((0..N, 0..N), 0..40),
+        replace: bool,
+    ) {
+        let mask = Matrix::build(N, N, midx.iter().map(|&(i, j)| (i, j, true)), Second::new())
+            .expect("in bounds");
+        let vmask = Vector::build(N, midx.iter().map(|&(i, _)| (i, true)), Second::new())
+            .expect("in bounds");
+        let operands = (&a, &b, &u[..]);
+        // (complement, fresh): adopted, stitched, filtered
+        for (complement, fresh) in [(false, true), (false, false), (true, true)] {
+            let flags = (complement, replace, fresh);
+            check_masked_products(&Context::sequential(), operands, (&mask, &vmask), flags);
+            check_masked_products(&Context::parallel_with_threads(4), operands, (&mask, &vmask), flags);
+            check_masked_products(&Context::cuda_default(), operands, (&mask, &vmask), flags);
+        }
+    }
 
     /// The remaining matrix operations — `ewise_mult_mat`, `apply_mat`,
     /// `select_mat`, `kronecker`, `transpose` — under the same factorial, on
