@@ -1,4 +1,4 @@
-//! Work partitioning: nnz-balanced row splitting and plain even splitting.
+//! Work partitioning: nnz-balanced row splitting.
 
 // These functions return lists of ranges; a one-element `vec![0..0]` for
 // the degenerate empty input really is a single empty range, not a typo'd
@@ -43,18 +43,6 @@ pub fn nnz_balanced_rows(row_ptr: &[usize], chunks: usize) -> Vec<Range<usize>> 
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Split `0..n` into at most `chunks` near-even contiguous ranges (for
-/// index-space work with no nnz structure to balance on).
-pub fn even_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        return vec![0..0];
-    }
-    let chunks = chunks.max(1).min(n);
-    (0..chunks)
-        .map(|k| (k * n / chunks)..((k + 1) * n / chunks))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +77,5 @@ mod tests {
         check_cover(&ranges, 2);
         let ranges = nnz_balanced_rows(&[0, 5], 8);
         assert_eq!(ranges, vec![0..1]);
-    }
-
-    #[test]
-    fn even_ranges_cover() {
-        check_cover(&even_ranges(10, 3), 10);
-        check_cover(&even_ranges(2, 8), 2);
-        assert_eq!(even_ranges(0, 4), vec![0..0]);
     }
 }

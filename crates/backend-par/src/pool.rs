@@ -251,18 +251,6 @@ impl ThreadPool {
         }
     }
 
-    /// Zero the cumulative execution counters.
-    pub fn reset_stats(&self) {
-        let c = &self.inner.counters;
-        c.parallel_dispatches.store(0, Ordering::Relaxed);
-        c.inline_dispatches.store(0, Ordering::Relaxed);
-        c.tasks_executed.store(0, Ordering::Relaxed);
-        c.steals.store(0, Ordering::Relaxed);
-        for b in &c.busy_ns {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Run `f(0), f(1), …, f(ntasks-1)` across the workers and return the
     /// results in task order. If a task panics, the others still run and
     /// the first panic resumes on the caller.
@@ -637,20 +625,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset_and_clones_share_counters() {
+    fn clones_share_counters() {
         let pool = ThreadPool::with_threads(2);
         let clone = pool.clone();
         let _ = clone.run_tasks(8, |i| i);
         assert_eq!(pool.stats().tasks_executed, 8);
-        pool.reset_stats();
-        assert_eq!(
-            clone.stats(),
-            PoolStats {
-                threads: 2,
-                busy_ns: vec![0, 0],
-                ..PoolStats::default()
-            }
-        );
+        assert_eq!(pool.stats(), clone.stats());
     }
 
     #[test]

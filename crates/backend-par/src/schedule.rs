@@ -2,7 +2,7 @@
 //! run the *sequential* kernel's row-range form on each cut, join the
 //! fragments in order. The arithmetic lives in `gbtl-backend-seq` alone.
 
-use crate::partition::{even_ranges, nnz_balanced_rows, OVERSPLIT};
+use crate::partition::{nnz_balanced_rows, OVERSPLIT};
 use crate::pool::ThreadPool;
 use gbtl_algebra::Scalar;
 use gbtl_sparse::DenseVector;
@@ -17,17 +17,6 @@ where
 {
     let chunks = nnz_balanced_rows(row_ptr, pool.threads() * OVERSPLIT);
     pool.run_tasks(chunks.len(), |t| kernel(chunks[t].clone()))
-}
-
-/// `kernel` over even ranges of `0..n` (index-space work with no nnz
-/// structure to balance on), results in index order.
-pub(crate) fn over_range<R, K>(pool: &ThreadPool, n: usize, kernel: K) -> Vec<R>
-where
-    R: Send,
-    K: Fn(Range<usize>) -> R + Sync,
-{
-    let ranges = even_ranges(n, pool.threads() * OVERSPLIT);
-    pool.run_tasks(ranges.len(), |t| kernel(ranges[t].clone()))
 }
 
 /// Concatenate `(indices, values)` fragments of ascending disjoint ranges.

@@ -15,7 +15,8 @@
 //! merges, `select_mat`, `reduce_rows`) is written once, in a `*_rows` form
 //! that computes a range of output rows (see [`RowChunk`]); the
 //! whole-matrix function is that form over `0..m`, and `gbtl-backend-par`
-//! schedules the same form over many ranges. There is one CPU kernel source.
+//! schedules the same form of the products and `reduce_rows` over many
+//! ranges. There is one CPU kernel source.
 //!
 //! All functions are pure: inputs by reference, outputs returned. Masks
 //! arrive pre-resolved by the frontend — a vector mask is a `&[bool]` keep

@@ -7,9 +7,10 @@
 //! cargo run -p gbtl-bench --release --bin experiments -- --trace f1
 //! ```
 
+use std::hint::black_box;
 use std::time::Duration;
 
-use gbtl_algebra::{PlusMonoid, PlusTimes};
+use gbtl_algebra::{AdditiveInverse, Plus, PlusMonoid, PlusTimes, Times, TriL};
 use gbtl_algorithms::{
     bfs_levels, pagerank::PageRankOptions, sssp, sssp_with_direction, triangle_count, Direction,
 };
@@ -18,7 +19,11 @@ use gbtl_bench::{
     rmat_graph, seq_ctx, time_best, time_cuda, typed, weighted, Row,
 };
 use gbtl_core::trace::report::format_table;
-use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, SpmvKernel, TraceMode, Vector};
+use gbtl_core::{
+    no_accum, Backend, Context, Descriptor, Matrix, ParBackend, SeqBackend, SpmvKernel, TraceMode,
+    Vector,
+};
+use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +72,7 @@ fn main() {
         a4_device_sweep();
     }
     if want("p1") {
-        p1_par_threads();
+        p1_par_kernels();
     }
     if want("d10") {
         d10_direction();
@@ -89,127 +94,173 @@ fn report_for<B: Backend>(a: &Matrix<bool>, ctx: Context<B>) {
     println!("{}", format_table(&ctx.trace()));
 }
 
-/// R-P1: work-stealing parallel CPU backend, thread sweep on the two core
-/// primitives (SpMV and SpGEMM) plus BFS end to end.
-fn p1_par_threads() {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// R-P26: every kernel `ParBackend` overrides or once did, par(2) ÷ seq, called
+/// through the `Backend` trait on perfbench's two largest library graphs.
+/// Run unpinned. Each round times both backends once, alternating which
+/// goes first; a round's speedup is seq time ÷ par time, and the table
+/// prints the median over the rounds plus how many rounds par won. An op
+/// whose par call dispatches nothing on the pool runs seq's body.
+fn p1_par_kernels() {
+    const ROUNDS: usize = 41;
+    const KERNELS: [&str; 16] = [
+        "mxm",
+        "mxm_masked",
+        "mxv",
+        "reduce_rows",
+        "ewise_mult_mat",
+        "select_mat",
+        "transpose",
+        "apply_mat",
+        "apply_sparse_vec",
+        "apply_dense_vec",
+        "ewise_add_mat",
+        "ewise_add_vec",
+        "ewise_mult_vec",
+        "reduce_mat",
+        "reduce_dense_vec",
+        "reduce_sparse_vec",
+    ];
     print_title(
-        "R-P1: parallel CPU backend (work-stealing) thread sweep",
-        "wall time falls with threads up to the host core count, then flattens; \
-         nnz-balanced row splitting keeps RMAT's skew from serialising the sweep. \
-         speedup = seq / best parallel time — bounded above by physical cores",
+        "R-P26: parallel CPU backend, per kernel, par(2) / seq",
+        "an override stays only where the median clears 1.1x in 2 of 3 campaigns \
+         on both graphs; `fans out` = no marks an op that runs seq's body",
     );
-    println!("host physical parallelism: {} core(s)", host_threads());
     println!(
-        "{:<20} {:>8} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9}",
-        "workload", "n", "nnz", "seq", "par x1", "par x2", "par x4", "par x8", "speedup"
+        "host parallelism: {} core(s); {ROUNDS} alternated rounds",
+        host_threads()
     );
-
-    let print_sweep = |label: &str, n: usize, nnz: usize, seq: Duration, par: [Duration; 4]| {
-        let best = par.iter().min().copied().unwrap_or(seq);
-        println!(
-            "{:<20} {:>8} {:>9} {:>11.3?} {:>11.3?} {:>11.3?} {:>11.3?} {:>11.3?} {:>8.2}x",
-            label,
-            n,
-            nnz,
-            seq,
-            par[0],
-            par[1],
-            par[2],
-            par[3],
-            seq.as_secs_f64() / best.as_secs_f64().max(1e-12)
-        );
-    };
-
-    // SpMV on RMAT (skewed rows — the load-balancing stress case).
-    for scale in [14u32, 16] {
-        let a = rmat_graph(scale, 16, 42);
-        let af = typed(&a, 1.0f64);
-        let u = Vector::filled(a.ncols(), 1.0f64);
-        let seq = time_best(3, || {
-            let ctx = seq_ctx();
-            let mut w = Vector::new(af.nrows());
-            ctx.mxv(
-                &mut w,
-                None,
-                no_accum(),
-                PlusTimes::new(),
-                &af,
-                &u,
-                &Descriptor::new(),
-            )
-            .unwrap();
-        });
-        let par = THREADS.map(|t| {
-            time_best(3, || {
-                let ctx = par_ctx(t);
-                let mut w = Vector::new(af.nrows());
-                ctx.mxv(
-                    &mut w,
-                    None,
-                    no_accum(),
-                    PlusTimes::new(),
-                    &af,
-                    &u,
-                    &Descriptor::new(),
-                )
-                .unwrap();
-            })
-        });
-        print_sweep(&format!("rmat{scale} mxv"), a.nrows(), a.nnz(), seq, par);
-    }
-
-    // SpGEMM (C = A*A), skewed and uniform degree distributions.
+    let (seq, par) = (SeqBackend, ParBackend::with_threads(2));
     for (label, a) in [
-        ("rmat12 mxm".to_string(), rmat_graph(12, 16, 42)),
-        ("er14 mxm".into(), er_graph(14, 16, 42)),
+        ("rmat14 ef16", rmat_graph(14, 16, 1)),
+        ("rmat13 ef8", rmat_graph(13, 8, 1)),
     ] {
-        let af = typed(&a, 1.0f64);
-        let seq = time_best(1, || {
-            let ctx = seq_ctx();
-            let mut c = Matrix::new(af.nrows(), af.ncols());
-            ctx.mxm(
-                &mut c,
-                None,
-                no_accum(),
-                PlusTimes::new(),
-                &af,
-                &af,
-                &Descriptor::new(),
-            )
-            .unwrap();
-        });
-        let par = THREADS.map(|t| {
-            time_best(1, || {
-                let ctx = par_ctx(t);
-                let mut c = Matrix::new(af.nrows(), af.ncols());
-                ctx.mxm(
-                    &mut c,
-                    None,
-                    no_accum(),
-                    PlusTimes::new(),
-                    &af,
-                    &af,
-                    &Descriptor::new(),
-                )
-                .unwrap();
-            })
-        });
-        print_sweep(&label, a.nrows(), a.nnz(), seq, par);
+        let x = P1Operands::new(&a);
+        // a second of fanned-out work first, so the helper has left the
+        // caller's CPU before anything is timed (EXPERIMENTS.md R-P20)
+        let warm = std::time::Instant::now();
+        while warm.elapsed() < Duration::from_secs(1) {
+            p1_call(&par, "mxv", &x);
+        }
+        println!("\n{label}: n={} nnz={}", a.nrows(), a.nnz());
+        println!(
+            "{:<18} {:>10} {:>10} {:>9} {:>10} {:>9}",
+            "kernel", "seq", "par(2)", "median", "par wins", "fans out"
+        );
+        for kernel in KERNELS {
+            let before = par.pool_stats().parallel_dispatches;
+            p1_call(&par, kernel, &x);
+            let fans_out = par.pool_stats().parallel_dispatches > before;
+            // enough calls per sample that one sample is at least 1 ms
+            let once = time_best(1, || p1_call(&seq, kernel, &x));
+            let reps = (1e-3 / once.as_secs_f64().max(1e-9)).ceil().clamp(1.0, 1e4) as usize;
+            let sample = |be: &dyn Fn()| {
+                let t0 = std::time::Instant::now();
+                for _ in 0..reps {
+                    be();
+                }
+                t0.elapsed().as_secs_f64() / reps as f64
+            };
+            let (run_seq, run_par) = (|| p1_call(&seq, kernel, &x), || p1_call(&par, kernel, &x));
+            let rounds: Vec<(f64, f64)> = (0..ROUNDS)
+                .map(|r| {
+                    if r % 2 == 0 {
+                        let s = sample(&run_seq);
+                        (s, sample(&run_par))
+                    } else {
+                        let p = sample(&run_par);
+                        (sample(&run_seq), p)
+                    }
+                })
+                .collect();
+            let median = |f: fn(&(f64, f64)) -> f64| {
+                let mut v: Vec<f64> = rounds.iter().map(f).collect();
+                v.sort_by(f64::total_cmp);
+                v[v.len() / 2]
+            };
+            println!(
+                "{:<18} {:>8.1}us {:>8.1}us {:>8.2}x {:>6}/{ROUNDS} {:>9}",
+                kernel,
+                median(|r| r.0) * 1e6,
+                median(|r| r.1) * 1e6,
+                median(|r| r.0 / r.1),
+                rounds.iter().filter(|(s, p)| p < s).count(),
+                if fans_out { "yes" } else { "no" }
+            );
+        }
     }
+}
 
-    // An algorithm end to end: BFS rides the same kernels through the
-    // frontend with zero algorithm changes.
-    let a = rmat_graph(16, 16, 7);
-    let seq = time_best(2, || {
-        let _ = bfs_levels(&seq_ctx(), &a, 0, Direction::Push).unwrap();
-    });
-    let par = THREADS.map(|t| {
-        time_best(2, || {
-            let _ = bfs_levels(&par_ctx(t), &a, 0, Direction::Push).unwrap();
-        })
-    });
-    print_sweep("rmat16 bfs", a.nrows(), a.nnz(), seq, par);
+/// R-P26's operands on one graph: the adjacency as `f64`; an `n × 16`
+/// frontier, one entry a row (the fused 16-source traversal's pull-level
+/// product `A·F`); the lower triangle and its pattern as the mask (the
+/// triangle-count product `L·L<L>`); dense and sparse vectors.
+struct P1Operands {
+    a: CsrMatrix<f64>,
+    f: CsrMatrix<f64>,
+    l: CsrMatrix<f64>,
+    mask: CsrMatrix<bool>,
+    ud: DenseVector<f64>,
+    vd: DenseVector<f64>,
+    us: SparseVector<f64>,
+    vs: SparseVector<f64>,
+}
+
+impl P1Operands {
+    fn new(g: &Matrix<bool>) -> Self {
+        let n = g.nrows();
+        let a = typed(g, 1.0f64).csr().clone();
+        let (mut ud, mut vd) = (DenseVector::new(n), DenseVector::new(n));
+        let (mut us, mut vs) = (SparseVector::new(n), SparseVector::new(n));
+        let mut f = CooMatrix::new(n, 16);
+        for i in 0..n {
+            f.push(i, i % 16, 1.0);
+            let v = i as f64 / 7.0;
+            ud.set(i, v);
+            if i % 2 == 0 {
+                vd.set(i, v);
+                us.set(i, v);
+            }
+            if i % 3 == 0 {
+                vs.set(i, v);
+            }
+        }
+        P1Operands {
+            f: CsrMatrix::from_coo(f, |x, _| x),
+            l: SeqBackend.select_mat(&a, TriL),
+            mask: SeqBackend.select_mat(g.csr(), TriL),
+            a,
+            ud,
+            vd,
+            us,
+            vs,
+        }
+    }
+}
+
+/// One call of `kernel` on `be`, its result dropped.
+fn p1_call<B: Backend>(be: &B, kernel: &str, x: &P1Operands) {
+    let sr = PlusTimes::<f64>::new();
+    let m = PlusMonoid::<f64>::new();
+    let neg = AdditiveInverse::<f64>::new();
+    match kernel {
+        "mxm" => drop(black_box(be.mxm(&x.a, &x.f, sr))),
+        "mxm_masked" => drop(black_box(be.mxm_masked(&x.mask, &x.l, &x.l, sr))),
+        "mxv" => drop(black_box(be.mxv(&x.a, &x.ud, sr, None::<VecMask<'_>>))),
+        "reduce_rows" => drop(black_box(be.reduce_rows(&x.a, m))),
+        "ewise_mult_mat" => drop(black_box(be.ewise_mult_mat(&x.a, &x.l, Times::new()))),
+        "select_mat" => drop(black_box(be.select_mat(&x.a, TriL))),
+        "transpose" => drop(black_box(be.transpose(&x.l))),
+        "apply_mat" => drop(black_box(be.apply_mat(&x.a, neg))),
+        "apply_sparse_vec" => drop(black_box(be.apply_sparse_vec(&x.us, neg))),
+        "apply_dense_vec" => drop(black_box(be.apply_dense_vec(&x.ud, neg))),
+        "ewise_add_mat" => drop(black_box(be.ewise_add_mat(&x.a, &x.l, Plus::new()))),
+        "ewise_add_vec" => drop(black_box(be.ewise_add_vec(&x.us, &x.vs, Plus::new()))),
+        "ewise_mult_vec" => drop(black_box(be.ewise_mult_vec(&x.ud, &x.vd, Times::new()))),
+        "reduce_mat" => drop(black_box(be.reduce_mat(&x.a, m))),
+        "reduce_dense_vec" => drop(black_box(be.reduce_dense_vec(&x.ud, m))),
+        "reduce_sparse_vec" => drop(black_box(be.reduce_sparse_vec(&x.us, m))),
+        other => unreachable!("no kernel {other}"),
+    }
 }
 
 /// R-T1: primitive-operation timings, sequential vs simulated CUDA.

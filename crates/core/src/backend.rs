@@ -265,13 +265,11 @@ const PAR_FANOUT_NS: u64 = 5_000;
 
 /// The work-stealing parallel CPU backend.
 ///
-/// Multi-threaded kernels from `gbtl-backend-par`, guaranteed to produce
-/// output **bit-identical to [`SeqBackend`]** at every thread count (see
-/// that crate's docs for the fixed-block floating-point-reduce caveat).
-/// Index-space ops whose cost is dominated by the frontend's copying
-/// (`build`, extract/assign, `kronecker`, vector `select`) are not
-/// overridden: they inherit the trait's sequential defaults. So does
-/// push-direction `vxm`, which no bit-identical split speeds up.
+/// Overrides only the row-parallel kernels of `gbtl-backend-par` that
+/// measured at least 1.1× seq at two threads — `mxm`, `mxm_masked`, `mxv`
+/// and `reduce_rows` (EXPERIMENTS.md R-P26, ADR 0001). Every other op
+/// inherits the trait's sequential default. Output is **bit-identical to
+/// [`SeqBackend`]** for every op and every monoid at every thread count.
 #[derive(Debug, Default, Clone)]
 pub struct ParBackend {
     pool: gbtl_backend_par::ThreadPool,
@@ -300,11 +298,6 @@ impl ParBackend {
     /// Snapshot of the pool's cumulative execution counters.
     pub fn pool_stats(&self) -> gbtl_backend_par::PoolStats {
         self.pool.stats()
-    }
-
-    /// Zero the pool's cumulative execution counters.
-    pub fn reset_pool_stats(&self) {
-        self.pool.reset_stats()
     }
 }
 
@@ -381,84 +374,8 @@ impl Backend for ParBackend {
         gbtl_backend_par::mxv(&self.pool, a, u, sr, mask.map(Into::into))
     }
 
-    fn ewise_add_mat<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        op: Op,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_par::ewise_add_mat(&self.pool, a, b, op)
-    }
-
-    fn ewise_mult_mat<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        op: Op,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_par::ewise_mult_mat(&self.pool, a, b, op)
-    }
-
-    fn ewise_add_vec<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        u: &SparseVector<T>,
-        v: &SparseVector<T>,
-        op: Op,
-    ) -> SparseVector<T> {
-        gbtl_backend_par::ewise_add_vec(&self.pool, u, v, op)
-    }
-
-    fn ewise_mult_vec<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        u: &DenseVector<T>,
-        v: &DenseVector<T>,
-        op: Op,
-    ) -> DenseVector<T> {
-        gbtl_backend_par::ewise_mult_vec(&self.pool, u, v, op)
-    }
-
-    fn apply_mat<A: Scalar, U: UnaryOp<A>>(&self, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output> {
-        gbtl_backend_par::apply_mat(&self.pool, a, f)
-    }
-
-    fn apply_sparse_vec<A: Scalar, U: UnaryOp<A>>(
-        &self,
-        u: &SparseVector<A>,
-        f: U,
-    ) -> SparseVector<U::Output> {
-        gbtl_backend_par::apply_vec(&self.pool, u, f)
-    }
-
-    fn apply_dense_vec<A: Scalar, U: UnaryOp<A>>(
-        &self,
-        u: &DenseVector<A>,
-        f: U,
-    ) -> DenseVector<U::Output> {
-        gbtl_backend_par::apply_dense_vec(&self.pool, u, f)
-    }
-
-    fn reduce_mat<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> Option<T> {
-        gbtl_backend_par::reduce_mat(&self.pool, a, m)
-    }
-
     fn reduce_rows<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> SparseVector<T> {
         gbtl_backend_par::reduce_rows(&self.pool, a, m)
-    }
-
-    fn reduce_dense_vec<T: Scalar, M: Monoid<T>>(&self, u: &DenseVector<T>, m: M) -> Option<T> {
-        gbtl_backend_par::reduce_vec(&self.pool, u, m)
-    }
-
-    fn reduce_sparse_vec<T: Scalar, M: Monoid<T>>(&self, u: &SparseVector<T>, m: M) -> Option<T> {
-        gbtl_backend_par::reduce_sparse_vec(&self.pool, u, m)
-    }
-
-    fn transpose<T: Scalar>(&self, a: &CsrMatrix<T>) -> CsrMatrix<T> {
-        gbtl_backend_par::transpose(&self.pool, a)
-    }
-
-    fn select_mat<T: Scalar, P: SelectOp<T>>(&self, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T> {
-        gbtl_backend_par::select_mat_op(&self.pool, a, op)
     }
 }
 
@@ -832,6 +749,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn par_inherited_ops_never_touch_the_pool() {
+        use gbtl_algebra::{AdditiveInverse, Plus, PlusMonoid, Times, TriL, ValueGt};
+        // three 4 096-entry blocks of everything: enough for any split
+        let n = 3 * 4096;
+        let mut coo = CooMatrix::new(n, n);
+        let (mut ud, mut us) = (DenseVector::new(n), SparseVector::new(n));
+        for i in 0..n {
+            coo.push(i, (i * 7) % n, i as i64 % 13 - 6);
+            coo.push(i, (i * 13 + 1) % n, i as i64 % 5 + 1);
+            ud.set(i, i as i64 % 11);
+            us.set(i, i as i64 % 17);
+        }
+        let a = CsrMatrix::from_coo(coo.clone(), |x, _| x);
+        let (small, idx) = (sample(), [0, 2, 5, 4095]);
+        let par = ParBackend::with_threads(4);
+        let dispatches = || {
+            let s = par.pool_stats();
+            (s.parallel_dispatches, s.inline_dispatches)
+        };
+        let _ = par.transpose(&a);
+        let _ = par.ewise_add_mat(&a, &a, Plus::<i64>::new());
+        let _ = par.ewise_mult_mat(&a, &a, Times::<i64>::new());
+        let _ = par.ewise_add_vec(&us, &us, Plus::<i64>::new());
+        let _ = par.ewise_mult_vec(&ud, &ud, Times::<i64>::new());
+        let _ = par.apply_mat(&a, AdditiveInverse::<i64>::new());
+        let _ = par.apply_sparse_vec(&us, AdditiveInverse::<i64>::new());
+        let _ = par.apply_dense_vec(&ud, AdditiveInverse::<i64>::new());
+        let _ = par.reduce_mat(&a, PlusMonoid::<i64>::new());
+        let _ = par.reduce_dense_vec(&ud, PlusMonoid::<i64>::new());
+        let _ = par.reduce_sparse_vec(&us, PlusMonoid::<i64>::new());
+        let _ = par.select_mat(&a, TriL);
+        let _ = par.select_vec(&us, ValueGt(3));
+        let _ = par.kronecker(&small, &small, Times::<i64>::new());
+        let _ = par.build(&coo, Plus::<i64>::new());
+        let _ = par.extract_mat(&a, &idx, &idx);
+        let _ = par.assign_mat(&a, &par.extract_mat(&a, &idx, &idx), &idx, &idx);
+        let _ = par.extract_vec(&ud, &idx);
+        let _ = par.assign_vec(&ud, &par.extract_vec(&ud, &idx), &idx);
+        assert_eq!(dispatches(), (0, 0), "an inherited op dispatched");
+        // the same operands are big enough for a kept kernel to fan out
+        let _ = par.mxv(&a, &ud, PlusTimes::<i64>::new(), None::<VecMask<'_>>);
+        assert_eq!(dispatches(), (1, 0));
     }
 
     #[test]

@@ -53,6 +53,7 @@ use std::time::{Duration, Instant};
 use crate::engine::{Engine, Reply, Submission};
 use crate::framer::{Frame, LineFramer};
 use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
+use gbtl_util::sync::lock;
 
 /// How long one `poll(2)` sleep lasts at most — the granularity of idle
 /// sweeps and drain checks. Readiness and wakes interrupt it immediately.
@@ -377,7 +378,7 @@ fn event_loop(
         let mut dirty: Vec<u64> = Vec::new();
 
         // 1. asynchronous completions → slots
-        let finished = std::mem::take(&mut *completions.queue.lock().unwrap());
+        let finished = std::mem::take(&mut *lock(&completions.queue));
         for c in finished {
             stats.completions.fetch_add(1, Ordering::Relaxed);
             if let Some(conn) = conns.get_mut(&c.conn) {
@@ -547,7 +548,7 @@ fn read_ready(
                                     if let Some(ctx) = xray {
                                         gbtl_trace::finish_request(ctx);
                                     }
-                                    completions.queue.lock().unwrap().push(Completion {
+                                    lock(&completions.queue).push(Completion {
                                         conn: conn_id,
                                         seq,
                                         response,

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gbtl_util::json::{parse, Value};
+use gbtl_util::sync::lock;
 
 use crate::protocol::Algo;
 
@@ -298,20 +299,20 @@ impl Tallies {
                     if v.bool_field("cached") == Some(true) {
                         self.cached.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.latencies.lock().unwrap().push(us);
+                    lock(&self.latencies).push(us);
                     if first {
-                        self.firsts.lock().unwrap().push(us);
+                        lock(&self.firsts).push(us);
                     } else {
-                        self.steady.lock().unwrap().push(us);
+                        lock(&self.steady).push(us);
                     }
                     if let Some(trace_id) = v.u64_field("trace_id") {
                         if trace_id != 0 {
-                            self.traced.lock().unwrap().push((us, trace_id));
+                            lock(&self.traced).push((us, trace_id));
                         }
                     }
                 } else if v.bool_field("ok") == Some(false) && id_ok {
                     let code = v.str_field("code").unwrap_or("unknown").to_string();
-                    *self.errors.lock().unwrap().entry(code).or_insert(0) += 1;
+                    *lock(&self.errors).entry(code).or_insert(0) += 1;
                 } else {
                     self.corrupted.fetch_add(1, Ordering::Relaxed);
                 }
@@ -368,7 +369,7 @@ fn request_line(opts: &LoadgenOptions, c: usize, r: usize, xray: bool) -> (u64, 
 /// The `"direction"` request fragment: present only for the traversal
 /// algorithms and only when the run overrides the server's `auto` default.
 fn direction_part(opts: &LoadgenOptions, algo: Algo) -> String {
-    if matches!(algo, Algo::Bfs | Algo::Sssp) && opts.direction != "auto" {
+    if algo.takes_source() && opts.direction != "auto" {
         format!(",\"direction\":\"{}\"", opts.direction)
     } else {
         String::new()
@@ -429,10 +430,7 @@ fn same_graph_client(
             }
         }
         if barrier.wait().is_leader() {
-            batch_us
-                .lock()
-                .unwrap()
-                .push(q0.elapsed().as_micros() as u64);
+            lock(batch_us).push(q0.elapsed().as_micros() as u64);
         }
     }
     Ok(())
@@ -584,13 +582,13 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> std::io::Result<LoadgenReport> {
         }
     }
 
-    let mut latencies_us = std::mem::take(&mut *tallies.latencies.lock().unwrap());
+    let mut latencies_us = std::mem::take(&mut *lock(&tallies.latencies));
     latencies_us.sort_unstable();
-    let mut first_us = std::mem::take(&mut *tallies.firsts.lock().unwrap());
+    let mut first_us = std::mem::take(&mut *lock(&tallies.firsts));
     first_us.sort_unstable();
-    let mut steady_us = std::mem::take(&mut *tallies.steady.lock().unwrap());
+    let mut steady_us = std::mem::take(&mut *lock(&tallies.steady));
     steady_us.sort_unstable();
-    let mut errors: Vec<(String, u64)> = tallies.errors.lock().unwrap().drain().collect();
+    let mut errors: Vec<(String, u64)> = lock(&tallies.errors).drain().collect();
     errors.sort();
     // the multi-graph distribution actually issued: recomputed (the pick is
     // a pure function of the options) rather than tallied under a lock
@@ -603,9 +601,9 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> std::io::Result<LoadgenReport> {
             }
         }
     }
-    let mut batch_us = std::mem::take(&mut *round_us.lock().unwrap());
+    let mut batch_us = std::mem::take(&mut *lock(&round_us));
     batch_us.sort_unstable();
-    let mut traced = std::mem::take(&mut *tallies.traced.lock().unwrap());
+    let mut traced = std::mem::take(&mut *lock(&tallies.traced));
     traced.sort_unstable();
     Ok(LoadgenReport {
         ok: tallies.ok.load(Ordering::Relaxed),

@@ -331,8 +331,7 @@ fn run_on<B: Backend>(
     request_id: Option<u64>,
     xray: Option<gbtl_trace::TraceContext>,
 ) -> Result<QueryOutcome, String> {
-    let needs_source = matches!(q.algo, Algo::Bfs | Algo::Sssp);
-    if needs_source && q.source >= g.n() {
+    if q.algo.takes_source() && q.source >= g.n() {
         return Err(source_range_error(q.source, g));
     }
 

@@ -56,9 +56,7 @@ pub use render::{
 use crate::cache::{cache_key, ResultCache};
 use crate::catalog::{Catalog, GraphEntry, GraphSpec};
 use crate::engine::Engine as QueryEngine;
-use crate::protocol::{
-    error_response, oversized_response, parse_request, xray_response, Algo, Request,
-};
+use crate::protocol::{error_response, oversized_response, parse_request, xray_response, Request};
 use crate::scatter::{scatter_query_all, ScatterTarget};
 use crate::server::ServerConfig;
 use crate::snapshot as snapfile;
@@ -588,7 +586,7 @@ impl gbtl_net::Engine for EnginePool {
                 // queries bypass fusion (per-request span attribution needs
                 // exclusive context use); everything else is unchanged.
                 let p = &member.params;
-                let fusable = matches!(p.algo, Algo::Bfs | Algo::Sssp) && !p.trace;
+                let fusable = p.algo.takes_source() && !p.trace;
                 let Some(fuse) = self.fuse.as_ref().filter(|_| fusable) else {
                     return self.admit(Job::Queries(vec![member]), id, deadline);
                 };

@@ -2,10 +2,11 @@
 //! a query, the job enum, and the bounded queue.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use gbtl_net::Reply;
+use gbtl_util::sync::lock;
 
 use crate::catalog::GraphEntry;
 use crate::protocol::QueryParams;
@@ -103,7 +104,7 @@ impl JobQueue {
     // stack frame on the rejection path only, so boxing would buy nothing.
     #[allow(clippy::result_large_err)]
     pub(super) fn push(&self, job: Job) -> Result<(), (PushError, Job)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.shutdown {
             return Err((PushError::ShuttingDown, job));
         }
@@ -119,7 +120,7 @@ impl JobQueue {
     /// Blocks for the next job; `None` once the queue is shut down *and*
     /// drained (so admitted work always completes).
     pub(super) fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(job) = inner.jobs.pop_front() {
                 return Some(job);
@@ -127,16 +128,19 @@ impl JobQueue {
             if inner.shutdown {
                 return None;
             }
-            inner = self.cond.wait(inner).unwrap();
+            inner = self
+                .cond
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     pub(super) fn len(&self) -> usize {
-        self.inner.lock().unwrap().jobs.len()
+        lock(&self.inner).jobs.len()
     }
 
     pub(super) fn shutdown(&self) {
-        self.inner.lock().unwrap().shutdown = true;
+        lock(&self.inner).shutdown = true;
         self.cond.notify_all();
     }
 }
@@ -146,17 +150,20 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    #[test]
-    fn queue_caps_and_drains_on_shutdown() {
-        let q = JobQueue::new(2);
-        let mk = || Job::Sleep {
+    fn mk() -> Job {
+        Job::Sleep {
             ms: 0,
             id: None,
             deadline: Instant::now() + Duration::from_secs(1),
             enqueued_ns: gbtl_util::time::now_ns(),
             xray: None,
             reply: Reply::new(|_| {}),
-        };
+        }
+    }
+
+    #[test]
+    fn queue_caps_and_drains_on_shutdown() {
+        let q = JobQueue::new(2);
         q.push(mk()).unwrap();
         q.push(mk()).unwrap();
         assert!(matches!(q.push(mk()), Err((PushError::Full, _))));
@@ -165,6 +172,26 @@ mod tests {
         assert!(matches!(q.push(mk()), Err((PushError::ShuttingDown, _))));
         // admitted jobs still drain after shutdown
         assert!(q.pop().is_some());
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_poisoned_queue_still_serves() {
+        let q = Arc::new(JobQueue::new(2));
+        let held = Arc::clone(&q);
+        let _ = std::thread::spawn(move || {
+            let _guard = held.inner.lock().unwrap();
+            panic!("poison the queue");
+        })
+        .join();
+        assert!(q.inner.is_poisoned());
+        q.push(mk()).unwrap();
+        assert_eq!(q.len(), 1);
+        assert!(q.pop().is_some());
+        q.push(mk()).unwrap();
+        q.shutdown();
+        assert!(matches!(q.push(mk()), Err((PushError::ShuttingDown, _))));
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
     }

@@ -90,6 +90,12 @@ impl Algo {
             )),
         }
     }
+
+    /// Whether the algorithm is a traversal from `source` — the ones that
+    /// read `source` and `direction` and that fusion can batch.
+    pub(crate) fn takes_source(self) -> bool {
+        matches!(self, Algo::Bfs | Algo::Sssp)
+    }
 }
 
 /// Which backend a query runs on.
@@ -185,7 +191,7 @@ impl QueryParams {
         // auto is the default and bit-identical to any forced mode, but a
         // *forced* direction must key separately: it pins which kernels run,
         // and trace-carrying consumers may observe the difference
-        if matches!(self.algo, Algo::Bfs | Algo::Sssp) && self.direction != Direction::Auto {
+        if self.algo.takes_source() && self.direction != Direction::Auto {
             s.push_str(&format!(";direction={}", self.direction.as_str()));
         }
         if self.full {

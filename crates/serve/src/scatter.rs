@@ -303,7 +303,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        held2.lock().unwrap().push(sub_reply);
+                        gbtl_util::sync::lock(&held2).push(sub_reply);
                         Submission::Accepted {
                             deadline: Instant::now(),
                             correlation: None,

@@ -101,9 +101,7 @@ fn main() {
         let r2 = cuda.reduce_mat_scalar(PlusMonoid::<f64>::new(), &af);
         let cuda_t = t.elapsed();
         assert_eq!(r1, r2);
-        // the parallel reduction uses fixed 4096-element blocks; for f64 the
-        // result can differ from left-to-right by rounding only
-        assert!((r1.unwrap() - rp.unwrap()).abs() < 1e-6);
+        assert_eq!(r1.map(f64::to_bits), rp.map(f64::to_bits));
         println!(
             "{name:<10} {:>10} {:>10}   {:<12} {:>12.2?} {:>12.2?} {:>14.2?} {:>12.1}",
             a.nrows(),

@@ -309,11 +309,14 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // ParBackend vs SeqBackend: bit-for-bit over the whole `Backend` trait, at
-// 1, 2 and 8 worker threads. These call the backend trait directly (below
+// 1, 2, 4 and 8 worker threads. These call the backend trait directly (below
 // the frontend) so every one of its methods is exercised.
 // ---------------------------------------------------------------------------
 
-const PAR_THREADS: [usize; 3] = [1, 2, 8];
+const PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Entries in the large f64 reduce inputs: past three 4 096-entry blocks.
+const BIG: Range<usize> = 3 * 4096 + 1..4 * 4096;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -438,14 +441,33 @@ proptest! {
     }
 
     #[test]
-    fn par_reduce_transpose_matches_seq(a in arb_matrix(N, 60), u in arb_vector(N)) {
+    fn par_reduce_transpose_matches_seq(a in arb_matrix(N, 60), u in arb_vector(N),
+                                        big_a in proptest::collection::vec(-1e3f64..1e3, BIG),
+                                        big_u in proptest::collection::vec(-1e3f64..1e3, BIG)) {
         use gbtl::algebra::{MaxMonoid, MinMonoid};
         let ac = a.csr();
         let us = u.to_sparse_repr();
         let ud = u.to_dense_repr();
+        // more than three 4 096-entry blocks of f64: a blocked fold
+        // reassociates `+`, so only the sequential left fold matches
+        let mut coo = CooMatrix::new(128, 128);
+        for (k, &v) in big_a.iter().enumerate() {
+            coo.push(k / 128, k % 128, v);
+        }
+        let big_a = CsrMatrix::from_coo(coo, |x, _| x);
+        let big_u = DenseVector::from_options(big_u.into_iter().map(Some).collect());
+        let fsum = PlusMonoid::<f64>::new();
         let seq = SeqBackend;
         for t in PAR_THREADS {
             let par = ParBackend::with_threads(t);
+            prop_assert_eq!(
+                par.reduce_mat(&big_a, fsum).map(f64::to_bits),
+                seq.reduce_mat(&big_a, fsum).map(f64::to_bits)
+            );
+            prop_assert_eq!(
+                par.reduce_dense_vec(&big_u, fsum).map(f64::to_bits),
+                seq.reduce_dense_vec(&big_u, fsum).map(f64::to_bits)
+            );
             prop_assert_eq!(
                 par.reduce_mat(ac, PlusMonoid::<i64>::new()),
                 seq.reduce_mat(ac, PlusMonoid::<i64>::new())

@@ -456,3 +456,53 @@ proptest! {
         prop_assert_eq!(&multi[0], &solo);
     }
 }
+
+/// The cuda-sim half of the fusion verdict, on the modeled device clock
+/// (deterministic, unlike wall time): one fused 16-source traversal costs
+/// less than the 16 solo traversals it replaces, on a high-diameter grid
+/// and a skewed RMAT graph. The solo loop pays one launch train per level
+/// per source; the fused level pays one. (On host wall time the solo loop
+/// wins — that half is perfbench's to measure.)
+#[test]
+fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
+    use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
+    fn modeled_ms(run: impl FnOnce(&Context<CudaBackend>)) -> f64 {
+        let ctx = Context::cuda_default();
+        run(&ctx);
+        ctx.gpu_stats().modeled_time_s * 1e3
+    }
+    let grid = grid_2d(16, 16);
+    let rmat = symmetrize(&Rmat::new(9, 8).seed(7).generate());
+    for (name, coo) in [("grid16", grid), ("rmat9", rmat)] {
+        let a = gbtl::algorithms::adjacency(coo.clone());
+        let w = weights::uniform_u32_symmetric(&coo, 1, 255, 3);
+        let w = Matrix::build(
+            a.nrows(),
+            a.ncols(),
+            w.iter().filter(|&(i, j, _)| i != j),
+            gbtl::algebra::Min::new(),
+        )
+        .unwrap();
+        let sources: Vec<usize> = (0..16).map(|k| k * a.nrows() / 16).collect();
+        let fused = modeled_ms(|ctx| drop(bfs_levels_multi(ctx, &a, &sources).unwrap()));
+        let solo = modeled_ms(|ctx| {
+            for &s in &sources {
+                bfs_levels(ctx, &a, s, Direction::Auto).unwrap();
+            }
+        });
+        assert!(
+            fused < solo,
+            "{name} bfs: fused {fused} ms vs solo {solo} ms"
+        );
+        let fused = modeled_ms(|ctx| drop(sssp_multi(ctx, &w, &sources).unwrap()));
+        let solo = modeled_ms(|ctx| {
+            for &s in &sources {
+                sssp(ctx, &w, s).unwrap();
+            }
+        });
+        assert!(
+            fused < solo,
+            "{name} sssp: fused {fused} ms vs solo {solo} ms"
+        );
+    }
+}
