@@ -117,7 +117,8 @@ where
 }
 
 /// Build a CSR matrix from COO triples on the device (GrB `build`):
-/// sort by `(i,j)`, combine duplicates with `dup`, compress.
+/// sort by `(i,j)`, combine duplicates with `dup`, compress. The radix sort
+/// is stable, so duplicates fold left to right in input order.
 pub fn build_csr<T, D>(gpu: &Gpu, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T>
 where
     T: Scalar,

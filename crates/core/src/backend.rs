@@ -204,7 +204,11 @@ pub trait Backend: Send + Sync {
         gbtl_backend_seq::kronecker(a, b, mul)
     }
 
-    /// Build CSR from COO triples, merging duplicates with `dup`.
+    /// Build CSR from COO triples, merging duplicates with `dup`. Every
+    /// implementation folds a coordinate's values left to right in input
+    /// order (the [`CooMatrix::sort_dedup`] contract), so a
+    /// non-commutative `dup` or `f64` addition builds the same bits on
+    /// every backend.
     fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T> {
         CsrMatrix::from_coo(coo.clone(), |a, b| dup.apply(a, b))
     }

@@ -330,8 +330,9 @@ impl<B: Backend> Context<B> {
         self.tracer.finish(start, || Kind::Op(fields()))
     }
 
-    /// Build a matrix through the backend's `build` kernel (duplicates
-    /// merged with `dup`).
+    /// Build a matrix through the backend's `build` kernel, duplicates
+    /// merged with `dup` left to right in input order — bit for bit what
+    /// [`Matrix::build`] gives, on every backend.
     pub fn matrix_from_coo<T: Scalar, D: gbtl_algebra::BinaryOp<T>>(
         &self,
         coo: &CooMatrix<T>,

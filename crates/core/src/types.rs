@@ -1,12 +1,13 @@
 //! The user-facing `Matrix` and `Vector` types.
 //!
-//! Both containers carry an **identity** (`id`) and a **version** stamp so
-//! the operand-resolution layer can memoize derived forms (today: the
+//! A matrix carries an **identity** (`id`) and a **version** stamp so the
+//! operand-resolution layer can memoize derived forms (today: the
 //! per-context transpose cache, [`crate::cache::TransposeCache`]). Stamps
-//! are drawn from one process-global monotonic counter: a container's
-//! version strictly increases on every mutation, and two handles that ever
-//! diverge in content can never share a `(id, version)` pair — so a cache
-//! keyed on the pair can never serve stale data.
+//! are drawn from one process-global monotonic counter: a matrix's version
+//! strictly increases on every mutation, and two handles that ever diverge
+//! in content can never share a `(id, version)` pair — so a cache keyed on
+//! the pair can never serve stale data. Vectors key no cache and carry no
+//! stamp, so a vector write is a slot write.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +72,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Build from `(row, col, value)` triples, merging duplicates with
-    /// `dup`.
+    /// `dup` left to right in input order (see
+    /// [`CooMatrix::sort_dedup`]) — the same matrix
+    /// [`crate::Context::matrix_from_coo`] builds on every backend.
     pub fn build<D: BinaryOp<T>>(
         nrows: Index,
         ncols: Index,
@@ -103,7 +106,8 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Wrap COO triples (duplicates merged with `dup`).
+    /// Wrap COO triples, duplicates merged with `dup` left to right in
+    /// input order (see [`CooMatrix::sort_dedup`]).
     pub fn from_coo<D: BinaryOp<T>>(coo: CooMatrix<T>, dup: D) -> Self {
         Self::from_csr(CsrMatrix::from_coo(coo, |a, b| dup.apply(a, b)))
     }
@@ -324,23 +328,15 @@ pub(crate) enum VectorRepr<T> {
 ///
 /// Internally either a sorted coordinate list (frontier-shaped) or a
 /// bitmap+values array (dense-shaped); operations convert as needed and the
-/// representation is observable only through [`Vector::is_sparse`]. Like
-/// [`Matrix`], every vector carries an `(id, version)` stamp pair advanced
-/// on mutation, for the same operand-memoization contract.
+/// representation is observable only through [`Vector::is_sparse`].
 #[derive(Debug, Clone)]
 pub struct Vector<T> {
     repr: VectorRepr<T>,
-    id: u64,
-    version: u64,
 }
 
 impl<T: Scalar> Vector<T> {
     fn from_repr(repr: VectorRepr<T>) -> Self {
-        Vector {
-            repr,
-            id: fresh_stamp(),
-            version: fresh_stamp(),
-        }
+        Vector { repr }
     }
 
     /// An empty sparse vector of dimension `n`.
@@ -359,8 +355,7 @@ impl<T: Scalar> Vector<T> {
     }
 
     /// A bitmap-stored vector from one `Option` per position — the bulk
-    /// constructor for a dense per-iteration vector: one pass and one
-    /// version stamp, where `n` calls of [`Vector::set`] draw `n` stamps.
+    /// constructor for a dense per-iteration vector, in one pass.
     pub fn from_options(vals: Vec<Option<T>>) -> Self {
         Self::from_repr(VectorRepr::Dense(DenseVector::from_options(vals)))
     }
@@ -375,18 +370,6 @@ impl<T: Scalar> Vector<T> {
         Ok(Self::from_repr(VectorRepr::Sparse(v)))
     }
 
-    /// Stable identity of this logical vector (shared by clones).
-    #[inline]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Version stamp: strictly increases on every mutation of this handle.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Borrow the physical representation (frontend dispatch only).
     #[inline]
     pub(crate) fn repr(&self) -> &VectorRepr<T> {
@@ -396,10 +379,6 @@ impl<T: Scalar> Vector<T> {
     /// Take the physical representation (the output step stitches by it).
     pub(crate) fn into_repr(self) -> VectorRepr<T> {
         self.repr
-    }
-
-    fn touch(&mut self) {
-        self.version = fresh_stamp();
     }
 
     /// Dimension.
@@ -471,7 +450,6 @@ impl<T: Scalar> Vector<T> {
             VectorRepr::Sparse(s) => s.set(i, v),
             VectorRepr::Dense(d) => d.set(i, v),
         }
-        self.touch();
     }
 
     /// Remove the value at `i` (no-op when absent).
@@ -484,7 +462,6 @@ impl<T: Scalar> Vector<T> {
                 d.unset(i);
             }
         }
-        self.touch();
     }
 
     /// Remove all stored entries (dimension unchanged).
@@ -493,7 +470,6 @@ impl<T: Scalar> Vector<T> {
             VectorRepr::Sparse(s) => s.clear(),
             VectorRepr::Dense(d) => *d = DenseVector::new(d.len()),
         }
-        self.touch();
     }
 
     /// Iterate stored `(index, value)` pairs in index order.
@@ -516,9 +492,9 @@ impl<T: Scalar> Vector<T> {
     }
 
     /// Switch to the dense/bitmap representation in place (O(n + nnz);
-    /// no-op when already dense). The logical content — and therefore the
-    /// id/version identity — is unchanged: representation is physical
-    /// layout, not state, which is why [`PartialEq`] ignores it too.
+    /// no-op when already dense). The logical content is unchanged:
+    /// representation is physical layout, not state, which is why
+    /// [`PartialEq`] ignores it.
     pub fn densify(&mut self) {
         if let VectorRepr::Sparse(s) = &self.repr {
             crate::policy::count_rep_switch();
@@ -527,7 +503,7 @@ impl<T: Scalar> Vector<T> {
     }
 
     /// Switch to the sparse index-list representation in place (O(n);
-    /// no-op when already sparse). See [`Vector::densify`] on identity.
+    /// no-op when already sparse). See [`Vector::densify`] on content.
     pub fn sparsify(&mut self) {
         if let VectorRepr::Dense(d) = &self.repr {
             crate::policy::count_rep_switch();
@@ -596,7 +572,6 @@ impl<T: Scalar> Vector<T> {
             out.set(i, v);
         }
         self.repr = VectorRepr::Sparse(out);
-        self.touch();
     }
 
     /// The fraction of positions holding values (`nnz / n`); 0 for a
@@ -611,8 +586,7 @@ impl<T: Scalar> Vector<T> {
 }
 
 impl<T: Scalar> PartialEq for Vector<T> {
-    /// Equality is structural + value-wise, independent of representation
-    /// (and of identity/version).
+    /// Equality is structural + value-wise, independent of representation.
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
             && self.nnz() == other.nnz()
@@ -697,7 +671,6 @@ mod tests {
             assert_eq!(v.extract_tuples(), original.extract_tuples());
             v.sparsify();
             assert_eq!(v.extract_tuples(), original.extract_tuples());
-            assert_eq!((v.id(), v.version()), (original.id(), original.version()));
         }
     }
 
@@ -827,24 +800,6 @@ mod tests {
         let b = Matrix::<i64>::new(2, 2);
         assert_ne!(a.id(), b.id());
         assert_eq!(a, b, "identity does not participate in equality");
-    }
-
-    #[test]
-    fn vector_versions_advance_on_every_mutation() {
-        let mut v = Vector::<i64>::new(4);
-        let (id0, v0) = (v.id(), v.version());
-        v.set(1, 5);
-        assert_eq!(v.id(), id0);
-        let v1 = v.version();
-        assert!(v1 > v0);
-        v.remove(1);
-        let v2 = v.version();
-        assert!(v2 > v1);
-        v.resize(8);
-        let v3 = v.version();
-        assert!(v3 > v2);
-        v.clear();
-        assert!(v.version() > v3);
     }
 
     #[test]

@@ -84,38 +84,39 @@ impl Rmat {
 
     /// Generate the edge list.
     pub fn generate(&self) -> CooMatrix<bool> {
+        if self.noise > 0.0 {
+            // jitter each quadrant probability per level
+            let (lo, span) = (1.0 - self.noise, 2.0 * self.noise);
+            self.generate_with(|p, rng| p * (lo + span * rng.gen::<f64>()))
+        } else {
+            self.generate_with(|p, _| p)
+        }
+    }
+
+    /// The generator loop, with the per-level jitter of a probability
+    /// chosen once for the whole run.
+    fn generate_with(&self, jitter: impl Fn(f64, &mut StdRng) -> f64) -> CooMatrix<bool> {
         let n = self.nvertices();
         let m = self.nedges();
+        let d = 1.0 - self.a - self.b - self.c;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut coo = CooMatrix::with_capacity(n, n, m);
         for _ in 0..m {
             let (mut r, mut c) = (0usize, 0usize);
             for _ in 0..self.scale {
-                // jitter the quadrant probabilities per level
-                let jitter = |p: f64, rng: &mut StdRng| {
-                    if self.noise > 0.0 {
-                        p * (1.0 - self.noise + 2.0 * self.noise * rng.gen::<f64>())
-                    } else {
-                        p
-                    }
-                };
                 let a = jitter(self.a, &mut rng);
                 let b = jitter(self.b, &mut rng);
                 let cq = jitter(self.c, &mut rng);
-                let total = a + b + cq + jitter(1.0 - self.a - self.b - self.c, &mut rng);
+                let total = a + b + cq + jitter(d, &mut rng);
                 let x = rng.gen::<f64>() * total;
-                r <<= 1;
-                c <<= 1;
-                if x < a {
-                    // top-left
-                } else if x < a + b {
-                    c |= 1;
-                } else if x < a + b + cq {
-                    r |= 1;
-                } else {
-                    r |= 1;
-                    c |= 1;
-                }
+                // quadrants [0, a) top-left, [a, a+b) top-right,
+                // [a+b, a+b+cq) bottom-left, the rest bottom-right; the
+                // draw is random, so compares beat a branch chain
+                let (ab, abc) = (a + b, a + b + cq);
+                let down = x >= ab;
+                let right = (x >= a) & ((x < ab) | (x >= abc));
+                r = (r << 1) | usize::from(down);
+                c = (c << 1) | usize::from(right);
             }
             coo.push(r, c, true);
         }

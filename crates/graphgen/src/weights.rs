@@ -1,6 +1,6 @@
 //! Weight assignment: turn boolean structure into weighted graphs.
 
-use gbtl_sparse::CooMatrix;
+use gbtl_sparse::{CooMatrix, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,13 +28,33 @@ pub fn uniform_u32_symmetric(coo: &CooMatrix<bool>, lo: u32, hi: u32, seed: u64)
     assert!(lo <= hi, "weight range inverted");
     let mut out = CooMatrix::with_capacity(coo.nrows(), coo.ncols(), coo.nnz());
     for (i, j, _) in coo.iter() {
-        let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ a.wrapping_mul(0x9E3779B97F4A7C15) ^ b.wrapping_mul(0xD1B54A32D192ED03),
-        );
-        out.push(i, j, rng.gen_range(lo..=hi));
+        out.push(i, j, symmetric_u32(i, j, lo, hi, seed));
     }
     out
+}
+
+/// [`uniform_u32_symmetric`] over a CSR structure: one weight per stored
+/// entry, in storage order — the values for
+/// [`CsrMatrix::with_same_structure`], equal to what the COO form gives
+/// each coordinate.
+pub fn uniform_u32_symmetric_vals(csr: &CsrMatrix<bool>, lo: u32, hi: u32, seed: u64) -> Vec<u32> {
+    assert!(lo <= hi, "weight range inverted");
+    let mut out = Vec::with_capacity(csr.nnz());
+    for (i, bounds) in csr.row_ptr().windows(2).enumerate() {
+        for &j in &csr.col_idx()[bounds[0]..bounds[1]] {
+            out.push(symmetric_u32(i, j, lo, hi, seed));
+        }
+    }
+    out
+}
+
+/// The weight of the unordered pair `{i, j}`.
+fn symmetric_u32(i: usize, j: usize, lo: u32, hi: u32, seed: u64) -> u32 {
+    let (a, b) = (i.min(j) as u64, i.max(j) as u64);
+    let mut rng = StdRng::seed_from_u64(
+        seed ^ a.wrapping_mul(0x9E3779B97F4A7C15) ^ b.wrapping_mul(0xD1B54A32D192ED03),
+    );
+    rng.gen_range(lo..=hi)
 }
 
 /// Uniform random `f64` weights in `[lo, hi)`.
@@ -91,6 +111,10 @@ mod tests {
             let back = w.iter().find(|&(a, b, _)| a == j && b == i).unwrap();
             assert_eq!(back.2, v, "weight asymmetry on ({i},{j})");
         }
+        // the CSR form gives every stored entry the COO form's weight
+        let csr = CsrMatrix::from_coo(structure, |a, _| a);
+        let by_coo = CsrMatrix::from_coo(w, |a, _| a);
+        assert_eq!(uniform_u32_symmetric_vals(&csr, 1, 1000, 4), by_coo.vals());
     }
 
     #[test]

@@ -15,10 +15,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use gbtl_algebra::Min;
 use gbtl_core::Matrix;
 use gbtl_graphgen::{erdos_renyi, grid_2d, karate_club, symmetrize, weights, Rmat};
-use gbtl_sparse::CooMatrix;
 use gbtl_util::sync::lock;
 
 /// Weight seed used when a spec has no seed of its own (karate, grid, mtx).
@@ -176,13 +174,15 @@ impl GraphEntry {
 }
 
 /// Derive the weighted view: symmetric uniform `u32` in `[1, 255]`, seeded,
-/// over the adjacency structure (self-loops already absent).
+/// over the adjacency structure (self-loops already absent) — the values
+/// go onto a copy of the adjacency's CSR, which is already sorted.
 fn derive_weights(adj: &Matrix<bool>, seed: u64) -> Matrix<u32> {
-    let (r, c, v) = adj.extract_tuples();
-    let coo = CooMatrix::from_triples(adj.nrows(), adj.ncols(), r, c, v)
-        .expect("indices from valid matrix");
-    let w = weights::uniform_u32_symmetric(&coo, 1, 255, seed);
-    Matrix::from_coo(w, Min::new())
+    let vals = weights::uniform_u32_symmetric_vals(adj.csr(), 1, 255, seed);
+    let csr = adj
+        .csr()
+        .with_same_structure(vals)
+        .expect("one weight per stored entry");
+    Matrix::from_csr(csr)
 }
 
 /// The named-graph catalog.

@@ -142,39 +142,102 @@ impl<T: Scalar> CooMatrix<T> {
             .map(|((&r, &c), &v)| (r, c, v))
     }
 
-    /// Sort triples into row-major order and merge duplicates with `dup`
-    /// (applied left-to-right in the pre-sort order of equal keys being
-    /// unspecified; `dup` should be associative/commutative for
-    /// deterministic results, which every GraphBLAS dup operator is).
+    /// Sort triples into row-major order and merge duplicate coordinates
+    /// with `dup`.
+    ///
+    /// The values of one coordinate fold left to right **in input order**:
+    /// entries stored at positions `p0 < p1 < p2` merge to
+    /// `dup(dup(v[p0], v[p1]), v[p2])`. That is the order a stable key sort
+    /// followed by reduce-by-key gives (the GPU `build`), so a
+    /// non-commutative `dup` (`First`, `Second`, `Minus`) or a
+    /// non-associative one (`f64` addition) builds the same matrix on every
+    /// backend.
+    ///
+    /// A stable LSD counting sort, `O(nnz + nrows + ncols)`: by column, then
+    /// by row. Where `ncols` exceeds `nnz + nrows` the column buckets would
+    /// cost more than the data, so each row's entries are sorted by column
+    /// instead (a stable sort: same output). Triples already sorted and
+    /// duplicate-free are left as they are after one `O(nnz)` check.
     pub fn sort_dedup(&mut self, mut dup: impl FnMut(T, T) -> T) {
-        let n = self.vals.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (self.rows[i as usize], self.cols[i as usize]));
-
-        let mut rows = Vec::with_capacity(n);
-        let mut cols = Vec::with_capacity(n);
-        let mut vals: Vec<T> = Vec::with_capacity(n);
-        for &i in &order {
-            let (r, c, v) = (
-                self.rows[i as usize],
-                self.cols[i as usize],
-                self.vals[i as usize],
-            );
-            match (rows.last(), cols.last()) {
-                (Some(&lr), Some(&lc)) if lr == r && lc == c => {
-                    let last = vals.last_mut().expect("vals tracks rows");
-                    *last = dup(*last, v);
-                }
-                _ => {
+        if self.is_sorted_dedup() {
+            return;
+        }
+        let row_start = self.sort_stably();
+        // fold each run of equal coordinates into its first slot, in place
+        let (cols, vals) = (&mut self.cols, &mut self.vals);
+        let mut rows = Vec::with_capacity(vals.len());
+        let mut kept = 0;
+        for (r, bounds) in row_start.windows(2).enumerate() {
+            let row_first = kept;
+            for k in bounds[0]..bounds[1] {
+                if kept > row_first && cols[kept - 1] == cols[k] {
+                    vals[kept - 1] = dup(vals[kept - 1], vals[k]);
+                } else {
+                    cols[kept] = cols[k];
+                    vals[kept] = vals[k];
                     rows.push(r);
-                    cols.push(c);
-                    vals.push(v);
+                    kept += 1;
                 }
             }
         }
+        cols.truncate(kept);
+        vals.truncate(kept);
         self.rows = rows;
-        self.cols = cols;
-        self.vals = vals;
+    }
+
+    /// Reorder the columns and values row-major, keeping input order among
+    /// equal coordinates, and return the row starts (row `r` at
+    /// `row_start[r]..row_start[r + 1]`); `self.rows` is left empty. Each
+    /// pass frees its input before the next allocates, so no more than two
+    /// copies of the data are alive at once.
+    fn sort_stably(&mut self) -> Vec<usize> {
+        let rows = std::mem::take(&mut self.rows);
+        let cols = std::mem::take(&mut self.cols);
+        let vals = std::mem::take(&mut self.vals);
+        let (n, row_start) = (vals.len(), bucket_starts(&rows, self.nrows));
+        let Some(&fill) = vals.first() else {
+            return row_start;
+        };
+        let mut next = row_start.clone();
+        let (mut out_cols, mut out_vals);
+        if self.ncols > n + self.nrows {
+            // wide: bucket by row in input order, then sort each row stably
+            let mut entries = vec![(0, fill); n];
+            for ((&r, &c), &v) in rows.iter().zip(&cols).zip(&vals) {
+                entries[next[r]] = (c, v);
+                next[r] += 1;
+            }
+            drop((rows, cols, vals));
+            for bounds in row_start.windows(2) {
+                entries[bounds[0]..bounds[1]].sort_by_key(|&(c, _)| c);
+            }
+            (out_cols, out_vals) = entries.into_iter().unzip();
+        } else {
+            // column pass: rows and values grouped by column, stable
+            let mut col_next = bucket_starts(&cols, self.ncols);
+            let mut by_col_rows = vec![0; n];
+            let mut by_col_vals = vec![fill; n];
+            for ((&r, &c), &v) in rows.iter().zip(&cols).zip(&vals) {
+                by_col_rows[col_next[c]] = r;
+                by_col_vals[col_next[c]] = v;
+                col_next[c] += 1;
+            }
+            drop((rows, cols, vals));
+            // row pass: after the column pass `col_next[c]` ends column `c`
+            (out_cols, out_vals) = (vec![0; n], vec![fill; n]);
+            let mut lo = 0;
+            for (c, &hi) in col_next[..self.ncols].iter().enumerate() {
+                for (&r, &v) in by_col_rows[lo..hi].iter().zip(&by_col_vals[lo..hi]) {
+                    out_cols[next[r]] = c;
+                    out_vals[next[r]] = v;
+                    next[r] += 1;
+                }
+                lo = hi;
+            }
+        }
+        self.cols = out_cols;
+        self.vals = out_vals;
+        row_start
     }
 
     /// True when triples are sorted row-major with no duplicate coordinates.
@@ -192,6 +255,21 @@ impl<T: Scalar> CooMatrix<T> {
         std::mem::swap(&mut self.rows, &mut self.cols);
         std::mem::swap(&mut self.nrows, &mut self.ncols);
     }
+}
+
+/// Exclusive prefix sums of the key histogram: a counting sort by `keys`
+/// puts bucket `k` at `starts[k]..starts[k + 1]`; `starts[nbuckets]` is
+/// `keys.len()`. Over the rows of sorted triples this is the CSR row
+/// pointer.
+pub(crate) fn bucket_starts(keys: &[Index], nbuckets: usize) -> Vec<usize> {
+    let mut starts = vec![0usize; nbuckets + 1];
+    for &k in keys {
+        starts[k + 1] += 1;
+    }
+    for k in 0..nbuckets {
+        starts[k + 1] += starts[k];
+    }
+    starts
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use gbtl_algebra::Scalar;
 
+use crate::coo::bucket_starts;
 use crate::{CooMatrix, CscMatrix, Index, SparseError};
 
 /// A matrix in compressed-sparse-row form.
@@ -79,28 +80,30 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Build from (possibly unsorted, duplicate-bearing) COO, merging
-    /// duplicates with `dup`.
+    /// duplicates with `dup` left to right in input order (the
+    /// [`CooMatrix::sort_dedup`] contract). Sorted, duplicate-free input
+    /// costs one check and the row count.
     pub fn from_coo(mut coo: CooMatrix<T>, dup: impl FnMut(T, T) -> T) -> Self {
         coo.sort_dedup(dup);
-        Self::from_sorted_coo(&coo)
+        let (nrows, ncols) = (coo.nrows(), coo.ncols());
+        let (rows, col_idx, vals) = coo.into_triples();
+        Self {
+            nrows,
+            ncols,
+            row_ptr: bucket_starts(&rows, nrows),
+            col_idx,
+            vals,
+        }
     }
 
     /// Build from COO that is already sorted row-major and duplicate-free.
     pub fn from_sorted_coo(coo: &CooMatrix<T>) -> Self {
         debug_assert!(coo.is_sorted_dedup());
         let (rows, cols, vals) = coo.triples();
-        let nrows = coo.nrows();
-        let mut row_ptr = vec![0usize; nrows + 1];
-        for &r in rows {
-            row_ptr[r + 1] += 1;
-        }
-        for i in 0..nrows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
         Self {
-            nrows,
+            nrows: coo.nrows(),
             ncols: coo.ncols(),
-            row_ptr,
+            row_ptr: bucket_starts(rows, coo.nrows()),
             col_idx: cols.to_vec(),
             vals: vals.to_vec(),
         }
@@ -304,13 +307,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Transpose via a counting pass (a.k.a. the sequential "atomic-free
     /// scatter" transpose). `O(nnz + nrows + ncols)`.
     pub fn transpose(&self) -> CsrMatrix<T> {
-        let mut t_ptr = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
-            t_ptr[c + 1] += 1;
-        }
-        for j in 0..self.ncols {
-            t_ptr[j + 1] += t_ptr[j];
-        }
+        let t_ptr = bucket_starts(&self.col_idx, self.ncols);
         let mut cursor = t_ptr.clone();
         let mut t_col = vec![0usize; self.nnz()];
         let mut t_val = self.vals.clone();
