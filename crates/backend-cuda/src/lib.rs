@@ -4,7 +4,7 @@
 //!
 //! The paper's GPU backend, rebuilt on [`gbtl_gpu_sim`]: every GraphBLAS
 //! operation is either a hand-written SIMT kernel (the two CSR SpMV kernels
-//! in [`spmv`]) or a composition of Thrust/CUSP-style device primitives
+//! in [`spmv`], ELL and HYB in [`ell`]) or a composition of Thrust/CUSP-style device primitives
 //! (ESC SpGEMM in [`spmm`], tagged-sort elementwise merges in [`ewise`],
 //! sort-based transpose/build in [`ops`]). Operations that the original
 //! backend never ported run as host fallbacks with the device↔host
@@ -13,6 +13,7 @@
 //! Every operation is differentially tested against
 //! [`gbtl_backend_seq`] — same semiring, same inputs, identical outputs.
 
+pub mod ell;
 pub mod ewise;
 pub mod fallback;
 pub mod ops;
@@ -21,6 +22,7 @@ pub mod spmm;
 pub mod spmv;
 pub mod util;
 
+pub use ell::{mxv_ell, mxv_hyb};
 pub use ewise::{ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec};
 pub use fallback::{assign_mat, assign_vec, extract_mat, extract_vec};
 pub use ops::{
@@ -29,7 +31,7 @@ pub use ops::{
 };
 pub use select::{kronecker, select_mat, select_vec};
 pub use spmm::{mxm, mxm_masked};
-pub use spmv::{mxv, mxv_ell, mxv_hyb, vxm, SpmvKernel};
+pub use spmv::{mxv, vxm, SpmvKernel};
 
 use gbtl_gpu_sim::{Gpu, KernelTally};
 

@@ -1,0 +1,361 @@
+//! The closed-form charges of the CSR SpMV kernels and of push `vxm` equal
+//! the per-lane narration they replaced, launch for launch.
+//!
+//! The reference kernels below are that narration, kept here only: each
+//! warp-step of the device kernel told to a `BlockCtx` as the lane indices
+//! it loads (`warp_read`, `warp_read_run`, `block_reduce`), and push built
+//! as the candidate arrays, a sort and a reduce-by-key. Every device run
+//! keeps its kernel log, and the two logs — kernel name, blocks and
+//! `KernelTally` of every launch — must be equal, as must the results.
+
+use gbtl_algebra::{BinaryOp, LorLand, MinPlus, PlusTimes, Scalar, Semiring};
+use gbtl_backend_cuda::{mxv, vxm, SpmvKernel};
+use gbtl_backend_seq::row_dot;
+use gbtl_gpu_sim::{primitives as prim, Gpu, GpuConfig, KernelRecord, KernelTally};
+use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
+
+const BLOCK_DIM: usize = 256;
+
+/// The thread-per-row kernel, narrated lane by lane.
+fn reference_scalar<T, D1, S>(
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+) -> Vec<Option<T>>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (row_ptr, col_idx, uvals) = (a.row_ptr(), a.col_idx(), u.options());
+    let val_sz = std::mem::size_of::<D1>();
+    let u_sz = std::mem::size_of::<Option<T>>();
+    let mut out = vec![None; a.nrows()];
+    gpu.launch_chunks("spmv_csr_scalar", &mut out, BLOCK_DIM, |b, slice, ctx| {
+        let row0 = b * BLOCK_DIM;
+        let ws = ctx.warp_size();
+        for warp_start in (0..slice.len()).step_by(ws) {
+            let warp_end = (warp_start + ws).min(slice.len());
+            let rows: Vec<usize> = (row0 + warp_start..row0 + warp_end)
+                .filter(|&r| mask.is_none_or(|keep| keep.keeps(r)))
+                .collect();
+            if rows.is_empty() {
+                continue;
+            }
+            ctx.warp_read(8, &rows);
+            ctx.warp_read(8, &rows);
+            let (mut pos, mut end) = (vec![], vec![]);
+            for &r in &rows {
+                let (cols, vals) = a.row(r);
+                let (dot, consumed) = row_dot(sr, cols, vals, uvals);
+                slice[r - row0] = dot;
+                if consumed > 0 {
+                    pos.push(row_ptr[r]);
+                    end.push(row_ptr[r] + consumed);
+                }
+            }
+            while !pos.is_empty() {
+                let cols: Vec<usize> = pos.iter().map(|&p| col_idx[p]).collect();
+                ctx.warp_read(8, &pos);
+                ctx.warp_read(val_sz, &pos);
+                ctx.warp_read(u_sz, &cols);
+                ctx.instr(2);
+                let live: Vec<(usize, usize)> = pos
+                    .iter()
+                    .zip(&end)
+                    .map(|(&p, &e)| (p + 1, e))
+                    .filter(|&(p, e)| p < e)
+                    .collect();
+                (pos, end) = live.into_iter().unzip();
+            }
+            ctx.warp_write(u_sz, &rows);
+        }
+    });
+    out
+}
+
+/// The warp-per-row kernel, narrated stride by stride.
+fn reference_vector<T, D1, S>(
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+) -> Vec<Option<T>>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (row_ptr, col_idx, uvals) = (a.row_ptr(), a.col_idx(), u.options());
+    let val_sz = std::mem::size_of::<D1>();
+    let u_sz = std::mem::size_of::<Option<T>>();
+    let mut out = vec![None; a.nrows()];
+    gpu.launch_chunks("spmv_csr_vector", &mut out, BLOCK_DIM, |b, slice, ctx| {
+        let ws = ctx.warp_size();
+        for (k, slot) in slice.iter_mut().enumerate() {
+            let r = b * BLOCK_DIM + k;
+            let (lo, row_end) = (row_ptr[r], row_ptr[r + 1]);
+            if mask.is_some_and(|keep| !keep.keeps(r)) || lo == row_end {
+                continue;
+            }
+            let (cols, vals) = a.row(r);
+            let (dot, consumed) = row_dot(sr, cols, vals, uvals);
+            *slot = dot;
+            let hi = row_end.min(lo + consumed.next_multiple_of(ws));
+            ctx.warp_read_run(8, r, r + 2);
+            for p in (lo..hi).step_by(ws) {
+                let end = (p + ws).min(hi);
+                ctx.warp_read_run(8, p, end);
+                ctx.warp_read_run(val_sz, p, end);
+                ctx.warp_read(u_sz, &col_idx[p..end]);
+                ctx.instr(2);
+            }
+            ctx.block_reduce(ws.min(hi - lo));
+            ctx.warp_write(u_sz, &[r]);
+        }
+    });
+    out
+}
+
+/// Push as the pipeline it is charged as: stage the frontier's row
+/// extents, materialise every candidate, compact under a mask, sort by
+/// destination and reduce each run.
+fn reference_vxm<T, D2, S>(
+    gpu: &Gpu,
+    u: &SparseVector<T>,
+    a: &CsrMatrix<D2>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+) -> SparseVector<T>
+where
+    T: Scalar,
+    D2: Scalar,
+    S: Semiring<T, T, D2>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let (row_ptr, frontier) = (a.row_ptr(), u.indices());
+    prim::gather::charge_gather::<usize>(gpu, frontier);
+    prim::gather::charge_gather::<usize>(gpu, frontier.iter().map(|&i| i + 1));
+    prim::map::charge_zip_transform::<usize, usize, usize>(gpu, frontier.len());
+    prim::scan::charge_scan::<usize>(gpu, frontier.len());
+    let total: usize = frontier.iter().map(|&i| a.row_nnz(i)).sum();
+    let (mut cand_cols, mut cand_vals) = (vec![], vec![]);
+    for (&i, &ui) in frontier.iter().zip(u.values()) {
+        let (cols, vals) = a.row(i);
+        for (&c, &aic) in cols.iter().zip(vals) {
+            if mask.is_none_or(|keep| keep.keeps(c)) {
+                cand_cols.push(c);
+                cand_vals.push(mul.apply(ui, aic));
+            }
+        }
+    }
+    let txn = gpu.config().mem_transaction_bytes as u64;
+    let (edge_sz, val_sz) = (
+        std::mem::size_of::<D2>() as u64,
+        std::mem::size_of::<T>() as u64,
+    );
+    gpu.charge_kernel(
+        "vxm_expand",
+        u.nnz().div_ceil(BLOCK_DIM).max(1),
+        KernelTally {
+            warp_instructions: 4 * (total as u64).div_ceil(gpu.config().warp_size as u64),
+            mem_transactions: prim::gather_cost(gpu, frontier.iter().map(|&i| row_ptr[i]), 8)
+                + (total as u64 * (8 + edge_sz)).div_ceil(txn)
+                + (total as u64 * (8 + val_sz)).div_ceil(txn),
+            atomic_ops: 0,
+        },
+    );
+    if mask.is_some() {
+        prim::compact::charge_compaction::<(usize, T)>(gpu, total, cand_cols.len());
+    }
+    let (sorted_cols, sorted_vals) = prim::sort_pairs(gpu, &cand_cols, &cand_vals);
+    let (idx, vals) = prim::reduce_by_key(gpu, &sorted_cols, &sorted_vals, |x, y| add.apply(x, y));
+    SparseVector::from_sorted(a.ncols(), idx, vals).expect("sorted unique indices")
+}
+
+/// Kernel name, blocks and tally of every launch a device recorded.
+fn launches(gpu: &Gpu) -> Vec<(&'static str, usize, KernelTally)> {
+    gpu.stats()
+        .kernel_log
+        .into_iter()
+        .map(
+            |KernelRecord {
+                 name,
+                 blocks,
+                 tally,
+                 ..
+             }| (name, blocks, tally),
+        )
+        .collect()
+}
+
+/// A small deterministic generator (xorshift64).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random `m × n` CSR: a fifth of its rows empty, most short, one in six
+/// longer than two warps.
+fn csr<D: Scalar>(rng: &mut Rng, m: usize, n: usize, val: &impl Fn(&mut Rng) -> D) -> CsrMatrix<D> {
+    let mut coo = CooMatrix::new(m, n);
+    for i in 0..m {
+        let len = match rng.below(6) {
+            0 => 0,
+            1 => 65 + rng.below(90),
+            _ => 1 + rng.below(9),
+        };
+        for _ in 0..len {
+            let j = rng.below(n);
+            let v = val(rng);
+            coo.push(i, j, v);
+        }
+    }
+    CsrMatrix::from_coo(coo, |first, _| first)
+}
+
+/// Devices the charges are compared on: 128-byte and 96-byte transactions,
+/// and a warp that does not divide the block.
+fn configs() -> [GpuConfig; 3] {
+    [
+        GpuConfig::k40(),
+        GpuConfig {
+            mem_transaction_bytes: 96,
+            ..GpuConfig::k40()
+        },
+        GpuConfig {
+            warp_size: 24,
+            ..GpuConfig::k40()
+        },
+    ]
+}
+
+/// Pull and push over `rounds` random operands, on every config, unmasked,
+/// masked and under the complemented mask; presence of `u` from none to all.
+fn check<T, D, S>(
+    sr: S,
+    rounds: usize,
+    seed: u64,
+    val: impl Fn(&mut Rng) -> D,
+    uval: impl Fn(&mut Rng) -> T,
+) where
+    T: Scalar,
+    D: Scalar,
+    S: Semiring<T, D, T> + Semiring<T, T, D>,
+{
+    let mut rng = Rng(seed);
+    for round in 0..rounds {
+        let (m, n) = (1 + rng.below(700), 1 + rng.below(700));
+        let a = csr(&mut rng, m, n, &val);
+        let present = [0, 1, 16, 32, 48, 63, 64][round % 7];
+        let mut u = DenseVector::new(n);
+        for j in 0..n {
+            if (rng.below(64)) < present {
+                let v = uval(&mut rng);
+                u.set(j, v);
+            }
+        }
+        let mut frontier = SparseVector::new(m);
+        for i in 0..m {
+            if rng.below(64) < present {
+                let v = uval(&mut rng);
+                frontier.set(i, v);
+            }
+        }
+        let pull_mask = DenseVector::from_options(
+            (0..m)
+                .map(|_| (rng.below(3) == 0).then_some(true))
+                .collect(),
+        );
+        let push_mask = DenseVector::from_options(
+            (0..n)
+                .map(|_| (rng.below(3) == 0).then_some(true))
+                .collect(),
+        );
+        for config in configs() {
+            for masked in [None, Some(false), Some(true)] {
+                let pull = masked.map(|c| VecMask::new(&pull_mask, c));
+                let push = masked.map(|c| VecMask::new(&push_mask, c));
+                for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+                    let (got, want) = (
+                        Gpu::with_trace(config.clone()),
+                        Gpu::with_trace(config.clone()),
+                    );
+                    let w = mxv(&got, &a, &u, sr, pull, kernel);
+                    let reference = match kernel {
+                        SpmvKernel::Scalar => reference_scalar(&want, &a, &u, sr, pull),
+                        _ => reference_vector(&want, &a, &u, sr, pull),
+                    };
+                    assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
+                    assert_eq!(
+                        launches(&got),
+                        launches(&want),
+                        "{kernel:?}, round {round}, {config:?}, mask {masked:?}"
+                    );
+                }
+                let (got, want) = (
+                    Gpu::with_trace(config.clone()),
+                    Gpu::with_trace(config.clone()),
+                );
+                let w = vxm(&got, &frontier, &a, sr, push);
+                assert_eq!(
+                    w,
+                    reference_vxm(&want, &frontier, &a, sr, push),
+                    "vxm result"
+                );
+                assert_eq!(
+                    launches(&got),
+                    launches(&want),
+                    "vxm, round {round}, {config:?}, mask {masked:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lor_land_over_bool_exits_at_the_first_frontier_neighbour() {
+    check(
+        LorLand::new(),
+        14,
+        0x5EED_0001,
+        |r| r.below(4) != 0,
+        |r| r.below(4) != 0,
+    );
+}
+
+#[test]
+fn min_plus_over_u32_exits_at_zero() {
+    // zeros in both operands, so some rows reach `min`'s terminal
+    check(
+        MinPlus::<u32>::new(),
+        14,
+        0x5EED_0002,
+        |r| r.below(3) as u32,
+        |r| r.below(3) as u32,
+    );
+}
+
+#[test]
+fn plus_times_over_f64_folds_every_entry() {
+    check(
+        PlusTimes::<f64>::new(),
+        14,
+        0x5EED_0003,
+        |r| r.below(7) as f64 - 3.0,
+        |r| r.below(5) as f64 * 0.5,
+    );
+}

@@ -9,7 +9,7 @@
 //! ## One CPU kernel source
 //!
 //! Every row-oriented kernel of `gbtl-backend-seq` has a row-range form
-//! (`mxm_rows`, `mxm_masked_rows`, `mxv_rows`, …). Behind each of [`mxm`],
+//! (`mxm_rows`, `mxm_masked_rows`, `RowFold::mxv_rows`, …). Behind each of [`mxm`],
 //! [`mxm_masked`], [`mxv`] and [`reduce_rows`] is one path: cut the rows
 //! nnz-balanced, run the *sequential* kernel on each cut, stitch the
 //! fragments in row order (`schedule`). Each output row is computed by

@@ -2,7 +2,8 @@
 //!
 //! [`mxv`]: rows are split into nnz-balanced contiguous chunks (binary
 //! search over `row_ptr`, merge-path style) and each chunk is
-//! `gbtl_backend_seq::mxv_rows`, so results are bit-identical to it.
+//! `gbtl_backend_seq::RowFold::mxv_rows` over one fold, so results are
+//! bit-identical to the sequential `mxv`.
 //!
 //! There is no parallel push. `vxm` scatters into output columns, so a row
 //! split would have tasks collide; the bit-identical alternative this
@@ -19,7 +20,7 @@
 use crate::pool::ThreadPool;
 use crate::schedule::{join_dense, over_rows};
 use gbtl_algebra::{Scalar, Semiring};
-use gbtl_backend_seq::mxv_rows;
+use gbtl_backend_seq::RowFold;
 use gbtl_sparse::{CsrMatrix, DenseVector, VecMask};
 
 /// Pull-direction product `w = A ⊕.⊗ u`; `mask` is a keep test over
@@ -36,7 +37,9 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let segments = over_rows(pool, a.row_ptr(), |rows| mxv_rows(a, u, sr, mask, rows));
+    // one fold for every range: the slots, when `u` picks them, are built once
+    let fold = RowFold::new(sr, a, u, mask);
+    let segments = over_rows(pool, a.row_ptr(), |rows| fold.mxv_rows(rows));
     join_dense(a.nrows(), segments)
 }
 

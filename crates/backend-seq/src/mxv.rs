@@ -6,9 +6,10 @@
 //! * [`vxm`] — *push*: `w = uᵀA`, walking only the rows of `A` selected by
 //!   stored entries of `u`. Efficient when `u` is a sparse frontier.
 
-use gbtl_algebra::{BinaryOp, Monoid, Scalar, Semiring};
+use gbtl_algebra::{BinaryOp, MinPlus, Monoid, Scalar, Semiring};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
+use std::hint::select_unpredictable;
 use std::ops::Range;
 
 /// `⊕`-fold of `vals[q] ⊗ u[cols[q]]` over one row's entries, in entry
@@ -47,6 +48,239 @@ where
     (acc, cols.len())
 }
 
+/// [`row_dot`] over `(value, present)` slots, with no branch on presence:
+/// every entry computes a term and the fold keeps it or not by select, so a
+/// row whose operand positions are half present costs what a fully present
+/// one does. The same bits and the same count as [`row_dot`]: a row's
+/// first present term seeds the fold as it is, and the exit test fires
+/// first at the present term that reached the terminal.
+///
+/// An absent entry computes only what cannot fail: `⊗` of the `safe` pair,
+/// a product the `Option` fold of the same call computes too (see
+/// [`RowFold`]; every absent slot holds its operand value), and `⊕` of the
+/// accumulator with the monoid's identity, which the identity law makes
+/// the accumulator. Both results are thrown away.
+#[inline]
+fn slot_dot<T, D1, S>(
+    sr: S,
+    cols: &[usize],
+    vals: &[D1],
+    slots: &[(T, bool)],
+    safe: (D1, T),
+) -> (Option<T>, usize)
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let (terminal, identity) = (add.terminal(), add.identity());
+    let (mut acc, mut have) = (identity, false);
+    for (q, (&j, &aij)) in cols.iter().zip(vals).enumerate() {
+        let (uj, present) = slots[j];
+        let term = mul.apply(select_unpredictable(present, aij, safe.0), uj);
+        let next = if have {
+            add.apply(acc, select_unpredictable(present, term, identity))
+        } else {
+            term
+        };
+        acc = select_unpredictable(present, next, acc);
+        have |= present;
+        if terminal.is_some_and(|t| have && acc == t) {
+            return (Some(acc), q + 1);
+        }
+    }
+    (have.then_some(acc), cols.len())
+}
+
+/// Presence shares of `u`, in 64ths, between which pull folds over slots
+/// (inclusive). Measured, `(min, +)` over `u32` (ADR 0004): the `Option`
+/// fold costs 1.2–1.8 ns an entry at 0 % or 100 % presence and 5.5–6.9 at
+/// 50 %, where the slot fold costs 2.3 on rmat rows and 3.6–5.3 on torus
+/// rows (four entries: the row's loop exit mispredicts in either fold).
+/// Slots win from 8/64 to 60/64 on rmat12/rmat14, from 16/64 to 48/64 on
+/// torus64/torus128, and lose up to 25 % outside that.
+const SLOT_BAND: (usize, usize) = (16, 48);
+
+/// Whether the slot fold was measured to beat the `Option` fold for
+/// semiring `S` over matrix entries `D1` (ADR 0004): only SSSP's `(min, +)`
+/// over `u32`, where the selects lower to conditional moves. Not floats —
+/// x86 has no conditional move into a floating-point register, so the
+/// select becomes a branch that mispredicts as the `Option` fold does, and
+/// the slot fold ran 10–17 % behind — nor `bool`'s `(∨, ∧)`, which ends a
+/// row at its first present term, so either fold mispredicts about once a
+/// row and slots ran 3–12 % behind. MIS's `(min, second)` over `u64` read
+/// flat end to end, so it keeps [`row_dot`].
+fn slots_pay<S: 'static, D1: 'static>() -> bool {
+    use std::any::TypeId;
+    TypeId::of::<(S, D1)>() == TypeId::of::<(MinPlus<u32>, u32)>()
+}
+
+/// The row fold of one pull product `A ⊕.⊗ u` under a keep `mask`, chosen
+/// once per call: the [`row_dot`] `Option` fold, or [`slot_dot`] over a
+/// slot array built from `u` when its presence share lies in [`SLOT_BAND`]
+/// and [`slots_pay`] for `S`. The sequential and parallel `mxv` and both
+/// of cuda-sim's SpMV kernels fold every row through one of these; which
+/// fold ran never shows in a result or a count.
+#[derive(Debug)]
+pub struct RowFold<'a, T, D1, S> {
+    sr: S,
+    a: &'a CsrMatrix<D1>,
+    mask: Option<VecMask<'a>>,
+    u: &'a [Option<T>],
+    /// `(value, present)` per position of `u` for the slot fold, and its
+    /// safe pair; empty and `None` for the `Option` fold.
+    slots: Vec<(T, bool)>,
+    safe: Option<(D1, T)>,
+}
+
+impl<'a, T, D1, S> RowFold<'a, T, D1, S>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    /// The fold `u`'s presence share picks.
+    pub fn new(
+        sr: S,
+        a: &'a CsrMatrix<D1>,
+        u: &'a DenseVector<T>,
+        mask: Option<VecMask<'a>>,
+    ) -> Self {
+        let fold = Self::options(sr, a, u, mask);
+        let (lo, hi) = SLOT_BAND;
+        let share = u.nnz() * 64;
+        if slots_pay::<S, D1>() && (lo * u.len()..=hi * u.len()).contains(&share) {
+            fold.into_slots()
+        } else {
+            fold
+        }
+    }
+
+    /// The slot fold, whatever `u`'s share: what the fold's properties
+    /// compare with [`row_dot`].
+    pub fn slots(
+        sr: S,
+        a: &'a CsrMatrix<D1>,
+        u: &'a DenseVector<T>,
+        mask: Option<VecMask<'a>>,
+    ) -> Self {
+        Self::options(sr, a, u, mask).into_slots()
+    }
+
+    fn options(
+        sr: S,
+        a: &'a CsrMatrix<D1>,
+        u: &'a DenseVector<T>,
+        mask: Option<VecMask<'a>>,
+    ) -> Self {
+        assert_eq!(
+            a.ncols(),
+            u.len(),
+            "mxv dimension mismatch: {}x{} * len {}",
+            a.nrows(),
+            a.ncols(),
+            u.len()
+        );
+        if let Some(keep) = mask {
+            assert_eq!(keep.len(), a.nrows(), "mask length must equal output size");
+        }
+        Self {
+            sr,
+            a,
+            mask,
+            u: u.options(),
+            slots: Vec::new(),
+            safe: None,
+        }
+    }
+
+    /// Slots over this fold's `u`. The safe pair is the first entry, in
+    /// the rows the mask keeps, at a present position, with that position's
+    /// value: the first product the `Option` fold computes. An absent
+    /// position's slot holds the same value, so an absent entry's `⊗` only
+    /// ever repeats that product. A product with no such entry has no
+    /// present term to fold: it keeps the `Option` fold.
+    fn into_slots(self) -> Self {
+        let safe = (0..self.a.nrows())
+            .filter(|&i| self.keeps(i))
+            .find_map(|i| {
+                let (cols, vals) = self.a.row(i);
+                let q = cols.iter().position(|&j| self.u[j].is_some())?;
+                Some((vals[q], self.u[cols[q]]?))
+            });
+        let Some(safe) = safe else {
+            return self;
+        };
+        let slots = self
+            .u
+            .iter()
+            .map(|&v| (v.unwrap_or(safe.1), v.is_some()))
+            .collect();
+        Self {
+            slots,
+            safe: Some(safe),
+            ..self
+        }
+    }
+
+    /// The matrix folded.
+    pub fn matrix(&self) -> &'a CsrMatrix<D1> {
+        self.a
+    }
+
+    /// Whether row `i` is folded at all: the mask keeps it.
+    #[inline]
+    pub fn keeps(&self, i: usize) -> bool {
+        self.mask.is_none_or(|keep| keep.keeps(i))
+    }
+
+    /// Row `i`'s fold: what [`row_dot`] returns for it.
+    #[inline]
+    pub fn row(&self, i: usize) -> (Option<T>, usize) {
+        let (cols, vals) = self.a.row(i);
+        match self.safe {
+            Some(safe) => slot_dot(self.sr, cols, vals, &self.slots, safe),
+            None => row_dot(self.sr, cols, vals, self.u),
+        }
+    }
+
+    /// Positions `rows` of the product, as a vector of `rows.len()` entries
+    /// (position `i` at `i - rows.start`); rows the mask does not keep are
+    /// not visited and stay absent.
+    pub fn mxv_rows(&self, rows: Range<usize>) -> DenseVector<T> {
+        // one loop per fold, so the choice is made once and not per row;
+        // the operands are copied out of `self` for the loop to keep
+        let (sr, u, slots) = (self.sr, self.u, self.slots.as_slice());
+        match self.safe {
+            Some(safe) => self.fold_rows(rows, move |cols, vals| {
+                slot_dot(sr, cols, vals, slots, safe)
+            }),
+            None => self.fold_rows(rows, move |cols, vals| row_dot(sr, cols, vals, u)),
+        }
+    }
+
+    /// The rows `rows` the mask keeps, each folded by `dot`.
+    #[inline(always)]
+    fn fold_rows(
+        &self,
+        rows: Range<usize>,
+        dot: impl Fn(&[usize], &[D1]) -> (Option<T>, usize),
+    ) -> DenseVector<T> {
+        let mut w = DenseVector::new(rows.len());
+        for i in rows.clone() {
+            if !self.keeps(i) {
+                continue;
+            }
+            let (cols, vals) = self.a.row(i);
+            if let (Some(v), _) = dot(cols, vals) {
+                w.set(i - rows.start, v);
+            }
+        }
+        w
+    }
+}
+
 /// Pull-direction product `w = A ⊕.⊗ u`.
 ///
 /// `mask`, when present, is a keep test over output positions: rows it does
@@ -65,46 +299,7 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    mxv_rows(a, u, sr, mask, 0..a.nrows())
-}
-
-/// Positions `rows` of [`mxv`]'s result, as a vector of `rows.len()`
-/// entries (position `i` of the product at `i - rows.start`).
-pub fn mxv_rows<T, D1, S>(
-    a: &CsrMatrix<D1>,
-    u: &DenseVector<T>,
-    sr: S,
-    mask: Option<VecMask<'_>>,
-    rows: Range<usize>,
-) -> DenseVector<T>
-where
-    T: Scalar,
-    D1: Scalar,
-    S: Semiring<T, D1, T>,
-{
-    assert_eq!(
-        a.ncols(),
-        u.len(),
-        "mxv dimension mismatch: {}x{} * len {}",
-        a.nrows(),
-        a.ncols(),
-        u.len()
-    );
-    if let Some(keep) = mask {
-        assert_eq!(keep.len(), a.nrows(), "mask length must equal output size");
-    }
-    let uvals = u.options();
-    let mut w = DenseVector::new(rows.len());
-    for i in rows.clone() {
-        if mask.is_some_and(|keep| !keep.keeps(i)) {
-            continue;
-        }
-        let (cols, vals) = a.row(i);
-        if let (Some(v), _) = row_dot(sr, cols, vals, uvals) {
-            w.set(i - rows.start, v);
-        }
-    }
-    w
+    RowFold::new(sr, a, u, mask).mxv_rows(0..a.nrows())
 }
 
 /// The accumulate loop of push [`vxm`]: folds `uᵀA` into `acc` over the

@@ -1,9 +1,14 @@
 //! Property tests of the two traversal kernels' shortcuts: `row_dot` may
-//! stop a row early and `vxm` may emit by a sweep, and neither may change a
-//! result.
+//! stop a row early, the slot fold may replace it, and `vxm` may emit by a
+//! sweep, and none may change a result.
 
-use gbtl_algebra::{BinaryOp, LorLand, MaxMin, MinPlus, Monoid, PlusTimes, Scalar, Semiring};
-use gbtl_backend_seq::{mxv, row_dot, vxm};
+use gbtl_algebra::{
+    BinaryOp, CustomSemiring, Div, LorLand, MaxMin, MinPlus, Monoid, PlusMonoid, PlusTimes, Scalar,
+    Semiring,
+};
+use gbtl_backend_cuda::SpmvKernel;
+use gbtl_backend_seq::{mxv, row_dot, vxm, RowFold};
+use gbtl_gpu_sim::Gpu;
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 use proptest::prelude::*;
@@ -112,6 +117,207 @@ proptest! {
     #[test]
     fn row_dot_plus_times(entries in row(-9i64..9), u in operand(-9i64..9)) {
         check_row(PlusTimes::<i64>::new(), &entries, &u, |v| v as u64);
+    }
+}
+
+/// Operand positions of the slot-fold properties.
+const SLOTS: usize = 64;
+
+/// Presence shares the slot fold is checked at, in 64ths: none, one, half,
+/// all but one, all.
+const SHARES: [usize; 5] = [0, 1, 32, 63, 64];
+
+/// An operand over [`SLOTS`] positions with exactly `present` of them
+/// present: the ones whose `keys` rank lowest.
+fn with_share<T: Scalar>(values: &[T], keys: &[u64], present: usize) -> DenseVector<T> {
+    let mut order: Vec<usize> = (0..SLOTS).collect();
+    order.sort_by_key(|&j| (keys[j], j));
+    let mut u = DenseVector::new(SLOTS);
+    for &j in &order[..present] {
+        u.set(j, values[j]);
+    }
+    u
+}
+
+/// The slot fold against [`row_dot`] on every row, at every share: the
+/// same bits and the same count. Then `mxv` — whichever fold the share
+/// picks — against cuda-sim's `mxv` under both kernels, on the rows as a
+/// matrix, unmasked and masked by `keep`.
+fn check_slot_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
+    sr: S,
+    rows: &[Vec<(usize, D1)>],
+    values: &[T],
+    keys: &[u64],
+    keep: &[bool],
+    bits: impl Fn(T) -> u64,
+) {
+    let mut coo = CooMatrix::new(rows.len(), SLOTS);
+    for (i, row) in rows.iter().enumerate() {
+        for &(j, v) in row {
+            coo.push(i, j % SLOTS, v);
+        }
+    }
+    let a = CsrMatrix::from_coo(coo, |first, _| first);
+    let bits_of = |w: &DenseVector<T>| -> Vec<Option<u64>> {
+        w.options().iter().map(|v| v.map(&bits)).collect()
+    };
+    for present in SHARES {
+        let u = with_share(values, keys, present);
+        let slots = RowFold::slots(sr, &a, &u, None);
+        check_fold_rows(sr, &a, &u, &slots, &bits, present);
+        for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
+            let want = bits_of(&mxv(&a, &u, sr, mask));
+            for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+                let got = gbtl_backend_cuda::mxv(&Gpu::default(), &a, &u, sr, mask, kernel);
+                assert_eq!(
+                    bits_of(&got),
+                    want,
+                    "cuda-sim {kernel:?}, share {present}/64"
+                );
+            }
+        }
+    }
+}
+
+/// Every row of `fold` against [`row_dot`]: the same bits, the same count.
+fn check_fold_rows<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
+    sr: S,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    fold: &RowFold<'_, T, D1, S>,
+    bits: impl Fn(T) -> u64,
+    present: usize,
+) {
+    for i in 0..a.nrows() {
+        let (cols, vals) = a.row(i);
+        let (want, want_consumed) = row_dot(sr, cols, vals, u.options());
+        let (got, consumed) = fold.row(i);
+        assert_eq!(
+            got.map(&bits),
+            want.map(&bits),
+            "share {present}/64, row {i}"
+        );
+        assert_eq!(consumed, want_consumed, "share {present}/64, row {i}");
+    }
+}
+
+/// The slot fold against [`row_dot`] where a product at an absent position
+/// would fail: entries at present positions hold their `tame` value, those
+/// at absent ones `hostile`, on which `⊗` panics with every operand value.
+/// The `Option` fold never computes such a product, so neither may the slot
+/// fold — nor `⊕` a sum the `Option` fold never forms.
+fn check_hostile<T: Scalar, S: Semiring<T>>(
+    sr: S,
+    rows: &[Vec<(usize, T)>],
+    values: &[T],
+    keys: &[u64],
+    hostile: T,
+    bits: impl Fn(T) -> u64,
+) {
+    for present in SHARES {
+        let u = with_share(values, keys, present);
+        let mut coo = CooMatrix::new(rows.len(), SLOTS);
+        for (i, row) in rows.iter().enumerate() {
+            for &(j, tame) in row {
+                let v = if u.get(j).is_some() { tame } else { hostile };
+                coo.push(i, j, v);
+            }
+        }
+        let a = CsrMatrix::from_coo(coo, |first, _| first);
+        check_fold_rows(
+            sr,
+            &a,
+            &u,
+            &RowFold::slots(sr, &a, &u, None),
+            &bits,
+            present,
+        );
+        let got = mxv(&a, &u, sr, None);
+        let want: Vec<Option<T>> = (0..a.nrows())
+            .map(|i| {
+                let (cols, vals) = a.row(i);
+                row_dot(sr, cols, vals, u.options()).0
+            })
+            .collect();
+        assert_eq!(got.options(), &want[..], "share {present}/64");
+    }
+}
+
+/// `to_bits`, except that every NaN is one value. Rust leaves a NaN
+/// result's sign and payload unspecified, and x86 propagates the first
+/// operand's NaN, so an optimiser that swaps the operands of a commutative
+/// `+` may change which NaN comes out; `-0.0` and `0.0` still differ.
+fn nan_blind_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+fn slot_rows<V: Strategy>(value: V) -> impl Strategy<Value = Vec<Vec<(usize, V::Value)>>> {
+    proptest::collection::vec(proptest::collection::vec((0..SLOTS, value), 0..90), 1..12)
+}
+
+fn slot_values<V: Strategy>(value: V) -> impl Strategy<Value = Vec<V::Value>> {
+    proptest::collection::vec(value, SLOTS)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn slot_fold_plus_times_f64_keeps_signed_zeros_and_nans(
+        rows in slot_rows(edgy_f64()),
+        values in slot_values(edgy_f64()),
+        keys in slot_values(any::<u64>()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_slot_fold(PlusTimes::<f64>::new(), &rows, &values, &keys, &keep, nan_blind_bits);
+    }
+
+    /// Edges at absent positions weigh `u32::MAX`, so in a debug build an
+    /// absent entry that added its edge to any operand value would panic.
+    #[test]
+    fn slot_fold_min_plus_u32_never_adds_an_absent_entry(
+        rows in slot_rows(0u32..=u32::MAX / 2),
+        values in slot_values(1u32..=u32::MAX / 2),
+        keys in slot_values(any::<u64>()),
+    ) {
+        check_hostile(MinPlus::<u32>::new(), &rows, &values, &keys, u32::MAX, u64::from);
+    }
+
+    /// `⊗` is `/` and absent positions hold `i64::MIN`: divided by an
+    /// operand value of `-1` it panics in any build.
+    #[test]
+    fn slot_fold_div_never_divides_an_absent_entry(
+        rows in slot_rows(-9i64..9),
+        values in slot_values((0usize..4).prop_map(|k| [-1i64, 1, 2, -3][k])),
+        keys in slot_values(any::<u64>()),
+    ) {
+        let sr = CustomSemiring::new(PlusMonoid::<i64>::new(), Div::<i64>::new());
+        check_hostile(sr, &rows, &values, &keys, i64::MIN, |v| v as u64);
+    }
+
+    /// Small values: zeros in both operands, so rows reach `min`'s terminal.
+    #[test]
+    fn slot_fold_min_plus_u32_exits_where_row_dot_does(
+        rows in slot_rows(0u32..3),
+        values in slot_values(0u32..3),
+        keys in slot_values(any::<u64>()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_slot_fold(MinPlus::<u32>::new(), &rows, &values, &keys, &keep, u64::from);
+    }
+
+    #[test]
+    fn slot_fold_lor_land(
+        rows in slot_rows(any::<bool>()),
+        values in slot_values(any::<bool>()),
+        keys in slot_values(any::<u64>()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_slot_fold(LorLand::new(), &rows, &values, &keys, &keep, u64::from);
     }
 }
 

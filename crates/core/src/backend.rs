@@ -483,14 +483,15 @@ impl Backend for CudaBackend {
     /// [`PULL_UNVISITED_FACTOR`] of it.
     ///
     /// The two clocks this backend is measured by disagree: the modeled
-    /// device prefers pull at every level (rmat12 SSSP: pull 0.32 / auto
-    /// 0.47 / push 0.70 modeled ms) while the host simulation of those
-    /// kernels prefers push (12.1 / 9.8 / 8.6 ms wall; 2.1 / 1.6 / 1.5 ms
-    /// since the simulator executes natively — DESIGN.md), so no per-edge
-    /// cost serves both and the rule it was tuned with stays. Remove this
-    /// override — and the two items below — once the simulator's host cost
-    /// tracks its model; the edge-cost rule with device constants then
-    /// applies here as well.
+    /// device prefers pull at every level (rmat12 SSSP from its hubs: pull
+    /// 0.32 / auto 0.48 / push 0.69 modeled ms) while the host prefers push
+    /// (2.61 / 1.59 / 0.68 ms wall, now that host cost is a sequential
+    /// kernel plus arithmetic — ADR 0004; 3.38 / 2.44 / 2.37 before), so no
+    /// per-edge cost serves both and the rule it was tuned with stays.
+    /// Remove this override — and the two items below — once one clock
+    /// alone decides (a cost table fitted on the modeled clock, ROADMAP
+    /// item 3); the edge-cost rule with device constants then applies here
+    /// as well.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
         let threshold =
             saturation_threshold(policy.n(), policy.num_edges()).saturating_mul(policy.batch());

@@ -15,16 +15,20 @@
 use crate::{Gpu, GpuConfig, KernelTally};
 
 /// Maps byte addresses to transaction segments and counts the distinct
-/// segments one warp-step touches.
+/// segments one warp-step touches — the arithmetic behind every
+/// transaction the device is charged. A kernel that narrates in closed form
+/// counts through this instead of a [`BlockCtx`], so its numbers are the
+/// same ones a lane-by-lane narration gets (a 96-byte transaction included).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Coalescer {
+pub struct Coalescer {
     txn_bytes: u64,
     /// `log2(txn_bytes)` when the transaction size is a power of two.
     shift: Option<u32>,
 }
 
 impl Coalescer {
-    pub(crate) fn new(config: &GpuConfig) -> Self {
+    /// The segment mapping of `config`'s transaction size.
+    pub fn new(config: &GpuConfig) -> Self {
         let txn_bytes = config.mem_transaction_bytes as u64;
         Self {
             txn_bytes,
@@ -34,6 +38,7 @@ impl Coalescer {
         }
     }
 
+    /// The transaction segment holding byte address `byte`.
     #[inline(always)]
     fn segment(&self, byte: u64) -> u64 {
         match self.shift {
@@ -42,45 +47,55 @@ impl Coalescer {
         }
     }
 
+    /// The segment of element `i` of a buffer of `elem_bytes`-byte elements.
+    #[inline(always)]
+    pub fn segment_of(&self, elem_bytes: usize, i: usize) -> u64 {
+        self.segment(i as u64 * elem_bytes as u64)
+    }
+
     /// Distinct segments among the lanes of one warp-step. Non-decreasing
     /// lane indices (a sorted CSR row) have non-decreasing segments, so the
-    /// count is the number of changes; any other order is searched, with
-    /// `seen` as the scratch. The count is the same either way.
+    /// count is the number of changes; any other order sorts the (at most
+    /// a warp of) segments in `scratch` and counts runs. The count is the
+    /// same either way.
     #[inline]
-    pub(crate) fn distinct_segments(
+    pub fn distinct_segments(
         &self,
         elem_bytes: usize,
         lanes: &[usize],
-        seen: &mut Vec<u64>,
+        scratch: &mut Vec<u64>,
     ) -> u64 {
-        let segment_of = |i: usize| self.segment(i as u64 * elem_bytes as u64);
         let (mut count, mut last, mut prev) = (0u64, None, 0usize);
         for &i in lanes {
             if i < prev {
-                return Self::search_distinct(lanes.iter().map(|&i| segment_of(i)), seen);
+                scratch.clear();
+                scratch.extend(lanes.iter().map(|&i| self.segment_of(elem_bytes, i)));
+                return Self::count_distinct(scratch);
             }
-            let seg = Some(segment_of(i));
+            let seg = Some(self.segment_of(elem_bytes, i));
             count += u64::from(seg != last);
             (last, prev) = (seg, i);
         }
         count
     }
 
-    fn search_distinct(segments: impl Iterator<Item = u64>, seen: &mut Vec<u64>) -> u64 {
-        seen.clear();
-        for seg in segments {
-            if !seen.contains(&seg) {
-                seen.push(seg);
-            }
+    /// Distinct values among `segments` (a warp-step's, in any order),
+    /// which it sorts: at most a warp of them, so sorting and counting runs
+    /// beats searching the ones seen so far.
+    pub fn count_distinct(segments: &mut [u64]) -> u64 {
+        segments.sort_unstable();
+        let mut count = u64::from(!segments.is_empty());
+        for pair in segments.windows(2) {
+            count += u64::from(pair[0] != pair[1]);
         }
-        seen.len() as u64
+        count
     }
 
     /// Distinct segments touched by the consecutive elements `lo..hi`:
     /// every segment between the first and the last start address when
     /// elements are no wider than a transaction, one per element otherwise.
     #[inline]
-    fn run_segments(&self, elem_bytes: usize, lo: usize, hi: usize) -> u64 {
+    pub fn run_segments(&self, elem_bytes: usize, lo: usize, hi: usize) -> u64 {
         if hi <= lo {
             return 0;
         }
@@ -98,7 +113,7 @@ pub struct BlockCtx {
     warp_size: usize,
     coalescer: Coalescer,
     tally: KernelTally,
-    /// Scratch for segment dedup (bounded by `warp_size`).
+    /// Scratch for unsorted lanes' segments (bounded by `warp_size`).
     seen: Vec<u64>,
 }
 
@@ -288,6 +303,49 @@ mod tests {
             ctx.warp_read(8, &[24, 0, 35, 12, 11]);
         });
         assert_eq!(gpu.stats().mem_transactions, 3);
+    }
+
+    /// The unsorted count this replaced: a linear search of the segments
+    /// seen so far, O(lanes × distinct) a warp-step.
+    fn linear_distinct(c: &Coalescer, elem_bytes: usize, lanes: &[usize]) -> u64 {
+        let mut seen: Vec<u64> = Vec::new();
+        for &i in lanes {
+            let seg = c.segment_of(elem_bytes, i);
+            if !seen.contains(&seg) {
+                seen.push(seg);
+            }
+        }
+        seen.len() as u64
+    }
+
+    #[test]
+    fn sorting_count_equals_the_linear_search_on_random_lanes() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut scratch = Vec::new();
+        for txn in [128, 96] {
+            let c = Coalescer::new(&GpuConfig {
+                mem_transaction_bytes: txn,
+                ..GpuConfig::k40()
+            });
+            for _ in 0..2000 {
+                let len = (next() % 33) as usize;
+                let spread = [16, 400, 1 << 20][(next() % 3) as usize];
+                let lanes: Vec<usize> = (0..len).map(|_| (next() % spread) as usize).collect();
+                for elem in [1, 4, 8, 16, 24] {
+                    assert_eq!(
+                        c.distinct_segments(elem, &lanes, &mut scratch),
+                        linear_distinct(&c, elem, &lanes),
+                        "lanes {lanes:?}, {elem}-byte elements, {txn}-byte transactions"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

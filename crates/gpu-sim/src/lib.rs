@@ -53,6 +53,6 @@ mod stats;
 
 pub use config::GpuConfig;
 pub use device::Gpu;
-pub use launch::BlockCtx;
+pub use launch::{BlockCtx, Coalescer};
 pub use memory::DeviceBuffer;
 pub use stats::{GpuStats, KernelRecord, KernelTally};

@@ -87,7 +87,13 @@ where
             }
         }
     }
-    let (n, nseg) = (keys.len(), out_keys.len());
+    charge_reduce_by_key::<K, V>(gpu, keys.len(), out_keys.len());
+    (out_keys, out_vals)
+}
+
+/// Charge a `reduce_by_key` of `n` sorted key–value pairs into `nseg` runs:
+/// one bandwidth-shaped pass reading the pairs and writing the runs.
+pub fn charge_reduce_by_key<K, V>(gpu: &Gpu, n: usize, nseg: usize) {
     let pair = std::mem::size_of::<K>() + std::mem::size_of::<V>();
     charge_streaming(
         gpu,
@@ -97,7 +103,6 @@ where
         (nseg * pair) as u64,
         3 * stream_instrs(gpu, n),
     );
-    (out_keys, out_vals)
 }
 
 #[cfg(test)]

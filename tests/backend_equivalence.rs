@@ -679,11 +679,11 @@ proptest! {
         // mxv, unmasked and under a keep mask over the m output rows
         for mask in [None, Some(VecMask::from(&keep[..m]))] {
             prop_assert_eq!(
-                joined(parts, |r| seq::mxv_rows(&a, &ud, min_minus, mask, r)),
+                joined(parts, |r| seq::RowFold::new(min_minus, &a, &ud, mask).mxv_rows(r)),
                 seq::mxv(&a, &ud, min_minus, mask).options()
             );
             prop_assert_eq!(
-                opt_bits(&joined(parts, |r| seq::mxv_rows(&af, &uf, fsr, mask, r))),
+                opt_bits(&joined(parts, |r| seq::RowFold::new(fsr, &af, &uf, mask).mxv_rows(r))),
                 opt_bits(seq::mxv(&af, &uf, fsr, mask).options())
             );
         }
