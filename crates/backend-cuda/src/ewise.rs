@@ -4,49 +4,14 @@
 //! `eWiseAdd` and `eWiseMult` concatenate the operands' triples, sort them
 //! by a *tagged* key — `(i,j)` in the high bits, the operand tag in the low
 //! bit — and combine runs. The tag keeps equal coordinates in operand order,
-//! so non-commutative ops (`Minus`, `Div`, `First`) combine correctly.
+//! so a non-commutative op (`Minus`, `Div`, `First`) sees `A`'s value first,
+//! as in the sequential merge whose result each function returns.
 
 use gbtl_algebra::{BinaryOp, Scalar};
 use gbtl_gpu_sim::{primitives as prim, Gpu};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
 
-use crate::util::{assert_key_encodable, compress_sorted_keys, entry_keys};
-
-/// `m`'s entries as tagged keys: `(i,j)` in the high bits, `tag` in the low.
-fn tagged_keys<T: Scalar>(gpu: &Gpu, m: &CsrMatrix<T>, tag: u64) -> Vec<u64> {
-    let n = m.ncols() as u64;
-    let keys = entry_keys(gpu, m, |i, j| (i as u64 * n + j as u64) * 2 + tag);
-    super::charge_stream_kernel(gpu, "tag_keys", m.nnz(), 16, 8);
-    keys
-}
-
-/// Combine runs of equal *untagged* keys in tag-sorted `(keys, vals)`. Runs
-/// have length 1 (one operand; kept only by a union merge) or 2 (both, A
-/// first because of the tag bit) — the operands hold no duplicates.
-fn combine_tagged_runs<T: Scalar, Op: BinaryOp<T>>(
-    keys: &[u64],
-    vals: &[T],
-    op: Op,
-    union: bool,
-) -> (Vec<u64>, Vec<T>) {
-    let (mut out_keys, mut out_vals) = (Vec::new(), Vec::new());
-    let mut i = 0;
-    while i < keys.len() {
-        let key = keys[i] >> 1;
-        if keys.get(i + 1).is_some_and(|&next| next >> 1 == key) {
-            out_keys.push(key);
-            out_vals.push(op.apply(vals[i], vals[i + 1]));
-            i += 2;
-        } else {
-            if union {
-                out_keys.push(key);
-                out_vals.push(vals[i]);
-            }
-            i += 1;
-        }
-    }
-    (out_keys, out_vals)
-}
+use crate::util::{charge_compress, charge_expand_row_ids, charge_stream_kernel};
 
 /// `C = A ⊕ B` — union merge (op applied where both present).
 pub fn ewise_add_mat<T, Op>(gpu: &Gpu, a: &CsrMatrix<T>, b: &CsrMatrix<T>, op: Op) -> CsrMatrix<T>
@@ -54,7 +19,9 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    merge_mat(gpu, a, b, op, true)
+    let c = gbtl_backend_seq::ewise_add_mat(a, b, op);
+    charge_merge_mat(gpu, a, b, &c);
+    c
 }
 
 /// `C = A ⊗ B` — intersection merge (entries present in both operands only).
@@ -63,40 +30,28 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    merge_mat(gpu, a, b, op, false)
+    let c = gbtl_backend_seq::ewise_mult_mat(a, b, op);
+    charge_merge_mat(gpu, a, b, &c);
+    c
 }
 
-fn merge_mat<T, Op>(
-    gpu: &Gpu,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    op: Op,
-    union: bool,
-) -> CsrMatrix<T>
-where
-    T: Scalar,
-    Op: BinaryOp<T>,
-{
-    assert_eq!(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-        "eWise shape mismatch"
-    );
-    assert_key_encodable(a.nrows(), a.ncols());
-    let mut keys = tagged_keys(gpu, a, 0);
-    keys.extend(tagged_keys(gpu, b, 1));
-    let vals = [a.vals(), b.vals()].concat();
-    let n_in = keys.len();
-    let (skeys, svals) = prim::sort_pairs(gpu, &keys, &vals);
-
-    // The device finds the run boundaries, then combines each run.
-    super::charge_stream_kernel(gpu, "ewise_boundaries", n_in, 8, 8);
-    let (out_keys, out_vals) = combine_tagged_runs(&skeys, &svals, op, union);
-    super::charge_stream_kernel(gpu, "ewise_combine", n_in, 16, 16);
-    compress_sorted_keys(gpu, a.nrows(), a.ncols(), &out_keys, out_vals)
+/// Charge the matrix merge of `a` and `b` into `c`: each operand's entries
+/// keyed with their tag, one radix sort of the concatenation, the run
+/// boundaries found and each run combined, `c` compressed.
+fn charge_merge_mat<T: Scalar>(gpu: &Gpu, a: &CsrMatrix<T>, b: &CsrMatrix<T>, c: &CsrMatrix<T>) {
+    for m in [a, b] {
+        charge_expand_row_ids(gpu, m.nrows(), m.nnz());
+        charge_stream_kernel(gpu, "tag_keys", m.nnz(), 16, 8);
+    }
+    let n_in = a.nnz() + b.nnz();
+    prim::sort::charge_radix_sort::<u64, T>(gpu, n_in);
+    charge_stream_kernel(gpu, "ewise_boundaries", n_in, 8, 8);
+    charge_stream_kernel(gpu, "ewise_combine", n_in, 16, 16);
+    charge_compress(gpu, c.nrows(), c.nnz());
 }
 
-/// `w = u ⊕ v` on sparse vectors (union merge).
+/// `w = u ⊕ v` on sparse vectors (union merge): the tagged indices sorted,
+/// runs combined.
 pub fn ewise_add_vec<T, Op>(
     gpu: &Gpu,
     u: &SparseVector<T>,
@@ -107,22 +62,14 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    assert_eq!(u.len(), v.len(), "eWiseAdd vector length mismatch");
-    let keys: Vec<u64> = u
-        .indices()
-        .iter()
-        .map(|&i| i as u64 * 2)
-        .chain(v.indices().iter().map(|&i| i as u64 * 2 + 1))
-        .collect();
-    let vals: Vec<T> = u.values().iter().chain(v.values()).copied().collect();
-    let (skeys, svals) = prim::sort_pairs(gpu, &keys, &vals);
-    let (idx, out) = combine_tagged_runs(&skeys, &svals, op, true);
-    super::charge_stream_kernel(gpu, "ewise_vec_combine", skeys.len(), 16, 16);
-    let idx = idx.into_iter().map(|k| k as usize).collect();
-    SparseVector::from_sorted(u.len(), idx, out).expect("merge preserves order")
+    let n_in = u.nnz() + v.nnz();
+    prim::sort::charge_radix_sort::<u64, T>(gpu, n_in);
+    charge_stream_kernel(gpu, "ewise_vec_combine", n_in, 16, 16);
+    gbtl_backend_seq::ewise_add_vec(u, v, op)
 }
 
-/// `w = u ⊗ v` on dense vectors (intersection of presence).
+/// `w = u ⊗ v` on dense vectors (intersection of presence): one binary
+/// `transform` over the slots.
 pub fn ewise_mult_vec<T, Op>(
     gpu: &Gpu,
     u: &DenseVector<T>,
@@ -133,12 +80,8 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    assert_eq!(u.len(), v.len(), "eWiseMult vector length mismatch");
-    let opts = prim::zip_transform(gpu, u.options(), v.options(), |a, b| match (a, b) {
-        (Some(x), Some(y)) => Some(op.apply(*x, *y)),
-        _ => None,
-    });
-    DenseVector::from_options(opts)
+    prim::map::charge_zip_transform::<Option<T>, Option<T>, Option<T>>(gpu, u.len());
+    gbtl_backend_seq::ewise_mult_vec(u, v, op)
 }
 
 #[cfg(test)]

@@ -2,16 +2,20 @@
 
 //! Simulated-CUDA backend for GBTL-RS.
 //!
-//! The paper's GPU backend, rebuilt on [`gbtl_gpu_sim`]: every GraphBLAS
-//! operation is either a hand-written SIMT kernel (the two CSR SpMV kernels
-//! in [`spmv`], ELL and HYB in [`ell`]) or a composition of Thrust/CUSP-style device primitives
-//! (ESC SpGEMM in [`spmm`], tagged-sort elementwise merges in [`ewise`],
-//! sort-based transpose/build in [`ops`]). Operations that the original
+//! The paper's GPU backend, rebuilt on [`gbtl_gpu_sim`] by one rule: every
+//! operation **computes its result with the [`gbtl_backend_seq`] kernel
+//! and charges the device** the pipeline GBTL-CUDA runs for it — the two
+//! CSR SpMV kernels and push in [`spmv`], ESC and the masked dot product in
+//! [`spmm`], tagged-sort elementwise merges in [`ewise`], sort-based
+//! transpose/build, `apply` and the reductions in [`ops`], compaction-based
+//! `select` in [`select`]. The charges are arithmetic over the operands
+//! and the result's size, so results equal seq's bit for bit by
+//! construction, and host time is seq's plus that arithmetic.
+//!
+//! Two exceptions: ELL and HYB SpMV ([`ell`]) walk their own storage
+//! formats, which seq has no kernel for; and operations the original
 //! backend never ported run as host fallbacks with the device↔host
 //! round-trip charged ([`fallback`]).
-//!
-//! Every operation is differentially tested against
-//! [`gbtl_backend_seq`] — same semiring, same inputs, identical outputs.
 
 pub mod ell;
 pub mod ewise;
@@ -20,7 +24,7 @@ pub mod ops;
 pub mod select;
 pub mod spmm;
 pub mod spmv;
-pub mod util;
+mod util;
 
 pub use ell::{mxv_ell, mxv_hyb};
 pub use ewise::{ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec};
@@ -32,27 +36,3 @@ pub use ops::{
 pub use select::{kronecker, select_mat, select_vec};
 pub use spmm::{mxm, mxm_masked};
 pub use spmv::{mxv, vxm, SpmvKernel};
-
-use gbtl_gpu_sim::{Gpu, KernelTally};
-
-/// Charge one bandwidth-shaped kernel that streams `n` elements, reading
-/// `read_bytes_per_elem` and writing `write_bytes_per_elem` per element.
-pub(crate) fn charge_stream_kernel(
-    gpu: &Gpu,
-    name: &'static str,
-    n: usize,
-    read_bytes_per_elem: usize,
-    write_bytes_per_elem: usize,
-) {
-    let txn = gpu.config().mem_transaction_bytes as u64;
-    gpu.charge_kernel(
-        name,
-        n.div_ceil(256).max(1),
-        KernelTally {
-            warp_instructions: 2 * (n as u64).div_ceil(gpu.config().warp_size as u64),
-            mem_transactions: ((n * read_bytes_per_elem) as u64).div_ceil(txn)
-                + ((n * write_bytes_per_elem) as u64).div_ceil(txn),
-            atomic_ops: 0,
-        },
-    );
-}

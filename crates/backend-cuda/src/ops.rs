@@ -1,10 +1,12 @@
 //! Remaining device operations: `apply`, reductions, `transpose`, `build`.
+//! Each result is the sequential backend's; the device is charged the
+//! Thrust pipeline GBTL-CUDA runs for it.
 
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, UnaryOp};
 use gbtl_gpu_sim::{primitives as prim, Gpu};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector};
 
-use crate::util::{assert_key_encodable, compress_sorted_keys, encode_key, entry_keys};
+use crate::util::{charge_compress, charge_expand_row_ids, charge_stream_kernel};
 
 /// `C = f(A)` — one `transform` over the value array; structure copied.
 pub fn apply_mat<A, U>(gpu: &Gpu, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output>
@@ -12,14 +14,8 @@ where
     A: Scalar,
     U: UnaryOp<A>,
 {
-    let vals = prim::transform(gpu, a.vals(), |&v| f.apply(v));
-    CsrMatrix::from_parts_unchecked(
-        a.nrows(),
-        a.ncols(),
-        a.row_ptr().to_vec(),
-        a.col_idx().to_vec(),
-        vals,
-    )
+    prim::map::charge_transform::<A, U::Output>(gpu, a.nnz());
+    gbtl_backend_seq::apply_mat(a, f)
 }
 
 /// `w = f(u)` on a sparse vector.
@@ -28,113 +24,102 @@ where
     A: Scalar,
     U: UnaryOp<A>,
 {
-    let vals = prim::transform(gpu, u.values(), |&v| f.apply(v));
-    SparseVector::from_sorted(u.len(), u.indices().to_vec(), vals)
-        .expect("structure copied from valid vector")
+    prim::map::charge_transform::<A, U::Output>(gpu, u.nnz());
+    gbtl_backend_seq::apply_vec(u, f)
 }
 
-/// `w = f(u)` on a dense vector (absent stays absent).
+/// `w = f(u)` on a dense vector (absent stays absent): a `transform` over
+/// every slot.
 pub fn apply_dense_vec<A, U>(gpu: &Gpu, u: &DenseVector<A>, f: U) -> DenseVector<U::Output>
 where
     A: Scalar,
     U: UnaryOp<A>,
 {
-    let opts = prim::transform(gpu, u.options(), |o| o.map(|v| f.apply(v)));
-    DenseVector::from_options(opts)
+    prim::map::charge_transform::<Option<A>, Option<U::Output>>(gpu, u.len());
+    gbtl_backend_seq::apply_dense_vec(u, f)
 }
 
-/// Reduce all stored entries of `A`; `None` when the matrix stores nothing.
+/// Reduce all stored entries of `A`; `None` (and nothing launched) when
+/// the matrix stores nothing.
 pub fn reduce_mat<T, M>(gpu: &Gpu, a: &CsrMatrix<T>, monoid: M) -> Option<T>
 where
     T: Scalar,
     M: Monoid<T>,
 {
-    if a.nnz() == 0 {
-        return None;
+    if a.nnz() > 0 {
+        prim::reduce::charge_reduce::<T>(gpu, a.nnz());
     }
-    Some(prim::reduce(gpu, a.vals(), monoid.identity(), |x, y| {
-        monoid.apply(x, y)
-    }))
+    gbtl_backend_seq::reduce_mat(a, monoid)
 }
 
 /// Row-wise reduction `w_i = ⊕ A(i,:)` — a segmented reduce over the row
-/// pointer; empty rows are absent in the result.
+/// pointer, then a compaction dropping the empty rows.
 pub fn reduce_rows<T, M>(gpu: &Gpu, a: &CsrMatrix<T>, monoid: M) -> SparseVector<T>
 where
     T: Scalar,
     M: Monoid<T>,
 {
-    let per_row = prim::segmented_reduce(gpu, a.row_ptr(), a.vals(), monoid.identity(), |x, y| {
-        monoid.apply(x, y)
-    });
-    let (idx, vals) = prim::copy_if_indexed(gpu, &per_row, |i, _| a.row_nnz(i) > 0);
-    SparseVector::from_sorted(a.nrows(), idx, vals).expect("indices ascend")
+    let w = gbtl_backend_seq::reduce_rows(a, monoid);
+    prim::reduce::charge_segmented_reduce::<T>(gpu, a.nrows(), a.nnz());
+    prim::compact::charge_compaction::<T>(gpu, a.nrows(), w.nnz());
+    w
 }
 
-/// Reduce the present entries of a dense vector; `None` when none present.
+/// Reduce the present entries of a dense vector (one `reduce` over every
+/// slot); `None` when none present.
 pub fn reduce_vec<T, M>(gpu: &Gpu, u: &DenseVector<T>, monoid: M) -> Option<T>
 where
     T: Scalar,
     M: Monoid<T>,
 {
-    let acc = prim::reduce(
-        gpu,
-        u.options(),
-        None,
-        |x: Option<T>, y: Option<T>| match (x, y) {
-            (Some(a), Some(b)) => Some(monoid.apply(a, b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        },
-    );
-    acc
+    prim::reduce::charge_reduce::<Option<T>>(gpu, u.len());
+    gbtl_backend_seq::reduce_vec(u, monoid)
 }
 
-/// Reduce a sparse vector's stored values; `None` when empty.
+/// Reduce a sparse vector's stored values; `None` (and nothing launched)
+/// when empty.
 pub fn reduce_sparse_vec<T, M>(gpu: &Gpu, u: &SparseVector<T>, monoid: M) -> Option<T>
 where
     T: Scalar,
     M: Monoid<T>,
 {
-    if u.nnz() == 0 {
-        return None;
+    if u.nnz() > 0 {
+        prim::reduce::charge_reduce::<T>(gpu, u.nnz());
     }
-    Some(prim::reduce(gpu, u.values(), monoid.identity(), |x, y| {
-        monoid.apply(x, y)
-    }))
+    gbtl_backend_seq::reduce_sparse_vec(u, monoid)
 }
 
 /// `C = Aᵀ` the GPU way: re-key every entry column-major and radix sort.
-pub fn transpose<T>(gpu: &Gpu, a: &CsrMatrix<T>) -> CsrMatrix<T>
-where
-    T: Scalar,
-{
-    assert_key_encodable(a.ncols(), a.nrows());
-    let keys = entry_keys(gpu, a, |i, j| encode_key(j, i, a.nrows()));
-    super::charge_stream_kernel(gpu, "transpose_keys", a.nnz(), 16, 8);
-    let (skeys, svals) = prim::sort_pairs(gpu, &keys, a.vals());
-    compress_sorted_keys(gpu, a.ncols(), a.nrows(), &skeys, svals)
+pub fn transpose<T: Scalar>(gpu: &Gpu, a: &CsrMatrix<T>) -> CsrMatrix<T> {
+    charge_transpose(gpu, a);
+    a.transpose()
 }
 
-/// Build a CSR matrix from COO triples on the device (GrB `build`):
-/// sort by `(i,j)`, combine duplicates with `dup`, compress. The radix sort
-/// is stable, so duplicates fold left to right in input order.
+/// Charge [`transpose`]'s pipeline: row ids expanded, one column-major key
+/// per entry, a radix sort of the `(key, value)` pairs, and compression
+/// into the `ncols`-row result.
+pub(crate) fn charge_transpose<T: Scalar>(gpu: &Gpu, a: &CsrMatrix<T>) {
+    charge_expand_row_ids(gpu, a.nrows(), a.nnz());
+    charge_stream_kernel(gpu, "transpose_keys", a.nnz(), 16, 8);
+    prim::sort::charge_radix_sort::<u64, T>(gpu, a.nnz());
+    charge_compress(gpu, a.ncols(), a.nnz());
+}
+
+/// Build a CSR matrix from COO triples on the device (GrB `build`): key
+/// the triples, sort by `(i,j)`, combine duplicates with `dup`, compress.
+/// The radix sort is stable, so duplicates fold left to right in input
+/// order — the sequential `build`'s contract.
 pub fn build_csr<T, D>(gpu: &Gpu, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T>
 where
     T: Scalar,
     D: BinaryOp<T>,
 {
-    assert_key_encodable(coo.nrows(), coo.ncols());
-    let (rows, cols, vals) = coo.triples();
-    let keys: Vec<u64> = rows
-        .iter()
-        .zip(cols)
-        .map(|(&i, &j)| encode_key(i, j, coo.ncols()))
-        .collect();
-    super::charge_stream_kernel(gpu, "build_keys", coo.nnz(), 16, 8);
-    let (skeys, svals) = prim::sort_pairs(gpu, &keys, vals);
-    let (ukeys, uvals) = prim::reduce_by_key(gpu, &skeys, &svals, |x, y| dup.apply(x, y));
-    compress_sorted_keys(gpu, coo.nrows(), coo.ncols(), &ukeys, uvals)
+    let c = gbtl_backend_seq::build(coo, dup);
+    charge_stream_kernel(gpu, "build_keys", coo.nnz(), 16, 8);
+    prim::sort::charge_radix_sort::<u64, T>(gpu, coo.nnz());
+    prim::reduce::charge_reduce_by_key::<u64, T>(gpu, coo.nnz(), c.nnz());
+    charge_compress(gpu, c.nrows(), c.nnz());
+    c
 }
 
 #[cfg(test)]

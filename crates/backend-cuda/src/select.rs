@@ -1,35 +1,26 @@
-//! `select` and `kronecker` on the device.
+//! `select` and `kronecker` on the device. Each result is the sequential
+//! backend's; the device is charged the pipeline GBTL-CUDA runs for it.
 
 use gbtl_algebra::{BinaryOp, Scalar, SelectOp};
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
 use gbtl_sparse::{CsrMatrix, SparseVector};
 
-use crate::util::{assert_key_encodable, charge_expand_row_ids, compress_sorted_keys, encode_key};
+use crate::util::{charge_compress, charge_expand_row_ids, charge_stream_kernel};
 
 /// Keep matrix entries passing the predicate — the device keys the
 /// triples, runs a flags → compact pipeline over the `(key, value)` pairs
-/// and recompresses; the host keeps the survivors' keys and values in one
-/// pass over the rows.
+/// and recompresses the survivors.
 pub fn select_mat<T, P>(gpu: &Gpu, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T>
 where
     T: Scalar,
     P: SelectOp<T>,
 {
-    assert_key_encodable(a.nrows(), a.ncols());
-    charge_expand_row_ids(gpu, a.row_ptr(), a.nnz());
-    super::charge_stream_kernel(gpu, "select_key", a.nnz(), 24, 24);
-    let (mut keys, mut vals) = (Vec::new(), Vec::new());
-    for i in 0..a.nrows() {
-        let (cols, row_vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(row_vals) {
-            if op.keep(i, j, v) {
-                keys.push(encode_key(i, j, a.ncols()));
-                vals.push(v);
-            }
-        }
-    }
-    prim::compact::charge_compaction::<(u64, T)>(gpu, a.nnz(), keys.len());
-    compress_sorted_keys(gpu, a.nrows(), a.ncols(), &keys, vals)
+    let c = gbtl_backend_seq::select_mat_op(a, op);
+    charge_expand_row_ids(gpu, a.nrows(), a.nnz());
+    charge_stream_kernel(gpu, "select_key", a.nnz(), 24, 24);
+    prim::compact::charge_compaction::<(u64, T)>(gpu, a.nnz(), c.nnz());
+    charge_compress(gpu, a.nrows(), c.nnz());
+    c
 }
 
 /// Keep vector entries passing the predicate (column fixed at 0): a
@@ -39,9 +30,9 @@ where
     T: Scalar,
     P: SelectOp<T>,
 {
-    let (idx, vals): (Vec<usize>, Vec<T>) = u.iter().filter(|&(i, v)| op.keep(i, 0, v)).unzip();
-    prim::compact::charge_compaction::<(usize, T)>(gpu, u.nnz(), idx.len());
-    SparseVector::from_sorted(u.len(), idx, vals).expect("filter preserves order")
+    let w = gbtl_backend_seq::select_vec_op(u, op);
+    prim::compact::charge_compaction::<(usize, T)>(gpu, u.nnz(), w.nnz());
+    w
 }
 
 /// Kronecker product `C = A ⊗ B` by expansion: every `(A entry, B entry)`
@@ -52,8 +43,6 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
 {
-    // The functional result matches the sequential algorithm exactly; the
-    // charged cost is the expansion kernel's.
     let out = gbtl_backend_seq::kronecker(a, b, mul);
     let nnz = out.nnz() as u64;
     let txn = gpu.config().mem_transaction_bytes as u64;

@@ -1,20 +1,24 @@
-//! Sparse matrix–matrix multiply on the device.
+//! Sparse matrix–matrix multiply on the device. The product is the
+//! sequential backend's; the device is charged the pipeline GBTL-CUDA runs.
 //!
 //! * [`mxm`] — CUSP's **ESC** (expand, sort, compress) SpGEMM: expand every
 //!   `A(i,k)·B(k,:)` product into a candidate triple, radix-sort the
 //!   candidates by `(i,j)`, and compress duplicates with `reduce_by_key`.
 //!   This is exactly the algorithm the GBTL-CUDA backend inherits from
-//!   CUSP.
+//!   CUSP. The stable sort keeps each `(i,j)`'s candidates in ascending
+//!   `k`, the order the sequential row accumulator folds them in.
 //! * [`mxm_masked`] — the dot-product formulation for structurally-masked
-//!   products (`C<M> = A·B`): one merge-join of `A(i,:)` with `B(:,j)` per
-//!   mask entry. This is the triangle-counting shape, where ESC's
-//!   expansion would materialise every wedge.
+//!   products (`C<M> = A·B`): `B` is transposed on the device for column
+//!   access, then one warp merge-joins `A(i,:)` with `B(:,j)` per mask
+//!   entry. This is the triangle-counting shape, where ESC's expansion
+//!   would materialise every wedge.
 
-use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_algebra::{Scalar, Semiring};
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
-use gbtl_sparse::{CscMatrix, CsrMatrix};
+use gbtl_sparse::CsrMatrix;
 
-use crate::util::{assert_key_encodable, charge_expand_row_ids, compress_sorted_keys, encode_key};
+use crate::ops::charge_transpose;
+use crate::util::{charge_compress, charge_expand_row_ids};
 
 /// `C = A ⊕.⊗ B` by expand–sort–compress.
 pub fn mxm<T, D1, D2, S>(gpu: &Gpu, a: &CsrMatrix<D1>, b: &CsrMatrix<D2>, sr: S) -> CsrMatrix<T>
@@ -24,37 +28,21 @@ where
     D2: Scalar,
     S: Semiring<T, D1, D2>,
 {
-    assert_eq!(a.ncols(), b.nrows(), "mxm inner dimension mismatch");
-    assert_key_encodable(a.nrows(), b.ncols());
-    let (add, mul) = (sr.add(), sr.mul());
-    let (m, n) = (a.nrows(), b.ncols());
+    let c = gbtl_backend_seq::mxm(a, b, sr);
     let b_row_ptr = b.row_ptr();
 
     // --- Expand ---------------------------------------------------------
     // The device stages one row id per A entry, the bounds of the B row it
     // references (two gathers at A's column pattern — the second through
     // the shifted pointer), their difference and its scan into output
-    // offsets. The host pass below reads all of that off the CSR arrays as
-    // it goes, so the staging is charged and not built.
-    charge_expand_row_ids(gpu, a.row_ptr(), a.nnz());
+    // offsets; then the expansion kernel writes one candidate key and
+    // product per term.
+    charge_expand_row_ids(gpu, a.nrows(), a.nnz());
     prim::gather::charge_gather::<usize>(gpu, a.col_idx());
     prim::gather::charge_gather::<usize>(gpu, a.col_idx());
     prim::map::charge_zip_transform::<usize, usize, usize>(gpu, a.nnz());
     prim::scan::charge_scan::<usize>(gpu, a.nnz());
-
-    // Candidate keys and values in expansion order, straight into the two
-    // buffers the sort takes.
     let total: usize = a.col_idx().iter().map(|&k| b.row_nnz(k)).sum();
-    let mut keys: Vec<u64> = Vec::with_capacity(total);
-    let mut cvals: Vec<T> = Vec::with_capacity(total);
-    for i in 0..m {
-        let (a_cols, a_vals) = a.row(i);
-        for (&k, &aik) in a_cols.iter().zip(a_vals) {
-            let (b_cols, b_vals) = b.row(k);
-            keys.extend(b_cols.iter().map(|&j| encode_key(i, j, n)));
-            cvals.extend(b_vals.iter().map(|&bkj| mul.apply(aik, bkj)));
-        }
-    }
     let txn = gpu.config().mem_transaction_bytes as u64;
     let b_sz = std::mem::size_of::<D2>() as u64;
     let val_sz = std::mem::size_of::<T>() as u64;
@@ -72,19 +60,19 @@ where
     );
 
     // --- Sort, compress ---------------------------------------------------
-    let (sorted_keys, sorted_vals) = prim::sort_pairs(gpu, &keys, &cvals);
-    let (out_keys, out_vals) =
-        prim::reduce_by_key(gpu, &sorted_keys, &sorted_vals, |x, y| add.apply(x, y));
-    compress_sorted_keys(gpu, m, n, &out_keys, out_vals)
+    prim::sort::charge_radix_sort::<u64, T>(gpu, total);
+    prim::reduce::charge_reduce_by_key::<u64, T>(gpu, total, c.nnz());
+    charge_compress(gpu, c.nrows(), c.nnz());
+    c
 }
 
 /// `C<M> = A ⊕.⊗ B` computed per mask entry by merging `A(i,:)` against
-/// `B(:,j)` (the latter supplied as CSC so column access is contiguous).
+/// `B(:,j)`, the latter a row of the device-transposed `B`.
 pub fn mxm_masked<T, D1, D2, S>(
     gpu: &Gpu,
     mask: &CsrMatrix<bool>,
     a: &CsrMatrix<D1>,
-    b_csc: &CscMatrix<D2>,
+    b: &CsrMatrix<D2>,
     sr: S,
 ) -> CsrMatrix<T>
 where
@@ -93,54 +81,23 @@ where
     D2: Scalar,
     S: Semiring<T, D1, D2>,
 {
-    assert_eq!(a.ncols(), b_csc.nrows(), "mxm inner dimension mismatch");
-    assert_eq!(
-        (mask.nrows(), mask.ncols()),
-        (a.nrows(), b_csc.ncols()),
-        "mask shape must equal output shape"
-    );
-    let (add, mul) = (sr.add(), sr.mul());
-    charge_expand_row_ids(gpu, mask.row_ptr(), mask.nnz());
+    let c = gbtl_backend_seq::mxm_masked(mask, a, b, sr);
+    charge_transpose(gpu, b);
+    charge_expand_row_ids(gpu, mask.nrows(), mask.nnz());
 
-    // One warp per mask entry: merge-join of two sorted index lists. An
-    // entry that produced a value goes straight into the output CSR.
-    let mut row_ptr = Vec::with_capacity(mask.nrows() + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
+    // One warp per mask entry `(i, j)` streams `A(i,:)` and `B(:,j)` once
+    // each (contiguous runs). B's column lengths come from one pass over
+    // its column indices.
+    let mut b_col_nnz = vec![0u64; b.ncols()];
+    for &j in b.col_idx() {
+        b_col_nnz[j] += 1;
+    }
     let (mut a_elems, mut b_elems) = (0u64, 0u64);
     for i in 0..mask.nrows() {
-        let (ac, av) = a.row(i);
-        for &j in mask.row(i).0 {
-            let (bc, bv) = b_csc.col(j);
-            a_elems += ac.len() as u64;
-            b_elems += bc.len() as u64;
-            let (mut p, mut q) = (0usize, 0usize);
-            let mut acc: Option<T> = None;
-            while p < ac.len() && q < bc.len() {
-                match ac[p].cmp(&bc[q]) {
-                    std::cmp::Ordering::Equal => {
-                        let term = mul.apply(av[p], bv[q]);
-                        acc = Some(match acc {
-                            Some(v) => add.apply(v, term),
-                            None => term,
-                        });
-                        p += 1;
-                        q += 1;
-                    }
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                }
-            }
-            if let Some(v) = acc {
-                col_idx.push(j);
-                vals.push(v);
-            }
-        }
-        row_ptr.push(col_idx.len());
+        let cols = mask.row(i).0;
+        a_elems += (cols.len() * a.row_nnz(i)) as u64;
+        b_elems += cols.iter().map(|&j| b_col_nnz[j]).sum::<u64>();
     }
-
-    // Cost: each entry streams both lists once (contiguous runs).
     let txn = gpu.config().mem_transaction_bytes as u64;
     let (a_sz, b_sz) = (
         std::mem::size_of::<D1>() as u64,
@@ -160,7 +117,7 @@ where
             atomic_ops: 0,
         },
     );
-    CsrMatrix::from_parts_unchecked(mask.nrows(), mask.ncols(), row_ptr, col_idx, vals)
+    c
 }
 
 #[cfg(test)]
@@ -229,7 +186,7 @@ mod tests {
         let mask = CsrMatrix::from_coo(mcoo, |x, _| x);
 
         let expected = gbtl_backend_seq::mxm_masked(&mask, &a, &b, PlusTimes::<i64>::new());
-        let got = mxm_masked(&gpu, &mask, &a, &b.to_csc(), PlusTimes::<i64>::new());
+        let got = mxm_masked(&gpu, &mask, &a, &b, PlusTimes::<i64>::new());
         assert_eq!(got, expected);
     }
 
@@ -238,7 +195,7 @@ mod tests {
         let gpu = Gpu::default();
         let a = mat(&[(0, 0, 1)], 2, 2);
         let mask = CsrMatrix::<bool>::new(2, 2);
-        let got = mxm_masked(&gpu, &mask, &a, &a.to_csc(), PlusTimes::<i64>::new());
+        let got = mxm_masked(&gpu, &mask, &a, &a, PlusTimes::<i64>::new());
         assert_eq!(got.nnz(), 0);
     }
 

@@ -23,6 +23,7 @@
 //! bitmap, a matrix mask is a structural `CsrMatrix<bool>` — so backends
 //! never see descriptor flags.
 
+mod build;
 mod ewise;
 mod extract;
 mod mxm;
@@ -31,6 +32,7 @@ mod reduce;
 mod rows;
 mod unary;
 
+pub use build::build;
 pub use ewise::{
     ewise_add_mat, ewise_add_mat_rows, ewise_add_vec, ewise_mult_mat, ewise_mult_mat_rows,
     ewise_mult_vec, ewise_mult_vec_rows, merge_union,

@@ -8,7 +8,7 @@
 
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, SelectOp, Semiring, UnaryOp};
 use gbtl_gpu_sim::{Gpu, GpuConfig, GpuStats};
-use gbtl_sparse::{CooMatrix, CscMatrix, CsrMatrix, DenseVector, Index, SparseVector, VecMask};
+use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, Index, SparseVector, VecMask};
 
 pub use gbtl_backend_cuda::SpmvKernel;
 
@@ -210,7 +210,7 @@ pub trait Backend: Send + Sync {
     /// non-commutative `dup` or `f64` addition builds the same bits on
     /// every backend.
     fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T> {
-        CsrMatrix::from_coo(coo.clone(), |a, b| dup.apply(a, b))
+        gbtl_backend_seq::build(coo, dup)
     }
 
     /// `C = A(rows, cols)`.
@@ -515,11 +515,7 @@ impl Backend for CudaBackend {
         b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
-        // Column view of B via the device transpose kernel: the CSR of Bᵀ
-        // *is* the CSC of B.
-        let bt = gbtl_backend_cuda::transpose(&self.gpu, b);
-        let b_csc = CscMatrix::from_transposed_csr(bt, b.nrows(), b.ncols());
-        gbtl_backend_cuda::mxm_masked(&self.gpu, mask, a, &b_csc, sr)
+        gbtl_backend_cuda::mxm_masked(&self.gpu, mask, a, b, sr)
     }
 
     fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(

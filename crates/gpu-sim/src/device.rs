@@ -1,8 +1,8 @@
 //! The simulated device: transfer accounting and the kernel cost model.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::{DeviceBuffer, GpuConfig, GpuStats, KernelRecord, KernelTally};
+use crate::{GpuConfig, GpuStats, KernelRecord, KernelTally};
 
 /// A simulated CUDA-like device.
 ///
@@ -43,53 +43,29 @@ impl Gpu {
         &self.config
     }
 
+    /// The counters, locked poison-tolerantly: they are plain numbers, so a
+    /// panic on another thread cannot leave them half-written.
+    fn counters(&self) -> MutexGuard<'_, GpuStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the cumulative statistics.
     pub fn stats(&self) -> GpuStats {
-        self.stats.lock().clone()
+        self.counters().clone()
     }
 
     /// Reset all counters (keeps configuration).
     pub fn reset_stats(&self) {
-        *self.stats.lock() = GpuStats::default();
+        *self.counters() = GpuStats::default();
     }
 
-    /// Copy host data to a new device buffer, charging PCIe time.
-    pub fn h2d<T: Clone>(&self, host: &[T]) -> DeviceBuffer<T> {
-        let bytes = std::mem::size_of_val(host);
-        self.charge_transfer(bytes as u64, true);
-        DeviceBuffer::from_device_vec(host.to_vec())
-    }
-
-    /// Move an owned host vector to the device, charging PCIe time.
-    pub fn h2d_vec<T>(&self, host: Vec<T>) -> DeviceBuffer<T> {
-        let bytes = host.len() * std::mem::size_of::<T>();
-        self.charge_transfer(bytes as u64, true);
-        DeviceBuffer::from_device_vec(host)
-    }
-
-    /// Copy a device buffer back to the host, charging PCIe time.
-    pub fn d2h<T: Clone>(&self, dev: &DeviceBuffer<T>) -> Vec<T> {
-        self.charge_transfer(dev.size_bytes() as u64, false);
-        dev.as_slice().to_vec()
-    }
-
-    /// Move an owned device buffer back to the host, charging PCIe time.
-    pub fn d2h_vec<T>(&self, dev: DeviceBuffer<T>) -> Vec<T> {
-        self.charge_transfer(dev.size_bytes() as u64, false);
-        dev.into_device_vec()
-    }
-
-    /// Charge a host↔device transfer of `bytes` without moving any data —
-    /// used by host-fallback operations that model (rather than perform)
-    /// the round-trip.
+    /// Charge a host↔device transfer of `bytes` (`h2d` for host to
+    /// device): PCIe latency plus bandwidth. No data moves — device data
+    /// lives in host memory, and what the model counts is the crossing.
     pub fn charge_transfer_bytes(&self, bytes: u64, h2d: bool) {
-        self.charge_transfer(bytes, h2d);
-    }
-
-    fn charge_transfer(&self, bytes: u64, h2d: bool) {
         let t = self.config.pcie_latency_us * 1e-6
             + bytes as f64 / (self.config.pcie_bandwidth_gbps * 1e9);
-        let mut s = self.stats.lock();
+        let mut s = self.counters();
         if h2d {
             s.h2d_transfers += 1;
             s.bytes_h2d += bytes;
@@ -114,7 +90,7 @@ impl Gpu {
     /// Record a completed kernel launch.
     pub fn charge_kernel(&self, name: &'static str, blocks: usize, tally: KernelTally) {
         let t = self.kernel_time(&tally);
-        let mut s = self.stats.lock();
+        let mut s = self.counters();
         s.kernels_launched += 1;
         s.warp_instructions += tally.warp_instructions;
         s.mem_transactions += tally.mem_transactions;
@@ -144,9 +120,8 @@ mod tests {
     #[test]
     fn transfers_are_charged() {
         let gpu = Gpu::new(GpuConfig::k40());
-        let buf = gpu.h2d(&[1.0f64; 1000]);
-        let back = gpu.d2h(&buf);
-        assert_eq!(back.len(), 1000);
+        gpu.charge_transfer_bytes(8000, true);
+        gpu.charge_transfer_bytes(8000, false);
         let s = gpu.stats();
         assert_eq!(s.h2d_transfers, 1);
         assert_eq!(s.d2h_transfers, 1);
@@ -208,7 +183,7 @@ mod tests {
     #[test]
     fn reset_clears_counters() {
         let gpu = Gpu::default();
-        gpu.h2d(&[0u8; 64]);
+        gpu.charge_transfer_bytes(64, true);
         gpu.reset_stats();
         assert_eq!(gpu.stats(), GpuStats::default());
     }

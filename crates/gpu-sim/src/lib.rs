@@ -8,11 +8,10 @@
 //!
 //! GBTL-CUDA's backend runs on NVIDIA hardware through CUSP/Thrust. This
 //! crate is the reproduction's hardware substitution (see DESIGN.md): a
-//! functional simulator that executes the *same data-parallel
-//! decompositions* a CUDA backend uses — device memory with explicit
-//! transfers, kernel launches over thread-block grids, Thrust-style
-//! primitives — while a SIMT cost model charges the effects that produce the
-//! paper's performance shapes:
+//! device that is *charged* for the data-parallel decompositions a CUDA
+//! backend runs — kernel launches over thread-block grids, Thrust-style
+//! primitives, host↔device transfers — by a SIMT cost model of the effects
+//! that produce the paper's performance shapes:
 //!
 //! * **memory coalescing** — warp-step loads/stores are charged by the
 //!   number of distinct 128-byte segments their lane addresses touch;
@@ -20,33 +19,32 @@
 //!   lanes are active;
 //! * **roofline timing** — kernel time is `launch_overhead +
 //!   max(instructions / issue_rate, transactions·128B / bandwidth)`;
-//! * **PCIe transfers** — `h2d`/`d2h` charge latency + bandwidth, so
+//! * **PCIe transfers** — each crossing charges latency + bandwidth, so
 //!   transfer-avoiding designs measurably win.
 //!
 //! The simulator keeps two clocks apart by one rule — **execute natively,
-//! charge analytically**: the functional result of a kernel or primitive is
-//! one plain host pass at sequential-backend cost, and its `KernelTally` is
-//! arithmetic over sizes and borrowed index slices, with nothing allocated
-//! per warp-step. Only the modeled clock is a result of the reproduction;
-//! host time is what computing it costs, and `tests/model_identity.rs`
-//! holds the modeled numbers fixed while the host cost is worked on.
+//! charge analytically**: a backend computes its result with the
+//! sequential kernel, and what the device would have done is a
+//! `KernelTally` of arithmetic over sizes and borrowed index slices, with
+//! nothing allocated per warp-step. Only the modeled clock is a result of
+//! the reproduction; host time is what computing it costs, and
+//! `tests/model_identity.rs` holds the modeled numbers fixed while the host
+//! cost is worked on.
 //!
 //! ```
-//! use gbtl_gpu_sim::{Gpu, GpuConfig, primitives};
+//! use gbtl_gpu_sim::{primitives, Gpu, GpuConfig};
 //!
 //! let gpu = Gpu::new(GpuConfig::k40());
-//! let xs = gpu.h2d(&[1.0f64, 2.0, 3.0]);
-//! let doubled = primitives::transform(&gpu, xs.as_slice(), |x| x * 2.0);
-//! let total = primitives::reduce(&gpu, &doubled, 0.0, |a, b| a + b);
-//! assert_eq!(total, 12.0);
+//! gpu.charge_transfer_bytes(24, true);
+//! primitives::map::charge_transform::<f64, f64>(&gpu, 3);
+//! primitives::reduce::charge_reduce::<f64>(&gpu, 3);
 //! let stats = gpu.stats();
-//! assert!(stats.kernels_launched >= 2 && stats.bytes_h2d == 24);
+//! assert!(stats.kernels_launched == 2 && stats.bytes_h2d == 24);
 //! ```
 
 mod config;
 mod device;
 mod launch;
-mod memory;
 pub mod primitives;
 pub mod report;
 mod stats;
@@ -54,5 +52,4 @@ mod stats;
 pub use config::GpuConfig;
 pub use device::Gpu;
 pub use launch::{BlockCtx, Coalescer};
-pub use memory::DeviceBuffer;
 pub use stats::{GpuStats, KernelRecord, KernelTally};

@@ -1,26 +1,25 @@
-//! Thrust/CUSP-style data-parallel primitives with cost accounting.
+//! Thrust/CUSP-style data-parallel primitives as a charge vocabulary.
 //!
 //! GBTL-CUDA's backend is *compositions of these primitives* (its SpGEMM is
 //! CUSP's expand-sort-compress, its COO→CSR build is a sort plus a
-//! reduce-by-key, …), so the simulator provides the same vocabulary:
+//! reduce-by-key, …). A backend here computes its result with the
+//! sequential kernel and charges the device the pipeline it stands for,
+//! stage by stage, through this vocabulary: each `charge_*` is arithmetic
+//! over sizes (and, for gathers, over the index stream) yielding the
+//! traffic/instruction budget of the CUDA kernel (documented per function).
 //!
-//! * [`map`] — `transform`, `zip_transform`, `sequence`, `fill`
-//! * [`reduce`] — `reduce`, `segmented_reduce`, `reduce_by_key`
-//! * [`scan`] — `exclusive_scan`, `inclusive_scan`
-//! * [`sort`] — `sort_pairs`, `sort_by_key`
-//! * [`gather`] — `gather`, `scatter`, `lower_bound`
-//! * [`compact`] — `copy_if`, `copy_if_indexed`, `count_if`
-//! * [`histogram`] — `histogram`
+//! * [`map`] — `charge_transform`, `charge_zip_transform`
+//! * [`reduce`] — `charge_reduce`, `charge_segmented_reduce`,
+//!   `charge_reduce_by_key`
+//! * [`scan`] — `charge_scan`
+//! * [`sort`] — `charge_radix_sort`
+//! * [`gather`] — `charge_gather`, and [`gather_cost`] for custom kernels
+//! * [`compact`] — `charge_compaction`
+//! * [`histogram`] — `charge_histogram`
 //!
-//! Each call behaves like the corresponding Thrust algorithm *and* charges
-//! the device the traffic/instruction budget its CUDA implementation would
-//! consume (documented per function). The simulator's rule is *execute
-//! natively, charge analytically*: each primitive is one plain host pass
-//! plus a `charge_*` function — arithmetic over sizes (and, for gathers,
-//! over the index stream) — that a backend fusing several primitives into
-//! one pass calls directly, so the device is charged the same pipeline.
-//! Results are deterministic: reductions fold a fixed chunk tree, the float
-//! result a blocked device reduction of that tile size would give.
+//! Three host passes remain, each one plain pass plus its own charge, for
+//! the probes that time the simulator's host cost: [`sort_pairs`] (a stable
+//! sort), [`exclusive_scan`] and [`reduce_by_key`].
 
 pub mod compact;
 pub mod gather;
@@ -30,22 +29,17 @@ pub mod reduce;
 pub mod scan;
 pub mod sort;
 
-pub use compact::{copy_if, copy_if_indexed, count_if};
-pub use gather::{gather, lower_bound, scatter};
-pub use histogram::histogram;
-pub use map::{fill, sequence, transform, transform_inplace, zip_transform};
-pub use reduce::{reduce, reduce_by_key, segmented_reduce};
-pub use scan::{exclusive_scan, inclusive_scan};
-pub use sort::{sort_keys, sort_pairs};
+pub use reduce::reduce_by_key;
+pub use scan::exclusive_scan;
+pub use sort::sort_pairs;
 
 use std::borrow::Borrow;
 
 use crate::launch::Coalescer;
 use crate::{Gpu, KernelTally};
 
-/// Fixed work-chunk used by blocked primitives. One chunk plays the role of
-/// one thread block's tile; keeping it constant makes float reductions
-/// deterministic across runs and thread counts.
+/// Fixed work-chunk of the blocked primitives: one chunk plays the role of
+/// one thread block's tile, so it sets their charged block counts.
 pub(crate) const CHUNK: usize = 4096;
 
 /// Charge one bandwidth-shaped primitive kernel: `read_bytes` + `write_bytes`

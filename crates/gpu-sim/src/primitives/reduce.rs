@@ -3,25 +3,10 @@
 use super::{charge_streaming, stream_instrs, CHUNK};
 use crate::Gpu;
 
-/// Tree-reduce `input` with the monoid `(identity, op)` — Thrust `reduce`.
-///
-/// Deterministic: values are folded sequentially within fixed-size chunks
-/// (one thread block's tile each) and the chunk partials are folded
-/// sequentially in chunk order, so a float result is the blocked device
-/// reduction's, identical run to run.
-///
-/// Cost: reads `n` elements once, `log`-depth combine charged as one extra
-/// instruction per warp.
-pub fn reduce<T, F>(gpu: &Gpu, input: &[T], identity: T, op: F) -> T
-where
-    T: Copy,
-    F: Fn(T, T) -> T,
-{
-    let result = input
-        .chunks(CHUNK)
-        .map(|chunk| chunk.iter().copied().fold(identity, &op))
-        .fold(identity, &op);
-    let n = input.len();
+/// Charge a full reduction of `n` elements of `T` — Thrust `reduce`: reads
+/// them once, the `log`-depth combine charged as one extra instruction per
+/// warp, one value written.
+pub fn charge_reduce<T>(gpu: &Gpu, n: usize) {
     charge_streaming(
         gpu,
         "reduce",
@@ -30,40 +15,20 @@ where
         std::mem::size_of::<T>() as u64,
         2 * stream_instrs(gpu, n),
     );
-    result
 }
 
-/// Reduce each segment `vals[offsets[s]..offsets[s+1]]` with the monoid —
-/// CUSP's segmented reduction (CSR row reduce).
-///
-/// Empty segments yield `identity`.
-pub fn segmented_reduce<T, F>(
-    gpu: &Gpu,
-    offsets: &[usize],
-    vals: &[T],
-    identity: T,
-    op: F,
-) -> Vec<T>
-where
-    T: Copy,
-    F: Fn(T, T) -> T,
-{
-    assert!(!offsets.is_empty(), "offsets must have at least one entry");
-    let nseg = offsets.len() - 1;
-    let out: Vec<T> = offsets
-        .windows(2)
-        .map(|w| vals[w[0]..w[1]].iter().copied().fold(identity, &op))
-        .collect();
-    let n = vals.len();
+/// Charge CUSP's segmented reduction (a CSR row reduce) of `n` values of
+/// `T` in `nseg` segments: values and the `nseg + 1` offsets read, one
+/// value per segment written.
+pub fn charge_segmented_reduce<T>(gpu: &Gpu, nseg: usize, n: usize) {
     charge_streaming(
         gpu,
         "segmented_reduce",
         nseg.div_ceil(CHUNK).max(1),
-        (n * std::mem::size_of::<T>() + offsets.len() * std::mem::size_of::<usize>()) as u64,
+        (n * std::mem::size_of::<T>() + (nseg + 1) * std::mem::size_of::<usize>()) as u64,
         (nseg * std::mem::size_of::<T>()) as u64,
         2 * stream_instrs(gpu, n) + stream_instrs(gpu, nseg),
     );
-    out
 }
 
 /// Combine runs of equal keys — Thrust `reduce_by_key`.
@@ -110,34 +75,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduce_sums() {
+    fn reductions_charge_one_kernel_each() {
         let gpu = Gpu::default();
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(reduce(&gpu, &v, 0, |a, b| a + b), 5050);
-    }
-
-    #[test]
-    fn reduce_empty_yields_identity() {
-        let gpu = Gpu::default();
-        assert_eq!(reduce(&gpu, &[] as &[u32], 7, |a, b| a + b), 7);
-    }
-
-    #[test]
-    fn reduce_is_deterministic_for_floats() {
-        let gpu = Gpu::default();
-        let v: Vec<f64> = (0..100_000).map(|i| (i as f64).sin()).collect();
-        let a = reduce(&gpu, &v, 0.0, |a, b| a + b);
-        let b = reduce(&gpu, &v, 0.0, |a, b| a + b);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn segmented_reduce_handles_empty_segments() {
-        let gpu = Gpu::default();
-        let offsets = [0usize, 2, 2, 5];
-        let vals = [1, 2, 3, 4, 5];
-        let out = segmented_reduce(&gpu, &offsets, &vals, 0, |a, b| a + b);
-        assert_eq!(out, vec![3, 0, 12]);
+        charge_reduce::<f64>(&gpu, 100);
+        charge_segmented_reduce::<u32>(&gpu, 3, 5);
+        let s = gpu.stats();
+        assert_eq!(s.kernels_launched, 2);
+        // 800 B + 8 B; 20 B + 32 B of offsets, 12 B out
+        assert_eq!(s.mem_transactions, 7 + 1 + 1 + 1);
     }
 
     #[test]

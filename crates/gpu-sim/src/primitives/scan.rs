@@ -28,24 +28,6 @@ where
     out
 }
 
-/// Inclusive prefix "sum": `out[i] = op(input[0], …, input[i])`.
-pub fn inclusive_scan<T, F>(gpu: &Gpu, input: &[T], identity: T, op: F) -> Vec<T>
-where
-    T: Copy,
-    F: Fn(T, T) -> T,
-{
-    let mut acc = identity;
-    let out = input
-        .iter()
-        .map(|&x| {
-            acc = op(acc, x);
-            acc
-        })
-        .collect();
-    charge_scan::<T>(gpu, input.len());
-    out
-}
-
 /// Charge a scan over `n` elements of `T`: per-tile totals (upsweep), then
 /// the per-tile rescan with offsets (downsweep) — two bandwidth-shaped
 /// kernels, the Thrust/CUB cost shape. The single-block scan of the tile
@@ -64,20 +46,6 @@ pub fn charge_scan<T>(gpu: &Gpu, n: usize) {
     );
 }
 
-/// Total of an exclusive scan plus the last element: the "size" that
-/// compactions need. Returns `(scan, total)`.
-pub fn exclusive_scan_total<F>(gpu: &Gpu, input: &[usize], op: F) -> (Vec<usize>, usize)
-where
-    F: Fn(usize, usize) -> usize,
-{
-    let scan = exclusive_scan(gpu, input, 0, &op);
-    let total = match (scan.last(), input.last()) {
-        (Some(&s), Some(&v)) => op(s, v),
-        _ => 0,
-    };
-    (scan, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,13 +55,6 @@ mod tests {
         let gpu = Gpu::default();
         let out = exclusive_scan(&gpu, &[1usize, 2, 3, 4], 0, |a, b| a + b);
         assert_eq!(out, vec![0, 1, 3, 6]);
-    }
-
-    #[test]
-    fn inclusive_scan_small() {
-        let gpu = Gpu::default();
-        let out = inclusive_scan(&gpu, &[1usize, 2, 3, 4], 0, |a, b| a + b);
-        assert_eq!(out, vec![1, 3, 6, 10]);
     }
 
     #[test]
@@ -114,24 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_total_returns_sum() {
-        let gpu = Gpu::default();
-        let (scan, total) = exclusive_scan_total(&gpu, &[5usize, 1, 2], |a, b| a + b);
-        assert_eq!(scan, vec![0, 5, 6]);
-        assert_eq!(total, 8);
-    }
-
-    #[test]
     fn scan_charges_two_kernels() {
         let gpu = Gpu::default();
         let _ = exclusive_scan(&gpu, &[1usize; 10], 0, |a, b| a + b);
         assert_eq!(gpu.stats().kernels_launched, 2);
-    }
-
-    #[test]
-    fn scan_with_max_monoid() {
-        let gpu = Gpu::default();
-        let out = inclusive_scan(&gpu, &[3i64, 1, 4, 1, 5], i64::MIN, |a, b| a.max(b));
-        assert_eq!(out, vec![3, 3, 4, 4, 5]);
     }
 }

@@ -56,7 +56,7 @@ pub fn charge_radix_sort<K, V>(gpu: &Gpu, n: usize) {
 /// Stable sort of `keys` (carrying `vals`), in as few sweeps over the data
 /// as the input allows. One scan counts the ascending runs and ORs the
 /// keys' unsigned images: sorted input returns at once; input that is a
-/// few sorted runs (the two operands an elementwise merge concatenates) is
+/// few sorted runs (two sorted operands concatenated) is
 /// merged, `log2(runs)` sweeps; anything else takes LSD radix passes over
 /// the digits that are in use — digits above the largest key are never
 /// visited, and a digit every key agrees on is skipped.
@@ -109,10 +109,10 @@ fn stable_sort<K: RadixKey, V: Copy>(keys: &[K], vals: &[V]) -> (Vec<K>, Vec<V>)
 
 /// Sort `(keys, vals)` pairs by key — Thrust `stable_sort_by_key`.
 ///
-/// **Stable**: pairs with equal keys keep their input order. Callers rely
-/// on it — `vxm` and ESC `mxm` follow with `reduce_by_key`, which folds
-/// each run in order, so a float `⊕` accumulates every output slot in
-/// ascending input index exactly as the sequential backend does.
+/// **Stable**: pairs with equal keys keep their input order, so a
+/// [`reduce_by_key`](super::reduce_by_key) after it folds each run in input
+/// order — the order in which the push and ESC pipelines the CUDA backend
+/// charges fold, and the sequential kernels that compute them.
 ///
 /// Charged as an LSD radix sort ([`charge_radix_sort`]) whatever the input;
 /// executed as one unless the input is already a few sorted runs, which
@@ -125,12 +125,6 @@ where
     assert_eq!(keys.len(), vals.len(), "keys/vals length mismatch");
     charge_radix_sort::<K, V>(gpu, keys.len());
     stable_sort(keys, vals)
-}
-
-/// Sort keys alone — Thrust `sort`.
-pub fn sort_keys<K: RadixKey>(gpu: &Gpu, keys: &[K]) -> Vec<K> {
-    charge_radix_sort::<K, ()>(gpu, keys.len());
-    stable_sort(keys, &vec![(); keys.len()]).0
 }
 
 #[cfg(test)]
@@ -167,15 +161,16 @@ mod tests {
     }
 
     #[test]
-    fn sort_keys_sorts() {
+    fn signed_keys_sort_below_unsigned_images() {
         let gpu = Gpu::default();
-        assert_eq!(sort_keys(&gpu, &[9i32, -1, 4]), vec![-1, 4, 9]);
+        let (k, v) = sort_pairs(&gpu, &[9i32, -1, 4], &[0u8, 1, 2]);
+        assert_eq!((k, v), (vec![-1, 4, 9], vec![1, 2, 0]));
     }
 
     #[test]
     fn sort_charges_radix_passes() {
         let gpu = Gpu::default();
-        let _ = sort_keys(&gpu, &[1u64; 100]);
+        let _ = sort_pairs(&gpu, &[1u64; 100], &[(); 100]);
         assert_eq!(gpu.stats().kernels_launched, RADIX_PASSES);
     }
 
@@ -192,7 +187,7 @@ mod tests {
                 x
             })
             .collect();
-        let sorted = sort_keys(&gpu, &keys);
+        let (sorted, _) = sort_pairs(&gpu, &keys, &vec![(); keys.len()]);
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(sorted.len(), keys.len());
     }

@@ -1,4 +1,4 @@
-//! Property tests: every device primitive agrees with a trivial host
+//! Property tests: the three host-pass primitives agree with a trivial host
 //! reference, the accounting fast paths agree with the naive count they
 //! replace, and the cost accounting stays sane (non-zero for non-empty
 //! inputs, monotone in obvious ways).
@@ -65,32 +65,17 @@ fn arb_lanes() -> impl Strategy<Value = Vec<usize>> {
 
 proptest! {
     #[test]
-    fn transform_matches_map(v in proptest::collection::vec(-1000i64..1000, 0..2000)) {
-        let out = prim::transform(&gpu(), &v, |&x| x * 3 - 1);
-        let expect: Vec<i64> = v.iter().map(|&x| x * 3 - 1).collect();
-        prop_assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn reduce_matches_fold(v in proptest::collection::vec(-1000i64..1000, 0..5000)) {
-        let out = prim::reduce(&gpu(), &v, 0, |a, b| a + b);
-        prop_assert_eq!(out, v.iter().sum::<i64>());
-    }
-
-    #[test]
-    fn scans_match_prefix_sums(v in proptest::collection::vec(0usize..100, 0..5000)) {
+    fn exclusive_scan_matches_prefix_sums(v in proptest::collection::vec(0usize..100, 0..5000)) {
         let g = gpu();
         let ex = prim::exclusive_scan(&g, &v, 0, |a, b| a + b);
-        let inc = prim::inclusive_scan(&g, &v, 0, |a, b| a + b);
-        prop_assert_eq!((ex.len(), inc.len()), (v.len(), v.len()));
+        prop_assert_eq!(ex.len(), v.len());
         let mut acc = 0usize;
         for i in 0..v.len() {
             prop_assert_eq!(ex[i], acc);
             acc += v[i];
-            prop_assert_eq!(inc[i], acc);
         }
-        // upsweep + downsweep, each
-        prop_assert_eq!(g.stats().kernels_launched, 4);
+        // upsweep + downsweep
+        prop_assert_eq!(g.stats().kernels_launched, 2);
     }
 
     #[test]
@@ -224,108 +209,15 @@ proptest! {
     }
 
     #[test]
-    fn gather_then_scatter_with_permutation_is_identity(
-        n in 1usize..500, seed in 0u64..1000
-    ) {
-        let g = gpu();
-        // deterministic permutation from the seed
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut state = seed.wrapping_add(1);
-        for i in (1..n).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            perm.swap(i, j);
-        }
-        let src: Vec<u64> = (0..n as u64).collect();
-        let gathered = prim::gather(&g, &perm, &src);
-        let mut restored = vec![0u64; n];
-        prim::scatter(&g, &perm, &gathered, &mut restored);
-        prop_assert_eq!(restored, src);
-    }
-
-    #[test]
-    fn copy_if_matches_filter(v in proptest::collection::vec(-100i64..100, 0..2000)) {
-        let g = gpu();
-        let out = prim::copy_if(&g, &v, |&x| x % 3 == 0);
-        let expect: Vec<i64> = v.iter().copied().filter(|x| x % 3 == 0).collect();
-        prop_assert_eq!(&out, &expect);
-        // the indexed form keeps the same elements and says where they were
-        let (idx, vals) = prim::copy_if_indexed(&g, &v, |i, &x| x % 3 == 0 && i % 2 == 0);
-        let expect: Vec<(usize, i64)> = v
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(i, x)| x % 3 == 0 && i % 2 == 0)
-            .collect();
-        prop_assert_eq!(idx.into_iter().zip(vals).collect::<Vec<_>>(), expect);
-        // flags, scan, scatter — each
-        prop_assert_eq!(g.stats().kernels_launched, 6);
-    }
-
-    #[test]
-    fn gather_matches_indexing(
-        src in proptest::collection::vec(-100i64..100, 1..300),
-        picks in proptest::collection::vec(0usize..1000, 0..500)
-    ) {
-        let g = gpu();
-        let idx: Vec<usize> = picks.iter().map(|&p| p % src.len()).collect();
-        let out = prim::gather(&g, &idx, &src);
-        prop_assert_eq!(out, idx.iter().map(|&i| src[i]).collect::<Vec<_>>());
-        prop_assert_eq!(g.stats().kernels_launched, 1);
-    }
-
-    #[test]
-    fn segmented_reduce_matches_per_segment_fold(
-        sizes in proptest::collection::vec(0usize..20, 1..100)
-    ) {
-        let g = gpu();
-        let mut offsets = vec![0usize];
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s);
-        }
-        let total = *offsets.last().unwrap();
-        let vals: Vec<i64> = (0..total as i64).collect();
-        let out = prim::segmented_reduce(&g, &offsets, &vals, 0, |a, b| a + b);
-        for (s, _) in sizes.iter().enumerate() {
-            let expect: i64 = vals[offsets[s]..offsets[s + 1]].iter().sum();
-            prop_assert_eq!(out[s], expect);
-        }
-    }
-
-    #[test]
-    fn lower_bound_matches_partition_point(
-        mut hay in proptest::collection::vec(0i64..1000, 0..500),
-        needles in proptest::collection::vec(0i64..1000, 0..200)
-    ) {
-        hay.sort_unstable();
-        let out = prim::lower_bound(&gpu(), &hay, &needles);
-        for (q, &pos) in needles.iter().zip(&out) {
-            prop_assert_eq!(pos, hay.partition_point(|h| h < q));
-        }
-    }
-
-    #[test]
-    fn histogram_matches_counting(idx in proptest::collection::vec(0usize..40, 0..3000)) {
-        let out = prim::histogram(&gpu(), 40, &idx);
-        let mut expect = vec![0usize; 40];
-        for &i in &idx {
-            expect[i] += 1;
-        }
-        prop_assert_eq!(out, expect);
-    }
-
-    #[test]
     fn costs_are_positive_and_monotone(n in 1usize..4000) {
         // more elements -> at least as many transactions
         let g1 = gpu();
-        let v1 = vec![1.0f64; n];
-        let _ = prim::reduce(&g1, &v1, 0.0, |a, b| a + b);
+        prim::reduce::charge_reduce::<f64>(&g1, n);
         let t1 = g1.stats().mem_transactions;
         prop_assert!(t1 > 0);
 
         let g2 = gpu();
-        let v2 = vec![1.0f64; n * 2];
-        let _ = prim::reduce(&g2, &v2, 0.0, |a, b| a + b);
+        prim::reduce::charge_reduce::<f64>(&g2, 2 * n);
         prop_assert!(g2.stats().mem_transactions >= t1);
     }
 }

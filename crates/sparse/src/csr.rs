@@ -3,7 +3,7 @@
 use gbtl_algebra::Scalar;
 
 use crate::coo::bucket_starts;
-use crate::{CooMatrix, CscMatrix, Index, SparseError};
+use crate::{CooMatrix, Index, SparseError};
 
 /// A matrix in compressed-sparse-row form.
 ///
@@ -327,13 +327,6 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx: t_col,
             vals: t_val,
         }
-    }
-
-    /// View as CSC of the *same* matrix (shares no storage; builds the
-    /// column-compressed arrays).
-    pub fn to_csc(&self) -> CscMatrix<T> {
-        let t = self.transpose();
-        CscMatrix::from_transposed_csr(t, self.nrows, self.ncols)
     }
 
     /// The maximum row degree (0 for an empty matrix).

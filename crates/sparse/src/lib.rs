@@ -11,8 +11,6 @@
 //!
 //! * [`CooMatrix`] — coordinate triples; the build/interchange format.
 //! * [`CsrMatrix`] — compressed sparse row; the workhorse operand format.
-//! * [`CscMatrix`] — compressed sparse column; used for pull-direction and
-//!   transpose-view operations.
 //! * [`EllMatrix`] — ELLPACK fixed-width rows; the coalescing-friendly GPU
 //!   format with padding overhead on skewed graphs.
 //! * [`HybMatrix`] — ELL + COO overflow (CUSP's default SpMV format).
@@ -23,7 +21,6 @@
 //! binary `.gbsnap` bulk-load format.
 
 mod coo;
-mod csc;
 mod csr;
 mod ell;
 mod hyb;
@@ -32,7 +29,6 @@ pub mod snapshot;
 mod vector;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, ELL_PAD};
 pub use hyb::HybMatrix;

@@ -1,6 +1,6 @@
 //! Property tests for container invariants and conversions.
 
-use gbtl_sparse::{mmio, CooMatrix, CscMatrix, CsrMatrix, SparseVector};
+use gbtl_sparse::{mmio, CooMatrix, CsrMatrix, SparseVector};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary small COO matrix with possibly-duplicate triples.
@@ -56,18 +56,6 @@ proptest! {
         prop_assert_eq!(csr.nnz(), t.nnz());
         for (r, c, v) in csr.iter() {
             prop_assert_eq!(t.get(c, r), Some(v));
-        }
-    }
-
-    /// CSR -> CSC -> CSR round-trips losslessly.
-    #[test]
-    fn csc_round_trip(coo in arb_coo()) {
-        let csr = CsrMatrix::from_coo(coo, |a, b| a + b);
-        let csc = CscMatrix::from_csr(&csr);
-        prop_assert_eq!(csc.to_csr(), csr.clone());
-        // and the CSC sees the same entries
-        for (r, c, v) in csr.iter() {
-            prop_assert_eq!(csc.get(r, c), Some(v));
         }
     }
 

@@ -15,7 +15,7 @@
 //! * [`algebra`] — semirings, monoids, operators
 //! * [`algorithms`] — BFS, SSSP, PageRank, triangles, CC, MIS, MST, …
 //! * [`graphgen`] — RMAT, Erdős–Rényi, meshes, small-world generators
-//! * [`sparse`] — COO/CSR/CSC containers and Matrix Market I/O
+//! * [`sparse`] — COO/CSR/ELL/HYB containers, vectors, Matrix Market I/O
 //! * [`gpu_sim`] — the simulated CUDA device and its primitives
 //! * [`trace`] — the one observability crate: the span emit point and its
 //!   sinks (per-context op ring and reports, sampled span trees with

@@ -569,6 +569,60 @@ proptest! {
     }
 }
 
+/// The four float reductions of `B`, down to the bits: `reduce_mat`,
+/// `reduce_dense_vec`, `reduce_sparse_vec` over `big`, and `reduce_rows` of
+/// `rows`.
+fn float_reductions<B: Backend>(
+    be: &B,
+    big: &CsrMatrix<f64>,
+    rows: &CsrMatrix<f64>,
+) -> Vec<Option<u64>> {
+    let fsum = PlusMonoid::<f64>::new();
+    let dense = DenseVector::from_options(big.vals().iter().copied().map(Some).collect());
+    let per_row = be.reduce_rows(rows, fsum);
+    let mut out = vec![
+        be.reduce_mat(big, fsum),
+        be.reduce_dense_vec(&dense, fsum),
+        be.reduce_sparse_vec(&dense.to_sparse(), fsum),
+    ];
+    out.extend(per_row.values().iter().map(|&v| Some(v)));
+    out.into_iter().map(|x| x.map(f64::to_bits)).collect()
+}
+
+/// Every backend's float reduction is seq's left fold, seeded by the first
+/// entry — the trait's bit-for-bit contract. A blocked tree folded from the
+/// identity breaks it twice: `1e16` followed by 12 288 ones sums to `1e16`
+/// one at a time but not 4 096 at a time, and `0.0 + -0.0` drops the sign
+/// of a row holding only `-0.0`.
+#[test]
+fn float_reductions_match_seq_bit_for_bit() {
+    let mut coo = CooMatrix::new(1, 1 + 3 * 4096);
+    coo.push(0, 0, 1e16);
+    for j in 1..coo.ncols() {
+        coo.push(0, j, 1.0);
+    }
+    let big = CsrMatrix::from_coo(coo, |x, _| x);
+    let mut coo = CooMatrix::new(3, 2);
+    coo.push(1, 0, -0.0);
+    coo.push(2, 0, 2.5);
+    coo.push(2, 1, -0.0);
+    let rows = CsrMatrix::from_coo(coo, |x, _| x);
+
+    let want = float_reductions(&SeqBackend, &big, &rows);
+    let (sum, neg_zero, half) = (1e16f64.to_bits(), (-0.0f64).to_bits(), 2.5f64.to_bits());
+    assert_eq!(
+        want,
+        [sum, sum, sum, neg_zero, half].map(Some),
+        "seq is the left fold"
+    );
+    for t in PAR_THREADS {
+        let par = ParBackend::with_threads(t);
+        assert_eq!(float_reductions(&par, &big, &rows), want, "par({t})");
+    }
+    let cuda = CudaBackend::default();
+    assert_eq!(float_reductions(&cuda, &big, &rows), want, "cuda-sim");
+}
+
 // ---------------------------------------------------------------------------
 // One CPU kernel source. Every row-oriented kernel of the sequential backend
 // has a `*_rows` form, the whole-matrix function is that form over `0..m`,
