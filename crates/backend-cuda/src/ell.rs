@@ -179,6 +179,7 @@ mod ell_tests {
             PlusTimes::<i64>::new(),
             None,
             crate::SpmvKernel::Vector,
+            &crate::SpmvProfiles::new(),
         );
         let (ie, iv) = (
             gpu_e.stats().warp_instructions,

@@ -35,4 +35,4 @@ pub use ops::{
 };
 pub use select::{kronecker, select_mat, select_vec};
 pub use spmm::{mxm, mxm_masked};
-pub use spmv::{mxv, vxm, SpmvKernel};
+pub use spmv::{mxv, vxm, SpmvKernel, SpmvProfiles};

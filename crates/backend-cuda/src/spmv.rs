@@ -17,17 +17,33 @@
 //!
 //! None of them computes anything the sequential backend does not: a pull
 //! row is the sequential [`RowFold`], push is the sequential `vxm`, and
-//! what the device would do is charged in closed form — per row (vector),
-//! per warp-step (scalar) or per pipeline stage (push) — and added to the
-//! device once per launch. The ELL and HYB kernels are in [`crate::ell`].
+//! what the device would do is charged in closed form and added to the
+//! device once per launch. Push is charged per pipeline stage. A pull
+//! kernel is charged from its `SpmvProfile` (ADR 0006): what each row
+//! (vector) or each wholly kept, fully walked warp (scalar) costs, built
+//! once per matrix structure and kept in a bounded [`SpmvProfiles`] memo;
+//! only a scalar warp the mask or an early exit cut short is tallied warp
+//! step by warp step. The ELL and HYB kernels are in [`crate::ell`].
+
+use std::sync::{Arc, Mutex};
 
 use gbtl_algebra::{Scalar, Semiring};
 use gbtl_backend_seq::RowFold;
 use gbtl_gpu_sim::{primitives as prim, Coalescer, Gpu, GpuConfig, KernelTally};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
+use gbtl_util::sync::lock;
 
 /// Rows (threads) per block for the SpMV launches.
 const BLOCK_DIM: usize = 256;
+
+/// Instructions of one warp-step (scalar) or stride (vector): the column,
+/// value and `u` loads and two ALU instructions.
+const STEP_INSTRS: u64 = 5;
+
+/// Profiles an [`SpmvProfiles`] memo keeps: a traversal pulls over one or
+/// two structures in one or two operand types, so eight cover a solve with
+/// room for a second graph.
+const PROFILES_KEPT: usize = 8;
 
 /// CSR SpMV kernel selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,10 +72,153 @@ impl SpmvKernel {
     }
 }
 
+/// Everything a pull kernel's charge depends on besides the mask and how
+/// far each row was walked: the matrix structure, the resolved kernel, the
+/// element sizes of the matrix values and of `u`'s `Option<T>` slots, and
+/// the device's warp and transaction sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProfileKey {
+    structure: u64,
+    kernel: SpmvKernel,
+    val_sz: usize,
+    u_sz: usize,
+    warp_size: usize,
+    txn_bytes: usize,
+}
+
+/// What one pull kernel over one structure is charged, before the mask and
+/// the row folds say which rows ran and how far.
+#[derive(Debug)]
+enum SpmvProfile {
+    /// Per warp in launch order: its `(instructions, transactions)` when
+    /// the mask keeps every row of it and every row is walked to its end.
+    Scalar(Vec<(u64, u64)>),
+    /// The transactions of row `r` walked `k` warp-wide strides, for `k` in
+    /// `1..=⌈len/warp⌉`, at [`stride_slot`]`(r) + k - 1`: its [`row_base`]
+    /// and the strides. Row `r`'s slots end where row `r + 1`'s begin: there
+    /// are `1 + ⌊len/warp⌋` of them, at least the `⌈len/warp⌉` it fills, so
+    /// no offset array is kept.
+    Vector(Vec<u64>),
+}
+
+impl SpmvProfile {
+    /// The profile of `key` over `a`, tallied by the arithmetic the kernels
+    /// charge a row or a warp with.
+    fn build<D1: Scalar>(config: &GpuConfig, a: &CsrMatrix<D1>, key: &ProfileKey) -> Self {
+        let c = Coalescer::new(config);
+        let (row_ptr, col_idx, ws) = (a.row_ptr(), a.col_idx(), key.warp_size);
+        let mut scratch = Vec::new();
+        match key.kernel {
+            SpmvKernel::Vector => {
+                let mut txns = vec![0; stride_slot(row_ptr, ws, a.nrows())];
+                for r in 0..a.nrows() {
+                    let (lo, end) = (row_ptr[r], row_ptr[r + 1]);
+                    let mut t = row_base(&c, r);
+                    for (slot, p) in (stride_slot(row_ptr, ws, r)..).zip((lo..end).step_by(ws)) {
+                        let e = (p + ws).min(end);
+                        t += c.run_segments(8, p, e)
+                            + c.run_segments(key.val_sz, p, e)
+                            + c.distinct_segments(key.u_sz, &col_idx[p..e], &mut scratch);
+                        txns[slot] = t;
+                    }
+                }
+                SpmvProfile::Vector(txns)
+            }
+            _ => {
+                let n = a.nrows();
+                let mut warps = Vec::with_capacity(n.div_ceil(ws));
+                let mut lanes = Vec::with_capacity(ws);
+                for row0 in (0..n).step_by(BLOCK_DIM) {
+                    let block_end = (row0 + BLOCK_DIM).min(n);
+                    for first in (row0..block_end).step_by(ws) {
+                        let rows = first..(first + ws).min(block_end);
+                        let mut kept = KeptRows::new();
+                        lanes.clear();
+                        for r in rows {
+                            kept.add(&c, key.u_sz, r);
+                            let len = a.row_nnz(r);
+                            if len > 0 {
+                                lanes.push((row_ptr[r], len));
+                            }
+                        }
+                        warps.push(scalar_warp(
+                            &c,
+                            key,
+                            col_idx,
+                            &kept,
+                            &mut lanes,
+                            &mut scratch,
+                        ));
+                    }
+                }
+                SpmvProfile::Scalar(warps)
+            }
+        }
+    }
+}
+
+/// Where row `r`'s strides start in a vector profile: `r + ⌊row_ptr[r] /
+/// warp⌋`, so `stride_slot(nrows)` is the profile's length.
+#[inline]
+fn stride_slot(row_ptr: &[usize], ws: usize, r: usize) -> usize {
+    r + row_ptr[r] / ws
+}
+
+/// The transactions a vector-kernel row pays whatever it walks: lane 0's
+/// row-pointer pair and the result store.
+#[inline]
+fn row_base(c: &Coalescer, r: usize) -> u64 {
+    c.run_segments(8, r, r + 2) + 1
+}
+
+/// A bounded memo of pull-kernel profiles, least recently used evicted
+/// first. It is keyed by [`CsrMatrix::structure_id`] — never by a buffer's
+/// address, which a freed matrix hands on to the next one — and the lock is
+/// held only to look a profile up or insert one, never while building.
+#[derive(Debug, Default)]
+pub struct SpmvProfiles {
+    lru: Mutex<Vec<(ProfileKey, Arc<SpmvProfile>)>>,
+}
+
+impl SpmvProfiles {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Profiles held now (at most eight).
+    pub fn held(&self) -> usize {
+        lock(&self.lru).len()
+    }
+
+    /// `key`'s profile, built by `build` on a miss.
+    fn get(&self, key: ProfileKey, build: impl FnOnce() -> SpmvProfile) -> Arc<SpmvProfile> {
+        {
+            let mut lru = lock(&self.lru);
+            if let Some(i) = lru.iter().position(|(k, _)| *k == key) {
+                let hit = lru.remove(i);
+                let profile = Arc::clone(&hit.1);
+                lru.push(hit);
+                return profile;
+            }
+        }
+        let profile = Arc::new(build());
+        let mut lru = lock(&self.lru);
+        if !lru.iter().any(|(k, _)| *k == key) {
+            if lru.len() == PROFILES_KEPT {
+                lru.remove(0);
+            }
+            lru.push((key, Arc::clone(&profile)));
+        }
+        profile
+    }
+}
+
 /// Pull-direction product `w = A ⊕.⊗ u` on the device.
 ///
 /// Semantically identical to the sequential backend's `mxv`; the kernel
-/// choice changes only the modeled cost profile.
+/// choice changes only the modeled cost profile, which `profiles` holds
+/// (built here on first use of `a`'s structure).
 pub fn mxv<T, D1, S>(
     gpu: &Gpu,
     a: &CsrMatrix<D1>,
@@ -67,6 +226,7 @@ pub fn mxv<T, D1, S>(
     sr: S,
     mask: Option<VecMask<'_>>,
     kernel: SpmvKernel,
+    profiles: &SpmvProfiles,
 ) -> DenseVector<T>
 where
     T: Scalar,
@@ -74,30 +234,41 @@ where
     S: Semiring<T, D1, T>,
 {
     let fold = RowFold::new(sr, a, u, mask);
+    let config = gpu.config();
+    let key = ProfileKey {
+        structure: a.structure_id(),
+        kernel: kernel.resolve(a),
+        val_sz: std::mem::size_of::<D1>(),
+        u_sz: std::mem::size_of::<Option<T>>(),
+        warp_size: config.warp_size,
+        txn_bytes: config.mem_transaction_bytes,
+    };
+    let profile = profiles.get(key, || SpmvProfile::build(config, a, &key));
+    let c = Coalescer::new(config);
     let mut out: Vec<Option<T>> = vec![None; a.nrows()];
-    let (name, tally) = match kernel.resolve(a) {
-        SpmvKernel::Scalar => (
+    let (name, tally) = match &*profile {
+        SpmvProfile::Scalar(warps) => (
             "spmv_csr_scalar",
-            spmv_scalar(gpu.config(), &fold, &mut out),
+            spmv_scalar(&c, &key, warps, &fold, &mut out),
         ),
-        SpmvKernel::Vector => (
+        SpmvProfile::Vector(txns) => (
             "spmv_csr_vector",
-            spmv_vector(gpu.config(), &fold, &mut out),
+            spmv_vector(&c, &key, txns, &fold, &mut out),
         ),
-        SpmvKernel::Auto => unreachable!("resolved above"),
     };
     gpu.charge_kernel(name, a.nrows().div_ceil(BLOCK_DIM).max(1), tally);
     DenseVector::from_options(out)
 }
 
 /// The thread-per-row kernel: fold the rows into `out` and return what the
-/// device is charged. Per warp of rows the mask keeps: two row-pointer
-/// loads and a result store over the kept rows, then one warp-step per
-/// entry of the longest walk — column, value and `u` loads at the live
-/// lanes' addresses plus two ALU instructions — where a lane drops out when
-/// its row ends or its fold reached the monoid's terminal value.
+/// device is charged. A warp whose rows the mask all keeps and whose folds
+/// all ran to the row's end is charged its profile entry `warps[w]`; any
+/// other warp is tallied by [`scalar_warp`] over the rows it kept and the
+/// walks they made.
 fn spmv_scalar<T, D1, S>(
-    config: &GpuConfig,
+    c: &Coalescer,
+    key: &ProfileKey,
+    warps: &[(u64, u64)],
     fold: &RowFold<'_, T, D1, S>,
     out: &mut [Option<T>],
 ) -> KernelTally
@@ -106,87 +277,40 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let a = fold.matrix();
-    const STEP_INSTRS: u64 = 5;
-    let c = Coalescer::new(config);
-    let ws = config.warp_size;
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let val_sz = std::mem::size_of::<D1>();
-    let u_sz = std::mem::size_of::<Option<T>>();
+    let (row_ptr, col_idx) = (fold.matrix().row_ptr(), fold.matrix().col_idx());
     let (mut instrs, mut txns) = (0u64, 0u64);
     // The live lanes' first entry and walk length, in row order, and the
     // segments of one warp-step's `u` gather (the only unsorted loads).
     let (mut lanes, mut segs): (Vec<(usize, usize)>, Vec<u64>) = (vec![], vec![]);
-    // A change of segment from lane to lane, `prev` starting at none.
-    let changes = |seg: u64, prev: &mut u64| {
-        let changed = u64::from(seg != *prev);
-        *prev = seg;
-        changed
-    };
-
+    let mut profiled = warps.iter();
     for (b, block) in out.chunks_mut(BLOCK_DIM).enumerate() {
         let row0 = b * BLOCK_DIM;
-        for warp_start in (0..block.len()).step_by(ws) {
-            let warp_end = (warp_start + ws).min(block.len());
-            // kept rows ascend, so their row-pointer and result segments do
-            let (mut kept, mut ptr_segs, mut out_segs) = (0u64, 0u64, 0u64);
-            let (mut last_ptr, mut last_out) = (u64::MAX, u64::MAX);
+        for warp_start in (0..block.len()).step_by(key.warp_size) {
+            let whole_warp = profiled.next().expect("one profile entry per warp");
+            let rows = row0 + warp_start..row0 + (warp_start + key.warp_size).min(block.len());
+            let mut kept = KeptRows::new();
+            let mut whole = true;
             lanes.clear();
-            for r in row0 + warp_start..row0 + warp_end {
+            for r in rows {
                 if !fold.keeps(r) {
+                    whole = false;
                     continue;
                 }
-                kept += 1;
-                ptr_segs += changes(c.segment_of(8, r), &mut last_ptr);
-                out_segs += changes(c.segment_of(u_sz, r), &mut last_out);
+                kept.add(c, key.u_sz, r);
                 let (dot, consumed) = fold.row(r);
                 block[r - row0] = dot;
+                whole &= consumed == row_ptr[r + 1] - row_ptr[r];
                 if consumed > 0 {
                     lanes.push((row_ptr[r], consumed));
                 }
             }
-            if kept == 0 {
-                continue;
-            }
-            instrs += 3;
-            txns += 2 * ptr_segs + out_segs;
-            // every lane in `lanes` walks past step `s`; the shortest walk
-            // ends at `until`, where the finished lanes are dropped
-            let mut s = 0;
-            while lanes.len() > 1 {
-                let until = lanes.iter().map(|&(_, len)| len).min().unwrap_or(0);
-                for step in s..until {
-                    // live positions ascend: count their segment changes
-                    let (mut last_idx, mut last_val, mut last_u) = (u64::MAX, u64::MAX, 0);
-                    let (mut idx_segs, mut val_segs, mut sorted) = (0, 0, true);
-                    segs.clear();
-                    for &(first, _) in &lanes {
-                        let p = first + step;
-                        idx_segs += changes(c.segment_of(8, p), &mut last_idx);
-                        val_segs += changes(c.segment_of(val_sz, p), &mut last_val);
-                        let seg = c.segment_of(u_sz, col_idx[p]);
-                        sorted &= seg >= last_u;
-                        last_u = seg;
-                        segs.push(seg);
-                    }
-                    let u_segs = if sorted {
-                        1 + segs.windows(2).filter(|w| w[0] != w[1]).count() as u64
-                    } else {
-                        Coalescer::count_distinct(&mut segs)
-                    };
-                    txns += idx_segs + val_segs + u_segs;
-                }
-                instrs += STEP_INSTRS * (until - s) as u64;
-                s = until;
-                lanes.retain(|&(_, len)| len > until);
-            }
-            // one lane left walks alone: one segment per load per step
-            if let Some(&(_, len)) = lanes.first() {
-                let steps = (len - s) as u64;
-                instrs += STEP_INSTRS * steps;
-                txns += 3 * steps;
-            }
+            let (i, t) = if whole {
+                *whole_warp
+            } else {
+                scalar_warp(c, key, col_idx, &kept, &mut lanes, &mut segs)
+            };
+            instrs += i;
+            txns += t;
         }
     }
     KernelTally {
@@ -196,14 +320,114 @@ where
     }
 }
 
+/// A change of segment from lane to lane, `prev` starting at none.
+#[inline(always)]
+fn changes(seg: u64, prev: &mut u64) -> u64 {
+    let changed = u64::from(seg != *prev);
+    *prev = seg;
+    changed
+}
+
+/// The rows of one scalar warp the mask keeps, counted as they arrive in
+/// ascending order with the row-pointer and result segments they touch.
+struct KeptRows {
+    rows: u64,
+    ptr_segs: u64,
+    out_segs: u64,
+    last_ptr: u64,
+    last_out: u64,
+}
+
+impl KeptRows {
+    fn new() -> Self {
+        Self {
+            rows: 0,
+            ptr_segs: 0,
+            out_segs: 0,
+            last_ptr: u64::MAX,
+            last_out: u64::MAX,
+        }
+    }
+
+    #[inline(always)]
+    fn add(&mut self, c: &Coalescer, u_sz: usize, r: usize) {
+        self.rows += 1;
+        self.ptr_segs += changes(c.segment_of(8, r), &mut self.last_ptr);
+        self.out_segs += changes(c.segment_of(u_sz, r), &mut self.last_out);
+    }
+}
+
+/// What one warp of the thread-per-row kernel is charged, as
+/// `(instructions, transactions)`, given the rows the mask keeps (`kept`)
+/// and, for those whose walk is not empty, `(first entry, walk length)` in
+/// row order (`lanes`, consumed). Two row-pointer loads and a result store
+/// over the kept rows, then one warp-step per entry of the longest walk —
+/// column, value and `u` loads at the live lanes' addresses plus two ALU
+/// instructions — where a lane drops out when its walk ends.
+#[inline(always)]
+fn scalar_warp(
+    c: &Coalescer,
+    key: &ProfileKey,
+    col_idx: &[usize],
+    kept: &KeptRows,
+    lanes: &mut Vec<(usize, usize)>,
+    segs: &mut Vec<u64>,
+) -> (u64, u64) {
+    if kept.rows == 0 {
+        return (0, 0);
+    }
+    let (val_sz, u_sz) = (key.val_sz, key.u_sz);
+    let (mut instrs, mut txns) = (3u64, 2 * kept.ptr_segs + kept.out_segs);
+    // every lane in `lanes` walks past step `s`; the shortest walk ends at
+    // `until`, where the finished lanes are dropped
+    let mut s = 0;
+    while lanes.len() > 1 {
+        let until = lanes.iter().map(|&(_, len)| len).min().unwrap_or(0);
+        for step in s..until {
+            // live positions ascend: count their segment changes
+            let (mut last_idx, mut last_val, mut last_u) = (u64::MAX, u64::MAX, 0);
+            let (mut idx_segs, mut val_segs, mut sorted) = (0, 0, true);
+            segs.clear();
+            for &(first, _) in lanes.iter() {
+                let p = first + step;
+                idx_segs += changes(c.segment_of(8, p), &mut last_idx);
+                val_segs += changes(c.segment_of(val_sz, p), &mut last_val);
+                let seg = c.segment_of(u_sz, col_idx[p]);
+                sorted &= seg >= last_u;
+                last_u = seg;
+                segs.push(seg);
+            }
+            let u_segs = if sorted {
+                1 + segs.windows(2).filter(|w| w[0] != w[1]).count() as u64
+            } else {
+                Coalescer::count_distinct(segs)
+            };
+            txns += idx_segs + val_segs + u_segs;
+        }
+        instrs += STEP_INSTRS * (until - s) as u64;
+        s = until;
+        lanes.retain(|&(_, len)| len > until);
+    }
+    // one lane left walks alone: one segment per load per step
+    if let Some(&(_, len)) = lanes.first() {
+        let steps = (len - s) as u64;
+        instrs += STEP_INSTRS * steps;
+        txns += 3 * steps;
+    }
+    (instrs, txns)
+}
+
 /// The warp-per-row kernel: fold the rows into `out` and return what the
 /// device is charged. Per row the mask keeps and that has entries: the row
 /// pointer pair by lane 0; a warp-wide stride at a time, coalesced column
 /// and value loads, the `u` gather at the stride's columns and two ALU
 /// instructions, stopping after the stride in which the fold reached the
-/// monoid's terminal value; the warp's shuffle reduction; one store.
+/// monoid's terminal value; the warp's shuffle reduction; one store. A
+/// row's transactions are its profile entry for the strides it walked.
 fn spmv_vector<T, D1, S>(
-    config: &GpuConfig,
+    c: &Coalescer,
+    key: &ProfileKey,
+    txns: &[u64],
     fold: &RowFold<'_, T, D1, S>,
     out: &mut [Option<T>],
 ) -> KernelTally
@@ -212,46 +436,38 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let a = fold.matrix();
-    const STRIDE_INSTRS: u64 = 5;
-    let c = Coalescer::new(config);
-    let ws = config.warp_size;
+    let ws = key.warp_size;
     // pointer load, shuffle reduction of one warp (`BlockCtx::block_reduce`
     // of at most a warp of lanes) and the store
     let lg = u64::from(usize::BITS - (ws.max(2) - 1).leading_zeros());
     let row_instrs = 1 + (lg + 1) + 1;
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let val_sz = std::mem::size_of::<D1>();
-    let u_sz = std::mem::size_of::<Option<T>>();
-    let (mut instrs, mut txns) = (0u64, 0u64);
-    let mut scratch = Vec::new();
-
+    let row_ptr = fold.matrix().row_ptr();
+    // `x / ws`, a shift for the power-of-two warps every device model has
+    let shift = ws.is_power_of_two().then(|| ws.trailing_zeros());
+    let per_warp = |x: usize| match shift {
+        Some(s) => x >> s,
+        None => x / ws,
+    };
+    let (mut rows, mut strides, mut row_txns) = (0u64, 0u64, 0u64);
     for (r, slot) in out.iter_mut().enumerate() {
-        if !fold.keeps(r) {
-            continue;
-        }
-        let (lo, end) = (row_ptr[r], row_ptr[r + 1]);
-        if lo == end {
+        if row_ptr[r] == row_ptr[r + 1] || !fold.keeps(r) {
             continue;
         }
         let (dot, consumed) = fold.row(r);
         *slot = dot;
-        let (mut strides, mut p) = (0u64, lo);
-        while p < lo + consumed {
-            let e = (p + ws).min(end);
-            txns += c.run_segments(8, p, e)
-                + c.run_segments(val_sz, p, e)
-                + c.distinct_segments(u_sz, &col_idx[p..e], &mut scratch);
-            strides += 1;
-            p = e;
-        }
-        instrs += row_instrs + STRIDE_INSTRS * strides;
-        txns += c.run_segments(8, r, r + 2) + 1;
+        let k = per_warp(consumed + ws - 1);
+        rows += 1;
+        strides += k as u64;
+        // a walk of no stride (a fold that consumed nothing) pays the base
+        row_txns += match k {
+            0 => row_base(c, r),
+            // `stride_slot(r) + k - 1`
+            k => txns[r + per_warp(row_ptr[r]) + k - 1],
+        };
     }
     KernelTally {
-        warp_instructions: instrs,
-        mem_transactions: txns,
+        warp_instructions: rows * row_instrs + STEP_INSTRS * strides,
+        mem_transactions: row_txns,
         atomic_ops: 0,
     }
 }
@@ -372,6 +588,7 @@ mod tests {
             PlusTimes::<i64>::new(),
             None,
             SpmvKernel::Scalar,
+            &SpmvProfiles::new(),
         );
         let v = mxv(
             &gpu,
@@ -380,6 +597,7 @@ mod tests {
             PlusTimes::<i64>::new(),
             None,
             SpmvKernel::Vector,
+            &SpmvProfiles::new(),
         );
         assert_eq!(s, expected);
         assert_eq!(v, expected);
@@ -398,6 +616,7 @@ mod tests {
             PlusTimes::<i64>::new(),
             Some(VecMask::from(&keep[..])),
             SpmvKernel::Scalar,
+            &SpmvProfiles::new(),
         );
         assert!(w.get(0).is_some());
         assert_eq!(w.get(1), None);
@@ -475,6 +694,7 @@ mod tests {
             PlusTimes::<i64>::new(),
             None,
             SpmvKernel::Scalar,
+            &SpmvProfiles::new(),
         );
         let gpu_v = Gpu::default();
         let _ = mxv(
@@ -484,6 +704,7 @@ mod tests {
             PlusTimes::<i64>::new(),
             None,
             SpmvKernel::Vector,
+            &SpmvProfiles::new(),
         );
         let (ts, tv) = (
             gpu_s.stats().mem_transactions,

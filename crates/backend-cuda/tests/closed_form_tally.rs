@@ -7,9 +7,14 @@
 //! as the candidate arrays, a sort and a reduce-by-key. Every device run
 //! keeps its kernel log, and the two logs — kernel name, blocks and
 //! `KernelTally` of every launch — must be equal, as must the results.
+//!
+//! Pull is charged from a profile built on a structure's first use: each
+//! matrix here is pulled many times through one `SpmvProfiles` memo — every
+//! operand presence, mask, kernel and device — so all but the first call of
+//! each (kernel, device) are charged from a profile another call built.
 
 use gbtl_algebra::{BinaryOp, LorLand, MinPlus, PlusTimes, Scalar, Semiring};
-use gbtl_backend_cuda::{mxv, vxm, SpmvKernel};
+use gbtl_backend_cuda::{mxv, vxm, SpmvKernel, SpmvProfiles};
 use gbtl_backend_seq::row_dot;
 use gbtl_gpu_sim::{primitives as prim, Gpu, GpuConfig, KernelRecord, KernelTally};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
@@ -243,8 +248,47 @@ fn configs() -> [GpuConfig; 3] {
     ]
 }
 
-/// Pull and push over `rounds` random operands, on every config, unmasked,
-/// masked and under the complemented mask; presence of `u` from none to all.
+/// Operand presences, in 64ths: none, one, a quarter to three quarters,
+/// all but one, all.
+const PRESENT: [usize; 7] = [0, 1, 16, 32, 48, 63, 64];
+
+/// A dense operand of length `n`, each position present with chance
+/// `present / 64`.
+fn operand<T: Scalar>(
+    rng: &mut Rng,
+    n: usize,
+    present: usize,
+    uval: &impl Fn(&mut Rng) -> T,
+) -> DenseVector<T> {
+    let mut u = DenseVector::new(n);
+    for j in 0..n {
+        if rng.below(64) < present {
+            let v = uval(rng);
+            u.set(j, v);
+        }
+    }
+    u
+}
+
+/// A row mask over `m` rows, decided per 32-row group: all set, none set, or
+/// each row set with chance 1/3 — so a warp is kept whole, not at all or in
+/// part, and its complement the other way round.
+fn row_mask(rng: &mut Rng, m: usize) -> DenseVector<bool> {
+    let mut mask = Vec::with_capacity(m);
+    while mask.len() < m {
+        let mode = rng.below(3);
+        for _ in 0..32.min(m - mask.len()) {
+            let set = mode == 0 || (mode == 2 && rng.below(3) == 0);
+            mask.push(set.then_some(true));
+        }
+    }
+    DenseVector::from_options(mask)
+}
+
+/// Pull and push over `rounds` random matrices, on every config, unmasked,
+/// masked and under the complemented mask. Each matrix is pulled at every
+/// presence of `u` through one profile memo; push takes one presence a
+/// round.
 fn check<T, D, S>(
     sr: S,
     rounds: usize,
@@ -260,26 +304,38 @@ fn check<T, D, S>(
     for round in 0..rounds {
         let (m, n) = (1 + rng.below(700), 1 + rng.below(700));
         let a = csr(&mut rng, m, n, &val);
-        let present = [0, 1, 16, 32, 48, 63, 64][round % 7];
-        let mut u = DenseVector::new(n);
-        for j in 0..n {
-            if (rng.below(64)) < present {
-                let v = uval(&mut rng);
-                u.set(j, v);
+        let pull_mask = row_mask(&mut rng, m);
+        let profiles = SpmvProfiles::new();
+        for present in PRESENT {
+            let u = operand(&mut rng, n, present, &uval);
+            for config in configs() {
+                for masked in [None, Some(false), Some(true)] {
+                    let pull = masked.map(|c| VecMask::new(&pull_mask, c));
+                    for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+                        let (got, want) = (
+                            Gpu::with_trace(config.clone()),
+                            Gpu::with_trace(config.clone()),
+                        );
+                        let w = mxv(&got, &a, &u, sr, pull, kernel, &profiles);
+                        let reference = match kernel {
+                            SpmvKernel::Scalar => reference_scalar(&want, &a, &u, sr, pull),
+                            _ => reference_vector(&want, &a, &u, sr, pull),
+                        };
+                        assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
+                        assert_eq!(
+                            launches(&got),
+                            launches(&want),
+                            "{kernel:?}, round {round}, present {present}/64, {config:?}, mask {masked:?}"
+                        );
+                    }
+                }
             }
         }
-        let mut frontier = SparseVector::new(m);
-        for i in 0..m {
-            if rng.below(64) < present {
-                let v = uval(&mut rng);
-                frontier.set(i, v);
-            }
-        }
-        let pull_mask = DenseVector::from_options(
-            (0..m)
-                .map(|_| (rng.below(3) == 0).then_some(true))
-                .collect(),
-        );
+        // one profile per (kernel, device), each built once and reused
+        assert_eq!(profiles.held(), 2 * configs().len());
+
+        let present = PRESENT[round % PRESENT.len()];
+        let frontier = operand(&mut rng, m, present, &uval).to_sparse();
         let push_mask = DenseVector::from_options(
             (0..n)
                 .map(|_| (rng.below(3) == 0).then_some(true))
@@ -287,25 +343,7 @@ fn check<T, D, S>(
         );
         for config in configs() {
             for masked in [None, Some(false), Some(true)] {
-                let pull = masked.map(|c| VecMask::new(&pull_mask, c));
                 let push = masked.map(|c| VecMask::new(&push_mask, c));
-                for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
-                    let (got, want) = (
-                        Gpu::with_trace(config.clone()),
-                        Gpu::with_trace(config.clone()),
-                    );
-                    let w = mxv(&got, &a, &u, sr, pull, kernel);
-                    let reference = match kernel {
-                        SpmvKernel::Scalar => reference_scalar(&want, &a, &u, sr, pull),
-                        _ => reference_vector(&want, &a, &u, sr, pull),
-                    };
-                    assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
-                    assert_eq!(
-                        launches(&got),
-                        launches(&want),
-                        "{kernel:?}, round {round}, {config:?}, mask {masked:?}"
-                    );
-                }
                 let (got, want) = (
                     Gpu::with_trace(config.clone()),
                     Gpu::with_trace(config.clone()),
@@ -324,6 +362,51 @@ fn check<T, D, S>(
             }
         }
     }
+}
+
+/// A memo holds at most eight profiles, evicts the least recently used and
+/// never confuses two structures of one shape and entry count: ten row
+/// permutations of one matrix, each pulled between pulls of the first, are
+/// each charged what a fresh memo charges them.
+#[test]
+fn the_memo_is_bounded_and_keyed_by_structure() {
+    let mut rng = Rng(0x5EED_0004);
+    let n = 300;
+    let base = csr(&mut rng, n, n, &|r: &mut Rng| r.below(5) as u32);
+    // rows moved `i → k·i mod n`, each `k` coprime to 300
+    let mats: Vec<CsrMatrix<u32>> = [1, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        .iter()
+        .map(|&k| {
+            let mut coo = CooMatrix::new(n, n);
+            for (i, j, v) in base.iter() {
+                coo.push(k * i % n, j, v);
+            }
+            CsrMatrix::from_coo(coo, |x, _| x)
+        })
+        .collect();
+    let u = operand(&mut rng, n, 40, &|r: &mut Rng| r.below(5) as u32);
+    let sr = MinPlus::<u32>::new();
+    let charge = |a: &CsrMatrix<u32>, kernel, profiles: &SpmvProfiles| {
+        let gpu = Gpu::with_trace(GpuConfig::k40());
+        let w = mxv(&gpu, a, &u, sr, None, kernel, profiles);
+        (w, launches(&gpu))
+    };
+    let shared = SpmvProfiles::new();
+    for round in 0..2 {
+        for a in &mats {
+            for b in [a, &mats[0]] {
+                for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+                    assert_eq!(
+                        charge(b, kernel, &shared),
+                        charge(b, kernel, &SpmvProfiles::new()),
+                        "round {round}, {kernel:?}"
+                    );
+                    assert!(shared.held() <= 8);
+                }
+            }
+        }
+    }
+    assert_eq!(shared.held(), 8);
 }
 
 #[test]

@@ -168,7 +168,9 @@ fn check_slot_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
         for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
             let want = bits_of(&mxv(&a, &u, sr, mask));
             for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
-                let got = gbtl_backend_cuda::mxv(&Gpu::default(), &a, &u, sr, mask, kernel);
+                let profiles = gbtl_backend_cuda::SpmvProfiles::new();
+                let got =
+                    gbtl_backend_cuda::mxv(&Gpu::default(), &a, &u, sr, mask, kernel, &profiles);
                 assert_eq!(
                     bits_of(&got),
                     want,

@@ -11,6 +11,7 @@ use gbtl_gpu_sim::{Gpu, GpuConfig, GpuStats};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, Index, SparseVector, VecMask};
 
 pub use gbtl_backend_cuda::SpmvKernel;
+use gbtl_backend_cuda::SpmvProfiles;
 
 use crate::policy::{DirectionPolicy, LevelWork, Product};
 
@@ -383,11 +384,13 @@ impl Backend for ParBackend {
     }
 }
 
-/// The simulated-CUDA backend: owns the device and an SpMV kernel policy.
+/// The simulated-CUDA backend: owns the device, an SpMV kernel policy and
+/// the memo of pull-kernel charge profiles (ADR 0006).
 #[derive(Debug)]
 pub struct CudaBackend {
     gpu: Gpu,
     spmv_kernel: SpmvKernel,
+    spmv_profiles: SpmvProfiles,
 }
 
 impl CudaBackend {
@@ -397,6 +400,7 @@ impl CudaBackend {
         Self {
             gpu: Gpu::new(config),
             spmv_kernel: SpmvKernel::Auto,
+            spmv_profiles: SpmvProfiles::new(),
         }
     }
 
@@ -405,6 +409,7 @@ impl CudaBackend {
         Self {
             gpu: Gpu::with_trace(config),
             spmv_kernel: SpmvKernel::Auto,
+            spmv_profiles: SpmvProfiles::new(),
         }
     }
 
@@ -417,6 +422,12 @@ impl CudaBackend {
     /// The simulated device (for statistics and direct primitive use).
     pub fn gpu(&self) -> &Gpu {
         &self.gpu
+    }
+
+    /// The pull-kernel charge profiles this backend's `mxv` builds and
+    /// reuses (for calling [`gbtl_backend_cuda::mxv`] directly).
+    pub fn spmv_profiles(&self) -> &SpmvProfiles {
+        &self.spmv_profiles
     }
 
     /// Snapshot of the device statistics.
@@ -528,7 +539,15 @@ impl Backend for CudaBackend {
         if mask.is_some() {
             self.charge_mask_kernel(a.nrows());
         }
-        gbtl_backend_cuda::mxv(&self.gpu, a, u, sr, mask.map(Into::into), self.spmv_kernel)
+        gbtl_backend_cuda::mxv(
+            &self.gpu,
+            a,
+            u,
+            sr,
+            mask.map(Into::into),
+            self.spmv_kernel,
+            &self.spmv_profiles,
+        )
     }
 
     fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(

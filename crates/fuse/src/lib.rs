@@ -25,8 +25,10 @@
 //! `gbtl_net::Engine` contract, one layer down.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use gbtl_util::sync::lock;
 
 /// Fusion knobs, sourced from `GBTL_FUSE*` environment variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +89,11 @@ struct Group<T> {
     flush_at: Instant,
 }
 
+/// The queue's state. Every critical section over it is a map lookup, an
+/// insert, a remove or a drain plus one flag; the one step that can panic,
+/// an overflowing deadline, runs before its entry is inserted. So the state
+/// is whole even behind a poisoned lock, and every lock and wait below
+/// tolerates the poison.
 struct Inner<T> {
     groups: HashMap<String, Group<T>>,
     closed: bool,
@@ -138,7 +145,7 @@ impl<T> FuseQueue<T> {
     /// deadline (the window does **not** restart), so no request waits more
     /// than one window regardless of arrival order.
     pub fn push(&self, key: &str, item: T) -> PushOutcome<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return PushOutcome::Closed(item);
         }
@@ -166,7 +173,7 @@ impl<T> FuseQueue<T> {
     /// [`close_and_drain`](Self::close_and_drain): the flusher thread's
     /// exit signal.
     pub fn pop_due(&self) -> Option<(String, Vec<T>)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if inner.closed {
                 return None;
@@ -183,11 +190,17 @@ impl<T> FuseQueue<T> {
                     return Some((key, group.items));
                 }
                 Some((_, at)) => {
-                    let (guard, _) = self.wake.wait_timeout(inner, at - now).unwrap();
+                    let (guard, _) = self
+                        .wake
+                        .wait_timeout(inner, at - now)
+                        .unwrap_or_else(PoisonError::into_inner);
                     inner = guard;
                 }
                 None => {
-                    inner = self.wake.wait(inner).unwrap();
+                    inner = self
+                        .wake
+                        .wait(inner)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }
@@ -198,7 +211,7 @@ impl<T> FuseQueue<T> {
     /// (Self::pop_due) wakes and returns `None`. Idempotent — a second call
     /// returns an empty drain.
     pub fn close_and_drain(&self) -> Vec<(String, Vec<T>)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         let drained = inner.groups.drain().map(|(k, g)| (k, g.items)).collect();
         drop(inner);
@@ -208,7 +221,7 @@ impl<T> FuseQueue<T> {
 
     /// Members currently held across all open groups (gauge fodder).
     pub fn pending(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         inner.groups.values().map(|g| g.items.len()).sum()
     }
 }
@@ -291,6 +304,26 @@ mod tests {
         let (key, items) = h.join().unwrap().expect("flush");
         assert_eq!((key.as_str(), items), ("k", vec![7]));
         q.close_and_drain();
+    }
+
+    #[test]
+    fn a_poisoned_queue_keeps_batching_and_draining() {
+        let q = Arc::new(quick());
+        q.push("k", 1);
+        let held = Arc::clone(&q);
+        let _ = std::thread::spawn(move || {
+            let _guard = held.inner.lock().unwrap();
+            panic!("poison the queue");
+        })
+        .join();
+        assert!(q.inner.is_poisoned());
+        assert_eq!(q.pending(), 1);
+        assert!(matches!(q.push("k", 2), PushOutcome::Held));
+        assert_eq!(q.pop_due(), Some(("k".into(), vec![1, 2])));
+        assert!(matches!(q.push("j", 3), PushOutcome::Held));
+        assert_eq!(q.close_and_drain(), vec![("j".into(), vec![3])]);
+        assert!(matches!(q.push("j", 4), PushOutcome::Closed(4)));
+        assert!(q.pop_due().is_none());
     }
 
     #[test]

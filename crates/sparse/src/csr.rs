@@ -1,5 +1,7 @@
 //! Compressed sparse row: the workhorse operand format.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use gbtl_algebra::Scalar;
 
 use crate::coo::bucket_starts;
@@ -14,13 +16,34 @@ use crate::{CooMatrix, Index, SparseError};
 ///   non-decreasing, `row_ptr[nrows] == col_idx.len() == vals.len()`;
 /// * within each row, column indices are strictly increasing (sorted,
 ///   duplicate-free) and `< ncols`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every construction also stamps a process-unique [structure
+/// id](CsrMatrix::structure_id); `==` ignores it.
+#[derive(Debug, Clone)]
 pub struct CsrMatrix<T> {
     nrows: Index,
     ncols: Index,
     row_ptr: Vec<Index>,
     col_idx: Vec<Index>,
     vals: Vec<T>,
+    id: u64,
+}
+
+/// The next structure id; ids start at 1 and are never reused. `Relaxed`
+/// suffices: an id publishes no other data, and `fetch_add` alone makes
+/// each one unique.
+fn next_structure_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl<T: PartialEq> PartialEq for CsrMatrix<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.vals == other.vals
+    }
 }
 
 impl<T: Scalar> CsrMatrix<T> {
@@ -32,6 +55,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: vec![0; nrows + 1],
             col_idx: Vec::new(),
             vals: Vec::new(),
+            id: next_structure_id(),
         }
     }
 
@@ -49,6 +73,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             vals,
+            id: next_structure_id(),
         };
         m.validate()?;
         Ok(m)
@@ -76,6 +101,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             vals,
+            id: next_structure_id(),
         }
     }
 
@@ -93,6 +119,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: bucket_starts(&rows, nrows),
             col_idx,
             vals,
+            id: next_structure_id(),
         }
     }
 
@@ -106,6 +133,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: bucket_starts(rows, coo.nrows()),
             col_idx: cols.to_vec(),
             vals: vals.to_vec(),
+            id: next_structure_id(),
         }
     }
 
@@ -204,7 +232,17 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.vals
     }
 
-    /// Mutable value array (structure stays fixed).
+    /// This structure's process-unique id: stamped by every constructor,
+    /// shared by clones and kept by [`CsrMatrix::vals_mut`], so two
+    /// matrices with one id have the same `row_ptr` and `col_idx`. A cache
+    /// of anything computed from those two arrays alone can key on it.
+    #[inline]
+    pub fn structure_id(&self) -> u64 {
+        self.id
+    }
+
+    /// Mutable value array (structure stays fixed, and so does its
+    /// [`structure_id`](CsrMatrix::structure_id)).
     #[inline]
     pub fn vals_mut(&mut self) -> &mut [T] {
         &mut self.vals
@@ -271,6 +309,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: self.row_ptr.clone(),
             col_idx: self.col_idx.clone(),
             vals,
+            id: next_structure_id(),
         })
     }
 
@@ -326,6 +365,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: t_ptr,
             col_idx: t_col,
             vals: t_val,
+            id: next_structure_id(),
         }
     }
 
@@ -432,6 +472,7 @@ mod tests {
             row_ptr: vec![0, 1, 1],
             col_idx: vec![0, 1],
             vals: vec![1.0, 2.0],
+            id: 0,
         };
         assert!(bad.validate().is_err());
 
@@ -441,6 +482,7 @@ mod tests {
             row_ptr: vec![0, 2],
             col_idx: vec![2, 0],
             vals: vec![1.0, 2.0],
+            id: 0,
         };
         assert!(unsorted.validate().is_err());
     }

@@ -97,3 +97,50 @@ proptest! {
         prop_assert_eq!(v.to_dense().to_sparse(), v);
     }
 }
+
+/// The structure-id contract a charge memo keys on: a clone shares its id,
+/// `vals_mut` keeps it, every construction stamps one never seen before,
+/// and `==` compares the matrix, not the id.
+#[test]
+fn structure_ids_follow_the_structure_not_the_values() {
+    let mut coo = CooMatrix::new(3, 3);
+    for (r, c, v) in [(0, 1, 4i64), (1, 2, 5), (2, 0, 6)] {
+        coo.push(r, c, v);
+    }
+    let a = CsrMatrix::from_coo(coo.clone(), |x, _| x);
+    let mut b = a.clone();
+    assert_eq!(b.structure_id(), a.structure_id());
+    b.vals_mut()[0] = 40;
+    assert_eq!(b.structure_id(), a.structure_id());
+    assert_ne!(a, b);
+
+    let rebuilt = [
+        CsrMatrix::from_coo(coo.clone(), |x, _| x),
+        CsrMatrix::from_sorted_coo(&coo),
+        CsrMatrix::from_parts(
+            3,
+            3,
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.vals().to_vec(),
+        )
+        .unwrap(),
+        CsrMatrix::from_parts_unchecked(
+            3,
+            3,
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.vals().to_vec(),
+        ),
+        a.with_same_structure(a.vals().to_vec()).unwrap(),
+        a.transpose().transpose(),
+    ];
+    let mut ids: Vec<u64> = rebuilt.iter().map(CsrMatrix::structure_id).collect();
+    ids.extend([a.structure_id(), CsrMatrix::<i64>::new(3, 3).structure_id()]);
+    for m in &rebuilt {
+        assert_eq!(m, &a, "equal matrices under distinct ids");
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), rebuilt.len() + 2, "a construction reused an id");
+}

@@ -211,11 +211,13 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
     let sr = PlusTimes::<i64>::new();
     for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
         suite.step(&format!("mxv/{kernel:?}"), |ctx| {
-            cuda::mxv(ctx.backend().gpu(), csr, &u, sr, None, kernel);
+            let be = ctx.backend();
+            cuda::mxv(be.gpu(), csr, &u, sr, None, kernel, be.spmv_profiles());
         });
         suite.step(&format!("mxv/{kernel:?}/masked"), |ctx| {
             let mask = Some(VecMask::from(&keep[..]));
-            cuda::mxv(ctx.backend().gpu(), csr, &u, sr, mask, kernel);
+            let be = ctx.backend();
+            cuda::mxv(be.gpu(), csr, &u, sr, mask, kernel, be.spmv_profiles());
         });
     }
     let ell = EllMatrix::from_csr(csr, 0i64);
@@ -380,6 +382,100 @@ fn rmat10_override_suite_is_bit_identical() {
 fn grid16_override_suite_is_bit_identical() {
     let report = override_suite(&grid_2d(16, 16), 11);
     assert_golden("grid16 overrides", &report, GRID16_OVERRIDES);
+}
+
+/// Everything a step charged: the `GpuStats` line and every launch.
+fn charged(ctx: &Context<CudaBackend>, f: impl FnOnce(&Context<CudaBackend>)) -> String {
+    ctx.reset_gpu_stats();
+    f(ctx);
+    let s = ctx.gpu_stats();
+    let mut out = stats_line(&s);
+    for k in &s.kernel_log {
+        write!(
+            out,
+            "\n{} {} {:?} {}",
+            k.name,
+            k.blocks,
+            k.tally,
+            ns(k.modeled_time_s)
+        )
+        .unwrap();
+    }
+    out
+}
+
+fn traced_cuda() -> Context<CudaBackend> {
+    Context::with_backend(CudaBackend::with_trace(GpuConfig::k40()))
+}
+
+/// A pull is charged from a profile its structure's first pull builds: the
+/// run that builds it and every run after charge the same.
+#[test]
+fn a_profile_hit_charges_what_the_build_charged() {
+    let directed = Rmat::new(10, 8).seed(7).generate();
+    let structure = symmetrize(&directed);
+    let a = adjacency(structure.clone());
+    let d = adjacency(directed);
+    let (_, w) = weighted(&structure, 7);
+    let opts = PageRankOptions {
+        damping: 0.85,
+        tolerance: 0.0,
+        max_iters: 5,
+    };
+    let ctx = traced_cuda();
+    ctx.prewarm_transpose(&a);
+    ctx.prewarm_transpose(&d);
+    ctx.prewarm_transpose(&w);
+    let solve = |ctx: &Context<CudaBackend>| {
+        bfs_levels(ctx, &a, 0, Direction::Pull).unwrap();
+        sssp(ctx, &w, 0).unwrap();
+        pagerank(ctx, &d, opts).unwrap();
+    };
+    let built = charged(&ctx, solve);
+    let held = ctx.backend().spmv_profiles().held();
+    assert!(held > 0, "the solves pulled without a profile");
+    assert!(built.contains("spmv_csr_"), "the solves pulled nothing");
+    assert_eq!(
+        charged(&ctx, solve),
+        built,
+        "a profile hit charged differently"
+    );
+    assert_eq!(ctx.backend().spmv_profiles().held(), held);
+}
+
+/// Two structures of one shape and one entry count, pulled in turn on one
+/// backend, are each charged what a fresh backend charges them.
+#[test]
+fn equal_shapes_never_share_a_profile() {
+    let grid = grid_2d(16, 16);
+    let n = grid.nrows();
+    // the same grid relabelled `i → 97·i mod n` (97 is coprime to 256)
+    let mut relabelled = CooMatrix::new(n, n);
+    for (i, j, v) in grid.iter() {
+        relabelled.push(97 * i % n, 97 * j % n, v);
+    }
+    let (a, b) = (adjacency(grid), adjacency(relabelled));
+    assert_eq!((a.nrows(), a.nnz()), (b.nrows(), b.nnz()));
+    assert_ne!(a.csr(), b.csr());
+    // every context holds both transposes, so only a profile could differ
+    let warm = |ctx: Context<CudaBackend>| {
+        ctx.prewarm_transpose(&a);
+        ctx.prewarm_transpose(&b);
+        ctx
+    };
+    fn pull(m: &Matrix<bool>) -> impl FnOnce(&Context<CudaBackend>) + '_ {
+        move |ctx| {
+            bfs_levels(ctx, m, 0, Direction::Pull).unwrap();
+            connected_components(ctx, m).unwrap();
+        }
+    }
+    let shared = warm(traced_cuda());
+    for round in 0..2 {
+        for m in [&a, &b] {
+            let fresh = charged(&warm(traced_cuda()), pull(m));
+            assert_eq!(charged(&shared, pull(m)), fresh, "round {round}");
+        }
+    }
 }
 
 const RMAT10_OVERRIDES: &str = "
