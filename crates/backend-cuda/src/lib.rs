@@ -4,20 +4,18 @@
 //!
 //! The paper's GPU backend, rebuilt on [`gbtl_gpu_sim`] by one rule: every
 //! operation **computes its result with the [`gbtl_backend_seq`] kernel
-//! and charges the device** the pipeline GBTL-CUDA runs for it — the two
-//! CSR SpMV kernels and push in [`spmv`], ESC and the masked dot product in
-//! [`spmm`], tagged-sort elementwise merges in [`ewise`], sort-based
+//! and charges the device** the pipeline GBTL-CUDA runs for it — the four
+//! pull SpMV kernels (CSR scalar and vector, ELL, HYB, all over the one
+//! CSR) and push in [`spmv`], ESC and the masked dot product in [`spmm`],
+//! tagged-sort elementwise merges in [`ewise`], sort-based
 //! transpose/build, `apply` and the reductions in [`ops`], compaction-based
 //! `select` in [`select`]. The charges are arithmetic over the operands
 //! and the result's size, so results equal seq's bit for bit by
 //! construction, and host time is seq's plus that arithmetic.
 //!
-//! Two exceptions: ELL and HYB SpMV ([`ell`]) walk their own storage
-//! formats, which seq has no kernel for; and operations the original
-//! backend never ported run as host fallbacks with the device↔host
-//! round-trip charged ([`fallback`]).
+//! The one exception: operations the original backend never ported run as
+//! host fallbacks with the device↔host round-trip charged ([`fallback`]).
 
-pub mod ell;
 pub mod ewise;
 pub mod fallback;
 pub mod ops;
@@ -26,7 +24,6 @@ pub mod spmm;
 pub mod spmv;
 mod util;
 
-pub use ell::{mxv_ell, mxv_hyb};
 pub use ewise::{ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec};
 pub use fallback::{assign_mat, assign_vec, extract_mat, extract_vec};
 pub use ops::{

@@ -1,7 +1,7 @@
 //! Sparse matrix–vector kernels over CSR.
 //!
-//! Two CSR SpMV kernels, matching the classic CUDA pair the paper's backend
-//! chooses between (experiment R-A1):
+//! Four pull kernels, the CUSP formats the paper's backend chooses between
+//! (experiment R-A1), all charged over the one CSR operand:
 //!
 //! * **scalar** — one thread per row. Lane `l` of a warp walks row `r+l`;
 //!   at each step the 32 lanes load from 32 *different* rows, so the column
@@ -11,6 +11,11 @@
 //!   entries of one row per step (coalesced), then combine with a warp
 //!   shuffle reduction. Wins on skewed/heavy rows, wastes lanes on rows
 //!   shorter than a warp.
+//! * **ELL** — one thread per row over every row padded to the longest,
+//!   stored column-major (slot `k` of row `r` at `k·nrows + r`): a warp's
+//!   slot loads coalesce perfectly, but every row pays every slot.
+//! * **HYB** — ELL over each row's first entries up to CUSP's width, the
+//!   rest through an atomic COO kernel.
 //!
 //! Plus the push-direction [`vxm`]: frontier expansion by gather → sort →
 //! reduce-by-key, the CUSP formulation of the BFS/SSSP step.
@@ -19,17 +24,19 @@
 //! row is the sequential [`RowFold`], push is the sequential `vxm`, and
 //! what the device would do is charged in closed form and added to the
 //! device once per launch. Push is charged per pipeline stage. A pull
-//! kernel is charged from its `SpmvProfile` (ADR 0006): what each row
-//! (vector) or each wholly kept, fully walked warp (scalar) costs, built
-//! once per matrix structure and kept in a bounded [`SpmvProfiles`] memo;
-//! only a scalar warp the mask or an early exit cut short is tallied warp
-//! step by warp step. The ELL and HYB kernels are in [`crate::ell`].
+//! kernel is charged from its `SpmvProfile` (ADRs 0006, 0007): what each
+//! row (vector) or each wholly kept warp (scalar: fully walked; ELL and
+//! HYB walk every slot whatever the fold did) costs, and HYB's overflow
+//! launch, built once per matrix structure and kept in a bounded
+//! [`SpmvProfiles`] memo; only a thread-per-row warp the mask cut short, or
+//! a scalar one an early exit did, is tallied warp step by warp step.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use gbtl_algebra::{Scalar, Semiring};
 use gbtl_backend_seq::RowFold;
-use gbtl_gpu_sim::{primitives as prim, Coalescer, Gpu, GpuConfig, KernelTally};
+use gbtl_gpu_sim::{primitives as prim, Coalescer, Gpu, KernelTally};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::sync::lock;
 
@@ -45,14 +52,19 @@ const STEP_INSTRS: u64 = 5;
 /// room for a second graph.
 const PROFILES_KEPT: usize = 8;
 
-/// CSR SpMV kernel selection.
+/// Pull SpMV kernel selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpmvKernel {
     /// Thread-per-row.
     Scalar,
     /// Warp-per-row.
     Vector,
-    /// Pick by average degree (≥ 6 nnz/row → vector), the CUSP heuristic.
+    /// Thread-per-row over ELLPACK slots: every row padded to the longest.
+    Ell,
+    /// ELL up to CUSP's width, the overflow through an atomic COO kernel.
+    Hyb,
+    /// Pick by average degree (≥ 6 nnz/row → vector, else scalar), the
+    /// CUSP heuristic.
     #[default]
     Auto,
 }
@@ -68,6 +80,23 @@ impl SpmvKernel {
                 }
             }
             k => k,
+        }
+    }
+
+    /// The slots per row an ELL-shaped kernel walks over `a`: the longest
+    /// row for ELL; for HYB, CUSP's width — the degree at rank ⌊2n/3⌋ of
+    /// the sorted row degrees, at least 1 — capped at the longest row.
+    /// `None` for the CSR kernels.
+    pub fn ell_width<D1: Scalar>(self, a: &CsrMatrix<D1>) -> Option<usize> {
+        let longest = a.max_row_nnz();
+        match self {
+            SpmvKernel::Hyb if longest > 0 => {
+                let mut degrees: Vec<usize> = a.row_ptr().windows(2).map(|p| p[1] - p[0]).collect();
+                let rank = 2 * degrees.len() / 3;
+                Some((*degrees.select_nth_unstable(rank).1).clamp(1, longest))
+            }
+            SpmvKernel::Ell | SpmvKernel::Hyb => Some(longest),
+            _ => None,
         }
     }
 }
@@ -90,9 +119,16 @@ struct ProfileKey {
 /// the row folds say which rows ran and how far.
 #[derive(Debug)]
 enum SpmvProfile {
-    /// Per warp in launch order: its `(instructions, transactions)` when
-    /// the mask keeps every row of it and every row is walked to its end.
-    Scalar(Vec<(u64, u64)>),
+    /// A thread-per-row kernel: per warp in launch order, its
+    /// `(instructions, transactions)` when the mask keeps every row of it
+    /// and, for the scalar kernel, every row is walked to its end. `ell` is
+    /// ELL's and HYB's slot width, `overflow` HYB's COO launch as `(blocks,
+    /// tally)`, when any row overflows.
+    Warps {
+        warps: Vec<(u64, u64)>,
+        ell: Option<usize>,
+        overflow: Option<(usize, KernelTally)>,
+    },
     /// The transactions of row `r` walked `k` warp-wide strides, for `k` in
     /// `1..=⌈len/warp⌉`, at [`stride_slot`]`(r) + k - 1`: its [`row_base`]
     /// and the strides. Row `r`'s slots end where row `r + 1`'s begin: there
@@ -104,8 +140,8 @@ enum SpmvProfile {
 impl SpmvProfile {
     /// The profile of `key` over `a`, tallied by the arithmetic the kernels
     /// charge a row or a warp with.
-    fn build<D1: Scalar>(config: &GpuConfig, a: &CsrMatrix<D1>, key: &ProfileKey) -> Self {
-        let c = Coalescer::new(config);
+    fn build<D1: Scalar>(gpu: &Gpu, a: &CsrMatrix<D1>, key: &ProfileKey) -> Self {
+        let c = Coalescer::new(gpu.config());
         let (row_ptr, col_idx, ws) = (a.row_ptr(), a.col_idx(), key.warp_size);
         let mut scratch = Vec::new();
         match key.kernel {
@@ -124,7 +160,9 @@ impl SpmvProfile {
                 }
                 SpmvProfile::Vector(txns)
             }
-            _ => {
+            kernel => {
+                let ell = kernel.ell_width(a);
+                let lanes_of = RowLanes { c, key, a, ell };
                 let n = a.nrows();
                 let mut warps = Vec::with_capacity(n.div_ceil(ws));
                 let mut lanes = Vec::with_capacity(ws);
@@ -134,27 +172,57 @@ impl SpmvProfile {
                         let rows = first..(first + ws).min(block_end);
                         let mut kept = KeptRows::new();
                         lanes.clear();
-                        for r in rows {
+                        for r in rows.clone() {
                             kept.add(&c, key.u_sz, r);
                             let len = a.row_nnz(r);
                             if len > 0 {
                                 lanes.push((row_ptr[r], len));
                             }
                         }
-                        warps.push(scalar_warp(
-                            &c,
-                            key,
-                            col_idx,
-                            &kept,
-                            &mut lanes,
-                            &mut scratch,
-                        ));
+                        let charge =
+                            lanes_of.charge(&kept, rows, |_| true, &mut lanes, &mut scratch);
+                        warps.push(charge);
                     }
                 }
-                SpmvProfile::Scalar(warps)
+                let overflow = ell
+                    .filter(|_| kernel == SpmvKernel::Hyb)
+                    .and_then(|width| coo_overflow(gpu, a, key, width));
+                SpmvProfile::Warps {
+                    warps,
+                    ell,
+                    overflow,
+                }
             }
         }
     }
+}
+
+/// HYB's COO launch over the entries past slot `width` of each row, in row
+/// order, as `(blocks, tally)`: the triples streamed, the `u` gather at
+/// their columns and one atomic combine each, whatever the mask keeps.
+/// `None` when no row overflows.
+fn coo_overflow<D1: Scalar>(
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    key: &ProfileKey,
+    width: usize,
+) -> Option<(usize, KernelTally)> {
+    let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
+    let tail = |r: usize| (row_ptr[r] + width).min(row_ptr[r + 1])..row_ptr[r + 1];
+    let n: usize = (0..a.nrows()).map(|r| tail(r).len()).sum();
+    if n == 0 {
+        return None;
+    }
+    let cols = (0..a.nrows()).flat_map(|r| &col_idx[tail(r)]);
+    let config = gpu.config();
+    let txn = config.mem_transaction_bytes as u64;
+    let tally = KernelTally {
+        warp_instructions: 3 * (n as u64).div_ceil(config.warp_size as u64),
+        mem_transactions: (n as u64 * (16 + key.val_sz as u64)).div_ceil(txn)
+            + prim::gather_cost(gpu, cols, key.u_sz),
+        atomic_ops: n as u64,
+    };
+    Some((n.div_ceil(BLOCK_DIM).max(1), tally))
 }
 
 /// Where row `r`'s strides start in a vector profile: `r + ⌊row_ptr[r] /
@@ -243,31 +311,47 @@ where
         warp_size: config.warp_size,
         txn_bytes: config.mem_transaction_bytes,
     };
-    let profile = profiles.get(key, || SpmvProfile::build(config, a, &key));
+    let profile = profiles.get(key, || SpmvProfile::build(gpu, a, &key));
     let c = Coalescer::new(config);
     let mut out: Vec<Option<T>> = vec![None; a.nrows()];
-    let (name, tally) = match &*profile {
-        SpmvProfile::Scalar(warps) => (
-            "spmv_csr_scalar",
-            spmv_scalar(&c, &key, warps, &fold, &mut out),
-        ),
-        SpmvProfile::Vector(txns) => (
-            "spmv_csr_vector",
-            spmv_vector(&c, &key, txns, &fold, &mut out),
-        ),
-    };
-    gpu.charge_kernel(name, a.nrows().div_ceil(BLOCK_DIM).max(1), tally);
+    let blocks = a.nrows().div_ceil(BLOCK_DIM).max(1);
+    match &*profile {
+        SpmvProfile::Warps {
+            warps,
+            ell,
+            overflow,
+        } => {
+            let name = match ell {
+                None => "spmv_csr_scalar",
+                Some(_) => "spmv_ell",
+            };
+            let lanes_of = RowLanes {
+                c,
+                key: &key,
+                a,
+                ell: *ell,
+            };
+            let tally = spmv_warps(&lanes_of, warps, &fold, &mut out);
+            gpu.charge_kernel(name, blocks, tally);
+            if let Some((blocks, tally)) = overflow {
+                gpu.charge_kernel("spmv_coo_overflow", *blocks, *tally);
+            }
+        }
+        SpmvProfile::Vector(txns) => {
+            let tally = spmv_vector(&c, &key, txns, &fold, &mut out);
+            gpu.charge_kernel("spmv_csr_vector", blocks, tally);
+        }
+    }
     DenseVector::from_options(out)
 }
 
-/// The thread-per-row kernel: fold the rows into `out` and return what the
-/// device is charged. A warp whose rows the mask all keeps and whose folds
-/// all ran to the row's end is charged its profile entry `warps[w]`; any
-/// other warp is tallied by [`scalar_warp`] over the rows it kept and the
-/// walks they made.
-fn spmv_scalar<T, D1, S>(
-    c: &Coalescer,
-    key: &ProfileKey,
+/// The thread-per-row kernels: fold the rows into `out` and return what
+/// the device is charged. A warp whose rows the mask all keeps — and, for
+/// the scalar kernel, whose folds all ran to the row's end — is charged its
+/// profile entry `warps[w]`; any other warp is tallied by
+/// [`RowLanes::charge`] over the rows it kept and the walks they made.
+fn spmv_warps<T, D1, S>(
+    lanes_of: &RowLanes<'_, D1>,
     warps: &[(u64, u64)],
     fold: &RowFold<'_, T, D1, S>,
     out: &mut [Option<T>],
@@ -277,7 +361,8 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let (row_ptr, col_idx) = (fold.matrix().row_ptr(), fold.matrix().col_idx());
+    let (c, key) = (&lanes_of.c, lanes_of.key);
+    let (row_ptr, ell) = (lanes_of.a.row_ptr(), lanes_of.ell.is_some());
     let (mut instrs, mut txns) = (0u64, 0u64);
     // The live lanes' first entry and walk length, in row order, and the
     // segments of one warp-step's `u` gather (the only unsorted loads).
@@ -291,7 +376,7 @@ where
             let mut kept = KeptRows::new();
             let mut whole = true;
             lanes.clear();
-            for r in rows {
+            for r in rows.clone() {
                 if !fold.keeps(r) {
                     whole = false;
                     continue;
@@ -304,10 +389,11 @@ where
                     lanes.push((row_ptr[r], consumed));
                 }
             }
-            let (i, t) = if whole {
+            // ELL's profile entry holds however far the folds walked
+            let (i, t) = if whole || ell && kept.rows == rows.len() as u64 {
                 *whole_warp
             } else {
-                scalar_warp(c, key, col_idx, &kept, &mut lanes, &mut segs)
+                lanes_of.charge(&kept, rows, |r| fold.keeps(r), &mut lanes, &mut segs)
             };
             instrs += i;
             txns += t;
@@ -320,6 +406,73 @@ where
     }
 }
 
+/// What a thread-per-row warp over one matrix is charged: the scalar
+/// kernel walks a kept row as far as its fold went; ELL, at `ell` = its
+/// slot width, walks every slot of every kept row whatever the fold did.
+struct RowLanes<'a, D1> {
+    c: Coalescer,
+    key: &'a ProfileKey,
+    a: &'a CsrMatrix<D1>,
+    ell: Option<usize>,
+}
+
+impl<D1: Scalar> RowLanes<'_, D1> {
+    /// The warp over `rows`, of which `keeps` says which the mask keeps
+    /// (`kept`) and `lanes` the `(first entry, walk length)` of those whose
+    /// walk is not empty, as `(instructions, transactions)`.
+    #[inline(always)]
+    fn charge(
+        &self,
+        kept: &KeptRows,
+        rows: Range<usize>,
+        keeps: impl Fn(usize) -> bool,
+        lanes: &mut Vec<(usize, usize)>,
+        segs: &mut Vec<u64>,
+    ) -> (u64, u64) {
+        match self.ell {
+            None => scalar_warp(&self.c, self.key, self.a.col_idx(), kept, lanes, segs),
+            Some(width) => self.ell_warp(width, kept, rows, keeps, segs),
+        }
+    }
+
+    /// One ELL warp: per slot `k < width`, the column and value loads at
+    /// column-major position `k·nrows + r` of every kept row, pad or not,
+    /// the `u` gather at the filled slots' columns and two ALU
+    /// instructions; then one result store over the kept rows.
+    fn ell_warp(
+        &self,
+        width: usize,
+        kept: &KeptRows,
+        rows: Range<usize>,
+        keeps: impl Fn(usize) -> bool,
+        segs: &mut Vec<u64>,
+    ) -> (u64, u64) {
+        if kept.rows == 0 {
+            return (0, 0);
+        }
+        let (c, key, nrows) = (&self.c, self.key, self.a.nrows());
+        let (row_ptr, col_idx) = (self.a.row_ptr(), self.a.col_idx());
+        let (mut instrs, mut txns) = (1 + 4 * width as u64, kept.out_segs);
+        for k in 0..width {
+            let (mut last_idx, mut last_val) = (u64::MAX, u64::MAX);
+            segs.clear();
+            for r in rows.clone().filter(|&r| keeps(r)) {
+                let p = k * nrows + r;
+                txns += changes(c.segment_of(8, p), &mut last_idx)
+                    + changes(c.segment_of(key.val_sz, p), &mut last_val);
+                if row_ptr[r] + k < row_ptr[r + 1] {
+                    segs.push(c.segment_of(key.u_sz, col_idx[row_ptr[r] + k]));
+                }
+            }
+            if !segs.is_empty() {
+                instrs += 1;
+                txns += Coalescer::count_distinct(segs);
+            }
+        }
+        (instrs, txns)
+    }
+}
+
 /// A change of segment from lane to lane, `prev` starting at none.
 #[inline(always)]
 fn changes(seg: u64, prev: &mut u64) -> u64 {
@@ -328,8 +481,9 @@ fn changes(seg: u64, prev: &mut u64) -> u64 {
     changed
 }
 
-/// The rows of one scalar warp the mask keeps, counted as they arrive in
-/// ascending order with the row-pointer and result segments they touch.
+/// The rows of one thread-per-row warp the mask keeps, counted as they
+/// arrive in ascending order with the row-pointer and result segments they
+/// touch.
 struct KeptRows {
     rows: u64,
     ptr_segs: u64,
@@ -575,32 +729,91 @@ mod tests {
         d
     }
 
+    const KERNELS: [SpmvKernel; 4] = [
+        SpmvKernel::Scalar,
+        SpmvKernel::Vector,
+        SpmvKernel::Ell,
+        SpmvKernel::Hyb,
+    ];
+
     #[test]
-    fn scalar_and_vector_kernels_agree_with_seq() {
+    fn every_kernel_agrees_with_seq() {
         let gpu = Gpu::default();
         let a = adj();
         let u = dense(&[1, 10, 100, 1000]);
         let expected = gbtl_backend_seq::mxv(&a, &u, PlusTimes::<i64>::new(), None);
-        let s = mxv(
-            &gpu,
-            &a,
-            &u,
-            PlusTimes::<i64>::new(),
-            None,
-            SpmvKernel::Scalar,
-            &SpmvProfiles::new(),
+        for kernel in KERNELS {
+            let got = mxv(
+                &gpu,
+                &a,
+                &u,
+                PlusTimes::<i64>::new(),
+                None,
+                kernel,
+                &SpmvProfiles::new(),
+            );
+            assert_eq!(got, expected, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn ell_widths() {
+        // degrees 2, 1, 2, 3: the longest is 3, rank ⌊8/3⌋ = 2 of 1 2 2 3 is 2
+        let a = adj();
+        assert_eq!(SpmvKernel::Ell.ell_width(&a), Some(3));
+        assert_eq!(SpmvKernel::Hyb.ell_width(&a), Some(2));
+        assert_eq!(SpmvKernel::Vector.ell_width(&a), None);
+        // mostly empty rows: HYB keeps at least one slot
+        let mut coo = CooMatrix::new(6, 6);
+        coo.push(0, 1, 1i64);
+        coo.push(0, 2, 1);
+        let sparse = CsrMatrix::from_coo(coo, |a, _| a);
+        assert_eq!(SpmvKernel::Hyb.ell_width(&sparse), Some(1));
+        let empty = CsrMatrix::<i64>::new(3, 3);
+        assert_eq!(SpmvKernel::Hyb.ell_width(&empty), Some(0));
+        assert_eq!(SpmvKernel::Ell.ell_width(&empty), Some(0));
+    }
+
+    #[test]
+    fn ell_pays_for_padding_and_hyb_overflows_through_atomics() {
+        // One heavy row forces every ELL row to 512 slots; HYB keeps one
+        // slot and sends the heavy row's tail through the COO kernel.
+        let mut coo = CooMatrix::new(64, 512);
+        for j in 0..512 {
+            coo.push(0, j, 1i64);
+        }
+        for r in 1..64 {
+            coo.push(r, r, 1i64);
+        }
+        let a = CsrMatrix::from_coo(coo, |a, _| a);
+        let u = DenseVector::filled(512, 1i64);
+        let profiles = SpmvProfiles::new();
+        let stats = |kernel| {
+            let gpu = Gpu::default();
+            let _ = mxv(
+                &gpu,
+                &a,
+                &u,
+                PlusTimes::<i64>::new(),
+                None,
+                kernel,
+                &profiles,
+            );
+            gpu.stats()
+        };
+        let (ell, vector, hyb) = (
+            stats(SpmvKernel::Ell),
+            stats(SpmvKernel::Vector),
+            stats(SpmvKernel::Hyb),
         );
-        let v = mxv(
-            &gpu,
-            &a,
-            &u,
-            PlusTimes::<i64>::new(),
-            None,
-            SpmvKernel::Vector,
-            &SpmvProfiles::new(),
+        assert!(
+            ell.warp_instructions > 3 * vector.warp_instructions,
+            "ELL should burn many more instructions on skew: {} vs {}",
+            ell.warp_instructions,
+            vector.warp_instructions
         );
-        assert_eq!(s, expected);
-        assert_eq!(v, expected);
+        assert_eq!((ell.kernels_launched, ell.atomic_ops), (1, 0));
+        assert_eq!((hyb.kernels_launched, hyb.atomic_ops), (2, 511));
     }
 
     #[test]

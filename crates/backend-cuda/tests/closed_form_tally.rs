@@ -1,17 +1,20 @@
-//! The closed-form charges of the CSR SpMV kernels and of push `vxm` equal
-//! the per-lane narration they replaced, launch for launch.
+//! The closed-form charges of the four pull SpMV kernels (CSR scalar and
+//! vector, ELL, HYB) and of push `vxm` equal the per-lane narration they
+//! replaced, launch for launch.
 //!
 //! The reference kernels below are that narration, kept here only: each
 //! warp-step of the device kernel told to a `BlockCtx` as the lane indices
-//! it loads (`warp_read`, `warp_read_run`, `block_reduce`), and push built
-//! as the candidate arrays, a sort and a reduce-by-key. Every device run
-//! keeps its kernel log, and the two logs — kernel name, blocks and
-//! `KernelTally` of every launch — must be equal, as must the results.
+//! it loads (`warp_read`, `warp_read_run`, `block_reduce`), ELL's slots at
+//! their column-major positions with HYB's overflow as COO triples, and
+//! push built as the candidate arrays, a sort and a reduce-by-key. Every
+//! device run keeps its kernel log, and the two logs — kernel name, blocks
+//! and `KernelTally` of every launch — must be equal, as must the results.
 //!
 //! Pull is charged from a profile built on a structure's first use: each
 //! matrix here is pulled many times through one `SpmvProfiles` memo — every
-//! operand presence, mask, kernel and device — so all but the first call of
-//! each (kernel, device) are charged from a profile another call built.
+//! operand presence, mask and kernel on one device after another — so all
+//! but the first call of each (kernel, device) are charged from a profile
+//! another call built.
 
 use gbtl_algebra::{BinaryOp, LorLand, MinPlus, PlusTimes, Scalar, Semiring};
 use gbtl_backend_cuda::{mxv, vxm, SpmvKernel, SpmvProfiles};
@@ -122,6 +125,125 @@ where
             ctx.warp_write(u_sz, &[r]);
         }
     });
+    out
+}
+
+/// The ELL kernel over each row's first `width` entries, narrated slot by
+/// slot: lane `r` of a warp loads slot `k` of row `r` at column-major
+/// position `k·nrows + r` — a pad slot where the row is shorter, whose
+/// column and value are loaded but no `u` — and folds the slot's product
+/// into its row in slot order.
+fn reference_ell<T, D1, S>(
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+    width: usize,
+) -> Vec<Option<T>>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let (nrows, uvals) = (a.nrows(), u.options());
+    let val_sz = std::mem::size_of::<D1>();
+    let u_sz = std::mem::size_of::<Option<T>>();
+    let mut out = vec![None; nrows];
+    gpu.launch_chunks("spmv_ell", &mut out, BLOCK_DIM, |b, slice, ctx| {
+        let row0 = b * BLOCK_DIM;
+        let ws = ctx.warp_size();
+        for warp_start in (0..slice.len()).step_by(ws) {
+            let warp_end = (warp_start + ws).min(slice.len());
+            let rows: Vec<usize> = (row0 + warp_start..row0 + warp_end)
+                .filter(|&r| mask.is_none_or(|keep| keep.keeps(r)))
+                .collect();
+            if rows.is_empty() {
+                continue;
+            }
+            for k in 0..width {
+                let positions: Vec<usize> = rows.iter().map(|&r| k * nrows + r).collect();
+                ctx.warp_read(8, &positions);
+                ctx.warp_read(val_sz, &positions);
+                let mut xcols = vec![];
+                for &r in &rows {
+                    let (cols, vals) = a.row(r);
+                    if k < cols.len() {
+                        xcols.push(cols[k]);
+                        if let Some(uj) = uvals[cols[k]] {
+                            let term = mul.apply(vals[k], uj);
+                            let acc = &mut slice[r - row0];
+                            *acc = Some(acc.map_or(term, |v| add.apply(v, term)));
+                        }
+                    }
+                }
+                if !xcols.is_empty() {
+                    ctx.warp_read(u_sz, &xcols);
+                }
+                ctx.instr(2);
+            }
+            ctx.warp_write(u_sz, &rows);
+        }
+    });
+    out
+}
+
+/// HYB, narrated: [`reference_ell`] over each row's first `w` entries — `w`
+/// the degree at two thirds of the sorted rows, at least 1 — then the rest
+/// as COO triples in row order, folded after the ELL part and charged as
+/// one atomic kernel whatever the mask keeps.
+fn reference_hyb<T, D1, S>(
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+) -> Vec<Option<T>>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let mut degrees: Vec<usize> = (0..a.nrows()).map(|r| a.row_nnz(r)).collect();
+    degrees.sort_unstable();
+    let w = match a.nnz() {
+        0 => 0,
+        _ => degrees[2 * a.nrows() / 3].max(1),
+    };
+    let width = degrees.last().map_or(0, |&d| d.min(w));
+    let mut out = reference_ell(gpu, a, u, sr, mask, width);
+    let mut cols = vec![];
+    for (r, slot) in out.iter_mut().enumerate() {
+        let kept = mask.is_none_or(|keep| keep.keeps(r));
+        let (rc, rv) = a.row(r);
+        for (&j, &v) in rc.iter().zip(rv).skip(w) {
+            cols.push(j);
+            match u.get(j) {
+                Some(uj) if kept => {
+                    let term = mul.apply(v, uj);
+                    *slot = Some(slot.map_or(term, |acc| add.apply(acc, term)));
+                }
+                _ => {}
+            }
+        }
+    }
+    let n = cols.len();
+    if n > 0 {
+        let txn = gpu.config().mem_transaction_bytes as u64;
+        let val_sz = std::mem::size_of::<D1>() as u64;
+        gpu.charge_kernel(
+            "spmv_coo_overflow",
+            n.div_ceil(BLOCK_DIM).max(1),
+            KernelTally {
+                warp_instructions: 3 * (n as u64).div_ceil(gpu.config().warp_size as u64),
+                mem_transactions: (n as u64 * (16 + val_sz)).div_ceil(txn)
+                    + prim::gather_cost(gpu, &cols, std::mem::size_of::<Option<T>>()),
+                atomic_ops: n as u64,
+            },
+        );
+    }
     out
 }
 
@@ -285,10 +407,41 @@ fn row_mask(rng: &mut Rng, m: usize) -> DenseVector<bool> {
     DenseVector::from_options(mask)
 }
 
-/// Pull and push over `rounds` random matrices, on every config, unmasked,
-/// masked and under the complemented mask. Each matrix is pulled at every
-/// presence of `u` through one profile memo; push takes one presence a
-/// round.
+/// Every pull kernel, with its reference narration.
+const KERNELS: [SpmvKernel; 4] = [
+    SpmvKernel::Scalar,
+    SpmvKernel::Vector,
+    SpmvKernel::Ell,
+    SpmvKernel::Hyb,
+];
+
+/// `kernel`'s reference narration of `w = A ⊕.⊗ u` on `gpu`.
+fn reference<T, D1, S>(
+    kernel: SpmvKernel,
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+) -> Vec<Option<T>>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    match kernel {
+        SpmvKernel::Scalar => reference_scalar(gpu, a, u, sr, mask),
+        SpmvKernel::Vector => reference_vector(gpu, a, u, sr, mask),
+        SpmvKernel::Ell => reference_ell(gpu, a, u, sr, mask, a.max_row_nnz()),
+        _ => reference_hyb(gpu, a, u, sr, mask),
+    }
+}
+
+/// Pull and push over `rounds` random matrices — the first with no entries,
+/// the second with no rows — on every config, unmasked, masked and under
+/// the complemented mask. Each matrix is pulled at every presence of `u`
+/// by every kernel through one profile memo, one device after another;
+/// push takes one presence a round.
 fn check<T, D, S>(
     sr: S,
     rounds: usize,
@@ -303,24 +456,26 @@ fn check<T, D, S>(
     let mut rng = Rng(seed);
     for round in 0..rounds {
         let (m, n) = (1 + rng.below(700), 1 + rng.below(700));
-        let a = csr(&mut rng, m, n, &val);
+        let a = match round {
+            0 => CsrMatrix::new(m, n),
+            1 => CsrMatrix::new(0, n),
+            _ => csr(&mut rng, m, n, &val),
+        };
+        let m = a.nrows();
         let pull_mask = row_mask(&mut rng, m);
+        let operands = PRESENT.map(|present| operand(&mut rng, n, present, &uval));
         let profiles = SpmvProfiles::new();
-        for present in PRESENT {
-            let u = operand(&mut rng, n, present, &uval);
-            for config in configs() {
+        for config in configs() {
+            for (u, present) in operands.iter().zip(PRESENT) {
                 for masked in [None, Some(false), Some(true)] {
                     let pull = masked.map(|c| VecMask::new(&pull_mask, c));
-                    for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+                    for kernel in KERNELS {
                         let (got, want) = (
                             Gpu::with_trace(config.clone()),
                             Gpu::with_trace(config.clone()),
                         );
-                        let w = mxv(&got, &a, &u, sr, pull, kernel, &profiles);
-                        let reference = match kernel {
-                            SpmvKernel::Scalar => reference_scalar(&want, &a, &u, sr, pull),
-                            _ => reference_vector(&want, &a, &u, sr, pull),
-                        };
+                        let w = mxv(&got, &a, u, sr, pull, kernel, &profiles);
+                        let reference = reference(kernel, &want, &a, u, sr, pull);
                         assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
                         assert_eq!(
                             launches(&got),
@@ -331,8 +486,8 @@ fn check<T, D, S>(
                 }
             }
         }
-        // one profile per (kernel, device), each built once and reused
-        assert_eq!(profiles.held(), 2 * configs().len());
+        // one profile per (kernel, device), the memo bounded at eight
+        assert_eq!(profiles.held(), 8.min(KERNELS.len() * configs().len()));
 
         let present = PRESENT[round % PRESENT.len()];
         let frontier = operand(&mut rng, m, present, &uval).to_sparse();
@@ -395,7 +550,7 @@ fn the_memo_is_bounded_and_keyed_by_structure() {
     for round in 0..2 {
         for a in &mats {
             for b in [a, &mats[0]] {
-                for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+                for kernel in KERNELS {
                     assert_eq!(
                         charge(b, kernel, &shared),
                         charge(b, kernel, &SpmvProfiles::new()),

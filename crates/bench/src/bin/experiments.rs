@@ -585,7 +585,8 @@ fn f4_mxm_sweep() {
     }
 }
 
-/// R-A1: scalar vs vector CSR SpMV kernels, skewed vs uniform degrees.
+/// R-A1: the four pull SpMV kernels (CSR scalar and vector, ELL, HYB),
+/// skewed vs uniform degrees.
 fn a1_spmv_kernels() {
     print_title(
         "R-A1 (ablation): CSR scalar / CSR vector / ELL / HYB SpMV kernels",
@@ -615,7 +616,7 @@ fn a1_spmv_kernels() {
         ] {
             let af = typed(&a, 1.0f64);
             let u = Vector::filled(a.ncols(), 1.0f64);
-            let txns = |kernel: SpmvKernel| {
+            let stats = |kernel: SpmvKernel| {
                 let ctx = cuda_ctx().with_spmv_kernel(kernel);
                 let mut w = Vector::new(af.nrows());
                 ctx.mxv(
@@ -628,43 +629,34 @@ fn a1_spmv_kernels() {
                     &Descriptor::new(),
                 )
                 .unwrap();
-                ctx.gpu_stats().mem_transactions
+                ctx.gpu_stats()
             };
-            let s = txns(SpmvKernel::Scalar);
-            let v = txns(SpmvKernel::Vector);
-            // ELL through the backend directly (real systems pre-convert)
-            let ell = gbtl_sparse::EllMatrix::from_csr(af.csr(), 0.0f64);
-            let gpu = gbtl_gpu_sim::Gpu::new(gbtl_gpu_sim::GpuConfig::k40());
-            let _ = gbtl_backend_cuda::mxv_ell(
-                &gpu,
-                &ell,
-                &u.to_dense_repr(),
-                PlusTimes::<f64>::new(),
-                None,
-            );
-            let est = gpu.stats();
-            // HYB with the CUSP heuristic width
-            let hyb = gbtl_sparse::HybMatrix::from_csr(af.csr(), 0.0f64);
-            let gpu_h = gbtl_gpu_sim::Gpu::new(gbtl_gpu_sim::GpuConfig::k40());
-            let _ = gbtl_backend_cuda::mxv_hyb(
-                &gpu_h,
-                &hyb,
-                &u.to_dense_repr(),
-                PlusTimes::<f64>::new(),
-                None,
-            );
-            let hst = gpu_h.stats();
+            let [s, v, ell, hyb] = [
+                SpmvKernel::Scalar,
+                SpmvKernel::Vector,
+                SpmvKernel::Ell,
+                SpmvKernel::Hyb,
+            ]
+            .map(stats);
+            // ELL's padded slots and HYB's overflow entries, from row lengths
+            let csr = af.csr();
+            let nnz = csr.nnz() as f64;
+            let ell_slots = (csr.nrows() * SpmvKernel::Ell.ell_width(csr).unwrap_or(0)) as f64;
+            let hyb_width = SpmvKernel::Hyb.ell_width(csr).unwrap_or(0);
+            let overflow: usize = (0..csr.nrows())
+                .map(|r| csr.row_nnz(r).saturating_sub(hyb_width))
+                .sum();
             println!(
                 "{:<16} {:>9} {:>10} {:>12} {:>12} {:>12} {:>7.1}% {:>12} {:>7.1}%",
                 format!("{family}{scale}"),
                 a.nrows(),
                 a.nnz(),
-                s,
-                v,
-                est.mem_transactions,
-                ell.padding_ratio() * 100.0,
-                hst.mem_transactions + hst.atomic_ops * 4, // effective txns incl. atomic penalty
-                hyb.overflow_ratio() * 100.0
+                s.mem_transactions,
+                v.mem_transactions,
+                ell.mem_transactions,
+                (1.0 - nnz / ell_slots) * 100.0,
+                hyb.mem_transactions + hyb.atomic_ops * 4, // effective txns incl. atomic penalty
+                overflow as f64 / nnz * 100.0
             );
         }
     }

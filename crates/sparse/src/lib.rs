@@ -10,10 +10,9 @@
 //! Formats:
 //!
 //! * [`CooMatrix`] — coordinate triples; the build/interchange format.
-//! * [`CsrMatrix`] — compressed sparse row; the workhorse operand format.
-//! * [`EllMatrix`] — ELLPACK fixed-width rows; the coalescing-friendly GPU
-//!   format with padding overhead on skewed graphs.
-//! * [`HybMatrix`] — ELL + COO overflow (CUSP's default SpMV format).
+//! * [`CsrMatrix`] — compressed sparse row; the one operand format. The
+//!   GPU formats of experiment R-A1 (ELL, HYB) are charge profiles over it
+//!   in the cuda-sim backend, not containers (ADR 0007).
 //! * [`SparseVector`] — sorted coordinate list; frontier-style vectors.
 //! * [`DenseVector`] — bitmap + values; dense iterate-everything vectors.
 //!
@@ -22,16 +21,12 @@
 
 mod coo;
 mod csr;
-mod ell;
-mod hyb;
 pub mod mmio;
 pub mod snapshot;
 mod vector;
 
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use ell::{EllMatrix, ELL_PAD};
-pub use hyb::HybMatrix;
 pub use vector::{DenseVector, SparseVector, VecMask};
 
 /// Index type used across GBTL-RS. `usize` keeps slice indexing natural; the

@@ -27,9 +27,7 @@ use gbtl::backend_cuda as cuda;
 use gbtl::gpu_sim::{GpuStats, KernelRecord};
 use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
 use gbtl::prelude::*;
-use gbtl::sparse::{
-    CooMatrix, CsrMatrix, DenseVector, EllMatrix, HybMatrix, SparseVector, VecMask,
-};
+use gbtl::sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 
 fn ns(seconds: f64) -> u64 {
     (seconds * 1e9).round() as u64
@@ -220,22 +218,17 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
             cuda::mxv(be.gpu(), csr, &u, sr, mask, kernel, be.spmv_profiles());
         });
     }
-    let ell = EllMatrix::from_csr(csr, 0i64);
-    let hyb = HybMatrix::from_csr(csr, 0i64);
-    suite.step("mxv_ell", |ctx| {
-        cuda::mxv_ell(ctx.backend().gpu(), &ell, &u, sr, None);
-    });
-    suite.step("mxv_ell/masked", |ctx| {
-        let mask = Some(VecMask::from(&keep[..]));
-        cuda::mxv_ell(ctx.backend().gpu(), &ell, &u, sr, mask);
-    });
-    suite.step("mxv_hyb", |ctx| {
-        cuda::mxv_hyb(ctx.backend().gpu(), &hyb, &u, sr, None);
-    });
-    suite.step("mxv_hyb/masked", |ctx| {
-        let mask = Some(VecMask::from(&keep[..]));
-        cuda::mxv_hyb(ctx.backend().gpu(), &hyb, &u, sr, mask);
-    });
+    for (step, kernel) in [("mxv_ell", SpmvKernel::Ell), ("mxv_hyb", SpmvKernel::Hyb)] {
+        suite.step(step, |ctx| {
+            let be = ctx.backend();
+            cuda::mxv(be.gpu(), csr, &u, sr, None, kernel, be.spmv_profiles());
+        });
+        suite.step(&format!("{step}/masked"), |ctx| {
+            let mask = Some(VecMask::from(&keep[..]));
+            let be = ctx.backend();
+            cuda::mxv(be.gpu(), csr, &u, sr, mask, kernel, be.spmv_profiles());
+        });
+    }
     suite.finish()
 }
 
