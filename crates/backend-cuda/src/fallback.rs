@@ -1,114 +1,53 @@
-//! Host-fallback operations.
+//! The charges of the host fallbacks.
 //!
 //! Early GPU GraphBLAS backends (GBTL-CUDA included) did not port every
 //! operation; rarely-hot ones ran on the host, paying the device↔host
 //! round-trip. `extract` and `assign` follow that pattern here: the
-//! sequential algorithms do the work, and the device is charged the D2H +
-//! H2D traffic the round-trip would cost. This keeps the operation set
-//! complete while modelling the real penalty of leaving the device.
+//! sequential algorithms do the work, and the device is charged the D2H
+//! of the operand and the H2D of the result — the real penalty of leaving
+//! the device.
 
 use gbtl_algebra::Scalar;
 use gbtl_gpu_sim::Gpu;
-use gbtl_sparse::{CsrMatrix, DenseVector, Index};
+use gbtl_sparse::{CsrMatrix, DenseVector};
 
-fn charge_matrix_roundtrip<T: Scalar>(gpu: &Gpu, down: &CsrMatrix<T>, up: &CsrMatrix<T>) {
-    let bytes = |m: &CsrMatrix<T>| {
-        ((m.nrows() + 1 + m.nnz()) * 8 + m.nnz() * std::mem::size_of::<T>()) as u64
-    };
-    // d2h of the operand, h2d of the result — modeled via tiny buffers so
-    // the transfer *sizes* are right even though the data never moves.
-    gpu.charge_transfer_bytes(bytes(down), false);
-    gpu.charge_transfer_bytes(bytes(up), true);
+/// The bytes of a CSR matrix's three arrays.
+pub fn csr_bytes<T: Scalar>(m: &CsrMatrix<T>) -> u64 {
+    ((m.nrows() + 1 + m.nnz()) * 8 + m.nnz() * std::mem::size_of::<T>()) as u64
 }
 
-/// `C = A(rows, cols)` — host fallback.
-pub fn extract_mat<T>(gpu: &Gpu, a: &CsrMatrix<T>, rows: &[Index], cols: &[Index]) -> CsrMatrix<T>
-where
-    T: Scalar,
-{
-    let out = gbtl_backend_seq::extract_mat(a, rows, cols);
-    charge_matrix_roundtrip(gpu, a, &out);
-    out
+/// The bytes of a dense vector's `Option<T>` slots.
+fn dense_bytes<T: Scalar>(v: &DenseVector<T>) -> u64 {
+    (v.len() * std::mem::size_of::<Option<T>>()) as u64
 }
 
-/// `C(rows, cols) = A` — host fallback.
-pub fn assign_mat<T>(
-    gpu: &Gpu,
-    c: &CsrMatrix<T>,
-    a: &CsrMatrix<T>,
-    rows: &[Index],
-    cols: &[Index],
-) -> CsrMatrix<T>
-where
-    T: Scalar,
-{
-    let out = gbtl_backend_seq::assign_mat(c, a, rows, cols);
-    charge_matrix_roundtrip(gpu, c, &out);
-    out
+/// A matrix op on the host (`extract_mat`, `assign_mat`): `down` leaves
+/// the device, `up` returns.
+pub fn matrix_roundtrip<T: Scalar>(gpu: &Gpu, down: &CsrMatrix<T>, up: &CsrMatrix<T>) {
+    gpu.charge_transfer_bytes(csr_bytes(down), false);
+    gpu.charge_transfer_bytes(csr_bytes(up), true);
 }
 
-/// `w = u(indices)` — host fallback.
-pub fn extract_vec<T>(gpu: &Gpu, u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T>
-where
-    T: Scalar,
-{
-    let out = gbtl_backend_seq::extract_vec(u, indices);
-    gpu.charge_transfer_bytes((u.len() * std::mem::size_of::<Option<T>>()) as u64, false);
-    gpu.charge_transfer_bytes((out.len() * std::mem::size_of::<Option<T>>()) as u64, true);
-    out
-}
-
-/// `w(indices) = u` — host fallback.
-pub fn assign_vec<T>(
-    gpu: &Gpu,
-    w: &DenseVector<T>,
-    u: &DenseVector<T>,
-    indices: &[Index],
-) -> DenseVector<T>
-where
-    T: Scalar,
-{
-    let out = gbtl_backend_seq::assign_vec(w, u, indices);
-    gpu.charge_transfer_bytes((w.len() * std::mem::size_of::<Option<T>>()) as u64, false);
-    gpu.charge_transfer_bytes((out.len() * std::mem::size_of::<Option<T>>()) as u64, true);
-    out
+/// A vector op on the host (`extract_vec`, `assign_vec`): `down` leaves
+/// the device, `up` returns.
+pub fn vector_roundtrip<T: Scalar>(gpu: &Gpu, down: &DenseVector<T>, up: &DenseVector<T>) {
+    gpu.charge_transfer_bytes(dense_bytes(down), false);
+    gpu.charge_transfer_bytes(dense_bytes(up), true);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbtl_sparse::CooMatrix;
 
     #[test]
-    fn extract_matches_seq_and_charges_transfers() {
+    fn a_roundtrip_is_one_transfer_each_way() {
         let gpu = Gpu::default();
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 1i64);
-        coo.push(2, 2, 9);
-        let a = CsrMatrix::from_coo(coo, |x, _| x);
-        let got = extract_mat(&gpu, &a, &[0, 2], &[0, 2]);
-        assert_eq!(got, gbtl_backend_seq::extract_mat(&a, &[0, 2], &[0, 2]));
+        let (a, b) = (CsrMatrix::<i64>::new(3, 3), CsrMatrix::<i64>::new(1, 2));
+        matrix_roundtrip(&gpu, &a, &b);
         let s = gpu.stats();
-        assert_eq!(s.d2h_transfers, 1);
-        assert_eq!(s.h2d_transfers, 1);
-        assert!(s.bytes_d2h > 0 && s.bytes_h2d > 0);
-    }
-
-    #[test]
-    fn vector_fallbacks_match_seq() {
-        let gpu = Gpu::default();
-        let mut u = DenseVector::new(4);
-        u.set(1, 10i64);
-        u.set(3, 30);
-        assert_eq!(
-            extract_vec(&gpu, &u, &[3, 1]),
-            gbtl_backend_seq::extract_vec(&u, &[3, 1])
-        );
-        let mut patch = DenseVector::new(1);
-        patch.set(0, 99i64);
-        assert_eq!(
-            assign_vec(&gpu, &u, &patch, &[0]),
-            gbtl_backend_seq::assign_vec(&u, &patch, &[0])
-        );
+        assert_eq!((s.d2h_transfers, s.h2d_transfers), (1, 1));
+        assert_eq!((s.bytes_d2h, s.bytes_h2d), (32, 16));
+        vector_roundtrip(&gpu, &DenseVector::<i64>::new(4), &DenseVector::new(1));
+        assert_eq!(gpu.stats().bytes_d2h, 32 + 64);
     }
 }

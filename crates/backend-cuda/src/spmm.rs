@@ -1,5 +1,5 @@
-//! Sparse matrix–matrix multiply on the device. The product is the
-//! sequential backend's; the device is charged the pipeline GBTL-CUDA runs.
+//! The charges of sparse matrix–matrix multiply: the pipeline GBTL-CUDA
+//! runs for the product the sequential backend computes.
 //!
 //! * [`mxm`] — CUSP's **ESC** (expand, sort, compress) SpGEMM: expand every
 //!   `A(i,k)·B(k,:)` product into a candidate triple, radix-sort the
@@ -13,22 +13,20 @@
 //!   entry. This is the triangle-counting shape, where ESC's expansion
 //!   would materialise every wedge.
 
-use gbtl_algebra::{Scalar, Semiring};
+use gbtl_algebra::Scalar;
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
 use gbtl_sparse::CsrMatrix;
 
-use crate::ops::charge_transpose;
+use crate::ops::transpose;
 use crate::util::{charge_compress, charge_expand_row_ids};
 
-/// `C = A ⊕.⊗ B` by expand–sort–compress.
-pub fn mxm<T, D1, D2, S>(gpu: &Gpu, a: &CsrMatrix<D1>, b: &CsrMatrix<D2>, sr: S) -> CsrMatrix<T>
+/// `c = A ⊕.⊗ B` by expand–sort–compress.
+pub fn mxm<T, D1, D2>(gpu: &Gpu, a: &CsrMatrix<D1>, b: &CsrMatrix<D2>, c: &CsrMatrix<T>)
 where
     T: Scalar,
     D1: Scalar,
     D2: Scalar,
-    S: Semiring<T, D1, D2>,
 {
-    let c = gbtl_backend_seq::mxm(a, b, sr);
     let b_row_ptr = b.row_ptr();
 
     // --- Expand ---------------------------------------------------------
@@ -63,26 +61,23 @@ where
     prim::sort::charge_radix_sort::<u64, T>(gpu, total);
     prim::reduce::charge_reduce_by_key::<u64, T>(gpu, total, c.nnz());
     charge_compress(gpu, c.nrows(), c.nnz());
-    c
 }
 
 /// `C<M> = A ⊕.⊗ B` computed per mask entry by merging `A(i,:)` against
-/// `B(:,j)`, the latter a row of the device-transposed `B`.
-pub fn mxm_masked<T, D1, D2, S>(
+/// `B(:,j)`, the latter a row of the device-transposed `B`. Its result's
+/// entries are the mask's, so only its value type is charged.
+pub fn mxm_masked<T, D1, D2>(
     gpu: &Gpu,
     mask: &CsrMatrix<bool>,
     a: &CsrMatrix<D1>,
     b: &CsrMatrix<D2>,
-    sr: S,
-) -> CsrMatrix<T>
-where
+    _c: &CsrMatrix<T>,
+) where
     T: Scalar,
     D1: Scalar,
     D2: Scalar,
-    S: Semiring<T, D1, D2>,
 {
-    let c = gbtl_backend_seq::mxm_masked(mask, a, b, sr);
-    charge_transpose(gpu, b);
+    transpose(gpu, b);
     charge_expand_row_ids(gpu, mask.nrows(), mask.nnz());
 
     // One warp per mask entry `(i, j)` streams `A(i,:)` and `B(:,j)` once
@@ -117,96 +112,39 @@ where
             atomic_ops: 0,
         },
     );
-    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbtl_algebra::{MinPlus, PlusTimes};
     use gbtl_sparse::CooMatrix;
-
-    fn mat(entries: &[(usize, usize, i64)], m: usize, n: usize) -> CsrMatrix<i64> {
-        let mut coo = CooMatrix::new(m, n);
-        for &(i, j, v) in entries {
-            coo.push(i, j, v);
-        }
-        CsrMatrix::from_coo(coo, |a, _| a)
-    }
-
-    #[test]
-    fn esc_matches_gustavson() {
-        let gpu = Gpu::default();
-        let a = mat(&[(0, 0, 1), (0, 1, 2), (1, 2, 3)], 2, 3);
-        let b = mat(&[(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 2)], 3, 2);
-        let expected = gbtl_backend_seq::mxm(&a, &b, PlusTimes::<i64>::new());
-        let got = mxm(&gpu, &a, &b, PlusTimes::<i64>::new());
-        assert_eq!(got, expected);
-        got.validate().unwrap();
-    }
-
-    #[test]
-    fn esc_with_min_plus() {
-        let gpu = Gpu::default();
-        let a = mat(&[(0, 1, 5), (1, 2, 7), (0, 2, 100)], 3, 3);
-        let expected = gbtl_backend_seq::mxm(&a, &a, MinPlus::<i64>::new());
-        let got = mxm(&gpu, &a, &a, MinPlus::<i64>::new());
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn esc_empty_operands() {
-        let gpu = Gpu::default();
-        let a = CsrMatrix::<i64>::new(3, 3);
-        let got = mxm(&gpu, &a, &a, PlusTimes::<i64>::new());
-        assert_eq!(got.nnz(), 0);
-        assert_eq!((got.nrows(), got.ncols()), (3, 3));
-    }
-
-    #[test]
-    fn masked_dot_matches_seq_masked() {
-        let gpu = Gpu::default();
-        let a = mat(
-            &[
-                (0, 0, 1),
-                (0, 1, 2),
-                (1, 0, 3),
-                (1, 2, 4),
-                (2, 1, 5),
-                (2, 2, 6),
-            ],
-            3,
-            3,
-        );
-        let b = mat(&[(0, 0, 7), (1, 1, 8), (1, 2, 1), (2, 0, 9)], 3, 3);
-        let mut mcoo = CooMatrix::new(3, 3);
-        for &(i, j) in &[(0, 0), (0, 2), (1, 0), (2, 1), (2, 2)] {
-            mcoo.push(i, j, true);
-        }
-        let mask = CsrMatrix::from_coo(mcoo, |x, _| x);
-
-        let expected = gbtl_backend_seq::mxm_masked(&mask, &a, &b, PlusTimes::<i64>::new());
-        let got = mxm_masked(&gpu, &mask, &a, &b, PlusTimes::<i64>::new());
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn masked_dot_empty_mask() {
-        let gpu = Gpu::default();
-        let a = mat(&[(0, 0, 1)], 2, 2);
-        let mask = CsrMatrix::<bool>::new(2, 2);
-        let got = mxm_masked(&gpu, &mask, &a, &a, PlusTimes::<i64>::new());
-        assert_eq!(got.nnz(), 0);
-    }
 
     #[test]
     fn esc_charges_expand_sort_compress_kernels() {
         let gpu = Gpu::default();
-        let a = mat(&[(0, 0, 1), (0, 1, 1), (1, 0, 1)], 2, 2);
-        let _ = mxm(&gpu, &a, &a, PlusTimes::<i64>::new());
+        let mut coo = CooMatrix::new(2, 2);
+        for (i, j) in [(0, 0), (0, 1), (1, 0)] {
+            coo.push(i, j, 1i64);
+        }
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let c = gbtl_backend_seq::mxm(&a, &a, gbtl_algebra::PlusTimes::<i64>::new());
+        mxm(&gpu, &a, &a, &c);
         let s = gpu.stats();
         // expand + 4 radix passes + reduce_by_key + compress pieces, at least
         assert!(s.kernels_launched >= 7, "launched {}", s.kernels_launched);
         assert!(s.mem_transactions > 0);
+    }
+
+    #[test]
+    fn an_empty_mask_is_charged_only_the_transpose() {
+        let (gpu, bare) = (Gpu::default(), Gpu::default());
+        let a = CsrMatrix::<i64>::new(2, 2);
+        mxm_masked(&gpu, &CsrMatrix::new(2, 2), &a, &a, &a);
+        transpose(&bare, &a);
+        // the transpose, the mask's row ids and one dot launch
+        assert_eq!(
+            gpu.stats().kernels_launched,
+            bare.stats().kernels_launched + 2
+        );
     }
 }

@@ -17,13 +17,14 @@
 //! * **HYB** — ELL over each row's first entries up to CUSP's width, the
 //!   rest through an atomic COO kernel.
 //!
-//! Plus the push-direction [`vxm`]: frontier expansion by gather → sort →
+//! Plus the charge of push, [`vxm`]: frontier expansion by gather → sort →
 //! reduce-by-key, the CUSP formulation of the BFS/SSSP step.
 //!
 //! None of them computes anything the sequential backend does not: a pull
-//! row is the sequential [`RowFold`], push is the sequential `vxm`, and
-//! what the device would do is charged in closed form and added to the
-//! device once per launch. Push is charged per pipeline stage. A pull
+//! row is the sequential [`RowFold`], push is the sequential `vxm` (the
+//! `Backend` default this file only charges), and what the device would do
+//! is charged in closed form and added to the device once per launch. Push
+//! is charged per pipeline stage. A pull
 //! kernel is charged from its `SpmvProfile` (ADRs 0006, 0007): what each
 //! row (vector) or each wholly kept warp (scalar: fully walked; ELL and
 //! HYB walk every slot whatever the fold did) costs, and HYB's overflow
@@ -626,28 +627,43 @@ where
     }
 }
 
+/// The device-side resolution of an `n`-entry vector mask into a keep
+/// bitmap, which the frontend's host-resolved mask stands in for.
+pub fn mask_resolve(gpu: &Gpu, n: usize) {
+    let txn = gpu.config().mem_transaction_bytes as u64;
+    gpu.charge_kernel(
+        "mask_resolve",
+        n.div_ceil(4096).max(1),
+        KernelTally {
+            warp_instructions: (n as u64).div_ceil(gpu.config().warp_size as u64),
+            mem_transactions: (2 * n as u64).div_ceil(txn),
+            atomic_ops: 0,
+        },
+    );
+}
+
 /// Push-direction product `w = uᵀ ⊕.⊗ A` for a sparse frontier `u` — the
 /// CUSP-style gather → sort → reduce-by-key pipeline, charged stage by
 /// stage from the frontier, its edge count, the candidates the mask keeps
-/// and the output's size.
+/// and the output's size, after the mask's [`mask_resolve`].
 ///
-/// The result is the sequential `vxm`'s. That is the pipeline's own: the
-/// stable sort keeps each destination's candidates in frontier-then-row
+/// The sequential `vxm` computes `w`, and it is the pipeline's own result:
+/// the stable sort keeps each destination's candidates in frontier-then-row
 /// order, and `reduce_by_key` folds each run in that order, seeded by its
 /// first term — the order the sequential accumulator folds in.
-pub fn vxm<T, D2, S>(
+pub fn vxm<T, D2>(
     gpu: &Gpu,
     u: &SparseVector<T>,
     a: &CsrMatrix<D2>,
-    sr: S,
     mask: Option<VecMask<'_>>,
-) -> SparseVector<T>
-where
+    w: &SparseVector<T>,
+) where
     T: Scalar,
     D2: Scalar,
-    S: Semiring<T, T, D2>,
 {
-    let w = gbtl_backend_seq::vxm(u, a, sr, mask);
+    if mask.is_some() {
+        mask_resolve(gpu, a.ncols());
+    }
     let row_ptr = a.row_ptr();
     let frontier = u.indices();
 
@@ -695,13 +711,12 @@ where
     //    run with the add monoid.
     prim::sort::charge_radix_sort::<usize, T>(gpu, kept);
     prim::reduce::charge_reduce_by_key::<usize, T>(gpu, kept, w.nnz());
-    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbtl_algebra::{MinPlus, PlusTimes};
+    use gbtl_algebra::PlusTimes;
     use gbtl_sparse::CooMatrix;
 
     fn adj() -> CsrMatrix<i64> {
@@ -838,41 +853,19 @@ mod tests {
     }
 
     #[test]
-    fn vxm_matches_seq_push() {
-        let gpu = Gpu::default();
-        let a = adj();
-        let mut u = SparseVector::new(4);
-        u.set(0, 0i64);
-        u.set(3, 5);
-        let expected = gbtl_backend_seq::vxm(&u, &a, MinPlus::<i64>::new(), None);
-        let got = vxm(&gpu, &u, &a, MinPlus::<i64>::new(), None);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn vxm_with_mask() {
-        let gpu = Gpu::default();
+    fn a_masked_push_resolves_the_mask_first() {
+        let gpu = Gpu::with_trace(Default::default());
         let a = adj();
         let mut u = SparseVector::new(4);
         u.set(3, 1i64);
         let keep = [false, true, false, false];
-        let got = vxm(
-            &gpu,
-            &u,
-            &a,
-            PlusTimes::<i64>::new(),
-            Some(VecMask::from(&keep[..])),
-        );
-        assert_eq!(got.iter().collect::<Vec<_>>(), vec![(1, 1)]);
-    }
-
-    #[test]
-    fn vxm_empty_frontier() {
-        let gpu = Gpu::default();
-        let a = adj();
-        let u = SparseVector::<i64>::new(4);
-        let got = vxm(&gpu, &u, &a, PlusTimes::<i64>::new(), None);
-        assert_eq!(got.nnz(), 0);
+        let mask = Some(VecMask::from(&keep[..]));
+        let w = gbtl_backend_seq::vxm(&u, &a, PlusTimes::<i64>::new(), mask);
+        assert_eq!(w.iter().collect::<Vec<_>>(), vec![(1, 1)]);
+        vxm(&gpu, &u, &a, mask, &w);
+        let log = gpu.stats().kernel_log;
+        assert_eq!(log[0].name, "mask_resolve");
+        assert!(log.iter().any(|k| k.name == "compact_flags"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! another call built.
 
 use gbtl_algebra::{BinaryOp, LorLand, MinPlus, PlusTimes, Scalar, Semiring};
-use gbtl_backend_cuda::{mxv, vxm, SpmvKernel, SpmvProfiles};
+use gbtl_backend_cuda::{charge, mxv, SpmvKernel, SpmvProfiles};
 use gbtl_backend_seq::row_dot;
 use gbtl_gpu_sim::{primitives as prim, Gpu, GpuConfig, KernelRecord, KernelTally};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
@@ -247,9 +247,9 @@ where
     out
 }
 
-/// Push as the pipeline it is charged as: stage the frontier's row
-/// extents, materialise every candidate, compact under a mask, sort by
-/// destination and reduce each run.
+/// Push as the pipeline it is charged as: resolve a mask, stage the
+/// frontier's row extents, materialise every candidate, compact under the
+/// mask, sort by destination and reduce each run.
 fn reference_vxm<T, D2, S>(
     gpu: &Gpu,
     u: &SparseVector<T>,
@@ -264,6 +264,9 @@ where
 {
     let (add, mul) = (sr.add(), sr.mul());
     let (row_ptr, frontier) = (a.row_ptr(), u.indices());
+    if mask.is_some() {
+        charge::mask_resolve(gpu, a.ncols());
+    }
     prim::gather::charge_gather::<usize>(gpu, frontier);
     prim::gather::charge_gather::<usize>(gpu, frontier.iter().map(|&i| i + 1));
     prim::map::charge_zip_transform::<usize, usize, usize>(gpu, frontier.len());
@@ -503,7 +506,8 @@ fn check<T, D, S>(
                     Gpu::with_trace(config.clone()),
                     Gpu::with_trace(config.clone()),
                 );
-                let w = vxm(&got, &frontier, &a, sr, push);
+                let w = gbtl_backend_seq::vxm(&frontier, &a, sr, push);
+                charge::vxm(&got, &frontier, &a, push, &w);
                 assert_eq!(
                     w,
                     reference_vxm(&want, &frontier, &a, sr, push),

@@ -11,7 +11,7 @@ use gbtl_gpu_sim::{Gpu, GpuConfig, GpuStats};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, Index, SparseVector, VecMask};
 
 pub use gbtl_backend_cuda::SpmvKernel;
-use gbtl_backend_cuda::SpmvProfiles;
+use gbtl_backend_cuda::{charge, SpmvProfiles};
 
 use crate::policy::{DirectionPolicy, LevelWork, Product};
 
@@ -27,9 +27,11 @@ use crate::policy::{DirectionPolicy, LevelWork, Product};
 /// into the output domain `T`. There is no pattern-only twin of any kernel.
 ///
 /// Only [`Backend::name`] is required. Every op's default body is the
-/// sequential reference kernel, so the defaults *are* the contract: a
-/// backend overrides the ops it has a faster (or a charged) kernel for and
-/// must return what the default would, bit for bit.
+/// sequential reference kernel followed by its device charge through
+/// [`Backend::charge`], so the defaults *are* the contract: a backend
+/// overrides the ops it has a faster kernel for and must return what the
+/// default would, bit for bit; a backend that owns a simulated device
+/// overrides the hook.
 pub trait Backend: Send + Sync {
     /// Human-readable backend name (for reports).
     fn name(&self) -> &'static str;
@@ -50,6 +52,12 @@ pub trait Backend: Send + Sync {
         policy.edge_cost_prefers_pull(level, 0, 0)
     }
 
+    /// Charge the device an op's pipeline ([`gbtl_backend_cuda::charge`],
+    /// priced from the operands and the result): every default op body
+    /// calls it once its result is computed. The default has no device and
+    /// never runs the pipeline.
+    fn charge(&self, _pipeline: impl FnOnce(&Gpu)) {}
+
     /// `C = A ⊕.⊗ B`.
     fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
         &self,
@@ -57,7 +65,9 @@ pub trait Backend: Send + Sync {
         b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::mxm(a, b, sr)
+        let c = gbtl_backend_seq::mxm(a, b, sr);
+        self.charge(|gpu| charge::mxm(gpu, a, b, &c));
+        c
     }
 
     /// `C<M> = A ⊕.⊗ B` over a structural mask.
@@ -68,13 +78,18 @@ pub trait Backend: Send + Sync {
         b: &CsrMatrix<D2>,
         sr: S,
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::mxm_masked(mask, a, b, sr)
+        let c = gbtl_backend_seq::mxm_masked(mask, a, b, sr);
+        self.charge(|gpu| charge::mxm_masked(gpu, mask, a, b, &c));
+        c
     }
 
     /// Pull-direction `w = A ⊕.⊗ u`. Rows the mask does not keep are
     /// skipped: the result holds kept positions only (the frontend relies
     /// on it — under `replace` with no accumulator the result *is* the
-    /// output).
+    /// output). The one op whose default charges nothing: a pull's charge
+    /// depends on how far each row's fold walked, so a device backend
+    /// overrides it with [`gbtl_backend_cuda::mxv`], which folds and
+    /// charges in one pass.
     fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
         &self,
         a: &CsrMatrix<D1>,
@@ -94,7 +109,10 @@ pub trait Backend: Send + Sync {
         sr: S,
         mask: Option<M>,
     ) -> SparseVector<T> {
-        gbtl_backend_seq::vxm(u, a, sr, mask.map(Into::into))
+        let mask = mask.map(Into::into);
+        let w = gbtl_backend_seq::vxm(u, a, sr, mask);
+        self.charge(|gpu| charge::vxm(gpu, u, a, mask, &w));
+        w
     }
 
     /// Union merge `C = A ⊕ B`.
@@ -104,7 +122,9 @@ pub trait Backend: Send + Sync {
         b: &CsrMatrix<T>,
         op: Op,
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::ewise_add_mat(a, b, op)
+        let c = gbtl_backend_seq::ewise_add_mat(a, b, op);
+        self.charge(|gpu| charge::ewise_mat(gpu, a, b, &c));
+        c
     }
 
     /// Intersection merge `C = A ⊗ B`.
@@ -114,7 +134,9 @@ pub trait Backend: Send + Sync {
         b: &CsrMatrix<T>,
         op: Op,
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::ewise_mult_mat(a, b, op)
+        let c = gbtl_backend_seq::ewise_mult_mat(a, b, op);
+        self.charge(|gpu| charge::ewise_mat(gpu, a, b, &c));
+        c
     }
 
     /// Union merge on sparse vectors.
@@ -124,6 +146,7 @@ pub trait Backend: Send + Sync {
         v: &SparseVector<T>,
         op: Op,
     ) -> SparseVector<T> {
+        self.charge(|gpu| charge::ewise_add_vec(gpu, u, v));
         gbtl_backend_seq::ewise_add_vec(u, v, op)
     }
 
@@ -134,12 +157,15 @@ pub trait Backend: Send + Sync {
         v: &DenseVector<T>,
         op: Op,
     ) -> DenseVector<T> {
+        self.charge(|gpu| charge::ewise_mult_vec(gpu, u));
         gbtl_backend_seq::ewise_mult_vec(u, v, op)
     }
 
     /// `C = f(A)` on stored values.
     fn apply_mat<A: Scalar, U: UnaryOp<A>>(&self, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output> {
-        gbtl_backend_seq::apply_mat(a, f)
+        let c = gbtl_backend_seq::apply_mat(a, f);
+        self.charge(|gpu| charge::apply_mat(gpu, a, &c));
+        c
     }
 
     /// `w = f(u)` on a sparse vector.
@@ -148,7 +174,9 @@ pub trait Backend: Send + Sync {
         u: &SparseVector<A>,
         f: U,
     ) -> SparseVector<U::Output> {
-        gbtl_backend_seq::apply_vec(u, f)
+        let w = gbtl_backend_seq::apply_vec(u, f);
+        self.charge(|gpu| charge::apply_sparse_vec(gpu, u, &w));
+        w
     }
 
     /// `w = f(u)` on a dense vector.
@@ -157,42 +185,54 @@ pub trait Backend: Send + Sync {
         u: &DenseVector<A>,
         f: U,
     ) -> DenseVector<U::Output> {
-        gbtl_backend_seq::apply_dense_vec(u, f)
+        let w = gbtl_backend_seq::apply_dense_vec(u, f);
+        self.charge(|gpu| charge::apply_dense_vec(gpu, u, &w));
+        w
     }
 
     /// Reduce all stored entries of a matrix; `None` when empty.
     fn reduce_mat<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> Option<T> {
+        self.charge(|gpu| charge::reduce_mat(gpu, a));
         gbtl_backend_seq::reduce_mat(a, m)
     }
 
     /// Row-wise reduce `w_i = ⊕ A(i,:)`.
     fn reduce_rows<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> SparseVector<T> {
-        gbtl_backend_seq::reduce_rows(a, m)
+        let w = gbtl_backend_seq::reduce_rows(a, m);
+        self.charge(|gpu| charge::reduce_rows(gpu, a, &w));
+        w
     }
 
     /// Reduce a dense vector's present entries; `None` when empty.
     fn reduce_dense_vec<T: Scalar, M: Monoid<T>>(&self, u: &DenseVector<T>, m: M) -> Option<T> {
+        self.charge(|gpu| charge::reduce_dense_vec(gpu, u));
         gbtl_backend_seq::reduce_vec(u, m)
     }
 
     /// Reduce a sparse vector's stored entries; `None` when empty.
     fn reduce_sparse_vec<T: Scalar, M: Monoid<T>>(&self, u: &SparseVector<T>, m: M) -> Option<T> {
+        self.charge(|gpu| charge::reduce_sparse_vec(gpu, u));
         gbtl_backend_seq::reduce_sparse_vec(u, m)
     }
 
     /// `C = Aᵀ`.
     fn transpose<T: Scalar>(&self, a: &CsrMatrix<T>) -> CsrMatrix<T> {
+        self.charge(|gpu| charge::transpose(gpu, a));
         a.transpose()
     }
 
     /// Keep entries passing the predicate — GraphBLAS `select`.
     fn select_mat<T: Scalar, P: SelectOp<T>>(&self, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T> {
-        gbtl_backend_seq::select_mat_op(a, op)
+        let c = gbtl_backend_seq::select_mat_op(a, op);
+        self.charge(|gpu| charge::select_mat(gpu, a, &c));
+        c
     }
 
     /// Keep vector entries passing the predicate (column fixed at 0).
     fn select_vec<T: Scalar, P: SelectOp<T>>(&self, u: &SparseVector<T>, op: P) -> SparseVector<T> {
-        gbtl_backend_seq::select_vec_op(u, op)
+        let w = gbtl_backend_seq::select_vec_op(u, op);
+        self.charge(|gpu| charge::select_vec(gpu, u, &w));
+        w
     }
 
     /// Kronecker product with an elementwise combine.
@@ -202,7 +242,9 @@ pub trait Backend: Send + Sync {
         b: &CsrMatrix<T>,
         mul: Op,
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::kronecker(a, b, mul)
+        let c = gbtl_backend_seq::kronecker(a, b, mul);
+        self.charge(|gpu| charge::kronecker(gpu, a, b, &c));
+        c
     }
 
     /// Build CSR from COO triples, merging duplicates with `dup`. Every
@@ -211,7 +253,9 @@ pub trait Backend: Send + Sync {
     /// non-commutative `dup` or `f64` addition builds the same bits on
     /// every backend.
     fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T> {
-        gbtl_backend_seq::build(coo, dup)
+        let c = gbtl_backend_seq::build(coo, dup);
+        self.charge(|gpu| charge::build(gpu, coo, &c));
+        c
     }
 
     /// `C = A(rows, cols)`.
@@ -221,7 +265,9 @@ pub trait Backend: Send + Sync {
         rows: &[Index],
         cols: &[Index],
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::extract_mat(a, rows, cols)
+        let c = gbtl_backend_seq::extract_mat(a, rows, cols);
+        self.charge(|gpu| charge::matrix_roundtrip(gpu, a, &c));
+        c
     }
 
     /// `C(rows, cols) = A`.
@@ -232,12 +278,16 @@ pub trait Backend: Send + Sync {
         rows: &[Index],
         cols: &[Index],
     ) -> CsrMatrix<T> {
-        gbtl_backend_seq::assign_mat(c, a, rows, cols)
+        let out = gbtl_backend_seq::assign_mat(c, a, rows, cols);
+        self.charge(|gpu| charge::matrix_roundtrip(gpu, c, &out));
+        out
     }
 
     /// `w = u(indices)`.
     fn extract_vec<T: Scalar>(&self, u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T> {
-        gbtl_backend_seq::extract_vec(u, indices)
+        let w = gbtl_backend_seq::extract_vec(u, indices);
+        self.charge(|gpu| charge::vector_roundtrip(gpu, u, &w));
+        w
     }
 
     /// `w(indices) = u`.
@@ -247,7 +297,9 @@ pub trait Backend: Send + Sync {
         u: &DenseVector<T>,
         indices: &[Index],
     ) -> DenseVector<T> {
-        gbtl_backend_seq::assign_vec(w, u, indices)
+        let out = gbtl_backend_seq::assign_vec(w, u, indices);
+        self.charge(|gpu| charge::vector_roundtrip(gpu, w, &out));
+        out
     }
 }
 
@@ -385,7 +437,9 @@ impl Backend for ParBackend {
 }
 
 /// The simulated-CUDA backend: owns the device, an SpMV kernel policy and
-/// the memo of pull-kernel charge profiles (ADR 0006).
+/// the memo of pull-kernel charge profiles (ADR 0006). Every op but pull
+/// `mxv` is the trait default, charged on the device through the `charge`
+/// hook (ADR 0008).
 #[derive(Debug)]
 pub struct CudaBackend {
     gpu: Gpu,
@@ -439,22 +493,6 @@ impl CudaBackend {
     pub fn reset_stats(&self) {
         self.gpu.reset_stats()
     }
-
-    /// Charge the mask-bitmap resolution kernel (the device-side transform
-    /// the frontend's host-resolved bitmap stands in for).
-    fn charge_mask_kernel(&self, n: usize) {
-        use gbtl_gpu_sim::KernelTally;
-        let txn = self.gpu.config().mem_transaction_bytes as u64;
-        self.gpu.charge_kernel(
-            "mask_resolve",
-            n.div_ceil(4096).max(1),
-            KernelTally {
-                warp_instructions: (n as u64).div_ceil(self.gpu.config().warp_size as u64),
-                mem_transactions: (2 * n as u64).div_ceil(txn),
-                atomic_ops: 0,
-            },
-        );
-    }
 }
 
 /// cuda-sim's pull gate 2: pull scans unvisited rows, so the frontier must
@@ -500,8 +538,8 @@ impl Backend for CudaBackend {
     /// kernel plus arithmetic — ADR 0004; 3.38 / 2.44 / 2.37 before), so no
     /// per-edge cost serves both and the rule it was tuned with stays.
     /// Remove this override — and the two items below — once one clock
-    /// alone decides (a cost table fitted on the modeled clock, ROADMAP
-    /// item 3); the edge-cost rule with device constants then applies here
+    /// alone decides (the modeled clock pricing both directions, ROADMAP
+    /// item 2(b)); the edge-cost rule with device constants then applies here
     /// as well.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
         let threshold =
@@ -510,23 +548,8 @@ impl Backend for CudaBackend {
             && level.unvisited < level.frontier_nnz.saturating_mul(PULL_UNVISITED_FACTOR)
     }
 
-    fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
-        &self,
-        a: &CsrMatrix<D1>,
-        b: &CsrMatrix<D2>,
-        sr: S,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::mxm(&self.gpu, a, b, sr)
-    }
-
-    fn mxm_masked<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
-        &self,
-        mask: &CsrMatrix<bool>,
-        a: &CsrMatrix<D1>,
-        b: &CsrMatrix<D2>,
-        sr: S,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::mxm_masked(&self.gpu, mask, a, b, sr)
+    fn charge(&self, pipeline: impl FnOnce(&Gpu)) {
+        pipeline(&self.gpu)
     }
 
     fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
@@ -536,160 +559,19 @@ impl Backend for CudaBackend {
         sr: S,
         mask: Option<M>,
     ) -> DenseVector<T> {
+        let mask = mask.map(Into::into);
         if mask.is_some() {
-            self.charge_mask_kernel(a.nrows());
+            charge::mask_resolve(&self.gpu, a.nrows());
         }
         gbtl_backend_cuda::mxv(
             &self.gpu,
             a,
             u,
             sr,
-            mask.map(Into::into),
+            mask,
             self.spmv_kernel,
             &self.spmv_profiles,
         )
-    }
-
-    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
-        &self,
-        u: &SparseVector<T>,
-        a: &CsrMatrix<D2>,
-        sr: S,
-        mask: Option<M>,
-    ) -> SparseVector<T> {
-        if mask.is_some() {
-            self.charge_mask_kernel(a.ncols());
-        }
-        gbtl_backend_cuda::vxm(&self.gpu, u, a, sr, mask.map(Into::into))
-    }
-
-    fn ewise_add_mat<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        op: Op,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::ewise_add_mat(&self.gpu, a, b, op)
-    }
-
-    fn ewise_mult_mat<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        op: Op,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::ewise_mult_mat(&self.gpu, a, b, op)
-    }
-
-    fn ewise_add_vec<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        u: &SparseVector<T>,
-        v: &SparseVector<T>,
-        op: Op,
-    ) -> SparseVector<T> {
-        gbtl_backend_cuda::ewise_add_vec(&self.gpu, u, v, op)
-    }
-
-    fn ewise_mult_vec<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        u: &DenseVector<T>,
-        v: &DenseVector<T>,
-        op: Op,
-    ) -> DenseVector<T> {
-        gbtl_backend_cuda::ewise_mult_vec(&self.gpu, u, v, op)
-    }
-
-    fn apply_mat<A: Scalar, U: UnaryOp<A>>(&self, a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output> {
-        gbtl_backend_cuda::apply_mat(&self.gpu, a, f)
-    }
-
-    fn apply_sparse_vec<A: Scalar, U: UnaryOp<A>>(
-        &self,
-        u: &SparseVector<A>,
-        f: U,
-    ) -> SparseVector<U::Output> {
-        gbtl_backend_cuda::apply_vec(&self.gpu, u, f)
-    }
-
-    fn apply_dense_vec<A: Scalar, U: UnaryOp<A>>(
-        &self,
-        u: &DenseVector<A>,
-        f: U,
-    ) -> DenseVector<U::Output> {
-        gbtl_backend_cuda::apply_dense_vec(&self.gpu, u, f)
-    }
-
-    fn reduce_mat<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> Option<T> {
-        gbtl_backend_cuda::reduce_mat(&self.gpu, a, m)
-    }
-
-    fn reduce_rows<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> SparseVector<T> {
-        gbtl_backend_cuda::reduce_rows(&self.gpu, a, m)
-    }
-
-    fn reduce_dense_vec<T: Scalar, M: Monoid<T>>(&self, u: &DenseVector<T>, m: M) -> Option<T> {
-        gbtl_backend_cuda::reduce_vec(&self.gpu, u, m)
-    }
-
-    fn reduce_sparse_vec<T: Scalar, M: Monoid<T>>(&self, u: &SparseVector<T>, m: M) -> Option<T> {
-        gbtl_backend_cuda::reduce_sparse_vec(&self.gpu, u, m)
-    }
-
-    fn transpose<T: Scalar>(&self, a: &CsrMatrix<T>) -> CsrMatrix<T> {
-        gbtl_backend_cuda::transpose(&self.gpu, a)
-    }
-
-    fn select_mat<T: Scalar, P: SelectOp<T>>(&self, a: &CsrMatrix<T>, op: P) -> CsrMatrix<T> {
-        gbtl_backend_cuda::select_mat(&self.gpu, a, op)
-    }
-
-    fn select_vec<T: Scalar, P: SelectOp<T>>(&self, u: &SparseVector<T>, op: P) -> SparseVector<T> {
-        gbtl_backend_cuda::select_vec(&self.gpu, u, op)
-    }
-
-    fn kronecker<T: Scalar, Op: BinaryOp<T>>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        mul: Op,
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::kronecker(&self.gpu, a, b, mul)
-    }
-
-    fn build<T: Scalar, D: BinaryOp<T>>(&self, coo: &CooMatrix<T>, dup: D) -> CsrMatrix<T> {
-        gbtl_backend_cuda::build_csr(&self.gpu, coo, dup)
-    }
-
-    fn extract_mat<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        rows: &[Index],
-        cols: &[Index],
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::extract_mat(&self.gpu, a, rows, cols)
-    }
-
-    fn assign_mat<T: Scalar>(
-        &self,
-        c: &CsrMatrix<T>,
-        a: &CsrMatrix<T>,
-        rows: &[Index],
-        cols: &[Index],
-    ) -> CsrMatrix<T> {
-        gbtl_backend_cuda::assign_mat(&self.gpu, c, a, rows, cols)
-    }
-
-    fn extract_vec<T: Scalar>(&self, u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T> {
-        gbtl_backend_cuda::extract_vec(&self.gpu, u, indices)
-    }
-
-    fn assign_vec<T: Scalar>(
-        &self,
-        w: &DenseVector<T>,
-        u: &DenseVector<T>,
-        indices: &[Index],
-    ) -> DenseVector<T> {
-        gbtl_backend_cuda::assign_vec(&self.gpu, w, u, indices)
     }
 }
 
@@ -814,6 +696,78 @@ mod tests {
         // the same operands are big enough for a kept kernel to fan out
         let _ = par.mxv(&a, &ud, PlusTimes::<i64>::new(), None::<VecMask<'_>>);
         assert_eq!(dispatches(), (1, 0));
+    }
+
+    /// A backend that overrides only the hook, counting its calls.
+    #[derive(Default)]
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl Backend for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn charge(&self, pipeline: impl FnOnce(&Gpu)) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            pipeline(&Gpu::default());
+        }
+    }
+
+    #[test]
+    fn every_default_op_but_pull_charges_once() {
+        use gbtl_algebra::{AdditiveInverse, Plus, PlusMonoid, Times, TriL, ValueGt};
+        let be = Counting::default();
+        let a = sample();
+        let mask = CsrMatrix::from_coo(CooMatrix::new(3, 3), |x: bool, _| x);
+        let (ud, us) = (
+            DenseVector::filled(3, 2i64),
+            DenseVector::filled(3, 5i64).to_sparse(),
+        );
+        let mut coo = CooMatrix::new(3, 3);
+        coo.push(1, 1, 4i64);
+        let (idx, keep) = ([0, 2], [true, false, true]);
+        let ops: [&dyn Fn(); 23] = [
+            &|| drop(be.mxm(&a, &a, PlusTimes::<i64>::new())),
+            &|| drop(be.mxm_masked(&mask, &a, &a, PlusTimes::<i64>::new())),
+            &|| drop(be.vxm(&us, &a, PlusTimes::<i64>::new(), Some(&keep[..]))),
+            &|| drop(be.ewise_add_mat(&a, &a, Plus::<i64>::new())),
+            &|| drop(be.ewise_mult_mat(&a, &a, Times::<i64>::new())),
+            &|| drop(be.ewise_add_vec(&us, &us, Plus::<i64>::new())),
+            &|| drop(be.ewise_mult_vec(&ud, &ud, Times::<i64>::new())),
+            &|| drop(be.apply_mat(&a, AdditiveInverse::<i64>::new())),
+            &|| drop(be.apply_sparse_vec(&us, AdditiveInverse::<i64>::new())),
+            &|| drop(be.apply_dense_vec(&ud, AdditiveInverse::<i64>::new())),
+            &|| {
+                be.reduce_mat(&a, PlusMonoid::<i64>::new());
+            },
+            &|| drop(be.reduce_rows(&a, PlusMonoid::<i64>::new())),
+            &|| {
+                be.reduce_dense_vec(&ud, PlusMonoid::<i64>::new());
+            },
+            &|| {
+                be.reduce_sparse_vec(&us, PlusMonoid::<i64>::new());
+            },
+            &|| drop(be.transpose(&a)),
+            &|| drop(be.select_mat(&a, TriL)),
+            &|| drop(be.select_vec(&us, ValueGt(3))),
+            &|| drop(be.kronecker(&a, &a, Times::<i64>::new())),
+            &|| drop(be.build(&coo, Plus::<i64>::new())),
+            &|| drop(be.extract_mat(&a, &idx, &idx)),
+            &|| drop(be.assign_mat(&a, &be.extract_mat(&a, &idx, &idx), &idx, &idx)),
+            &|| drop(be.extract_vec(&ud, &idx)),
+            &|| drop(be.assign_vec(&ud, &be.extract_vec(&ud, &idx), &idx)),
+        ];
+        let calls = || be.0.load(std::sync::atomic::Ordering::Relaxed);
+        for (i, op) in ops.iter().enumerate() {
+            let before = calls();
+            op();
+            // assign charges the extract that built its operand as well
+            let want = if i == 20 || i == 22 { 2 } else { 1 };
+            assert_eq!(calls() - before, want, "op {i}");
+        }
+        let before = calls();
+        let _ = be.mxv(&a, &ud, PlusTimes::<i64>::new(), None::<VecMask<'_>>);
+        assert_eq!(calls(), before, "the default pull charged");
     }
 
     #[test]

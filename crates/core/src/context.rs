@@ -98,7 +98,7 @@ impl Context<CudaBackend> {
     /// calling this once, not per call — is the transfer-avoidance design
     /// the paper's backend relies on (DESIGN.md ablation 4).
     pub fn upload_matrix<T: Scalar>(&self, m: &Matrix<T>) {
-        let bytes = ((m.nrows() + 1 + m.nnz()) * 8 + m.nnz() * std::mem::size_of::<T>()) as u64;
+        let bytes = gbtl_backend_cuda::charge::csr_bytes(m.csr());
         self.backend.gpu().charge_transfer_bytes(bytes, true);
     }
 
@@ -116,7 +116,7 @@ impl Context<CudaBackend> {
 
     /// Charge the device→host transfer of a result matrix.
     pub fn download_matrix<T: Scalar>(&self, m: &Matrix<T>) {
-        let bytes = ((m.nrows() + 1 + m.nnz()) * 8 + m.nnz() * std::mem::size_of::<T>()) as u64;
+        let bytes = gbtl_backend_cuda::charge::csr_bytes(m.csr());
         self.backend.gpu().charge_transfer_bytes(bytes, false);
     }
 }

@@ -182,23 +182,24 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
         ctx.mxm(&mut c, None, no_accum(), MinPlus::new(), &lower, &w, &desc)
             .unwrap();
     });
-    // called on the device directly: the context would answer from the
+    // called on the backend directly: the context would answer from the
     // transpose cache PageRank filled
     suite.step("transpose", |ctx| {
-        cuda::transpose(ctx.backend().gpu(), d.csr());
+        ctx.backend().transpose(d.csr());
     });
     suite.step("build_csr", |ctx| {
-        cuda::build_csr(ctx.backend().gpu(), &weighted, Min::<u32>::new());
+        ctx.backend().build(&weighted, Min::<u32>::new());
     });
     suite.step("reduce_rows", |ctx| {
-        cuda::reduce_rows(ctx.backend().gpu(), w.csr(), PlusMonoid::<u32>::new());
+        ctx.backend().reduce_rows(w.csr(), PlusMonoid::<u32>::new());
     });
     let (sparse_lo, sparse_hi) = (sparse_stride(n, 3), sparse_stride(n, 5));
     suite.step("ewise_add_vec", |ctx| {
-        cuda::ewise_add_vec(ctx.backend().gpu(), &sparse_lo, &sparse_hi, Plus::new());
+        ctx.backend()
+            .ewise_add_vec(&sparse_lo, &sparse_hi, Plus::<i64>::new());
     });
     suite.step("select_vec", |ctx| {
-        cuda::select_vec(ctx.backend().gpu(), &sparse_lo, ValueGe(n as i64 / 2));
+        ctx.backend().select_vec(&sparse_lo, ValueGe(n as i64 / 2));
     });
 
     // the SpMV kernels, called as the backend calls them
@@ -232,9 +233,9 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
     suite.finish()
 }
 
-/// Every `CudaBackend` override [`device_suite`] does not reach directly,
-/// called on the backend as a context calls it. A suite of its own, so the
-/// per-kernel totals above keep their lines.
+/// Every `Backend` op [`device_suite`] does not reach, called on the
+/// backend as a context calls it. A suite of its own, so the per-kernel
+/// totals above keep their lines.
 fn override_suite(structure: &CooMatrix<bool>, seed: u64) -> String {
     let n = structure.nrows();
     let a = adjacency(structure.clone());
