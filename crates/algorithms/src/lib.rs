@@ -73,9 +73,7 @@ pub use ktruss::{k_truss, max_truss};
 pub use metrics::{degree_centrality, graph_density, in_degrees, out_degrees};
 pub use mis::maximal_independent_set;
 pub use mst::mst_weight;
-pub use multi::{
-    bfs_levels_multi, bfs_levels_multi_with_direction, sssp_multi, sssp_multi_with_direction,
-};
+pub use multi::{bfs_levels_multi, sssp_multi};
 pub use pagerank::pagerank;
 pub use sssp::{sssp, sssp_with_direction};
 pub use triangle::triangle_count;

@@ -12,7 +12,9 @@
 //! We stack **rows**, not columns: CSR storage is row-major and the push
 //! product `F · A` resolves both operands over the zero-copy path (no
 //! transpose of either side), so k×n is the natural layout — the
-//! transposed view of the paper's n×k formulation.
+//! transposed view of the paper's n×k formulation. Every level pushes:
+//! the pull orientation `Aᵀ·Fᵀ` is the same `mxm` over more edges and won
+//! on neither clock (docs/adr/0009).
 //!
 //! Demultiplexing is row extraction: member `r`'s answer is row `r` of the
 //! accumulated state, returned as its own [`Vector`] so callers can compare
@@ -28,106 +30,28 @@
 //! the set of discovered vertices — and therefore every level and distance
 //! value — identical by construction.
 
-use gbtl_algebra::{Bounded, LorLand, Scalar, Semiring};
-use gbtl_core::{
-    no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, LevelDecision,
-    Matrix, Result, Vector,
-};
+use gbtl_algebra::{Bounded, LorLand, Scalar};
+use gbtl_core::{Backend, Context, Matrix, Result, Vector};
 
 use crate::sssp::{shortest_paths, DefaultZero};
-use crate::traverse::{Traversal, Triples};
+use crate::traverse::Traversal;
 use crate::util::check_traversal;
-
-/// One fused level in either direction, from the batch's fresh triples.
-///
-/// Push materializes the k×n row-stacked frontier `F` and computes
-/// `N = F ⊕.⊗ A`. Pull materializes `Fᵀ` (n×k, from the swapped triples)
-/// and computes `Nᵀ = Aᵀ ⊕.⊗ Fᵀ`, resolving `Aᵀ` through the *same*
-/// transpose-cache entry the solo pull kernels use — crucially it never
-/// asks for the frontier's transpose via the descriptor, which would
-/// insert a dead per-level entry into the LRU and evict the useful `Aᵀ`.
-/// Either way the returned triples are `(r, j, v)` sorted row-major, so
-/// the host-side filter below is direction-oblivious. For a commutative
-/// `⊗` both orientations produce identical values
-/// (`Nᵀ[j, r] = ⊕_i A[i, j] ⊗ F[r, i] = N[r, j]`).
-pub(crate) fn fused_level<B: Backend, T: Scalar, S: Semiring<T>>(
-    ctx: &Context<B>,
-    a: &Matrix<T>,
-    fresh: &[(usize, usize, T)],
-    k: usize,
-    sr: S,
-    decision: LevelDecision,
-) -> Result<Triples<T>> {
-    let n = a.nrows();
-    match decision.dir {
-        ChosenDir::Push => {
-            let frontier = Matrix::from_row_major_triples(k, n, fresh)?;
-            let mut next: Matrix<T> = Matrix::new(k, n);
-            ctx.mxm(
-                &mut next,
-                None,
-                no_accum(),
-                sr,
-                &frontier,
-                a,
-                &Descriptor::new(),
-            )?;
-            Ok(next.iter().collect())
-        }
-        ChosenDir::Pull => {
-            let mut swapped: Triples<T> = fresh.iter().map(|&(r, j, v)| (j, r, v)).collect();
-            swapped.sort_unstable_by_key(|&(j, r, _)| (j, r));
-            let f_t = Matrix::from_row_major_triples(n, k, &swapped)?;
-            let mut next_t: Matrix<T> = Matrix::new(n, k);
-            ctx.mxm(
-                &mut next_t,
-                None,
-                no_accum(),
-                sr,
-                a,
-                &f_t,
-                &Descriptor::new().transpose_a(),
-            )?;
-            let mut out: Triples<T> = next_t.iter().map(|(j, r, v)| (r, j, v)).collect();
-            out.sort_unstable_by_key(|&(r, j, _)| (r, j));
-            Ok(out)
-        }
-    }
-}
 
 /// Level-synchronous BFS from every source in `sources` at once; returns
 /// one per-vertex level vector per source (`sources[r]` maps to entry `r`),
 /// each bit-identical to [`bfs_levels`](crate::bfs_levels) from the same
 /// source.
 ///
-/// One `mxm` over the boolean semiring per level on the row-stacked
-/// frontier, with the direction chosen per level from the batch's
-/// aggregate work (see [`bfs_levels_multi_with_direction`]).
+/// One push `mxm` `N = F ⊕.⊗ A` over the boolean semiring per level on the
+/// row-stacked frontier; a fused level never pulls (docs/adr/0009). Its
+/// level records carry the batch's aggregate work.
+///
+/// A non-square `a` is a `DimensionMismatch` error, a source out of range
+/// an `IndexOutOfBounds` error.
 pub fn bfs_levels_multi<B: Backend>(
     ctx: &Context<B>,
     a: &Matrix<bool>,
     sources: &[usize],
-) -> Result<Vec<Vector<u64>>> {
-    bfs_levels_multi_with_direction(ctx, a, sources, Direction::Auto)
-}
-
-/// [`bfs_levels_multi`] with an explicit direction.
-///
-/// The fused k×n frontier reports its **aggregate** work to a
-/// [`DirectionPolicy::batched`] policy: `push_edges` is the out-degree sum
-/// over every member's frontier, and on the CPU backends `Auto` never
-/// prefers the fused pull (cuda-sim keeps its own rule). For the fused
-/// path the decision's `rep` attribute describes the frontier
-/// *orientation*: push consumes the row-stacked `F` (one sparse index list
-/// per member), pull consumes the column-stacked `Fᵀ` against cached `Aᵀ`.
-///
-/// A non-square `a` is a `DimensionMismatch` error, a source out of range
-/// an `IndexOutOfBounds` error.
-pub fn bfs_levels_multi_with_direction<B: Backend>(
-    ctx: &Context<B>,
-    a: &Matrix<bool>,
-    sources: &[usize],
-    dir: Direction,
 ) -> Result<Vec<Vector<u64>>> {
     let n = check_traversal("bfs_levels_multi", a, sources)?;
     let k = sources.len();
@@ -139,8 +63,7 @@ pub fn bfs_levels_multi_with_direction<B: Backend>(
         visited[r * n + src] = true;
     }
 
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
-    Traversal::new(ctx, a, policy, "bfs_multi").fused(
+    Traversal::batch(ctx, a, "bfs_multi").fused(
         LorLand::new(),
         sources,
         true,
@@ -163,7 +86,7 @@ pub fn bfs_levels_multi_with_direction<B: Backend>(
 /// one per-vertex distance vector per source, each bit-identical to
 /// [`sssp`](crate::sssp) from the same source.
 ///
-/// One unmasked `mxm` on the `(min, +)` semiring per round over the
+/// One unmasked push `mxm` on the `(min, +)` semiring per round over the
 /// row-stacked frontier (frontier values are the members' current
 /// distances), followed by the same host-side improvement merge the solo
 /// kernel performs — run per row. Rows converge independently: a member
@@ -172,22 +95,6 @@ pub fn sssp_multi<B, T>(
     ctx: &Context<B>,
     a: &Matrix<T>,
     sources: &[usize],
-) -> Result<Vec<Vector<T>>>
-where
-    B: Backend,
-    T: Scalar + PartialOrd + Bounded + DefaultZero + std::ops::Add<Output = T>,
-{
-    sssp_multi_with_direction(ctx, a, sources, Direction::Auto)
-}
-
-/// [`sssp_multi`] with an explicit direction; see
-/// [`bfs_levels_multi_with_direction`] for the batch's aggregate work and
-/// the fused-pull orientation.
-pub fn sssp_multi_with_direction<B, T>(
-    ctx: &Context<B>,
-    a: &Matrix<T>,
-    sources: &[usize],
-    dir: Direction,
 ) -> Result<Vec<Vector<T>>>
 where
     B: Backend,
@@ -202,8 +109,7 @@ where
         dist[r].set(src, seed);
     }
 
-    let policy = DirectionPolicy::for_matrix(dir, ctx, a).batched(k);
-    Traversal::new(ctx, a, policy, name).fused(
+    Traversal::batch(ctx, a, name).fused(
         relaxation.semiring,
         sources,
         seed,
@@ -314,26 +220,5 @@ mod tests {
         let ctx = Context::sequential();
         assert!(bfs_levels_multi(&ctx, &path_graph(), &[0, 99]).is_err());
         assert!(sssp_multi(&ctx, &weighted(), &[5]).is_err());
-    }
-
-    #[test]
-    fn fused_directions_agree() {
-        let a = path_graph();
-        let w = weighted();
-        let ctx = Context::sequential();
-        let sources = [0usize, 3, 1];
-        let push = bfs_levels_multi_with_direction(&ctx, &a, &sources, Direction::Push).unwrap();
-        let pull = bfs_levels_multi_with_direction(&ctx, &a, &sources, Direction::Pull).unwrap();
-        assert_eq!(push, pull);
-        ctx.prewarm_transpose(&a);
-        let auto = bfs_levels_multi_with_direction(&ctx, &a, &sources, Direction::Auto).unwrap();
-        assert_eq!(push, auto);
-        let push_s = sssp_multi_with_direction(&ctx, &w, &sources, Direction::Push).unwrap();
-        let pull_s = sssp_multi_with_direction(&ctx, &w, &sources, Direction::Pull).unwrap();
-        assert_eq!(push_s, pull_s);
-        for (r, &src) in sources.iter().enumerate() {
-            let solo = sssp(&ctx, &w, src).unwrap();
-            assert_eq!(pull_s[r], solo, "fused pull vs solo, source {src}");
-        }
     }
 }

@@ -17,14 +17,12 @@
 
 use gbtl_algebra::{Scalar, Semiring};
 use gbtl_core::{
-    no_accum, Backend, ChosenDir, Context, Descriptor, DirectionPolicy, FrontierRep, LevelDecision,
-    LevelWork, Matrix, Product, Result, Vector,
+    no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
+    LevelDecision, LevelWork, Matrix, Product, Result, Vector,
 };
 
-use crate::multi::fused_level;
-
 /// A fused frontier or product: `(member, vertex, value)`, row-major.
-pub(crate) type Triples<T> = Vec<(usize, usize, T)>;
+type Triples<T> = Vec<(usize, usize, T)>;
 
 /// The driver's books on the frontier being assembled — what it cannot know
 /// without re-reading it — and, under a masked product, the `visited` mask.
@@ -78,6 +76,14 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         }
     }
 
+    /// A fused traversal of `a`: every level pushes (docs/adr/0009), so the
+    /// policy is forced `Push`, built without probing for `Aᵀ`, and keeps
+    /// the unmasked product's books.
+    pub(crate) fn batch(ctx: &'a Context<B>, a: &'a Matrix<D>, name: &'static str) -> Self {
+        let policy = DirectionPolicy::new(Direction::Push, a.nrows(), a.nnz(), false).unmasked();
+        Self::new(ctx, a, policy, name)
+    }
+
     /// Vector frontier from `src`: `vxm` pushing over the index list, `mxv`
     /// over cached `Aᵀ` pulling over the bitmap — under the complemented
     /// `visited` mask when the policy's product is a masked one. The
@@ -123,11 +129,11 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         self.run((frontier, &[src]), Vector::nnz, product, epilogue)
     }
 
-    /// The k×n frontier of `sources` stacked row-wise, one unmasked `mxm`
-    /// per level ([`fused_level`]); the policy is `batched(k)`. The epilogue
-    /// is a filter: `keep(tally, depth, member, vertex, value)` says whether
-    /// a product entry goes on, and the survivors — still row-major — fill
-    /// the buffer the frontier before last left behind.
+    /// The k×n frontier `F` of `sources` stacked row-wise, one unmasked
+    /// push `N = F ⊕.⊗ A` per level under a [`Traversal::batch`] policy.
+    /// The epilogue is a filter: `keep(tally, depth, member, vertex, value)`
+    /// says whether a product entry goes on, and the survivors — still
+    /// row-major — fill the buffer the frontier before last left behind.
     pub(crate) fn fused<S: Semiring<D>>(
         &self,
         sr: S,
@@ -135,13 +141,26 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         seed: D,
         mut keep: impl FnMut(&mut Tally, u64, usize, usize, D) -> bool,
     ) -> Result<()> {
-        let k = sources.len();
+        let (ctx, a, k, n) = (self.ctx, self.a, sources.len(), self.a.nrows());
         let seeds = sources.iter().enumerate().map(|(r, &src)| (r, src, seed));
         let mut spare = Triples::new();
         self.run(
             (seeds.collect(), sources),
             Vec::len,
-            |decision, fresh, _| fused_level(self.ctx, self.a, fresh, k, sr, decision),
+            |_, fresh: &mut Triples<D>, _| {
+                let frontier = Matrix::from_row_major_triples(k, n, fresh)?;
+                let mut next: Matrix<D> = Matrix::new(k, n);
+                ctx.mxm(
+                    &mut next,
+                    None,
+                    no_accum(),
+                    sr,
+                    &frontier,
+                    a,
+                    &Descriptor::new(),
+                )?;
+                Ok(next.iter().collect())
+            },
             |tally, depth, next: Triples<D>| {
                 spare.clear();
                 for &(r, j, v) in &next {
@@ -182,7 +201,8 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
             pull_edges = shape.pull_edges(pull_edges, push_edges, nnz_a);
             let level = LevelWork {
                 frontier_nnz,
-                unvisited: policy.batch() * n - tally.settled,
+                // a fused batch can settle more than n positions
+                unvisited: n.saturating_sub(tally.settled),
                 push_edges,
                 pull_edges,
             };

@@ -6,14 +6,14 @@
 //! entering a frontier); here a plain host BFS / delta relaxation rebuilds
 //! every level's frontier and the totals are summed over it again:
 //! `push_edges` is Σ out-degree of the frontier, `pull_edges` is Σ degree of
-//! the rows unvisited before the level (masked products: BFS, BC), `nnz(A)`
-//! (unmasked: SSSP) or `push_edges + nnz(A)` (the fused `mxm` forms), and a
-//! level's `nnz_out` is the next one's `frontier_nnz`. Whatever direction a
-//! level ran in, the books must read the same.
+//! the rows unvisited before the level (masked products: BFS, BC) or
+//! `nnz(A)` (unmasked: SSSP and the fused `mxm` forms), and a level's
+//! `nnz_out` is the next one's `frontier_nnz`. Whatever direction a level
+//! ran in, the books must read the same.
 
 use gbtl_algorithms::{
-    adjacency, betweenness_centrality_with_direction, bfs_levels, bfs_levels_multi_with_direction,
-    sssp, sssp_multi, sssp_with_direction, widest_path, Direction,
+    adjacency, betweenness_centrality_with_direction, bfs_levels, bfs_levels_multi, sssp,
+    sssp_multi, sssp_with_direction, widest_path, Direction,
 };
 use gbtl_core::{Backend, Context, Matrix, TraceMode};
 use gbtl_graphgen::{symmetrize, weights, Rmat};
@@ -108,7 +108,6 @@ fn relaxation_fronts(nbrs: &[Vec<(usize, u32)>], src: usize) -> Vec<Vec<usize>> 
 enum Shape {
     Masked,
     Unmasked,
-    Fused,
 }
 
 /// The books of one traversal whose members' frontiers are `members[r][d]`,
@@ -135,7 +134,6 @@ fn recount(
                     nnz - degree_sum(&visited)
                 }
                 Shape::Unmasked => nnz,
-                Shape::Fused => push_edges + nnz,
             };
             let (nnz_in, nnz_out) = (over(d - 1, &<[usize]>::len), over(d, &<[usize]>::len));
             (
@@ -193,19 +191,57 @@ fn books_balance<B: Backend>(ctx: Context<B>, seed: u64) {
             recount("sssp", &w_nbrs, &[rounds], Shape::Unmasked),
             "sssp {name}"
         );
-
-        for sources in [&trio[..1], &trio[..]] {
-            let got = recorded(&ctx, || {
-                bfs_levels_multi_with_direction(&ctx, &adj, sources, dir).unwrap();
-            });
-            let members: Vec<_> = sources.iter().map(|&s| bfs_fronts(&nbrs, s)).collect();
-            let want = recount("bfs_multi", &nbrs, &members, Shape::Fused);
-            assert_eq!(got, want, "bfs_multi k={} {name}", sources.len());
-        }
+    }
+    // a fused level always pushes: one shape, the unmasked product's books
+    for sources in [&trio[..1], &trio[..]] {
+        let got = recorded(&ctx, || {
+            drop(bfs_levels_multi(&ctx, &adj, sources).unwrap())
+        });
+        let members: Vec<_> = sources.iter().map(|&s| bfs_fronts(&nbrs, s)).collect();
+        let want = recount("bfs_multi", &nbrs, &members, Shape::Unmasked);
+        assert_eq!(got, want, "bfs_multi k={} seed {seed}", sources.len());
     }
     // one relaxation, three entry points
     let solo = sssp(&ctx, &w, src).unwrap();
     assert_eq!(sssp_multi(&ctx, &w, &[src]).unwrap(), vec![solo]);
+}
+
+/// Every fused level pushes `F·A` (docs/adr/0009), on the backend whose
+/// vertex-count rule would pull a saturated batch: cuda-sim with `Aᵀ`
+/// resident, 16 hub sources on an rmat12 graph.
+#[test]
+fn fused_levels_always_push_on_cuda_sim() {
+    let structure = symmetrize(&Rmat::new(12, 8).seed(7).generate());
+    let w = Matrix::from_coo(
+        weights::uniform_u32_symmetric(&structure, 1, 255, 7),
+        gbtl_algebra::Min::new(),
+    );
+    let adj = adjacency(structure);
+    let mut by_degree: Vec<usize> = (0..adj.nrows()).collect();
+    let row_ptr = adj.csr().row_ptr();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(row_ptr[v + 1] - row_ptr[v]));
+    let hubs = &by_degree[..16];
+    let ctx = Context::cuda_default().with_trace_mode(TraceMode::Summary);
+    ctx.prewarm_transpose(&adj);
+    ctx.prewarm_transpose(&w);
+    ctx.clear_trace();
+    bfs_levels_multi(&ctx, &adj, hubs).unwrap();
+    sssp_multi(&ctx, &w, hubs).unwrap();
+    let spans = ctx.trace().spans;
+    let levels: Vec<&str> = spans
+        .iter()
+        .filter(|sp| sp.fields.op == "level")
+        .map(|sp| sp.fields.op_label.as_str())
+        .collect();
+    for algo in ["bfs_multi ", "sssp_multi "] {
+        assert!(
+            levels.iter().any(|l| l.starts_with(algo)),
+            "{algo}: {levels:?}"
+        );
+    }
+    for label in levels {
+        assert!(label.contains(" dir=push rep=sparse "), "{label}");
+    }
 }
 
 proptest! {

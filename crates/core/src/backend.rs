@@ -13,7 +13,7 @@ use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, Index, SparseVector, VecMas
 pub use gbtl_backend_cuda::SpmvKernel;
 use gbtl_backend_cuda::{charge, SpmvProfiles};
 
-use crate::policy::{DirectionPolicy, LevelWork, Product};
+use crate::policy::{DirectionPolicy, LevelWork};
 
 /// Container-level GraphBLAS operations, implemented per execution target.
 ///
@@ -391,10 +391,10 @@ impl Backend for ParBackend {
 
     /// The edge-cost rule plus [`PAR_FANOUT_NS`] on the side that fans out:
     /// `mxv`, on every call with more than one worker. Push is the
-    /// sequential `vxm` and never does. Both orientations of a fused level
-    /// are the same `mxm`, so there the fan-outs cancel.
+    /// sequential `vxm` and never does. A fused level always pushes and
+    /// never asks.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
-        let pull_fanout = if self.threads() == 1 || policy.product() == Product::Fused {
+        let pull_fanout = if self.threads() == 1 {
             0
         } else {
             PAR_FANOUT_NS
@@ -528,7 +528,7 @@ impl Backend for CudaBackend {
 
     /// cuda-sim keeps the vertex-count rule, not the edge-cost one: pull
     /// when the frontier is saturated (more than [`saturation_threshold`]
-    /// entries, per batch member) and the unvisited remainder is within
+    /// entries) and the unvisited remainder is within
     /// [`PULL_UNVISITED_FACTOR`] of it.
     ///
     /// The two clocks this backend is measured by disagree: the modeled
@@ -542,8 +542,7 @@ impl Backend for CudaBackend {
     /// item 2(b)); the edge-cost rule with device constants then applies here
     /// as well.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
-        let threshold =
-            saturation_threshold(policy.n(), policy.num_edges()).saturating_mul(policy.batch());
+        let threshold = saturation_threshold(policy.n(), policy.num_edges());
         level.frontier_nnz > threshold
             && level.unvisited < level.frontier_nnz.saturating_mul(PULL_UNVISITED_FACTOR)
     }

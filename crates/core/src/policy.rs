@@ -5,9 +5,9 @@
 //! index-list frontier — work proportional to the frontier's out-edges) or
 //! **pull** (`mxv` over `Aᵀ` with a dense bitmap frontier — work
 //! proportional to the edges of the rows it may still write). This module
-//! centralizes that choice so `bfs`, `sssp`, `bc`, and the fused
-//! multi-source variants all take it per level from one rule instead of
-//! hardcoding a direction.
+//! centralizes that choice so `bfs`, `sssp` and `bc` all take it per level
+//! from one rule instead of hardcoding a direction. A fused multi-source
+//! level always pushes (docs/adr/0009).
 //!
 //! ## The rule: compare the edges each side must touch
 //!
@@ -148,7 +148,8 @@ pub struct LevelDecision {
 }
 
 /// Which product a traversal runs per level — what the per-edge costs
-/// depend on.
+/// depend on. A fused multi-source level is an unmasked one that always
+/// pushes (docs/adr/0009).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Product {
     /// `vxm`/`mxv` under the complemented `visited` mask, over an add
@@ -159,8 +160,6 @@ pub enum Product {
     MaskedSum,
     /// Unmasked `vxm`/`mxv` (SSSP's relaxation).
     Unmasked,
-    /// One `mxm` over a row-stacked batch of frontiers (`F·A` / `Aᵀ·Fᵀ`).
-    Fused,
 }
 
 /// What one level's kernels cost per unit of work, in picoseconds — the
@@ -229,16 +228,6 @@ pub const UNMASKED_COSTS: KernelCosts = KernelCosts {
     pull_row_ps: 3_000,
 };
 
-/// Fused `mxm` (16 sources on `rmat13`): `F·A` 4.7–7.5 ns per frontier
-/// edge, `Aᵀ·Fᵀ` 9.4–19.6 ns per `push_edges + nnz(A)` (rows included) plus
-/// two sorts of the triples — pull is the same kernel over more edges and
-/// never wins.
-pub const FUSED_COSTS: KernelCosts = KernelCosts {
-    push_edge_ps: 6_000,
-    pull_edge_ps: 10_000,
-    pull_row_ps: 0,
-};
-
 impl Product {
     /// The measured kernel costs of this product.
     pub const fn costs(self) -> KernelCosts {
@@ -246,7 +235,6 @@ impl Product {
             Product::Masked => MASKED_COSTS,
             Product::MaskedSum => MASKED_SUM_COSTS,
             Product::Unmasked => UNMASKED_COSTS,
-            Product::Fused => FUSED_COSTS,
         }
     }
 
@@ -255,13 +243,11 @@ impl Product {
     /// product reads the still-unvisited rows — the previous level's
     /// remainder `prev` (`nnz_a` before the first) minus the edges just
     /// settled; an unmasked relaxation all of `nnz_a` (any vertex may still
-    /// improve); the fused `Aᵀ·Fᵀ` does push's multiplications *and* walks
-    /// every row of `Aᵀ`.
+    /// improve).
     pub const fn pull_edges(self, prev: usize, push_edges: usize, nnz_a: usize) -> usize {
         match self {
             Product::Masked | Product::MaskedSum => prev - push_edges,
             Product::Unmasked => nnz_a,
-            Product::Fused => push_edges + nnz_a,
         }
     }
 }
@@ -272,7 +258,8 @@ impl Product {
 pub struct LevelWork {
     /// Frontier entries (the aggregate over a fused batch).
     pub frontier_nnz: usize,
-    /// Positions not yet visited / settled (aggregate over a batch).
+    /// Positions not yet visited / settled; 0 once a fused batch has
+    /// settled more than `n`.
     pub unvisited: usize,
     /// Σ out-degree of the frontier: the edges push walks.
     pub push_edges: usize,
@@ -317,7 +304,6 @@ pub struct DirectionPolicy {
     mode: Direction,
     pull_ready: bool,
     product: Product,
-    batch: usize,
     n: usize,
     num_edges: usize,
 }
@@ -332,7 +318,6 @@ impl DirectionPolicy {
             mode,
             pull_ready,
             product: Product::Masked,
-            batch: 1,
             n,
             num_edges,
         }
@@ -364,15 +349,6 @@ impl DirectionPolicy {
         self
     }
 
-    /// The traversal runs a fused `k`-member batch, one `mxm` per level
-    /// ([`Product::Fused`]); [`LevelWork`] then carries aggregates over
-    /// the batch.
-    pub fn batched(mut self, k: usize) -> Self {
-        self.product = Product::Fused;
-        self.batch = k.max(1);
-        self
-    }
-
     /// The requested mode (forced `Push`/`Pull`, or `Auto` for per-level
     /// choice).
     pub fn mode(&self) -> Direction {
@@ -387,11 +363,6 @@ impl DirectionPolicy {
     /// The per-level product this traversal runs.
     pub fn product(&self) -> Product {
         self.product
-    }
-
-    /// Members of the fused batch (1 for a solo traversal).
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// Vertices of the graph.
@@ -590,34 +561,13 @@ mod tests {
             };
             assert_eq!(dirs(w), [ChosenDir::Push; 3], "{push_edges} edges");
         }
-        // only an aggregate frontier can outweigh the scan
+        // only a frontier heavier than the scan would pull, and no
+        // traversal consults the rule with one (a fused level pushes)
         let heavy = LevelWork {
             frontier_nnz: n,
             ..edges(needed + nnz / 4, nnz)
         };
         assert_eq!(dirs(heavy), [ChosenDir::Pull; 3]);
-    }
-
-    #[test]
-    fn fused_auto_never_pulls_on_the_cpu_backends() {
-        // pull_edges = push_edges + nnz(A): the same kernel, more edges
-        let nnz = 100_000usize;
-        let p = DirectionPolicy::new(Direction::Auto, 4096, nnz, true).batched(16);
-        assert_eq!((p.product(), p.batch()), (Product::Fused, 16));
-        for push_edges in [16usize, 50_000, 16 * nnz] {
-            let w = LevelWork {
-                frontier_nnz: push_edges / 20 + 1,
-                unvisited: 0,
-                ..edges(push_edges, push_edges + nnz)
-            };
-            assert_eq!(p.decide_on(&SeqBackend, w).dir, ChosenDir::Push);
-            assert_eq!(
-                p.decide_on(&ParBackend::with_threads(4), w).dir,
-                ChosenDir::Push
-            );
-        }
-        // k = 0 degenerates to a batch of one
-        assert_eq!(p.batched(0).batch(), 1);
     }
 
     #[test]
@@ -688,10 +638,6 @@ mod tests {
             ChosenDir::Push,
             "remainder gate: 4 x frontier"
         );
-        // a fused batch of 4 saturates at 4 x the entries
-        let b = p.batched(4);
-        assert_eq!(dir(&b, 44, 160), ChosenDir::Pull);
-        assert_eq!(dir(&b, 40, 160), ChosenDir::Push);
         // the threshold clamps to [1, n]
         let tiny = DirectionPolicy::new(Direction::Auto, 100, 0, true);
         assert_eq!(dir(&tiny, 2, 3), ChosenDir::Pull);

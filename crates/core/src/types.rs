@@ -511,28 +511,6 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
-    /// Density-based auto-switch: bitmap when `nnz > threshold`, sparse
-    /// otherwise. Returns the representation chosen. (Traversals do not
-    /// use it: their frontier follows the direction the level runs in.)
-    pub fn adapt_repr(&mut self, threshold: usize) -> crate::policy::FrontierRep {
-        if self.nnz() > threshold {
-            self.densify();
-            crate::policy::FrontierRep::Bitmap
-        } else {
-            self.sparsify();
-            crate::policy::FrontierRep::Sparse
-        }
-    }
-
-    /// The current physical representation, as the span-attribute enum.
-    pub fn frontier_rep(&self) -> crate::policy::FrontierRep {
-        if self.is_sparse() {
-            crate::policy::FrontierRep::Sparse
-        } else {
-            crate::policy::FrontierRep::Bitmap
-        }
-    }
-
     /// The bitmap form of this vector as a kernel operand: borrowed when the
     /// vector is stored that way (a pull frontier, every `mxv` result),
     /// converted once otherwise — an operation never deep-copies an operand
@@ -572,16 +550,6 @@ impl<T: Scalar> Vector<T> {
             out.set(i, v);
         }
         self.repr = VectorRepr::Sparse(out);
-    }
-
-    /// The fraction of positions holding values (`nnz / n`); 0 for a
-    /// zero-dimension vector. Used by push/pull heuristics.
-    pub fn density(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.nnz() as f64 / self.len() as f64
-        }
     }
 }
 
@@ -647,31 +615,19 @@ mod tests {
     }
 
     #[test]
-    fn repr_round_trips_exactly_at_the_threshold_boundary() {
-        use crate::policy::FrontierRep;
-        let threshold = 4usize;
-        for nnz in [threshold - 1, threshold, threshold + 1] {
-            let mut v = Vector::new(32);
-            for i in 0..nnz {
-                v.set(i * 3, i as i64);
-            }
-            let original = v.clone();
-            let rep = v.adapt_repr(threshold);
-            if nnz > threshold {
-                assert_eq!(rep, FrontierRep::Bitmap, "nnz={nnz}");
-                assert!(!v.is_sparse());
-            } else {
-                assert_eq!(rep, FrontierRep::Sparse, "nnz={nnz}");
-                assert!(v.is_sparse());
-            }
-            assert_eq!(v.frontier_rep(), rep);
-            assert_eq!(v, original, "conversion must not change content");
-            // round-trip through both layouts: exact tuples either way
-            v.densify();
-            assert_eq!(v.extract_tuples(), original.extract_tuples());
-            v.sparsify();
-            assert_eq!(v.extract_tuples(), original.extract_tuples());
+    fn repr_round_trips_exactly() {
+        let mut v = Vector::new(32);
+        for i in 0..5 {
+            v.set(i * 3, i as i64);
         }
+        let original = v.extract_tuples();
+        // through both layouts: exact tuples either way
+        v.densify();
+        assert!(!v.is_sparse());
+        assert_eq!(v.extract_tuples(), original);
+        v.sparsify();
+        assert!(v.is_sparse());
+        assert_eq!(v.extract_tuples(), original);
     }
 
     #[test]
@@ -754,15 +710,6 @@ mod tests {
         v.resize(10);
         assert_eq!(v.len(), 10);
         assert_eq!(v.get(1), Some(10));
-    }
-
-    #[test]
-    fn density() {
-        let mut v = Vector::new(10);
-        assert_eq!(v.density(), 0.0);
-        v.set(0, 1i64);
-        v.set(1, 1);
-        assert!((v.density() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 use std::fmt::Write as _;
 
 use gbtl_algorithms::{
-    bfs_levels, bfs_levels_multi_with_direction, cc::component_count, connected_components,
-    maximal_independent_set, mis::verify_mis, pagerank, pagerank::PageRankOptions,
-    sssp_multi_with_direction, sssp_with_direction, triangle_count, Direction,
+    bfs_levels, bfs_levels_multi, cc::component_count, connected_components,
+    maximal_independent_set, mis::verify_mis, pagerank, pagerank::PageRankOptions, sssp_multi,
+    sssp_with_direction, triangle_count,
 };
 use gbtl_core::{
     Backend, Context, CudaBackend, ParBackend, SeqBackend, TraceMode, TraceReport, TransposeCache,
@@ -160,7 +160,9 @@ impl Engine {
 
     /// Execute a fused batch: every member traverses `g` with `algo` on
     /// `backend`, and the whole batch runs as **one** multi-source kernel —
-    /// one `mxm` per level instead of one `vxm` per level per member.
+    /// one push `mxm` per level instead of one `vxm` per level per member,
+    /// whatever direction the members asked for (a forced `Pull` is never
+    /// fused: it runs solo).
     ///
     /// Members are `(source, full)` pairs; the returned fragments are
     /// positionally matched and **byte-identical** to what [`Engine::run`]
@@ -177,14 +179,13 @@ impl Engine {
         g: &GraphEntry,
         algo: Algo,
         backend: BackendChoice,
-        direction: Direction,
         members: &[(usize, bool)],
         xray: Option<gbtl_trace::TraceContext>,
     ) -> Vec<Result<String, String>> {
         match backend {
-            BackendChoice::Seq => run_multi_on(&self.seq, g, algo, direction, members, xray),
-            BackendChoice::Par => run_multi_on(&self.par, g, algo, direction, members, xray),
-            BackendChoice::Cuda => run_multi_on(&self.cuda, g, algo, direction, members, xray),
+            BackendChoice::Seq => run_multi_on(&self.seq, g, algo, members, xray),
+            BackendChoice::Par => run_multi_on(&self.par, g, algo, members, xray),
+            BackendChoice::Cuda => run_multi_on(&self.cuda, g, algo, members, xray),
         }
     }
 }
@@ -274,7 +275,6 @@ fn run_multi_on<B: Backend>(
     ctx: &Context<B>,
     g: &GraphEntry,
     algo: Algo,
-    direction: Direction,
     members: &[(usize, bool)],
     xray: Option<gbtl_trace::TraceContext>,
 ) -> Vec<Result<String, String>> {
@@ -287,7 +287,7 @@ fn run_multi_on<B: Backend>(
     ctx.set_request(None, xray);
     let stamps = Stamps(ctx);
     let answers = match algo {
-        Algo::Bfs => bfs_levels_multi_with_direction(ctx, &g.adj, &valid, direction)
+        Algo::Bfs => bfs_levels_multi(ctx, &g.adj, &valid)
             .map(|vs| {
                 vs.iter()
                     .zip(members.iter().filter(|&&(src, _)| src < g.n()))
@@ -295,7 +295,7 @@ fn run_multi_on<B: Backend>(
                     .collect::<Vec<_>>()
             })
             .map_err(|e| e.to_string()),
-        Algo::Sssp => sssp_multi_with_direction(ctx, &g.weights, &valid, direction)
+        Algo::Sssp => sssp_multi(ctx, &g.weights, &valid)
             .map(|vs| {
                 vs.iter()
                     .zip(members.iter().filter(|&&(src, _)| src < g.n()))
@@ -472,6 +472,7 @@ mod tests {
     use super::*;
     use crate::catalog::{Catalog, GraphSpec};
     use gbtl_algebra::{Scalar, Semiring};
+    use gbtl_algorithms::Direction;
     use gbtl_sparse::{CsrMatrix, SparseVector, VecMask};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -656,14 +657,7 @@ mod tests {
         assert!(solo.is_err(), "the kernel's panic unwinds through run_on");
         assert_eq!(ctx.request(), (None, None));
         let fused = catch_unwind(AssertUnwindSafe(|| {
-            run_multi_on(
-                &ctx,
-                &g,
-                Algo::Bfs,
-                p.direction,
-                &[(0, false), (1, false)],
-                Some(xray),
-            )
+            run_multi_on(&ctx, &g, Algo::Bfs, &[(0, false), (1, false)], Some(xray))
         }));
         assert!(fused.is_err(), "and through run_multi_on");
         assert_eq!(ctx.request(), (None, None));

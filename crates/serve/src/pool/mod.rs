@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use gbtl_core::TransposeCache;
+use gbtl_core::{Direction, TransposeCache};
 use gbtl_fuse::{FuseQueue, PushOutcome};
 use gbtl_net::{Engine as _, NetStats, Reply, Submission};
 use gbtl_trace::metrics::{Counter, Registry, SlowLog};
@@ -584,22 +584,22 @@ impl gbtl_net::Engine for EnginePool {
                 // fusion intercept: fusable cache misses go to the batching
                 // window instead of straight onto the job queue. Traced
                 // queries bypass fusion (per-request span attribution needs
-                // exclusive context use); everything else is unchanged.
+                // exclusive context use), and so does a forced pull: a
+                // fused level always pushes, and a forced mode never
+                // crosses. Everything else is unchanged.
                 let p = &member.params;
-                let fusable = p.algo.takes_source() && !p.trace;
+                let fusable = p.algo.takes_source() && !p.trace && p.direction != Direction::Pull;
                 let Some(fuse) = self.fuse.as_ref().filter(|_| fusable) else {
                     return self.admit(Job::Queries(vec![member]), id, deadline);
                 };
-                // direction rides in the key so a batch is
-                // direction-homogeneous: every member runs the per-level
-                // policy (or forced mode) it asked for
+                // `auto` and `push` run the same fused kernel, so the
+                // direction stays out of the key
                 let fuse_key = format!(
-                    "{}@{}|{}|{}|{}",
+                    "{}@{}|{}|{}",
                     member.graph.name,
                     member.graph.epoch,
                     p.algo.as_str(),
-                    p.backend.as_str(),
-                    p.direction.as_str()
+                    p.backend.as_str()
                 );
                 match fuse.push(&fuse_key, member) {
                     PushOutcome::Held => {}

@@ -113,14 +113,14 @@ fn execute(engine: &QueryEngine, live: &[Member], xray: Option<TraceContext>) ->
     let first = &live[0];
     if live.len() > 1 {
         // homogeneous by fuse-key construction: every member asked for
-        // this graph epoch, algorithm, backend and direction
+        // this graph epoch, algorithm and backend
         let sources: Vec<(usize, bool)> = live
             .iter()
             .map(|m| (m.params.source, m.params.full))
             .collect();
         let p = &first.params;
         engine
-            .run_multi(&first.graph, p.algo, p.backend, p.direction, &sources, xray)
+            .run_multi(&first.graph, p.algo, p.backend, &sources, xray)
             .into_iter()
             .map(|r| r.map(|result_json| (result_json, None)))
             .collect()

@@ -150,9 +150,9 @@ pub struct QueryParams {
     pub max_iters: usize,
     /// MIS seed.
     pub seed: u64,
-    /// Traversal direction override for bfs/sssp (solo and fused); `Auto`
-    /// (the default when the request omits `"direction"`) is the
-    /// per-level rule.
+    /// Traversal direction override for bfs/sssp; `Auto` (the default when
+    /// the request omits `"direction"`) is the per-level rule. A fused
+    /// batch always pushes, so a forced `Pull` query runs solo.
     pub direction: Direction,
     /// Include the full per-vertex result, not just aggregates + checksum.
     pub full: bool,

@@ -177,6 +177,58 @@ fn single_member_window_degenerates_to_the_solo_path() {
     handle.shutdown_and_join();
 }
 
+/// A fused level always pushes, so a forced-`pull` query is not fusable:
+/// two concurrent ones on one graph run solo (no batch, nothing through
+/// the window) and answer exactly what the fusion-off server does.
+#[test]
+fn forced_pull_queries_run_solo_under_fusion() {
+    let query = |s: usize| {
+        format!(
+            "{{\"op\":\"query\",\"id\":{s},\"graph\":\"karate\",\"algo\":\"bfs\",\
+             \"backend\":\"seq\",\"source\":{s},\"direction\":\"pull\"}}"
+        )
+    };
+    let sources = [0usize, 33];
+    let baseline = start(test_config(false)).unwrap();
+    let mut c = connect(&baseline);
+    let solo: Vec<String> = sources
+        .iter()
+        .map(|&s| result_fragment(&c.request(&query(s)).unwrap()).to_string())
+        .collect();
+    baseline.shutdown_and_join();
+
+    let handle = start(test_config(true)).unwrap();
+    let barrier = Arc::new(Barrier::new(sources.len()));
+    let threads: Vec<_> = sources
+        .iter()
+        .map(|&s| {
+            let (addr, barrier, line) = (handle.addr().to_string(), Arc::clone(&barrier), query(s));
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).unwrap();
+                barrier.wait();
+                c.request(&line).unwrap()
+            })
+        })
+        .collect();
+    for (t, want) in threads.into_iter().zip(&solo) {
+        let raw = t.join().unwrap();
+        assert_eq!(result_fragment(&raw), want, "{raw}");
+    }
+    let mut c = connect(&handle);
+    let m = c.request_json("{\"op\":\"metrics\"}").unwrap();
+    assert_eq!(
+        sum_over_labels(&m, "histograms", "gbtl_fuse_batch_size", "count"),
+        0,
+        "no forced-pull batch"
+    );
+    assert_eq!(
+        sum_over_labels(&m, "counters", "gbtl_fuse_requests_total", "value"),
+        0,
+        "forced pull bypasses the window"
+    );
+    handle.shutdown_and_join();
+}
+
 /// The satellite-1 regression: one member of a batch whose deadline expires
 /// inside the window gets the standard `deadline` rejection, and the other
 /// k-1 members still get real answers — the group is not poisoned.
