@@ -36,10 +36,10 @@
 //! sharing is sound because `transpose` is bit-identical across backends
 //! (the backend-equivalence suite asserts it).
 //!
-//! One knob: `GBTL_TRANSPOSE_CACHE` (`on`/`off`, default on), following the
-//! [`gbtl_util::env`] warn-once fallback contract. The LRU bound is the
-//! constant [`DEFAULT_CAPACITY`]: it governs computed transposes only, and
-//! no workload was ever found to want another.
+//! No knob: every context memoizes. The LRU bound is the constant
+//! [`DEFAULT_CAPACITY`]: it governs computed transposes only, and no
+//! workload was ever found to want another. [`TransposeCache::disabled`]
+//! is the memoization-free reference the differential tests run against.
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,11 +166,10 @@ impl Default for TransposeCache {
 }
 
 impl TransposeCache {
-    /// A cache switched by `GBTL_TRANSPOSE_CACHE` (default: enabled), holding
-    /// at most [`DEFAULT_CAPACITY`] computed transposes.
+    /// The default cache, as [`Default`]: enabled, holding at most
+    /// [`DEFAULT_CAPACITY`] computed transposes. Reads no environment.
     pub fn from_env() -> Self {
-        let enabled = gbtl_util::env::bool_var("GBTL_TRANSPOSE_CACHE").unwrap_or(true);
-        Self::new(enabled, DEFAULT_CAPACITY)
+        Self::new(true, DEFAULT_CAPACITY)
     }
 
     /// An enabled cache holding at most `capacity` transposes.
@@ -179,8 +178,7 @@ impl TransposeCache {
     }
 
     /// A cache that never stores anything: every lookup builds fresh.
-    /// This is the `GBTL_TRANSPOSE_CACHE=off` behavior, and what the
-    /// differential tests use as the memoization-free reference.
+    /// What the differential tests use as the memoization-free reference.
     pub fn disabled() -> Self {
         Self::new(false, DEFAULT_CAPACITY)
     }

@@ -123,8 +123,7 @@ impl Context<CudaBackend> {
 
 impl<B: Backend> Context<B> {
     /// Wrap an arbitrary backend. Trace mode comes from `GBTL_TRACE`
-    /// (default off); the transpose cache from `GBTL_TRANSPOSE_CACHE`
-    /// (default on).
+    /// (default off); the transpose cache is a fresh enabled store.
     pub fn with_backend(backend: B) -> Self {
         let tracer = Tracer::from_env(backend.name());
         Context {
@@ -267,8 +266,8 @@ impl<B: Backend> Context<B> {
 
     /// Stamp the serving-layer request subsequent spans run on behalf of
     /// (clear it with `(None, None)`). gbtl-serve sets this around each
-    /// query: ring spans carry the request id, so a JSON trace groups per
-    /// request ([`gbtl_trace::report::group_by_request`]), and a sampled
+    /// query: ring spans carry the request id (a `"trace":true` answer and
+    /// the JSON-lines report render it), and a sampled
     /// request's ops also land in its span tree under the `xray` parent —
     /// how that tree reaches kernel depth.
     #[inline]

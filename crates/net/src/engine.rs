@@ -1,12 +1,12 @@
 //! The **Engine contract**: the formal boundary between a connection
-//! front-end (this crate's event loop, or gbtl-serve's legacy
+//! front-end (this crate's event loop, or gbtl-serve's blocking
 //! thread-per-connection listener) and the compute back-end that answers
 //! requests.
 //!
 //! # What crosses the boundary
 //!
 //! * **Down** (front-end → engine): one complete, newline-stripped,
-//!   non-empty request line per [`Engine::submit`] call, plus a [`Reply`]
+//!   non-blank request line per [`Engine::submit`] call, plus a [`Reply`]
 //!   the engine may keep for asynchronous completion, plus the request's
 //!   **x-ray context** — `Some` iff the front-end sampled this request for
 //!   causal tracing ([`gbtl_trace::begin_request`]). The context's
@@ -23,8 +23,9 @@
 //!   line of JSON with **no trailing newline**; framing is the front-end's
 //!   job. An engine must never answer both ways, never invoke a [`Reply`]
 //!   twice (the type makes that unrepresentable), and never drop an
-//!   accepted request silently — dropping the `Reply` un-sent strands the
-//!   client until its deadline.
+//!   accepted request silently — a `Reply` dropped un-sent is a contract
+//!   breach (the threaded listener closes that connection; the event
+//!   loop's slot never fills).
 //!
 //! # What never crosses
 //!
@@ -44,15 +45,11 @@
 //!
 //! # Deadlines and drain semantics
 //!
-//! `Accepted { deadline, .. }` is the engine's promise to invoke the
-//! `Reply` — normally by `deadline` (plus a small grace period), with one
-//! documented exception: work that was already mid-execution when the
-//! deadline passed may complete late, and its response is still delivered.
-//! Requests that expire while still queued must be answered with an error
-//! by the engine itself. A front-end that enforces the deadline at the
-//! wait site (the threaded listener does; the event loop does not) must
-//! tolerate — and discard — a late reply after synthesizing its own
-//! timeout response.
+//! A deadline is the engine's business, never the front-end's: every
+//! front-end waits on an accepted request's [`Reply`] for as long as it
+//! takes. A request that expires while still queued is answered by the
+//! engine itself with an error; work already executing when its deadline
+//! passes completes, and its late response is delivered like any other.
 //!
 //! [`Engine::drain`] begins shutdown: new compute submissions are rejected
 //! inline from then on, but every previously accepted request still gets
@@ -84,8 +81,6 @@
 //!   events, poll timeouts, pipelined depth) stay on the front-end side —
 //!   see [`crate::NetStats`] — and are surfaced by whoever owns the metrics
 //!   registry.
-
-use std::time::Instant;
 
 /// A single-use completion channel for one accepted request. Invoking
 /// [`Reply::send`] consumes it, so an engine cannot answer twice.
@@ -122,21 +117,14 @@ pub enum Submission {
     /// control, drain) take this path.
     Inline(String),
     /// Queued for asynchronous execution; the [`Reply`] will be invoked
-    /// exactly once (see the module docs for the deadline fine print).
-    Accepted {
-        /// When the engine stops considering this request worth running.
-        deadline: Instant,
-        /// The client's correlation id, if the request carried one — so a
-        /// front-end that synthesizes its own timeout response can still
-        /// echo it.
-        correlation: Option<u64>,
-    },
+    /// exactly once, however late (see the module docs on deadlines).
+    Accepted,
 }
 
 /// The compute back-end behind a connection front-end. See the module docs
 /// for the full contract; the trait itself is deliberately small.
 pub trait Engine: Send + Sync + 'static {
-    /// Handle one complete request line (newline-stripped, non-empty).
+    /// Handle one complete request line (newline-stripped, non-blank).
     /// `xray` is the request's sampled trace context (`None` for the
     /// common unsampled case); see the module docs for its pass-through
     /// contract.
@@ -156,25 +144,6 @@ pub trait Engine: Send + Sync + 'static {
     /// Render the response for a request line that exceeded `max_line`
     /// bytes before a newline arrived. The engine also counts the fault.
     fn oversized_line_response(&self, max_line: usize) -> String;
-
-    /// Render the response a front-end emits when it gives up waiting for
-    /// an accepted request at its deadline (the threaded listener's
-    /// synthesized timeout). Engine-rendered for the same reason as
-    /// [`Engine::oversized_line_response`]: wire bytes for the same fault
-    /// must be identical in every mode, and the engine may want to count
-    /// it. The default renders the workspace's standard `deadline` error
-    /// shape, echoing `correlation` when present.
-    fn deadline_timeout_response(&self, correlation: Option<u64>) -> String {
-        match correlation {
-            Some(id) => format!(
-                "{{\"ok\":false,\"id\":{id},\"code\":\"deadline\",\
-                 \"error\":\"no result within the request deadline\"}}"
-            ),
-            None => "{\"ok\":false,\"code\":\"deadline\",\
-                     \"error\":\"no result within the request deadline\"}"
-                .to_string(),
-        }
-    }
 
     /// Begin shutdown: reject new compute work, finish accepted work.
     /// Idempotent.

@@ -1,6 +1,6 @@
 //! Bounded NDJSON line framing.
 //!
-//! TCP hands the event loop arbitrary byte chunks; [`LineFramer`] turns
+//! TCP hands a front-end arbitrary byte chunks; [`LineFramer`] turns
 //! them back into complete request lines, no matter how they were split —
 //! one byte at a time, several requests per segment, or a request spread
 //! across many segments. The buffer is **bounded**: once a line exceeds
@@ -91,6 +91,23 @@ impl LineFramer {
             }
         }
     }
+
+    /// Feed one received chunk and collect what a front-end must answer,
+    /// in wire order: `Some(line)` per non-blank request line, `None` per
+    /// oversized line. Both front-ends frame through this, so they skip and
+    /// reject the same bytes.
+    pub fn requests(&mut self, bytes: &[u8]) -> Vec<Option<String>> {
+        let mut frames = Vec::new();
+        self.push(bytes, |frame| match frame {
+            Frame::Line(l) => {
+                if !l.trim().is_empty() {
+                    frames.push(Some(l.to_string()));
+                }
+            }
+            Frame::Oversized => frames.push(None),
+        });
+        frames
+    }
 }
 
 fn find_newline(bytes: &[u8]) -> Option<usize> {
@@ -176,6 +193,16 @@ mod tests {
     fn empty_lines_and_crlf() {
         let mut f = LineFramer::new(10);
         assert_eq!(feed(&mut f, b"\n\r\nx\n"), ["", "", "x"]);
+    }
+
+    #[test]
+    fn requests_skip_blank_lines_and_mark_oversized() {
+        let mut f = LineFramer::new(4);
+        assert_eq!(
+            f.requests(b"\r\n  \nab\n123456\ncd"),
+            [Some("ab".to_string()), None]
+        );
+        assert_eq!(f.requests(b"\n"), [Some("cd".to_string())]);
     }
 
     #[test]

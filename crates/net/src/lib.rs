@@ -21,9 +21,9 @@
 //! The compute side implements [`Engine`]; the contract (what crosses the
 //! boundary, deadline and drain semantics, diagnostics obligations) is
 //! specified in [`engine`]'s module docs and is deliberately front-end
-//! agnostic: `gbtl-serve` runs its legacy thread-per-connection listener
-//! and this event loop against the *same* engine, and the responses are
-//! bit-identical.
+//! agnostic: `gbtl-serve` runs its blocking thread-per-connection
+//! listener and this event loop against the *same* engine, both framing
+//! through [`LineFramer::requests`], and the responses are bit-identical.
 
 #![cfg(unix)]
 #![warn(missing_docs)]

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::engine::{Engine, Reply, Submission};
-use crate::framer::{Frame, LineFramer};
+use crate::framer::LineFramer;
 use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 use gbtl_util::sync::lock;
 
@@ -517,16 +517,7 @@ fn read_ready(
                 taken += n;
                 stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 conn.last_activity = now;
-                let mut frames: Vec<Option<String>> = Vec::new();
-                conn.framer.push(&buf[..n], |frame| match frame {
-                    Frame::Line(l) => {
-                        if !l.trim().is_empty() {
-                            frames.push(Some(l.to_string()));
-                        }
-                    }
-                    Frame::Oversized => frames.push(None),
-                });
-                for frame in frames {
+                for frame in conn.framer.requests(&buf[..n]) {
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     let response = match frame {
@@ -563,7 +554,7 @@ fn read_ready(
                                     }
                                     Some(r)
                                 }
-                                Submission::Accepted { .. } => None,
+                                Submission::Accepted => None,
                             }
                         }
                     };

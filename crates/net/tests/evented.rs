@@ -66,10 +66,7 @@ impl Engine for EchoEngine {
                     reply.send(format!("deferred:{payload2}"));
                 });
             }
-            Submission::Accepted {
-                deadline: Instant::now() + Duration::from_secs(30),
-                correlation: None,
-            }
+            Submission::Accepted
         } else if let Some(rest) = line.strip_prefix("blow:") {
             // tiny request, huge response — for backpressure tests
             let (n, tag) = rest.split_once(':').unwrap_or(("0", rest));

@@ -17,10 +17,11 @@
 //!   job queue with admission control, deadlines, and graceful shutdown,
 //!   packaged as an [`EnginePool`] that implements the formal
 //!   [`gbtl_net::Engine`] contract;
-//! * [`server`] — the connection front-ends: the legacy
+//! * [`server`] — the connection front-ends: the blocking
 //!   thread-per-connection listener and the `gbtl-net` evented `poll(2)`
 //!   loop (`GBTL_SERVE_MODE`), both driving the same pool through the same
-//!   trait with bit-identical responses;
+//!   trait with bit-identical responses — and the flag table the server
+//!   binaries share ([`ServerConfig::parse_flags`]);
 //! * [`snapshot`] — versioned `.gbsnap` snapshot files (`GBTL_SNAPSHOT_DIR`)
 //!   behind the `snapshot`/`restore` ops, restoring a catalog with two bulk
 //!   binary reads and a transpose prewarm instead of a re-parse;

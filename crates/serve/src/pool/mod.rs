@@ -4,7 +4,7 @@
 //! [`EnginePool`] owns the graph catalog, the result cache, the bounded job
 //! queue, the per-worker backend engines, the metrics registry, and every
 //! cumulative counter. It implements [`gbtl_net::Engine`], so the two
-//! connection front-ends — the legacy thread-per-connection listener and
+//! connection front-ends — the blocking thread-per-connection listener and
 //! the evented `poll(2)` loop, both in [`crate::server`] — drive the *same*
 //! object through the *same* trait and produce bit-identical responses (the
 //! integration tests prove it via the result checksums).
@@ -19,11 +19,11 @@
 //!   pool invoking the [`Reply`] when done.
 //! * Admission control is what keeps `submit` safe to call from the evented
 //!   poller thread: a full queue rejects in O(1) instead of blocking.
-//! * Deadlines: jobs that expire while queued are answered with a
-//!   `deadline` error by the worker that pops them; a job already executing
-//!   when its deadline passes completes and replies late (the threaded
-//!   front-end stops waiting and synthesizes its own timeout — the evented
-//!   loop just delivers the late response).
+//! * Deadlines are the pool's alone: jobs that expire while queued are
+//!   answered with a `deadline` error by the worker that pops them (and
+//!   counted in `deadline_expired`); a job already executing when its
+//!   deadline passes completes and replies late, and both front-ends
+//!   deliver that reply.
 //! * [`Engine::drain`] closes the queue to new work, after which workers
 //!   finish every admitted job and park; both front-ends watch
 //!   [`Engine::is_draining`] to stop accepting connections.
@@ -389,12 +389,9 @@ impl EnginePool {
 
     /// Queue the job of the request being submitted; a full or closed
     /// queue is that request's inline rejection.
-    fn admit(&self, job: Job, id: Option<u64>, deadline: Instant) -> Submission {
+    fn admit(&self, job: Job, id: Option<u64>) -> Submission {
         match self.queue.push(job) {
-            Ok(()) => Submission::Accepted {
-                deadline,
-                correlation: id,
-            },
+            Ok(()) => Submission::Accepted,
             Err((why, _)) => self.finish_inline(self.reject(why, id)),
         }
     }
@@ -516,16 +513,15 @@ impl gbtl_net::Engine for EnginePool {
             } => {
                 // request ids number the admitted jobs, sleeps included
                 self.next_request_id();
-                let deadline = self.deadline_from_now(deadline_ms);
                 let job = Job::Sleep {
                     ms,
                     id,
-                    deadline,
+                    deadline: self.deadline_from_now(deadline_ms),
                     enqueued_ns: gbtl_util::time::now_ns(),
                     xray,
                     reply: self.counted(reply),
                 };
-                self.admit(job, id, deadline)
+                self.admit(job, id)
             }
             Request::QueryAll(params) => {
                 let deadline_ms = params
@@ -563,19 +559,21 @@ impl gbtl_net::Engine for EnginePool {
                 let key = cache_key(&graph.name, graph.epoch, &params.cache_params());
                 if let Some(hit) = self.cache.get(&key) {
                     // a hit is the render-and-record half of a completion,
-                    // run here: no member, no queue, nothing new allocated
+                    // run here: no member, no queue, nothing new allocated.
+                    // `trace` is not in the key, and a hit dispatched no op,
+                    // so a traced hit answers an empty trace
+                    let trace = params.trace.then_some("[]");
                     return self.finish_inline(render_and_record(
-                        self, &params, &graph, request_id, xray, &hit, None, None,
+                        self, &params, &graph, request_id, xray, &hit, trace, None,
                     ));
                 }
                 let id = params.id;
-                let deadline = self.deadline_from_now(params.deadline_ms);
                 let member = Member {
+                    deadline: self.deadline_from_now(params.deadline_ms),
                     params,
                     graph,
                     key,
                     request_id,
-                    deadline,
                     enqueued_ns: gbtl_util::time::now_ns(),
                     released_ns: 0,
                     xray,
@@ -590,7 +588,7 @@ impl gbtl_net::Engine for EnginePool {
                 let p = &member.params;
                 let fusable = p.algo.takes_source() && !p.trace && p.direction != Direction::Pull;
                 let Some(fuse) = self.fuse.as_ref().filter(|_| fusable) else {
-                    return self.admit(Job::Queries(vec![member]), id, deadline);
+                    return self.admit(Job::Queries(vec![member]), id);
                 };
                 // `auto` and `push` run the same fused kernel, so the
                 // direction stays out of the key
@@ -612,10 +610,7 @@ impl gbtl_net::Engine for EnginePool {
                         return self.finish_inline(self.reject(PushError::ShuttingDown, id));
                     }
                 }
-                Submission::Accepted {
-                    deadline,
-                    correlation: id,
-                }
+                Submission::Accepted
             }
         }
     }
@@ -631,18 +626,6 @@ impl gbtl_net::Engine for EnginePool {
     fn oversized_line_response(&self, max_line: usize) -> String {
         self.stats.bad_requests.inc();
         oversized_response(max_line)
-    }
-
-    fn deadline_timeout_response(&self, correlation: Option<u64>) -> String {
-        // the threaded front-end gave up waiting: count it and render the
-        // synthesized `deadline` error (the late real response, if any, is
-        // discarded by the dropped channel)
-        self.stats.deadline_expired.inc();
-        error_response(
-            "deadline",
-            "no result within the request deadline",
-            correlation,
-        )
     }
 
     fn drain(&self) {

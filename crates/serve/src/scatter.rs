@@ -5,7 +5,7 @@
 //! single-pool server scatters to itself and a sharded router scatters to
 //! the owning shard, through the *same* merge code, producing the *same*
 //! merged bytes. A collector thread gathers sub-responses until the
-//! request deadline (plus the standard grace period) and then renders
+//! request deadline (plus a grace period) and then renders
 //! whatever arrived: graphs that answered appear in `results` (in catalog
 //! order, each labeled with its shard), graphs that did not appear in
 //! `missing` and flip `"partial":true`. A slow or draining shard can
@@ -22,8 +22,8 @@ use gbtl_util::time::now_ns;
 
 use crate::protocol::QueryParams;
 
-/// How long past the deadline the collector waits for stragglers — the
-/// same grace the threaded front-end applies to single queries.
+/// How long past the deadline the collector waits for stragglers before
+/// it renders a partial merge.
 const SCATTER_GRACE: Duration = Duration::from_millis(250);
 
 /// One sub-query target: a graph and the shard that owns it (shard 0 on an
@@ -93,13 +93,8 @@ pub fn scatter_query_all(
              \"results\":[],\"missing\":[]}}"
         ));
     }
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    // the collector always renders (a possibly partial merge) at this
-    // cutoff; advertising IT as the outer deadline keeps the front-end's
-    // own timeout a strictly later backstop instead of a tie the merged
-    // response can lose
-    let cutoff = deadline + SCATTER_GRACE;
-    let correlation = params.id;
+    // the collector always renders (a possibly partial merge) at this cutoff
+    let cutoff = Instant::now() + Duration::from_millis(deadline_ms) + SCATTER_GRACE;
 
     let (tx, rx) = mpsc::channel::<(usize, String)>();
     for (i, target) in targets.iter().enumerate() {
@@ -205,10 +200,7 @@ pub fn scatter_query_all(
         })
         .expect("spawn scatter collector");
 
-    Submission::Accepted {
-        deadline: cutoff,
-        correlation,
-    }
+    Submission::Accepted
 }
 
 #[cfg(test)]
@@ -297,23 +289,17 @@ mod tests {
                             std::thread::sleep(Duration::from_millis(20));
                             r.send("{\"ok\":true,\"who\":\"c\"}".into());
                         });
-                        Submission::Accepted {
-                            deadline: Instant::now(),
-                            correlation: None,
-                        }
+                        Submission::Accepted
                     }
                     _ => {
                         gbtl_util::sync::lock(&held2).push(sub_reply);
-                        Submission::Accepted {
-                            deadline: Instant::now(),
-                            correlation: None,
-                        }
+                        Submission::Accepted
                     }
                 }
             },
             reply,
         );
-        assert!(matches!(sub, Submission::Accepted { .. }));
+        assert!(matches!(sub, Submission::Accepted));
         let merged = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(
             merged,

@@ -5,41 +5,35 @@
 //! job queue, worker pool, metrics — lives in [`crate::pool::EnginePool`],
 //! reached exclusively through the [`gbtl_net::Engine`] contract. Two
 //! front-ends drive the same pool, selected by [`ServerConfig::mode`]
-//! (`GBTL_SERVE_MODE`):
+//! (`GBTL_SERVE_MODE`), and differ only in how they wait on sockets:
 //!
-//! * **threaded** (default) — one listener thread accepts connections and
-//!   gives each its own handler thread; handler threads read bounded
-//!   request lines, call [`gbtl_net::Engine::submit`], and block on an
-//!   mpsc channel for accepted (queued) work, enforcing the request
-//!   deadline at the wait site. Simple, and still the best fit for a few
-//!   long-lived trusted clients.
+//! * **threaded** (default) — blocking I/O, one thread per connection: a
+//!   listener thread accepts, and each connection's thread reads chunks,
+//!   frames them, submits one request at a time and blocks on its reply.
 //! * **evented** — the [`gbtl_net`] `poll(2)` event loop: every connection
 //!   multiplexed on one poller thread, request pipelining with in-order
 //!   responses, write backpressure, and idle/slow-loris reaping. Thousands
 //!   of idle connections cost fds, not threads.
 //!
-//! Both front-ends share the line-length bound (`GBTL_SERVE_MAX_LINE`,
-//! answered with the same JSON error rendered by the engine) and the idle
-//! timeout (`GBTL_SERVE_IDLE_TIMEOUT`; the threaded listener applies it as
-//! a per-read socket timeout, the evented loop as a last-activity sweep).
-//! Responses are bit-identical across modes — the integration tests prove
-//! it with the result checksums — because no connection state ever crosses
-//! the Engine boundary.
+//! Everything else is one contract. Both frame with
+//! [`gbtl_net::LineFramer::requests`] (the same line bound,
+//! `GBTL_SERVE_MAX_LINE`, answered with the same engine-rendered error),
+//! both wait on an accepted request's reply with no timeout of their own
+//! (deadlines are the engine's), and both apply the idle timeout
+//! (`GBTL_SERVE_IDLE_TIMEOUT`; the threaded listener as a per-read socket
+//! timeout, the evented loop as a last-activity sweep). Responses are
+//! bit-identical across modes — the integration tests prove it — because
+//! no connection state ever crosses the Engine boundary.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gbtl_net::{EventedConfig, EventedHandle, Reply, Submission};
+use gbtl_net::{EventedConfig, EventedHandle, LineFramer, Reply, Submission};
 
 use crate::pool::EnginePool;
-
-/// Extra wait past the deadline before a connection gives up on a worker
-/// that is mid-computation (threaded front-end only; the evented loop
-/// delivers late responses instead of synthesizing timeouts).
-const DEADLINE_GRACE: Duration = Duration::from_millis(250);
 
 /// Which connection front-end serves the socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,6 +165,83 @@ impl ServerConfig {
     pub fn idle_timeout(&self) -> Option<Duration> {
         (self.idle_timeout_ms > 0).then(|| Duration::from_millis(self.idle_timeout_ms))
     }
+
+    /// Override fields from command-line flags: the one flag table of the
+    /// `gbtl-serve` and `gbtl-shard` binaries ([`SERVER_FLAGS`]). A flag
+    /// outside the table goes to `extra(flag, value)`, where `value(what)`
+    /// takes the flag's argument; `extra` answers `Ok(false)` for a flag it
+    /// does not know either. `--help` and every bad flag are an `Err`
+    /// carrying the message to print above the usage (empty for `--help`).
+    pub fn parse_flags(
+        &mut self,
+        args: impl IntoIterator<Item = String>,
+        mut extra: impl FnMut(
+            &str,
+            &mut dyn FnMut(&str) -> Result<String, String>,
+        ) -> Result<bool, String>,
+    ) -> Result<(), String> {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value =
+                |what: &str| args.next().ok_or_else(|| format!("{flag} needs a {what}"));
+            match flag.as_str() {
+                "--addr" => self.addr = value("HOST:PORT")?,
+                "--mode" => {
+                    let raw = value("threaded|evented")?;
+                    self.mode = FrontendMode::parse(&raw)
+                        .ok_or_else(|| format!("--mode wants threaded|evented, got {raw:?}"))?;
+                }
+                "--workers" => self.workers = parse_num(&value("count")?)?,
+                "--queue" => self.queue_capacity = parse_num(&value("count")?)?,
+                "--cache" => self.cache_capacity = parse_num(&value("count")?)?,
+                "--deadline-ms" => self.default_deadline_ms = parse_num(&value("ms")?)?,
+                "--max-line" => self.max_line = parse_num(&value("bytes")?)?,
+                "--idle-timeout-ms" => self.idle_timeout_ms = parse_num(&value("ms")?)?,
+                "--par-threads" => self.par_threads = parse_num(&value("count")?)?,
+                "--snapshot-dir" => self.snapshot_dir = Some(value("PATH")?),
+                "--load" => {
+                    let spec = value("NAME=SPEC")?;
+                    let (name, spec) = spec
+                        .split_once('=')
+                        .ok_or_else(|| format!("--load wants NAME=SPEC, got {spec:?}"))?;
+                    self.preload.push((name.to_string(), spec.to_string()));
+                }
+                "--fuse" => {
+                    self.fuse.enabled = match value("on|off")?.as_str() {
+                        "on" | "true" | "1" => true,
+                        "off" | "false" | "0" => false,
+                        other => return Err(format!("--fuse wants on|off, got {other:?}")),
+                    }
+                }
+                "--fuse-window-us" => {
+                    let us: u64 = parse_num(&value("us")?)?;
+                    self.fuse.window = Duration::from_micros(us.max(1));
+                }
+                "--fuse-max-batch" => {
+                    self.fuse.max_batch = parse_num::<usize>(&value("count")?)?.max(1)
+                }
+                "--help" | "-h" => return Err(String::new()),
+                other => {
+                    if !extra(other, &mut value)? {
+                        return Err(format!("unknown flag {other:?}"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The flags [`ServerConfig::parse_flags`] takes, as usage lines.
+pub const SERVER_FLAGS: &str = "[--addr HOST:PORT] [--mode threaded|evented] [--workers N]
+[--queue N] [--cache N] [--deadline-ms N] [--max-line BYTES]
+[--idle-timeout-ms N] [--par-threads N]
+[--snapshot-dir PATH] [--load NAME=SPEC]...
+[--fuse on|off] [--fuse-window-us N] [--fuse-max-batch N]";
+
+/// Parse a numeric flag value.
+pub fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad number {s:?}"))
 }
 
 /// A running front-end over `engine` plus the worker threads behind it.
@@ -343,98 +414,6 @@ fn listener_loop<E: gbtl_net::Engine + ?Sized>(
     }
 }
 
-/// One `next()` result from [`BoundedLineReader`].
-enum ReadOutcome {
-    /// A complete line, newline (and trailing `\r`) stripped, invalid
-    /// UTF-8 lossily replaced — same normalization as the evented framer.
-    Line(String),
-    /// The line exceeded `max_line`; the remainder (through the next
-    /// newline) is discarded on subsequent calls. Reported once per line.
-    Oversized,
-    /// EOF, idle timeout, or a read error: close the connection.
-    Closed,
-}
-
-/// The threaded front-end's bounded line reader: the blocking counterpart
-/// of [`gbtl_net::LineFramer`], with the same `max_line` semantics, so an
-/// unterminated multi-gigabyte "line" can no longer grow an unbounded
-/// `String` in a handler thread.
-struct BoundedLineReader {
-    reader: BufReader<TcpStream>,
-    max_line: usize,
-    discarding: bool,
-}
-
-impl BoundedLineReader {
-    fn new(stream: TcpStream, max_line: usize) -> Self {
-        BoundedLineReader {
-            reader: BufReader::new(stream),
-            max_line,
-            discarding: false,
-        }
-    }
-
-    fn next(&mut self) -> ReadOutcome {
-        let mut line: Vec<u8> = Vec::new();
-        loop {
-            // (bytes to consume, what we decided) — computed while the
-            // borrow of the internal buffer is live, applied after
-            let (consume, decision) = {
-                let chunk = match self.reader.fill_buf() {
-                    Ok([]) => return ReadOutcome::Closed, // EOF
-                    Ok(c) => c,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    // WouldBlock/TimedOut = the idle read timeout expired
-                    Err(_) => return ReadOutcome::Closed,
-                };
-                match chunk.iter().position(|&b| b == b'\n') {
-                    Some(i) => {
-                        if self.discarding {
-                            (i + 1, Some(None)) // finished skipping
-                        } else if line.len() + i > self.max_line {
-                            (i + 1, Some(Some(ReadOutcome::Oversized)))
-                        } else {
-                            line.extend_from_slice(&chunk[..i]);
-                            (i + 1, Some(Some(ReadOutcome::Line(String::new()))))
-                        }
-                    }
-                    None => {
-                        let n = chunk.len();
-                        if !self.discarding {
-                            if line.len() + n > self.max_line {
-                                line.clear();
-                                self.discarding = true;
-                                // report now; keep skipping on later calls
-                                (n, Some(Some(ReadOutcome::Oversized)))
-                            } else {
-                                line.extend_from_slice(chunk);
-                                (n, None)
-                            }
-                        } else {
-                            (n, None)
-                        }
-                    }
-                }
-            };
-            self.reader.consume(consume);
-            match decision {
-                None => continue, // need more bytes
-                Some(None) => {
-                    self.discarding = false; // newline ended the skip
-                    continue;
-                }
-                Some(Some(ReadOutcome::Line(_))) => {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return ReadOutcome::Line(String::from_utf8_lossy(&line).into_owned());
-                }
-                Some(Some(outcome)) => return outcome,
-            }
-        }
-    }
-}
-
 fn handle_connection<E: gbtl_net::Engine + ?Sized>(
     stream: TcpStream,
     engine: &E,
@@ -448,68 +427,55 @@ fn handle_connection<E: gbtl_net::Engine + ?Sized>(
     // disconnected, a dribbling one resets the clock with each byte —
     // matching the evented loop's last-activity semantics
     let _ = stream.set_read_timeout(idle_timeout);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BoundedLineReader::new(stream, max_line);
+    let mut framer = LineFramer::new(max_line);
+    let mut buf = [0u8; 8 * 1024];
     loop {
-        let line = match reader.next() {
-            ReadOutcome::Closed => return,
-            ReadOutcome::Oversized => engine.oversized_line_response(max_line),
-            ReadOutcome::Line(l) => {
-                if l.trim().is_empty() {
-                    continue;
-                }
-                let (tx, rx) = mpsc::channel();
-                // open the request's x-ray root span (if this request is
-                // sampled) and close it when the reply lands — including
-                // the synthesized-timeout path, where the root must still
-                // complete for the trace to become fetchable
-                let xray = gbtl_trace::begin_request(l.trim(), "threaded");
-                let reply = Reply::new(move |response: String| {
-                    if let Some(ctx) = xray {
-                        gbtl_trace::finish_request(ctx);
-                    }
-                    let _ = tx.send(response);
-                });
-                match engine.submit(l.trim(), reply, xray) {
-                    Submission::Inline(response) => {
-                        // inline answers bypass the reply (finish_root is
-                        // idempotent, so a both-paths race stays safe)
-                        if let Some(ctx) = xray {
-                            gbtl_trace::finish_request(ctx);
-                        }
-                        response
-                    }
-                    Submission::Accepted {
-                        deadline,
-                        correlation,
-                    } => {
-                        let wait = deadline
-                            .saturating_duration_since(Instant::now())
-                            .saturating_add(DEADLINE_GRACE);
-                        match rx.recv_timeout(wait) {
-                            Ok(response) => response,
-                            // a worker still mid-grind past the deadline:
-                            // synthesize the timeout; the late real reply
-                            // lands in a dropped channel (its send still
-                            // finishes the x-ray root first)
-                            Err(_) => engine.deadline_timeout_response(correlation),
-                        }
-                    }
-                }
-            }
+        let n = match (&stream).read(&mut buf) {
+            Ok(0) => return, // EOF
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // WouldBlock/TimedOut = the idle read timeout expired
+            Err(_) => return,
         };
-        let mut response = line;
-        response.push('\n');
-        if writer
-            .write_all(response.as_bytes())
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
-            return;
+        for frame in framer.requests(&buf[..n]) {
+            let mut response = match frame {
+                None => engine.oversized_line_response(max_line),
+                Some(line) => match answer(engine, &line) {
+                    Some(response) => response,
+                    None => return, // the engine dropped an accepted Reply
+                },
+            };
+            response.push('\n');
+            if (&stream).write_all(response.as_bytes()).is_err() {
+                return;
+            }
         }
+    }
+}
+
+/// Submit one request line and block until its response, however late
+/// it is. `None` when the engine dropped an accepted request's [`Reply`]
+/// unsent — a breach of the contract that closes the connection.
+fn answer<E: gbtl_net::Engine + ?Sized>(engine: &E, line: &str) -> Option<String> {
+    let (tx, rx) = mpsc::channel();
+    // open the request's x-ray root span (if this request is sampled) and
+    // close it when the reply lands; inline answers bypass the reply
+    // (finish is idempotent, so a both-paths race stays safe)
+    let xray = gbtl_trace::begin_request(line, "threaded");
+    let reply = Reply::new(move |response: String| {
+        if let Some(ctx) = xray {
+            gbtl_trace::finish_request(ctx);
+        }
+        let _ = tx.send(response);
+    });
+    match engine.submit(line, reply, xray) {
+        Submission::Inline(response) => {
+            if let Some(ctx) = xray {
+                gbtl_trace::finish_request(ctx);
+            }
+            Some(response)
+        }
+        Submission::Accepted => rx.recv().ok(),
     }
 }
 
@@ -562,5 +528,44 @@ mod tests {
         );
         assert_eq!(FrontendMode::parse("epoll"), None);
         assert_eq!(FrontendMode::Evented.as_str(), "evented");
+    }
+
+    #[test]
+    fn one_flag_table_with_a_hook_for_the_rest() {
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        let mut c = ServerConfig::default();
+        let mut shards = 0usize;
+        let parsed = c.parse_flags(
+            args("--mode evented --fuse on --fuse-window-us 0 --load g=karate --shards 3"),
+            |flag, value| match flag {
+                "--shards" => {
+                    shards = parse_num(&value("count")?)?;
+                    Ok(true)
+                }
+                _ => Ok(false),
+            },
+        );
+        assert_eq!(parsed, Ok(()));
+        assert_eq!(c.mode, FrontendMode::Evented);
+        assert!(c.fuse.enabled);
+        assert_eq!(c.fuse.window, Duration::from_micros(1), "clamped to 1 µs");
+        assert_eq!(c.preload, [("g".to_string(), "karate".to_string())]);
+        assert_eq!(shards, 3);
+
+        let no_extra = |_: &str, _: &mut dyn FnMut(&str) -> Result<String, String>| Ok(false);
+        let mut c = ServerConfig::default();
+        assert_eq!(c.parse_flags(args("--help"), no_extra), Err(String::new()));
+        assert_eq!(
+            c.parse_flags(args("--shards 3"), no_extra),
+            Err("unknown flag \"--shards\"".into())
+        );
+        assert_eq!(
+            c.parse_flags(args("--workers"), no_extra),
+            Err("--workers needs a count".into())
+        );
+        assert_eq!(
+            c.parse_flags(args("--queue x"), no_extra),
+            Err("bad number \"x\"".into())
+        );
     }
 }

@@ -57,7 +57,6 @@ struct RouterStats {
     scattered: Arc<Counter>,
     partials: Arc<Counter>,
     bad: Arc<Counter>,
-    deadline_expired: Arc<Counter>,
 }
 
 impl RouterStats {
@@ -71,7 +70,6 @@ impl RouterStats {
             scattered: c("gbtl_router_scattered_total"),
             partials: c("gbtl_router_partials_total"),
             bad: c("gbtl_bad_requests_total"),
-            deadline_expired: c("gbtl_deadline_expired_total"),
         }
     }
 }
@@ -258,8 +256,7 @@ impl Router {
              \"uptime_ms\":{},\"frontend\":\"{}\",\"shards\":{},\"graphs\":{graphs},\
              \"queue_depth\":{queue_depth},\"partial\":{partial},\
              \"router\":{{\"connections\":{},\"connections_closed\":{},\"received\":{},\
-             \"forwarded\":{},\"scattered\":{},\"partials\":{},\"bad\":{},\
-             \"deadline_expired\":{}}},\
+             \"forwarded\":{},\"scattered\":{},\"partials\":{},\"bad\":{}}},\
              \"requests\":{{\"received\":{},\"completed\":{},\"bad\":{},\
              \"rejected_overloaded\":{},\"rejected_shutdown\":{},\
              \"deadline_expired\":{}}},\
@@ -275,7 +272,6 @@ impl Router {
             st.scattered.get(),
             st.partials.get(),
             st.bad.get(),
-            st.deadline_expired.get(),
             sum(|s| s.received),
             sum(|s| s.completed),
             sum(|s| s.bad),
@@ -480,15 +476,6 @@ impl Engine for Router {
     fn oversized_line_response(&self, max_line: usize) -> String {
         self.stats.bad.inc();
         oversized_response(max_line)
-    }
-
-    fn deadline_timeout_response(&self, correlation: Option<u64>) -> String {
-        self.stats.deadline_expired.inc();
-        error_response(
-            "deadline",
-            "no result within the request deadline",
-            correlation,
-        )
     }
 
     fn drain(&self) {

@@ -88,34 +88,6 @@ fn span_line(r: &SpanRecord) -> String {
     )
 }
 
-/// Group a report's retained spans by the request id they were stamped
-/// with. Spans recorded with no request active group under `None`. This is
-/// the read-side companion of `Tracer::set_request`: a JSON trace
-/// captured during a serve run comes back as one bucket per request.
-///
-/// **Ordering guarantee:** spans within each group are sorted by
-/// `(start_ns, seq)` — wall-clock start on the shared process clock, with
-/// the recording sequence number breaking exact ties — and groups are
-/// ordered by their earliest span's start. Ring order alone is *retirement*
-/// order: when a pool executes requests concurrently on one context, a
-/// long op of request A can retire after a later-started op of request B,
-/// so first-appearance grouping used to present requests (and their spans)
-/// out of causal order.
-pub fn group_by_request(report: &TraceReport) -> Vec<(Option<u64>, Vec<&SpanRecord>)> {
-    let mut groups: Vec<(Option<u64>, Vec<&SpanRecord>)> = Vec::new();
-    for span in &report.spans {
-        match groups.iter_mut().find(|(id, _)| *id == span.request_id) {
-            Some((_, spans)) => spans.push(span),
-            None => groups.push((span.request_id, vec![span])),
-        }
-    }
-    for (_, spans) in &mut groups {
-        spans.sort_by_key(|s| (s.start_ns, s.seq));
-    }
-    groups.sort_by_key(|(_, spans)| (spans[0].start_ns, spans[0].seq));
-    groups
-}
-
 fn section_line(backend: &str, sec: &Section) -> String {
     format!(
         "{{\"type\":\"section\",\"backend\":\"{}\",\"title\":\"{}\",\"entries\":{}}}",
@@ -224,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_group_by_request_id() {
+    fn jsonl_stamps_request_id_on_stamped_spans() {
         let t = Tracer::with_mode("sequential", TraceMode::Summary);
         let emit = |rid: Option<u64>, op: &'static str| {
             t.set_request(rid, None);
@@ -247,24 +219,7 @@ mod tests {
         emit(Some(7), "apply_vec");
         emit(Some(9), "mxv");
         emit(Some(7), "reduce_vec"); // request 7 resumes on the same context
-        let report = t.report(Vec::new());
-
-        let groups = group_by_request(&report);
-        let shape: Vec<(Option<u64>, Vec<&str>)> = groups
-            .iter()
-            .map(|(id, spans)| (*id, spans.iter().map(|sp| sp.fields.op).collect()))
-            .collect();
-        assert_eq!(
-            shape,
-            vec![
-                (None, vec!["build"]),
-                (Some(7), vec!["mxv", "apply_vec", "reduce_vec"]),
-                (Some(9), vec!["mxv"]),
-            ]
-        );
-
-        // the JSON-lines form carries request_id on exactly the stamped spans
-        let out = format_jsonl(&report);
+        let out = format_jsonl(&t.report(Vec::new()));
         let mut stamped = 0;
         for line in out.lines() {
             let v = json::parse(line).unwrap();
@@ -276,53 +231,6 @@ mod tests {
             }
         }
         assert_eq!(stamped, 4);
-    }
-
-    #[test]
-    fn grouping_orders_by_start_time_not_retirement() {
-        // Concurrent pool workers retire spans onto the ring out of start
-        // order: request 9's short op lands before request 7's long one
-        // even though 7 started first. Craft that retirement order by hand.
-        let span = |seq: u64, rid: u64, start_ns: u64, op: &'static str| SpanRecord {
-            seq,
-            backend: "sequential",
-            request_id: Some(rid),
-            start_ns,
-            duration_ns: 10,
-            fields: SpanFields {
-                op,
-                op_label: String::new(),
-                dims: "4x4".into(),
-                nnz_in: 1,
-                nnz_out: 1,
-                masked: false,
-                complemented: false,
-                accum: false,
-            },
-        };
-        let report = TraceReport {
-            backend: "sequential",
-            mode: TraceMode::Summary,
-            ops: Vec::new(),
-            spans: vec![
-                span(0, 9, 500, "mxv"), // retired first, started last
-                span(1, 7, 100, "mxv"), // request 7's first (long) op
-                span(2, 9, 600, "apply_vec"),
-                span(3, 7, 200, "reduce_vec"),
-            ],
-            total_spans: 4,
-            dropped_spans: 0,
-            sections: Vec::new(),
-        };
-        let shape: Vec<(Option<u64>, Vec<u64>)> = group_by_request(&report)
-            .iter()
-            .map(|(id, spans)| (*id, spans.iter().map(|s| s.start_ns).collect()))
-            .collect();
-        assert_eq!(
-            shape,
-            vec![(Some(7), vec![100, 200]), (Some(9), vec![500, 600]),],
-            "groups and their spans follow start time, not ring retirement"
-        );
     }
 
     #[test]

@@ -80,8 +80,7 @@ pub struct SpanRecord {
     /// trace taken during a serve run is grouped back per request.
     pub request_id: Option<u64>,
     /// Span start on the shared process clock
-    /// ([`gbtl_util::time::now_ns`]) — comparable across contexts, and the
-    /// ordering key [`crate::report::group_by_request`] sorts by.
+    /// ([`gbtl_util::time::now_ns`]) — comparable across contexts.
     pub start_ns: u64,
     /// Wall duration of the whole frontend op (validation + kernel +
     /// mask/accumulator stitch), in nanoseconds.

@@ -6,8 +6,7 @@
 //! pool and `Context`; every interval [`crate::emit`] sees under it lands
 //! in that request's tree. The tree completes when its root
 //! `net.connection` span finishes ([`finish_request`]); spans arriving
-//! after that are dropped (a late reply past a synthesized deadline answer
-//! has no tree to join). Completed trees live in one bounded
+//! after that are dropped (they have no tree to join). Completed trees live in one bounded
 //! process-global [`XrayStore`], fetched by trace id and exported as
 //! Chrome trace-event JSON ([`crate::chrome`]).
 //!

@@ -251,7 +251,7 @@ fn expired_member_rejected_without_poisoning_the_group() {
              \"source\":{source},\"deadline_ms\":{deadline_ms}}}"
         );
         match pool.submit(&line, reply, None) {
-            Submission::Accepted { .. } => rxs.push((i, rx)),
+            Submission::Accepted => rxs.push((i, rx)),
             other => panic!("member {i} must be held by the window, got {other:?}"),
         }
     }
@@ -297,7 +297,7 @@ fn drain_flushes_the_open_window() {
     let line = "{\"op\":\"query\",\"id\":9,\"graph\":\"karate\",\"algo\":\"bfs\",\"source\":0}";
     assert!(matches!(
         pool.submit(line, reply, None),
-        Submission::Accepted { .. }
+        Submission::Accepted
     ));
 
     // drain immediately — well inside the 150 ms window
@@ -352,7 +352,7 @@ fn rejections_are_identical_however_a_query_was_admitted() {
             "overloaded",
             |pool| {
                 let filler = pool.submit("{\"op\":\"sleep\",\"ms\":0}", Reply::new(|_| {}), None);
-                assert!(matches!(filler, Submission::Accepted { .. }));
+                assert!(matches!(filler, Submission::Accepted));
             },
             |pool| pool.shard_snapshot().rejected_overloaded,
         ),
@@ -380,7 +380,7 @@ fn rejections_are_identical_however_a_query_was_admitted() {
                 });
                 answers.push(match pool.submit(line, reply, None) {
                     Submission::Inline(raw) => Ok(raw),
-                    Submission::Accepted { .. } => Err(rx),
+                    Submission::Accepted => Err(rx),
                 });
             }
             for (line, answer) in lines.iter().zip(answers) {

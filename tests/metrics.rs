@@ -167,6 +167,16 @@ fn json_traces_carry_the_request_id_end_to_end() {
     );
     assert!(v2.u64_field("request_id").unwrap() > request_id);
 
+    // a traced query answered from the result cache dispatched no op, so
+    // its trace is present and empty — whether the cached run was traced
+    // or not
+    let untraced = "\"graph\":\"karate\",\"algo\":\"pagerank\",\"backend\":\"seq\"";
+    assert_eq!(query(&mut c, untraced).bool_field("cached"), Some(false));
+    let hit = query(&mut c, &format!("{untraced},\"trace\":true"));
+    assert_eq!(hit.bool_field("cached"), Some(true));
+    let spans = hit.get("trace").and_then(|t| t.as_arr());
+    assert_eq!(spans.map(|s| s.len()), Some(0), "traced hit: {hit:?}");
+
     handle.shutdown_and_join();
 }
 

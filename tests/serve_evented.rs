@@ -1,7 +1,7 @@
-//! gbtl-serve × gbtl-net integration: the evented front-end on a real
-//! socket — pipelining with in-order responses, framing edge cases
-//! (byte dribble, split segments), the request-line length bound and idle
-//! timeout in **both** front-ends, client-death isolation, graceful
+//! gbtl-serve × gbtl-net integration: the front-ends on a real socket —
+//! pipelining with in-order responses, framing edge cases (byte dribble,
+//! split segments), the request-line length bound, idle timeout and late
+//! replies in **both** front-ends, client-death isolation, graceful
 //! drain, an idle-connection smoke, and the headline Engine-contract
 //! guarantee: both front-ends return byte-identical result payloads.
 
@@ -68,64 +68,114 @@ fn query_line(id: u64) -> String {
 
 #[test]
 fn evented_pipelined_burst_answers_in_request_order() {
-    let handle = start(config(FrontendMode::Evented)).unwrap();
-    let mut raw = Raw::connect(&handle.addr().to_string());
+    // the threaded front-end frames the same multi-line chunks and answers
+    // them one at a time, so the order holds there too
+    for mode in [FrontendMode::Threaded, FrontendMode::Evented] {
+        let handle = start(config(mode)).unwrap();
+        let mut raw = Raw::connect(&handle.addr().to_string());
 
-    // one giant write: 32 requests the server sees back to back, a mix of
-    // worker-pool queries (miss then hits) and inline control ops
-    let mut burst = String::new();
-    for id in 0..32u64 {
-        if id % 5 == 4 {
-            burst.push_str("{\"op\":\"ping\"}\n");
-        } else {
-            burst.push_str(&query_line(id));
+        // one giant write: 32 requests the server sees back to back, a mix
+        // of worker-pool queries (miss then hits) and inline control ops
+        let mut burst = String::new();
+        for id in 0..32u64 {
+            if id % 5 == 4 {
+                burst.push_str("{\"op\":\"ping\"}\n");
+            } else {
+                burst.push_str(&query_line(id));
+            }
         }
-    }
-    raw.send(burst.as_bytes());
+        raw.send(burst.as_bytes());
 
-    for id in 0..32u64 {
-        let response = raw.recv_line();
-        if id % 5 == 4 {
-            assert!(response.contains("\"pong\":true"), "{id}: {response}");
-        } else {
-            assert!(
-                response.contains(&format!("\"id\":{id},")),
-                "response out of order at {id}: {response}"
-            );
-            assert!(response.starts_with("{\"ok\":true"), "{id}: {response}");
+        for id in 0..32u64 {
+            let response = raw.recv_line();
+            let mode = mode.as_str();
+            if id % 5 == 4 {
+                assert!(
+                    response.contains("\"pong\":true"),
+                    "{mode} {id}: {response}"
+                );
+            } else {
+                assert!(
+                    response.contains(&format!("\"id\":{id},")),
+                    "{mode}: response out of order at {id}: {response}"
+                );
+                assert!(
+                    response.starts_with("{\"ok\":true"),
+                    "{mode} {id}: {response}"
+                );
+            }
         }
+        handle.shutdown_and_join();
     }
-    handle.shutdown_and_join();
 }
 
 #[test]
 fn evented_byte_dribble_and_split_segments_frame_correctly() {
-    let handle = start(config(FrontendMode::Evented)).unwrap();
-    let mut raw = Raw::connect(&handle.addr().to_string());
+    for mode in [FrontendMode::Threaded, FrontendMode::Evented] {
+        let handle = start(config(mode)).unwrap();
+        let mut raw = Raw::connect(&handle.addr().to_string());
 
-    // a request delivered one byte at a time still parses as one line
-    for b in b"{\"op\":\"ping\",\"id\":1}\n" {
-        raw.send(&[*b]);
-        std::thread::sleep(Duration::from_millis(1));
+        // a request delivered one byte at a time still parses as one line
+        for b in b"{\"op\":\"ping\",\"id\":1}\n" {
+            raw.send(&[*b]);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            raw.recv_line().contains("\"pong\":true"),
+            "{}",
+            mode.as_str()
+        );
+
+        // one segment carrying a complete request plus the head of the
+        // next, the tail arriving later — both answered, in order
+        let a = query_line(7);
+        let b = query_line(8);
+        let (b_head, b_tail) = b.split_at(b.len() / 2);
+        raw.send(format!("{a}{b_head}").as_bytes());
+        std::thread::sleep(Duration::from_millis(30));
+        raw.send(b_tail.as_bytes());
+        assert!(raw.recv_line().contains("\"id\":7,"), "{}", mode.as_str());
+        assert!(raw.recv_line().contains("\"id\":8,"), "{}", mode.as_str());
+
+        // CRLF and blank lines are tolerated, not answered
+        raw.send(b"\r\n\n{\"op\":\"ping\",\"id\":2}\r\n");
+        assert!(
+            raw.recv_line().contains("\"pong\":true"),
+            "{}",
+            mode.as_str()
+        );
+
+        handle.shutdown_and_join();
     }
-    assert!(raw.recv_line().contains("\"pong\":true"));
+}
 
-    // one segment carrying a complete request plus the head of the next,
-    // the tail arriving later — both answered, in order
-    let a = query_line(7);
-    let b = query_line(8);
-    let (b_head, b_tail) = b.split_at(b.len() / 2);
-    raw.send(format!("{a}{b_head}").as_bytes());
-    std::thread::sleep(Duration::from_millis(30));
-    raw.send(b_tail.as_bytes());
-    assert!(raw.recv_line().contains("\"id\":7,"));
-    assert!(raw.recv_line().contains("\"id\":8,"));
-
-    // CRLF and blank lines are tolerated, not answered
-    raw.send(b"\r\n\n{\"op\":\"ping\",\"id\":2}\r\n");
-    assert!(raw.recv_line().contains("\"pong\":true"));
-
-    handle.shutdown_and_join();
+#[test]
+fn late_replies_are_delivered_on_both_front_ends() {
+    // a deadline is the engine's: a request that is already executing when
+    // it passes still answers with its real result, on either front-end,
+    // and the connection goes on to the next request
+    let mut answers = Vec::new();
+    for mode in [FrontendMode::Threaded, FrontendMode::Evented] {
+        let handle = start(config(mode)).unwrap();
+        let mut raw = Raw::connect(&handle.addr().to_string());
+        raw.send(b"{\"op\":\"sleep\",\"ms\":600,\"deadline_ms\":100,\"id\":7}\n");
+        let late = raw.recv_line();
+        assert_eq!(
+            late,
+            "{\"ok\":true,\"id\":7,\"slept_ms\":600}",
+            "{}",
+            mode.as_str()
+        );
+        raw.send(b"{\"op\":\"ping\",\"id\":8}\n");
+        assert!(
+            raw.recv_line().contains("\"pong\":true"),
+            "{}",
+            mode.as_str()
+        );
+        answers.push(late);
+        handle.shutdown_and_join();
+    }
+    assert_eq!(answers[0], answers[1], "the same bytes on both front-ends");
 }
 
 #[test]
