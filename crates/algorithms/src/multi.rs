@@ -24,11 +24,13 @@
 //! that source — duplicate sources simply become identical rows, and `k=1`
 //! is the solo traversal written as a one-row matrix.
 //!
-//! Like the solo kernels, the visited / improvement bookkeeping runs
-//! host-side: the solo BFS's complemented mask computes the full product
-//! and filters during the stitch, so filtering the full product here keeps
-//! the set of discovered vertices — and therefore every level and distance
-//! value — identical by construction.
+//! The solo BFS pushes its complemented `visited` mask into `vxm`/`mxv`.
+//! A fused level computes the unmasked `N = F·A` and filters it in place,
+//! straight off its CSR: against a k×n visited bitmap (BFS) or with the
+//! solo kernel's improvement merge per row (SSSP). Either way it keeps
+//! exactly the entries the solo level keeps, so every level and distance
+//! value is identical by construction. Why the fused product carries no
+//! mask: docs/adr/0011.
 
 use gbtl_algebra::{Bounded, LorLand, Scalar};
 use gbtl_core::{Backend, Context, Matrix, Result, Vector};
@@ -67,8 +69,8 @@ pub fn bfs_levels_multi<B: Backend>(
         LorLand::new(),
         sources,
         true,
-        // host-side visited filter: the solo kernel's complemented mask,
-        // applied across all k rows in one row-major pass
+        // host-side visited filter: keeps what the solo kernel's
+        // complemented mask keeps, across all k rows in one row-major pass
         |tally, depth, r, j, _| {
             let fresh = !visited[r * n + j];
             if fresh {

@@ -20,9 +20,7 @@ use gbtl_core::{
     no_accum, Backend, ChosenDir, Context, Descriptor, Direction, DirectionPolicy, FrontierRep,
     LevelDecision, LevelWork, Matrix, Product, Result, Vector,
 };
-
-/// A fused frontier or product: `(member, vertex, value)`, row-major.
-type Triples<T> = Vec<(usize, usize, T)>;
+use gbtl_sparse::CsrMatrix;
 
 /// The driver's books on the frontier being assembled — what it cannot know
 /// without re-reading it — and, under a masked product, the `visited` mask.
@@ -132,8 +130,9 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
     /// The k×n frontier `F` of `sources` stacked row-wise, one unmasked
     /// push `N = F ⊕.⊗ A` per level under a [`Traversal::batch`] policy.
     /// The epilogue is a filter: `keep(tally, depth, member, vertex, value)`
-    /// says whether a product entry goes on, and the survivors — still
-    /// row-major — fill the buffer the frontier before last left behind.
+    /// says whether a product entry goes on, asked row-major straight off
+    /// `N`'s CSR, and the survivors, compacted in place, are the next `F`.
+    /// The frontier never leaves CSR (docs/adr/0011).
     pub(crate) fn fused<S: Semiring<D>>(
         &self,
         sr: S,
@@ -142,33 +141,21 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         mut keep: impl FnMut(&mut Tally, u64, usize, usize, D) -> bool,
     ) -> Result<()> {
         let (ctx, a, k, n) = (self.ctx, self.a, sources.len(), self.a.nrows());
-        let seeds = sources.iter().enumerate().map(|(r, &src)| (r, src, seed));
-        let mut spare = Triples::new();
+        let seeds = vec![seed; k];
+        let frontier = CsrMatrix::from_parts(k, n, (0..=k).collect(), sources.to_vec(), seeds)?;
         self.run(
-            (seeds.collect(), sources),
-            Vec::len,
-            |_, fresh: &mut Triples<D>, _| {
-                let frontier = Matrix::from_row_major_triples(k, n, fresh)?;
-                let mut next: Matrix<D> = Matrix::new(k, n);
-                ctx.mxm(
-                    &mut next,
-                    None,
-                    no_accum(),
-                    sr,
-                    &frontier,
-                    a,
-                    &Descriptor::new(),
-                )?;
-                Ok(next.iter().collect())
+            (Matrix::from_csr(frontier), sources),
+            Matrix::nnz,
+            |_, frontier: &mut Matrix<D>, _| {
+                let mut next = Matrix::new(k, n);
+                let desc = Descriptor::new();
+                ctx.mxm(&mut next, None, no_accum(), sr, frontier, a, &desc)?;
+                // the fresh product is adopted by the write: no copy
+                Ok(next.into_csr())
             },
-            |tally, depth, next: Triples<D>| {
-                spare.clear();
-                for &(r, j, v) in &next {
-                    if keep(tally, depth, r, j, v) {
-                        spare.push((r, j, v));
-                    }
-                }
-                Ok(std::mem::replace(&mut spare, next))
+            |tally, depth, mut next: CsrMatrix<D>| {
+                next.retain(|r, j, v| keep(tally, depth, r, j, v));
+                Ok(Matrix::from_csr(next))
             },
         )
     }

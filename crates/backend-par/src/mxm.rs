@@ -86,6 +86,51 @@ mod tests {
         assert_eq!(mxm(&pool, &a, &a, MinPlus::<i64>::new()), want);
     }
 
+    /// Rows on both sides of seq's sweep rule (row 0 scans 9 ≥ 6 entries
+    /// of `B`, row 3 exactly 6; row 1 scans 5, row 2 none), split across
+    /// 1, 2 and 3 threads, equal seq's product bit for bit.
+    #[test]
+    fn swept_and_sorted_rows_match_seq_at_1_2_3_threads() {
+        use gbtl_algebra::LorLand;
+        fn check<T: Scalar, S: Semiring<T>>(sr: S, va: [T; 8], vb: [T; 9], bits: fn(T) -> u64) {
+            let a_cols = vec![0, 1, 2, 0, 2, 3, 1, 2];
+            let a = CsrMatrix::from_parts(4, 4, vec![0, 3, 5, 6, 8], a_cols, va.to_vec());
+            let b_cols = vec![0, 2, 4, 1, 2, 3, 5, 1, 5];
+            let b = CsrMatrix::from_parts(4, 6, vec![0, 3, 7, 9, 9], b_cols, vb.to_vec());
+            let (a, b) = (a.unwrap(), b.unwrap());
+            let want = gbtl_backend_seq::mxm(&a, &b, sr);
+            for threads in [1, 2, 3] {
+                let got = mxm(&ThreadPool::with_threads(threads), &a, &b, sr);
+                got.validate().unwrap();
+                assert_eq!(got.row_ptr(), want.row_ptr(), "threads={threads}");
+                assert_eq!(got.col_idx(), want.col_idx(), "threads={threads}");
+                let got_bits: Vec<u64> = got.vals().iter().map(|&v| bits(v)).collect();
+                let want_bits: Vec<u64> = want.vals().iter().map(|&v| bits(v)).collect();
+                assert_eq!(got_bits, want_bits, "threads={threads}");
+            }
+        }
+        let t = true;
+        let (f, nan1, nan2) = (false, f64::from_bits(0x7ff8_0000_0000_0001), f64::NAN);
+        check(
+            LorLand::new(),
+            [t, t, f, t, t, f, t, t],
+            [t, f, t, t, t, f, t, t, t],
+            |v| v as u64,
+        );
+        check(
+            MinPlus::<u32>::new(),
+            [3, 1, 4, 1, 5, 9, 2, 6],
+            [5, 3, 5, 8, 9, 7, 9, 3, 2],
+            u64::from,
+        );
+        check(
+            PlusTimes::<f64>::new(),
+            [-0.0, 1.5, nan1, 2.0, -1.0, 7.0, -0.0, nan2],
+            [-0.0, 3.0, -2.5, nan2, -0.0, 1.0, -4.0, 0.25, nan1],
+            f64::to_bits,
+        );
+    }
+
     #[test]
     fn mxm_empty_result() {
         let a = from_dense(&[&[0, 1], &[0, 0]]);

@@ -44,43 +44,80 @@ where
         b.nrows(),
         b.ncols()
     );
-    let (add, mul) = (sr.add(), sr.mul());
+    let n = b.ncols();
 
     // The accumulator and touched list come from the thread-local
     // workspace pool: per-row `take()` drains leave the accumulator
     // all-None, which is the pool's return invariant.
-    workspace::with_accumulator(b.ncols(), |acc: &mut Vec<Option<T>>| {
+    workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
         workspace::with_index_buffer(|touched| {
             let mut row_ptr = Vec::with_capacity(rows.len() + 1);
             row_ptr.push(0usize);
             let mut col_idx = Vec::new();
             let mut vals = Vec::new();
             for i in rows {
-                touched.clear();
-                let (a_cols, a_vals) = a.row(i);
-                for (&k, &aik) in a_cols.iter().zip(a_vals) {
-                    let (b_cols, b_vals) = b.row(k);
-                    for (&j, &bkj) in b_cols.iter().zip(b_vals) {
-                        let term = mul.apply(aik, bkj);
-                        match &mut acc[j] {
-                            Some(v) => *v = add.apply(*v, term),
-                            slot @ None => {
-                                *slot = Some(term);
-                                touched.push(j);
-                            }
+                // A row that scans at least `n` entries of `B` has already
+                // done the work of one pass over the accumulator, so it
+                // lists nothing and emits by that pass, in column order (the
+                // rule of push `vxm`). A sparser row must not pay O(n): it
+                // lists first touches and sorts them.
+                let scanned: usize = a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum();
+                if scanned >= n {
+                    fold_row(a, b, sr, i, acc, |_| {});
+                    for (j, slot) in acc[..n].iter_mut().enumerate() {
+                        if let Some(v) = slot.take() {
+                            col_idx.push(j);
+                            vals.push(v);
                         }
                     }
-                }
-                touched.sort_unstable();
-                for &j in touched.iter() {
-                    col_idx.push(j);
-                    vals.push(acc[j].take().expect("touched implies present"));
+                } else {
+                    touched.clear();
+                    fold_row(a, b, sr, i, acc, |j| touched.push(j));
+                    touched.sort_unstable();
+                    for &j in touched.iter() {
+                        col_idx.push(j);
+                        vals.push(acc[j].take().expect("touched implies present"));
+                    }
                 }
                 row_ptr.push(col_idx.len());
             }
             RowChunk::from_parts(row_ptr, col_idx, vals)
         })
     })
+}
+
+/// Fold row `i` of `A ⊕.⊗ B` into `acc` in scan order, calling `first(j)`
+/// when column `j` receives its first term; a `first` that does nothing
+/// leaves a loop with no first-touch call.
+#[inline(always)]
+fn fold_row<T, D1, D2, S>(
+    a: &CsrMatrix<D1>,
+    b: &CsrMatrix<D2>,
+    sr: S,
+    i: usize,
+    acc: &mut [Option<T>],
+    mut first: impl FnMut(usize),
+) where
+    T: Scalar,
+    D1: Scalar,
+    D2: Scalar,
+    S: Semiring<T, D1, D2>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let (a_cols, a_vals) = a.row(i);
+    for (&k, &aik) in a_cols.iter().zip(a_vals) {
+        let (b_cols, b_vals) = b.row(k);
+        for (&j, &bkj) in b_cols.iter().zip(b_vals) {
+            let term = mul.apply(aik, bkj);
+            match &mut acc[j] {
+                Some(v) => *v = add.apply(*v, term),
+                slot @ None => {
+                    *slot = Some(term);
+                    first(j);
+                }
+            }
+        }
+    }
 }
 
 /// Masked multiply: `C<M> = A ⊕.⊗ B`, computing **only** the entries present
@@ -399,6 +436,103 @@ mod tests {
         for (i, j, _) in mask.iter() {
             assert_eq!(masked.get(i, j), full.get(i, j));
         }
+    }
+
+    /// `A` (4×4) and `B` (4×6) with the given values on a fixed structure
+    /// whose product rows fall on both sides of the sweep rule: row 0 scans
+    /// 9 ≥ 6 entries of `B`, row 3 exactly 6 (swept); row 1 scans 5 and
+    /// first touches 0, 2, 4, 1, 5 in that order (sorted); row 2 scans 0.
+    fn sweep_operands<T: Scalar>(va: [T; 8], vb: [T; 9]) -> (CsrMatrix<T>, CsrMatrix<T>) {
+        let a = CsrMatrix::from_parts(
+            4,
+            4,
+            vec![0, 3, 5, 6, 8],
+            vec![0, 1, 2, 0, 2, 3, 1, 2],
+            va.to_vec(),
+        )
+        .unwrap();
+        let b = CsrMatrix::from_parts(
+            4,
+            6,
+            vec![0, 3, 7, 9, 9],
+            vec![0, 2, 4, 1, 2, 3, 5, 1, 5],
+            vb.to_vec(),
+        )
+        .unwrap();
+        let scanned: Vec<usize> = (0..4)
+            .map(|i| a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum())
+            .collect();
+        assert_eq!(scanned, [9, 5, 0, 6]);
+        (a, b)
+    }
+
+    /// Per row, a dense fold in scan order, emitted by ascending column.
+    fn dense_reference<T: Scalar, S: Semiring<T>>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        sr: S,
+    ) -> Vec<Vec<(usize, T)>> {
+        (0..a.nrows())
+            .map(|i| {
+                let mut row = vec![None; b.ncols()];
+                for (&k, &aik) in a.row(i).0.iter().zip(a.row(i).1) {
+                    for (&j, &bkj) in b.row(k).0.iter().zip(b.row(k).1) {
+                        let term = sr.mul().apply(aik, bkj);
+                        row[j] = Some(row[j].map_or(term, |v| sr.add().apply(v, term)));
+                    }
+                }
+                (0..b.ncols()).filter_map(|j| Some((j, row[j]?))).collect()
+            })
+            .collect()
+    }
+
+    fn assert_sweep_rule_matches_reference<T: Scalar, S: Semiring<T>>(
+        sr: S,
+        va: [T; 8],
+        vb: [T; 9],
+        bits: impl Fn(T) -> u64,
+    ) {
+        let (a, b) = sweep_operands(va, vb);
+        let c = mxm(&a, &b, sr);
+        c.validate().unwrap();
+        let want = dense_reference(&a, &b, sr);
+        for (i, want) in want.iter().enumerate() {
+            let (cols, vals) = c.row(i);
+            let got: Vec<(usize, u64)> =
+                cols.iter().zip(vals).map(|(&j, &v)| (j, bits(v))).collect();
+            let want: Vec<(usize, u64)> = want.iter().map(|&(j, v)| (j, bits(v))).collect();
+            assert_eq!(got, want, "row {i}");
+        }
+    }
+
+    #[test]
+    fn swept_and_sorted_rows_match_a_dense_reference_bit_for_bit() {
+        use gbtl_algebra::LorLand;
+        let t = true;
+        assert_sweep_rule_matches_reference(
+            LorLand::new(),
+            [t, t, false, t, t, false, t, t],
+            [t, false, t, t, t, false, t, t, t],
+            |v| v as u64,
+        );
+        assert_sweep_rule_matches_reference(
+            MinPlus::<u32>::new(),
+            [3, 1, 4, 1, 5, 9, 2, 6],
+            [5, 3, 5, 8, 9, 7, 9, 3, 2],
+            u64::from,
+        );
+        // -0.0 and NaNs of two payloads: a fold out of scan order, or a
+        // first term seeded as `0.0 ⊕ t`, changes the bits
+        let (nan1, nan2) = (
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ff8_0000_0000_0002),
+        );
+        assert_sweep_rule_matches_reference(
+            PlusTimes::<f64>::new(),
+            [-0.0, 1.5, nan1, 2.0, -1.0, 7.0, -0.0, nan2],
+            [-0.0, 3.0, -2.5, nan2, -0.0, 1.0, -4.0, 0.25, nan1],
+            f64::to_bits,
+        );
     }
 
     #[test]

@@ -112,60 +112,6 @@ impl<T: Scalar> Matrix<T> {
         Self::from_csr(CsrMatrix::from_coo(coo, |a, b| dup.apply(a, b)))
     }
 
-    /// Build from triples that are **already strictly sorted row-major**
-    /// (lexicographically increasing `(row, col)`, hence duplicate-free),
-    /// skipping the COO sort entirely — assembly is one O(nnz) pass.
-    ///
-    /// This is the batched-frontier path: a level-synchronous multi-source
-    /// traversal produces each wavefront in row-major order by
-    /// construction (it filters the row-major iteration of the previous
-    /// product), so the k×n frontier matrix for the next level assembles
-    /// without re-sorting. Order and bounds are validated; a violation is
-    /// an error, never a silently corrupt CSR.
-    pub fn from_row_major_triples(
-        nrows: Index,
-        ncols: Index,
-        triples: &[(Index, Index, T)],
-    ) -> Result<Self> {
-        const OP: &str = "from_row_major_triples";
-        let mut row_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::with_capacity(triples.len());
-        let mut vals = Vec::with_capacity(triples.len());
-        let mut last: Option<(Index, Index)> = None;
-        for &(i, j, v) in triples {
-            if i >= nrows {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: OP,
-                    index: i,
-                    bound: nrows,
-                });
-            }
-            if j >= ncols {
-                return Err(GblasError::IndexOutOfBounds {
-                    op: OP,
-                    index: j,
-                    bound: ncols,
-                });
-            }
-            if last.is_some_and(|prev| (i, j) <= prev) {
-                return Err(GblasError::DimensionMismatch {
-                    op: OP,
-                    detail: format!("triples not strictly row-major sorted at ({i}, {j})"),
-                });
-            }
-            last = Some((i, j));
-            row_ptr[i + 1] += 1;
-            col_idx.push(j);
-            vals.push(v);
-        }
-        for r in 0..nrows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        Ok(Self::from_csr(CsrMatrix::from_parts_unchecked(
-            nrows, ncols, row_ptr, col_idx, vals,
-        )))
-    }
-
     /// Stable identity of this logical matrix (shared by clones).
     #[inline]
     pub fn id(&self) -> u64 {

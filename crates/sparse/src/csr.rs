@@ -373,6 +373,30 @@ impl<T: Scalar> CsrMatrix<T> {
     pub fn max_row_nnz(&self) -> usize {
         (0..self.nrows).map(|i| self.row_nnz(i)).max().unwrap_or(0)
     }
+
+    /// Keep only the entries `keep(row, col, value)` accepts, asked in
+    /// row-major order and compacted in place. A sorted row's subsequence
+    /// is sorted, so every invariant holds by construction; the structure
+    /// gets a fresh [id](CsrMatrix::structure_id).
+    pub fn retain(&mut self, mut keep: impl FnMut(Index, Index, T) -> bool) {
+        let (mut kept, mut lo) = (0, 0);
+        for i in 0..self.nrows {
+            let hi = self.row_ptr[i + 1];
+            for p in lo..hi {
+                let (j, v) = (self.col_idx[p], self.vals[p]);
+                if keep(i, j, v) {
+                    self.col_idx[kept] = j;
+                    self.vals[kept] = v;
+                    kept += 1;
+                }
+            }
+            self.row_ptr[i + 1] = kept;
+            lo = hi;
+        }
+        self.col_idx.truncate(kept);
+        self.vals.truncate(kept);
+        self.id = next_structure_id();
+    }
 }
 
 #[cfg(test)]
@@ -499,5 +523,46 @@ mod tests {
     fn max_row_nnz() {
         assert_eq!(sample().max_row_nnz(), 2);
         assert_eq!(CsrMatrix::<f64>::new(3, 3).max_row_nnz(), 0);
+    }
+
+    #[test]
+    fn retain_keeping_everything_is_the_same_matrix_under_a_new_id() {
+        let mut m = sample();
+        let (before, id) = (m.clone(), m.structure_id());
+        let mut asked = Vec::new();
+        m.retain(|i, j, v| {
+            asked.push((i, j, v));
+            true
+        });
+        m.validate().unwrap();
+        assert_eq!(m, before);
+        assert_ne!(m.structure_id(), id);
+        // asked once per entry, row-major
+        assert_eq!(asked, before.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn retain_keeping_nothing_leaves_empty_rows() {
+        let mut m = sample();
+        m.retain(|_, _, _| false);
+        m.validate().unwrap();
+        assert_eq!(m, CsrMatrix::new(3, 3));
+        assert_eq!(m.row_ptr(), &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn retain_compacts_across_an_empty_row() {
+        // row 1 is empty; drop (0,0) and (2,1), keep (0,2) and (2,0)
+        let mut m = sample();
+        m.retain(|i, j, _| (i, j) == (0, 2) || (i, j) == (2, 0));
+        m.validate().unwrap();
+        assert_eq!(m.row_ptr(), &[0, 1, 1, 2]);
+        assert_eq!(m.col_idx(), &[2, 0]);
+        assert_eq!(m.vals(), &[20.0, 30.0]);
+        // by value, the row index passed through
+        let mut m = sample();
+        m.retain(|i, _, v| i == 2 && v > 35.0);
+        m.validate().unwrap();
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(2, 1, 40.0)]);
     }
 }

@@ -558,3 +558,79 @@ fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
         );
     }
 }
+
+/// Fused ≡ solo at workload scale, where the proptests' 16-vertex graphs
+/// rarely reach: an rmat10 from its 16 highest-degree roots and a grid32,
+/// both multi-source kernels, every backend. The rmat's hub levels scan at
+/// least `n` entries per product row and take `mxm`'s sweep path, its
+/// tail levels and the grid's the sort path; both are asserted.
+#[test]
+fn fused_equals_solo_at_workload_scale() {
+    use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
+    fn check<B: Backend>(
+        ctx: &Context<B>,
+        name: &str,
+        a: &Matrix<bool>,
+        w: &Matrix<u32>,
+        sources: &[usize],
+    ) {
+        let multi = bfs_levels_multi(ctx, a, sources).unwrap();
+        for (r, &s) in sources.iter().enumerate() {
+            let solo = bfs_levels(ctx, a, s, Direction::Auto).unwrap();
+            assert_eq!(
+                multi[r],
+                solo,
+                "{name} bfs on {}, root {s}",
+                ctx.backend().name()
+            );
+        }
+        let multi = sssp_multi(ctx, w, sources).unwrap();
+        for (r, &s) in sources.iter().enumerate() {
+            let solo = sssp(ctx, w, s).unwrap();
+            assert_eq!(
+                multi[r],
+                solo,
+                "{name} sssp on {}, root {s}",
+                ctx.backend().name()
+            );
+        }
+    }
+    let rmat = symmetrize(&Rmat::new(10, 8).seed(7).generate());
+    let (mut swept, mut sorted) = (0, 0);
+    for (name, coo) in [("rmat10", rmat), ("grid32", grid_2d(32, 32))] {
+        let a = gbtl::algorithms::adjacency(coo.clone());
+        let w = weights::uniform_u32_symmetric(&coo, 1, 255, 3);
+        let w = Matrix::build(
+            a.nrows(),
+            a.ncols(),
+            w.iter().filter(|&(i, j, _)| i != j),
+            gbtl::algebra::Min::new(),
+        )
+        .unwrap();
+        let n = a.nrows();
+        let degree = |v: usize| a.csr().row_nnz(v);
+        let mut by_degree: Vec<usize> = (0..n).collect();
+        by_degree.sort_by_key(|&v| (std::cmp::Reverse(degree(v)), v));
+        let sources = &by_degree[..16];
+
+        // a BFS level's product row scans its frontier's out-degrees:
+        // bucket each member's vertices by solo level, count both paths
+        let ctx = Context::sequential();
+        for &s in sources {
+            let levels = bfs_levels(&ctx, &a, s, Direction::Auto).unwrap();
+            let mut scanned = vec![0usize; n];
+            for (v, depth) in levels.iter() {
+                scanned[depth as usize] += degree(v);
+            }
+            swept += scanned.iter().filter(|&&e| e >= n).count();
+            sorted += scanned.iter().filter(|&&e| 0 < e && e < n).count();
+        }
+        check(&ctx, name, &a, &w, sources);
+        check(&Context::parallel_with_threads(2), name, &a, &w, sources);
+        check(&Context::cuda_default(), name, &a, &w, sources);
+    }
+    assert!(
+        swept > 0 && sorted > 0,
+        "swept {swept} levels, sorted {sorted}"
+    );
+}
