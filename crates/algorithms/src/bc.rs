@@ -2,7 +2,8 @@
 
 use gbtl_algebra::{PlusFirst, PlusSecond};
 use gbtl_core::{
-    no_accum, Backend, Context, Descriptor, Direction, DirectionPolicy, Matrix, Result, Vector,
+    no_accum, Backend, Context, Descriptor, Direction, DirectionPolicy, GblasError, Matrix, Result,
+    Vector,
 };
 
 use crate::traverse::Traversal;
@@ -89,8 +90,7 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
             // t_w = (1 + delta_w) / sigma_w for w on level `lvl`
             let mut t: Vector<f64> = Vector::new_dense(n);
             for (w, _) in fronts[lvl].iter() {
-                let sw = sigma.get(w).expect("front vertices have sigma");
-                t.set(w, (1.0 + delta[w]) / sw);
+                t.set(w, (1.0 + delta[w]) / path_count(&sigma, w)?);
             }
             // pull contributions to the previous level: s = A · t
             let mut s: Vector<f64> = Vector::new_dense(n);
@@ -105,7 +105,7 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
             )?;
             for (v, _) in fronts[lvl - 1].iter() {
                 if let Some(sv) = s.get(v) {
-                    delta[v] += sigma.get(v).expect("front vertices have sigma") * sv;
+                    delta[v] += path_count(&sigma, v)? * sv;
                 }
             }
         }
@@ -121,6 +121,15 @@ pub fn betweenness_centrality_with_direction<B: Backend>(
         out.set(v, d);
     }
     Ok(out)
+}
+
+/// The shortest-path count of `v`, a vertex some level's frontier held —
+/// which the forward sweep gave one.
+fn path_count(sigma: &Vector<f64>, v: usize) -> Result<f64> {
+    sigma.get(v).ok_or_else(|| GblasError::InvalidValue {
+        op: "betweenness_centrality",
+        detail: format!("frontier vertex {v} has no path count"),
+    })
 }
 
 /// Exact betweenness centrality (all sources).

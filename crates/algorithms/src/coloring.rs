@@ -1,7 +1,7 @@
 //! Greedy graph coloring via repeated maximal independent sets
 //! (Jones–Plassmann / Luby style).
 
-use gbtl_core::{Backend, Context, Matrix, Result, Vector};
+use gbtl_core::{Backend, Context, GblasError, Matrix, Result, Vector};
 
 use crate::mis::maximal_independent_set;
 use crate::util::check_square;
@@ -38,7 +38,13 @@ pub fn greedy_color<B: Backend>(
                 picked.push(v);
             }
         }
-        assert!(!picked.is_empty(), "MIS of a non-empty graph is non-empty");
+        // a maximal set of the live subgraph holds a live vertex
+        if picked.is_empty() {
+            return Err(GblasError::InvalidValue {
+                op: "greedy_color",
+                detail: format!("round {color} colored no vertex"),
+            });
+        }
         // Remove colored vertices from the remaining graph.
         let (rows, cols, vals) = remaining.extract_tuples();
         let triples = rows
@@ -49,7 +55,12 @@ pub fn greedy_color<B: Backend>(
             .map(|((i, j), v)| (i, j, v));
         remaining = Matrix::build(n, n, triples, gbtl_algebra::Second::new())?;
         color += 1;
-        assert!(color <= n as u64, "coloring failed to terminate");
+        if color > n as u64 {
+            return Err(GblasError::InvalidValue {
+                op: "greedy_color",
+                detail: format!("{color} colors for {n} vertices"),
+            });
+        }
     }
     Ok(colors)
 }

@@ -1,7 +1,7 @@
 //! Minimum spanning forest weight — Borůvka rounds.
 
 use gbtl_algebra::{Bounded, MinMonoid, Scalar, Second};
-use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
+use gbtl_core::{no_accum, Backend, Context, Descriptor, GblasError, Matrix, Result, Vector};
 
 /// Total weight of the minimum spanning forest of an *undirected* weighted
 /// graph (symmetric weight matrix, positive weights).
@@ -72,7 +72,7 @@ where
         // them).
         let mut arg: Vec<Option<usize>> = vec![None; n];
         for &(i, j, w) in &cross {
-            if vmin.get(i) == Some(w) && (arg[i].is_none() || j < arg[i].unwrap()) {
+            if vmin.get(i) == Some(w) && arg[i].is_none_or(|k| j < k) {
                 arg[i] = Some(j);
             }
         }
@@ -81,7 +81,12 @@ where
         let mut comp_best: std::collections::HashMap<usize, (T, usize, usize)> =
             std::collections::HashMap::new();
         for (i, w) in vmin.iter() {
-            let j = arg[i].expect("reduced value has a source edge");
+            // a weight that equals no weight — NaN — reduces to a minimum no
+            // edge achieved
+            let j = arg[i].ok_or_else(|| GblasError::InvalidValue {
+                op: "mst_weight",
+                detail: format!("vertex {i}'s lightest edge weight compares to nothing"),
+            })?;
             let ci = find(&mut comp, i);
             let entry = comp_best.entry(ci).or_insert((w, i, j));
             if w < entry.0 || (w == entry.0 && (i, j) < (entry.1, entry.2)) {

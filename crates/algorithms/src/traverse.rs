@@ -4,9 +4,12 @@
 //! Per level: price both directions ([`LevelWork`]), take the
 //! [`DirectionPolicy`]'s decision, open the `level.<name>` span, put the
 //! frontier in the representation the chosen kernel consumes, run the
-//! product, hand it to the algorithm's **epilogue**, roll the edge totals
-//! and close the span. An algorithm brings a seed, its semiring(s) and that
-//! closure; it never sees a direction, a representation or a decision.
+//! product — a pushed unmasked `Auto` one through
+//! [`Context::priced_level`], which records the direction a device charged
+//! (docs/adr/0012) — hand it to the algorithm's **epilogue**, roll the edge
+//! totals and close the span. An algorithm brings a seed, its semiring(s)
+//! and that closure; it never sees a direction, a representation or a
+//! decision.
 //!
 //! An epilogue writes what the algorithm keeps, tells the [`Tally`] which
 //! vertices [`enter`](Tally::enter) the next frontier and returns it. It
@@ -103,27 +106,43 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         let (ctx, a, n) = (self.ctx, self.a, self.a.nrows());
         let mut frontier = Vector::new(n);
         frontier.set(src, seed);
-        let product = |decision: LevelDecision, frontier: &mut Vector<F>, visited: Option<&_>| {
-            match decision.rep {
-                FrontierRep::Bitmap => frontier.densify(),
-                FrontierRep::Sparse => frontier.sparsify(),
-            }
-            let desc = match visited {
-                Some(_) => Descriptor::new().complement_mask().replace(),
-                None => Descriptor::new(),
+        // the device prices an unmasked `Auto` level both ways (the host
+        // never pulls one); a masked one is charged the direction the host
+        // ran (docs/adr/0012)
+        let priced =
+            self.policy.mode() == Direction::Auto && self.policy.product() == Product::Unmasked;
+        let product =
+            |decision: &mut LevelDecision, frontier: &mut Vector<F>, visited: Option<&_>| {
+                match decision.rep {
+                    FrontierRep::Bitmap => frontier.densify(),
+                    FrontierRep::Sparse => frontier.sparsify(),
+                }
+                let desc = match visited {
+                    Some(_) => Descriptor::new().complement_mask().replace(),
+                    None => Descriptor::new(),
+                };
+                let frontier = &*frontier;
+                let dir = decision.dir;
+                let run = || {
+                    let mut out = Vector::new(n);
+                    match dir {
+                        ChosenDir::Pull => {
+                            let desc = desc.transpose_a();
+                            ctx.mxv(&mut out, visited, no_accum(), pull, a, frontier, &desc)?
+                        }
+                        ChosenDir::Push => {
+                            ctx.vxm(&mut out, visited, no_accum(), push, frontier, a, &desc)?
+                        }
+                    }
+                    Ok(out)
+                };
+                if !(priced && decision.pull_ready && dir == ChosenDir::Push) {
+                    return run();
+                }
+                let (out, device) = ctx.priced_level(pull, a, frontier, run)?;
+                decision.device = device;
+                Ok(out)
             };
-            let mut out = Vector::new(n);
-            match decision.dir {
-                ChosenDir::Pull => {
-                    let desc = desc.transpose_a();
-                    ctx.mxv(&mut out, visited, no_accum(), pull, a, frontier, &desc)?
-                }
-                ChosenDir::Push => {
-                    ctx.vxm(&mut out, visited, no_accum(), push, frontier, a, &desc)?
-                }
-            }
-            Ok(out)
-        };
         self.run((frontier, &[src]), Vector::nnz, product, epilogue)
     }
 
@@ -146,7 +165,7 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         self.run(
             (Matrix::from_csr(frontier), sources),
             Matrix::nnz,
-            |_, frontier: &mut Matrix<D>, _| {
+            |_: &mut LevelDecision, frontier: &mut Matrix<D>, _| {
                 let mut next = Matrix::new(k, n);
                 let desc = Descriptor::new();
                 ctx.mxm(&mut next, None, no_accum(), sr, frontier, a, &desc)?;
@@ -165,7 +184,7 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         &self,
         (mut frontier, sources): (Fr, &[usize]),
         nnz: fn(&Fr) -> usize,
-        mut product: impl FnMut(LevelDecision, &mut Fr, Option<&Vector<bool>>) -> Result<P>,
+        mut product: impl FnMut(&mut LevelDecision, &mut Fr, Option<&Vector<bool>>) -> Result<P>,
         mut epilogue: impl FnMut(&mut Tally, u64, P) -> Result<Fr>,
     ) -> Result<()> {
         let Traversal { ctx, policy, .. } = self;
@@ -193,9 +212,9 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
                 push_edges,
                 pull_edges,
             };
-            let decision = policy.decide_on(ctx.backend(), level);
+            let mut decision = policy.decide_on(ctx.backend(), level);
             let t0 = ctx.level_start();
-            let raw = product(decision, &mut frontier, tally.visited.as_ref())?;
+            let raw = product(&mut decision, &mut frontier, tally.visited.as_ref())?;
             frontier = epilogue(&mut tally, depth, raw)?;
             let (nnz_in, nnz_out) = (frontier_nnz as u64, nnz(&frontier) as u64);
             ctx.level_end(t0, self.name, depth, decision, nnz_in, nnz_out);

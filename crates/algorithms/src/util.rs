@@ -69,7 +69,7 @@ pub fn pattern_matrix<B: Backend, A: Scalar, T: Scalar>(
 
 /// Strictly-lower-triangular part of `A` (host-side structural filter — a
 /// preprocessing step identical for both backends).
-pub fn tril<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
+pub fn tril<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
     let (rows, cols, vals) = a.extract_tuples();
     let triples = rows
         .into_iter()
@@ -77,11 +77,11 @@ pub fn tril<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
         .zip(vals)
         .filter(|&((i, j), _)| j < i)
         .map(|((i, j), v)| (i, j, v));
-    Matrix::build(a.nrows(), a.ncols(), triples, Second::new()).expect("indices from valid matrix")
+    Matrix::build(a.nrows(), a.ncols(), triples, Second::new())
 }
 
 /// Strictly-upper-triangular part of `A`.
-pub fn triu<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
+pub fn triu<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
     let (rows, cols, vals) = a.extract_tuples();
     let triples = rows
         .into_iter()
@@ -89,7 +89,7 @@ pub fn triu<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
         .zip(vals)
         .filter(|&((i, j), _)| j > i)
         .map(|((i, j), v)| (i, j, v));
-    Matrix::build(a.nrows(), a.ncols(), triples, Second::new()).expect("indices from valid matrix")
+    Matrix::build(a.nrows(), a.ncols(), triples, Second::new())
 }
 
 /// Build a boolean adjacency [`Matrix`] from an edge-list COO: duplicates
@@ -134,8 +134,8 @@ mod tests {
             Second::new(),
         )
         .unwrap();
-        let l = tril(&a);
-        let u = triu(&a);
+        let l = tril(&a).unwrap();
+        let u = triu(&a).unwrap();
         assert_eq!(l.nnz(), 2); // (1,0), (2,0)
         assert_eq!(u.nnz(), 2); // (0,1), (0,2)
         assert_eq!(l.get(1, 0), Some(2));

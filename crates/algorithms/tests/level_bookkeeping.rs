@@ -207,7 +207,7 @@ fn books_balance<B: Backend>(ctx: Context<B>, seed: u64) {
 }
 
 /// Every fused level pushes `F·A` (docs/adr/0009), on the backend whose
-/// vertex-count rule would pull a saturated batch: cuda-sim with `Aᵀ`
+/// device would rather pull a saturated batch: cuda-sim with `Aᵀ`
 /// resident, 16 hub sources on an rmat12 graph.
 #[test]
 fn fused_levels_always_push_on_cuda_sim() {

@@ -15,10 +15,11 @@
 //! `fallback`. So results equal seq's bit for bit by construction, and
 //! host time is seq's plus that arithmetic.
 //!
-//! The one entry point that computes is pull [`mxv`]: its four kernels
-//! (CSR scalar and vector, ELL, HYB, all over the one CSR) are charged by
-//! how far each row's fold walked, so it folds with seq's `RowFold` and
-//! charges in one pass.
+//! Pull `mxv`'s four kernels (CSR scalar and vector, ELL, HYB, all over
+//! the one CSR) are charged by how far each row walked, given as the rows
+//! that stopped early (seq's `early_exits` reads them off a result); the
+//! kernel and the memo of per-structure profiles those
+//! charges read travel with the GPU as a [`Device`].
 
 mod ewise;
 mod fallback;
@@ -28,10 +29,36 @@ mod spmm;
 mod spmv;
 mod util;
 
-pub use spmv::{mxv, SpmvKernel, SpmvProfiles};
+use std::ops::Deref;
 
-/// What the device is charged for each op but a pull `mxv`, given the
-/// operands and the result the sequential kernel computed.
+use gbtl_gpu_sim::Gpu;
+
+pub use spmv::{SpmvKernel, SpmvProfiles};
+
+/// What a cuda-sim op is charged on: the GPU, the pull SpMV kernel its
+/// backend runs and that backend's memo of pull-kernel charge profiles
+/// (ADR 0006). A borrowed view, so a price can be taken on a scratch GPU
+/// with the same kernel and memo; it derefs to the GPU.
+#[derive(Debug, Clone, Copy)]
+pub struct Device<'a> {
+    /// The GPU charged.
+    pub gpu: &'a Gpu,
+    /// The pull SpMV kernel policy.
+    pub spmv_kernel: SpmvKernel,
+    /// The pull-kernel charge profiles, built on a structure's first pull.
+    pub spmv_profiles: &'a SpmvProfiles,
+}
+
+impl Deref for Device<'_> {
+    type Target = Gpu;
+
+    fn deref(&self) -> &Gpu {
+        self.gpu
+    }
+}
+
+/// What the device is charged for each op, given the operands and the
+/// result the sequential kernel computed.
 pub mod charge {
     pub use crate::ewise::{ewise_add_vec, ewise_mat, ewise_mult_vec};
     pub use crate::fallback::{csr_bytes, matrix_roundtrip, vector_roundtrip};
@@ -41,5 +68,5 @@ pub mod charge {
     };
     pub use crate::select::{kronecker, select_mat, select_vec};
     pub use crate::spmm::{mxm, mxm_masked};
-    pub use crate::spmv::{mask_resolve, vxm};
+    pub use crate::spmv::{mask_resolve, mxv, vxm};
 }

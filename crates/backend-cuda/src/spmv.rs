@@ -20,26 +20,28 @@
 //! Plus the charge of push, [`vxm`]: frontier expansion by gather → sort →
 //! reduce-by-key, the CUSP formulation of the BFS/SSSP step.
 //!
-//! None of them computes anything the sequential backend does not: a pull
-//! row is the sequential [`RowFold`], push is the sequential `vxm` (the
-//! `Backend` default this file only charges), and what the device would do
-//! is charged in closed form and added to the device once per launch. Push
-//! is charged per pipeline stage. A pull
-//! kernel is charged from its `SpmvProfile` (ADRs 0006, 0007): what each
-//! row (vector) or each wholly kept warp (scalar: fully walked; ELL and
-//! HYB walk every slot whatever the fold did) costs, and HYB's overflow
-//! launch, built once per matrix structure and kept in a bounded
-//! [`SpmvProfiles`] memo; only a thread-per-row warp the mask cut short, or
-//! a scalar one an early exit did, is tallied warp step by warp step.
+//! None of them computes anything: the sequential backend computes the
+//! product, in either direction, and what the device would do is charged
+//! in closed form from its result and added to the device once per launch.
+//! Push is charged per pipeline stage. A pull kernel is charged from its
+//! `SpmvProfile` (ADRs 0006, 0007): what each row (vector) or each wholly
+//! kept warp (scalar: fully walked; ELL and HYB walk every slot whatever
+//! the row did) costs, and HYB's overflow launch, built once per matrix
+//! structure and kept in a bounded [`SpmvProfiles`] memo; only a
+//! thread-per-row warp the mask cut short, or a scalar one an early exit
+//! did, is tallied warp step by warp step. A row walked to its end unless
+//! it stopped at the add monoid's terminal value; seq's `early_exits`
+//! reads the rows that stopped off a result.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use gbtl_algebra::{Scalar, Semiring};
-use gbtl_backend_seq::RowFold;
+use gbtl_algebra::Scalar;
 use gbtl_gpu_sim::{primitives as prim, Coalescer, Gpu, KernelTally};
-use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
+use gbtl_sparse::{CsrMatrix, SparseVector, VecMask};
 use gbtl_util::sync::lock;
+
+use crate::Device;
 
 /// Rows (threads) per block for the SpMV launches.
 const BLOCK_DIM: usize = 256;
@@ -117,7 +119,7 @@ struct ProfileKey {
 }
 
 /// What one pull kernel over one structure is charged, before the mask and
-/// the row folds say which rows ran and how far.
+/// the walks say which rows ran and how far.
 #[derive(Debug)]
 enum SpmvProfile {
     /// A thread-per-row kernel: per warp in launch order, its
@@ -240,13 +242,17 @@ fn row_base(c: &Coalescer, r: usize) -> u64 {
     c.run_segments(8, r, r + 2) + 1
 }
 
+/// A memoised profile and its charge when every row is kept and walks to
+/// its end (an unmasked pull with no early exit: PageRank's).
+type Profiled = (SpmvProfile, KernelTally);
+
 /// A bounded memo of pull-kernel profiles, least recently used evicted
 /// first. It is keyed by [`CsrMatrix::structure_id`] — never by a buffer's
 /// address, which a freed matrix hands on to the next one — and the lock is
 /// held only to look a profile up or insert one, never while building.
 #[derive(Debug, Default)]
 pub struct SpmvProfiles {
-    lru: Mutex<Vec<(ProfileKey, Arc<SpmvProfile>)>>,
+    lru: Mutex<Vec<(ProfileKey, Arc<Profiled>)>>,
 }
 
 impl SpmvProfiles {
@@ -261,7 +267,7 @@ impl SpmvProfiles {
     }
 
     /// `key`'s profile, built by `build` on a miss.
-    fn get(&self, key: ProfileKey, build: impl FnOnce() -> SpmvProfile) -> Arc<SpmvProfile> {
+    fn get(&self, key: ProfileKey, build: impl FnOnce() -> Profiled) -> Arc<Profiled> {
         {
             let mut lru = lock(&self.lru);
             if let Some(i) = lru.iter().position(|(k, _)| *k == key) {
@@ -283,118 +289,168 @@ impl SpmvProfiles {
     }
 }
 
-/// Pull-direction product `w = A ⊕.⊗ u` on the device.
-///
-/// Semantically identical to the sequential backend's `mxv`; the kernel
-/// choice changes only the modeled cost profile, which `profiles` holds
-/// (built here on first use of `a`'s structure).
-pub fn mxv<T, D1, S>(
-    gpu: &Gpu,
+/// Pull-direction `w = A ⊕.⊗ u`'s kernel, charged from its result:
+/// `device`'s pull kernel over `a` — built once per structure as a profile
+/// — over the rows `mask` keeps, each walked to its end but the rows
+/// `early` lists, `(row, entries walked)` in row order. `T` is `u`'s value
+/// type. A masked pull resolves its mask first ([`mask_resolve`]).
+pub fn mxv<T: Scalar, D1: Scalar>(
+    device: &Device<'_>,
     a: &CsrMatrix<D1>,
-    u: &DenseVector<T>,
-    sr: S,
     mask: Option<VecMask<'_>>,
-    kernel: SpmvKernel,
-    profiles: &SpmvProfiles,
-) -> DenseVector<T>
-where
-    T: Scalar,
-    D1: Scalar,
-    S: Semiring<T, D1, T>,
-{
-    let fold = RowFold::new(sr, a, u, mask);
-    let config = gpu.config();
+    early: &[(usize, usize)],
+) {
+    let config = device.config();
     let key = ProfileKey {
         structure: a.structure_id(),
-        kernel: kernel.resolve(a),
+        kernel: device.spmv_kernel.resolve(a),
         val_sz: std::mem::size_of::<D1>(),
         u_sz: std::mem::size_of::<Option<T>>(),
         warp_size: config.warp_size,
         txn_bytes: config.mem_transaction_bytes,
     };
-    let profile = profiles.get(key, || SpmvProfile::build(gpu, a, &key));
     let c = Coalescer::new(config);
-    let mut out: Vec<Option<T>> = vec![None; a.nrows()];
-    let blocks = a.nrows().div_ceil(BLOCK_DIM).max(1);
-    match &*profile {
-        SpmvProfile::Warps {
-            warps,
-            ell,
-            overflow,
-        } => {
-            let name = match ell {
-                None => "spmv_csr_scalar",
-                Some(_) => "spmv_ell",
-            };
-            let lanes_of = RowLanes {
-                c,
-                key: &key,
-                a,
-                ell: *ell,
-            };
-            let tally = spmv_warps(&lanes_of, warps, &fold, &mut out);
-            gpu.charge_kernel(name, blocks, tally);
-            if let Some((blocks, tally)) = overflow {
-                gpu.charge_kernel("spmv_coo_overflow", *blocks, *tally);
-            }
-        }
-        SpmvProfile::Vector(txns) => {
-            let tally = spmv_vector(&c, &key, txns, &fold, &mut out);
-            gpu.charge_kernel("spmv_csr_vector", blocks, tally);
-        }
+    let walks = |mask, early| Walks {
+        row_ptr: a.row_ptr(),
+        mask,
+        early,
+    };
+    let profiled = device.spmv_profiles.get(key, || {
+        let profile = SpmvProfile::build(device, a, &key);
+        let full = profile.tally(c, &key, a, walks(None, &[]));
+        (profile, full)
+    });
+    let (profile, full) = &*profiled;
+    let tally = match (mask, early) {
+        (None, []) => *full,
+        _ => profile.tally(c, &key, a, walks(mask, early)),
+    };
+    let name = match profile {
+        SpmvProfile::Warps { ell: None, .. } => "spmv_csr_scalar",
+        SpmvProfile::Warps { .. } => "spmv_ell",
+        SpmvProfile::Vector(_) => "spmv_csr_vector",
+    };
+    device.charge_kernel(name, a.nrows().div_ceil(BLOCK_DIM).max(1), tally);
+    if let SpmvProfile::Warps {
+        overflow: Some((blocks, tally)),
+        ..
+    } = profile
+    {
+        device.charge_kernel("spmv_coo_overflow", *blocks, *tally);
     }
-    DenseVector::from_options(out)
 }
 
-/// The thread-per-row kernels: fold the rows into `out` and return what
-/// the device is charged. A warp whose rows the mask all keeps — and, for
-/// the scalar kernel, whose folds all ran to the row's end — is charged its
-/// profile entry `warps[w]`; any other warp is tallied by
+impl SpmvProfile {
+    /// The pull kernel's charge over `a` for `walks`.
+    fn tally<D1: Scalar>(
+        &self,
+        c: Coalescer,
+        key: &ProfileKey,
+        a: &CsrMatrix<D1>,
+        walks: Walks<'_>,
+    ) -> KernelTally {
+        match self {
+            SpmvProfile::Warps { warps, ell, .. } => {
+                let lanes_of = RowLanes {
+                    c,
+                    key,
+                    a,
+                    ell: *ell,
+                };
+                spmv_warps(&lanes_of, warps, walks)
+            }
+            SpmvProfile::Vector(txns) => spmv_vector(&c, key, txns, walks),
+        }
+    }
+}
+
+/// Which rows a pull keeps and how far each walks, asked in ascending row
+/// order: a kept row to its end, but the rows `early` lists.
+struct Walks<'a> {
+    row_ptr: &'a [usize],
+    mask: Option<VecMask<'a>>,
+    early: &'a [(usize, usize)],
+}
+
+impl Walks<'_> {
+    #[inline(always)]
+    fn keeps(&self, r: usize) -> bool {
+        self.mask.is_none_or(|keep| keep.keeps(r))
+    }
+
+    /// Whether every row of `rows` is kept and walks to its end; every
+    /// later question is about a later row.
+    #[inline(always)]
+    fn whole(&mut self, rows: Range<usize>) -> bool {
+        while self.early.first().is_some_and(|&(row, _)| row < rows.start) {
+            self.early = &self.early[1..];
+        }
+        self.early.first().is_none_or(|&(row, _)| row >= rows.end)
+            && (self.mask.is_none() || rows.into_iter().all(|r| self.keeps(r)))
+    }
+
+    /// Row `r`'s walk; every later question is about a later row.
+    #[inline(always)]
+    fn walk(&mut self, r: usize) -> usize {
+        while let Some((&(row, walked), rest)) = self.early.split_first() {
+            if row > r {
+                break;
+            }
+            self.early = rest;
+            if row == r {
+                return walked;
+            }
+        }
+        self.row_ptr[r + 1] - self.row_ptr[r]
+    }
+}
+
+/// The thread-per-row kernels' charge. A warp whose rows the mask all
+/// keeps — and, for the scalar kernel, whose rows all walk to their end —
+/// is charged its profile entry `warps[w]`; any other warp is tallied by
 /// [`RowLanes::charge`] over the rows it kept and the walks they made.
-fn spmv_warps<T, D1, S>(
+fn spmv_warps<D1: Scalar>(
     lanes_of: &RowLanes<'_, D1>,
     warps: &[(u64, u64)],
-    fold: &RowFold<'_, T, D1, S>,
-    out: &mut [Option<T>],
-) -> KernelTally
-where
-    T: Scalar,
-    D1: Scalar,
-    S: Semiring<T, D1, T>,
-{
-    let (c, key) = (&lanes_of.c, lanes_of.key);
+    mut walks: Walks<'_>,
+) -> KernelTally {
+    let (c, key, n) = (&lanes_of.c, lanes_of.key, lanes_of.a.nrows());
     let (row_ptr, ell) = (lanes_of.a.row_ptr(), lanes_of.ell.is_some());
     let (mut instrs, mut txns) = (0u64, 0u64);
     // The live lanes' first entry and walk length, in row order, and the
     // segments of one warp-step's `u` gather (the only unsorted loads).
     let (mut lanes, mut segs): (Vec<(usize, usize)>, Vec<u64>) = (vec![], vec![]);
     let mut profiled = warps.iter();
-    for (b, block) in out.chunks_mut(BLOCK_DIM).enumerate() {
-        let row0 = b * BLOCK_DIM;
-        for warp_start in (0..block.len()).step_by(key.warp_size) {
+    for row0 in (0..n).step_by(BLOCK_DIM) {
+        let block_end = (row0 + BLOCK_DIM).min(n);
+        for first in (row0..block_end).step_by(key.warp_size) {
             let whole_warp = profiled.next().expect("one profile entry per warp");
-            let rows = row0 + warp_start..row0 + (warp_start + key.warp_size).min(block.len());
+            let rows = first..(first + key.warp_size).min(block_end);
+            if walks.whole(rows.clone()) {
+                instrs += whole_warp.0;
+                txns += whole_warp.1;
+                continue;
+            }
             let mut kept = KeptRows::new();
             let mut whole = true;
             lanes.clear();
             for r in rows.clone() {
-                if !fold.keeps(r) {
+                if !walks.keeps(r) {
                     whole = false;
                     continue;
                 }
                 kept.add(c, key.u_sz, r);
-                let (dot, consumed) = fold.row(r);
-                block[r - row0] = dot;
-                whole &= consumed == row_ptr[r + 1] - row_ptr[r];
-                if consumed > 0 {
-                    lanes.push((row_ptr[r], consumed));
+                let walked = walks.walk(r);
+                whole &= walked == row_ptr[r + 1] - row_ptr[r];
+                if walked > 0 {
+                    lanes.push((row_ptr[r], walked));
                 }
             }
-            // ELL's profile entry holds however far the folds walked
+            // ELL's profile entry holds however far the rows walked
             let (i, t) = if whole || ell && kept.rows == rows.len() as u64 {
                 *whole_warp
             } else {
-                lanes_of.charge(&kept, rows, |r| fold.keeps(r), &mut lanes, &mut segs)
+                lanes_of.charge(&kept, rows, |r| walks.keeps(r), &mut lanes, &mut segs)
             };
             instrs += i;
             txns += t;
@@ -408,8 +464,8 @@ where
 }
 
 /// What a thread-per-row warp over one matrix is charged: the scalar
-/// kernel walks a kept row as far as its fold went; ELL, at `ell` = its
-/// slot width, walks every slot of every kept row whatever the fold did.
+/// kernel walks a kept row as far as its walk went; ELL, at `ell` = its
+/// slot width, walks every slot of every kept row whatever the row did.
 struct RowLanes<'a, D1> {
     c: Coalescer,
     key: &'a ProfileKey,
@@ -572,31 +628,19 @@ fn scalar_warp(
     (instrs, txns)
 }
 
-/// The warp-per-row kernel: fold the rows into `out` and return what the
-/// device is charged. Per row the mask keeps and that has entries: the row
-/// pointer pair by lane 0; a warp-wide stride at a time, coalesced column
-/// and value loads, the `u` gather at the stride's columns and two ALU
-/// instructions, stopping after the stride in which the fold reached the
-/// monoid's terminal value; the warp's shuffle reduction; one store. A
-/// row's transactions are its profile entry for the strides it walked.
-fn spmv_vector<T, D1, S>(
-    c: &Coalescer,
-    key: &ProfileKey,
-    txns: &[u64],
-    fold: &RowFold<'_, T, D1, S>,
-    out: &mut [Option<T>],
-) -> KernelTally
-where
-    T: Scalar,
-    D1: Scalar,
-    S: Semiring<T, D1, T>,
-{
+/// The warp-per-row kernel's charge. Per row the mask keeps and that has
+/// entries: the row pointer pair by lane 0; a warp-wide stride at a time,
+/// coalesced column and value loads, the `u` gather at the stride's columns
+/// and two ALU instructions, up to the stride in which its walk ended; the
+/// warp's shuffle reduction; one store. A row's transactions are its
+/// profile entry for the strides it walked.
+fn spmv_vector(c: &Coalescer, key: &ProfileKey, txns: &[u64], mut walks: Walks<'_>) -> KernelTally {
     let ws = key.warp_size;
     // pointer load, shuffle reduction of one warp (`BlockCtx::block_reduce`
     // of at most a warp of lanes) and the store
     let lg = u64::from(usize::BITS - (ws.max(2) - 1).leading_zeros());
     let row_instrs = 1 + (lg + 1) + 1;
-    let row_ptr = fold.matrix().row_ptr();
+    let row_ptr = walks.row_ptr;
     // `x / ws`, a shift for the power-of-two warps every device model has
     let shift = ws.is_power_of_two().then(|| ws.trailing_zeros());
     let per_warp = |x: usize| match shift {
@@ -604,16 +648,14 @@ where
         None => x / ws,
     };
     let (mut rows, mut strides, mut row_txns) = (0u64, 0u64, 0u64);
-    for (r, slot) in out.iter_mut().enumerate() {
-        if row_ptr[r] == row_ptr[r + 1] || !fold.keeps(r) {
+    for r in 0..row_ptr.len() - 1 {
+        if row_ptr[r] == row_ptr[r + 1] || !walks.keeps(r) {
             continue;
         }
-        let (dot, consumed) = fold.row(r);
-        *slot = dot;
-        let k = per_warp(consumed + ws - 1);
+        let k = per_warp(walks.walk(r) + ws - 1);
         rows += 1;
         strides += k as u64;
-        // a walk of no stride (a fold that consumed nothing) pays the base
+        // a walk of no stride (a row that walked nothing) pays the base
         row_txns += match k {
             0 => row_base(c, r),
             // `stride_slot(r) + k - 1`
@@ -736,39 +778,22 @@ mod tests {
         CsrMatrix::from_coo(coo, |a, _| a)
     }
 
-    fn dense(vals: &[i64]) -> DenseVector<i64> {
-        let mut d = DenseVector::new(vals.len());
-        for (i, &v) in vals.iter().enumerate() {
-            d.set(i, v);
-        }
-        d
-    }
-
-    const KERNELS: [SpmvKernel; 4] = [
-        SpmvKernel::Scalar,
-        SpmvKernel::Vector,
-        SpmvKernel::Ell,
-        SpmvKernel::Hyb,
-    ];
-
-    #[test]
-    fn every_kernel_agrees_with_seq() {
-        let gpu = Gpu::default();
-        let a = adj();
-        let u = dense(&[1, 10, 100, 1000]);
-        let expected = gbtl_backend_seq::mxv(&a, &u, PlusTimes::<i64>::new(), None);
-        for kernel in KERNELS {
-            let got = mxv(
-                &gpu,
-                &a,
-                &u,
-                PlusTimes::<i64>::new(),
-                None,
-                kernel,
-                &SpmvProfiles::new(),
-            );
-            assert_eq!(got, expected, "{kernel:?}");
-        }
+    /// What `kernel` charges a pull of `a` over an `i64` operand, every
+    /// kept row walked to its end.
+    fn pull(
+        gpu: &Gpu,
+        a: &CsrMatrix<i64>,
+        kernel: SpmvKernel,
+        mask: Option<VecMask<'_>>,
+        profiles: &SpmvProfiles,
+    ) -> gbtl_gpu_sim::GpuStats {
+        let device = Device {
+            gpu,
+            spmv_kernel: kernel,
+            spmv_profiles: profiles,
+        };
+        mxv::<i64, i64>(&device, a, mask, &[]);
+        gpu.stats()
     }
 
     #[test]
@@ -801,21 +826,8 @@ mod tests {
             coo.push(r, r, 1i64);
         }
         let a = CsrMatrix::from_coo(coo, |a, _| a);
-        let u = DenseVector::filled(512, 1i64);
         let profiles = SpmvProfiles::new();
-        let stats = |kernel| {
-            let gpu = Gpu::default();
-            let _ = mxv(
-                &gpu,
-                &a,
-                &u,
-                PlusTimes::<i64>::new(),
-                None,
-                kernel,
-                &profiles,
-            );
-            gpu.stats()
-        };
+        let stats = |kernel| pull(&Gpu::default(), &a, kernel, None, &profiles);
         let (ell, vector, hyb) = (
             stats(SpmvKernel::Ell),
             stats(SpmvKernel::Vector),
@@ -832,24 +844,43 @@ mod tests {
     }
 
     #[test]
-    fn masked_mxv_skips_rows() {
-        let gpu = Gpu::default();
+    fn a_masked_pull_charges_the_kept_rows_only() {
         let a = adj();
-        let u = dense(&[1, 1, 1, 1]);
         let keep = [true, false, true, false];
-        let w = mxv(
-            &gpu,
-            &a,
-            &u,
-            PlusTimes::<i64>::new(),
-            Some(VecMask::from(&keep[..])),
-            SpmvKernel::Scalar,
-            &SpmvProfiles::new(),
-        );
-        assert!(w.get(0).is_some());
-        assert_eq!(w.get(1), None);
-        assert!(w.get(2).is_some());
-        assert_eq!(w.get(3), None);
+        let profiles = SpmvProfiles::new();
+        let mask = Some(VecMask::from(&keep[..]));
+        let half = pull(&Gpu::default(), &a, SpmvKernel::Scalar, mask, &profiles);
+        let all = pull(&Gpu::default(), &a, SpmvKernel::Scalar, None, &profiles);
+        assert_eq!((half.kernels_launched, all.kernels_launched), (1, 1));
+        assert!(half.mem_transactions < all.mem_transactions);
+    }
+
+    #[test]
+    fn an_early_exit_walks_less() {
+        // row 3 is 100 entries long: more than one warp-wide stride
+        let mut coo = CooMatrix::new(4, 128);
+        for j in 0..100 {
+            coo.push(3, j, 1i64);
+        }
+        coo.push(0, 5, 1);
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let profiles = SpmvProfiles::new();
+        for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
+            let device = |gpu| Device {
+                gpu,
+                spmv_kernel: kernel,
+                spmv_profiles: &profiles,
+            };
+            let (full, early) = (Gpu::default(), Gpu::default());
+            mxv::<i64, i64>(&device(&full), &a, None, &[]);
+            // row 3 stops after its first entry
+            mxv::<i64, i64>(&device(&early), &a, None, &[(3, 1)]);
+            let (full, early) = (full.stats(), early.stats());
+            assert!(
+                early.warp_instructions < full.warp_instructions,
+                "{kernel:?}"
+            );
+        }
     }
 
     #[test]
@@ -890,32 +921,9 @@ mod tests {
             coo.push(0, j, 1i64);
         }
         let a = CsrMatrix::from_coo(coo, |x, _| x);
-        let u = DenseVector::filled(512, 1i64);
-
-        let gpu_s = Gpu::default();
-        let _ = mxv(
-            &gpu_s,
-            &a,
-            &u,
-            PlusTimes::<i64>::new(),
-            None,
-            SpmvKernel::Scalar,
-            &SpmvProfiles::new(),
-        );
-        let gpu_v = Gpu::default();
-        let _ = mxv(
-            &gpu_v,
-            &a,
-            &u,
-            PlusTimes::<i64>::new(),
-            None,
-            SpmvKernel::Vector,
-            &SpmvProfiles::new(),
-        );
-        let (ts, tv) = (
-            gpu_s.stats().mem_transactions,
-            gpu_v.stats().mem_transactions,
-        );
+        let profiles = SpmvProfiles::new();
+        let txns = |kernel| pull(&Gpu::default(), &a, kernel, None, &profiles).mem_transactions;
+        let (ts, tv) = (txns(SpmvKernel::Scalar), txns(SpmvKernel::Vector));
         assert!(
             tv < ts,
             "vector kernel ({tv} txns) should beat scalar ({ts} txns) on a heavy row"

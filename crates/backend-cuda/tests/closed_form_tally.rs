@@ -10,15 +10,19 @@
 //! device run keeps its kernel log, and the two logs — kernel name, blocks
 //! and `KernelTally` of every launch — must be equal, as must the results.
 //!
-//! Pull is charged from a profile built on a structure's first use: each
-//! matrix here is pulled many times through one `SpmvProfiles` memo — every
+//! Pull is charged from its result, not from a fold: the rows that stopped
+//! early are read off the product (`early_exits`), from the dense result
+//! and again from its sparse form — the form a pushed level prices pull
+//! from — and both charges must equal the narration's, which folds. It is
+//! charged from a profile built on a structure's first use: each matrix
+//! here is pulled many times through one `SpmvProfiles` memo — every
 //! operand presence, mask and kernel on one device after another — so all
 //! but the first call of each (kernel, device) are charged from a profile
 //! another call built.
 
 use gbtl_algebra::{BinaryOp, LorLand, MinPlus, PlusTimes, Scalar, Semiring};
-use gbtl_backend_cuda::{charge, mxv, SpmvKernel, SpmvProfiles};
-use gbtl_backend_seq::row_dot;
+use gbtl_backend_cuda::{charge, Device, SpmvKernel, SpmvProfiles};
+use gbtl_backend_seq::{early_exits, row_dot};
 use gbtl_gpu_sim::{primitives as prim, Gpu, GpuConfig, KernelRecord, KernelTally};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 
@@ -306,6 +310,36 @@ where
     SparseVector::from_sorted(a.ncols(), idx, vals).expect("sorted unique indices")
 }
 
+/// `w = A ⊕.⊗ u` as cuda-sim runs it: seq's product, charged on `gpu` from
+/// that result with `u` read by position.
+fn mxv<T, D1, S>(
+    gpu: &Gpu,
+    a: &CsrMatrix<D1>,
+    u: &DenseVector<T>,
+    sr: S,
+    mask: Option<VecMask<'_>>,
+    kernel: SpmvKernel,
+    profiles: &SpmvProfiles,
+) -> DenseVector<T>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let w = gbtl_backend_seq::mxv(a, u, sr, mask);
+    let early = early_exits(sr, a, |j| u.get(j), w.iter());
+    charge::mxv::<T, D1>(&device(gpu, kernel, profiles), a, mask, &early);
+    w
+}
+
+fn device<'a>(gpu: &'a Gpu, kernel: SpmvKernel, profiles: &'a SpmvProfiles) -> Device<'a> {
+    Device {
+        gpu,
+        spmv_kernel: kernel,
+        spmv_profiles: profiles,
+    }
+}
+
 /// Kernel name, blocks and tally of every launch a device recorded.
 fn launches(gpu: &Gpu) -> Vec<(&'static str, usize, KernelTally)> {
     gpu.stats()
@@ -473,18 +507,23 @@ fn check<T, D, S>(
                 for masked in [None, Some(false), Some(true)] {
                     let pull = masked.map(|c| VecMask::new(&pull_mask, c));
                     for kernel in KERNELS {
-                        let (got, want) = (
+                        let (got, want, sparse) = (
+                            Gpu::with_trace(config.clone()),
                             Gpu::with_trace(config.clone()),
                             Gpu::with_trace(config.clone()),
                         );
                         let w = mxv(&got, &a, u, sr, pull, kernel, &profiles);
                         let reference = reference(kernel, &want, &a, u, sr, pull);
                         assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
-                        assert_eq!(
-                            launches(&got),
-                            launches(&want),
+                        let (us, ws) = (u.to_sparse(), w.to_sparse());
+                        let early = early_exits(sr, &a, |j| us.get(j), ws.iter());
+                        let on = device(&sparse, kernel, &profiles);
+                        charge::mxv::<T, D>(&on, &a, pull, &early);
+                        let case = format!(
                             "{kernel:?}, round {round}, present {present}/64, {config:?}, mask {masked:?}"
                         );
+                        assert_eq!(launches(&got), launches(&want), "{case}");
+                        assert_eq!(launches(&sparse), launches(&want), "sparse, {case}");
                     }
                 }
             }

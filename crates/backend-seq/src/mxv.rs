@@ -48,6 +48,53 @@ where
     (acc, cols.len())
 }
 
+/// Where the folds of a pull `w = A ⊕.⊗ u` stopped short of their row's
+/// end, read off its result: `(row, entries consumed)` in row order, as
+/// [`row_dot`] counts them. A fold stops only at the add monoid's terminal
+/// value, which absorbs every later term, so only a row whose result is
+/// that value stopped, and it stopped at the first prefix whose fold is
+/// that value; every other row walked its full length. `u` reads the
+/// operand by position; `w` is the product's entries, from either
+/// direction. A monoid with no terminal value returns at once.
+pub fn early_exits<T, D1, S>(
+    sr: S,
+    a: &CsrMatrix<D1>,
+    u: impl Fn(usize) -> Option<T>,
+    w: impl IntoIterator<Item = (usize, T)>,
+) -> Vec<(usize, usize)>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let Some(terminal) = add.terminal() else {
+        return Vec::new();
+    };
+    let walk = |cols: &[usize], vals: &[D1]| {
+        let mut acc: Option<T> = None;
+        for (q, (&j, &aij)) in cols.iter().zip(vals).enumerate() {
+            if let Some(uj) = u(j) {
+                let term = mul.apply(aij, uj);
+                let next = acc.map_or(term, |v| add.apply(v, term));
+                if next == terminal {
+                    return q + 1;
+                }
+                acc = Some(next);
+            }
+        }
+        cols.len()
+    };
+    w.into_iter()
+        .filter(|&(_, v)| v == terminal)
+        .filter_map(|(i, _)| {
+            let (cols, vals) = a.row(i);
+            let consumed = walk(cols, vals);
+            (consumed < cols.len()).then_some((i, consumed))
+        })
+        .collect()
+}
+
 /// [`row_dot`] over `(value, present)` slots, with no branch on presence:
 /// every entry computes a term and the fold keeps it or not by select, so a
 /// row whose operand positions are half present costs what a fully present
@@ -224,14 +271,9 @@ where
         }
     }
 
-    /// The matrix folded.
-    pub fn matrix(&self) -> &'a CsrMatrix<D1> {
-        self.a
-    }
-
     /// Whether row `i` is folded at all: the mask keeps it.
     #[inline]
-    pub fn keeps(&self, i: usize) -> bool {
+    fn keeps(&self, i: usize) -> bool {
         self.mask.is_none_or(|keep| keep.keeps(i))
     }
 

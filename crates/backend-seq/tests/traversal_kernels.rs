@@ -1,14 +1,13 @@
 //! Property tests of the two traversal kernels' shortcuts: `row_dot` may
 //! stop a row early, the slot fold may replace it, and `vxm` may emit by a
-//! sweep, and none may change a result.
+//! sweep, and none may change a result; and `early_exits` reads off a
+//! result exactly the rows `row_dot` stopped early, where it stopped them.
 
 use gbtl_algebra::{
     BinaryOp, CustomSemiring, Div, LorLand, MaxMin, MinPlus, Monoid, PlusMonoid, PlusTimes, Scalar,
     Semiring,
 };
-use gbtl_backend_cuda::SpmvKernel;
-use gbtl_backend_seq::{mxv, row_dot, vxm, RowFold};
-use gbtl_gpu_sim::Gpu;
+use gbtl_backend_seq::{early_exits, mxv, row_dot, vxm, RowFold};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 use proptest::prelude::*;
@@ -158,25 +157,25 @@ fn check_slot_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
         }
     }
     let a = CsrMatrix::from_coo(coo, |first, _| first);
-    let bits_of = |w: &DenseVector<T>| -> Vec<Option<u64>> {
-        w.options().iter().map(|v| v.map(&bits)).collect()
-    };
     for present in SHARES {
         let u = with_share(values, keys, present);
         let slots = RowFold::slots(sr, &a, &u, None);
         check_fold_rows(sr, &a, &u, &slots, &bits, present);
         for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
-            let want = bits_of(&mxv(&a, &u, sr, mask));
-            for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
-                let profiles = gbtl_backend_cuda::SpmvProfiles::new();
-                let got =
-                    gbtl_backend_cuda::mxv(&Gpu::default(), &a, &u, sr, mask, kernel, &profiles);
-                assert_eq!(
-                    bits_of(&got),
-                    want,
-                    "cuda-sim {kernel:?}, share {present}/64"
-                );
-            }
+            let w = mxv(&a, &u, sr, mask);
+            let stopped: Vec<(usize, usize)> = (0..a.nrows())
+                .filter(|&i| mask.is_none_or(|keep| keep.keeps(i)))
+                .filter_map(|i| {
+                    let (cols, vals) = a.row(i);
+                    let (_, consumed) = row_dot(sr, cols, vals, u.options());
+                    (consumed < cols.len()).then_some((i, consumed))
+                })
+                .collect();
+            assert_eq!(
+                early_exits(sr, &a, |j| u.get(j), w.iter()),
+                stopped,
+                "share {present}/64"
+            );
         }
     }
 }

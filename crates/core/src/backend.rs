@@ -6,14 +6,16 @@
 //! written against [`Context`](crate::Context) run unchanged on every
 //! backend.
 
+use std::cell::RefCell;
+
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, SelectOp, Semiring, UnaryOp};
 use gbtl_gpu_sim::{Gpu, GpuConfig, GpuStats};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, Index, SparseVector, VecMask};
 
-pub use gbtl_backend_cuda::SpmvKernel;
 use gbtl_backend_cuda::{charge, SpmvProfiles};
+pub use gbtl_backend_cuda::{Device, SpmvKernel};
 
-use crate::policy::{DirectionPolicy, LevelWork};
+use crate::policy::{ChosenDir, DevicePrice, DirectionPolicy, LevelWork};
 
 /// Container-level GraphBLAS operations, implemented per execution target.
 ///
@@ -43,11 +45,12 @@ pub trait Backend: Send + Sync {
         None
     }
 
-    /// Whether an `Auto` traversal should run this level pull rather than
-    /// push (`Aᵀ` is resident; forced modes never ask). The default is the
-    /// edge-cost rule of [`crate::policy`] with no dispatch overhead; a
-    /// backend whose kernels cost differently overrides it, so traversals
-    /// stay backend-blind.
+    /// Whether an `Auto` traversal should compute this level pull rather
+    /// than push on the host (`Aᵀ` is resident; forced modes never ask).
+    /// The default is the edge-cost rule of [`crate::policy`] with no
+    /// dispatch overhead, which seq and cuda-sim use; par adds its fan-out,
+    /// so traversals stay backend-blind. What a device is charged for the
+    /// level is [`Backend::level`]'s business.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
         policy.edge_cost_prefers_pull(level, 0, 0)
     }
@@ -56,7 +59,25 @@ pub trait Backend: Send + Sync {
     /// priced from the operands and the result): every default op body
     /// calls it once its result is computed. The default has no device and
     /// never runs the pipeline.
-    fn charge(&self, _pipeline: impl FnOnce(&Gpu)) {}
+    fn charge(&self, _pipeline: impl FnOnce(&Device<'_>)) {}
+
+    /// One `Auto` traversal level the host pushes, `Aᵀ` resident
+    /// (docs/adr/0012): `host` computes it, and a backend that owns a
+    /// device charges, *in place of* what `host`'s ops charge, the direction
+    /// its device prices cheaper. What `host`'s ops charge prices push;
+    /// `pull` prices pulling the level on the device it is given, from
+    /// `host`'s result (false: it could not, and push is charged). Returns
+    /// the result and the device's choice; the default has no device and
+    /// runs `host` alone. `host` runs ops on this backend only: a device
+    /// backend takes what is charged on its thread while `host` runs as
+    /// push's price.
+    fn level<R>(
+        &self,
+        host: impl FnOnce() -> R,
+        _pull: impl FnOnce(&R, &Device<'_>) -> bool,
+    ) -> (R, Option<DevicePrice>) {
+        (host(), None)
+    }
 
     /// `C = A ⊕.⊗ B`.
     fn mxm<T: Scalar, D1: Scalar, D2: Scalar, S: Semiring<T, D1, D2>>(
@@ -86,10 +107,9 @@ pub trait Backend: Send + Sync {
     /// Pull-direction `w = A ⊕.⊗ u`. Rows the mask does not keep are
     /// skipped: the result holds kept positions only (the frontend relies
     /// on it — under `replace` with no accumulator the result *is* the
-    /// output). The one op whose default charges nothing: a pull's charge
-    /// depends on how far each row's fold walked, so a device backend
-    /// overrides it with [`gbtl_backend_cuda::mxv`], which folds and
-    /// charges in one pass.
+    /// output). A pull's charge depends on which rows stopped early, read
+    /// off the result ([`gbtl_backend_seq::early_exits`]) only on a backend
+    /// that owns a device.
     fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
         &self,
         a: &CsrMatrix<D1>,
@@ -97,7 +117,16 @@ pub trait Backend: Send + Sync {
         sr: S,
         mask: Option<M>,
     ) -> DenseVector<T> {
-        gbtl_backend_seq::mxv(a, u, sr, mask.map(Into::into))
+        let mask = mask.map(Into::into);
+        let w = gbtl_backend_seq::mxv(a, u, sr, mask);
+        self.charge(|device| {
+            if mask.is_some() {
+                charge::mask_resolve(device, a.nrows());
+            }
+            let early = gbtl_backend_seq::early_exits(sr, a, |j| u.get(j), w.iter());
+            charge::mxv::<T, D1>(device, a, mask, &early)
+        });
+        w
     }
 
     /// Push-direction `w = uᵀ ⊕.⊗ A`. Like [`Backend::mxv`], the result
@@ -437,9 +466,10 @@ impl Backend for ParBackend {
 }
 
 /// The simulated-CUDA backend: owns the device, an SpMV kernel policy and
-/// the memo of pull-kernel charge profiles (ADR 0006). Every op but pull
-/// `mxv` is the trait default, charged on the device through the `charge`
-/// hook (ADR 0008).
+/// the memo of pull-kernel charge profiles (ADR 0006). Every op is the
+/// trait default, charged on the device through the `charge` hook (ADR
+/// 0008); an `Auto` traversal level is charged the direction the
+/// device prices cheaper through the `level` hook (docs/adr/0012).
 #[derive(Debug)]
 pub struct CudaBackend {
     gpu: Gpu,
@@ -451,17 +481,17 @@ impl CudaBackend {
     /// Create with a device configuration and the default (auto) SpMV
     /// kernel policy.
     pub fn new(config: GpuConfig) -> Self {
-        Self {
-            gpu: Gpu::new(config),
-            spmv_kernel: SpmvKernel::Auto,
-            spmv_profiles: SpmvProfiles::new(),
-        }
+        Self::on(Gpu::new(config))
     }
 
     /// Create with kernel tracing enabled (keeps a per-kernel log).
     pub fn with_trace(config: GpuConfig) -> Self {
+        Self::on(Gpu::with_trace(config))
+    }
+
+    fn on(gpu: Gpu) -> Self {
         Self {
-            gpu: Gpu::with_trace(config),
+            gpu,
             spmv_kernel: SpmvKernel::Auto,
             spmv_profiles: SpmvProfiles::new(),
         }
@@ -478,8 +508,18 @@ impl CudaBackend {
         &self.gpu
     }
 
+    /// What this backend's ops are charged on, with `gpu` as the GPU: the
+    /// backend's own, or a scratch one a price is taken on.
+    pub fn device<'a>(&'a self, gpu: &'a Gpu) -> Device<'a> {
+        Device {
+            gpu,
+            spmv_kernel: self.spmv_kernel,
+            spmv_profiles: &self.spmv_profiles,
+        }
+    }
+
     /// The pull-kernel charge profiles this backend's `mxv` builds and
-    /// reuses (for calling [`gbtl_backend_cuda::mxv`] directly).
+    /// reuses.
     pub fn spmv_profiles(&self) -> &SpmvProfiles {
         &self.spmv_profiles
     }
@@ -495,22 +535,24 @@ impl CudaBackend {
     }
 }
 
-/// cuda-sim's pull gate 2: pull scans unvisited rows, so the frontier must
-/// be within this factor of the remainder for the scan to pay off.
-const PULL_UNVISITED_FACTOR: usize = 4;
-
-/// cuda-sim's pull gate 1, in frontier entries: GraphBLAST's `|E| / α` edge
-/// budget (α = 32) divided by the average degree `|E| / n` — `≈ n / α` —
-/// clamped to `[1, n]`.
-fn saturation_threshold(n: usize, num_edges: usize) -> usize {
-    const ALPHA: usize = 32;
-    let avg_deg = (num_edges / n.max(1)).max(1);
-    ((num_edges / ALPHA) / avg_deg).clamp(1, n.max(1))
-}
-
 impl Default for CudaBackend {
     fn default() -> Self {
         Self::new(GpuConfig::default())
+    }
+}
+
+thread_local! {
+    /// The scratch GPU this thread's cuda-sim charges go to while a
+    /// [`Backend::level`] computes its level: the host direction's price.
+    static LEVEL: RefCell<Option<Gpu>> = const { RefCell::new(None) };
+}
+
+/// Ends a level's redirection of charges when dropped, a panic included.
+struct LevelRedirect;
+
+impl Drop for LevelRedirect {
+    fn drop(&mut self) {
+        LEVEL.take();
     }
 }
 
@@ -526,51 +568,42 @@ impl Backend for CudaBackend {
         })
     }
 
-    /// cuda-sim keeps the vertex-count rule, not the edge-cost one: pull
-    /// when the frontier is saturated (more than [`saturation_threshold`]
-    /// entries) and the unvisited remainder is within
-    /// [`PULL_UNVISITED_FACTOR`] of it.
-    ///
-    /// The two clocks this backend is measured by disagree: the modeled
-    /// device prefers pull at every level (rmat12 SSSP from its hubs: pull
-    /// 0.32 / auto 0.48 / push 0.69 modeled ms) while the host prefers push
-    /// (2.61 / 1.59 / 0.68 ms wall, now that host cost is a sequential
-    /// kernel plus arithmetic — ADR 0004; 3.38 / 2.44 / 2.37 before), so no
-    /// per-edge cost serves both and the rule it was tuned with stays.
-    /// Remove this override — and the two items below — once one clock
-    /// alone decides (the modeled clock pricing both directions, ROADMAP
-    /// item 2(b)); the edge-cost rule with device constants then applies here
-    /// as well.
-    fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
-        let threshold = saturation_threshold(policy.n(), policy.num_edges());
-        level.frontier_nnz > threshold
-            && level.unvisited < level.frontier_nnz.saturating_mul(PULL_UNVISITED_FACTOR)
+    fn charge(&self, pipeline: impl FnOnce(&Device<'_>)) {
+        LEVEL.with_borrow(|level| pipeline(&self.device(level.as_ref().unwrap_or(&self.gpu))))
     }
 
-    fn charge(&self, pipeline: impl FnOnce(&Gpu)) {
-        pipeline(&self.gpu)
-    }
-
-    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
+    /// Push is priced by the host's own ops, their charges sent to a
+    /// scratch GPU while `host` runs; pull is priced on a second one. The
+    /// device is charged the cheaper, launch for launch.
+    fn level<R>(
         &self,
-        a: &CsrMatrix<D1>,
-        u: &DenseVector<T>,
-        sr: S,
-        mask: Option<M>,
-    ) -> DenseVector<T> {
-        let mask = mask.map(Into::into);
-        if mask.is_some() {
-            charge::mask_resolve(&self.gpu, a.nrows());
+        host: impl FnOnce() -> R,
+        pull: impl FnOnce(&R, &Device<'_>) -> bool,
+    ) -> (R, Option<DevicePrice>) {
+        let redirect = LevelRedirect;
+        LEVEL.set(Some(self.gpu.scratch()));
+        let r = host();
+        let push = LEVEL.take().expect("the level's scratch GPU").stats();
+        drop(redirect);
+        let priced = self.gpu.scratch();
+        if !pull(&r, &self.device(&priced)) {
+            self.gpu.replay(&push);
+            return (r, None);
         }
-        gbtl_backend_cuda::mxv(
-            &self.gpu,
-            a,
-            u,
-            sr,
-            mask,
-            self.spmv_kernel,
-            &self.spmv_profiles,
-        )
+        let pull = priced.stats();
+        let (dir, cheaper) = if pull.modeled_time_s < push.modeled_time_s {
+            (ChosenDir::Pull, &pull)
+        } else {
+            (ChosenDir::Push, &push)
+        };
+        self.gpu.replay(cheaper);
+        let ns = |s: &GpuStats| (s.modeled_time_s * 1e9).round() as u64;
+        let price = DevicePrice {
+            dir,
+            push_ns: ns(&push),
+            pull_ns: ns(&pull),
+        };
+        (r, Some(price))
     }
 }
 
@@ -706,14 +739,19 @@ mod tests {
             "counting"
         }
 
-        fn charge(&self, pipeline: impl FnOnce(&Gpu)) {
+        fn charge(&self, pipeline: impl FnOnce(&Device<'_>)) {
             self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            pipeline(&Gpu::default());
+            let profiles = SpmvProfiles::new();
+            pipeline(&Device {
+                gpu: &Gpu::default(),
+                spmv_kernel: SpmvKernel::Auto,
+                spmv_profiles: &profiles,
+            });
         }
     }
 
     #[test]
-    fn every_default_op_but_pull_charges_once() {
+    fn every_default_op_charges_once() {
         use gbtl_algebra::{AdditiveInverse, Plus, PlusMonoid, Times, TriL, ValueGt};
         let be = Counting::default();
         let a = sample();
@@ -725,10 +763,11 @@ mod tests {
         let mut coo = CooMatrix::new(3, 3);
         coo.push(1, 1, 4i64);
         let (idx, keep) = ([0, 2], [true, false, true]);
-        let ops: [&dyn Fn(); 23] = [
+        let ops: [&dyn Fn(); 24] = [
             &|| drop(be.mxm(&a, &a, PlusTimes::<i64>::new())),
             &|| drop(be.mxm_masked(&mask, &a, &a, PlusTimes::<i64>::new())),
             &|| drop(be.vxm(&us, &a, PlusTimes::<i64>::new(), Some(&keep[..]))),
+            &|| drop(be.mxv(&a, &ud, PlusTimes::<i64>::new(), Some(&keep[..]))),
             &|| drop(be.ewise_add_mat(&a, &a, Plus::<i64>::new())),
             &|| drop(be.ewise_mult_mat(&a, &a, Times::<i64>::new())),
             &|| drop(be.ewise_add_vec(&us, &us, Plus::<i64>::new())),
@@ -761,12 +800,9 @@ mod tests {
             let before = calls();
             op();
             // assign charges the extract that built its operand as well
-            let want = if i == 20 || i == 22 { 2 } else { 1 };
+            let want = if i == 21 || i == 23 { 2 } else { 1 };
             assert_eq!(calls() - before, want, "op {i}");
         }
-        let before = calls();
-        let _ = be.mxv(&a, &ud, PlusTimes::<i64>::new(), None::<VecMask<'_>>);
-        assert_eq!(calls(), before, "the default pull charged");
     }
 
     #[test]

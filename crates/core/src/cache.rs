@@ -316,19 +316,31 @@ impl TransposeCache {
     }
 
     /// Whether the transpose of the matrix identified by `(id, version)`
-    /// is resident right now. A pure peek for the direction policy's
-    /// cache-residency gate: it does not build, does not touch the LRU
-    /// order, and counts as neither hit nor miss — probing "would pull be
-    /// cheap?" every level must not distort the cache statistics or keep
-    /// an otherwise-idle entry alive.
+    /// is resident right now: [`TransposeCache::peek`] for the direction
+    /// policy's cache-residency gate.
     pub fn contains<T: Scalar>(&self, id: u64, version: u64) -> bool {
+        self.peek::<T>(id, version).is_some()
+    }
+
+    /// The transpose of the matrix identified by `(id, version)`, if it is
+    /// resident: a pure peek — it does not build, does not touch the LRU
+    /// order, and counts as neither hit nor miss. Probing "would pull be
+    /// cheap?" every level, or pricing a pull no one runs, must not
+    /// distort the cache statistics or keep an otherwise-idle entry alive.
+    pub fn peek<T: Scalar>(&self, id: u64, version: u64) -> Option<Arc<CsrMatrix<T>>> {
         if !self.inner.enabled {
-            return false;
+            return None;
         }
         let ty = TypeId::of::<T>();
-        lock(&self.inner.entries)
+        let value = lock(&self.inner.entries)
             .iter()
-            .any(|e| e.id == id && e.version == version && e.ty == ty && !e.unreachable())
+            .find(|e| e.id == id && e.version == version && e.ty == ty && !e.unreachable())?
+            .transpose()?;
+        Some(
+            value
+                .downcast::<CsrMatrix<T>>()
+                .expect("entry type matches its TypeId key"),
+        )
     }
 
     /// Drop every resident entry, pinned ones included (counters are

@@ -292,7 +292,8 @@ impl<B: Backend> Context<B> {
     /// index, and the direction decision that level ran with together with
     /// its inputs — a `level` record in the trace ring and a `level.<algo>`
     /// span-tree span carrying `dir=`/`rep=` and `push_edges=`/
-    /// `pull_edges=`/`pull_ready=`.
+    /// `pull_edges=`/`pull_ready=`, and where a device chose its charge,
+    /// `device=`/`price_push_ns=`/`price_pull_ns=`.
     pub fn level_end(
         &self,
         start: SpanStart,
@@ -313,6 +314,11 @@ impl<B: Backend> Context<B> {
                 push_edges: decision.push_edges as u64,
                 pull_edges: decision.pull_edges as u64,
                 pull_ready: decision.pull_ready,
+                device: decision.device.map(|d| gbtl_trace::DeviceFields {
+                    dir: d.dir.as_str(),
+                    price_push_ns: d.push_ns,
+                    price_pull_ns: d.pull_ns,
+                }),
             })
         });
     }

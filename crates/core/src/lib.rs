@@ -52,14 +52,14 @@ mod resolve;
 mod stitch;
 mod types;
 
-pub use backend::{Backend, CudaBackend, ParBackend, SeqBackend, SpmvKernel};
+pub use backend::{Backend, CudaBackend, Device, ParBackend, SeqBackend, SpmvKernel};
 pub use cache::{TransposeCache, TransposeCacheStats};
 pub use context::Context;
 pub use descriptor::Descriptor;
 pub use error::{GblasError, Result};
 pub use policy::{
-    direction_counters, ChosenDir, Direction, DirectionCounters, DirectionPolicy, FrontierRep,
-    LevelDecision, LevelWork, Product,
+    direction_counters, ChosenDir, DevicePrice, Direction, DirectionCounters, DirectionPolicy,
+    FrontierRep, LevelDecision, LevelWork, Product,
 };
 pub use resolve::OperandRef;
 pub use types::{Matrix, Vector};

@@ -5,11 +5,13 @@
 #![allow(clippy::too_many_arguments)]
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_backend_cuda::charge;
 use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
+use crate::policy::DevicePrice;
 use crate::stitch::{ensure, vec_out};
 use crate::types::{Matrix, Vector};
 use crate::Context;
@@ -111,6 +113,39 @@ impl<B: Backend> Context<B> {
             format!("{nr}*{nr}x{nc}")
         });
         Ok(())
+    }
+
+    /// One unmasked `Auto` level of a vector traversal over `a` that the
+    /// host pushes, `Aᵀ` resident: `run` computes `f ⊕.⊗ A`, and the
+    /// backend charges the direction its device prices cheaper
+    /// ([`Backend::level`], docs/adr/0012). Pull is priced here from
+    /// `run`'s result by `charge::mxv` over the resident `Aᵀ`, whose rows
+    /// stop early where `pull`'s add monoid reached its terminal value.
+    /// Returns the result and the device's choice (`None` on a backend
+    /// without a device).
+    pub fn priced_level<F, D, SL>(
+        &self,
+        pull: SL,
+        a: &Matrix<D>,
+        frontier: &Vector<F>,
+        run: impl FnOnce() -> Result<Vector<F>>,
+    ) -> Result<(Vector<F>, Option<DevicePrice>)>
+    where
+        F: Scalar,
+        D: Scalar,
+        SL: Semiring<F, D, F>,
+    {
+        let (out, device) = self.backend().level(run, |out, device| {
+            let (Ok(out), Some(at)) = (out, self.transpose_cache().peek::<D>(a.id(), a.version()))
+            else {
+                return false;
+            };
+            let u = |j| frontier.get(j);
+            let early = gbtl_backend_seq::early_exits(pull, &at, u, out.iter());
+            charge::mxv::<F, D>(device, &at, None, &early);
+            true
+        });
+        Ok((out?, device))
     }
 }
 

@@ -40,9 +40,12 @@
 //! term is why the last levels of a BFS, a dozen edges on either side, go
 //! back to push).
 //! The backend owns the comparison through [`Backend::prefers_pull`]: seq
-//! uses the rule as is, par adds its fan-out cost to the side that fans out
-//! (pull), and cuda-sim keeps the vertex-count rule it had (see
-//! `CudaBackend`) — so the frontend stays backend-blind.
+//! and cuda-sim use the rule as is, par adds its fan-out cost to the side
+//! that fans out (pull) — so the frontend stays backend-blind. On cuda-sim
+//! the rule picks only the direction the *host* computes a level in: what
+//! the device is charged for an `Auto` level is the direction its own model
+//! prices cheaper, priced from the level's result ([`DevicePrice`],
+//! `Backend::level`, docs/adr/0012).
 //!
 //! The frontier *representation* follows the direction the level runs in
 //! (push kernels consume the index list, pull kernels the bitmap), so a
@@ -131,6 +134,19 @@ impl FrontierRep {
     }
 }
 
+/// What a device backend charged one `Auto` level: the direction its model
+/// prices cheaper, and both directions' prices in modeled nanoseconds, each
+/// taken from the level's result (docs/adr/0012).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DevicePrice {
+    /// The direction charged: the cheaper price, push on a tie.
+    pub dir: ChosenDir,
+    /// What the device would be charged to push the level.
+    pub push_ns: u64,
+    /// What the device would be charged to pull it.
+    pub pull_ns: u64,
+}
+
 /// One level's resolved decision, with the inputs it was taken from — the
 /// decision record [`Context::level_end`] writes next to `dir=`/`rep=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +161,10 @@ pub struct LevelDecision {
     pub pull_edges: usize,
     /// Whether `Aᵀ` was resident, i.e. whether `Auto` could pull at all.
     pub pull_ready: bool,
+    /// Where a device chose what it was charged — an `Auto` level with `Aᵀ`
+    /// resident on a device backend — its choice; set by the level's
+    /// product, `None` until then and everywhere else.
+    pub device: Option<DevicePrice>,
 }
 
 /// Which product a traversal runs per level — what the per-edge costs
@@ -440,6 +460,7 @@ impl DirectionPolicy {
             push_edges: level.push_edges,
             pull_edges: level.pull_edges,
             pull_ready: self.pull_ready,
+            device: None,
         }
     }
 }
@@ -616,35 +637,6 @@ mod tests {
         };
         let par2 = ParBackend::with_threads(2);
         assert_eq!(p.decide_on(&par2, big).dir, ChosenDir::Pull);
-    }
-
-    #[test]
-    fn cuda_keeps_the_vertex_count_rule() {
-        let cuda = CudaBackend::default();
-        let level = |frontier_nnz, unvisited| LevelWork {
-            frontier_nnz,
-            unvisited,
-            // edge totals that say the opposite must not matter here
-            ..edges(1, 1_000_000)
-        };
-        // |E| = 1024, α = 32 → edge budget 32; average degree 1024/320 = 3
-        // → saturated above 10 entries
-        let p = DirectionPolicy::new(Direction::Auto, 320, 1024, true);
-        let dir = |p: &DirectionPolicy, f, u| p.decide_on(&cuda, level(f, u)).dir;
-        assert_eq!(dir(&p, 10, 5), ChosenDir::Push, "at the threshold");
-        assert_eq!(dir(&p, 11, 40), ChosenDir::Pull, "just past it");
-        assert_eq!(
-            dir(&p, 11, 44),
-            ChosenDir::Push,
-            "remainder gate: 4 x frontier"
-        );
-        // the threshold clamps to [1, n]
-        let tiny = DirectionPolicy::new(Direction::Auto, 100, 0, true);
-        assert_eq!(dir(&tiny, 2, 3), ChosenDir::Pull);
-        assert_eq!(dir(&tiny, 1, 3), ChosenDir::Push);
-        let wide = DirectionPolicy::new(Direction::Auto, 3200, 102_400, true);
-        assert_eq!(dir(&wide, 101, 100), ChosenDir::Pull);
-        assert_eq!(dir(&wide, 100, 100), ChosenDir::Push);
     }
 
     #[test]

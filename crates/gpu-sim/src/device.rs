@@ -87,6 +87,26 @@ impl Gpu {
         self.config.kernel_launch_us * 1e-6 + compute.max(mem)
     }
 
+    /// A zeroed device of this one's configuration that logs its launches:
+    /// where a pipeline is priced before it is charged ([`Gpu::replay`]).
+    pub fn scratch(&self) -> Gpu {
+        Gpu::with_trace(self.config.clone())
+    }
+
+    /// Charge every launch a [`Gpu::scratch`] logged, in order: what running
+    /// its pipeline here would have charged. A priced pipeline launches
+    /// kernels only; it moves nothing over PCIe.
+    pub fn replay(&self, scratch: &GpuStats) {
+        assert_eq!(
+            scratch.h2d_transfers + scratch.d2h_transfers,
+            0,
+            "a replayed pipeline moved data over PCIe"
+        );
+        for k in &scratch.kernel_log {
+            self.charge_kernel(k.name, k.blocks, k.tally);
+        }
+    }
+
     /// Record a completed kernel launch.
     pub fn charge_kernel(&self, name: &'static str, blocks: usize, tally: KernelTally) {
         let t = self.kernel_time(&tally);
@@ -178,6 +198,42 @@ mod tests {
         assert_eq!(s.kernel_log.len(), 1);
         assert_eq!(s.kernel_log[0].name, "test_kernel");
         assert_eq!(s.kernels_launched, 1);
+    }
+
+    #[test]
+    fn a_replayed_scratch_charges_what_the_pipeline_does() {
+        let pipeline = |gpu: &Gpu| {
+            for (name, n) in [("a", 3), ("b", 70_000), ("c", 11)] {
+                let tally = KernelTally {
+                    warp_instructions: n,
+                    mem_transactions: 2 * n,
+                    atomic_ops: n / 3,
+                };
+                gpu.charge_kernel(name, 2, tally);
+            }
+        };
+        let (direct, replayed) = (
+            Gpu::with_trace(GpuConfig::k40()),
+            Gpu::new(GpuConfig::k40()),
+        );
+        let scratch = replayed.scratch();
+        pipeline(&direct);
+        pipeline(&scratch);
+        replayed.replay(&scratch.stats());
+        let (want, got) = (direct.stats(), replayed.stats());
+        assert_eq!(got.modeled_time_s.to_bits(), want.modeled_time_s.to_bits());
+        assert_eq!(
+            got.kernel_log.len(),
+            0,
+            "a replay keeps its target's trace mode"
+        );
+        assert_eq!(
+            GpuStats {
+                kernel_log: vec![],
+                ..want
+            },
+            got
+        );
     }
 
     #[test]

@@ -41,8 +41,8 @@ use std::fmt;
 
 pub use metrics::Stage;
 pub use ring::{
-    short_type_name, LevelFields, OpSummary, Section, SpanFields, SpanRecord, SpanStart,
-    TraceReport, Tracer, DEFAULT_RING_CAPACITY,
+    short_type_name, DeviceFields, LevelFields, OpSummary, Section, SpanFields, SpanRecord,
+    SpanStart, TraceReport, Tracer, DEFAULT_RING_CAPACITY,
 };
 pub use tree::{begin_request, finish_request, TraceContext};
 
@@ -174,9 +174,8 @@ pub fn emit(scope: Scope<'_>, t0_ns: u64, t1_ns: u64, kind: Kind<'_>) {
                     ("nnz_out", U64(f.nnz_out)),
                 ],
             ),
-            Kind::Level(l) => keep(
-                &format!("level.{}", l.algo),
-                &[
+            Kind::Level(l) => {
+                let mut attrs = vec![
                     ("backend", Str(backend)),
                     ("level", U64(l.level)),
                     ("dir", Str(l.dir)),
@@ -185,8 +184,16 @@ pub fn emit(scope: Scope<'_>, t0_ns: u64, t1_ns: u64, kind: Kind<'_>) {
                     ("push_edges", U64(l.push_edges)),
                     ("pull_edges", U64(l.pull_edges)),
                     ("pull_ready", Bool(l.pull_ready)),
-                ],
-            ),
+                ];
+                if let Some(d) = l.device {
+                    attrs.extend([
+                        ("device", Str(d.dir)),
+                        ("price_push_ns", U64(d.price_push_ns)),
+                        ("price_pull_ns", U64(d.price_pull_ns)),
+                    ]);
+                }
+                keep(&format!("level.{}", l.algo), &attrs)
+            }
             Kind::Stage(name, attrs) => keep(name, attrs),
         }
     }

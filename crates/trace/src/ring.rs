@@ -66,6 +66,21 @@ pub struct LevelFields {
     pub pull_edges: u64,
     /// Whether `Aᵀ` was resident (pull was available to `Auto`).
     pub pull_ready: bool,
+    /// Where a device chose what it was charged (an `Auto` level on a
+    /// device backend): that direction and both directions' prices.
+    pub device: Option<DeviceFields>,
+}
+
+/// A device's charge decision for one level: the direction it charged and
+/// the modeled nanoseconds it priced each direction at.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceFields {
+    /// `push` or `pull`: the cheaper price.
+    pub dir: &'static str,
+    /// Push's price.
+    pub price_push_ns: u64,
+    /// Pull's price.
+    pub price_pull_ns: u64,
 }
 
 /// One completed operation span.
@@ -168,12 +183,19 @@ impl TraceReport {
 /// How the ring renders a level: the algorithm, the decision and its
 /// inputs in the label, the level index where an op has its dimensions.
 fn level_record(l: LevelFields) -> SpanFields {
+    let mut op_label = format!(
+        "{} dir={} rep={} push_edges={} pull_edges={} pull_ready={}",
+        l.algo, l.dir, l.rep, l.push_edges, l.pull_edges, l.pull_ready
+    );
+    if let Some(d) = l.device {
+        op_label += &format!(
+            " device={} price_push_ns={} price_pull_ns={}",
+            d.dir, d.price_push_ns, d.price_pull_ns
+        );
+    }
     SpanFields {
         op: "level",
-        op_label: format!(
-            "{} dir={} rep={} push_edges={} pull_edges={} pull_ready={}",
-            l.algo, l.dir, l.rep, l.push_edges, l.pull_edges, l.pull_ready
-        ),
+        op_label,
         dims: format!("level={}", l.level),
         nnz_in: l.frontier_nnz,
         nnz_out: l.nnz_out,
@@ -558,6 +580,11 @@ mod tests {
                 push_edges: 4000,
                 pull_edges: 900,
                 pull_ready: true,
+                device: Some(DeviceFields {
+                    dir: "push",
+                    price_push_ns: 7,
+                    price_pull_ns: 9,
+                }),
             })
         });
         t.set_request(None, None);
@@ -575,6 +602,9 @@ mod tests {
             ("push_edges", "4000"),
             ("pull_edges", "900"),
             ("pull_ready", "true"),
+            ("device", "push"),
+            ("price_push_ns", "7"),
+            ("price_pull_ns", "9"),
         ] {
             assert!(sp.attrs.iter().any(|(k, v)| k == key && v == value));
         }
@@ -582,7 +612,8 @@ mod tests {
         assert_eq!(rep.op("level").unwrap().calls, 1);
         assert_eq!(
             rep.spans[0].fields.op_label,
-            "bfs dir=pull rep=bitmap push_edges=4000 pull_edges=900 pull_ready=true"
+            "bfs dir=pull rep=bitmap push_edges=4000 pull_edges=900 pull_ready=true \
+             device=push price_push_ns=7 price_pull_ns=9"
         );
         assert_eq!(rep.spans[0].fields.dims, "level=3");
     }

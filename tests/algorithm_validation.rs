@@ -393,3 +393,47 @@ fn masked_mis_returns_the_unmasked_sets() {
         assert_eq!(got, [*want; 3], "{name}: seq / par / cuda");
     }
 }
+
+/// Inputs the algorithms cannot answer for are errors, not panics: a
+/// coloring of a vertex that is its own neighbour (its independent sets
+/// refuse it), a spanning forest over a weight that compares to nothing.
+#[test]
+fn unanswerable_inputs_are_errors() {
+    let ctx = Context::sequential();
+    let looped = Matrix::build(
+        3,
+        3,
+        [(0usize, 1usize, true), (1, 0, true), (2, 2, true)],
+        gbtl::algebra::Second::new(),
+    )
+    .unwrap();
+    let err = gbtl::algorithms::greedy_color(&ctx, &looped, 7).unwrap_err();
+    assert!(
+        matches!(err, gbtl::core::GblasError::InvalidValue { .. }),
+        "{err}"
+    );
+
+    let nan = Matrix::build(
+        3,
+        3,
+        [
+            (0usize, 1usize, 2.0f64),
+            (1, 0, 2.0),
+            (1, 2, f64::NAN),
+            (2, 1, f64::NAN),
+        ],
+        gbtl::algebra::Second::new(),
+    )
+    .unwrap();
+    let err = mst_weight(&ctx, &nan).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            gbtl::core::GblasError::InvalidValue {
+                op: "mst_weight",
+                ..
+            }
+        ),
+        "{err}"
+    );
+}

@@ -320,11 +320,10 @@ proptest! {
         let ud = u.to_dense_repr();
         let expected = gbtl::backend_seq::mxv(af, &ud, PlusTimes::<i64>::new(), None);
 
-        let gpu = gbtl::gpu_sim::Gpu::default();
-        let profiles = gbtl::backend_cuda::SpmvProfiles::new();
         for kernel in [SpmvKernel::Ell, SpmvKernel::Hyb] {
+            let cuda = CudaBackend::default().with_spmv_kernel(kernel);
             prop_assert_eq!(
-                &gbtl::backend_cuda::mxv(&gpu, af, &ud, PlusTimes::<i64>::new(), None, kernel, &profiles),
+                &cuda.mxv(af, &ud, PlusTimes::<i64>::new(), None::<gbtl::sparse::VecMask<'_>>),
                 &expected,
                 "{:?}", kernel
             );

@@ -12,9 +12,13 @@
 //!
 //! The decision-record tests below read the level spans back: on the CPU
 //! backends `Auto` follows the edge work (BFS takes both directions, SSSP's
-//! unmasked rounds never pull a light frontier), and cuda-sim's decisions
-//! are the ones the vertex-count rule took before the edge-cost rule
-//! existed, level by level.
+//! unmasked rounds never pull a light frontier). cuda-sim computes a level
+//! in that same direction; an unmasked level (SSSP's) is charged the
+//! direction its device model prices cheaper, from the level's result, and
+//! a masked one (BFS's) the direction the host ran (docs/adr/0012). So its
+//! SSSP `Auto` is never dearer on the modeled clock than either forced
+//! direction, and each SSSP level records both prices and the one it
+//! charged.
 
 use gbtl::algorithms::{
     betweenness_centrality_with_direction, bfs_levels, sssp_with_direction, Direction,
@@ -202,38 +206,103 @@ fn cpu_auto_follows_the_edge_work() {
     check(Context::parallel_with_threads(2));
 }
 
+/// The `k` highest-degree vertices of `a`, lowest index first on ties.
+fn top_degree(a: &Matrix<bool>, k: usize) -> Vec<usize> {
+    let mut by_degree: Vec<usize> = (0..a.nrows()).collect();
+    by_degree.sort_by_key(|&v| (std::cmp::Reverse(a.csr().row_nnz(v)), v));
+    by_degree.truncate(k);
+    by_degree
+}
+
 #[test]
-fn cuda_decisions_are_the_vertex_count_rules() {
-    // push = S, pull = L, per level; recorded at the commit before the
-    // edge-cost rule (PR 13) with the same graphs and sources
-    let golden = |structure: &CooMatrix<bool>, want_bfs: &str, want_sssp: &str| {
-        let ctx = Context::cuda_default().with_trace_mode(TraceMode::Summary);
-        let (adj, w, hub) = traversal_graph(structure);
-        ctx.seed_symmetric_transpose(&adj);
-        ctx.seed_symmetric_transpose(&w);
-        let spell = |records: Vec<(bool, usize)>| -> String {
-            let letters = records
-                .iter()
-                .map(|&(pulled, _)| if pulled { 'L' } else { 'S' });
-            letters.collect()
+fn cuda_auto_is_never_dearer_than_either_forced_direction() {
+    let graphs = [
+        symmetrize(&Rmat::new(12, 8).seed(1).generate()),
+        torus_2d(48, 48),
+    ];
+    for structure in &graphs {
+        let (adj, w, _) = traversal_graph(structure);
+        let (seq, cuda) = (Context::sequential(), Context::cuda_default());
+        cuda.prewarm_transpose(&adj);
+        cuda.prewarm_transpose(&w);
+        // the modeled milliseconds one solve charges a zeroed device
+        let modeled = |solve: &dyn Fn()| {
+            cuda.reset_gpu_stats();
+            solve();
+            cuda.gpu_stats().modeled_time_s * 1e3
         };
-        let bfs = level_records(&ctx, || {
-            bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
-        });
-        assert_eq!(spell(bfs), want_bfs);
-        let sssp = level_records(&ctx, || {
-            sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
-        });
-        assert_eq!(spell(sssp), want_sssp);
+        for src in top_degree(&adj, 4) {
+            let want_bfs = bfs_levels(&seq, &adj, src, Direction::Push).unwrap();
+            let want_sssp = sssp_with_direction(&seq, &w, src, Direction::Push).unwrap();
+            let [auto_bfs, push_bfs, pull_bfs] =
+                [Direction::Auto, Direction::Push, Direction::Pull].map(|d| {
+                    modeled(&|| assert_eq!(bfs_levels(&cuda, &adj, src, d).unwrap(), want_bfs))
+                });
+            let [auto_sssp, push_sssp, pull_sssp] =
+                [Direction::Auto, Direction::Push, Direction::Pull].map(|d| {
+                    let got = || sssp_with_direction(&cuda, &w, src, d).unwrap();
+                    modeled(&|| assert_eq!(got(), want_sssp))
+                });
+            let n = adj.nrows();
+            // a BFS level is charged the direction the host ran
+            assert!(auto_bfs > 0.0 && push_bfs > 0.0 && pull_bfs > 0.0);
+            assert!(
+                auto_sssp <= push_sssp.min(pull_sssp),
+                "sssp n={n} src={src}: auto {auto_sssp} push {push_sssp} pull {pull_sssp}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cuda_levels_record_and_charge_the_cheaper_price() {
+    let ctx = Context::cuda_default().with_trace_mode(TraceMode::Summary);
+    let (adj, w, hub) = traversal_graph(&symmetrize(&Rmat::new(12, 8).seed(1).generate()));
+    ctx.seed_symmetric_transpose(&adj);
+    ctx.seed_symmetric_transpose(&w);
+    let field = |label: &str, key: &str| -> String {
+        let rest = label.split(key).nth(1).expect("decision record field");
+        rest.split(' ').next().unwrap().to_string()
     };
-    golden(
-        &symmetrize(&Rmat::new(12, 8).seed(1).generate()),
-        "SLLS",
-        "SLLLLLLSSSS",
+    // BFS's masked levels are charged the host's direction: no record
+    ctx.clear_trace();
+    bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
+    let bfs = ctx.trace().spans;
+    assert!(bfs.iter().any(|sp| sp.fields.op == "level"));
+    assert!(!bfs.iter().any(|sp| sp.fields.op_label.contains("device=")));
+    // SSSP's unmasked levels are charged the cheaper of two prices
+    ctx.clear_trace();
+    let before = ctx.gpu_stats().modeled_time_s;
+    sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
+    let delta_ns = (ctx.gpu_stats().modeled_time_s - before) * 1e9;
+    let (mut levels, mut charged, mut pulled) = (0, 0u64, 0);
+    for sp in ctx
+        .trace()
+        .spans
+        .iter()
+        .filter(|sp| sp.fields.op == "level")
+    {
+        let label = &sp.fields.op_label;
+        let device = field(label, "device=");
+        let push: u64 = field(label, "price_push_ns=").parse().unwrap();
+        let pull: u64 = field(label, "price_pull_ns=").parse().unwrap();
+        let (mine, other) = match device.as_str() {
+            "push" => (push, pull),
+            "pull" => (pull, push),
+            _ => panic!("{label}"),
+        };
+        assert!(mine <= other, "{label}");
+        levels += 1;
+        charged += mine;
+        pulled += (device == "pull") as usize;
+    }
+    assert!(
+        levels > 2 && pulled > 0,
+        "{pulled} of {levels} levels pulled"
     );
-    golden(
-        &torus_2d(48, 48),
-        &"S".repeat(49),
-        &format!("{}{}{}", "S".repeat(28), "L".repeat(12), "S".repeat(10)),
+    // each price is rounded to the nanosecond on its own
+    assert!(
+        (charged as f64 - delta_ns).abs() <= levels as f64,
+        "the levels charged {charged} ns, the device clock moved {delta_ns}"
     );
 }

@@ -27,7 +27,7 @@ use gbtl::backend_cuda as cuda;
 use gbtl::gpu_sim::{GpuStats, KernelRecord};
 use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
 use gbtl::prelude::*;
-use gbtl::sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
+use gbtl::sparse::{CooMatrix, CsrMatrix, SparseVector, VecMask};
 
 fn ns(seconds: f64) -> u64 {
     (seconds * 1e9).round() as u64
@@ -163,7 +163,7 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
     suite.step("mis", |ctx| {
         maximal_independent_set(ctx, &a, seed).unwrap();
     });
-    let (lower, upper) = (tril(&w), triu(&w));
+    let (lower, upper) = (tril(&w).unwrap(), triu(&w).unwrap());
     suite.step("ewise_add_mat", |ctx| {
         let mut c = Matrix::new(n, n);
         ctx.ewise_add_mat(&mut c, None, no_accum(), Plus::new(), &lower, &w, &desc)
@@ -202,32 +202,29 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
         ctx.backend().select_vec(&sparse_lo, ValueGe(n as i64 / 2));
     });
 
-    // the SpMV kernels, called as the backend calls them
+    // the SpMV kernels' charges, with the mask resolved by the caller
     let wi: Matrix<i64> = as_i64(&w);
     let csr = wi.csr();
-    let u = DenseVector::filled(n, 1i64);
     let keep: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-    let sr = PlusTimes::<i64>::new();
+    let pull = |ctx: &Context<CudaBackend>, kernel, mask: Option<VecMask<'_>>| {
+        let be = ctx.backend();
+        let device = cuda::Device {
+            spmv_kernel: kernel,
+            ..be.device(be.gpu())
+        };
+        // (+, ×) has no terminal value: every kept row walks to its end
+        cuda::charge::mxv::<i64, i64>(&device, csr, mask, &[]);
+    };
     for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
-        suite.step(&format!("mxv/{kernel:?}"), |ctx| {
-            let be = ctx.backend();
-            cuda::mxv(be.gpu(), csr, &u, sr, None, kernel, be.spmv_profiles());
-        });
+        suite.step(&format!("mxv/{kernel:?}"), |ctx| pull(ctx, kernel, None));
         suite.step(&format!("mxv/{kernel:?}/masked"), |ctx| {
-            let mask = Some(VecMask::from(&keep[..]));
-            let be = ctx.backend();
-            cuda::mxv(be.gpu(), csr, &u, sr, mask, kernel, be.spmv_profiles());
+            pull(ctx, kernel, Some(VecMask::from(&keep[..])))
         });
     }
     for (step, kernel) in [("mxv_ell", SpmvKernel::Ell), ("mxv_hyb", SpmvKernel::Hyb)] {
-        suite.step(step, |ctx| {
-            let be = ctx.backend();
-            cuda::mxv(be.gpu(), csr, &u, sr, None, kernel, be.spmv_profiles());
-        });
+        suite.step(step, |ctx| pull(ctx, kernel, None));
         suite.step(&format!("{step}/masked"), |ctx| {
-            let mask = Some(VecMask::from(&keep[..]));
-            let be = ctx.backend();
-            cuda::mxv(be.gpu(), csr, &u, sr, mask, kernel, be.spmv_profiles());
+            pull(ctx, kernel, Some(VecMask::from(&keep[..])))
         });
     }
     suite.finish()
@@ -240,7 +237,7 @@ fn override_suite(structure: &CooMatrix<bool>, seed: u64) -> String {
     let n = structure.nrows();
     let a = adjacency(structure.clone());
     let (_, w) = weighted(structure, seed);
-    let (lower, wi) = (tril(&w), as_i64(&w));
+    let (lower, wi) = (tril(&w).unwrap(), as_i64(&w));
     let (sparse_lo, sparse_hi) = (sparse_stride(n, 3), sparse_stride(n, 5));
     let (dense_lo, dense_hi) = (sparse_lo.to_dense(), sparse_hi.to_dense());
     let idx: Vec<usize> = (0..n).step_by(7).collect();
@@ -532,7 +529,7 @@ prewarm_transpose: kernels=22 warp=19556 txn=30736 atomics=24680 h2d=0B/0 d2h=0B
 bfs_levels/Auto: kernels=34 warp=6812 txn=3980 atomics=0 h2d=0B/0 d2h=16384B/1 ns=183134
 bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 ns=315417
 bfs_levels/Pull: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
-sssp: kernels=50 warp=68762 txn=70916 atomics=0 h2d=0B/0 d2h=8192B/1 ns=292201
+sssp: kernels=10 warp=113910 txn=117220 atomics=0 h2d=0B/0 d2h=8192B/1 ns=112780
 pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ns=134668
 triangle_count: kernels=24 warp=55328 txn=143088 atomics=12340 h2d=0B/0 d2h=0B/0 ns=205532
 connected_components: kernels=4 warp=42049 txn=40131 atomics=0 h2d=0B/0 d2h=0B/0 ns=37836
@@ -562,27 +559,27 @@ mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=2
   ewise_combine: n=2 blocks=146 warp=2316 txn=9256 atomics=0 ns=14114
   ewise_vec_combine: n=1 blocks=3 warp=36 txn=138 atomics=0 ns=5061
   expand_row_ids: n=13 blocks=13 warp=4123 txn=8259 atomics=0 ns=68671
-  gather: n=30 blocks=32 warp=1494 txn=7441 atomics=0 ns=153307
+  gather: n=22 blocks=24 warp=1470 txn=7397 atomics=0 ns=113288
   histogram: n=11 blocks=88 warp=20682 txn=21384 atomics=330789 ns=652573
   mask_resolve: n=15 blocks=15 warp=480 txn=240 atomics=0 ns=75107
-  radix_sort_pass: n=96 blocks=736 warp=339184 txn=502728 atomics=0 ns=703435
+  radix_sort_pass: n=80 blocks=720 warp=338928 txn=502392 atomics=0 ns=623285
   reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ns=5112
-  reduce_by_key: n=16 blocks=159 warp=55896 txn=80049 atomics=0 ns=115577
-  scan_downsweep: n=26 blocks=27 warp=1202 txn=2388 atomics=0 ns=131061
-  scan_upsweep: n=26 blocks=27 warp=601 txn=1194 atomics=0 ns=130531
+  reduce_by_key: n=12 blocks=155 warp=55848 txn=79966 atomics=0 ns=95540
+  scan_downsweep: n=22 blocks=23 warp=1194 txn=2380 atomics=0 ns=111058
+  scan_upsweep: n=22 blocks=23 warp=597 txn=1190 atomics=0 ns=110529
   segmented_reduce: n=1 blocks=1 warp=804 txn=482 atomics=0 ns=5214
   select_key: n=2 blocks=98 warp=1544 txn=9256 atomics=0 ns=14114
   spgemm_expand: n=1 blocks=25 warp=107754 txn=113097 atomics=0 ns=55265
   spgemm_masked_dot: n=1 blocks=25 warp=45138 txn=122546 atomics=0 ns=59465
   spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
   spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
-  spmv_csr_vector: n=28 blocks=112 warp=228327 txn=216770 atomics=0 ns=236342
+  spmv_csr_vector: n=32 blocks=128 warp=273891 txn=263658 atomics=0 ns=277181
   spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
   tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
   transform: n=22 blocks=176 warp=41364 txn=82720 atomics=0 ns=146764
   transpose_keys: n=5 blocks=177 warp=2782 txn=8342 atomics=0 ns=28708
-  vxm_expand: n=14 blocks=17 warp=1912 txn=3162 atomics=0 ns=71405
-  zip_transform: n=15 blocks=16 warp=747 txn=1458 atomics=0 ns=75648
+  vxm_expand: n=10 blocks=13 warp=1848 txn=3062 atomics=0 ns=51361
+  zip_transform: n=11 blocks=12 warp=735 txn=1449 atomics=0 ns=55644
 ";
 
 const GRID16: &str = "
@@ -591,7 +588,7 @@ prewarm_transpose: kernels=22 warp=1564 txn=2506 atomics=1920 h2d=0B/0 d2h=0B/0 
 bfs_levels/Auto: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
 bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
 bfs_levels/Pull: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
-sssp: kernels=279 warp=2048 txn=4181 atomics=0 h2d=0B/0 d2h=2048B/1 ns=1407029
+sssp: kernels=29 warp=5336 txn=14848 atomics=0 h2d=0B/0 d2h=2048B/1 ns=161770
 pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ns=97057
 triangle_count: kernels=23 warp=1420 txn=2127 atomics=960 h2d=0B/0 d2h=0B/0 ns=117652
 connected_components: kernels=31 warp=4574 txn=10995 atomics=0 h2d=0B/0 d2h=0B/0 ns=159887
@@ -621,23 +618,23 @@ mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
   ewise_combine: n=2 blocks=12 warp=180 txn=720 atomics=0 ns=10320
   ewise_vec_combine: n=1 blocks=1 warp=10 txn=36 atomics=0 ns=5016
   expand_row_ids: n=13 blocks=13 warp=389 txn=791 atomics=0 ns=65352
-  gather: n=174 blocks=174 warp=618 txn=2015 atomics=0 ns=870896
+  gather: n=124 blocks=124 warp=468 txn=1484 atomics=0 ns=620660
   histogram: n=11 blocks=11 warp=508 txn=683 atomics=8098 ns=69700
   mask_resolve: n=89 blocks=89 warp=712 txn=356 atomics=0 ns=445158
-  radix_sort_pass: n=384 blocks=384 warp=6400 txn=8424 atomics=0 ns=1923744
-  reduce_by_key: n=88 blocks=88 warp=600 txn=883 atomics=0 ns=440392
-  scan_downsweep: n=98 blocks=98 warp=382 txn=608 atomics=0 ns=490270
-  scan_upsweep: n=98 blocks=98 warp=191 txn=304 atomics=0 ns=490135
+  radix_sort_pass: n=284 blocks=284 warp=5696 txn=7592 atomics=0 ns=1423374
+  reduce_by_key: n=63 blocks=63 warp=468 txn=720 atomics=0 ns=315320
+  scan_downsweep: n=73 blocks=73 warp=332 txn=548 atomics=0 ns=365244
+  scan_upsweep: n=73 blocks=73 warp=166 txn=274 atomics=0 ns=365122
   segmented_reduce: n=1 blocks=1 warp=68 txn=55 atomics=0 ns=5024
   select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
   spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
   spgemm_masked_dot: n=1 blocks=2 warp=598 txn=423 atomics=0 ns=5188
-  spmv_csr_scalar: n=75 blocks=75 warp=10487 txn=22988 atomics=0 ns=385217
+  spmv_csr_scalar: n=100 blocks=100 warp=15087 txn=35788 atomics=0 ns=515906
   spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
   spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
   tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
   transform: n=22 blocks=22 warp=1016 txn=2028 atomics=0 ns=110901
   transpose_keys: n=5 blocks=14 warp=210 txn=630 atomics=0 ns=25280
-  vxm_expand: n=86 blocks=86 warp=576 txn=1407 atomics=0 ns=430625
-  zip_transform: n=87 blocks=87 warp=309 txn=336 atomics=0 ns=435149
+  vxm_expand: n=61 blocks=61 warp=400 txn=965 atomics=0 ns=305429
+  zip_transform: n=62 blocks=62 warp=234 txn=261 atomics=0 ns=310116
 ";
