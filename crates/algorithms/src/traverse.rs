@@ -4,7 +4,7 @@
 //! Per level: price both directions ([`LevelWork`]), take the
 //! [`DirectionPolicy`]'s decision, open the `level.<name>` span, put the
 //! frontier in the representation the chosen kernel consumes, run the
-//! product — a pushed unmasked `Auto` one through
+//! product — an `Auto` one the host pushes through
 //! [`Context::priced_level`], which records the direction a device charged
 //! (docs/adr/0012) — hand it to the algorithm's **epilogue**, roll the edge
 //! totals and close the span. An algorithm brings a seed, its semiring(s)
@@ -106,11 +106,10 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
         let (ctx, a, n) = (self.ctx, self.a, self.a.nrows());
         let mut frontier = Vector::new(n);
         frontier.set(src, seed);
-        // the device prices an unmasked `Auto` level both ways (the host
-        // never pulls one); a masked one is charged the direction the host
-        // ran (docs/adr/0012)
-        let priced =
-            self.policy.mode() == Direction::Auto && self.policy.product() == Product::Unmasked;
+        // the device prices an `Auto` level the host pushes both ways, a
+        // masked one's pull under `¬visited`; a level the host pulls is
+        // charged its pull (docs/adr/0012)
+        let priced = self.policy.mode() == Direction::Auto;
         let product =
             |decision: &mut LevelDecision, frontier: &mut Vector<F>, visited: Option<&_>| {
                 match decision.rep {
@@ -139,7 +138,7 @@ impl<'a, B: Backend, D: Scalar> Traversal<'a, B, D> {
                 if !(priced && decision.pull_ready && dir == ChosenDir::Push) {
                     return run();
                 }
-                let (out, device) = ctx.priced_level(pull, a, frontier, run)?;
+                let (out, device) = ctx.priced_level(pull, a, frontier, visited, run)?;
                 decision.device = device;
                 Ok(out)
             };

@@ -24,14 +24,16 @@
 //! product, in either direction, and what the device would do is charged
 //! in closed form from its result and added to the device once per launch.
 //! Push is charged per pipeline stage. A pull kernel is charged from its
-//! `SpmvProfile` (ADRs 0006, 0007): what each row (vector) or each wholly
-//! kept warp (scalar: fully walked; ELL and HYB walk every slot whatever
-//! the row did) costs, and HYB's overflow launch, built once per matrix
-//! structure and kept in a bounded [`SpmvProfiles`] memo; only a
-//! thread-per-row warp the mask cut short, or a scalar one an early exit
-//! did, is tallied warp step by warp step. A row walked to its end unless
-//! it stopped at the add monoid's terminal value; seq's `early_exits`
-//! reads the rows that stopped off a result.
+//! `SpmvProfile` (ADRs 0006, 0007), built once per matrix structure and
+//! kept in a bounded [`SpmvProfiles`] memo, and from the mask's keep bits,
+//! read a word of 64 rows at a time. A thread-per-row profile holds each
+//! warp as lane masks — per load, the lanes whose addresses share a
+//! transaction segment — so any warp, however the mask or an early exit cut
+//! it, is charged by counting the masks its live lanes meet. A warp-per-row
+//! profile holds each row's transactions per stride walked and their sums
+//! per 64 rows. A row walks to its end unless it stopped at the add
+//! monoid's terminal value; seq's `early_exits` reads the rows that stopped
+//! off a result.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -49,6 +51,10 @@ const BLOCK_DIM: usize = 256;
 /// Instructions of one warp-step (scalar) or stride (vector): the column,
 /// value and `u` loads and two ALU instructions.
 const STEP_INSTRS: u64 = 5;
+
+/// Lanes one lane mask holds: the widest warp a thread-per-row profile
+/// takes ([`GpuConfig::warp_size`](gbtl_gpu_sim::GpuConfig::warp_size)).
+const MAX_LANES: usize = u64::BITS as usize;
 
 /// Profiles an [`SpmvProfiles`] memo keeps: a traversal pulls over one or
 /// two structures in one or two operand types, so eight cover a solve with
@@ -122,22 +128,33 @@ struct ProfileKey {
 /// the walks say which rows ran and how far.
 #[derive(Debug)]
 enum SpmvProfile {
-    /// A thread-per-row kernel: per warp in launch order, its
-    /// `(instructions, transactions)` when the mask keeps every row of it
-    /// and, for the scalar kernel, every row is walked to its end. `ell` is
-    /// ELL's and HYB's slot width, `overflow` HYB's COO launch as `(blocks,
-    /// tally)`, when any row overflows.
+    /// A thread-per-row kernel's warps as lane masks, and HYB's COO
+    /// launch as `(blocks, tally)` when any row overflows.
     Warps {
-        warps: Vec<(u64, u64)>,
-        ell: Option<usize>,
+        lanes: LaneMasks,
         overflow: Option<(usize, KernelTally)>,
     },
-    /// The transactions of row `r` walked `k` warp-wide strides, for `k` in
-    /// `1..=⌈len/warp⌉`, at [`stride_slot`]`(r) + k - 1`: its [`row_base`]
-    /// and the strides. Row `r`'s slots end where row `r + 1`'s begin: there
-    /// are `1 + ⌊len/warp⌋` of them, at least the `⌈len/warp⌉` it fills, so
-    /// no offset array is kept.
-    Vector(Vec<u64>),
+    /// The warp-per-row kernel. `txns` holds the transactions of row `r`
+    /// walked `k` warp-wide strides, for `k` in `1..=⌈len/warp⌉`, at
+    /// [`stride_slot`]`(r) + k - 1`: its [`row_base`] and the strides. Row
+    /// `r`'s slots end where row `r + 1`'s begin: there are `1 +
+    /// ⌊len/warp⌋` of them, at least the `⌈len/warp⌉` it fills, so no
+    /// offset array is kept. `blocks[b]` sums rows `64·b ..` walked to
+    /// their end.
+    Vector {
+        txns: Vec<u64>,
+        blocks: Vec<RowBlock>,
+    },
+}
+
+/// 64 consecutive rows of the warp-per-row kernel, each walked to its end:
+/// the rows with entries (bit `b` for row `64·block + b`), and their
+/// strides and transactions summed.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowBlock {
+    nonempty: u64,
+    strides: u64,
+    txns: u64,
 }
 
 impl SpmvProfile {
@@ -146,10 +163,11 @@ impl SpmvProfile {
     fn build<D1: Scalar>(gpu: &Gpu, a: &CsrMatrix<D1>, key: &ProfileKey) -> Self {
         let c = Coalescer::new(gpu.config());
         let (row_ptr, col_idx, ws) = (a.row_ptr(), a.col_idx(), key.warp_size);
-        let mut scratch = Vec::new();
         match key.kernel {
             SpmvKernel::Vector => {
                 let mut txns = vec![0; stride_slot(row_ptr, ws, a.nrows())];
+                let mut blocks = vec![RowBlock::default(); a.nrows().div_ceil(64)];
+                let mut scratch = Vec::new();
                 for r in 0..a.nrows() {
                     let (lo, end) = (row_ptr[r], row_ptr[r + 1]);
                     let mut t = row_base(&c, r);
@@ -160,41 +178,42 @@ impl SpmvProfile {
                             + c.distinct_segments(key.u_sz, &col_idx[p..e], &mut scratch);
                         txns[slot] = t;
                     }
+                    if end > lo {
+                        let block = &mut blocks[r / 64];
+                        block.nonempty |= 1 << (r % 64);
+                        block.strides += (end - lo).div_ceil(ws) as u64;
+                        block.txns += t;
+                    }
                 }
-                SpmvProfile::Vector(txns)
+                SpmvProfile::Vector { txns, blocks }
             }
             kernel => {
                 let ell = kernel.ell_width(a);
-                let lanes_of = RowLanes { c, key, a, ell };
-                let n = a.nrows();
-                let mut warps = Vec::with_capacity(n.div_ceil(ws));
-                let mut lanes = Vec::with_capacity(ws);
-                for row0 in (0..n).step_by(BLOCK_DIM) {
-                    let block_end = (row0 + BLOCK_DIM).min(n);
-                    for first in (row0..block_end).step_by(ws) {
-                        let rows = first..(first + ws).min(block_end);
-                        let mut kept = KeptRows::new();
-                        lanes.clear();
-                        for r in rows.clone() {
-                            kept.add(&c, key.u_sz, r);
-                            let len = a.row_nnz(r);
-                            if len > 0 {
-                                lanes.push((row_ptr[r], len));
-                            }
-                        }
-                        let charge =
-                            lanes_of.charge(&kept, rows, |_| true, &mut lanes, &mut scratch);
-                        warps.push(charge);
-                    }
-                }
                 let overflow = ell
                     .filter(|_| kernel == SpmvKernel::Hyb)
                     .and_then(|width| coo_overflow(gpu, a, key, width));
                 SpmvProfile::Warps {
-                    warps,
-                    ell,
+                    lanes: LaneMasks::build(&c, a, key, ell),
                     overflow,
                 }
+            }
+        }
+    }
+
+    /// The pull kernel's charge over `a` for the rows `mask` keeps, walked
+    /// to their end but the rows `early` lists.
+    fn tally<D1: Scalar>(
+        &self,
+        c: &Coalescer,
+        key: &ProfileKey,
+        a: &CsrMatrix<D1>,
+        mask: Option<VecMask<'_>>,
+        early: &[(usize, usize)],
+    ) -> KernelTally {
+        match self {
+            SpmvProfile::Warps { lanes, .. } => lanes.tally(mask, early),
+            SpmvProfile::Vector { txns, blocks } => {
+                spmv_vector(c, key, a.row_ptr(), (txns, blocks), mask, early)
             }
         }
     }
@@ -310,25 +329,20 @@ pub fn mxv<T: Scalar, D1: Scalar>(
         txn_bytes: config.mem_transaction_bytes,
     };
     let c = Coalescer::new(config);
-    let walks = |mask, early| Walks {
-        row_ptr: a.row_ptr(),
-        mask,
-        early,
-    };
     let profiled = device.spmv_profiles.get(key, || {
         let profile = SpmvProfile::build(device, a, &key);
-        let full = profile.tally(c, &key, a, walks(None, &[]));
+        let full = profile.tally(&c, &key, a, None, &[]);
         (profile, full)
     });
     let (profile, full) = &*profiled;
     let tally = match (mask, early) {
         (None, []) => *full,
-        _ => profile.tally(c, &key, a, walks(mask, early)),
+        _ => profile.tally(&c, &key, a, mask, early),
     };
     let name = match profile {
-        SpmvProfile::Warps { ell: None, .. } => "spmv_csr_scalar",
-        SpmvProfile::Warps { .. } => "spmv_ell",
-        SpmvProfile::Vector(_) => "spmv_csr_vector",
+        SpmvProfile::Warps { lanes, .. } if lanes.ell => "spmv_ell",
+        SpmvProfile::Warps { .. } => "spmv_csr_scalar",
+        SpmvProfile::Vector { .. } => "spmv_csr_vector",
     };
     device.charge_kernel(name, a.nrows().div_ceil(BLOCK_DIM).max(1), tally);
     if let SpmvProfile::Warps {
@@ -340,292 +354,227 @@ pub fn mxv<T: Scalar, D1: Scalar>(
     }
 }
 
-impl SpmvProfile {
-    /// The pull kernel's charge over `a` for `walks`.
-    fn tally<D1: Scalar>(
-        &self,
-        c: Coalescer,
-        key: &ProfileKey,
+/// The warps of a thread-per-row kernel over one structure, in launch
+/// order, as lane masks: bit `l` of a mask is the warp's `l`-th row. A
+/// mask stands for one transaction segment of one load and holds the
+/// lanes whose address falls in it, so a warp-step's transactions for a
+/// set of live lanes are the masks that meet it.
+#[derive(Debug, Default)]
+struct LaneMasks {
+    /// Whether the warps walk ELL slots (the scalar kernel's walk rows).
+    ell: bool,
+    warps: Vec<Warp>,
+    /// Per step of every warp, in order: the lanes whose row has an entry
+    /// (scalar) or a filled slot (ELL) at it, and where its masks end in
+    /// `masks` (they start where the step before ended, the first step's
+    /// where its warp's result masks end).
+    steps: Vec<(u64, usize)>,
+    masks: Vec<u64>,
+}
+
+/// One warp of a [`LaneMasks`] profile.
+#[derive(Debug)]
+struct Warp {
+    /// The warp's first row.
+    first: usize,
+    /// Every lane: one per row.
+    lanes: u64,
+    /// Its row-pointer masks, then from `out` its result masks.
+    heads: Range<usize>,
+    out: usize,
+    /// Its entries of `steps`: scalar, one per entry of its longest row;
+    /// ELL, one per slot.
+    steps: Range<usize>,
+    /// Its `(instructions, transactions)` with every lane kept and walked
+    /// to its end.
+    whole: (u64, u64),
+}
+
+/// The lanes of `len` rows.
+#[inline]
+fn lane_bits(len: usize) -> u64 {
+    u64::MAX >> (MAX_LANES - len)
+}
+
+/// The set bits of `bits`, lowest first.
+fn ones(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (bits != 0).then(|| bits.trailing_zeros() as usize);
+        bits &= bits.wrapping_sub(1);
+        bit
+    })
+}
+
+impl LaneMasks {
+    /// The warps of the scalar kernel (`ell` none) or of ELL over `ell`
+    /// slots, over `a`: per warp, the segments of its row-pointer loads and
+    /// result store, then per step the lanes whose row has an entry there
+    /// and the segments of the column, value and `u` loads — the scalar
+    /// kernel's at entry `s` of each of those rows, ELL's column and value
+    /// loads at slot `s` of every row (column-major, pad or not) and its
+    /// `u` gather at the filled slots.
+    fn build<D1: Scalar>(
+        c: &Coalescer,
         a: &CsrMatrix<D1>,
-        walks: Walks<'_>,
-    ) -> KernelTally {
-        match self {
-            SpmvProfile::Warps { warps, ell, .. } => {
-                let lanes_of = RowLanes {
-                    c,
-                    key,
-                    a,
-                    ell: *ell,
+        key: &ProfileKey,
+        ell: Option<usize>,
+    ) -> Self {
+        let ws = key.warp_size;
+        assert!(
+            ws <= MAX_LANES,
+            "GpuConfig::warp_size {ws} exceeds the {MAX_LANES} lanes a u64 lane mask holds"
+        );
+        let (n, row_ptr, col_idx) = (a.nrows(), a.row_ptr(), a.col_idx());
+        let mut profile = LaneMasks {
+            ell: ell.is_some(),
+            ..LaneMasks::default()
+        };
+        let mut segs = Vec::with_capacity(ws);
+        // one mask per transaction segment that the loads of `elem`-byte
+        // elements by `lanes`, `(lane, element index)`, touch
+        let mut group = |masks: &mut Vec<u64>, elem, lanes: &mut dyn Iterator<Item = _>| {
+            segs.clear();
+            segs.extend(lanes.map(|(l, i): (usize, usize)| (c.segment_of(elem, i), l)));
+            segs.sort_unstable();
+            let mut last = None;
+            for &(seg, l) in &segs {
+                if last != Some(seg) {
+                    masks.push(0);
+                    last = Some(seg);
+                }
+                *masks.last_mut().expect("a mask per segment") |= 1 << l;
+            }
+        };
+        for row0 in (0..n).step_by(BLOCK_DIM) {
+            let block_end = (row0 + BLOCK_DIM).min(n);
+            for first in (row0..block_end).step_by(ws) {
+                let rows = first..(first + ws).min(block_end);
+                let lanes = || rows.clone().enumerate();
+                let masks = &mut profile.masks;
+                let start = masks.len();
+                group(masks, 8, &mut lanes());
+                let out = masks.len();
+                group(masks, key.u_sz, &mut lanes());
+                let heads = start..masks.len();
+                let longest = rows.clone().map(|r| a.row_nnz(r)).max().unwrap_or(0);
+                let first_step = profile.steps.len();
+                for s in 0..ell.unwrap_or(longest) {
+                    let filled = || lanes().filter(|&(_, r)| row_ptr[r] + s < row_ptr[r + 1]);
+                    let entry = |(l, r): (usize, usize)| (l, row_ptr[r] + s);
+                    for elem in [8, key.val_sz] {
+                        match ell {
+                            None => group(masks, elem, &mut filled().map(entry)),
+                            Some(_) => {
+                                group(masks, elem, &mut lanes().map(|(l, r)| (l, s * n + r)))
+                            }
+                        }
+                    }
+                    let column = |(l, p): (usize, usize)| (l, col_idx[p]);
+                    group(masks, key.u_sz, &mut filled().map(entry).map(column));
+                    let long = filled().fold(0, |bits, (l, _)| bits | 1 << l);
+                    profile.steps.push((long, masks.len()));
+                }
+                let mut warp = Warp {
+                    first,
+                    lanes: lane_bits(rows.len()),
+                    heads,
+                    out,
+                    steps: first_step..profile.steps.len(),
+                    whole: (0, 0),
                 };
-                spmv_warps(&lanes_of, warps, walks)
-            }
-            SpmvProfile::Vector(txns) => spmv_vector(&c, key, txns, walks),
-        }
-    }
-}
-
-/// Which rows a pull keeps and how far each walks, asked in ascending row
-/// order: a kept row to its end, but the rows `early` lists.
-struct Walks<'a> {
-    row_ptr: &'a [usize],
-    mask: Option<VecMask<'a>>,
-    early: &'a [(usize, usize)],
-}
-
-impl Walks<'_> {
-    #[inline(always)]
-    fn keeps(&self, r: usize) -> bool {
-        self.mask.is_none_or(|keep| keep.keeps(r))
-    }
-
-    /// Whether every row of `rows` is kept and walks to its end; every
-    /// later question is about a later row.
-    #[inline(always)]
-    fn whole(&mut self, rows: Range<usize>) -> bool {
-        while self.early.first().is_some_and(|&(row, _)| row < rows.start) {
-            self.early = &self.early[1..];
-        }
-        self.early.first().is_none_or(|&(row, _)| row >= rows.end)
-            && (self.mask.is_none() || rows.into_iter().all(|r| self.keeps(r)))
-    }
-
-    /// Row `r`'s walk; every later question is about a later row.
-    #[inline(always)]
-    fn walk(&mut self, r: usize) -> usize {
-        while let Some((&(row, walked), rest)) = self.early.split_first() {
-            if row > r {
-                break;
-            }
-            self.early = rest;
-            if row == r {
-                return walked;
+                warp.whole = profile.charge(&warp, warp.lanes, &[]);
+                profile.warps.push(warp);
             }
         }
-        self.row_ptr[r + 1] - self.row_ptr[r]
+        profile
     }
-}
 
-/// The thread-per-row kernels' charge. A warp whose rows the mask all
-/// keeps — and, for the scalar kernel, whose rows all walk to their end —
-/// is charged its profile entry `warps[w]`; any other warp is tallied by
-/// [`RowLanes::charge`] over the rows it kept and the walks they made.
-fn spmv_warps<D1: Scalar>(
-    lanes_of: &RowLanes<'_, D1>,
-    warps: &[(u64, u64)],
-    mut walks: Walks<'_>,
-) -> KernelTally {
-    let (c, key, n) = (&lanes_of.c, lanes_of.key, lanes_of.a.nrows());
-    let (row_ptr, ell) = (lanes_of.a.row_ptr(), lanes_of.ell.is_some());
-    let (mut instrs, mut txns) = (0u64, 0u64);
-    // The live lanes' first entry and walk length, in row order, and the
-    // segments of one warp-step's `u` gather (the only unsorted loads).
-    let (mut lanes, mut segs): (Vec<(usize, usize)>, Vec<u64>) = (vec![], vec![]);
-    let mut profiled = warps.iter();
-    for row0 in (0..n).step_by(BLOCK_DIM) {
-        let block_end = (row0 + BLOCK_DIM).min(n);
-        for first in (row0..block_end).step_by(key.warp_size) {
-            let whole_warp = profiled.next().expect("one profile entry per warp");
-            let rows = first..(first + key.warp_size).min(block_end);
-            if walks.whole(rows.clone()) {
-                instrs += whole_warp.0;
-                txns += whole_warp.1;
-                continue;
-            }
-            let mut kept = KeptRows::new();
-            let mut whole = true;
-            lanes.clear();
-            for r in rows.clone() {
-                if !walks.keeps(r) {
-                    whole = false;
-                    continue;
+    /// The kernel's charge for the rows `mask` keeps, the scalar kernel's
+    /// walked to their end but the rows `early` lists; ELL walks every slot
+    /// of a kept row whatever the row did.
+    fn tally(&self, mask: Option<VecMask<'_>>, mut early: &[(usize, usize)]) -> KernelTally {
+        let (mut instrs, mut txns, mut ends) = (0, 0, vec![]);
+        for warp in &self.warps {
+            let end = warp.first + warp.lanes.count_ones() as usize;
+            let exits;
+            (exits, early) = early.split_at(early.iter().take_while(|&&(r, _)| r < end).count());
+            let kept = mask.map_or(warp.lanes, |m| keep_bits(m, warp.first, warp.lanes));
+            let (i, t) = match (self.ell || exits.is_empty(), kept == warp.lanes) {
+                (true, true) => warp.whole,
+                (true, false) => self.charge(warp, kept, &[]),
+                (false, _) => {
+                    ends.clear();
+                    ends.resize(warp.steps.len(), 0);
+                    for &(r, walked) in exits {
+                        if let Some(lanes) = ends.get_mut(walked) {
+                            *lanes |= 1 << (r - warp.first);
+                        }
+                    }
+                    self.charge(warp, kept, &ends)
                 }
-                kept.add(c, key.u_sz, r);
-                let walked = walks.walk(r);
-                whole &= walked == row_ptr[r + 1] - row_ptr[r];
-                if walked > 0 {
-                    lanes.push((row_ptr[r], walked));
-                }
-            }
-            // ELL's profile entry holds however far the rows walked
-            let (i, t) = if whole || ell && kept.rows == rows.len() as u64 {
-                *whole_warp
-            } else {
-                lanes_of.charge(&kept, rows, |r| walks.keeps(r), &mut lanes, &mut segs)
             };
             instrs += i;
             txns += t;
         }
-    }
-    KernelTally {
-        warp_instructions: instrs,
-        mem_transactions: txns,
-        atomic_ops: 0,
-    }
-}
-
-/// What a thread-per-row warp over one matrix is charged: the scalar
-/// kernel walks a kept row as far as its walk went; ELL, at `ell` = its
-/// slot width, walks every slot of every kept row whatever the row did.
-struct RowLanes<'a, D1> {
-    c: Coalescer,
-    key: &'a ProfileKey,
-    a: &'a CsrMatrix<D1>,
-    ell: Option<usize>,
-}
-
-impl<D1: Scalar> RowLanes<'_, D1> {
-    /// The warp over `rows`, of which `keeps` says which the mask keeps
-    /// (`kept`) and `lanes` the `(first entry, walk length)` of those whose
-    /// walk is not empty, as `(instructions, transactions)`.
-    #[inline(always)]
-    fn charge(
-        &self,
-        kept: &KeptRows,
-        rows: Range<usize>,
-        keeps: impl Fn(usize) -> bool,
-        lanes: &mut Vec<(usize, usize)>,
-        segs: &mut Vec<u64>,
-    ) -> (u64, u64) {
-        match self.ell {
-            None => scalar_warp(&self.c, self.key, self.a.col_idx(), kept, lanes, segs),
-            Some(width) => self.ell_warp(width, kept, rows, keeps, segs),
+        KernelTally {
+            warp_instructions: instrs,
+            mem_transactions: txns,
+            atomic_ops: 0,
         }
     }
 
-    /// One ELL warp: per slot `k < width`, the column and value loads at
-    /// column-major position `k·nrows + r` of every kept row, pad or not,
-    /// the `u` gather at the filled slots' columns and two ALU
-    /// instructions; then one result store over the kept rows.
-    fn ell_warp(
-        &self,
-        width: usize,
-        kept: &KeptRows,
-        rows: Range<usize>,
-        keeps: impl Fn(usize) -> bool,
-        segs: &mut Vec<u64>,
-    ) -> (u64, u64) {
-        if kept.rows == 0 {
+    /// `warp`'s `(instructions, transactions)` with `kept` lanes, of which
+    /// those in `ends[s]` stop before step `s` (the scalar kernel's early
+    /// exits). A scalar warp: two row-pointer loads and a result store over
+    /// the kept lanes, then a warp-step while a live lane — kept, not
+    /// stopped, its row long enough — is left, its loads' transactions the
+    /// masks the live lanes meet. An ELL warp: the result store, then every
+    /// slot's column and value loads over the kept lanes and two ALU
+    /// instructions, plus the `u` gather where a kept row fills the slot.
+    fn charge(&self, warp: &Warp, kept: u64, ends: &[u64]) -> (u64, u64) {
+        if kept == 0 {
             return (0, 0);
         }
-        let (c, key, nrows) = (&self.c, self.key, self.a.nrows());
-        let (row_ptr, col_idx) = (self.a.row_ptr(), self.a.col_idx());
-        let (mut instrs, mut txns) = (1 + 4 * width as u64, kept.out_segs);
-        for k in 0..width {
-            let (mut last_idx, mut last_val) = (u64::MAX, u64::MAX);
-            segs.clear();
-            for r in rows.clone().filter(|&r| keeps(r)) {
-                let p = k * nrows + r;
-                txns += changes(c.segment_of(8, p), &mut last_idx)
-                    + changes(c.segment_of(key.val_sz, p), &mut last_val);
-                if row_ptr[r] + k < row_ptr[r + 1] {
-                    segs.push(c.segment_of(key.u_sz, col_idx[row_ptr[r] + k]));
-                }
+        let meets = |masks: &[u64], live: u64| -> u64 {
+            masks.iter().map(|&m| u64::from(m & live != 0)).sum()
+        };
+        let ptr = &self.masks[warp.heads.start..warp.out];
+        let out = &self.masks[warp.out..warp.heads.end];
+        let steps = &self.steps[warp.steps.clone()];
+        let (mut instrs, mut txns) = match self.ell {
+            true => (1 + 4 * steps.len() as u64, meets(out, kept)),
+            false => (3, 2 * meets(ptr, kept) + meets(out, kept)),
+        };
+        let (mut live, mut at) = (kept, warp.heads.end);
+        for (s, &(long, end)) in steps.iter().enumerate() {
+            let masks = &self.masks[at..end];
+            at = end;
+            if self.ell {
+                instrs += u64::from(kept & long != 0);
+                txns += meets(masks, kept);
+                continue;
             }
-            if !segs.is_empty() {
-                instrs += 1;
-                txns += Coalescer::count_distinct(segs);
+            live &= !ends.get(s).copied().unwrap_or(0);
+            if live & long == 0 {
+                break;
             }
+            instrs += STEP_INSTRS;
+            txns += meets(masks, live);
         }
         (instrs, txns)
     }
 }
 
-/// A change of segment from lane to lane, `prev` starting at none.
-#[inline(always)]
-fn changes(seg: u64, prev: &mut u64) -> u64 {
-    let changed = u64::from(seg != *prev);
-    *prev = seg;
-    changed
-}
-
-/// The rows of one thread-per-row warp the mask keeps, counted as they
-/// arrive in ascending order with the row-pointer and result segments they
-/// touch.
-struct KeptRows {
-    rows: u64,
-    ptr_segs: u64,
-    out_segs: u64,
-    last_ptr: u64,
-    last_out: u64,
-}
-
-impl KeptRows {
-    fn new() -> Self {
-        Self {
-            rows: 0,
-            ptr_segs: 0,
-            out_segs: 0,
-            last_ptr: u64::MAX,
-            last_out: u64::MAX,
-        }
+/// The keep bits `mask` holds for the rows from `first` under `lanes`, bit
+/// `l` for row `first + l`, read from one or two words of 64 rows.
+#[inline]
+fn keep_bits(mask: VecMask<'_>, first: usize, lanes: u64) -> u64 {
+    let (w, off) = (first / MAX_LANES, first % MAX_LANES);
+    let mut bits = mask.keep_word(w) >> off;
+    if off > 0 && lanes >> (MAX_LANES - off) != 0 {
+        bits |= mask.keep_word(w + 1) << (MAX_LANES - off);
     }
-
-    #[inline(always)]
-    fn add(&mut self, c: &Coalescer, u_sz: usize, r: usize) {
-        self.rows += 1;
-        self.ptr_segs += changes(c.segment_of(8, r), &mut self.last_ptr);
-        self.out_segs += changes(c.segment_of(u_sz, r), &mut self.last_out);
-    }
-}
-
-/// What one warp of the thread-per-row kernel is charged, as
-/// `(instructions, transactions)`, given the rows the mask keeps (`kept`)
-/// and, for those whose walk is not empty, `(first entry, walk length)` in
-/// row order (`lanes`, consumed). Two row-pointer loads and a result store
-/// over the kept rows, then one warp-step per entry of the longest walk —
-/// column, value and `u` loads at the live lanes' addresses plus two ALU
-/// instructions — where a lane drops out when its walk ends.
-#[inline(always)]
-fn scalar_warp(
-    c: &Coalescer,
-    key: &ProfileKey,
-    col_idx: &[usize],
-    kept: &KeptRows,
-    lanes: &mut Vec<(usize, usize)>,
-    segs: &mut Vec<u64>,
-) -> (u64, u64) {
-    if kept.rows == 0 {
-        return (0, 0);
-    }
-    let (val_sz, u_sz) = (key.val_sz, key.u_sz);
-    let (mut instrs, mut txns) = (3u64, 2 * kept.ptr_segs + kept.out_segs);
-    // every lane in `lanes` walks past step `s`; the shortest walk ends at
-    // `until`, where the finished lanes are dropped
-    let mut s = 0;
-    while lanes.len() > 1 {
-        let until = lanes.iter().map(|&(_, len)| len).min().unwrap_or(0);
-        for step in s..until {
-            // live positions ascend: count their segment changes
-            let (mut last_idx, mut last_val, mut last_u) = (u64::MAX, u64::MAX, 0);
-            let (mut idx_segs, mut val_segs, mut sorted) = (0, 0, true);
-            segs.clear();
-            for &(first, _) in lanes.iter() {
-                let p = first + step;
-                idx_segs += changes(c.segment_of(8, p), &mut last_idx);
-                val_segs += changes(c.segment_of(val_sz, p), &mut last_val);
-                let seg = c.segment_of(u_sz, col_idx[p]);
-                sorted &= seg >= last_u;
-                last_u = seg;
-                segs.push(seg);
-            }
-            let u_segs = if sorted {
-                1 + segs.windows(2).filter(|w| w[0] != w[1]).count() as u64
-            } else {
-                Coalescer::count_distinct(segs)
-            };
-            txns += idx_segs + val_segs + u_segs;
-        }
-        instrs += STEP_INSTRS * (until - s) as u64;
-        s = until;
-        lanes.retain(|&(_, len)| len > until);
-    }
-    // one lane left walks alone: one segment per load per step
-    if let Some(&(_, len)) = lanes.first() {
-        let steps = (len - s) as u64;
-        instrs += STEP_INSTRS * steps;
-        txns += 3 * steps;
-    }
-    (instrs, txns)
+    bits & lanes
 }
 
 /// The warp-per-row kernel's charge. Per row the mask keeps and that has
@@ -633,34 +582,73 @@ fn scalar_warp(
 /// coalesced column and value loads, the `u` gather at the stride's columns
 /// and two ALU instructions, up to the stride in which its walk ended; the
 /// warp's shuffle reduction; one store. A row's transactions are its
-/// profile entry for the strides it walked.
-fn spmv_vector(c: &Coalescer, key: &ProfileKey, txns: &[u64], mut walks: Walks<'_>) -> KernelTally {
+/// profile entry for the strides it walked. A block of 64 rows is charged
+/// its sums less the rows the mask drops and the early exits' shortfall,
+/// or row by row over the rows it keeps, whichever are fewer.
+fn spmv_vector(
+    c: &Coalescer,
+    key: &ProfileKey,
+    row_ptr: &[usize],
+    (txns, blocks): (&[u64], &[RowBlock]),
+    mask: Option<VecMask<'_>>,
+    mut early: &[(usize, usize)],
+) -> KernelTally {
     let ws = key.warp_size;
     // pointer load, shuffle reduction of one warp (`BlockCtx::block_reduce`
     // of at most a warp of lanes) and the store
     let lg = u64::from(usize::BITS - (ws.max(2) - 1).leading_zeros());
     let row_instrs = 1 + (lg + 1) + 1;
-    let row_ptr = walks.row_ptr;
     // `x / ws`, a shift for the power-of-two warps every device model has
     let shift = ws.is_power_of_two().then(|| ws.trailing_zeros());
     let per_warp = |x: usize| match shift {
         Some(s) => x >> s,
         None => x / ws,
     };
-    let (mut rows, mut strides, mut row_txns) = (0u64, 0u64, 0u64);
-    for r in 0..row_ptr.len() - 1 {
-        if row_ptr[r] == row_ptr[r + 1] || !walks.keeps(r) {
-            continue;
-        }
-        let k = per_warp(walks.walk(r) + ws - 1);
-        rows += 1;
-        strides += k as u64;
-        // a walk of no stride (a row that walked nothing) pays the base
-        row_txns += match k {
+    // a row's strides and transactions when it walks `walked` entries; a
+    // walk of no stride (a row that walked nothing) pays the base
+    let cost = |r: usize, walked: usize| {
+        let k = per_warp(walked + ws - 1);
+        let t = match k {
             0 => row_base(c, r),
             // `stride_slot(r) + k - 1`
             k => txns[r + per_warp(row_ptr[r]) + k - 1],
         };
+        (k as u64, t)
+    };
+    let len = |r: usize| row_ptr[r + 1] - row_ptr[r];
+    let (mut rows, mut strides, mut row_txns) = (0u64, 0u64, 0u64);
+    for (b, block) in blocks.iter().enumerate() {
+        let row0 = 64 * b;
+        let exits;
+        (exits, early) = early.split_at(early.iter().take_while(|&&(r, _)| r < row0 + 64).count());
+        let kept = mask.map_or(block.nonempty, |m| m.keep_word(b) & block.nonempty);
+        let dropped = block.nonempty & !kept;
+        rows += u64::from(kept.count_ones());
+        if kept.count_ones() <= dropped.count_ones() {
+            let mut exits = exits.iter().peekable();
+            for r in ones(kept).map(|l| row0 + l) {
+                while exits.next_if(|&&(row, _)| row < r).is_some() {}
+                let walked = exits
+                    .next_if(|&&(row, _)| row == r)
+                    .map_or(len(r), |&(_, w)| w);
+                let (k, t) = cost(r, walked);
+                strides += k;
+                row_txns += t;
+            }
+        } else {
+            strides += block.strides;
+            row_txns += block.txns;
+            for r in ones(dropped).map(|l| row0 + l) {
+                let (k, t) = cost(r, len(r));
+                strides -= k;
+                row_txns -= t;
+            }
+            for &(r, walked) in exits.iter().filter(|&&(r, _)| kept >> (r - row0) & 1 == 1) {
+                let ((k_full, t_full), (k, t)) = (cost(r, len(r)), cost(r, walked));
+                strides -= k_full - k;
+                row_txns -= t_full - t;
+            }
+        }
     }
     KernelTally {
         warp_instructions: rows * row_instrs + STEP_INSTRS * strides,
@@ -881,6 +869,16 @@ mod tests {
                 "{kernel:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "GpuConfig::warp_size 65 exceeds the 64 lanes")]
+    fn a_warp_wider_than_a_lane_mask_is_refused() {
+        let gpu = Gpu::new(gbtl_gpu_sim::GpuConfig {
+            warp_size: 65,
+            ..Default::default()
+        });
+        pull(&gpu, &adj(), SpmvKernel::Scalar, None, &SpmvProfiles::new());
     }
 
     #[test]

@@ -392,8 +392,9 @@ fn csr<D: Scalar>(rng: &mut Rng, m: usize, n: usize, val: &impl Fn(&mut Rng) -> 
 }
 
 /// Devices the charges are compared on: 128-byte and 96-byte transactions,
-/// and a warp that does not divide the block.
-fn configs() -> [GpuConfig; 3] {
+/// a warp that does not divide the block, and the widest warp a lane mask
+/// holds, 64 lanes.
+fn configs() -> [GpuConfig; 4] {
     [
         GpuConfig::k40(),
         GpuConfig {
@@ -402,6 +403,10 @@ fn configs() -> [GpuConfig; 3] {
         },
         GpuConfig {
             warp_size: 24,
+            ..GpuConfig::k40()
+        },
+        GpuConfig {
+            warp_size: 64,
             ..GpuConfig::k40()
         },
     ]
@@ -474,6 +479,43 @@ where
     }
 }
 
+/// Every kernel's charge of `w = A ⊕.⊗ u` on `config` — unmasked, under
+/// `mask` and under its complement — equals its narration's, read off the
+/// dense result and off its sparse form, through the `profiles` memo.
+fn pulls_match<T, D, S>(
+    sr: S,
+    config: &GpuConfig,
+    a: &CsrMatrix<D>,
+    u: &DenseVector<T>,
+    mask: &DenseVector<bool>,
+    profiles: &SpmvProfiles,
+    case: &str,
+) where
+    T: Scalar,
+    D: Scalar,
+    S: Semiring<T, D, T>,
+{
+    for masked in [None, Some(false), Some(true)] {
+        let pull = masked.map(|c| VecMask::new(mask, c));
+        for kernel in KERNELS {
+            let (got, want, sparse) = (
+                Gpu::with_trace(config.clone()),
+                Gpu::with_trace(config.clone()),
+                Gpu::with_trace(config.clone()),
+            );
+            let w = mxv(&got, a, u, sr, pull, kernel, profiles);
+            let reference = reference(kernel, &want, a, u, sr, pull);
+            assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
+            let (us, ws) = (u.to_sparse(), w.to_sparse());
+            let early = early_exits(sr, a, |j| us.get(j), ws.iter());
+            charge::mxv::<T, D>(&device(&sparse, kernel, profiles), a, pull, &early);
+            let case = format!("{kernel:?}, {case}, {config:?}, mask {masked:?}");
+            assert_eq!(launches(&got), launches(&want), "{case}");
+            assert_eq!(launches(&sparse), launches(&want), "sparse, {case}");
+        }
+    }
+}
+
 /// Pull and push over `rounds` random matrices — the first with no entries,
 /// the second with no rows — on every config, unmasked, masked and under
 /// the complemented mask. Each matrix is pulled at every presence of `u`
@@ -504,28 +546,8 @@ fn check<T, D, S>(
         let profiles = SpmvProfiles::new();
         for config in configs() {
             for (u, present) in operands.iter().zip(PRESENT) {
-                for masked in [None, Some(false), Some(true)] {
-                    let pull = masked.map(|c| VecMask::new(&pull_mask, c));
-                    for kernel in KERNELS {
-                        let (got, want, sparse) = (
-                            Gpu::with_trace(config.clone()),
-                            Gpu::with_trace(config.clone()),
-                            Gpu::with_trace(config.clone()),
-                        );
-                        let w = mxv(&got, &a, u, sr, pull, kernel, &profiles);
-                        let reference = reference(kernel, &want, &a, u, sr, pull);
-                        assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
-                        let (us, ws) = (u.to_sparse(), w.to_sparse());
-                        let early = early_exits(sr, &a, |j| us.get(j), ws.iter());
-                        let on = device(&sparse, kernel, &profiles);
-                        charge::mxv::<T, D>(&on, &a, pull, &early);
-                        let case = format!(
-                            "{kernel:?}, round {round}, present {present}/64, {config:?}, mask {masked:?}"
-                        );
-                        assert_eq!(launches(&got), launches(&want), "{case}");
-                        assert_eq!(launches(&sparse), launches(&want), "sparse, {case}");
-                    }
-                }
+                let case = format!("round {round}, present {present}/64");
+                pulls_match(sr, &config, &a, u, &pull_mask, &profiles, &case);
             }
         }
         // one profile per (kernel, device), the memo bounded at eight
@@ -639,4 +661,55 @@ fn plus_times_over_f64_folds_every_entry() {
         |r| r.below(7) as f64 - 3.0,
         |r| r.below(5) as f64 * 0.5,
     );
+}
+
+#[test]
+fn every_kept_row_stopping_at_its_first_entry_walks_one_step() {
+    // `∨.∧` over all-true operands: a row's first entry folds to `true`,
+    // the terminal value, so every row longer than one entry stops there
+    let mut rng = Rng(0x5EED_0005);
+    let m = 600;
+    let a = csr(&mut rng, m, m, &|_| true);
+    let u = DenseVector::filled(m, true);
+    let sr = LorLand::new();
+    let w = gbtl_backend_seq::mxv(&a, &u, sr, None);
+    let early = early_exits(sr, &a, |j| u.get(j), w.iter());
+    let longer = (0..m).filter(|&r| a.row_nnz(r) > 1);
+    assert_eq!(early, longer.map(|r| (r, 1)).collect::<Vec<_>>());
+    let mask = row_mask(&mut rng, m);
+    let profiles = SpmvProfiles::new();
+    for config in configs() {
+        pulls_match(sr, &config, &a, &u, &mask, &profiles, "first-entry exits");
+    }
+}
+
+#[test]
+fn a_block_ending_in_a_short_warp_is_charged_as_narrated() {
+    // 256 + 40 rows: a 24-lane warp ends each block in 16 lanes, a 32-lane
+    // one ends the second block in 8 and a 64-lane one is 40 lanes there;
+    // the rows of those short warps are the long ones
+    let (m, n) = (296, 300);
+    let mut rng = Rng(0x5EED_0006);
+    let mut coo = CooMatrix::new(m, n);
+    for i in 0..m {
+        let len = match i % 256 >= 240 || i >= 280 {
+            true => 70 + rng.below(20),
+            false => rng.below(4),
+        };
+        for _ in 0..len {
+            let (j, v) = (rng.below(n), rng.below(3) as u32);
+            coo.push(i, j, v);
+        }
+    }
+    let a = CsrMatrix::from_coo(coo, |first, _| first);
+    let mask = row_mask(&mut rng, m);
+    let profiles = SpmvProfiles::new();
+    let sr = MinPlus::<u32>::new();
+    for config in configs() {
+        for present in [16, 64] {
+            let u = operand(&mut rng, n, present, &|r: &mut Rng| r.below(3) as u32);
+            let case = format!("present {present}/64");
+            pulls_match(sr, &config, &a, &u, &mask, &profiles, &case);
+        }
+    }
 }

@@ -864,7 +864,7 @@ fn d10_direction() {
     }
     println!(
         "gate: best / auto >= 0.9 on seq and par for both algorithms \
-         (cuda-sim's modeled clock charges SSSP the cheaper direction, ADR 0012)"
+         (cuda-sim's modeled clock charges each pushed level the cheaper direction, ADR 0012)"
     );
 
     // Bit-identity: the direction is a schedule, never a semantic — the

@@ -12,7 +12,7 @@ use crate::backend::Backend;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::policy::DevicePrice;
-use crate::stitch::{ensure, vec_out};
+use crate::stitch::{ensure, resolve_vec_mask, vec_out};
 use crate::types::{Matrix, Vector};
 use crate::Context;
 
@@ -115,19 +115,21 @@ impl<B: Backend> Context<B> {
         Ok(())
     }
 
-    /// One unmasked `Auto` level of a vector traversal over `a` that the
-    /// host pushes, `Aᵀ` resident: `run` computes `f ⊕.⊗ A`, and the
-    /// backend charges the direction its device prices cheaper
-    /// ([`Backend::level`], docs/adr/0012). Pull is priced here from
-    /// `run`'s result by `charge::mxv` over the resident `Aᵀ`, whose rows
-    /// stop early where `pull`'s add monoid reached its terminal value.
-    /// Returns the result and the device's choice (`None` on a backend
-    /// without a device).
+    /// One `Auto` level of a vector traversal over `a` that the host
+    /// pushes, `Aᵀ` resident, under the complemented `visited` mask when
+    /// the level is a masked one: `run` computes `f ⊕.⊗ A`, and the backend
+    /// charges the direction its device prices cheaper ([`Backend::level`],
+    /// docs/adr/0012). Pull is priced here from `run`'s result: the mask's
+    /// [`charge::mask_resolve`] when there is one, then `charge::mxv` over
+    /// the resident `Aᵀ` under `¬visited`, whose rows stop early where
+    /// `pull`'s add monoid reached its terminal value. Returns the result
+    /// and the device's choice (`None` on a backend without a device).
     pub fn priced_level<F, D, SL>(
         &self,
         pull: SL,
         a: &Matrix<D>,
         frontier: &Vector<F>,
+        visited: Option<&Vector<bool>>,
         run: impl FnOnce() -> Result<Vector<F>>,
     ) -> Result<(Vector<F>, Option<DevicePrice>)>
     where
@@ -140,9 +142,14 @@ impl<B: Backend> Context<B> {
             else {
                 return false;
             };
+            let unvisited = resolve_vec_mask(visited, true, at.nrows());
+            let mask = unvisited.as_ref().map(|m| m.view());
+            if mask.is_some() {
+                charge::mask_resolve(device, at.nrows());
+            }
             let u = |j| frontier.get(j);
             let early = gbtl_backend_seq::early_exits(pull, &at, u, out.iter());
-            charge::mxv::<F, D>(device, &at, None, &early);
+            charge::mxv::<F, D>(device, &at, mask, &early);
             true
         });
         Ok((out?, device))
@@ -153,7 +160,7 @@ impl<B: Backend> Context<B> {
 mod tests {
     use super::*;
     use crate::no_accum;
-    use crate::stitch::{resolve_vec_mask, stitch_dense_vec, stitch_sparse_vec};
+    use crate::stitch::{stitch_dense_vec, stitch_sparse_vec};
     use gbtl_algebra::{LorLand, MinPlus, Plus, PlusTimes, Second};
 
     fn graph() -> Matrix<i64> {

@@ -161,9 +161,9 @@ pub struct LevelDecision {
     pub pull_edges: usize,
     /// Whether `Aᵀ` was resident, i.e. whether `Auto` could pull at all.
     pub pull_ready: bool,
-    /// Where a device chose what it was charged — an `Auto` level with `Aᵀ`
-    /// resident on a device backend — its choice; set by the level's
-    /// product, `None` until then and everywhere else.
+    /// Where a device chose what it was charged — an `Auto` level the host
+    /// pushes with `Aᵀ` resident on a device backend — its choice; set by
+    /// the level's product, `None` until then and everywhere else.
     pub device: Option<DevicePrice>,
 }
 

@@ -11,7 +11,8 @@
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
     pub sm_count: usize,
-    /// Threads per warp (lanes executing in lockstep).
+    /// Threads per warp (lanes executing in lockstep). At most 64: a
+    /// thread-per-row pull profile holds a warp's lanes in one `u64` mask.
     pub warp_size: usize,
     /// Core clock in GHz. One warp instruction issues per SM per cycle.
     pub clock_ghz: f64,

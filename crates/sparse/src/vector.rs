@@ -353,6 +353,34 @@ impl<'a> VecMask<'a> {
             MaskBits::Keep(keep) => keep[i],
         }
     }
+
+    /// The keep bits of positions `64·w ..`, bit `b` for position `64·w + b`;
+    /// positions past the end are not kept.
+    #[inline]
+    pub fn keep_word(&self, w: usize) -> u64 {
+        let lo = (64 * w).min(self.len());
+        let hi = (lo + 64).min(self.len());
+        // the keep flags as 64 bytes, then each eight packed into a byte by
+        // a multiply: flag `b` lands on bit `b`, and no two partial
+        // products meet, so nothing carries into the top byte
+        fn word<T>(slots: &[T], kept: impl Fn(&T) -> bool) -> u64 {
+            let mut flags = [0u8; 64];
+            for (flag, s) in flags.iter_mut().zip(slots) {
+                *flag = u8::from(kept(s));
+            }
+            (flags.chunks_exact(8).enumerate()).fold(0, |word, (i, eight)| {
+                let eight = u64::from_le_bytes(eight.try_into().expect("eight flags"));
+                word | (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+            })
+        }
+        match self.0 {
+            MaskBits::Presence {
+                present,
+                complement,
+            } => word(&present[lo..hi], |p| p.is_some() != complement),
+            MaskBits::Keep(keep) => word(&keep[lo..hi], |&k| k),
+        }
+    }
 }
 
 impl<'a> From<&'a [bool]> for VecMask<'a> {
@@ -454,5 +482,30 @@ mod tests {
         let bitmap = VecMask::from(&keep[..]);
         assert_eq!(bitmap.len(), 4);
         assert!((0..4).all(|i| bitmap.keeps(i) == keep[i]));
+    }
+
+    #[test]
+    fn vec_mask_words_hold_64_keep_bits() {
+        let mut m = DenseVector::<bool>::new(130);
+        for i in [0, 5, 63, 64, 127, 129] {
+            m.set(i, false);
+        }
+        let plain = VecMask::new(&m, false);
+        let comp = VecMask::new(&m, true);
+        for w in 0..4 {
+            let want = (0..64)
+                .filter(|b| 64 * w + b < 130 && plain.keeps(64 * w + b))
+                .fold(0u64, |word, b| word | 1 << b);
+            assert_eq!(plain.keep_word(w), want, "word {w}");
+            let tail = match w {
+                0 | 1 => u64::MAX,
+                2 => 0b11,
+                _ => 0,
+            };
+            assert_eq!(comp.keep_word(w), !want & tail, "complemented word {w}");
+        }
+        let keep: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
+        let bitmap = VecMask::from(&keep[..]);
+        assert_eq!(bitmap.keep_word(1), 0b10_0100);
     }
 }

@@ -13,12 +13,12 @@
 //! The decision-record tests below read the level spans back: on the CPU
 //! backends `Auto` follows the edge work (BFS takes both directions, SSSP's
 //! unmasked rounds never pull a light frontier). cuda-sim computes a level
-//! in that same direction; an unmasked level (SSSP's) is charged the
-//! direction its device model prices cheaper, from the level's result, and
-//! a masked one (BFS's) the direction the host ran (docs/adr/0012). So its
-//! SSSP `Auto` is never dearer on the modeled clock than either forced
-//! direction, and each SSSP level records both prices and the one it
-//! charged.
+//! in that same direction; a level the host pushes, masked (BFS's, BC's)
+//! or not (SSSP's), is charged the direction its device model prices
+//! cheaper, from the level's result, and records both prices and the one
+//! it charged; a level the host pulls is charged its pull (docs/adr/0012).
+//! So cuda-sim's `Auto` is never dearer on the modeled clock than forced
+//! pull, and SSSP's, which the host always pushes, than forced push.
 
 use gbtl::algorithms::{
     betweenness_centrality_with_direction, bfs_levels, sssp_with_direction, Direction,
@@ -225,33 +225,79 @@ fn cuda_auto_is_never_dearer_than_either_forced_direction() {
         let (seq, cuda) = (Context::sequential(), Context::cuda_default());
         cuda.prewarm_transpose(&adj);
         cuda.prewarm_transpose(&w);
+        let n = adj.nrows();
         // the modeled milliseconds one solve charges a zeroed device
         let modeled = |solve: &dyn Fn()| {
             cuda.reset_gpu_stats();
             solve();
             cuda.gpu_stats().modeled_time_s * 1e3
         };
-        for src in top_degree(&adj, 4) {
+        let modes = [Direction::Auto, Direction::Push, Direction::Pull];
+        // A level the host pushes is charged the cheaper of its push and
+        // its pull, and one it pulls is charged its pull, so no solve's
+        // `Auto` costs more than its forced pull. Forced push bounds only
+        // SSSP, whose unmasked rounds the host never pulls: a masked level
+        // (BFS's, BC's) the host pulls is not priced as a push, so a BFS or
+        // BC `Auto` may cost more than its forced push.
+        let hubs = top_degree(&adj, 4);
+        for &src in &hubs {
             let want_bfs = bfs_levels(&seq, &adj, src, Direction::Push).unwrap();
             let want_sssp = sssp_with_direction(&seq, &w, src, Direction::Push).unwrap();
-            let [auto_bfs, push_bfs, pull_bfs] =
-                [Direction::Auto, Direction::Push, Direction::Pull].map(|d| {
-                    modeled(&|| assert_eq!(bfs_levels(&cuda, &adj, src, d).unwrap(), want_bfs))
-                });
-            let [auto_sssp, push_sssp, pull_sssp] =
-                [Direction::Auto, Direction::Push, Direction::Pull].map(|d| {
-                    let got = || sssp_with_direction(&cuda, &w, src, d).unwrap();
-                    modeled(&|| assert_eq!(got(), want_sssp))
-                });
-            let n = adj.nrows();
-            // a BFS level is charged the direction the host ran
-            assert!(auto_bfs > 0.0 && push_bfs > 0.0 && pull_bfs > 0.0);
+            let [auto_bfs, push_bfs, pull_bfs] = modes.map(|d| {
+                modeled(&|| assert_eq!(bfs_levels(&cuda, &adj, src, d).unwrap(), want_bfs))
+            });
+            let [auto_sssp, push_sssp, pull_sssp] = modes.map(|d| {
+                let got = || sssp_with_direction(&cuda, &w, src, d).unwrap();
+                modeled(&|| assert_eq!(got(), want_sssp))
+            });
+            assert!(
+                auto_bfs <= pull_bfs && push_bfs > 0.0,
+                "bfs n={n} src={src}: auto {auto_bfs} push {push_bfs} pull {pull_bfs}"
+            );
             assert!(
                 auto_sssp <= push_sssp.min(pull_sssp),
                 "sssp n={n} src={src}: auto {auto_sssp} push {push_sssp} pull {pull_sssp}"
             );
         }
+        let want_bc =
+            betweenness_centrality_with_direction(&seq, &adj, &hubs, Direction::Push).unwrap();
+        let [auto_bc, push_bc, pull_bc] = modes.map(|d| {
+            let got = || betweenness_centrality_with_direction(&cuda, &adj, &hubs, d).unwrap();
+            modeled(&|| assert_eq!(got(), want_bc))
+        });
+        assert!(
+            auto_bc <= pull_bc && push_bc > 0.0,
+            "bc n={n}: auto {auto_bc} push {push_bc} pull {pull_bc}"
+        );
     }
+}
+
+/// A level span's device record, `(device, price_push_ns, price_pull_ns)`,
+/// where the device chose what it was charged.
+fn device_record(label: &str) -> Option<(String, u64, u64)> {
+    let field = |key: &str| -> Option<String> {
+        let rest = label.split(key).nth(1)?;
+        Some(rest.split(' ').next().unwrap().to_string())
+    };
+    let price = |key| field(key).map(|v| v.parse().unwrap());
+    Some((
+        field("device=")?,
+        price("price_push_ns=")?,
+        price("price_pull_ns=")?,
+    ))
+}
+
+/// What a level with a device record was charged, after checking that it
+/// is the cheaper of its two prices.
+fn charged_price(label: &str) -> u64 {
+    let (device, push, pull) = device_record(label).expect(label);
+    let (mine, other) = match device.as_str() {
+        "push" => (push, pull),
+        "pull" => (pull, push),
+        _ => panic!("{label}"),
+    };
+    assert!(mine <= other, "{label}");
+    mine
 }
 
 #[test]
@@ -260,49 +306,67 @@ fn cuda_levels_record_and_charge_the_cheaper_price() {
     let (adj, w, hub) = traversal_graph(&symmetrize(&Rmat::new(12, 8).seed(1).generate()));
     ctx.seed_symmetric_transpose(&adj);
     ctx.seed_symmetric_transpose(&w);
-    let field = |label: &str, key: &str| -> String {
-        let rest = label.split(key).nth(1).expect("decision record field");
-        rest.split(' ').next().unwrap().to_string()
+    let modeled_ns = |solve: &dyn Fn()| {
+        let before = ctx.gpu_stats().modeled_time_s;
+        solve();
+        (ctx.gpu_stats().modeled_time_s - before) * 1e9
     };
-    // BFS's masked levels are charged the host's direction: no record
+    let levels = || -> Vec<String> {
+        let spans = ctx.trace().spans;
+        let levels = spans.iter().filter(|sp| sp.fields.op == "level");
+        levels.map(|sp| sp.fields.op_label.clone()).collect()
+    };
+
+    // BFS's masked levels: one the host pushes is priced both ways and
+    // charged the cheaper; one it pulls is charged its pull and records no
+    // price. A forced-pull BFS charges every level its pull, so it costs
+    // what the priced levels saved more, to the nanosecond per level.
+    let forced_pull_ns = modeled_ns(&|| {
+        bfs_levels(&ctx, &adj, hub, Direction::Pull).unwrap();
+    });
     ctx.clear_trace();
-    bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
-    let bfs = ctx.trace().spans;
-    assert!(bfs.iter().any(|sp| sp.fields.op == "level"));
-    assert!(!bfs.iter().any(|sp| sp.fields.op_label.contains("device=")));
-    // SSSP's unmasked levels are charged the cheaper of two prices
-    ctx.clear_trace();
-    let before = ctx.gpu_stats().modeled_time_s;
-    sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
-    let delta_ns = (ctx.gpu_stats().modeled_time_s - before) * 1e9;
-    let (mut levels, mut charged, mut pulled) = (0, 0u64, 0);
-    for sp in ctx
-        .trace()
-        .spans
-        .iter()
-        .filter(|sp| sp.fields.op == "level")
-    {
-        let label = &sp.fields.op_label;
-        let device = field(label, "device=");
-        let push: u64 = field(label, "price_push_ns=").parse().unwrap();
-        let pull: u64 = field(label, "price_pull_ns=").parse().unwrap();
-        let (mine, other) = match device.as_str() {
-            "push" => (push, pull),
-            "pull" => (pull, push),
-            _ => panic!("{label}"),
-        };
-        assert!(mine <= other, "{label}");
-        levels += 1;
-        charged += mine;
-        pulled += (device == "pull") as usize;
+    let delta_ns = modeled_ns(&|| {
+        bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
+    });
+    let (mut priced, mut host_pulled, mut saved) = (0, 0, 0u64);
+    for label in levels() {
+        if label.contains("dir=pull") {
+            assert!(device_record(&label).is_none(), "{label}");
+            host_pulled += 1;
+            continue;
+        }
+        let (_, _, pull) = device_record(&label).expect(&label);
+        saved += pull - charged_price(&label);
+        priced += 1;
     }
     assert!(
-        levels > 2 && pulled > 0,
-        "{pulled} of {levels} levels pulled"
+        priced > 1 && host_pulled > 0,
+        "{priced} levels priced, {host_pulled} pulled by the host"
+    );
+    assert!(
+        (forced_pull_ns - delta_ns - saved as f64).abs() <= priced as f64,
+        "forced pull {forced_pull_ns} ns, auto {delta_ns} ns, priced levels saved {saved} ns"
+    );
+
+    // SSSP's unmasked levels, all pushed by the host, are charged the
+    // cheaper of two prices
+    ctx.clear_trace();
+    let delta_ns = modeled_ns(&|| {
+        sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
+    });
+    let (mut levels_n, mut charged, mut pulled) = (0, 0u64, 0);
+    for label in levels() {
+        charged += charged_price(&label);
+        levels_n += 1;
+        pulled += label.contains("device=pull") as usize;
+    }
+    assert!(
+        levels_n > 2 && pulled > 0,
+        "{pulled} of {levels_n} levels pulled"
     );
     // each price is rounded to the nanosecond on its own
     assert!(
-        (charged as f64 - delta_ns).abs() <= levels as f64,
+        (charged as f64 - delta_ns).abs() <= levels_n as f64,
         "the levels charged {charged} ns, the device clock moved {delta_ns}"
     );
 }

@@ -526,7 +526,7 @@ assign_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=4096B/1 d2h=4096B/1 ns=20683
 const RMAT10: &str = "
 upload: kernels=0 warp=0 txn=0 atomics=0 h2d=275540B/2 d2h=0B/0 ns=42962
 prewarm_transpose: kernels=22 warp=19556 txn=30736 atomics=24680 h2d=0B/0 d2h=0B/0 ns=167536
-bfs_levels/Auto: kernels=34 warp=6812 txn=3980 atomics=0 h2d=0B/0 d2h=16384B/1 ns=183134
+bfs_levels/Auto: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
 bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 ns=315417
 bfs_levels/Pull: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
 sssp: kernels=10 warp=113910 txn=117220 atomics=0 h2d=0B/0 d2h=8192B/1 ns=112780
@@ -552,40 +552,40 @@ mxv_ell/masked: kernels=1 warp=45571 txn=50374 atomics=0 h2d=0B/0 d2h=0B/0 ns=27
 mxv_hyb: kernels=2 warp=2075 txn=10230 atomics=8208 h2d=0B/0 d2h=0B/0 ns=29139
 mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=28864
   build_keys: n=1 blocks=64 warp=1022 txn=3062 atomics=0 ns=6361
-  compact_flags: n=10 blocks=18 warp=2428 txn=5059 atomics=0 ns=52248
-  compact_scan: n=10 blocks=18 warp=2428 txn=3037 atomics=0 ns=51350
-  compact_scatter: n=10 blocks=18 warp=2428 txn=6671 atomics=0 ns=52965
+  compact_flags: n=8 blocks=16 warp=2404 txn=5008 atomics=0 ns=42226
+  compact_scan: n=8 blocks=16 warp=2404 txn=3006 atomics=0 ns=41336
+  compact_scatter: n=8 blocks=16 warp=2404 txn=6581 atomics=0 ns=42925
   ewise_boundaries: n=2 blocks=146 warp=2316 txn=4628 atomics=0 ns=12057
   ewise_combine: n=2 blocks=146 warp=2316 txn=9256 atomics=0 ns=14114
   ewise_vec_combine: n=1 blocks=3 warp=36 txn=138 atomics=0 ns=5061
   expand_row_ids: n=13 blocks=13 warp=4123 txn=8259 atomics=0 ns=68671
-  gather: n=22 blocks=24 warp=1470 txn=7397 atomics=0 ns=113288
+  gather: n=18 blocks=20 warp=1458 txn=7347 atomics=0 ns=93265
   histogram: n=11 blocks=88 warp=20682 txn=21384 atomics=330789 ns=652573
   mask_resolve: n=15 blocks=15 warp=480 txn=240 atomics=0 ns=75107
-  radix_sort_pass: n=80 blocks=720 warp=338928 txn=502392 atomics=0 ns=623285
+  radix_sort_pass: n=72 blocks=712 warp=338752 txn=502200 atomics=0 ns=583200
   reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ns=5112
-  reduce_by_key: n=12 blocks=155 warp=55848 txn=79966 atomics=0 ns=95540
-  scan_downsweep: n=22 blocks=23 warp=1194 txn=2380 atomics=0 ns=111058
-  scan_upsweep: n=22 blocks=23 warp=597 txn=1190 atomics=0 ns=110529
+  reduce_by_key: n=10 blocks=153 warp=55815 txn=79918 atomics=0 ns=85519
+  scan_downsweep: n=20 blocks=21 warp=1190 txn=2374 atomics=0 ns=101055
+  scan_upsweep: n=20 blocks=21 warp=595 txn=1187 atomics=0 ns=100528
   segmented_reduce: n=1 blocks=1 warp=804 txn=482 atomics=0 ns=5214
   select_key: n=2 blocks=98 warp=1544 txn=9256 atomics=0 ns=14114
   spgemm_expand: n=1 blocks=25 warp=107754 txn=113097 atomics=0 ns=55265
   spgemm_masked_dot: n=1 blocks=25 warp=45138 txn=122546 atomics=0 ns=59465
   spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
   spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
-  spmv_csr_vector: n=32 blocks=128 warp=273891 txn=263658 atomics=0 ns=277181
+  spmv_csr_vector: n=34 blocks=136 warp=284404 txn=270115 atomics=0 ns=290051
   spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
   tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
   transform: n=22 blocks=176 warp=41364 txn=82720 atomics=0 ns=146764
   transpose_keys: n=5 blocks=177 warp=2782 txn=8342 atomics=0 ns=28708
-  vxm_expand: n=10 blocks=13 warp=1848 txn=3062 atomics=0 ns=51361
-  zip_transform: n=11 blocks=12 warp=735 txn=1449 atomics=0 ns=55644
+  vxm_expand: n=8 blocks=11 warp=1800 txn=2988 atomics=0 ns=41328
+  zip_transform: n=9 blocks=10 warp=729 txn=1442 atomics=0 ns=45641
 ";
 
 const GRID16: &str = "
 upload: kernels=0 warp=0 txn=0 atomics=0 h2d=24272B/2 d2h=0B/0 ns=22023
 prewarm_transpose: kernels=22 warp=1564 txn=2506 atomics=1920 h2d=0B/0 d2h=0B/0 ns=114527
-bfs_levels/Auto: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
+bfs_levels/Auto: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
 bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
 bfs_levels/Pull: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
 sssp: kernels=29 warp=5336 txn=14848 atomics=0 h2d=0B/0 d2h=2048B/1 ns=161770
@@ -611,30 +611,30 @@ mxv_ell/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
 mxv_hyb: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ns=5131
 mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
   build_keys: n=1 blocks=4 warp=60 txn=180 atomics=0 ns=5080
-  compact_flags: n=62 blocks=62 warp=318 txn=604 atomics=0 ns=310268
-  compact_scan: n=62 blocks=62 warp=318 txn=384 atomics=0 ns=310171
-  compact_scatter: n=62 blocks=62 warp=318 txn=803 atomics=0 ns=310357
+  compact_flags: n=33 blocks=33 warp=230 txn=441 atomics=0 ns=165196
+  compact_scan: n=33 blocks=33 warp=230 txn=281 atomics=0 ns=165125
+  compact_scatter: n=33 blocks=33 warp=230 txn=598 atomics=0 ns=165266
   ewise_boundaries: n=2 blocks=12 warp=180 txn=360 atomics=0 ns=10160
   ewise_combine: n=2 blocks=12 warp=180 txn=720 atomics=0 ns=10320
   ewise_vec_combine: n=1 blocks=1 warp=10 txn=36 atomics=0 ns=5016
   expand_row_ids: n=13 blocks=13 warp=389 txn=791 atomics=0 ns=65352
-  gather: n=124 blocks=124 warp=468 txn=1484 atomics=0 ns=620660
+  gather: n=66 blocks=66 warp=294 txn=898 atomics=0 ns=330399
   histogram: n=11 blocks=11 warp=508 txn=683 atomics=8098 ns=69700
   mask_resolve: n=89 blocks=89 warp=712 txn=356 atomics=0 ns=445158
-  radix_sort_pass: n=284 blocks=284 warp=5696 txn=7592 atomics=0 ns=1423374
-  reduce_by_key: n=63 blocks=63 warp=468 txn=720 atomics=0 ns=315320
-  scan_downsweep: n=73 blocks=73 warp=332 txn=548 atomics=0 ns=365244
-  scan_upsweep: n=73 blocks=73 warp=166 txn=274 atomics=0 ns=365122
+  radix_sort_pass: n=168 blocks=168 warp=5248 txn=7216 atomics=0 ns=843207
+  reduce_by_key: n=34 blocks=34 warp=384 txn=641 atomics=0 ns=170285
+  scan_downsweep: n=44 blocks=44 warp=274 txn=488 atomics=0 ns=220217
+  scan_upsweep: n=44 blocks=44 warp=137 txn=244 atomics=0 ns=220108
   segmented_reduce: n=1 blocks=1 warp=68 txn=55 atomics=0 ns=5024
   select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
   spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
   spgemm_masked_dot: n=1 blocks=2 warp=598 txn=423 atomics=0 ns=5188
-  spmv_csr_scalar: n=100 blocks=100 warp=15087 txn=35788 atomics=0 ns=515906
+  spmv_csr_scalar: n=129 blocks=129 warp=18794 txn=41968 atomics=0 ns=663652
   spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
   spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
   tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
   transform: n=22 blocks=22 warp=1016 txn=2028 atomics=0 ns=110901
   transpose_keys: n=5 blocks=14 warp=210 txn=630 atomics=0 ns=25280
-  vxm_expand: n=61 blocks=61 warp=400 txn=965 atomics=0 ns=305429
-  zip_transform: n=62 blocks=62 warp=234 txn=261 atomics=0 ns=310116
+  vxm_expand: n=32 blocks=32 warp=224 txn=555 atomics=0 ns=160247
+  zip_transform: n=33 blocks=33 warp=147 txn=186 atomics=0 ns=165083
 ";
