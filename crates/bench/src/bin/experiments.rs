@@ -1,5 +1,6 @@
 //! The paper-style experiment harness: prints one table/series per
-//! reconstructed experiment (see DESIGN.md / EXPERIMENTS.md).
+//! reconstructed wall-clock experiment (see DESIGN.md / EXPERIMENTS.md).
+//! The shapes the modeled clock alone decides are `tests/paper_shapes.rs`.
 //!
 //! ```text
 //! cargo run -p gbtl-bench --release --bin experiments            # all
@@ -20,62 +21,54 @@ use gbtl_bench::{
 };
 use gbtl_core::trace::report::format_table;
 use gbtl_core::{
-    no_accum, Backend, Context, Descriptor, Matrix, ParBackend, SeqBackend, SpmvKernel, TraceMode,
-    Vector,
+    no_accum, Backend, Context, Descriptor, Matrix, ParBackend, SeqBackend, TraceMode, Vector,
 };
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
+
+/// The studies by key, in the order `all` runs them.
+const STUDIES: [(&str, fn()); 7] = [
+    ("t1", t1_primitives),
+    ("f1", f1_bfs),
+    ("f2", f2_sssp),
+    ("f3", f3_pr_tc),
+    ("f4", f4_mxm_sweep),
+    ("p1", p1_par_kernels),
+    ("d10", d10_direction),
+];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--trace` turns op tracing on for every context the experiments
     // create (they all read `GBTL_TRACE` at construction) and appends a
     // three-backend traced report after the selected experiments finish.
-    let traced = if let Some(i) = args.iter().position(|a| a == "--trace") {
-        args.remove(i);
+    let traced = args
+        .iter()
+        .position(|a| a == "--trace")
+        .map(|i| args.remove(i))
+        .is_some();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "all" && !STUDIES.iter().any(|(key, _)| key == a))
+    {
+        let keys: Vec<&str> = STUDIES.iter().map(|(key, _)| *key).collect();
+        eprintln!(
+            "experiments: unknown key {bad:?}; keys: all {}",
+            keys.join(" ")
+        );
+        std::process::exit(2);
+    }
+    if traced {
         std::env::set_var("GBTL_TRACE", "summary");
         println!("op tracing: on (GBTL_TRACE=summary)");
-        true
-    } else {
-        false
-    };
+    }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |k: &str| all || args.iter().any(|a| a == k);
 
     println!("GBTL-RS reconstructed evaluation (see EXPERIMENTS.md)");
     println!("device model: Tesla K40-class (15 SMs, 288 GB/s, PCIe 12 GB/s)");
-
-    if want("t1") {
-        t1_primitives();
-    }
-    if want("f1") {
-        f1_bfs();
-    }
-    if want("f2") {
-        f2_sssp();
-    }
-    if want("f3") {
-        f3_pr_tc();
-    }
-    if want("f4") {
-        f4_mxm_sweep();
-    }
-    if want("a1") {
-        a1_spmv_kernels();
-    }
-    if want("a2") {
-        a2_mask_direction();
-    }
-    if want("a3") {
-        a3_transfers();
-    }
-    if want("a4") {
-        a4_device_sweep();
-    }
-    if want("p1") {
-        p1_par_kernels();
-    }
-    if want("d10") {
-        d10_direction();
+    for (key, study) in STUDIES {
+        if all || args.iter().any(|a| a == key) {
+            study();
+        }
     }
 
     if traced {
@@ -585,150 +578,6 @@ fn f4_mxm_sweep() {
     }
 }
 
-/// R-A1: the four pull SpMV kernels (CSR scalar and vector, ELL, HYB),
-/// skewed vs uniform degrees.
-fn a1_spmv_kernels() {
-    print_title(
-        "R-A1 (ablation): CSR scalar / CSR vector / ELL / HYB SpMV kernels",
-        "vector (warp-per-row) beats scalar (thread-per-row), more so on skewed \
-         RMAT; ELL coalesces perfectly but pays max-degree padding (best on \
-         uniform ER, catastrophic on RMAT); HYB's ELL+COO split tames ELL's \
-         blowup but RMAT's heavy tail still routes most entries through the \
-         atomic overflow kernel — the reason later systems moved to CSR \
-         load-balancing",
-    );
-    println!(
-        "{:<16} {:>9} {:>10} {:>12} {:>12} {:>12} {:>8} {:>12} {:>8}",
-        "workload",
-        "n",
-        "nnz",
-        "scalar txns",
-        "vector txns",
-        "ell txns",
-        "pad%",
-        "hyb txns",
-        "ovfl%"
-    );
-    for scale in [12u32, 14] {
-        for (family, a) in [
-            ("rmat", rmat_graph(scale, 16, 5)),
-            ("er", er_graph(scale, 16, 5)),
-        ] {
-            let af = typed(&a, 1.0f64);
-            let u = Vector::filled(a.ncols(), 1.0f64);
-            let stats = |kernel: SpmvKernel| {
-                let ctx = cuda_ctx().with_spmv_kernel(kernel);
-                let mut w = Vector::new(af.nrows());
-                ctx.mxv(
-                    &mut w,
-                    None,
-                    no_accum(),
-                    PlusTimes::new(),
-                    &af,
-                    &u,
-                    &Descriptor::new(),
-                )
-                .unwrap();
-                ctx.gpu_stats()
-            };
-            let [s, v, ell, hyb] = [
-                SpmvKernel::Scalar,
-                SpmvKernel::Vector,
-                SpmvKernel::Ell,
-                SpmvKernel::Hyb,
-            ]
-            .map(stats);
-            // ELL's padded slots and HYB's overflow entries, from row lengths
-            let csr = af.csr();
-            let nnz = csr.nnz() as f64;
-            let ell_slots = (csr.nrows() * SpmvKernel::Ell.ell_width(csr).unwrap_or(0)) as f64;
-            let hyb_width = SpmvKernel::Hyb.ell_width(csr).unwrap_or(0);
-            let overflow: usize = (0..csr.nrows())
-                .map(|r| csr.row_nnz(r).saturating_sub(hyb_width))
-                .sum();
-            println!(
-                "{:<16} {:>9} {:>10} {:>12} {:>12} {:>12} {:>7.1}% {:>12} {:>7.1}%",
-                format!("{family}{scale}"),
-                a.nrows(),
-                a.nnz(),
-                s.mem_transactions,
-                v.mem_transactions,
-                ell.mem_transactions,
-                (1.0 - nnz / ell_slots) * 100.0,
-                hyb.mem_transactions + hyb.atomic_ops * 4, // effective txns incl. atomic penalty
-                overflow as f64 / nnz * 100.0
-            );
-        }
-    }
-}
-
-/// R-A2: masked vs unmasked mxv, and push vs pull BFS.
-fn a2_mask_direction() {
-    print_title(
-        "R-A2 (ablation): masking and direction",
-        "pushing the mask into the kernel skips masked rows entirely, so modeled \
-         traffic tracks the kept fraction; push beats pull on sparse frontiers and \
-         loses on dense ones",
-    );
-    let a = rmat_graph(14, 16, 5);
-    let af = typed(&a, 1.0f64);
-    let u = Vector::filled(a.ncols(), 1.0f64);
-    let n = a.nrows();
-
-    println!(
-        "{:<28} {:>14} {:>16}",
-        "mask kept fraction", "mem txns", "modeled time"
-    );
-    for keep_every in [1usize, 4, 16, 64] {
-        let mask = if keep_every == 1 {
-            None
-        } else {
-            let mut m = Vector::new(n);
-            for i in (0..n).step_by(keep_every) {
-                m.set(i, true);
-            }
-            Some(m)
-        };
-        let ctx = cuda_ctx();
-        let mut w = Vector::new(n);
-        ctx.mxv(
-            &mut w,
-            mask.as_ref(),
-            no_accum(),
-            PlusTimes::new(),
-            &af,
-            &u,
-            &Descriptor::new(),
-        )
-        .unwrap();
-        let s = ctx.gpu_stats();
-        println!(
-            "{:<28} {:>14} {:>14.1} us",
-            format!("1/{keep_every}"),
-            s.mem_transactions,
-            s.modeled_time_us()
-        );
-    }
-
-    println!("\npush vs pull BFS (whole traversal, modeled device time):");
-    println!("{:<20} {:>14} {:>14}", "graph", "push", "pull");
-    for (label, g) in [
-        ("rmat12".to_string(), rmat_graph(12, 16, 5)),
-        ("grid64".into(), grid_graph(64)),
-    ] {
-        let t = |d: Direction| {
-            let ctx = cuda_ctx();
-            let _ = bfs_levels(&ctx, &g, 0, d).unwrap();
-            Duration::from_secs_f64(ctx.gpu_stats().modeled_time_s)
-        };
-        println!(
-            "{label:<20} {:>14.3?} {:>14.3?}",
-            t(Direction::Push),
-            t(Direction::Pull)
-        );
-    }
-}
-
 /// R-D10: adaptive push/pull direction optimization — the per-iteration
 /// decision records on rmat14 (the push→pull→push crossover the edge-cost
 /// rule takes by itself), whole-traversal time of auto against both forced
@@ -882,88 +731,6 @@ fn d10_direction() {
     identical("seq", &a, seq_ctx());
     identical("par", &a, par_ctx(host_threads()));
     identical("cuda", &a, cuda_ctx());
-}
-
-/// R-A3: transfer sensitivity — device-resident vs upload/download per run.
-fn a3_transfers() {
-    print_title(
-        "R-A3 (ablation): PCIe transfer sensitivity of BFS",
-        "a one-shot traversal reads each edge O(1) times at device bandwidth while \
-         PCIe moves the same bytes ~24x slower, so once launch overheads amortise the \
-         transfer share grows toward the bandwidth-ratio limit — end-to-end wins \
-         require keeping operands device-resident across runs",
-    );
-    println!(
-        "{:<12} {:>10} {:>16} {:>16} {:>12}",
-        "graph", "nnz", "resident model", "with transfers", "xfer share"
-    );
-    for scale in [10u32, 12, 14, 16] {
-        let a = rmat_graph(scale, 16, 7);
-        // device-resident: kernels only
-        let ctx = cuda_ctx();
-        let levels = bfs_levels(&ctx, &a, 0, Direction::Push).unwrap();
-        let resident = ctx.gpu_stats().modeled_time_s;
-        // end-to-end: upload adjacency, run, download result
-        let ctx = cuda_ctx();
-        ctx.upload_matrix(&a);
-        let levels2 = bfs_levels(&ctx, &a, 0, Direction::Push).unwrap();
-        ctx.download_vector(&levels2);
-        let total = ctx.gpu_stats().modeled_time_s;
-        assert_eq!(levels, levels2);
-        println!(
-            "{:<12} {:>10} {:>13.1} us {:>13.1} us {:>11.1}%",
-            format!("rmat{scale}"),
-            a.nnz(),
-            resident * 1e6,
-            total * 1e6,
-            (total - resident) / total * 100.0
-        );
-    }
-}
-
-/// R-A4: device-configuration sensitivity of the cost model.
-fn a4_device_sweep() {
-    print_title(
-        "R-A4 (ablation): cost-model sensitivity to device parameters",
-        "level-synchronous BFS launches many small kernels, so launch overhead \
-         dominates (time moves linearly with it); the remainder is bandwidth-bound \
-         (scales ~1/x with memory bandwidth) and SM count is nearly irrelevant",
-    );
-    let a = rmat_graph(14, 16, 7);
-    let run = |cfg: gbtl_gpu_sim::GpuConfig| {
-        let ctx = gbtl_core::Context::cuda(cfg);
-        let _ = bfs_levels(&ctx, &a, 0, Direction::Push).unwrap();
-        ctx.gpu_stats().modeled_time_s * 1e6
-    };
-
-    println!("{:<34} {:>14}", "configuration", "modeled time");
-    for variant in 0..6u8 {
-        let mut cfg = gbtl_gpu_sim::GpuConfig::k40();
-        let label = match variant {
-            0 => "baseline (K40)",
-            1 => {
-                cfg.mem_bandwidth_gbps *= 2.0;
-                "2x memory bandwidth"
-            }
-            2 => {
-                cfg.mem_bandwidth_gbps /= 2.0;
-                "1/2 memory bandwidth"
-            }
-            3 => {
-                cfg.sm_count *= 2;
-                "2x SM count"
-            }
-            4 => {
-                cfg.kernel_launch_us = 0.0;
-                "zero launch overhead"
-            }
-            _ => {
-                cfg.kernel_launch_us *= 4.0;
-                "4x launch overhead"
-            }
-        };
-        println!("{:<34} {:>11.1} us", label, run(cfg));
-    }
 }
 
 fn row(label: String, a: &Matrix<bool>, seq: Duration, wall: Duration, model: Duration) -> Row {
