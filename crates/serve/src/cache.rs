@@ -28,7 +28,13 @@ pub struct CachedResult {
 
 /// Build the full cache key from its parts.
 pub fn cache_key(graph: &str, epoch: u64, params: &str) -> String {
-    format!("{graph}@{epoch}|{params}")
+    use std::fmt::Write;
+    // 20 digits hold any u64 epoch
+    let mut key = String::with_capacity(graph.len() + params.len() + 22);
+    key.push_str(graph);
+    let _ = write!(key, "@{epoch}|");
+    key.push_str(params);
+    key
 }
 
 #[derive(Debug, Default)]

@@ -32,10 +32,12 @@
 //! (`Member`), the job enum and the bounded queue; this file is admission —
 //! `submit`, the fusion-window intercept, rejections; `worker` is execution
 //! and completion (one path, solo and fused alike); `render` is every
-//! response body the pool writes.
+//! response body the pool writes; `series` holds the per-query metric
+//! handles both the inline cache hit and the worker observe.
 
 mod queue;
 mod render;
+mod series;
 mod worker;
 
 use std::net::{SocketAddr, TcpStream};
@@ -62,6 +64,7 @@ use crate::server::ServerConfig;
 use crate::snapshot as snapfile;
 use queue::{Job, JobQueue, Member, PushError};
 use render::{render_list, render_metrics, render_stats};
+use series::SeriesTable;
 use worker::{render_and_record, worker_loop, SlowQuery};
 
 /// Slow-query log retention, in entries.
@@ -131,6 +134,8 @@ pub struct EnginePool {
     fuse: Option<FuseQueue<Member>>,
     registry: Registry,
     pub(crate) stats: ServerStats,
+    /// The per-(algo, backend, cache) series, resolved on first use.
+    series: SeriesTable,
     slow_log: SlowLog<SlowQuery>,
     next_request_id: AtomicU64,
     engines: Vec<QueryEngine>,
@@ -175,6 +180,7 @@ impl EnginePool {
             next_request_id: AtomicU64::new(1),
             registry,
             stats,
+            series: SeriesTable::default(),
             catalog,
             engines,
             start: Instant::now(),

@@ -19,11 +19,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gbtl_trace::Attr::{Bool, Str, U64};
-use gbtl_trace::{emit, tree, Kind, Scope, Stage, TraceContext};
+use gbtl_trace::{emit, tree, Kind, Scope, TraceContext};
 use gbtl_util::time::now_ns;
 
 use super::queue::{Job, Member};
 use super::render::query_response;
+use super::series::PoolStage;
 use super::EnginePool;
 use crate::cache::CachedResult;
 use crate::catalog::GraphEntry;
@@ -82,11 +83,7 @@ pub(super) fn worker_loop(pool: &Arc<EnginePool>, index: usize) {
                 );
                 std::thread::sleep(Duration::from_millis(ms));
                 let slept = Scope {
-                    stage: Some(Stage {
-                        registry: &pool.registry,
-                        labels: [("algo", "sleep"), ("backend", "none"), ("cache", "miss")],
-                        stage: "execute",
-                    }),
+                    stage: Some(pool.series.sleep(&pool.registry)),
                     ..Scope::default()
                 };
                 emit(slept, t0_ns, now_ns(), Kind::Stage("pool.execute", &[]));
@@ -223,15 +220,11 @@ fn run_queries(
         };
         // only a member that got a result feeds the stage histograms; a
         // sampled one keeps its spans either way
-        let labels = query_labels(&m.params, "miss");
+        let series = pool.series.of(&pool.registry, &m.params, false);
         let scope = |tree, span_id, stage| Scope {
             tree,
             span_id,
-            stage: result.is_ok().then_some(Stage {
-                registry: &pool.registry,
-                labels,
-                stage,
-            }),
+            stage: result.is_ok().then(|| series.stage(stage)),
             tracer: None,
         };
         // a lone member's window wait (if it had one) folds into its queue
@@ -241,11 +234,21 @@ fn run_queries(
             queued_ns = m.released_ns;
             let algo = [("algo", Str(m.params.algo.as_str()))];
             let window = Kind::Stage("fuse.window", &algo);
-            emit(scope(m.xray, 0, "window"), m.enqueued_ns, queued_ns, window);
+            emit(
+                scope(m.xray, 0, PoolStage::Window),
+                m.enqueued_ns,
+                queued_ns,
+                window,
+            );
         }
         let on = [("worker", U64(worker as u64))];
         let queue = Kind::Stage("pool.queue", &on);
-        emit(scope(m.xray, 0, "queue"), queued_ns, picked_up_ns, queue);
+        emit(
+            scope(m.xray, 0, PoolStage::Queue),
+            queued_ns,
+            picked_up_ns,
+            queue,
+        );
         // one execute span per *sampled* member, each in its own trace and
         // all covering the same shared run; the first carries the id the
         // op spans were parented under
@@ -254,7 +257,7 @@ fn run_queries(
             .xray
             .filter(|c| span_id != 0 || Some(c.trace_id) != first_trace);
         let run = Kind::Stage(executed, &attrs);
-        emit(scope(tree, span_id, "execute"), t0_ns, t1_ns, run);
+        emit(scope(tree, span_id, PoolStage::Execute), t0_ns, t1_ns, run);
 
         let stage_us = ((picked_up_ns - queued_ns) / 1_000, (t1_ns - t0_ns) / 1_000);
         complete_member(pool, m, result, code, stage_us, batch);
@@ -331,28 +334,24 @@ pub(super) fn render_and_record(
         xray,
     );
     let t1_ns = now_ns();
-    let labels = query_labels(params, if ran.is_some() { "miss" } else { "hit" });
+    let series = pool.series.of(&pool.registry, params, ran.is_none());
     let (name, attr) = match ran {
         Some(_) => ("pool.serialize", ("bytes", U64(response.len() as u64))),
         None => ("pool.cache", ("graph", Str(&graph.name))),
     };
     let scope = Scope {
         tree: xray,
-        stage: Some(Stage {
-            registry: &pool.registry,
-            labels,
-            stage: "serialize",
-        }),
+        stage: Some(series.stage(PoolStage::Serialize)),
         ..Scope::default()
     };
     emit(scope, t0_ns, t1_ns, Kind::Stage(name, &[attr]));
     let serialize_us = (t1_ns - t0_ns) / 1_000;
 
-    pool.registry.counter("gbtl_requests_total", &labels).inc();
+    series.requests().inc();
     // the trace id (0 = untraced) is the latency bucket's exemplar and the
     // slow-log entry's span-tree pointer
     let trace_id = xray.map_or(0, |c| c.trace_id);
-    let latency = pool.registry.histogram("gbtl_request_latency_us", &labels);
+    let latency = series.latency();
     let Some((queue_us, batch)) = ran else {
         latency.observe_with_exemplar(serialize_us, trace_id);
         return response;
@@ -360,34 +359,23 @@ pub(super) fn render_and_record(
     let execute_us = result.compute_micros;
     let total_us = queue_us + execute_us + serialize_us;
     latency.observe_with_exemplar(total_us, trace_id);
-    let admitted = pool.slow_log.offer(
-        total_us,
-        SlowQuery {
-            request_id,
-            trace_id,
-            batch,
-            graph: graph.name.clone(),
-            params: params.cache_params(),
-            queue_us,
-            execute_us,
-            serialize_us,
-        },
-    );
+    // the entry is built only if the log admits it
+    let admitted = pool.slow_log.offer(total_us, || SlowQuery {
+        request_id,
+        trace_id,
+        batch,
+        graph: graph.name.clone(),
+        params: params.cache_params(),
+        queue_us,
+        execute_us,
+        serialize_us,
+    });
     // a slow-log entrant's trace is the one an operator will want to open
     // later — pin it against store eviction
     if admitted && trace_id != 0 {
         tree::store().pin(trace_id);
     }
     response
-}
-
-/// The `algo` / `backend` / `cache` labels every per-query metric carries.
-fn query_labels(params: &QueryParams, cache: &'static str) -> [(&'static str, &'static str); 3] {
-    [
-        ("algo", params.algo.as_str()),
-        ("backend", params.backend.as_str()),
-        ("cache", cache),
-    ]
 }
 
 #[cfg(test)]

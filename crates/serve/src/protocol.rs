@@ -111,6 +111,10 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
+    /// All backends, in declaration order.
+    pub const ALL: [BackendChoice; 3] =
+        [BackendChoice::Seq, BackendChoice::Par, BackendChoice::Cuda];
+
     /// Wire spelling.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -168,31 +172,25 @@ impl QueryParams {
     /// name and epoch this is the result-cache key, so two requests that
     /// must produce identical payloads — and only those — collide.
     pub fn cache_params(&self) -> String {
-        let mut s = format!(
-            "algo={};backend={}",
-            self.algo.as_str(),
-            self.backend.as_str()
-        );
-        match self.algo {
-            Algo::Bfs | Algo::Sssp => {
-                s.push_str(&format!(";source={}", self.source));
-            }
-            Algo::Pagerank => {
-                s.push_str(&format!(
-                    ";damping={};max_iters={}",
-                    self.damping, self.max_iters
-                ));
-            }
-            Algo::Mis => {
-                s.push_str(&format!(";seed={}", self.seed));
-            }
-            Algo::TriangleCount | Algo::Cc => {}
-        }
+        use std::fmt::Write;
+        // written in place into one buffer with room for a typical key
+        let mut s = String::with_capacity(80);
+        s.push_str("algo=");
+        s.push_str(self.algo.as_str());
+        s.push_str(";backend=");
+        s.push_str(self.backend.as_str());
+        let _ = match self.algo {
+            Algo::Bfs | Algo::Sssp => write!(s, ";source={}", self.source),
+            Algo::Pagerank => write!(s, ";damping={};max_iters={}", self.damping, self.max_iters),
+            Algo::Mis => write!(s, ";seed={}", self.seed),
+            Algo::TriangleCount | Algo::Cc => Ok(()),
+        };
         // auto is the default and bit-identical to any forced mode, but a
         // *forced* direction must key separately: it pins which kernels run,
         // and trace-carrying consumers may observe the difference
         if self.algo.takes_source() && self.direction != Direction::Auto {
-            s.push_str(&format!(";direction={}", self.direction.as_str()));
+            s.push_str(";direction=");
+            s.push_str(self.direction.as_str());
         }
         if self.full {
             s.push_str(";full");
@@ -304,26 +302,23 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         "sleep" => Ok(Request::Sleep {
-            ms: v.u64_field("ms").ok_or("sleep: missing \"ms\"")?,
-            id: v.u64_field("id"),
-            deadline_ms: v.u64_field("deadline_ms"),
+            ms: field(&v, op, "ms", UINT, Value::as_u64)?.ok_or("sleep: missing \"ms\"")?,
+            id: field(&v, op, "id", UINT, Value::as_u64)?,
+            deadline_ms: field(&v, op, "deadline_ms", UINT, Value::as_u64)?,
         }),
         "load" => Ok(Request::Load {
             // "graph" is accepted as an alias so load and query lines can
             // name the graph with the same field
-            name: v
-                .str_field("name")
-                .or_else(|| v.str_field("graph"))
+            name: field(&v, op, "name", STR, Value::as_str)?
+                .or(field(&v, op, "graph", STR, Value::as_str)?)
                 .ok_or("load: missing \"name\"")?
                 .to_string(),
-            spec: v
-                .str_field("spec")
+            spec: field(&v, op, "spec", STR, Value::as_str)?
                 .ok_or("load: missing \"spec\"")?
                 .to_string(),
         }),
         "query" => {
-            let graph = v
-                .str_field("graph")
+            let graph = field(&v, op, "graph", STR, Value::as_str)?
                 .ok_or("query: missing \"graph\"")?
                 .to_string();
             Ok(Request::Query(parse_query_params(&v, graph)?))
@@ -331,53 +326,77 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         // graph-less: the server substitutes every resident graph name
         "query_all" => Ok(Request::QueryAll(parse_query_params(&v, String::new())?)),
         "snapshot" => Ok(Request::Snapshot {
-            graph: v.str_field("graph").map(str::to_string),
-            id: v.u64_field("id"),
+            graph: field(&v, op, "graph", STR, Value::as_str)?.map(str::to_string),
+            id: field(&v, op, "id", UINT, Value::as_u64)?,
         }),
         "restore" => Ok(Request::Restore {
-            graph: v.str_field("graph").map(str::to_string),
-            id: v.u64_field("id"),
+            graph: field(&v, op, "graph", STR, Value::as_str)?.map(str::to_string),
+            id: field(&v, op, "id", UINT, Value::as_u64)?,
         }),
         "xray" => Ok(Request::Xray {
-            trace_id: v.u64_field("trace_id"),
-            id: v.u64_field("id"),
+            trace_id: field(&v, op, "trace_id", UINT, Value::as_u64)?,
+            id: field(&v, op, "id", UINT, Value::as_u64)?,
         }),
         other => Err(format!("unknown op {other:?}")),
     }
 }
 
+const STR: &str = "a string";
+const UINT: &str = "a non-negative integer";
+const BOOL: &str = "true or false";
+
+/// An optional field of `op`'s request object: `None` when absent, its
+/// value when `read` accepts it, and an error naming the field when it is
+/// present with the wrong type or range — never a silent default.
+fn field<'v, T>(
+    v: &'v Value,
+    op: &str,
+    name: &str,
+    expected: &str,
+    read: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match v.get(name) {
+        None => Ok(None),
+        Some(x) => read(x)
+            .map(Some)
+            .ok_or_else(|| format!("{op}: \"{name}\" must be {expected}")),
+    }
+}
+
 /// The shared `query` / `query_all` parameter grammar (everything but the
 /// graph name, which `query` requires and `query_all` forbids meaning to).
+/// An absent field takes its default; a present one must be well-typed.
 fn parse_query_params(v: &Value, graph: String) -> Result<QueryParams, String> {
-    let algo = Algo::parse(v.str_field("algo").ok_or("query: missing \"algo\"")?)?;
-    let backend = match v.str_field("backend") {
+    let q = "query";
+    let algo = field(v, q, "algo", STR, Value::as_str)?.ok_or("query: missing \"algo\"")?;
+    let algo = Algo::parse(algo)?;
+    let backend = match field(v, q, "backend", STR, Value::as_str)? {
         Some(b) => BackendChoice::parse(b)?,
         None => BackendChoice::default(),
     };
-    if let Some(Value::Num(d)) = v.get("damping") {
-        if !(0.0..1.0).contains(d) {
-            return Err(format!("query: damping {d} outside [0, 1)"));
-        }
+    let damping = field(v, q, "damping", "a number in [0, 1)", Value::as_f64)?.unwrap_or(0.85);
+    if !(0.0..1.0).contains(&damping) {
+        return Err(format!("query: damping {damping} outside [0, 1)"));
     }
-    let direction = match v.str_field("direction") {
+    let direction = match field(v, q, "direction", STR, Value::as_str)? {
         Some(d) => Direction::parse(d).ok_or_else(|| {
             format!("query: unknown \"direction\" {d:?} (expected push|pull|auto)")
         })?,
         None => Direction::Auto,
     };
     Ok(QueryParams {
-        id: v.u64_field("id"),
+        id: field(v, q, "id", UINT, Value::as_u64)?,
         graph,
         algo,
         backend,
-        source: v.get("source").and_then(|s| s.as_usize()).unwrap_or(0),
-        damping: v.f64_field("damping").unwrap_or(0.85),
-        max_iters: v.get("max_iters").and_then(|s| s.as_usize()).unwrap_or(100),
-        seed: v.u64_field("seed").unwrap_or(7),
+        source: field(v, q, "source", UINT, Value::as_usize)?.unwrap_or(0),
+        damping,
+        max_iters: field(v, q, "max_iters", UINT, Value::as_usize)?.unwrap_or(100),
+        seed: field(v, q, "seed", UINT, Value::as_u64)?.unwrap_or(7),
         direction,
-        full: v.bool_field("full").unwrap_or(false),
-        trace: v.bool_field("trace").unwrap_or(false),
-        deadline_ms: v.u64_field("deadline_ms"),
+        full: field(v, q, "full", BOOL, Value::as_bool)?.unwrap_or(false),
+        trace: field(v, q, "trace", BOOL, Value::as_bool)?.unwrap_or(false),
+        deadline_ms: field(v, q, "deadline_ms", UINT, Value::as_u64)?,
     })
 }
 
@@ -446,6 +465,18 @@ pub fn oversized_response(max_line: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_every_variant_in_declaration_order() {
+        // the pool's series table is sized by these lists and indexed by
+        // discriminant, so each variant must sit at its own index
+        for (i, a) in Algo::ALL.into_iter().enumerate() {
+            assert_eq!(a as usize, i, "{a:?}");
+        }
+        for (i, b) in BackendChoice::ALL.into_iter().enumerate() {
+            assert_eq!(b as usize, i, "{b:?}");
+        }
+    }
 
     #[test]
     fn parses_every_op() {
@@ -588,6 +619,36 @@ mod tests {
             e.contains("direction") && e.contains("push|pull|auto"),
             "bad direction names the knob and the accepted values: {e}"
         );
+        // a field present with the wrong type or range is an error naming
+        // it, never its default
+        for (body, name) in [
+            (r#""algo":"bfs","source":-1"#, "source"),
+            (r#""algo":"bfs","source":"33""#, "source"),
+            (r#""algo":"bfs","source":2.5"#, "source"),
+            (r#""algo":"pagerank","damping":"0.99""#, "damping"),
+            (r#""algo":"pagerank","max_iters":-3"#, "max_iters"),
+            (r#""algo":"mis","seed":"7""#, "seed"),
+            (r#""algo":"bfs","full":1"#, "full"),
+            (r#""algo":"bfs","trace":"yes""#, "trace"),
+            (r#""algo":"bfs","deadline_ms":1.5"#, "deadline_ms"),
+            (r#""algo":"bfs","id":"9""#, "id"),
+            (r#""algo":"bfs","id":null"#, "id"),
+            (r#""algo":"bfs","backend":3"#, "backend"),
+            (r#""algo":"bfs","direction":true"#, "direction"),
+            (r#""algo":7"#, "algo"),
+        ] {
+            let line = format!(r#"{{"op":"query","graph":"g",{body}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert!(e.contains(&format!("\"{name}\"")), "{line}: {e}");
+        }
+        for line in [
+            r#"{"op":"query","graph":5,"algo":"bfs"}"#,
+            r#"{"op":"sleep","ms":"5"}"#,
+            r#"{"op":"snapshot","graph":1}"#,
+            r#"{"op":"xray","trace_id":-1}"#,
+        ] {
+            assert!(parse_request(line).is_err(), "{line}");
+        }
     }
 
     #[test]

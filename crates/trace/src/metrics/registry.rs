@@ -82,10 +82,13 @@ struct RegistryInner {
     histograms: BTreeMap<MetricKey, Arc<Histogram>>,
 }
 
-/// The shared metric registry. Lookups (`counter`/`gauge`/`histogram`)
-/// take a mutex and return `Arc` handles; callers cache the handles so the
-/// hot path is atomics only. A disabled registry hands out disabled
-/// histograms (observe = one branch) — the `TraceMode::Off` contract.
+/// The shared metric registry. A lookup (`counter`/`gauge`/`histogram`)
+/// builds a [`MetricKey`], takes the one mutex and walks a map, so it is
+/// for resolving a series once, not for a hot path: the serving pool holds
+/// its unlabelled counters in `ServerStats` and its per-query series in a
+/// table of lazily resolved handles, so a request observes atomics only.
+/// A disabled registry hands out disabled histograms (observe = one
+/// branch) — the `TraceMode::Off` contract.
 #[derive(Debug)]
 pub struct Registry {
     enabled: bool,
@@ -134,6 +137,17 @@ impl Registry {
             .clone()
     }
 
+    /// The `gbtl_stage_latency_us` series of one stage of one
+    /// (`algo`, `backend`, `cache`) triple, created on first use — the
+    /// handle a [`Stage`] wraps.
+    pub fn stage_histogram(&self, labels: [(&str, &str); 3], stage: &str) -> Arc<Histogram> {
+        let [algo, backend, cache] = labels;
+        self.histogram(
+            "gbtl_stage_latency_us",
+            &[algo, backend, cache, ("stage", stage)],
+        )
+    }
+
     /// A point-in-time copy of every registered metric, sorted by
     /// (name, labels). This is what the exposition renderers consume.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -171,29 +185,16 @@ impl Registry {
     }
 }
 
-/// The histogram sink's address: which `gbtl_stage_latency_us{algo,
-/// backend, cache, stage}` series an interval's duration lands in. Built by
-/// the layer that owns the registry, observed by [`crate::emit`] alone — so
-/// a stage's histogram sample and its span are the same two stamps.
+/// The histogram sink's address: one resolved `gbtl_stage_latency_us{algo,
+/// backend, cache, stage}` series ([`Registry::stage_histogram`]). Built by
+/// the layer that owns the handle, observed by [`crate::emit`] alone — so a
+/// stage's histogram sample and its span are the same two stamps.
 #[derive(Debug, Clone, Copy)]
-pub struct Stage<'a> {
-    /// The registry holding the series.
-    pub registry: &'a Registry,
-    /// The `algo` / `backend` / `cache` label pairs.
-    pub labels: [(&'a str, &'a str); 3],
-    /// The `stage` label value (`window`, `queue`, `execute`, `serialize`).
-    pub stage: &'a str,
-}
+pub struct Stage<'a>(pub &'a Histogram);
 
 impl Stage<'_> {
     pub(crate) fn observe(&self, micros: u64) {
-        let [algo, backend, cache] = self.labels;
-        self.registry
-            .histogram(
-                "gbtl_stage_latency_us",
-                &[algo, backend, cache, ("stage", self.stage)],
-            )
-            .observe(micros);
+        self.0.observe(micros);
     }
 }
 

@@ -58,10 +58,12 @@ impl<T: Clone> SlowLog<T> {
 
     /// Offer an entry ranked by `key`. Kept if the log has room or `key`
     /// strictly exceeds the current minimum (ties keep the incumbent, so a
-    /// stream of equal keys doesn't churn the log). Returns whether the
-    /// entry was admitted — callers can react to "this one is slow enough
-    /// to keep" (gbtl-serve pins the entrant's x-ray trace).
-    pub fn offer(&self, key: u64, payload: T) -> bool {
+    /// stream of equal keys doesn't churn the log); `payload` is called
+    /// only for an entry that is kept, so a refused offer builds nothing.
+    /// Returns whether the entry was admitted — callers can react to "this
+    /// one is slow enough to keep" (gbtl-serve pins the entrant's x-ray
+    /// trace).
+    pub fn offer(&self, key: u64, payload: impl FnOnce() -> T) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -69,7 +71,11 @@ impl<T: Clone> SlowLog<T> {
         let seq = inner.seq;
         inner.seq += 1;
         if inner.entries.len() < self.capacity {
-            inner.entries.push(Entry { key, seq, payload });
+            inner.entries.push(Entry {
+                key,
+                seq,
+                payload: payload(),
+            });
             return true;
         }
         // evict the smallest key (oldest first on ties) if the newcomer beats it
@@ -81,7 +87,11 @@ impl<T: Clone> SlowLog<T> {
             .map(|(i, e)| (i, e.key))
             .expect("capacity > 0 and log full");
         if key > min_key {
-            inner.entries[min_idx] = Entry { key, seq, payload };
+            inner.entries[min_idx] = Entry {
+                key,
+                seq,
+                payload: payload(),
+            };
             return true;
         }
         false
@@ -112,7 +122,7 @@ mod tests {
         let log = SlowLog::new(3);
         // offer 1..=10 in a scrambled order; only {10, 9, 8} may survive
         for key in [4u64, 9, 1, 10, 2, 6, 3, 8, 5, 7] {
-            log.offer(key, format!("req-{key}"));
+            log.offer(key, || format!("req-{key}"));
         }
         let kept = log.entries();
         assert_eq!(
@@ -129,18 +139,26 @@ mod tests {
     #[test]
     fn ties_keep_the_incumbent() {
         let log = SlowLog::new(2);
-        assert!(log.offer(5, "first"));
-        assert!(log.offer(5, "second"));
-        assert!(!log.offer(5, "third")); // equal key: incumbent stays
+        assert!(log.offer(5, || "first"));
+        assert!(log.offer(5, || "second"));
+        assert!(!log.offer(5, || "third")); // equal key: incumbent stays
         assert_eq!(log.entries(), vec![(5, "first"), (5, "second")]);
-        assert!(log.offer(6, "fourth")); // strictly larger: evicts the older 5
+        assert!(log.offer(6, || "fourth")); // strictly larger: evicts the older 5
         assert_eq!(log.entries(), vec![(6, "fourth"), (5, "second")]);
+    }
+
+    #[test]
+    fn a_refused_offer_builds_no_payload() {
+        let log = SlowLog::new(1);
+        assert!(log.offer(5, || "kept"));
+        assert!(!log.offer(4, || -> &str { panic!("built a refused payload") }));
+        assert_eq!(log.entries(), vec![(5, "kept")]);
     }
 
     #[test]
     fn capacity_zero_disables() {
         let log = SlowLog::new(0);
-        assert!(!log.offer(100, "x"));
+        assert!(!log.offer(100, || "x"));
         assert!(log.is_empty());
         assert!(log.entries().is_empty());
     }
@@ -148,12 +166,12 @@ mod tests {
     #[test]
     fn clear_empties_the_log() {
         let log = SlowLog::new(4);
-        log.offer(1, "a");
-        log.offer(2, "b");
+        log.offer(1, || "a");
+        log.offer(2, || "b");
         assert_eq!(log.len(), 2);
         log.clear();
         assert!(log.is_empty());
-        log.offer(3, "c");
+        log.offer(3, || "c");
         assert_eq!(log.entries(), vec![(3, "c")]);
     }
 }

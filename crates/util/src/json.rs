@@ -134,11 +134,10 @@ pub fn string_map(pairs: &[(String, String)]) -> String {
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(value)
@@ -159,17 +158,22 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+// The readers below take the document as `&str` and index it by byte: a
+// position is only ever moved past ASCII, so every slice they take of it
+// starts and ends on a character boundary.
+
+fn parse_value(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'{') => parse_obj(s, pos),
+        Some(b'[') => parse_arr(s, pos),
+        Some(b'"') => Ok(Value::Str(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
+        Some(_) => parse_num(s, pos),
     }
 }
 
@@ -182,78 +186,86 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_num(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    let text = &s[start..*pos];
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// The index of the first `"` or `\` at or after `from`, if any.
+fn next_delimiter(b: &[u8], from: usize) -> Option<usize> {
+    b[from..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\')
+        .map(|i| from + i)
+}
+
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
-    let mut out = String::new();
+    // plain runs (multi-byte UTF-8 included) alternate with escapes; a
+    // string without escapes is its first run, returned as one copy
+    let mut end = next_delimiter(b, *pos).ok_or("unterminated string")?;
+    if b[end] == b'"' {
+        let run = &s[*pos..end];
+        *pos = end + 1;
+        return Ok(run.to_owned());
+    }
+    let mut out = s[*pos..end].to_owned();
     loop {
+        // b[end] is the backslash of an escape
+        *pos = end + 1;
         match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                let code =
+                    u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
                         .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
+                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                *pos += 4;
             }
-            Some(_) => {
-                // multi-byte UTF-8 continues until the next ASCII delimiter
-                let start = *pos;
-                while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+        *pos += 1;
+        end = next_delimiter(b, *pos).ok_or("unterminated string")?;
+        out.push_str(&s[*pos..end]);
+        if b[end] == b'"' {
+            *pos = end + 1;
+            return Ok(out);
         }
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Value::Obj(fields));
+        return Ok(Value::Obj(Vec::new()));
     }
+    // room for a request line's fields without regrowing
+    let mut fields = Vec::with_capacity(8);
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(s, pos)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -267,7 +279,8 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -276,7 +289,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -321,6 +334,44 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndAé""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAé"));
         assert_eq!(parse("\"\\u0041\\u00e9\"").unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn plain_strings_copy_as_one_run() {
+        assert_eq!(parse("\"\"").unwrap().as_str(), Some(""));
+        let v = parse(r#"{"":"","k":"v"}"#).unwrap();
+        assert_eq!(v.str_field(""), Some(""));
+        assert_eq!(v.str_field("k"), Some("v"));
+        // multibyte UTF-8 in the plain run, with and without a later escape
+        assert_eq!(
+            parse("\"héllo wörld ✓\"").unwrap().as_str(),
+            Some("héllo wörld ✓")
+        );
+        assert_eq!(parse(r#""é\té""#).unwrap().as_str(), Some("é\té"));
+    }
+
+    #[test]
+    fn an_escape_after_a_plain_prefix_keeps_the_prefix() {
+        assert_eq!(parse(r#""abc\ndef""#).unwrap().as_str(), Some("abc\ndef"));
+        assert_eq!(parse(r#""plain\"q""#).unwrap().as_str(), Some("plain\"q"));
+        assert_eq!(parse(r#""a\\""#).unwrap().as_str(), Some("a\\"));
+        assert_eq!(parse(r#""x\u0041y""#).unwrap().as_str(), Some("xAy"));
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for doc in [
+            "\"",
+            "\"abc",
+            "\"é",
+            r#""abc\""#,
+            r#""ab\n"#,
+            r#""ab\nc"#,
+            r#"{"k":"v"#,
+            r#"{"k"#,
+        ] {
+            assert!(parse(doc).is_err(), "{doc:?} parsed");
+        }
     }
 
     #[test]

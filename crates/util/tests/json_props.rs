@@ -1,0 +1,93 @@
+//! Arbitrary-input properties of the JSON reader: no input makes
+//! `json::parse` panic, and every string `json::escape` writes reads back
+//! as itself.
+
+use gbtl_util::json::{escape, parse, Value};
+use proptest::prelude::*;
+
+/// Fragments that steer random documents into the reader's branches:
+/// structure, literals and their truncations, numbers, escapes good and
+/// bad, and multibyte text.
+const TOKENS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"",
+    "\\",
+    ":",
+    ",",
+    " ",
+    "\n",
+    "0",
+    "-",
+    "1.5e3",
+    "e",
+    ".",
+    "+",
+    "true",
+    "tru",
+    "false",
+    "null",
+    "nul",
+    "a",
+    "é",
+    "✓",
+    "𝄞",
+    "\\u",
+    "\\u00e9",
+    "\\ud800",
+    "\\uzz",
+    "\\x",
+    "\\n",
+    "\\\"",
+    "\"k\"",
+    "\"op\":\"query\"",
+    "\u{0}",
+    "\u{1f}",
+];
+
+/// A string drawn mostly from the characters `escape` must handle —
+/// quotes, backslashes, control characters — plus any code point.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u32..4, 0u32..0x11_0000), 0..40).prop_map(|picks| {
+        picks
+            .into_iter()
+            .filter_map(|(kind, code)| match kind {
+                0 => char::from_u32(code % 0x80),
+                1 => ['"', '\\', '\n', '\r', '\t', '/', '\u{0}', '\u{8}', '\u{1f}']
+                    .get(code as usize % 9)
+                    .copied(),
+                _ => char::from_u32(code),
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A document stitched from reader-relevant fragments parses or is an
+    /// error; it never panics.
+    #[test]
+    fn parse_never_panics_on_token_soup(picks in proptest::collection::vec(0usize..TOKENS.len(), 0..48)) {
+        let doc: String = picks.iter().map(|&i| TOKENS[i]).collect();
+        let _ = parse(&doc);
+    }
+
+    /// Arbitrary bytes (made valid UTF-8) parse or are an error.
+    #[test]
+    fn parse_never_panics_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Every escaped string reads back as itself, alone and as an
+    /// object's key and value.
+    #[test]
+    fn escaped_strings_round_trip(text in arb_text()) {
+        let e = escape(&text);
+        prop_assert_eq!(parse(&format!("\"{e}\"")), Ok(Value::Str(text.clone())));
+        let obj = parse(&format!("{{\"{e}\":\"{e}\"}}")).unwrap();
+        prop_assert_eq!(obj.str_field(&text), Some(text.as_str()));
+    }
+}

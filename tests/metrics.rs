@@ -1,8 +1,9 @@
 //! The metrics sink through gbtl-serve: request histograms whose counts
 //! match the requests actually served (in both the JSON and Prometheus
 //! expositions), request ids stamped onto backend trace spans, the
-//! stats endpoint's cumulative/point-in-time contract, and the slow-query
-//! log's top-K retention with stage breakdowns.
+//! stats endpoint's cumulative/point-in-time contract, per-query series
+//! that exist exactly for the (algo, backend, cache) triples served, and
+//! the slow-query log's top-K retention with stage breakdowns.
 
 use gbtl_serve::{start, Client, ServerConfig, ServerHandle};
 
@@ -52,74 +53,116 @@ fn sum_over_labels(metrics_response: &Value, section: &str, name: &str, field: &
         .sum()
 }
 
+/// The `(algo, backend, cache[, stage])` label values of every series
+/// named `name` in a registry section, with each series' count.
+fn series(m: &Value, section: &str, name: &str, field: &str) -> Vec<(String, u64)> {
+    let entries = m
+        .get("metrics")
+        .and_then(|m| m.get("registry"))
+        .and_then(|r| r.get(section))
+        .and_then(|s| s.as_arr())
+        .expect("registry section");
+    let mut found: Vec<(String, u64)> = entries
+        .iter()
+        .filter(|e| e.str_field("name") == Some(name))
+        .map(|e| {
+            let labels = e.get("labels").expect("labels");
+            let label = |k| labels.str_field(k).unwrap_or("");
+            let mut triple = format!("{}/{}/{}", label("algo"), label("backend"), label("cache"));
+            if let Some(stage) = labels.str_field("stage") {
+                triple = format!("{triple}/{stage}");
+            }
+            (triple, e.u64_field(field).unwrap_or(0))
+        })
+        .collect();
+    found.sort();
+    found
+}
+
 #[test]
 fn request_histogram_counts_match_requests_served_in_both_expositions() {
-    let handle = start(test_config()).unwrap();
+    let mut config = test_config();
+    config.fuse.enabled = false;
+    let handle = start(config).unwrap();
     let mut c = connect(&handle);
 
-    // three distinct (algo, backend) queries — all misses — plus one repeat
-    // of the first, which must be served from the cache
-    for (algo, backend) in [
-        ("bfs", "seq"),
-        ("cc", "par"),
-        ("bfs", "cuda"),
-        ("bfs", "seq"),
-    ] {
+    // five distinct (algo, backend) queries — all misses, covering two
+    // algos x two backends — then two repeats, served from the cache
+    let misses = ["bfs/cuda", "bfs/seq", "cc/cuda", "cc/par", "cc/seq"];
+    let hits = ["bfs/seq", "cc/cuda"];
+    for pair in misses.iter().chain(&hits) {
+        let (algo, backend) = pair.split_once('/').unwrap();
         let v = query(
             &mut c,
             &format!("\"graph\":\"karate\",\"algo\":\"{algo}\",\"backend\":\"{backend}\""),
         );
-        assert_eq!(v.bool_field("ok"), Some(true), "{algo}/{backend}");
+        assert_eq!(v.bool_field("ok"), Some(true), "{pair}");
         assert!(
             v.u64_field("request_id").unwrap_or(0) > 0,
             "request ids start at 1"
         );
     }
+    let served = (misses.len() + hits.len()) as u64;
+    // a sleep feeds its execute stage only, no request series
+    let slept = c.request_json("{\"op\":\"sleep\",\"ms\":1}").unwrap();
+    assert_eq!(slept.bool_field("ok"), Some(true));
 
     let m = metrics(&mut c);
     assert_eq!(m.bool_field("ok"), Some(true));
     let inner = m.get("metrics").expect("metrics object");
     assert_eq!(inner.bool_field("enabled"), Some(true));
 
-    // the all-labels aggregate counts exactly the four queries served
+    // the all-labels aggregate counts exactly the queries served
     let overall = inner.get("overall").expect("overall histogram");
-    assert_eq!(overall.u64_field("count"), Some(4));
+    assert_eq!(overall.u64_field("count"), Some(served));
     assert!(overall.u64_field("max").unwrap() >= overall.u64_field("p50").unwrap());
 
-    // JSON exposition: per-(algo, backend, cache) histograms sum to the same
+    // JSON exposition: one request series per (algo, backend, cache)
+    // triple served, none for a triple never asked, summing to the same
+    let triples = |pairs: &[&str], cache: &str, suffix: &str| -> Vec<(String, u64)> {
+        pairs
+            .iter()
+            .map(|p| (format!("{p}/{cache}{suffix}"), 1))
+            .collect()
+    };
+    let mut used = triples(&hits, "hit", "");
+    used.extend(triples(&misses, "miss", ""));
+    used.sort();
+    let requests = series(&m, "counters", "gbtl_requests_total", "value");
+    assert_eq!(requests, used);
+    assert_eq!(requests.iter().map(|(_, n)| n).sum::<u64>(), served);
+    assert_eq!(
+        series(&m, "histograms", "gbtl_request_latency_us", "count"),
+        used
+    );
     assert_eq!(
         sum_over_labels(&m, "histograms", "gbtl_request_latency_us", "count"),
-        4
+        served
     );
-    assert_eq!(
-        sum_over_labels(&m, "counters", "gbtl_requests_total", "value"),
-        4
-    );
-    // ... and the hit/miss split is 3 misses + 1 hit
-    let hists = m
-        .get("metrics")
-        .and_then(|mm| mm.get("registry"))
-        .and_then(|r| r.get("histograms"))
-        .and_then(|h| h.as_arr())
-        .unwrap();
-    let count_where = |cache: &str| -> u64 {
-        hists
-            .iter()
-            .filter(|h| {
-                h.str_field("name") == Some("gbtl_request_latency_us")
-                    && h.get("labels").and_then(|l| l.str_field("cache")) == Some(cache)
-            })
-            .map(|h| h.u64_field("count").unwrap_or(0))
-            .sum()
-    };
-    assert_eq!(count_where("miss"), 3);
-    assert_eq!(count_where("hit"), 1);
 
-    // Prometheus exposition: the _count samples for the same metric also
-    // sum to four, and the histogram type line is present
+    // a hit times its serialize stage only; a miss its queue, execute and
+    // serialize (no window: fusion is off); the sleep its execute
+    let mut stages = triples(&hits, "hit", "/serialize");
+    for stage in ["execute", "queue", "serialize"] {
+        stages.extend(triples(&misses, "miss", &format!("/{stage}")));
+    }
+    stages.push(("sleep/none/miss/execute".to_string(), 1));
+    stages.sort();
+    assert_eq!(
+        series(&m, "histograms", "gbtl_stage_latency_us", "count"),
+        stages
+    );
+
+    // Prometheus exposition: the same request series, and the _count
+    // samples of the latency histogram also sum to the queries served
     let text = m.str_field("exposition").expect("exposition text");
     assert!(text.contains("# TYPE gbtl_request_latency_us histogram"));
     assert!(text.contains("le=\"+Inf\""));
+    let request_lines = text
+        .lines()
+        .filter(|l| l.starts_with("gbtl_requests_total{"))
+        .count();
+    assert_eq!(request_lines, used.len());
     let prom_count: u64 = text
         .lines()
         .filter(|l| l.starts_with("gbtl_request_latency_us_count{"))
@@ -130,7 +173,7 @@ fn request_histogram_counts_match_requests_served_in_both_expositions() {
                 .expect("count sample value")
         })
         .sum();
-    assert_eq!(prom_count, 4);
+    assert_eq!(prom_count, served);
 
     handle.shutdown_and_join();
 }
@@ -276,14 +319,11 @@ fn slow_log_eviction_keeps_exactly_the_top_k_payloads() {
     for i in [
         11u64, 3, 17, 8, 1, 19, 5, 14, 2, 20, 7, 12, 4, 16, 9, 18, 6, 13, 10, 15,
     ] {
-        log.offer(
-            i * 100,
-            Entry {
-                request_id: i,
-                queue_us: i * 40,
-                execute_us: i * 60,
-            },
-        );
+        log.offer(i * 100, || Entry {
+            request_id: i,
+            queue_us: i * 40,
+            execute_us: i * 60,
+        });
     }
     let kept = log.entries();
     assert_eq!(kept.len(), k);
