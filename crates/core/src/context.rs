@@ -21,8 +21,9 @@ use crate::types::Matrix;
 /// [`Context::with_trace_mode`]) each op records a span — name, operand
 /// dims, nnz in/out, operator label, mask/accum flags, wall duration — and
 /// [`Context::trace`] returns the unified report with backend-specific
-/// sections attached. In the default `off` mode the hooks are a single
-/// branch on a cached enum: no allocation, no clock reads.
+/// sections attached. In the default `off` mode the hooks are a branch on
+/// a cached enum, two relaxed loads and the dispatched-op count's relaxed
+/// add: no allocation, no clock reads.
 #[derive(Debug)]
 pub struct Context<B: Backend> {
     backend: B,
@@ -259,7 +260,16 @@ impl<B: Backend> Context<B> {
         self.tracer.total_spans()
     }
 
-    /// Drop all recorded spans and aggregates (mode is unchanged).
+    /// GraphBLAS ops and traversal levels dispatched so far, counted
+    /// whatever the trace mode — one atomic load. Under a recording mode
+    /// (and until [`Context::clear_trace`]) it equals
+    /// [`Context::total_spans`].
+    pub fn dispatched_ops(&self) -> u64 {
+        self.tracer.dispatched_ops()
+    }
+
+    /// Drop all recorded spans and aggregates (mode and
+    /// [`Context::dispatched_ops`] are unchanged).
     pub fn clear_trace(&self) {
         self.tracer.clear();
     }
@@ -273,6 +283,15 @@ impl<B: Backend> Context<B> {
     #[inline]
     pub fn set_request(&self, request_id: Option<u64>, xray: Option<TraceContext>) {
         self.tracer.set_request(request_id, xray);
+    }
+
+    /// Set or clear the request stamp's record bit: while it is set the
+    /// span ring keeps this context's ops whatever its trace mode, so a
+    /// `"trace":true` query is recorded by a context that records nothing
+    /// else.
+    #[inline]
+    pub fn set_record(&self, on: bool) {
+        self.tracer.set_record(on);
     }
 
     /// The `(request id, tree position)` subsequent spans will carry.
@@ -323,7 +342,8 @@ impl<B: Backend> Context<B> {
         });
     }
 
-    /// Open an op span (one branch, nothing else, when tracing is off).
+    /// Open an op span (no clock read when tracing is off and the request
+    /// is neither sampled nor recorded).
     #[inline]
     pub(crate) fn span(&self) -> SpanStart {
         self.tracer.start()

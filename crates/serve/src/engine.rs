@@ -1,10 +1,13 @@
 //! Query execution: one engine per worker, three resident contexts.
 //!
 //! An [`Engine`] owns a sequential, a parallel, and a simulated-CUDA
-//! [`Context`], all pinned to [`TraceMode::Summary`] so every dispatched
-//! GraphBLAS op is counted. The server sums span counts across engines into
-//! its `backend_ops` statistic — which is exactly how the test suite proves
-//! the cache-hit path never touches a backend.
+//! [`Context`], all pinned to [`TraceMode::Off`]: an executed query records
+//! no op spans. Each context still counts every GraphBLAS op it dispatches
+//! ([`Context::dispatched_ops`], one relaxed atomic), and the server sums
+//! those counts across engines into its `backend_ops` statistic — which is
+//! exactly how the test suite proves the cache-hit path never touches a
+//! backend. A `"trace":true` query sets its stamp's record bit, so the ring
+//! keeps that query's spans and no other's.
 //!
 //! Results are rendered as a JSON `result` fragment: compact aggregates
 //! plus an FNV-1a checksum over the full per-vertex answer (so clients can
@@ -33,13 +36,13 @@ use crate::protocol::{Algo, BackendChoice, QueryParams};
 pub struct QueryOutcome {
     /// Rendered `result` JSON fragment.
     pub result_json: String,
-    /// Backend ops the query dispatched (from the trace span counter).
+    /// Backend ops the query dispatched (from the dispatched-op counter).
     pub ops: u64,
     /// Rendered span array when the request asked for `"trace":true`.
     pub trace_json: Option<String>,
 }
 
-/// Per-worker execution engine: one context per backend, tracing on.
+/// Per-worker execution engine: one context per backend, tracing off.
 #[derive(Debug)]
 pub struct Engine {
     seq: Context<SeqBackend>,
@@ -95,13 +98,13 @@ impl Engine {
     pub fn with_transpose_cache(par_threads: usize, cache: TransposeCache) -> Self {
         Engine {
             seq: Context::sequential()
-                .with_trace_mode(TraceMode::Summary)
+                .with_trace_mode(TraceMode::Off)
                 .with_transpose_cache(cache.clone()),
             par: Context::parallel_with_threads(par_threads)
-                .with_trace_mode(TraceMode::Summary)
+                .with_trace_mode(TraceMode::Off)
                 .with_transpose_cache(cache.clone()),
             cuda: Context::cuda_default()
-                .with_trace_mode(TraceMode::Summary)
+                .with_trace_mode(TraceMode::Off)
                 .with_transpose_cache(cache),
         }
     }
@@ -121,7 +124,7 @@ impl Engine {
 
     /// Total GraphBLAS ops this engine has dispatched, across backends.
     pub fn total_ops(&self) -> u64 {
-        self.seq.total_spans() + self.par.total_spans() + self.cuda.total_spans()
+        self.seq.dispatched_ops() + self.par.dispatched_ops() + self.cuda.dispatched_ops()
     }
 
     /// Counter snapshot for the stats endpoint.
@@ -129,9 +132,9 @@ impl Engine {
         let pool = self.par.pool_stats();
         let gpu = self.cuda.gpu_stats();
         EngineSnapshot {
-            seq_ops: self.seq.total_spans(),
-            par_ops: self.par.total_spans(),
-            cuda_ops: self.cuda.total_spans(),
+            seq_ops: self.seq.dispatched_ops(),
+            par_ops: self.par.dispatched_ops(),
+            cuda_ops: self.cuda.dispatched_ops(),
             pool_tasks: pool.tasks_executed,
             pool_steals: pool.steals,
             gpu_kernels: gpu.kernels_launched,
@@ -261,13 +264,15 @@ fn source_range_error(source: usize, g: &GraphEntry) -> String {
 
 /// Clears the request stamp a query set on its context when this drops —
 /// on return, on error and on *unwind* alike, so a query that failed or
-/// panicked can't tag a later request's spans with its ids (the worker
-/// thread owns the context exclusively, so no other request interleaves).
+/// panicked can't tag a later request's spans with its ids or leave the
+/// ring recording them (the worker thread owns the context exclusively, so
+/// no other request interleaves).
 struct Stamps<'a, B: Backend>(&'a Context<B>);
 
 impl<B: Backend> Drop for Stamps<'_, B> {
     fn drop(&mut self) {
         self.0.set_request(None, None);
+        self.0.set_record(false);
     }
 }
 
@@ -335,14 +340,16 @@ fn run_on<B: Backend>(
         return Err(source_range_error(q.source, g));
     }
 
+    let ops_before = ctx.dispatched_ops();
     let spans_before = ctx.total_spans();
     ctx.set_request(request_id, xray);
+    ctx.set_record(q.trace);
     let stamps = Stamps(ctx);
     let result = execute(ctx, g, q);
     drop(stamps);
     let result_json = result?;
 
-    let ops = ctx.total_spans() - spans_before;
+    let ops = ctx.dispatched_ops() - ops_before;
     // the full report clones the span ring: only a request that asked for it
     let trace_json = q.trace.then(|| render_trace(&ctx.trace(), spans_before));
 
@@ -583,6 +590,82 @@ mod tests {
         }
     }
 
+    /// `(op, nnz_in, nnz_out)` of every span in a rendered `"trace"` array.
+    fn rendered_ops(trace_json: &str) -> Vec<(String, u64, u64)> {
+        let spans = gbtl_util::json::parse(trace_json).unwrap();
+        spans
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|sp| {
+                let op = sp.get("op").unwrap().as_str().unwrap().to_string();
+                let nnz = |k| sp.u64_field(k).unwrap();
+                (op, nnz("nnz_in"), nnz("nnz_out"))
+            })
+            .collect()
+    }
+
+    /// On one backend of a fresh engine: an untraced query leaves the ring
+    /// empty and is counted; a traced one leaves exactly its own spans,
+    /// the op sequence a context that always records renders for it.
+    fn records_only_traced_queries<B: Backend>(
+        engine: &Engine,
+        ctx: &Context<B>,
+        always: Context<B>,
+        g: &GraphEntry,
+        backend: BackendChoice,
+    ) {
+        assert_eq!(ctx.trace_mode(), TraceMode::Off);
+        let first = engine
+            .run(g, &params(Algo::Cc, backend), None, None)
+            .unwrap();
+        assert!(first.ops > 0 && ctx.trace().spans.is_empty());
+        assert_eq!(ctx.dispatched_ops(), first.ops);
+        run_on(&always, g, &params(Algo::Cc, backend), None, None).unwrap();
+        for algo in [Algo::Bfs, Algo::Sssp, Algo::Pagerank] {
+            let mut p = params(algo, backend);
+            let (before, spans_before) = (ctx.dispatched_ops(), ctx.total_spans());
+            let out = engine.run(g, &p, Some(5), None).unwrap();
+            assert!(out.ops > 0, "{algo:?} on {backend:?}");
+            assert_eq!(out.ops, ctx.dispatched_ops() - before);
+            assert_eq!(ctx.total_spans(), spans_before, "{algo:?} on {backend:?}");
+            assert_eq!(run_on(&always, g, &p, Some(5), None).unwrap().ops, out.ops);
+
+            p.trace = true;
+            let out = engine.run(g, &p, Some(6), None).unwrap();
+            let ring = ctx.trace();
+            assert_eq!(ring.total_spans - spans_before, out.ops);
+            let own: Vec<_> = ring
+                .spans
+                .iter()
+                .filter(|sp| sp.seq >= spans_before)
+                .collect();
+            assert_eq!(own.len() as u64, out.ops, "{algo:?} on {backend:?}");
+            assert!(own.iter().all(|sp| sp.request_id == Some(6)));
+            let reference = run_on(&always, g, &p, Some(6), None).unwrap();
+            assert_eq!(
+                rendered_ops(&out.trace_json.unwrap()),
+                rendered_ops(&reference.trace_json.unwrap()),
+                "{algo:?} on {backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn serving_contexts_record_only_traced_queries() {
+        let cat = Catalog::new();
+        let g = cat.load("k", &GraphSpec::Karate).unwrap();
+        let e = Engine::new(2);
+        let always = Context::sequential().with_trace_mode(TraceMode::Summary);
+        records_only_traced_queries(&e, &e.seq, always, &g, BackendChoice::Seq);
+        let e = Engine::new(2);
+        let always = Context::parallel_with_threads(2).with_trace_mode(TraceMode::Summary);
+        records_only_traced_queries(&e, &e.par, always, &g, BackendChoice::Par);
+        let e = Engine::new(2);
+        let always = Context::cuda_default().with_trace_mode(TraceMode::Summary);
+        records_only_traced_queries(&e, &e.cuda, always, &g, BackendChoice::Cuda);
+    }
+
     #[test]
     fn forced_directions_match_auto_bytes() {
         let cat = Catalog::new();
@@ -661,6 +744,39 @@ mod tests {
         }));
         assert!(fused.is_err(), "and through run_multi_on");
         assert_eq!(ctx.request(), (None, None));
+    }
+
+    #[test]
+    fn the_record_bit_is_cleared_on_unwind_and_on_error() {
+        let cat = Catalog::new();
+        let g = cat.load("k", &GraphSpec::Karate).unwrap();
+        let engine = Engine::new(1);
+        let ctx = &engine.seq;
+        // a fused batch stamps no record bit of its own, so it runs under
+        // whatever bit the query before it left behind
+        let untraced_batch_records_nothing = || {
+            let spans = ctx.total_spans();
+            let batch = engine.run_multi(&g, Algo::Bfs, BackendChoice::Seq, &[(0, false)], None);
+            assert!(batch[0].is_ok());
+            assert_eq!(ctx.total_spans(), spans, "the ring gains nothing");
+        };
+
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            ctx.set_request(Some(1), None);
+            ctx.set_record(true);
+            let _stamps = Stamps(ctx);
+            panic!("a query panics mid-kernel");
+        }));
+        assert!(unwound.is_err());
+        untraced_batch_records_nothing();
+
+        // a traced query whose algorithm fails after the stamp was set
+        let mut failing = params(Algo::Pagerank, BackendChoice::Seq);
+        failing.damping = 1.5;
+        failing.trace = true;
+        assert!(engine.run(&g, &failing, Some(2), None).is_err());
+        assert_eq!(ctx.request(), (None, None));
+        untraced_batch_records_nothing();
     }
 
     #[test]

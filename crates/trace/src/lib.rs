@@ -16,7 +16,10 @@
 //!   [`DEFAULT_RING_CAPACITY`] op and level spans plus exact per-op
 //!   aggregates, snapshot as a [`TraceReport`] and rendered as a table or
 //!   JSON lines by [`report`]. Records when the context's [`TraceMode`]
-//!   (`GBTL_TRACE=off|summary|json`, default off) is on.
+//!   (`GBTL_TRACE=off|summary|json`, default off) is on, or while its
+//!   request stamp carries the record bit ([`Tracer::set_record`]). Beside
+//!   the ring, every finished op and level is counted whatever the mode
+//!   ([`Tracer::dispatched_ops`]).
 //! * **the span tree** ([`tree`]) — the intervals of a *sampled* request
 //!   (`GBTL_XRAY_SAMPLE=N`, or `"xray":true` on the request line), parented
 //!   from the front-end's root down to kernel ops, kept per trace id in a
@@ -27,8 +30,9 @@
 //!   stage's span; beside them the counters, gauges, slow-query log and
 //!   both expositions the serving layer reads out.
 //!
-//! With tracing off and the request unsampled an op hook is one branch and
-//! one relaxed load: no clock read, no allocation, no lock.
+//! With tracing off and the request neither sampled nor recorded an op hook
+//! is one branch, two relaxed loads and one relaxed add: no clock
+//! read, no allocation, no lock.
 
 pub mod chrome;
 pub mod json;
@@ -49,7 +53,7 @@ pub use tree::{begin_request, finish_request, TraceContext};
 /// What the tracer records and how reporters should render it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// Record nothing; hooks cost one branch (the default).
+    /// Record nothing (the default); hooks only count the op.
     #[default]
     Off,
     /// Record spans; render as a pretty table.

@@ -1,10 +1,11 @@
 //! The op-ring sink: one [`Tracer`] per `Context`, holding the most recent
 //! op spans in a bounded ring with exact per-op aggregates beside it, the
-//! request stamp those spans carry, and the snapshot ([`TraceReport`]) the
-//! reporters in [`crate::report`] render.
+//! request stamp those spans carry, the count of ops dispatched whatever
+//! the mode, and the snapshot ([`TraceReport`]) the reporters in
+//! [`crate::report`] render.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use gbtl_util::sync::lock;
@@ -215,22 +216,28 @@ struct TracerInner {
 /// The per-context span recorder.
 ///
 /// `start`/`finish` bracket each operation; when the cached [`TraceMode`] is
-/// `Off` and the context carries no sampled request, both are a single
-/// branch (no clock reads, no allocation, no lock).
+/// `Off` and the context carries neither a sampled nor a recorded request,
+/// `start` is two relaxed loads and `finish` one relaxed add (no clock
+/// reads, no allocation, no lock).
 #[derive(Debug)]
 pub struct Tracer {
     backend: &'static str,
     mode: TraceMode,
     capacity: usize,
-    /// The request stamp, as three atomics so the serving layer can set and
+    /// The request stamp, as four atomics so the serving layer can set and
     /// clear it through a shared `&Context`: request id + 1 (0 = none),
-    /// trace id (0 = not sampled), parent span id.
+    /// trace id (0 = not sampled), parent span id, and the record bit (the
+    /// ring keeps this request's spans whatever the mode).
     request_id: AtomicU64,
     xray_trace: AtomicU64,
     xray_parent: AtomicU64,
+    record: AtomicBool,
     /// Spans recorded so far — the next sequence number. Written under the
     /// ring lock, read without it ([`Tracer::total_spans`]).
     total: AtomicU64,
+    /// Op and level spans finished, recorded or not
+    /// ([`Tracer::dispatched_ops`]).
+    dispatched: AtomicU64,
     inner: Mutex<TracerInner>,
 }
 
@@ -258,7 +265,9 @@ impl Tracer {
             request_id: AtomicU64::new(0),
             xray_trace: AtomicU64::new(0),
             xray_parent: AtomicU64::new(0),
+            record: AtomicBool::new(false),
             total: AtomicU64::new(0),
+            dispatched: AtomicU64::new(0),
             inner: Mutex::new(TracerInner::default()),
         }
     }
@@ -302,6 +311,15 @@ impl Tracer {
         self.request_id.store(stamped, Ordering::Relaxed);
     }
 
+    /// Set or clear the stamp's record bit: while it is set the ring keeps
+    /// every finished op and level span regardless of [`TraceMode`] — how a
+    /// request that asked for its own spans gets them from a context that
+    /// records nothing else.
+    #[inline]
+    pub fn set_record(&self, on: bool) {
+        self.record.store(on, Ordering::Relaxed);
+    }
+
     /// The `(request id, tree position)` subsequent spans will carry.
     #[inline]
     pub fn request(&self) -> (Option<u64>, Option<TraceContext>) {
@@ -315,20 +333,24 @@ impl Tracer {
         (self.request_id.load(Ordering::Relaxed).checked_sub(1), xray)
     }
 
-    /// Open a span. When tracing is off and no sampled request is stamped
-    /// this is one branch plus one relaxed load, and returns an empty
-    /// handle without touching the clock.
+    /// Open a span. When tracing is off and no sampled or recorded request
+    /// is stamped this is one branch plus two relaxed loads, and returns an
+    /// empty handle without touching the clock.
     #[inline]
     pub fn start(&self) -> SpanStart {
-        let live = self.mode.enabled() || self.xray_trace.load(Ordering::Relaxed) != 0;
+        let live = self.mode.enabled()
+            || self.xray_trace.load(Ordering::Relaxed) != 0
+            || self.record.load(Ordering::Relaxed);
         SpanStart(live.then(now_ns))
     }
 
-    /// Close a span: hand the interval to [`crate::emit`] with this tracer
-    /// as its scope. `kind` only runs when the span was actually opened, so
-    /// sites defer all string building into it.
+    /// Close a span: count it as dispatched, then hand the interval to
+    /// [`crate::emit`] with this tracer as its scope. `kind` only runs when
+    /// the span was actually opened, so sites defer all string building
+    /// into it.
     #[inline]
     pub fn finish<'a>(&self, start: SpanStart, kind: impl FnOnce() -> Kind<'a>) {
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
         let Some(t0_ns) = start.0 else { return };
         let scope = Scope {
             tree: self.request().1,
@@ -338,10 +360,11 @@ impl Tracer {
         crate::emit(scope, t0_ns, now_ns(), kind());
     }
 
-    /// The ring sink: keep an op or level span when the mode records
-    /// (stage intervals are not ops; the ring has no row for them).
+    /// The ring sink: keep an op or level span when the mode records or
+    /// the stamped request asked to be recorded (stage intervals are not
+    /// ops; the ring has no row for them).
     pub(crate) fn keep(&self, start_ns: u64, duration_ns: u64, kind: Kind<'_>) {
-        if !self.mode.enabled() {
+        if !self.mode.enabled() && !self.record.load(Ordering::Relaxed) {
             return;
         }
         let fields = match kind {
@@ -380,7 +403,15 @@ impl Tracer {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// Drop all recorded spans and aggregates (mode is unchanged).
+    /// Op and level spans finished so far, whether or not any sink kept
+    /// them — under a recording mode, and until [`Tracer::clear`], equal to
+    /// [`Tracer::total_spans`]. One atomic load, no lock.
+    pub fn dispatched_ops(&self) -> u64 {
+        self.dispatched.load(Ordering::Relaxed)
+    }
+
+    /// Drop all recorded spans and aggregates (mode and the dispatched-op
+    /// count are unchanged).
     pub fn clear(&self) {
         let mut inner = lock(&self.inner);
         *inner = TracerInner::default();
@@ -639,6 +670,38 @@ mod tests {
         let s = t.start();
         t.finish(s, || Kind::Op(fields("mxm", 1, 1)));
         assert_eq!(t.total_spans(), 1);
+    }
+
+    #[test]
+    fn the_record_bit_records_while_off_and_every_finish_is_dispatched() {
+        let t = Tracer::with_mode("test", TraceMode::Off);
+        let s = t.start();
+        t.finish(s, || Kind::Op(fields("mxm", 1, 1)));
+        t.set_request(Some(9), None);
+        t.set_record(true);
+        for _ in 0..2 {
+            let s = t.start();
+            t.finish(s, || Kind::Op(fields("mxv", 2, 1)));
+        }
+        t.set_request(None, None);
+        t.set_record(false);
+        let s = t.start();
+        t.finish(s, || panic!("no sink keeps this span"));
+        assert_eq!(t.dispatched_ops(), 4);
+        let rep = t.report(Vec::new());
+        assert_eq!(rep.total_spans, 2, "only the recorded request's spans");
+        let kept: Vec<(u64, &str, Option<u64>)> = rep
+            .spans
+            .iter()
+            .map(|sp| (sp.seq, sp.fields.op, sp.request_id))
+            .collect();
+        assert_eq!(kept, [(0, "mxv", Some(9)), (1, "mxv", Some(9))]);
+        t.clear();
+        assert_eq!(
+            t.dispatched_ops(),
+            4,
+            "clear drops recordings, not the count"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! gbtl-trace integration: every dispatched op shows up in the report on
-//! all three backends, JSON output parses back, off records nothing, and
-//! tracing never perturbs numerical results.
+//! all three backends, JSON output parses back, off records nothing but
+//! still counts what it dispatched, and tracing never perturbs numerical
+//! results.
 
 use gbtl::algebra::{AdditiveInverse, Identity, Plus, PlusMonoid, PlusTimes, Times, TriL, ValueGt};
 use gbtl::algorithms::{
@@ -206,6 +207,58 @@ fn off_mode_records_nothing() {
     assert_eq!(r.total_spans, 0);
     assert!(r.ops.is_empty());
     assert!(r.spans.is_empty());
+}
+
+/// One BFS, SSSP and PageRank on karate; the ops `ctx` counted for them.
+fn dispatched_by_three_algorithms<B: Backend>(ctx: &Context<B>) -> u64 {
+    let a = gbtl::algorithms::adjacency(karate_club());
+    let weighted = a
+        .iter()
+        .map(|(i, j, _)| (i, j, 1 + ((i + 2 * j) % 5) as u32));
+    let w = Matrix::build(a.nrows(), a.ncols(), weighted, gbtl::algebra::Min::new()).unwrap();
+    let before = ctx.dispatched_ops();
+    bfs_levels(ctx, &a, 0, Direction::Auto).unwrap();
+    gbtl::algorithms::sssp(ctx, &w, 0).unwrap();
+    gbtl::algorithms::pagerank(ctx, &a, PageRankOptions::default()).unwrap();
+    ctx.dispatched_ops() - before
+}
+
+#[test]
+fn dispatched_ops_are_counted_whatever_the_mode() {
+    fn check<B: Backend>(fresh: impl Fn() -> Context<B>) {
+        let count = |mode| dispatched_by_three_algorithms(&fresh().with_trace_mode(mode));
+        let off = count(TraceMode::Off);
+        assert!(off > 0);
+        assert_eq!(count(TraceMode::Json), off);
+        let summary = fresh().with_trace_mode(TraceMode::Summary);
+        assert_eq!(dispatched_by_three_algorithms(&summary), off);
+        assert_eq!(
+            summary.total_spans(),
+            off,
+            "a recording mode keeps every one"
+        );
+
+        // an unrecorded context whose request was sampled into a span tree
+        let sampled = fresh().with_trace_mode(TraceMode::Off);
+        let store = gbtl::trace::tree::store();
+        let root = store.begin_root("test");
+        sampled.set_request(None, Some(root));
+        assert_eq!(dispatched_by_three_algorithms(&sampled), off);
+        sampled.set_request(None, None);
+        gbtl::trace::finish_request(root);
+        let tree = store
+            .get(root.trace_id)
+            .expect("the sampled trace completed");
+        let in_tree = tree
+            .spans
+            .iter()
+            .filter(|sp| sp.name.starts_with("op.") || sp.name.starts_with("level."));
+        assert_eq!(in_tree.count() as u64, off, "the tree got every one");
+        assert_eq!(sampled.total_spans(), 0);
+    }
+    check(Context::sequential);
+    check(|| Context::parallel_with_threads(2));
+    check(Context::cuda_default);
 }
 
 #[test]
