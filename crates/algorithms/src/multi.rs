@@ -12,9 +12,11 @@
 //! We stack **rows**, not columns: CSR storage is row-major and the push
 //! product `F · A` resolves both operands over the zero-copy path (no
 //! transpose of either side), so k×n is the natural layout — the
-//! transposed view of the paper's n×k formulation. Every level pushes:
-//! the pull orientation `Aᵀ·Fᵀ` is the same `mxm` over more edges and won
-//! on neither clock (docs/adr/0009).
+//! transposed view of the paper's n×k formulation. The host pushes every
+//! level: the pull orientation `Aᵀ·Fᵀ` is the same `mxm` over more edges
+//! and won on neither clock (docs/adr/0009). A device is charged the
+//! cheaper of that push and one k-stacked pull, priced from the level's
+//! result with `Aᵀ` resident (docs/adr/0015).
 //!
 //! Demultiplexing is row extraction: member `r`'s answer is row `r` of the
 //! accumulated state, returned as its own [`Vector`] so callers can compare
@@ -45,8 +47,8 @@ use crate::util::check_traversal;
 /// source.
 ///
 /// One push `mxm` `N = F ⊕.⊗ A` over the boolean semiring per level on the
-/// row-stacked frontier; a fused level never pulls (docs/adr/0009). Its
-/// level records carry the batch's aggregate work.
+/// row-stacked frontier; the host never pulls a fused level (docs/adr/0009).
+/// Its level records carry the batch's aggregate work.
 ///
 /// A non-square `a` is a `DimensionMismatch` error, a source out of range
 /// an `IndexOutOfBounds` error.
@@ -58,23 +60,21 @@ pub fn bfs_levels_multi<B: Backend>(
     let n = check_traversal("bfs_levels_multi", a, sources)?;
     let k = sources.len();
     let mut levels: Vec<Vector<u64>> = (0..k).map(|_| Vector::new_dense(n)).collect();
-    // flat k×n visited bitmap, indexed [r * n + j]
-    let mut visited = vec![false; k * n];
     for (r, &src) in sources.iter().enumerate() {
         levels[r].set(src, 0);
-        visited[r * n + src] = true;
     }
 
+    let semirings = (LorLand::new(), LorLand::new());
     Traversal::batch(ctx, a, "bfs_multi").fused(
-        LorLand::new(),
+        semirings,
         sources,
+        true,
         true,
         // host-side visited filter: keeps what the solo kernel's
         // complemented mask keeps, across all k rows in one row-major pass
         |tally, depth, r, j, _| {
-            let fresh = !visited[r * n + j];
+            let fresh = tally.visit(r, j);
             if fresh {
-                visited[r * n + j] = true;
                 levels[r].set(j, depth);
                 tally.enter(j, true);
             }
@@ -111,10 +111,12 @@ where
         dist[r].set(src, seed);
     }
 
+    let semirings = (relaxation.semiring, relaxation.semiring);
     Traversal::batch(ctx, a, name).fused(
-        relaxation.semiring,
+        semirings,
         sources,
         seed,
+        false,
         |tally, _, r, j, cand| relaxation.merge(tally, &mut dist[r], j, cand),
     )?;
     Ok(dist)

@@ -206,9 +206,10 @@ fn books_balance<B: Backend>(ctx: Context<B>, seed: u64) {
     assert_eq!(sssp_multi(&ctx, &w, &[src]).unwrap(), vec![solo]);
 }
 
-/// Every fused level pushes `F·A` (docs/adr/0009), on the backend whose
-/// device would rather pull a saturated batch: cuda-sim with `Aᵀ`
-/// resident, 16 hub sources on an rmat12 graph.
+/// The host pushes every fused level `F·A` (docs/adr/0009), on the
+/// backend whose device would rather pull a saturated batch: cuda-sim with
+/// `Aᵀ` resident, 16 hub sources on an rmat12 graph. Only the device's
+/// charge may be a pull (docs/adr/0015).
 #[test]
 fn fused_levels_always_push_on_cuda_sim() {
     let structure = symmetrize(&Rmat::new(12, 8).seed(7).generate());

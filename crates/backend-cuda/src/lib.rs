@@ -68,5 +68,5 @@ pub mod charge {
     };
     pub use crate::select::{kronecker, select_mat, select_vec};
     pub use crate::spmm::{mxm, mxm_masked};
-    pub use crate::spmv::{mask_resolve, mxv, vxm};
+    pub use crate::spmv::{exit_rows, mask_resolve, mxv, mxv_stacked, vxm};
 }

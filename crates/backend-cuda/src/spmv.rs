@@ -261,9 +261,15 @@ fn row_base(c: &Coalescer, r: usize) -> u64 {
     c.run_segments(8, r, r + 2) + 1
 }
 
-/// A memoised profile and its charge when every row is kept and walks to
-/// its end (an unmasked pull with no early exit: PageRank's).
-type Profiled = (SpmvProfile, KernelTally);
+/// A memoised profile, its charge when every row is kept and walks to its
+/// end (an unmasked pull with no early exit: PageRank's), and the rows whose
+/// early exit can move a charge ([`exit_rows`]).
+#[derive(Debug)]
+struct Profiled {
+    profile: SpmvProfile,
+    full: KernelTally,
+    exits: Arc<[u64]>,
+}
 
 /// A bounded memo of pull-kernel profiles, least recently used evicted
 /// first. It is keyed by [`CsrMatrix::structure_id`] — never by a buffer's
@@ -319,6 +325,15 @@ pub fn mxv<T: Scalar, D1: Scalar>(
     mask: Option<VecMask<'_>>,
     early: &[(usize, usize)],
 ) {
+    mxv_stacked::<T, D1>(device, a, [(mask, early)]);
+}
+
+/// The pull-kernel profile of `a` on `device` for a `T` operand, built on
+/// the structure's first pull and memoised, with what it is read with.
+fn profiled<T: Scalar, D1: Scalar>(
+    device: &Device<'_>,
+    a: &CsrMatrix<D1>,
+) -> (Coalescer, ProfileKey, Arc<Profiled>) {
     let config = device.config();
     let key = ProfileKey {
         structure: a.structure_id(),
@@ -332,25 +347,80 @@ pub fn mxv<T: Scalar, D1: Scalar>(
     let profiled = device.spmv_profiles.get(key, || {
         let profile = SpmvProfile::build(device, a, &key);
         let full = profile.tally(&c, &key, a, None, &[]);
-        (profile, full)
+        let floor = match key.kernel {
+            SpmvKernel::Vector => key.warp_size + 1,
+            SpmvKernel::Ell | SpmvKernel::Hyb => usize::MAX,
+            _ => 2,
+        };
+        let mut exits = vec![0u64; a.nrows().div_ceil(64)];
+        for (r, p) in a.row_ptr().windows(2).enumerate() {
+            exits[r / 64] |= u64::from(p[1] - p[0] >= floor) << (r % 64);
+        }
+        Profiled {
+            profile,
+            full,
+            exits: exits.into(),
+        }
     });
-    let (profile, full) = &*profiled;
-    let tally = match (mask, early) {
-        (None, []) => *full,
-        _ => profile.tally(&c, &key, a, mask, early),
-    };
+    (c, key, profiled)
+}
+
+/// The rows of `a` whose early exit can move `device`'s pull charge for a
+/// `T` operand ([`mxv`]'s `early`), 64 a word, bit `i` of word `b` for row
+/// `64·b + i`: a warp-per-row kernel pays whole warp-wide strides, so only
+/// a row longer than a warp; ELL and HYB walk every slot of a kept row, so
+/// none; a thread-per-row kernel, any row that can stop early at all.
+/// Kept with the structure's profile, so a caller reads it level after
+/// level for the price of a memo lookup.
+pub fn exit_rows<T: Scalar, D1: Scalar>(device: &Device<'_>, a: &CsrMatrix<D1>) -> Arc<[u64]> {
+    Arc::clone(&profiled::<T, D1>(device, a).2.exits)
+}
+
+/// The k-stacked pull: one launch of `device`'s pull kernel over the rows
+/// of `blockdiag(a, …, a)`, one diagonal block per member, member `r`'s
+/// block pulling its own `u` under its own mask and early exits as
+/// [`mxv`] takes them. Every member's rows start on a thread-block
+/// boundary, so no warp or transaction segment spans two members, and the
+/// launch's tally is the sum of the members' own over `a`'s one profile:
+/// no stacked matrix or profile is built. HYB's overflow launches once
+/// too, for every member's overflow. No member, no launch.
+pub fn mxv_stacked<'m, T: Scalar, D1: Scalar>(
+    device: &Device<'_>,
+    a: &CsrMatrix<D1>,
+    members: impl IntoIterator<Item = (Option<VecMask<'m>>, &'m [(usize, usize)])>,
+) {
+    let (c, key, profiled) = profiled::<T, D1>(device, a);
+    let Profiled { profile, full, .. } = &*profiled;
+    let (mut stacked, mut tally) = (0, KernelTally::default());
+    for (mask, early) in members {
+        stacked += 1;
+        tally.merge(&match (mask, early) {
+            (None, []) => *full,
+            _ => profile.tally(&c, &key, a, mask, early),
+        });
+    }
+    if stacked == 0 {
+        return;
+    }
     let name = match profile {
         SpmvProfile::Warps { lanes, .. } if lanes.ell => "spmv_ell",
         SpmvProfile::Warps { .. } => "spmv_csr_scalar",
         SpmvProfile::Vector { .. } => "spmv_csr_vector",
     };
-    device.charge_kernel(name, a.nrows().div_ceil(BLOCK_DIM).max(1), tally);
+    let blocks = a.nrows().div_ceil(BLOCK_DIM).max(1);
+    device.charge_kernel(name, stacked * blocks, tally);
     if let SpmvProfile::Warps {
         overflow: Some((blocks, tally)),
         ..
     } = profile
     {
-        device.charge_kernel("spmv_coo_overflow", *blocks, *tally);
+        let times = |x: u64| stacked as u64 * x;
+        let overflow = KernelTally {
+            warp_instructions: times(tally.warp_instructions),
+            mem_transactions: times(tally.mem_transactions),
+            atomic_ops: times(tally.atomic_ops),
+        };
+        device.charge_kernel("spmv_coo_overflow", stacked * blocks, overflow);
     }
 }
 
@@ -868,6 +938,98 @@ mod tests {
                 early.warp_instructions < full.warp_instructions,
                 "{kernel:?}"
             );
+        }
+    }
+
+    /// One stacked launch is charged the members' own tallies summed, and
+    /// HYB's overflow once for all of them: what the members' separate
+    /// pulls charge, less their extra launches.
+    #[test]
+    fn a_stacked_pull_sums_its_members_in_one_launch() {
+        let mut coo = CooMatrix::new(70, 70);
+        for j in 0..40 {
+            coo.push(3, j, 1i64);
+        }
+        for r in 0..70 {
+            coo.push(r, (r * 7) % 70, 1);
+        }
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let keep: Vec<bool> = (0..70).map(|r| r % 3 == 0).collect();
+        let skip = [0x9249_2492_4924_9249u64, 0b10_0100];
+        let exits = [(3usize, 2usize)];
+        let members = [
+            (None, &[][..]),
+            (Some(VecMask::from(&keep[..])), &exits[..]),
+            (Some(VecMask::unset_bits(&skip, 70)), &[][..]),
+        ];
+        let profiles = SpmvProfiles::new();
+        for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector, SpmvKernel::Hyb] {
+            let device = |gpu| Device {
+                gpu,
+                spmv_kernel: kernel,
+                spmv_profiles: &profiles,
+            };
+            let (solo, stacked) = (Gpu::with_trace(Default::default()), Gpu::default());
+            for (mask, early) in members {
+                mxv::<i64, i64>(&device(&solo), &a, mask, early);
+            }
+            mxv_stacked::<i64, i64>(&device(&stacked), &a, members);
+            let (solo, stacked) = (solo.stats(), stacked.stats());
+            let launches = if kernel == SpmvKernel::Hyb { 2 } else { 1 };
+            assert_eq!(solo.kernels_launched, 3 * launches, "{kernel:?}");
+            assert_eq!(stacked.kernels_launched, launches, "{kernel:?}");
+            let counts = |s: &gbtl_gpu_sim::GpuStats| {
+                (s.warp_instructions, s.mem_transactions, s.atomic_ops)
+            };
+            assert_eq!(counts(&solo), counts(&stacked), "{kernel:?}");
+            // one roofline over the sums is never dearer than three
+            let saved = 2.0 * launches as f64 * Gpu::default().config().kernel_launch_us * 1e-6;
+            assert!(
+                stacked.modeled_time_s <= solo.modeled_time_s - saved + 1e-12,
+                "{kernel:?}"
+            );
+            let none = Gpu::default();
+            mxv_stacked::<i64, i64>(&device(&none), &a, []);
+            assert_eq!(none.stats().kernels_launched, 0, "no member, no launch");
+        }
+    }
+
+    /// An early exit on a row [`exit_rows`] leaves out moves no charge, and
+    /// one on a row it holds does.
+    #[test]
+    fn an_exit_off_the_exit_rows_moves_no_charge() {
+        let mut coo = CooMatrix::new(8, 128);
+        for (r, len) in [(0, 2), (1, 32), (2, 33), (5, 100)] {
+            for j in 0..len {
+                coo.push(r, j, 1i64);
+            }
+        }
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let all = [(0, 1), (1, 1), (2, 1), (5, 1)];
+        let profiles = SpmvProfiles::new();
+        for (kernel, held) in [
+            (SpmvKernel::Scalar, 0b10_0111),
+            (SpmvKernel::Vector, 0b10_0100),
+            (SpmvKernel::Ell, 0),
+            (SpmvKernel::Hyb, 0),
+        ] {
+            let device = |gpu| Device {
+                gpu,
+                spmv_kernel: kernel,
+                spmv_profiles: &profiles,
+            };
+            let (every, held_only, none) = (Gpu::default(), Gpu::default(), Gpu::default());
+            let rows = exit_rows::<i64, i64>(&device(&every), &a);
+            assert_eq!(&*rows, &[held], "{kernel:?}");
+            let kept: Vec<_> = all
+                .into_iter()
+                .filter(|&(r, _)| held >> r & 1 == 1)
+                .collect();
+            mxv::<i64, i64>(&device(&every), &a, None, &all);
+            mxv::<i64, i64>(&device(&held_only), &a, None, &kept);
+            mxv::<i64, i64>(&device(&none), &a, None, &[]);
+            assert_eq!(every.stats(), held_only.stats(), "{kernel:?}");
+            assert_eq!(every.stats() != none.stats(), held != 0, "{kernel:?}");
         }
     }
 

@@ -95,6 +95,142 @@ where
         .collect()
 }
 
+/// [`early_exits`] for k pulls over one `a` at once, member `r` pulling
+/// `u`'s row `r` into `w`'s row `r` (both k×n), and walking only the rows
+/// `walks(r, words)` leaves set in `words` (all set when asked; bit `i` of
+/// word `b` for row `64·b + i`). Per member, `(row, entries consumed)` in
+/// row order, for every one of the k members.
+///
+/// A member's rows to walk are found from whichever is shorter, its row
+/// of `w` or the rows `walks` leaves it, the other searched; a row several
+/// members stop in is walked once for all of them, each stopping at its
+/// own first prefix whose fold is the terminal value. The members holding
+/// an operand position are read 64 to a word, and a member's value only
+/// where its bit is set. A product with no entry at the terminal value
+/// returns at once.
+pub fn early_exits_stacked<T, D1, S>(
+    sr: S,
+    a: &CsrMatrix<D1>,
+    u: &CsrMatrix<T>,
+    w: &CsrMatrix<T>,
+    walks: impl Fn(usize, &mut [u64]),
+) -> Vec<Vec<(usize, usize)>>
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let (k, n) = (w.nrows(), a.nrows());
+    let mut exits = vec![Vec::new(); k];
+    let Some(terminal) = add.terminal().filter(|t| w.vals().contains(t)) else {
+        return exits;
+    };
+    // per chunk of 64 members: each row's members to walk it, and each
+    // operand position's members holding it, one bit a member, with their
+    // values (64 a position; what a clear bit's slot holds is never read)
+    let (mut pending, mut held) = (vec![0u64; n], vec![0u64; n]);
+    let (mut words, mut rows) = (vec![0u64; n.div_ceil(64)], Vec::new());
+    let width = k.min(64);
+    let mut value = Vec::new();
+    for chunk in (0..k).step_by(64) {
+        let members = chunk..(chunk + 64).min(k);
+        let mut walking = 0u64;
+        for r in members.clone() {
+            let bit = 1 << (r - chunk);
+            words.fill(u64::MAX);
+            walks(r, &mut words);
+            let (cols, vals) = w.row(r);
+            let mut walk = |i: usize| {
+                rows.extend((pending[i] == 0).then_some(i));
+                pending[i] |= bit;
+                walking |= bit;
+            };
+            let allowed: u32 = words.iter().map(|b| b.count_ones()).sum();
+            if cols.len() <= allowed as usize {
+                for (&i, &v) in cols.iter().zip(vals) {
+                    if v == terminal && words[i / 64] >> (i % 64) & 1 == 1 {
+                        walk(i);
+                    }
+                }
+            } else {
+                let mut at = 0;
+                for (b, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 && at < cols.len() {
+                        let i = 64 * b + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        at += gallop(&cols[at..], i);
+                        if cols.get(at) == Some(&i) && vals[at] == terminal {
+                            walk(i);
+                        }
+                    }
+                }
+            }
+        }
+        if walking == 0 {
+            continue;
+        }
+        if value.is_empty() {
+            value = vec![terminal; n * width];
+        }
+        let held_rows = || members.clone().filter(|r| walking >> (r - chunk) & 1 == 1);
+        for r in held_rows() {
+            let (cols, vals) = u.row(r);
+            for (&j, &v) in cols.iter().zip(vals) {
+                held[j] |= 1 << (r - chunk);
+                value[j * width + r - chunk] = v;
+            }
+        }
+        rows.sort_unstable();
+        let mut acc: [Option<T>; 64] = [None; 64];
+        for &i in &rows {
+            let mut left = std::mem::take(&mut pending[i]);
+            let mut live = left;
+            while live != 0 {
+                acc[live.trailing_zeros() as usize] = None;
+                live &= live - 1;
+            }
+            let (cols, vals) = a.row(i);
+            for (q, (&j, &aij)) in cols.iter().zip(vals).enumerate() {
+                let mut hits = held[j] & left;
+                while hits != 0 {
+                    let m = hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let term = mul.apply(aij, value[j * width + m]);
+                    let next = acc[m].map_or(term, |v| add.apply(v, term));
+                    acc[m] = Some(next);
+                    if next == terminal {
+                        left &= !(1 << m);
+                        if q + 1 < cols.len() {
+                            exits[chunk + m].push((i, q + 1));
+                        }
+                    }
+                }
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+        rows.clear();
+        for r in held_rows() {
+            u.row(r).0.iter().for_each(|&j| held[j] = 0);
+        }
+    }
+    exits
+}
+
+/// The first position of sorted `s` holding at least `x`, searched from
+/// the front in doubling steps: O(log p) for an answer at `p`.
+fn gallop(s: &[usize], x: usize) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step < s.len() && s[lo + step] < x {
+        lo += step;
+        step *= 2;
+    }
+    lo + s[lo..(lo + step + 1).min(s.len())].partition_point(|&y| y < x)
+}
+
 /// [`row_dot`] over `(value, present)` slots, with no branch on presence:
 /// every entry computes a term and the fold keeps it or not by select, so a
 /// row whose operand positions are half present costs what a fully present

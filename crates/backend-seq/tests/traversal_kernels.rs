@@ -1,13 +1,14 @@
 //! Property tests of the two traversal kernels' shortcuts: `row_dot` may
 //! stop a row early, the slot fold may replace it, and `vxm` may emit by a
 //! sweep, and none may change a result; and `early_exits` reads off a
-//! result exactly the rows `row_dot` stopped early, where it stopped them.
+//! result exactly the rows `row_dot` stopped early, where it stopped them,
+//! as `early_exits_stacked` does for k members at once.
 
 use gbtl_algebra::{
     BinaryOp, CustomSemiring, Div, LorLand, MaxMin, MinPlus, Monoid, PlusMonoid, PlusTimes, Scalar,
     Semiring,
 };
-use gbtl_backend_seq::{early_exits, mxv, row_dot, vxm, RowFold};
+use gbtl_backend_seq::{early_exits, early_exits_stacked, mxv, row_dot, vxm, RowFold};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 use proptest::prelude::*;
@@ -437,5 +438,73 @@ proptest! {
         let a = matrix(n, &degrees, &picks);
         let visited = DenseVector::from_options(visited[..n].to_vec());
         check_vxm(PlusTimes::<i64>::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
+    }
+}
+
+/// `early_exits_stacked` against `early_exits` member by member: k
+/// operands (rows of `u`, built from `members`) pulled over `a`, each
+/// member walking only the rows its `walks` bits allow.
+fn check_stacked<T: Scalar, S: Semiring<T>>(
+    sr: S,
+    a: &CsrMatrix<T>,
+    members: &[Vec<Option<T>>],
+    allowed: &[u64],
+) {
+    let (k, n) = (members.len(), a.nrows());
+    let words = n.div_ceil(64);
+    let (mut u, mut w) = (CooMatrix::new(k, n), CooMatrix::new(k, n));
+    let mut want = Vec::new();
+    for (r, member) in members.iter().enumerate() {
+        let operand = DenseVector::from_options(member[..n].to_vec());
+        let product = mxv(a, &operand, sr, None);
+        for (j, v) in operand.iter() {
+            u.push(r, j, v);
+        }
+        for (i, v) in product.iter() {
+            w.push(r, i, v);
+        }
+        let walked = |i: usize| allowed[(r * words + i / 64) % allowed.len()] >> (i % 64) & 1 == 1;
+        let walks = product.iter().filter(|&(i, _)| walked(i));
+        want.push(early_exits(sr, a, |j| operand.get(j), walks));
+    }
+    let (u, w) = (
+        CsrMatrix::from_coo(u, |x, _| x),
+        CsrMatrix::from_coo(w, |x, _| x),
+    );
+    let got = early_exits_stacked(sr, a, &u, &w, |r, stops| {
+        for (b, stop) in stops.iter_mut().enumerate() {
+            *stop &= allowed[(r * words + b) % allowed.len()];
+        }
+    });
+    assert_eq!(got, want, "k = {k}, n = {n}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Over 1 to 70 members (two chunks of 64 past 64), a boolean matrix
+    /// with stored `false`s (a term that does not reach the terminal) and a
+    /// `(min, +)` one with zero weights (one that does).
+    #[test]
+    fn early_exits_stacked_is_early_exits_per_member(
+        n in 8..MAX_N,
+        k in 1usize..71,
+        degrees in draws(1usize..6, 1),
+        picks in draws((0..MAX_N, 0u32..3), 5),
+        present in proptest::collection::vec(proptest::option::of(0u32..3), 70 * MAX_N),
+        allowed in draws(any::<u64>(), 2),
+    ) {
+        let members = |f: &dyn Fn(u32) -> u32| -> Vec<Vec<Option<u32>>> {
+            present.chunks(MAX_N).take(k).map(|m| m.iter().map(|v| v.map(f)).collect()).collect()
+        };
+        let a = matrix(n, &degrees, &picks);
+        check_stacked(MinPlus::<u32>::new(), &a, &members(&|v| v), &allowed);
+        let bools: Vec<(usize, bool)> = picks.iter().map(|&(j, v)| (j, v > 0)).collect();
+        let a = matrix(n, &degrees, &bools);
+        let members: Vec<Vec<Option<bool>>> = members(&|v| v)
+            .into_iter()
+            .map(|m| m.into_iter().map(|v| v.map(|v| v > 0)).collect())
+            .collect();
+        check_stacked(LorLand::new(), &a, &members, &allowed);
     }
 }

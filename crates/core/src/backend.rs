@@ -420,8 +420,8 @@ impl Backend for ParBackend {
 
     /// The edge-cost rule plus [`PAR_FANOUT_NS`] on the side that fans out:
     /// `mxv`, on every call with more than one worker. Push is the
-    /// sequential `vxm` and never does. A fused level always pushes and
-    /// never asks.
+    /// sequential `vxm` and never does. The host pushes every fused level
+    /// and never asks.
     fn prefers_pull(&self, policy: &DirectionPolicy, level: &LevelWork) -> bool {
         let pull_fanout = if self.threads() == 1 {
             0

@@ -7,14 +7,16 @@
 use std::sync::Arc;
 
 use gbtl_algebra::{BinaryOp, Scalar, Semiring};
+use gbtl_backend_cuda::charge;
 use gbtl_sparse::CsrMatrix;
 use gbtl_trace::short_type_name;
 
 use crate::backend::Backend;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
+use crate::policy::DevicePrice;
 use crate::resolve::OperandRef;
-use crate::stitch::{ensure, mat_out};
+use crate::stitch::{ensure, mat_out, unvisited_row};
 use crate::types::Matrix;
 use crate::Context;
 
@@ -65,6 +67,59 @@ impl<B: Backend> Context<B> {
             format!("{m}x{k1}*{k2}x{n}")
         });
         Ok(())
+    }
+
+    /// One level of a fused k-source traversal over `a`, `Aᵀ` resident:
+    /// `run` computes the unmasked push `N = F ⊕.⊗ A` over the k×n
+    /// frontier `F`, and the backend charges the direction its device
+    /// prices cheaper ([`Backend::level`], docs/adr/0015). Pull is priced
+    /// here from `N` as one k-stacked pull ([`charge::mxv_stacked`]): the
+    /// members whose frontier row holds an entry, each pulling `Aᵀ` over
+    /// its own row of `F`, under its row of the k×n `visited` bitmap when
+    /// the level is masked (packed 64 vertices a word, ⌈n/64⌉ words a
+    /// member; one [`charge::mask_resolve`] over k·n first). A row stops
+    /// early where `pull`'s add monoid reached its terminal value, and is
+    /// walked to there only where that can move the charge
+    /// ([`charge::exit_rows`], [`gbtl_backend_seq::early_exits_stacked`]).
+    /// Returns `N` and the device's choice (`None` on a backend without a
+    /// device).
+    pub fn priced_fused_level<D, SL>(
+        &self,
+        pull: SL,
+        a: &Matrix<D>,
+        frontier: &Matrix<D>,
+        visited: Option<&[u64]>,
+        run: impl FnOnce() -> Result<CsrMatrix<D>>,
+    ) -> Result<(CsrMatrix<D>, Option<DevicePrice>)>
+    where
+        D: Scalar,
+        SL: Semiring<D, D, D>,
+    {
+        let (out, device) = self.backend().level(run, |next, device| {
+            let (Ok(next), Some(at)) =
+                (next, self.transpose_cache().peek::<D>(a.id(), a.version()))
+            else {
+                return false;
+            };
+            let (f, k, n) = (frontier.csr(), frontier.nrows(), at.nrows());
+            if visited.is_some() {
+                charge::mask_resolve(device, k * n);
+            }
+            let words = n.div_ceil(64);
+            let keep = |r| visited.map(|v| unvisited_row(&v[r * words..(r + 1) * words], n));
+            let exits = charge::exit_rows::<D, D>(device, &at);
+            let early = gbtl_backend_seq::early_exits_stacked(pull, &at, f, next, |r, stops| {
+                let mask = keep(r);
+                for (b, (stop, exits)) in stops.iter_mut().zip(exits.iter()).enumerate() {
+                    *stop &= exits & mask.map_or(u64::MAX, |m| m.keep_word(b));
+                }
+            });
+            let members = (0..k).filter(|&r| f.row_nnz(r) > 0);
+            let stacked = members.map(|r| (keep(r), early[r].as_slice()));
+            charge::mxv_stacked::<D, D>(device, &at, stacked);
+            true
+        });
+        Ok((out?, device))
     }
 
     /// Resolve a matrix operand for dispatch without copying it.

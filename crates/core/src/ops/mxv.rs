@@ -12,7 +12,7 @@ use crate::backend::Backend;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::policy::DevicePrice;
-use crate::stitch::{ensure, resolve_vec_mask, vec_out};
+use crate::stitch::{ensure, unvisited, vec_out};
 use crate::types::{Matrix, Vector};
 use crate::Context;
 
@@ -122,8 +122,10 @@ impl<B: Backend> Context<B> {
     /// docs/adr/0012). Pull is priced here from `run`'s result: the mask's
     /// [`charge::mask_resolve`] when there is one, then `charge::mxv` over
     /// the resident `Aᵀ` under `¬visited`, whose rows stop early where
-    /// `pull`'s add monoid reached its terminal value. Returns the result
-    /// and the device's choice (`None` on a backend without a device).
+    /// `pull`'s add monoid reached its terminal value (walked to there only
+    /// where that can move the charge, [`charge::exit_rows`]). Returns the
+    /// result and the device's choice (`None` on a backend without a
+    /// device).
     pub fn priced_level<F, D, SL>(
         &self,
         pull: SL,
@@ -142,13 +144,17 @@ impl<B: Backend> Context<B> {
             else {
                 return false;
             };
-            let unvisited = resolve_vec_mask(visited, true, at.nrows());
-            let mask = unvisited.as_ref().map(|m| m.view());
+            let keep = unvisited(visited, at.nrows());
+            let mask = keep.as_ref().map(|m| m.view());
             if mask.is_some() {
                 charge::mask_resolve(device, at.nrows());
             }
             let u = |j| frontier.get(j);
-            let early = gbtl_backend_seq::early_exits(pull, &at, u, out.iter());
+            let exits = charge::exit_rows::<F, D>(device, &at);
+            let walked = out
+                .iter()
+                .filter(|&(i, _)| exits[i / 64] >> (i % 64) & 1 == 1);
+            let early = gbtl_backend_seq::early_exits(pull, &at, u, walked);
             charge::mxv::<F, D>(device, &at, mask, &early);
             true
         });
@@ -160,7 +166,7 @@ impl<B: Backend> Context<B> {
 mod tests {
     use super::*;
     use crate::no_accum;
-    use crate::stitch::{stitch_dense_vec, stitch_sparse_vec};
+    use crate::stitch::{resolve_vec_mask, stitch_dense_vec, stitch_sparse_vec};
     use gbtl_algebra::{LorLand, MinPlus, Plus, PlusTimes, Second};
 
     fn graph() -> Matrix<i64> {

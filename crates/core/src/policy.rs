@@ -6,8 +6,9 @@
 //! **pull** (`mxv` over `Aᵀ` with a dense bitmap frontier — work
 //! proportional to the edges of the rows it may still write). This module
 //! centralizes that choice so `bfs`, `sssp` and `bc` all take it per level
-//! from one rule instead of hardcoding a direction. A fused multi-source
-//! level always pushes (docs/adr/0009).
+//! from one rule instead of hardcoding a direction. The host pushes every
+//! fused multi-source level (docs/adr/0009); a device prices it both ways
+//! (docs/adr/0015).
 //!
 //! ## The rule: compare the edges each side must touch
 //!

@@ -369,6 +369,19 @@ pub(crate) fn resolve_vec_mask(
     Some(ResolvedVecMask { bitmap, complement })
 }
 
+/// The rows a priced traversal level's pull computes: those its `visited`
+/// set leaves unvisited — a solo level's `visited` vector, if the level is
+/// masked, resolved as a complemented mask.
+pub(crate) fn unvisited(visited: Option<&Vector<bool>>, n: usize) -> Option<ResolvedVecMask<'_>> {
+    resolve_vec_mask(visited, true, n)
+}
+
+/// [`unvisited`] for one member of a fused level over `n` vertices: its
+/// row of the k×n visited bitmap, packed 64 vertices a word, read as it is.
+pub(crate) fn unvisited_row(visited: &[u64], n: usize) -> VecMask<'_> {
+    VecMask::unset_bits(visited, n)
+}
+
 /// Stitch a computed dense vector into the old output.
 pub(crate) fn stitch_dense_vec<T, Acc>(
     old: &Vector<T>,

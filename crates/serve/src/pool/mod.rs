@@ -588,16 +588,16 @@ impl gbtl_net::Engine for EnginePool {
                 // fusion intercept: fusable cache misses go to the batching
                 // window instead of straight onto the job queue. Traced
                 // queries bypass fusion (per-request span attribution needs
-                // exclusive context use), and so does a forced pull: a
-                // fused level always pushes, and a forced mode never
-                // crosses. Everything else is unchanged.
+                // exclusive context use), and so does a forced direction: a
+                // device charges a fused level the cheaper of push and pull
+                // (docs/adr/0015), and a forced mode never crosses.
+                // Everything else is unchanged.
                 let p = &member.params;
-                let fusable = p.algo.takes_source() && !p.trace && p.direction != Direction::Pull;
+                let fusable = p.algo.takes_source() && !p.trace && p.direction == Direction::Auto;
                 let Some(fuse) = self.fuse.as_ref().filter(|_| fusable) else {
                     return self.admit(Job::Queries(vec![member]), id);
                 };
-                // `auto` and `push` run the same fused kernel, so the
-                // direction stays out of the key
+                // only `auto` fuses, so the direction stays out of the key
                 let fuse_key = format!(
                     "{}@{}|{}|{}",
                     member.graph.name,

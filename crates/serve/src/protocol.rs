@@ -155,8 +155,9 @@ pub struct QueryParams {
     /// MIS seed.
     pub seed: u64,
     /// Traversal direction override for bfs/sssp; `Auto` (the default when
-    /// the request omits `"direction"`) is the per-level rule. A fused
-    /// batch always pushes, so a forced `Pull` query runs solo.
+    /// the request omits `"direction"`) is the per-level rule. A device
+    /// charges a fused batch's level the cheaper direction, so only an
+    /// `Auto` query fuses: a forced one runs solo.
     pub direction: Direction,
     /// Include the full per-vertex result, not just aggregates + checksum.
     pub full: bool,

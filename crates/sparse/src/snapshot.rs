@@ -29,9 +29,10 @@
 //! reader accepts both.
 //!
 //! The reader validates in order: magic, tag/width against the expected
-//! scalar type, dimension sanity (so a corrupt header cannot trigger a
-//! multi-gigabyte allocation), exact byte counts for every array
-//! (truncation surfaces as [`SparseError::Io`], never a panic), the
+//! scalar type, dimension sanity, exact byte counts for every array, read
+//! with allocation bounded by the bytes actually present (so a corrupt
+//! header cannot trigger a huge allocation, and truncation surfaces as
+//! [`SparseError::Io`], never a panic), the
 //! trailing checksum, and finally the full CSR invariants via
 //! [`CsrMatrix::from_parts`]. Any failure yields a diagnostic
 //! [`SparseError`]; on success the arrays are moved, not copied.
@@ -186,15 +187,24 @@ pub fn write_csr<T: SnapshotScalar, W: Write>(
     Ok(buf.len() as u64)
 }
 
-/// Read exactly `n` bytes, mapping truncation to a diagnostic [`SparseError::Io`].
+/// Read exactly `n` bytes, mapping truncation to a diagnostic
+/// [`SparseError::Io`]. The buffer grows with the bytes that arrive, never
+/// to what a header claims: a section cut short, or a forged header over a
+/// few bytes, costs an allocation on the order of the bytes present.
 fn read_exactly<R: Read>(r: &mut R, n: usize, what: &str) -> Result<Vec<u8>, SparseError> {
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf).map_err(|e| {
+    let mut buf = Vec::new();
+    let truncated = |got: usize| {
         SparseError::Io(format!(
-            "snapshot section truncated while reading {what}: {e}"
+            "snapshot section truncated while reading {what}: {got} of {n} bytes"
         ))
-    })?;
-    Ok(buf)
+    };
+    match r.take(n as u64).read_to_end(&mut buf) {
+        Ok(got) if got == n => Ok(buf),
+        Ok(got) => Err(truncated(got)),
+        Err(e) => Err(SparseError::Io(format!(
+            "snapshot section unreadable while reading {what}: {e}"
+        ))),
+    }
 }
 
 /// Decode an index array written `iw` (4 or 8) bytes per element. The

@@ -302,7 +302,8 @@ impl<T: Scalar> DenseVector<T> {
 /// that already exists. Nothing is built per call: a traversal that masks
 /// every level with its `visited` vector pays O(1) to hand that vector to
 /// the kernel, not an O(n) keep-bitmap. A caller that does hold a
-/// keep-bitmap passes it as it is (`From<&[bool]>`).
+/// keep-bitmap passes it as it is (`From<&[bool]>`), and one holding the
+/// packed bits of what *not* to write, as they are ([`VecMask::unset_bits`]).
 #[derive(Debug, Clone, Copy)]
 pub struct VecMask<'a>(MaskBits<'a>);
 
@@ -315,6 +316,9 @@ enum MaskBits<'a> {
     },
     /// Kept where `true`.
     Keep(&'a [bool]),
+    /// Kept where bit `i % 64` of word `i / 64` is clear, over `len`
+    /// positions.
+    Unset { words: &'a [u64], len: usize },
 }
 
 impl<'a> VecMask<'a> {
@@ -327,12 +331,22 @@ impl<'a> VecMask<'a> {
         })
     }
 
+    /// The `len` positions whose bit in `skip` is clear, bit `i % 64` of
+    /// word `i / 64` for position `i`: a packed bitmap of what not to write
+    /// (a traversal's visited set), read as it is.
+    #[inline]
+    pub fn unset_bits(skip: &'a [u64], len: usize) -> Self {
+        debug_assert!(skip.len() >= len.div_ceil(64));
+        VecMask(MaskBits::Unset { words: skip, len })
+    }
+
     /// Number of positions the mask covers.
     #[inline]
     pub fn len(&self) -> Index {
         match self.0 {
             MaskBits::Presence { present, .. } => present.len(),
             MaskBits::Keep(keep) => keep.len(),
+            MaskBits::Unset { len, .. } => len,
         }
     }
 
@@ -351,6 +365,7 @@ impl<'a> VecMask<'a> {
                 complement,
             } => present[i].is_some() != complement,
             MaskBits::Keep(keep) => keep[i],
+            MaskBits::Unset { words, .. } => words[i / 64] >> (i % 64) & 1 == 0,
         }
     }
 
@@ -379,6 +394,8 @@ impl<'a> VecMask<'a> {
                 complement,
             } => word(&present[lo..hi], |p| p.is_some() != complement),
             MaskBits::Keep(keep) => word(&keep[lo..hi], |&k| k),
+            MaskBits::Unset { words, .. } if lo < hi => !words[w] & u64::MAX >> (64 - (hi - lo)),
+            MaskBits::Unset { .. } => 0,
         }
     }
 }
@@ -482,6 +499,10 @@ mod tests {
         let bitmap = VecMask::from(&keep[..]);
         assert_eq!(bitmap.len(), 4);
         assert!((0..4).all(|i| bitmap.keeps(i) == keep[i]));
+        // …and packed bits of what to skip, complemented
+        let skip = VecMask::unset_bits(&[0b1001], 4);
+        assert_eq!(skip.len(), 4);
+        assert!((0..4).all(|i| skip.keeps(i) != keep[i]));
     }
 
     #[test]
@@ -507,5 +528,9 @@ mod tests {
         let keep: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
         let bitmap = VecMask::from(&keep[..]);
         assert_eq!(bitmap.keep_word(1), 0b10_0100);
+        let skip = VecMask::unset_bits(&[u64::MAX, 0b10_0100], 70);
+        assert_eq!(skip.keep_word(0), 0);
+        assert_eq!(skip.keep_word(1), 0b01_1011);
+        assert_eq!(skip.keep_word(2), 0);
     }
 }

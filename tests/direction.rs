@@ -18,10 +18,13 @@
 //! cheaper, from the level's result, and records both prices and the one
 //! it charged; a level the host pulls is charged its pull (docs/adr/0012).
 //! So cuda-sim's `Auto` is never dearer on the modeled clock than forced
-//! pull, and SSSP's, which the host always pushes, than forced push.
+//! pull, and SSSP's, which the host always pushes, than forced push. A
+//! fused level, which the host always pushes, is priced the same way
+//! against one k-stacked pull (docs/adr/0015).
 
 use gbtl::algorithms::{
-    betweenness_centrality_with_direction, bfs_levels, sssp_with_direction, Direction,
+    betweenness_centrality_with_direction, bfs_levels, bfs_levels_multi, sssp_multi,
+    sssp_with_direction, Direction,
 };
 use gbtl::graphgen::{symmetrize, torus_2d, weights, Rmat};
 use gbtl::prelude::*;
@@ -369,4 +372,74 @@ fn cuda_levels_record_and_charge_the_cheaper_price() {
         (charged as f64 - delta_ns).abs() <= levels_n as f64,
         "the levels charged {charged} ns, the device clock moved {delta_ns}"
     );
+}
+
+/// A fused level (docs/adr/0015). With `Aᵀ` resident, every level of a
+/// 16-source BFS and SSSP records both prices and is charged the cheaper,
+/// and the device clock moves by what the levels were charged (0.318 and
+/// 2.683 ms, against 0.932 and 2.992 pushed). Without it no level is
+/// priced and every level is charged its push, the clock reading what it
+/// read before fused levels were priced, bit for bit.
+#[test]
+fn cuda_fused_levels_record_and_charge_the_cheaper_price() {
+    let (adj, w, _) = traversal_graph(&symmetrize(&Rmat::new(12, 8).seed(1).generate()));
+    let hubs = top_degree(&adj, 16);
+    // the modeled seconds one fused solve charges a zeroed device, and
+    // its level labels
+    let solve = |ctx: &Context<CudaBackend>, bfs: bool| -> (f64, Vec<String>) {
+        ctx.reset_gpu_stats();
+        ctx.clear_trace();
+        if bfs {
+            bfs_levels_multi(ctx, &adj, &hubs).unwrap();
+        } else {
+            sssp_multi(ctx, &w, &hubs).unwrap();
+        }
+        let spans = ctx.trace().spans;
+        let levels = spans.iter().filter(|sp| sp.fields.op == "level");
+        let labels = levels.map(|sp| sp.fields.op_label.clone()).collect();
+        (ctx.gpu_stats().modeled_time_s, labels)
+    };
+
+    let resident = Context::cuda_default().with_trace_mode(TraceMode::Summary);
+    resident.seed_symmetric_transpose(&adj);
+    resident.seed_symmetric_transpose(&w);
+    // the priced clock, pinned as `model_identity` pins its steps: a
+    // change to the fused pull's model moves it, on purpose or not
+    for (bfs, priced) in [(true, 0.0003182902222222222), (false, 0.002682812444444445)] {
+        let (seconds, labels) = solve(&resident, bfs);
+        assert_eq!(
+            seconds.to_bits(),
+            f64::to_bits(priced),
+            "bfs={bfs}: {seconds}"
+        );
+        let (mut charged, mut pulled) = (0u64, 0);
+        for label in &labels {
+            charged += charged_price(label);
+            pulled += label.contains("device=pull") as usize;
+        }
+        assert!(
+            labels.len() > 2 && pulled > 0,
+            "bfs={bfs}: {pulled} of {} levels pulled",
+            labels.len()
+        );
+        // each price is rounded to the nanosecond on its own
+        assert!(
+            (charged as f64 - seconds * 1e9).abs() <= labels.len() as f64,
+            "bfs={bfs}: the levels charged {charged} ns, the device clock moved {seconds} s"
+        );
+    }
+
+    let cold = Context::cuda_default().with_trace_mode(TraceMode::Summary);
+    for (bfs, pushed) in [(true, 0.0009318684444444444), (false, 0.002991571111111114)] {
+        let (seconds, labels) = solve(&cold, bfs);
+        assert!(!labels.is_empty());
+        for label in &labels {
+            assert!(device_record(label).is_none(), "{label}");
+        }
+        assert_eq!(
+            seconds.to_bits(),
+            f64::to_bits(pushed),
+            "bfs={bfs}: {seconds}"
+        );
+    }
 }

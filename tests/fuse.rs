@@ -5,7 +5,8 @@
 //! rejected without poisoning its groupmates, a refused query gets the same
 //! rejection however it was admitted, and differential proptests
 //! pin `bfs_levels_multi`/`sssp_multi` columns to the single-source
-//! kernels across all three backends — duplicate roots and k=1 included.
+//! kernels across all three backends, `Aᵀ` resident or not — duplicate
+//! roots and k=1 included.
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -177,15 +178,15 @@ fn single_member_window_degenerates_to_the_solo_path() {
     handle.shutdown_and_join();
 }
 
-/// A fused level always pushes, so a forced-`pull` query is not fusable:
-/// two concurrent ones on one graph run solo (no batch, nothing through
-/// the window) and answer exactly what the fusion-off server does.
-#[test]
-fn forced_pull_queries_run_solo_under_fusion() {
+/// A device charges a fused level the cheaper of push and pull, so a
+/// query that forces a direction is not fusable: two concurrent ones on
+/// one graph run solo (no batch, nothing through the window) and answer
+/// exactly what the fusion-off server does.
+fn forced_queries_run_solo_under_fusion(direction: &str) {
     let query = |s: usize| {
         format!(
             "{{\"op\":\"query\",\"id\":{s},\"graph\":\"karate\",\"algo\":\"bfs\",\
-             \"backend\":\"seq\",\"source\":{s},\"direction\":\"pull\"}}"
+             \"backend\":\"seq\",\"source\":{s},\"direction\":\"{direction}\"}}"
         )
     };
     let sources = [0usize, 33];
@@ -219,14 +220,24 @@ fn forced_pull_queries_run_solo_under_fusion() {
     assert_eq!(
         sum_over_labels(&m, "histograms", "gbtl_fuse_batch_size", "count"),
         0,
-        "no forced-pull batch"
+        "no forced-{direction} batch"
     );
     assert_eq!(
         sum_over_labels(&m, "counters", "gbtl_fuse_requests_total", "value"),
         0,
-        "forced pull bypasses the window"
+        "forced {direction} bypasses the window"
     );
     handle.shutdown_and_join();
+}
+
+#[test]
+fn forced_pull_queries_run_solo_under_fusion() {
+    forced_queries_run_solo_under_fusion("pull");
+}
+
+#[test]
+fn forced_push_queries_run_solo_under_fusion() {
+    forced_queries_run_solo_under_fusion("push");
 }
 
 /// The satellite-1 regression: one member of a batch whose deadline expires
@@ -459,6 +470,13 @@ proptest! {
                  roots.iter().map(|&r| bfs_levels(&ctx, &a, r, Direction::Auto).unwrap())
                       .collect::<Vec<_>>())
             }),
+            ("cuda, Aᵀ resident", {
+                let ctx = Context::cuda_default();
+                ctx.prewarm_transpose(&a);
+                (bfs_levels_multi(&ctx, &a, &roots).unwrap(),
+                 roots.iter().map(|&r| bfs_levels(&ctx, &a, r, Direction::Auto).unwrap())
+                      .collect::<Vec<_>>())
+            }),
         ] {
             prop_assert_eq!(multi.len(), solos.len());
             for (k, (m, s)) in multi.iter().zip(&solos).enumerate() {
@@ -489,6 +507,12 @@ proptest! {
                 (sssp_multi(&ctx, &a, &roots).unwrap(),
                  roots.iter().map(|&r| sssp(&ctx, &a, r).unwrap()).collect::<Vec<_>>())
             }),
+            ("cuda, Aᵀ resident", {
+                let ctx = Context::cuda_default();
+                ctx.prewarm_transpose(&a);
+                (sssp_multi(&ctx, &a, &roots).unwrap(),
+                 roots.iter().map(|&r| sssp(&ctx, &a, r).unwrap()).collect::<Vec<_>>())
+            }),
         ] {
             prop_assert_eq!(multi.len(), solos.len());
             for (k, (m, s)) in multi.iter().zip(&solos).enumerate() {
@@ -514,17 +538,14 @@ proptest! {
 /// less than the 16 solo traversals it replaces, on a high-diameter grid
 /// and a skewed RMAT graph. The solo loop pays one launch train per level
 /// per source; the fused level pays one. (On host wall time the solo loop
-/// wins — that half is perfbench's to measure.)
-#[test]
-fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
+/// wins — that half is perfbench's to measure.) With `Aᵀ` resident both
+/// sides are priced both ways: a solo level as one pull, a fused one as
+/// one k-stacked pull (docs/adr/0012, 0015).
+fn fused_against_solo_modeled_ms(resident: bool) -> Vec<(String, f64, f64)> {
     use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
-    fn modeled_ms(run: impl FnOnce(&Context<CudaBackend>)) -> f64 {
-        let ctx = Context::cuda_default();
-        run(&ctx);
-        ctx.gpu_stats().modeled_time_s * 1e3
-    }
     let grid = grid_2d(16, 16);
     let rmat = symmetrize(&Rmat::new(9, 8).seed(7).generate());
+    let mut rows = Vec::new();
     for (name, coo) in [("grid16", grid), ("rmat9", rmat)] {
         let a = gbtl::algorithms::adjacency(coo.clone());
         let w = weights::uniform_u32_symmetric(&coo, 1, 255, 3);
@@ -536,27 +557,60 @@ fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
         )
         .unwrap();
         let sources: Vec<usize> = (0..16).map(|k| k * a.nrows() / 16).collect();
-        let fused = modeled_ms(|ctx| drop(bfs_levels_multi(ctx, &a, &sources).unwrap()));
-        let solo = modeled_ms(|ctx| {
+        let modeled_ms = |run: &dyn Fn(&Context<CudaBackend>)| {
+            let ctx = Context::cuda_default();
+            let ctx = if resident {
+                with_transposes(ctx, &a, &w)
+            } else {
+                ctx
+            };
+            ctx.reset_gpu_stats();
+            run(&ctx);
+            ctx.gpu_stats().modeled_time_s * 1e3
+        };
+        let fused = modeled_ms(&|ctx| drop(bfs_levels_multi(ctx, &a, &sources).unwrap()));
+        let solo = modeled_ms(&|ctx| {
             for &s in &sources {
                 bfs_levels(ctx, &a, s, Direction::Auto).unwrap();
             }
         });
-        assert!(
-            fused < solo,
-            "{name} bfs: fused {fused} ms vs solo {solo} ms"
-        );
-        let fused = modeled_ms(|ctx| drop(sssp_multi(ctx, &w, &sources).unwrap()));
-        let solo = modeled_ms(|ctx| {
+        rows.push((format!("{name} bfs"), fused, solo));
+        let fused = modeled_ms(&|ctx| drop(sssp_multi(ctx, &w, &sources).unwrap()));
+        let solo = modeled_ms(&|ctx| {
             for &s in &sources {
                 sssp(ctx, &w, s).unwrap();
             }
         });
+        rows.push((format!("{name} sssp"), fused, solo));
+    }
+    rows
+}
+
+#[test]
+fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
+    for (what, fused, solo) in fused_against_solo_modeled_ms(false) {
+        assert!(fused < solo, "{what}: fused {fused} ms vs solo {solo} ms");
+    }
+}
+
+/// R-F8 with `Aᵀ` resident (ADR 0015): every solo level may be charged
+/// its pull, and still the fused batch costs less, by 2.5× or more.
+#[test]
+fn fused_traversal_costs_less_modeled_time_than_the_solo_loop_with_at_resident() {
+    for (what, fused, solo) in fused_against_solo_modeled_ms(true) {
+        eprintln!("{what}: fused {fused:.3} ms, solo {solo:.3} ms");
         assert!(
-            fused < solo,
-            "{name} sssp: fused {fused} ms vs solo {solo} ms"
+            2.5 * fused < solo,
+            "{what}: fused {fused} ms vs solo {solo} ms"
         );
     }
+}
+
+/// `ctx` holding both traversed matrices' transposes.
+fn with_transposes<B: Backend>(ctx: Context<B>, a: &Matrix<bool>, w: &Matrix<u32>) -> Context<B> {
+    ctx.prewarm_transpose(a);
+    ctx.prewarm_transpose(w);
+    ctx
 }
 
 /// Fused ≡ solo at workload scale, where the proptests' 16-vertex graphs
@@ -628,6 +682,24 @@ fn fused_equals_solo_at_workload_scale() {
         check(&ctx, name, &a, &w, sources);
         check(&Context::parallel_with_threads(2), name, &a, &w, sources);
         check(&Context::cuda_default(), name, &a, &w, sources);
+        // `Aᵀ` resident: solo levels may pull, and cuda-sim prices every
+        // fused level both ways (docs/adr/0015); the answers stay put
+        let par = Context::parallel_with_threads(2);
+        check(
+            &with_transposes(Context::sequential(), &a, &w),
+            name,
+            &a,
+            &w,
+            sources,
+        );
+        check(&with_transposes(par, &a, &w), name, &a, &w, sources);
+        check(
+            &with_transposes(Context::cuda_default(), &a, &w),
+            name,
+            &a,
+            &w,
+            sources,
+        );
     }
     assert!(
         swept > 0 && sorted > 0,
