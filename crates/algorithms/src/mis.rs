@@ -11,9 +11,10 @@ use crate::util::check_square;
 /// Each round every candidate vertex draws a random priority; candidates
 /// whose priority beats every candidate neighbour's (one `mxv` on
 /// `(min, second)`, masked to the candidates' rows) join the set, and they
-/// and their neighbours (one `vxm` on `(min, first)`) leave the candidate
-/// pool. Both products read the boolean adjacency as it stands. Expected
-/// `O(log n)` rounds. Deterministic per seed.
+/// and their neighbours (one `vxm` on `(min, first)`, which a device with
+/// `Aᵀ` resident may be charged as a pull, docs/adr/0016) leave the
+/// candidate pool. Both products read the boolean adjacency as it stands.
+/// Expected `O(log n)` rounds. Deterministic per seed.
 ///
 /// The smallest priority always wins its round, so every round retires a
 /// candidate — unless priorities tie, which takes `n > 2²⁰` (the id no
@@ -71,10 +72,16 @@ pub fn maximal_independent_set<B: Backend>(
             in_set[w] = Some(true);
             candidate[w] = false;
         }
-        // Knock out winners' neighbours.
+        // Knock out winners' neighbours: the host pushes, and with `Aᵀ`
+        // resident a device is charged the cheaper of that push and one
+        // pull over `Aᵀ` (docs/adr/0016).
         let win_vec = Vector::build(n, winners.iter().map(|&w| (w, 1u64)), Second::new())?;
-        let mut knocked: Vector<u64> = Vector::new(n);
-        ctx.vxm(&mut knocked, None, no_accum(), push, &win_vec, a, &desc)?;
+        let run = || {
+            let mut knocked: Vector<u64> = Vector::new(n);
+            ctx.vxm(&mut knocked, None, no_accum(), push, &win_vec, a, &desc)?;
+            Ok(knocked)
+        };
+        let (knocked, _) = ctx.priced_level(pull, a, &win_vec, None, run)?;
         for (i, _) in knocked.iter() {
             candidate[i] = false;
         }

@@ -16,19 +16,18 @@ use crate::util::check_square;
 /// every generated graph measured (DESIGN.md, "structure-only operands").
 /// The product runs over the boolean triangle itself: no typed copy, and
 /// both operands are the one `L`, so no transpose is built either.
+///
+/// A device is charged the cheaper of that product and `C'<L> = L·Lᵀ`,
+/// whose dot reads `L`'s own rows where `L·L`'s first transposes `L`
+/// (docs/adr/0016): both count each triangle once, at its lowest vertex
+/// for `L·Lᵀ`, so their sums agree.
 pub fn triangle_count<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> Result<u64> {
     check_square("triangle_count", a)?;
     let l = ctx.select_mat_new(TriL, a);
     let mut c = Matrix::new(a.nrows(), a.ncols());
-    ctx.mxm(
-        &mut c,
-        Some(&l),
-        no_accum(),
-        PlusPair::<u64>::new(),
-        &l,
-        &l,
-        &Descriptor::new(),
-    )?;
+    let sr = PlusPair::<u64>::new();
+    let run = || ctx.mxm(&mut c, Some(&l), no_accum(), sr, &l, &l, &Descriptor::new());
+    ctx.priced_masked_mxm::<u64, _, _>(&l, &l, &l, run)?;
     Ok(ctx
         .reduce_mat_scalar(PlusMonoid::<u64>::new(), &c)
         .unwrap_or(0))

@@ -67,6 +67,6 @@ pub mod charge {
         reduce_rows, reduce_sparse_vec, transpose,
     };
     pub use crate::select::{kronecker, select_mat, select_vec};
-    pub use crate::spmm::{mxm, mxm_masked};
+    pub use crate::spmm::{mxm, mxm_dot, mxm_masked};
     pub use crate::spmv::{exit_rows, mask_resolve, mxv, mxv_stacked, vxm};
 }

@@ -9,9 +9,9 @@
 //!   `k`, the order the sequential row accumulator folds them in.
 //! * [`mxm_masked`] — the dot-product formulation for structurally-masked
 //!   products (`C<M> = A·B`): `B` is transposed on the device for column
-//!   access, then one warp merge-joins `A(i,:)` with `B(:,j)` per mask
-//!   entry. This is the triangle-counting shape, where ESC's expansion
-//!   would materialise every wedge.
+//!   access, then [`mxm_dot`] merge-joins `A(i,:)` with `B(:,j)` in one
+//!   warp per mask entry. This is the triangle-counting shape, where ESC's
+//!   expansion would materialise every wedge.
 
 use gbtl_algebra::Scalar;
 use gbtl_gpu_sim::{primitives as prim, Gpu, KernelTally};
@@ -64,8 +64,9 @@ where
 }
 
 /// `C<M> = A ⊕.⊗ B` computed per mask entry by merging `A(i,:)` against
-/// `B(:,j)`, the latter a row of the device-transposed `B`. Its result's
-/// entries are the mask's, so only its value type is charged.
+/// `B(:,j)`: `B` is transposed on the device, then [`mxm_dot`] runs over
+/// the transpose's rows. Its result's entries are the mask's, so only its
+/// value type is charged.
 pub fn mxm_masked<T, D1, D2>(
     gpu: &Gpu,
     mask: &CsrMatrix<bool>,
@@ -78,21 +79,36 @@ pub fn mxm_masked<T, D1, D2>(
     D2: Scalar,
 {
     transpose(gpu, b);
-    charge_expand_row_ids(gpu, mask.nrows(), mask.nnz());
-
-    // One warp per mask entry `(i, j)` streams `A(i,:)` and `B(:,j)` once
-    // each (contiguous runs). B's column lengths come from one pass over
-    // its column indices.
-    let mut b_col_nnz = vec![0u64; b.ncols()];
+    // the transpose's row lengths are B's column lengths: one pass over
+    // its column indices
+    let mut b_col_nnz = vec![0usize; b.ncols()];
     for &j in b.col_idx() {
         b_col_nnz[j] += 1;
     }
-    let (mut a_elems, mut b_elems) = (0u64, 0u64);
-    for i in 0..mask.nrows() {
-        let cols = mask.row(i).0;
-        a_elems += (cols.len() * a.row_nnz(i)) as u64;
-        b_elems += cols.iter().map(|&j| b_col_nnz[j]).sum::<u64>();
-    }
+    mxm_dot::<T, D1, D2>(gpu, mask, a, |j| b_col_nnz[j]);
+}
+
+/// The dot kernel of `C<M> = A ⊕.⊗ B` over a matrix the device already
+/// holds whose row `j` is `B(:,j)`, `bt_row_nnz(j)` entries long: one warp
+/// per mask entry `(i, j)` streams `A(i,:)` and that row once each
+/// (contiguous runs), after the mask's row ids are expanded. With
+/// `B = Lᵀ` that matrix is `L` itself, so `C<L> = L·Lᵀ` charges no
+/// transpose.
+pub fn mxm_dot<T, D1, D2>(
+    gpu: &Gpu,
+    mask: &CsrMatrix<bool>,
+    a: &CsrMatrix<D1>,
+    bt_row_nnz: impl Fn(usize) -> usize,
+) where
+    T: Scalar,
+    D1: Scalar,
+    D2: Scalar,
+{
+    charge_expand_row_ids(gpu, mask.nrows(), mask.nnz());
+    let a_elems: u64 = (mask.row_ptr().windows(2).enumerate())
+        .map(|(i, m)| ((m[1] - m[0]) * a.row_nnz(i)) as u64)
+        .sum();
+    let b_elems: u64 = mask.col_idx().iter().map(|&j| bt_row_nnz(j) as u64).sum();
     let txn = gpu.config().mem_transaction_bytes as u64;
     let (a_sz, b_sz) = (
         std::mem::size_of::<D1>() as u64,
@@ -133,6 +149,22 @@ mod tests {
         // expand + 4 radix passes + reduce_by_key + compress pieces, at least
         assert!(s.kernels_launched >= 7, "launched {}", s.kernels_launched);
         assert!(s.mem_transactions > 0);
+    }
+
+    #[test]
+    fn the_masked_product_is_a_transpose_then_the_dot_over_its_rows() {
+        let mut coo = CooMatrix::new(40, 40);
+        for k in 0..300usize {
+            coo.push((k * 7) % 40, (k * 13 + k / 40) % 40, true);
+        }
+        let b = CsrMatrix::from_coo(coo, |x, _| x);
+        let bt = b.transpose();
+        let (whole, split) = (Gpu::default().scratch(), Gpu::default().scratch());
+        mxm_masked::<u64, bool, bool>(&whole, &b, &b, &b, &CsrMatrix::new(40, 40));
+        transpose(&split, &b);
+        mxm_dot::<u64, bool, bool>(&split, &b, &b, |j| bt.row_nnz(j));
+        // the stats carry the launch log
+        assert_eq!(whole.stats(), split.stats());
     }
 
     #[test]

@@ -61,16 +61,18 @@ pub trait Backend: Send + Sync {
     /// never runs the pipeline.
     fn charge(&self, _pipeline: impl FnOnce(&Device<'_>)) {}
 
-    /// One `Auto` traversal level the host pushes, masked or not, `Aᵀ`
-    /// resident (docs/adr/0012): `host` computes it, and a backend that owns
-    /// a device charges, *in place of* what `host`'s ops charge, the
-    /// direction its device prices cheaper. What `host`'s ops charge prices
-    /// push; `pull` prices pulling the level, under the level's mask if it
-    /// has one, on the device it is given, from `host`'s result (false: it
-    /// could not, and push is charged). Returns the result and the device's
-    /// choice; the default has no device and runs `host` alone. `host` runs
-    /// ops on this backend only: a device backend takes what is charged on
-    /// its thread while `host` runs as push's price.
+    /// One product with two device formulations, the one the host computes
+    /// and another of the same answer (docs/adr/0012, 0016): a traversal
+    /// level or a knock-out the host pushes, a triangle count's `L·L`.
+    /// `host` computes it, and a backend that owns a device charges, *in
+    /// place of* what `host`'s ops charge, the formulation its device
+    /// prices cheaper. What `host`'s ops charge prices push, the host's;
+    /// `pull` prices the other on the device it is given, from `host`'s
+    /// result (false: it could not, and push is charged). Returns the
+    /// result and the device's choice; the default has no device and runs
+    /// `host` alone. `host` runs ops on this backend only: a device backend
+    /// takes what is charged on its thread while `host` runs as push's
+    /// price.
     fn level<R>(
         &self,
         host: impl FnOnce() -> R,

@@ -122,6 +122,40 @@ impl<B: Backend> Context<B> {
         Ok((out?, device))
     }
 
+    /// A masked product `C<M> = A ⊕.⊗ B` the host computes (`run`), for a
+    /// caller that reads only the sum of `C` and vouches that the sum of
+    /// `C'<M> = A ⊕.⊗ Bᵀ` is the same — `triangle_count`'s `L·L` and
+    /// `L·Lᵀ` (docs/adr/0016): the backend charges the formulation its
+    /// device prices cheaper ([`Backend::level`]). What `run`'s ops charge
+    /// prices the host's; the other is priced here from the operands alone
+    /// as [`charge::mxm_dot`] over `B`'s own rows, which are `Bᵀ`'s columns,
+    /// so it charges no transpose. Returns the device's choice, `Push` the
+    /// host's formulation and `Pull` the other (`None` on a backend without
+    /// a device).
+    pub fn priced_masked_mxm<T, D1, D2>(
+        &self,
+        mask: &Matrix<bool>,
+        a: &Matrix<D1>,
+        b: &Matrix<D2>,
+        run: impl FnOnce() -> Result<()>,
+    ) -> Result<Option<DevicePrice>>
+    where
+        T: Scalar,
+        D1: Scalar,
+        D2: Scalar,
+    {
+        let (out, device) = self.backend().level(run, |out, device| {
+            let shapes = (mask.nrows(), mask.ncols()) == (a.nrows(), b.nrows());
+            if out.is_err() || !shapes || a.ncols() != b.ncols() {
+                return false;
+            }
+            let b = b.csr();
+            charge::mxm_dot::<T, D1, D2>(device, mask.csr(), a.csr(), |j| b.row_nnz(j));
+            true
+        });
+        out.map(|()| device)
+    }
+
     /// Resolve a matrix operand for dispatch without copying it.
     ///
     /// Untransposed: borrow straight from the caller's matrix — the hot

@@ -115,11 +115,11 @@ impl<B: Backend> Context<B> {
         Ok(())
     }
 
-    /// One `Auto` level of a vector traversal over `a` that the host
-    /// pushes, `Aᵀ` resident, under the complemented `visited` mask when
-    /// the level is a masked one: `run` computes `f ⊕.⊗ A`, and the backend
-    /// charges the direction its device prices cheaper ([`Backend::level`],
-    /// docs/adr/0012). Pull is priced here from `run`'s result: the mask's
+    /// A vector product `f ⊕.⊗ A` the host pushes, under the complemented
+    /// `visited` mask when it has one — an `Auto` traversal level, or MIS's
+    /// knock-out (docs/adr/0016): `run` computes it, and with `Aᵀ` resident
+    /// the backend charges the direction its device prices cheaper
+    /// ([`Backend::level`], docs/adr/0012). Pull is priced here from `run`'s result: the mask's
     /// [`charge::mask_resolve`] when there is one, then `charge::mxv` over
     /// the resident `Aᵀ` under `¬visited`, whose rows stop early where
     /// `pull`'s add monoid reached its terminal value (walked to there only

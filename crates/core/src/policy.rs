@@ -135,9 +135,10 @@ impl FrontierRep {
     }
 }
 
-/// What a device backend charged one `Auto` level: the direction its model
-/// prices cheaper, and both directions' prices in modeled nanoseconds, each
-/// taken from the level's result (docs/adr/0012).
+/// What a device backend charged one priced product — an `Auto` level, or
+/// a product with a second formulation (docs/adr/0016): the direction its
+/// model prices cheaper, push the host's, and both prices in modeled
+/// nanoseconds, each taken from the host's result (docs/adr/0012).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DevicePrice {
     /// The direction charged: the cheaper price, push on a tie.

@@ -103,11 +103,16 @@ enum Symmetry {
     SkewSymmetric,
 }
 
+/// Entries [`read_coo`] reserves room for before it has read any.
+const RESERVE_AHEAD: usize = 4096;
+
 /// Read a coordinate Matrix Market stream into a [`CooMatrix`].
 ///
 /// Pattern files yield the type's implicit value (`1` / `true`); symmetric
 /// files are expanded. The result may contain duplicates if the file does;
 /// callers typically hand it to `CsrMatrix::from_coo` with a dup operator.
+/// Memory grows with the entries the stream holds, never with what its
+/// size line claims; a malformed stream is an error, never a panic.
 pub fn read_coo<T: MmValue, R: BufRead>(reader: R) -> Result<CooMatrix<T>, SparseError> {
     let mut lines = reader.lines().enumerate();
 
@@ -201,19 +206,30 @@ pub fn read_coo<T: MmValue, R: BufRead>(reader: R) -> Result<CooMatrix<T>, Spars
     let nrows = parse_dim(dims[0], "nrows")?;
     let ncols = parse_dim(dims[1], "ncols")?;
     let nnz = parse_dim(dims[2], "nnz")?;
+    if symmetry != Symmetry::General && nrows != ncols {
+        return Err(SparseError::Parse {
+            line: size_no,
+            detail: format!("a symmetric matrix must be square, got {nrows}x{ncols}"),
+        });
+    }
 
-    let cap = if symmetry == Symmetry::General {
-        nnz
-    } else {
-        nnz * 2
-    };
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, cap);
+    // The size line is a claim, not a promise: reserve for at most
+    // `RESERVE_AHEAD` of its entries, and let the buffers grow with the
+    // entries actually read.
+    let per_entry = if symmetry == Symmetry::General { 1 } else { 2 };
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz.min(RESERVE_AHEAD) * per_entry);
     let mut seen = 0usize;
     for (no, line) in lines {
         let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
+        }
+        if seen == nnz {
+            return Err(SparseError::Parse {
+                line: no + 1,
+                detail: format!("size line declared {nnz} entries, the stream holds more"),
+            });
         }
         let mut it = t.split_whitespace();
         let (r_tok, c_tok) = match (it.next(), it.next()) {

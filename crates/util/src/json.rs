@@ -132,10 +132,17 @@ pub fn string_map(pairs: &[(String, String)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-/// Parse one complete JSON document; trailing non-whitespace is an error.
+/// How deep arrays and objects may nest. The reader recurses once per
+/// level, so a bound keeps a line of `[` — well inside a request line's
+/// length — from overflowing the stack of the thread that reads it; no
+/// document this workspace writes or reads nests past a handful.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut pos = 0usize;
-    let value = parse_value(input, &mut pos)?;
+    let value = parse_value(input, &mut pos, MAX_DEPTH)?;
     skip_ws(input.as_bytes(), &mut pos);
     if pos != input.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -162,13 +169,17 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
 // position is only ever moved past ASCII, so every slice they take of it
 // starts and ends on a character boundary.
 
-fn parse_value(s: &str, pos: &mut usize) -> Result<Value, String> {
+/// A value, inside which arrays and objects may nest `room` levels deep.
+fn parse_value(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(s, pos),
-        Some(b'[') => parse_arr(s, pos),
+        Some(b'{' | b'[') if room == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(s, pos, room - 1),
+        Some(b'[') => parse_arr(s, pos, room - 1),
         Some(b'"') => Ok(Value::Str(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -250,7 +261,7 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_obj(s: &str, pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
     let b = s.as_bytes();
     expect(b, pos, b'{')?;
     skip_ws(b, pos);
@@ -265,7 +276,7 @@ fn parse_obj(s: &str, pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(s, pos)?;
+        let val = parse_value(s, pos, room)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -279,7 +290,7 @@ fn parse_obj(s: &str, pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_arr(s: &str, pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
     let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
@@ -289,7 +300,7 @@ fn parse_arr(s: &str, pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(s, pos)?);
+        items.push(parse_value(s, pos, room)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,

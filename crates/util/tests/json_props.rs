@@ -2,7 +2,7 @@
 //! `json::parse` panic, and every string `json::escape` writes reads back
 //! as itself.
 
-use gbtl_util::json::{escape, parse, Value};
+use gbtl_util::json::{escape, parse, Value, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Fragments that steer random documents into the reader's branches:
@@ -90,4 +90,26 @@ proptest! {
         let obj = parse(&format!("{{\"{e}\":\"{e}\"}}")).unwrap();
         prop_assert_eq!(obj.str_field(&text), Some(text.as_str()));
     }
+}
+
+/// A request line's length (the serving front-ends' default bound) of
+/// nothing but openings, read on a thread with the default 2 MiB stack:
+/// the reader refuses the nesting with an error instead of recursing once
+/// per byte until the stack overflows and the process aborts.
+#[test]
+fn a_line_of_openings_is_an_error_not_a_stack_overflow() {
+    const MAX_LINE: usize = 65_536;
+    for unit in ["[", "{\"a\":"] {
+        let doc = unit.repeat(MAX_LINE / unit.len());
+        let err = std::thread::spawn(move || parse(&doc))
+            .join()
+            .expect("the reader's thread survives")
+            .unwrap_err();
+        assert!(err.contains("nesting"), "{unit}: {err}");
+    }
+    // the bound itself still reads
+    let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(parse(&deepest).is_ok());
+    let deeper = format!("[{deepest}]");
+    assert!(parse(&deeper).is_err());
 }

@@ -531,9 +531,9 @@ bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 n
 bfs_levels/Pull: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
 sssp: kernels=10 warp=113910 txn=117220 atomics=0 h2d=0B/0 d2h=8192B/1 ns=112780
 pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ns=134668
-triangle_count: kernels=24 warp=55328 txn=143088 atomics=12340 h2d=0B/0 d2h=0B/0 ns=205532
+triangle_count: kernels=13 warp=27039 txn=62896 atomics=6170 h2d=0B/0 d2h=0B/0 ns=103923
 connected_components: kernels=4 warp=42049 txn=40131 atomics=0 h2d=0B/0 d2h=0B/0 ns=37836
-mis: kernels=51 warp=20859 txn=23449 atomics=0 h2d=0B/0 d2h=0B/0 ns=265422
+mis: kernels=11 warp=64698 txn=71118 atomics=0 h2d=0B/0 d2h=0B/0 ns=86608
 ewise_add_mat: kernels=15 warp=15793 txn=29707 atomics=12340 h2d=0B/0 d2h=0B/0 ns=110141
 ewise_mult_mat: kernels=15 warp=14635 txn=27777 atomics=6170 h2d=0B/0 d2h=0B/0 ns=98314
 select_mat: kernels=10 warp=4760 txn=12571 atomics=6170 h2d=0B/0 d2h=0B/0 ns=66556
@@ -558,28 +558,28 @@ mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=2
   ewise_boundaries: n=2 blocks=146 warp=2316 txn=4628 atomics=0 ns=12057
   ewise_combine: n=2 blocks=146 warp=2316 txn=9256 atomics=0 ns=14114
   ewise_vec_combine: n=1 blocks=3 warp=36 txn=138 atomics=0 ns=5061
-  expand_row_ids: n=13 blocks=13 warp=4123 txn=8259 atomics=0 ns=68671
-  gather: n=18 blocks=20 warp=1458 txn=7347 atomics=0 ns=93265
-  histogram: n=11 blocks=88 warp=20682 txn=21384 atomics=330789 ns=652573
+  expand_row_ids: n=12 blocks=12 warp=3898 txn=7808 atomics=0 ns=63470
+  gather: n=10 blocks=12 warp=1320 txn=6811 atomics=0 ns=53027
+  histogram: n=10 blocks=86 warp=20296 txn=20934 atomics=324619 ns=636404
   mask_resolve: n=15 blocks=15 warp=480 txn=240 atomics=0 ns=75107
-  radix_sort_pass: n=72 blocks=712 warp=338752 txn=502200 atomics=0 ns=583200
+  radix_sort_pass: n=52 blocks=688 warp=334656 txn=496728 atomics=0 ns=480768
   reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ns=5112
-  reduce_by_key: n=10 blocks=153 warp=55815 txn=79918 atomics=0 ns=85519
-  scan_downsweep: n=20 blocks=21 warp=1190 txn=2374 atomics=0 ns=101055
-  scan_upsweep: n=20 blocks=21 warp=595 txn=1187 atomics=0 ns=100528
+  reduce_by_key: n=6 blocks=149 warp=55626 txn=79577 atomics=0 ns=65368
+  scan_downsweep: n=15 blocks=16 warp=1080 txn=2158 atomics=0 ns=75959
+  scan_upsweep: n=15 blocks=16 warp=540 txn=1079 atomics=0 ns=75480
   segmented_reduce: n=1 blocks=1 warp=804 txn=482 atomics=0 ns=5214
   select_key: n=2 blocks=98 warp=1544 txn=9256 atomics=0 ns=14114
   spgemm_expand: n=1 blocks=25 warp=107754 txn=113097 atomics=0 ns=55265
-  spgemm_masked_dot: n=1 blocks=25 warp=45138 txn=122546 atomics=0 ns=59465
+  spgemm_masked_dot: n=1 blocks=25 warp=21802 txn=49621 atomics=0 ns=27054
   spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
   spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
-  spmv_csr_vector: n=34 blocks=136 warp=284404 txn=270115 atomics=0 ns=290051
+  spmv_csr_vector: n=38 blocks=152 warp=329968 txn=321647 atomics=0 ns=332954
   spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
   tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
-  transform: n=22 blocks=176 warp=41364 txn=82720 atomics=0 ns=146764
-  transpose_keys: n=5 blocks=177 warp=2782 txn=8342 atomics=0 ns=28708
-  vxm_expand: n=8 blocks=11 warp=1800 txn=2988 atomics=0 ns=41328
-  zip_transform: n=9 blocks=10 warp=729 txn=1442 atomics=0 ns=45641
+  transform: n=20 blocks=172 warp=40592 txn=81176 atomics=0 ns=136078
+  transpose_keys: n=4 blocks=152 warp=2396 txn=7184 atomics=0 ns=23193
+  vxm_expand: n=4 blocks=6 warp=1548 txn=2262 atomics=0 ns=21005
+  zip_transform: n=5 blocks=6 warp=660 txn=1314 atomics=0 ns=25584
 ";
 
 const GRID16: &str = "
@@ -590,9 +590,9 @@ bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 n
 bfs_levels/Pull: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
 sssp: kernels=29 warp=5336 txn=14848 atomics=0 h2d=0B/0 d2h=2048B/1 ns=161770
 pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ns=97057
-triangle_count: kernels=23 warp=1420 txn=2127 atomics=960 h2d=0B/0 d2h=0B/0 ns=117652
+triangle_count: kernels=12 warp=1011 txn=1498 atomics=480 h2d=0B/0 d2h=0B/0 ns=61519
 connected_components: kernels=31 warp=4574 txn=10995 atomics=0 h2d=0B/0 d2h=0B/0 ns=159887
-mis: kernels=38 warp=830 txn=1779 atomics=0 h2d=0B/0 d2h=0B/0 ns=190791
+mis: kernels=8 warp=1046 txn=2585 atomics=0 h2d=0B/0 d2h=0B/0 ns=41149
 ewise_add_mat: kernels=15 warp=1255 txn=2378 atomics=960 h2d=0B/0 d2h=0B/0 ns=77764
 ewise_mult_mat: kernels=15 warp=1165 txn=2228 atomics=480 h2d=0B/0 d2h=0B/0 ns=76844
 select_mat: kernels=10 warp=392 txn=1034 atomics=480 h2d=0B/0 d2h=0B/0 ns=51313
@@ -617,24 +617,24 @@ mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
   ewise_boundaries: n=2 blocks=12 warp=180 txn=360 atomics=0 ns=10160
   ewise_combine: n=2 blocks=12 warp=180 txn=720 atomics=0 ns=10320
   ewise_vec_combine: n=1 blocks=1 warp=10 txn=36 atomics=0 ns=5016
-  expand_row_ids: n=13 blocks=13 warp=389 txn=791 atomics=0 ns=65352
-  gather: n=66 blocks=66 warp=294 txn=898 atomics=0 ns=330399
-  histogram: n=11 blocks=11 warp=508 txn=683 atomics=8098 ns=69700
+  expand_row_ids: n=12 blocks=12 warp=366 txn=744 atomics=0 ns=60331
+  gather: n=60 blocks=60 warp=264 txn=792 atomics=0 ns=300352
+  histogram: n=10 blocks=10 warp=478 txn=637 atomics=7618 ns=63826
   mask_resolve: n=89 blocks=89 warp=712 txn=356 atomics=0 ns=445158
-  radix_sort_pass: n=168 blocks=168 warp=5248 txn=7216 atomics=0 ns=843207
-  reduce_by_key: n=34 blocks=34 warp=384 txn=641 atomics=0 ns=170285
-  scan_downsweep: n=44 blocks=44 warp=274 txn=488 atomics=0 ns=220217
-  scan_upsweep: n=44 blocks=44 warp=137 txn=244 atomics=0 ns=220108
+  radix_sort_pass: n=152 blocks=152 warp=4816 txn=6584 atomics=0 ns=762926
+  reduce_by_key: n=31 blocks=31 warp=348 txn=561 atomics=0 ns=155249
+  scan_downsweep: n=40 blocks=40 warp=248 txn=440 atomics=0 ns=200196
+  scan_upsweep: n=40 blocks=40 warp=124 txn=220 atomics=0 ns=200098
   segmented_reduce: n=1 blocks=1 warp=68 txn=55 atomics=0 ns=5024
   select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
   spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
-  spgemm_masked_dot: n=1 blocks=2 warp=598 txn=423 atomics=0 ns=5188
-  spmv_csr_scalar: n=129 blocks=129 warp=18794 txn=41968 atomics=0 ns=663652
+  spgemm_masked_dot: n=1 blocks=2 warp=596 txn=417 atomics=0 ns=5185
+  spmv_csr_scalar: n=132 blocks=132 warp=19346 txn=43510 atomics=0 ns=679338
   spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
   spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
   tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
-  transform: n=22 blocks=22 warp=1016 txn=2028 atomics=0 ns=110901
-  transpose_keys: n=5 blocks=14 warp=210 txn=630 atomics=0 ns=25280
-  vxm_expand: n=32 blocks=32 warp=224 txn=555 atomics=0 ns=160247
-  zip_transform: n=33 blocks=33 warp=147 txn=186 atomics=0 ns=165083
+  transform: n=20 blocks=20 warp=956 txn=1908 atomics=0 ns=100848
+  transpose_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
+  vxm_expand: n=29 blocks=29 warp=176 txn=410 atomics=0 ns=145182
+  zip_transform: n=30 blocks=30 warp=132 txn=165 atomics=0 ns=150073
 ";

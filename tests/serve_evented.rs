@@ -1,9 +1,10 @@
 //! gbtl-serve × gbtl-net integration: the front-ends on a real socket —
 //! pipelining with in-order responses, framing edge cases (byte dribble,
-//! split segments), the request-line length bound, idle timeout and late
-//! replies in **both** front-ends, client-death isolation, graceful
-//! drain, an idle-connection smoke, and the headline Engine-contract
-//! guarantee: both front-ends return byte-identical result payloads.
+//! split segments), the request-line length bound, a line nested past the
+//! JSON reader's depth bound, idle timeout and late replies in **both**
+//! front-ends, client-death isolation, graceful drain, an idle-connection
+//! smoke, and the headline Engine-contract guarantee: both front-ends
+//! return byte-identical result payloads.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -210,6 +211,40 @@ fn oversized_line_rejected_with_the_knob_in_both_front_ends() {
             "{}",
             mode.as_str()
         );
+        handle.shutdown_and_join();
+    }
+}
+
+#[test]
+fn a_deeply_nested_line_costs_one_request_in_both_front_ends() {
+    for mode in [FrontendMode::Threaded, FrontendMode::Evented] {
+        let cfg = config(mode);
+        let max_line = cfg.max_line;
+        let handle = start(cfg).unwrap();
+        let mut raw = Raw::connect(&handle.addr().to_string());
+        raw.send(b"{\"op\":\"ping\",\"id\":1}\n");
+        assert!(raw.recv_line().contains("\"pong\":true"));
+
+        // a line as long as the bound allows, nothing but openings: the
+        // reader recursed once per byte and overflowed the stack of the
+        // thread that read it, which aborted the whole process
+        for unit in ["[", "{\"a\":"] {
+            let mut line = unit.repeat(max_line / unit.len()).into_bytes();
+            line.push(b'\n');
+            raw.send(&line);
+            let response = raw.recv_line();
+            assert!(
+                response.contains("\"code\":\"bad_request\""),
+                "{}: {response}",
+                mode.as_str()
+            );
+            raw.send(b"{\"op\":\"ping\",\"id\":2}\n");
+            assert!(
+                raw.recv_line().contains("\"pong\":true"),
+                "{}",
+                mode.as_str()
+            );
+        }
         handle.shutdown_and_join();
     }
 }

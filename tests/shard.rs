@@ -284,6 +284,28 @@ fn draining_one_shard_marks_stats_partial() {
 }
 
 #[test]
+fn a_deeply_nested_line_costs_the_router_one_request() {
+    for mode in [FrontendMode::Threaded, FrontendMode::Evented] {
+        let handle = sharded(2, mode, eight_graphs());
+        let max_line = ServerConfig::default().max_line;
+        let mut c = connect(&handle.addr());
+        // the router parses a line before it forwards it: a line of
+        // openings as long as the bound allows is one bad request there
+        for unit in ["[", "{\"a\":"] {
+            let response = c.request(&unit.repeat(max_line / unit.len())).unwrap();
+            assert!(
+                response.contains("\"code\":\"bad_request\""),
+                "{}: {response}",
+                mode.as_str()
+            );
+            let pong = c.request("{\"op\":\"ping\"}").unwrap();
+            assert!(pong.contains("\"pong\":true"), "{}: {pong}", mode.as_str());
+        }
+        handle.shutdown_and_join();
+    }
+}
+
+#[test]
 fn snapshot_restore_round_trips_through_the_router() {
     let dir = std::env::temp_dir().join(format!("gbtl_shard_snap_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
