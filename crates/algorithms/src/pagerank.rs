@@ -33,7 +33,8 @@ impl Default for PageRankOptions {
 /// adjacency itself, with the transpose descriptor (`second(1, x) = 1·x`,
 /// so it is the `(+, ×)` product over a matrix of ones, with no such matrix
 /// built and `a`'s own cached `Aᵀ` used). Dangling vertices (no out-edges)
-/// spread their rank uniformly. Returns `(ranks, iterations)`; ranks sum
+/// spread their rank uniformly; their `r ⊘ 1` is in the operand but never
+/// read. Returns `(ranks, iterations)`; ranks sum
 /// to 1.
 ///
 /// A non-square `a` is a `DimensionMismatch` error, a damping outside
@@ -58,29 +59,31 @@ pub fn pagerank<B: Backend>(
     let sr = PlusSecond::<f64>::new();
 
     // out-degrees (as f64), the row sums of the structure A·1; absent =
-    // dangling. Read once into a slice: the loop below indexes it n times
-    // an iteration.
+    // dangling. Each rank is divided by its out-degree, or by 1 where the
+    // vertex dangles, so the pull's operand is fully present (ADR 0017): no
+    // row of Aᵀ holds a dangling position, so the pull never reads one.
+    // It stays a division: a reciprocal multiply would move the ranks' bits.
     let (desc, desc_t) = (Descriptor::new(), Descriptor::new().transpose_a());
     let mut outdeg: Vector<f64> = Vector::new(n);
     let ones = Vector::filled(n, 1.0);
     ctx.mxv(&mut outdeg, None, no_accum(), sr, a, &ones, &desc)?;
     let outdeg = outdeg.options();
+    let divisor: Vec<f64> = outdeg.iter().map(|d| d.unwrap_or(1.0)).collect();
+    let dangling: Vec<usize> = (0..n).filter(|&i| outdeg[i].is_none()).collect();
 
     let mut rank = vec![1.0 / nf; n];
     let mut iters = 0usize;
     while iters < opts.max_iters {
         iters += 1;
-        // scaled = r / outdeg (only where out-edges exist)
         let scaled = Vector::from_options(
             rank.iter()
-                .zip(outdeg.iter())
-                .map(|(&r, d)| d.map(|d| r / d))
+                .zip(&divisor)
+                .map(|(&r, &d)| Some(r / d))
                 .collect(),
         );
         let mut contrib: Vector<f64> = Vector::new(n);
         ctx.mxv(&mut contrib, None, no_accum(), sr, a, &scaled, &desc_t)?;
-        let dangling = rank.iter().zip(outdeg.iter()).filter(|(_, d)| d.is_none());
-        let dangling_mass: f64 = dangling.map(|(&r, _)| r).sum();
+        let dangling_mass: f64 = dangling.iter().map(|&i| rank[i]).sum();
         let base = (1.0 - opts.damping) / nf + opts.damping * dangling_mass / nf;
 
         let mut delta = 0.0f64;

@@ -39,7 +39,7 @@ pub use ewise::{
 };
 pub use extract::{assign_mat, assign_vec, extract_mat, extract_vec};
 pub use mxm::{kronecker, mxm, mxm_masked, mxm_masked_rows, mxm_rows};
-pub use mxv::{early_exits, early_exits_stacked, mxv, row_dot, vxm, RowFold};
+pub use mxv::{early_exits, early_exits_stacked, mxv, row_dot, vxm, FoldKind, RowFold};
 pub use reduce::{reduce_mat, reduce_rows, reduce_rows_range, reduce_sparse_vec, reduce_vec};
 pub use rows::{stitch_rows, RowChunk};
 pub use unary::{

@@ -276,13 +276,44 @@ where
     (have.then_some(acc), cols.len())
 }
 
+/// [`row_dot`] over an operand whose every position is present: no
+/// presence test and a plain accumulator. The row's first term seeds the
+/// fold as it is, never `identity ⊕ term` — the identity law holds only up
+/// to bits (`0.0 + -0.0` is `0.0`) — and the exit test follows every term,
+/// so the same bits and the same count as [`row_dot`]. `u[j]` is always
+/// `Some`; the identity it falls back on is never read.
+#[inline]
+fn full_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> (Option<T>, usize)
+where
+    T: Scalar,
+    D1: Scalar,
+    S: Semiring<T, D1, T>,
+{
+    let (add, mul) = (sr.add(), sr.mul());
+    let (terminal, identity) = (add.terminal(), add.identity());
+    let term = |j: usize, aij: D1| mul.apply(aij, u[j].unwrap_or(identity));
+    let mut entries = cols.iter().zip(vals);
+    let Some((&j, &aij)) = entries.next() else {
+        return (None, 0);
+    };
+    let mut acc = term(j, aij);
+    for (q, (&j, &aij)) in entries.enumerate() {
+        if terminal.is_some_and(|t| acc == t) {
+            return (Some(acc), q + 1);
+        }
+        acc = add.apply(acc, term(j, aij));
+    }
+    (Some(acc), cols.len())
+}
+
 /// Presence shares of `u`, in 64ths, between which pull folds over slots
 /// (inclusive). Measured, `(min, +)` over `u32` (ADR 0004): the `Option`
-/// fold costs 1.2–1.8 ns an entry at 0 % or 100 % presence and 5.5–6.9 at
-/// 50 %, where the slot fold costs 2.3 on rmat rows and 3.6–5.3 on torus
-/// rows (four entries: the row's loop exit mispredicts in either fold).
-/// Slots win from 8/64 to 60/64 on rmat12/rmat14, from 16/64 to 48/64 on
-/// torus64/torus128, and lose up to 25 % outside that.
+/// fold costs 1.2–1.8 ns an entry near 0 % presence and 5.5–6.9 at 50 %,
+/// where the slot fold costs 2.3 on rmat rows and 3.6–5.3 on torus rows
+/// (four entries: the row's loop exit mispredicts in either fold). Slots
+/// win from 8/64 to 60/64 on rmat12/rmat14, from 16/64 to 48/64 on
+/// torus64/torus128, and lose up to 25 % outside that. At 64/64 neither
+/// runs: the full fold does (ADR 0017).
 const SLOT_BAND: (usize, usize) = (16, 48);
 
 /// Whether the slot fold was measured to beat the `Option` fold for
@@ -299,22 +330,40 @@ fn slots_pay<S: 'static, D1: 'static>() -> bool {
     TypeId::of::<(S, D1)>() == TypeId::of::<(MinPlus<u32>, u32)>()
 }
 
+/// Which fold a [`RowFold`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldKind {
+    /// [`row_dot`]: a presence test per entry, an `Option` accumulator.
+    Options,
+    /// Branch-free `(value, present)` slots.
+    Slots,
+    /// Every position of `u` present: no presence test at all.
+    Full,
+}
+
+/// The fold a [`RowFold`] runs, with what it folds over beyond `u`.
+#[derive(Debug)]
+enum Fold<T, D1> {
+    Options,
+    /// `(value, present)` per position of `u`, and the safe pair.
+    Slots(Vec<(T, bool)>, (D1, T)),
+    Full,
+}
+
 /// The row fold of one pull product `A ⊕.⊗ u` under a keep `mask`, chosen
-/// once per call: the [`row_dot`] `Option` fold, or [`slot_dot`] over a
-/// slot array built from `u` when its presence share lies in [`SLOT_BAND`]
-/// and [`slots_pay`] for `S`. The sequential and parallel `mxv` and both
-/// of cuda-sim's SpMV kernels fold every row through one of these; which
-/// fold ran never shows in a result or a count.
+/// once per call (ADR 0017): the full fold when every position of `u` is
+/// present; [`slot_dot`] over a slot array built from `u` when its
+/// presence share lies in [`SLOT_BAND`] and [`slots_pay`] for `S`; the
+/// [`row_dot`] `Option` fold otherwise. The sequential and parallel `mxv`
+/// and both of cuda-sim's SpMV kernels fold every row through one of
+/// these; which fold ran never shows in a result or a count.
 #[derive(Debug)]
 pub struct RowFold<'a, T, D1, S> {
     sr: S,
     a: &'a CsrMatrix<D1>,
     mask: Option<VecMask<'a>>,
     u: &'a [Option<T>],
-    /// `(value, present)` per position of `u` for the slot fold, and its
-    /// safe pair; empty and `None` for the `Option` fold.
-    slots: Vec<(T, bool)>,
-    safe: Option<(D1, T)>,
+    fold: Fold<T, D1>,
 }
 
 impl<'a, T, D1, S> RowFold<'a, T, D1, S>
@@ -330,6 +379,9 @@ where
         u: &'a DenseVector<T>,
         mask: Option<VecMask<'a>>,
     ) -> Self {
+        if u.nnz() == u.len() {
+            return Self::full(sr, a, u, mask);
+        }
         let fold = Self::options(sr, a, u, mask);
         let (lo, hi) = SLOT_BAND;
         let share = u.nnz() * 64;
@@ -337,6 +389,21 @@ where
             fold.into_slots()
         } else {
             fold
+        }
+    }
+
+    /// The full fold: what the fold's properties compare with [`row_dot`].
+    /// Panics unless every position of `u` is present.
+    pub fn full(
+        sr: S,
+        a: &'a CsrMatrix<D1>,
+        u: &'a DenseVector<T>,
+        mask: Option<VecMask<'a>>,
+    ) -> Self {
+        assert_eq!(u.nnz(), u.len(), "the full fold reads every position of u");
+        Self {
+            fold: Fold::Full,
+            ..Self::options(sr, a, u, mask)
         }
     }
 
@@ -373,8 +440,7 @@ where
             a,
             mask,
             u: u.options(),
-            slots: Vec::new(),
-            safe: None,
+            fold: Fold::Options,
         }
     }
 
@@ -401,9 +467,17 @@ where
             .map(|&v| (v.unwrap_or(safe.1), v.is_some()))
             .collect();
         Self {
-            slots,
-            safe: Some(safe),
+            fold: Fold::Slots(slots, safe),
             ..self
+        }
+    }
+
+    /// The fold this call runs.
+    pub fn kind(&self) -> FoldKind {
+        match self.fold {
+            Fold::Options => FoldKind::Options,
+            Fold::Slots(..) => FoldKind::Slots,
+            Fold::Full => FoldKind::Full,
         }
     }
 
@@ -417,9 +491,10 @@ where
     #[inline]
     pub fn row(&self, i: usize) -> (Option<T>, usize) {
         let (cols, vals) = self.a.row(i);
-        match self.safe {
-            Some(safe) => slot_dot(self.sr, cols, vals, &self.slots, safe),
-            None => row_dot(self.sr, cols, vals, self.u),
+        match &self.fold {
+            Fold::Options => row_dot(self.sr, cols, vals, self.u),
+            Fold::Slots(slots, safe) => slot_dot(self.sr, cols, vals, slots, *safe),
+            Fold::Full => full_dot(self.sr, cols, vals, self.u),
         }
     }
 
@@ -429,12 +504,13 @@ where
     pub fn mxv_rows(&self, rows: Range<usize>) -> DenseVector<T> {
         // one loop per fold, so the choice is made once and not per row;
         // the operands are copied out of `self` for the loop to keep
-        let (sr, u, slots) = (self.sr, self.u, self.slots.as_slice());
-        match self.safe {
-            Some(safe) => self.fold_rows(rows, move |cols, vals| {
-                slot_dot(sr, cols, vals, slots, safe)
+        let (sr, u) = (self.sr, self.u);
+        match &self.fold {
+            Fold::Options => self.fold_rows(rows, move |cols, vals| row_dot(sr, cols, vals, u)),
+            Fold::Slots(slots, safe) => self.fold_rows(rows, move |cols, vals| {
+                slot_dot(sr, cols, vals, slots, *safe)
             }),
-            None => self.fold_rows(rows, move |cols, vals| row_dot(sr, cols, vals, u)),
+            Fold::Full => self.fold_rows(rows, move |cols, vals| full_dot(sr, cols, vals, u)),
         }
     }
 

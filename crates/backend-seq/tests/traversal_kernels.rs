@@ -1,6 +1,6 @@
 //! Property tests of the two traversal kernels' shortcuts: `row_dot` may
-//! stop a row early, the slot fold may replace it, and `vxm` may emit by a
-//! sweep, and none may change a result; and `early_exits` reads off a
+//! stop a row early, the slot fold and the full fold may replace it, and
+//! `vxm` may emit by a sweep, and none may change a result; and `early_exits` reads off a
 //! result exactly the rows `row_dot` stopped early, where it stopped them,
 //! as `early_exits_stacked` does for k members at once.
 
@@ -8,7 +8,7 @@ use gbtl_algebra::{
     BinaryOp, CustomSemiring, Div, LorLand, MaxMin, MinPlus, Monoid, PlusMonoid, PlusTimes, Scalar,
     Semiring,
 };
-use gbtl_backend_seq::{early_exits, early_exits_stacked, mxv, row_dot, vxm, RowFold};
+use gbtl_backend_seq::{early_exits, early_exits_stacked, mxv, row_dot, vxm, FoldKind, RowFold};
 use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 use proptest::prelude::*;
@@ -151,17 +151,13 @@ fn check_slot_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
     keep: &[bool],
     bits: impl Fn(T) -> u64,
 ) {
-    let mut coo = CooMatrix::new(rows.len(), SLOTS);
-    for (i, row) in rows.iter().enumerate() {
-        for &(j, v) in row {
-            coo.push(i, j % SLOTS, v);
-        }
-    }
-    let a = CsrMatrix::from_coo(coo, |first, _| first);
+    let a = slot_matrix(rows);
     for present in SHARES {
         let u = with_share(values, keys, present);
         let slots = RowFold::slots(sr, &a, &u, None);
         check_fold_rows(sr, &a, &u, &slots, &bits, present);
+        let full = RowFold::new(sr, &a, &u, None).kind() == FoldKind::Full;
+        assert_eq!(full, present == SLOTS, "share {present}/64");
         for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
             let w = mxv(&a, &u, sr, mask);
             let stopped: Vec<(usize, usize)> = (0..a.nrows())
@@ -177,6 +173,45 @@ fn check_slot_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
                 stopped,
                 "share {present}/64"
             );
+        }
+    }
+}
+
+/// `rows` as a matrix over [`SLOTS`] columns, a row's first entry at a
+/// column kept.
+fn slot_matrix<D1: Scalar>(rows: &[Vec<(usize, D1)>]) -> CsrMatrix<D1> {
+    let mut coo = CooMatrix::new(rows.len(), SLOTS);
+    for (i, row) in rows.iter().enumerate() {
+        for &(j, v) in row {
+            coo.push(i, j % SLOTS, v);
+        }
+    }
+    CsrMatrix::from_coo(coo, |first, _| first)
+}
+
+/// The full fold against [`row_dot`] over a fully present operand: the
+/// same bits and the same count on every row. `mxv` takes the full fold
+/// there, and its result is what [`row_dot`] folds, unmasked and masked.
+fn check_full_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
+    sr: S,
+    rows: &[Vec<(usize, D1)>],
+    values: &[T],
+    keep: &[bool],
+    bits: impl Fn(T) -> u64,
+) {
+    let a = slot_matrix(rows);
+    let u = DenseVector::from_options(values.iter().copied().map(Some).collect());
+    check_fold_rows(sr, &a, &u, &RowFold::full(sr, &a, &u, None), &bits, SLOTS);
+    for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
+        assert_eq!(RowFold::new(sr, &a, &u, mask).kind(), FoldKind::Full);
+        let got = mxv(&a, &u, sr, mask);
+        for i in 0..a.nrows() {
+            let (cols, vals) = a.row(i);
+            let kept = mask.is_none_or(|keep| keep.keeps(i));
+            let want = kept
+                .then(|| row_dot(sr, cols, vals, u.options()).0)
+                .flatten();
+            assert_eq!(got.get(i).map(&bits), want.map(&bits), "row {i}");
         }
     }
 }
@@ -320,6 +355,68 @@ proptest! {
         keep in proptest::collection::vec(any::<bool>(), 12),
     ) {
         check_slot_fold(LorLand::new(), &rows, &values, &keys, &keep, u64::from);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn full_fold_lor_land(
+        rows in slot_rows(any::<bool>()),
+        values in slot_values(any::<bool>()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_full_fold(LorLand::new(), &rows, &values, &keep, u64::from);
+    }
+
+    /// Small values: zeros in both operands, so rows reach `min`'s terminal.
+    #[test]
+    fn full_fold_min_plus_u32(
+        rows in slot_rows(0u32..3),
+        values in slot_values(0u32..3),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_full_fold(MinPlus::<u32>::new(), &rows, &values, &keep, u64::from);
+    }
+
+    #[test]
+    fn full_fold_min_plus_f64(
+        rows in slot_rows(edgy_f64()),
+        values in slot_values(edgy_f64()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_full_fold(MinPlus::<f64>::new(), &rows, &values, &keep, nan_blind_bits);
+    }
+
+    #[test]
+    fn full_fold_max_min_u32(
+        rows in slot_rows(edgy_u32()),
+        values in slot_values(edgy_u32()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_full_fold(MaxMin::<u32>::new(), &rows, &values, &keep, u64::from);
+    }
+
+    #[test]
+    fn full_fold_plus_times_i64(
+        rows in slot_rows(-9i64..9),
+        values in slot_values(-9i64..9),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_full_fold(PlusTimes::<i64>::new(), &rows, &values, &keep, |v| v as u64);
+    }
+
+    /// A row whose terms are all `-0.0` folds to `-0.0`; seeded with the
+    /// identity it would fold to `0.0 + -0.0 = 0.0`. Short rows, so that
+    /// many are.
+    #[test]
+    fn full_fold_plus_times_f64_keeps_signed_zeros(
+        rows in proptest::collection::vec(proptest::collection::vec((0..SLOTS, edgy_f64()), 0..4), 1..12),
+        values in slot_values(edgy_f64()),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        check_full_fold(PlusTimes::<f64>::new(), &rows, &values, &keep, nan_blind_bits);
     }
 }
 

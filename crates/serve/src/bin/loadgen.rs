@@ -171,7 +171,8 @@ fn connect_patiently(addr: &str, wait_ms: u64) -> std::io::Result<Client> {
 }
 
 /// One query per algorithm; every response must be well-formed `ok:true`.
-/// Also exercises the per-request `"direction"` override: every forced
+/// Then one `load` of a graph past the catalog's bounds must be a
+/// `bad_request` the next ping survives. Also exercises the per-request `"direction"` override: every forced
 /// mode must answer a bfs query, and a bogus value must be rejected with
 /// an error that names the knob.
 fn smoke(client: &mut Client, graph: &str, backend: &str) -> Result<(), String> {
@@ -200,6 +201,21 @@ fn smoke(client: &mut Client, graph: &str, backend: &str) -> Result<(), String> 
             v.u64_field("micros").unwrap_or(0)
         );
     }
+    // a graph far past the catalog's bounds costs one request, not the
+    // process: the server refuses it and answers the next ping
+    let v = client
+        .request_json("{\"op\":\"load\",\"name\":\"huge\",\"spec\":\"grid:100000\"}")
+        .map_err(|e| format!("oversized load: {e}"))?;
+    if v.str_field("code") != Some("bad_request") {
+        return Err(format!("oversized load: expected bad_request, got {v:?}"));
+    }
+    let pong = client
+        .request_json("{\"op\":\"ping\"}")
+        .map_err(|e| format!("ping after oversized load: {e}"))?;
+    if pong.bool_field("pong") != Some(true) {
+        return Err(format!("ping after oversized load: {pong:?}"));
+    }
+    println!("smoke oversized load: rejected, ping answered");
     for direction in ["push", "pull", "auto"] {
         let line = format!(
             "{{\"op\":\"query\",\"graph\":\"{graph}\",\"algo\":\"bfs\",\

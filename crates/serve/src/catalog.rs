@@ -22,6 +22,17 @@ use gbtl_util::sync::lock;
 /// Weight seed used when a spec has no seed of its own (karate, grid, mtx).
 const DEFAULT_WEIGHT_SEED: u64 = 0x5eed;
 
+/// Most vertices a loaded graph may have: 2²⁴. Its CSR's row pointers
+/// alone are 128 MiB there.
+pub const MAX_VERTICES: usize = 1 << 24;
+
+/// Most edges a generator may be asked for, or a Matrix Market file may
+/// hold (its symmetric entries expanded): 2²⁶. Loading peaks at ≈ 87 bytes
+/// per generated edge (the edge list, its symmetrized copy, the adjacency
+/// and the weights; measured on rmat:18:16 and er with 4 M edges), so
+/// ≈ 6 GB at the bound; 2²⁸ would ask for ≈ 23 GB.
+pub const MAX_EDGES: usize = 1 << 26;
+
 /// A parsed graph specification (the `--load name=spec` / `{"op":"load"}`
 /// grammar). Compact string form: `karate`, `rmat:<scale>:<ef>:<seed>`,
 /// `er:<n>:<edges>:<seed>`, `grid:<side>`, `mtx:<path>`.
@@ -60,7 +71,9 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// Parse the compact `kind[:arg...]` spec string.
+    /// Parse the compact `kind[:arg...]` spec string. A graph past
+    /// [`MAX_VERTICES`] or a generator past [`MAX_EDGES`] is an error here,
+    /// before anything is allocated.
     pub fn parse(s: &str) -> Result<GraphSpec, String> {
         let parts: Vec<&str> = s.trim().split(':').collect();
         let num = |i: usize, what: &str| -> Result<u64, String> {
@@ -70,34 +83,63 @@ impl GraphSpec {
                 .parse::<u64>()
                 .map_err(|_| format!("spec {s:?}: bad {what}"))
         };
-        match parts[0] {
-            "karate" => Ok(GraphSpec::Karate),
-            "rmat" => Ok(GraphSpec::Rmat {
-                scale: num(1, "scale")? as u32,
+        let spec = match parts[0] {
+            "karate" => GraphSpec::Karate,
+            "rmat" => GraphSpec::Rmat {
+                scale: u32::try_from(num(1, "scale")?)
+                    .map_err(|_| format!("spec {s:?}: bad scale"))?,
                 edge_factor: num(2, "edge_factor")? as usize,
                 seed: num(3, "seed")?,
-            }),
-            "er" | "erdos_renyi" => Ok(GraphSpec::ErdosRenyi {
+            },
+            "er" | "erdos_renyi" => GraphSpec::ErdosRenyi {
                 n: num(1, "n")? as usize,
                 edges: num(2, "edges")? as usize,
                 seed: num(3, "seed")?,
-            }),
-            "grid" => Ok(GraphSpec::Grid {
+            },
+            "grid" => GraphSpec::Grid {
                 side: num(1, "side")? as usize,
-            }),
+            },
             "mtx" => {
                 // a path may itself contain ':'; keep everything after the kind
                 let path = s.trim().split_once(':').map_or("", |x| x.1);
                 if path.is_empty() {
-                    Err(format!("spec {s:?}: missing path"))
-                } else {
-                    Ok(GraphSpec::Mtx { path: path.into() })
+                    return Err(format!("spec {s:?}: missing path"));
                 }
+                GraphSpec::Mtx { path: path.into() }
             }
-            other => Err(format!(
-                "unknown graph spec kind {other:?} (expected karate|rmat|er|grid|mtx)"
-            )),
-        }
+            other => {
+                return Err(format!(
+                    "unknown graph spec kind {other:?} (expected karate|rmat|er|grid|mtx)"
+                ))
+            }
+        };
+        spec.check_size()?;
+        Ok(spec)
+    }
+
+    /// `Err` when a generated graph would have more than [`MAX_VERTICES`]
+    /// vertices or its generator more than [`MAX_EDGES`] edges to draw, or
+    /// when Erdős–Rényi is asked for no vertex at all. A file's size is
+    /// known only once it is read.
+    fn check_size(&self) -> Result<(), String> {
+        let (vertices, edges) = match *self {
+            GraphSpec::Karate | GraphSpec::Mtx { .. } => return Ok(()),
+            GraphSpec::Rmat {
+                scale, edge_factor, ..
+            } => {
+                let n = 1usize.checked_shl(scale);
+                (n, n.and_then(|n| n.checked_mul(edge_factor)))
+            }
+            GraphSpec::ErdosRenyi { n: 0, .. } => {
+                return Err(format!("{}: no vertex to draw edges over", self.describe()))
+            }
+            GraphSpec::ErdosRenyi { n, edges, .. } => (Some(n), Some(edges)),
+            GraphSpec::Grid { side } => {
+                let n = side.checked_mul(side);
+                (n, n.and_then(|n| n.checked_mul(4)))
+            }
+        };
+        within_bounds(&self.describe(), vertices, edges)
     }
 
     /// The canonical spec string (what `list`/`stats` report back).
@@ -123,8 +165,10 @@ impl GraphSpec {
         }
     }
 
-    /// Generate (or read) the symmetric simple adjacency.
+    /// Generate (or read) the symmetric simple adjacency, or an error past
+    /// [`MAX_VERTICES`] or [`MAX_EDGES`], raised before the CSR is built.
     pub fn build_adjacency(&self) -> Result<Matrix<bool>, String> {
+        self.check_size()?;
         let coo = match self {
             GraphSpec::Karate => karate_club(),
             GraphSpec::Rmat {
@@ -138,11 +182,30 @@ impl GraphSpec {
                 let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
                 let coo = gbtl_sparse::mmio::read_pattern(std::io::BufReader::new(file))
                     .map_err(|e| format!("read {path}: {e}"))?;
+                // the size line's claim, checked before it sizes a CSR
+                let n = coo.nrows().max(coo.ncols());
+                within_bounds(&self.describe(), Some(n), Some(coo.nnz()))?;
                 symmetrize(&coo)
             }
         };
         Ok(gbtl_algorithms::adjacency(coo))
     }
+}
+
+/// `Err` naming `what` when `vertices` passes [`MAX_VERTICES`] or `edges`
+/// passes [`MAX_EDGES`]; `None` is a count past `usize`.
+fn within_bounds(what: &str, vertices: Option<usize>, edges: Option<usize>) -> Result<(), String> {
+    let over = |count: Option<usize>, max: usize, unit: &str| match count {
+        Some(c) if c <= max => Ok(()),
+        Some(c) => Err(format!(
+            "{what}: {c} {unit}, more than the {max} a graph may have"
+        )),
+        None => Err(format!(
+            "{what}: too many {unit}, more than the {max} a graph may have"
+        )),
+    };
+    over(vertices, MAX_VERTICES, "vertices")?;
+    over(edges, MAX_EDGES, "edges")
 }
 
 /// One resident graph: shared, immutable, epoch-stamped.
@@ -338,6 +401,32 @@ mod tests {
     }
 
     #[test]
+    fn a_spec_past_the_bounds_is_an_error_before_anything_is_built() {
+        for s in [
+            "grid:100000",
+            "grid:4097",
+            "rmat:40:8:1",
+            "rmat:25:1:1",
+            "rmat:24:5:1",
+            "rmat:64:1:1",
+            "rmat:4294967306:8:1", // 2³² + 10, which `as u32` reads as 10
+            "er:10000000000:10:1",
+            "er:1024:67108865:1",
+            "er:0:8:1",
+        ] {
+            assert!(GraphSpec::parse(s).is_err(), "{s}");
+        }
+        for s in ["grid:4096", "rmat:24:4:1", "er:16777216:67108864:1"] {
+            assert!(GraphSpec::parse(s).is_ok(), "{s}");
+        }
+        // a spec built by hand is checked where it would be built
+        let err = Catalog::new()
+            .load("g", &GraphSpec::Grid { side: 100_000 })
+            .unwrap_err();
+        assert!(err.contains("vertices"), "{err}");
+    }
+
+    #[test]
     fn load_builds_adjacency_and_weights() {
         let cat = Catalog::new();
         let e = cat.load("k", &GraphSpec::Karate).unwrap();
@@ -438,6 +527,17 @@ mod tests {
         assert!(cat
             .load("bad", &GraphSpec::parse("mtx:/no/such/file").unwrap())
             .is_err());
+        // a size line claiming 10¹² rows over one entry: refused before
+        // the claim sizes a CSR
+        let huge = dir.join("huge.mtx");
+        std::fs::write(
+            &huge,
+            "%%MatrixMarket matrix coordinate pattern general\n1000000000000 3 1\n1 2\n",
+        )
+        .unwrap();
+        let spec = GraphSpec::parse(&format!("mtx:{}", huge.display())).unwrap();
+        let err = cat.load("huge", &spec).unwrap_err();
+        assert!(err.contains("vertices"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

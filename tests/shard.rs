@@ -305,6 +305,49 @@ fn a_deeply_nested_line_costs_the_router_one_request() {
     }
 }
 
+/// Loads far past the machine — 10¹⁰ grid vertices, a 70 TB rmat, an
+/// 80 GB Erdős–Rényi draw, a Matrix Market file whose size line claims
+/// 10¹² rows — are each one `bad_request`, on both front-ends, direct and
+/// through the router; the server answers the next ping and shuts down.
+#[test]
+fn an_oversized_load_costs_one_request_not_the_process() {
+    let dir = std::env::temp_dir().join(format!("gbtl_huge_mtx_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mtx = dir.join("huge.mtx");
+    std::fs::write(
+        &mtx,
+        "%%MatrixMarket matrix coordinate pattern general\n1000000000000 1000000000000 1\n1 2\n",
+    )
+    .unwrap();
+    let specs = [
+        "grid:100000".to_string(),
+        "rmat:40:8:1".into(),
+        "er:10000000000:10:1".into(),
+        format!("mtx:{}", mtx.display()),
+    ];
+    for mode in [FrontendMode::Threaded, FrontendMode::Evented] {
+        let direct = start(base_config(mode, Vec::new())).unwrap();
+        let routed = sharded(2, mode, Vec::new());
+        for addr in [direct.addr(), routed.addr()] {
+            let mut c = connect(&addr);
+            for spec in &specs {
+                let line = format!("{{\"op\":\"load\",\"name\":\"huge\",\"spec\":\"{spec}\"}}");
+                let v = c.request_json(&line).unwrap();
+                assert_eq!(
+                    v.str_field("code"),
+                    Some("bad_request"),
+                    "{mode:?} {spec}: {v:?}"
+                );
+                let pong = c.request("{\"op\":\"ping\"}").unwrap();
+                assert!(pong.contains("\"pong\":true"), "{mode:?} {spec}: {pong}");
+            }
+        }
+        direct.shutdown_and_join();
+        routed.shutdown_and_join();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn snapshot_restore_round_trips_through_the_router() {
     let dir = std::env::temp_dir().join(format!("gbtl_shard_snap_{}", std::process::id()));

@@ -438,6 +438,53 @@ fn answers_are_the_parent_commits_bit_for_bit() {
     }
 }
 
+/// PageRank on directed rmats, whose sinks (no out-edge) and isolated
+/// vertices (no edge at all) carry the dangling mass: the 20-iteration rank
+/// checksum on every backend and cuda-sim's modeled seconds, as `f64` bits.
+/// Recorded before the rank operand held a value at dangling positions,
+/// when those positions were left absent.
+#[test]
+fn pagerank_with_sinks_keeps_its_ranks_and_its_device_charge() {
+    let opts = PageRankOptions {
+        damping: 0.85,
+        tolerance: 0.0,
+        max_iters: 20,
+    };
+    let recorded = [
+        (10, 4, 5, 0xb481_f03f_0375_7ca8u64, 0x3f2e_fb6e_be5d_f515u64),
+        (12, 8, 9, 0xf2b0_1ff7_9a0a_1eb9, 0x3f42_918a_7233_5b93),
+    ];
+    for (scale, edge_factor, seed, want_ranks, want_modeled) in recorded {
+        let a = adjacency(Rmat::new(scale, edge_factor).seed(seed).generate());
+        let (csr, at) = (a.csr(), a.csr().transpose());
+        let dangling: Vec<usize> = (0..a.nrows()).filter(|&i| csr.row_nnz(i) == 0).collect();
+        assert!(dangling.iter().any(|&i| at.row_nnz(i) > 0), "a sink");
+        assert!(
+            dangling.iter().any(|&i| at.row_nnz(i) == 0),
+            "an isolated vertex"
+        );
+        let ranks = |r: Vector<f64>| fnv(&r, f64::to_bits);
+        let seq = pagerank(&Context::sequential(), &a, opts).unwrap().0;
+        assert_eq!(ranks(seq), want_ranks, "seq, rmat{scale}");
+        let par = pagerank(&Context::parallel_with_threads(3), &a, opts)
+            .unwrap()
+            .0;
+        assert_eq!(ranks(par), want_ranks, "par, rmat{scale}");
+        let cuda = Context::cuda_default();
+        assert_eq!(
+            ranks(pagerank(&cuda, &a, opts).unwrap().0),
+            want_ranks,
+            "cuda"
+        );
+        let modeled = cuda.gpu_stats().modeled_time_s;
+        assert_eq!(
+            modeled.to_bits(),
+            want_modeled,
+            "cuda modeled {modeled} s, rmat{scale}"
+        );
+    }
+}
+
 #[test]
 fn a_solve_on_a_prewarmed_graph_puts_nothing_in_the_transpose_cache() {
     let a = adjacency(symmetrize(&Rmat::new(8, 6).seed(3).generate()));
