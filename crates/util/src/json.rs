@@ -269,8 +269,14 @@ fn parse_obj(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
         *pos += 1;
         return Ok(Value::Obj(Vec::new()));
     }
-    // room for a request line's fields without regrowing
-    let mut fields = Vec::with_capacity(8);
+    // room for a request line's fields without regrowing; a nested object,
+    // of which one line may hold thousands, reserves nothing ahead, so no
+    // line holds more than 64 bytes a byte of it (tests/json_alloc.rs)
+    let mut fields = if room == MAX_DEPTH - 1 {
+        Vec::with_capacity(8)
+    } else {
+        Vec::new()
+    };
     loop {
         skip_ws(b, pos);
         let key = parse_string(s, pos)?;
