@@ -72,12 +72,13 @@ pub use unary::{
 ///
 /// Deliberately minimal: backends move values around, compare them for tests,
 /// and ship them across the parallel backend's worker threads, so
-/// `Copy + Send + Sync` plus debuggability is all that is required. Algebraic
+/// `Copy + Send + Sync` plus debuggability is all that is required, and a
+/// `Default` for the slot of a dense vector's absent position. Algebraic
 /// capability is supplied by the op/monoid/semiring *structures*, not by the
 /// scalar type itself.
-pub trait Scalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
+pub trait Scalar: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
 
-impl<T> Scalar for T where T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
+impl<T> Scalar for T where T: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
 
 #[cfg(test)]
 mod tests {

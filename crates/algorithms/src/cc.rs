@@ -2,6 +2,7 @@
 
 use gbtl_algebra::MinSecond;
 use gbtl_core::{no_accum, Backend, Context, Descriptor, Matrix, Result, Vector};
+use gbtl_sparse::DenseVector;
 
 use crate::util::check_square;
 
@@ -17,16 +18,16 @@ pub fn connected_components<B: Backend>(ctx: &Context<B>, a: &Matrix<bool>) -> R
     check_square("connected_components", a)?;
     let n = a.nrows();
     let mut labels: Vec<u64> = (0..n as u64).collect();
-    let dense = |l: &[u64]| Vector::from_options(l.iter().copied().map(Some).collect());
+    let dense = |l: &[u64]| Vector::from(DenseVector::from_values(l.to_vec()));
     let (sr, desc) = (MinSecond::<u64>::new(), Descriptor::new());
     loop {
         // neighbourhood minimum: w_i = min over j in N(i) of labels_j
         let (mut nbr_min, current) = (Vector::new(n), dense(&labels));
         ctx.mxv(&mut nbr_min, None, no_accum(), sr, a, &current, &desc)?;
         let mut changed = false;
-        for (cur, m) in labels.iter_mut().zip(nbr_min.options().iter()) {
-            if let Some(m) = m.filter(|m| m < cur) {
-                *cur = m;
+        for (i, m) in nbr_min.dense_view().iter() {
+            if m < labels[i] {
+                labels[i] = m;
                 changed = true;
             }
         }

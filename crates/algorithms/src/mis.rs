@@ -2,6 +2,7 @@
 
 use gbtl_algebra::{MinFirst, MinSecond, Second};
 use gbtl_core::{no_accum, Backend, Context, Descriptor, GblasError, Matrix, Result, Vector};
+use gbtl_sparse::DenseVector;
 use rand_shim::SplitMix64;
 
 use crate::util::check_square;
@@ -29,22 +30,24 @@ pub fn maximal_independent_set<B: Backend>(
     let (pull, push) = (MinSecond::<u64>::new(), MinFirst::<u64>::new());
     let (desc, only_cands) = (Descriptor::new(), Descriptor::new().replace());
 
-    let mut in_set: Vec<Option<bool>> = vec![None; n];
-    let mut candidate = vec![true; n];
+    let mut in_set = DenseVector::new(n);
+    let mut candidate = DenseVector::filled(n, true);
     let mut rng = SplitMix64::new(seed);
     let mut first_round = true;
 
-    while candidate.iter().any(|&c| c) {
+    while candidate.nnz() > 0 {
         // Draw priorities for candidates (ties broken by vertex id by
         // packing the id into the low bits).
-        let draw =
-            |(i, &is_cand): (usize, &bool)| is_cand.then(|| ((rng.next() >> 32) << 20) | i as u64);
-        let prio = Vector::from_options(candidate.iter().enumerate().map(draw).collect());
+        let draw = |i| {
+            candidate
+                .contains(i)
+                .then(|| ((rng.next() >> 32) << 20) | i as u64)
+        };
+        let prio = Vector::from(DenseVector::from_fn(n, draw));
         // Minimum candidate-neighbour priority per candidate: only a
         // candidate's row can produce a winner, so the pull reads no other
         // — once there are others: the first round's mask keeps every row.
-        let cands = (!first_round)
-            .then(|| Vector::from_options(candidate.iter().map(|&c| c.then_some(true)).collect()));
+        let cands = (!first_round).then(|| Vector::from(candidate.clone()));
         first_round = false;
         let mut nbr_min: Vector<u64> = Vector::new(n);
         ctx.mxv(
@@ -58,9 +61,10 @@ pub fn maximal_independent_set<B: Backend>(
         )?;
         // Winners: candidates whose priority beats all candidate
         // neighbours' (or that have none).
-        let (mine, least) = (prio.options(), nbr_min.options());
-        let winners: Vec<usize> = (0..n)
-            .filter(|&i| mine[i].is_some_and(|p| least[i].is_none_or(|m| p < m)))
+        let least = nbr_min.dense_view();
+        let winners: Vec<usize> = (prio.dense_view().iter())
+            .filter(|&(i, p)| least.get(i).is_none_or(|m| p < m))
+            .map(|(i, _)| i)
             .collect();
         if winners.is_empty() {
             return Err(GblasError::InvalidValue {
@@ -69,8 +73,8 @@ pub fn maximal_independent_set<B: Backend>(
             });
         }
         for &w in &winners {
-            in_set[w] = Some(true);
-            candidate[w] = false;
+            in_set.set(w, true);
+            candidate.unset(w);
         }
         // Knock out winners' neighbours: the host pushes, and with `Aᵀ`
         // resident a device is charged the cheaper of that push and one
@@ -83,10 +87,10 @@ pub fn maximal_independent_set<B: Backend>(
         };
         let (knocked, _) = ctx.priced_level(pull, a, &win_vec, None, run)?;
         for (i, _) in knocked.iter() {
-            candidate[i] = false;
+            candidate.unset(i);
         }
     }
-    Ok(Vector::from_options(in_set))
+    Ok(in_set.into())
 }
 
 /// Verify the MIS invariants: no two set members adjacent (independence)

@@ -2,6 +2,7 @@
 
 use gbtl_algebra::PlusSecond;
 use gbtl_core::{no_accum, Backend, Context, Descriptor, GblasError, Matrix, Result, Vector};
+use gbtl_sparse::DenseVector;
 
 use crate::util::check_square;
 
@@ -67,28 +68,25 @@ pub fn pagerank<B: Backend>(
     let mut outdeg: Vector<f64> = Vector::new(n);
     let ones = Vector::filled(n, 1.0);
     ctx.mxv(&mut outdeg, None, no_accum(), sr, a, &ones, &desc)?;
-    let outdeg = outdeg.options();
-    let divisor: Vec<f64> = outdeg.iter().map(|d| d.unwrap_or(1.0)).collect();
-    let dangling: Vec<usize> = (0..n).filter(|&i| outdeg[i].is_none()).collect();
+    let outdeg = outdeg.dense_view();
+    let divisor: Vec<f64> = (0..n).map(|i| outdeg.get(i).unwrap_or(1.0)).collect();
+    let dangling: Vec<usize> = (0..n).filter(|&i| !outdeg.contains(i)).collect();
 
     let mut rank = vec![1.0 / nf; n];
     let mut iters = 0usize;
     while iters < opts.max_iters {
         iters += 1;
-        let scaled = Vector::from_options(
-            rank.iter()
-                .zip(&divisor)
-                .map(|(&r, &d)| Some(r / d))
-                .collect(),
-        );
+        let scaled = rank.iter().zip(&divisor).map(|(&r, &d)| r / d).collect();
+        let scaled = Vector::from(DenseVector::from_values(scaled));
         let mut contrib: Vector<f64> = Vector::new(n);
         ctx.mxv(&mut contrib, None, no_accum(), sr, a, &scaled, &desc_t)?;
         let dangling_mass: f64 = dangling.iter().map(|&i| rank[i]).sum();
         let base = (1.0 - opts.damping) / nf + opts.damping * dangling_mass / nf;
 
+        // an absent contribution's slot holds 0.0: a row with no in-edge
         let mut delta = 0.0f64;
-        for (r, c) in rank.iter_mut().zip(contrib.options().iter()) {
-            let next = base + opts.damping * c.unwrap_or(0.0);
+        for (r, &c) in rank.iter_mut().zip(contrib.dense_view().values()) {
+            let next = base + opts.damping * c;
             delta += (next - *r).abs();
             *r = next;
         }
@@ -96,10 +94,7 @@ pub fn pagerank<B: Backend>(
             break;
         }
     }
-    Ok((
-        Vector::from_options(rank.into_iter().map(Some).collect()),
-        iters,
-    ))
+    Ok((DenseVector::from_values(rank).into(), iters))
 }
 
 #[cfg(test)]

@@ -817,7 +817,16 @@ pub fn vxm<T, D2>(
 mod tests {
     use super::*;
     use gbtl_algebra::PlusTimes;
-    use gbtl_sparse::CooMatrix;
+    use gbtl_sparse::{CooMatrix, DenseVector};
+
+    /// A mask vector holding the positions `keep` sets.
+    fn kept(keep: &[bool]) -> DenseVector<bool> {
+        let mut mask = DenseVector::new(keep.len());
+        (0..keep.len())
+            .filter(|&i| keep[i])
+            .for_each(|i| mask.set(i, true));
+        mask
+    }
 
     fn adj() -> CsrMatrix<i64> {
         let mut coo = CooMatrix::new(4, 4);
@@ -904,9 +913,9 @@ mod tests {
     #[test]
     fn a_masked_pull_charges_the_kept_rows_only() {
         let a = adj();
-        let keep = [true, false, true, false];
+        let keep = kept(&[true, false, true, false]);
         let profiles = SpmvProfiles::new();
-        let mask = Some(VecMask::from(&keep[..]));
+        let mask = Some(VecMask::new(&keep, false));
         let half = pull(&Gpu::default(), &a, SpmvKernel::Scalar, mask, &profiles);
         let all = pull(&Gpu::default(), &a, SpmvKernel::Scalar, None, &profiles);
         assert_eq!((half.kernels_launched, all.kernels_launched), (1, 1));
@@ -954,12 +963,12 @@ mod tests {
             coo.push(r, (r * 7) % 70, 1);
         }
         let a = CsrMatrix::from_coo(coo, |x, _| x);
-        let keep: Vec<bool> = (0..70).map(|r| r % 3 == 0).collect();
+        let keep = kept(&(0..70).map(|r| r % 3 == 0).collect::<Vec<_>>());
         let skip = [0x9249_2492_4924_9249u64, 0b10_0100];
         let exits = [(3usize, 2usize)];
         let members = [
             (None, &[][..]),
-            (Some(VecMask::from(&keep[..])), &exits[..]),
+            (Some(VecMask::new(&keep, false)), &exits[..]),
             (Some(VecMask::unset_bits(&skip, 70)), &[][..]),
         ];
         let profiles = SpmvProfiles::new();
@@ -1049,8 +1058,8 @@ mod tests {
         let a = adj();
         let mut u = SparseVector::new(4);
         u.set(3, 1i64);
-        let keep = [false, true, false, false];
-        let mask = Some(VecMask::from(&keep[..]));
+        let keep = kept(&[false, true, false, false]);
+        let mask = Some(VecMask::new(&keep, false));
         let w = gbtl_backend_seq::vxm(&u, &a, PlusTimes::<i64>::new(), mask);
         assert_eq!(w.iter().collect::<Vec<_>>(), vec![(1, 1)]);
         vxm(&gpu, &u, &a, mask, &w);

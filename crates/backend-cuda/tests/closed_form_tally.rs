@@ -41,7 +41,7 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let (row_ptr, col_idx, uvals) = (a.row_ptr(), a.col_idx(), u.options());
+    let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
     let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
     let mut out = vec![None; a.nrows()];
@@ -61,7 +61,7 @@ where
             let (mut pos, mut end) = (vec![], vec![]);
             for &r in &rows {
                 let (cols, vals) = a.row(r);
-                let (dot, consumed) = row_dot(sr, cols, vals, uvals);
+                let (dot, consumed) = row_dot(sr, cols, vals, u);
                 slice[r - row0] = dot;
                 if consumed > 0 {
                     pos.push(row_ptr[r]);
@@ -101,7 +101,7 @@ where
     D1: Scalar,
     S: Semiring<T, D1, T>,
 {
-    let (row_ptr, col_idx, uvals) = (a.row_ptr(), a.col_idx(), u.options());
+    let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
     let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
     let mut out = vec![None; a.nrows()];
@@ -114,7 +114,7 @@ where
                 continue;
             }
             let (cols, vals) = a.row(r);
-            let (dot, consumed) = row_dot(sr, cols, vals, uvals);
+            let (dot, consumed) = row_dot(sr, cols, vals, u);
             *slot = dot;
             let hi = row_end.min(lo + consumed.next_multiple_of(ws));
             ctx.warp_read_run(8, r, r + 2);
@@ -151,7 +151,7 @@ where
     S: Semiring<T, D1, T>,
 {
     let (add, mul) = (sr.add(), sr.mul());
-    let (nrows, uvals) = (a.nrows(), u.options());
+    let nrows = a.nrows();
     let val_sz = std::mem::size_of::<D1>();
     let u_sz = std::mem::size_of::<Option<T>>();
     let mut out = vec![None; nrows];
@@ -175,7 +175,7 @@ where
                     let (cols, vals) = a.row(r);
                     if k < cols.len() {
                         xcols.push(cols[k]);
-                        if let Some(uj) = uvals[cols[k]] {
+                        if let Some(uj) = u.get(cols[k]) {
                             let term = mul.apply(vals[k], uj);
                             let acc = &mut slice[r - row0];
                             *acc = Some(acc.map_or(term, |v| add.apply(v, term)));
@@ -438,15 +438,27 @@ fn operand<T: Scalar>(
 /// each row set with chance 1/3 — so a warp is kept whole, not at all or in
 /// part, and its complement the other way round.
 fn row_mask(rng: &mut Rng, m: usize) -> DenseVector<bool> {
-    let mut mask = Vec::with_capacity(m);
-    while mask.len() < m {
+    let mut mask = DenseVector::new(m);
+    for group in (0..m).step_by(32) {
         let mode = rng.below(3);
-        for _ in 0..32.min(m - mask.len()) {
-            let set = mode == 0 || (mode == 2 && rng.below(3) == 0);
-            mask.push(set.then_some(true));
+        for r in group..(group + 32).min(m) {
+            if mode == 0 || (mode == 2 && rng.below(3) == 0) {
+                mask.set(r, true);
+            }
         }
     }
-    DenseVector::from_options(mask)
+    mask
+}
+
+/// A dense vector holding `slots`' present entries.
+fn dense<T: Scalar>(slots: &[Option<T>]) -> DenseVector<T> {
+    let mut d = DenseVector::new(slots.len());
+    for (i, v) in slots.iter().enumerate() {
+        if let Some(v) = *v {
+            d.set(i, v);
+        }
+    }
+    d
 }
 
 /// Every pull kernel, with its reference narration.
@@ -505,7 +517,7 @@ fn pulls_match<T, D, S>(
             );
             let w = mxv(&got, a, u, sr, pull, kernel, profiles);
             let reference = reference(kernel, &want, a, u, sr, pull);
-            assert_eq!(w, DenseVector::from_options(reference), "{kernel:?} result");
+            assert_eq!(w, dense(&reference), "{kernel:?} result");
             let (us, ws) = (u.to_sparse(), w.to_sparse());
             let early = early_exits(sr, a, |j| us.get(j), ws.iter());
             charge::mxv::<T, D>(&device(&sparse, kernel, profiles), a, pull, &early);
@@ -555,11 +567,12 @@ fn check<T, D, S>(
 
         let present = PRESENT[round % PRESENT.len()];
         let frontier = operand(&mut rng, m, present, &uval).to_sparse();
-        let push_mask = DenseVector::from_options(
-            (0..n)
-                .map(|_| (rng.below(3) == 0).then_some(true))
-                .collect(),
-        );
+        let mut push_mask = DenseVector::new(n);
+        for j in 0..n {
+            if rng.below(3) == 0 {
+                push_mask.set(j, true);
+            }
+        }
         for config in configs() {
             for masked in [None, Some(false), Some(true)] {
                 let push = masked.map(|c| VecMask::new(&push_mask, c));

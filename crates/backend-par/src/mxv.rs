@@ -46,6 +46,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::{nnz_balanced_rows, OVERSPLIT};
     use gbtl_algebra::PlusTimes;
     use gbtl_sparse::CooMatrix;
 
@@ -69,6 +70,49 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let pool = ThreadPool::with_threads(threads);
             assert_eq!(mxv(&pool, &a, &u, PlusTimes::<i64>::new(), None), want);
+        }
+    }
+
+    /// 1 000 rows — 15 presence words and 40 rows — of skewed lengths, so
+    /// the nnz-balanced cuts fall mid-word and every segment's words are
+    /// shifted onto the joined ones: bit-identical to seq at every thread
+    /// count, over a partly and a fully present operand, unmasked and
+    /// under a mask plain and complemented.
+    #[test]
+    fn segments_joined_across_unaligned_cuts_match_seq() {
+        let n = 1000;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            for k in 0..(i % 7) * (1 + i % 3) {
+                coo.push(i, (i * 31 + k * 17) % n, (i + k) as i64 % 9 - 4);
+            }
+        }
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let mut part = DenseVector::new(n);
+        (0..n)
+            .filter(|j| j % 5 != 0)
+            .for_each(|j| part.set(j, j as i64 % 11 - 5));
+        let full = DenseVector::filled(n, 3i64);
+        let mut keep = DenseVector::new(n);
+        (0..n)
+            .filter(|i| i % 3 != 1)
+            .for_each(|i| keep.set(i, true));
+        let sr = PlusTimes::<i64>::new();
+        for threads in [1, 2, 4, 8] {
+            let pool = ThreadPool::with_threads(threads);
+            let cuts = nnz_balanced_rows(a.row_ptr(), threads * OVERSPLIT);
+            assert!(
+                cuts.iter().any(|r| r.start % 64 != 0),
+                "{threads} threads: no cut mid-word in {cuts:?}"
+            );
+            let masks = [None, Some(false), Some(true)].map(|c| c.map(|c| VecMask::new(&keep, c)));
+            for (u, mask) in [&part, &full]
+                .into_iter()
+                .flat_map(|u| masks.map(|m| (u, m)))
+            {
+                let want = gbtl_backend_seq::mxv(&a, u, sr, mask);
+                assert_eq!(mxv(&pool, &a, u, sr, mask), want, "{threads} threads");
+            }
         }
     }
 }

@@ -31,11 +31,20 @@ pub(crate) fn join_entries<T>(mut parts: Vec<(Vec<usize>, Vec<T>)>) -> (Vec<usiz
     (idx, vals)
 }
 
-/// Concatenate dense segments of consecutive ranges into one vector.
+/// Concatenate dense segments of consecutive ranges into one vector. A
+/// segment starts wherever the last one ended, mid-word or not: its
+/// presence words are shifted onto the joined words there.
 pub(crate) fn join_dense<T: Scalar>(n: usize, segments: Vec<DenseVector<T>>) -> DenseVector<T> {
-    let mut out = Vec::with_capacity(n);
+    let (mut vals, mut bits) = (Vec::with_capacity(n), vec![0u64; n.div_ceil(64)]);
     for seg in &segments {
-        out.extend_from_slice(seg.options());
+        let (at, off) = (vals.len() / 64, vals.len() % 64);
+        for (w, &word) in seg.bits().iter().enumerate() {
+            bits[at + w] |= word << off;
+            if off > 0 && word >> (64 - off) != 0 {
+                bits[at + w + 1] |= word >> (64 - off);
+            }
+        }
+        vals.extend_from_slice(seg.values());
     }
-    DenseVector::from_options(out)
+    DenseVector::from_parts(vals, bits)
 }

@@ -187,13 +187,10 @@ where
     Op: BinaryOp<T>,
 {
     assert_eq!(u.len(), v.len(), "eWiseMult vector length mismatch");
-    let mut w = DenseVector::new(rows.len());
-    for i in rows.clone() {
-        if let (Some(a), Some(b)) = (u.get(i), v.get(i)) {
-            w.set(i - rows.start, op.apply(a, b));
-        }
-    }
-    w
+    DenseVector::from_fn(rows.len(), |k| {
+        let i = rows.start + k;
+        Some(op.apply(u.get(i)?, v.get(i)?))
+    })
 }
 
 #[cfg(test)]

@@ -50,13 +50,7 @@ pub fn extract_vec<T>(u: &DenseVector<T>, indices: &[Index]) -> DenseVector<T>
 where
     T: Scalar,
 {
-    let mut w = DenseVector::new(indices.len());
-    for (out_i, &src_i) in indices.iter().enumerate() {
-        if let Some(v) = u.get(src_i) {
-            w.set(out_i, v);
-        }
-    }
-    w
+    DenseVector::from_fn(indices.len(), |k| u.get(indices[k]))
 }
 
 /// `C(rows, cols) = A` — GraphBLAS `assign` without accumulate: entries of

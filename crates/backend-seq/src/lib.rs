@@ -19,9 +19,9 @@
 //! ranges. There is one CPU kernel source.
 //!
 //! All functions are pure: inputs by reference, outputs returned. Masks
-//! arrive pre-resolved by the frontend — a vector mask is a `&[bool]` keep
-//! bitmap, a matrix mask is a structural `CsrMatrix<bool>` — so backends
-//! never see descriptor flags.
+//! arrive pre-resolved by the frontend — a vector mask is a `VecMask` view
+//! of packed presence bits and a complement flag, a matrix mask is a
+//! structural `CsrMatrix<bool>` — so backends never see descriptors.
 
 mod build;
 mod ewise;

@@ -13,7 +13,8 @@ use std::hint::select_unpredictable;
 use std::ops::Range;
 
 /// `⊕`-fold of `vals[q] ⊗ u[cols[q]]` over one row's entries, in entry
-/// order, skipping absent `u` positions; `None` when every one is absent.
+/// order, skipping the positions `u`'s presence bits leave absent; `None`
+/// when every one is absent.
 /// The one row kernel of pull `mxv` on every backend: the sequential and
 /// parallel backends run it per row, cuda-sim's SpMV kernels differ only in
 /// how the device would schedule (and so be charged for) it.
@@ -24,7 +25,12 @@ use std::ops::Range;
 /// were consumed: `cols.len()` unless it stopped early, always that for a
 /// monoid without a terminal (whose test folds away at compile time).
 #[inline]
-pub fn row_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[Option<T>]) -> (Option<T>, usize)
+pub fn row_dot<T, D1, S>(
+    sr: S,
+    cols: &[usize],
+    vals: &[D1],
+    u: &DenseVector<T>,
+) -> (Option<T>, usize)
 where
     T: Scalar,
     D1: Scalar,
@@ -32,10 +38,11 @@ where
 {
     let (add, mul) = (sr.add(), sr.mul());
     let terminal = add.terminal();
+    let (values, bits) = (u.values(), u.bits());
     let mut acc: Option<T> = None;
     for (q, (&j, &aij)) in cols.iter().zip(vals).enumerate() {
-        if let Some(uj) = u[j] {
-            let term = mul.apply(aij, uj);
+        if bits[j / 64] >> (j % 64) & 1 == 1 {
+            let term = mul.apply(aij, values[j]);
             acc = Some(match acc {
                 Some(v) => add.apply(v, term),
                 None => term,
@@ -239,7 +246,7 @@ fn gallop(s: &[usize], x: usize) -> usize {
 /// first at the present term that reached the terminal.
 ///
 /// An absent entry computes only what cannot fail: `⊗` of the `safe` pair,
-/// a product the `Option` fold of the same call computes too (see
+/// a product the presence-testing fold of the same call computes too (see
 /// [`RowFold`]; every absent slot holds its operand value), and `⊕` of the
 /// accumulator with the monoid's identity, which the identity law makes
 /// the accumulator. Both results are thrown away.
@@ -277,11 +284,11 @@ where
 }
 
 /// [`row_dot`] over an operand whose every position is present, read as
-/// its plain values: no presence test, no `Option` slot (twice a value's
-/// width) and a plain accumulator. The row's first term seeds the fold as
-/// it is, never `identity ⊕ term` — the identity law holds only up to bits
-/// (`0.0 + -0.0` is `0.0`) — and the exit test follows every term, so the
-/// same bits and the same count as [`row_dot`].
+/// its plain values: no presence test and a plain accumulator. The row's
+/// first term seeds the fold as it is, never `identity ⊕ term` — the
+/// identity law holds only up to bits (`0.0 + -0.0` is `0.0`) — and the
+/// exit test follows every term, so the same bits and the same count as
+/// [`row_dot`].
 #[inline]
 fn full_dot<T, D1, S>(sr: S, cols: &[usize], vals: &[D1], u: &[T]) -> (Option<T>, usize)
 where
@@ -347,15 +354,15 @@ enum Fold<T, D1> {
     Options,
     /// `(value, present)` per position of `u`, and the safe pair.
     Slots(Vec<(T, bool)>, (D1, T)),
-    /// Every value of `u`, in position order.
-    Full(Vec<T>),
+    /// `u`'s values, read in place.
+    Full,
 }
 
 /// The row fold of one pull product `A ⊕.⊗ u` under a keep `mask`, chosen
-/// once per call (ADR 0017): the full fold, over a copy of `u`'s values,
-/// when every position of `u` is present; [`slot_dot`] over a slot array
-/// built from `u` when its presence share lies in [`SLOT_BAND`] and
-/// [`slots_pay`] for `S`; the [`row_dot`] `Option` fold otherwise. The
+/// once per call (ADR 0017): the full fold, over `u`'s values as they are
+/// stored, when every position of `u` is present; [`slot_dot`] over a slot
+/// array built from `u` when its presence share lies in [`SLOT_BAND`] and
+/// [`slots_pay`] for `S`; the [`row_dot`] fold otherwise. The
 /// sequential and parallel `mxv` and both of cuda-sim's SpMV kernels fold
 /// every row through one of these; which fold ran never shows in a result
 /// or a count.
@@ -364,7 +371,7 @@ pub struct RowFold<'a, T, D1, S> {
     sr: S,
     a: &'a CsrMatrix<D1>,
     mask: Option<VecMask<'a>>,
-    u: &'a [Option<T>],
+    u: &'a DenseVector<T>,
     fold: Fold<T, D1>,
 }
 
@@ -384,7 +391,7 @@ where
         if u.nnz() == u.len() {
             return Self::full(sr, a, u, mask);
         }
-        let fold = Self::options(sr, a, u, mask);
+        let fold = Self::checked(sr, a, u, mask);
         let (lo, hi) = SLOT_BAND;
         let share = u.nnz() * 64;
         if slots_pay::<S, D1>() && (lo * u.len()..=hi * u.len()).contains(&share) {
@@ -395,12 +402,7 @@ where
     }
 
     /// The full fold: what the fold's properties compare with [`row_dot`].
-    /// Its values are copied out of `u` once, here, for this call alone: an
-    /// O(n) pass beside the n-slot result every call fills. The copy reads
-    /// each slot as `unwrap_or(identity)`, a select with no branch, which
-    /// ran 2–10 % ahead of collecting the present values; every slot is
-    /// present, so the identity is never taken. Panics unless every
-    /// position of `u` is present.
+    /// Panics unless every position of `u` is present.
     pub fn full(
         sr: S,
         a: &'a CsrMatrix<D1>,
@@ -408,12 +410,9 @@ where
         mask: Option<VecMask<'a>>,
     ) -> Self {
         assert_eq!(u.nnz(), u.len(), "the full fold reads every position of u");
-        let fold = Self::options(sr, a, u, mask);
-        let identity = sr.add().identity();
-        let values = fold.u.iter().map(|v| v.unwrap_or(identity)).collect();
         Self {
-            fold: Fold::Full(values),
-            ..fold
+            fold: Fold::Full,
+            ..Self::checked(sr, a, u, mask)
         }
     }
 
@@ -425,10 +424,10 @@ where
         u: &'a DenseVector<T>,
         mask: Option<VecMask<'a>>,
     ) -> Self {
-        Self::options(sr, a, u, mask).into_slots()
+        Self::checked(sr, a, u, mask).into_slots()
     }
 
-    fn options(
+    fn checked(
         sr: S,
         a: &'a CsrMatrix<D1>,
         u: &'a DenseVector<T>,
@@ -449,33 +448,34 @@ where
             sr,
             a,
             mask,
-            u: u.options(),
+            u,
             fold: Fold::Options,
         }
     }
 
     /// Slots over this fold's `u`. The safe pair is the first entry, in
     /// the rows the mask keeps, at a present position, with that position's
-    /// value: the first product the `Option` fold computes. An absent
+    /// value: the first product the [`row_dot`] fold computes. An absent
     /// position's slot holds the same value, so an absent entry's `⊗` only
     /// ever repeats that product. A product with no such entry has no
-    /// present term to fold: it keeps the `Option` fold.
+    /// present term to fold: it keeps the [`row_dot`] fold.
     fn into_slots(self) -> Self {
+        let u = self.u;
         let safe = (0..self.a.nrows())
             .filter(|&i| self.keeps(i))
             .find_map(|i| {
                 let (cols, vals) = self.a.row(i);
-                let q = cols.iter().position(|&j| self.u[j].is_some())?;
-                Some((vals[q], self.u[cols[q]]?))
+                let q = cols.iter().position(|&j| u.contains(j))?;
+                Some((vals[q], u.values()[cols[q]]))
             });
         let Some(safe) = safe else {
             return self;
         };
-        let slots = self
-            .u
-            .iter()
-            .map(|&v| (v.unwrap_or(safe.1), v.is_some()))
-            .collect();
+        let slot = |(j, &v): (usize, &T)| {
+            let present = u.contains(j);
+            (select_unpredictable(present, v, safe.1), present)
+        };
+        let slots = u.values().iter().enumerate().map(slot).collect();
         Self {
             fold: Fold::Slots(slots, safe),
             ..self
@@ -487,7 +487,7 @@ where
         match self.fold {
             Fold::Options => FoldKind::Options,
             Fold::Slots(..) => FoldKind::Slots,
-            Fold::Full(_) => FoldKind::Full,
+            Fold::Full => FoldKind::Full,
         }
     }
 
@@ -504,7 +504,7 @@ where
         match &self.fold {
             Fold::Options => row_dot(self.sr, cols, vals, self.u),
             Fold::Slots(slots, safe) => slot_dot(self.sr, cols, vals, slots, *safe),
-            Fold::Full(values) => full_dot(self.sr, cols, vals, values),
+            Fold::Full => full_dot(self.sr, cols, vals, self.u.values()),
         }
     }
 
@@ -520,7 +520,8 @@ where
             Fold::Slots(slots, safe) => self.fold_rows(rows, move |cols, vals| {
                 slot_dot(sr, cols, vals, slots, *safe)
             }),
-            Fold::Full(values) => {
+            Fold::Full => {
+                let values = u.values();
                 self.fold_rows(rows, move |cols, vals| full_dot(sr, cols, vals, values))
             }
         }
@@ -533,17 +534,11 @@ where
         rows: Range<usize>,
         dot: impl Fn(&[usize], &[D1]) -> (Option<T>, usize),
     ) -> DenseVector<T> {
-        let mut w = DenseVector::new(rows.len());
-        for i in rows.clone() {
-            if !self.keeps(i) {
-                continue;
-            }
+        DenseVector::from_fn(rows.len(), |k| {
+            let i = rows.start + k;
             let (cols, vals) = self.a.row(i);
-            if let (Some(v), _) = dot(cols, vals) {
-                w.set(i - rows.start, v);
-            }
-        }
-        w
+            self.keeps(i).then(|| dot(cols, vals).0).flatten()
+        })
     }
 }
 
@@ -722,8 +717,15 @@ mod tests {
     fn mxv_mask_skips_rows() {
         let a = adj();
         let u = DenseVector::filled(3, 1i64);
-        let keep = [true, false, true];
-        let w = mxv(&a, &u, PlusTimes::<i64>::new(), Some(keep[..].into()));
+        let mut keep = DenseVector::new(3);
+        keep.set(0, true);
+        keep.set(2, true);
+        let w = mxv(
+            &a,
+            &u,
+            PlusTimes::<i64>::new(),
+            Some(VecMask::new(&keep, false)),
+        );
         assert!(w.get(0).is_some());
         assert_eq!(w.get(1), None);
         assert!(w.get(2).is_some());
@@ -760,12 +762,17 @@ mod tests {
         let a = adj();
         let mut u = SparseVector::new(3);
         u.set(0, 1i64);
-        let keep = [false, false, true];
-        let w = vxm(&u, &a, PlusTimes::<i64>::new(), Some(keep[..].into()));
+        let mut visited = DenseVector::new(3);
+        visited.set(2, true);
+        let w = vxm(
+            &u,
+            &a,
+            PlusTimes::<i64>::new(),
+            Some(VecMask::new(&visited, false)),
+        );
         assert_eq!(w.nnz(), 1);
         assert_eq!(w.get(2), Some(1));
-        // the same positions as a mask vector, plain and complemented
-        let visited = DenseVector::from_options(vec![None, None, Some(true)]);
+        // the same positions, plain and complemented
         for (complement, want) in [(false, vec![(2, 1)]), (true, vec![(1, 3)])] {
             let mask = VecMask::new(&visited, complement);
             let w = vxm(&u, &a, PlusTimes::<i64>::new(), Some(mask));

@@ -40,7 +40,7 @@ where
     A: Scalar,
     U: UnaryOp<A>,
 {
-    DenseVector::from_options(u.options().iter().map(|o| o.map(|v| f.apply(v))).collect())
+    DenseVector::from_fn(u.len(), |i| u.get(i).map(|v| f.apply(v)))
 }
 
 /// Keep only the entries where `pred(i, j, v)` holds — GraphBLAS `select`

@@ -13,6 +13,22 @@ use gbtl_sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
 use proptest::prelude::*;
 
+/// A dense vector holding `u`'s present entries.
+fn dense<T: Scalar>(u: &[Option<T>]) -> DenseVector<T> {
+    let mut d = DenseVector::new(u.len());
+    for (i, v) in u.iter().enumerate() {
+        if let Some(v) = *v {
+            d.set(i, v);
+        }
+    }
+    d
+}
+
+/// A mask vector holding the positions `keep` sets.
+fn kept(keep: &[bool]) -> DenseVector<bool> {
+    dense(&keep.iter().map(|&k| k.then_some(true)).collect::<Vec<_>>())
+}
+
 /// The fold `row_dot` must equal: every entry, no exit.
 fn full_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
     sr: S,
@@ -39,7 +55,7 @@ fn check_row<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
     bits: impl Fn(T) -> u64,
 ) {
     let (cols, vals): (Vec<usize>, Vec<D1>) = entries.iter().copied().unzip();
-    let (got, consumed) = row_dot(sr, &cols, &vals, u);
+    let (got, consumed) = row_dot(sr, &cols, &vals, &dense(u));
     let want = full_fold(sr, &cols, &vals, u);
     assert_eq!(got.map(&bits), want.map(&bits));
     assert!(consumed <= cols.len());
@@ -158,13 +174,14 @@ fn check_slot_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
         check_fold_rows(sr, &a, &u, &slots, &bits, present);
         let full = RowFold::new(sr, &a, &u, None).kind() == FoldKind::Full;
         assert_eq!(full, present == SLOTS, "share {present}/64");
-        for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
+        let keep = kept(&keep[..a.nrows()]);
+        for mask in [None, Some(VecMask::new(&keep, false))] {
             let w = mxv(&a, &u, sr, mask);
             let stopped: Vec<(usize, usize)> = (0..a.nrows())
                 .filter(|&i| mask.is_none_or(|keep| keep.keeps(i)))
                 .filter_map(|i| {
                     let (cols, vals) = a.row(i);
-                    let (_, consumed) = row_dot(sr, cols, vals, u.options());
+                    let (_, consumed) = row_dot(sr, cols, vals, &u);
                     (consumed < cols.len()).then_some((i, consumed))
                 })
                 .collect();
@@ -200,17 +217,16 @@ fn check_full_fold<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
     bits: impl Fn(T) -> u64,
 ) {
     let a = slot_matrix(rows);
-    let u = DenseVector::from_options(values.iter().copied().map(Some).collect());
+    let u = DenseVector::from_values(values.to_vec());
     check_fold_rows(sr, &a, &u, &RowFold::full(sr, &a, &u, None), &bits, SLOTS);
-    for mask in [None, Some(VecMask::from(&keep[..a.nrows()]))] {
+    let keep = kept(&keep[..a.nrows()]);
+    for mask in [None, Some(VecMask::new(&keep, false))] {
         assert_eq!(RowFold::new(sr, &a, &u, mask).kind(), FoldKind::Full);
         let got = mxv(&a, &u, sr, mask);
         for i in 0..a.nrows() {
             let (cols, vals) = a.row(i);
             let kept = mask.is_none_or(|keep| keep.keeps(i));
-            let want = kept
-                .then(|| row_dot(sr, cols, vals, u.options()).0)
-                .flatten();
+            let want = kept.then(|| row_dot(sr, cols, vals, &u).0).flatten();
             assert_eq!(got.get(i).map(&bits), want.map(&bits), "row {i}");
         }
     }
@@ -227,7 +243,7 @@ fn check_fold_rows<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
 ) {
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
-        let (want, want_consumed) = row_dot(sr, cols, vals, u.options());
+        let (want, want_consumed) = row_dot(sr, cols, vals, u);
         let (got, consumed) = fold.row(i);
         assert_eq!(
             got.map(&bits),
@@ -273,10 +289,11 @@ fn check_hostile<T: Scalar, S: Semiring<T>>(
         let want: Vec<Option<T>> = (0..a.nrows())
             .map(|i| {
                 let (cols, vals) = a.row(i);
-                row_dot(sr, cols, vals, u.options()).0
+                row_dot(sr, cols, vals, &u).0
             })
             .collect();
-        assert_eq!(got.options(), &want[..], "share {present}/64");
+        let got: Vec<Option<T>> = (0..got.len()).map(|i| got.get(i)).collect();
+        assert_eq!(&got[..], &want[..], "share {present}/64");
     }
 }
 
@@ -505,7 +522,7 @@ proptest! {
         visited in draws(proptest::option::of(any::<bool>()), 1),
     ) {
         let a = matrix(n, &degrees, &picks);
-        let visited = DenseVector::from_options(visited[..n].to_vec());
+        let visited = dense(&visited[..n]);
         check_vxm(MinPlus::<u32>::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
     }
 
@@ -519,7 +536,7 @@ proptest! {
         visited in draws(proptest::option::of(any::<bool>()), 1),
     ) {
         let a = matrix(n, &degrees, &picks);
-        let visited = DenseVector::from_options(visited[..n].to_vec());
+        let visited = dense(&visited[..n]);
         check_vxm(LorLand::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
     }
 
@@ -533,7 +550,7 @@ proptest! {
         visited in draws(proptest::option::of(any::<bool>()), 1),
     ) {
         let a = matrix(n, &degrees, &picks);
-        let visited = DenseVector::from_options(visited[..n].to_vec());
+        let visited = dense(&visited[..n]);
         check_vxm(PlusTimes::<i64>::new(), &a, &shuffled(n, &keys), &frontier_vals, &visited);
     }
 }
@@ -552,7 +569,7 @@ fn check_stacked<T: Scalar, S: Semiring<T>>(
     let (mut u, mut w) = (CooMatrix::new(k, n), CooMatrix::new(k, n));
     let mut want = Vec::new();
     for (r, member) in members.iter().enumerate() {
-        let operand = DenseVector::from_options(member[..n].to_vec());
+        let operand = dense(&member[..n]);
         let product = mxv(a, &operand, sr, None);
         for (j, v) in operand.iter() {
             u.push(r, j, v);

@@ -20,9 +20,8 @@ use crate::policy::{ChosenDir, DevicePrice, DirectionPolicy, LevelWork};
 /// Container-level GraphBLAS operations, implemented per execution target.
 ///
 /// Masks arrive pre-resolved: a vector mask is a keep test ([`VecMask`]: the
-/// frontend passes the mask vector's own storage with the complement flag,
-/// a caller holding a keep-bitmap passes the `&[bool]`), a matrix mask is a
-/// structural boolean CSR. Shapes are already validated.
+/// mask vector's own presence bits with the complement flag), a matrix mask
+/// is a structural boolean CSR. Shapes are already validated.
 ///
 /// The products are generic over their operands' value domains: a matrix
 /// is read in whatever type it is stored (`D1`/`D2`), the semiring maps it
@@ -112,14 +111,13 @@ pub trait Backend: Send + Sync {
     /// output). A pull's charge depends on which rows stopped early, read
     /// off the result ([`gbtl_backend_seq::early_exits`]) only on a backend
     /// that owns a device.
-    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
+    fn mxv<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
         &self,
         a: &CsrMatrix<D1>,
         u: &DenseVector<T>,
         sr: S,
-        mask: Option<M>,
+        mask: Option<VecMask<'_>>,
     ) -> DenseVector<T> {
-        let mask = mask.map(Into::into);
         let w = gbtl_backend_seq::mxv(a, u, sr, mask);
         self.charge(|device| {
             if mask.is_some() {
@@ -133,14 +131,13 @@ pub trait Backend: Send + Sync {
 
     /// Push-direction `w = uᵀ ⊕.⊗ A`. Like [`Backend::mxv`], the result
     /// holds kept positions only.
-    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
+    fn vxm<T: Scalar, D2: Scalar, S: Semiring<T, T, D2>>(
         &self,
         u: &SparseVector<T>,
         a: &CsrMatrix<D2>,
         sr: S,
-        mask: Option<M>,
+        mask: Option<VecMask<'_>>,
     ) -> SparseVector<T> {
-        let mask = mask.map(Into::into);
         let w = gbtl_backend_seq::vxm(u, a, sr, mask);
         self.charge(|gpu| charge::vxm(gpu, u, a, mask, &w));
         w
@@ -452,14 +449,14 @@ impl Backend for ParBackend {
         gbtl_backend_par::mxm_masked(&self.pool, mask, a, b, sr)
     }
 
-    fn mxv<'m, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>, M: Into<VecMask<'m>>>(
+    fn mxv<T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
         &self,
         a: &CsrMatrix<D1>,
         u: &DenseVector<T>,
         sr: S,
-        mask: Option<M>,
+        mask: Option<VecMask<'_>>,
     ) -> DenseVector<T> {
-        gbtl_backend_par::mxv(&self.pool, a, u, sr, mask.map(Into::into))
+        gbtl_backend_par::mxv(&self.pool, a, u, sr, mask)
     }
 
     fn reduce_rows<T: Scalar, M: Monoid<T>>(&self, a: &CsrMatrix<T>, m: M) -> SparseVector<T> {
@@ -657,11 +654,11 @@ mod tests {
             u.set(h, h as i64);
         }
         let sr = gbtl_algebra::MinPlus::<i64>::new();
-        let want = SeqBackend.vxm(&u, &a, sr, None::<VecMask<'_>>);
+        let want = SeqBackend.vxm(&u, &a, sr, None);
         let policy = DirectionPolicy::new(crate::policy::Direction::Auto, n, a.nnz(), true);
         for threads in [1, 2, 4, 8] {
             let par = ParBackend::with_threads(threads);
-            assert_eq!(par.vxm(&u, &a, sr, None::<VecMask<'_>>), want);
+            assert_eq!(par.vxm(&u, &a, sr, None), want);
             let s = par.pool_stats();
             assert_eq!((s.parallel_dispatches, s.inline_dispatches), (0, 0));
             // so the rule may charge a fan-out to pull alone: one worker
@@ -728,7 +725,7 @@ mod tests {
         let _ = par.assign_vec(&ud, &par.extract_vec(&ud, &idx), &idx);
         assert_eq!(dispatches(), (0, 0), "an inherited op dispatched");
         // the same operands are big enough for a kept kernel to fan out
-        let _ = par.mxv(&a, &ud, PlusTimes::<i64>::new(), None::<VecMask<'_>>);
+        let _ = par.mxv(&a, &ud, PlusTimes::<i64>::new(), None);
         assert_eq!(dispatches(), (1, 0));
     }
 
@@ -764,12 +761,15 @@ mod tests {
         );
         let mut coo = CooMatrix::new(3, 3);
         coo.push(1, 1, 4i64);
-        let (idx, keep) = ([0, 2], [true, false, true]);
+        let (idx, mut keep) = ([0, 2], DenseVector::new(3));
+        keep.set(0, true);
+        keep.set(2, true);
+        let keep = VecMask::new(&keep, false);
         let ops: [&dyn Fn(); 24] = [
             &|| drop(be.mxm(&a, &a, PlusTimes::<i64>::new())),
             &|| drop(be.mxm_masked(&mask, &a, &a, PlusTimes::<i64>::new())),
-            &|| drop(be.vxm(&us, &a, PlusTimes::<i64>::new(), Some(&keep[..]))),
-            &|| drop(be.mxv(&a, &ud, PlusTimes::<i64>::new(), Some(&keep[..]))),
+            &|| drop(be.vxm(&us, &a, PlusTimes::<i64>::new(), Some(keep))),
+            &|| drop(be.mxv(&a, &ud, PlusTimes::<i64>::new(), Some(keep))),
             &|| drop(be.ewise_add_mat(&a, &a, Plus::<i64>::new())),
             &|| drop(be.ewise_mult_mat(&a, &a, Times::<i64>::new())),
             &|| drop(be.ewise_add_vec(&us, &us, Plus::<i64>::new())),

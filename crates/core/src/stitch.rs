@@ -394,28 +394,19 @@ where
     T: Scalar,
     Acc: BinaryOp<T>,
 {
-    let n = t.len();
-    let mut out = DenseVector::new(n);
-    for i in 0..n {
-        let allowed = keep.is_none_or(|k| k.keeps(i));
-        if allowed {
-            let old_v = old.get(i);
-            let new_v = t.get(i);
-            let z = match (&accum, old_v, new_v) {
+    DenseVector::from_fn(t.len(), |i| {
+        if keep.is_none_or(|k| k.keeps(i)) {
+            match (&accum, old.get(i), t.get(i)) {
                 (Some(op), Some(o), Some(nv)) => Some(op.apply(o, nv)),
                 (Some(_), Some(o), None) => Some(o),
                 (_, _, nv) => nv,
-            };
-            if let Some(v) = z {
-                out.set(i, v);
             }
         } else if !replace {
-            if let Some(v) = old.get(i) {
-                out.set(i, v);
-            }
+            old.get(i)
+        } else {
+            None
         }
-    }
-    out
+    })
 }
 
 /// Stitch a computed sparse vector into the old output.

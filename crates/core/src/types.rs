@@ -300,12 +300,6 @@ impl<T: Scalar> Vector<T> {
         Self::from_repr(VectorRepr::Dense(DenseVector::filled(n, fill)))
     }
 
-    /// A bitmap-stored vector from one `Option` per position — the bulk
-    /// constructor for a dense per-iteration vector, in one pass.
-    pub fn from_options(vals: Vec<Option<T>>) -> Self {
-        Self::from_repr(VectorRepr::Dense(DenseVector::from_options(vals)))
-    }
-
     /// Build from `(index, value)` pairs, merging duplicates with `dup`.
     pub fn build<D: BinaryOp<T>>(
         n: Index,
@@ -361,23 +355,6 @@ impl<T: Scalar> Vector<T> {
         match &self.repr {
             VectorRepr::Sparse(v) => v.get(i),
             VectorRepr::Dense(v) => v.get(i),
-        }
-    }
-
-    /// One `Option` per position — the bulk read of a dense result:
-    /// borrowed from a bitmap-stored vector (what `mxv` returns), built in
-    /// O(n) from a sparse one. Indexing it is a load; [`Vector::get`] on a
-    /// sparse vector is a binary search.
-    pub fn options(&self) -> std::borrow::Cow<'_, [Option<T>]> {
-        match &self.repr {
-            VectorRepr::Dense(d) => d.options().into(),
-            VectorRepr::Sparse(s) => {
-                let mut opts = vec![None; s.len()];
-                for (i, v) in s.iter() {
-                    opts[i] = Some(v);
-                }
-                opts.into()
-            }
         }
     }
 
@@ -457,11 +434,12 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
-    /// The bitmap form of this vector as a kernel operand: borrowed when the
-    /// vector is stored that way (a pull frontier, every `mxv` result),
-    /// converted once otherwise — an operation never deep-copies an operand
-    /// that already has the layout its kernel reads.
-    pub(crate) fn dense_view(&self) -> Cow<'_, DenseVector<T>> {
+    /// The bitmap form of this vector — a kernel's operand, or the bulk read
+    /// of a dense result through its `values()` and `contains(i)`: borrowed
+    /// when the vector is stored that way (a pull frontier, every `mxv`
+    /// result), converted once otherwise — an operation never deep-copies
+    /// an operand that already has the layout its kernel reads.
+    pub fn dense_view(&self) -> Cow<'_, DenseVector<T>> {
         match &self.repr {
             VectorRepr::Sparse(v) => Cow::Owned(v.to_dense()),
             VectorRepr::Dense(v) => Cow::Borrowed(v),
@@ -578,16 +556,16 @@ mod tests {
 
     #[test]
     fn bulk_constructor_and_bulk_read_round_trip() {
-        let opts = vec![None, Some(10i64), None, Some(30)];
-        let d = Vector::from_options(opts.clone());
+        let d = Vector::from(DenseVector::from_parts(vec![0, 10i64, 0, 30], vec![0b1010]));
         assert!(!d.is_sparse());
         assert_eq!(d.nnz(), 2);
-        assert!(matches!(d.options(), std::borrow::Cow::Borrowed(_)));
+        assert!(matches!(d.dense_view(), Cow::Borrowed(_)));
         let mut s = Vector::new(4);
         s.set(1, 10i64);
         s.set(3, 30);
         assert_eq!(s, d);
-        assert_eq!(&s.options()[..], &opts[..]);
+        assert_eq!(s.dense_view().values(), &[0, 10, 0, 30]);
+        assert_eq!(*s.dense_view(), *d.dense_view());
     }
 
     #[test]

@@ -20,15 +20,15 @@ impl Backend for Probe {
         "probe"
     }
 
-    fn vxm<'m, T: Scalar, D2: Scalar, S: Semiring<T, T, D2>, M: Into<VecMask<'m>>>(
+    fn vxm<T: Scalar, D2: Scalar, S: Semiring<T, T, D2>>(
         &self,
         u: &SparseVector<T>,
         a: &CsrMatrix<D2>,
         sr: S,
-        mask: Option<M>,
+        mask: Option<VecMask<'_>>,
     ) -> SparseVector<T> {
         self.vxm_calls.fetch_add(1, Ordering::Relaxed);
-        gbtl_backend_seq::vxm(u, a, sr, mask.map(Into::into))
+        gbtl_backend_seq::vxm(u, a, sr, mask)
     }
 }
 

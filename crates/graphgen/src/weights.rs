@@ -85,8 +85,8 @@ pub fn constant<T: gbtl_algebra_shim::Scalar>(coo: &CooMatrix<bool>, w: T) -> Co
 // keeps `constant` generic without the dependency.
 mod gbtl_algebra_shim {
     /// Minimal scalar bound mirroring `gbtl_algebra::Scalar`.
-    pub trait Scalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
-    impl<T> Scalar for T where T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
+    pub trait Scalar: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
+    impl<T> Scalar for T where T: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
 }
 
 #[cfg(test)]

@@ -697,18 +697,17 @@ mod tests {
             "panicking-products"
         }
 
-        fn vxm<'m, T, D2, S, M>(
+        fn vxm<T, D2, S>(
             &self,
             _u: &SparseVector<T>,
             _a: &CsrMatrix<D2>,
             _sr: S,
-            _mask: Option<M>,
+            _mask: Option<VecMask<'_>>,
         ) -> SparseVector<T>
         where
             T: Scalar,
             D2: Scalar,
             S: Semiring<T, T, D2>,
-            M: Into<VecMask<'m>>,
         {
             panic!("kernel bug")
         }

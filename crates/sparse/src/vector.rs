@@ -172,45 +172,97 @@ impl<T: Scalar> SparseVector<T> {
     }
 }
 
-/// A vector stored as a value array plus a presence bitmap.
+/// A vector stored as a value array plus a presence bitmap: bit `i % 64` of
+/// word `i / 64` is set when position `i` holds a value.
 ///
-/// The population count is tracked incrementally so [`DenseVector::nnz`]
-/// is O(1) — the direction policy consults it every traversal level and
-/// cannot afford an O(n) scan per query.
-#[derive(Debug, Clone)]
+/// A clear position's value slot holds `T::default()`, always: [`unset`]
+/// restores it and [`DenseVector::from_parts`] resets it, so the derived
+/// equality compares exactly the present entries, and a reader that folds
+/// every slot (a fully present operand's `values()`) needs no presence
+/// test. The population count is tracked incrementally so
+/// [`DenseVector::nnz`] is O(1) — the direction policy consults it every
+/// traversal level and cannot afford an O(n) scan per query.
+///
+/// [`unset`]: DenseVector::unset
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseVector<T> {
-    vals: Vec<Option<T>>,
+    bits: Vec<u64>,
+    vals: Vec<T>,
     nnz: usize,
 }
 
-impl<T: PartialEq> PartialEq for DenseVector<T> {
-    fn eq(&self, other: &Self) -> bool {
-        // nnz is derived from vals; comparing it would be redundant.
-        self.vals == other.vals
-    }
+/// Whether bit `i % 64` of word `i / 64` is set.
+#[inline(always)]
+fn bit(words: &[u64], i: Index) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
 }
 
 impl<T: Scalar> DenseVector<T> {
     /// A vector of dimension `n` with every entry absent.
     pub fn new(n: Index) -> Self {
         Self {
-            vals: vec![None; n],
+            bits: vec![0; n.div_ceil(64)],
+            vals: vec![T::default(); n],
             nnz: 0,
         }
     }
 
     /// A vector of dimension `n` with every entry set to `fill`.
     pub fn filled(n: Index, fill: T) -> Self {
-        Self {
-            vals: vec![Some(fill); n],
-            nnz: n,
-        }
+        Self::from_values(vec![fill; n])
     }
 
-    /// Build from an explicit `Option` array.
-    pub fn from_options(vals: Vec<Option<T>>) -> Self {
-        let nnz = vals.iter().filter(|v| v.is_some()).count();
-        Self { vals, nnz }
+    /// A vector holding every one of `vals`.
+    pub fn from_values(vals: Vec<T>) -> Self {
+        let bits = vec![u64::MAX; vals.len().div_ceil(64)];
+        Self::from_parts(vals, bits)
+    }
+
+    /// A vector of dimension `n` holding `f(i)` where it is `Some`, with
+    /// `f` called once per position in index order. Each word of presence
+    /// bits is assembled in a register and stored once: a loop of [`set`]
+    /// stores it once a position, each store waiting on the last.
+    ///
+    /// [`set`]: DenseVector::set
+    pub fn from_fn(n: Index, mut f: impl FnMut(Index) -> Option<T>) -> Self {
+        let (mut vals, mut bits) = (Vec::with_capacity(n), Vec::with_capacity(n.div_ceil(64)));
+        let mut nnz = 0;
+        for start in (0..n).step_by(64) {
+            let mut word = 0u64;
+            vals.extend((start..(start + 64).min(n)).map(|i| {
+                let v = f(i);
+                word |= u64::from(v.is_some()) << (i % 64);
+                v.unwrap_or_default()
+            }));
+            nnz += word.count_ones() as usize;
+            bits.push(word);
+        }
+        Self { bits, vals, nnz }
+    }
+
+    /// A vector holding `vals[i]` where bit `i % 64` of `bits[i / 64]` is
+    /// set; clear positions' slots, and bits past the end, are reset.
+    /// Panics unless `bits` holds one word per 64 positions.
+    pub fn from_parts(mut vals: Vec<T>, mut bits: Vec<u64>) -> Self {
+        let n = vals.len();
+        assert_eq!(
+            bits.len(),
+            n.div_ceil(64),
+            "one presence word per 64 values"
+        );
+        if let Some(last) = bits.last_mut() {
+            *last &= u64::MAX >> (n.wrapping_neg() % 64);
+        }
+        let mut nnz = 0;
+        for (w, &word) in bits.iter().enumerate() {
+            nnz += word.count_ones() as usize;
+            let mut clear = !word;
+            while clear != 0 && 64 * w + (clear.trailing_zeros() as usize) < n {
+                vals[64 * w + clear.trailing_zeros() as usize] = T::default();
+                clear &= clear - 1;
+            }
+        }
+        Self { bits, vals, nnz }
     }
 
     /// Dimension of the vector.
@@ -228,63 +280,80 @@ impl<T: Scalar> DenseVector<T> {
     /// Number of present entries. O(1): maintained on every mutation.
     #[inline]
     pub fn nnz(&self) -> usize {
-        debug_assert_eq!(self.nnz, self.vals.iter().filter(|v| v.is_some()).count());
+        debug_assert_eq!(
+            self.nnz,
+            self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        );
         self.nnz
     }
 
     /// Value at `i`, or `None` when absent.
     #[inline]
     pub fn get(&self, i: Index) -> Option<T> {
-        self.vals[i]
+        let v = self.vals[i];
+        self.contains(i).then_some(v)
     }
 
     /// True when index `i` holds a value.
     #[inline]
     pub fn contains(&self, i: Index) -> bool {
-        self.vals[i].is_some()
+        bit(&self.bits, i)
     }
 
     /// Set the value at `i`.
     #[inline]
     pub fn set(&mut self, i: Index, v: T) {
-        if self.vals[i].is_none() {
+        self.vals[i] = v;
+        // an overwrite stores no bit, so a run of overwrites in one word
+        // does not wait on each other's store
+        let (word, bit) = (&mut self.bits[i / 64], 1 << (i % 64));
+        if *word & bit == 0 {
+            *word |= bit;
             self.nnz += 1;
         }
-        self.vals[i] = Some(v);
     }
 
     /// Remove the value at `i`; returns it.
     #[inline]
     pub fn unset(&mut self, i: Index) -> Option<T> {
-        let old = self.vals[i].take();
-        if old.is_some() {
-            self.nnz -= 1;
-        }
-        old
+        let old = std::mem::take(&mut self.vals[i]);
+        let present = self.contains(i);
+        self.bits[i / 64] &= !(1 << (i % 64));
+        self.nnz -= usize::from(present);
+        present.then_some(old)
     }
 
-    /// The underlying option slice.
+    /// One value slot per position: a present entry's value, or
+    /// `T::default()`.
     #[inline]
-    pub fn options(&self) -> &[Option<T>] {
+    pub fn values(&self) -> &[T] {
         &self.vals
+    }
+
+    /// The presence bitmap: bit `i % 64` of word `i / 64` for position `i`,
+    /// no bit set past the end.
+    #[inline]
+    pub fn bits(&self) -> &[u64] {
+        &self.bits
     }
 
     /// Iterate present `(index, value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (Index, T)> + '_ {
-        self.vals
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.map(|v| (i, v)))
+        let (mut w, mut left) = (0, self.bits.first().copied().unwrap_or(0));
+        std::iter::from_fn(move || {
+            while left == 0 {
+                w += 1;
+                left = *self.bits.get(w)?;
+            }
+            let i = 64 * w + left.trailing_zeros() as usize;
+            left &= left - 1;
+            Some((i, self.vals[i]))
+        })
     }
 
     /// Sparsify.
     pub fn to_sparse(&self) -> SparseVector<T> {
-        let mut idx = Vec::new();
-        let mut vals = Vec::new();
-        for (i, v) in self.iter() {
-            idx.push(i);
-            vals.push(v);
-        }
+        let (idx, vals) = self.iter().unzip();
         SparseVector {
             n: self.len(),
             idx,
@@ -293,118 +362,76 @@ impl<T: Scalar> DenseVector<T> {
     }
 }
 
-/// A vector mask as the kernels read it: "may position `i` be written?".
+/// A vector mask as the kernels read it: "may position `i` be written?" —
+/// position `i` is kept where bit `i % 64` of word `i / 64` is set, or,
+/// complemented, where it is clear, over `len` positions.
 ///
 /// GraphBLAS vector masks here are structural — a position is *in* the mask
 /// when it holds an entry, whatever the value — so the usual form
-/// ([`VecMask::new`]) is the mask vector's own presence array plus the
-/// descriptor's complement flag: one load and one compare against storage
-/// that already exists. Nothing is built per call: a traversal that masks
-/// every level with its `visited` vector pays O(1) to hand that vector to
-/// the kernel, not an O(n) keep-bitmap. A caller that does hold a
-/// keep-bitmap passes it as it is (`From<&[bool]>`), and one holding the
-/// packed bits of what *not* to write, as they are ([`VecMask::unset_bits`]).
+/// ([`VecMask::new`]) is the mask vector's own presence bitmap plus the
+/// descriptor's complement flag. Nothing is built per call: a traversal
+/// that masks every level with its `visited` vector pays O(1) to hand that
+/// vector to the kernel, and a fused traversal hands its packed visited
+/// rows as they are ([`VecMask::unset_bits`]).
 #[derive(Debug, Clone, Copy)]
-pub struct VecMask<'a>(MaskBits<'a>);
-
-#[derive(Debug, Clone, Copy)]
-enum MaskBits<'a> {
-    /// Kept where an entry is present, or — complemented — where none is.
-    Presence {
-        present: &'a [Option<bool>],
-        complement: bool,
-    },
-    /// Kept where `true`.
-    Keep(&'a [bool]),
-    /// Kept where bit `i % 64` of word `i / 64` is clear, over `len`
-    /// positions.
-    Unset { words: &'a [u64], len: usize },
+pub struct VecMask<'a> {
+    words: &'a [u64],
+    len: usize,
+    complement: bool,
 }
 
 impl<'a> VecMask<'a> {
-    /// View `mask` (complemented when `complement` is set) as a keep test.
+    /// View `mask`'s presence (complemented when `complement` is set) as a
+    /// keep test.
     #[inline]
     pub fn new(mask: &'a DenseVector<bool>, complement: bool) -> Self {
-        VecMask(MaskBits::Presence {
-            present: mask.options(),
+        VecMask {
+            words: mask.bits(),
+            len: mask.len(),
             complement,
-        })
+        }
     }
 
-    /// The `len` positions whose bit in `skip` is clear, bit `i % 64` of
-    /// word `i / 64` for position `i`: a packed bitmap of what not to write
-    /// (a traversal's visited set), read as it is.
+    /// The `len` positions whose bit in `skip` is clear: a packed bitmap of
+    /// what not to write (a traversal's visited set), read as it is.
     #[inline]
     pub fn unset_bits(skip: &'a [u64], len: usize) -> Self {
         debug_assert!(skip.len() >= len.div_ceil(64));
-        VecMask(MaskBits::Unset { words: skip, len })
+        VecMask {
+            words: skip,
+            len,
+            complement: true,
+        }
     }
 
     /// Number of positions the mask covers.
     #[inline]
     pub fn len(&self) -> Index {
-        match self.0 {
-            MaskBits::Presence { present, .. } => present.len(),
-            MaskBits::Keep(keep) => keep.len(),
-            MaskBits::Unset { len, .. } => len,
-        }
+        self.len
     }
 
     /// True when the mask covers no positions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Whether position `i` may be written.
     #[inline(always)]
     pub fn keeps(&self, i: Index) -> bool {
-        match self.0 {
-            MaskBits::Presence {
-                present,
-                complement,
-            } => present[i].is_some() != complement,
-            MaskBits::Keep(keep) => keep[i],
-            MaskBits::Unset { words, .. } => words[i / 64] >> (i % 64) & 1 == 0,
-        }
+        bit(self.words, i) != self.complement
     }
 
     /// The keep bits of positions `64·w ..`, bit `b` for position `64·w + b`;
     /// positions past the end are not kept.
     #[inline]
     pub fn keep_word(&self, w: usize) -> u64 {
-        let lo = (64 * w).min(self.len());
-        let hi = (lo + 64).min(self.len());
-        // the keep flags as 64 bytes, then each eight packed into a byte by
-        // a multiply: flag `b` lands on bit `b`, and no two partial
-        // products meet, so nothing carries into the top byte
-        fn word<T>(slots: &[T], kept: impl Fn(&T) -> bool) -> u64 {
-            let mut flags = [0u8; 64];
-            for (flag, s) in flags.iter_mut().zip(slots) {
-                *flag = u8::from(kept(s));
-            }
-            (flags.chunks_exact(8).enumerate()).fold(0, |word, (i, eight)| {
-                let eight = u64::from_le_bytes(eight.try_into().expect("eight flags"));
-                word | (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
-            })
+        let live = self.len.saturating_sub(64 * w);
+        if live == 0 {
+            return 0;
         }
-        match self.0 {
-            MaskBits::Presence {
-                present,
-                complement,
-            } => word(&present[lo..hi], |p| p.is_some() != complement),
-            MaskBits::Keep(keep) => word(&keep[lo..hi], |&k| k),
-            MaskBits::Unset { words, .. } if lo < hi => !words[w] & u64::MAX >> (64 - (hi - lo)),
-            MaskBits::Unset { .. } => 0,
-        }
-    }
-}
-
-impl<'a> From<&'a [bool]> for VecMask<'a> {
-    /// A ready-made keep-bitmap: position `i` is kept where `keep[i]`.
-    #[inline]
-    fn from(keep: &'a [bool]) -> Self {
-        VecMask(MaskBits::Keep(keep))
+        (self.words[w] ^ u64::from(self.complement).wrapping_neg())
+            & u64::MAX >> (64 - live.min(64))
     }
 }
 
@@ -463,8 +490,9 @@ mod tests {
 
     #[test]
     fn dense_nnz_tracked_incrementally() {
-        let mut d = DenseVector::from_options(vec![Some(1u8), None, Some(2)]);
+        let mut d = DenseVector::from_parts(vec![1u8, 7, 2], vec![0b101]);
         assert_eq!(d.nnz(), 2);
+        assert_eq!(d.values(), &[1, 0, 2], "a clear slot holds the default");
         d.set(1, 9);
         d.set(1, 10); // overwrite: count unchanged
         assert_eq!(d.nnz(), 3);
@@ -494,15 +522,10 @@ mod tests {
             assert_eq!(plain.keeps(i), i == 1 || i == 3, "position {i}");
             assert_eq!(comp.keeps(i), !plain.keeps(i), "position {i}");
         }
-        // a ready-made keep-bitmap is read as it is
-        let keep = [true, false, false, true];
-        let bitmap = VecMask::from(&keep[..]);
-        assert_eq!(bitmap.len(), 4);
-        assert!((0..4).all(|i| bitmap.keeps(i) == keep[i]));
-        // …and packed bits of what to skip, complemented
-        let skip = VecMask::unset_bits(&[0b1001], 4);
+        // packed bits of what to skip are read complemented
+        let skip = VecMask::unset_bits(&[0b1010], 4);
         assert_eq!(skip.len(), 4);
-        assert!((0..4).all(|i| skip.keeps(i) != keep[i]));
+        assert!((0..4).all(|i| skip.keeps(i) == comp.keeps(i)));
     }
 
     #[test]
@@ -525,9 +548,6 @@ mod tests {
             };
             assert_eq!(comp.keep_word(w), !want & tail, "complemented word {w}");
         }
-        let keep: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
-        let bitmap = VecMask::from(&keep[..]);
-        assert_eq!(bitmap.keep_word(1), 0b10_0100);
         let skip = VecMask::unset_bits(&[u64::MAX, 0b10_0100], 70);
         assert_eq!(skip.keep_word(0), 0);
         assert_eq!(skip.keep_word(1), 0b01_1011);

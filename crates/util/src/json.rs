@@ -217,6 +217,17 @@ fn next_delimiter(b: &[u8], from: usize) -> Option<usize> {
         .map(|i| from + i)
 }
 
+/// The four hex digits of a `\u` escape at `b[at..]`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let hex = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape {:?}", String::from_utf8_lossy(hex)));
+    }
+    Ok(hex.iter().fold(0, |code, &h| {
+        code << 4 | (h as char).to_digit(16).unwrap_or(0)
+    }))
+}
+
 fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
     let b = s.as_bytes();
     expect(b, pos, b'"')?;
@@ -242,12 +253,22 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
             Some(b'b') => out.push('\u{8}'),
             Some(b'f') => out.push('\u{c}'),
             Some(b'u') => {
-                let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                let code =
-                    u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-                        .map_err(|e| e.to_string())?;
-                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                let mut code = hex4(b, *pos + 1)?;
                 *pos += 4;
+                // a UTF-16 high surrogate pairs with the low one escaped
+                // right after it, as JSON writes a code point past U+FFFF
+                if (0xD800..0xDC00).contains(&code) {
+                    let low = match b.get(*pos + 1..*pos + 3) {
+                        Some(br"\u") => hex4(b, *pos + 3)?,
+                        _ => return Err("unpaired \\u surrogate".into()),
+                    };
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err("unpaired \\u surrogate".into());
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    *pos += 6;
+                }
+                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
             }
             other => return Err(format!("bad escape {other:?}")),
         }

@@ -1,6 +1,7 @@
 //! Arbitrary-input properties of the JSON reader: no input makes
-//! `json::parse` panic, and every string `json::escape` writes reads back
-//! as itself.
+//! `json::parse` panic, and every string `json::escape` writes, or a writer
+//! that escapes all non-ASCII text as UTF-16 units does, reads back as
+//! itself.
 
 use gbtl_util::json::{escape, parse, Value, MAX_DEPTH};
 use proptest::prelude::*;
@@ -64,6 +65,26 @@ fn arb_text() -> impl Strategy<Value = String> {
     })
 }
 
+/// `text` escaped the way Python's `json.dumps` escapes it: every
+/// character outside printable ASCII as `\uXXXX` per UTF-16 unit, so a
+/// code point past U+FFFF becomes a surrogate pair.
+fn ascii_escape(text: &str) -> String {
+    let mut out = String::new();
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            ' '..='~' => out.push(c),
+            _ => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -89,6 +110,29 @@ proptest! {
         prop_assert_eq!(parse(&format!("\"{e}\"")), Ok(Value::Str(text.clone())));
         let obj = parse(&format!("{{\"{e}\":\"{e}\"}}")).unwrap();
         prop_assert_eq!(obj.str_field(&text), Some(text.as_str()));
+        let e = ascii_escape(&text);
+        prop_assert_eq!(parse(&format!("\"{e}\"")), Ok(Value::Str(text.clone())));
+    }
+}
+
+/// A surrogate pair reads as the one code point it encodes; a lone,
+/// reversed or half-paired surrogate is an error.
+#[test]
+fn surrogate_pairs_read_as_one_code_point() {
+    let obj = parse(r#"{"graph":"\ud83d\ude00"}"#).unwrap();
+    assert_eq!(obj.str_field("graph"), Some("😀"));
+    assert_eq!(parse(r#""a\uD834\uDD1Eb""#), Ok(Value::Str("a𝄞b".into())));
+    for bad in [
+        r#""\ud83d""#,
+        r#""\ud83dx""#,
+        r#""\ud83d\n""#,
+        r#""\ud83d\u0041""#,
+        r#""\ud83d\ud83d""#,
+        r#""\ude00""#,
+        r#""\ude00\ud83d""#,
+        r#""\ud83d\ude0""#,
+    ] {
+        assert!(parse(bad).is_err(), "{bad}");
     }
 }
 

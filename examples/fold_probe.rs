@@ -60,11 +60,11 @@ fn main() {
         .iter()
         .map(|(_, a)| {
             let n = a.nrows();
-            let ranks = (0..n).map(|j| Some(1.0 / (j + 1) as f64)).collect();
-            let labels = (0..n as u64).map(Some).collect();
+            let ranks = (0..n).map(|j| 1.0 / (j + 1) as f64).collect();
+            let labels = (0..n as u64).collect();
             (
-                DenseVector::from_options(ranks),
-                DenseVector::from_options(labels),
+                DenseVector::from_values(ranks),
+                DenseVector::from_values(labels),
             )
         })
         .collect();

@@ -339,6 +339,10 @@ proptest! {
 
 const PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// Rows of the wide pull inputs: more than three 64-row presence words and
+/// not a whole number of them, so par's row cuts land mid-word.
+const WIDE: usize = 200;
+
 /// Entries in the large f64 reduce inputs: past three 4 096-entry blocks.
 const BIG: Range<usize> = 3 * 4096 + 1..4 * 4096;
 
@@ -373,15 +377,25 @@ proptest! {
     }
 
     #[test]
-    fn par_spmv_matches_seq(a in arb_matrix(N, 60), u in arb_vector(N), mask in arb_mask(N)) {
+    fn par_spmv_matches_seq(a in arb_matrix(N, 60), u in arb_vector(N), mask in arb_mask(N),
+                            wide in arb_matrix(WIDE, 1200), wide_u in arb_vector(WIDE),
+                            wide_mask in arb_mask(WIDE)) {
         let a = a.csr();
         let ud = u.to_dense_repr();
         let us = u.to_sparse_repr();
-        let keep: Vec<bool> = (0..N).map(|i| mask.contains(i)).collect();
+        let keep = mask.to_dense_repr();
+        let (wide, wide_u, wide_keep) = (wide.csr(), wide_u.to_dense_repr(), wide_mask.to_dense_repr());
         let seq = SeqBackend;
         for t in PAR_THREADS {
             let par = ParBackend::with_threads(t);
-            for m in [None, Some(keep.as_slice())] {
+            for c in [None, Some(false), Some(true)] {
+                let m = c.map(|c| VecMask::new(&wide_keep, c));
+                prop_assert_eq!(
+                    par.mxv(wide, &wide_u, PlusTimes::<i64>::new(), m),
+                    seq.mxv(wide, &wide_u, PlusTimes::<i64>::new(), m)
+                );
+            }
+            for m in [None, Some(VecMask::new(&keep, false))] {
                 prop_assert_eq!(
                     par.mxv(a, &ud, PlusTimes::<i64>::new(), m),
                     seq.mxv(a, &ud, PlusTimes::<i64>::new(), m)
@@ -479,7 +493,7 @@ proptest! {
             coo.push(k / 128, k % 128, v);
         }
         let big_a = CsrMatrix::from_coo(coo, |x, _| x);
-        let big_u = DenseVector::from_options(big_u.into_iter().map(Some).collect());
+        let big_u = DenseVector::from_values(big_u);
         let fsum = PlusMonoid::<f64>::new();
         let seq = SeqBackend;
         for t in PAR_THREADS {
@@ -602,7 +616,7 @@ fn float_reductions<B: Backend>(
     rows: &CsrMatrix<f64>,
 ) -> Vec<Option<u64>> {
     let fsum = PlusMonoid::<f64>::new();
-    let dense = DenseVector::from_options(big.vals().iter().copied().map(Some).collect());
+    let dense = DenseVector::from_values(big.vals().to_vec());
     let per_row = be.reduce_rows(rows, fsum);
     let mut out = vec![
         be.reduce_mat(big, fsum),
@@ -701,7 +715,23 @@ fn joined<T: Scalar>(
     kernel: impl Fn(Range<usize>) -> DenseVector<T>,
 ) -> Vec<Option<T>> {
     let segments = parts.iter().cloned().map(kernel);
-    segments.flat_map(|seg| seg.options().to_vec()).collect()
+    segments.flat_map(|seg| options(&seg)).collect()
+}
+
+/// A dense vector holding `u`'s present entries.
+fn dense<T: Scalar>(u: &[Option<T>]) -> DenseVector<T> {
+    let mut d = DenseVector::new(u.len());
+    for (i, v) in u.iter().enumerate() {
+        if let Some(v) = *v {
+            d.set(i, v);
+        }
+    }
+    d
+}
+
+/// One `Option` per position of `d`.
+fn options<T: Scalar>(d: &DenseVector<T>) -> Vec<Option<T>> {
+    (0..d.len()).map(|i| d.get(i)).collect()
 }
 
 /// A float matrix down to the bits of its values.
@@ -729,8 +759,9 @@ proptest! {
         let (a, b, k) = (csr_of(m, &ta, |v| v), csr_of(m, &tb, |v| v), csr_of(N, &tk, |v| v));
         let (af, bf, kf) = (csr_of(m, &ta, seventh), csr_of(m, &tb, seventh), csr_of(N, &tk, seventh));
         let mask = csr_of(m, &tm, |_| true);
-        let ud = DenseVector::from_options(u.clone());
-        let uf = DenseVector::from_options(u.iter().map(|o| o.map(seventh)).collect());
+        let ud = dense(&u);
+        let uf = dense(&u.iter().map(|o| o.map(seventh)).collect::<Vec<_>>());
+        let kept = dense(&keep[..m].iter().map(|&k| k.then_some(true)).collect::<Vec<_>>());
         // a non-commutative multiply: swapped operands or a reordered fold show
         let min_minus = CustomSemiring::new(MinMonoid::<i64>::new(), Minus::<i64>::new());
         let plus_first = CustomSemiring::new(PlusMonoid::<i64>::new(), First::<i64>::new());
@@ -755,14 +786,14 @@ proptest! {
         );
 
         // mxv, unmasked and under a keep mask over the m output rows
-        for mask in [None, Some(VecMask::from(&keep[..m]))] {
+        for mask in [None, Some(VecMask::new(&kept, false))] {
             prop_assert_eq!(
                 joined(parts, |r| seq::RowFold::new(min_minus, &a, &ud, mask).mxv_rows(r)),
-                seq::mxv(&a, &ud, min_minus, mask).options()
+                options(&seq::mxv(&a, &ud, min_minus, mask))
             );
             prop_assert_eq!(
                 opt_bits(&joined(parts, |r| seq::RowFold::new(fsr, &af, &uf, mask).mxv_rows(r))),
-                opt_bits(seq::mxv(&af, &uf, fsr, mask).options())
+                opt_bits(&options(&seq::mxv(&af, &uf, fsr, mask)))
             );
         }
 
@@ -785,12 +816,12 @@ proptest! {
         );
         // dense vectors of length m (the first m positions of `u` and its reverse)
         let (x, y) = (
-            DenseVector::from_options(u[..m].to_vec()),
-            DenseVector::from_options(u.iter().rev().take(m).copied().collect()),
+            dense(&u[..m]),
+            dense(&u.iter().rev().take(m).copied().collect::<Vec<_>>()),
         );
         prop_assert_eq!(
             joined(parts, |r| seq::ewise_mult_vec_rows(&x, &y, Minus::<i64>::new(), r)),
-            seq::ewise_mult_vec(&x, &y, Minus::<i64>::new()).options()
+            options(&seq::ewise_mult_vec(&x, &y, Minus::<i64>::new()))
         );
 
         // select: the predicate reads the absolute row index

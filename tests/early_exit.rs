@@ -31,7 +31,7 @@ fn saturated_pull_level_reads_at_most_half_its_rows_entries() {
     let (mut consumed, mut scanned, mut reached) = (0, 0, 0);
     for i in (0..n).filter(|&i| !visited[i]) {
         let (cols, vals) = csr.row(i);
-        let (dot, used) = row_dot(LorLand::new(), cols, vals, frontier.options());
+        let (dot, used) = row_dot(LorLand::new(), cols, vals, &frontier);
         assert!(used <= cols.len());
         if dot == Some(true) {
             reached += 1;

@@ -1,6 +1,6 @@
 //! The full fold, end to end: a pull over a fully present operand folds
-//! over a plain-value copy of it, and on every backend that gives what a
-//! `row_dot` loop over the operand's `Option` slots gives, bit for bit —
+//! over its plain values, and on every backend that gives what a
+//! `row_dot` loop over one `Option` per operand position gives, bit for bit —
 //! on values whose sums the identity law does not keep (`-0.0`), on
 //! subnormals, infinities and a NaN, unmasked and under a complemented
 //! mask, and again on a second pull with other values.
@@ -149,8 +149,9 @@ fn check<B: Backend, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
     bits: impl Fn(T) -> u64,
 ) {
     let csr = a.csr();
-    let u = Vector::from_options(values.iter().copied().map(Some).collect());
-    let dense = DenseVector::from_options(values.iter().copied().map(Some).collect());
+    let dense = DenseVector::from_values(values.to_vec());
+    let u = Vector::from(dense.clone());
+    let slots: Vec<Option<T>> = values.iter().copied().map(Some).collect();
     let keep_bits = mask.map(|m| m.to_dense_repr());
     let keep = keep_bits.as_ref().map(|m| VecMask::new(m, true));
     assert_eq!(
@@ -167,9 +168,7 @@ fn check<B: Backend, T: Scalar, D1: Scalar, S: Semiring<T, D1, T>>(
     for i in 0..csr.nrows() {
         let (cols, vals) = csr.row(i);
         let kept = keep.is_none_or(|k| k.keeps(i));
-        let want = kept
-            .then(|| row_dot(sr, cols, vals, dense.options()))
-            .flatten();
+        let want = kept.then(|| row_dot(sr, cols, vals, &slots)).flatten();
         assert_eq!(w.get(i).map(&bits), want.map(&bits), "{label}, row {i}");
     }
 }

@@ -27,7 +27,7 @@ use gbtl::backend_cuda as cuda;
 use gbtl::gpu_sim::{GpuStats, KernelRecord};
 use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
 use gbtl::prelude::*;
-use gbtl::sparse::{CooMatrix, CsrMatrix, SparseVector, VecMask};
+use gbtl::sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 
 fn ns(seconds: f64) -> u64 {
     (seconds * 1e9).round() as u64
@@ -205,7 +205,10 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
     // the SpMV kernels' charges, with the mask resolved by the caller
     let wi: Matrix<i64> = as_i64(&w);
     let csr = wi.csr();
-    let keep: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+    let mut keep = DenseVector::new(n);
+    (0..n)
+        .filter(|i| i % 3 != 0)
+        .for_each(|i| keep.set(i, true));
     let pull = |ctx: &Context<CudaBackend>, kernel, mask: Option<VecMask<'_>>| {
         let be = ctx.backend();
         let device = cuda::Device {
@@ -218,13 +221,13 @@ fn device_suite(structure: &CooMatrix<bool>, directed: &CooMatrix<bool>, seed: u
     for kernel in [SpmvKernel::Scalar, SpmvKernel::Vector] {
         suite.step(&format!("mxv/{kernel:?}"), |ctx| pull(ctx, kernel, None));
         suite.step(&format!("mxv/{kernel:?}/masked"), |ctx| {
-            pull(ctx, kernel, Some(VecMask::from(&keep[..])))
+            pull(ctx, kernel, Some(VecMask::new(&keep, false)))
         });
     }
     for (step, kernel) in [("mxv_ell", SpmvKernel::Ell), ("mxv_hyb", SpmvKernel::Hyb)] {
         suite.step(step, |ctx| pull(ctx, kernel, None));
         suite.step(&format!("{step}/masked"), |ctx| {
-            pull(ctx, kernel, Some(VecMask::from(&keep[..])))
+            pull(ctx, kernel, Some(VecMask::new(&keep, false)))
         });
     }
     suite.finish()
