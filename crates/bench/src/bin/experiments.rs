@@ -679,9 +679,9 @@ fn d10_direction() {
     cuda.prewarm_transpose(&a);
     cuda.prewarm_transpose(&w);
     let modeled = |run: &dyn Fn()| {
-        let t0 = cuda.gpu_stats().modeled_time_s;
+        let t0 = cuda.gpu_stats().modeled_ps;
         run();
-        Duration::from_secs_f64(cuda.gpu_stats().modeled_time_s - t0)
+        Duration::from_nanos((cuda.gpu_stats().modeled_ps - t0) / 1000)
     };
     let cuda_times = [
         modes(|d| {

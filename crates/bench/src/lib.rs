@@ -152,7 +152,7 @@ pub fn time_cuda<F: FnMut(&Context<CudaBackend>)>(mut f: F) -> (Duration, Durati
     let t0 = Instant::now();
     f(&ctx);
     let wall = t0.elapsed();
-    let modeled = Duration::from_secs_f64(ctx.gpu_stats().modeled_time_s);
+    let modeled = Duration::from_nanos(ctx.gpu_stats().modeled_ps / 1000);
     (wall, modeled)
 }
 

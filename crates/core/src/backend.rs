@@ -590,17 +590,16 @@ impl Backend for CudaBackend {
             return (r, None);
         }
         let pull = priced.stats();
-        let (dir, cheaper) = if pull.modeled_time_s < push.modeled_time_s {
+        let (dir, cheaper) = if pull.modeled_ps < push.modeled_ps {
             (ChosenDir::Pull, &pull)
         } else {
             (ChosenDir::Push, &push)
         };
         self.gpu.replay(cheaper);
-        let ns = |s: &GpuStats| (s.modeled_time_s * 1e9).round() as u64;
         let price = DevicePrice {
             dir,
-            push_ns: ns(&push),
-            pull_ns: ns(&pull),
+            push_ps: push.modeled_ps,
+            pull_ps: pull.modeled_ps,
         };
         (r, Some(price))
     }

@@ -312,7 +312,7 @@ impl<B: Backend> Context<B> {
     /// its inputs — a `level` record in the trace ring and a `level.<algo>`
     /// span-tree span carrying `dir=`/`rep=` and `push_edges=`/
     /// `pull_edges=`/`pull_ready=`, and where a device chose its charge,
-    /// `device=`/`price_push_ns=`/`price_pull_ns=`.
+    /// `device=`/`price_push_ps=`/`price_pull_ps=`.
     pub fn level_end(
         &self,
         start: SpanStart,
@@ -335,8 +335,8 @@ impl<B: Backend> Context<B> {
                 pull_ready: decision.pull_ready,
                 device: decision.device.map(|d| gbtl_trace::DeviceFields {
                     dir: d.dir.as_str(),
-                    price_push_ns: d.push_ns,
-                    price_pull_ns: d.pull_ns,
+                    price_push_ps: d.push_ps,
+                    price_pull_ps: d.pull_ps,
                 }),
             })
         });
@@ -409,7 +409,7 @@ mod tests {
         assert_eq!(s.h2d_transfers, 2);
         assert_eq!(s.d2h_transfers, 2);
         assert!(s.bytes_h2d > 0 && s.bytes_d2h > 0);
-        assert!(s.modeled_time_s > 0.0);
+        assert!(s.modeled_ps > 0);
     }
 
     #[test]

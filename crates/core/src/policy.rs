@@ -138,15 +138,15 @@ impl FrontierRep {
 /// What a device backend charged one priced product — an `Auto` level, or
 /// a product with a second formulation (docs/adr/0016): the direction its
 /// model prices cheaper, push the host's, and both prices in modeled
-/// nanoseconds, each taken from the host's result (docs/adr/0012).
+/// picoseconds, each taken from the host's result (docs/adr/0012).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DevicePrice {
     /// The direction charged: the cheaper price, push on a tie.
     pub dir: ChosenDir,
     /// What the device would be charged to push the level.
-    pub push_ns: u64,
+    pub push_ps: u64,
     /// What the device would be charged to pull it.
-    pub pull_ns: u64,
+    pub pull_ps: u64,
 }
 
 /// One level's resolved decision, with the inputs it was taken from — the

@@ -51,7 +51,9 @@ impl Gpu {
 
     /// Snapshot of the cumulative statistics.
     pub fn stats(&self) -> GpuStats {
-        self.counters().clone()
+        let mut s = self.counters().clone();
+        s.modeled_time_s = s.modeled_ps as f64 / 1e12;
+        s
     }
 
     /// Reset all counters (keeps configuration).
@@ -63,8 +65,10 @@ impl Gpu {
     /// device): PCIe latency plus bandwidth. No data moves — device data
     /// lives in host memory, and what the model counts is the crossing.
     pub fn charge_transfer_bytes(&self, bytes: u64, h2d: bool) {
-        let t = self.config.pcie_latency_us * 1e-6
-            + bytes as f64 / (self.config.pcie_bandwidth_gbps * 1e9);
+        let ps = picoseconds(
+            self.config.pcie_latency_us * 1e-6
+                + bytes as f64 / (self.config.pcie_bandwidth_gbps * 1e9),
+        );
         let mut s = self.counters();
         if h2d {
             s.h2d_transfers += 1;
@@ -73,18 +77,19 @@ impl Gpu {
             s.d2h_transfers += 1;
             s.bytes_d2h += bytes;
         }
-        s.modeled_time_s += t;
+        s.modeled_ps += ps;
     }
 
-    /// Modeled execution time of a kernel with the given tally: launch
-    /// overhead plus the roofline maximum of compute time and memory time.
-    pub fn kernel_time(&self, tally: &KernelTally) -> f64 {
+    /// Modeled execution time of a kernel with the given tally, in
+    /// picoseconds: launch overhead plus the roofline maximum of compute
+    /// time and memory time.
+    pub fn kernel_ps(&self, tally: &KernelTally) -> u64 {
         let compute = tally.warp_instructions as f64 / self.config.issue_rate();
         let mem_txn =
             tally.mem_transactions as f64 + tally.atomic_ops as f64 * self.config.atomic_penalty;
         let mem = mem_txn * self.config.mem_transaction_bytes as f64
             / (self.config.mem_bandwidth_gbps * 1e9);
-        self.config.kernel_launch_us * 1e-6 + compute.max(mem)
+        picoseconds(self.config.kernel_launch_us * 1e-6 + compute.max(mem))
     }
 
     /// A zeroed device of this one's configuration that logs its launches:
@@ -93,9 +98,10 @@ impl Gpu {
         Gpu::with_trace(self.config.clone())
     }
 
-    /// Charge every launch a [`Gpu::scratch`] logged, in order: what running
-    /// its pipeline here would have charged. A priced pipeline launches
-    /// kernels only; it moves nothing over PCIe.
+    /// Charge every launch a [`Gpu::scratch`] logged, in order and at the
+    /// price it was logged at: what running its pipeline here would have
+    /// charged. A priced pipeline launches kernels only; it moves nothing
+    /// over PCIe.
     pub fn replay(&self, scratch: &GpuStats) {
         assert_eq!(
             scratch.h2d_transfers + scratch.d2h_transfers,
@@ -103,28 +109,37 @@ impl Gpu {
             "a replayed pipeline moved data over PCIe"
         );
         for k in &scratch.kernel_log {
-            self.charge_kernel(k.name, k.blocks, k.tally);
+            self.record(*k);
         }
     }
 
     /// Record a completed kernel launch.
     pub fn charge_kernel(&self, name: &'static str, blocks: usize, tally: KernelTally) {
-        let t = self.kernel_time(&tally);
+        self.record(KernelRecord {
+            name,
+            blocks,
+            tally,
+            modeled_ps: self.kernel_ps(&tally),
+        });
+    }
+
+    fn record(&self, launch: KernelRecord) {
         let mut s = self.counters();
         s.kernels_launched += 1;
-        s.warp_instructions += tally.warp_instructions;
-        s.mem_transactions += tally.mem_transactions;
-        s.atomic_ops += tally.atomic_ops;
-        s.modeled_time_s += t;
+        s.warp_instructions += launch.tally.warp_instructions;
+        s.mem_transactions += launch.tally.mem_transactions;
+        s.atomic_ops += launch.tally.atomic_ops;
+        s.modeled_ps += launch.modeled_ps;
         if self.trace {
-            s.kernel_log.push(KernelRecord {
-                name,
-                blocks,
-                tally,
-                modeled_time_s: t,
-            });
+            s.kernel_log.push(launch);
         }
     }
+}
+
+/// A modeled duration in whole picoseconds: every charge is rounded once,
+/// here, so every total is an exact integer sum (docs/adr/0019).
+fn picoseconds(seconds: f64) -> u64 {
+    (seconds * 1e12).round() as u64
 }
 
 impl Default for Gpu {
@@ -147,42 +162,41 @@ mod tests {
         assert_eq!(s.d2h_transfers, 1);
         assert_eq!(s.bytes_h2d, 8000);
         assert_eq!(s.bytes_d2h, 8000);
-        // 2 transfers x (10us latency + 8000B / 12 GB/s)
-        let expected = 2.0 * (10e-6 + 8000.0 / 12e9);
-        assert!((s.modeled_time_s - expected).abs() < 1e-12);
+        // 2 transfers x (10us latency + 8000B / 12 GB/s = 666.667 ns)
+        assert_eq!(s.modeled_ps, 2 * (10_000_000 + 666_667));
     }
 
     #[test]
     fn kernel_time_is_roofline() {
         let gpu = Gpu::new(GpuConfig::k40());
-        // Memory-bound tally: 1000 transactions, negligible compute.
-        let t_mem = gpu.kernel_time(&KernelTally {
+        // Memory-bound tally: 1000 transactions x 128 B / 288 GB/s =
+        // 444.444 ns, negligible compute.
+        let t_mem = gpu.kernel_ps(&KernelTally {
             warp_instructions: 1,
             mem_transactions: 1000,
             atomic_ops: 0,
         });
-        let mem_s = 1000.0 * 128.0 / 288e9;
-        assert!((t_mem - (5e-6 + mem_s)).abs() < 1e-12);
+        assert_eq!(t_mem, 5_000_000 + 444_444);
 
-        // Compute-bound tally.
-        let t_cmp = gpu.kernel_time(&KernelTally {
+        // Compute-bound tally: 10^7 instructions / (15 SMs x 0.745 GHz) =
+        // 894.854 us.
+        let t_cmp = gpu.kernel_ps(&KernelTally {
             warp_instructions: 10_000_000,
             mem_transactions: 1,
             atomic_ops: 0,
         });
-        let cmp_s = 10_000_000.0 / (15.0 * 0.745e9);
-        assert!((t_cmp - (5e-6 + cmp_s)).abs() < 1e-9);
+        assert_eq!(t_cmp, 5_000_000 + 894_854_586);
     }
 
     #[test]
     fn atomics_cost_more_than_plain_transactions() {
         let gpu = Gpu::new(GpuConfig::k40());
-        let plain = gpu.kernel_time(&KernelTally {
+        let plain = gpu.kernel_ps(&KernelTally {
             warp_instructions: 0,
             mem_transactions: 1000,
             atomic_ops: 0,
         });
-        let atomics = gpu.kernel_time(&KernelTally {
+        let atomics = gpu.kernel_ps(&KernelTally {
             warp_instructions: 0,
             mem_transactions: 0,
             atomic_ops: 1000,
@@ -221,7 +235,7 @@ mod tests {
         pipeline(&scratch);
         replayed.replay(&scratch.stats());
         let (want, got) = (direct.stats(), replayed.stats());
-        assert_eq!(got.modeled_time_s.to_bits(), want.modeled_time_s.to_bits());
+        assert_eq!(got.modeled_ps, want.modeled_ps);
         assert_eq!(
             got.kernel_log.len(),
             0,

@@ -1,8 +1,9 @@
 //! Per-kernel profiling reports — the `nvprof`-style view of a traced run.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use crate::{GpuStats, KernelRecord};
+use crate::GpuStats;
 
 /// Aggregated statistics for one kernel name.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,12 +18,13 @@ pub struct KernelSummary {
     pub mem_transactions: u64,
     /// Total atomic operations across launches.
     pub atomic_ops: u64,
-    /// Total modeled time in seconds.
-    pub modeled_time_s: f64,
+    /// Total modeled time in picoseconds.
+    pub modeled_ps: u64,
 }
 
 /// Aggregate a traced run's kernel log by kernel name, sorted by total
-/// modeled time (descending) — the "where did the time go" table.
+/// modeled time (descending), then by name — the "where did the time go"
+/// table, in one order whatever the hasher.
 ///
 /// Requires the device to have been created with
 /// [`Gpu::with_trace`](crate::Gpu::with_trace); an untraced run returns an
@@ -36,48 +38,17 @@ pub fn kernel_report(stats: &GpuStats) -> Vec<KernelSummary> {
             warp_instructions: 0,
             mem_transactions: 0,
             atomic_ops: 0,
-            modeled_time_s: 0.0,
+            modeled_ps: 0,
         });
         e.launches += 1;
         e.warp_instructions += rec.tally.warp_instructions;
         e.mem_transactions += rec.tally.mem_transactions;
         e.atomic_ops += rec.tally.atomic_ops;
-        e.modeled_time_s += rec.modeled_time_s;
+        e.modeled_ps += rec.modeled_ps;
     }
     let mut out: Vec<KernelSummary> = by_name.into_values().collect();
-    out.sort_by(|a, b| b.modeled_time_s.partial_cmp(&a.modeled_time_s).unwrap());
+    out.sort_by_key(|k| (Reverse(k.modeled_ps), k.name));
     out
-}
-
-/// Render [`kernel_report`] as an aligned text table.
-pub fn format_kernel_report(stats: &GpuStats) -> String {
-    use std::fmt::Write;
-    let rows = kernel_report(stats);
-    let total: f64 = rows.iter().map(|r| r.modeled_time_s).sum();
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<24} {:>8} {:>12} {:>12} {:>10} {:>12} {:>7}",
-        "kernel", "launches", "warp instr", "mem txns", "atomics", "time", "share"
-    );
-    for r in &rows {
-        let _ = writeln!(
-            s,
-            "{:<24} {:>8} {:>12} {:>12} {:>10} {:>9.1} us {:>6.1}%",
-            r.name,
-            r.launches,
-            r.warp_instructions,
-            r.mem_transactions,
-            r.atomic_ops,
-            r.modeled_time_s * 1e6,
-            if total > 0.0 {
-                r.modeled_time_s / total * 100.0
-            } else {
-                0.0
-            }
-        );
-    }
-    s
 }
 
 /// Flatten device statistics into ordered `(key, value)` pairs for
@@ -118,20 +89,12 @@ pub fn stats_pairs(stats: &GpuStats) -> Vec<(String, String)> {
             format!(
                 "{} launches, {:.1} us, {} mem txns",
                 k.launches,
-                k.modeled_time_s * 1e6,
+                k.modeled_ps as f64 / 1e6,
                 k.mem_transactions
             ),
         ));
     }
     pairs
-}
-
-/// The slowest single launch in a traced run (for spotting outliers).
-pub fn slowest_launch(stats: &GpuStats) -> Option<&KernelRecord> {
-    stats
-        .kernel_log
-        .iter()
-        .max_by(|a, b| a.modeled_time_s.partial_cmp(&b.modeled_time_s).unwrap())
 }
 
 #[cfg(test)]
@@ -186,15 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn format_produces_table() {
-        let stats = traced_gpu_with_work().stats();
-        let text = format_kernel_report(&stats);
-        assert!(text.contains("beta"));
-        assert!(text.contains("alpha"));
-        assert!(text.contains('%'));
-    }
-
-    #[test]
     fn untraced_run_is_empty() {
         let gpu = Gpu::new(GpuConfig::k40());
         gpu.charge_kernel("x", 1, KernelTally::default());
@@ -215,9 +169,22 @@ mod tests {
     }
 
     #[test]
-    fn slowest_launch_found() {
-        let stats = traced_gpu_with_work().stats();
-        assert_eq!(slowest_launch(&stats).unwrap().name, "beta");
-        assert!(slowest_launch(&GpuStats::default()).is_none());
+    fn equal_times_are_ordered_by_name() {
+        let tally = KernelTally {
+            warp_instructions: 7,
+            mem_transactions: 70,
+            atomic_ops: 0,
+        };
+        let report = |names: [&'static str; 2]| {
+            let gpu = Gpu::with_trace(GpuConfig::k40());
+            for name in names {
+                gpu.charge_kernel(name, 1, tally);
+            }
+            kernel_report(&gpu.stats())
+        };
+        let rows = report(["zeta", "eta"]);
+        assert_eq!(rows, report(["eta", "zeta"]));
+        let names: Vec<_> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["eta", "zeta"]);
     }
 }

@@ -23,7 +23,7 @@ impl KernelTally {
 }
 
 /// One completed kernel launch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelRecord {
     /// Kernel name (for reports).
     pub name: &'static str,
@@ -31,8 +31,8 @@ pub struct KernelRecord {
     pub blocks: usize,
     /// Activity tally.
     pub tally: KernelTally,
-    /// Modeled execution time in seconds (including launch overhead).
-    pub modeled_time_s: f64,
+    /// Modeled execution time in picoseconds (including launch overhead).
+    pub modeled_ps: u64,
 }
 
 /// Cumulative device statistics.
@@ -54,7 +54,12 @@ pub struct GpuStats {
     pub mem_transactions: u64,
     /// Total atomic operations across all kernels.
     pub atomic_ops: u64,
-    /// Total modeled time in seconds (kernels + transfers).
+    /// Total modeled time in picoseconds (kernels + transfers): each
+    /// charge rounded once, so the total is exact whatever the order.
+    pub modeled_ps: u64,
+    /// [`GpuStats::modeled_ps`] in seconds, a read-only mirror set by
+    /// [`Gpu::stats`](crate::Gpu::stats) and never summed. It stays only
+    /// until the benchmark reads `modeled_ps`, then it is deleted.
     pub modeled_time_s: f64,
     /// Per-kernel log (kept only when tracing is enabled).
     pub kernel_log: Vec<KernelRecord>,
@@ -64,7 +69,7 @@ impl GpuStats {
     /// Modeled time in microseconds (convenience for reports).
     #[inline]
     pub fn modeled_time_us(&self) -> f64 {
-        self.modeled_time_s * 1e6
+        self.modeled_ps as f64 / 1e6
     }
 
     /// Total bytes moved over PCIe in both directions.

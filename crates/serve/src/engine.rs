@@ -66,8 +66,8 @@ pub struct EngineSnapshot {
     pub pool_steals: u64,
     /// Simulated device: kernels launched.
     pub gpu_kernels: u64,
-    /// Simulated device: modeled execution time, seconds.
-    pub gpu_modeled_s: f64,
+    /// Simulated device: modeled execution time, picoseconds.
+    pub gpu_modeled_ps: u64,
 }
 
 impl std::iter::Sum for EngineSnapshot {
@@ -79,7 +79,7 @@ impl std::iter::Sum for EngineSnapshot {
             pool_tasks: a.pool_tasks + s.pool_tasks,
             pool_steals: a.pool_steals + s.pool_steals,
             gpu_kernels: a.gpu_kernels + s.gpu_kernels,
-            gpu_modeled_s: a.gpu_modeled_s + s.gpu_modeled_s,
+            gpu_modeled_ps: a.gpu_modeled_ps + s.gpu_modeled_ps,
         })
     }
 }
@@ -138,7 +138,7 @@ impl Engine {
             pool_tasks: pool.tasks_executed,
             pool_steals: pool.steals,
             gpu_kernels: gpu.kernels_launched,
-            gpu_modeled_s: gpu.modeled_time_s,
+            gpu_modeled_ps: gpu.modeled_ps,
         }
     }
 
@@ -163,9 +163,9 @@ impl Engine {
 
     /// Execute a fused batch: every member traverses `g` with `algo` on
     /// `backend`, and the whole batch runs as **one** multi-source kernel —
-    /// one push `mxm` per level instead of one `vxm` per level per member,
-    /// whatever direction the members asked for (a forced `Pull` is never
-    /// fused: it runs solo).
+    /// one push `mxm` per level instead of one `vxm` per level per member.
+    /// Only `Direction::Auto` members reach a batch: a forced push and a
+    /// forced pull both run solo.
     ///
     /// Members are `(source, full)` pairs; the returned fragments are
     /// positionally matched and **byte-identical** to what [`Engine::run`]

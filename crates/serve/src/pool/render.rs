@@ -322,7 +322,7 @@ pub(super) fn render_stats(pool: &EnginePool) -> String {
         snap.pool_tasks,
         snap.pool_steals,
         snap.gpu_kernels,
-        snap.gpu_modeled_s * 1e3,
+        snap.gpu_modeled_ps as f64 / 1e9,
     )
 }
 

@@ -192,8 +192,8 @@ pub fn emit(scope: Scope<'_>, t0_ns: u64, t1_ns: u64, kind: Kind<'_>) {
                 if let Some(d) = l.device {
                     attrs.extend([
                         ("device", Str(d.dir)),
-                        ("price_push_ns", U64(d.price_push_ns)),
-                        ("price_pull_ns", U64(d.price_pull_ns)),
+                        ("price_push_ps", U64(d.price_push_ps)),
+                        ("price_pull_ps", U64(d.price_pull_ps)),
                     ]);
                 }
                 keep(&format!("level.{}", l.algo), &attrs)

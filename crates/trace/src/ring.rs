@@ -73,15 +73,15 @@ pub struct LevelFields {
 }
 
 /// A device's charge decision for one level: the direction it charged and
-/// the modeled nanoseconds it priced each direction at.
+/// the modeled picoseconds it priced each direction at.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceFields {
     /// `push` or `pull`: the cheaper price.
     pub dir: &'static str,
     /// Push's price.
-    pub price_push_ns: u64,
+    pub price_push_ps: u64,
     /// Pull's price.
-    pub price_pull_ns: u64,
+    pub price_pull_ps: u64,
 }
 
 /// One completed operation span.
@@ -190,8 +190,8 @@ fn level_record(l: LevelFields) -> SpanFields {
     );
     if let Some(d) = l.device {
         op_label += &format!(
-            " device={} price_push_ns={} price_pull_ns={}",
-            d.dir, d.price_push_ns, d.price_pull_ns
+            " device={} price_push_ps={} price_pull_ps={}",
+            d.dir, d.price_push_ps, d.price_pull_ps
         );
     }
     SpanFields {
@@ -613,8 +613,8 @@ mod tests {
                 pull_ready: true,
                 device: Some(DeviceFields {
                     dir: "push",
-                    price_push_ns: 7,
-                    price_pull_ns: 9,
+                    price_push_ps: 7,
+                    price_pull_ps: 9,
                 }),
             })
         });
@@ -634,8 +634,8 @@ mod tests {
             ("pull_edges", "900"),
             ("pull_ready", "true"),
             ("device", "push"),
-            ("price_push_ns", "7"),
-            ("price_pull_ns", "9"),
+            ("price_push_ps", "7"),
+            ("price_pull_ps", "9"),
         ] {
             assert!(sp.attrs.iter().any(|(k, v)| k == key && v == value));
         }
@@ -644,7 +644,7 @@ mod tests {
         assert_eq!(
             rep.spans[0].fields.op_label,
             "bfs dir=pull rep=bitmap push_edges=4000 pull_edges=900 pull_ready=true \
-             device=push price_push_ns=7 price_pull_ns=9"
+             device=push price_push_ps=7 price_pull_ps=9"
         );
         assert_eq!(rep.spans[0].fields.dims, "level=3");
     }

@@ -229,11 +229,11 @@ fn cuda_auto_is_never_dearer_than_either_forced_direction() {
         cuda.prewarm_transpose(&adj);
         cuda.prewarm_transpose(&w);
         let n = adj.nrows();
-        // the modeled milliseconds one solve charges a zeroed device
+        // the modeled picoseconds one solve charges a zeroed device
         let modeled = |solve: &dyn Fn()| {
             cuda.reset_gpu_stats();
             solve();
-            cuda.gpu_stats().modeled_time_s * 1e3
+            cuda.gpu_stats().modeled_ps
         };
         let modes = [Direction::Auto, Direction::Push, Direction::Pull];
         // A level the host pushes is charged the cheaper of its push and
@@ -254,7 +254,7 @@ fn cuda_auto_is_never_dearer_than_either_forced_direction() {
                 modeled(&|| assert_eq!(got(), want_sssp))
             });
             assert!(
-                auto_bfs <= pull_bfs && push_bfs > 0.0,
+                auto_bfs <= pull_bfs && push_bfs > 0,
                 "bfs n={n} src={src}: auto {auto_bfs} push {push_bfs} pull {pull_bfs}"
             );
             assert!(
@@ -269,13 +269,13 @@ fn cuda_auto_is_never_dearer_than_either_forced_direction() {
             modeled(&|| assert_eq!(got(), want_bc))
         });
         assert!(
-            auto_bc <= pull_bc && push_bc > 0.0,
+            auto_bc <= pull_bc && push_bc > 0,
             "bc n={n}: auto {auto_bc} push {push_bc} pull {pull_bc}"
         );
     }
 }
 
-/// A level span's device record, `(device, price_push_ns, price_pull_ns)`,
+/// A level span's device record, `(device, price_push_ps, price_pull_ps)`,
 /// where the device chose what it was charged.
 fn device_record(label: &str) -> Option<(String, u64, u64)> {
     let field = |key: &str| -> Option<String> {
@@ -285,8 +285,8 @@ fn device_record(label: &str) -> Option<(String, u64, u64)> {
     let price = |key| field(key).map(|v| v.parse().unwrap());
     Some((
         field("device=")?,
-        price("price_push_ns=")?,
-        price("price_pull_ns=")?,
+        price("price_push_ps=")?,
+        price("price_pull_ps=")?,
     ))
 }
 
@@ -309,10 +309,10 @@ fn cuda_levels_record_and_charge_the_cheaper_price() {
     let (adj, w, hub) = traversal_graph(&symmetrize(&Rmat::new(12, 8).seed(1).generate()));
     ctx.seed_symmetric_transpose(&adj);
     ctx.seed_symmetric_transpose(&w);
-    let modeled_ns = |solve: &dyn Fn()| {
-        let before = ctx.gpu_stats().modeled_time_s;
+    let modeled_ps = |solve: &dyn Fn()| {
+        let before = ctx.gpu_stats().modeled_ps;
         solve();
-        (ctx.gpu_stats().modeled_time_s - before) * 1e9
+        ctx.gpu_stats().modeled_ps - before
     };
     let levels = || -> Vec<String> {
         let spans = ctx.trace().spans;
@@ -323,12 +323,12 @@ fn cuda_levels_record_and_charge_the_cheaper_price() {
     // BFS's masked levels: one the host pushes is priced both ways and
     // charged the cheaper; one it pulls is charged its pull and records no
     // price. A forced-pull BFS charges every level its pull, so it costs
-    // what the priced levels saved more, to the nanosecond per level.
-    let forced_pull_ns = modeled_ns(&|| {
+    // exactly what the priced levels saved more.
+    let forced_pull_ps = modeled_ps(&|| {
         bfs_levels(&ctx, &adj, hub, Direction::Pull).unwrap();
     });
     ctx.clear_trace();
-    let delta_ns = modeled_ns(&|| {
+    let auto_ps = modeled_ps(&|| {
         bfs_levels(&ctx, &adj, hub, Direction::Auto).unwrap();
     });
     let (mut priced, mut host_pulled, mut saved) = (0, 0, 0u64);
@@ -346,15 +346,16 @@ fn cuda_levels_record_and_charge_the_cheaper_price() {
         priced > 1 && host_pulled > 0,
         "{priced} levels priced, {host_pulled} pulled by the host"
     );
-    assert!(
-        (forced_pull_ns - delta_ns - saved as f64).abs() <= priced as f64,
-        "forced pull {forced_pull_ns} ns, auto {delta_ns} ns, priced levels saved {saved} ns"
+    assert_eq!(
+        forced_pull_ps - auto_ps,
+        saved,
+        "forced pull {forced_pull_ps} ps, auto {auto_ps} ps, {priced} priced levels"
     );
 
     // SSSP's unmasked levels, all pushed by the host, are charged the
     // cheaper of two prices
     ctx.clear_trace();
-    let delta_ns = modeled_ns(&|| {
+    let auto_ps = modeled_ps(&|| {
         sssp_with_direction(&ctx, &w, hub, Direction::Auto).unwrap();
     });
     let (mut levels_n, mut charged, mut pulled) = (0, 0u64, 0);
@@ -367,26 +368,29 @@ fn cuda_levels_record_and_charge_the_cheaper_price() {
         levels_n > 2 && pulled > 0,
         "{pulled} of {levels_n} levels pulled"
     );
-    // each price is rounded to the nanosecond on its own
-    assert!(
-        (charged as f64 - delta_ns).abs() <= levels_n as f64,
-        "the levels charged {charged} ns, the device clock moved {delta_ns}"
-    );
+    assert_eq!(charged, auto_ps, "what the levels charged moved the clock");
 }
+
+/// The modeled picoseconds a fused 16-source BFS and SSSP charge with
+/// `Aᵀ` resident (priced) and without it (pushed).
+const PRICED_BFS_PS: u64 = 318_290_222;
+const PRICED_SSSP_PS: u64 = 2_682_812_433;
+const PUSHED_BFS_PS: u64 = 931_868_444;
+const PUSHED_SSSP_PS: u64 = 2_991_571_097;
 
 /// A fused level (docs/adr/0015). With `Aᵀ` resident, every level of a
 /// 16-source BFS and SSSP records both prices and is charged the cheaper,
-/// and the device clock moves by what the levels were charged (0.318 and
-/// 2.683 ms, against 0.932 and 2.992 pushed). Without it no level is
-/// priced and every level is charged its push, the clock reading what it
-/// read before fused levels were priced, bit for bit.
+/// and the device clock moves by exactly what the levels were charged
+/// (0.318 and 2.683 ms, against 0.932 and 2.992 pushed). Without it no
+/// level is priced and every level is charged its push, the clock reading
+/// what it read before fused levels were priced.
 #[test]
 fn cuda_fused_levels_record_and_charge_the_cheaper_price() {
     let (adj, w, _) = traversal_graph(&symmetrize(&Rmat::new(12, 8).seed(1).generate()));
     let hubs = top_degree(&adj, 16);
-    // the modeled seconds one fused solve charges a zeroed device, and
-    // its level labels
-    let solve = |ctx: &Context<CudaBackend>, bfs: bool| -> (f64, Vec<String>) {
+    // the modeled picoseconds one fused solve charges a zeroed device,
+    // and its level labels
+    let solve = |ctx: &Context<CudaBackend>, bfs: bool| -> (u64, Vec<String>) {
         ctx.reset_gpu_stats();
         ctx.clear_trace();
         if bfs {
@@ -397,7 +401,7 @@ fn cuda_fused_levels_record_and_charge_the_cheaper_price() {
         let spans = ctx.trace().spans;
         let levels = spans.iter().filter(|sp| sp.fields.op == "level");
         let labels = levels.map(|sp| sp.fields.op_label.clone()).collect();
-        (ctx.gpu_stats().modeled_time_s, labels)
+        (ctx.gpu_stats().modeled_ps, labels)
     };
 
     let resident = Context::cuda_default().with_trace_mode(TraceMode::Summary);
@@ -405,13 +409,9 @@ fn cuda_fused_levels_record_and_charge_the_cheaper_price() {
     resident.seed_symmetric_transpose(&w);
     // the priced clock, pinned as `model_identity` pins its steps: a
     // change to the fused pull's model moves it, on purpose or not
-    for (bfs, priced) in [(true, 0.0003182902222222222), (false, 0.002682812444444445)] {
-        let (seconds, labels) = solve(&resident, bfs);
-        assert_eq!(
-            seconds.to_bits(),
-            f64::to_bits(priced),
-            "bfs={bfs}: {seconds}"
-        );
+    for (bfs, priced) in [(true, PRICED_BFS_PS), (false, PRICED_SSSP_PS)] {
+        let (ps, labels) = solve(&resident, bfs);
+        assert_eq!(ps, priced, "bfs={bfs}");
         let (mut charged, mut pulled) = (0u64, 0);
         for label in &labels {
             charged += charged_price(label);
@@ -422,24 +422,16 @@ fn cuda_fused_levels_record_and_charge_the_cheaper_price() {
             "bfs={bfs}: {pulled} of {} levels pulled",
             labels.len()
         );
-        // each price is rounded to the nanosecond on its own
-        assert!(
-            (charged as f64 - seconds * 1e9).abs() <= labels.len() as f64,
-            "bfs={bfs}: the levels charged {charged} ns, the device clock moved {seconds} s"
-        );
+        assert_eq!(charged, ps, "bfs={bfs}: what the levels charged");
     }
 
     let cold = Context::cuda_default().with_trace_mode(TraceMode::Summary);
-    for (bfs, pushed) in [(true, 0.0009318684444444444), (false, 0.002991571111111114)] {
-        let (seconds, labels) = solve(&cold, bfs);
+    for (bfs, pushed) in [(true, PUSHED_BFS_PS), (false, PUSHED_SSSP_PS)] {
+        let (ps, labels) = solve(&cold, bfs);
         assert!(!labels.is_empty());
         for label in &labels {
             assert!(device_record(label).is_none(), "{label}");
         }
-        assert_eq!(
-            seconds.to_bits(),
-            f64::to_bits(pushed),
-            "bfs={bfs}: {seconds}"
-        );
+        assert_eq!(ps, pushed, "bfs={bfs}");
     }
 }

@@ -40,12 +40,12 @@ fn gpu_stats_grow_with_work_and_reset() {
     let after_one = ctx.gpu_stats();
     assert!(after_one.kernels_launched > 0);
     assert!(after_one.mem_transactions > 0);
-    assert!(after_one.modeled_time_s > 0.0);
+    assert!(after_one.modeled_ps > 0);
 
     let _ = bfs_levels(&ctx, &a, 0, Direction::Push).unwrap();
     let after_two = ctx.gpu_stats();
     assert!(after_two.kernels_launched > after_one.kernels_launched);
-    assert!(after_two.modeled_time_s > after_one.modeled_time_s);
+    assert!(after_two.modeled_ps > after_one.modeled_ps);
 
     ctx.reset_gpu_stats();
     assert_eq!(ctx.gpu_stats().kernels_launched, 0);

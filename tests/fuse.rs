@@ -541,7 +541,7 @@ proptest! {
 /// wins — that half is perfbench's to measure.) With `Aᵀ` resident both
 /// sides are priced both ways: a solo level as one pull, a fused one as
 /// one k-stacked pull (docs/adr/0012, 0015).
-fn fused_against_solo_modeled_ms(resident: bool) -> Vec<(String, f64, f64)> {
+fn fused_against_solo_modeled_ps(resident: bool) -> Vec<(String, u64, u64)> {
     use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
     let grid = grid_2d(16, 16);
     let rmat = symmetrize(&Rmat::new(9, 8).seed(7).generate());
@@ -557,7 +557,7 @@ fn fused_against_solo_modeled_ms(resident: bool) -> Vec<(String, f64, f64)> {
         )
         .unwrap();
         let sources: Vec<usize> = (0..16).map(|k| k * a.nrows() / 16).collect();
-        let modeled_ms = |run: &dyn Fn(&Context<CudaBackend>)| {
+        let modeled_ps = |run: &dyn Fn(&Context<CudaBackend>)| {
             let ctx = Context::cuda_default();
             let ctx = if resident {
                 with_transposes(ctx, &a, &w)
@@ -566,17 +566,17 @@ fn fused_against_solo_modeled_ms(resident: bool) -> Vec<(String, f64, f64)> {
             };
             ctx.reset_gpu_stats();
             run(&ctx);
-            ctx.gpu_stats().modeled_time_s * 1e3
+            ctx.gpu_stats().modeled_ps
         };
-        let fused = modeled_ms(&|ctx| drop(bfs_levels_multi(ctx, &a, &sources).unwrap()));
-        let solo = modeled_ms(&|ctx| {
+        let fused = modeled_ps(&|ctx| drop(bfs_levels_multi(ctx, &a, &sources).unwrap()));
+        let solo = modeled_ps(&|ctx| {
             for &s in &sources {
                 bfs_levels(ctx, &a, s, Direction::Auto).unwrap();
             }
         });
         rows.push((format!("{name} bfs"), fused, solo));
-        let fused = modeled_ms(&|ctx| drop(sssp_multi(ctx, &w, &sources).unwrap()));
-        let solo = modeled_ms(&|ctx| {
+        let fused = modeled_ps(&|ctx| drop(sssp_multi(ctx, &w, &sources).unwrap()));
+        let solo = modeled_ps(&|ctx| {
             for &s in &sources {
                 sssp(ctx, &w, s).unwrap();
             }
@@ -588,8 +588,8 @@ fn fused_against_solo_modeled_ms(resident: bool) -> Vec<(String, f64, f64)> {
 
 #[test]
 fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
-    for (what, fused, solo) in fused_against_solo_modeled_ms(false) {
-        assert!(fused < solo, "{what}: fused {fused} ms vs solo {solo} ms");
+    for (what, fused, solo) in fused_against_solo_modeled_ps(false) {
+        assert!(fused < solo, "{what}: fused {fused} ps vs solo {solo} ps");
     }
 }
 
@@ -597,11 +597,12 @@ fn fused_traversal_costs_less_modeled_time_than_the_solo_loop() {
 /// its pull, and still the fused batch costs less, by 2.5× or more.
 #[test]
 fn fused_traversal_costs_less_modeled_time_than_the_solo_loop_with_at_resident() {
-    for (what, fused, solo) in fused_against_solo_modeled_ms(true) {
-        eprintln!("{what}: fused {fused:.3} ms, solo {solo:.3} ms");
+    for (what, fused, solo) in fused_against_solo_modeled_ps(true) {
+        let ms = |ps: u64| ps as f64 / 1e9;
+        eprintln!("{what}: fused {:.3} ms, solo {:.3} ms", ms(fused), ms(solo));
         assert!(
-            2.5 * fused < solo,
-            "{what}: fused {fused} ms vs solo {solo} ms"
+            5 * fused < 2 * solo,
+            "{what}: fused {fused} ps vs solo {solo} ps"
         );
     }
 }

@@ -6,8 +6,8 @@
 //! costs. A change meant to make the simulator cheaper to run must leave
 //! every modeled number where it was, so the numbers below are constants:
 //! per step the full `GpuStats` (kernels, warp instructions, memory
-//! transactions, atomics, PCIe bytes and counts, modeled time rounded to
-//! ns), and over the whole suite the per-kernel-name `kernel_log` totals.
+//! transactions, atomics, PCIe bytes and counts, modeled picoseconds), and
+//! over the whole suite the per-kernel-name `kernel_log` totals.
 //!
 //! When a PR changes the *model* on purpose, the failing assertion prints
 //! the new report; paste it over the constant and say so in the PR.
@@ -29,13 +29,9 @@ use gbtl::graphgen::{grid_2d, symmetrize, weights, Rmat};
 use gbtl::prelude::*;
 use gbtl::sparse::{CooMatrix, CsrMatrix, DenseVector, SparseVector, VecMask};
 
-fn ns(seconds: f64) -> u64 {
-    (seconds * 1e9).round() as u64
-}
-
 fn stats_line(s: &GpuStats) -> String {
     format!(
-        "kernels={} warp={} txn={} atomics={} h2d={}B/{} d2h={}B/{} ns={}",
+        "kernels={} warp={} txn={} atomics={} h2d={}B/{} d2h={}B/{} ps={}",
         s.kernels_launched,
         s.warp_instructions,
         s.mem_transactions,
@@ -44,22 +40,16 @@ fn stats_line(s: &GpuStats) -> String {
         s.h2d_transfers,
         s.bytes_d2h,
         s.d2h_transfers,
-        ns(s.modeled_time_s)
+        s.modeled_ps
     )
-}
-
-/// Per-kernel-name totals: launches, blocks, warp instructions, memory
-/// transactions, atomics, modeled seconds.
-#[derive(Default)]
-struct KernelTotals {
-    counts: [u64; 5],
-    seconds: f64,
 }
 
 struct Suite {
     ctx: Context<CudaBackend>,
     report: String,
-    kernels: BTreeMap<&'static str, KernelTotals>,
+    /// Per-kernel-name totals: launches, blocks, warp instructions, memory
+    /// transactions, atomics, modeled picoseconds.
+    kernels: BTreeMap<&'static str, [u64; 6]>,
 }
 
 impl Suite {
@@ -81,7 +71,7 @@ impl Suite {
             name,
             blocks,
             tally,
-            modeled_time_s,
+            modeled_ps,
         } in &s.kernel_log
         {
             let t = self.kernels.entry(name).or_default();
@@ -91,21 +81,20 @@ impl Suite {
                 tally.warp_instructions,
                 tally.mem_transactions,
                 tally.atomic_ops,
+                *modeled_ps,
             ];
-            for (dst, src) in t.counts.iter_mut().zip(add) {
+            for (dst, src) in t.iter_mut().zip(add) {
                 *dst += src;
             }
-            t.seconds += modeled_time_s;
         }
     }
 
     fn finish(mut self) -> String {
         for (name, t) in &self.kernels {
-            let [n, blocks, warp, txn, atomics] = t.counts;
+            let [n, blocks, warp, txn, atomics, ps] = *t;
             writeln!(
                 self.report,
-                "  {name}: n={n} blocks={blocks} warp={warp} txn={txn} atomics={atomics} ns={}",
-                ns(t.seconds)
+                "  {name}: n={n} blocks={blocks} warp={warp} txn={txn} atomics={atomics} ps={ps}"
             )
             .unwrap();
         }
@@ -388,10 +377,7 @@ fn charged(ctx: &Context<CudaBackend>, f: impl FnOnce(&Context<CudaBackend>)) ->
         write!(
             out,
             "\n{} {} {:?} {}",
-            k.name,
-            k.blocks,
-            k.tally,
-            ns(k.modeled_time_s)
+            k.name, k.blocks, k.tally, k.modeled_ps
         )
         .unwrap();
     }
@@ -473,171 +459,171 @@ fn equal_shapes_never_share_a_profile() {
 }
 
 const RMAT10_OVERRIDES: &str = "
-mxm_masked: kernels=13 warp=89718 txn=253651 atomics=12340 h2d=0B/0 d2h=0B/0 ns=199672
-apply_mat: kernels=1 warp=772 txn=1544 atomics=0 h2d=0B/0 d2h=0B/0 ns=5686
-apply_sparse_vec: kernels=1 warp=22 txn=44 atomics=0 h2d=0B/0 d2h=0B/0 ns=5020
-apply_dense_vec: kernels=1 warp=64 txn=256 atomics=0 h2d=0B/0 d2h=0B/0 ns=5114
-reduce_mat: kernels=1 warp=772 txn=387 atomics=0 h2d=0B/0 d2h=0B/0 ns=5172
-reduce_dense_vec: kernels=1 warp=64 txn=129 atomics=0 h2d=0B/0 d2h=0B/0 ns=5057
-reduce_sparse_vec: kernels=1 warp=22 txn=23 atomics=0 h2d=0B/0 d2h=0B/0 ns=5010
-ewise_mult_vec: kernels=1 warp=96 txn=384 atomics=0 h2d=0B/0 d2h=0B/0 ns=5171
-kronecker: kernels=1 warp=4628 txn=4629 atomics=0 h2d=0B/0 d2h=0B/0 ns=7057
-extract_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=4448B/1 d2h=156280B/1 ns=33394
-assign_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=156280B/1 d2h=156280B/1 ns=46047
-extract_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=2352B/1 d2h=16384B/1 ns=21561
-assign_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=16384B/1 d2h=16384B/1 ns=22731
-  expand_row_ids: n=2 blocks=2 warp=836 txn=1674 atomics=0 ns=10744
-  histogram: n=1 blocks=4 warp=772 txn=836 atomics=12340 ns=27309
-  kronecker_expand: n=1 blocks=12 warp=4628 txn=4629 atomics=0 ns=7057
-  radix_sort_pass: n=4 blocks=16 warp=6176 txn=9256 atomics=0 ns=24114
-  reduce: n=3 blocks=6 warp=858 txn=539 atomics=0 ns=15240
-  scan_downsweep: n=1 blocks=1 warp=64 txn=128 atomics=0 ns=5057
-  scan_upsweep: n=1 blocks=1 warp=32 txn=64 atomics=0 ns=5028
-  spgemm_masked_dot: n=1 blocks=49 warp=79522 txn=236290 atomics=0 ns=110018
-  transform: n=5 blocks=14 warp=2402 txn=4932 atomics=0 ns=27192
-  transpose_keys: n=1 blocks=49 warp=772 txn=2315 atomics=0 ns=6029
-  zip_transform: n=1 blocks=1 warp=96 txn=384 atomics=0 ns=5171
+mxm_masked: kernels=13 warp=89718 txn=253651 atomics=12340 h2d=0B/0 d2h=0B/0 ps=199671553
+apply_mat: kernels=1 warp=772 txn=1544 atomics=0 h2d=0B/0 d2h=0B/0 ps=5686222
+apply_sparse_vec: kernels=1 warp=22 txn=44 atomics=0 h2d=0B/0 d2h=0B/0 ps=5019556
+apply_dense_vec: kernels=1 warp=64 txn=256 atomics=0 h2d=0B/0 d2h=0B/0 ps=5113778
+reduce_mat: kernels=1 warp=772 txn=387 atomics=0 h2d=0B/0 d2h=0B/0 ps=5172000
+reduce_dense_vec: kernels=1 warp=64 txn=129 atomics=0 h2d=0B/0 d2h=0B/0 ps=5057333
+reduce_sparse_vec: kernels=1 warp=22 txn=23 atomics=0 h2d=0B/0 d2h=0B/0 ps=5010222
+ewise_mult_vec: kernels=1 warp=96 txn=384 atomics=0 h2d=0B/0 d2h=0B/0 ps=5170667
+kronecker: kernels=1 warp=4628 txn=4629 atomics=0 h2d=0B/0 d2h=0B/0 ps=7057333
+extract_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=4448B/1 d2h=156280B/1 ps=33394000
+assign_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=156280B/1 d2h=156280B/1 ps=46046666
+extract_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=2352B/1 d2h=16384B/1 ps=21561333
+assign_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=16384B/1 d2h=16384B/1 ps=22730666
+  expand_row_ids: n=2 blocks=2 warp=836 txn=1674 atomics=0 ps=10744000
+  histogram: n=1 blocks=4 warp=772 txn=836 atomics=12340 ps=27309333
+  kronecker_expand: n=1 blocks=12 warp=4628 txn=4629 atomics=0 ps=7057333
+  radix_sort_pass: n=4 blocks=16 warp=6176 txn=9256 atomics=0 ps=24113776
+  reduce: n=3 blocks=6 warp=858 txn=539 atomics=0 ps=15239555
+  scan_downsweep: n=1 blocks=1 warp=64 txn=128 atomics=0 ps=5056889
+  scan_upsweep: n=1 blocks=1 warp=32 txn=64 atomics=0 ps=5028444
+  spgemm_masked_dot: n=1 blocks=49 warp=79522 txn=236290 atomics=0 ps=110017778
+  transform: n=5 blocks=14 warp=2402 txn=4932 atomics=0 ps=27192000
+  transpose_keys: n=1 blocks=49 warp=772 txn=2315 atomics=0 ps=6028889
+  zip_transform: n=1 blocks=1 warp=96 txn=384 atomics=0 ps=5170667
 ";
 
 const GRID16_OVERRIDES: &str = "
-mxm_masked: kernels=13 warp=2124 txn=2708 atomics=960 h2d=0B/0 d2h=0B/0 ns=67910
-apply_mat: kernels=1 warp=60 txn=120 atomics=0 h2d=0B/0 d2h=0B/0 ns=5053
-apply_sparse_vec: kernels=1 warp=6 txn=12 atomics=0 h2d=0B/0 d2h=0B/0 ns=5005
-apply_dense_vec: kernels=1 warp=16 txn=64 atomics=0 h2d=0B/0 d2h=0B/0 ns=5028
-reduce_mat: kernels=1 warp=60 txn=31 atomics=0 h2d=0B/0 d2h=0B/0 ns=5014
-reduce_dense_vec: kernels=1 warp=16 txn=33 atomics=0 h2d=0B/0 d2h=0B/0 ns=5015
-reduce_sparse_vec: kernels=1 warp=6 txn=7 atomics=0 h2d=0B/0 d2h=0B/0 ns=5003
-ewise_mult_vec: kernels=1 warp=24 txn=96 atomics=0 h2d=0B/0 d2h=0B/0 ns=5043
-kronecker: kernels=1 warp=360 txn=361 atomics=0 h2d=0B/0 d2h=0B/0 ns=5160
-extract_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=304B/1 d2h=13576B/1 ns=21157
-assign_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=13576B/1 d2h=13576B/1 ns=22263
-extract_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=592B/1 d2h=4096B/1 ns=20391
-assign_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=4096B/1 d2h=4096B/1 ns=20683
-  expand_row_ids: n=2 blocks=2 warp=76 txn=154 atomics=0 ns=10068
-  histogram: n=1 blocks=1 warp=60 txn=76 atomics=960 ns=6740
-  kronecker_expand: n=1 blocks=3 warp=360 txn=361 atomics=0 ns=5160
-  radix_sort_pass: n=4 blocks=4 warp=480 txn=720 atomics=0 ns=20320
-  reduce: n=3 blocks=3 warp=82 txn=71 atomics=0 ns=15032
-  scan_downsweep: n=1 blocks=1 warp=16 txn=32 atomics=0 ns=5014
-  scan_upsweep: n=1 blocks=1 warp=8 txn=16 atomics=0 ns=5007
-  spgemm_masked_dot: n=1 blocks=4 warp=1304 txn=1290 atomics=0 ns=5573
-  transform: n=5 blocks=5 warp=202 txn=436 atomics=0 ns=25194
-  transpose_keys: n=1 blocks=4 warp=60 txn=180 atomics=0 ns=5080
-  zip_transform: n=1 blocks=1 warp=24 txn=96 atomics=0 ns=5043
+mxm_masked: kernels=13 warp=2124 txn=2708 atomics=960 h2d=0B/0 d2h=0B/0 ps=67910220
+apply_mat: kernels=1 warp=60 txn=120 atomics=0 h2d=0B/0 d2h=0B/0 ps=5053333
+apply_sparse_vec: kernels=1 warp=6 txn=12 atomics=0 h2d=0B/0 d2h=0B/0 ps=5005333
+apply_dense_vec: kernels=1 warp=16 txn=64 atomics=0 h2d=0B/0 d2h=0B/0 ps=5028444
+reduce_mat: kernels=1 warp=60 txn=31 atomics=0 h2d=0B/0 d2h=0B/0 ps=5013778
+reduce_dense_vec: kernels=1 warp=16 txn=33 atomics=0 h2d=0B/0 d2h=0B/0 ps=5014667
+reduce_sparse_vec: kernels=1 warp=6 txn=7 atomics=0 h2d=0B/0 d2h=0B/0 ps=5003111
+ewise_mult_vec: kernels=1 warp=24 txn=96 atomics=0 h2d=0B/0 d2h=0B/0 ps=5042667
+kronecker: kernels=1 warp=360 txn=361 atomics=0 h2d=0B/0 d2h=0B/0 ps=5160444
+extract_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=304B/1 d2h=13576B/1 ps=21156666
+assign_mat: kernels=0 warp=0 txn=0 atomics=0 h2d=13576B/1 d2h=13576B/1 ps=22262666
+extract_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=592B/1 d2h=4096B/1 ps=20390666
+assign_vec: kernels=0 warp=0 txn=0 atomics=0 h2d=4096B/1 d2h=4096B/1 ps=20682666
+  expand_row_ids: n=2 blocks=2 warp=76 txn=154 atomics=0 ps=10068444
+  histogram: n=1 blocks=1 warp=60 txn=76 atomics=960 ps=6740444
+  kronecker_expand: n=1 blocks=3 warp=360 txn=361 atomics=0 ps=5160444
+  radix_sort_pass: n=4 blocks=4 warp=480 txn=720 atomics=0 ps=20320000
+  reduce: n=3 blocks=3 warp=82 txn=71 atomics=0 ps=15031556
+  scan_downsweep: n=1 blocks=1 warp=16 txn=32 atomics=0 ps=5014222
+  scan_upsweep: n=1 blocks=1 warp=8 txn=16 atomics=0 ps=5007111
+  spgemm_masked_dot: n=1 blocks=4 warp=1304 txn=1290 atomics=0 ps=5573333
+  transform: n=5 blocks=5 warp=202 txn=436 atomics=0 ps=25193776
+  transpose_keys: n=1 blocks=4 warp=60 txn=180 atomics=0 ps=5080000
+  zip_transform: n=1 blocks=1 warp=24 txn=96 atomics=0 ps=5042667
 ";
 
 const RMAT10: &str = "
-upload: kernels=0 warp=0 txn=0 atomics=0 h2d=275540B/2 d2h=0B/0 ns=42962
-prewarm_transpose: kernels=22 warp=19556 txn=30736 atomics=24680 h2d=0B/0 d2h=0B/0 ns=167536
-bfs_levels/Auto: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
-bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 ns=315417
-bfs_levels/Pull: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ns=55759
-sssp: kernels=10 warp=113910 txn=117220 atomics=0 h2d=0B/0 d2h=8192B/1 ns=112780
-pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ns=134668
-triangle_count: kernels=13 warp=27039 txn=62896 atomics=6170 h2d=0B/0 d2h=0B/0 ns=103923
-connected_components: kernels=4 warp=42049 txn=40131 atomics=0 h2d=0B/0 d2h=0B/0 ns=37836
-mis: kernels=11 warp=64698 txn=71118 atomics=0 h2d=0B/0 d2h=0B/0 ns=86608
-ewise_add_mat: kernels=15 warp=15793 txn=29707 atomics=12340 h2d=0B/0 d2h=0B/0 ns=110141
-ewise_mult_mat: kernels=15 warp=14635 txn=27777 atomics=6170 h2d=0B/0 d2h=0B/0 ns=98314
-select_mat: kernels=10 warp=4760 txn=12571 atomics=6170 h2d=0B/0 d2h=0B/0 ns=66556
-mxm: kernels=17 warp=497200 txn=706044 atomics=243120 h2d=0B/0 d2h=0B/0 ns=831011
-transpose: kernels=11 warp=5453 txn=7986 atomics=6804 h2d=0B/0 d2h=0B/0 ns=70645
-build_csr: kernels=11 warp=13149 txn=22121 atomics=12361 h2d=0B/0 d2h=0B/0 ns=86807
-reduce_rows: kernels=4 warp=996 txn=660 atomics=0 h2d=0B/0 d2h=0B/0 ns=20293
-ewise_add_vec: kernels=5 warp=324 txn=690 atomics=0 h2d=0B/0 d2h=0B/0 ns=25307
-select_vec: kernels=3 warp=66 txn=139 atomics=0 h2d=0B/0 d2h=0B/0 ns=15062
-mxv/Scalar: kernels=1 warp=11671 txn=31952 atomics=0 h2d=0B/0 d2h=0B/0 ns=19201
-mxv/Scalar/masked: kernels=1 warp=9551 txn=22318 atomics=0 h2d=0B/0 d2h=0B/0 ns=14919
-mxv/Vector: kernels=1 warp=11391 txn=13499 atomics=0 h2d=0B/0 d2h=0B/0 ns=11000
-mxv/Vector/masked: kernels=1 warp=7629 txn=9105 atomics=0 h2d=0B/0 d2h=0B/0 ns=9047
-mxv_ell: kernels=1 warp=45995 txn=53138 atomics=0 h2d=0B/0 d2h=0B/0 ns=28617
-mxv_ell/masked: kernels=1 warp=45571 txn=50374 atomics=0 h2d=0B/0 d2h=0B/0 ns=27388
-mxv_hyb: kernels=2 warp=2075 txn=10230 atomics=8208 h2d=0B/0 d2h=0B/0 ns=29139
-mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ns=28864
-  build_keys: n=1 blocks=64 warp=1022 txn=3062 atomics=0 ns=6361
-  compact_flags: n=8 blocks=16 warp=2404 txn=5008 atomics=0 ns=42226
-  compact_scan: n=8 blocks=16 warp=2404 txn=3006 atomics=0 ns=41336
-  compact_scatter: n=8 blocks=16 warp=2404 txn=6581 atomics=0 ns=42925
-  ewise_boundaries: n=2 blocks=146 warp=2316 txn=4628 atomics=0 ns=12057
-  ewise_combine: n=2 blocks=146 warp=2316 txn=9256 atomics=0 ns=14114
-  ewise_vec_combine: n=1 blocks=3 warp=36 txn=138 atomics=0 ns=5061
-  expand_row_ids: n=12 blocks=12 warp=3898 txn=7808 atomics=0 ns=63470
-  gather: n=10 blocks=12 warp=1320 txn=6811 atomics=0 ns=53027
-  histogram: n=10 blocks=86 warp=20296 txn=20934 atomics=324619 ns=636404
-  mask_resolve: n=15 blocks=15 warp=480 txn=240 atomics=0 ns=75107
-  radix_sort_pass: n=52 blocks=688 warp=334656 txn=496728 atomics=0 ns=480768
-  reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ns=5112
-  reduce_by_key: n=6 blocks=149 warp=55626 txn=79577 atomics=0 ns=65368
-  scan_downsweep: n=15 blocks=16 warp=1080 txn=2158 atomics=0 ns=75959
-  scan_upsweep: n=15 blocks=16 warp=540 txn=1079 atomics=0 ns=75480
-  segmented_reduce: n=1 blocks=1 warp=804 txn=482 atomics=0 ns=5214
-  select_key: n=2 blocks=98 warp=1544 txn=9256 atomics=0 ns=14114
-  spgemm_expand: n=1 blocks=25 warp=107754 txn=113097 atomics=0 ns=55265
-  spgemm_masked_dot: n=1 blocks=25 warp=21802 txn=49621 atomics=0 ns=27054
-  spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ns=45180
-  spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ns=34120
-  spmv_csr_vector: n=38 blocks=152 warp=329968 txn=321647 atomics=0 ns=332954
-  spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ns=68827
-  tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ns=23087
-  transform: n=20 blocks=172 warp=40592 txn=81176 atomics=0 ns=136078
-  transpose_keys: n=4 blocks=152 warp=2396 txn=7184 atomics=0 ns=23193
-  vxm_expand: n=4 blocks=6 warp=1548 txn=2262 atomics=0 ns=21005
-  zip_transform: n=5 blocks=6 warp=660 txn=1314 atomics=0 ns=25584
+upload: kernels=0 warp=0 txn=0 atomics=0 h2d=275540B/2 d2h=0B/0 ps=42961666
+prewarm_transpose: kernels=22 warp=19556 txn=30736 atomics=24680 h2d=0B/0 d2h=0B/0 ps=167535998
+bfs_levels/Auto: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ps=55758666
+bfs_levels/Push: kernels=60 warp=5690 txn=9116 atomics=0 h2d=0B/0 d2h=16384B/1 ps=315416887
+bfs_levels/Pull: kernels=8 warp=16972 txn=9885 atomics=0 h2d=0B/0 d2h=16384B/1 ps=55758666
+sssp: kernels=10 warp=113910 txn=117220 atomics=0 h2d=0B/0 d2h=8192B/1 ps=112780447
+pagerank/5: kernels=17 warp=62152 txn=58966 atomics=6804 h2d=0B/0 d2h=16384B/1 ps=134668444
+triangle_count: kernels=13 warp=27039 txn=62896 atomics=6170 h2d=0B/0 d2h=0B/0 ps=103922666
+connected_components: kernels=4 warp=42049 txn=40131 atomics=0 h2d=0B/0 d2h=0B/0 ps=37836001
+mis: kernels=11 warp=64698 txn=71118 atomics=0 h2d=0B/0 d2h=0B/0 ps=86608002
+ewise_add_mat: kernels=15 warp=15793 txn=29707 atomics=12340 h2d=0B/0 d2h=0B/0 ps=110140887
+ewise_mult_mat: kernels=15 warp=14635 txn=27777 atomics=6170 h2d=0B/0 d2h=0B/0 ps=98314221
+select_mat: kernels=10 warp=4760 txn=12571 atomics=6170 h2d=0B/0 d2h=0B/0 ps=66556000
+mxm: kernels=17 warp=497200 txn=706044 atomics=243120 h2d=0B/0 d2h=0B/0 ps=831010668
+transpose: kernels=11 warp=5453 txn=7986 atomics=6804 h2d=0B/0 d2h=0B/0 ps=70645335
+build_csr: kernels=11 warp=13149 txn=22121 atomics=12361 h2d=0B/0 d2h=0B/0 ps=86806667
+reduce_rows: kernels=4 warp=996 txn=660 atomics=0 h2d=0B/0 d2h=0B/0 ps=20293334
+ewise_add_vec: kernels=5 warp=324 txn=690 atomics=0 h2d=0B/0 d2h=0B/0 ps=25306665
+select_vec: kernels=3 warp=66 txn=139 atomics=0 h2d=0B/0 d2h=0B/0 ps=15061777
+mxv/Scalar: kernels=1 warp=11671 txn=31952 atomics=0 h2d=0B/0 d2h=0B/0 ps=19200889
+mxv/Scalar/masked: kernels=1 warp=9551 txn=22318 atomics=0 h2d=0B/0 d2h=0B/0 ps=14919111
+mxv/Vector: kernels=1 warp=11391 txn=13499 atomics=0 h2d=0B/0 d2h=0B/0 ps=10999556
+mxv/Vector/masked: kernels=1 warp=7629 txn=9105 atomics=0 h2d=0B/0 d2h=0B/0 ps=9046667
+mxv_ell: kernels=1 warp=45995 txn=53138 atomics=0 h2d=0B/0 d2h=0B/0 ps=28616889
+mxv_ell/masked: kernels=1 warp=45571 txn=50374 atomics=0 h2d=0B/0 d2h=0B/0 ps=27388444
+mxv_hyb: kernels=2 warp=2075 txn=10230 atomics=8208 h2d=0B/0 d2h=0B/0 ps=29138666
+mxv_hyb/masked: kernels=2 warp=2068 txn=9611 atomics=8208 h2d=0B/0 d2h=0B/0 ps=28863555
+  build_keys: n=1 blocks=64 warp=1022 txn=3062 atomics=0 ps=6360889
+  compact_flags: n=8 blocks=16 warp=2404 txn=5008 atomics=0 ps=42225777
+  compact_scan: n=8 blocks=16 warp=2404 txn=3006 atomics=0 ps=41336000
+  compact_scatter: n=8 blocks=16 warp=2404 txn=6581 atomics=0 ps=42924890
+  ewise_boundaries: n=2 blocks=146 warp=2316 txn=4628 atomics=0 ps=12056888
+  ewise_combine: n=2 blocks=146 warp=2316 txn=9256 atomics=0 ps=14113778
+  ewise_vec_combine: n=1 blocks=3 warp=36 txn=138 atomics=0 ps=5061333
+  expand_row_ids: n=12 blocks=12 warp=3898 txn=7808 atomics=0 ps=63470220
+  gather: n=10 blocks=12 warp=1320 txn=6811 atomics=0 ps=53027112
+  histogram: n=10 blocks=86 warp=20296 txn=20934 atomics=324619 ps=636404444
+  mask_resolve: n=15 blocks=15 warp=480 txn=240 atomics=0 ps=75106665
+  radix_sort_pass: n=52 blocks=688 warp=334656 txn=496728 atomics=0 ps=480768000
+  reduce: n=1 blocks=1 warp=252 txn=253 atomics=0 ps=5112444
+  reduce_by_key: n=6 blocks=149 warp=55626 txn=79577 atomics=0 ps=65367556
+  scan_downsweep: n=15 blocks=16 warp=1080 txn=2158 atomics=0 ps=75959113
+  scan_upsweep: n=15 blocks=16 warp=540 txn=1079 atomics=0 ps=75479551
+  segmented_reduce: n=1 blocks=1 warp=804 txn=482 atomics=0 ps=5214222
+  select_key: n=2 blocks=98 warp=1544 txn=9256 atomics=0 ps=14113778
+  spgemm_expand: n=1 blocks=25 warp=107754 txn=113097 atomics=0 ps=55265333
+  spgemm_masked_dot: n=1 blocks=25 warp=21802 txn=49621 atomics=0 ps=27053778
+  spmv_coo_overflow: n=2 blocks=66 warp=1542 txn=13492 atomics=16416 ps=45180444
+  spmv_csr_scalar: n=2 blocks=8 warp=21222 txn=54270 atomics=0 ps=34120000
+  spmv_csr_vector: n=38 blocks=152 warp=329968 txn=321647 atomics=0 ps=332954227
+  spmv_ell: n=4 blocks=16 warp=94167 txn=109861 atomics=0 ps=68827110
+  tag_keys: n=4 blocks=148 warp=2316 txn=6946 atomics=0 ps=23087112
+  transform: n=20 blocks=172 warp=40592 txn=81176 atomics=0 ps=136078222
+  transpose_keys: n=4 blocks=152 warp=2396 txn=7184 atomics=0 ps=23192890
+  vxm_expand: n=4 blocks=6 warp=1548 txn=2262 atomics=0 ps=21005333
+  zip_transform: n=5 blocks=6 warp=660 txn=1314 atomics=0 ps=25584000
 ";
 
 const GRID16: &str = "
-upload: kernels=0 warp=0 txn=0 atomics=0 h2d=24272B/2 d2h=0B/0 ns=22023
-prewarm_transpose: kernels=22 warp=1564 txn=2506 atomics=1920 h2d=0B/0 d2h=0B/0 ns=114527
-bfs_levels/Auto: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
-bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ns=2186320
-bfs_levels/Pull: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ns=303140
-sssp: kernels=29 warp=5336 txn=14848 atomics=0 h2d=0B/0 d2h=2048B/1 ns=161770
-pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ns=97057
-triangle_count: kernels=12 warp=1011 txn=1498 atomics=480 h2d=0B/0 d2h=0B/0 ns=61519
-connected_components: kernels=31 warp=4574 txn=10995 atomics=0 h2d=0B/0 d2h=0B/0 ns=159887
-mis: kernels=8 warp=1046 txn=2585 atomics=0 h2d=0B/0 d2h=0B/0 ns=41149
-ewise_add_mat: kernels=15 warp=1255 txn=2378 atomics=960 h2d=0B/0 d2h=0B/0 ns=77764
-ewise_mult_mat: kernels=15 warp=1165 txn=2228 atomics=480 h2d=0B/0 d2h=0B/0 ns=76844
-select_mat: kernels=10 warp=392 txn=1034 atomics=480 h2d=0B/0 d2h=0B/0 ns=51313
-mxm: kernels=17 warp=1941 txn=3070 atomics=1378 h2d=0B/0 d2h=0B/0 ns=88814
-transpose: kernels=11 warp=407 txn=623 atomics=480 h2d=0B/0 d2h=0B/0 ns=56130
-build_csr: kernels=11 warp=834 txn=1444 atomics=960 h2d=0B/0 d2h=0B/0 ns=57348
-reduce_rows: kernels=4 warp=116 txn=101 atomics=0 h2d=0B/0 d2h=0B/0 ns=20045
-ewise_add_vec: kernels=5 warp=90 txn=180 atomics=0 h2d=0B/0 d2h=0B/0 ns=25080
-select_vec: kernels=3 warp=18 txn=37 atomics=0 h2d=0B/0 d2h=0B/0 ns=15016
-mxv/Scalar: kernels=1 warp=184 txn=710 atomics=0 h2d=0B/0 d2h=0B/0 ns=5316
-mxv/Scalar/masked: kernels=1 warp=184 txn=702 atomics=0 h2d=0B/0 d2h=0B/0 ns=5312
-mxv/Vector: kernels=1 warp=3328 txn=1920 atomics=0 h2d=0B/0 d2h=0B/0 ns=5853
-mxv/Vector/masked: kernels=1 warp=2210 txn=1274 atomics=0 h2d=0B/0 d2h=0B/0 ns=5566
-mxv_ell: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ns=5131
-mxv_ell/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
-mxv_hyb: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ns=5131
-mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ns=5129
-  build_keys: n=1 blocks=4 warp=60 txn=180 atomics=0 ns=5080
-  compact_flags: n=33 blocks=33 warp=230 txn=441 atomics=0 ns=165196
-  compact_scan: n=33 blocks=33 warp=230 txn=281 atomics=0 ns=165125
-  compact_scatter: n=33 blocks=33 warp=230 txn=598 atomics=0 ns=165266
-  ewise_boundaries: n=2 blocks=12 warp=180 txn=360 atomics=0 ns=10160
-  ewise_combine: n=2 blocks=12 warp=180 txn=720 atomics=0 ns=10320
-  ewise_vec_combine: n=1 blocks=1 warp=10 txn=36 atomics=0 ns=5016
-  expand_row_ids: n=12 blocks=12 warp=366 txn=744 atomics=0 ns=60331
-  gather: n=60 blocks=60 warp=264 txn=792 atomics=0 ns=300352
-  histogram: n=10 blocks=10 warp=478 txn=637 atomics=7618 ns=63826
-  mask_resolve: n=89 blocks=89 warp=712 txn=356 atomics=0 ns=445158
-  radix_sort_pass: n=152 blocks=152 warp=4816 txn=6584 atomics=0 ns=762926
-  reduce_by_key: n=31 blocks=31 warp=348 txn=561 atomics=0 ns=155249
-  scan_downsweep: n=40 blocks=40 warp=248 txn=440 atomics=0 ns=200196
-  scan_upsweep: n=40 blocks=40 warp=124 txn=220 atomics=0 ns=200098
-  segmented_reduce: n=1 blocks=1 warp=68 txn=55 atomics=0 ns=5024
-  select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ns=10320
-  spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ns=5204
-  spgemm_masked_dot: n=1 blocks=2 warp=596 txn=417 atomics=0 ns=5185
-  spmv_csr_scalar: n=132 blocks=132 warp=19346 txn=43510 atomics=0 ns=679338
-  spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ns=11420
-  spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ns=20519
-  tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
-  transform: n=20 blocks=20 warp=956 txn=1908 atomics=0 ns=100848
-  transpose_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ns=20240
-  vxm_expand: n=29 blocks=29 warp=176 txn=410 atomics=0 ns=145182
-  zip_transform: n=30 blocks=30 warp=132 txn=165 atomics=0 ns=150073
+upload: kernels=0 warp=0 txn=0 atomics=0 h2d=24272B/2 d2h=0B/0 ps=22022666
+prewarm_transpose: kernels=22 warp=1564 txn=2506 atomics=1920 h2d=0B/0 d2h=0B/0 ps=114527106
+bfs_levels/Auto: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ps=303139561
+bfs_levels/Push: kernels=435 warp=1552 txn=2203 atomics=0 h2d=0B/0 d2h=4096B/1 ps=2186320455
+bfs_levels/Pull: kernels=58 warp=3939 txn=6296 atomics=0 h2d=0B/0 d2h=4096B/1 ps=303139561
+sssp: kernels=29 warp=5336 txn=14848 atomics=0 h2d=0B/0 d2h=2048B/1 ps=161769791
+pagerank/5: kernels=17 warp=1031 txn=1941 atomics=480 h2d=0B/0 d2h=4096B/1 ps=97057333
+triangle_count: kernels=12 warp=1011 txn=1498 atomics=480 h2d=0B/0 d2h=0B/0 ps=61519111
+connected_components: kernels=31 warp=4574 txn=10995 atomics=0 h2d=0B/0 d2h=0B/0 ps=159886669
+mis: kernels=8 warp=1046 txn=2585 atomics=0 h2d=0B/0 d2h=0B/0 ps=41148888
+ewise_add_mat: kernels=15 warp=1255 txn=2378 atomics=960 h2d=0B/0 d2h=0B/0 ps=77763554
+ewise_mult_mat: kernels=15 warp=1165 txn=2228 atomics=480 h2d=0B/0 d2h=0B/0 ps=76843556
+select_mat: kernels=10 warp=392 txn=1034 atomics=480 h2d=0B/0 d2h=0B/0 ps=51312889
+mxm: kernels=17 warp=1941 txn=3070 atomics=1378 h2d=0B/0 d2h=0B/0 ps=88814222
+transpose: kernels=11 warp=407 txn=623 atomics=480 h2d=0B/0 d2h=0B/0 ps=56130222
+build_csr: kernels=11 warp=834 txn=1444 atomics=960 h2d=0B/0 d2h=0B/0 ps=57348443
+reduce_rows: kernels=4 warp=116 txn=101 atomics=0 h2d=0B/0 d2h=0B/0 ps=20044888
+ewise_add_vec: kernels=5 warp=90 txn=180 atomics=0 h2d=0B/0 d2h=0B/0 ps=25080000
+select_vec: kernels=3 warp=18 txn=37 atomics=0 h2d=0B/0 d2h=0B/0 ps=15016445
+mxv/Scalar: kernels=1 warp=184 txn=710 atomics=0 h2d=0B/0 d2h=0B/0 ps=5315556
+mxv/Scalar/masked: kernels=1 warp=184 txn=702 atomics=0 h2d=0B/0 d2h=0B/0 ps=5312000
+mxv/Vector: kernels=1 warp=3328 txn=1920 atomics=0 h2d=0B/0 d2h=0B/0 ps=5853333
+mxv/Vector/masked: kernels=1 warp=2210 txn=1274 atomics=0 h2d=0B/0 d2h=0B/0 ps=5566222
+mxv_ell: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ps=5130667
+mxv_ell/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ps=5128889
+mxv_hyb: kernels=1 warp=168 txn=294 atomics=0 h2d=0B/0 d2h=0B/0 ps=5130667
+mxv_hyb/masked: kernels=1 warp=168 txn=290 atomics=0 h2d=0B/0 d2h=0B/0 ps=5128889
+  build_keys: n=1 blocks=4 warp=60 txn=180 atomics=0 ps=5080000
+  compact_flags: n=33 blocks=33 warp=230 txn=441 atomics=0 ps=165196001
+  compact_scan: n=33 blocks=33 warp=230 txn=281 atomics=0 ps=165124887
+  compact_scatter: n=33 blocks=33 warp=230 txn=598 atomics=0 ps=165265778
+  ewise_boundaries: n=2 blocks=12 warp=180 txn=360 atomics=0 ps=10160000
+  ewise_combine: n=2 blocks=12 warp=180 txn=720 atomics=0 ps=10320000
+  ewise_vec_combine: n=1 blocks=1 warp=10 txn=36 atomics=0 ps=5016000
+  expand_row_ids: n=12 blocks=12 warp=366 txn=744 atomics=0 ps=60330666
+  gather: n=60 blocks=60 warp=264 txn=792 atomics=0 ps=300352000
+  histogram: n=10 blocks=10 warp=478 txn=637 atomics=7618 ps=63826222
+  mask_resolve: n=89 blocks=89 warp=712 txn=356 atomics=0 ps=445158242
+  radix_sort_pass: n=152 blocks=152 warp=4816 txn=6584 atomics=0 ps=762926240
+  reduce_by_key: n=31 blocks=31 warp=348 txn=561 atomics=0 ps=155249330
+  scan_downsweep: n=40 blocks=40 warp=248 txn=440 atomics=0 ps=200195557
+  scan_upsweep: n=40 blocks=40 warp=124 txn=220 atomics=0 ps=200097764
+  segmented_reduce: n=1 blocks=1 warp=68 txn=55 atomics=0 ps=5024444
+  select_key: n=2 blocks=8 warp=120 txn=720 atomics=0 ps=10320000
+  spgemm_expand: n=1 blocks=2 warp=348 txn=460 atomics=0 ps=5204444
+  spgemm_masked_dot: n=1 blocks=2 warp=596 txn=417 atomics=0 ps=5185333
+  spmv_csr_scalar: n=132 blocks=132 warp=19346 txn=43510 atomics=0 ps=679337791
+  spmv_csr_vector: n=2 blocks=2 warp=5538 txn=3194 atomics=0 ps=11419555
+  spmv_ell: n=4 blocks=4 warp=672 txn=1168 atomics=0 ps=20519112
+  tag_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ps=20240000
+  transform: n=20 blocks=20 warp=956 txn=1908 atomics=0 ps=100848000
+  transpose_keys: n=4 blocks=12 warp=180 txn=540 atomics=0 ps=20240000
+  vxm_expand: n=29 blocks=29 warp=176 txn=410 atomics=0 ps=145182222
+  zip_transform: n=30 blocks=30 warp=132 txn=165 atomics=0 ps=150073330
 ";

@@ -182,7 +182,7 @@ fn r_a4_cost_model_sensitivities() {
             s.modeled_time_us(),
             s.kernels_launched
         );
-        (s.modeled_time_us(), s.kernels_launched)
+        (s.modeled_ps, s.kernels_launched)
     };
     let (base, kernels) = run("baseline (K40)", |_| {});
     let (bw2, _) = run("2x memory bandwidth", |c| c.mem_bandwidth_gbps *= 2.0);
@@ -192,22 +192,22 @@ fn r_a4_cost_model_sensitivities() {
     let (launch4, _) = run("4x launch overhead", |c| c.kernel_launch_us *= 4.0);
 
     let launch = base - no_launch;
-    let close = |x: f64, y: f64, rel: f64| (x - y).abs() <= rel * y.abs();
-    assert!(
-        close(launch, kernels as f64 * k40.kernel_launch_us, 1e-9),
-        "launch cost {launch} us is {kernels} launches at {} us",
+    assert_eq!(
+        launch,
+        kernels * 5_000_000,
+        "{kernels} launches at {} us",
         k40.kernel_launch_us
     );
+    assert_eq!(launch4 - no_launch, 4 * launch, "4x launch cost adds 4x");
+    // the remainder is bandwidth-bound up to its compute-bound launches:
+    // within 1 % of half and of double
+    let within_1_percent = |x: u64, y: u64| x.abs_diff(y) * 100 <= y;
     assert!(
-        close(launch4 - no_launch, 4.0 * launch, 1e-9),
-        "4x launch cost adds 4x the launch time: {launch4} - {no_launch} vs 4 x {launch}"
-    );
-    assert!(
-        close(bw2 - launch, no_launch / 2.0, 0.01),
+        within_1_percent(bw2 - launch, no_launch / 2),
         "2x bandwidth halves the remainder: {bw2} - {launch} vs {no_launch} / 2"
     );
     assert!(
-        close(bw_half - launch, no_launch * 2.0, 0.01),
+        within_1_percent(bw_half - launch, no_launch * 2),
         "1/2 bandwidth doubles the remainder: {bw_half} - {launch} vs {no_launch} x 2"
     );
     assert_eq!(sm2, base, "2x SMs moves nothing");

@@ -25,11 +25,11 @@ use gbtl::graphgen::{erdos_renyi, symmetrize, torus_2d, Rmat};
 use gbtl::prelude::*;
 
 /// cuda-sim, recording each priced product: the price the device took and
-/// the modeled nanoseconds its clock moved by.
+/// the modeled picoseconds its clock moved by.
 #[derive(Default)]
 struct Recorded {
     cuda: CudaBackend,
-    priced: Mutex<Vec<(Option<DevicePrice>, f64)>>,
+    priced: Mutex<Vec<(Option<DevicePrice>, u64)>>,
 }
 
 impl Backend for Recorded {
@@ -46,44 +46,41 @@ impl Backend for Recorded {
         host: impl FnOnce() -> R,
         pull: impl FnOnce(&R, &Device<'_>) -> bool,
     ) -> (R, Option<DevicePrice>) {
-        let before = self.cuda.stats().modeled_time_s;
+        let before = self.cuda.stats().modeled_ps;
         let (r, price) = self.cuda.level(host, pull);
-        let moved_ns = (self.cuda.stats().modeled_time_s - before) * 1e9;
-        self.priced.lock().unwrap().push((price, moved_ns));
+        let moved_ps = self.cuda.stats().modeled_ps - before;
+        self.priced.lock().unwrap().push((price, moved_ps));
         (r, price)
     }
 }
 
 impl Recorded {
-    /// The records since the last call, and the modeled seconds the device
-    /// clock moved over `solve`.
-    fn solve<T>(&self, solve: impl FnOnce() -> T) -> (T, Vec<(Option<DevicePrice>, f64)>, f64) {
+    /// The records since the last call, and the modeled picoseconds the
+    /// device clock moved over `solve`.
+    fn solve<T>(&self, solve: impl FnOnce() -> T) -> (T, Vec<(Option<DevicePrice>, u64)>, u64) {
         self.priced.lock().unwrap().clear();
-        let before = self.cuda.stats().modeled_time_s;
+        let before = self.cuda.stats().modeled_ps;
         let out = solve();
-        let seconds = self.cuda.stats().modeled_time_s - before;
+        let moved_ps = self.cuda.stats().modeled_ps - before;
         (
             out,
             std::mem::take(&mut self.priced.lock().unwrap()),
-            seconds,
+            moved_ps,
         )
     }
 }
 
 /// A price the device took: the cheaper of the two, push on a tie, and
-/// what the clock moved, to the nanosecond each price is rounded to.
-fn assert_charged_the_cheaper(what: &str, price: &DevicePrice, moved_ns: f64) {
-    let cheaper = price.push_ns.min(price.pull_ns);
-    let dir = if price.pull_ns < price.push_ns {
+/// exactly what the clock moved.
+fn assert_charged_the_cheaper(what: &str, price: &DevicePrice, moved_ps: u64) {
+    let cheaper = price.push_ps.min(price.pull_ps);
+    let dir = if price.pull_ps < price.push_ps {
         ChosenDir::Pull
     } else {
         ChosenDir::Push
     };
     assert_eq!(price.dir, dir, "{what}: {price:?}");
-    assert!(
-        (moved_ns - cheaper as f64).abs() <= 1.0,
-        "{what}: {price:?}, the device clock moved {moved_ns} ns"
-    );
+    assert_eq!(moved_ps, cheaper, "{what}: {price:?}");
 }
 
 /// The three graphs, symmetric with no self-loops: rmat12 ef 8 seed 1,
@@ -105,12 +102,12 @@ fn graphs() -> Vec<(&'static str, Matrix<bool>)> {
 const MIS_SEED: u64 = 7;
 
 /// What MIS charged a fresh cuda-sim device on each graph before its
-/// knock-out was priced (modeled seconds as `f64` bits: 297.532, 284.704
-/// and 261.884 µs): without `Aᵀ` resident it is charged that still.
+/// knock-out was priced, in modeled picoseconds: without `Aᵀ` resident it
+/// is charged that still.
 const MIS_PUSHED: [(&str, u64); 3] = [
-    ("rmat12", 0x3f33_7fc4_1e4e_aa21),
-    ("er11", 0x3f32_a88a_5e79_6e3c),
-    ("torus48", 0x3f31_29b1_1fcc_e212),
+    ("rmat12", 297_532_439),
+    ("er11", 284_704_001),
+    ("torus48", 261_884_446),
 ];
 
 /// The triangle count and the MIS `ctx` computes on `a`.
@@ -147,10 +144,10 @@ fn triangle_count_is_charged_the_cheaper_of_l_l_and_l_lt() {
         let ctx = Context::with_backend(Recorded::default());
         let (count, records, _) = ctx.backend().solve(|| triangle_count(&ctx, &a).unwrap());
         assert_eq!(count, triangle_count(&Context::sequential(), &a).unwrap());
-        let [(Some(price), moved_ns)] = records[..] else {
+        let [(Some(price), moved_ps)] = records[..] else {
             panic!("{name}: one priced product expected, got {records:?}");
         };
-        assert_charged_the_cheaper(name, &price, moved_ns);
+        assert_charged_the_cheaper(name, &price, moved_ps);
         pulled += (price.dir == ChosenDir::Pull) as usize;
 
         // push is the host's `C<L> = L·L` as cuda-sim charges it unpriced;
@@ -161,12 +158,11 @@ fn triangle_count_is_charged_the_cheaper_of_l_l_and_l_lt() {
         let desc = Descriptor::new();
         host.mxm(&mut c, Some(&l), no_accum(), PlusPair::new(), &l, &l, &desc)
             .unwrap();
-        let ns = |s: f64| (s * 1e9).round() as u64;
-        assert_eq!(price.push_ns, ns(host.gpu_stats().modeled_time_s), "{name}");
+        assert_eq!(price.push_ps, host.gpu_stats().modeled_ps, "{name}");
         let dot = Gpu::default();
         let rows = l.csr();
         charge::mxm_dot::<u64, bool, bool>(&dot, rows, rows, |j| rows.row_nnz(j));
-        assert_eq!(price.pull_ns, ns(dot.stats().modeled_time_s), "{name}");
+        assert_eq!(price.pull_ps, dot.stats().modeled_ps, "{name}");
     }
     assert!(pulled > 0, "no graph charged L·Lᵀ");
 }
@@ -191,12 +187,7 @@ fn mis_knock_out_is_charged_the_cheaper_direction_with_at_resident() {
             records.iter().all(|(p, _)| p.is_none()),
             "{name}: {records:?}"
         );
-        assert_eq!(
-            pushed.to_bits(),
-            pinned,
-            "{name}: MIS without Aᵀ charged {pushed} s ({:#x})",
-            pushed.to_bits()
-        );
+        assert_eq!(pushed, pinned, "{name}: MIS without Aᵀ");
 
         // with it every round's knock-out is priced both ways
         let warm = Context::with_backend(Recorded::default());
@@ -205,16 +196,13 @@ fn mis_knock_out_is_charged_the_cheaper_direction_with_at_resident() {
             .backend()
             .solve(|| maximal_independent_set(&warm, &a, MIS_SEED).unwrap());
         assert_eq!(set, want, "{name}");
-        let mut saved = 0.0;
-        for (round, (price, moved_ns)) in records.iter().enumerate() {
+        let mut saved = 0;
+        for (round, (price, moved_ps)) in records.iter().enumerate() {
             let price = price.unwrap_or_else(|| panic!("{name}: round {round} unpriced"));
-            assert_charged_the_cheaper(&format!("{name} round {round}"), &price, *moved_ns);
-            saved += price.push_ns as f64 - moved_ns;
+            assert_charged_the_cheaper(&format!("{name} round {round}"), &price, *moved_ps);
+            saved += price.push_ps - moved_ps;
         }
-        assert!(saved > 0.0, "{name}: no round pulled");
-        assert!(
-            ((pushed - priced) * 1e9 - saved).abs() <= records.len() as f64,
-            "{name}: pushed {pushed} s, priced {priced} s, the rounds saved {saved} ns"
-        );
+        assert!(saved > 0, "{name}: no round pulled");
+        assert_eq!(pushed - priced, saved, "{name}: what the rounds saved");
     }
 }

@@ -440,7 +440,7 @@ fn answers_are_the_parent_commits_bit_for_bit() {
 
 /// PageRank on directed rmats, whose sinks (no out-edge) and isolated
 /// vertices (no edge at all) carry the dangling mass: the 20-iteration rank
-/// checksum on every backend and cuda-sim's modeled seconds, as `f64` bits.
+/// checksum on every backend and cuda-sim's modeled picoseconds.
 /// Recorded before the rank operand held a value at dangling positions,
 /// when those positions were left absent.
 #[test]
@@ -451,8 +451,8 @@ fn pagerank_with_sinks_keeps_its_ranks_and_its_device_charge() {
         max_iters: 20,
     };
     let recorded = [
-        (10, 4, 5, 0xb481_f03f_0375_7ca8u64, 0x3f2e_fb6e_be5d_f515u64),
-        (12, 8, 9, 0xf2b0_1ff7_9a0a_1eb9, 0x3f42_918a_7233_5b93),
+        (10, 4, 5, 0xb481_f03f_0375_7ca8u64, 236_375_105u64),
+        (12, 8, 9, 0xf2b0_1ff7_9a0a_1eb9, 566_666_219),
     ];
     for (scale, edge_factor, seed, want_ranks, want_modeled) in recorded {
         let a = adjacency(Rmat::new(scale, edge_factor).seed(seed).generate());
@@ -476,11 +476,10 @@ fn pagerank_with_sinks_keeps_its_ranks_and_its_device_charge() {
             want_ranks,
             "cuda"
         );
-        let modeled = cuda.gpu_stats().modeled_time_s;
         assert_eq!(
-            modeled.to_bits(),
+            cuda.gpu_stats().modeled_ps,
             want_modeled,
-            "cuda modeled {modeled} s, rmat{scale}"
+            "cuda, rmat{scale}"
         );
     }
 }
