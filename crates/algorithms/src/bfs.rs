@@ -3,6 +3,8 @@
 use gbtl_algebra::{LorLand, MinFirst};
 use gbtl_core::{no_accum, Backend, Context, Descriptor, DirectionPolicy, Matrix, Result, Vector};
 
+use gbtl_sparse::DenseVector;
+
 use crate::traverse::Traversal;
 use crate::util::check_traversal;
 
@@ -29,7 +31,7 @@ pub fn bfs_levels<B: Backend>(
     dir: Direction,
 ) -> Result<Vector<u64>> {
     let n = check_traversal("bfs_levels", a, &[src])?;
-    let mut levels: Vector<u64> = Vector::new_dense(n);
+    let mut levels = DenseVector::new(n);
     levels.set(src, 0);
 
     let policy = DirectionPolicy::for_matrix(dir, ctx, a);
@@ -45,7 +47,7 @@ pub fn bfs_levels<B: Backend>(
             Ok(next)
         },
     )?;
-    Ok(levels)
+    Ok(levels.into())
 }
 
 /// BFS parent tree from `src`: `parents[v]` is the predecessor of `v` on

@@ -36,6 +36,7 @@
 
 use gbtl_algebra::{Bounded, LorLand, Scalar};
 use gbtl_core::{Backend, Context, Matrix, Result, Vector};
+use gbtl_sparse::DenseVector;
 
 use crate::sssp::{shortest_paths, DefaultZero};
 use crate::traverse::Traversal;
@@ -106,7 +107,7 @@ where
     let (name, seed) = (relaxation.name, relaxation.seed);
     let n = check_traversal(name, a, sources)?;
     let k = sources.len();
-    let mut dist: Vec<Vector<T>> = (0..k).map(|_| Vector::new_dense(n)).collect();
+    let mut dist: Vec<DenseVector<T>> = (0..k).map(|_| DenseVector::new(n)).collect();
     for (r, &src) in sources.iter().enumerate() {
         dist[r].set(src, seed);
     }
@@ -119,7 +120,7 @@ where
         false,
         |tally, _, r, j, cand| relaxation.merge(tally, &mut dist[r], j, cand),
     )?;
-    Ok(dist)
+    Ok(dist.into_iter().map(Vector::from).collect())
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use gbtl_algebra::{Bounded, MinPlus, Scalar, Semiring};
 use gbtl_core::{Backend, Context, Direction, DirectionPolicy, Matrix, Result, Vector};
 
-use gbtl_sparse::SparseVector;
+use gbtl_sparse::DenseVector;
 
 use crate::traverse::{Tally, Traversal};
 use crate::util::check_traversal;
@@ -74,7 +74,7 @@ where
 /// value is the `⊗` of its edges from `seed` (the empty path); each round
 /// is one unmasked product of the *changed* frontier, and a candidate
 /// replaces a vertex's value when it is `better`. Vertices that changed
-/// form the next frontier.
+/// form the next frontier: the product, filtered in place.
 pub(crate) struct Relaxation<T, S, C> {
     /// The entry point's name: error `op` and level-span label.
     pub name: &'static str,
@@ -102,7 +102,13 @@ impl<T: Scalar, S: Semiring<T>, C: Fn(T, T) -> bool> Relaxation<T, S, C> {
     /// Merge `cand` into `best[i]`: true when it took the slot, and `i`
     /// enters the next frontier.
     #[inline]
-    pub(crate) fn merge(&self, tally: &mut Tally, best: &mut Vector<T>, i: usize, cand: T) -> bool {
+    pub(crate) fn merge(
+        &self,
+        tally: &mut Tally,
+        best: &mut DenseVector<T>,
+        i: usize,
+        cand: T,
+    ) -> bool {
         let old = best.get(i);
         let improved = old.is_none_or(|old| (self.better)(cand, old));
         if improved {
@@ -120,28 +126,27 @@ impl<T: Scalar, S: Semiring<T>, C: Fn(T, T) -> bool> Relaxation<T, S, C> {
         dir: Direction,
     ) -> Result<Vector<T>> {
         let n = check_traversal(self.name, a, &[src])?;
-        let mut best: Vector<T> = Vector::new_dense(n);
+        let mut best = DenseVector::new(n);
         best.set(src, self.seed);
 
         let policy = DirectionPolicy::for_matrix(dir, ctx, a).unmasked();
         let traversal = Traversal::new(ctx, a, policy, self.name);
         let semirings = (self.semiring, self.semiring);
-        traversal.vector(semirings, src, self.seed, |tally, _, relax| {
-            // best = eWiseAdd(best, relax, ⊕), keeping the changed set as
-            // the next frontier. The test needs old-vs-new, so it runs
-            // host-side (identically for every backend). `relax` iterates
-            // in index order, so the changed set assembles as a sorted
-            // list: no per-entry search-and-insert.
-            let (mut idx, mut vals) = (Vec::new(), Vec::new());
-            for (i, cand) in relax.iter() {
-                if self.merge(tally, &mut best, i, cand) {
-                    idx.push(i);
-                    vals.push(cand);
-                }
-            }
-            Ok(SparseVector::from_sorted(n, idx, vals)?.into())
+        traversal.vector(semirings, src, self.seed, |tally, _, mut relax| {
+            // best = eWiseAdd(best, relax, ⊕), and the entries that changed
+            // it are the next frontier: the product, filtered in place. The
+            // test needs old-vs-new, so it runs host-side (identically for
+            // every backend).
+            relax.retain(|i, cand| self.merge(tally, &mut best, i, cand));
+            // a pull's product is a bitmap; the frontier goes on as an
+            // index list, as a push's product already is
+            Ok(if relax.is_sparse() {
+                relax
+            } else {
+                relax.to_sparse_repr().into()
+            })
         })?;
-        Ok(best)
+        Ok(best.into())
     }
 }
 

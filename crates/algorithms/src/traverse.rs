@@ -14,11 +14,13 @@
 //! decision.
 //!
 //! An epilogue writes what the algorithm keeps, tells the [`Tally`] which
-//! vertices [`enter`](Tally::enter) the next frontier and returns it. It
-//! must not run a product on the traversed matrix, switch a representation
-//! or record a span: the modeled clock, the decision records and the
-//! direction tallies are pinned level by level, and this module is their
-//! one author.
+//! vertices [`enter`](Tally::enter) the next frontier and returns the
+//! product, filtered: the next frontier is what it kept of the product,
+//! compacted in place, never a list rebuilt entry by entry (docs/adr/0020).
+//! It must not run a product on the traversed matrix, switch a
+//! representation or record a span: the modeled clock, the decision
+//! records and the direction tallies are pinned level by level, and this
+//! module is their one author.
 
 use gbtl_algebra::{Scalar, Semiring};
 use gbtl_core::{

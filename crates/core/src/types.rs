@@ -395,6 +395,16 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
+    /// Keep the stored entries `keep(index, value)` accepts — asked once
+    /// each, in index order — filtered in place; the representation is
+    /// unchanged (a filter is not a switch).
+    pub fn retain(&mut self, keep: impl FnMut(Index, T) -> bool) {
+        match &mut self.repr {
+            VectorRepr::Sparse(s) => s.retain(keep),
+            VectorRepr::Dense(d) => d.retain(keep),
+        }
+    }
+
     /// Iterate stored `(index, value)` pairs in index order.
     pub fn iter(&self) -> Box<dyn Iterator<Item = (Index, T)> + '_> {
         match &self.repr {
@@ -552,6 +562,26 @@ mod tests {
         v.sparsify();
         assert!(v.is_sparse());
         assert_eq!(v.extract_tuples(), original);
+    }
+
+    #[test]
+    fn retain_filters_in_either_layout_and_keeps_it() {
+        for dense in [false, true] {
+            let mut v = Vector::build(70, (0..70).map(|i| (i, i as i64)), Plus::new()).unwrap();
+            if dense {
+                v.densify();
+            }
+            let mut asked = Vec::new();
+            v.retain(|i, x| {
+                asked.push(i);
+                x % 3 == 0
+            });
+            assert_eq!(asked, (0..70).collect::<Vec<_>>(), "once each, in order");
+            assert_eq!(v.is_sparse(), !dense);
+            let want: Vec<(usize, i64)> = (0..70).step_by(3).map(|i| (i, i as i64)).collect();
+            assert_eq!(v.iter().collect::<Vec<_>>(), want);
+            assert_eq!(v.nnz(), want.len());
+        }
     }
 
     #[test]

@@ -17,6 +17,8 @@ use std::sync::{Arc, Mutex};
 
 use gbtl_core::Matrix;
 use gbtl_graphgen::{erdos_renyi, grid_2d, karate_club, symmetrize, weights, Rmat};
+use gbtl_sparse::mmio::{read_coo_within, MmLimits};
+use gbtl_sparse::SparseError;
 use gbtl_util::sync::lock;
 
 /// Weight seed used when a spec has no seed of its own (karate, grid, mtx).
@@ -120,7 +122,7 @@ impl GraphSpec {
     /// `Err` when a generated graph would have more than [`MAX_VERTICES`]
     /// vertices or its generator more than [`MAX_EDGES`] edges to draw, or
     /// when Erdős–Rényi is asked for no vertex at all. A file's size is
-    /// known only once it is read.
+    /// checked by its reader, at the size line.
     fn check_size(&self) -> Result<(), String> {
         let (vertices, edges) = match *self {
             GraphSpec::Karate | GraphSpec::Mtx { .. } => return Ok(()),
@@ -180,11 +182,24 @@ impl GraphSpec {
             GraphSpec::Grid { side } => grid_2d(*side, *side),
             GraphSpec::Mtx { path } => {
                 let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-                let coo = gbtl_sparse::mmio::read_pattern(std::io::BufReader::new(file))
-                    .map_err(|e| format!("read {path}: {e}"))?;
-                // the size line's claim, checked before it sizes a CSR
-                let n = coo.nrows().max(coo.ncols());
-                within_bounds(&self.describe(), Some(n), Some(coo.nnz()))?;
+                // the reader checks the size line's claim before it sizes
+                // anything, and stops at the first entry past the bound
+                let limits = MmLimits {
+                    max_dim: MAX_VERTICES,
+                    max_entries: MAX_EDGES,
+                };
+                let reader = std::io::BufReader::new(file);
+                let coo = read_coo_within::<bool, _>(reader, limits).map_err(|e| match e {
+                    SparseError::TooLarge { what, count, max } => {
+                        let unit = if what == "entries" {
+                            "edges"
+                        } else {
+                            "vertices"
+                        };
+                        too_many(&self.describe(), count, max, unit)
+                    }
+                    e => format!("read {path}: {e}"),
+                })?;
                 symmetrize(&coo)
             }
         };
@@ -197,15 +212,16 @@ impl GraphSpec {
 fn within_bounds(what: &str, vertices: Option<usize>, edges: Option<usize>) -> Result<(), String> {
     let over = |count: Option<usize>, max: usize, unit: &str| match count {
         Some(c) if c <= max => Ok(()),
-        Some(c) => Err(format!(
-            "{what}: {c} {unit}, more than the {max} a graph may have"
-        )),
-        None => Err(format!(
-            "{what}: too many {unit}, more than the {max} a graph may have"
-        )),
+        Some(c) => Err(too_many(what, c, max, unit)),
+        None => Err(too_many(what, "too many", max, unit)),
     };
     over(vertices, MAX_VERTICES, "vertices")?;
     over(edges, MAX_EDGES, "edges")
+}
+
+/// The error naming `what` that has `count` `unit`s, past `max`.
+fn too_many(what: &str, count: impl std::fmt::Display, max: usize, unit: &str) -> String {
+    format!("{what}: {count} {unit}, more than the {max} a graph may have")
 }
 
 /// One resident graph: shared, immutable, epoch-stamped.

@@ -67,6 +67,16 @@ pub enum SparseError {
     },
     /// I/O failure while reading or writing.
     Io(String),
+    /// A Matrix Market stream declares, or holds, more than its reader's
+    /// [`mmio::MmLimits`] allow.
+    TooLarge {
+        /// What was counted: `"rows"`, `"columns"` or `"entries"`.
+        what: &'static str,
+        /// How many the stream declared (rows, columns) or stored (entries).
+        count: usize,
+        /// The most the limits allow.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SparseError {
@@ -87,6 +97,9 @@ impl std::fmt::Display for SparseError {
                 write!(f, "parse error at line {line}: {detail}")
             }
             SparseError::Io(e) => write!(f, "i/o error: {e}"),
+            SparseError::TooLarge { what, count, max } => {
+                write!(f, "{count} {what}, more than the {max} allowed")
+            }
         }
     }
 }

@@ -106,14 +106,58 @@ enum Symmetry {
 /// Entries [`read_coo`] reserves room for before it has read any.
 const RESERVE_AHEAD: usize = 4096;
 
-/// Read a coordinate Matrix Market stream into a [`CooMatrix`].
+/// The largest matrix a reader accepts. A size line declaring more rows
+/// or columns is an error before anything is allocated — a CSR built from
+/// the result sizes its row pointers by the claim, not by the entries — and
+/// so is one declaring, or an entry taking the stored count past, more
+/// entries (symmetric ones expanded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MmLimits {
+    /// Most rows, and most columns.
+    pub max_dim: usize,
+    /// Most stored entries.
+    pub max_entries: usize,
+}
+
+impl MmLimits {
+    /// What [`read_coo`] accepts: 2²⁸ rows and columns, past every matrix
+    /// of the SuiteSparse collection (the largest has 2.3·10⁸ rows), where
+    /// a CSR's row pointers alone are 2 GiB; entries without bound, since
+    /// the stream itself must hold them.
+    pub const DEFAULT: MmLimits = MmLimits {
+        max_dim: 1 << 28,
+        max_entries: usize::MAX,
+    };
+
+    /// `Err` when `count` of `what` passes `max`.
+    fn check(what: &'static str, count: usize, max: usize) -> Result<(), SparseError> {
+        if count <= max {
+            Ok(())
+        } else {
+            Err(SparseError::TooLarge { what, count, max })
+        }
+    }
+}
+
+/// Read a coordinate Matrix Market stream into a [`CooMatrix`] within
+/// [`MmLimits::DEFAULT`] (see [`read_coo_within`]).
+pub fn read_coo<T: MmValue, R: BufRead>(reader: R) -> Result<CooMatrix<T>, SparseError> {
+    read_coo_within(reader, MmLimits::DEFAULT)
+}
+
+/// Read a coordinate Matrix Market stream into a [`CooMatrix`] no larger
+/// than `limits`.
 ///
 /// Pattern files yield the type's implicit value (`1` / `true`); symmetric
 /// files are expanded. The result may contain duplicates if the file does;
 /// callers typically hand it to `CsrMatrix::from_coo` with a dup operator.
 /// Memory grows with the entries the stream holds, never with what its
-/// size line claims; a malformed stream is an error, never a panic.
-pub fn read_coo<T: MmValue, R: BufRead>(reader: R) -> Result<CooMatrix<T>, SparseError> {
+/// size line claims; a malformed stream is an error, never a panic, and a
+/// stream past `limits` is a [`SparseError::TooLarge`].
+pub fn read_coo_within<T: MmValue, R: BufRead>(
+    reader: R,
+    limits: MmLimits,
+) -> Result<CooMatrix<T>, SparseError> {
     let mut lines = reader.lines().enumerate();
 
     // Banner.
@@ -206,6 +250,9 @@ pub fn read_coo<T: MmValue, R: BufRead>(reader: R) -> Result<CooMatrix<T>, Spars
     let nrows = parse_dim(dims[0], "nrows")?;
     let ncols = parse_dim(dims[1], "ncols")?;
     let nnz = parse_dim(dims[2], "nnz")?;
+    MmLimits::check("rows", nrows, limits.max_dim)?;
+    MmLimits::check("columns", ncols, limits.max_dim)?;
+    MmLimits::check("entries", nnz, limits.max_entries)?;
     if symmetry != Symmetry::General && nrows != ncols {
         return Err(SparseError::Parse {
             line: size_no,
@@ -271,6 +318,7 @@ pub fn read_coo<T: MmValue, R: BufRead>(reader: R) -> Result<CooMatrix<T>, Spars
             Symmetry::SkewSymmetric if r != c => coo.push(c, r, v.negate()),
             _ => {}
         }
+        MmLimits::check("entries", coo.nnz(), limits.max_entries)?;
         seen += 1;
     }
     if seen != nnz {

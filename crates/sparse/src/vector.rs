@@ -162,6 +162,25 @@ impl<T: Scalar> SparseVector<T> {
         self.vals.clear();
     }
 
+    /// Keep the entries `keep(index, value)` accepts — asked once each, in
+    /// index order — compacted in place: the survivors stay sorted, so
+    /// nothing is rebuilt or re-validated.
+    pub fn retain(&mut self, mut keep: impl FnMut(Index, T) -> bool) {
+        let n = self.idx.len();
+        let (idx, vals) = (&mut self.idx[..n], &mut self.vals[..n]);
+        let mut kept = 0;
+        for k in 0..n {
+            let (i, v) = (idx[k], vals[k]);
+            if keep(i, v) {
+                idx[kept] = i;
+                vals[kept] = v;
+                kept += 1;
+            }
+        }
+        self.idx.truncate(kept);
+        self.vals.truncate(kept);
+    }
+
     /// Densify.
     pub fn to_dense(&self) -> DenseVector<T> {
         let mut d = DenseVector::new(self.n);
@@ -321,6 +340,25 @@ impl<T: Scalar> DenseVector<T> {
         self.bits[i / 64] &= !(1 << (i % 64));
         self.nnz -= usize::from(present);
         present.then_some(old)
+    }
+
+    /// Keep the present entries `keep(index, value)` accepts — asked once
+    /// each, in index order — and clear the rest in place.
+    pub fn retain(&mut self, mut keep: impl FnMut(Index, T) -> bool) {
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let (mut left, mut kept) = (*word, *word);
+            while left != 0 {
+                let b = left.trailing_zeros() as usize;
+                left &= left - 1;
+                let slot = &mut self.vals[64 * w + b];
+                if !keep(64 * w + b, *slot) {
+                    kept &= !(1 << b);
+                    *slot = T::default();
+                }
+            }
+            self.nnz -= (*word ^ kept).count_ones() as usize;
+            *word = kept;
+        }
     }
 
     /// One value slot per position: a present entry's value, or

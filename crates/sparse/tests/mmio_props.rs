@@ -3,7 +3,7 @@
 //! ahead of the entries that back it, and a valid stream with one byte
 //! flipped reads or is an error.
 
-use gbtl_sparse::mmio::{read_coo, write_coo};
+use gbtl_sparse::mmio::{read_coo, read_coo_within, write_coo, MmLimits};
 use gbtl_sparse::{CooMatrix, SparseError};
 use proptest::prelude::*;
 
@@ -121,4 +121,83 @@ fn entries_past_the_claim_and_a_non_square_symmetric_matrix_are_errors() {
     assert!(read_coo::<f64, _>(extra.as_bytes()).is_err());
     let wide = format!("{}2 3 1\n1 3\n", BANNERS[3]);
     assert!(read_coo::<bool, _>(wide.as_bytes()).is_err());
+}
+
+/// A reader that panics if anything past `head` is read from it.
+struct HeadThenBomb<'a>(&'a [u8]);
+
+impl std::io::Read for HeadThenBomb<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = std::io::Read::read(&mut self.0, buf)?;
+        assert!(n > 0, "read past the size line");
+        Ok(n)
+    }
+}
+
+/// A size line declaring more rows, columns or entries than the limits
+/// allow is a `TooLarge` error at that line: nothing after it is read, so
+/// nothing is allocated for it. The default limits refuse 10¹² rows.
+#[test]
+fn an_oversized_size_line_is_an_error_before_anything_is_read() {
+    let limits = MmLimits {
+        max_dim: 1000,
+        max_entries: 5000,
+    };
+    let heads = [
+        ("1001 3 1\n", "rows", 1001),
+        ("3 1001 1\n", "columns", 1001),
+        ("3 3 5001\n", "entries", 5001),
+        ("1000000000000 1000000000000 1\n", "rows", 1_000_000_000_000),
+    ];
+    for banner in BANNERS {
+        for (size_line, what, count) in heads {
+            let head = format!("{banner}{size_line}");
+            let reader = std::io::BufReader::with_capacity(1, HeadThenBomb(head.as_bytes()));
+            let err = read_coo_within::<f64, _>(reader, limits).unwrap_err();
+            assert_eq!(
+                err,
+                SparseError::TooLarge {
+                    what,
+                    count,
+                    max: if what == "entries" { 5000 } else { 1000 },
+                },
+                "{head:?}"
+            );
+        }
+    }
+    let huge = format!("{}1000000000000 3 1\n1 2 1\n", BANNERS[0]);
+    let err = read_coo::<f64, _>(huge.as_bytes()).unwrap_err();
+    assert!(
+        matches!(err, SparseError::TooLarge { what: "rows", .. }),
+        "{err:?}"
+    );
+}
+
+/// Entries that take the stored count past the limit — a symmetric
+/// stream's mirrored ones included — are an error at that entry; a stream
+/// exactly at the limits reads.
+#[test]
+fn entries_past_the_limit_are_an_error_at_the_entry() {
+    let limits = MmLimits {
+        max_dim: 4,
+        max_entries: 3,
+    };
+    let at = format!("{}4 4 3\n1 1 1\n2 2 1\n3 3 1\n", BANNERS[0]);
+    assert_eq!(
+        read_coo_within::<f64, _>(at.as_bytes(), limits)
+            .unwrap()
+            .nnz(),
+        3
+    );
+    // two symmetric off-diagonal entries store four
+    let mirrored = format!("{}4 4 2\n2 1 1\n3 1 1\n", BANNERS[1]);
+    let err = read_coo_within::<f64, _>(mirrored.as_bytes(), limits).unwrap_err();
+    assert_eq!(
+        err,
+        SparseError::TooLarge {
+            what: "entries",
+            count: 4,
+            max: 3
+        }
+    );
 }
