@@ -406,9 +406,10 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::thread::ThreadId;
+    use std::time::Duration;
 
     /// One dispatch that every worker of the pool must take part in — one
     /// task each, meeting at a barrier. Returns who ran them.
@@ -590,13 +591,25 @@ mod tests {
 
     #[test]
     fn unbalanced_workload_records_steals() {
-        // Worker 0 is dealt tasks [0, 16) and blocks on task 0; worker 1
-        // drains its own block [16, 32) in microseconds and must then steal
-        // from the back of worker 0's deque to finish the dispatch.
+        // Worker 0 is dealt tasks [0, 16) and blocks on task 0 until task
+        // 15 has run. Task 15 is the back of worker 0's own block, so only
+        // worker 1 stealing it can release task 0, however late worker 1's
+        // thread wakes.
         let pool = ThreadPool::with_threads(2);
+        let stolen = AtomicBool::new(false);
         let out = pool.run_tasks(32, |i| {
             if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(40));
+                std::thread::sleep(Duration::from_millis(40));
+                let t0 = Instant::now();
+                while !stolen.load(Ordering::Acquire) {
+                    if t0.elapsed() > Duration::from_secs(10) {
+                        panic!("task 15 was not stolen from worker 0's block within 10 s");
+                    }
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            if i == 15 {
+                stolen.store(true, Ordering::Release);
             }
             i
         });

@@ -1,13 +1,14 @@
 //! Sparse matrix–matrix multiply: Gustavson's row-wise algorithm.
 
-use crate::rows::RowChunk;
+use crate::rows::{RowChunk, Touched};
 use gbtl_algebra::{BinaryOp, Monoid, Scalar, Semiring};
 use gbtl_sparse::CsrMatrix;
 use gbtl_util::workspace;
 use std::ops::Range;
 
 /// `C = A ⊕.⊗ B` over the semiring — Gustavson's algorithm with a dense
-/// per-row accumulator (`O(flops + nrows·reset)` time, `O(ncols)` workspace).
+/// per-row accumulator drained by its presence bits (`O(flops +
+/// nrows·ncols/4096)` time, `O(ncols)` workspace).
 ///
 /// # Panics
 /// When the inner dimensions disagree (`a.ncols() != b.nrows()`); the
@@ -46,39 +47,21 @@ where
     );
     let n = b.ncols();
 
-    // The accumulator and touched list come from the thread-local
+    // The accumulator and its presence words come from the thread-local
     // workspace pool: per-row `take()` drains leave the accumulator
-    // all-None, which is the pool's return invariant.
+    // all-None and the words zero, which is the pool's return invariant.
     workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
-        workspace::with_index_buffer(|touched| {
+        Touched::with(n, |touched| {
             let mut row_ptr = Vec::with_capacity(rows.len() + 1);
             row_ptr.push(0usize);
             let mut col_idx = Vec::new();
             let mut vals = Vec::new();
             for i in rows {
-                // A row that scans at least `n` entries of `B` has already
-                // done the work of one pass over the accumulator, so it
-                // lists nothing and emits by that pass, in column order (the
-                // rule of push `vxm`). A sparser row must not pay O(n): it
-                // lists first touches and sorts them.
-                let scanned: usize = a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum();
-                if scanned >= n {
-                    fold_row(a, b, sr, i, acc, |_| {});
-                    for (j, slot) in acc[..n].iter_mut().enumerate() {
-                        if let Some(v) = slot.take() {
-                            col_idx.push(j);
-                            vals.push(v);
-                        }
-                    }
-                } else {
-                    touched.clear();
-                    fold_row(a, b, sr, i, acc, |j| touched.push(j));
-                    touched.sort_unstable();
-                    for &j in touched.iter() {
-                        col_idx.push(j);
-                        vals.push(acc[j].take().expect("touched implies present"));
-                    }
-                }
+                fold_row(a, b, sr, i, acc, |j| touched.mark(j));
+                touched.drain(|j| {
+                    col_idx.push(j);
+                    vals.push(acc[j].take().expect("marked implies present"));
+                });
                 row_ptr.push(col_idx.len());
             }
             RowChunk::from_parts(row_ptr, col_idx, vals)
@@ -87,8 +70,7 @@ where
 }
 
 /// Fold row `i` of `A ⊕.⊗ B` into `acc` in scan order, calling `first(j)`
-/// when column `j` receives its first term; a `first` that does nothing
-/// leaves a loop with no first-touch call.
+/// when column `j` receives its first term.
 #[inline(always)]
 fn fold_row<T, D1, D2, S>(
     a: &CsrMatrix<D1>,
@@ -439,9 +421,9 @@ mod tests {
     }
 
     /// `A` (4×4) and `B` (4×6) with the given values on a fixed structure
-    /// whose product rows fall on both sides of the sweep rule: row 0 scans
-    /// 9 ≥ 6 entries of `B`, row 3 exactly 6 (swept); row 1 scans 5 and
-    /// first touches 0, 2, 4, 1, 5 in that order (sorted); row 2 scans 0.
+    /// whose product rows range from dense to empty: row 0 scans 9 ≥ 6
+    /// entries of `B`, row 3 exactly 6; row 1 scans 5 and first touches 0,
+    /// 2, 4, 1, 5 in that order (drained ascending); row 2 scans 0.
     fn sweep_operands<T: Scalar>(va: [T; 8], vb: [T; 9]) -> (CsrMatrix<T>, CsrMatrix<T>) {
         let a = CsrMatrix::from_parts(
             4,

@@ -6,6 +6,7 @@
 //! * [`vxm`] — *push*: `w = uᵀA`, walking only the rows of `A` selected by
 //!   stored entries of `u`. Efficient when `u` is a sparse frontier.
 
+use crate::rows::Touched;
 use gbtl_algebra::{BinaryOp, MinPlus, Monoid, Scalar, Semiring};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector, VecMask};
 use gbtl_util::workspace;
@@ -565,8 +566,7 @@ where
 
 /// The accumulate loop of push [`vxm`]: folds `uᵀA` into `acc` over the
 /// positions `mask` keeps, calling `first(j)` when position `j` receives its
-/// first term. The mask test is hoisted out of the edge loop, and a `first`
-/// that does nothing leaves a loop with no first-touch branch at all.
+/// first term. The mask test is hoisted out of the edge loop.
 #[inline(always)]
 fn scatter<T, D2, S>(
     u: &SparseVector<T>,
@@ -614,7 +614,8 @@ fn scatter<T, D2, S>(
 ///
 /// Only rows of `A` selected by stored entries of `u` are touched — the
 /// frontier-expansion step of push BFS/SSSP. `mask` filters output
-/// positions: the result holds kept positions only.
+/// positions: the result holds kept positions only. First touches set
+/// presence bits, drained in index order into an output of exactly its size.
 /// Here the matrix's value domain `D2` is the semiring's *second* operand
 /// domain (`MinFirst<u64>` over a boolean adjacency).
 pub fn vxm<T, D2, S>(
@@ -640,33 +641,18 @@ where
         assert_eq!(keep.len(), a.ncols(), "mask length must equal output size");
     }
     let n = a.ncols();
-    // A frontier carrying at least `n` out-edges has already done the work
-    // of one pass over the accumulator, so such a round lists nothing and
-    // emits by that pass — in index order, no sort. A sparser round must
-    // not pay O(n): it lists first touches and sorts them.
-    let edges: usize = u.indices().iter().map(|&k| a.row_nnz(k)).sum();
     // Pooled scratch: draining with `take()` restores the accumulator's
-    // all-None return invariant.
+    // all-None return invariant, and the drain clears the words it reads.
     workspace::with_accumulator(n, |acc: &mut Vec<Option<T>>| {
-        if edges >= n {
-            scatter(u, a, sr, mask, acc, |_| {});
-            let (mut idx, mut vals) = (Vec::new(), Vec::new());
-            for (j, slot) in acc[..n].iter_mut().enumerate() {
-                if let Some(v) = slot.take() {
-                    idx.push(j);
-                    vals.push(v);
-                }
-            }
-            return SparseVector::from_sorted(n, idx, vals).expect("ascending sweep");
-        }
-        workspace::with_index_buffer(|touched| {
-            scatter(u, a, sr, mask, acc, |j| touched.push(j));
-            touched.sort_unstable();
-            let vals: Vec<T> = touched
-                .iter()
-                .map(|&j| acc[j].take().expect("touched implies present"))
-                .collect();
-            SparseVector::from_sorted(n, touched.clone(), vals).expect("sorted unique indices")
+        Touched::with(n, |touched| {
+            scatter(u, a, sr, mask, acc, |j| touched.mark(j));
+            let mut idx = Vec::with_capacity(touched.count);
+            let mut vals = Vec::with_capacity(touched.count);
+            touched.drain(|j| {
+                idx.push(j);
+                vals.push(acc[j].take().expect("marked implies present"));
+            });
+            SparseVector::from_sorted(n, idx, vals).expect("index-order drain")
         })
     })
 }

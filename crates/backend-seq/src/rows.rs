@@ -9,6 +9,7 @@
 
 use gbtl_algebra::Scalar;
 use gbtl_sparse::CsrMatrix;
+use gbtl_util::workspace;
 
 /// Consecutive output rows as a CSR fragment: `row_ptr` holds one offset
 /// per row plus a final one, *local* to the fragment (it starts at 0), so a
@@ -61,6 +62,59 @@ pub fn stitch_rows<T: Scalar>(nrows: usize, ncols: usize, parts: Vec<RowChunk<T>
     CsrMatrix::from_parts_unchecked(nrows, ncols, row_ptr, col_idx, vals)
 }
 
+/// The positions of a Gustavson accumulator that hold a value, as presence
+/// bits plus a summary bit per 64-position word: push `vxm` and `mxm_rows`
+/// drain by them in index order, with no sort and no sweep of absent slots.
+pub(crate) struct Touched<'w> {
+    bits: &'w mut [u64],
+    summary: &'w mut [u64],
+    /// Positions marked since the last drain: the drain's exact output size.
+    pub(crate) count: usize,
+}
+
+impl Touched<'_> {
+    /// Run `f` with no position of `0..n` marked, on pooled all-zero words.
+    pub(crate) fn with<R>(n: usize, f: impl FnOnce(&mut Touched<'_>) -> R) -> R {
+        let (words, sums) = (n.div_ceil(64), n.div_ceil(64 * 64));
+        workspace::with_words(words + sums, |buf| {
+            let (bits, summary) = buf[..words + sums].split_at_mut(words);
+            f(&mut Touched {
+                bits,
+                summary,
+                count: 0,
+            })
+        })
+    }
+
+    /// Mark position `j`, which must not be marked yet.
+    #[inline(always)]
+    pub(crate) fn mark(&mut self, j: usize) {
+        self.bits[j / 64] |= 1 << (j % 64);
+        self.summary[j / 4096] |= 1 << (j / 64 % 64);
+        self.count += 1;
+    }
+
+    /// Call `f` on every marked position in ascending order, clearing each
+    /// word as it reads it and stopping after the last marked one.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(usize)) {
+        let (mut left, mut s) = (std::mem::take(&mut self.count), 0);
+        while left > 0 {
+            let mut words = std::mem::take(&mut self.summary[s]);
+            while words != 0 {
+                let w = 64 * s + words.trailing_zeros() as usize;
+                words &= words - 1;
+                let mut bits = std::mem::take(&mut self.bits[w]);
+                while bits != 0 {
+                    f(64 * w + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                    left -= 1;
+                }
+            }
+            s += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,5 +134,24 @@ mod tests {
         assert_eq!(whole.vals(), &[10, 30, 32]);
         // one fragment over every row is the matrix itself
         assert_eq!(a.clone().into_matrix(3), stitch_rows(2, 3, vec![a]));
+    }
+
+    #[test]
+    fn touched_drains_in_index_order_across_summary_words() {
+        let marks = [4097, 0, 63, 64, 8192, 4095];
+        Touched::with(8193, |t| {
+            for round in 0..2 {
+                for &j in &marks[round..] {
+                    t.mark(j);
+                }
+                assert_eq!(t.count, marks.len() - round);
+                let mut seen = Vec::new();
+                t.drain(|j| seen.push(j));
+                let mut want = marks[round..].to_vec();
+                want.sort_unstable();
+                assert_eq!(seen, want);
+                assert_eq!(t.count, 0);
+            }
+        });
     }
 }

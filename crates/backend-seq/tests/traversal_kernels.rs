@@ -1,6 +1,6 @@
 //! Property tests of the two traversal kernels' shortcuts: `row_dot` may
 //! stop a row early, the slot fold and the full fold may replace it, and
-//! `vxm` may emit by a sweep, and none may change a result; and `early_exits` reads off a
+//! `vxm` drains by presence bits, and none may change a result; and `early_exits` reads off a
 //! result exactly the rows `row_dot` stopped early, where it stopped them,
 //! as `early_exits_stacked` does for k members at once.
 
@@ -443,7 +443,7 @@ const MAX_N: usize = 40;
 /// `vxm` against push computed the other way round — `mxv` over `Aᵀ` on the
 /// densified frontier — for three frontiers cut from `order` (the longest
 /// prefix carrying fewer than `n` out-edges, that prefix and one vertex more,
-/// and every vertex: both sides of the rule that picks the emission) under
+/// and every vertex: sparse and dense rounds) under
 /// no mask, `visited` as the mask, and its complement. After every call the
 /// pooled accumulator must be back to all-`None`.
 fn check_vxm<T: Scalar, S: Semiring<T>>(

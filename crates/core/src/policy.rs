@@ -202,13 +202,15 @@ pub struct KernelCosts {
 // level and kernel wall time of traced forced-push and forced-pull runs,
 // best of 9, against the level's `push_edges` / `pull_edges` from its
 // decision record (the per-level table is EXPERIMENTS.md R-E21), with pull
-// rows stopping at the monoid's terminal value and dense push rounds
-// emitting by a sweep. Re-measure when a kernel changes.
+// rows stopping at the monoid's terminal value. The push figures were taken
+// while a dense round emitted by an index-order sweep and a sparse one by
+// sorting its touched list; push now drains by presence bits in 0.67–1.02
+// of that time a round (ADR 0021), and the constants are kept until they
+// are refit as a whole. Re-measure when a kernel changes.
 
 /// Masked `vxm`/`mxv` that can stop early (BFS). Push 1.9–7.3 ns an edge on levels over
-/// 10 K edges (the mask test mispredicts where visited and unvisited mix;
-/// such a level emits by an index-order sweep, a smaller one by sorting its
-/// touched list), 4.5–5.4 on a hub's first level. Pull 0.5–1.1 ns a scanned
+/// 10 K edges (the mask test mispredicts where visited and unvisited mix),
+/// 4.5–5.4 on a hub's first level. Pull 0.5–1.1 ns a scanned
 /// edge on `rmat14`, 0.9–2.5 on `rmat12`: a row stops at its first frontier
 /// neighbour (`Lor`'s terminal value), so a saturated level reads a
 /// fraction of `pull_edges`, and a level-1 frontier, which almost no row
@@ -237,8 +239,8 @@ pub const MASKED_SUM_COSTS: KernelCosts = KernelCosts {
 };
 
 /// Unmasked `vxm`/`mxv` (SSSP). Push 1.8–2.7 ns an edge on rounds over
-/// 100 K edges, which emit by a sweep (2.1–4.2 on the smaller graphs'
-/// dense rounds; a round under `n` edges sorts and pays 8–16). Pull
+/// 100 K edges (2.1–4.2 on the smaller graphs' dense rounds; a round
+/// under `n` edges paid 8–16 while it sorted its touched list). Pull
 /// 0.9–6.0 ns per scanned edge, rows included, and 2.3–6.0 in the heavy
 /// rounds: `(min, +)` over positive weights never reaches `Min`'s terminal
 /// value, so every row is folded to its end — no cheaper than push per edge

@@ -21,7 +21,7 @@
 //!   construction.
 //! * [`sync`] — the one poison-tolerant mutex [`sync::lock`].
 //! * [`workspace`] — thread-local reusable kernel scratch (dense
-//!   accumulators, touched lists, flag arrays) shared by all three
+//!   accumulators, presence words, flag arrays) shared by all three
 //!   backends, with process-wide reuse counters.
 //! * [`time`] — the process-wide monotonic nanosecond clock every
 //!   span-stamping layer shares ([`time::now_ns`]), so cross-layer trace

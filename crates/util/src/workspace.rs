@@ -3,7 +3,7 @@
 //! The Gustavson SpGEMM/SpMV kernels in every backend need the same few
 //! scratch shapes per call: a dense `Vec<Option<T>>` accumulator (or, for
 //! the masked product, a value array held at the add monoid's identity), a
-//! `Vec<usize>` index list (`touched` columns, gather offsets), and a
+//! `Vec<u64>` word array (an accumulator's presence bits), and a
 //! `Vec<bool>` flag array (mask membership, symbolic `seen` marks). Before
 //! this module each call allocated and zeroed them from scratch — for an
 //! iterative algorithm that is an `O(ncols)` allocation + memset per
@@ -20,8 +20,8 @@
 //! * accumulator — every slot `None`, `len >= n`;
 //! * value accumulator — every slot equal to the `fill` it was asked for,
 //!   `len >= n`;
-//! * flags — every slot `false`, `len >= n`;
-//! * index buffer — empty.
+//! * words — every word `0`, `len >= n`;
+//! * flags — every slot `false`, `len >= n`.
 //!
 //! The borrower restores the invariant in `O(touched)` by draining the
 //! positions it wrote (the kernels already do exactly this to reset between
@@ -37,6 +37,7 @@ use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::LocalKey;
 
 static TAKES: AtomicU64 = AtomicU64::new(0);
 static REUSES: AtomicU64 = AtomicU64::new(0);
@@ -83,39 +84,46 @@ fn count_take(reused: bool) {
 }
 
 thread_local! {
-    // One stack of buffers per accumulator element type; a stack (not a
-    // single slot) so nested takes of the same type still reuse.
-    static ACC_POOL: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
+    // Typed buffers — accumulators, and value accumulators with their fill —
+    // one stack per buffer type; a stack (not a single slot) so nested
+    // takes of one type still reuse.
+    static TYPED_POOL: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
         RefCell::new(HashMap::new());
-    // Value accumulators, per element type, each with the fill it holds.
-    static VAL_POOL: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
-        RefCell::new(HashMap::new());
-    static IDX_POOL: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
+    static WORD_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
     static FLAG_POOL: RefCell<Vec<Vec<bool>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The last pooled buffer of type `B` that `fits` accepts, if any.
+fn take_typed<B: 'static>(fits: impl Fn(&B) -> bool) -> Option<B> {
+    let taken = TYPED_POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let stack = pool.get_mut(&TypeId::of::<B>())?;
+        let at = stack
+            .iter()
+            .rposition(|b| b.downcast_ref().is_some_and(&fits))?;
+        Some(stack.swap_remove(at))
+    });
+    count_take(taken.is_some());
+    taken.map(|b| *b.downcast().expect("pool entry keyed by TypeId"))
+}
+
+/// Return `buf` to its type's stack.
+fn put_typed<B: 'static>(buf: B) {
+    TYPED_POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        pool.entry(TypeId::of::<B>())
+            .or_default()
+            .push(Box::new(buf));
+    });
 }
 
 /// Run `f` with a dense accumulator of at least `n` all-`None` slots.
 ///
-/// `f` must leave every slot it wrote back at `None` (drain via the touched
-/// list, as the Gustavson kernels do per row); debug builds assert this
-/// when the buffer is returned to the pool.
+/// `f` must leave every slot it wrote back at `None` (drain what it wrote,
+/// as the Gustavson kernels do per row); debug builds assert this when the
+/// buffer is returned to the pool.
 pub fn with_accumulator<T: 'static, R>(n: usize, f: impl FnOnce(&mut Vec<Option<T>>) -> R) -> R {
-    let mut acc: Vec<Option<T>> = ACC_POOL.with(|pool| {
-        let taken = pool
-            .borrow_mut()
-            .get_mut(&TypeId::of::<T>())
-            .and_then(|stack| stack.pop());
-        match taken {
-            Some(boxed) => {
-                count_take(true);
-                *boxed.downcast().expect("pool entry keyed by TypeId")
-            }
-            None => {
-                count_take(false);
-                Vec::new()
-            }
-        }
-    });
+    let mut acc: Vec<Option<T>> = take_typed(|_| true).unwrap_or_default();
     if acc.len() < n {
         acc.resize_with(n, || None);
     }
@@ -124,12 +132,7 @@ pub fn with_accumulator<T: 'static, R>(n: usize, f: impl FnOnce(&mut Vec<Option<
         acc.iter().all(Option::is_none),
         "accumulator returned to the workspace pool with live entries"
     );
-    ACC_POOL.with(|pool| {
-        pool.borrow_mut()
-            .entry(TypeId::of::<T>())
-            .or_default()
-            .push(Box::new(acc));
-    });
+    put_typed(acc);
     out
 }
 
@@ -153,23 +156,10 @@ pub fn with_values<T: Copy + PartialEq + 'static, R>(
     fill: T,
     f: impl FnOnce(&mut Vec<T>) -> R,
 ) -> R {
-    let taken = VAL_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        let stack = pool.get_mut(&TypeId::of::<T>())?;
-        let at = stack.iter().rposition(|b| {
-            b.downcast_ref::<Filled<T>>()
-                .is_some_and(|v| v.fill == fill)
-        })?;
-        Some(stack.swap_remove(at))
+    let mut vals = take_typed(|v: &Filled<T>| v.fill == fill).unwrap_or(Filled {
+        fill,
+        buf: Vec::new(),
     });
-    count_take(taken.is_some());
-    let mut vals = match taken {
-        Some(boxed) => *boxed.downcast().expect("pool entry keyed by TypeId"),
-        None => Filled {
-            fill,
-            buf: Vec::new(),
-        },
-    };
     if vals.buf.len() < n {
         vals.buf.resize(n, fill);
     }
@@ -178,33 +168,15 @@ pub fn with_values<T: Copy + PartialEq + 'static, R>(
         vals.buf.iter().all(|v| *v == fill),
         "value accumulator returned to the workspace pool off its fill"
     );
-    VAL_POOL.with(|pool| {
-        pool.borrow_mut()
-            .entry(TypeId::of::<T>())
-            .or_default()
-            .push(Box::new(vals));
-    });
+    put_typed(vals);
     out
 }
 
-/// Run `f` with an empty `Vec<usize>` scratch (touched lists, offset
-/// buffers). The buffer is cleared on hand-out, so `f` may leave anything
-/// in it.
-pub fn with_index_buffer<R>(f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
-    let mut buf = IDX_POOL.with(|pool| match pool.borrow_mut().pop() {
-        Some(b) => {
-            count_take(true);
-            b
-        }
-        None => {
-            count_take(false);
-            Vec::new()
-        }
-    });
-    buf.clear();
-    let out = f(&mut buf);
-    IDX_POOL.with(|pool| pool.borrow_mut().push(buf));
-    out
+/// Run `f` with an all-zero word array of at least `n` words. `f` must
+/// clear every word it set (a drain clears the presence words it reads);
+/// debug builds assert this on return to the pool.
+pub fn with_words<R>(n: usize, f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
+    with_zeroed(&WORD_POOL, n, 0, f)
 }
 
 /// Run `f` with an all-`false` flag array of at least `n` slots.
@@ -213,25 +185,29 @@ pub fn with_index_buffer<R>(f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
 /// reset flags from the mask row that set them); debug builds assert this
 /// on return to the pool.
 pub fn with_flags<R>(n: usize, f: impl FnOnce(&mut Vec<bool>) -> R) -> R {
-    let mut flags = FLAG_POOL.with(|pool| match pool.borrow_mut().pop() {
-        Some(b) => {
-            count_take(true);
-            b
-        }
-        None => {
-            count_take(false);
-            Vec::new()
-        }
-    });
-    if flags.len() < n {
-        flags.resize(n, false);
+    with_zeroed(&FLAG_POOL, n, false, f)
+}
+
+/// The body of [`with_words`] and [`with_flags`]: a buffer from `pool` of
+/// at least `n` slots, every one `zero` on hand-out and on return.
+fn with_zeroed<T: Copy + PartialEq, R>(
+    pool: &'static LocalKey<RefCell<Vec<Vec<T>>>>,
+    n: usize,
+    zero: T,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    let taken = pool.with(|pool| pool.borrow_mut().pop());
+    count_take(taken.is_some());
+    let mut buf = taken.unwrap_or_default();
+    if buf.len() < n {
+        buf.resize(n, zero);
     }
-    let out = f(&mut flags);
+    let out = f(&mut buf);
     debug_assert!(
-        flags.iter().all(|&b| !b),
-        "flag buffer returned to the workspace pool with set flags"
+        buf.iter().all(|&x| x == zero),
+        "buffer returned to the workspace pool with slots set"
     );
-    FLAG_POOL.with(|pool| pool.borrow_mut().push(flags));
+    pool.with(|pool| pool.borrow_mut().push(buf));
     out
 }
 
@@ -290,11 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn index_buffer_always_starts_empty() {
-        with_index_buffer(|b| {
-            b.extend_from_slice(&[9, 9, 9]);
+    fn words_start_zero_and_grow() {
+        let at = with_words(2, |w| {
+            assert!(w.len() >= 2 && w.iter().all(|&x| x == 0));
+            w[1] = 9;
+            w[1] = 0; // restore the invariant
+            w.as_ptr()
         });
-        with_index_buffer(|b| assert!(b.is_empty()));
+        with_words(1, |w| assert_eq!(w.as_ptr(), at));
+        with_words(5, |w| assert!(w.len() >= 5 && w.iter().all(|&x| x == 0)));
     }
 
     #[test]
@@ -310,8 +290,8 @@ mod tests {
 
     #[test]
     fn reuse_rate_is_bounded() {
-        with_index_buffer(|_| {});
-        with_index_buffer(|_| {});
+        with_words(1, |_| {});
+        with_words(1, |_| {});
         let s = stats();
         assert!(s.reuse_rate() >= 0.0 && s.reuse_rate() <= 1.0);
         assert_eq!(s.takes, s.reuses + s.allocs);
