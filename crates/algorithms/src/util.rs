@@ -93,17 +93,17 @@ pub fn triu<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
 }
 
 /// Build a boolean adjacency [`Matrix`] from an edge-list COO: duplicates
-/// and self-loops dropped. The usual bridge from a generator or Matrix
-/// Market file to the algorithm suite.
+/// and self-loops dropped, every stored entry (a `false` one too) an edge.
+/// The usual bridge from a generator or Matrix Market file to the
+/// algorithm suite; [`gbtl_sparse::CsrMatrix::pattern`] does the work.
 pub fn adjacency(coo: gbtl_sparse::CooMatrix<bool>) -> Matrix<bool> {
-    let (n, m) = (coo.nrows(), coo.ncols());
-    let mut clean = gbtl_sparse::CooMatrix::with_capacity(n, m, coo.nnz());
-    for (i, j, v) in coo.iter() {
-        if i != j {
-            clean.push(i, j, v);
-        }
-    }
-    Matrix::from_csr(gbtl_sparse::CsrMatrix::from_coo(clean, |a, _| a))
+    let (rows, cols, _) = coo.triples();
+    Matrix::from_csr(gbtl_sparse::CsrMatrix::pattern(
+        coo.nrows(),
+        coo.ncols(),
+        rows,
+        cols,
+    ))
 }
 
 #[cfg(test)]

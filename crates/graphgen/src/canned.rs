@@ -109,11 +109,11 @@ pub fn triangle_toy() -> CooMatrix<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::to_simple_csr;
+    use crate::tests::simple;
 
     #[test]
     fn karate_shape() {
-        let csr = to_simple_csr(karate_club());
+        let csr = simple(&karate_club());
         assert_eq!(csr.nrows(), 34);
         assert_eq!(csr.nnz(), 156); // 78 undirected edges
                                     // vertex 33 (0-based) is the instructor hub with degree 17
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn toy_shape() {
-        let csr = to_simple_csr(triangle_toy());
+        let csr = simple(&triangle_toy());
         assert_eq!(csr.nrows(), 5);
         assert_eq!(csr.nnz(), 12);
         assert_eq!(csr.row_nnz(4), 1);

@@ -29,7 +29,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CooMatrix<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::to_simple_csr;
+    use crate::tests::simple;
 
     #[test]
     fn shape_and_count() {
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn degrees_are_roughly_uniform() {
-        let csr = to_simple_csr(erdos_renyi(1024, 1024 * 16, 3));
+        let csr = simple(&erdos_renyi(1024, 1024 * 16, 3));
         let mean = csr.nnz() as f64 / csr.nrows() as f64;
         let max = csr.max_row_nnz() as f64;
         // Binomial concentration: max degree within a small factor of mean.

@@ -20,21 +20,7 @@ pub use regular::{bipartite_complete, complete, grid_2d, path, ring, star, torus
 pub use rmat::{Rmat, RMAT_A, RMAT_B, RMAT_C};
 pub use smallworld::watts_strogatz;
 
-use gbtl_sparse::{CooMatrix, CsrMatrix};
-
-/// Deduplicate a boolean adjacency COO and drop self-loops, producing the
-/// canonical CSR the algorithms consume.
-pub fn to_simple_csr(coo: CooMatrix<bool>) -> CsrMatrix<bool> {
-    let n = coo.nrows();
-    let m = coo.ncols();
-    let mut clean = CooMatrix::with_capacity(n, m, coo.nnz());
-    for (i, j, v) in coo.iter() {
-        if i != j {
-            clean.push(i, j, v);
-        }
-    }
-    CsrMatrix::from_coo(clean, |a, _| a)
-}
+use gbtl_sparse::CooMatrix;
 
 /// Mirror every edge, making the graph undirected (symmetric adjacency).
 pub fn symmetrize(coo: &CooMatrix<bool>) -> CooMatrix<bool> {
@@ -51,18 +37,13 @@ pub fn symmetrize(coo: &CooMatrix<bool>) -> CooMatrix<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbtl_sparse::CsrMatrix;
 
-    #[test]
-    fn to_simple_csr_removes_loops_and_dups() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, true); // self loop
-        coo.push(0, 1, true);
-        coo.push(0, 1, true); // duplicate
-        coo.push(2, 1, true);
-        let csr = to_simple_csr(coo);
-        assert_eq!(csr.nnz(), 2);
-        assert_eq!(csr.get(0, 0), None);
-        assert_eq!(csr.get(0, 1), Some(true));
+    /// The simple graph of `coo`: loops and duplicates dropped, as
+    /// `gbtl_algorithms::adjacency` builds it.
+    pub(crate) fn simple(coo: &CooMatrix<bool>) -> CsrMatrix<bool> {
+        let (rows, cols, _) = coo.triples();
+        CsrMatrix::pattern(coo.nrows(), coo.ncols(), rows, cols)
     }
 
     #[test]
@@ -71,7 +52,7 @@ mod tests {
         coo.push(0, 1, true);
         coo.push(1, 1, true);
         let s = symmetrize(&coo);
-        let csr = to_simple_csr(s);
+        let csr = simple(&s);
         assert_eq!(csr.get(0, 1), Some(true));
         assert_eq!(csr.get(1, 0), Some(true));
         assert_eq!(csr.get(1, 1), None);

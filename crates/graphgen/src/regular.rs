@@ -94,12 +94,12 @@ pub fn complete(n: usize) -> CooMatrix<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::to_simple_csr;
+    use crate::tests::simple;
 
     #[test]
     fn grid_edge_counts() {
         // 3x2 grid: horizontal edges 2*2=4, vertical 3*1=3, doubled = 14
-        let csr = to_simple_csr(grid_2d(3, 2));
+        let csr = simple(&grid_2d(3, 2));
         assert_eq!(csr.nnz(), 14);
         assert_eq!(csr.get(0, 1), Some(true));
         assert_eq!(csr.get(0, 3), Some(true));
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn torus_is_4_regular() {
-        let csr = to_simple_csr(torus_2d(4, 4));
+        let csr = simple(&torus_2d(4, 4));
         for i in 0..16 {
             assert_eq!(csr.row_nnz(i), 4, "vertex {i}");
         }
@@ -116,9 +116,9 @@ mod tests {
 
     #[test]
     fn ring_and_path_degrees() {
-        let r = to_simple_csr(ring(5));
+        let r = simple(&ring(5));
         assert!((0..5).all(|v| r.row_nnz(v) == 2));
-        let p = to_simple_csr(path(5));
+        let p = simple(&path(5));
         assert_eq!(p.row_nnz(0), 1);
         assert_eq!(p.row_nnz(2), 2);
         assert_eq!(p.row_nnz(4), 1);
@@ -126,10 +126,10 @@ mod tests {
 
     #[test]
     fn star_and_complete() {
-        let s = to_simple_csr(star(6));
+        let s = simple(&star(6));
         assert_eq!(s.row_nnz(0), 5);
         assert!((1..6).all(|v| s.row_nnz(v) == 1));
-        let k = to_simple_csr(complete(5));
+        let k = simple(&complete(5));
         assert_eq!(k.nnz(), 20);
     }
 }
@@ -152,11 +152,11 @@ pub fn bipartite_complete(a: usize, b: usize) -> CooMatrix<bool> {
 #[cfg(test)]
 mod bipartite_tests {
     use super::*;
-    use crate::to_simple_csr;
+    use crate::tests::simple;
 
     #[test]
     fn k23_structure() {
-        let csr = to_simple_csr(bipartite_complete(2, 3));
+        let csr = simple(&bipartite_complete(2, 3));
         assert_eq!(csr.nrows(), 5);
         assert_eq!(csr.nnz(), 12); // 2*3 undirected edges
                                    // left vertices have degree 3, right degree 2
@@ -174,7 +174,7 @@ mod bipartite_tests {
         // ... which makes them triangle-free: any triangle would need two
         // vertices on one side to be adjacent.
         let (a, b) = (3usize, 4usize);
-        let csr = to_simple_csr(bipartite_complete(a, b));
+        let csr = simple(&bipartite_complete(a, b));
         for i in 0..a {
             for j in 0..a {
                 assert_eq!(csr.get(i, j), None, "left-left edge ({i},{j})");

@@ -16,7 +16,7 @@ pub const RMAT_C: f64 = 0.19;
 /// Produces `edge_factor · 2^scale` directed edges over `2^scale` vertices
 /// with a skewed (power-law-ish) degree distribution — the canonical
 /// GraphBLAS-on-GPU stress workload. Duplicates and self-loops are left in
-/// the COO (drop them with [`crate::to_simple_csr`]).
+/// the COO (`gbtl_algorithms::adjacency` drops them).
 ///
 /// ```
 /// use gbtl_graphgen::Rmat;
@@ -127,7 +127,7 @@ impl Rmat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::to_simple_csr;
+    use crate::tests::simple;
 
     #[test]
     fn sizes_match_parameters() {
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn degrees_are_skewed() {
         // RMAT's defining property: max degree far above the mean.
-        let csr = to_simple_csr(Rmat::new(10, 16).seed(5).generate());
+        let csr = simple(&Rmat::new(10, 16).seed(5).generate());
         let mean = csr.nnz() as f64 / csr.nrows() as f64;
         let max = csr.max_row_nnz() as f64;
         assert!(
@@ -161,8 +161,8 @@ mod tests {
 
     #[test]
     fn uniform_probabilities_are_not_skewed() {
-        let csr = to_simple_csr(
-            Rmat::new(10, 16)
+        let csr = simple(
+            &Rmat::new(10, 16)
                 .probabilities(0.25, 0.25, 0.25)
                 .noise(0.0)
                 .seed(5)

@@ -36,11 +36,11 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CooMatrix<boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::to_simple_csr;
+    use crate::tests::simple;
 
     #[test]
     fn beta_zero_is_ring_lattice() {
-        let csr = to_simple_csr(watts_strogatz(10, 4, 0.0, 1));
+        let csr = simple(&watts_strogatz(10, 4, 0.0, 1));
         for v in 0..10 {
             assert_eq!(csr.row_nnz(v), 4, "vertex {v}");
         }
@@ -51,8 +51,8 @@ mod tests {
 
     #[test]
     fn rewiring_changes_structure() {
-        let lattice = to_simple_csr(watts_strogatz(64, 4, 0.0, 2));
-        let rewired = to_simple_csr(watts_strogatz(64, 4, 0.8, 2));
+        let lattice = simple(&watts_strogatz(64, 4, 0.0, 2));
+        let rewired = simple(&watts_strogatz(64, 4, 0.8, 2));
         assert_ne!(lattice, rewired);
         // edge count conserved before dedup; after dedup it can only shrink
         assert!(rewired.nnz() <= lattice.nnz());

@@ -16,9 +16,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use gbtl_core::Matrix;
-use gbtl_graphgen::{erdos_renyi, grid_2d, karate_club, symmetrize, weights, Rmat};
+use gbtl_graphgen::{erdos_renyi, grid_2d, karate_club, weights, Rmat};
 use gbtl_sparse::mmio::{read_coo_within, MmLimits};
-use gbtl_sparse::SparseError;
+use gbtl_sparse::{CsrMatrix, SparseError};
 use gbtl_util::sync::lock;
 
 /// Weight seed used when a spec has no seed of its own (karate, grid, mtx).
@@ -29,10 +29,10 @@ const DEFAULT_WEIGHT_SEED: u64 = 0x5eed;
 pub const MAX_VERTICES: usize = 1 << 24;
 
 /// Most edges a generator may be asked for, or a Matrix Market file may
-/// hold (its symmetric entries expanded): 2²⁶. Loading peaks at ≈ 87 bytes
-/// per generated edge (the edge list, its symmetrized copy, the adjacency
-/// and the weights; measured on rmat:18:16 and er with 4 M edges), so
-/// ≈ 6 GB at the bound; 2²⁸ would ask for ≈ 23 GB.
+/// hold (its symmetric entries expanded): 2²⁶. Loading peaks at ≈ 43 bytes
+/// per generated edge (the edge list beside the adjacency built from it,
+/// then the adjacency and the weights; measured on rmat:16:16 and er with
+/// 1 M edges), so ≈ 2.9 GB at the bound; 2²⁸ would ask for ≈ 11.5 GB.
 pub const MAX_EDGES: usize = 1 << 26;
 
 /// A parsed graph specification (the `--load name=spec` / `{"op":"load"}`
@@ -65,7 +65,7 @@ pub enum GraphSpec {
         /// Grid side length.
         side: usize,
     },
-    /// Matrix Market file, read as a pattern and symmetrized.
+    /// Matrix Market file (square): every stored entry is an edge, mirrored.
     Mtx {
         /// Path to the `.mtx` file.
         path: String,
@@ -167,8 +167,11 @@ impl GraphSpec {
         }
     }
 
-    /// Generate (or read) the symmetric simple adjacency, or an error past
-    /// [`MAX_VERTICES`] or [`MAX_EDGES`], raised before the CSR is built.
+    /// Generate (or read) the edge list and build its symmetric simple
+    /// adjacency straight from it ([`CsrMatrix::symmetric_pattern`]: no
+    /// mirrored or loop-free copy), or an error past [`MAX_VERTICES`] or
+    /// [`MAX_EDGES`], raised before the CSR is built. Every stored entry of
+    /// an `.mtx` file, an explicit `0` too, is an edge.
     pub fn build_adjacency(&self) -> Result<Matrix<bool>, String> {
         self.check_size()?;
         let coo = match self {
@@ -177,8 +180,8 @@ impl GraphSpec {
                 scale,
                 edge_factor,
                 seed,
-            } => symmetrize(&Rmat::new(*scale, *edge_factor).seed(*seed).generate()),
-            GraphSpec::ErdosRenyi { n, edges, seed } => symmetrize(&erdos_renyi(*n, *edges, *seed)),
+            } => Rmat::new(*scale, *edge_factor).seed(*seed).generate(),
+            GraphSpec::ErdosRenyi { n, edges, seed } => erdos_renyi(*n, *edges, *seed),
             GraphSpec::Grid { side } => grid_2d(*side, *side),
             GraphSpec::Mtx { path } => {
                 let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -200,10 +203,23 @@ impl GraphSpec {
                     }
                     e => format!("read {path}: {e}"),
                 })?;
-                symmetrize(&coo)
+                if coo.nrows() != coo.ncols() {
+                    return Err(format!(
+                        "{}: a graph's matrix must be square, got {}x{}",
+                        self.describe(),
+                        coo.nrows(),
+                        coo.ncols()
+                    ));
+                }
+                coo
             }
         };
-        Ok(gbtl_algorithms::adjacency(coo))
+        let (rows, cols, _) = coo.triples();
+        Ok(Matrix::from_csr(CsrMatrix::symmetric_pattern(
+            coo.nrows(),
+            rows,
+            cols,
+        )))
     }
 }
 
@@ -554,6 +570,16 @@ mod tests {
         let spec = GraphSpec::parse(&format!("mtx:{}", huge.display())).unwrap();
         let err = cat.load("huge", &spec).unwrap_err();
         assert!(err.contains("vertices"), "{err}");
+        // a rectangular matrix is no graph: an error, not a panic
+        let wide = dir.join("wide.mtx");
+        std::fs::write(
+            &wide,
+            "%%MatrixMarket matrix coordinate pattern general\n2 3 1\n1 3\n",
+        )
+        .unwrap();
+        let spec = GraphSpec::parse(&format!("mtx:{}", wide.display())).unwrap();
+        let err = cat.load("wide", &spec).unwrap_err();
+        assert!(err.contains("square"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

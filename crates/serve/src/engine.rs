@@ -113,8 +113,9 @@ impl Engine {
     /// for BFS/PageRank, weights for SSSP) into the shared cache, so the
     /// first query after a load/reload/restore pays no transpose cost.
     ///
-    /// Catalog graphs are symmetric by invariant (generators symmetrize,
-    /// [`crate::catalog::Catalog::install`] validates data off disk), so
+    /// Catalog graphs are symmetric by invariant (a load stores each edge
+    /// with its mirror, [`crate::catalog::Catalog::install`] validates data
+    /// off disk), so
     /// `Aᵀ == A` and the warm is O(1): each matrix's own buffer is seeded
     /// into the cache as its transpose — no counting pass, no copy.
     pub fn prewarm(&self, g: &GraphEntry) {

@@ -285,11 +285,12 @@ impl<T: Scalar> CsrMatrix<T> {
         coo
     }
 
-    /// A matrix sharing `self`'s (already validated) structure with new
-    /// values — only the value count needs checking, so this skips the
-    /// full invariant sweep [`CsrMatrix::from_parts`] would repeat. This
-    /// is the snapshot-restore path for value layers stored without their
-    /// own copy of the structure.
+    /// A matrix with a copy of `self`'s (already validated) structure —
+    /// `row_ptr` and `col_idx` are cloned, not shared — and new values.
+    /// Only the value count needs checking, so this skips the full
+    /// invariant sweep [`CsrMatrix::from_parts`] would repeat. This is the
+    /// snapshot-restore path for value layers stored without their own
+    /// copy of the structure.
     pub fn with_same_structure<U: Scalar>(
         &self,
         vals: Vec<U>,
@@ -399,6 +400,91 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
+impl CsrMatrix<bool> {
+    /// The simple graph of an edge list: every `(rows[k], cols[k])` with
+    /// `rows[k] != cols[k]` stored once as `true`; self-loops and
+    /// duplicates dropped. Equal to [`CsrMatrix::from_coo`] of the
+    /// loop-free list with every value `true`, built straight from the two
+    /// index arrays: one counting pass, one scatter, and each row sorted
+    /// and deduplicated in place, with no value array to sort.
+    ///
+    /// Panics if the arrays differ in length or an index is out of bounds.
+    pub fn pattern(nrows: Index, ncols: Index, rows: &[Index], cols: &[Index]) -> Self {
+        Self::pattern_of(nrows, ncols, rows, cols, false)
+    }
+
+    /// [`CsrMatrix::pattern`] of the edge list and its mirror: the
+    /// undirected simple graph over `n` vertices, every edge `(i, j)` also
+    /// stored as `(j, i)`, with no mirrored copy of the list made.
+    pub fn symmetric_pattern(n: Index, rows: &[Index], cols: &[Index]) -> Self {
+        Self::pattern_of(n, n, rows, cols, true)
+    }
+
+    fn pattern_of(
+        nrows: Index,
+        ncols: Index,
+        rows: &[Index],
+        cols: &[Index],
+        mirror: bool,
+    ) -> Self {
+        assert_eq!(rows.len(), cols.len(), "one column per row index");
+        // count each row's entries at row_ptr[r + 1]; the prefix sum then
+        // leaves row r's start at row_ptr[r]
+        let mut row_ptr = vec![0; nrows + 1];
+        for (&r, &c) in rows.iter().zip(cols) {
+            assert!(r < nrows && c < ncols, "edge ({r}, {c}) out of bounds");
+            if r != c {
+                row_ptr[r + 1] += 1;
+                if mirror {
+                    row_ptr[c + 1] += 1;
+                }
+            }
+        }
+        for i in 0..nrows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        // scatter with row_ptr[r] as row r's cursor: afterwards it holds
+        // the row's end
+        let mut col_idx = vec![0; row_ptr[nrows]];
+        for (&r, &c) in rows.iter().zip(cols) {
+            if r != c {
+                col_idx[row_ptr[r]] = c;
+                row_ptr[r] += 1;
+                if mirror {
+                    col_idx[row_ptr[c]] = r;
+                    row_ptr[c] += 1;
+                }
+            }
+        }
+        // sort and deduplicate each row, compacting toward the front; the
+        // write position never passes the read position
+        let (mut kept, mut lo) = (0, 0);
+        for ptr in &mut row_ptr[..nrows] {
+            let (hi, start) = (*ptr, kept);
+            *ptr = start;
+            col_idx[lo..hi].sort_unstable();
+            for p in lo..hi {
+                let c = col_idx[p];
+                if kept == start || col_idx[kept - 1] != c {
+                    col_idx[kept] = c;
+                    kept += 1;
+                }
+            }
+            lo = hi;
+        }
+        row_ptr[nrows] = kept;
+        col_idx.truncate(kept);
+        Self {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            vals: vec![true; kept],
+            id: next_structure_id(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,6 +499,21 @@ mod tests {
         coo.push(2, 0, 30.0);
         coo.push(2, 1, 40.0);
         CsrMatrix::from_coo(coo, |a, _| a)
+    }
+
+    #[test]
+    fn pattern_drops_loops_and_duplicates() {
+        // (0,0) a loop, (0,1) twice, (2,1) once
+        let (rows, cols) = ([0, 0, 0, 2], [0, 1, 1, 1]);
+        let csr = CsrMatrix::pattern(3, 3, &rows, &cols);
+        csr.validate().unwrap();
+        assert_eq!(csr.row_ptr(), &[0, 1, 1, 2]);
+        assert_eq!(csr.col_idx(), &[1, 1]);
+        assert_eq!(csr.vals(), &[true, true]);
+        let sym = CsrMatrix::symmetric_pattern(3, &rows, &cols);
+        assert_eq!(sym.row_ptr(), &[0, 1, 3, 4]);
+        assert_eq!(sym.col_idx(), &[1, 0, 2, 1]);
+        assert!(sym.is_symmetric());
     }
 
     #[test]

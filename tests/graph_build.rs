@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use gbtl::algebra::{BinaryOp, First, Minus, Plus, Scalar, Second};
 use gbtl::algorithms::adjacency;
-use gbtl::graphgen::{erdos_renyi, grid_2d, symmetrize, Rmat};
+use gbtl::graphgen::{erdos_renyi, grid_2d, karate_club, symmetrize, Rmat};
 use gbtl::prelude::*;
 use gbtl::sparse::{CooMatrix, CsrMatrix};
 use gbtl::util::hash::{fnv1a_fold, FNV_OFFSET};
@@ -175,6 +175,26 @@ fn adjacency_and_catalog_csrs_match_their_pins() {
             grid_2d(48, 48),
             0x6232_8856_7022_5716,
             0x001b_3919_73a3_8c16,
+        ),
+        // recorded before the catalog built its adjacency straight from
+        // the edge list with `CsrMatrix::symmetric_pattern`
+        (
+            "rmat:13:8:11",
+            symmetrize(&Rmat::new(13, 8).seed(11).generate()),
+            0xf68c_76ec_2006_bb5c,
+            0xed70_4cfa_cab2_df7c,
+        ),
+        (
+            "grid:64",
+            grid_2d(64, 64),
+            0x3665_2ce6_a95c_f2bd,
+            0x3972_11a6_a9b7_4ddd,
+        ),
+        (
+            "karate",
+            symmetrize(&karate_club()),
+            0xd7d3_5649_eed4_5a01,
+            0xd85c_e93e_4c32_58e1,
         ),
     ] {
         pins.push((
