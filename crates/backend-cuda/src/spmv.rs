@@ -275,6 +275,9 @@ struct Profiled {
 /// first. It is keyed by [`CsrMatrix::structure_id`] — never by a buffer's
 /// address, which a freed matrix hands on to the next one — and the lock is
 /// held only to look a profile up or insert one, never while building.
+/// Several value arrays may share one id (an adjacency and its weights,
+/// ADR 0023): a profile reads the structure alone, so arrays of one value
+/// size share it, and the key's `val_sz` keeps other sizes apart.
 #[derive(Debug, Default)]
 pub struct SpmvProfiles {
     lru: Mutex<Vec<(ProfileKey, Arc<Profiled>)>>,

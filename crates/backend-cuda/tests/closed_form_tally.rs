@@ -20,7 +20,7 @@
 //! but the first call of each (kernel, device) are charged from a profile
 //! another call built.
 
-use gbtl_algebra::{BinaryOp, LorLand, MinPlus, PlusTimes, Scalar, Semiring};
+use gbtl_algebra::{BinaryOp, LorLand, MinPlus, MinSecond, PlusTimes, Scalar, Semiring};
 use gbtl_backend_cuda::{charge, Device, SpmvKernel, SpmvProfiles};
 use gbtl_backend_seq::{early_exits, row_dot};
 use gbtl_gpu_sim::{primitives as prim, Gpu, GpuConfig, KernelRecord, KernelTally};
@@ -640,6 +640,71 @@ fn the_memo_is_bounded_and_keyed_by_structure() {
         }
     }
     assert_eq!(shared.held(), 8);
+}
+
+/// An adjacency and its weights share one structure, and with it one
+/// structure id (ADR 0023): one memo sees that id under a 1-byte and a
+/// 4-byte value type, and under two 4-byte arrays of different values.
+/// Interleaved through one memo, each pull is charged exactly what it is
+/// over a separately built equal matrix through a fresh memo: the key's
+/// value size keeps the types apart, and one profile fits every array of
+/// one type.
+#[test]
+fn value_arrays_over_one_structure_charge_as_if_built_apart() {
+    fn apart<D: Scalar>(a: &CsrMatrix<D>) -> CsrMatrix<D> {
+        let (rows, cols) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+        CsrMatrix::from_parts(a.nrows(), a.ncols(), rows, cols, a.vals().to_vec()).unwrap()
+    }
+    fn pull<D: Scalar>(
+        config: &GpuConfig,
+        a: &CsrMatrix<D>,
+        u: &DenseVector<u32>,
+        mask: Option<VecMask<'_>>,
+        kernel: SpmvKernel,
+        profiles: &SpmvProfiles,
+    ) -> (DenseVector<u32>, Vec<(&'static str, usize, KernelTally)>) {
+        let gpu = Gpu::with_trace(config.clone());
+        let w = mxv(&gpu, a, u, MinSecond::<u32>::new(), mask, kernel, profiles);
+        (w, launches(&gpu))
+    }
+    let mut rng = Rng(0x5EED_0006);
+    let n = 400;
+    let adj = csr(&mut rng, n, n, &|_| true);
+    let vals = (0..adj.nnz()).map(|_| rng.below(200) as u32).collect();
+    let weights = adj.with_same_structure(vals).unwrap();
+    let heavier = adj
+        .with_same_structure(weights.vals().iter().map(|&w| w + 1).collect())
+        .unwrap();
+    assert_eq!(weights.structure_id(), adj.structure_id());
+    assert_eq!(heavier.structure_id(), adj.structure_id());
+    let (adj_apart, weights_apart, heavier_apart) = (apart(&adj), apart(&weights), apart(&heavier));
+    let u = operand(&mut rng, n, 32, &|r: &mut Rng| r.below(3) as u32);
+    let mask = row_mask(&mut rng, n);
+    let shared = SpmvProfiles::new();
+    for config in configs() {
+        for masked in [None, Some(false), Some(true)] {
+            let m = masked.map(|c| VecMask::new(&mask, c));
+            for kernel in KERNELS {
+                let case = format!("{kernel:?}, {config:?}, mask {masked:?}");
+                let fresh = SpmvProfiles::new;
+                assert_eq!(
+                    pull(&config, &adj, &u, m, kernel, &shared),
+                    pull(&config, &adj_apart, &u, m, kernel, &fresh()),
+                    "adjacency, {case}"
+                );
+                assert_eq!(
+                    pull(&config, &weights, &u, m, kernel, &shared),
+                    pull(&config, &weights_apart, &u, m, kernel, &fresh()),
+                    "weights, {case}"
+                );
+                assert_eq!(
+                    pull(&config, &heavier, &u, m, kernel, &shared),
+                    pull(&config, &heavier_apart, &u, m, kernel, &fresh()),
+                    "second weights, {case}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

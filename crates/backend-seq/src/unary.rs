@@ -6,21 +6,16 @@ use gbtl_algebra::{Scalar, UnaryOp};
 use gbtl_sparse::{CsrMatrix, DenseVector, SparseVector};
 use std::ops::Range;
 
-/// `C = f(A)` applied to stored values only (structure unchanged). The
-/// unary op may change the scalar domain.
+/// `C = f(A)` applied to stored values only, over `A`'s structure, shared.
+/// The unary op may change the scalar domain.
 pub fn apply_mat<A, U>(a: &CsrMatrix<A>, f: U) -> CsrMatrix<U::Output>
 where
     A: Scalar,
     U: UnaryOp<A>,
 {
     let vals = a.vals().iter().map(|&v| f.apply(v)).collect();
-    CsrMatrix::from_parts_unchecked(
-        a.nrows(),
-        a.ncols(),
-        a.row_ptr().to_vec(),
-        a.col_idx().to_vec(),
-        vals,
-    )
+    a.with_same_structure(vals)
+        .expect("one value per stored entry")
 }
 
 /// `w = f(u)` on a sparse vector.

@@ -34,9 +34,9 @@ pub fn uniform_u32_symmetric(coo: &CooMatrix<bool>, lo: u32, hi: u32, seed: u64)
 }
 
 /// [`uniform_u32_symmetric`] over a CSR structure: one weight per stored
-/// entry, in storage order — the values for
-/// [`CsrMatrix::with_same_structure`], equal to what the COO form gives
-/// each coordinate.
+/// entry, in storage order, equal to what the COO form gives each
+/// coordinate — the values a catalog puts over the adjacency's own
+/// structure with [`CsrMatrix::with_same_structure`], which shares it.
 pub fn uniform_u32_symmetric_vals(csr: &CsrMatrix<bool>, lo: u32, hi: u32, seed: u64) -> Vec<u32> {
     assert!(lo <= hi, "weight range inverted");
     let mut out = Vec::with_capacity(csr.nnz());

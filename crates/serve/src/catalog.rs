@@ -269,8 +269,8 @@ impl GraphEntry {
 }
 
 /// Derive the weighted view: symmetric uniform `u32` in `[1, 255]`, seeded,
-/// over the adjacency structure (self-loops already absent) — the values
-/// go onto a copy of the adjacency's CSR, which is already sorted.
+/// over the adjacency's structure (self-loops already absent), shared with
+/// it rather than copied.
 fn derive_weights(adj: &Matrix<bool>, seed: u64) -> Matrix<u32> {
     let vals = weights::uniform_u32_symmetric_vals(adj.csr(), 1, 255, seed);
     let csr = adj
@@ -333,39 +333,15 @@ impl Catalog {
         if name.is_empty() {
             return Err("graph name must be non-empty".into());
         }
-        if adj.nrows() != adj.ncols() {
-            return Err(format!(
-                "adjacency must be square, got {}x{}",
-                adj.nrows(),
-                adj.ncols()
-            ));
-        }
-        if weights.nrows() != adj.nrows() || weights.ncols() != adj.ncols() {
-            return Err(format!(
-                "weights shape {}x{} disagrees with adjacency {}x{}",
-                weights.nrows(),
-                weights.ncols(),
-                adj.nrows(),
-                adj.ncols()
-            ));
-        }
-        if weights.nnz() != adj.nnz() {
-            return Err(format!(
-                "weights nnz {} disagrees with adjacency nnz {}",
-                weights.nnz(),
-                adj.nnz()
-            ));
-        }
         // Entries promise a symmetric simple graph with weights over the
-        // same structure — the generator paths guarantee it by
-        // construction, but data arriving off disk must prove it. The
-        // transpose-cache prewarm depends on symmetry: it aliases each
-        // matrix as its own transpose. Checking the weights symmetric
-        // (structure and values) over a structure shared with an all-true
-        // adjacency covers the adjacency too, with one O(nnz) sweep.
-        if weights.csr().row_ptr() != adj.csr().row_ptr()
-            || weights.csr().col_idx() != adj.csr().col_idx()
-        {
+        // adjacency's structure. One structure id is one shared structure
+        // (ADR 0023), so shape, nnz and index arrays agree; values off
+        // disk must still prove the rest. The transpose-cache prewarm
+        // aliases each matrix as its own transpose, so it needs symmetry:
+        // symmetric weights (a non-square matrix never is) over a
+        // structure shared with an all-true adjacency cover the adjacency
+        // too, in one O(nnz) sweep.
+        if weights.csr().structure_id() != adj.csr().structure_id() {
             return Err("weights do not share the adjacency structure".into());
         }
         if !adj.csr().vals().iter().all(|&v| v) {
@@ -530,7 +506,22 @@ mod tests {
             .install("g2", "karate".into(), adj.clone(), weights)
             .unwrap();
         assert_eq!(fresh.epoch, 1);
-        // mismatched weights are rejected
+        // weights equal to the adjacency's structure but not sharing it are
+        // rejected, as are mismatched ones
+        let w = e.weights.csr();
+        let copied = CsrMatrix::from_parts(
+            w.nrows(),
+            w.ncols(),
+            w.row_ptr().to_vec(),
+            w.col_idx().to_vec(),
+            w.vals().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(&copied, w);
+        let err = cat
+            .install("g", "karate".into(), adj.clone(), Matrix::from_csr(copied))
+            .unwrap_err();
+        assert!(err.contains("do not share"), "{err}");
         let wrong = derive_weights(
             &cat.load("tiny", &GraphSpec::Grid { side: 2 }).unwrap().adj,
             1,

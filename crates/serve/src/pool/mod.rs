@@ -701,8 +701,31 @@ mod tests {
         })
         .unwrap();
         assert_eq!(pool.shard_snapshot().workers, 1);
+        // its device clock: one cuda query on its one engine, reported
+        // exactly in picoseconds and rendered in milliseconds
+        let g = pool.catalog.load("k", &GraphSpec::Karate).unwrap();
+        let Ok(Request::Query(q)) =
+            parse_request(r#"{"op":"query","graph":"k","algo":"pagerank","backend":"cuda"}"#)
+        else {
+            panic!("a query parses")
+        };
+        pool.engines[0].run(&g, &q, None, None).unwrap();
+        let ps = pool
+            .engines
+            .iter()
+            .map(|e| e.snapshot())
+            .sum::<crate::engine::EngineSnapshot>()
+            .gpu_modeled_ps;
+        assert!(ps > 0);
         match pool.submit("{\"op\":\"stats\"}", noop_reply(), None) {
-            Submission::Inline(r) => assert!(r.contains("\"workers\":1,"), "{r}"),
+            Submission::Inline(r) => {
+                assert!(r.contains("\"workers\":1,"), "{r}");
+                let gpu = format!(
+                    "\"modeled_ms\":{:.3},\"modeled_ps\":{ps}}}",
+                    ps as f64 / 1e9
+                );
+                assert!(r.contains(&gpu), "{gpu} in {r}");
+            }
             other => panic!("stats must answer inline, got {other:?}"),
         }
         assert!(pool

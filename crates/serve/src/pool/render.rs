@@ -276,7 +276,7 @@ pub(super) fn render_stats(pool: &EnginePool) -> String {
          \"reuse_rate\":{:.4}}},\
          \"backend_ops\":{{\"total\":{},\"sequential\":{},\"parallel\":{},\"cuda_sim\":{}}},\
          \"pool\":{{\"tasks\":{},\"steals\":{}}},\
-         \"gpu\":{{\"kernels\":{},\"modeled_ms\":{:.3}}},\
+         \"gpu\":{{\"kernels\":{},\"modeled_ms\":{:.3},\"modeled_ps\":{}}},\
          \"fuse\":{fuse},\
          \"net\":{net},\
          \"algos\":{algos}}}}}",
@@ -323,6 +323,7 @@ pub(super) fn render_stats(pool: &EnginePool) -> String {
         snap.pool_steals,
         snap.gpu_kernels,
         snap.gpu_modeled_ps as f64 / 1e9,
+        snap.gpu_modeled_ps,
     )
 }
 

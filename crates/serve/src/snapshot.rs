@@ -23,10 +23,10 @@
 //! ```
 //!
 //! Weights are stored *values-only*: the catalog guarantees they share the
-//! adjacency's structure exactly, so persisting a second row_ptr/col_idx
-//! copy would roughly double the file for pure redundancy. Restore
-//! reconstructs the weights CSR by cloning the (already validated)
-//! adjacency structure around the value array.
+//! adjacency's structure object, so persisting a second row_ptr/col_idx
+//! copy would roughly double the file for pure redundancy. Restore puts
+//! the value array over the (already validated) adjacency structure,
+//! shared, not copied, so the restored entry holds one structure too.
 //!
 //! The payload checksum catches torn or bit-flipped files before any
 //! structure is trusted; each CSR section then re-verifies its own
@@ -105,7 +105,7 @@ pub fn write_snapshot(dir: &Path, entry: &GraphEntry) -> Result<(PathBuf, u64), 
     payload.extend_from_slice(&entry.epoch.to_le_bytes());
     let adj = entry.adj.csr();
     let weights = entry.weights.csr();
-    if weights.row_ptr() != adj.row_ptr() || weights.col_idx() != adj.col_idx() {
+    if weights.structure_id() != adj.structure_id() {
         return Err(format!(
             "graph '{}': weights do not share the adjacency structure; refusing to snapshot",
             entry.name
@@ -297,6 +297,26 @@ mod tests {
         assert_eq!(&snap.adj, entry.adj.csr());
         assert_eq!(&snap.weights, entry.weights.csr());
         assert_eq!(list_snapshots(&dir).unwrap(), vec![path]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_load_and_a_restore_hold_one_structure_per_graph() {
+        let one_structure = |entry: &GraphEntry| {
+            let (adj, weights) = (entry.adj.csr(), entry.weights.csr());
+            assert_eq!(adj.row_ptr().as_ptr(), weights.row_ptr().as_ptr());
+            assert_eq!(adj.col_idx().as_ptr(), weights.col_idx().as_ptr());
+        };
+        let dir = tmp_dir("one_structure");
+        let cat = Catalog::new();
+        let loaded = cat.load("k", &GraphSpec::Karate).unwrap();
+        one_structure(&loaded);
+        let (path, _) = write_snapshot(&dir, &loaded).unwrap();
+        let (adj, weights) = into_matrices(read_snapshot(&path).unwrap());
+        let restored = cat.install("k", loaded.spec.clone(), adj, weights).unwrap();
+        one_structure(&restored);
+        assert_eq!(restored.adj.csr(), loaded.adj.csr());
+        assert_eq!(restored.weights.csr(), loaded.weights.csr());
         std::fs::remove_dir_all(&dir).ok();
     }
 

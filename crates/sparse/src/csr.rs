@@ -1,13 +1,15 @@
 //! Compressed sparse row: the workhorse operand format.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use gbtl_algebra::Scalar;
 
 use crate::coo::bucket_starts;
 use crate::{CooMatrix, Index, SparseError};
 
-/// A matrix in compressed-sparse-row form.
+/// A matrix in compressed-sparse-row form: a shared, immutable structure
+/// and this matrix's own values.
 ///
 /// Invariants (checked by [`CsrMatrix::validate`], established by every
 /// constructor):
@@ -17,15 +19,23 @@ use crate::{CooMatrix, Index, SparseError};
 /// * within each row, column indices are strictly increasing (sorted,
 ///   duplicate-free) and `< ncols`.
 ///
-/// Every construction also stamps a process-unique [structure
+/// Every structure carries a process-unique [structure
 /// id](CsrMatrix::structure_id); `==` ignores it.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix<T> {
+    structure: Arc<Structure>,
+    vals: Vec<T>,
+}
+
+/// The shape and index arrays of one or more [`CsrMatrix`]es, with their
+/// id. Never changed while shared: only [`CsrMatrix::retain`] edits one,
+/// through `Arc::make_mut`, and stamps it a fresh id.
+#[derive(Debug, Clone)]
+struct Structure {
     nrows: Index,
     ncols: Index,
     row_ptr: Vec<Index>,
     col_idx: Vec<Index>,
-    vals: Vec<T>,
     id: u64,
 }
 
@@ -39,24 +49,37 @@ fn next_structure_id() -> u64 {
 
 impl<T: PartialEq> PartialEq for CsrMatrix<T> {
     fn eq(&self, other: &Self) -> bool {
-        (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
+        let (a, b) = (&*self.structure, &*other.structure);
+        (a.nrows, a.ncols, &a.row_ptr, &a.col_idx) == (b.nrows, b.ncols, &b.row_ptr, &b.col_idx)
             && self.vals == other.vals
     }
 }
 
 impl<T: Scalar> CsrMatrix<T> {
-    /// An empty `nrows x ncols` matrix.
-    pub fn new(nrows: Index, ncols: Index) -> Self {
-        Self {
+    /// `vals` over a new structure with a fresh id, unchecked.
+    fn assemble(
+        nrows: Index,
+        ncols: Index,
+        row_ptr: Vec<Index>,
+        col_idx: Vec<Index>,
+        vals: Vec<T>,
+    ) -> Self {
+        let structure = Structure {
             nrows,
             ncols,
-            row_ptr: vec![0; nrows + 1],
-            col_idx: Vec::new(),
-            vals: Vec::new(),
+            row_ptr,
+            col_idx,
             id: next_structure_id(),
+        };
+        Self {
+            structure: Arc::new(structure),
+            vals,
         }
+    }
+
+    /// An empty `nrows x ncols` matrix.
+    pub fn new(nrows: Index, ncols: Index) -> Self {
+        Self::assemble(nrows, ncols, vec![0; nrows + 1], Vec::new(), Vec::new())
     }
 
     /// Construct from raw parts, validating every invariant.
@@ -67,14 +90,7 @@ impl<T: Scalar> CsrMatrix<T> {
         col_idx: Vec<Index>,
         vals: Vec<T>,
     ) -> Result<Self, SparseError> {
-        let m = Self {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            vals,
-            id: next_structure_id(),
-        };
+        let m = Self::assemble(nrows, ncols, row_ptr, col_idx, vals);
         m.validate()?;
         Ok(m)
     }
@@ -95,14 +111,7 @@ impl<T: Scalar> CsrMatrix<T> {
         debug_assert_eq!(row_ptr.len(), nrows + 1);
         debug_assert_eq!(*row_ptr.last().unwrap_or(&0), col_idx.len());
         debug_assert_eq!(col_idx.len(), vals.len());
-        Self {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            vals,
-            id: next_structure_id(),
-        }
+        Self::assemble(nrows, ncols, row_ptr, col_idx, vals)
     }
 
     /// Build from (possibly unsorted, duplicate-bearing) COO, merging
@@ -113,68 +122,62 @@ impl<T: Scalar> CsrMatrix<T> {
         coo.sort_dedup(dup);
         let (nrows, ncols) = (coo.nrows(), coo.ncols());
         let (rows, col_idx, vals) = coo.into_triples();
-        Self {
-            nrows,
-            ncols,
-            row_ptr: bucket_starts(&rows, nrows),
-            col_idx,
-            vals,
-            id: next_structure_id(),
-        }
+        Self::assemble(nrows, ncols, bucket_starts(&rows, nrows), col_idx, vals)
     }
 
     /// Build from COO that is already sorted row-major and duplicate-free.
     pub fn from_sorted_coo(coo: &CooMatrix<T>) -> Self {
         debug_assert!(coo.is_sorted_dedup());
         let (rows, cols, vals) = coo.triples();
-        Self {
-            nrows: coo.nrows(),
-            ncols: coo.ncols(),
-            row_ptr: bucket_starts(rows, coo.nrows()),
-            col_idx: cols.to_vec(),
-            vals: vals.to_vec(),
-            id: next_structure_id(),
-        }
+        let row_ptr = bucket_starts(rows, coo.nrows());
+        Self::assemble(
+            coo.nrows(),
+            coo.ncols(),
+            row_ptr,
+            cols.to_vec(),
+            vals.to_vec(),
+        )
     }
 
     /// Check all CSR invariants.
     pub fn validate(&self) -> Result<(), SparseError> {
-        if self.row_ptr.len() != self.nrows + 1 {
+        let s = &*self.structure;
+        if s.row_ptr.len() != s.nrows + 1 {
             return Err(SparseError::InvalidStructure {
                 detail: format!(
                     "row_ptr length {} != nrows+1 = {}",
-                    self.row_ptr.len(),
-                    self.nrows + 1
+                    s.row_ptr.len(),
+                    s.nrows + 1
                 ),
             });
         }
-        if self.row_ptr[0] != 0 {
+        if s.row_ptr[0] != 0 {
             return Err(SparseError::InvalidStructure {
-                detail: format!("row_ptr[0] = {} != 0", self.row_ptr[0]),
+                detail: format!("row_ptr[0] = {} != 0", s.row_ptr[0]),
             });
         }
-        if self.col_idx.len() != self.vals.len() {
+        if s.col_idx.len() != self.vals.len() {
             return Err(SparseError::LengthMismatch {
-                detail: format!("col_idx={} vals={}", self.col_idx.len(), self.vals.len()),
+                detail: format!("col_idx={} vals={}", s.col_idx.len(), self.vals.len()),
             });
         }
-        if *self.row_ptr.last().expect("non-empty row_ptr") != self.col_idx.len() {
+        if *s.row_ptr.last().expect("non-empty row_ptr") != s.col_idx.len() {
             return Err(SparseError::InvalidStructure {
                 detail: format!(
                     "row_ptr[nrows] = {} != nnz = {}",
-                    self.row_ptr[self.nrows],
-                    self.col_idx.len()
+                    s.row_ptr[s.nrows],
+                    s.col_idx.len()
                 ),
             });
         }
-        for i in 0..self.nrows {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        for i in 0..s.nrows {
+            let (lo, hi) = (s.row_ptr[i], s.row_ptr[i + 1]);
             if lo > hi {
                 return Err(SparseError::InvalidStructure {
                     detail: format!("row_ptr not monotone at row {i}: {lo} > {hi}"),
                 });
             }
-            let row = &self.col_idx[lo..hi];
+            let row = &s.col_idx[lo..hi];
             for w in row.windows(2) {
                 if w[0] >= w[1] {
                     return Err(SparseError::InvalidStructure {
@@ -183,12 +186,12 @@ impl<T: Scalar> CsrMatrix<T> {
                 }
             }
             if let Some(&last) = row.last() {
-                if last >= self.ncols {
+                if last >= s.ncols {
                     return Err(SparseError::IndexOutOfBounds {
                         row: i,
                         col: last,
-                        nrows: self.nrows,
-                        ncols: self.ncols,
+                        nrows: s.nrows,
+                        ncols: s.ncols,
                     });
                 }
             }
@@ -199,13 +202,13 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> Index {
-        self.nrows
+        self.structure.nrows
     }
 
     /// Number of columns.
     #[inline]
     pub fn ncols(&self) -> Index {
-        self.ncols
+        self.structure.ncols
     }
 
     /// Number of stored entries.
@@ -217,13 +220,13 @@ impl<T: Scalar> CsrMatrix<T> {
     /// The row-pointer array (`nrows + 1` entries).
     #[inline]
     pub fn row_ptr(&self) -> &[Index] {
-        &self.row_ptr
+        &self.structure.row_ptr
     }
 
     /// The column-index array.
     #[inline]
     pub fn col_idx(&self) -> &[Index] {
-        &self.col_idx
+        &self.structure.col_idx
     }
 
     /// The value array, parallel to `col_idx`.
@@ -233,12 +236,16 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// This structure's process-unique id: stamped by every constructor,
-    /// shared by clones and kept by [`CsrMatrix::vals_mut`], so two
-    /// matrices with one id have the same `row_ptr` and `col_idx`. A cache
-    /// of anything computed from those two arrays alone can key on it.
+    /// shared by clones and by every matrix [`with_same_structure`]
+    /// builds, and kept by [`CsrMatrix::vals_mut`]. Several value arrays
+    /// may share one id; matrices with one id share one `row_ptr` and
+    /// `col_idx`. A cache of anything computed from those two arrays alone
+    /// can key on it.
+    ///
+    /// [`with_same_structure`]: CsrMatrix::with_same_structure
     #[inline]
     pub fn structure_id(&self) -> u64 {
-        self.id
+        self.structure.id
     }
 
     /// Mutable value array (structure stays fixed, and so does its
@@ -251,14 +258,16 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: Index) -> (&[Index], &[T]) {
-        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        (&self.col_idx[lo..hi], &self.vals[lo..hi])
+        let s = &*self.structure;
+        let (lo, hi) = (s.row_ptr[i], s.row_ptr[i + 1]);
+        (&s.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
     /// Number of stored entries in row `i`.
     #[inline]
     pub fn row_nnz(&self, i: Index) -> usize {
-        self.row_ptr[i + 1] - self.row_ptr[i]
+        let row_ptr = self.row_ptr();
+        row_ptr[i + 1] - row_ptr[i]
     }
 
     /// Value at `(i, j)`, or `None` when not stored. Binary search within
@@ -270,7 +279,7 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Iterate all stored triples in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (Index, Index, T)> + '_ {
-        (0..self.nrows).flat_map(move |i| {
+        (0..self.nrows()).flat_map(move |i| {
             let (cols, vals) = self.row(i);
             cols.iter().zip(vals).map(move |(&c, &v)| (i, c, v))
         })
@@ -278,19 +287,18 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Convert to COO (sorted row-major).
     pub fn to_coo(&self) -> CooMatrix<T> {
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
+        let mut coo = CooMatrix::with_capacity(self.nrows(), self.ncols(), self.nnz());
         for (r, c, v) in self.iter() {
             coo.push(r, c, v);
         }
         coo
     }
 
-    /// A matrix with a copy of `self`'s (already validated) structure —
-    /// `row_ptr` and `col_idx` are cloned, not shared — and new values.
-    /// Only the value count needs checking, so this skips the full
-    /// invariant sweep [`CsrMatrix::from_parts`] would repeat. This is the
-    /// snapshot-restore path for value layers stored without their own
-    /// copy of the structure.
+    /// New values over `self`'s (already validated) structure, shared, not
+    /// copied: the result keeps `self`'s `row_ptr`, `col_idx` and
+    /// [id](CsrMatrix::structure_id), so only the value count is checked.
+    /// A catalog's weights, a snapshot restore's weights and `apply` build
+    /// their matrices this way.
     pub fn with_same_structure<U: Scalar>(
         &self,
         vals: Vec<U>,
@@ -305,12 +313,8 @@ impl<T: Scalar> CsrMatrix<T> {
             });
         }
         Ok(CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
+            structure: Arc::clone(&self.structure),
             vals,
-            id: next_structure_id(),
         })
     }
 
@@ -326,16 +330,16 @@ impl<T: Scalar> CsrMatrix<T> {
     /// slot and there are exactly `nnz` slots, a full pass implies a
     /// perfect edge/mirror bijection.
     pub fn is_symmetric(&self) -> bool {
-        if self.nrows != self.ncols {
+        let s = &*self.structure;
+        if s.nrows != s.ncols {
             return false;
         }
-        let mut cursor: Vec<usize> = self.row_ptr[..self.nrows].to_vec();
-        for i in 0..self.nrows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
+        let mut cursor: Vec<usize> = s.row_ptr[..s.nrows].to_vec();
+        for i in 0..s.nrows {
+            for k in s.row_ptr[i]..s.row_ptr[i + 1] {
+                let j = s.col_idx[k];
                 let c = cursor[j];
-                if c >= self.row_ptr[j + 1] || self.col_idx[c] != i || self.vals[c] != self.vals[k]
-                {
+                if c >= s.row_ptr[j + 1] || s.col_idx[c] != i || self.vals[c] != self.vals[k] {
                     return false;
                 }
                 cursor[j] = c + 1;
@@ -347,11 +351,11 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Transpose via a counting pass (a.k.a. the sequential "atomic-free
     /// scatter" transpose). `O(nnz + nrows + ncols)`.
     pub fn transpose(&self) -> CsrMatrix<T> {
-        let t_ptr = bucket_starts(&self.col_idx, self.ncols);
+        let t_ptr = bucket_starts(self.col_idx(), self.ncols());
         let mut cursor = t_ptr.clone();
         let mut t_col = vec![0usize; self.nnz()];
         let mut t_val = self.vals.clone();
-        for i in 0..self.nrows {
+        for i in 0..self.nrows() {
             let (cols, vals) = self.row(i);
             for (&c, &v) in cols.iter().zip(vals) {
                 let dst = cursor[c];
@@ -360,43 +364,42 @@ impl<T: Scalar> CsrMatrix<T> {
                 t_val[dst] = v;
             }
         }
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr: t_ptr,
-            col_idx: t_col,
-            vals: t_val,
-            id: next_structure_id(),
-        }
+        CsrMatrix::assemble(self.ncols(), self.nrows(), t_ptr, t_col, t_val)
     }
 
     /// The maximum row degree (0 for an empty matrix).
     pub fn max_row_nnz(&self) -> usize {
-        (0..self.nrows).map(|i| self.row_nnz(i)).max().unwrap_or(0)
+        (0..self.nrows())
+            .map(|i| self.row_nnz(i))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Keep only the entries `keep(row, col, value)` accepts, asked in
     /// row-major order and compacted in place. A sorted row's subsequence
-    /// is sorted, so every invariant holds by construction; the structure
-    /// gets a fresh [id](CsrMatrix::structure_id).
+    /// is sorted, so every invariant holds by construction. The structure
+    /// is compacted in place when this matrix holds it alone, else copied
+    /// first (a sibling over it is untouched), and gets a fresh
+    /// [id](CsrMatrix::structure_id).
     pub fn retain(&mut self, mut keep: impl FnMut(Index, Index, T) -> bool) {
+        let s = Arc::make_mut(&mut self.structure);
         let (mut kept, mut lo) = (0, 0);
-        for i in 0..self.nrows {
-            let hi = self.row_ptr[i + 1];
+        for i in 0..s.nrows {
+            let hi = s.row_ptr[i + 1];
             for p in lo..hi {
-                let (j, v) = (self.col_idx[p], self.vals[p]);
+                let (j, v) = (s.col_idx[p], self.vals[p]);
                 if keep(i, j, v) {
-                    self.col_idx[kept] = j;
+                    s.col_idx[kept] = j;
                     self.vals[kept] = v;
                     kept += 1;
                 }
             }
-            self.row_ptr[i + 1] = kept;
+            s.row_ptr[i + 1] = kept;
             lo = hi;
         }
-        self.col_idx.truncate(kept);
+        s.col_idx.truncate(kept);
         self.vals.truncate(kept);
-        self.id = next_structure_id();
+        s.id = next_structure_id();
     }
 }
 
@@ -474,14 +477,7 @@ impl CsrMatrix<bool> {
         }
         row_ptr[nrows] = kept;
         col_idx.truncate(kept);
-        Self {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            vals: vec![true; kept],
-            id: next_structure_id(),
-        }
+        Self::assemble(nrows, ncols, row_ptr, col_idx, vec![true; kept])
     }
 }
 
@@ -591,24 +587,10 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_structure() {
-        let bad = CsrMatrix::<f64> {
-            nrows: 2,
-            ncols: 2,
-            row_ptr: vec![0, 1, 1],
-            col_idx: vec![0, 1],
-            vals: vec![1.0, 2.0],
-            id: 0,
-        };
+        let bad = CsrMatrix::assemble(2, 2, vec![0, 1, 1], vec![0, 1], vec![1.0, 2.0]);
         assert!(bad.validate().is_err());
 
-        let unsorted = CsrMatrix::<f64> {
-            nrows: 1,
-            ncols: 3,
-            row_ptr: vec![0, 2],
-            col_idx: vec![2, 0],
-            vals: vec![1.0, 2.0],
-            id: 0,
-        };
+        let unsorted = CsrMatrix::assemble(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]);
         assert!(unsorted.validate().is_err());
     }
 

@@ -98,9 +98,10 @@ proptest! {
     }
 }
 
-/// The structure-id contract a charge memo keys on: a clone shares its id,
-/// `vals_mut` keeps it, every construction stamps one never seen before,
-/// and `==` compares the matrix, not the id.
+/// The structure-id contract a charge memo keys on: a clone and
+/// `with_same_structure` share the structure itself (its id and its very
+/// arrays), `vals_mut` keeps it, every construction stamps one never seen
+/// before, and `==` compares the matrix, not the id.
 #[test]
 fn structure_ids_follow_the_structure_not_the_values() {
     let mut coo = CooMatrix::new(3, 3);
@@ -109,7 +110,19 @@ fn structure_ids_follow_the_structure_not_the_values() {
     }
     let a = CsrMatrix::from_coo(coo.clone(), |x, _| x);
     let mut b = a.clone();
-    assert_eq!(b.structure_id(), a.structure_id());
+    let flags = a.with_same_structure(vec![true; a.nnz()]).unwrap();
+    for (id, row_ptr, col_idx) in [
+        (b.structure_id(), b.row_ptr().as_ptr(), b.col_idx().as_ptr()),
+        (
+            flags.structure_id(),
+            flags.row_ptr().as_ptr(),
+            flags.col_idx().as_ptr(),
+        ),
+    ] {
+        assert_eq!(id, a.structure_id());
+        assert_eq!(row_ptr, a.row_ptr().as_ptr());
+        assert_eq!(col_idx, a.col_idx().as_ptr());
+    }
     b.vals_mut()[0] = 40;
     assert_eq!(b.structure_id(), a.structure_id());
     assert_ne!(a, b);
@@ -132,7 +145,6 @@ fn structure_ids_follow_the_structure_not_the_values() {
             a.col_idx().to_vec(),
             a.vals().to_vec(),
         ),
-        a.with_same_structure(a.vals().to_vec()).unwrap(),
         a.transpose().transpose(),
     ];
     let mut ids: Vec<u64> = rebuilt.iter().map(CsrMatrix::structure_id).collect();
@@ -143,4 +155,36 @@ fn structure_ids_follow_the_structure_not_the_values() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), rebuilt.len() + 2, "a construction reused an id");
+}
+
+proptest! {
+    /// `retain` on a matrix whose structure is shared gives it a structure
+    /// of its own: the sibling keeps its arrays, its id and its equality.
+    #[test]
+    fn retain_leaves_a_structure_sibling_untouched(coo in arb_coo(), cut in -100i64..100) {
+        let a = CsrMatrix::from_coo(coo, |x, _| x);
+        let sibling = a.with_same_structure(a.vals().iter().map(|&v| v * 2).collect()).unwrap();
+        let before = CsrMatrix::from_parts(
+            a.nrows(),
+            a.ncols(),
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            sibling.vals().to_vec(),
+        )
+        .unwrap();
+        let (id, row_ptr, col_idx) =
+            (sibling.structure_id(), sibling.row_ptr().as_ptr(), sibling.col_idx().as_ptr());
+        let mut kept = a.clone();
+        kept.retain(|_, _, v| v < cut);
+        kept.validate().unwrap();
+        prop_assert_ne!(kept.structure_id(), id);
+        prop_assert_eq!(sibling.structure_id(), id);
+        prop_assert_eq!(sibling.row_ptr().as_ptr(), row_ptr);
+        prop_assert_eq!(sibling.col_idx().as_ptr(), col_idx);
+        prop_assert_eq!(&sibling, &before);
+        prop_assert_eq!(
+            kept.iter().collect::<Vec<_>>(),
+            a.iter().filter(|&(_, _, v)| v < cut).collect::<Vec<_>>()
+        );
+    }
 }

@@ -11,9 +11,10 @@
 //! *generate* (the generator's edge list alone, or the canned graph),
 //! *build* (`GraphSpec::build_adjacency`, which generates again, minus
 //! that round's generate time: the adjacency's construction) and
-//! *weights* (the symmetric `u32` weights over the adjacency's structure,
-//! as `Catalog::load` derives them). It prints the median of each over the
-//! rounds, after one untimed round.
+//! *weights* (one symmetric `u32` weight per stored entry, put over the
+//! adjacency's own structure, shared, not copied, as `Catalog::load`
+//! derives them: the step is the weight hashing and one value array). It
+//! prints the median of each over the rounds, after one untimed round.
 //!
 //! *peak MB* is one load's `VmHWM` growth: a child process (this binary,
 //! `--hwm SPEC`) reads `VmHWM` from `/proc/self/status`, runs
