@@ -95,12 +95,15 @@ pub fn maximal_independent_set<B: Backend>(
 
 /// Verify the MIS invariants: no two set members adjacent (independence)
 /// and every non-member has a member neighbour (maximality). One walk over
-/// each vertex's own row: O(nnz) in all.
+/// each vertex's own row: O(nnz) in all, each membership one presence bit
+/// of the set's bitmap form (a stored `false` is a member too).
 pub fn verify_mis(a: &Matrix<bool>, set: &Vector<bool>) -> bool {
     let csr = a.csr();
+    let bitmap = set.dense_view();
+    let member = |j: usize| j < bitmap.len() && bitmap.contains(j);
     (0..a.nrows()).all(|v| {
-        let mut member_neighbours = csr.row(v).0.iter().filter(|&&j| j != v && set.contains(j));
-        if set.contains(v) {
+        let mut member_neighbours = csr.row(v).0.iter().filter(|&&j| j != v && member(j));
+        if member(v) {
             member_neighbours.next().is_none() // independent
         } else {
             member_neighbours.next().is_some() // maximal
@@ -193,6 +196,18 @@ mod tests {
             !verify_mis(&a, &set_of(&[])),
             "the empty set is not maximal"
         );
+        // membership is presence: a stored `false` is a member, in either
+        // representation
+        let mut stored_false = set_of(&[0, 2, 4]);
+        stored_false.set(2, false);
+        assert!(verify_mis(&a, &stored_false));
+        stored_false.set(3, false);
+        assert!(!verify_mis(&a, &stored_false), "2 and 3 are adjacent");
+        stored_false.densify();
+        assert!(!verify_mis(&a, &stored_false));
+        let mut dense = set_of(&[1, 3]);
+        dense.densify();
+        assert!(verify_mis(&a, &dense));
     }
 
     #[test]

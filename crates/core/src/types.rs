@@ -405,11 +405,13 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
-    /// Iterate stored `(index, value)` pairs in index order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (Index, T)> + '_> {
+    /// Iterate stored `(index, value)` pairs in index order: the index and
+    /// value arrays of the sparse form, the presence words and value slots
+    /// of the bitmap form.
+    pub fn iter(&self) -> impl Iterator<Item = (Index, T)> + '_ {
         match &self.repr {
-            VectorRepr::Sparse(v) => Box::new(v.iter()),
-            VectorRepr::Dense(v) => Box::new(v.iter()),
+            VectorRepr::Sparse(v) => Either::Sparse(v.iter()),
+            VectorRepr::Dense(v) => Either::Dense(v.iter()),
         }
     }
 
@@ -484,6 +486,41 @@ impl<T: Scalar> Vector<T> {
             out.set(i, v);
         }
         self.repr = VectorRepr::Sparse(out);
+    }
+}
+
+/// [`Vector::iter`] over either representation: one match per step, and
+/// one in all for a `fold` (a `for_each`, `sum`, `max` or `count`), which
+/// runs the representation's own loop.
+enum Either<S, D> {
+    Sparse(S),
+    Dense(D),
+}
+
+impl<S: Iterator, D: Iterator<Item = S::Item>> Iterator for Either<S, D> {
+    type Item = S::Item;
+
+    #[inline]
+    fn next(&mut self) -> Option<S::Item> {
+        match self {
+            Either::Sparse(s) => s.next(),
+            Either::Dense(d) => d.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Either::Sparse(s) => s.size_hint(),
+            Either::Dense(d) => d.size_hint(),
+        }
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, S::Item) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Either::Sparse(s) => s.fold(init, f),
+            Either::Dense(d) => d.fold(init, f),
+        }
     }
 }
 

@@ -121,8 +121,8 @@ impl GraphSpec {
 
     /// `Err` when a generated graph would have more than [`MAX_VERTICES`]
     /// vertices or its generator more than [`MAX_EDGES`] edges to draw, or
-    /// when Erdős–Rényi is asked for no vertex at all. A file's size is
-    /// checked by its reader, at the size line.
+    /// when Erdős–Rényi or a grid is asked for no vertex at all. A file's
+    /// size is checked by its reader, at the size line.
     fn check_size(&self) -> Result<(), String> {
         let (vertices, edges) = match *self {
             GraphSpec::Karate | GraphSpec::Mtx { .. } => return Ok(()),
@@ -132,8 +132,8 @@ impl GraphSpec {
                 let n = 1usize.checked_shl(scale);
                 (n, n.and_then(|n| n.checked_mul(edge_factor)))
             }
-            GraphSpec::ErdosRenyi { n: 0, .. } => {
-                return Err(format!("{}: no vertex to draw edges over", self.describe()))
+            GraphSpec::ErdosRenyi { n: 0, .. } | GraphSpec::Grid { side: 0 } => {
+                return Err(no_vertex(&self.describe()))
             }
             GraphSpec::ErdosRenyi { n, edges, .. } => (Some(n), Some(edges)),
             GraphSpec::Grid { side } => {
@@ -211,6 +211,9 @@ impl GraphSpec {
                         coo.ncols()
                     ));
                 }
+                if coo.nrows() == 0 {
+                    return Err(no_vertex(&self.describe()));
+                }
                 coo
             }
         };
@@ -233,6 +236,12 @@ fn within_bounds(what: &str, vertices: Option<usize>, edges: Option<usize>) -> R
     };
     over(vertices, MAX_VERTICES, "vertices")?;
     over(edges, MAX_EDGES, "edges")
+}
+
+/// The error naming `what` that has no vertex: a query on it would have
+/// nothing to answer about (PageRank's top vertex, a source to start from).
+fn no_vertex(what: &str) -> String {
+    format!("{what}: a graph must have at least one vertex")
 }
 
 /// The error naming `what` that has `count` `unit`s, past `max`.
@@ -571,6 +580,38 @@ mod tests {
         let spec = GraphSpec::parse(&format!("mtx:{}", wide.display())).unwrap();
         let err = cat.load("wide", &spec).unwrap_err();
         assert!(err.contains("square"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_graph_with_no_vertex_is_refused_naming_its_spec() {
+        for s in ["grid:0", "er:0:8:1"] {
+            let err = GraphSpec::parse(s).unwrap_err();
+            assert!(
+                err.starts_with(s) && err.contains("at least one vertex"),
+                "{err}"
+            );
+        }
+        let cat = Catalog::new();
+        let err = cat.load("g", &GraphSpec::Grid { side: 0 }).unwrap_err();
+        assert!(err.starts_with("grid:0:"), "{err}");
+        let dir = std::env::temp_dir().join(format!("gbtl_serve_empty_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let empty = dir.join("empty.mtx");
+        std::fs::write(
+            &empty,
+            "%%MatrixMarket matrix coordinate pattern general\n0 0 0\n",
+        )
+        .unwrap();
+        let spec = format!("mtx:{}", empty.display());
+        let err = cat
+            .load("m", &GraphSpec::parse(&spec).unwrap())
+            .unwrap_err();
+        assert!(
+            err.starts_with(&spec) && err.contains("at least one vertex"),
+            "{err}"
+        );
+        assert!(cat.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -26,7 +26,7 @@ use gbtl_core::{
     Backend, Context, CudaBackend, ParBackend, SeqBackend, TraceMode, TraceReport, TransposeCache,
     Vector,
 };
-use gbtl_util::hash::{fnv1a_fold, FNV_OFFSET};
+use gbtl_util::hash::{fnv1a_word, FNV_OFFSET};
 
 use crate::catalog::GraphEntry;
 use crate::protocol::{Algo, BackendChoice, QueryParams};
@@ -194,15 +194,21 @@ impl Engine {
     }
 }
 
-/// Checksum a vector's stored `(index, value)` pairs; `to_bits` maps each
-/// value to a canonical `u64` (identity for integers, IEEE bits for f64).
-fn checksum_vector<T: gbtl_algebra::Scalar>(v: &Vector<T>, to_bits: impl Fn(T) -> u64) -> u64 {
-    let mut h = fnv1a_fold(FNV_OFFSET, &(v.len() as u64).to_le_bytes());
-    for (i, x) in v.iter() {
-        h = fnv1a_fold(h, &(i as u64).to_le_bytes());
-        h = fnv1a_fold(h, &to_bits(x).to_le_bytes());
-    }
-    h
+/// Digest a result in one walk over its stored pairs, returning its
+/// checksum: FNV-1a over the dimension and then each `(index, value)` as
+/// two little-endian words, `to_bits` mapping a value to its canonical
+/// `u64` (identity for integers, IEEE bits for f64). `see` reads each pair
+/// on the same walk, for the response's summary.
+fn digest<T: gbtl_algebra::Scalar>(
+    v: &Vector<T>,
+    to_bits: impl Fn(T) -> u64,
+    mut see: impl FnMut(usize, T),
+) -> u64 {
+    v.iter()
+        .fold(fnv1a_word(FNV_OFFSET, v.len() as u64), |h, (i, x)| {
+            see(i, x);
+            fnv1a_word(fnv1a_word(h, i as u64), to_bits(x))
+        })
 }
 
 /// Render the stored pairs as a JSON `[[index, value], ...]` array.
@@ -224,9 +230,8 @@ fn entries_json<T: gbtl_algebra::Scalar>(
 /// The solo and fused paths share one renderer per algorithm, so fusion
 /// can only change *when* a result is computed, never what its bytes are.
 fn bfs_result_json(levels: &Vector<u64>, full: bool) -> String {
-    let reached = levels.nnz();
-    let max_level = levels.iter().map(|(_, v)| v).max().unwrap_or(0);
-    let checksum = checksum_vector(levels, |v| v);
+    let (reached, mut max_level) = (levels.nnz(), 0);
+    let checksum = digest(levels, |v| v, |_, v| max_level = max_level.max(v));
     let mut s = format!(
         "{{\"reached\":{reached},\"max_level\":{max_level},\"checksum\":\"{checksum:016x}\""
     );
@@ -239,9 +244,8 @@ fn bfs_result_json(levels: &Vector<u64>, full: bool) -> String {
 
 /// See [`bfs_result_json`].
 fn sssp_result_json(dist: &Vector<u32>, full: bool) -> String {
-    let reached = dist.nnz();
-    let max_dist = dist.iter().map(|(_, v)| v).max().unwrap_or(0);
-    let checksum = checksum_vector(dist, |v| v as u64);
+    let (reached, mut max_dist) = (dist.nnz(), 0);
+    let checksum = digest(dist, u64::from, |_, v| max_dist = max_dist.max(v));
     let mut s =
         format!("{{\"reached\":{reached},\"max_dist\":{max_dist},\"checksum\":\"{checksum:016x}\"");
     if full {
@@ -385,19 +389,15 @@ fn execute<B: Backend>(
                 ..PageRankOptions::default()
             };
             let (ranks, iters) = pagerank(ctx, &g.adj, opts).map_err(|e| e.to_string())?;
-            let sum: f64 = ranks.iter().map(|(_, v)| v).sum();
-            // argmax, lowest index on ties
-            let (top, top_rank) =
-                ranks
-                    .iter()
-                    .fold((0usize, f64::NEG_INFINITY), |(bi, bv), (i, v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    });
-            let checksum = checksum_vector(&ranks, f64::to_bits);
+            // the sum starts at -0.0, as `Iterator::sum` does; the argmax
+            // keeps the lowest index on ties
+            let (mut sum, mut top, mut top_rank) = (-0.0, 0, f64::NEG_INFINITY);
+            let checksum = digest(&ranks, f64::to_bits, |i, v| {
+                sum += v;
+                if v > top_rank {
+                    (top, top_rank) = (i, v);
+                }
+            });
             let mut s = format!(
                 "{{\"iterations\":{iters},\"sum\":{sum:.6},\"top\":{top},\
                  \"top_rank\":{top_rank:.6},\"checksum\":\"{checksum:016x}\""
@@ -419,7 +419,7 @@ fn execute<B: Backend>(
         Algo::Cc => {
             let labels = connected_components(ctx, &g.adj).map_err(|e| e.to_string())?;
             let components = component_count(&labels);
-            let checksum = checksum_vector(&labels, |v| v);
+            let checksum = digest(&labels, |v| v, |_, _| {});
             let mut s = format!("{{\"components\":{components},\"checksum\":\"{checksum:016x}\"");
             if q.full {
                 let _ = write!(
@@ -433,9 +433,9 @@ fn execute<B: Backend>(
         }
         Algo::Mis => {
             let set = maximal_independent_set(ctx, &g.adj, q.seed).map_err(|e| e.to_string())?;
-            let size = set.iter().filter(|&(_, v)| v).count();
+            let mut size = 0usize;
+            let checksum = digest(&set, u64::from, |_, v| size += usize::from(v));
             let independent = verify_mis(&g.adj, &set);
-            let checksum = checksum_vector(&set, |v| v as u64);
             let mut s = format!(
                 "{{\"size\":{size},\"independent\":{independent},\"checksum\":\"{checksum:016x}\""
             );
