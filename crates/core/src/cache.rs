@@ -18,16 +18,19 @@
 //!
 //! Entries come in two classes. *Computed* entries — a query needed `Aᵀ`
 //! and built it — are the LRU, bounded by the capacity. *Pinned* entries —
-//! placed by [`TransposeCache::seed`] or [`TransposeCache::get_or_build_pinned`]
-//! when a catalog loads or restores a graph — stand outside both the bound
-//! and the LRU order: no number of computed entries evicts them, so a served
-//! graph stays pull-eligible whatever else the server computes. A pinned
+//! placed by a seed or a prewarm when a graph is loaded or restored, and
+//! every entry that holds its matrix's own buffer — stand outside both the
+//! bound and the LRU order: no number of computed entries evicts them, so a
+//! served graph stays pull-eligible whatever else the server computes. A pinned
 //! entry lives exactly as long as the matrix buffer it transposes (it holds
 //! a `Weak` to it): when the graph is unloaded or replaced by a reload and
 //! its last handle drops, the entry — unreachable from then on — is swept at
 //! the next insert. A symmetric matrix seeded as its own transpose is held
 //! by that `Weak` alone, so the cache never keeps a graph's buffer alive,
 //! in however many stores or under however many ids it was seeded.
+//! [`TransposeCache::get_or_share`], the `Context` paths, finds the same
+//! without being told: on a miss, a matrix whose transpose would be itself
+//! bit for bit is held the same way instead of copied.
 //! [`TransposeCache::clear`] drops everything.
 //!
 //! The cache is internally shared: cloning a `TransposeCache` yields a
@@ -59,9 +62,9 @@ struct Entry {
     id: u64,
     version: u64,
     ty: TypeId,
-    /// The transpose, owned — `None` when a symmetric matrix was seeded as
-    /// its own transpose: that one is `pin` upgraded, so the cache never
-    /// keeps a graph's buffer alive.
+    /// The transpose, owned — `None` when the matrix is its own transpose
+    /// (seeded, or found so on a miss): that one is `pin` upgraded, so the
+    /// cache never keeps a graph's buffer alive.
     value: Option<Arc<dyn Any + Send + Sync>>,
     /// Set by a seed/prewarm — the source matrix's buffer: the entry is
     /// exempt from the capacity bound for as long as that is alive.
@@ -208,35 +211,54 @@ impl TransposeCache {
         version: u64,
         build: impl FnOnce() -> CsrMatrix<T>,
     ) -> Arc<CsrMatrix<T>> {
-        self.lookup(id, version, build, None)
+        self.lookup(id, version, None, || (Arc::new(build()), false))
     }
 
-    /// [`TransposeCache::get_or_build`] that leaves the entry pinned for as
-    /// long as `source` — the matrix's own buffer — is alive: the prewarm
-    /// path for a matrix whose transpose must be built. Counts a hit or a
-    /// miss like any lookup.
-    pub fn get_or_build_pinned<T: Scalar>(
+    /// The transpose of `source`, the buffer of the matrix identified by
+    /// `(id, version)`, served as [`TransposeCache::get_or_build`] serves
+    /// it, but a miss on a matrix that is its own transpose bit for bit
+    /// ([`CsrMatrix::is_own_transpose`]: one sweep, no copy) builds
+    /// nothing: `source` itself is served, its entry holds only a `Weak` to
+    /// it, as a seed's does, and `charge` runs in place of `build` (a
+    /// device still prices the transpose). That entry costs nothing, so it
+    /// is pinned whichever path placed it; `pin` pins a built one for as
+    /// long as `source` is alive (the prewarm path; a hit pins its entry in
+    /// place). Counts a hit or a miss like any lookup, never a seed. A
+    /// disabled cache always builds.
+    pub fn get_or_share<T: Scalar>(
         &self,
         id: u64,
         version: u64,
         source: &Arc<CsrMatrix<T>>,
+        pin: bool,
+        charge: impl FnOnce(),
         build: impl FnOnce() -> CsrMatrix<T>,
     ) -> Arc<CsrMatrix<T>> {
-        let source = Arc::downgrade(source) as Weak<dyn Any + Send + Sync>;
-        self.lookup(id, version, build, Some(source))
+        let pin = pin.then(|| Arc::downgrade(source) as Weak<dyn Any + Send + Sync>);
+        self.lookup(id, version, pin, || {
+            if self.inner.enabled && source.is_own_transpose() {
+                charge();
+                (Arc::clone(source), true)
+            } else {
+                (Arc::new(build()), false)
+            }
+        })
     }
 
+    /// Serve `(id, version)` from the store, or count a miss and insert what
+    /// `miss` gives: the transpose, and whether it is the matrix's own
+    /// buffer (held by a `Weak` alone, pinned).
     fn lookup<T: Scalar>(
         &self,
         id: u64,
         version: u64,
-        build: impl FnOnce() -> CsrMatrix<T>,
         pin: Option<Weak<dyn Any + Send + Sync>>,
+        miss: impl FnOnce() -> (Arc<CsrMatrix<T>>, bool),
     ) -> Arc<CsrMatrix<T>> {
         let c = &self.inner.counters;
         if !self.inner.enabled {
             c.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(build());
+            return miss().0;
         }
         let ty = TypeId::of::<T>();
         {
@@ -259,15 +281,21 @@ impl TransposeCache {
             }
         }
         c.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build());
+        let (transpose, own) = miss();
+        let erased = Arc::clone(&transpose) as Arc<dyn Any + Send + Sync>;
+        let (value, pin) = if own {
+            (None, Some(Arc::downgrade(&erased)))
+        } else {
+            (Some(erased), pin)
+        };
         self.insert(Entry {
             id,
             version,
             ty,
-            value: Some(Arc::clone(&built) as Arc<dyn Any + Send + Sync>),
+            value,
             pin,
         });
-        built
+        transpose
     }
 
     /// Insert `entry`, dropping any resident generation of its matrix (now
@@ -518,7 +546,8 @@ mod tests {
         let symmetric = Arc::new(csr(2, &[(0, 1, 1), (1, 0, 1)]));
         cache.seed(1, 1, &symmetric);
         let built_from = Arc::new(csr(2, &[(0, 1, 1)]));
-        cache.get_or_build_pinned(2, 1, &built_from, || built_from.transpose());
+        let no_share = || unreachable!("not its own transpose");
+        cache.get_or_share(2, 1, &built_from, true, no_share, || built_from.transpose());
         for id in 10..20 {
             cache.get_or_build(id, 1, || csr(2, &[]));
         }
@@ -527,7 +556,7 @@ mod tests {
         assert!(cache.contains::<i64>(1, 1) && cache.contains::<i64>(2, 1));
         // a hit through the pinning lookup pins a computed entry in place
         let late = Arc::new(csr(2, &[]));
-        cache.get_or_build_pinned::<i64>(19, 1, &late, || panic!("resident"));
+        cache.get_or_share::<i64>(19, 1, &late, true, no_share, || panic!("resident"));
         assert_eq!(cache.stats().pinned, 3);
         // the matrices go away (a reload dropped the graph): the next
         // insert sweeps their entries, nobody had to say so
@@ -569,6 +598,54 @@ mod tests {
         assert!(rebuilt);
         one.get_or_build(3, 1, || csr(2, &[]));
         assert_eq!((one.stats().entries, one.stats().pinned), (1, 0));
+    }
+
+    #[test]
+    fn get_or_share_holds_an_own_transpose_by_weak_and_builds_the_rest() {
+        let cache = TransposeCache::with_capacity(1);
+        let symmetric = Arc::new(csr(2, &[(0, 1, 1), (1, 0, 1)]));
+        let mut charged = 0;
+        let t = cache.get_or_share(1, 1, &symmetric, false, || charged += 1, || unreachable!());
+        assert!(Arc::ptr_eq(&t, &symmetric) && charged == 1);
+        drop(t);
+        assert_eq!(Arc::strong_count(&symmetric), 1, "held by a Weak alone");
+        let directed = Arc::new(csr(2, &[(0, 1, 1)]));
+        let t = cache.get_or_share(
+            2,
+            1,
+            &directed,
+            false,
+            || unreachable!(),
+            || directed.transpose(),
+        );
+        assert_eq!(t.get(1, 0), Some(1));
+        // the shared entry costs nothing and is pinned; the built one is the LRU
+        let s = cache.stats();
+        assert_eq!(
+            (s.misses, s.hits, s.seeds, s.entries, s.pinned),
+            (2, 0, 0, 2, 1)
+        );
+        let again = cache.get_or_share(
+            1,
+            1,
+            &symmetric,
+            false,
+            || unreachable!(),
+            || unreachable!(),
+        );
+        assert!(Arc::ptr_eq(&again, &symmetric));
+        assert_eq!(cache.stats().hits, 1);
+        // a disabled cache is the reference: it builds
+        let off = TransposeCache::disabled();
+        let built = off.get_or_share(
+            1,
+            1,
+            &symmetric,
+            true,
+            || unreachable!(),
+            || symmetric.transpose(),
+        );
+        assert!(!Arc::ptr_eq(&built, &symmetric));
     }
 
     #[test]

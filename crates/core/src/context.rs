@@ -1,9 +1,11 @@
 //! The execution context: a backend, its tracer, and convenience
 //! constructors.
 
+use std::sync::Arc;
+
 use gbtl_algebra::Scalar;
 use gbtl_gpu_sim::{GpuConfig, GpuStats};
-use gbtl_sparse::CooMatrix;
+use gbtl_sparse::{CooMatrix, CsrMatrix};
 use gbtl_trace::{Kind, SpanFields, SpanStart, TraceContext, TraceMode, TraceReport, Tracer};
 
 use crate::backend::{Backend, CudaBackend, ParBackend, SeqBackend, SpmvKernel};
@@ -158,29 +160,57 @@ impl<B: Backend> Context<B> {
     /// Build (or refresh) `a`'s transpose in the cache so the first pull
     /// query pays nothing, and pin it there: computed transposes never
     /// evict it, it goes when `a`'s buffer does (the last handle dropped,
-    /// or `a` mutated). No-op when the cache is disabled.
+    /// or `a` mutated). A matrix that is its own transpose bit for bit is
+    /// not copied: one sweep finds it so and the entry shares `a`'s buffer
+    /// ([`TransposeCache::get_or_share`]). No-op when the cache is
+    /// disabled.
     pub fn prewarm_transpose<T: Scalar>(&self, a: &Matrix<T>) {
-        if !self.transpose_cache.enabled() {
-            return;
+        if self.transpose_cache.enabled() {
+            self.cached_transpose(a, true);
         }
-        let _ =
-            self.transpose_cache
-                .get_or_build_pinned(a.id(), a.version(), &a.shared_csr(), || {
-                    self.backend.transpose(a.csr())
-                });
     }
 
     /// Prewarm the transpose cache for a matrix the *caller asserts* is
-    /// symmetric (`a == aᵀ`): the matrix's own buffer is shared into the
-    /// cache as its transpose, so the warm is O(1) — no counting pass, no
-    /// copy — and the entry is pinned like [`Context::prewarm_transpose`]'s.
-    /// Callers must hold a real symmetry guarantee (e.g. the serve
-    /// catalog validates it on every install path); seeding an asymmetric
-    /// matrix would silently corrupt pull-direction results. No-op when
-    /// the cache is disabled.
+    /// symmetric (`a == aᵀ`, bit for bit): the matrix's own buffer is
+    /// shared into the cache as its transpose, so the warm is O(1) — no
+    /// sweep, no copy — and the entry is pinned like
+    /// [`Context::prewarm_transpose`]'s. Callers must hold a real symmetry
+    /// guarantee (the serve catalog validates it on every install path);
+    /// seeding an asymmetric matrix would silently corrupt pull-direction
+    /// results, so a debug build checks the claim
+    /// ([`gbtl_sparse::CsrMatrix::is_own_transpose`]) and panics on a
+    /// false one. Everyone else calls `prewarm_transpose`, which checks.
+    /// No-op when the cache is disabled.
     pub fn seed_symmetric_transpose<T: Scalar>(&self, a: &Matrix<T>) {
+        debug_assert!(
+            a.csr().is_own_transpose(),
+            "seed_symmetric_transpose: the matrix is not its own transpose bit for bit"
+        );
         self.transpose_cache
-            .seed(a.id(), a.version(), &a.shared_csr());
+            .seed(a.id(), a.version(), a.csr_handle());
+    }
+
+    /// `aᵀ` out of the transpose cache. On a miss, a matrix that is its own
+    /// transpose bit for bit is shared, not built, and the device is
+    /// charged the transpose it would have run, so the modeled clock reads
+    /// as if it had ([`TransposeCache::get_or_share`]); any other matrix is
+    /// built by the backend. `pin` pins a built entry to `a`'s buffer.
+    pub(crate) fn cached_transpose<T: Scalar>(
+        &self,
+        a: &Matrix<T>,
+        pin: bool,
+    ) -> Arc<CsrMatrix<T>> {
+        self.transpose_cache.get_or_share(
+            a.id(),
+            a.version(),
+            a.csr_handle(),
+            pin,
+            || {
+                self.backend
+                    .charge(|device| gbtl_backend_cuda::charge::transpose(device, a.csr()))
+            },
+            || self.backend.transpose(a.csr()),
+        )
     }
 
     /// The backend.
@@ -410,6 +440,14 @@ mod tests {
         assert_eq!(s.d2h_transfers, 2);
         assert!(s.bytes_h2d > 0 && s.bytes_d2h > 0);
         assert!(s.modeled_ps > 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not its own transpose bit for bit")]
+    fn seeding_an_asymmetric_matrix_panics_in_a_debug_build() {
+        let directed = Matrix::build(2, 2, [(0usize, 1usize, 1u32)], Plus::new()).unwrap();
+        Context::sequential().seed_symmetric_transpose(&directed);
     }
 
     #[test]

@@ -161,21 +161,23 @@ impl<B: Backend> Context<B> {
     /// Untransposed: borrow straight from the caller's matrix — the hot
     /// path allocates and copies nothing. Transposed: share `Aᵀ` out of
     /// the context's [`crate::TransposeCache`], building it at most once
-    /// per `(matrix, version)` — every later pull iteration is a cache hit.
+    /// per `(matrix, version)` — every later pull iteration is a cache hit
+    /// — and not at all when `A` is its own transpose bit for bit
+    /// ([`Context::cached_transpose`]).
     pub(crate) fn resolve_operand<'a, T: Scalar>(
         &self,
         a: &'a Matrix<T>,
         transpose: bool,
     ) -> OperandRef<'a, T> {
         if transpose {
-            OperandRef::Shared(self.resolve_transposed_shared(a))
+            OperandRef::Shared(self.cached_transpose(a, false))
         } else {
             OperandRef::Borrowed(a.csr())
         }
     }
 
     /// `Aᵀ` as a shared buffer, served from the transpose cache when
-    /// resident (also the `Context::transpose` result path).
+    /// resident and built on a miss: the `Context::transpose` result path.
     pub(crate) fn resolve_transposed_shared<T: Scalar>(&self, a: &Matrix<T>) -> Arc<CsrMatrix<T>> {
         self.transpose_cache()
             .get_or_build(a.id(), a.version(), || self.backend().transpose(a.csr()))

@@ -182,6 +182,13 @@ impl<T: Scalar> Matrix<T> {
         Arc::clone(&self.csr)
     }
 
+    /// The underlying CSR buffer's handle, borrowed: what a cache lookup
+    /// shares or pins without a reference-count round trip.
+    #[inline]
+    pub(crate) fn csr_handle(&self) -> &Arc<CsrMatrix<T>> {
+        &self.csr
+    }
+
     /// Consume into the underlying CSR (copies only when the buffer is
     /// shared with another handle or a cache entry).
     #[inline]

@@ -11,8 +11,8 @@
 //! offset  size   field
 //! 0       8      magic     b"GBSNAP1\n"
 //! 8       4      version   (1)
-//! 12      8      word-folded FNV-1a checksum of the payload (everything
-//!                below; see `gbtl_sparse::snapshot::fnv1a_words`)
+//! 12      8      checksum of the payload (everything below; the word
+//!                fold `gbtl_sparse::snapshot::checksum_fold`)
 //! 20      4      name length   + that many UTF-8 bytes
 //! ..      4      spec length   + that many UTF-8 bytes
 //! ..      8      epoch (as recorded at snapshot time; informative only —
@@ -38,7 +38,7 @@
 use std::path::{Path, PathBuf};
 
 use gbtl_core::Matrix;
-use gbtl_sparse::snapshot::{fnv1a_words, read_csr, write_csr, FNV_SEED};
+use gbtl_sparse::snapshot::{checksum_fold, read_csr, write_csr, CHECKSUM_SEED};
 use gbtl_sparse::CsrMatrix;
 
 use crate::catalog::GraphEntry;
@@ -120,7 +120,7 @@ pub fn write_snapshot(dir: &Path, entry: &GraphEntry) -> Result<(PathBuf, u64), 
     let mut file = Vec::with_capacity(20 + payload.len());
     file.extend_from_slice(&MAGIC);
     file.extend_from_slice(&VERSION.to_le_bytes());
-    file.extend_from_slice(&fnv1a_words(FNV_SEED, &payload).to_le_bytes());
+    file.extend_from_slice(&checksum_fold(CHECKSUM_SEED, &payload).to_le_bytes());
     file.extend_from_slice(&payload);
 
     let path = snapshot_path(dir, &entry.name);
@@ -156,7 +156,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotFile, String> {
     }
     let stored = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     let payload = &bytes[20..];
-    let computed = fnv1a_words(FNV_SEED, payload);
+    let computed = checksum_fold(CHECKSUM_SEED, payload);
     if stored != computed {
         return Err(fail(&format!(
             "payload checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — \

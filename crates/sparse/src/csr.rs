@@ -1,5 +1,6 @@
 //! Compressed sparse row: the workhorse operand format.
 
+use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,6 +46,28 @@ struct Structure {
 fn next_structure_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Whether `==` on `T` is equality of bits: `bool` and the primitive
+/// integers.
+fn eq_is_bitwise<T: 'static>() -> bool {
+    let t = TypeId::of::<T>();
+    [
+        TypeId::of::<bool>(),
+        TypeId::of::<u8>(),
+        TypeId::of::<u16>(),
+        TypeId::of::<u32>(),
+        TypeId::of::<u64>(),
+        TypeId::of::<u128>(),
+        TypeId::of::<usize>(),
+        TypeId::of::<i8>(),
+        TypeId::of::<i16>(),
+        TypeId::of::<i32>(),
+        TypeId::of::<i64>(),
+        TypeId::of::<i128>(),
+        TypeId::of::<isize>(),
+    ]
+    .contains(&t)
 }
 
 impl<T: PartialEq> PartialEq for CsrMatrix<T> {
@@ -319,7 +342,31 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Whether this matrix equals its own transpose (structure *and*
-    /// values), in `O(nnz + nrows)` without building the transpose.
+    /// values, by `==`), in `O(nnz + nrows)` without building the
+    /// transpose.
+    pub fn is_symmetric(&self) -> bool {
+        self.mirrored(|a, b| self.vals[a] == self.vals[b])
+    }
+
+    /// Whether [`CsrMatrix::transpose`] would give this matrix back bit
+    /// for bit: [`CsrMatrix::is_symmetric`]'s sweep with each mirrored
+    /// pair of values compared as bits. `bool` and the primitive integers
+    /// compare by `==`, `f32` and `f64` by `to_bits` (`0.0` and
+    /// `-0.0` differ, a NaN matches its own bits). Any other element type
+    /// answers `false`: its `==` says nothing of its bits.
+    pub fn is_own_transpose(&self) -> bool {
+        let vals: &dyn Any = &self.vals;
+        if let Some(v) = vals.downcast_ref::<Vec<f64>>() {
+            self.mirrored(|a, b| v[a].to_bits() == v[b].to_bits())
+        } else if let Some(v) = vals.downcast_ref::<Vec<f32>>() {
+            self.mirrored(|a, b| v[a].to_bits() == v[b].to_bits())
+        } else {
+            eq_is_bitwise::<T>() && self.is_symmetric()
+        }
+    }
+
+    /// Whether the matrix is square, its structure symmetric, and `same`
+    /// holds of every stored entry's value slot and its mirror's.
     ///
     /// Single sweep: rows are visited in ascending order, so for a
     /// symmetric matrix the mirrors `(j, i)` demanded of each row `j`
@@ -329,7 +376,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// an asymmetry. Since each of the `nnz` demands consumes a distinct
     /// slot and there are exactly `nnz` slots, a full pass implies a
     /// perfect edge/mirror bijection.
-    pub fn is_symmetric(&self) -> bool {
+    fn mirrored(&self, same: impl Fn(usize, usize) -> bool) -> bool {
         let s = &*self.structure;
         if s.nrows != s.ncols {
             return false;
@@ -339,7 +386,7 @@ impl<T: Scalar> CsrMatrix<T> {
             for k in s.row_ptr[i]..s.row_ptr[i + 1] {
                 let j = s.col_idx[k];
                 let c = cursor[j];
-                if c >= s.row_ptr[j + 1] || s.col_idx[c] != i || self.vals[c] != self.vals[k] {
+                if c >= s.row_ptr[j + 1] || s.col_idx[c] != i || !same(c, k) {
                     return false;
                 }
                 cursor[j] = c + 1;
@@ -583,6 +630,29 @@ mod tests {
         assert!(!CsrMatrix::<f64>::new(2, 3).is_symmetric());
         // trivially symmetric
         assert!(CsrMatrix::<f64>::new(4, 4).is_symmetric());
+    }
+
+    #[test]
+    fn is_own_transpose_compares_values_as_bits() {
+        let mirrored = |a, b| {
+            CsrMatrix::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![1.0, a, b]).unwrap()
+        };
+        let same = mirrored(1.0f64, 1.0);
+        assert!(same.is_own_transpose() && same.transpose() == same);
+        // `==` calls the signed zeros equal, their bits do not
+        let zeros = mirrored(0.0, -0.0);
+        assert!(zeros.is_symmetric() && !zeros.is_own_transpose());
+        // a NaN is not `==` to itself, but its bits match
+        let nan =
+            CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![f32::NAN; 2]).unwrap();
+        assert!(!nan.is_symmetric() && nan.is_own_transpose());
+        let ints = CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![7u32, 7]).unwrap();
+        assert!(ints.is_own_transpose());
+        assert!(!sample().is_own_transpose());
+        // an element type whose `==` may not be its bits never qualifies
+        let pairs = CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![(1u8, 2u8); 2]);
+        let pairs = pairs.unwrap();
+        assert!(pairs.is_symmetric() && !pairs.is_own_transpose());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! 32      (nrows+1)*iw    row_ptr        (u32 or u64 each)
 //! ..      nnz*iw          col_idx        (u32 or u64 each)
 //! ..      nnz*width       vals
-//! ..      8               checksum: [`fnv1a_words`] chained over the
+//! ..      8               checksum: [`checksum_fold`] chained over the
 //!                         header, row_ptr, col_idx, and vals parts
 //! ```
 //!
@@ -108,13 +108,14 @@ impl SnapshotScalar for f64 {
     }
 }
 
-/// Word-folded FNV-1a: folds `bytes` into `h` 8 little-endian bytes per
-/// multiply instead of 1, preceded by the byte length (so a zero-padded
-/// tail cannot collide with explicit trailing zeros). Roughly 8x the
-/// throughput of byte-wise FNV-1a on the multi-megabyte array sections a snapshot
-/// holds — this is the checksum the `.gbsnap` format uses for bulk data.
+/// The `.gbsnap` checksum: a word-wise FNV-style fold, part of the file
+/// format, and not FNV-1a (`gbtl_util::hash` is that). It folds `bytes`
+/// into `h` 8 little-endian bytes per multiply by the FNV prime instead
+/// of 1, preceded by the byte length (so a zero-padded tail cannot
+/// collide with explicit trailing zeros): roughly 8x byte-wise FNV-1a's
+/// throughput on the multi-megabyte array sections a snapshot holds.
 /// Each call folds one logical chunk; chain calls to cover several.
-pub fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn checksum_fold(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     h = (h ^ bytes.len() as u64).wrapping_mul(PRIME);
     let mut chunks = bytes.chunks_exact(8);
@@ -131,8 +132,9 @@ pub fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The seed state for [`fnv1a_words`] chains (the FNV-1a offset basis).
-pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The state a [`checksum_fold`] chain starts from (the FNV offset
+/// basis's value).
+pub const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Serialize `m` as one snapshot section appended to `w`. Returns the
 /// number of bytes written.
@@ -178,10 +180,10 @@ pub fn write_csr<T: SnapshotScalar, W: Write>(
     // buffers) can chain the identical folds
     let rp_end = 32 + (m.nrows() + 1) * iw;
     let ci_end = rp_end + nnz * iw;
-    let mut checksum = fnv1a_words(FNV_SEED, &buf[..32]);
-    checksum = fnv1a_words(checksum, &buf[32..rp_end]);
-    checksum = fnv1a_words(checksum, &buf[rp_end..ci_end]);
-    checksum = fnv1a_words(checksum, &buf[ci_end..]);
+    let mut checksum = checksum_fold(CHECKSUM_SEED, &buf[..32]);
+    checksum = checksum_fold(checksum, &buf[32..rp_end]);
+    checksum = checksum_fold(checksum, &buf[rp_end..ci_end]);
+    checksum = checksum_fold(checksum, &buf[ci_end..]);
     buf.extend_from_slice(&checksum.to_le_bytes());
     w.write_all(&buf)?;
     Ok(buf.len() as u64)
@@ -275,9 +277,9 @@ pub fn read_csr<T: SnapshotScalar, R: Read>(r: &mut R) -> Result<CsrMatrix<T>, S
     let stored = read_exactly(r, 8, "checksum")?;
     let stored = u64::from_le_bytes(stored[..].try_into().expect("8 bytes"));
 
-    let mut h = fnv1a_words(FNV_SEED, &header);
+    let mut h = checksum_fold(CHECKSUM_SEED, &header);
     for part in [&row_ptr_bytes, &col_idx_bytes, &val_bytes] {
-        h = fnv1a_words(h, part);
+        h = checksum_fold(h, part);
     }
     if h != stored {
         return Err(SparseError::InvalidStructure {

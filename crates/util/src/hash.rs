@@ -2,7 +2,9 @@
 //! vectors `gbtl-serve` checksums on the wire (a word at a time,
 //! [`fnv1a_word`]), the graph names and virtual-node labels `gbtl-shard`
 //! places on its ring, and the loadgen's skew keys, so a change here
-//! changes wire bytes and placement.
+//! changes wire bytes and placement. The one exception is the `.gbsnap`
+//! checksum, `gbtl_sparse::snapshot::checksum_fold`: a word-wise
+//! FNV-style fold that is not FNV-1a and is part of that file format.
 
 /// The FNV-1a 64 offset basis: the state before any byte.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -21,10 +21,18 @@
 //! `Catalog::load` once and reads it again. A fresh process per spec keeps
 //! an earlier, larger load's peak from hiding a later one's.
 //!
+//! The library column is what a library caller adds to the same graph:
+//! *prewarm* is the median time of `Context::prewarm_transpose` on the
+//! adjacency and on the weights in a fresh sequential context, and *lib
+//! MB* that prewarm's `VmHWM` growth in a child (`--hwm-lib SPEC`), which
+//! builds the adjacency and weights first. A symmetric graph is its own
+//! transpose, so both read near zero where the cache shares the matrix's
+//! buffer and count a full copy of both matrices where it builds one.
+//!
 //! To compare two versions, copy this file into both checkouts and run the
 //! same command in each, alternating, pinned to one CPU (`taskset -c 0`).
 
-use gbtl::core::Matrix;
+use gbtl::core::{Context, Matrix};
 use gbtl::graphgen::{erdos_renyi, grid_2d, karate_club, weights, Rmat};
 use gbtl_serve::catalog::{Catalog, GraphSpec};
 use std::hint::black_box;
@@ -75,11 +83,20 @@ fn vm_hwm_kb() -> u64 {
         .expect("a VmHWM line")
 }
 
-/// One load's `VmHWM` growth in MB, measured in a child process.
-fn peak_mb(spec: &str) -> f64 {
+/// The adjacency and weights, prewarmed in a fresh sequential context.
+fn prewarm(adj: &Matrix<bool>, weights: &Matrix<u32>) -> Context<gbtl::core::SeqBackend> {
+    let ctx = Context::sequential();
+    ctx.prewarm_transpose(adj);
+    ctx.prewarm_transpose(weights);
+    ctx
+}
+
+/// A child's `VmHWM` growth in MB: `mode` is `--hwm` (one catalog load)
+/// or `--hwm-lib` (one library prewarm).
+fn peak_mb(mode: &str, spec: &str) -> f64 {
     let exe = std::env::current_exe().expect("own path");
     let out = std::process::Command::new(exe)
-        .args(["--hwm", spec])
+        .args([mode, spec])
         .output()
         .expect("run the child");
     assert!(out.status.success(), "child failed on {spec}");
@@ -101,12 +118,25 @@ fn ms(start: Instant) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--hwm") {
-        let spec = GraphSpec::parse(&args[1]).expect("a spec");
-        let before = vm_hwm_kb();
-        black_box(Catalog::new().load("g", &spec).expect("load"));
-        println!("{}", vm_hwm_kb() - before);
-        return;
+    match args.first().map(String::as_str) {
+        Some("--hwm") => {
+            let spec = GraphSpec::parse(&args[1]).expect("a spec");
+            let before = vm_hwm_kb();
+            black_box(Catalog::new().load("g", &spec).expect("load"));
+            println!("{}", vm_hwm_kb() - before);
+            return;
+        }
+        Some("--hwm-lib") => {
+            let spec = GraphSpec::parse(&args[1]).expect("a spec");
+            let adj = spec.build_adjacency().expect("build");
+            let weights = derive_weights(&spec, &adj);
+            let before = vm_hwm_kb();
+            let ctx = prewarm(&adj, &weights);
+            println!("{}", vm_hwm_kb() - before);
+            black_box((ctx, adj, weights));
+            return;
+        }
+        _ => {}
     }
     let usage = || -> ! {
         eprintln!("usage: load_probe [ROUNDS [SPEC...]]");
@@ -124,14 +154,16 @@ fn main() {
         .iter()
         .map(|s| GraphSpec::parse(s).unwrap_or_else(|_| usage()))
         .collect();
-    println!("catalog load path, median of {rounds} rounds (ms) and one load's VmHWM growth");
+    println!("catalog load path, median of {rounds} rounds (ms) and one load's VmHWM growth;");
+    println!("then a library context's prewarm of the same graph, and its VmHWM growth");
     println!(
-        "{:<18}{:>10}{:>10}{:>10}{:>10}",
-        "spec", "generate", "build", "weights", "peak MB"
+        "{:<18}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}",
+        "spec", "generate", "build", "weights", "peak MB", "prewarm", "lib MB"
     );
     for (name, spec) in names.iter().zip(&specs) {
-        let peak = peak_mb(name);
-        let mut samples = [Vec::new(), Vec::new(), Vec::new()];
+        let peak = peak_mb("--hwm", name);
+        let lib_peak = peak_mb("--hwm-lib", name);
+        let mut samples = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for round in 0..=rounds {
             let start = Instant::now();
             generate(spec);
@@ -140,15 +172,18 @@ fn main() {
             let adj = spec.build_adjacency().expect("build");
             let build = ms(start) - gen;
             let start = Instant::now();
-            black_box(derive_weights(spec, &adj));
+            let w = black_box(derive_weights(spec, &adj));
             let weights = ms(start);
+            let start = Instant::now();
+            let _warmed = black_box(prewarm(&adj, &w));
+            let warm = ms(start);
             if round > 0 {
-                for (s, x) in samples.iter_mut().zip([gen, build, weights]) {
+                for (s, x) in samples.iter_mut().zip([gen, build, weights, warm]) {
                     s.push(x);
                 }
             }
         }
-        let [g, b, w] = samples.map(|mut s| median(&mut s));
-        println!("{name:<18}{g:>10.3}{b:>10.3}{w:>10.3}{peak:>10.2}");
+        let [g, b, w, p] = samples.map(|mut s| median(&mut s));
+        println!("{name:<18}{g:>10.3}{b:>10.3}{w:>10.3}{peak:>10.2}{p:>10.3}{lib_peak:>10.2}");
     }
 }
