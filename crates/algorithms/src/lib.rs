@@ -8,8 +8,8 @@
 //! mirrors the algorithm library that shipped with GBTL:
 //!
 //! * [`bfs`] — breadth-first search (levels and parents; push/pull/auto)
-//! * [`sssp`] — single-source shortest paths (Bellman–Ford on min-plus)
-//! * [`pagerank`] — damped PageRank with dangling-mass correction
+//! * [`sssp`](fn@sssp) — single-source shortest paths (Bellman–Ford on min-plus)
+//! * [`pagerank`](fn@pagerank) — damped PageRank with dangling-mass correction
 //! * [`triangle`] — triangle counting (the masked product `C<L> = L·L`)
 //! * [`widest`] — widest (maximum-bottleneck) paths on `(max, min)`
 //! * [`cc`] — connected components (min-label propagation)

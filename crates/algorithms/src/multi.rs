@@ -22,7 +22,7 @@
 //! accumulated state, returned as its own [`Vector`] so callers can compare
 //! it (bit-for-bit) against the solo kernel's output. The correctness bar
 //! for the whole subsystem is exactly that: for every member, the result
-//! equals [`bfs_levels`](crate::bfs_levels) / [`sssp`](crate::sssp) from
+//! equals [`bfs_levels`](crate::bfs_levels) / [`sssp`](fn@crate::sssp) from
 //! that source — duplicate sources simply become identical rows, and `k=1`
 //! is the solo traversal written as a one-row matrix.
 //!
@@ -87,7 +87,7 @@ pub fn bfs_levels_multi<B: Backend>(
 
 /// Delta Bellman–Ford SSSP from every source in `sources` at once; returns
 /// one per-vertex distance vector per source, each bit-identical to
-/// [`sssp`](crate::sssp) from the same source.
+/// [`sssp`](fn@crate::sssp) from the same source.
 ///
 /// One unmasked push `mxm` on the `(min, +)` semiring per round over the
 /// row-stacked frontier (frontier values are the members' current

@@ -1,7 +1,7 @@
 //! Widest (maximum-bottleneck) paths — the `(max, min)` semiring at work.
 //!
-//! Literally the delta-relaxation loop of [`crate::sssp`]
-//! ([`Relaxation`]), run on a different algebra: path "length" is the
+//! Literally the delta-relaxation loop of [`crate::sssp`](fn@crate::sssp)
+//! (`Relaxation`), run on a different algebra: path "length" is the
 //! *minimum* capacity along the path, and we keep the *maximum* over
 //! paths. Swapping the semiring is the whole change — the GraphBLAS
 //! selling point the paper leads with.

@@ -3,7 +3,7 @@
 //! Simulated-CUDA backend for GBTL-RS: the device charges.
 //!
 //! The paper's GPU backend, rebuilt on [`gbtl_gpu_sim`] by one rule: every
-//! operation **computes its result with the [`gbtl_backend_seq`] kernel
+//! operation **computes its result with the `gbtl_backend_seq` kernel
 //! and charges the device** the pipeline GBTL-CUDA runs for it. The result
 //! is computed by `gbtl_core::Backend`'s default body; this crate holds
 //! only what the device is charged for it, in [`charge`], one function per

@@ -126,10 +126,10 @@ where
 ///
 /// The accumulator holds a `T` per column at the add monoid's identity and
 /// two flags: the mask row allows the column, the column has had its first
-/// term. Rows are folded in blocks of [`ROW_BLOCK`], each block by one of
+/// term. Rows are folded in blocks of `ROW_BLOCK`, each block by one of
 /// two loops over that scratch, chosen by the share of scanned entries that
 /// landed in the mask over the sampled blocks already done
-/// ([`SELECT_HIT_SHARE`], [`SAMPLE_EVERY`]):
+/// (`SELECT_HIT_SHARE`, `SAMPLE_EVERY`):
 ///
 /// * **branch** — `if allowed[j]` around the update, reading a compact
 ///   flag array: cheapest where hits are rare and the branch predicts (the

@@ -361,9 +361,9 @@ enum Fold<T, D1> {
 
 /// The row fold of one pull product `A ⊕.⊗ u` under a keep `mask`, chosen
 /// once per call (ADR 0017): the full fold, over `u`'s values as they are
-/// stored, when every position of `u` is present; [`slot_dot`] over a slot
-/// array built from `u` when its presence share lies in [`SLOT_BAND`] and
-/// [`slots_pay`] for `S`; the [`row_dot`] fold otherwise. The
+/// stored, when every position of `u` is present; `slot_dot` over a slot
+/// array built from `u` when its presence share lies in `SLOT_BAND` and
+/// `slots_pay` for `S`; the [`row_dot`] fold otherwise. The
 /// sequential and parallel `mxv` and both of cuda-sim's SpMV kernels fold
 /// every row through one of these; which fold ran never shows in a result
 /// or a count.

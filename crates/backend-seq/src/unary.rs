@@ -131,7 +131,7 @@ mod tests {
     }
 }
 
-/// Keep entries passing a [`SelectOp`] — the operator-typed form of
+/// Keep entries passing a [`SelectOp`](gbtl_algebra::SelectOp) — the operator-typed form of
 /// [`select_mat`].
 pub fn select_mat_op<T, P>(a: &CsrMatrix<T>, op: P) -> CsrMatrix<T>
 where
@@ -141,7 +141,7 @@ where
     select_mat(a, |i, j, v| op.keep(i, j, v))
 }
 
-/// Keep vector entries passing a [`SelectOp`] (column fixed at 0).
+/// Keep vector entries passing a [`SelectOp`](gbtl_algebra::SelectOp) (column fixed at 0).
 pub fn select_vec_op<T, P>(u: &SparseVector<T>, op: P) -> SparseVector<T>
 where
     T: Scalar,

@@ -417,7 +417,7 @@ impl Backend for ParBackend {
         })
     }
 
-    /// The edge-cost rule plus [`PAR_FANOUT_NS`] on the side that fans out:
+    /// The edge-cost rule plus `PAR_FANOUT_NS` on the side that fans out:
     /// `mxv`, on every call with more than one worker. Push is the
     /// sequential `vxm` and never does. The host pushes every fused level
     /// and never asks.

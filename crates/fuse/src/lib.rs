@@ -207,7 +207,7 @@ impl<T> FuseQueue<T> {
     }
 
     /// Close the queue and hand back everything still in flight. Subsequent
-    /// pushes return [`PushOutcome::Closed`]; a blocked [`pop_due`]
+    /// pushes return [`PushOutcome::Closed`]; a blocked [`pop_due`](Self::pop_due)
     /// (Self::pop_due) wakes and returns `None`. Idempotent — a second call
     /// returns an empty drain.
     pub fn close_and_drain(&self) -> Vec<(String, Vec<T>)> {

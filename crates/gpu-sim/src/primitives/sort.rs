@@ -36,7 +36,7 @@ radix_key!(
     i32 => |k| (k as i64 as u64) ^ (1 << 63), i64 => |k| (k as u64) ^ (1 << 63)
 );
 
-/// Charge an LSD radix sort of `n` key–value pairs: [`RADIX_PASSES`]
+/// Charge an LSD radix sort of `n` key–value pairs: `RADIX_PASSES`
 /// bandwidth-shaped passes over keys+values.
 pub fn charge_radix_sort<K, V>(gpu: &Gpu, n: usize) {
     let elem = std::mem::size_of::<K>() + std::mem::size_of::<V>();

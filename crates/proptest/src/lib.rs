@@ -259,7 +259,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted length specifications for [`vec`]: an exact `usize`, a
+    /// Accepted length specifications for [`vec`](fn@vec): an exact `usize`, a
     /// half-open `Range<usize>`, or an inclusive range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

@@ -171,8 +171,8 @@ impl Engine {
     /// Members are `(source, full)` pairs; the returned fragments are
     /// positionally matched and **byte-identical** to what [`Engine::run`]
     /// renders for the same query solo — same kernel results (the multi
-    /// kernels' correctness bar), same renderer ([`bfs_result_json`] /
-    /// [`sssp_result_json`] are shared by both paths), same out-of-range
+    /// kernels' correctness bar), same renderer (`bfs_result_json` /
+    /// `sssp_result_json` are shared by both paths), same out-of-range
     /// error text. An out-of-range member gets its per-member `Err` without
     /// failing the rest of the batch.
     /// `xray` attributes the batch's shared kernel spans to one sampled

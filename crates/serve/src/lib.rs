@@ -29,7 +29,8 @@
 //!   shared between the single pool (scatters to itself) and gbtl-shard's
 //!   router (scatters to owning shards).
 //!
-//! [`client`] has the matching client and the closed-loop load generator.
+//! [`client`] has the matching client and the closed-loop load generator
+//! the integration tests drive.
 //!
 //! ## A one-minute session
 //!
@@ -42,7 +43,7 @@
 //! ```
 //!
 //! Start one in-process with [`server::start`] (the integration tests do),
-//! or run the `gbtl-serve` binary and drive it with `loadgen`.
+//! or run the `gbtl-serve` binary and talk to it with [`Client`].
 
 #![warn(missing_docs)]
 
@@ -56,14 +57,8 @@ pub mod scatter;
 pub mod server;
 pub mod snapshot;
 
-pub use client::{
-    fetch_server_latency, run_loadgen, Client, LoadgenOptions, LoadgenReport, ServerLatencySummary,
-};
+pub use client::{run_loadgen, Client, LoadgenOptions, LoadgenReport};
 pub use pool::{EnginePool, ShardSnapshot};
 pub use server::{
     serve_threaded, start, start_frontend, Frontend, FrontendMode, ServerConfig, ServerHandle,
 };
-
-// Re-exported so tools driving many connections (loadgen, the experiment
-// harness) can lift `RLIMIT_NOFILE` without depending on gbtl-net directly.
-pub use gbtl_net::raise_nofile_limit;

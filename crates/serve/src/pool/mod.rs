@@ -11,7 +11,7 @@
 //!
 //! What the contract maps to here:
 //!
-//! * [`Engine::submit`] is the old per-line dispatch: control ops (`ping`,
+//! * [`Engine::submit`](gbtl_net::Engine::submit) is the old per-line dispatch: control ops (`ping`,
 //!   `list`, `stats`, `metrics`, `load`, `shutdown`), cache hits, and every
 //!   rejection (parse errors, `overloaded`, `shutting_down`) answer
 //!   [`Submission::Inline`]; `query` misses and `sleep` push onto the
@@ -24,9 +24,9 @@
 //!   counted in `deadline_expired`); a job already executing when its
 //!   deadline passes completes and replies late, and both front-ends
 //!   deliver that reply.
-//! * [`Engine::drain`] closes the queue to new work, after which workers
+//! * [`Engine::drain`](gbtl_net::Engine::drain) closes the queue to new work, after which workers
 //!   finish every admitted job and park; both front-ends watch
-//!   [`Engine::is_draining`] to stop accepting connections.
+//!   [`Engine::is_draining`](gbtl_net::Engine::is_draining) to stop accepting connections.
 //!
 //! The module map: `queue` holds the one struct that carries a query
 //! (`Member`), the job enum and the bounded queue; this file is admission —

@@ -54,7 +54,7 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// All algorithms, in the order smoke tests exercise them.
+    /// All algorithms, in the order the tests exercise them.
     pub const ALL: [Algo; 6] = [
         Algo::Bfs,
         Algo::Sssp,

@@ -52,6 +52,7 @@ fn main() {
         usage(&msg);
     }
 
+    let addr = config.base.addr.clone();
     let shards = config.shards;
     let mode = config.base.mode;
     let workers = config.base.workers;
@@ -59,7 +60,7 @@ fn main() {
     let handle = match start_sharded(config) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("gbtl-shard: failed to start: {e}");
+            eprintln!("gbtl-shard: failed to start on {addr}: {e}");
             std::process::exit(1);
         }
     };

@@ -1,7 +1,7 @@
 //! The scatter-gather router: one [`gbtl_net::Engine`] multiplexing N
 //! engine-pool shards.
 //!
-//! Because [`Router`] implements the same [`Engine`](gbtl_net::Engine)
+//! Because [`Router`] implements the same [`Engine`]
 //! contract as a single [`EnginePool`], both gbtl-serve front-ends
 //! (`GBTL_SERVE_MODE` threaded/evented) drive it unchanged — sharding is
 //! invisible to the connection layer, and a single-graph query routed

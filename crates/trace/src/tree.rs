@@ -366,7 +366,7 @@ impl XrayStore {
 
     /// Open a trace: allocate its id, stamp the root `net.connection`
     /// span's start, and return the context whose `parent_span` is the
-    /// root. A begin without a matching [`finish_root`] ages out once the
+    /// root. A begin without a matching [`finish_root`](Self::finish_root) ages out once the
     /// open set exceeds the store bound.
     pub fn begin_root(&self, frontend: &'static str) -> TraceContext {
         let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! FNV-1a 64 — the workspace's one definition. It digests the result
 //! vectors `gbtl-serve` checksums on the wire (a word at a time,
-//! [`fnv1a_word`]), the graph names and virtual-node labels `gbtl-shard`
-//! places on its ring, and the loadgen's skew keys, so a change here
+//! [`fnv1a_word`]) and the graph names and virtual-node labels `gbtl-shard`
+//! places on its ring, so a change here
 //! changes wire bytes and placement. The one exception is the `.gbsnap`
 //! checksum, `gbtl_sparse::snapshot::checksum_fold`: a word-wise
 //! FNV-style fold that is not FNV-1a and is part of that file format.

@@ -9,14 +9,14 @@
 //!   One implementation backs both the `gbtl-trace` JSON-lines reporter and
 //!   the `gbtl-serve` wire protocol; `gbtl-trace` re-exports it as
 //!   `gbtl_trace::json` for backward compatibility.
-//! * [`env`] — environment-variable parsing with the workspace-wide
+//! * [`env`](mod@env) — environment-variable parsing with the workspace-wide
 //!   contract: an unset knob silently takes its default, a *set but
 //!   invalid* knob warns once on stderr and then takes its default
 //!   (`GBTL_NUM_THREADS`, `GBTL_TRACE`, the `GBTL_SERVE_*` family).
 //! * [`hash`] — byte-wise FNV-1a 64, the one definition behind wire
-//!   result checksums, shard ring placement and the loadgen's skew keys.
+//!   result checksums and shard ring placement.
 //! * [`stats`] — the nearest-rank percentile definition shared by the
-//!   loadgen latency report and the `gbtl-trace` histogram snapshots, so
+//!   test client's latency report and the `gbtl-trace` histogram snapshots, so
 //!   client-side and server-side percentiles are comparable by
 //!   construction.
 //! * [`sync`] — the one poison-tolerant mutex [`sync::lock`].

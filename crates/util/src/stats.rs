@@ -1,7 +1,7 @@
 //! Shared order statistics: the nearest-rank percentile definition every
 //! latency reporter in the workspace uses.
 //!
-//! One definition, three consumers: the loadgen report
+//! One definition, three consumers: the test client's report
 //! (`gbtl_serve::LoadgenReport::percentile_us`) applies it to a sorted
 //! sample vector, the metrics histograms (`gbtl_trace::metrics`) apply it to
 //! bucket counts, and the experiment harness prints whichever of the two

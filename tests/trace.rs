@@ -168,9 +168,9 @@ fn algorithms_record_spans() {
     assert!(r.total_spans > 10);
 }
 
-#[test]
-fn json_output_parses_back() {
-    let ctx = Context::cuda_default().with_trace_mode(TraceMode::Json);
+/// Every JSON line parses back and names the backend that produced it.
+fn assert_json_lines_parse_back<B: Backend>(ctx: Context<B>, backend: &str) {
+    let ctx = ctx.with_trace_mode(TraceMode::Json);
     exercise_all_ops(&ctx);
     let r = ctx.trace();
     let jsonl = report::format_jsonl(&r);
@@ -179,6 +179,7 @@ fn json_output_parses_back() {
     let mut sections = 0usize;
     for line in jsonl.lines() {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad JSON line {line:?}: {e}"));
+        assert_eq!(v.str_field("backend"), Some(backend), "{line}");
         match v.get("type").and_then(|t| t.as_str()) {
             Some("op_summary") => {
                 summaries += 1;
@@ -197,6 +198,13 @@ fn json_output_parses_back() {
     assert_eq!(spans, r.spans.len());
     assert_eq!(sections, r.sections.len());
     assert!(spans >= ALL_OPS.len());
+}
+
+#[test]
+fn json_output_parses_back() {
+    assert_json_lines_parse_back(Context::sequential(), "sequential");
+    assert_json_lines_parse_back(Context::parallel_with_threads(2), "parallel");
+    assert_json_lines_parse_back(Context::cuda_default(), "cuda-sim");
 }
 
 #[test]
