@@ -469,3 +469,81 @@ impl EnginePool {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::{Catalog, GraphSpec};
+    use crate::protocol::{Algo, BackendChoice};
+    use gbtl_core::Direction;
+    use gbtl_trace::TraceContext;
+    use gbtl_util::hash::fnv1a;
+
+    /// Every envelope `query_response` writes — {cached, computed} × {id,
+    /// none} × {trace, none} × {x-ray, none} × every algorithm and backend,
+    /// on a plain name and on one that needs escaping — from fixed inputs,
+    /// so the whole line is pinned with nothing normalised.
+    #[test]
+    fn query_response_envelopes_are_pinned() {
+        let cat = Catalog::new();
+        let graphs = [
+            cat.load("karate", &GraphSpec::Karate).unwrap(),
+            cat.load("we\"ird\\na\tmé\u{1}", &GraphSpec::Karate)
+                .unwrap(),
+        ];
+        let mut t = String::new();
+        let mut request_id = u64::MAX - 1000;
+        for graph in &graphs {
+            for algo in Algo::ALL {
+                for backend in BackendChoice::ALL {
+                    for combo in 0..16u64 {
+                        let params = QueryParams {
+                            id: (combo & 1 == 1).then_some(combo * 1_000_003),
+                            graph: graph.name.clone(),
+                            algo,
+                            backend,
+                            source: 0,
+                            damping: 0.85,
+                            max_iters: 100,
+                            seed: 7,
+                            direction: Direction::Auto,
+                            full: false,
+                            trace: combo & 2 == 2,
+                            deadline_ms: None,
+                        };
+                        let trace = params.trace.then_some(r#"[{"name":"op.vxm","ns":12}]"#);
+                        let xray = (combo & 4 == 4).then_some(TraceContext {
+                            trace_id: 1 << 33 | combo,
+                            parent_span: 3,
+                        });
+                        request_id += 1;
+                        t.push_str(&query_response(
+                            &params,
+                            graph,
+                            request_id,
+                            combo & 8 == 8,
+                            combo * 977,
+                            r#"{"reached":34,"checksum":"00ff"}"#,
+                            trace,
+                            xray,
+                        ));
+                        t.push('\n');
+                    }
+                }
+            }
+        }
+        assert_eq!(t.lines().count(), 2 * 6 * 3 * 16);
+        for want in [
+            r#"{"ok":true,"request_id":18446744073709550616,"graph":"karate","epoch":1,"algo":"bfs","backend":"seq","cached":false,"micros":0,"result":{"reached":34,"checksum":"00ff"}}"#,
+            r#"{"ok":true,"id":15000045,"trace_id":8589934607,"request_id":18446744073709550631,"graph":"karate","epoch":1,"algo":"bfs","backend":"seq","cached":true,"micros":14655,"result":{"reached":34,"checksum":"00ff"},"trace":[{"name":"op.vxm","ns":12}]}"#,
+            r#"{"ok":true,"request_id":18446744073709550904,"graph":"we\"ird\\na\tmé\u0001","epoch":1,"algo":"bfs","backend":"seq","cached":false,"micros":0,"result":{"reached":34,"checksum":"00ff"}}"#,
+        ] {
+            assert!(t.lines().any(|l| l == want), "no line {want}\n{t}");
+        }
+        assert_eq!(
+            fnv1a(t.as_bytes()),
+            0x9b13_eb13_96c3_2eb7,
+            "envelope transcript digest"
+        );
+    }
+}
