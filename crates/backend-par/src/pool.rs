@@ -24,10 +24,11 @@
 //! one dispatch to the next. A dispatch of one task still runs inline on
 //! the caller.
 //!
-//! One job is in flight per pool. A dispatch that finds another one
-//! published — a second thread sharing the pool through a clone, or a task
-//! that dispatches on its own pool — runs all of its tasks on its caller
-//! rather than wait. A task that panics is caught where it ran; the other
+//! One job is in flight per pool. A dispatch that finds another one in
+//! flight — published, or retired but still waiting for its helpers to
+//! leave: a second thread sharing the pool through a clone, or a task that
+//! dispatches on its own pool — runs all of its tasks on its caller rather
+//! than wait. A task that panics is caught where it ran; the other
 //! tasks still run, the job is retired normally, and the first panic is
 //! re-raised on the dispatching thread. The pool serves the next dispatch
 //! as if nothing had happened.
@@ -121,8 +122,13 @@ struct State {
     /// Bumped per published job, so a helper joins each job at most once.
     epoch: u64,
     /// Helpers inside the job in flight, or still inside the one just
-    /// retired; no job is published until they have left.
+    /// retired.
     inside: usize,
+    /// A dispatch owns the helpers: set when it publishes its job, cleared
+    /// by its `Retire` once every helper has left. No other job is
+    /// published meanwhile, so `left` has at most one waiter, the owner —
+    /// which is what lets a helper wake it with `notify_one`.
+    dispatching: bool,
     shutdown: bool,
     /// `None` until the first fanned-out dispatch spawns them. Spawned
     /// once: a failed spawn leaves fewer helpers and is not retried.
@@ -151,7 +157,8 @@ fn helper_loop(shared: &Shared, w: usize) {
 }
 
 /// Retires the published job on drop: no helper can join it afterwards,
-/// and the drop returns only when those that did have left.
+/// and the drop returns only when those that did have left, handing the
+/// helpers back for the next dispatch.
 struct Retire<'a>(&'a Shared);
 
 impl Drop for Retire<'_> {
@@ -161,6 +168,7 @@ impl Drop for Retire<'_> {
         while st.inside > 0 {
             st = self.0.left.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
+        st.dispatching = false;
     }
 }
 
@@ -367,10 +375,10 @@ impl ThreadPool {
         let job = unsafe { std::mem::transmute::<&'a Work<'a>, &'static Work<'static>>(work) };
         let _retire = {
             let mut st = lock(&shared.state);
-            if st.job.is_some() || st.inside > 0 {
+            if st.dispatching {
                 // another dispatch holds the helpers, or is still waiting
-                // for them to leave (so `left` has one waiter at a time):
-                // worker 0 runs its own block and steals all the others
+                // for them to leave: worker 0 runs its own block and steals
+                // all the others
                 drop(st);
                 return work(0);
             }
@@ -388,6 +396,7 @@ impl ThreadPool {
             st.job = Some(job);
             st.workers = workers;
             st.epoch += 1;
+            st.dispatching = true;
             Retire(shared)
         };
         shared.wake.notify_all();
@@ -488,27 +497,98 @@ mod tests {
         assert_eq!(exited.load(Ordering::SeqCst), 3, "joined, not detached");
     }
 
+    /// Run `body` on a thread of its own and return what it returns, or —
+    /// if it is still running after `limit` — fail the test with
+    /// `progress()` and every thread of this process still alive, named,
+    /// with the kernel function it waits in, instead of hanging the suite.
+    fn within<T: Send + 'static>(
+        limit: Duration,
+        progress: impl Fn() -> String,
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let named = std::thread::Builder::new().name("watched".into());
+        named
+            .spawn(move || tx.send(body()))
+            .expect("spawn the watched body");
+        match rx.recv_timeout(limit) {
+            Ok(out) => out,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!(
+                    "still running after {limit:?}: {}\n{}",
+                    progress(),
+                    threads()
+                )
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("the test body panicked: {}", progress())
+            }
+        }
+    }
+
+    /// One line per thread of this process: its name and the kernel
+    /// function it is waiting in (Linux; elsewhere, a note saying so).
+    fn threads() -> String {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return "(no /proc/self/task to list threads from)".into();
+        };
+        let read = |dir: &std::path::Path, file: &str| {
+            std::fs::read_to_string(dir.join(file))
+                .map_or_else(|_| "?".into(), |s| s.trim().to_string())
+        };
+        tasks
+            .flatten()
+            .map(|t| {
+                let dir = t.path();
+                format!("  {}: waits in {}", read(&dir, "comm"), read(&dir, "wchan"))
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
     #[test]
     fn clones_dispatching_at_once_both_get_their_results() {
+        const ROUNDS: usize = 300;
         let pool = ThreadPool::with_threads(4);
         let start = Arc::new(Barrier::new(2));
-        let threads: Vec<_> = [3usize, 7]
-            .into_iter()
-            .map(|k| {
-                let (pool, start) = (pool.clone(), Arc::clone(&start));
-                std::thread::spawn(move || {
-                    start.wait();
-                    for _ in 0..300 {
-                        let out = pool.run_tasks(50, |i| i * k);
-                        assert_eq!(out, (0..50).map(|i| i * k).collect::<Vec<_>>());
-                    }
+        // rounds each dispatcher has finished, for the watchdog's report
+        let done: Arc<[AtomicUsize; 2]> = Arc::default();
+        let progress = {
+            let done = Arc::clone(&done);
+            move || {
+                let [a, b] = &*done;
+                format!(
+                    "dispatchers at rounds {} and {} of {ROUNDS}",
+                    a.load(Ordering::SeqCst),
+                    b.load(Ordering::SeqCst)
+                )
+            }
+        };
+        let executed = within(Duration::from_secs(30), progress, move || {
+            let threads: Vec<_> = [3usize, 7]
+                .into_iter()
+                .enumerate()
+                .map(|(d, k)| {
+                    let (pool, start, done) = (pool.clone(), Arc::clone(&start), Arc::clone(&done));
+                    let named = std::thread::Builder::new().name(format!("dispatch-{k}"));
+                    named
+                        .spawn(move || {
+                            start.wait();
+                            for _ in 0..ROUNDS {
+                                let out = pool.run_tasks(50, |i| i * k);
+                                assert_eq!(out, (0..50).map(|i| i * k).collect::<Vec<_>>());
+                                done[d].fetch_add(1, Ordering::SeqCst);
+                            }
+                        })
+                        .expect("spawn a dispatcher")
                 })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("a dispatching thread failed");
-        }
-        assert_eq!(pool.stats().tasks_executed, 2 * 300 * 50);
+                .collect();
+            for t in threads {
+                t.join().expect("a dispatching thread failed");
+            }
+            pool.stats().tasks_executed
+        });
+        assert_eq!(executed, (2 * ROUNDS * 50) as u64);
     }
 
     #[test]
@@ -594,11 +674,16 @@ mod tests {
         // Worker 0 is dealt tasks [0, 16) and blocks on task 0 until task
         // 15 has run. Task 15 is the back of worker 0's own block, so only
         // worker 1 stealing it can release task 0, however late worker 1's
-        // thread wakes.
+        // thread wakes; and if worker 0 is the late one, worker 1 steals
+        // its block from the back down to task 0. Either way there are
+        // steals, and whichever worker ran task 0 slept in it.
         let pool = ThreadPool::with_threads(2);
+        let caller = std::thread::current().id();
         let stolen = AtomicBool::new(false);
+        let task0_on_caller = AtomicBool::new(false);
         let out = pool.run_tasks(32, |i| {
             if i == 0 {
+                task0_on_caller.store(std::thread::current().id() == caller, Ordering::Relaxed);
                 std::thread::sleep(Duration::from_millis(40));
                 let t0 = Instant::now();
                 while !stolen.load(Ordering::Acquire) {
@@ -620,9 +705,12 @@ mod tests {
         assert_eq!(s.tasks_executed, 32);
         assert!(s.steals > 0, "expected steals on the unbalanced workload");
         assert_eq!(s.busy_ns.len(), 2);
+        // the caller is worker 0, the one helper worker 1
+        let w = usize::from(!task0_on_caller.load(Ordering::Relaxed));
         assert!(
-            s.busy_ns[0] >= 40_000_000,
-            "worker 0 busy time must cover the sleeping task"
+            s.busy_ns[w] >= 40_000_000,
+            "worker {w} ran task 0, so its busy time must cover the sleep: {:?}",
+            s.busy_ns
         );
     }
 

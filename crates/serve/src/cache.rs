@@ -28,13 +28,18 @@ pub struct CachedResult {
 
 /// Build the full cache key from its parts.
 pub fn cache_key(graph: &str, epoch: u64, params: &str) -> String {
-    use std::fmt::Write;
     // 20 digits hold any u64 epoch
     let mut key = String::with_capacity(graph.len() + params.len() + 22);
-    key.push_str(graph);
-    let _ = write!(key, "@{epoch}|");
+    push_key_prefix(&mut key, graph, epoch);
     key.push_str(params);
     key
+}
+
+/// Append the part of a cache key before its parameters to `key`.
+pub(crate) fn push_key_prefix(key: &mut String, graph: &str, epoch: u64) {
+    use std::fmt::Write;
+    key.push_str(graph);
+    let _ = write!(key, "@{epoch}|");
 }
 
 #[derive(Debug, Default)]

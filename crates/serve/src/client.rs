@@ -5,7 +5,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use gbtl_util::json::{parse, Value};
 use gbtl_util::sync::lock;
@@ -121,32 +120,9 @@ pub struct LoadgenReport {
     /// Responses that were missing, unparsable, or answered the wrong
     /// request id — must be zero on a healthy run.
     pub corrupted: u64,
-    /// Wall-clock for the whole run.
-    pub elapsed: Duration,
-    /// Per-request client-observed latencies, sorted ascending, microseconds.
-    pub latencies_us: Vec<u64>,
     /// Of [`LoadgenOptions::idle_conns`] idle connections held through the
     /// run, how many still answered a ping afterwards.
     pub idle_alive: u64,
-}
-
-impl LoadgenReport {
-    /// Completed requests per second of wall-clock.
-    pub fn qps(&self) -> f64 {
-        let total = self.ok + self.errors.iter().map(|(_, n)| n).sum::<u64>();
-        if self.elapsed.as_secs_f64() > 0.0 {
-            total as f64 / self.elapsed.as_secs_f64()
-        } else {
-            0.0
-        }
-    }
-
-    /// The `p`-th latency percentile in microseconds (nearest-rank, the
-    /// shared [`gbtl_util::stats`] definition — the same one server-side
-    /// histogram snapshots use, so the two sides are comparable).
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        gbtl_util::stats::percentile_sorted(&self.latencies_us, p)
-    }
 }
 
 /// Shared tallies every client thread reports into.
@@ -156,12 +132,11 @@ struct Tallies {
     cached: Arc<AtomicU64>,
     ok: Arc<AtomicU64>,
     errors: Arc<Mutex<std::collections::HashMap<String, u64>>>,
-    latencies: Arc<Mutex<Vec<u64>>>,
 }
 
 impl Tallies {
     /// Validate one raw response against the id it must answer.
-    fn score(&self, raw: &str, expected_id: u64, us: u64) {
+    fn score(&self, raw: &str, expected_id: u64) {
         match parse(raw) {
             Ok(v) => {
                 let id_ok = v.u64_field("id") == Some(expected_id);
@@ -170,7 +145,6 @@ impl Tallies {
                     if v.bool_field("cached") == Some(true) {
                         self.cached.fetch_add(1, Ordering::Relaxed);
                     }
-                    lock(&self.latencies).push(us);
                 } else if v.bool_field("ok") == Some(false) && id_ok {
                     let code = v.str_field("code").unwrap_or("unknown").to_string();
                     *lock(&self.errors).entry(code).or_insert(0) += 1;
@@ -205,14 +179,11 @@ fn closed_loop_client(opts: &LoadgenOptions, c: usize, tallies: &Tallies) -> std
     let mut client = Client::connect(&opts.addr)?;
     for r in 0..opts.requests_per_client {
         let (id, line) = request_line(opts, c, r);
-        let q0 = Instant::now();
-        let response = client.request(&line);
-        let us = q0.elapsed().as_micros() as u64;
-        let Ok(raw) = response else {
+        let Ok(raw) = client.request(&line) else {
             tallies.corrupted.fetch_add(1, Ordering::Relaxed);
             continue;
         };
-        tallies.score(&raw, id, us);
+        tallies.score(&raw, id);
     }
     Ok(())
 }
@@ -220,9 +191,7 @@ fn closed_loop_client(opts: &LoadgenOptions, c: usize, tallies: &Tallies) -> std
 /// The pipelined loop: keep up to `depth` requests in flight on one
 /// connection, and require the responses to come back **in request order**
 /// (the wire contract both front-ends uphold) — an out-of-order or missing
-/// response counts as corrupted. Per-request latency runs from that
-/// request's send to its response, so it includes time spent queued behind
-/// earlier responses in the window.
+/// response counts as corrupted.
 fn pipelined_client(
     opts: &LoadgenOptions,
     c: usize,
@@ -233,19 +202,18 @@ fn pipelined_client(
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    // (id, sent-at), oldest first
-    let mut inflight: std::collections::VecDeque<(u64, Instant)> =
+    // ids, oldest first
+    let mut inflight: std::collections::VecDeque<u64> =
         std::collections::VecDeque::with_capacity(depth);
 
-    let mut read_one = |inflight: &mut std::collections::VecDeque<(u64, Instant)>| -> bool {
-        let Some((id, sent)) = inflight.pop_front() else {
+    let mut read_one = |inflight: &mut std::collections::VecDeque<u64>| -> bool {
+        let Some(id) = inflight.pop_front() else {
             return false;
         };
         let mut raw = String::new();
         match reader.read_line(&mut raw) {
             Ok(n) if n > 0 => {
-                let us = sent.elapsed().as_micros() as u64;
-                tallies.score(raw.trim_end(), id, us);
+                tallies.score(raw.trim_end(), id);
                 true
             }
             _ => {
@@ -270,7 +238,7 @@ fn pipelined_client(
             );
             return Ok(());
         }
-        inflight.push_back((id, Instant::now()));
+        inflight.push_back(id);
         while inflight.len() >= depth {
             if !read_one(&mut inflight) {
                 return Ok(());
@@ -299,7 +267,6 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> std::io::Result<LoadgenReport> {
         idle.push(Client::connect(&opts.addr)?);
     }
 
-    let t0 = Instant::now();
     let mut handles = Vec::new();
     for c in 0..opts.clients {
         let opts = opts.clone();
@@ -325,7 +292,6 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> std::io::Result<LoadgenReport> {
             }
         }
     }
-    let elapsed = t0.elapsed();
 
     // now that the query phase is over, every idle connection must still be
     // answering — the flood proves idle connections survive load untouched
@@ -340,8 +306,6 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> std::io::Result<LoadgenReport> {
         }
     }
 
-    let mut latencies_us = std::mem::take(&mut *lock(&tallies.latencies));
-    latencies_us.sort_unstable();
     let mut errors: Vec<(String, u64)> = lock(&tallies.errors).drain().collect();
     errors.sort();
     Ok(LoadgenReport {
@@ -349,29 +313,6 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> std::io::Result<LoadgenReport> {
         cached: tallies.cached.load(Ordering::Relaxed),
         errors,
         corrupted: tallies.corrupted.load(Ordering::Relaxed),
-        elapsed,
-        latencies_us,
         idle_alive,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The nearest-rank definition itself is tested in gbtl_util::stats
-    // (where the implementation moved); this covers only the delegation
-    // and the empty-report guard.
-    #[test]
-    fn report_percentiles_delegate_to_shared_stats() {
-        let r = LoadgenReport {
-            latencies_us: (1..=100).collect(),
-            ..Default::default()
-        };
-        assert_eq!(r.percentile_us(50.0), 51);
-        assert_eq!(r.percentile_us(99.0), 99);
-        let empty = LoadgenReport::default();
-        assert_eq!(empty.percentile_us(99.0), 0);
-        assert_eq!(empty.qps(), 0.0);
-    }
 }

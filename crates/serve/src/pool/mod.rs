@@ -55,7 +55,7 @@ pub use render::{
     mirror_net_gauges, net_stats_json, persistence_response, render_graph_item, ShardSnapshot,
 };
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::ResultCache;
 use crate::catalog::{Catalog, GraphEntry, GraphSpec};
 use crate::engine::Engine as QueryEngine;
 use crate::protocol::{error_response, oversized_response, parse_request, xray_response, Request};
@@ -562,7 +562,7 @@ impl gbtl_net::Engine for EnginePool {
                     ));
                 };
                 let request_id = self.next_request_id();
-                let key = cache_key(&graph.name, graph.epoch, &params.cache_params());
+                let key = params.cache_key(&graph.name, graph.epoch);
                 if let Some(hit) = self.cache.get(&key) {
                     // a hit is the render-and-record half of a completion,
                     // run here: no member, no queue, nothing new allocated.

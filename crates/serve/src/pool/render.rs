@@ -12,7 +12,7 @@ use std::time::Instant;
 use gbtl_net::NetStats;
 use gbtl_trace::metrics::expose::{histogram_json, render_json, render_prometheus};
 use gbtl_trace::metrics::{HistogramSnapshot, Registry, RegistrySnapshot};
-use gbtl_util::json::escape;
+use gbtl_util::json::{escape, escape_into};
 
 use super::EnginePool;
 use crate::catalog::GraphEntry;
@@ -21,7 +21,8 @@ use crate::protocol::QueryParams;
 
 // The span-tree trace id rides in its own field so a client that asked for
 // sampling can fetch the trace afterwards; the `result` bytes are identical
-// traced or not (the differential property the xray tests pin down).
+// traced or not (the differential property the xray tests pin down). The
+// line is written into one buffer sized for it up front.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn query_response(
     params: &QueryParams,
@@ -33,26 +34,33 @@ pub(super) fn query_response(
     trace_json: Option<&str>,
     xray: Option<gbtl_trace::TraceContext>,
 ) -> String {
-    let id_part = params
-        .id
-        .map(|i| format!("\"id\":{i},"))
-        .unwrap_or_default();
-    let xray_part = xray
-        .map(|c| format!("\"trace_id\":{},", c.trace_id))
-        .unwrap_or_default();
-    let trace_part = trace_json
-        .map(|t| format!(",\"trace\":{t}"))
-        .unwrap_or_default();
-    format!(
-        "{{\"ok\":true,{id_part}{xray_part}\"request_id\":{request_id},\"graph\":\"{}\",\
-         \"epoch\":{},\"algo\":\"{}\",\
-         \"backend\":\"{}\",\"cached\":{cached},\"micros\":{micros},\
-         \"result\":{result_json}{trace_part}}}",
-        escape(&graph.name),
+    // the fixed text and five numbers fit in 256 bytes
+    let variable = graph.name.len() + result_json.len() + trace_json.map_or(0, str::len);
+    let mut s = String::with_capacity(256 + variable);
+    s.push_str("{\"ok\":true,");
+    if let Some(i) = params.id {
+        let _ = write!(s, "\"id\":{i},");
+    }
+    if let Some(c) = xray {
+        let _ = write!(s, "\"trace_id\":{},", c.trace_id);
+    }
+    let _ = write!(s, "\"request_id\":{request_id},\"graph\":\"");
+    escape_into(&mut s, &graph.name);
+    let _ = write!(
+        s,
+        "\",\"epoch\":{},\"algo\":\"{}\",\"backend\":\"{}\",\"cached\":{cached},\
+         \"micros\":{micros},\"result\":",
         graph.epoch,
         params.algo.as_str(),
         params.backend.as_str(),
-    )
+    );
+    s.push_str(result_json);
+    if let Some(t) = trace_json {
+        s.push_str(",\"trace\":");
+        s.push_str(t);
+    }
+    s.push('}');
+    s
 }
 
 /// Render one catalog entry as the `list` item object. Shared with the

@@ -403,7 +403,7 @@ mod tests {
         };
         let tx = tx.clone();
         Member {
-            key: crate::cache::cache_key(&graph.name, graph.epoch, &params.cache_params()),
+            key: params.cache_key(&graph.name, graph.epoch),
             params,
             graph: Arc::clone(graph),
             request_id: id,

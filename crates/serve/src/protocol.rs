@@ -3,7 +3,9 @@
 //! One request object per line in, one response object per line out, in
 //! request order per connection. Parsing rides on the shared reader in
 //! [`gbtl_util::json`] (the same implementation the trace reporters verify
-//! against); responses are emitted by hand with [`gbtl_util::json::escape`].
+//! against), through [`json::read_object`]: a line is read once and no
+//! tree is built. Responses are emitted by hand with
+//! [`gbtl_util::json::escape`].
 //!
 //! Requests (`"op"` selects the kind):
 //!
@@ -34,7 +36,7 @@
 //! human-readable `"error"`.
 
 use gbtl_core::Direction;
-use gbtl_util::json::{self, escape, Value};
+use gbtl_util::json::{self, escape, Field};
 
 /// Which algorithm a query runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,9 +175,25 @@ impl QueryParams {
     /// name and epoch this is the result-cache key, so two requests that
     /// must produce identical payloads — and only those — collide.
     pub fn cache_params(&self) -> String {
-        use std::fmt::Write;
-        // written in place into one buffer with room for a typical key
+        // room for a typical key
         let mut s = String::with_capacity(80);
+        self.push_cache_params(&mut s);
+        s
+    }
+
+    /// This query's result-cache key on `graph` at `epoch`: the bytes of
+    /// [`cache_key`](crate::cache::cache_key) of its
+    /// [`QueryParams::cache_params`], written into one buffer.
+    pub fn cache_key(&self, graph: &str, epoch: u64) -> String {
+        let mut key = String::with_capacity(graph.len() + 22 + 80);
+        crate::cache::push_key_prefix(&mut key, graph, epoch);
+        self.push_cache_params(&mut key);
+        key
+    }
+
+    /// Append [`QueryParams::cache_params`] to `s`.
+    fn push_cache_params(&self, s: &mut String) {
+        use std::fmt::Write;
         s.push_str("algo=");
         s.push_str(self.algo.as_str());
         s.push_str(";backend=");
@@ -196,7 +214,6 @@ impl QueryParams {
         if self.full {
             s.push_str(";full");
         }
-        s
     }
 }
 
@@ -292,10 +309,76 @@ pub enum Request {
     },
 }
 
-/// Parse one request line.
+/// The fields the request grammar reads, each as its first occurrence on
+/// the line — the one [`json::Value::get`] would find. Any other field is
+/// skipped.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<Field<'a>>,
+    id: Option<Field<'a>>,
+    ms: Option<Field<'a>>,
+    deadline_ms: Option<Field<'a>>,
+    name: Option<Field<'a>>,
+    graph: Option<Field<'a>>,
+    spec: Option<Field<'a>>,
+    algo: Option<Field<'a>>,
+    backend: Option<Field<'a>>,
+    source: Option<Field<'a>>,
+    damping: Option<Field<'a>>,
+    max_iters: Option<Field<'a>>,
+    seed: Option<Field<'a>>,
+    direction: Option<Field<'a>>,
+    full: Option<Field<'a>>,
+    trace: Option<Field<'a>>,
+    trace_id: Option<Field<'a>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Fill the slots from `line`, strings borrowed from it where they
+    /// hold no escape. A document that is not an object fills none.
+    fn read(&mut self, line: &'a str) -> Result<(), String> {
+        json::read_object(line, |key, value| {
+            if let Some(slot @ None) = self.slot(&key) {
+                *slot = Some(value);
+            }
+        })
+        .map_err(|e| format!("bad JSON: {e}"))?;
+        Ok(())
+    }
+
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Field<'a>>> {
+        Some(match key {
+            "op" => &mut self.op,
+            "id" => &mut self.id,
+            "ms" => &mut self.ms,
+            "deadline_ms" => &mut self.deadline_ms,
+            "name" => &mut self.name,
+            "graph" => &mut self.graph,
+            "spec" => &mut self.spec,
+            "algo" => &mut self.algo,
+            "backend" => &mut self.backend,
+            "source" => &mut self.source,
+            "damping" => &mut self.damping,
+            "max_iters" => &mut self.max_iters,
+            "seed" => &mut self.seed,
+            "direction" => &mut self.direction,
+            "full" => &mut self.full,
+            "trace" => &mut self.trace,
+            "trace_id" => &mut self.trace_id,
+            _ => return None,
+        })
+    }
+}
+
+/// Parse one request line. The line is read once, into the fields the
+/// grammar knows; only the strings a [`Request`] keeps are copied.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let op = v.str_field("op").ok_or("missing \"op\" field")?;
+    let mut f = Fields::default();
+    f.read(line)?;
+    let op =
+        f.op.as_ref()
+            .and_then(Field::as_str)
+            .ok_or("missing \"op\" field")?;
     match op {
         "ping" => Ok(Request::Ping),
         "list" => Ok(Request::List),
@@ -303,40 +386,40 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         "sleep" => Ok(Request::Sleep {
-            ms: field(&v, op, "ms", UINT, Value::as_u64)?.ok_or("sleep: missing \"ms\"")?,
-            id: field(&v, op, "id", UINT, Value::as_u64)?,
-            deadline_ms: field(&v, op, "deadline_ms", UINT, Value::as_u64)?,
+            ms: field(&f.ms, op, "ms", UINT, Field::as_u64)?.ok_or("sleep: missing \"ms\"")?,
+            id: field(&f.id, op, "id", UINT, Field::as_u64)?,
+            deadline_ms: field(&f.deadline_ms, op, "deadline_ms", UINT, Field::as_u64)?,
         }),
         "load" => Ok(Request::Load {
             // "graph" is accepted as an alias so load and query lines can
             // name the graph with the same field
-            name: field(&v, op, "name", STR, Value::as_str)?
-                .or(field(&v, op, "graph", STR, Value::as_str)?)
+            name: field(&f.name, op, "name", STR, Field::as_str)?
+                .or(field(&f.graph, op, "graph", STR, Field::as_str)?)
                 .ok_or("load: missing \"name\"")?
                 .to_string(),
-            spec: field(&v, op, "spec", STR, Value::as_str)?
+            spec: field(&f.spec, op, "spec", STR, Field::as_str)?
                 .ok_or("load: missing \"spec\"")?
                 .to_string(),
         }),
         "query" => {
-            let graph = field(&v, op, "graph", STR, Value::as_str)?
+            let graph = field(&f.graph, op, "graph", STR, Field::as_str)?
                 .ok_or("query: missing \"graph\"")?
                 .to_string();
-            Ok(Request::Query(parse_query_params(&v, graph)?))
+            Ok(Request::Query(parse_query_params(&f, graph)?))
         }
         // graph-less: the server substitutes every resident graph name
-        "query_all" => Ok(Request::QueryAll(parse_query_params(&v, String::new())?)),
+        "query_all" => Ok(Request::QueryAll(parse_query_params(&f, String::new())?)),
         "snapshot" => Ok(Request::Snapshot {
-            graph: field(&v, op, "graph", STR, Value::as_str)?.map(str::to_string),
-            id: field(&v, op, "id", UINT, Value::as_u64)?,
+            graph: field(&f.graph, op, "graph", STR, Field::as_str)?.map(str::to_string),
+            id: field(&f.id, op, "id", UINT, Field::as_u64)?,
         }),
         "restore" => Ok(Request::Restore {
-            graph: field(&v, op, "graph", STR, Value::as_str)?.map(str::to_string),
-            id: field(&v, op, "id", UINT, Value::as_u64)?,
+            graph: field(&f.graph, op, "graph", STR, Field::as_str)?.map(str::to_string),
+            id: field(&f.id, op, "id", UINT, Field::as_u64)?,
         }),
         "xray" => Ok(Request::Xray {
-            trace_id: field(&v, op, "trace_id", UINT, Value::as_u64)?,
-            id: field(&v, op, "id", UINT, Value::as_u64)?,
+            trace_id: field(&f.trace_id, op, "trace_id", UINT, Field::as_u64)?,
+            id: field(&f.id, op, "id", UINT, Field::as_u64)?,
         }),
         other => Err(format!("unknown op {other:?}")),
     }
@@ -346,17 +429,18 @@ const STR: &str = "a string";
 const UINT: &str = "a non-negative integer";
 const BOOL: &str = "true or false";
 
-/// An optional field of `op`'s request object: `None` when absent, its
-/// value when `read` accepts it, and an error naming the field when it is
-/// present with the wrong type or range — never a silent default.
-fn field<'v, T>(
-    v: &'v Value,
+/// An optional field of `op`'s request object, read from its `slot`:
+/// `None` when absent, its value when `read` accepts it, and an error
+/// naming the field when it is present with the wrong type or range —
+/// never a silent default.
+fn field<'v, 'a, T>(
+    slot: &'v Option<Field<'a>>,
     op: &str,
     name: &str,
     expected: &str,
-    read: impl FnOnce(&'v Value) -> Option<T>,
+    read: impl FnOnce(&'v Field<'a>) -> Option<T>,
 ) -> Result<Option<T>, String> {
-    match v.get(name) {
+    match slot {
         None => Ok(None),
         Some(x) => read(x)
             .map(Some)
@@ -367,37 +451,44 @@ fn field<'v, T>(
 /// The shared `query` / `query_all` parameter grammar (everything but the
 /// graph name, which `query` requires and `query_all` forbids meaning to).
 /// An absent field takes its default; a present one must be well-typed.
-fn parse_query_params(v: &Value, graph: String) -> Result<QueryParams, String> {
+fn parse_query_params(f: &Fields, graph: String) -> Result<QueryParams, String> {
     let q = "query";
-    let algo = field(v, q, "algo", STR, Value::as_str)?.ok_or("query: missing \"algo\"")?;
+    let algo = field(&f.algo, q, "algo", STR, Field::as_str)?.ok_or("query: missing \"algo\"")?;
     let algo = Algo::parse(algo)?;
-    let backend = match field(v, q, "backend", STR, Value::as_str)? {
+    let backend = match field(&f.backend, q, "backend", STR, Field::as_str)? {
         Some(b) => BackendChoice::parse(b)?,
         None => BackendChoice::default(),
     };
-    let damping = field(v, q, "damping", "a number in [0, 1)", Value::as_f64)?.unwrap_or(0.85);
+    let damping = field(
+        &f.damping,
+        q,
+        "damping",
+        "a number in [0, 1)",
+        Field::as_f64,
+    )?
+    .unwrap_or(0.85);
     if !(0.0..1.0).contains(&damping) {
         return Err(format!("query: damping {damping} outside [0, 1)"));
     }
-    let direction = match field(v, q, "direction", STR, Value::as_str)? {
+    let direction = match field(&f.direction, q, "direction", STR, Field::as_str)? {
         Some(d) => Direction::parse(d).ok_or_else(|| {
             format!("query: unknown \"direction\" {d:?} (expected push|pull|auto)")
         })?,
         None => Direction::Auto,
     };
     Ok(QueryParams {
-        id: field(v, q, "id", UINT, Value::as_u64)?,
+        id: field(&f.id, q, "id", UINT, Field::as_u64)?,
         graph,
         algo,
         backend,
-        source: field(v, q, "source", UINT, Value::as_usize)?.unwrap_or(0),
+        source: field(&f.source, q, "source", UINT, Field::as_usize)?.unwrap_or(0),
         damping,
-        max_iters: field(v, q, "max_iters", UINT, Value::as_usize)?.unwrap_or(100),
-        seed: field(v, q, "seed", UINT, Value::as_u64)?.unwrap_or(7),
+        max_iters: field(&f.max_iters, q, "max_iters", UINT, Field::as_usize)?.unwrap_or(100),
+        seed: field(&f.seed, q, "seed", UINT, Field::as_u64)?.unwrap_or(7),
         direction,
-        full: field(v, q, "full", BOOL, Value::as_bool)?.unwrap_or(false),
-        trace: field(v, q, "trace", BOOL, Value::as_bool)?.unwrap_or(false),
-        deadline_ms: field(v, q, "deadline_ms", UINT, Value::as_u64)?,
+        full: field(&f.full, q, "full", BOOL, Field::as_bool)?.unwrap_or(false),
+        trace: field(&f.trace, q, "trace", BOOL, Field::as_bool)?.unwrap_or(false),
+        deadline_ms: field(&f.deadline_ms, q, "deadline_ms", UINT, Field::as_u64)?,
     })
 }
 

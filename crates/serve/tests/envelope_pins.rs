@@ -8,7 +8,9 @@
 //! (answered inline by `submit`) with every combination of a client `id`,
 //! `"trace":true` and an x-ray context. Only `micros` is normalised; every
 //! other byte of each line, and the transcript of cache keys, is pinned by
-//! one FNV-1a each, plus a few lines literally.
+//! one FNV-1a each, plus a few lines literally. Both digests were recorded
+//! before the request reader stopped building a tree and before a key and
+//! a response were each written into one buffer.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -174,7 +176,11 @@ fn key_transcript() -> String {
                                 trace,
                                 deadline_ms: None,
                             };
-                            out.push_str(&cache_key(name, epoch, &q.cache_params()));
+                            // the hit path's one-buffer key is the
+                            // two-part key, byte for byte
+                            let key = q.cache_key(name, epoch);
+                            assert_eq!(key, cache_key(name, epoch, &q.cache_params()));
+                            out.push_str(&key);
                             out.push('\n');
                         }
                     }

@@ -2,9 +2,14 @@
 //!
 //! One implementation backs the `gbtl-trace` JSON-lines reporter round-trip
 //! checks *and* the `gbtl-serve` newline-delimited wire protocol. Not a
-//! general-purpose parser: no streaming, numbers land in `f64`, and errors
-//! are plain strings. Writers emit JSON by hand (the workspace is
-//! dependency-free) and use [`escape`] for string payloads.
+//! general-purpose parser: numbers land in `f64`, and errors are plain
+//! strings. [`parse`] builds a [`Value`] tree; [`read_object`] runs the same
+//! reader over one object's members and hands each to a visitor, strings
+//! borrowed from the input where they hold no escape. Writers emit JSON by
+//! hand (the workspace is dependency-free) and use [`escape`] or
+//! [`escape_into`] for string payloads.
+
+use std::borrow::Cow;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,6 +26,12 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object (insertion-ordered).
     Obj(Vec<(String, Value)>),
+}
+
+/// `n` as an exact non-negative integer: `None` for fractions, negatives,
+/// and anything above 2^53.
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
 impl Value {
@@ -51,12 +62,7 @@ impl Value {
     /// The numeric payload as an exact non-negative integer (fails on
     /// fractions, negatives, and anything above 2^53).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// [`Value::as_u64`] narrowed to `usize`.
@@ -101,25 +107,103 @@ impl Value {
     }
 }
 
+/// One member value as [`read_object`] hands it over: a scalar as itself,
+/// a string borrowed from the input unless it holds an escape, and a
+/// nested array or object as the [`Value`] tree [`parse`] would build.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any number (kept as `f64`).
+    Num(f64),
+    /// A string.
+    Str(Cow<'a, str>),
+    /// An array or an object.
+    Tree(Value),
+}
+
+impl Field<'_> {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Field::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// As [`Value::as_u64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    /// As [`Value::as_usize`].
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Field::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl From<Field<'_>> for Value {
+    fn from(f: Field<'_>) -> Value {
+        match f {
+            Field::Null => Value::Null,
+            Field::Bool(b) => Value::Bool(b),
+            Field::Num(n) => Value::Num(n),
+            Field::Str(s) => Value::Str(s.into_owned()),
+            Field::Tree(v) => v,
+        }
+    }
+}
+
 /// Escape a string for embedding in a JSON string literal (quotes not
 /// included). Everything the reader understands round-trips.
 pub fn escape(s: &str) -> String {
-    use std::fmt::Write;
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// [`escape`], appended to `out`: runs that need no escape are copied
+/// whole.
+pub fn escape_into(out: &mut String, s: &str) {
+    use std::fmt::Write;
+    let mut run = 0;
+    for (i, &c) in s.as_bytes().iter().enumerate() {
+        if c != b'"' && c != b'\\' && c >= 0x20 {
+            continue;
+        }
+        // every byte that ends a run is ASCII, so `i` is a char boundary
+        out.push_str(&s[run..i]);
+        match c {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{c:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Render `pairs` as one JSON object of strings, `{"k":"v",…}`, keys and
@@ -141,8 +225,39 @@ pub const MAX_DEPTH: usize = 128;
 /// Parse one complete JSON document; trailing non-whitespace is an error,
 /// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut pos = 0usize;
-    let value = parse_value(input, &mut pos, MAX_DEPTH)?;
+    whole(input, |pos| Ok(read_value(input, pos, MAX_DEPTH)?.into()))
+}
+
+/// Read `input` as one JSON object, handing `visit` each top-level member's
+/// key and value in order, strings borrowed where they hold no escape: the
+/// reader [`parse`] runs, without the tree around the members. Every
+/// document it refuses, [`parse`] refuses with the same error, and the
+/// members it visits are the fields of the object [`parse`] returns.
+/// `Ok(false)`, with nothing visited, is a valid document that is not an
+/// object. `visit` may have seen members before an error is returned.
+pub fn read_object<'a>(
+    input: &'a str,
+    visit: impl FnMut(Cow<'a, str>, Field<'a>),
+) -> Result<bool, String> {
+    let b = input.as_bytes();
+    let mut pos = 0;
+    skip_ws(b, &mut pos);
+    if b.get(pos) != Some(&b'{') {
+        return parse(input).map(|_| false);
+    }
+    // the object is the document's outermost level, as in `parse`
+    whole(input, |pos| {
+        skip_ws(b, pos);
+        read_members(input, pos, MAX_DEPTH - 1, visit)
+    })?;
+    Ok(true)
+}
+
+/// What `read` reads from the start of `input`, which must be all of it
+/// but trailing whitespace.
+fn whole<T>(input: &str, read: impl FnOnce(&mut usize) -> Result<T, String>) -> Result<T, String> {
+    let mut pos = 0;
+    let value = read(&mut pos)?;
     skip_ws(input.as_bytes(), &mut pos);
     if pos != input.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -150,12 +265,14 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(value)
 }
 
+#[inline(always)]
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
 }
 
+#[inline(always)]
 fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     if *pos < b.len() && b[*pos] == ch {
         *pos += 1;
@@ -167,10 +284,13 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
 
 // The readers below take the document as `&str` and index it by byte: a
 // position is only ever moved past ASCII, so every slice they take of it
-// starts and ends on a character boundary.
+// starts and ends on a character boundary. The ones a member is read with
+// are always inlined: `read_members` is instantiated in the crate of its
+// visitor, and a call per token from there doubled a request line's read.
 
 /// A value, inside which arrays and objects may nest `room` levels deep.
-fn parse_value(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
+#[inline(always)]
+fn read_value<'a>(s: &'a str, pos: &mut usize, room: usize) -> Result<Field<'a>, String> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
@@ -178,26 +298,28 @@ fn parse_value(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
         Some(b'{' | b'[') if room == 0 => {
             Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
         }
-        Some(b'{') => parse_obj(s, pos, room - 1),
-        Some(b'[') => parse_arr(s, pos, room - 1),
-        Some(b'"') => Ok(Value::Str(parse_string(s, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(s, pos),
+        Some(b'{') => parse_obj(s, pos, room - 1).map(Field::Tree),
+        Some(b'[') => parse_arr(s, pos, room - 1).map(Field::Tree),
+        Some(b'"') => read_string(s, pos).map(Field::Str),
+        Some(b't') => read_lit(b, pos, "true").map(|()| Field::Bool(true)),
+        Some(b'f') => read_lit(b, pos, "false").map(|()| Field::Bool(false)),
+        Some(b'n') => read_lit(b, pos, "null").map(|()| Field::Null),
+        Some(_) => read_num(s, pos).map(Field::Num),
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
+#[inline(always)]
+fn read_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
-        Ok(v)
+        Ok(())
     } else {
         Err(format!("bad literal at byte {}", *pos))
     }
 }
 
-fn parse_num(s: &str, pos: &mut usize) -> Result<Value, String> {
+#[inline(always)]
+fn read_num(s: &str, pos: &mut usize) -> Result<f64, String> {
     let b = s.as_bytes();
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -205,11 +327,11 @@ fn parse_num(s: &str, pos: &mut usize) -> Result<Value, String> {
     }
     let text = &s[start..*pos];
     text.parse::<f64>()
-        .map(Value::Num)
         .map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
 /// The index of the first `"` or `\` at or after `from`, if any.
+#[inline(always)]
 fn next_delimiter(b: &[u8], from: usize) -> Option<usize> {
     b[from..]
         .iter()
@@ -228,16 +350,19 @@ fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
     }))
 }
 
-fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+/// A string: borrowed from `s` when it holds no escape, else decoded into
+/// one owned copy.
+#[inline(always)]
+fn read_string<'a>(s: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
     let b = s.as_bytes();
     expect(b, pos, b'"')?;
     // plain runs (multi-byte UTF-8 included) alternate with escapes; a
-    // string without escapes is its first run, returned as one copy
+    // string without escapes is its first run
     let mut end = next_delimiter(b, *pos).ok_or("unterminated string")?;
     if b[end] == b'"' {
         let run = &s[*pos..end];
         *pos = end + 1;
-        return Ok(run.to_owned());
+        return Ok(Cow::Borrowed(run));
     }
     let mut out = s[*pos..end].to_owned();
     loop {
@@ -277,19 +402,45 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
         out.push_str(&s[*pos..end]);
         if b[end] == b'"' {
             *pos = end + 1;
-            return Ok(out);
+            return Ok(Cow::Owned(out));
         }
     }
 }
 
-fn parse_obj(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
+/// The members of the object at `pos`, handed to `member` in order; their
+/// values may nest `room` levels deep.
+fn read_members<'a>(
+    s: &'a str,
+    pos: &mut usize,
+    room: usize,
+    mut member: impl FnMut(Cow<'a, str>, Field<'a>),
+) -> Result<(), String> {
     let b = s.as_bytes();
     expect(b, pos, b'{')?;
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Value::Obj(Vec::new()));
+        return Ok(());
     }
+    loop {
+        skip_ws(b, pos);
+        let key = read_string(s, pos)?;
+        skip_ws(b, pos);
+        expect(b, pos, b':')?;
+        member(key, read_value(s, pos, room)?);
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+        }
+    }
+}
+
+fn parse_obj(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
     // room for a request line's fields without regrowing; a nested object,
     // of which one line may hold thousands, reserves nothing ahead, so no
     // line holds more than 64 bytes a byte of it (tests/json_alloc.rs)
@@ -298,23 +449,10 @@ fn parse_obj(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
     } else {
         Vec::new()
     };
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(s, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let val = parse_value(s, pos, room)?;
-        fields.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
+    read_members(s, pos, room, |key, value| {
+        fields.push((key.into_owned(), value.into()))
+    })?;
+    Ok(Value::Obj(fields))
 }
 
 fn parse_arr(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
@@ -327,7 +465,7 @@ fn parse_arr(s: &str, pos: &mut usize, room: usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(s, pos, room)?);
+        items.push(read_value(s, pos, room)?.into());
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -449,5 +587,59 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}é";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+    #[test]
+    fn read_object_visits_members_in_order_and_borrows_plain_strings() {
+        let line = r#" {"op":"query","n":3,"op":"x","e":"a\nb","t":[1,{"k":null}],"b":false} "#;
+        let mut seen = Vec::new();
+        assert_eq!(
+            read_object(line, |k, v| {
+                seen.push((k.clone(), matches!(v, Field::Str(Cow::Borrowed(_))), v))
+            }),
+            Ok(true)
+        );
+        let keys: Vec<&str> = seen.iter().map(|(k, _, _)| k.as_ref()).collect();
+        assert_eq!(keys, ["op", "n", "op", "e", "t", "b"]);
+        let borrowed: Vec<bool> = seen.iter().map(|(_, b, _)| *b).collect();
+        assert_eq!(borrowed, [true, false, true, false, false, false]);
+        assert_eq!(seen[1].2.as_u64(), Some(3));
+        assert_eq!(seen[3].2.as_str(), Some("a\nb"));
+        assert_eq!(seen[5].2.as_bool(), Some(false));
+        let fields: Vec<(String, Value)> = seen
+            .into_iter()
+            .map(|(k, _, v)| (k.into_owned(), v.into()))
+            .collect();
+        assert_eq!(parse(line), Ok(Value::Obj(fields)));
+    }
+
+    #[test]
+    fn read_object_refuses_what_parse_refuses_and_reads_other_documents_as_not_objects() {
+        for doc in ["[1]", "\"op\"", " 7 ", "null"] {
+            assert_eq!(
+                read_object(doc, |_, _| panic!("visited")),
+                Ok(false),
+                "{doc}"
+            );
+        }
+        for doc in [
+            "",
+            "{",
+            "{\"a\":1,}",
+            "{\"a\":1} 2",
+            "[1",
+            "{\"a\":tru}",
+            "{\"a\":\"\\q\"}",
+        ] {
+            let want = parse(doc).unwrap_err();
+            assert_eq!(read_object(doc, |_, _| {}), Err(want), "{doc}");
+        }
+    }
+
+    #[test]
+    fn escape_into_appends_runs_and_escapes() {
+        let mut out = String::from("x");
+        escape_into(&mut out, "ab\"c\u{1}é\t");
+        assert_eq!(out, "xab\\\"c\\u0001é\\t");
+        assert_eq!(escape("plain"), "plain");
     }
 }

@@ -16,9 +16,8 @@
 //! * [`hash`] — byte-wise FNV-1a 64, the one definition behind wire
 //!   result checksums and shard ring placement.
 //! * [`stats`] — the nearest-rank percentile definition shared by the
-//!   test client's latency report and the `gbtl-trace` histogram snapshots, so
-//!   client-side and server-side percentiles are comparable by
-//!   construction.
+//!   `gbtl-trace` histogram snapshots and the benchmark harness's samples,
+//!   so the two sides' percentiles are comparable by construction.
 //! * [`sync`] — the one poison-tolerant mutex [`sync::lock`].
 //! * [`workspace`] — thread-local reusable kernel scratch (dense
 //!   accumulators, presence words, flag arrays) shared by all three

@@ -1,12 +1,10 @@
 //! Shared order statistics: the nearest-rank percentile definition every
 //! latency reporter in the workspace uses.
 //!
-//! One definition, three consumers: the test client's report
-//! (`gbtl_serve::LoadgenReport::percentile_us`) applies it to a sorted
-//! sample vector, the metrics histograms (`gbtl_trace::metrics`) apply it to
-//! bucket counts, and the experiment harness prints whichever of the two
-//! it is summarising — so a "p99" printed anywhere in the workspace means
-//! the same thing.
+//! One definition, applied to bucket counts by the metrics histograms
+//! (`gbtl_trace::metrics`) and to sorted samples by the benchmark harness
+//! and by the histograms' own tests — so a "p99" printed anywhere in the
+//! workspace means the same thing.
 
 /// The 0-based index of the nearest-rank `p`-th percentile in a sorted
 /// sample of `len` observations: `round((len - 1) * p / 100)`.
@@ -34,8 +32,6 @@ pub fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
 mod tests {
     use super::*;
 
-    // Moved from gbtl-serve's client.rs when the implementation was
-    // promoted here; LoadgenReport::percentile_us now delegates.
     #[test]
     fn percentiles_nearest_rank() {
         let sample: Vec<u64> = (1..=100).collect();

@@ -1,13 +1,15 @@
-//! The JSON reader's allocation bound: while `json::parse` reads a line,
-//! the bytes it holds live never exceed [`FACTOR`] × the line's length
-//! plus [`SLACK`] — on arbitrary documents, and on the shapes that cost
-//! the most per input byte (long arrays of numbers and of empty
-//! containers, objects, and strings of escapes).
+//! The JSON reader's allocation bound: while `json::parse` or
+//! `json::read_object` reads a line, the bytes it holds live never exceed
+//! [`FACTOR`] × the line's length plus [`SLACK`] — on arbitrary documents,
+//! and on the shapes that cost the most per input byte (long arrays of
+//! numbers and of empty containers, objects, and strings of escapes). And
+//! `read_object` over a flat object of scalars and escape-free strings —
+//! a request line — allocates nothing at all.
 //!
 //! A counting global allocator keeps each thread's live and peak bytes, so
 //! the test threads running beside one another do not count each other.
 
-use gbtl_util::json::parse;
+use gbtl_util::json::{parse, read_object, Field};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,30 +69,44 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// The most bytes this thread held live while `parse` read `doc`, beyond
-/// what it held before; the parsed value counts until it is dropped.
-fn peak_of_parse(doc: &str) -> usize {
+/// The most bytes this thread held live while `read` ran, beyond what it
+/// held before; what `read` returns counts until it is dropped.
+fn peak_of<T>(read: impl FnOnce() -> T) -> usize {
     let before = BYTES.with(|b| {
         let (live, _) = b.get();
         b.set((live, live));
         live
     });
-    let value = parse(doc);
+    let value = read();
     let peak = BYTES.with(|b| b.get().1);
     drop(value);
     (peak - before) as usize
 }
 
-/// `doc`'s peak against the bound.
+/// The peak of reading `doc` with `read_object`, keeping every member it
+/// visits until the read returns.
+fn peak_of_read_object(doc: &str) -> usize {
+    peak_of(|| {
+        let mut members: Vec<Field> = Vec::new();
+        let read = read_object(doc, |_, v| members.push(v));
+        (read, members)
+    })
+}
+
+/// `doc`'s peak against the bound, through `parse` and `read_object`.
 fn check(label: &str, doc: &str) {
-    let peak = peak_of_parse(doc);
     let bound = FACTOR * doc.len() + SLACK;
-    assert!(
-        peak <= bound,
-        "{label}: {peak} B live for {} B of input (bound {bound} B, {:.1}x)",
-        doc.len(),
-        peak as f64 / doc.len() as f64
-    );
+    for (reader, peak) in [
+        ("parse", peak_of(|| parse(doc))),
+        ("read_object", peak_of_read_object(doc)),
+    ] {
+        assert!(
+            peak <= bound,
+            "{label} ({reader}): {peak} B live for {} B of input (bound {bound} B, {:.1}x)",
+            doc.len(),
+            peak as f64 / doc.len() as f64
+        );
+    }
 }
 
 /// `n` copies of `item` in an array.
@@ -116,6 +132,26 @@ fn the_costliest_shapes_stay_in_bound() {
     check("unterminated", &array_of("{}", N)[..3 * N]);
 }
 
+#[test]
+fn a_flat_line_of_scalars_reads_without_allocating() {
+    for line in [
+        r#"{"op":"query","graph":"rmat12","algo":"bfs","backend":"par","source":1234}"#,
+        r#" { "op" : "query" , "graph":"g0","algo":"pagerank","damping":0.85,"max_iters":20,"id":7,"full":false,"trace":true,"deadline_ms":500,"x":null } "#,
+        r#"{"op":"sleep","ms":5,"é":"✓ plain UTF-8 is borrowed too","op":"dup"}"#,
+        "{}",
+    ] {
+        let peak = peak_of(|| {
+            let mut scalars = 0;
+            let read = read_object(line, |_, v| {
+                assert!(!matches!(v, Field::Tree(_)), "{line}");
+                scalars += 1;
+            });
+            (read, scalars)
+        });
+        assert_eq!(peak, 0, "{line}: {peak} B allocated");
+    }
+}
+
 /// Fragments that build documents of every shape: structure, literals,
 /// numbers, escapes and multibyte text.
 const TOKENS: &[&str] = &[
@@ -126,7 +162,7 @@ const TOKENS: &[&str] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// A document stitched from fragments, parsed or refused, stays in
+    /// A document stitched from fragments, read or refused, stays in
     /// bound.
     #[test]
     fn token_soup_stays_in_bound(picks in proptest::collection::vec(0usize..TOKENS.len(), 0..256)) {
@@ -138,5 +174,12 @@ proptest! {
     #[test]
     fn arbitrary_bytes_stay_in_bound(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         check("bytes", &String::from_utf8_lossy(&bytes));
+    }
+
+    /// An object stitched from fragments, read or refused, stays in bound.
+    #[test]
+    fn object_soup_stays_in_bound(picks in proptest::collection::vec(0usize..TOKENS.len(), 0..256)) {
+        let body: String = picks.iter().map(|&i| TOKENS[i]).collect();
+        check("object soup", &format!("{{\"k\":{body}"));
     }
 }

@@ -1,9 +1,9 @@
 //! Arbitrary-input properties of the JSON reader: no input makes
-//! `json::parse` panic, and every string `json::escape` writes, or a writer
-//! that escapes all non-ASCII text as UTF-16 units does, reads back as
-//! itself.
+//! `json::parse` panic, `json::read_object` reads every input as `parse`
+//! does, and every string `json::escape` writes, or a writer that escapes
+//! all non-ASCII text as UTF-16 units does, reads back as itself.
 
-use gbtl_util::json::{escape, parse, Value, MAX_DEPTH};
+use gbtl_util::json::{escape, parse, read_object, Value, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Fragments that steer random documents into the reader's branches:
@@ -85,8 +85,58 @@ fn ascii_escape(text: &str) -> String {
     out
 }
 
+/// `read_object` answers `doc` as `parse` does: the same error, `false`
+/// for a document that is not an object, and for an object the members
+/// of the tree `parse` builds, in order.
+fn reads_as_parse(doc: &str) {
+    let mut members = Vec::new();
+    let read = read_object(doc, |k, v| members.push((k.into_owned(), Value::from(v))));
+    match parse(doc) {
+        Err(e) => assert_eq!(read, Err(e), "{doc:?}"),
+        Ok(Value::Obj(fields)) => {
+            assert_eq!(read, Ok(true), "{doc:?}");
+            assert_eq!(members, fields, "{doc:?}");
+        }
+        Ok(_) => {
+            assert_eq!(read, Ok(false), "{doc:?}");
+            assert!(members.is_empty(), "{doc:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A document stitched from fragments, opened as an object or not,
+    /// reads through `read_object` as through `parse`.
+    #[test]
+    fn read_object_reads_token_soup_as_parse_does(
+        open in any::<bool>(),
+        picks in proptest::collection::vec(0usize..TOKENS.len(), 0..48),
+    ) {
+        let body: String = picks.iter().map(|&i| TOKENS[i]).collect();
+        reads_as_parse(&if open { format!("{{{body}") } else { body });
+    }
+
+    /// An object of members drawn from keys and values of every type, any
+    /// of them possibly truncated, reads through `read_object` as through
+    /// `parse`; so do arbitrary bytes.
+    #[test]
+    fn read_object_reads_objects_and_bytes_as_parse_does(
+        members in proptest::collection::vec((arb_text(), 0usize..TOKENS.len(), 0usize..3), 0..6),
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let body: Vec<String> = members
+            .iter()
+            .map(|(key, value, cut)| {
+                let member = format!("\"{}\":{}", escape(key), TOKENS[*value]);
+                let keep = member.len().saturating_sub(*cut);
+                (0..=keep).rev().find(|&i| member.is_char_boundary(i)).map_or(member.clone(), |i| member[..i].to_string())
+            })
+            .collect();
+        reads_as_parse(&format!(" {{{}}} ", body.join(",")));
+        reads_as_parse(&String::from_utf8_lossy(&bytes));
+    }
 
     /// A document stitched from reader-relevant fragments parses or is an
     /// error; it never panics.
@@ -150,10 +200,20 @@ fn a_line_of_openings_is_an_error_not_a_stack_overflow() {
             .expect("the reader's thread survives")
             .unwrap_err();
         assert!(err.contains("nesting"), "{unit}: {err}");
+        let doc = format!("{{\"k\":{}", unit.repeat(MAX_LINE / unit.len()));
+        let err = std::thread::spawn(move || read_object(&doc, |_, _| {}))
+            .join()
+            .expect("the reader's thread survives")
+            .unwrap_err();
+        assert!(err.contains("nesting"), "{unit}: {err}");
     }
     // the bound itself still reads
     let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
     assert!(parse(&deepest).is_ok());
     let deeper = format!("[{deepest}]");
     assert!(parse(&deeper).is_err());
+    // an object's members start one level down
+    let member = |d: &str| format!("{{\"k\":{}}}", &d[1..d.len() - 1]);
+    assert_eq!(read_object(&member(&deepest), |_, _| {}), Ok(true));
+    assert!(read_object(&member(&deeper), |_, _| {}).is_err());
 }
